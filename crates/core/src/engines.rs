@@ -10,14 +10,16 @@
 //! is never *wrong*, only occasionally slower. The dispatch-hoisting
 //! ablation bench quantifies the difference.
 //!
-//! Since the pipeline unification, every type here is a thin typed
-//! facade over [`crate::pipeline::CompiledOp`]: compilation — the gate
-//! chain, the obs `strategies` record, the structure-cache hint seam —
-//! lives once in [`crate::pipeline`], and the facades contribute only
-//! their op's [`OpSpec`] and a typed `run` signature. The facades are
-//! kept for source compatibility and ergonomics; new code (and
-//! anything dispatching heterogeneous ops, like the `bernoulli-tune`
-//! `Dispatcher`) should target [`crate::pipeline::compile`] directly.
+//! Every type here is one [`Engine`]: a [`CompiledOp`] whose kind is
+//! fixed by a marker type, so the typed `run` cannot be handed an op of
+//! another kind. Compilation — the gate chain, the obs `strategies`
+//! record, the structure-cache hint replay — lives once in
+//! [`crate::pipeline::compile`]; a facade contributes its op's
+//! [`OpSpec`], the typed `run` signature, and nothing else. What the
+//! compile decided (`strategy`, `tier`, `plan_shape`, `downgrade`,
+//! `hints`, `pseudocode`, ...) is read off the `CompiledOp` itself
+//! through `Deref`. Code dispatching heterogeneous ops (the `Dispatcher`)
+//! holds plain `CompiledOp`s; `TryFrom<CompiledOp>` checks the kind.
 //! Results are bitwise-identical to the pre-unification engines on
 //! every tier (pinned by `tests/pipeline_equivalence.rs`).
 //!
@@ -26,49 +28,90 @@
 //! `compile_in(operands, &ExecCtx)`, which reads *all* policy (threads,
 //! parallel threshold, checked mode, specialization, telemetry) from
 //! the one context object instead of growing per-capability parameter
-//! variants. Engines with a structure-cache replay seam add
-//! `compile_hinted(operands, &ExecCtx, &OpHints)`.
+//! variants.
 
-use crate::ast::LoopNest;
-use crate::pipeline::{self, CompiledOp, OpHints, OpSpec, Operands};
-use bernoulli_formats::{Csr, ExecConfig, ExecCtx, SparseMatrix};
-use bernoulli_relational::error::RelResult;
-use bernoulli_relational::semiring::{AlgebraProps, F64Plus, Semiring};
+use crate::pipeline::{self, CompiledOp, OpKind, OpSpec, Operands};
+use bernoulli_formats::{Csr, ExecCtx, SparseMatrix};
+use bernoulli_relational::error::{RelError, RelResult};
+use bernoulli_relational::semiring::{F64Plus, Semiring};
 use std::marker::PhantomData;
+use std::ops::Deref;
 
 pub use crate::pipeline::Strategy;
 
-/// The planning verdicts a structure-keyed plan cache stores and
-/// replays. Historical name: before the pipeline unification only SpMV
-/// had a hint seam; the unified [`OpHints`] now serves every op kind.
-pub type SpmvHints = OpHints;
+/// Names the op kinds an [`Engine`] may wrap.
+pub trait OpFamily {
+    fn admits(kind: OpKind) -> bool;
+}
 
-/// The one strategy decision every DO-ANY engine routes through.
-///
-/// [`Strategy::Parallel`] requires all three gates: the plan must be
-/// specialisable (a known hand-kernel traversal), the operand must
-/// clear the [`ExecConfig`] work threshold, and the DO-ANY race checker
-/// of `bernoulli-analysis` must certify the loop nest parallel-safe.
-/// The canned kernels all carry a certificate (disjoint writes or a
-/// commutative reduction), so behaviour is unchanged for them; a racy
-/// nest (say, a scatter *assignment*) is provably downgraded to
-/// [`Strategy::Specialized`] rather than run concurrently. Public so
-/// tests and downstream engines can audit the exact decision their
-/// `compile_in` makes. Delegates to [`pipeline::do_any_decision`],
-/// which owns the gate chain.
-pub fn choose_strategy(
-    nest: &LoopNest,
-    specializable: bool,
-    work: usize,
-    exec: &ExecConfig,
-) -> Strategy {
-    pipeline::do_any_decision(nest, specializable, work, exec, &AlgebraProps::f64_plus()).strategy
+/// A [`CompiledOp`] known to be of family `F`.
+pub struct Engine<F> {
+    op: CompiledOp,
+    _family: PhantomData<fn() -> F>,
+}
+
+impl<F> Deref for Engine<F> {
+    type Target = CompiledOp;
+
+    fn deref(&self) -> &CompiledOp {
+        &self.op
+    }
+}
+
+impl<F: OpFamily> TryFrom<CompiledOp> for Engine<F> {
+    type Error = RelError;
+
+    fn try_from(op: CompiledOp) -> RelResult<Engine<F>> {
+        if !F::admits(op.kind()) {
+            return Err(RelError::Validation(format!(
+                "a compiled {} op is not a {}",
+                op.kind().tag(),
+                std::any::type_name::<F>()
+            )));
+        }
+        Ok(Engine { op, _family: PhantomData })
+    }
+}
+
+/// Family markers of the five DO-ANY facades.
+pub struct SpmvOp;
+pub struct SpmmOp;
+pub struct SpmvMultiOp;
+pub struct SemiringSpmvOp<S>(PhantomData<S>);
+pub struct SemiringSpmmOp<S>(PhantomData<S>);
+
+impl OpFamily for SpmvOp {
+    fn admits(kind: OpKind) -> bool {
+        kind == OpKind::Spmv
+    }
+}
+
+impl OpFamily for SpmmOp {
+    fn admits(kind: OpKind) -> bool {
+        kind == OpKind::Spmm
+    }
+}
+
+impl OpFamily for SpmvMultiOp {
+    fn admits(kind: OpKind) -> bool {
+        kind == OpKind::SpmvMulti
+    }
+}
+
+impl<S: Semiring> OpFamily for SemiringSpmvOp<S> {
+    fn admits(kind: OpKind) -> bool {
+        kind == OpKind::SemiringSpmv(S::NAME)
+    }
+}
+
+impl<S: Semiring> OpFamily for SemiringSpmmOp<S> {
+    fn admits(kind: OpKind) -> bool {
+        kind == OpKind::SemiringSpmm(S::NAME)
+    }
 }
 
 /// A compiled `y += A·x` engine for one matrix.
-pub struct SpmvEngine {
-    op: CompiledOp,
-}
+pub type SpmvEngine = Engine<SpmvOp>;
 
 impl SpmvEngine {
     /// Compile for a matrix (dense `x`/`y`), choosing the execution
@@ -91,72 +134,19 @@ impl SpmvEngine {
     /// [instrumented](ExecCtx::instrument) context records plan
     /// provenance, the strategy decision and per-run kernel counters.
     pub fn compile_in(a: &SparseMatrix, ctx: &ExecCtx) -> RelResult<SpmvEngine> {
-        Ok(SpmvEngine { op: pipeline::compile::<F64Plus>(OpSpec::Spmv, Operands::Mat(a), ctx)? })
-    }
-
-    /// Compile from cached hints, skipping the planner search and the
-    /// race-gate re-derivation — the warm path of a structure-keyed
-    /// plan cache. Every soundness gate is preserved: checked-mode
-    /// operand validation still runs, the cheap O(1) parallel gates
-    /// (work threshold, worker pool) are re-applied against *this*
-    /// context, and the fast tier is armed only by a certificate that
-    /// covers this exact operand — the cached one when its content
-    /// fingerprint matches, else a fresh sanitizer run. A hinted
-    /// [`Strategy::Interpreted`] needs a real plan to interpret, so it
-    /// falls back to the full [`SpmvEngine::compile_in`]. Results are
-    /// identical to the cold path on every tier; only compile latency
-    /// changes.
-    pub fn compile_hinted(
-        a: &SparseMatrix,
-        ctx: &ExecCtx,
-        hints: &SpmvHints,
-    ) -> RelResult<SpmvEngine> {
-        Ok(SpmvEngine {
-            op: pipeline::compile_hinted::<F64Plus>(OpSpec::Spmv, Operands::Mat(a), ctx, hints)?,
-        })
-    }
-
-    /// Export this engine's decisions for a structure-keyed plan cache
-    /// (the input [`SpmvEngine::compile_hinted`] replays).
-    pub fn hints(&self) -> SpmvHints {
-        self.op.hints()
-    }
-
-    pub fn strategy(&self) -> Strategy {
-        self.op.strategy()
-    }
-
-    pub fn plan_shape(&self) -> String {
-        self.op.plan_shape()
-    }
-
-    /// Which kernel tier [`SpmvEngine::run`] will dispatch to:
-    /// `"fast"` (certified bounds-check-free microkernels) or
-    /// `"reference"` (the safe-indexed library kernels).
-    pub fn tier(&self) -> &'static str {
-        self.op.tier()
-    }
-
-    /// Render this engine's plan as pseudocode, truthful about the
-    /// tier: the fast tier shows the 4-lane unrolled reduction shape
-    /// (see [`crate::codegen::emit_pseudocode_fast`]); the reference
-    /// tier is the classic [`crate::codegen::emit_pseudocode`] loop.
-    pub fn pseudocode(&self) -> String {
-        self.op.pseudocode()
+        pipeline::compile::<F64Plus>(OpSpec::Spmv, Operands::Mat(a), ctx, None)?.try_into()
     }
 
     /// `y += A·x`. The matrix must be the one the engine was compiled
     /// for (same format and shape; enforced by the shape checks in the
     /// underlying paths).
     pub fn run(&self, a: &SparseMatrix, x: &[f64], y: &mut [f64]) -> RelResult<()> {
-        self.op.run_spmv(a, x, y)
+        self.run_spmv(a, x, y)
     }
 }
 
 /// A compiled `C += A·B` engine (dense result, row-major buffer).
-pub struct SpmmEngine {
-    op: CompiledOp,
-}
+pub type SpmmEngine = Engine<SpmmOp>;
 
 impl SpmmEngine {
     /// Compile with the default [`ExecCtx`] (serial, unchecked,
@@ -168,19 +158,13 @@ impl SpmmEngine {
     /// Compile under an execution context (see
     /// [`SpmvEngine::compile_in`] for the policy the ctx carries).
     pub fn compile_in(a: &SparseMatrix, b: &SparseMatrix, ctx: &ExecCtx) -> RelResult<SpmmEngine> {
-        Ok(SpmmEngine {
-            op: pipeline::compile::<F64Plus>(OpSpec::Spmm, Operands::MatPair(a, b), ctx)?,
-        })
-    }
-
-    pub fn strategy(&self) -> Strategy {
-        self.op.strategy()
+        pipeline::compile::<F64Plus>(OpSpec::Spmm, Operands::MatPair(a, b), ctx, None)?.try_into()
     }
 
     /// `C += A·B` into a dense row-major buffer `c` of shape
     /// `a.nrows() × b.ncols()`.
     pub fn run(&self, a: &SparseMatrix, b: &SparseMatrix, c: &mut [f64]) -> RelResult<()> {
-        self.op.run_spmm(a, b, c)
+        self.run_spmm(a, b, c)
     }
 }
 
@@ -188,9 +172,7 @@ impl SpmmEngine {
 /// dense multivector (`X` is `ncols × k` row-major, `Y` is `nrows × k`)
 /// — the paper's §6 "product of a sparse matrix and a skinny dense
 /// matrix", the workhorse of block Krylov methods.
-pub struct SpmvMultiEngine {
-    op: CompiledOp,
-}
+pub type SpmvMultiEngine = Engine<SpmvMultiOp>;
 
 impl SpmvMultiEngine {
     /// Compile with the default [`ExecCtx`] (serial, unchecked,
@@ -202,52 +184,13 @@ impl SpmvMultiEngine {
     /// Compile under an execution context (see
     /// [`SpmvEngine::compile_in`] for the policy the ctx carries).
     pub fn compile_in(a: &SparseMatrix, k: usize, ctx: &ExecCtx) -> RelResult<SpmvMultiEngine> {
-        Ok(SpmvMultiEngine {
-            op: pipeline::compile::<F64Plus>(OpSpec::SpmvMulti { k }, Operands::Mat(a), ctx)?,
-        })
-    }
-
-    /// Compile from cached hints — the structure-cache warm path (see
-    /// [`SpmvEngine::compile_hinted`] for the soundness contract). The
-    /// planner search and race-gate re-derivation are skipped; the
-    /// O(1) gates re-run against this context and operand.
-    pub fn compile_hinted(
-        a: &SparseMatrix,
-        k: usize,
-        ctx: &ExecCtx,
-        hints: &OpHints,
-    ) -> RelResult<SpmvMultiEngine> {
-        Ok(SpmvMultiEngine {
-            op: pipeline::compile_hinted::<F64Plus>(
-                OpSpec::SpmvMulti { k },
-                Operands::Mat(a),
-                ctx,
-                hints,
-            )?,
-        })
-    }
-
-    /// Export this engine's decisions for a structure-keyed plan cache.
-    pub fn hints(&self) -> OpHints {
-        self.op.hints()
-    }
-
-    pub fn strategy(&self) -> Strategy {
-        self.op.strategy()
-    }
-
-    pub fn plan_shape(&self) -> String {
-        self.op.plan_shape()
-    }
-
-    /// The multivector width the engine was compiled for.
-    pub fn k(&self) -> usize {
-        self.op.multi_width()
+        pipeline::compile::<F64Plus>(OpSpec::SpmvMulti { k }, Operands::Mat(a), ctx, None)?
+            .try_into()
     }
 
     /// `Y += A·X` with `X: ncols×k` and `Y: nrows×k`, both row-major.
     pub fn run(&self, a: &SparseMatrix, x: &[f64], y: &mut [f64]) -> RelResult<()> {
-        self.op.run_spmv_multi(a, x, y)
+        self.run_spmv_multi(a, x, y)
     }
 }
 
@@ -267,10 +210,7 @@ impl SpmvMultiEngine {
 ///   algebra**: a non-associative-commutative ⊕ is refused the
 ///   reduction certificate (BA06) and provably compiles to the serial
 ///   tier — scatter-family formats additionally self-gate at run time.
-pub struct SemiringSpmvEngine<S: Semiring> {
-    op: CompiledOp,
-    _algebra: PhantomData<S>,
-}
+pub type SemiringSpmvEngine<S> = Engine<SemiringSpmvOp<S>>;
 
 impl<S: Semiring> SemiringSpmvEngine<S> {
     /// Compile with the default [`ExecCtx`] (serial, unchecked,
@@ -282,52 +222,14 @@ impl<S: Semiring> SemiringSpmvEngine<S> {
     /// Compile under an execution context (see
     /// [`SpmvEngine::compile_in`] for the policy the ctx carries).
     pub fn compile_in(a: &SparseMatrix, ctx: &ExecCtx) -> RelResult<SemiringSpmvEngine<S>> {
-        Ok(SemiringSpmvEngine {
-            op: pipeline::compile::<S>(
-                OpSpec::SemiringSpmv { algebra: S::NAME },
-                Operands::Mat(a),
-                ctx,
-            )?,
-            _algebra: PhantomData,
-        })
-    }
-
-    /// Compile from cached hints — the structure-cache warm path. The
-    /// cached verdict already encodes the per-algebra race check (the
-    /// cache key carries `S::NAME`), so only the O(1) gates re-run.
-    pub fn compile_hinted(
-        a: &SparseMatrix,
-        ctx: &ExecCtx,
-        hints: &OpHints,
-    ) -> RelResult<SemiringSpmvEngine<S>> {
-        Ok(SemiringSpmvEngine {
-            op: pipeline::compile_hinted::<S>(
-                OpSpec::SemiringSpmv { algebra: S::NAME },
-                Operands::Mat(a),
-                ctx,
-                hints,
-            )?,
-            _algebra: PhantomData,
-        })
-    }
-
-    /// Export this engine's decisions for a structure-keyed plan cache.
-    pub fn hints(&self) -> OpHints {
-        self.op.hints()
-    }
-
-    pub fn strategy(&self) -> Strategy {
-        self.op.strategy()
-    }
-
-    pub fn plan_shape(&self) -> String {
-        self.op.plan_shape()
+        let spec = OpSpec::SemiringSpmv { algebra: S::NAME };
+        pipeline::compile::<S>(spec, Operands::Mat(a), ctx, None)?.try_into()
     }
 
     /// `y = y ⊕ (A ⊗ x)` under `S` (accumulating, like
     /// [`SpmvEngine::run`]).
     pub fn run(&self, a: &SparseMatrix, x: &[S::Elem], y: &mut [S::Elem]) -> RelResult<()> {
-        self.op.run_semiring_spmv::<S>(a, x, y)
+        self.run_semiring_spmv::<S>(a, x, y)
     }
 }
 
@@ -337,10 +239,7 @@ impl<S: Semiring> SemiringSpmvEngine<S> {
 /// counting (`count_u64`) and transitive-step queries (`bool_or_and`).
 /// Only CSR operands carry the generic hand kernel, so unlike
 /// [`SpmmEngine`] the operands are [`Csr`] by construction.
-pub struct SemiringSpmmEngine<S: Semiring> {
-    op: CompiledOp,
-    _algebra: PhantomData<S>,
-}
+pub type SemiringSpmmEngine<S> = Engine<SemiringSpmmOp<S>>;
 
 impl<S: Semiring> SemiringSpmmEngine<S> {
     /// Compile with the default [`ExecCtx`].
@@ -350,49 +249,14 @@ impl<S: Semiring> SemiringSpmmEngine<S> {
 
     /// Compile under an execution context.
     pub fn compile_in(a: &Csr, b: &Csr, ctx: &ExecCtx) -> RelResult<SemiringSpmmEngine<S>> {
-        Ok(SemiringSpmmEngine {
-            op: pipeline::compile::<S>(
-                OpSpec::SemiringSpmm { algebra: S::NAME },
-                Operands::CsrPair(a, b),
-                ctx,
-            )?,
-            _algebra: PhantomData,
-        })
-    }
-
-    /// Compile from cached hints — the structure-cache warm path. The
-    /// cached verdict already encodes the per-algebra race check (the
-    /// cache key carries `S::NAME`), so only the O(1) gates re-run.
-    pub fn compile_hinted(
-        a: &Csr,
-        b: &Csr,
-        ctx: &ExecCtx,
-        hints: &OpHints,
-    ) -> RelResult<SemiringSpmmEngine<S>> {
-        Ok(SemiringSpmmEngine {
-            op: pipeline::compile_hinted::<S>(
-                OpSpec::SemiringSpmm { algebra: S::NAME },
-                Operands::CsrPair(a, b),
-                ctx,
-                hints,
-            )?,
-            _algebra: PhantomData,
-        })
-    }
-
-    /// Export this engine's decisions for a structure-keyed plan cache.
-    pub fn hints(&self) -> OpHints {
-        self.op.hints()
-    }
-
-    pub fn strategy(&self) -> Strategy {
-        self.op.strategy()
+        let spec = OpSpec::SemiringSpmm { algebra: S::NAME };
+        pipeline::compile::<S>(spec, Operands::CsrPair(a, b), ctx, None)?.try_into()
     }
 
     /// The product's nonzero entries `(i, j, v)` with `v ≠ S::zero()`,
     /// row-sorted, columns sorted within each row.
     pub fn run_entries(&self, a: &Csr, b: &Csr) -> RelResult<Vec<(usize, usize, S::Elem)>> {
-        self.op.run_semiring_spmm_entries::<S>(a, b)
+        self.run_semiring_spmm_entries::<S>(a, b)
     }
 }
 
@@ -403,10 +267,24 @@ mod tests {
     use bernoulli_formats::{fast, FormatKind, Triplets};
     use bernoulli_obs::Obs;
     use bernoulli_relational::access::MatrixAccess;
-    use bernoulli_relational::error::RelError;
 
     fn sample(n: usize, seed: u64) -> Triplets {
         bernoulli_formats::gen::random_sparse(n, n, n * 3, seed)
+    }
+
+    /// Warm compile through the one entry point: `spec` against
+    /// `operands`, replaying `hints`, as the facade type `E`.
+    fn compile_warm<S: Semiring, E: TryFrom<CompiledOp, Error = RelError>>(
+        spec: OpSpec,
+        operands: Operands<'_>,
+        ctx: &ExecCtx,
+        hints: &pipeline::OpHints,
+    ) -> E {
+        pipeline::compile::<S>(spec, operands, ctx, Some(hints)).unwrap().try_into().unwrap()
+    }
+
+    fn warm_spmv(a: &SparseMatrix, ctx: &ExecCtx, hints: &pipeline::OpHints) -> SpmvEngine {
+        compile_warm::<F64Plus, _>(OpSpec::Spmv, Operands::Mat(a), ctx, hints)
     }
 
     #[test]
@@ -496,7 +374,7 @@ mod tests {
         let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
         let eng = SpmvMultiEngine::compile(&a, k).unwrap();
         assert_eq!(eng.strategy(), Strategy::Specialized, "plan {}", eng.plan_shape());
-        assert_eq!(eng.k(), k);
+        assert_eq!(eng.multi_width(), k);
         let x: Vec<f64> = (0..12 * k).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y = vec![0.0; 12 * k];
         eng.run(&a, &x, &mut y).unwrap();
@@ -1002,12 +880,8 @@ mod tests {
         assert_eq!((cold.strategy(), cold.tier()), (Strategy::Specialized, "fast"));
         let hints = cold.hints();
         let obs = Obs::enabled();
-        let warm = SpmvEngine::compile_hinted(
-            &a,
-            &ExecCtx::serial().fast_kernels(true).instrument(obs.clone()),
-            &hints,
-        )
-        .unwrap();
+        let warm =
+            warm_spmv(&a, &ExecCtx::serial().fast_kernels(true).instrument(obs.clone()), &hints);
         assert_eq!(warm.strategy(), cold.strategy());
         assert_eq!(warm.plan_shape(), cold.plan_shape());
         assert_eq!(warm.tier(), "fast");
@@ -1023,7 +897,7 @@ mod tests {
         // The warm path skipped the planner entirely: no plan event,
         // but the strategy decision and the hinted counter are there.
         assert!(r.plans.is_empty(), "{:?}", r.plans);
-        assert_eq!(r.counters["engine.compile_hinted"], 1);
+        assert_eq!(r.counters["engine.compile_warm"], 1);
         assert_eq!(r.strategies[0].strategy, "Specialized");
         assert!(!r.strategies[0].race_checked, "hinted path never re-runs the race gate");
         assert!(warm.pseudocode().contains("plan replayed from structure cache"));
@@ -1040,8 +914,7 @@ mod tests {
         let hints = cold.hints();
         assert!(hints.fast_cert.is_some());
         let b = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-        let warm =
-            SpmvEngine::compile_hinted(&b, &ExecCtx::serial().fast_kernels(true), &hints).unwrap();
+        let warm = warm_spmv(&b, &ExecCtx::serial().fast_kernels(true), &hints);
         assert_eq!(warm.tier(), "fast", "re-derived certificate still arms the fast tier");
         let x: Vec<f64> = (0..48).map(|i| (i as f64 * 0.29).cos()).collect();
         let mut y = vec![0.0; 48];
@@ -1065,11 +938,11 @@ mod tests {
         let hints = cold.hints();
         // Replaying a Parallel verdict under a serial context re-applies
         // the O(1) gates and lands on the serial specialized tier.
-        let warm = SpmvEngine::compile_hinted(&a, &ExecCtx::serial(), &hints).unwrap();
+        let warm = warm_spmv(&a, &ExecCtx::serial(), &hints);
         assert_eq!(warm.strategy(), Strategy::Specialized);
         // Under an equivalent parallel context the verdict replays as-is
         // and both engines agree bitwise.
-        let warm_par = SpmvEngine::compile_hinted(&a, &par, &hints).unwrap();
+        let warm_par = warm_spmv(&a, &par, &hints);
         assert_eq!(warm_par.strategy(), Strategy::Parallel);
         let x: Vec<f64> = (0..64).map(|i| i as f64 * 0.11 - 3.0).collect();
         let (mut y1, mut y2) = (vec![0.0; 64], vec![0.0; 64]);
@@ -1091,13 +964,11 @@ mod tests {
         let cold = SpmvEngine::compile_in(&a, &interp).unwrap();
         assert_eq!(cold.strategy(), Strategy::Interpreted);
         let obs = Obs::enabled();
-        let warm =
-            SpmvEngine::compile_hinted(&a, &interp.clone().instrument(obs.clone()), &cold.hints())
-                .unwrap();
+        let warm = warm_spmv(&a, &interp.clone().instrument(obs.clone()), &cold.hints());
         assert_eq!(warm.strategy(), Strategy::Interpreted);
         let r = obs.report();
         assert_eq!(r.plans.len(), 1, "fallback goes through the planner");
-        assert!(!r.counters.contains_key("engine.compile_hinted"));
+        assert!(!r.counters.contains_key("engine.compile_warm"));
         let x: Vec<f64> = (0..15).map(|i| (i as f64).sqrt()).collect();
         let (mut y1, mut y2) = (vec![0.0; 15], vec![0.0; 15]);
         cold.run(&a, &x, &mut y1).unwrap();
@@ -1118,15 +989,19 @@ mod tests {
         assert_eq!(cold.strategy(), Strategy::Parallel);
         let hints = cold.hints();
         let obs = Obs::enabled();
-        let warm =
-            SpmvMultiEngine::compile_hinted(&a, k, &par.clone().instrument(obs.clone()), &hints)
-                .unwrap();
+        let multi = OpSpec::SpmvMulti { k };
+        let warm: SpmvMultiEngine = compile_warm::<F64Plus, _>(
+            multi,
+            Operands::Mat(&a),
+            &par.clone().instrument(obs.clone()),
+            &hints,
+        );
         assert_eq!(warm.strategy(), Strategy::Parallel);
         assert_eq!(warm.plan_shape(), cold.plan_shape());
-        assert_eq!(warm.k(), k);
+        assert_eq!(warm.multi_width(), k);
         let r = obs.report();
         assert!(r.plans.is_empty(), "warm path must skip the planner: {:?}", r.plans);
-        assert_eq!(r.counters["engine.compile_hinted"], 1);
+        assert_eq!(r.counters["engine.compile_warm"], 1);
         let x: Vec<f64> = (0..48 * k).map(|i| (i as f64 * 0.19).sin()).collect();
         let (mut y1, mut y2) = (vec![0.0; 48 * k], vec![0.0; 48 * k]);
         cold.run(&a, &x, &mut y1).unwrap();
@@ -1135,7 +1010,8 @@ mod tests {
             y1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             y2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        let regated = SpmvMultiEngine::compile_hinted(&a, k, &ExecCtx::serial(), &hints).unwrap();
+        let regated: SpmvMultiEngine =
+            compile_warm::<F64Plus, _>(multi, Operands::Mat(&a), &ExecCtx::serial(), &hints);
         assert_eq!(regated.strategy(), Strategy::Specialized);
     }
 
@@ -1152,16 +1028,16 @@ mod tests {
         let cold = SemiringSpmvEngine::<MinPlus>::compile_in(&a, &par).unwrap();
         assert_eq!(cold.strategy(), Strategy::Parallel);
         let obs = Obs::enabled();
-        let warm = SemiringSpmvEngine::<MinPlus>::compile_hinted(
-            &a,
+        let warm: SemiringSpmvEngine<MinPlus> = compile_warm::<MinPlus, _>(
+            OpSpec::SemiringSpmv { algebra: MinPlus::NAME },
+            Operands::Mat(&a),
             &par.clone().instrument(obs.clone()),
             &cold.hints(),
-        )
-        .unwrap();
+        );
         assert_eq!(warm.strategy(), Strategy::Parallel);
         let r = obs.report();
         assert!(r.plans.is_empty(), "warm path must skip the planner: {:?}", r.plans);
-        assert_eq!(r.counters["engine.compile_hinted"], 1);
+        assert_eq!(r.counters["engine.compile_warm"], 1);
         assert_eq!(r.strategies[0].algebra, "min_plus");
         let x: Vec<f64> = (0..48).map(|i| i as f64 * 0.5).collect();
         let (mut y1, mut y2) = (vec![f64::INFINITY; 48], vec![f64::INFINITY; 48]);
@@ -1174,17 +1050,23 @@ mod tests {
         // The non-commutative algebra's serial verdict replays as-is.
         let cold_fnz = SemiringSpmvEngine::<FirstNonZero>::compile_in(&a, &par).unwrap();
         assert_eq!(cold_fnz.strategy(), Strategy::Specialized);
-        let warm_fnz =
-            SemiringSpmvEngine::<FirstNonZero>::compile_hinted(&a, &par, &cold_fnz.hints())
-                .unwrap();
+        let warm_fnz: SemiringSpmvEngine<FirstNonZero> = compile_warm::<FirstNonZero, _>(
+            OpSpec::SemiringSpmv { algebra: FirstNonZero::NAME },
+            Operands::Mat(&a),
+            &par,
+            &cold_fnz.hints(),
+        );
         assert_eq!(warm_fnz.strategy(), Strategy::Specialized);
         // Semiring SpMM rides the seam too, bitwise.
         use bernoulli_relational::semiring::CountU64;
         let ca = Csr::from_triplets(&sample(24, 57));
         let cold_mm = SemiringSpmmEngine::<CountU64>::compile_in(&ca, &ca, &par).unwrap();
-        let warm_mm =
-            SemiringSpmmEngine::<CountU64>::compile_hinted(&ca, &ca, &par, &cold_mm.hints())
-                .unwrap();
+        let warm_mm: SemiringSpmmEngine<CountU64> = compile_warm::<CountU64, _>(
+            OpSpec::SemiringSpmm { algebra: CountU64::NAME },
+            Operands::CsrPair(&ca, &ca),
+            &par,
+            &cold_mm.hints(),
+        );
         assert_eq!(warm_mm.strategy(), cold_mm.strategy());
         assert_eq!(
             warm_mm.run_entries(&ca, &ca).unwrap(),

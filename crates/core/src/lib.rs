@@ -43,13 +43,12 @@ pub use ast::{ArrayDecl, ExprAst, LoopNest};
 pub use codegen::{emit_pseudocode, emit_pseudocode_in};
 pub use compile::{CompiledKernel, Compiler};
 pub use engines::{
-    choose_strategy, SemiringSpmmEngine, SemiringSpmvEngine, SpmmEngine, SpmvEngine,
-    SpmvHints, SpmvMultiEngine, Strategy,
+    Engine, SemiringSpmmEngine, SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine,
+    Strategy,
 };
 pub use operator::{BoundSpmv, BoundSpmvMulti, FnOperator, Operator, SemiringOperator};
 pub use pipeline::{
-    compile as compile_op, compile_hinted as compile_op_hinted, reason, CompiledOp, GateDecision,
-    OpHints, OpKind, OpSpec, Operands,
+    compile as compile_op, reason, CompiledOp, GateDecision, OpHints, OpKind, OpSpec, Operands,
 };
 pub use trisolve::{SptrsvEngine, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
 pub use bernoulli_formats::{ExecConfig, ExecCtx};

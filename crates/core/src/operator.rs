@@ -104,11 +104,11 @@ impl SpmvMultiEngine {
 
 impl Operator for BoundSpmvMulti<'_> {
     fn out_len(&self) -> usize {
-        self.a.meta().nrows * self.engine.k()
+        self.a.meta().nrows * self.engine.multi_width()
     }
 
     fn in_len(&self) -> usize {
-        self.a.meta().ncols * self.engine.k()
+        self.a.meta().ncols * self.engine.multi_width()
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) -> RelResult<()> {
@@ -117,7 +117,7 @@ impl Operator for BoundSpmvMulti<'_> {
     }
 
     fn model(&self) -> KernelCounters {
-        spmv_multi_counters(&self.a.meta(), self.engine.k())
+        spmv_multi_counters(&self.a.meta(), self.engine.multi_width())
     }
 
     fn name(&self) -> &str {

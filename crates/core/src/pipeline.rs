@@ -7,10 +7,13 @@
 //! that chain once. An [`OpSpec`] names the operation, [`Operands`]
 //! carries the matrices, and [`compile`] runs the full chain to a
 //! [`CompiledOp`] — the one compiled artifact all seven public engine
-//! types wrap. The warm path is the same story: [`compile_hinted`]
-//! replays a structure cache's [`OpHints`] (decisions, never proofs)
-//! through the identical soundness gates, keyed upstream by
-//! `(StructureKey, OpKind)`.
+//! types wrap. The warm path is the same call: pass the [`OpHints`] a
+//! structure cache stored (decisions, never proofs) and [`compile`]
+//! replays them through the identical soundness gates, keyed upstream
+//! by `(StructureKey, OpKind)`.
+//!
+//! Adding an op is one [`OpSpec`] (and [`OpKind`]) variant, one
+//! `DoAny` row in [`compile`] and one arm in [`CompiledOp::run`].
 //!
 //! Three invariants the unification preserves, checked by the golden
 //! suites:
@@ -34,10 +37,10 @@ use bernoulli_analysis::wavefront::{
     self, analyze_wavefront, verify_level_schedule, LevelSchedule, Triangle, WavefrontCert,
 };
 use bernoulli_formats::{
-    fast, kernels, par_kernels, Csr, ExecConfig, ExecCtx, FormatKind, SparseMatrix, Validate,
+    fast, kernels, par_kernels, Csr, DenseMatrix, ExecConfig, ExecCtx, FormatKind, SparseMatrix,
+    Validate,
 };
 use bernoulli_obs::events::{KernelCounters, StrategyEvent};
-use bernoulli_obs::Obs;
 use bernoulli_relational::access::{MatMeta, MatrixAccess, VecMeta};
 use bernoulli_relational::error::{RelError, RelResult};
 use bernoulli_relational::exec::Bindings;
@@ -190,6 +193,18 @@ impl OpKind {
         }
     }
 
+    /// Whether this kind's parallel tier is licensed by wavefront level
+    /// schedules (the DO-ACROSS ops) rather than the DO-ANY race check.
+    pub fn is_wavefront(self) -> bool {
+        matches!(
+            self,
+            OpKind::SptrsvLower
+                | OpKind::SptrsvUpper
+                | OpKind::SptrsvLowerTransposed
+                | OpKind::Symgs
+        )
+    }
+
     /// The scalar algebra this kind computes under.
     pub fn algebra(self) -> &'static str {
         match self {
@@ -291,6 +306,7 @@ impl OpSpec {
 
 /// The operand bundle an [`OpSpec`] compiles against. Borrowed: the
 /// pipeline never copies a matrix.
+#[derive(Clone, Copy)]
 pub enum Operands<'a> {
     /// One general-format matrix (SpMV family).
     Mat(&'a SparseMatrix),
@@ -398,10 +414,6 @@ pub fn do_any_decision(
     }
 }
 
-fn do_any_f64(nest: &LoopNest, specializable: bool, work: usize, exec: &ExecConfig) -> GateDecision {
-    do_any_decision(nest, specializable, work, exec, &AlgebraProps::f64_plus())
-}
-
 /// The wavefront gate chain: size threshold → worker pool → DO-ANY
 /// race checker (always refuses a sweep nest — recorded, not trusted)
 /// → wavefront certification → independent BA4x verification → width
@@ -456,58 +468,39 @@ fn wave_decision(
         }
         (sched, cert)
     };
-    let (levels, maxw, meanw) =
-        (cert.levels() as u64, cert.max_level_width() as u64, cert.mean_level_width());
-    if meanw < MIN_MEAN_LEVEL_WIDTH {
-        return (
-            GateDecision {
-                strategy: Strategy::Specialized,
-                race_checked: true,
-                race_safe: false,
-                downgrade: reason::LEVELS_TOO_NARROW,
-                levels,
-                max_level_width: maxw,
-                mean_level_width: meanw,
-            },
-            None,
-        );
-    }
-    (
-        GateDecision {
-            strategy: Strategy::Parallel,
-            race_checked: true,
-            race_safe: false,
-            downgrade: reason::NONE,
-            levels,
-            max_level_width: maxw,
-            mean_level_width: meanw,
-        },
-        Some((sched, cert)),
-    )
+    // Wide enough per wave to pay for dispatch, or serial with the
+    // level statistics still on record.
+    let wide = cert.mean_level_width() >= MIN_MEAN_LEVEL_WIDTH;
+    let decision = GateDecision {
+        strategy: if wide { Strategy::Parallel } else { Strategy::Specialized },
+        race_checked: true,
+        race_safe: false,
+        downgrade: if wide { reason::NONE } else { reason::LEVELS_TOO_NARROW },
+        levels: cert.levels() as u64,
+        max_level_width: cert.max_level_width() as u64,
+        mean_level_width: cert.mean_level_width(),
+    };
+    (decision, wide.then_some((sched, cert)))
 }
 
 /// The one obs `strategies` record emitter: every op kind's
 /// compile-time decision flows through here (and bumps the compile
 /// counter). Free on a disabled handle; allocation-free always — every
 /// string field is `&'static`.
-// One positional slot per StrategyEvent field this emits; bundling
-// them into a struct would just restate the event type.
-#[allow(clippy::too_many_arguments)]
 fn record_decision(
-    obs: &Obs,
-    op: &'static str,
-    algebra: &'static str,
+    ctx: &ExecCtx,
+    kind: OpKind,
     d: &GateDecision,
     specializable: bool,
     work: usize,
-    exec: &ExecConfig,
     tier: &'static str,
 ) {
+    let (obs, exec) = (ctx.obs(), ctx.config());
     obs.counter("engine.compile", 1);
     obs.strategy(|| StrategyEvent {
-        op,
+        op: kind.name(),
         strategy: d.strategy.name(),
-        algebra,
+        algebra: kind.algebra(),
         specializable,
         work: work as u64,
         threshold: exec.par_threshold_nnz as u64,
@@ -591,17 +584,9 @@ fn sptrsv_counters(a: &Csr) -> KernelCounters {
 /// Checked-mode operand gate: when [`ExecConfig::checked`] is set, run
 /// the format-invariant sanitizer over the operand and refuse to
 /// compile against a corrupt matrix ([`RelError::Validation`]).
-fn check_operand(name: &str, m: &SparseMatrix, exec: &ExecConfig) -> RelResult<()> {
+fn check_operand(name: &str, m: &impl Validate, exec: &ExecConfig) -> RelResult<()> {
     if exec.checked {
         m.validate_ok()
-            .map_err(|e| RelError::Validation(format!("operand {name}: {e}")))?;
-    }
-    Ok(())
-}
-
-fn check_csr_operand(name: &str, a: &Csr, exec: &ExecConfig) -> RelResult<()> {
-    if exec.checked {
-        a.validate_ok()
             .map_err(|e| RelError::Validation(format!("operand {name}: {e}")))?;
     }
     Ok(())
@@ -618,13 +603,20 @@ fn check_square(a: &Csr, what: &str) -> RelResult<()> {
     Ok(())
 }
 
-/// The canonical matvec plan shape for each format orientation.
-fn natural_spmv_shape(a: &SparseMatrix) -> &'static str {
+const FLAT_SPMV_SHAPE: &str = "(i,j):flat(A)[X?]";
+const GUSTAVSON_SHAPE: &str = "i:outer(A)>k:inner(A)[B?]>j:inner(B)";
+const MULTI_SHAPE: &str = "i:outer(A)>j:inner(A)[B?]>k:inner(B)";
+
+/// The matvec plan shapes that dispatch to a format's hand kernel: its
+/// natural hierarchical traversal and the flat enumeration both compute
+/// exactly what the kernel computes (A enumerated once, X directly
+/// indexed).
+fn spmv_hand_shapes(a: &MatMeta) -> &'static [&'static str] {
     use bernoulli_relational::access::Orientation::*;
-    match a.meta().orientation {
-        RowMajor => "i:outer(A)>j:inner(A)[X?]",
-        ColMajor => "j:outer(A)[X?]>i:inner(A)",
-        Flat => "(i,j):flat(A)[X?]",
+    match a.orientation {
+        RowMajor => &["i:outer(A)>j:inner(A)[X?]", FLAT_SPMV_SHAPE],
+        ColMajor => &["j:outer(A)[X?]>i:inner(A)", FLAT_SPMV_SHAPE],
+        Flat => &[FLAT_SPMV_SHAPE],
     }
 }
 
@@ -663,7 +655,7 @@ impl OperandId {
 }
 
 /// The planning verdicts a structure-keyed plan cache stores per
-/// `(StructureKey, OpKind)` and feeds back through [`compile_hinted`].
+/// `(StructureKey, OpKind)` and feeds back through [`compile`].
 /// Everything here is a cached *decision* — strategy tier, plan shape,
 /// fast-tier eligibility, level schedules — never a proof: the hinted
 /// path skips the planner search, the race-gate re-derivation and the
@@ -688,23 +680,10 @@ pub struct OpHints {
     pub fast_cert: Option<fast::MatrixCert>,
     /// Cached level schedules: `[solve]` for SpTRSV, `[fwd, bwd]` for
     /// SymGS, empty for the DO-ANY ops and for structures whose cold
-    /// compile never armed the wavefront tier.
+    /// compile never armed the wavefront tier. The wavefront ops read
+    /// nothing else: their strategy is decided fresh by the certify
+    /// gate on every replay.
     pub schedules: Vec<LevelSchedule>,
-}
-
-impl OpHints {
-    /// Hints carrying only level schedules — what a cache stores for
-    /// the wavefront ops, where strategy/shape/fast fields are decided
-    /// fresh by the certify gate on every replay.
-    pub fn schedules_only(schedules: Vec<LevelSchedule>) -> OpHints {
-        OpHints {
-            strategy: Strategy::Specialized,
-            plan_shape: String::new(),
-            fast_eligible: false,
-            fast_cert: None,
-            schedules,
-        }
-    }
 }
 
 /// Where a compiled op's plan came from: the planner (cold), a
@@ -730,26 +709,22 @@ impl PlanSource {
 /// schedule, cert)` over the engine-owned symmetrized triangle.
 type SweepPlan = (Vec<usize>, Vec<usize>, LevelSchedule, WavefrontCert);
 
-/// Per-kind run state.
+/// Per-kind run state (the kinds not listed carry none).
 enum Payload {
-    Spmv,
-    Spmm,
+    None,
     SpmvMulti {
         k: usize,
     },
-    SemiringSpmv,
-    SemiringSpmm,
     Sptrsv {
         op: TriangularOp,
         schedule: Option<(LevelSchedule, WavefrontCert)>,
     },
     Symgs {
         operand: OperandId,
-        /// `(dep_rowptr, dep_colind, schedule, cert)` per direction,
-        /// when the parallel tier is armed. Boxed: the armed payload is
-        /// ~3x the next-largest variant, and most ops never carry it.
-        fwd: Option<Box<SweepPlan>>,
-        bwd: Option<Box<SweepPlan>>,
+        /// The `[forward, backward]` sweep plans, when the parallel
+        /// tier is armed — both or neither. Boxed: the armed payload is
+        /// ~6x the next-largest variant, and most ops never carry it.
+        sweeps: Option<Box<[SweepPlan; 2]>>,
     },
 }
 
@@ -767,79 +742,171 @@ pub struct CompiledOp {
     /// once at compile time when [`ExecCtx::fast_kernels`] armed it and
     /// the operand passed the full sanitizer. `None` = reference tier.
     fast_cert: Option<fast::MatrixCert>,
+    /// Expected `(input, output)` slice lengths of the run calls.
+    io_lens: (usize, usize),
     payload: Payload,
 }
 
 // ---------------------------------------------------------------------
-// Compilation: one public entry per temperature, dispatching on spec.
+// Compilation: one entry point, cold or warm, dispatching on spec.
 // ---------------------------------------------------------------------
 
-/// Compile an operation cold: run the planner (where the op has one),
+/// One row of the DO-ANY op table: every per-op fact
+/// `compile_do_any` lowers from. Nothing here is computed from the
+/// planner — building a row is O(1), so the warm path pays for no
+/// more than it replays.
+struct DoAny<'a> {
+    kind: OpKind,
+    payload: Payload,
+    /// The canned dense loop nest the op lowers from. A function, not
+    /// a value: only the cold path builds it.
+    nest: fn() -> LoopNest,
+    /// Relation metadata for the planner: `A`, then `B` for the
+    /// two-matrix ops (the vector ops bind dense `X`/`Y` of `A`'s
+    /// dimensions instead).
+    a: MatMeta,
+    b: Option<MatMeta>,
+    /// Plan shapes that dispatch to a hand kernel on these operands
+    /// (empty: no shape does, the op always interprets).
+    hand_shapes: &'static [&'static str],
+    /// Whether the op has an interpreter tier at all. Off the f64
+    /// algebra it does not: every plan runs the format's generic
+    /// kernel and [`ExecCtx::specialization`] is moot.
+    interpretable: bool,
+    /// Work estimate for the size gate.
+    work: usize,
+    algebra: AlgebraProps,
+    /// The operand the fast microkernel tier certifies, for the one op
+    /// that has such a tier.
+    fast: Option<&'a SparseMatrix>,
+    /// Expected `(input, output)` slice lengths of the run call.
+    io_lens: (usize, usize),
+}
+
+impl DoAny<'_> {
+    /// A classical-algebra vector-op row over `a` with no hand kernel
+    /// and no fast tier; each arm of [`compile`] overrides what
+    /// differs.
+    fn new(kind: OpKind, nest: fn() -> LoopNest, a: MatMeta) -> Self {
+        DoAny {
+            kind,
+            payload: Payload::None,
+            nest,
+            a,
+            b: None,
+            hand_shapes: &[],
+            interpretable: true,
+            work: a.nnz,
+            algebra: AlgebraProps::f64_plus(),
+            fast: None,
+            io_lens: (a.ncols, a.nrows),
+        }
+    }
+}
+
+/// Compile an operation: run the planner (where the op has one) and
 /// the full gate chain, and record the decision through the one obs
 /// emitter. `S` names the scalar algebra for the semiring specs and is
 /// ignored (pass `F64Plus`) for the classical ones; a semiring spec
 /// whose `algebra` disagrees with `S::NAME` is refused.
+///
+/// With `hints` — what a structure cache stored from an earlier
+/// compile of the same `(structure, kind)` — the compile is warm:
+/// decisions replay, proofs never do (see [`OpHints`]). Hints that
+/// cannot replay soundly (an `Interpreted` verdict, a specialised one
+/// onto another operand family, a wavefront op without its schedules)
+/// degenerate to the cold path: foreign or stale hints can mis-tier an
+/// op, never mis-compute it.
 pub fn compile<S: Semiring>(
     spec: OpSpec,
     operands: Operands<'_>,
     ctx: &ExecCtx,
+    hints: Option<&OpHints>,
 ) -> RelResult<CompiledOp> {
-    match (spec, operands) {
-        (OpSpec::Spmv, Operands::Mat(a)) => compile_spmv(a, ctx),
-        (OpSpec::Spmm, Operands::MatPair(a, b)) => compile_spmm(a, b, ctx),
-        (OpSpec::SpmvMulti { k }, Operands::Mat(a)) => compile_spmv_multi(a, k, ctx),
-        (OpSpec::SemiringSpmv { algebra }, Operands::Mat(a)) => {
-            check_algebra::<S>(algebra)?;
-            compile_semiring_spmv::<S>(a, ctx)
+    let (cfg, kind) = (ctx.config(), spec.kind());
+    let is_csr = |m: &SparseMatrix| matches!(m, SparseMatrix::Csr(_));
+    let row = match (spec, operands) {
+        (OpSpec::Spmv, Operands::Mat(a)) => {
+            check_operand("A", a, cfg)?;
+            let m = a.meta();
+            DoAny {
+                hand_shapes: spmv_hand_shapes(&m),
+                fast: Some(a),
+                ..DoAny::new(kind, programs::matvec, m)
+            }
         }
-        (OpSpec::SemiringSpmm { algebra }, Operands::CsrPair(a, b)) => {
-            check_algebra::<S>(algebra)?;
-            compile_semiring_spmm::<S>(a, b, ctx)
+        (OpSpec::Spmm, Operands::MatPair(a, b)) => {
+            check_operand("A", a, cfg)?;
+            check_operand("B", b, cfg)?;
+            let (ma, mb) = (a.meta(), b.meta());
+            // Gustavson's traversal over two CSR operands is the one
+            // shape with a hand-tuned kernel. Work estimate: the driver
+            // operand's nonzeros (each expands into a B-row scan).
+            DoAny {
+                b: Some(mb),
+                hand_shapes: if is_csr(a) && is_csr(b) { &[GUSTAVSON_SHAPE] } else { &[] },
+                io_lens: (0, ma.nrows * mb.ncols),
+                ..DoAny::new(kind, programs::matmat, ma)
+            }
         }
-        (OpSpec::Sptrsv { op }, Operands::Tri(a)) => compile_sptrsv(a, op, ctx, None),
-        (OpSpec::Symgs, Operands::Tri(a)) => compile_symgs(a, ctx, None),
-        (spec, operands) => Err(operand_mismatch(spec, &operands)),
-    }
-}
-
-/// Compile an operation warm, replaying a structure cache's [`OpHints`]
-/// through the same soundness gates — the unified `bernoulli-tune`
-/// seam. Decisions replay; proofs never do (see [`OpHints`]). Specs
-/// whose hints cannot be replayed soundly (an `Interpreted` verdict
-/// needs a real plan; a specialised verdict needs the format the
-/// structure key promised) fall back to the full [`compile`].
-pub fn compile_hinted<S: Semiring>(
-    spec: OpSpec,
-    operands: Operands<'_>,
-    ctx: &ExecCtx,
-    hints: &OpHints,
-) -> RelResult<CompiledOp> {
-    match (spec, operands) {
-        (OpSpec::Spmv, Operands::Mat(a)) => compile_spmv_hinted(a, ctx, hints),
-        (OpSpec::Spmm, Operands::MatPair(a, b)) => compile_spmm_hinted(a, b, ctx, hints),
         (OpSpec::SpmvMulti { k }, Operands::Mat(a)) => {
-            compile_spmv_multi_hinted(a, k, ctx, hints)
+            check_operand("A", a, cfg)?;
+            let m = a.meta();
+            // The natural shape: rows of A, then A's entries, then the
+            // dense ncols × k multivector row — CSR dispatches to the
+            // blocked kernel. Work estimate: nnz·k multiply-adds.
+            DoAny {
+                payload: Payload::SpmvMulti { k },
+                b: Some(DenseMatrix::meta_of(m.ncols, k)),
+                hand_shapes: if is_csr(a) { &[MULTI_SHAPE] } else { &[] },
+                work: m.nnz.saturating_mul(k.max(1)),
+                io_lens: (m.ncols * k, m.nrows * k),
+                ..DoAny::new(kind, programs::matvec_multi, m)
+            }
         }
         (OpSpec::SemiringSpmv { algebra }, Operands::Mat(a)) => {
             check_algebra::<S>(algebra)?;
-            compile_semiring_spmv_hinted::<S>(a, ctx, hints)
+            check_operand("A", a, cfg)?;
+            DoAny {
+                interpretable: false,
+                algebra: S::props(),
+                ..DoAny::new(kind, programs::matvec, a.meta())
+            }
         }
         (OpSpec::SemiringSpmm { algebra }, Operands::CsrPair(a, b)) => {
             check_algebra::<S>(algebra)?;
-            compile_semiring_spmm_hinted::<S>(a, b, ctx, hints)
+            check_operand("A", a, cfg)?;
+            check_operand("B", b, cfg)?;
+            // The parallel tier merges per-block partial products,
+            // which is only sound when ⊕ is associative-commutative —
+            // the same BA06 gate the kernels self-apply.
+            DoAny {
+                b: Some(b.meta()),
+                interpretable: false,
+                algebra: S::props(),
+                io_lens: (0, a.nrows() * b.ncols()),
+                ..DoAny::new(kind, programs::matmat, a.meta())
+            }
         }
         (OpSpec::Sptrsv { op }, Operands::Tri(a)) => {
-            compile_sptrsv(a, op, ctx, hints.schedules.first().cloned())
+            let cached = hints.and_then(|h| h.schedules.first().cloned());
+            return compile_sptrsv(a, op, ctx, cached);
         }
         (OpSpec::Symgs, Operands::Tri(a)) => {
-            let cached = match &hints.schedules[..] {
-                [f, b] => Some((f.clone(), b.clone())),
+            let cached = match hints.map(|h| &h.schedules[..]) {
+                Some([f, b]) => Some((f.clone(), b.clone())),
                 _ => None,
             };
-            compile_symgs(a, ctx, cached)
+            return compile_symgs(a, ctx, cached);
         }
-        (spec, operands) => Err(operand_mismatch(spec, &operands)),
-    }
+        (spec, operands) => {
+            return Err(RelError::Validation(format!(
+                "op {spec:?} cannot compile against {} operands",
+                operands.shape_name()
+            )))
+        }
+    };
+    compile_do_any(row, ctx, hints)
 }
 
 fn check_algebra<S: Semiring>(algebra: &'static str) -> RelResult<()> {
@@ -853,84 +920,66 @@ fn check_algebra<S: Semiring>(algebra: &'static str) -> RelResult<()> {
     Ok(())
 }
 
-fn operand_mismatch(spec: OpSpec, operands: &Operands<'_>) -> RelError {
-    RelError::Validation(format!(
-        "op {spec:?} cannot compile against {} operands",
-        operands.shape_name()
-    ))
-}
-
-fn compile_spmv(a: &SparseMatrix, ctx: &ExecCtx) -> RelResult<CompiledOp> {
-    check_operand("A", a, ctx.config())?;
-    let m = a.meta();
-    let meta = QueryMeta::new()
-        .mat(MAT_A, m)
-        .vec(VEC_X, VecMeta::dense(m.ncols))
-        .vec(VEC_Y, VecMeta::dense(m.nrows));
-    let nest = programs::matvec();
-    let kernel = Compiler::in_ctx(ctx).compile(&nest, &meta)?;
-    // Both the format's natural hierarchical traversal and the flat
-    // enumeration plan compute exactly what the format's hand kernel
-    // computes (A enumerated once, X directly indexed), so either
-    // shape dispatches to it.
-    let shape = kernel.shape();
-    let specializable =
-        ctx.specialize() && (shape == natural_spmv_shape(a) || shape == "(i,j):flat(A)[X?]");
-    let decision = do_any_f64(&nest, specializable, m.nnz, ctx.config());
-    // The fast tier is armed only by explicit opt-in, only for the
-    // serial specialized strategy, and only when the operand passes
-    // the full Validate sanitizer *now* — a rejected certificate
-    // silently keeps the reference tier (observable via `tier`).
-    let fast_cert = if ctx.fast() && decision.strategy == Strategy::Specialized {
-        fast::MatrixCert::certify(a).ok()
-    } else {
-        None
+/// The DO-ANY half of [`compile`], driven entirely by the op's table
+/// row. Cold: plan the nest, decide specialisability from the plan
+/// shape, run the gate chain. Warm (replayable hints): skip the nest,
+/// the `QueryMeta`, the planner and the race gate; only the O(1) gates
+/// re-run against *this* context and operand.
+fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelResult<CompiledOp> {
+    let cfg = ctx.config();
+    // Whether *any* plan can reach a hand kernel on these operands.
+    // An `Interpreted` hint needs a real plan to interpret, and a
+    // specialised verdict only replays onto the operand family it was
+    // derived for (the structure key upstream pins the format tag; the
+    // O(1) re-check keeps the seam sound against a confused caller).
+    let specializes = |shape_ok: bool| !d.interpretable || (ctx.specialize() && shape_ok);
+    let hand_kernel = specializes(!d.hand_shapes.is_empty());
+    let replay = hints.filter(|h| h.strategy != Strategy::Interpreted && hand_kernel);
+    let (decision, specializable, plan) = match replay {
+        Some(h) => {
+            ctx.obs().counter("engine.compile_warm", 1);
+            let plan = PlanSource::Hinted { shape: h.plan_shape.clone() };
+            (GateDecision::replayed(regate(h.strategy, d.work, cfg)), true, plan)
+        }
+        None => {
+            let nest = (d.nest)();
+            let meta = QueryMeta::new().mat(MAT_A, d.a);
+            let meta = match d.b {
+                Some(b) => meta.mat(MAT_B, b),
+                None => meta
+                    .vec(VEC_X, VecMeta::dense(d.a.ncols))
+                    .vec(VEC_Y, VecMeta::dense(d.a.nrows)),
+            };
+            let kernel = Compiler::in_ctx(ctx).compile(&nest, &meta)?;
+            let specializable = specializes(d.hand_shapes.contains(&kernel.shape().as_str()));
+            let decision = do_any_decision(&nest, specializable, d.work, cfg, &d.algebra);
+            (decision, specializable, PlanSource::Compiled(kernel))
+        }
     };
+    // The fast tier is armed only by explicit opt-in, only for the
+    // serial specialized strategy, and only by a certificate that
+    // covers the operand *now*: a replayed one when `covers()`
+    // re-checks dimensions, addresses and the index-array hash, else a
+    // fresh run of the full Validate sanitizer — a rejected certificate
+    // silently keeps the reference tier (observable via `tier`).
+    let fast_ok = ctx.fast()
+        && decision.strategy == Strategy::Specialized
+        && replay.is_none_or(|h| h.fast_eligible);
+    let fast_cert = d.fast.filter(|_| fast_ok).and_then(|a| {
+        let cached = replay.and_then(|h| h.fast_cert).filter(|c| c.covers(a));
+        cached.or_else(|| fast::MatrixCert::certify(a).ok())
+    });
     let tier = if fast_cert.is_some() { "fast" } else { "reference" };
-    record_decision(ctx.obs(), "spmv", "f64_plus", &decision, specializable, m.nnz, ctx.config(), tier);
+    record_decision(ctx, d.kind, &decision, specializable, d.work, tier);
     Ok(CompiledOp {
-        kind: OpKind::Spmv,
+        kind: d.kind,
         strategy: decision.strategy,
         ctx: ctx.clone(),
-        plan: PlanSource::Compiled(kernel),
+        plan,
         downgrade: decision.downgrade,
         fast_cert,
-        payload: Payload::Spmv,
-    })
-}
-
-fn compile_spmv_hinted(
-    a: &SparseMatrix,
-    ctx: &ExecCtx,
-    hints: &OpHints,
-) -> RelResult<CompiledOp> {
-    if hints.strategy == Strategy::Interpreted || !ctx.specialize() {
-        return compile_spmv(a, ctx);
-    }
-    check_operand("A", a, ctx.config())?;
-    let m = a.meta();
-    let strategy = regate(hints.strategy, m.nnz, ctx.config());
-    let fast_cert = replay_fast_cert(a, ctx, strategy, hints);
-    let tier = if fast_cert.is_some() { "fast" } else { "reference" };
-    ctx.obs().counter("engine.compile_hinted", 1);
-    record_decision(
-        ctx.obs(),
-        "spmv",
-        "f64_plus",
-        &GateDecision::replayed(strategy),
-        true,
-        m.nnz,
-        ctx.config(),
-        tier,
-    );
-    Ok(CompiledOp {
-        kind: OpKind::Spmv,
-        strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Hinted { shape: hints.plan_shape.clone() },
-        downgrade: reason::NONE,
-        fast_cert,
-        payload: Payload::Spmv,
+        io_lens: d.io_lens,
+        payload: d.payload,
     })
 }
 
@@ -950,305 +999,26 @@ fn regate(cached: Strategy, work: usize, cfg: &ExecConfig) -> Strategy {
     }
 }
 
-/// Certification reuse, not certification skip: `covers()` re-checks
-/// dimensions, addresses and the index-array content hash before the
-/// cached certificate transfers; anything else re-runs the sanitizer.
-fn replay_fast_cert(
-    a: &SparseMatrix,
-    ctx: &ExecCtx,
-    strategy: Strategy,
-    hints: &OpHints,
-) -> Option<fast::MatrixCert> {
-    if ctx.fast() && strategy == Strategy::Specialized && hints.fast_eligible {
-        match &hints.fast_cert {
-            Some(c) if c.covers(a) => Some(*c),
-            _ => fast::MatrixCert::certify(a).ok(),
-        }
-    } else {
-        None
-    }
-}
-
-const GUSTAVSON_SHAPE: &str = "i:outer(A)>k:inner(A)[B?]>j:inner(B)";
-const MULTI_SHAPE: &str = "i:outer(A)>j:inner(A)[B?]>k:inner(B)";
-
-fn compile_spmm(a: &SparseMatrix, b: &SparseMatrix, ctx: &ExecCtx) -> RelResult<CompiledOp> {
-    check_operand("A", a, ctx.config())?;
-    check_operand("B", b, ctx.config())?;
-    let meta = QueryMeta::new().mat(MAT_A, a.meta()).mat(MAT_B, b.meta());
-    let nest = programs::matmat();
-    let kernel = Compiler::in_ctx(ctx).compile(&nest, &meta)?;
-    // Gustavson's traversal over two CSR operands is the one shape
-    // with a hand-tuned kernel. Work estimate for the parallel gate:
-    // the driver operand's nonzeros (each expands into a B-row scan).
-    let both_csr = matches!(a, SparseMatrix::Csr(_)) && matches!(b, SparseMatrix::Csr(_));
-    let specializable = ctx.specialize() && both_csr && kernel.shape() == GUSTAVSON_SHAPE;
-    let decision = do_any_f64(&nest, specializable, a.meta().nnz, ctx.config());
-    record_decision(
-        ctx.obs(),
-        "spmm",
-        "f64_plus",
-        &decision,
-        specializable,
-        a.meta().nnz,
-        ctx.config(),
-        "reference",
-    );
-    Ok(CompiledOp {
-        kind: OpKind::Spmm,
-        strategy: decision.strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Compiled(kernel),
-        downgrade: decision.downgrade,
-        fast_cert: None,
-        payload: Payload::Spmm,
-    })
-}
-
-fn compile_spmm_hinted(
-    a: &SparseMatrix,
-    b: &SparseMatrix,
-    ctx: &ExecCtx,
-    hints: &OpHints,
-) -> RelResult<CompiledOp> {
-    // A specialised verdict only replays onto the operand family it was
-    // derived for; the structure key upstream pins the format tag, but
-    // the O(1) re-check keeps the seam sound even against a confused
-    // caller — anything else degenerates to the cold path.
-    let both_csr = matches!(a, SparseMatrix::Csr(_)) && matches!(b, SparseMatrix::Csr(_));
-    if hints.strategy == Strategy::Interpreted || !ctx.specialize() || !both_csr {
-        return compile_spmm(a, b, ctx);
-    }
-    check_operand("A", a, ctx.config())?;
-    check_operand("B", b, ctx.config())?;
-    let work = a.meta().nnz;
-    let strategy = regate(hints.strategy, work, ctx.config());
-    ctx.obs().counter("engine.compile_hinted", 1);
-    record_decision(
-        ctx.obs(),
-        "spmm",
-        "f64_plus",
-        &GateDecision::replayed(strategy),
-        true,
-        work,
-        ctx.config(),
-        "reference",
-    );
-    Ok(CompiledOp {
-        kind: OpKind::Spmm,
-        strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Hinted { shape: hints.plan_shape.clone() },
-        downgrade: reason::NONE,
-        fast_cert: None,
-        payload: Payload::Spmm,
-    })
-}
-
-fn compile_spmv_multi(a: &SparseMatrix, k: usize, ctx: &ExecCtx) -> RelResult<CompiledOp> {
-    check_operand("A", a, ctx.config())?;
-    let m = a.meta();
-    // The multivector's metadata: a dense ncols × k matrix.
-    let x_meta = bernoulli_formats::DenseMatrix::zeros(m.ncols, k).meta();
-    let meta = QueryMeta::new().mat(MAT_A, m).mat(MAT_B, x_meta);
-    let nest = programs::matvec_multi();
-    let kernel = Compiler::in_ctx(ctx).compile(&nest, &meta)?;
-    // The natural shape: rows of A, then A's entries, then the dense
-    // multivector row — CSR dispatches to the blocked kernel. Work
-    // estimate: nnz·k fused multiply-adds.
-    let is_csr = matches!(a, SparseMatrix::Csr(_));
-    let specializable = ctx.specialize() && is_csr && kernel.shape() == MULTI_SHAPE;
-    let work = m.nnz.saturating_mul(k.max(1));
-    let decision = do_any_f64(&nest, specializable, work, ctx.config());
-    record_decision(
-        ctx.obs(),
-        "spmv_multi",
-        "f64_plus",
-        &decision,
-        specializable,
-        work,
-        ctx.config(),
-        "reference",
-    );
-    Ok(CompiledOp {
-        kind: OpKind::SpmvMulti,
-        strategy: decision.strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Compiled(kernel),
-        downgrade: decision.downgrade,
-        fast_cert: None,
-        payload: Payload::SpmvMulti { k },
-    })
-}
-
-fn compile_spmv_multi_hinted(
-    a: &SparseMatrix,
-    k: usize,
-    ctx: &ExecCtx,
-    hints: &OpHints,
-) -> RelResult<CompiledOp> {
-    let is_csr = matches!(a, SparseMatrix::Csr(_));
-    if hints.strategy == Strategy::Interpreted || !ctx.specialize() || !is_csr {
-        return compile_spmv_multi(a, k, ctx);
-    }
-    check_operand("A", a, ctx.config())?;
-    let work = a.meta().nnz.saturating_mul(k.max(1));
-    let strategy = regate(hints.strategy, work, ctx.config());
-    ctx.obs().counter("engine.compile_hinted", 1);
-    record_decision(
-        ctx.obs(),
-        "spmv_multi",
-        "f64_plus",
-        &GateDecision::replayed(strategy),
-        true,
-        work,
-        ctx.config(),
-        "reference",
-    );
-    Ok(CompiledOp {
-        kind: OpKind::SpmvMulti,
-        strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Hinted { shape: hints.plan_shape.clone() },
-        downgrade: reason::NONE,
-        fast_cert: None,
-        payload: Payload::SpmvMulti { k },
-    })
-}
-
-fn compile_semiring_spmv<S: Semiring>(a: &SparseMatrix, ctx: &ExecCtx) -> RelResult<CompiledOp> {
-    check_operand("A", a, ctx.config())?;
-    let m = a.meta();
-    let meta = QueryMeta::new()
-        .mat(MAT_A, m)
-        .vec(VEC_X, VecMeta::dense(m.ncols))
-        .vec(VEC_Y, VecMeta::dense(m.nrows));
-    let nest = programs::matvec();
-    let kernel = Compiler::in_ctx(ctx).compile(&nest, &meta)?;
-    let decision = do_any_decision(&nest, true, m.nnz, ctx.config(), &S::props());
-    record_decision(ctx.obs(), "spmv", S::NAME, &decision, true, m.nnz, ctx.config(), "reference");
-    Ok(CompiledOp {
-        kind: OpKind::SemiringSpmv(S::NAME),
-        strategy: decision.strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Compiled(kernel),
-        downgrade: decision.downgrade,
-        fast_cert: None,
-        payload: Payload::SemiringSpmv,
-    })
-}
-
-fn compile_semiring_spmv_hinted<S: Semiring>(
-    a: &SparseMatrix,
-    ctx: &ExecCtx,
-    hints: &OpHints,
-) -> RelResult<CompiledOp> {
-    // There is no interpreter tier off the f64 algebra, so an
-    // Interpreted hint can only mean a foreign cache entry — recompute.
-    if hints.strategy == Strategy::Interpreted {
-        return compile_semiring_spmv::<S>(a, ctx);
-    }
-    check_operand("A", a, ctx.config())?;
-    let m = a.meta();
-    // The cached verdict already encodes the per-algebra race check
-    // (the cache key carries S::NAME), so only the O(1) gates re-run.
-    let strategy = regate(hints.strategy, m.nnz, ctx.config());
-    ctx.obs().counter("engine.compile_hinted", 1);
-    record_decision(
-        ctx.obs(),
-        "spmv",
-        S::NAME,
-        &GateDecision::replayed(strategy),
-        true,
-        m.nnz,
-        ctx.config(),
-        "reference",
-    );
-    Ok(CompiledOp {
-        kind: OpKind::SemiringSpmv(S::NAME),
-        strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Hinted { shape: hints.plan_shape.clone() },
-        downgrade: reason::NONE,
-        fast_cert: None,
-        payload: Payload::SemiringSpmv,
-    })
-}
-
-fn compile_semiring_spmm<S: Semiring>(a: &Csr, b: &Csr, ctx: &ExecCtx) -> RelResult<CompiledOp> {
-    check_csr_operand("A", a, ctx.config())?;
-    check_csr_operand("B", b, ctx.config())?;
-    let meta = QueryMeta::new().mat(MAT_A, a.meta()).mat(MAT_B, b.meta());
-    let nest = programs::matmat();
-    let kernel = Compiler::in_ctx(ctx).compile(&nest, &meta)?;
-    // The parallel tier merges per-block partial products, which is
-    // only sound when ⊕ is associative-commutative — the same BA06
-    // gate the kernels self-apply.
-    let decision = do_any_decision(&nest, true, a.nnz(), ctx.config(), &S::props());
-    record_decision(ctx.obs(), "spmm", S::NAME, &decision, true, a.nnz(), ctx.config(), "reference");
-    Ok(CompiledOp {
-        kind: OpKind::SemiringSpmm(S::NAME),
-        strategy: decision.strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Compiled(kernel),
-        downgrade: decision.downgrade,
-        fast_cert: None,
-        payload: Payload::SemiringSpmm,
-    })
-}
-
-fn compile_semiring_spmm_hinted<S: Semiring>(
-    a: &Csr,
-    b: &Csr,
-    ctx: &ExecCtx,
-    hints: &OpHints,
-) -> RelResult<CompiledOp> {
-    if hints.strategy == Strategy::Interpreted {
-        return compile_semiring_spmm::<S>(a, b, ctx);
-    }
-    check_csr_operand("A", a, ctx.config())?;
-    check_csr_operand("B", b, ctx.config())?;
-    let strategy = regate(hints.strategy, a.nnz(), ctx.config());
-    ctx.obs().counter("engine.compile_hinted", 1);
-    record_decision(
-        ctx.obs(),
-        "spmm",
-        S::NAME,
-        &GateDecision::replayed(strategy),
-        true,
-        a.nnz(),
-        ctx.config(),
-        "reference",
-    );
-    Ok(CompiledOp {
-        kind: OpKind::SemiringSpmm(S::NAME),
-        strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::Hinted { shape: hints.plan_shape.clone() },
-        downgrade: reason::NONE,
-        fast_cert: None,
-        payload: Payload::SemiringSpmm,
-    })
-}
-
 fn compile_sptrsv(
     a: &Csr,
     op: TriangularOp,
     ctx: &ExecCtx,
     cached: Option<LevelSchedule>,
 ) -> RelResult<CompiledOp> {
-    check_csr_operand("A", a, ctx.config())?;
+    check_operand("A", a, ctx.config())?;
     check_square(a, "triangular solve")?;
     let (d, schedule) =
         wave_decision(a.nrows(), a.rowptr(), a.colind(), op.triangle(), a.nnz(), ctx, cached);
-    record_decision(ctx.obs(), "sptrsv", "f64_plus", &d, true, a.nnz(), ctx.config(), "reference");
+    let kind = OpSpec::Sptrsv { op }.kind();
+    record_decision(ctx, kind, &d, true, a.nnz(), "reference");
     Ok(CompiledOp {
-        kind: OpSpec::Sptrsv { op }.kind(),
+        kind,
         strategy: d.strategy,
         ctx: ctx.clone(),
         plan: PlanSource::None,
         downgrade: d.downgrade,
         fast_cert: None,
+        io_lens: (a.nrows(), a.nrows()),
         payload: Payload::Sptrsv { op, schedule },
     })
 }
@@ -1258,17 +1028,14 @@ fn compile_symgs(
     ctx: &ExecCtx,
     cached: Option<(LevelSchedule, LevelSchedule)>,
 ) -> RelResult<CompiledOp> {
-    check_csr_operand("A", a, ctx.config())?;
+    check_operand("A", a, ctx.config())?;
     check_square(a, "Gauss-Seidel")?;
     let n = a.nrows();
-    let (cached_fwd, cached_bwd) = match cached {
-        Some((f, b)) => (Some(f), Some(b)),
-        None => (None, None),
-    };
+    let (cached_fwd, cached_bwd) = cached.unzip();
     let (frp, fci) = wavefront::symmetrize_lower(n, a.rowptr(), a.colind());
     let (d, fwd_sched) =
         wave_decision(n, &frp, &fci, Some(Triangle::Lower), a.nnz(), ctx, cached_fwd);
-    record_decision(ctx.obs(), "symgs", "f64_plus", &d, true, a.nnz(), ctx.config(), "reference");
+    record_decision(ctx, OpKind::Symgs, &d, true, a.nnz(), "reference");
     let mut compiled = CompiledOp {
         kind: OpKind::Symgs,
         strategy: d.strategy,
@@ -1276,18 +1043,15 @@ fn compile_symgs(
         plan: PlanSource::None,
         downgrade: d.downgrade,
         fast_cert: None,
-        payload: Payload::Symgs { operand: OperandId::of(a), fwd: None, bwd: None },
+        io_lens: (n, n),
+        payload: Payload::Symgs { operand: OperandId::of(a), sweeps: None },
     };
-    if let Some((fs, fc)) = fwd_sched {
+    if let (Some((fs, fc)), Payload::Symgs { sweeps, .. }) = (fwd_sched, &mut compiled.payload) {
         let (brp, bci) = wavefront::symmetrize_upper(n, a.rowptr(), a.colind());
         let (bd, bwd_sched) =
             wave_decision(n, &brp, &bci, Some(Triangle::Upper), a.nnz(), ctx, cached_bwd);
         if let Some((bs, bc)) = bwd_sched {
-            compiled.payload = Payload::Symgs {
-                operand: OperandId::of(a),
-                fwd: Some(Box::new((frp, fci, fs, fc))),
-                bwd: Some(Box::new((brp, bci, bs, bc))),
-            };
+            *sweeps = Some(Box::new([(frp, fci, fs, fc), (brp, bci, bs, bc)]));
         } else {
             // Can only happen if the two symmetrizations disagree —
             // they never should, but never trust, always verify.
@@ -1342,14 +1106,26 @@ impl CompiledOp {
         }
     }
 
+    /// Expected `(input, output)` slice lengths of this op's run call,
+    /// derived from the operand at compile time (the matrix-matrix ops
+    /// take no input vector; their output is the dense product).
+    pub fn io_lens(&self) -> (usize, usize) {
+        self.io_lens
+    }
+
+    /// The in-memory fast-tier certificate, when armed (what a plan
+    /// cache refreshes after a warm compile re-bound it to a new
+    /// operand instance).
+    pub fn fast_cert(&self) -> Option<fast::MatrixCert> {
+        self.fast_cert
+    }
+
     /// Export this op's decisions for a structure-keyed plan cache
-    /// (the input [`compile_hinted`] replays).
+    /// (what [`compile`] replays when handed back as `hints`).
     pub fn hints(&self) -> OpHints {
         let schedules = match &self.payload {
             Payload::Sptrsv { schedule: Some((s, _)), .. } => vec![s.clone()],
-            Payload::Symgs { fwd: Some(f), bwd: Some(b), .. } => {
-                vec![f.2.clone(), b.2.clone()]
-            }
+            Payload::Symgs { sweeps: Some(s), .. } => vec![s[0].2.clone(), s[1].2.clone()],
             _ => Vec::new(),
         };
         OpHints {
@@ -1370,21 +1146,11 @@ impl CompiledOp {
         }
     }
 
-    /// The certified forward-sweep level schedule of a SymGS op, when
-    /// armed.
-    pub fn forward_schedule(&self) -> Option<&LevelSchedule> {
+    /// The certified `[forward, backward]` sweep level schedules of a
+    /// SymGS op, when armed (what a plan cache persists).
+    pub fn sweep_schedules(&self) -> Option<[&LevelSchedule; 2]> {
         match &self.payload {
-            Payload::Symgs { fwd, .. } => fwd.as_ref().map(|t| &t.2),
-            _ => None,
-        }
-    }
-
-    /// The certified backward-sweep level schedule of a SymGS op, when
-    /// armed (what a plan cache persists alongside
-    /// [`forward_schedule`](Self::forward_schedule)).
-    pub fn backward_schedule(&self) -> Option<&LevelSchedule> {
-        match &self.payload {
-            Payload::Symgs { bwd, .. } => bwd.as_ref().map(|t| &t.2),
+            Payload::Symgs { sweeps, .. } => sweeps.as_ref().map(|s| [&s[0].2, &s[1].2]),
             _ => None,
         }
     }
@@ -1406,10 +1172,88 @@ impl CompiledOp {
         }
     }
 
+    /// Refuse a typed run call on an op of another kind.
+    fn check_kind(&self, ok: bool, call: &str) -> RelResult<()> {
+        if ok {
+            return Ok(());
+        }
+        Err(RelError::Validation(format!("{call} called on a compiled {} op", self.kind.tag())))
+    }
+
+    /// The hand kernels of the two-operand products exist for CSR only;
+    /// the op specialised because its compile-time operands were CSR.
+    fn not_csr(&self) -> RelError {
+        RelError::Validation(format!(
+            "{} op was specialised for CSR operands, run against another format",
+            self.kind.tag()
+        ))
+    }
+
+    /// Refuse slices whose lengths are not what the compile derived
+    /// from the operand — the kernels would `assert!` on them.
+    fn check_lens(&self, input: usize, output: usize) -> RelResult<()> {
+        if (input, output) == self.io_lens {
+            return Ok(());
+        }
+        Err(RelError::Validation(format!(
+            "{} op expects input/output lengths {:?}, got {:?}",
+            self.kind.tag(),
+            self.io_lens,
+            (input, output)
+        )))
+    }
+
+    /// Run any compiled op through one untyped front door — what a
+    /// dispatcher over heterogeneous requests calls. `operands` must be
+    /// the bundle the op was compiled against; `rhs` is the input
+    /// vector (ignored by the matrix-matrix ops); `out` follows the op's
+    /// own convention: the multiply family accumulates into it, the
+    /// solves overwrite it, SymGS applies one `ω = 1` SSOR step, a
+    /// semiring product assigns its nonzeros into the dense buffer.
+    pub fn run<S: Semiring<Elem = f64>>(
+        &self,
+        operands: Operands<'_>,
+        rhs: &[f64],
+        out: &mut [f64],
+    ) -> RelResult<()> {
+        match (self.kind, operands) {
+            (OpKind::Spmv, Operands::Mat(a)) => self.run_spmv(a, rhs, out),
+            (OpKind::Spmm, Operands::MatPair(a, b)) => self.run_spmm(a, b, out),
+            (OpKind::SpmvMulti, Operands::Mat(a)) => self.run_spmv_multi(a, rhs, out),
+            (OpKind::SemiringSpmv(_), Operands::Mat(a)) => {
+                self.run_semiring_spmv::<S>(a, rhs, out)
+            }
+            (OpKind::SemiringSpmm(_), Operands::CsrPair(a, b)) => {
+                self.check_lens(0, out.len())?;
+                for (i, j, v) in self.run_semiring_spmm_entries::<S>(a, b)? {
+                    out[i * b.ncols() + j] = v;
+                }
+                Ok(())
+            }
+            (OpKind::Symgs, Operands::Tri(a)) => self.apply_ssor(a, 1.0, rhs, out),
+            (kind, Operands::Tri(a)) if kind.is_wavefront() => self.run_sptrsv(a, rhs, out),
+            (_, operands) => Err(RelError::Validation(format!(
+                "compiled {} op cannot run against {} operands",
+                self.kind.tag(),
+                operands.shape_name()
+            ))),
+        }
+    }
+
+    /// The planned kernel behind [`Strategy::Interpreted`].
+    fn interpreter(&self) -> &CompiledKernel {
+        match &self.plan {
+            PlanSource::Compiled(kernel) => kernel,
+            _ => unreachable!("only a cold compile grants the interpreter tier"),
+        }
+    }
+
     /// `y += A·x`. The matrix must be the one the op was compiled for
     /// (same format and shape; enforced by the shape checks in the
     /// underlying paths).
     pub fn run_spmv(&self, a: &SparseMatrix, x: &[f64], y: &mut [f64]) -> RelResult<()> {
+        self.check_kind(self.kind == OpKind::Spmv, "run_spmv")?;
+        self.check_lens(x.len(), y.len())?;
         // The cached certificate only covers the exact arrays it was
         // computed over; a different matrix (or a clone — the arrays
         // moved) falls back to the reference kernel.
@@ -1441,12 +1285,9 @@ impl CompiledOp {
                 Ok(())
             }
             Strategy::Interpreted => {
-                let PlanSource::Compiled(kernel) = &self.plan else {
-                    unreachable!("hinted ops never carry the interpreter tier")
-                };
                 let mut b = Bindings::new();
                 b.bind_mat(MAT_A, a).bind_vec(VEC_X, &x).bind_vec_mut(VEC_Y, y);
-                kernel.run(&mut b)
+                self.interpreter().run(&mut b)
             }
         }
     }
@@ -1454,6 +1295,8 @@ impl CompiledOp {
     /// `C += A·B` into a dense row-major buffer `c` of shape
     /// `a.nrows() × b.ncols()`.
     pub fn run_spmm(&self, a: &SparseMatrix, b: &SparseMatrix, c: &mut [f64]) -> RelResult<()> {
+        self.check_kind(self.kind == OpKind::Spmm, "run_spmm")?;
+        self.check_lens(0, c.len())?;
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let name = match self.strategy {
@@ -1463,26 +1306,8 @@ impl CompiledOp {
             };
             obs.kernel(name, spmm_counters(&a.meta(), &b.meta()));
         }
-        match self.strategy {
-            Strategy::Specialized | Strategy::Parallel => {
-                let (SparseMatrix::Csr(ca), SparseMatrix::Csr(cb)) = (a, b) else {
-                    unreachable!("specialised only for CSR×CSR")
-                };
-                let prod = if self.strategy == Strategy::Parallel {
-                    par_kernels::par_spmm_csr_csr(ca, cb, &self.ctx)
-                } else {
-                    kernels::spmm_csr_csr(ca, cb)
-                };
-                let ncols = cb.ncols();
-                for (i, j, v) in prod.to_triplets().canonicalize().entries().iter().copied() {
-                    c[i * ncols + j] += v;
-                }
-                Ok(())
-            }
-            Strategy::Interpreted => {
-                let PlanSource::Compiled(kernel) = &self.plan else {
-                    unreachable!("hinted ops never carry the interpreter tier")
-                };
+        let prod = match (self.strategy, a, b) {
+            (Strategy::Interpreted, ..) => {
                 let mut binds = Bindings::new();
                 binds.bind_mat(MAT_A, a).bind_mat(MAT_B, b).bind_mat_mut(
                     MAT_C,
@@ -1490,16 +1315,29 @@ impl CompiledOp {
                     a.meta().nrows,
                     b.meta().ncols,
                 );
-                kernel.run(&mut binds)
+                return self.interpreter().run(&mut binds);
             }
+            (Strategy::Specialized, SparseMatrix::Csr(ca), SparseMatrix::Csr(cb)) => {
+                kernels::spmm_csr_csr(ca, cb)
+            }
+            (Strategy::Parallel, SparseMatrix::Csr(ca), SparseMatrix::Csr(cb)) => {
+                par_kernels::par_spmm_csr_csr(ca, cb, &self.ctx)
+            }
+            _ => return Err(self.not_csr()),
+        };
+        let ncols = prod.ncols();
+        for (i, j, v) in prod.to_triplets().canonicalize().entries().iter().copied() {
+            c[i * ncols + j] += v;
         }
+        Ok(())
     }
 
     /// `Y += A·X` with `X: ncols×k` and `Y: nrows×k`, both row-major.
     pub fn run_spmv_multi(&self, a: &SparseMatrix, x: &[f64], y: &mut [f64]) -> RelResult<()> {
         let Payload::SpmvMulti { k } = self.payload else {
-            unreachable!("run_spmv_multi on a non-multivector op")
+            return self.check_kind(false, "run_spmv_multi");
         };
+        self.check_lens(x.len(), y.len())?;
         let m = a.meta();
         let obs = self.ctx.obs();
         if obs.is_enabled() {
@@ -1510,34 +1348,23 @@ impl CompiledOp {
             };
             obs.kernel(name, spmv_multi_counters(&m, k));
         }
-        match self.strategy {
-            Strategy::Specialized => {
-                let SparseMatrix::Csr(ca) = a else {
-                    unreachable!("specialised only for CSR");
-                };
-                kernels::spmm_csr_dense(ca, x, k, y);
-                Ok(())
-            }
-            Strategy::Parallel => {
-                let SparseMatrix::Csr(ca) = a else {
-                    unreachable!("specialised only for CSR");
-                };
-                par_kernels::par_spmm_csr_dense(ca, x, k, y, &self.ctx);
-                Ok(())
-            }
-            Strategy::Interpreted => {
-                let PlanSource::Compiled(kernel) = &self.plan else {
-                    unreachable!("hinted ops never carry the interpreter tier")
-                };
-                let xm = bernoulli_formats::DenseMatrix::from_row_major(m.ncols, k, x.to_vec());
+        match (self.strategy, a) {
+            (Strategy::Interpreted, _) => {
+                let xm = DenseMatrix::from_row_major(m.ncols, k, x.to_vec());
                 let mut binds = Bindings::new();
                 binds
                     .bind_mat(MAT_A, a)
                     .bind_mat(MAT_B, &xm)
                     .bind_mat_mut(MAT_C, y, m.nrows, k);
-                kernel.run(&mut binds)
+                return self.interpreter().run(&mut binds);
             }
+            (Strategy::Specialized, SparseMatrix::Csr(ca)) => kernels::spmm_csr_dense(ca, x, k, y),
+            (Strategy::Parallel, SparseMatrix::Csr(ca)) => {
+                par_kernels::par_spmm_csr_dense(ca, x, k, y, &self.ctx)
+            }
+            _ => return Err(self.not_csr()),
         }
+        Ok(())
     }
 
     /// `y = y ⊕ (A ⊗ x)` under `S` (accumulating, like
@@ -1548,7 +1375,8 @@ impl CompiledOp {
         x: &[S::Elem],
         y: &mut [S::Elem],
     ) -> RelResult<()> {
-        debug_assert_eq!(self.kind.algebra(), S::NAME, "op compiled under a different algebra");
+        self.check_kind(self.kind == OpKind::SemiringSpmv(S::NAME), "run_semiring_spmv")?;
+        self.check_lens(x.len(), y.len())?;
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let base = match self.strategy {
@@ -1574,7 +1402,7 @@ impl CompiledOp {
         a: &Csr,
         b: &Csr,
     ) -> RelResult<Vec<(usize, usize, S::Elem)>> {
-        debug_assert_eq!(self.kind.algebra(), S::NAME, "op compiled under a different algebra");
+        self.check_kind(self.kind == OpKind::SemiringSpmm(S::NAME), "run_semiring_spmm_entries")?;
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let base = match self.strategy {
@@ -1601,8 +1429,9 @@ impl CompiledOp {
     /// results on every tier.
     pub fn run_sptrsv(&self, a: &Csr, b: &[f64], x: &mut [f64]) -> RelResult<()> {
         let Payload::Sptrsv { op, schedule } = &self.payload else {
-            unreachable!("run_sptrsv on a non-solve op")
+            return self.check_kind(false, "run_sptrsv");
         };
+        self.check_lens(b.len(), x.len())?;
         let parallel = self.strategy == Strategy::Parallel && schedule.is_some();
         let obs = self.ctx.obs();
         if obs.is_enabled() {
@@ -1625,65 +1454,52 @@ impl CompiledOp {
         Ok(())
     }
 
-    /// Whether the SymGS parallel tier is armed *for this operand*:
-    /// the certificates bind the engine-owned symmetrized arrays; the
+    /// One weighted Gauss-Seidel sweep in either direction. The
+    /// parallel tier runs only when it is armed *for this operand*: the
+    /// certificates bind the engine-owned symmetrized arrays, and the
     /// operand fingerprint ties those arrays back to `a`.
-    pub(crate) fn symgs_parallel_for(&self, a: &Csr) -> bool {
-        match &self.payload {
-            Payload::Symgs { operand, fwd, bwd } => {
-                self.strategy == Strategy::Parallel
-                    && fwd.is_some()
-                    && bwd.is_some()
-                    && *operand == OperandId::of(a)
-            }
-            _ => false,
+    fn sweep(&self, forward: bool, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
+        let Payload::Symgs { operand, sweeps } = &self.payload else {
+            return self.check_kind(false, "a Gauss-Seidel sweep");
+        };
+        self.check_lens(b.len(), x.len())?;
+        let armed = sweeps
+            .as_ref()
+            .filter(|_| self.strategy == Strategy::Parallel && *operand == OperandId::of(a))
+            .map(|s| &s[if forward { 0 } else { 1 }]);
+        let obs = self.ctx.obs();
+        if obs.is_enabled() {
+            let name = match (armed.is_some(), forward) {
+                (true, true) => "par_symgs_forward_csr",
+                (true, false) => "par_symgs_backward_csr",
+                (false, true) => "symgs_forward_csr",
+                (false, false) => "symgs_backward_csr",
+            };
+            obs.kernel(name, sptrsv_counters(a));
         }
+        match (armed, forward) {
+            (Some((rp, ci, s, c)), true) => {
+                par_kernels::par_symgs_forward_csr(a, omega, b, x, rp, ci, s, c, &self.ctx)
+            }
+            (Some((rp, ci, s, c)), false) => {
+                par_kernels::par_symgs_backward_csr(a, omega, b, x, rp, ci, s, c, &self.ctx)
+            }
+            (None, true) => kernels::symgs_forward_csr(a, omega, b, x),
+            (None, false) => kernels::symgs_backward_csr(a, omega, b, x),
+        }
+        Ok(())
     }
 
     /// One forward (ascending-row) weighted Gauss-Seidel sweep on `x`
     /// in place. Bitwise-identical on every tier.
     pub fn sweep_forward(&self, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        let parallel = self.symgs_parallel_for(a);
-        let obs = self.ctx.obs();
-        if obs.is_enabled() {
-            obs.kernel(
-                if parallel { "par_symgs_forward_csr" } else { "symgs_forward_csr" },
-                sptrsv_counters(a),
-            );
-        }
-        if parallel {
-            let Payload::Symgs { fwd: Some(t), .. } = &self.payload else {
-                unreachable!("symgs_parallel_for checked fwd")
-            };
-            let (rp, ci, s, c) = &**t;
-            par_kernels::par_symgs_forward_csr(a, omega, b, x, rp, ci, s, c, &self.ctx);
-        } else {
-            kernels::symgs_forward_csr(a, omega, b, x);
-        }
-        Ok(())
+        self.sweep(true, a, omega, b, x)
     }
 
     /// One backward (descending-row) weighted Gauss-Seidel sweep on
     /// `x` in place. Bitwise-identical on every tier.
     pub fn sweep_backward(&self, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        let parallel = self.symgs_parallel_for(a);
-        let obs = self.ctx.obs();
-        if obs.is_enabled() {
-            obs.kernel(
-                if parallel { "par_symgs_backward_csr" } else { "symgs_backward_csr" },
-                sptrsv_counters(a),
-            );
-        }
-        if parallel {
-            let Payload::Symgs { bwd: Some(t), .. } = &self.payload else {
-                unreachable!("symgs_parallel_for checked bwd")
-            };
-            let (rp, ci, s, c) = &**t;
-            par_kernels::par_symgs_backward_csr(a, omega, b, x, rp, ci, s, c, &self.ctx);
-        } else {
-            kernels::symgs_backward_csr(a, omega, b, x);
-        }
-        Ok(())
+        self.sweep(false, a, omega, b, x)
     }
 
     /// Apply the symmetric Gauss-Seidel / SSOR preconditioner:
@@ -1703,6 +1519,10 @@ impl CompiledOp {
 mod tests {
     use super::*;
     use bernoulli_relational::semiring::F64Plus;
+
+    fn do_any_f64(nest: &LoopNest, specializable: bool, work: usize, exec: &ExecConfig) -> GateDecision {
+        do_any_decision(nest, specializable, work, exec, &AlgebraProps::f64_plus())
+    }
 
     #[test]
     fn parallel_refused_for_racy_nest() {
@@ -1786,12 +1606,13 @@ mod tests {
     fn mismatched_operand_bundle_is_refused() {
         let t = bernoulli_formats::gen::random_sparse(8, 8, 20, 9);
         let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-        let err = compile::<F64Plus>(OpSpec::Symgs, Operands::Mat(&a), &ExecCtx::default());
+        let err = compile::<F64Plus>(OpSpec::Symgs, Operands::Mat(&a), &ExecCtx::default(), None);
         assert!(matches!(err, Err(RelError::Validation(_))));
         let err = compile::<F64Plus>(
             OpSpec::SemiringSpmv { algebra: "min_plus" },
             Operands::Mat(&a),
             &ExecCtx::default(),
+            None,
         )
         .err();
         match err {

@@ -17,10 +17,16 @@
 //! 3. the schedule has enough parallelism per wave to pay for
 //!    dispatch ([`MIN_MEAN_LEVEL_WIDTH`]).
 //!
-//! Since the pipeline unification that whole gate chain lives in
-//! [`crate::pipeline`] (`wave_decision`), shared with the DO-ANY ops;
-//! the types here are thin typed facades over
-//! [`crate::pipeline::CompiledOp`] kept for source compatibility.
+//! That whole gate chain lives in [`crate::pipeline`]
+//! (`wave_decision`), shared with the DO-ANY ops; the two types here
+//! are [`Engine`] facades exactly like the DO-ANY ones — an `OpSpec`
+//! and typed run calls over a [`crate::pipeline::CompiledOp`], whose
+//! `strategy`, `downgrade`, `schedule*` and `hints` are reached through
+//! `Deref`. A level schedule replayed from a structure cache goes in
+//! through [`crate::pipeline::compile`]'s `hints`: it skips the O(nnz)
+//! wavefront *construction* but none of the gates — the BA4x verifier
+//! re-certifies it against this operand before the parallel tier arms,
+//! else [`reason::SCHEDULE_REJECTED`](crate::pipeline::reason::SCHEDULE_REJECTED).
 //! Every downgrade records its reason from the unified
 //! [`crate::pipeline::reason`] vocabulary in the obs `strategies`
 //! stream, together with the level count and max/mean level width, so
@@ -29,13 +35,32 @@
 //! preserve each row's exact operation order), so a downgrade never
 //! changes results.
 
-use crate::pipeline::{self, CompiledOp, OpHints, OpSpec, Operands, Strategy};
-use bernoulli_analysis::wavefront::LevelSchedule;
+use crate::engines::{Engine, OpFamily};
+use crate::pipeline::{self, OpKind, OpSpec, Operands};
 use bernoulli_formats::{Csr, ExecCtx};
 use bernoulli_relational::error::RelResult;
 use bernoulli_relational::semiring::F64Plus;
 
 pub use crate::pipeline::{TriangularOp, MIN_MEAN_LEVEL_WIDTH};
+
+/// Family markers of the two DO-ACROSS facades.
+pub struct SptrsvOp;
+pub struct SymGsOp;
+
+impl OpFamily for SptrsvOp {
+    fn admits(kind: OpKind) -> bool {
+        matches!(
+            kind,
+            OpKind::SptrsvLower | OpKind::SptrsvUpper | OpKind::SptrsvLowerTransposed
+        )
+    }
+}
+
+impl OpFamily for SymGsOp {
+    fn admits(kind: OpKind) -> bool {
+        kind == OpKind::Symgs
+    }
+}
 
 /// A compiled triangular-solve engine for one CSR factor.
 ///
@@ -43,9 +68,7 @@ pub use crate::pipeline::{TriangularOp, MIN_MEAN_LEVEL_WIDTH};
 /// inspector), run many times. `run` re-checks the certificate against
 /// the operand it is handed — a different matrix, or a tampered
 /// schedule, silently falls back to the bit-identical serial kernel.
-pub struct SptrsvEngine {
-    op: CompiledOp,
-}
+pub type SptrsvEngine = Engine<SptrsvOp>;
 
 impl SptrsvEngine {
     /// Compile with the default (serial, unchecked) context.
@@ -59,64 +82,20 @@ impl SptrsvEngine {
     /// statistics and any downgrade reason) in the obs `strategies`
     /// stream.
     pub fn compile_in(a: &Csr, op: TriangularOp, ctx: &ExecCtx) -> RelResult<SptrsvEngine> {
-        Ok(SptrsvEngine {
-            op: pipeline::compile::<F64Plus>(OpSpec::Sptrsv { op }, Operands::Tri(a), ctx)?,
-        })
-    }
-
-    /// Compile with a level schedule replayed from a structure-keyed
-    /// plan cache, skipping the O(nnz) wavefront *construction* but
-    /// none of the gates: the schedule is re-certified against this
-    /// operand's pattern by the independent BA4x verifier before the
-    /// parallel tier is armed, and a rejected schedule downgrades to
-    /// the bit-identical serial kernel with reason
-    /// [`reason::SCHEDULE_REJECTED`](crate::pipeline::reason::SCHEDULE_REJECTED).
-    pub fn compile_with_schedule(
-        a: &Csr,
-        op: TriangularOp,
-        sched: LevelSchedule,
-        ctx: &ExecCtx,
-    ) -> RelResult<SptrsvEngine> {
-        Ok(SptrsvEngine {
-            op: pipeline::compile_hinted::<F64Plus>(
-                OpSpec::Sptrsv { op },
-                Operands::Tri(a),
-                ctx,
-                &OpHints::schedules_only(vec![sched]),
-            )?,
-        })
-    }
-
-    pub fn strategy(&self) -> Strategy {
-        self.op.strategy()
-    }
-
-    /// Why the parallel tier was not granted (`""` = it was, or the
-    /// size gate never asked).
-    pub fn downgrade(&self) -> &'static str {
-        self.op.downgrade()
-    }
-
-    /// The certified level schedule, when the parallel tier is armed.
-    pub fn schedule(&self) -> Option<&LevelSchedule> {
-        self.op.schedule()
-    }
-
-    /// Export this engine's decisions (the certified schedule) for a
-    /// structure-keyed plan cache.
-    pub fn hints(&self) -> OpHints {
-        self.op.hints()
+        pipeline::compile::<F64Plus>(OpSpec::Sptrsv { op }, Operands::Tri(a), ctx, None)?.try_into()
     }
 
     /// Solve the triangular system for `b` into `x`. Bitwise-identical
     /// results on every tier.
     pub fn run(&self, a: &Csr, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        self.op.run_sptrsv(a, b, x)
+        self.run_sptrsv(a, b, x)
     }
 }
 
 /// A compiled symmetric Gauss-Seidel sweep engine for one square CSR
-/// matrix.
+/// matrix: [`sweep_forward`](pipeline::CompiledOp::sweep_forward),
+/// [`sweep_backward`](pipeline::CompiledOp::sweep_backward) and
+/// [`apply_ssor`](pipeline::CompiledOp::apply_ssor).
 ///
 /// Gauss-Seidel rows carry dependences in *both* directions: row `i`
 /// reads `x[j]` for every stored `A[i][j]` (flow, `j` earlier in sweep
@@ -126,9 +105,7 @@ impl SptrsvEngine {
 /// any square `A` — with one schedule per sweep direction, and the
 /// certificates bind those engine-owned dependence arrays plus the
 /// operand identity.
-pub struct SymGsEngine {
-    op: CompiledOp,
-}
+pub type SymGsEngine = Engine<SymGsOp>;
 
 impl SymGsEngine {
     /// Compile with the default (serial, unchecked) context.
@@ -143,91 +120,17 @@ impl SymGsEngine {
     /// forward schedule's level statistics (the backward schedule of a
     /// symmetrized pattern has the same widths, mirrored).
     pub fn compile_in(a: &Csr, ctx: &ExecCtx) -> RelResult<SymGsEngine> {
-        Ok(SymGsEngine { op: pipeline::compile::<F64Plus>(OpSpec::Symgs, Operands::Tri(a), ctx)? })
-    }
-
-    /// Compile with the forward/backward level schedules replayed from
-    /// a structure-keyed plan cache. The symmetrized dependence
-    /// patterns are rebuilt (the parallel kernels sweep them, so the
-    /// engine must own them) and each cached schedule is re-certified
-    /// against its pattern by the independent BA4x verifier before the
-    /// parallel tier is armed — reuse skips the wavefront *analysis*
-    /// per direction, never the verification. A rejected schedule
-    /// downgrades to the bit-identical serial sweeps.
-    pub fn compile_with_schedules(
-        a: &Csr,
-        fwd: LevelSchedule,
-        bwd: LevelSchedule,
-        ctx: &ExecCtx,
-    ) -> RelResult<SymGsEngine> {
-        Ok(SymGsEngine {
-            op: pipeline::compile_hinted::<F64Plus>(
-                OpSpec::Symgs,
-                Operands::Tri(a),
-                ctx,
-                &OpHints::schedules_only(vec![fwd, bwd]),
-            )?,
-        })
-    }
-
-    pub fn strategy(&self) -> Strategy {
-        self.op.strategy()
-    }
-
-    pub fn downgrade(&self) -> &'static str {
-        self.op.downgrade()
-    }
-
-    /// The certified forward-sweep level schedule, when armed.
-    pub fn forward_schedule(&self) -> Option<&LevelSchedule> {
-        self.op.forward_schedule()
-    }
-
-    /// The certified backward-sweep level schedule, when armed (what a
-    /// plan cache persists alongside [`forward_schedule`](Self::forward_schedule)).
-    pub fn backward_schedule(&self) -> Option<&LevelSchedule> {
-        self.op.backward_schedule()
-    }
-
-    /// Export this engine's decisions (both certified schedules) for a
-    /// structure-keyed plan cache.
-    pub fn hints(&self) -> OpHints {
-        self.op.hints()
-    }
-
-    #[cfg(test)]
-    fn parallel_for(&self, a: &Csr) -> bool {
-        self.op.symgs_parallel_for(a)
-    }
-
-    /// One forward (ascending-row) weighted Gauss-Seidel sweep on `x`
-    /// in place. Bitwise-identical on every tier.
-    pub fn sweep_forward(&self, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        self.op.sweep_forward(a, omega, b, x)
-    }
-
-    /// One backward (descending-row) weighted Gauss-Seidel sweep on
-    /// `x` in place. Bitwise-identical on every tier.
-    pub fn sweep_backward(&self, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        self.op.sweep_backward(a, omega, b, x)
-    }
-
-    /// Apply the symmetric Gauss-Seidel / SSOR preconditioner:
-    /// `z ← M⁻¹·r` with `M ∝ (D + ωL)·D⁻¹·(D + ωU)`, computed as a
-    /// forward sweep from `z = 0` followed by a backward sweep (the
-    /// constant SSOR scaling `1/(ω(2−ω))` is dropped — preconditioned
-    /// CG is invariant under positive scaling of `M`). `ω = 1` is
-    /// symmetric Gauss-Seidel.
-    pub fn apply_ssor(&self, a: &Csr, omega: f64, r: &[f64], z: &mut [f64]) -> RelResult<()> {
-        self.op.apply_ssor(a, omega, r, z)
+        pipeline::compile::<F64Plus>(OpSpec::Symgs, Operands::Tri(a), ctx, None)?.try_into()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::reason;
+    use crate::pipeline::{reason, CompiledOp, OpHints, Strategy};
+    use bernoulli_analysis::wavefront::LevelSchedule;
     use bernoulli_formats::gen::grid2d_5pt;
+    use bernoulli_relational::error::RelError;
     use bernoulli_formats::kernels as ker;
     use bernoulli_formats::Triplets;
 
@@ -255,6 +158,26 @@ mod tests {
 
     fn par_ctx() -> ExecCtx {
         ExecCtx::with_threads(2).oversubscribe(true).threshold(1)
+    }
+
+    /// Warm compile through the one entry point, replaying `schedules`
+    /// the way a structure cache would hand them back.
+    fn compile_warm<E: TryFrom<CompiledOp, Error = RelError>>(
+        spec: OpSpec,
+        a: &Csr,
+        schedules: Vec<LevelSchedule>,
+    ) -> E {
+        let hints = OpHints {
+            strategy: Strategy::Specialized,
+            plan_shape: String::new(),
+            fast_eligible: false,
+            fast_cert: None,
+            schedules,
+        };
+        pipeline::compile::<F64Plus>(spec, Operands::Tri(a), &par_ctx(), Some(&hints))
+            .unwrap()
+            .try_into()
+            .unwrap()
     }
 
     #[test]
@@ -325,18 +248,22 @@ mod tests {
     fn symgs_refuses_parallel_for_a_different_matrix() {
         let a = Csr::from_triplets(&grid2d_5pt(11, 9));
         let a2 = a.clone();
-        let eng = SymGsEngine::compile_in(&a, &par_ctx()).unwrap();
+        let obs = bernoulli_obs::Obs::enabled();
+        let eng = SymGsEngine::compile_in(&a, &par_ctx().instrument(obs.clone())).unwrap();
         assert_eq!(eng.strategy(), Strategy::Parallel);
         // A clone has different heap buffers: the operand fingerprint
         // rejects it and the sweep silently runs serial — results are
         // bitwise identical either way, only the tier changes.
-        assert!(!eng.parallel_for(&a2));
         let n = a.nrows();
         let b = vec![1.0; n];
         let (mut x1, mut x2) = (vec![0.0; n], vec![0.0; n]);
         eng.sweep_forward(&a, 1.0, &b, &mut x1).unwrap();
         eng.sweep_forward(&a2, 1.0, &b, &mut x2).unwrap();
         assert_eq!(x1, x2);
+        // One sweep landed on each tier's kernel stream.
+        let kernels = obs.report().kernels;
+        assert_eq!(kernels.len(), 2, "{:?}", kernels.keys());
+        assert_eq!(kernels["symgs_forward_csr"].calls, 1);
     }
 
     #[test]
@@ -351,7 +278,7 @@ mod tests {
         // certify_schedule gate re-verifies it and arms parallel.
         let replay =
             LevelSchedule::from_raw_unchecked(s.nrows(), s.rows().to_vec(), s.level_ptr().to_vec());
-        let warm = SptrsvEngine::compile_with_schedule(&l, op, replay, &par_ctx()).unwrap();
+        let warm: SptrsvEngine = compile_warm(OpSpec::Sptrsv { op }, &l, vec![replay]);
         assert_eq!(warm.strategy(), Strategy::Parallel, "downgrade: {}", warm.downgrade());
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect();
         let (mut x_cold, mut x_warm) = (vec![0.0; n], vec![0.0; n]);
@@ -366,7 +293,7 @@ mod tests {
         let mut rows = s.rows().to_vec();
         rows.swap(0, n - 1);
         let forged = LevelSchedule::from_raw_unchecked(n, rows, s.level_ptr().to_vec());
-        let bad = SptrsvEngine::compile_with_schedule(&l, op, forged, &par_ctx()).unwrap();
+        let bad: SptrsvEngine = compile_warm(OpSpec::Sptrsv { op }, &l, vec![forged]);
         assert_eq!(bad.strategy(), Strategy::Specialized);
         assert_eq!(bad.downgrade(), reason::SCHEDULE_REJECTED);
         let mut x_bad = vec![0.0; n];
@@ -383,9 +310,8 @@ mod tests {
         let clone_of = |s: &LevelSchedule| {
             LevelSchedule::from_raw_unchecked(s.nrows(), s.rows().to_vec(), s.level_ptr().to_vec())
         };
-        let fwd = clone_of(cold.forward_schedule().unwrap());
-        let bwd = clone_of(cold.backward_schedule().unwrap());
-        let warm = SymGsEngine::compile_with_schedules(&a, fwd, bwd, &par_ctx()).unwrap();
+        let [fwd, bwd] = cold.sweep_schedules().unwrap().map(clone_of);
+        let warm: SymGsEngine = compile_warm(OpSpec::Symgs, &a, vec![fwd, bwd]);
         assert_eq!(warm.strategy(), Strategy::Parallel, "downgrade: {}", warm.downgrade());
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 4.5).collect();
         let (mut x_cold, mut x_warm) = (vec![0.0; n], vec![0.0; n]);
@@ -397,9 +323,8 @@ mod tests {
         );
         // Swapping the two schedules hands each verifier the wrong
         // triangle's order — refused, downgraded, still bit-identical.
-        let fwd = clone_of(cold.forward_schedule().unwrap());
-        let bwd = clone_of(cold.backward_schedule().unwrap());
-        let swapped = SymGsEngine::compile_with_schedules(&a, bwd, fwd, &par_ctx()).unwrap();
+        let [fwd, bwd] = cold.sweep_schedules().unwrap().map(clone_of);
+        let swapped: SymGsEngine = compile_warm(OpSpec::Symgs, &a, vec![bwd, fwd]);
         assert_eq!(swapped.strategy(), Strategy::Specialized);
         assert_eq!(swapped.downgrade(), reason::SCHEDULE_REJECTED);
         let mut x_swapped = vec![0.0; n];

@@ -28,6 +28,21 @@ impl DenseMatrix {
         DenseMatrix { nrows, ncols, data: vec![0.0; nrows * ncols] }
     }
 
+    /// Planner metadata of any `nrows × ncols` dense matrix, without
+    /// materializing one.
+    pub fn meta_of(nrows: usize, ncols: usize) -> MatMeta {
+        MatMeta {
+            nrows,
+            ncols,
+            nnz: nrows * ncols,
+            orientation: Orientation::RowMajor,
+            outer: LevelProps::dense(),
+            inner: LevelProps::dense(),
+            flat: LevelProps::dense(),
+            pair_search_cheap: true,
+        }
+    }
+
     /// Identity matrix.
     pub fn identity(n: usize) -> Self {
         let mut m = DenseMatrix::zeros(n, n);
@@ -162,16 +177,7 @@ impl Validate for DenseMatrix {
 
 impl MatrixAccess for DenseMatrix {
     fn meta(&self) -> MatMeta {
-        MatMeta {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            nnz: self.nrows * self.ncols,
-            orientation: Orientation::RowMajor,
-            outer: LevelProps::dense(),
-            inner: LevelProps::dense(),
-            flat: LevelProps::dense(),
-            pair_search_cheap: true,
-        }
+        DenseMatrix::meta_of(self.nrows, self.ncols)
     }
 
     fn enum_outer(&self) -> OuterIter<'_> {

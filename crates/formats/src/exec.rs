@@ -52,10 +52,11 @@ pub struct ExecConfig {
     pub checked: bool,
     /// Allow more workers than the machine has hardware threads.
     /// Off by default: a requested `threads` count above the hardware
-    /// parallelism is pure fork/join overhead (every parallel row of
-    /// `BENCH_parallel.json` on a 1-core host shows speedup ≤ 1×), so
-    /// engines downgrade such plans to the serial tier. Tests that pin
-    /// the `Parallel` strategy on small hosts turn this on.
+    /// parallelism is pure fork/join overhead (`perfbench/run.sh`'s
+    /// `formats.par_kernels.spmv.speedup_2t` reads ≤ 1× on a 1-core
+    /// host), so engines downgrade such plans to the serial tier.
+    /// Tests that pin the `Parallel` strategy on small hosts turn this
+    /// on.
     pub oversubscribe: bool,
 }
 

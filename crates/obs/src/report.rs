@@ -2,9 +2,9 @@
 //!
 //! A [`Report`] is an [`crate::Obs`] snapshot. Its JSON form is the
 //! contract between `examples/profile.rs` (the producer),
-//! `scripts/bench_parallel.sh`/`scripts/ci.sh` (the consumers) and the
-//! golden test in `tests/observability.rs` that pins the key set —
-//! making the performance trajectory diffable across PRs. Bump
+//! `scripts/ci.sh` (the consumer) and the golden test in
+//! `tests/observability.rs` that pins the key set — making the
+//! performance trajectory diffable across PRs. Bump
 //! [`SCHEMA`] whenever a key is renamed or retyped; purely additive
 //! keys keep the identifier (consumers ignore what they don't know).
 //!

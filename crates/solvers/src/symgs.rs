@@ -43,9 +43,10 @@ impl SymGs {
     }
 
     /// SSOR whose engine is produced by `compile` — the seam a
-    /// structure-keyed plan cache uses to inject
-    /// [`SymGsEngine::compile_with_schedules`] (cached, re-verified
-    /// level schedules) in place of the full wavefront analysis. The
+    /// structure-keyed plan cache uses to inject a warm compile
+    /// (cached, re-verified level schedules, e.g.
+    /// `PlanCache::symgs_engine`) in place of the full wavefront
+    /// analysis. The
     /// closure runs against the operand *before* the move into the
     /// returned struct, so the certificates it issues bind the final
     /// heap buffers.

@@ -16,9 +16,9 @@
 //!   [`OpHints`] a cold compile produced (strategy tier, plan shape,
 //!   fast-tier eligibility, and — in memory only — the validation
 //!   certificate), plus the winning candidate of the last
-//!   [calibration](crate::calibrate) run. A hit replays them through
-//!   the engine's `compile_hinted`, which skips the planner search and
-//!   the race-gate re-derivation but re-applies the O(1) context gates
+//!   [calibration](crate::calibrate) run. A hit hands them back to
+//!   `pipeline::compile`, which skips the planner search and the
+//!   race-gate re-derivation but re-applies the O(1) context gates
 //!   and re-validates (or re-derives) the fast certificate via
 //!   `covers()` against the operand actually handed in.
 //! * **SpTRSV / SymGS** — the wavefront level schedules. A hit skips
@@ -32,7 +32,9 @@
 //! tier; it can never mis-compute. Serial planning verdicts (below
 //! threshold, narrow levels, non-triangular) are *not* cached for the
 //! wavefront ops — they are either O(1) to re-derive or must be
-//! re-derived for soundness.
+//! re-derived for soundness — and an entry that carries no schedule
+//! (a hand-edited file) simply compiles cold. Every op takes the same
+//! route, [`PlanCache::compile`]; the `*_engine` methods wrap it.
 //!
 //! # Persistence
 //!
@@ -48,18 +50,18 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use bernoulli::engines::{
     SemiringSpmmEngine, SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine, Strategy,
 };
-use bernoulli::pipeline::{OpHints, OpKind};
+use bernoulli::pipeline::{self, CompiledOp, OpHints, OpKind, OpSpec, Operands};
 use bernoulli::{SptrsvEngine, SymGsEngine, TriangularOp};
 use bernoulli_analysis::LevelSchedule;
 use bernoulli_formats::{Csr, ExecCtx, SparseMatrix};
 use bernoulli_obs::json::{array, Obj};
 use bernoulli_relational::error::RelResult;
-use bernoulli_relational::semiring::Semiring;
+use bernoulli_relational::semiring::{F64Plus, Semiring};
 
 use crate::calibrate::{calibrate_spmv, CalibrationOutcome};
 use crate::jsonio::{parse, Value};
@@ -142,168 +144,125 @@ impl PlanCache {
         PlanCache::default()
     }
 
-    /// Compile a `y += A·x` engine, serving repeated structures from
-    /// the cache. Cold path = [`SpmvEngine::compile_in`] (full planner
-    /// search + race gate + certification), after which the verdict is
-    /// stored under the operand's [`StructureKey`]. Warm path =
-    /// [`SpmvEngine::compile_hinted`] — bitwise-identical results,
-    /// planning skipped, every soundness gate re-applied.
-    pub fn spmv_engine(&self, a: &SparseMatrix, ctx: &ExecCtx) -> RelResult<SpmvEngine> {
-        let key = (structure_key(a), OpKind::Spmv);
-        let hit = self.inner.lock().unwrap().lookup(key);
-        match hit {
-            Some(hints) => {
-                let engine = SpmvEngine::compile_hinted(a, ctx, &hints)?;
-                // Refresh only the in-memory certificate (it now binds
-                // this operand instance); the cold verdict fields stay.
-                let mut g = self.inner.lock().unwrap();
-                if let Some(r) = g.ops.get_mut(&key) {
-                    if let Some(c) = engine.hints().fast_cert {
-                        r.hints.fast_cert = Some(c);
-                    }
-                }
-                Ok(engine)
-            }
-            None => {
-                let engine = SpmvEngine::compile_in(a, ctx)?;
-                self.inner.lock().unwrap().insert(key, engine.hints());
-                Ok(engine)
-            }
-        }
+    /// A poisoned mutex is recovered, not propagated: every critical
+    /// section is one map operation or counter bump, so the table is
+    /// valid at every step, and what it holds is re-verified on replay.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Compile a `Y += A·X` multi-RHS engine through the same unified
-    /// hint seam as [`spmv_engine`](Self::spmv_engine). The cached
-    /// verdict is per *structure* — the multivector width `k` is an
-    /// instance parameter the warm path re-supplies, not part of the
-    /// key.
+    /// Compile any op, serving repeated structures from the cache —
+    /// the one lookup → compile → insert every typed method below goes
+    /// through. The key is the operands' [`StructureKey`] (the ordered
+    /// pair, [`StructureKey::combine`]d, for the two-matrix ops) plus
+    /// the spec's [`OpKind`], which folds the algebra in and the
+    /// instance parameters (`k`, `unit_diag`) out. A miss runs the cold
+    /// `pipeline::compile` and stores its verdict; a hit hands the
+    /// stored [`OpHints`] back to the same call — bitwise-identical
+    /// results, planning skipped, every soundness gate re-applied.
+    ///
+    /// The wavefront ops cache only a compile that armed its level
+    /// schedules (serial verdicts are O(1) to re-derive or must be
+    /// re-derived for soundness), and an entry holding no schedule is
+    /// overwritten by the first compile that arms one.
+    /// `LowerTransposed` is always serial and bypasses the cache,
+    /// counters included.
+    pub fn compile<S: Semiring>(
+        &self,
+        spec: OpSpec,
+        operands: Operands<'_>,
+        ctx: &ExecCtx,
+    ) -> RelResult<CompiledOp> {
+        let kind = spec.kind();
+        if kind == OpKind::SptrsvLowerTransposed {
+            return pipeline::compile::<S>(spec, operands, ctx, None);
+        }
+        // A wavefront verdict without its schedules replays nothing.
+        let replayable = |h: &OpHints| !(kind.is_wavefront() && h.schedules.is_empty());
+        let key = (key_of(&operands), kind);
+        let hit = self.lock().lookup(key);
+        let op = pipeline::compile::<S>(spec, operands, ctx, hit.as_ref())?;
+        match hit {
+            Some(h) if replayable(&h) => {
+                // Refresh only the in-memory certificate (it now binds
+                // this operand instance); the cold verdict fields stay.
+                if let Some(cert) = op.fast_cert() {
+                    if let Some(r) = self.lock().ops.get_mut(&key) {
+                        r.hints.fast_cert = Some(cert);
+                    }
+                }
+            }
+            _ => {
+                let hints = op.hints();
+                if replayable(&hints) {
+                    self.lock().insert(key, hints);
+                }
+            }
+        }
+        Ok(op)
+    }
+
+    /// A `y += A·x` engine through [`compile`](Self::compile).
+    pub fn spmv_engine(&self, a: &SparseMatrix, ctx: &ExecCtx) -> RelResult<SpmvEngine> {
+        self.compile::<F64Plus>(OpSpec::Spmv, Operands::Mat(a), ctx)?.try_into()
+    }
+
+    /// A `Y += A·X` multi-RHS engine through
+    /// [`compile`](Self::compile). The cached verdict is per
+    /// *structure*: the width `k` is re-supplied on every call.
     pub fn spmv_multi_engine(
         &self,
         a: &SparseMatrix,
         k: usize,
         ctx: &ExecCtx,
     ) -> RelResult<SpmvMultiEngine> {
-        let key = (structure_key(a), OpKind::SpmvMulti);
-        let hit = self.inner.lock().unwrap().lookup(key);
-        match hit {
-            Some(hints) => SpmvMultiEngine::compile_hinted(a, k, ctx, &hints),
-            None => {
-                let engine = SpmvMultiEngine::compile_in(a, k, ctx)?;
-                self.inner.lock().unwrap().insert(key, engine.hints());
-                Ok(engine)
-            }
-        }
+        self.compile::<F64Plus>(OpSpec::SpmvMulti { k }, Operands::Mat(a), ctx)?.try_into()
     }
 
-    /// Compile a semiring SpMV engine, keyed per algebra: the parallel
-    /// verdict depends on `S`'s algebraic properties (a non-commutative
-    /// ⊕ is refused the reduction certificate), so `min_plus` and
-    /// `first_nonzero` verdicts for the same structure are distinct
-    /// entries.
+    /// A semiring SpMV engine through [`compile`](Self::compile),
+    /// keyed per algebra: the parallel verdict depends on `S`'s
+    /// algebraic properties (a non-commutative ⊕ is refused the
+    /// reduction certificate), so `min_plus` and `first_nonzero`
+    /// verdicts for the same structure are distinct entries.
     pub fn semiring_spmv_engine<S: Semiring>(
         &self,
         a: &SparseMatrix,
         ctx: &ExecCtx,
     ) -> RelResult<SemiringSpmvEngine<S>> {
-        let key = (structure_key(a), OpKind::SemiringSpmv(S::NAME));
-        let hit = self.inner.lock().unwrap().lookup(key);
-        match hit {
-            Some(hints) => SemiringSpmvEngine::<S>::compile_hinted(a, ctx, &hints),
-            None => {
-                let engine = SemiringSpmvEngine::<S>::compile_in(a, ctx)?;
-                self.inner.lock().unwrap().insert(key, engine.hints());
-                Ok(engine)
-            }
-        }
+        let spec = OpSpec::SemiringSpmv { algebra: S::NAME };
+        self.compile::<S>(spec, Operands::Mat(a), ctx)?.try_into()
     }
 
-    /// Compile a semiring SpMM engine, keyed by the *ordered* operand
-    /// pair ([`StructureKey::combine`]) and the algebra.
+    /// A semiring SpMM engine through [`compile`](Self::compile),
+    /// keyed by the *ordered* operand pair and the algebra.
     pub fn semiring_spmm_engine<S: Semiring>(
         &self,
         a: &Csr,
         b: &Csr,
         ctx: &ExecCtx,
     ) -> RelResult<SemiringSpmmEngine<S>> {
-        let key = (
-            StructureKey::combine(structure_key_csr(a), structure_key_csr(b)),
-            OpKind::SemiringSpmm(S::NAME),
-        );
-        let hit = self.inner.lock().unwrap().lookup(key);
-        match hit {
-            Some(hints) => SemiringSpmmEngine::<S>::compile_hinted(a, b, ctx, &hints),
-            None => {
-                let engine = SemiringSpmmEngine::<S>::compile_in(a, b, ctx)?;
-                self.inner.lock().unwrap().insert(key, engine.hints());
-                Ok(engine)
-            }
-        }
+        let spec = OpSpec::SemiringSpmm { algebra: S::NAME };
+        self.compile::<S>(spec, Operands::CsrPair(a, b), ctx)?.try_into()
     }
 
-    /// Compile a triangular-solve engine, replaying the cached level
-    /// schedule when this structure (and sweep direction) was seen
-    /// before. Schedules are only cached when the cold compile armed
-    /// the parallel tier; serial verdicts recompile cold (they are
-    /// either O(1) to re-derive or must be, for soundness).
-    /// `LowerTransposed` is always serial and bypasses the cache.
+    /// A triangular-solve engine through [`compile`](Self::compile),
+    /// replaying the cached level schedule when this structure (and
+    /// sweep direction) armed the parallel tier before.
     pub fn sptrsv_engine(
         &self,
         a: &Csr,
         op: TriangularOp,
         ctx: &ExecCtx,
     ) -> RelResult<SptrsvEngine> {
-        let kind = match op {
-            TriangularOp::Lower { .. } => OpKind::SptrsvLower,
-            TriangularOp::Upper { .. } => OpKind::SptrsvUpper,
-            TriangularOp::LowerTransposed { .. } => {
-                return SptrsvEngine::compile_in(a, op, ctx);
-            }
-        };
-        let key = (structure_key_csr(a), kind);
-        let hit = self.inner.lock().unwrap().lookup(key);
-        match hit {
-            Some(hints) => {
-                let sched = hints
-                    .schedules
-                    .into_iter()
-                    .next()
-                    .expect("sptrsv entries always hold one schedule");
-                SptrsvEngine::compile_with_schedule(a, op, sched, ctx)
-            }
-            None => {
-                let engine = SptrsvEngine::compile_in(a, op, ctx)?;
-                if engine.schedule().is_some() {
-                    self.inner.lock().unwrap().insert(key, engine.hints());
-                }
-                Ok(engine)
-            }
-        }
+        self.compile::<F64Plus>(OpSpec::Sptrsv { op }, Operands::Tri(a), ctx)?.try_into()
     }
 
-    /// Compile a symmetric Gauss-Seidel engine, replaying the cached
-    /// forward/backward schedule pair when this structure was seen
-    /// before (both sweeps must have been armed cold for the pair to
-    /// be cached).
+    /// A symmetric Gauss-Seidel engine through
+    /// [`compile`](Self::compile), replaying the cached
+    /// forward/backward schedule pair (both sweeps must have armed cold
+    /// for the pair to be cached).
     pub fn symgs_engine(&self, a: &Csr, ctx: &ExecCtx) -> RelResult<SymGsEngine> {
-        let key = (structure_key_csr(a), OpKind::Symgs);
-        let hit = self.inner.lock().unwrap().lookup(key);
-        match hit {
-            Some(hints) => {
-                let mut it = hints.schedules.into_iter();
-                let (fwd, bwd) = match (it.next(), it.next()) {
-                    (Some(f), Some(b)) => (f, b),
-                    _ => unreachable!("symgs entries always hold a schedule pair"),
-                };
-                SymGsEngine::compile_with_schedules(a, fwd, bwd, ctx)
-            }
-            None => {
-                let engine = SymGsEngine::compile_in(a, ctx)?;
-                if engine.forward_schedule().is_some() && engine.backward_schedule().is_some() {
-                    self.inner.lock().unwrap().insert(key, engine.hints());
-                }
-                Ok(engine)
-            }
-        }
+        self.compile::<F64Plus>(OpSpec::Symgs, Operands::Tri(a), ctx)?.try_into()
     }
 
     /// Calibrate the SpMV candidates on this operand
@@ -319,7 +278,7 @@ impl PlanCache {
         reps: u64,
     ) -> RelResult<CalibrationOutcome> {
         let outcome = calibrate_spmv(a, ctx, reps)?;
-        self.inner.lock().unwrap().ops.insert(
+        self.lock().ops.insert(
             (outcome.structure, OpKind::Spmv),
             OpRecord { hints: outcome.hints.clone(), calibrated: Some(outcome.chosen.clone()) },
         );
@@ -329,9 +288,7 @@ impl PlanCache {
     /// The winning calibration candidate recorded for a structure, if
     /// it has been calibrated.
     pub fn calibrated_choice(&self, key: StructureKey) -> Option<String> {
-        self.inner
-            .lock()
-            .unwrap()
+        self.lock()
             .ops
             .get(&(key, OpKind::Spmv))
             .and_then(|r| r.calibrated.clone())
@@ -339,7 +296,7 @@ impl PlanCache {
 
     /// Hit/miss counters and per-operation entry counts.
     pub fn stats(&self) -> CacheStats {
-        let g = self.inner.lock().unwrap();
+        let g = self.lock();
         let mut s = CacheStats { hits: g.hits, misses: g.misses, ..CacheStats::default() };
         for (_, kind) in g.ops.keys() {
             match kind {
@@ -366,7 +323,7 @@ impl PlanCache {
     /// addresses of the process that issued them); wavefront schedules
     /// are flattened to raw parts and re-verified on every replay.
     pub fn to_json(&self) -> String {
-        let g = self.inner.lock().unwrap();
+        let g = self.lock();
         let mut ops: Vec<_> = g.ops.iter().collect();
         ops.sort_by_key(|((k, kind), _)| (*k, kind.tag()));
         let ops = array(ops.into_iter().map(|((k, kind), r)| {
@@ -478,6 +435,19 @@ impl PlanCache {
                 io::ErrorKind::InvalidData,
                 format!("{}: {e}", path.display()),
             )),
+        }
+    }
+}
+
+/// The structure half of a cache key: the operand's key, or the
+/// order-sensitive combination of an operand pair's.
+fn key_of(operands: &Operands<'_>) -> StructureKey {
+    match *operands {
+        Operands::Mat(a) => structure_key(a),
+        Operands::Tri(a) => structure_key_csr(a),
+        Operands::MatPair(a, b) => StructureKey::combine(structure_key(a), structure_key(b)),
+        Operands::CsrPair(a, b) => {
+            StructureKey::combine(structure_key_csr(a), structure_key_csr(b))
         }
     }
 }
@@ -610,7 +580,7 @@ mod tests {
         );
         let wider = cache.spmv_multi_engine(&a, k + 2, &ctx).unwrap();
         assert_eq!(cache.stats().hits, 2, "width is not part of the key");
-        assert_eq!(wider.k(), k + 2);
+        assert_eq!(wider.multi_width(), k + 2);
 
         // Semiring SpMV: per-algebra entries for the same structure.
         let cold_mp = cache.semiring_spmv_engine::<MinPlus>(&a, &ctx).unwrap();

@@ -27,7 +27,8 @@
 
 use std::time::Instant;
 
-use bernoulli::engines::{SpmvEngine, SpmvHints};
+use bernoulli::engines::SpmvEngine;
+use bernoulli::pipeline::OpHints;
 use bernoulli_formats::{ExecCtx, SparseMatrix};
 use bernoulli_obs::events::CalibrationEvent;
 use bernoulli_obs::Obs;
@@ -62,7 +63,7 @@ pub struct CalibrationOutcome {
     pub measurements: Vec<Measurement>,
     /// The winning engine's replayable verdict — what a plan cache
     /// stores so warm compiles reproduce the measured-best tier.
-    pub hints: SpmvHints,
+    pub hints: OpHints,
 }
 
 /// Micro-benchmark the SpMV candidates on `a` and record every

@@ -19,7 +19,7 @@
 
 use std::time::Instant;
 
-use bernoulli::pipeline::OpSpec;
+use bernoulli::pipeline::{OpSpec, Operands};
 use bernoulli_formats::{Csr, ExecCtx, FormatKind, SparseMatrix, Triplets};
 use bernoulli_relational::error::{RelError, RelResult};
 use bernoulli_relational::semiring::{F64Plus, MaxPlus, MinPlus, Semiring};
@@ -30,13 +30,6 @@ use crate::cache::{CacheStats, PlanCache};
 /// population; valid for the dispatcher that issued it).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct MatrixId(usize);
-
-struct Registered {
-    /// Operand form for the multiply family.
-    mat: SparseMatrix,
-    /// Operand form for the wavefront ops (and SpMM pairs).
-    csr: Csr,
-}
 
 /// Counters for the submit stream (cache counters live in
 /// [`CacheStats`]).
@@ -67,14 +60,17 @@ impl DispatchStats {
 pub struct Dispatcher {
     cache: PlanCache,
     ctx: ExecCtx,
-    matrices: Vec<Registered>,
+    /// Every operand is stored once, as CSR: the multiply family takes
+    /// the [`SparseMatrix`], the wavefront ops and semiring products
+    /// borrow the [`Csr`] inside it.
+    matrices: Vec<SparseMatrix>,
     submitted: u64,
 }
 
 impl Dispatcher {
     /// An empty registry compiling under `ctx` with a cold cache.
     pub fn new(ctx: ExecCtx) -> Dispatcher {
-        Dispatcher { cache: PlanCache::new(), ctx, matrices: Vec::new(), submitted: 0 }
+        Dispatcher::with_cache(ctx, PlanCache::new())
     }
 
     /// Same, but seeded with a pre-warmed (for example, reloaded)
@@ -84,20 +80,20 @@ impl Dispatcher {
     }
 
     /// Add a matrix to the population. Registration canonicalizes the
-    /// triplets into both operand forms once; submits against the id
-    /// never re-convert.
+    /// triplets into CSR once; submits against the id never
+    /// re-convert.
     pub fn register(&mut self, t: &Triplets) -> MatrixId {
         let id = MatrixId(self.matrices.len());
-        self.matrices.push(Registered {
-            mat: SparseMatrix::from_triplets(FormatKind::Csr, t),
-            csr: Csr::from_triplets(t),
-        });
+        self.matrices.push(SparseMatrix::from_triplets(FormatKind::Csr, t));
         id
     }
 
-    /// The registered operand (multiply-family form).
-    pub fn matrix(&self, id: MatrixId) -> &SparseMatrix {
-        &self.matrices[id.0].mat
+    /// The registered operand, or [`RelError::Validation`] for an id
+    /// this dispatcher never issued.
+    pub fn matrix(&self, id: MatrixId) -> RelResult<&SparseMatrix> {
+        self.matrices
+            .get(id.0)
+            .ok_or_else(|| RelError::Validation(format!("unregistered matrix id {id:?}")))
     }
 
     /// The shared plan cache (for persistence or direct inspection).
@@ -116,136 +112,100 @@ impl Dispatcher {
     ///
     /// Result conventions: the multiply family starts from the
     /// algebra's ⊕-identity (so the result is exactly `A·x` /
-    /// `A ⊗ x`); the solves start from a zero guess. Matrix-matrix
-    /// specs are rejected here — use
+    /// `A ⊗ x`); the solves start from a zero guess. An `rhs` of the
+    /// wrong length for the op is refused ([`RelError::Validation`]),
+    /// as are matrix-matrix specs — use
     /// [`submit_product`](Dispatcher::submit_product).
     pub fn submit(&mut self, id: MatrixId, spec: OpSpec, rhs: &[f64]) -> RelResult<Vec<f64>> {
-        let reg = self
-            .matrices
-            .get(id.0)
-            .ok_or_else(|| RelError::Validation(format!("unregistered matrix id {:?}", id)))?;
-        let t0 = Instant::now();
-        let out = match spec {
-            OpSpec::Spmv => {
-                let engine = self.cache.spmv_engine(&reg.mat, &self.ctx)?;
-                let mut y = vec![0.0; reg.mat.nrows()];
-                engine.run(&reg.mat, rhs, &mut y)?;
-                Ok(y)
+        let a = self.matrix(id)?;
+        let operands = match spec {
+            OpSpec::Spmm | OpSpec::SemiringSpmm { .. } => {
+                return Err(RelError::Validation(
+                    "dispatcher submit: matrix-matrix specs go through submit_product".to_string(),
+                ))
             }
-            OpSpec::SpmvMulti { k } => {
-                let engine = self.cache.spmv_multi_engine(&reg.mat, k, &self.ctx)?;
-                let mut y = vec![0.0; reg.mat.nrows() * k];
-                engine.run(&reg.mat, rhs, &mut y)?;
-                Ok(y)
-            }
-            OpSpec::SemiringSpmv { algebra } => match algebra {
-                MinPlus::NAME => semiring_spmv::<MinPlus>(&self.cache, reg, &self.ctx, rhs),
-                MaxPlus::NAME => semiring_spmv::<MaxPlus>(&self.cache, reg, &self.ctx, rhs),
-                F64Plus::NAME => semiring_spmv::<F64Plus>(&self.cache, reg, &self.ctx, rhs),
-                other => Err(RelError::Validation(format!(
-                    "dispatcher submit: no f64-element semiring named {other:?}"
-                ))),
-            },
-            OpSpec::Sptrsv { op } => {
-                let engine = self.cache.sptrsv_engine(&reg.csr, op, &self.ctx)?;
-                let mut x = vec![0.0; reg.csr.nrows()];
-                engine.run(&reg.csr, rhs, &mut x)?;
-                Ok(x)
-            }
-            OpSpec::Symgs => {
-                let engine = self.cache.symgs_engine(&reg.csr, &self.ctx)?;
-                let mut z = vec![0.0; reg.csr.nrows()];
-                engine.apply_ssor(&reg.csr, 1.0, rhs, &mut z)?;
-                Ok(z)
-            }
-            OpSpec::Spmm | OpSpec::SemiringSpmm { .. } => Err(RelError::Validation(
-                "dispatcher submit: matrix-matrix specs go through submit_product".to_string(),
-            )),
-        }?;
-        self.note(spec, t0);
+            OpSpec::Sptrsv { .. } | OpSpec::Symgs => Operands::Tri(csr_of(a)),
+            _ => Operands::Mat(a),
+        };
+        let out = execute(&self.cache, &self.ctx, spec, operands, rhs)?;
+        self.submitted += 1;
         Ok(out)
     }
 
     /// Run one matrix-matrix op over a registered operand pair,
-    /// returning the dense row-major product. The semiring variant
-    /// replays through the pair-keyed cache entry; the classical
-    /// variant compiles directly (its planner is O(1), there is
-    /// nothing worth caching).
+    /// returning the dense row-major product. Both variants replay
+    /// through the pair-keyed cache entry.
     pub fn submit_product(
         &mut self,
         a: MatrixId,
         b: MatrixId,
         spec: OpSpec,
     ) -> RelResult<Vec<f64>> {
-        let (ra, rb) = (
-            self.matrices
-                .get(a.0)
-                .ok_or_else(|| RelError::Validation(format!("unregistered matrix id {a:?}")))?,
-            self.matrices
-                .get(b.0)
-                .ok_or_else(|| RelError::Validation(format!("unregistered matrix id {b:?}")))?,
-        );
-        let t0 = Instant::now();
-        let out = match spec {
-            OpSpec::Spmm => {
-                let engine = bernoulli::engines::SpmmEngine::compile_in(
-                    &ra.mat,
-                    &rb.mat,
-                    &self.ctx,
-                )?;
-                let mut c = vec![0.0; ra.mat.nrows() * rb.mat.ncols()];
-                engine.run(&ra.mat, &rb.mat, &mut c)?;
-                Ok(c)
+        let (a, b) = (self.matrix(a)?, self.matrix(b)?);
+        let operands = match spec {
+            OpSpec::Spmm => Operands::MatPair(a, b),
+            OpSpec::SemiringSpmm { .. } => Operands::CsrPair(csr_of(a), csr_of(b)),
+            _ => {
+                return Err(RelError::Validation(
+                    "dispatcher submit_product: vector specs go through submit".to_string(),
+                ))
             }
-            OpSpec::SemiringSpmm { algebra } => match algebra {
-                MinPlus::NAME => semiring_spmm::<MinPlus>(&self.cache, ra, rb, &self.ctx),
-                MaxPlus::NAME => semiring_spmm::<MaxPlus>(&self.cache, ra, rb, &self.ctx),
-                F64Plus::NAME => semiring_spmm::<F64Plus>(&self.cache, ra, rb, &self.ctx),
-                other => Err(RelError::Validation(format!(
-                    "dispatcher submit_product: no f64-element semiring named {other:?}"
-                ))),
-            },
-            _ => Err(RelError::Validation(
-                "dispatcher submit_product: vector specs go through submit".to_string(),
-            )),
-        }?;
-        self.note(spec, t0);
+        };
+        let out = execute(&self.cache, &self.ctx, spec, operands, &[])?;
+        self.submitted += 1;
         Ok(out)
     }
+}
 
-    fn note(&mut self, spec: OpSpec, t0: Instant) {
-        self.submitted += 1;
-        let tag = spec.kind().tag();
-        self.ctx
-            .obs()
-            .span_ns(&format!("dispatch.{tag}"), t0.elapsed().as_nanos() as u64);
+/// The CSR inside a registered operand ([`Dispatcher::register`]
+/// builds nothing else).
+fn csr_of(m: &SparseMatrix) -> &Csr {
+    match m {
+        SparseMatrix::Csr(c) => c,
+        _ => unreachable!("the dispatcher registers CSR operands only"),
     }
 }
 
-fn semiring_spmv<S: Semiring<Elem = f64>>(
+/// One request, start to finish: resolve the spec's algebra name to
+/// its semiring type — the only per-op knowledge left here — run it,
+/// and record the `dispatch.<op>` span.
+fn execute(
     cache: &PlanCache,
-    reg: &Registered,
     ctx: &ExecCtx,
+    spec: OpSpec,
+    operands: Operands<'_>,
     rhs: &[f64],
 ) -> RelResult<Vec<f64>> {
-    let engine = cache.semiring_spmv_engine::<S>(&reg.mat, ctx)?;
-    let mut y = vec![S::zero(); reg.mat.nrows()];
-    engine.run(&reg.mat, rhs, &mut y)?;
-    Ok(y)
+    let t0 = Instant::now();
+    let kind = spec.kind();
+    let run = match kind.algebra() {
+        F64Plus::NAME => run_as::<F64Plus>,
+        MinPlus::NAME => run_as::<MinPlus>,
+        MaxPlus::NAME => run_as::<MaxPlus>,
+        other => {
+            return Err(RelError::Validation(format!(
+                "dispatcher: no f64-element semiring named {other:?}"
+            )))
+        }
+    };
+    let out = run(cache, ctx, spec, operands, rhs)?;
+    ctx.obs().span_ns(&format!("dispatch.{}", kind.tag()), t0.elapsed().as_nanos() as u64);
+    Ok(out)
 }
 
-fn semiring_spmm<S: Semiring<Elem = f64>>(
+/// Compile through the cache, then run into a fresh ⊕-identity buffer
+/// of the length the compile derived from the operand.
+fn run_as<S: Semiring<Elem = f64>>(
     cache: &PlanCache,
-    ra: &Registered,
-    rb: &Registered,
     ctx: &ExecCtx,
+    spec: OpSpec,
+    operands: Operands<'_>,
+    rhs: &[f64],
 ) -> RelResult<Vec<f64>> {
-    let engine = cache.semiring_spmm_engine::<S>(&ra.csr, &rb.csr, ctx)?;
-    let mut c = vec![S::zero(); ra.csr.nrows() * rb.csr.ncols()];
-    for (i, j, v) in engine.run_entries(&ra.csr, &rb.csr)? {
-        c[i * rb.csr.ncols() + j] = v;
-    }
-    Ok(c)
+    let op = cache.compile::<S>(spec, operands, ctx)?;
+    let mut out = vec![S::zero(); op.io_lens().1];
+    op.run::<S>(operands, rhs, &mut out)?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -334,10 +294,38 @@ mod tests {
         // Vector spec through submit_product and vice versa: refused.
         assert!(d.submit(a, OpSpec::Spmm, &rhs).is_err());
         assert!(d.submit_product(a, a, OpSpec::Spmv).is_err());
-        assert!(d.submit(MatrixId(99), OpSpec::Spmv, &rhs).is_err());
         assert!(d
             .submit(a, OpSpec::SemiringSpmv { algebra: "bool_or_and" }, &rhs)
             .is_err());
+
+        // A foreign id is a Validation error on every entry point.
+        let foreign = MatrixId(99);
+        let is_validation = |r: RelResult<Vec<f64>>| matches!(r, Err(RelError::Validation(_)));
+        assert!(is_validation(d.submit(foreign, OpSpec::Spmv, &rhs)));
+        assert!(is_validation(d.submit_product(a, foreign, OpSpec::Spmm)));
+        assert!(matches!(d.matrix(foreign), Err(RelError::Validation(_))));
+        assert_eq!(d.matrix(a).unwrap().nrows(), 16);
+
+        // A short or long rhs is refused up front for all five vector
+        // specs (the kernels would assert), and the right length still
+        // goes through afterwards.
+        let k = 2;
+        let l = d.register(&lower_of(&t, 16));
+        let vector_specs = [
+            (a, OpSpec::Spmv, 16),
+            (a, OpSpec::SpmvMulti { k }, 16 * k),
+            (a, OpSpec::SemiringSpmv { algebra: "min_plus" }, 16),
+            (l, OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } }, 16),
+            (a, OpSpec::Symgs, 16),
+        ];
+        for (id, spec, len) in vector_specs {
+            for bad in [len - 1, len + 1, 0] {
+                let r = d.submit(id, spec, &vec![1.0; bad]);
+                assert!(is_validation(r), "{spec:?} accepted an rhs of {bad}, wants {len}");
+            }
+            assert_eq!(d.submit(id, spec, &vec![1.0; len]).unwrap().len(), len, "{spec:?}");
+        }
+        assert_eq!(d.stats().submitted, 5, "refused requests are not counted");
 
         // A·A through both the classical and the semiring path agree
         // under (+, ×).

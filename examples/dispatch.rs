@@ -79,9 +79,11 @@ fn main() {
     let l0 = d.register(&tri_t);
     let l1 = d.register(&perturb(&tri_t, 0.6)); // same structure as l0
 
-    let n_grid = d.matrix(m0).nrows();
-    let n_small = d.matrix(m2).nrows();
-    let n_sym = d.matrix(sym).nrows();
+    let nrows = |id| match d.matrix(id) {
+        Ok(m) => m.nrows(),
+        Err(e) => fail(2, &format!("registered matrix lookup: {e}")),
+    };
+    let (n_grid, n_small, n_sym) = (nrows(m0), nrows(m2), nrows(sym));
     let x_grid: Vec<f64> = (0..n_grid).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
     let x_small: Vec<f64> = (0..n_small).map(|i| (i as f64 * 0.31).sin()).collect();
     let x_multi: Vec<f64> = (0..n_grid * 2).map(|i| (i as f64 * 0.11).cos()).collect();

@@ -75,9 +75,6 @@ cargo test -q --test fast_kernels
 # mutant rejected by the independent BA4x verifier) and the bitwise
 # serial/parallel equivalence suite.
 cargo test -q --test corrupt_schedule --test wavefront
-# …and a smoke run of the GFLOP/s harness (writes the gitignored
-# BENCH_serial_smoke.json, leaving the committed full run untouched).
-scripts/bench_serial.sh --smoke > /dev/null
 # Static-analysis acceptance gate: every built-in kernel, plan, and
 # format must lint clean (nonzero exit on any error finding).
 cargo run --release --example lint
@@ -112,22 +109,19 @@ grep -q '"measured_ns":' PLANCACHE_PROFILE.json
 # versioned tag the loader invalidates on (v2 = the unified
 # per-OpKind table).
 grep -rqn 'bernoulli\.plancache/v2' crates/tune/src/cache.rs
-# Filesystem-confinement gate: the tune crate persists plans and the
-# bench harnesses write BENCH_*.json; everything else in the crates
-# computes. A new fs-write call site anywhere else is a regression
-# (state belongs in the cache or in an artifact the scripts own).
+# Filesystem-confinement gate: the tune crate persists plans;
+# everything else in the crates computes. A new fs-write call site
+# anywhere else is a regression (state belongs in the cache or in an
+# artifact a script owns).
 if grep -rn "fs::write\|File::create\|OpenOptions\|create_dir" crates/ --include='*.rs' \
-  | grep -v "^crates/tune/src/" \
-  | grep -v "^crates/bench/benches/"; then
-  echo "ERROR: filesystem write outside crates/tune and the bench harnesses" >&2
+  | grep -v "^crates/tune/src/"; then
+  echo "ERROR: filesystem write outside crates/tune" >&2
   exit 1
 fi
-# …and a smoke run of the cold-vs-warm harness (writes the gitignored
-# BENCH_plancache_smoke.json, leaving the committed full run untouched).
-scripts/bench_plancache.sh --smoke > /dev/null
 # Unified-pipeline gates. The equivalence suite pins (a) identical
 # strategies field sets across all seven op kinds and (b) bitwise
-# hinted-replay / forged-schedule behavior for every facade.
+# hinted-replay / forged-schedule / foreign-hint behavior for every
+# op spec through the one `pipeline::compile` entry point.
 cargo test -q --test pipeline_equivalence
 # The dispatch registry smoke: a mixed op stream over a small matrix
 # population through the one `submit` front door — the example exits
@@ -135,7 +129,9 @@ cargo test -q --test pipeline_equivalence
 # stable across rounds, and the profile report validates with per-op
 # dispatch.<op> latency spans.
 cargo run --release --example dispatch > /dev/null
-# …and the dispatcher-overhead harness (asserts the smoke bar itself;
-# writes the gitignored BENCH_dispatch_smoke.json, leaving the
-# committed full run untouched).
-scripts/bench_dispatch.sh --smoke > /dev/null
+# The repo's benchmark (BENCHMARK.json) is its own workspace, so none
+# of the cargo invocations above compile it: build it against the
+# crates as they are now, then run every workload's correctness checks
+# in two-second rounds (nonzero exit on any failed operation).
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+perfbench/run.sh --smoke > /dev/null

@@ -5,19 +5,23 @@
 //! 1. **Uniform provenance** — all seven op kinds emit `strategies`
 //!    records with the *identical* field set under
 //!    `bernoulli.profile/v1`; no engine gets a private vocabulary.
-//! 2. **Replay parity** — compiling through the hint seam (the plan
-//!    cache's warm path) is bitwise-identical to the cold path for
-//!    every op that supports it, and a forged schedule is rejected by
-//!    the independent verifier without corrupting the result.
+//! 2. **Replay parity** — compiling with hints (the plan cache's warm
+//!    path) is bitwise-identical to the cold path for every op, a
+//!    forged schedule is rejected by the independent verifier without
+//!    corrupting the result, and hints from another op kind or a
+//!    mismatched operand bundle never panic.
 
 use bernoulli::engines::{
     SemiringSpmmEngine, SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine, Strategy,
 };
-use bernoulli::{reason, SptrsvEngine, SymGsEngine, TriangularOp};
+use bernoulli::{
+    compile_op, reason, CompiledOp, OpHints, OpSpec, Operands, RelError, RelResult, SptrsvEngine,
+    SymGsEngine, TriangularOp,
+};
 use bernoulli_analysis::wavefront::LevelSchedule;
 use bernoulli_formats::{gen, Csr, ExecCtx, FormatKind, SparseMatrix, Triplets};
 use bernoulli_obs::Obs;
-use bernoulli_relational::semiring::{CountU64, MinPlus};
+use bernoulli_relational::semiring::{CountU64, F64Plus, MinPlus, Semiring};
 
 fn lower_triangle(t: &Triplets) -> Csr {
     let mut lt = Triplets::new(t.nrows(), t.ncols());
@@ -129,8 +133,18 @@ fn all_seven_op_kinds_emit_identical_strategy_field_sets() {
     }
 }
 
-/// Hinted replay is bitwise-identical to the cold compile for every op
-/// that exposes the seam (the whole multiply family).
+/// Warm compile through the one entry point, as the facade type `E`.
+fn compile_warm<S: Semiring, E: TryFrom<CompiledOp, Error = RelError>>(
+    spec: OpSpec,
+    operands: Operands<'_>,
+    ctx: &ExecCtx,
+    hints: &OpHints,
+) -> E {
+    compile_op::<S>(spec, operands, ctx, Some(hints)).unwrap().try_into().unwrap()
+}
+
+/// Hinted replay is bitwise-identical to the cold compile for the
+/// whole multiply family, fast tier included.
 #[test]
 fn hinted_replay_matches_cold_compile_bitwise_for_the_multiply_family() {
     let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1).fast_kernels(true);
@@ -142,7 +156,8 @@ fn hinted_replay_matches_cold_compile_bitwise_for_the_multiply_family() {
 
     // Classical SpMV.
     let cold = SpmvEngine::compile_in(&a, &ctx).unwrap();
-    let warm = SpmvEngine::compile_hinted(&a, &ctx, &cold.hints()).unwrap();
+    let warm: SpmvEngine =
+        compile_warm::<F64Plus, _>(OpSpec::Spmv, Operands::Mat(&a), &ctx, &cold.hints());
     let (mut y1, mut y2) = (vec![0.0; n], vec![0.0; n]);
     cold.run(&a, &x, &mut y1).unwrap();
     warm.run(&a, &x, &mut y2).unwrap();
@@ -153,7 +168,8 @@ fn hinted_replay_matches_cold_compile_bitwise_for_the_multiply_family() {
     let k = 3;
     let xk: Vec<f64> = (0..n * k).map(|i| (i as f64 * 0.07).cos()).collect();
     let cold = SpmvMultiEngine::compile_in(&a, k, &ctx).unwrap();
-    let warm = SpmvMultiEngine::compile_hinted(&a, k, &ctx, &cold.hints()).unwrap();
+    let warm: SpmvMultiEngine =
+        compile_warm::<F64Plus, _>(OpSpec::SpmvMulti { k }, Operands::Mat(&a), &ctx, &cold.hints());
     let (mut y1, mut y2) = (vec![0.0; n * k], vec![0.0; n * k]);
     cold.run(&a, &xk, &mut y1).unwrap();
     warm.run(&a, &xk, &mut y2).unwrap();
@@ -162,7 +178,12 @@ fn hinted_replay_matches_cold_compile_bitwise_for_the_multiply_family() {
     // Semiring SpMV (min-plus relaxation).
     let d0: Vec<f64> = (0..n).map(|i| if i == 0 { 0.0 } else { f64::INFINITY }).collect();
     let cold = SemiringSpmvEngine::<MinPlus>::compile_in(&a, &ctx).unwrap();
-    let warm = SemiringSpmvEngine::<MinPlus>::compile_hinted(&a, &ctx, &cold.hints()).unwrap();
+    let warm: SemiringSpmvEngine<MinPlus> = compile_warm::<MinPlus, _>(
+        OpSpec::SemiringSpmv { algebra: MinPlus::NAME },
+        Operands::Mat(&a),
+        &ctx,
+        &cold.hints(),
+    );
     let (mut d1, mut d2) = (vec![f64::INFINITY; n], vec![f64::INFINITY; n]);
     cold.run(&a, &d0, &mut d1).unwrap();
     warm.run(&a, &d0, &mut d2).unwrap();
@@ -170,7 +191,12 @@ fn hinted_replay_matches_cold_compile_bitwise_for_the_multiply_family() {
 
     // Semiring SpMM (count_u64 path counting).
     let cold = SemiringSpmmEngine::<CountU64>::compile_in(&ca, &ca, &ctx).unwrap();
-    let warm = SemiringSpmmEngine::<CountU64>::compile_hinted(&ca, &ca, &ctx, &cold.hints()).unwrap();
+    let warm: SemiringSpmmEngine<CountU64> = compile_warm::<CountU64, _>(
+        OpSpec::SemiringSpmm { algebra: CountU64::NAME },
+        Operands::CsrPair(&ca, &ca),
+        &ctx,
+        &cold.hints(),
+    );
     assert_eq!(cold.run_entries(&ca, &ca).unwrap(), warm.run_entries(&ca, &ca).unwrap());
 }
 
@@ -186,11 +212,13 @@ fn schedule_replay_parity_and_forged_schedule_rejection() {
     let op = TriangularOp::Lower { unit_diag: false };
     let n = l.nrows();
     let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 13) as f64 - 6.0).collect();
+    let solve = OpSpec::Sptrsv { op };
 
     let cold = SptrsvEngine::compile_in(&l, op, &ctx).unwrap();
     assert_eq!(cold.strategy(), Strategy::Parallel);
-    let sched = cold.schedule().expect("parallel tier must carry its schedule").clone();
-    let warm = SptrsvEngine::compile_with_schedule(&l, op, sched, &ctx).unwrap();
+    assert!(cold.schedule().is_some(), "parallel tier must carry its schedule");
+    let warm: SptrsvEngine =
+        compile_warm::<F64Plus, _>(solve, Operands::Tri(&l), &ctx, &cold.hints());
     assert_eq!(warm.strategy(), Strategy::Parallel);
     let (mut x1, mut x2) = (vec![0.0; n], vec![0.0; n]);
     cold.run(&l, &b, &mut x1).unwrap();
@@ -200,7 +228,8 @@ fn schedule_replay_parity_and_forged_schedule_rejection() {
     // Forged: claim every row is independent (one flat level). BA4x
     // must refuse it and the engine must fall back to the serial sweep.
     let forged = LevelSchedule::from_raw_unchecked(n, (0..n).collect(), vec![0, n]);
-    let bad = SptrsvEngine::compile_with_schedule(&l, op, forged, &ctx).unwrap();
+    let forged = OpHints { schedules: vec![forged], ..cold.hints() };
+    let bad: SptrsvEngine = compile_warm::<F64Plus, _>(solve, Operands::Tri(&l), &ctx, &forged);
     assert_eq!(bad.strategy(), Strategy::Specialized);
     assert_eq!(bad.downgrade(), reason::SCHEDULE_REJECTED);
     let mut x3 = vec![0.0; n];
@@ -209,13 +238,145 @@ fn schedule_replay_parity_and_forged_schedule_rejection() {
 
     // SymGS: pair replay parity.
     let gs_cold = SymGsEngine::compile_in(&sym, &ctx).unwrap();
-    let (fwd, bwd) = (
-        gs_cold.forward_schedule().expect("armed forward").clone(),
-        gs_cold.backward_schedule().expect("armed backward").clone(),
-    );
-    let gs_warm = SymGsEngine::compile_with_schedules(&sym, fwd, bwd, &ctx).unwrap();
+    assert!(gs_cold.sweep_schedules().is_some(), "both sweeps armed");
+    let gs_warm: SymGsEngine =
+        compile_warm::<F64Plus, _>(OpSpec::Symgs, Operands::Tri(&sym), &ctx, &gs_cold.hints());
     let (mut z1, mut z2) = (vec![0.0; n], vec![0.0; n]);
     gs_cold.apply_ssor(&sym, 1.2, &b, &mut z1).unwrap();
     gs_warm.apply_ssor(&sym, 1.2, &b, &mut z2).unwrap();
     assert_eq!(bits(&z1), bits(&z2));
+}
+
+type Compile = for<'a, 'b> fn(
+    OpSpec,
+    Operands<'a>,
+    &'b ExecCtx,
+    Option<&'b OpHints>,
+) -> RelResult<CompiledOp>;
+type Run = for<'a, 'b> fn(&'b CompiledOp, Operands<'a>, &'b [f64], &'b mut [f64]) -> RelResult<()>;
+
+/// One row per `OpSpec`: what to compile, against what, under which
+/// algebra (the two function pointers carry the semiring type).
+struct Case<'a> {
+    spec: OpSpec,
+    operands: Operands<'a>,
+    compile: Compile,
+    run: Run,
+}
+
+impl Case<'_> {
+    /// Compile (cold or hinted) and run against the case's own
+    /// operands; the result starts from the min-plus ⊕-identity for
+    /// the semiring rows and from zero otherwise.
+    fn output(&self, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelResult<(CompiledOp, Vec<f64>)> {
+        let op = (self.compile)(self.spec, self.operands, ctx, hints)?;
+        let (n_in, n_out) = op.io_lens();
+        let rhs: Vec<f64> = (0..n_in).map(|i| ((i * 7 + 3) % 13) as f64 - 6.0).collect();
+        let zero = if op.kind().algebra() == MinPlus::NAME { f64::INFINITY } else { 0.0 };
+        let mut out = vec![zero; n_out];
+        (self.run)(&op, self.operands, &rhs, &mut out)?;
+        Ok((op, out))
+    }
+}
+
+fn seven_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 7] {
+    let f64_plus = |spec, operands| Case {
+        spec,
+        operands,
+        compile: compile_op::<F64Plus>,
+        run: CompiledOp::run::<F64Plus>,
+    };
+    let min_plus = |spec, operands| Case {
+        spec,
+        operands,
+        compile: compile_op::<MinPlus>,
+        run: CompiledOp::run::<MinPlus>,
+    };
+    let algebra = MinPlus::NAME;
+    [
+        f64_plus(OpSpec::Spmv, Operands::Mat(a)),
+        f64_plus(OpSpec::Spmm, Operands::MatPair(a, a)),
+        f64_plus(OpSpec::SpmvMulti { k: 3 }, Operands::Mat(a)),
+        min_plus(OpSpec::SemiringSpmv { algebra }, Operands::Mat(a)),
+        min_plus(OpSpec::SemiringSpmm { algebra }, Operands::CsrPair(ca, ca)),
+        f64_plus(
+            OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } },
+            Operands::Tri(l),
+        ),
+        f64_plus(OpSpec::Symgs, Operands::Tri(ca)),
+    ]
+}
+
+/// The table-driven contract of the single entry point, over all seven
+/// `OpSpec`s: (a) a compile replaying the op's own hints is the cold
+/// compile in every observable — verdict and output bits; (b) hints
+/// exported by a *different* op kind, and a spec handed another op's
+/// operand bundle, yield a correct result or a `RelError`, never a
+/// panic.
+#[test]
+fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
+    let t = gen::grid3d_7pt(5, 5, 5);
+    let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
+    let ca = Csr::from_triplets(&t);
+    let l = lower_triangle(&t);
+    let cases = seven_cases(&a, &ca, &l);
+    let verdict = |op: &CompiledOp| (op.strategy(), op.tier(), op.plan_shape(), op.downgrade());
+
+    // (a) Under the parallel context (wavefront schedules arm) and the
+    // serial fast-tier one (the SpMV certificate replays).
+    let par = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    for ctx in [par.clone(), ExecCtx::serial().fast_kernels(true)] {
+        for case in &cases {
+            let (cold, y_cold) = case.output(&ctx, None).unwrap();
+            let (warm, y_warm) = case.output(&ctx, Some(&cold.hints())).unwrap();
+            assert_eq!(verdict(&warm), verdict(&cold), "{:?}", case.spec);
+            assert_eq!(bits(&y_warm), bits(&y_cold), "{:?}", case.spec);
+        }
+    }
+
+    // (b) Foreign hints: every op's export fed to every other op. The
+    // tier may differ from the cold one (a foreign verdict can
+    // mis-tier), the answer may not — up to the rounding the parallel
+    // SpMM merge is allowed.
+    let same = |p: &f64, q: &f64| {
+        p.to_bits() == q.to_bits() || (p - q).abs() <= 1e-12 * q.abs().max(1.0)
+    };
+    let cold: Vec<_> = cases.iter().map(|c| c.output(&par, None).unwrap()).collect();
+    for (i, donor) in cold.iter().enumerate() {
+        for (j, case) in cases.iter().enumerate().filter(|&(j, _)| j != i) {
+            match case.output(&par, Some(&donor.0.hints())) {
+                Ok((_, y)) => assert!(
+                    y.len() == cold[j].1.len() && y.iter().zip(&cold[j].1).all(|(p, q)| same(p, q)),
+                    "{:?} mis-computed under hints from {:?}",
+                    case.spec,
+                    cases[i].spec
+                ),
+                Err(RelError::Validation(_)) => {}
+                Err(other) => panic!("{:?}: unexpected error class {other:?}", case.spec),
+            }
+        }
+    }
+
+    // (b) Spec/operands mismatch: a spec compiled against another op's
+    // bundle is refused unless the bundle has the shape it takes, and a
+    // compiled op run against a foreign bundle is refused likewise.
+    let shape = |o: &Operands<'_>| match o {
+        Operands::Mat(_) => 0,
+        Operands::MatPair(..) => 1,
+        Operands::CsrPair(..) => 2,
+        Operands::Tri(_) => 3,
+    };
+    for (i, case) in cases.iter().enumerate() {
+        for other in &cases {
+            let compiled = (case.compile)(case.spec, other.operands, &par, None);
+            if shape(&case.operands) != shape(&other.operands) {
+                assert!(matches!(compiled, Err(RelError::Validation(_))), "{:?}", case.spec);
+                let (op, y) = &cold[i];
+                let ran = (case.run)(op, other.operands, &vec![1.0; op.io_lens().0], &mut y.clone());
+                assert!(matches!(ran, Err(RelError::Validation(_))), "{:?}", case.spec);
+            } else {
+                assert!(compiled.is_ok(), "{:?} on {:?}'s operands", case.spec, other.spec);
+            }
+        }
+    }
 }

@@ -254,3 +254,67 @@ fn csr_helper_key_matches_enum_key_on_suite() {
         assert_eq!(structure_key_csr(&csr), via_enum, "{}", s.name);
     }
 }
+
+#[test]
+fn loaded_entry_without_schedules_compiles_cold_instead_of_panicking() {
+    // A well-formed cache file can carry a wavefront entry with no
+    // schedules (hand-edited, or written by a build that cached serial
+    // verdicts). Replaying it must degrade to the cold compile — same
+    // verdict, same bits as the uncached engine — not panic.
+    use bernoulli::{SptrsvEngine, SymGsEngine, TriangularOp};
+    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let t = bernoulli_formats::gen::grid3d_7pt(5, 5, 5);
+    let full = Csr::from_triplets(&t);
+    let mut lt = Triplets::new(t.nrows(), t.ncols());
+    for &(r, c, v) in t.canonicalize().entries() {
+        if c <= r {
+            lt.push(r, c, if c == r { 4.0 } else { v });
+        }
+    }
+    let l = Csr::from_triplets(&lt);
+    let entry = |key: StructureKey, op: &str| {
+        format!(
+            "{{\"structure\":\"{}\",\"op\":\"{op}\",\"strategy\":\"parallel\",\"plan_shape\":\"\",\
+             \"fast_eligible\":false,\"calibrated\":null,\"schedules\":[]}}",
+            key.hex()
+        )
+    };
+    let json = format!(
+        "{{\"schema\":\"{SCHEMA}\",\"ops\":[{},{}]}}",
+        entry(structure_key_csr(&l), "sptrsv.lower"),
+        entry(structure_key_csr(&full), "symgs"),
+    );
+    let cache = PlanCache::from_json(&json).unwrap();
+    assert_eq!((cache.stats().sptrsv_entries, cache.stats().symgs_entries), (1, 1));
+
+    let n = l.nrows();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) % 13) as f64 - 6.0).collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+
+    let op = TriangularOp::Lower { unit_diag: false };
+    let cached = cache.sptrsv_engine(&l, op, &ctx).unwrap();
+    let uncached = SptrsvEngine::compile_in(&l, op, &ctx).unwrap();
+    assert_eq!(
+        (cached.strategy(), cached.downgrade()),
+        (uncached.strategy(), uncached.downgrade())
+    );
+    let (mut x1, mut x2) = (vec![0.0; n], vec![0.0; n]);
+    cached.run(&l, &b, &mut x1).unwrap();
+    uncached.run(&l, &b, &mut x2).unwrap();
+    assert_eq!(bits(&x1), bits(&x2));
+
+    let cached = cache.symgs_engine(&full, &ctx).unwrap();
+    let uncached = SymGsEngine::compile_in(&full, &ctx).unwrap();
+    assert_eq!(
+        (cached.strategy(), cached.downgrade()),
+        (uncached.strategy(), uncached.downgrade())
+    );
+    let (mut z1, mut z2) = (vec![0.0; n], vec![0.0; n]);
+    cached.apply_ssor(&full, 1.1, &b, &mut z1).unwrap();
+    uncached.apply_ssor(&full, 1.1, &b, &mut z2).unwrap();
+    assert_eq!(bits(&z1), bits(&z2));
+
+    // Both compiles armed their schedules, so the empty entries were
+    // overwritten: the next compile replays for real.
+    assert!(!cache.to_json().contains("\"schedules\":[]"), "{}", cache.to_json());
+}

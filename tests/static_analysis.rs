@@ -5,7 +5,8 @@
 //! nest the race checker rejects.
 
 use bernoulli::ast::programs;
-use bernoulli::engines::{choose_strategy, SpmvEngine};
+use bernoulli::engines::SpmvEngine;
+use bernoulli::pipeline::do_any_decision;
 use bernoulli::lower::extract_query;
 use bernoulli::{ExecConfig, Strategy};
 use bernoulli_analysis::plan_verify::verify_plan;
@@ -15,6 +16,7 @@ use bernoulli_relational::access::{MatrixAccess, VecMeta, VectorAccess};
 use bernoulli_relational::ids::{MAT_A, MAT_B, PERM_P, VEC_X, VEC_Y};
 use bernoulli_relational::planner::{Planner, QueryMeta};
 use bernoulli_relational::scalar::UpdateOp;
+use bernoulli_relational::semiring::AlgebraProps;
 
 fn sample(n: usize, seed: u64) -> Triplets {
     bernoulli_formats::gen::random_sparse(n, n, n * 3, seed)
@@ -54,8 +56,10 @@ fn engines_refuse_parallel_for_racy_nest() {
     // host-dependent gate) stays out of the way of the race gate.
     let exec = ExecConfig::with_threads(4).threshold(1).oversubscribe(true);
     let work = 1 << 20; // far above threshold: only the race gate differs
-    assert_eq!(choose_strategy(&racy, true, work, &exec), Strategy::Specialized);
-    assert_eq!(choose_strategy(&programs::matvec(), true, work, &exec), Strategy::Parallel);
+    let f64_plus = AlgebraProps::f64_plus();
+    let decide = |nest| do_any_decision(nest, true, work, &exec, &f64_plus).strategy;
+    assert_eq!(decide(&racy), Strategy::Specialized);
+    assert_eq!(decide(&programs::matvec()), Strategy::Parallel);
     // And the engine built from the clean nest does go parallel on the
     // same config — the gate, not the plumbing, made the difference.
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &sample(64, 5));
