@@ -14,8 +14,8 @@
 //! * [`fig4`] — the `(k + r_I)/(k + r_B)` curves of Figure 4 derived
 //!   from the measured overheads.
 //!
-//! The same functions back both the Criterion benches (`benches/`) and
-//! the `tables` binary that prints the paper-formatted rows.
+//! These functions back the `tables` binary that prints the
+//! paper-formatted rows; `benches/` holds the design-choice ablations.
 
 pub mod fig4;
 pub mod table1;

@@ -37,8 +37,7 @@ use bernoulli_analysis::wavefront::{
     self, analyze_wavefront, verify_level_schedule, LevelSchedule, Triangle, WavefrontCert,
 };
 use bernoulli_formats::{
-    fast, kernels, par_kernels, Csr, DenseMatrix, ExecConfig, ExecCtx, FormatKind, SparseMatrix,
-    Validate,
+    fast, kernels, par_kernels, Csr, DenseMatrix, ExecConfig, ExecCtx, SparseMatrix, Validate,
 };
 use bernoulli_obs::events::{KernelCounters, StrategyEvent};
 use bernoulli_relational::access::{MatMeta, MatrixAccess, VecMeta};
@@ -46,7 +45,7 @@ use bernoulli_relational::error::{RelError, RelResult};
 use bernoulli_relational::exec::Bindings;
 use bernoulli_relational::ids::{MAT_A, MAT_B, MAT_C, VEC_X, VEC_Y};
 use bernoulli_relational::planner::QueryMeta;
-use bernoulli_relational::semiring::{AlgebraProps, Semiring};
+use bernoulli_relational::semiring::{AlgebraProps, F64Plus, Semiring};
 
 /// Minimum mean rows per level for the wavefront parallel tier: below
 /// this a schedule is mostly serial chain (the worst case is one row
@@ -513,22 +512,6 @@ fn record_decision(
         max_level_width: d.max_level_width,
         mean_level_width: d.mean_level_width,
     });
-}
-
-/// Telemetry name component for a format's specialised kernels
-/// (matches the `kernels::spmv_*` function naming).
-pub(crate) fn kind_slug(kind: FormatKind) -> &'static str {
-    match kind {
-        FormatKind::Dense => "dense",
-        FormatKind::Coordinate => "coo",
-        FormatKind::Csr => "csr",
-        FormatKind::Ccs => "ccs",
-        FormatKind::Cccs => "cccs",
-        FormatKind::Diagonal => "diag",
-        FormatKind::Itpack => "itpack",
-        FormatKind::JDiag => "jdiag",
-        FormatKind::Inode => "inode",
-    }
 }
 
 /// The SpMV counter model: every stored nonzero is one multiply-add;
@@ -1240,6 +1223,12 @@ impl CompiledOp {
         }
     }
 
+    /// The context the hand-written kernels pick their tier from:
+    /// `Some` arms the parallel drivers, `None` is the serial tier.
+    fn par_ctx(&self) -> Option<&ExecCtx> {
+        (self.strategy == Strategy::Parallel).then_some(&self.ctx)
+    }
+
     /// The planned kernel behind [`Strategy::Interpreted`].
     fn interpreter(&self) -> &CompiledKernel {
         match &self.plan {
@@ -1263,33 +1252,26 @@ impl CompiledOp {
         if obs.is_enabled() {
             let name = match self.strategy {
                 Strategy::Specialized if use_fast => {
-                    format!("fast_spmv_{}", kind_slug(a.kind()))
+                    format!("fast_spmv_{}", a.kind().slug())
                 }
-                Strategy::Specialized => format!("spmv_{}", kind_slug(a.kind())),
-                Strategy::Parallel => format!("par_spmv_{}", kind_slug(a.kind())),
+                Strategy::Specialized => format!("spmv_{}", a.kind().slug()),
+                Strategy::Parallel => format!("par_spmv_{}", a.kind().slug()),
                 Strategy::Interpreted => "interp_spmv".to_string(),
             };
             obs.kernel(&name, spmv_counters(&a.meta()));
         }
         match self.strategy {
-            Strategy::Specialized => {
-                if use_fast {
-                    fast::spmv_acc_fast(a, x, y, self.fast_cert.as_ref().unwrap());
-                } else {
-                    a.spmv_acc(x, y);
-                }
-                Ok(())
-            }
-            Strategy::Parallel => {
-                a.par_spmv_acc(x, y, &self.ctx);
-                Ok(())
-            }
             Strategy::Interpreted => {
                 let mut b = Bindings::new();
                 b.bind_mat(MAT_A, a).bind_vec(VEC_X, &x).bind_vec_mut(VEC_Y, y);
-                self.interpreter().run(&mut b)
+                return self.interpreter().run(&mut b);
             }
+            Strategy::Specialized if use_fast => {
+                fast::spmv_acc_fast(a, x, y, self.fast_cert.as_ref().unwrap())
+            }
+            _ => a.spmv_acc_on::<F64Plus>(x, y, self.par_ctx()),
         }
+        Ok(())
     }
 
     /// `C += A·B` into a dense row-major buffer `c` of shape
@@ -1380,18 +1362,14 @@ impl CompiledOp {
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let base = match self.strategy {
-                Strategy::Specialized => format!("spmv_{}", kind_slug(a.kind())),
-                Strategy::Parallel => format!("par_spmv_{}", kind_slug(a.kind())),
+                Strategy::Specialized => format!("spmv_{}", a.kind().slug()),
+                Strategy::Parallel => format!("par_spmv_{}", a.kind().slug()),
                 Strategy::Interpreted => unreachable!("no interpreter tier off the f64 algebra"),
             };
             let name = algebra_kernel_name(&base, S::NAME);
             obs.kernel(&name, KernelCounters { algebra: S::NAME, ..spmv_counters(&a.meta()) });
         }
-        match self.strategy {
-            Strategy::Specialized => a.spmv_acc_in::<S>(x, y),
-            Strategy::Parallel => a.par_spmv_acc_in::<S>(x, y, &self.ctx),
-            Strategy::Interpreted => unreachable!("no interpreter tier off the f64 algebra"),
-        }
+        a.spmv_acc_on::<S>(x, y, self.par_ctx());
         Ok(())
     }
 
@@ -1438,18 +1416,12 @@ impl CompiledOp {
             obs.kernel(op.kernel_name(parallel), sptrsv_counters(a));
         }
         let ud = op.unit_diag();
-        match (op, schedule) {
-            (TriangularOp::Lower { .. }, Some((sched, cert))) if parallel => {
-                par_kernels::par_sptrsv_csr_lower(a, ud, b, x, sched, cert, &self.ctx)
+        match (op.triangle(), schedule) {
+            (Some(tri), Some((sched, cert))) if parallel => {
+                par_kernels::par_sptrsv_csr(a, tri, ud, b, x, sched, cert, &self.ctx)
             }
-            (TriangularOp::Upper { .. }, Some((sched, cert))) if parallel => {
-                par_kernels::par_sptrsv_csr_upper(a, ud, b, x, sched, cert, &self.ctx)
-            }
-            (TriangularOp::Lower { .. }, _) => kernels::sptrsv_csr_lower(a, ud, b, x),
-            (TriangularOp::Upper { .. }, _) => kernels::sptrsv_csr_upper(a, ud, b, x),
-            (TriangularOp::LowerTransposed { .. }, _) => {
-                kernels::sptrsv_csr_lower_transposed(a, ud, b, x)
-            }
+            (Some(tri), _) => kernels::sptrsv_csr(a, tri, ud, b, x),
+            (None, _) => kernels::sptrsv_csr_lower_transposed(a, ud, b, x),
         }
         Ok(())
     }
@@ -1477,15 +1449,12 @@ impl CompiledOp {
             };
             obs.kernel(name, sptrsv_counters(a));
         }
-        match (armed, forward) {
-            (Some((rp, ci, s, c)), true) => {
-                par_kernels::par_symgs_forward_csr(a, omega, b, x, rp, ci, s, c, &self.ctx)
+        let tri = if forward { Triangle::Lower } else { Triangle::Upper };
+        match armed {
+            Some((rp, ci, s, c)) => {
+                par_kernels::par_symgs_csr(a, tri, omega, b, x, (rp, ci), s, c, &self.ctx)
             }
-            (Some((rp, ci, s, c)), false) => {
-                par_kernels::par_symgs_backward_csr(a, omega, b, x, rp, ci, s, c, &self.ctx)
-            }
-            (None, true) => kernels::symgs_forward_csr(a, omega, b, x),
-            (None, false) => kernels::symgs_backward_csr(a, omega, b, x),
+            None => kernels::symgs_sweep_csr(a, tri, omega, b, x),
         }
         Ok(())
     }
@@ -1518,7 +1487,7 @@ impl CompiledOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bernoulli_relational::semiring::F64Plus;
+    use bernoulli_formats::FormatKind;
 
     fn do_any_f64(nest: &LoopNest, specializable: bool, work: usize, exec: &ExecConfig) -> GateDecision {
         do_any_decision(nest, specializable, work, exec, &AlgebraProps::f64_plus())

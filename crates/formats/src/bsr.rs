@@ -12,6 +12,7 @@
 //! columns gathered from its block row (sorted, O(log) search via the
 //! block column index).
 
+use crate::kernels::{self, Family, SpmvBody};
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
@@ -21,6 +22,7 @@ use bernoulli_relational::access::{
     FlatIter, InnerIter, MatMeta, MatrixAccess, Orientation, OuterCursor, OuterIter,
 };
 use bernoulli_relational::props::LevelProps;
+use bernoulli_relational::semiring::{F64Plus, Semiring};
 
 /// BSR sparse matrix: `nrows × ncols` with `b × b` dense blocks.
 #[derive(Clone, Debug, PartialEq)]
@@ -127,71 +129,46 @@ impl Bsr {
         &self.blocks
     }
 
-    /// `y += A·x` — the hand-written blocked kernel: one small dense
-    /// `b × b` matvec per stored block.
+    /// `y += A·x` on the classical f64 algebra (the serial tier of the
+    /// [`SpmvBody`] below).
     pub fn spmv_acc(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        let b = self.b;
-        let nbrows = self.nrows / b;
-        for br in 0..nbrows {
-            let yrow = &mut y[br * b..(br + 1) * b];
-            for k in self.browptr[br]..self.browptr[br + 1] {
-                let bc = self.bcolind[k];
-                let xs = &x[bc * b..(bc + 1) * b];
-                let blk = &self.blocks[k * b * b..(k + 1) * b * b];
-                for (r, yv) in yrow.iter_mut().enumerate() {
-                    let mut acc = 0.0;
-                    for (cidx, &xv) in xs.iter().enumerate() {
-                        acc += blk[r * b + cidx] * xv;
-                    }
-                    *yv += acc;
-                }
-            }
-        }
-    }
-
-    /// Parallel `y += A·x` over block-row chunks (chunks are whole
-    /// block rows, so each `y[i]` has one writer and the per-element
-    /// operation order matches [`Bsr::spmv_acc`] bit for bit). Falls
-    /// back to the serial kernel below `exec`'s worker/threshold gate.
-    pub fn par_spmv_acc(&self, x: &[f64], y: &mut [f64], exec: &crate::exec::ExecCtx) {
-        use rayon::prelude::*;
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        let t = exec.threads_hint();
-        if t <= 1 || !exec.should_parallelize(self.nnz) || y.is_empty() {
-            return self.spmv_acc(x, y);
-        }
-        let b = self.b;
-        let nbrows = self.nrows / b;
-        let chunk_brows = nbrows.div_ceil(t).max(1);
-        exec.install(|| {
-            y.par_chunks_mut(chunk_brows * b).enumerate().for_each(|(ci, yc)| {
-                let br0 = ci * chunk_brows;
-                for (dbr, yrow) in yc.chunks_mut(b).enumerate() {
-                    let br = br0 + dbr;
-                    for k in self.browptr[br]..self.browptr[br + 1] {
-                        let bc = self.bcolind[k];
-                        let xs = &x[bc * b..(bc + 1) * b];
-                        let blk = &self.blocks[k * b * b..(k + 1) * b * b];
-                        for (r, yv) in yrow.iter_mut().enumerate() {
-                            let mut acc = 0.0;
-                            for (cidx, &xv) in xs.iter().enumerate() {
-                                acc += blk[r * b + cidx] * xv;
-                            }
-                            *yv += acc;
-                        }
-                    }
-                }
-            });
-        });
+        kernels::spmv_in::<F64Plus, Bsr>(self, x, y)
     }
 
     /// Block-row range of matrix row `r`.
     fn brange(&self, r: usize) -> (usize, usize) {
         let br = r / self.b;
         (self.browptr[br], self.browptr[br + 1])
+    }
+}
+
+/// BSR — the hand-written blocked kernel: one small dense `b × b`
+/// matvec per stored block. Ranges are whole block rows
+/// ([`SpmvBody::unit`] is the block size).
+impl SpmvBody for Bsr {
+    const FAMILY: Family = Family::Rows;
+
+    fn unit(&self) -> usize {
+        self.b
+    }
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let b = self.b;
+        for (br, yrow) in (lo / b..hi / b).zip(y.chunks_mut(b)) {
+            for k in self.browptr[br]..self.browptr[br + 1] {
+                let bc = self.bcolind[k];
+                let xs = &x[bc * b..(bc + 1) * b];
+                let blk = &self.blocks[k * b * b..(k + 1) * b * b];
+                for (r, yv) in yrow.iter_mut().enumerate() {
+                    let mut acc = S::zero();
+                    for (cidx, &xv) in xs.iter().enumerate() {
+                        acc = S::plus(acc, S::times(S::from_f64(blk[r * b + cidx]), xv));
+                    }
+                    *yv = S::plus(*yv, acc);
+                }
+            }
+        }
     }
 }
 

@@ -117,17 +117,9 @@ impl DenseMatrix {
         &mut self.data
     }
 
-    /// `y += A·x`.
+    /// `y += A·x` (the serial tier of the dense [`crate::kernels::SpmvBody`]).
     pub fn matvec_acc(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (c, &xv) in x.iter().enumerate() {
-                acc += self.data[r * self.ncols + c] * xv;
-            }
-            *yr += acc;
-        }
+        crate::kernels::spmv_in::<bernoulli_relational::semiring::F64Plus, DenseMatrix>(self, x, y)
     }
 
     /// Max-norm distance to another matrix (testing aid).

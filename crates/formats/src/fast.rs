@@ -63,7 +63,7 @@
 //! * **BSR** (unrolled 2×2/3×3/4×4 + generic) and **ITPACK** preserve
 //!   the reference kernels' exact per-element operation order, so they
 //!   are pinned bitwise against [`Bsr::spmv_acc`] and
-//!   [`crate::kernels::spmv_itpack_in`] themselves.
+//!   [`crate::kernels::spmv_in`]`::<F64Plus, Itpack>` themselves.
 //!
 //! The engine seam ([`bernoulli` core]'s `SpmvEngine`) only arms this
 //! tier when [`ExecCtx::fast_kernels`](crate::ExecCtx::fast_kernels)
@@ -423,9 +423,9 @@ macro_rules! bsr_block_step {
         for r in 0..$B {
             let mut acc = 0.0;
             for c in 0..$B {
-                acc += blk[r * $B + c] * xs[c];
+                acc = acc + blk[r * $B + c] * xs[c];
             }
-            yrow[r] += acc;
+            yrow[r] = yrow[r] + acc;
         }
     }};
 }
@@ -435,6 +435,11 @@ macro_rules! bsr_block_step {
 /// constant-size block loops) with a generic fallback for other sizes.
 /// Bitwise-identical to [`Bsr::spmv_acc`] — the per-element operation
 /// order is preserved exactly.
+// `a = a + p`, not `a += p`, throughout: the reference is the semiring-
+// generic body (`S::plus(a, p)`), and the two spellings can compile to
+// opposite operand orders, which shows in NaN payloads (see
+// `spmv_itpack_fast`).
+#[allow(clippy::assign_op_pattern)]
 pub fn spmv_bsr_fast(a: &Bsr, x: &[f64], y: &mut [f64], cert: &BsrCert) {
     assert!(cert.covers(a), "BsrCert does not cover this matrix");
     assert_eq!(x.len(), a.ncols());
@@ -470,9 +475,9 @@ pub fn spmv_bsr_fast(a: &Bsr, x: &[f64], y: &mut [f64], cert: &BsrCert) {
                         for (c, &xv) in xs.iter().enumerate() {
                             // SAFETY: r < b and c < b, so r·b + c < b²
                             // == blk.len() (BA25 block payload size).
-                            acc += unsafe { *blk.get_unchecked(r * b + c) } * xv;
+                            acc = acc + unsafe { *blk.get_unchecked(r * b + c) } * xv;
                         }
-                        *yv += acc;
+                        *yv = *yv + acc;
                     }
                 }
             }
@@ -524,7 +529,7 @@ impl ItpackCert {
 /// column-major sweep over padded slots, arranged so the only
 /// non-unit-stride access left in the inner loop is the `x` gather —
 /// exactly what autovectorization wants. Bitwise-identical to
-/// [`crate::kernels::spmv_itpack_in`]`::<F64Plus>` (same slot order,
+/// [`crate::kernels::spmv_in`]`::<F64Plus, Itpack>` (same slot order,
 /// padding included: padded slots multiply 0.0 against an in-bounds
 /// `x` element, reproducing the reference's NaN/Inf propagation).
 // The `y = y + p` spelling below is semantic, not style — see the
@@ -673,7 +678,7 @@ mod tests {
         let x = xvec(a.ncols());
         let mut y1 = vec![2.0; a.nrows()];
         let mut y2 = y1.clone();
-        kernels::spmv_itpack_in::<F64Plus>(&a, &x, &mut y1);
+        kernels::spmv_in::<F64Plus, Itpack>(&a, &x, &mut y1);
         spmv_itpack_fast(&a, &x, &mut y2, &cert);
         for (p, q) in y1.iter().zip(&y2) {
             assert_eq!(p.to_bits(), q.to_bits());

@@ -1,191 +1,326 @@
-//! Hand-written sparse kernels, one per storage format — generic over
-//! the scalar [`Semiring`].
+//! Hand-written sparse kernels — every loop body written **once**,
+//! generic over the scalar [`Semiring`].
 //!
 //! These are the "hand-written library code" baselines of the paper's
-//! experiments: each kernel is written the way a numerical library
-//! would write it for that specific layout (scatter loops for COO,
-//! stride-1 jagged-diagonal sweeps for JDIAG, dense inner loops for
-//! i-nodes, …). The compiler-generated executors are benchmarked
-//! against these in Table 1 and the dispatch-hoisting ablation.
+//! experiments: each body is written the way a numerical library would
+//! write it for that specific layout (scatter loops for COO, stride-1
+//! jagged-diagonal sweeps for JDIAG, dense inner loops for i-nodes, …).
+//! The compiler-generated executors are benchmarked against these in
+//! Table 1 and the dispatch-hoisting ablation.
 //!
-//! Every kernel is the `*_in::<S>` generic; the classical f64 names
-//! (`spmv_csr`, `spmm_csr_csr`, …) that external callers use are thin
-//! [`F64Plus`] instantiations. Formats store `f64` regardless of the
-//! semiring; values are lifted on the fly via [`Semiring::from_f64`] —
-//! the identity for [`F64Plus`], so the generic kernels monomorphise
-//! to exactly the pre-refactor loops (pinned bitwise by the goldens in
-//! `tests/observability.rs` and `tests/semiring_equivalence.rs`).
+//! A kernel is a **ranged body**: a storage format implements
+//! [`SpmvBody::acc`] — "accumulate range `lo..hi` of my storage order"
+//! — and nothing else. The serial tier ([`spmv_in`]) is that body over
+//! the whole range; the parallel tier
+//! ([`crate::par_kernels::par_spmv_in`]) is the *same* body under the
+//! driver its [`Family`] names. The DO-ACROSS kernels work the same
+//! way: one per-row update (`sptrsv_row`, `gs_row`) that `sweep`
+//! walks in storage order and `par_kernels::par_wave` walks level by
+//! level. Parallelisation is a transformation *of* the one loop, never
+//! a second kernel.
+//!
+//! Formats store `f64` regardless of the semiring; values are lifted on
+//! the fly via [`Semiring::from_f64`] — the identity for [`F64Plus`],
+//! so the generic bodies monomorphise to the classical f64 loops
+//! (pinned bitwise by the goldens in `tests/observability.rs` and
+//! `tests/semiring_equivalence.rs`). The f64 names external callers use
+//! (`spmv_csr`, `spmm_csr_csr`, …) are thin [`F64Plus`] instantiations.
 //!
 //! All SpMV kernels *accumulate*: `y ⊕= A·x`. Fill `y` with
 //! `S::zero()` first for a plain product.
 
 use crate::{Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, InodeMatrix, Itpack, JDiag, Triplets};
+use bernoulli_analysis::wavefront::Triangle;
+use bernoulli_relational::access::MatrixAccess;
+use bernoulli_relational::permutation::Permutation;
 use bernoulli_relational::semiring::{F64Plus, Semiring};
 
-/// `y ⊕= A·x` for CRS: row-wise dot products.
-pub fn spmv_csr_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let rowptr = a.rowptr();
-    let colind = a.colind();
-    let vals = a.vals();
-    for (r, yr) in y.iter_mut().enumerate() {
-        let (s, e) = (rowptr[r], rowptr[r + 1]);
-        let mut acc = S::zero();
-        for (&av, &c) in vals[s..e].iter().zip(&colind[s..e]) {
-            acc = S::plus(acc, S::times(S::from_f64(av), x[c]));
-        }
-        *yr = S::plus(*yr, acc);
-    }
+/// How a format's SpMV body is cut into ranges — which decides the
+/// driver that parallelises it and what the parallel result promises.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Family {
+    /// The range is over **rows** and `out` is `y[lo..hi]`: every
+    /// `y[i]` has one writer and the serial per-element ⊕ chain, so any
+    /// split is bitwise identical to serial under any semiring.
+    Rows,
+    /// The range is over **stored items** (columns, entries) and `out`
+    /// is a full-length vector: a split accumulates thread-local
+    /// partials that are merged in fixed range order, which
+    /// re-associates ⊕ — sound only for an associative-commutative ⊕.
+    Scatter,
 }
 
-/// `y += A·x` for CRS on the classical f64 algebra.
-pub fn spmv_csr(a: &Csr, x: &[f64], y: &mut [f64]) {
-    spmv_csr_in::<F64Plus>(a, x, y)
+/// One storage format's `y ⊕= A·x`, written once as a ranged body.
+pub trait SpmvBody: MatrixAccess {
+    /// Which family of ranges [`SpmvBody::acc`] takes.
+    const FAMILY: Family;
+
+    /// Length of the whole range: rows for [`Family::Rows`] (the
+    /// default), stored items for [`Family::Scatter`].
+    fn extent(&self) -> usize {
+        self.meta().nrows
+    }
+
+    /// Rows per indivisible range unit ([`Family::Rows`] only): a split
+    /// lands on multiples of this (BSR's block size).
+    fn unit(&self) -> usize {
+        1
+    }
+
+    /// `Some(perm)` when the body's rows are *stored positions* rather
+    /// than global rows (JDIAG): the tiers run it over a zeroed
+    /// workspace and scatter `y[perm.backward(p)] ⊕= work[p]` after.
+    fn row_permutation(&self) -> Option<&Permutation> {
+        None
+    }
+
+    /// Accumulate range `lo..hi` of `A·x` into `out`, in storage order
+    /// (see [`Family`] for what the range and `out` are).
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], out: &mut [S::Elem]);
 }
 
-/// `y ⊕= A·x` for CCS: column-wise axpys (scatter into `y`).
-///
-/// Skipping a column scaled by a "zero" `x[j]` is delegated to
-/// [`Semiring::skip_scaled_column`]: for f64 that is only sound when
-/// the column is all finite (NaN·0 and ±Inf·0 are NaN and must reach
-/// `y`); other semirings never skip.
-pub fn spmv_ccs_in<S: Semiring>(a: &Ccs, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let colp = a.colp();
-    let rowind = a.rowind();
-    let vals = a.vals();
-    for (j, &xj) in x.iter().enumerate() {
-        let (s, e) = (colp[j], colp[j + 1]);
-        if S::skip_scaled_column(xj, &vals[s..e]) {
-            continue;
-        }
-        for k in s..e {
-            y[rowind[k]] = S::plus(y[rowind[k]], S::times(S::from_f64(vals[k]), xj));
-        }
-    }
-}
-
-/// `y ⊕= A·x` for CCCS: axpys over stored columns only.
-pub fn spmv_cccs_in<S: Semiring>(a: &Cccs, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let colind = a.colind();
-    let colp = a.colp();
-    let rowind = a.rowind();
-    let vals = a.vals();
-    for (q, &j) in colind.iter().enumerate() {
-        let xj = x[j];
-        for k in colp[q]..colp[q + 1] {
-            y[rowind[k]] = S::plus(y[rowind[k]], S::times(S::from_f64(vals[k]), xj));
-        }
-    }
-}
-
-/// `y ⊕= A·x` for COO: one scatter per stored entry.
-pub fn spmv_coo_in<S: Semiring>(a: &Coo, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let (rows, cols, vals) = a.arrays();
-    for k in 0..vals.len() {
-        y[rows[k]] = S::plus(y[rows[k]], S::times(S::from_f64(vals[k]), x[cols[k]]));
-    }
-}
-
-/// `y ⊕= A·x` for Diagonal storage: one shifted axpy per diagonal
-/// (stride-1 on both `x` and `y` — the reason this format wins on
-/// banded matrices).
-pub fn spmv_diag_in<S: Semiring>(a: &DiagonalMatrix, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    for d in a.diagonals() {
-        let i0 = d.first_row;
-        let j0 = (i0 as isize + d.offset) as usize;
-        let ys = &mut y[i0..i0 + d.vals.len()];
-        let xs = &x[j0..j0 + d.vals.len()];
-        for ((yv, &xv), &av) in ys.iter_mut().zip(xs).zip(&d.vals) {
-            *yv = S::plus(*yv, S::times(S::from_f64(av), xv));
-        }
-    }
-}
-
-/// `y ⊕= A·x` for ITPACK: sweep the padded slots column-major; padded
-/// entries multiply the annihilating zero (branch-free inner loop, the
-/// classical ITPACK kernel).
-pub fn spmv_itpack_in<S: Semiring>(a: &Itpack, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let n = a.nrows();
-    let (colind, vals) = a.arrays();
-    for k in 0..a.width() {
-        let base = k * n;
-        for (r, yr) in y.iter_mut().enumerate() {
-            *yr = S::plus(*yr, S::times(S::from_f64(vals[base + r]), x[colind[base + r]]));
-        }
-    }
-}
-
-/// `y ⊕= A·x` for JDIAG: long stride-1 sweeps along each jagged
-/// diagonal, accumulating into a permuted workspace, then scattered
-/// back through `IPERM`.
-pub fn spmv_jdiag_in<S: Semiring>(a: &JDiag, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let (jd_ptr, colind, vals) = a.arrays();
-    let mut work = vec![S::zero(); a.nrows()];
-    for d in 0..a.num_jdiags() {
-        let (s, e) = (jd_ptr[d], jd_ptr[d + 1]);
-        for (p, k) in (s..e).enumerate() {
-            work[p] = S::plus(work[p], S::times(S::from_f64(vals[k]), x[colind[k]]));
-        }
-    }
-    let perm = a.permutation();
+/// Shape check shared by both tiers, then `run` over `y` itself or —
+/// for a row-permuted body — over a workspace scattered back into `y`.
+pub(crate) fn staged<S: Semiring, A: SpmvBody>(
+    a: &A,
+    x: &[S::Elem],
+    y: &mut [S::Elem],
+    run: impl FnOnce(&mut [S::Elem]),
+) {
+    let m = a.meta();
+    assert_eq!(x.len(), m.ncols);
+    assert_eq!(y.len(), m.nrows);
+    let Some(perm) = a.row_permutation() else {
+        return run(y);
+    };
+    let mut work = vec![S::zero(); y.len()];
+    run(&mut work);
     for (p, &w) in work.iter().enumerate() {
         let r = perm.backward(p);
         y[r] = S::plus(y[r], w);
     }
 }
 
-/// `y += A·x` for JDIAG on the classical f64 algebra.
-pub fn spmv_jdiag(a: &JDiag, x: &[f64], y: &mut [f64]) {
-    spmv_jdiag_in::<F64Plus>(a, x, y)
+/// `y ⊕= A·x` on the serial tier: the format's body over its whole
+/// range, in storage order.
+pub fn spmv_in<S: Semiring, A: SpmvBody>(a: &A, x: &[S::Elem], y: &mut [S::Elem]) {
+    staged::<S, A>(a, x, y, |out| a.acc::<S>(0, a.extent(), x, out));
 }
 
-/// `y ⊕= A·x` for i-node storage: a small dense matvec per i-node,
-/// gathering `x` through the shared column list once per group.
-pub fn spmv_inode_in<S: Semiring>(a: &InodeMatrix, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let mut gx: Vec<S::Elem> = Vec::new();
-    for g in a.inodes() {
-        let w = g.cols.len();
-        gx.clear();
-        gx.extend(g.cols.iter().map(|&c| x[c]));
-        for r in 0..g.rows {
-            let row = &g.vals[r * w..(r + 1) * w];
+/// CRS: row-wise dot products.
+impl SpmvBody for Csr {
+    const FAMILY: Family = Family::Rows;
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let colind = self.colind();
+        let vals = self.vals();
+        for (yr, row) in y.iter_mut().zip(self.rowptr()[lo..=hi].windows(2)) {
+            let (s, e) = (row[0], row[1]);
             let mut acc = S::zero();
-            for (a_rv, &xv) in row.iter().zip(&gx) {
-                acc = S::plus(acc, S::times(S::from_f64(*a_rv), xv));
+            for (&av, &c) in vals[s..e].iter().zip(&colind[s..e]) {
+                acc = S::plus(acc, S::times(S::from_f64(av), x[c]));
             }
-            y[g.first_row + r] = S::plus(y[g.first_row + r], acc);
+            *yr = S::plus(*yr, acc);
         }
     }
 }
 
-/// `y ⊕= A·x` for dense storage: plain row-wise dot products (same
-/// loop structure as `DenseMatrix::matvec_acc`).
-pub fn matvec_dense_in<S: Semiring>(a: &DenseMatrix, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let data = a.as_slice();
-    let ncols = a.ncols();
-    for (r, yr) in y.iter_mut().enumerate() {
-        let mut acc = S::zero();
-        for (c, &xv) in x.iter().enumerate() {
-            acc = S::plus(acc, S::times(S::from_f64(data[r * ncols + c]), xv));
+/// `y ⊕= A·x` for CRS.
+pub fn spmv_csr_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::Elem]) {
+    spmv_in::<S, Csr>(a, x, y)
+}
+
+/// `y += A·x` for CRS on the classical f64 algebra.
+pub fn spmv_csr(a: &Csr, x: &[f64], y: &mut [f64]) {
+    spmv_in::<F64Plus, Csr>(a, x, y)
+}
+
+/// CCS: column-wise axpys (scatter into `y`), ranged over columns.
+///
+/// Skipping a column scaled by a "zero" `x[j]` is delegated to
+/// [`Semiring::skip_scaled_column`]: for f64 that is only sound when
+/// the column is all finite (NaN·0 and ±Inf·0 are NaN and must reach
+/// `y`); other semirings never skip.
+impl SpmvBody for Ccs {
+    const FAMILY: Family = Family::Scatter;
+
+    fn extent(&self) -> usize {
+        self.ncols()
+    }
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let colp = self.colp();
+        let rowind = self.rowind();
+        let vals = self.vals();
+        for j in lo..hi {
+            let xj = x[j];
+            let (s, e) = (colp[j], colp[j + 1]);
+            if S::skip_scaled_column(xj, &vals[s..e]) {
+                continue;
+            }
+            for k in s..e {
+                y[rowind[k]] = S::plus(y[rowind[k]], S::times(S::from_f64(vals[k]), xj));
+            }
         }
-        *yr = S::plus(*yr, acc);
+    }
+}
+
+/// CCCS: axpys over stored columns only, ranged over stored columns.
+impl SpmvBody for Cccs {
+    const FAMILY: Family = Family::Scatter;
+
+    fn extent(&self) -> usize {
+        self.stored_cols()
+    }
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let colind = self.colind();
+        let colp = self.colp();
+        let rowind = self.rowind();
+        let vals = self.vals();
+        for q in lo..hi {
+            let xj = x[colind[q]];
+            for k in colp[q]..colp[q + 1] {
+                y[rowind[k]] = S::plus(y[rowind[k]], S::times(S::from_f64(vals[k]), xj));
+            }
+        }
+    }
+}
+
+/// COO: one scatter per stored entry, ranged over entries.
+impl SpmvBody for Coo {
+    const FAMILY: Family = Family::Scatter;
+
+    fn extent(&self) -> usize {
+        self.nnz()
+    }
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let (rows, cols, vals) = self.arrays();
+        for k in lo..hi {
+            y[rows[k]] = S::plus(y[rows[k]], S::times(S::from_f64(vals[k]), x[cols[k]]));
+        }
+    }
+}
+
+/// Diagonal storage: one shifted axpy per diagonal, clipped to the row
+/// range (stride-1 on both `x` and `y` — the reason this format wins on
+/// banded matrices).
+impl SpmvBody for DiagonalMatrix {
+    const FAMILY: Family = Family::Rows;
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        for d in self.diagonals() {
+            let i0 = d.first_row.max(lo);
+            let i1 = (d.first_row + d.vals.len()).min(hi);
+            if i0 >= i1 {
+                continue;
+            }
+            let j0 = (i0 as isize + d.offset) as usize;
+            let ys = &mut y[i0 - lo..i1 - lo];
+            let xs = &x[j0..j0 + (i1 - i0)];
+            let vs = &d.vals[i0 - d.first_row..i1 - d.first_row];
+            for ((yv, &xv), &av) in ys.iter_mut().zip(xs).zip(vs) {
+                *yv = S::plus(*yv, S::times(S::from_f64(av), xv));
+            }
+        }
+    }
+}
+
+/// ITPACK: sweep the padded slots column-major; padded entries multiply
+/// the annihilating zero (branch-free inner loop, the classical ITPACK
+/// kernel).
+impl SpmvBody for Itpack {
+    const FAMILY: Family = Family::Rows;
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, _hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let n = self.nrows();
+        let (colind, vals) = self.arrays();
+        for k in 0..self.width() {
+            let base = k * n + lo;
+            for (r, yr) in y.iter_mut().enumerate() {
+                *yr = S::plus(*yr, S::times(S::from_f64(vals[base + r]), x[colind[base + r]]));
+            }
+        }
+    }
+}
+
+/// JDIAG: long stride-1 sweeps along each jagged diagonal, ranged over
+/// *stored positions* — the tiers hand it a permuted workspace and
+/// scatter back through `IPERM` (see [`SpmvBody::row_permutation`]).
+impl SpmvBody for JDiag {
+    const FAMILY: Family = Family::Rows;
+
+    fn row_permutation(&self) -> Option<&Permutation> {
+        Some(self.permutation())
+    }
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], work: &mut [S::Elem]) {
+        let (jd_ptr, colind, vals) = self.arrays();
+        for d in 0..self.num_jdiags() {
+            // Positions of this jagged diagonal inside the range (they
+            // shrink with d: rows are sorted by decreasing length).
+            let (s, e) = (jd_ptr[d] + lo, jd_ptr[d] + hi.min(jd_ptr[d + 1] - jd_ptr[d]));
+            for (p, k) in (s..e).enumerate() {
+                work[p] = S::plus(work[p], S::times(S::from_f64(vals[k]), x[colind[k]]));
+            }
+        }
+    }
+}
+
+/// I-node storage: a small dense matvec per i-node, gathering `x`
+/// through the shared column list once per group (an i-node straddling
+/// a range boundary is computed partly by each side).
+impl SpmvBody for InodeMatrix {
+    const FAMILY: Family = Family::Rows;
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let mut gx: Vec<S::Elem> = Vec::new();
+        for g in self.inodes() {
+            let i0 = g.first_row.max(lo);
+            let i1 = (g.first_row + g.rows).min(hi);
+            if i0 >= i1 {
+                continue;
+            }
+            let w = g.cols.len();
+            gx.clear();
+            gx.extend(g.cols.iter().map(|&c| x[c]));
+            for i in i0..i1 {
+                let r = i - g.first_row;
+                let row = &g.vals[r * w..(r + 1) * w];
+                let mut acc = S::zero();
+                for (a_rv, &xv) in row.iter().zip(&gx) {
+                    acc = S::plus(acc, S::times(S::from_f64(*a_rv), xv));
+                }
+                y[i - lo] = S::plus(y[i - lo], acc);
+            }
+        }
+    }
+}
+
+/// Dense storage: plain row-wise dot products.
+impl SpmvBody for DenseMatrix {
+    const FAMILY: Family = Family::Rows;
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let ncols = self.ncols();
+        let data = &self.as_slice()[lo * ncols..hi * ncols];
+        for (r, yr) in y.iter_mut().enumerate() {
+            let mut acc = S::zero();
+            for (c, &xv) in x.iter().enumerate() {
+                acc = S::plus(acc, S::times(S::from_f64(data[r * ncols + c]), xv));
+            }
+            *yr = S::plus(*yr, acc);
+        }
     }
 }
 
@@ -198,7 +333,7 @@ pub fn spmv_csr_transposed_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::E
     let vals = a.vals();
     for (r, &xr) in x.iter().enumerate() {
         let (s, e) = (rowptr[r], rowptr[r + 1]);
-        // Same column-skip gate as spmv_ccs_in.
+        // Same column-skip gate as the CCS body.
         if S::skip_scaled_column(xr, &vals[s..e]) {
             continue;
         }
@@ -213,18 +348,28 @@ pub fn spmv_csr_transposed(a: &Csr, x: &[f64], y: &mut [f64]) {
     spmv_csr_transposed_in::<F64Plus>(a, x, y)
 }
 
-/// Sparse matrix × skinny dense matrix: `Y ⊕= A·X` where `X` is
-/// `ncols × k` row-major and `Y` is `nrows × k` row-major. This is the
-/// other core operation of iterative solvers the paper's conclusion
-/// names ("the product of a sparse matrix and a skinny dense matrix").
-pub fn spmm_csr_dense_in<S: Semiring>(a: &Csr, x: &[S::Elem], k: usize, y: &mut [S::Elem]) {
+/// Shape check of the sparse × skinny-dense product.
+pub(crate) fn check_spmm_dense<E>(a: &Csr, x: &[E], k: usize, y: &[E]) {
     assert_eq!(x.len(), a.ncols() * k);
     assert_eq!(y.len(), a.nrows() * k);
+}
+
+/// Ranged body of `Y ⊕= A·X` (CRS × skinny row-major dense): rows
+/// `lo..hi` of `Y` into `y = Y[lo·k..hi·k]` — a row-family body.
+#[inline]
+pub(crate) fn spmm_csr_dense_rows<S: Semiring>(
+    a: &Csr,
+    lo: usize,
+    hi: usize,
+    x: &[S::Elem],
+    k: usize,
+    y: &mut [S::Elem],
+) {
     let rowptr = a.rowptr();
     let colind = a.colind();
     let vals = a.vals();
-    for r in 0..a.nrows() {
-        let yrow = &mut y[r * k..(r + 1) * k];
+    for r in lo..hi {
+        let yrow = &mut y[(r - lo) * k..(r - lo + 1) * k];
         for p in rowptr[r]..rowptr[r + 1] {
             let av = S::from_f64(vals[p]);
             let xrow = &x[colind[p] * k..(colind[p] + 1) * k];
@@ -235,25 +380,36 @@ pub fn spmm_csr_dense_in<S: Semiring>(a: &Csr, x: &[S::Elem], k: usize, y: &mut 
     }
 }
 
+/// Sparse matrix × skinny dense matrix: `Y ⊕= A·X` where `X` is
+/// `ncols × k` row-major and `Y` is `nrows × k` row-major. This is the
+/// other core operation of iterative solvers the paper's conclusion
+/// names ("the product of a sparse matrix and a skinny dense matrix").
+pub fn spmm_csr_dense_in<S: Semiring>(a: &Csr, x: &[S::Elem], k: usize, y: &mut [S::Elem]) {
+    check_spmm_dense(a, x, k, y);
+    spmm_csr_dense_rows::<S>(a, 0, a.nrows(), x, k, y);
+}
+
 /// `Y += A·X` (skinny dense `X`) on the classical f64 algebra.
 pub fn spmm_csr_dense(a: &Csr, x: &[f64], k: usize, y: &mut [f64]) {
     spmm_csr_dense_in::<F64Plus>(a, x, k, y)
 }
 
-/// Sparse × sparse matrix product over an arbitrary semiring
-/// (Gustavson's algorithm with a dense SPA row accumulator). Returns
-/// the stored entries `(i, j, c_ij)` with rows ascending and columns
-/// in first-touch order within a row; entries equal to `S::zero()`
-/// after accumulation are dropped, mirroring the f64 kernel's
-/// numeric-cancellation rule.
-pub fn spmm_csr_csr_in<S: Semiring>(a: &Csr, b: &Csr) -> Vec<(usize, usize, S::Elem)> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions");
+/// Ranged body of the sparse × sparse product (Gustavson's algorithm
+/// with a dense SPA row accumulator): the stored entries of rows
+/// `lo..hi` of `A·B`. Rows are independent, so this is a row-family
+/// body and sound for any semiring.
+pub(crate) fn spmm_csr_csr_rows<S: Semiring>(
+    a: &Csr,
+    b: &Csr,
+    lo: usize,
+    hi: usize,
+) -> Vec<(usize, usize, S::Elem)> {
     let mut out: Vec<(usize, usize, S::Elem)> = Vec::new();
     // Dense accumulator per row (SPA), classic Gustavson.
     let mut marker = vec![usize::MAX; b.ncols()];
     let mut acc = vec![S::zero(); b.ncols()];
     let mut touched: Vec<usize> = Vec::new();
-    for i in 0..a.nrows() {
+    for i in lo..hi {
         touched.clear();
         for (p, &kcol) in a.row_cols(i).iter().enumerate() {
             let av = S::from_f64(a.row_vals(i)[p]);
@@ -276,83 +432,124 @@ pub fn spmm_csr_csr_in<S: Semiring>(a: &Csr, b: &Csr) -> Vec<(usize, usize, S::E
     out
 }
 
-/// Sparse × sparse matrix product in CRS (Gustavson's algorithm) on
-/// the classical f64 algebra: the hand-written baseline for the
-/// compiled `C(i,j) += A(i,k)·B(k,j)`.
-pub fn spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
-    let entries = spmm_csr_csr_in::<F64Plus>(a, b);
-    let mut t = Triplets::new(a.nrows(), b.ncols());
+/// Sparse × sparse matrix product over an arbitrary semiring. Returns
+/// the stored entries `(i, j, c_ij)` with rows ascending and columns
+/// in first-touch order within a row; entries equal to `S::zero()`
+/// after accumulation are dropped, mirroring the f64 kernel's
+/// numeric-cancellation rule.
+pub fn spmm_csr_csr_in<S: Semiring>(a: &Csr, b: &Csr) -> Vec<(usize, usize, S::Elem)> {
+    assert_eq!(a.ncols(), b.nrows(), "inner dimensions");
+    spmm_csr_csr_rows::<S>(a, b, 0, a.nrows())
+}
+
+/// Assemble product entries into CRS (the f64 wrappers of both tiers).
+pub(crate) fn csr_from_entries(nrows: usize, ncols: usize, entries: Vec<(usize, usize, f64)>) -> Csr {
+    let mut t = Triplets::with_capacity(nrows, ncols, entries.len());
     for (i, j, v) in entries {
         t.push(i, j, v);
     }
     Csr::from_triplets(&t)
 }
 
+/// Sparse × sparse matrix product in CRS (Gustavson's algorithm) on
+/// the classical f64 algebra: the hand-written baseline for the
+/// compiled `C(i,j) += A(i,k)·B(k,j)`.
+pub fn spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
+    csr_from_entries(a.nrows(), b.ncols(), spmm_csr_csr_in::<F64Plus>(a, b))
+}
+
 // --- Triangular sweeps (f64 only: they divide by the diagonal, and a
 // --- general `Semiring` has no multiplicative inverse) -------------------
 //
-// These are the serial references of the DO-ACROSS tier: the
-// level-parallel twins in `par_kernels` replay each row's exact
-// operation order (subtractions in storage order, then one divide), so
-// serial and level-parallel results are *bitwise identical* — the
-// schedule only changes which independent rows run concurrently, never
-// what any row computes. The gather solves and Gauss-Seidel sweeps
-// below keep that contract; the transposed solve is a scatter loop and
-// stays serial-only.
+// A DO-ACROSS kernel is one per-row update `x[i] ← row(i, x)` plus an
+// order to apply it in. The serial tier (`sweep`) walks the rows in
+// storage order; the level-parallel tier (`par_kernels::par_wave`)
+// walks a certified level schedule with the *same* row closure, so each
+// row replays the exact operation order (subtractions in storage order,
+// then one divide) and serial and level-parallel results are *bitwise
+// identical* — the schedule only changes which independent rows run
+// concurrently, never what any row computes. The transposed solve is a
+// scatter loop and stays serial-only.
 
-/// Solve `L·x = b` for lower-triangular CSR `L` by forward
-/// substitution (gather form). With `unit_diag` the diagonal is
-/// implicitly 1 and must not be stored; otherwise every row must store
-/// its diagonal as the **last** entry (sorted CSR guarantees this for
-/// a lower-triangular pattern).
-pub fn sptrsv_csr_lower(a: &Csr, unit_diag: bool, b: &[f64], x: &mut [f64]) {
+/// Shape check shared by every sweep entry point.
+pub(crate) fn check_sweep(a: &Csr, b: &[f64], x: &[f64]) {
     assert_eq!(a.nrows(), a.ncols());
     assert_eq!(b.len(), a.nrows());
     assert_eq!(x.len(), a.nrows());
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    for i in 0..a.nrows() {
-        let (s, e) = (rowptr[i], rowptr[i + 1]);
-        let mut acc = b[i];
-        if unit_diag {
-            for (&av, &j) in vals[s..e].iter().zip(&colind[s..e]) {
-                acc -= av * x[j];
-            }
-            x[i] = acc;
-        } else {
-            assert!(e > s && colind[e - 1] == i, "row {i}: non-unit solve needs the diagonal stored last");
-            for (&av, &j) in vals[s..e - 1].iter().zip(&colind[s..e - 1]) {
-                acc -= av * x[j];
-            }
-            x[i] = acc / vals[e - 1];
-        }
+}
+
+/// The serial DO-ACROSS tier: `x[i] ← row(i, x)` for every row in
+/// storage order — ascending for a [`Triangle::Lower`] (forward) sweep,
+/// descending for [`Triangle::Upper`] (backward).
+#[inline]
+pub(crate) fn sweep(tri: Triangle, x: &mut [f64], row: impl Fn(usize, &[f64]) -> f64) {
+    let n = x.len();
+    // One loop (hence one call site, so `row` always inlines) for both
+    // directions; `tri` is loop-invariant and usually a constant.
+    for k in 0..n {
+        let i = match tri {
+            Triangle::Lower => k,
+            Triangle::Upper => n - 1 - k,
+        };
+        x[i] = row(i, x);
     }
 }
 
-/// Solve `U·x = b` for upper-triangular CSR `U` by backward
-/// substitution (gather form). Without `unit_diag` every row must
-/// store its diagonal as the **first** entry (sorted CSR guarantees
-/// this for an upper-triangular pattern).
-pub fn sptrsv_csr_upper(a: &Csr, unit_diag: bool, b: &[f64], x: &mut [f64]) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
+/// The substitution row update of `T·x = b` (gather form):
+/// `x[i] = (b[i] − Σ_{j≠i} T[i][j]·x[j]) / T[i][i]`. With `unit_diag`
+/// the diagonal is implicitly 1 and must not be stored; otherwise every
+/// row must store its diagonal **last** ([`Triangle::Lower`]) or
+/// **first** ([`Triangle::Upper`]) — sorted CSR guarantees this for a
+/// triangular pattern.
+#[inline]
+pub(crate) fn sptrsv_row<'a>(
+    a: &'a Csr,
+    tri: Triangle,
+    unit_diag: bool,
+    b: &'a [f64],
+) -> impl Fn(usize, &[f64]) -> f64 + Sync + 'a {
     let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    for i in (0..a.nrows()).rev() {
-        let (s, e) = (rowptr[i], rowptr[i + 1]);
-        let mut acc = b[i];
-        if unit_diag {
-            for (&av, &j) in vals[s..e].iter().zip(&colind[s..e]) {
-                acc -= av * x[j];
+    move |i, x| {
+        let (mut s, mut e) = (rowptr[i], rowptr[i + 1]);
+        let mut diag = 1.0;
+        if !unit_diag {
+            match tri {
+                Triangle::Lower => {
+                    assert!(e > s && colind[e - 1] == i, "row {i}: non-unit solve needs the diagonal stored last");
+                    e -= 1;
+                    diag = vals[e];
+                }
+                Triangle::Upper => {
+                    assert!(e > s && colind[s] == i, "row {i}: non-unit solve needs the diagonal stored first");
+                    diag = vals[s];
+                    s += 1;
+                }
             }
-            x[i] = acc;
-        } else {
-            assert!(e > s && colind[s] == i, "row {i}: non-unit solve needs the diagonal stored first");
-            for (&av, &j) in vals[s + 1..e].iter().zip(&colind[s + 1..e]) {
-                acc -= av * x[j];
-            }
-            x[i] = acc / vals[s];
         }
+        let mut acc = b[i];
+        for (&av, &j) in vals[s..e].iter().zip(&colind[s..e]) {
+            acc -= av * x[j];
+        }
+        if unit_diag { acc } else { acc / diag }
     }
+}
+
+/// Solve `T·x = b` for triangular CSR `T` by substitution in storage
+/// order: forward for [`Triangle::Lower`], backward for
+/// [`Triangle::Upper`]. With `unit_diag` the diagonal is implicitly 1
+/// and must not be stored; otherwise every row must store it **last**
+/// (lower) or **first** (upper), as sorted CSR does for a triangular
+/// pattern.
+#[inline]
+pub fn sptrsv_csr(a: &Csr, tri: Triangle, unit_diag: bool, b: &[f64], x: &mut [f64]) {
+    check_sweep(a, b, x);
+    sweep(tri, x, sptrsv_row(a, tri, unit_diag, b));
+}
+
+/// Solve `L·x = b` for lower-triangular CSR `L` by forward
+/// substitution.
+pub fn sptrsv_csr_lower(a: &Csr, unit_diag: bool, b: &[f64], x: &mut [f64]) {
+    sptrsv_csr(a, Triangle::Lower, unit_diag, b, x)
 }
 
 /// Solve `Lᵀ·x = b` given lower-triangular CSR `L` (diagonal stored
@@ -365,9 +562,7 @@ pub fn sptrsv_csr_upper(a: &Csr, unit_diag: bool, b: &[f64], x: &mut [f64]) {
 /// accumulators), so this kernel is serial-only; the engine records
 /// the `transposed_scatter` downgrade reason when asked to run it.
 pub fn sptrsv_csr_lower_transposed(a: &Csr, unit_diag: bool, b: &[f64], x: &mut [f64]) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
+    check_sweep(a, b, x);
     let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
     x.copy_from_slice(b);
     for i in (0..a.nrows()).rev() {
@@ -386,19 +581,16 @@ pub fn sptrsv_csr_lower_transposed(a: &Csr, unit_diag: bool, b: &[f64], x: &mut 
     }
 }
 
-/// One forward (ascending-row) weighted Gauss-Seidel sweep on square
-/// CSR `A`, in place: `x[i] ← (1−ω)·x[i] + ω·(b[i] − Σ_{j≠i} A[i][j]·x[j]) / A[i][i]`,
-/// using already-updated values for rows swept earlier. `ω = 1` is the
-/// plain Gauss-Seidel update (the `(1−ω)·x[i]` term is skipped
-/// entirely so ω = 1 costs nothing extra and stays bitwise equal to
-/// the unweighted sweep). A missing diagonal is treated as 1, matching
-/// the diagonal preconditioner's convention.
-pub fn symgs_forward_csr(a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
+/// The weighted Gauss-Seidel row update on square CSR `A`:
+/// `x[i] ← (1−ω)·x[i] + ω·(b[i] − Σ_{j≠i} A[i][j]·x[j]) / A[i][i]`.
+/// `ω = 1` is the plain Gauss-Seidel update (the `(1−ω)·x[i]` term is
+/// skipped entirely so ω = 1 costs nothing extra and stays bitwise
+/// equal to the unweighted sweep). A missing diagonal is treated as 1,
+/// matching the diagonal preconditioner's convention.
+#[inline]
+pub(crate) fn gs_row<'a>(a: &'a Csr, omega: f64, b: &'a [f64]) -> impl Fn(usize, &[f64]) -> f64 + Sync + 'a {
     let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    for i in 0..a.nrows() {
+    move |i, x| {
         let (s, e) = (rowptr[i], rowptr[i + 1]);
         let mut acc = b[i];
         let mut diag = 1.0;
@@ -410,33 +602,30 @@ pub fn symgs_forward_csr(a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) {
             }
         }
         let gs = acc / diag;
-        x[i] = if omega == 1.0 { gs } else { (1.0 - omega) * x[i] + omega * gs };
+        if omega == 1.0 { gs } else { (1.0 - omega) * x[i] + omega * gs }
     }
 }
 
-/// One backward (descending-row) weighted Gauss-Seidel sweep on square
-/// CSR `A`, in place — the mirror of [`symgs_forward_csr`]. A
-/// forward sweep from `x = 0` followed by a backward sweep applies the
-/// symmetric Gauss-Seidel (ω = 1) / SSOR preconditioner.
+/// One weighted Gauss-Seidel sweep on square CSR `A`, in place, using
+/// already-updated values for rows swept earlier: ascending rows for
+/// [`Triangle::Lower`] (forward), descending for [`Triangle::Upper`]
+/// (backward). A forward sweep from `x = 0` followed by a backward
+/// sweep applies the symmetric Gauss-Seidel (ω = 1) / SSOR
+/// preconditioner.
+#[inline]
+pub fn symgs_sweep_csr(a: &Csr, tri: Triangle, omega: f64, b: &[f64], x: &mut [f64]) {
+    check_sweep(a, b, x);
+    sweep(tri, x, gs_row(a, omega, b));
+}
+
+/// One forward (ascending-row) weighted Gauss-Seidel sweep.
+pub fn symgs_forward_csr(a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) {
+    symgs_sweep_csr(a, Triangle::Lower, omega, b, x)
+}
+
+/// One backward (descending-row) weighted Gauss-Seidel sweep.
 pub fn symgs_backward_csr(a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    for i in (0..a.nrows()).rev() {
-        let (s, e) = (rowptr[i], rowptr[i + 1]);
-        let mut acc = b[i];
-        let mut diag = 1.0;
-        for (&av, &j) in vals[s..e].iter().zip(&colind[s..e]) {
-            if j == i {
-                diag = av;
-            } else {
-                acc -= av * x[j];
-            }
-        }
-        let gs = acc / diag;
-        x[i] = if omega == 1.0 { gs } else { (1.0 - omega) * x[i] + omega * gs };
-    }
+    symgs_sweep_csr(a, Triangle::Upper, omega, b, x)
 }
 
 #[cfg(test)]
@@ -651,7 +840,7 @@ mod tests {
         let mut b = vec![0.0; 3];
         spmv_csr(&u, &xt, &mut b);
         let mut x = vec![0.0; 3];
-        sptrsv_csr_upper(&u, false, &b, &mut x);
+        sptrsv_csr(&u, Triangle::Upper, false, &b, &mut x);
         for (got, want) in x.iter().zip(xt) {
             assert!((got - want).abs() < 1e-12, "{got} vs {want}");
         }
@@ -665,7 +854,7 @@ mod tests {
         let mut via_scatter = vec![0.0; 3];
         sptrsv_csr_lower_transposed(&l, false, &b, &mut via_scatter);
         let mut via_gather = vec![0.0; 3];
-        sptrsv_csr_upper(&u, false, &b, &mut via_gather);
+        sptrsv_csr(&u, Triangle::Upper, false, &b, &mut via_gather);
         for (a, b) in via_scatter.iter().zip(&via_gather) {
             assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }

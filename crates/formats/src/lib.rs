@@ -22,14 +22,21 @@
 //! * [`triplet`] — the assembly builder every format constructs from;
 //! * [`matrix`] — the `SparseMatrix` enum
 //!   unifying all formats behind one type;
-//! * [`kernels`] — hand-written SpMV/SpMM per format (the "hand-written
-//!   library code" baselines of the paper's experiments);
+//! * [`kernels`] — hand-written SpMV/SpMM/sweep bodies, one per format
+//!   (the "hand-written library code" baselines of the paper's
+//!   experiments), and [`par_kernels`] — the three drivers that run the
+//!   same bodies in parallel;
 //! * [`io`] — Matrix Market exchange-format reader/writer;
 //! * [`gen`] — synthetic matrix generators (grid stencils with degrees
 //!   of freedom, power networks, banded and circuit-like matrices) used
 //!   as structural twins of the paper's test matrices;
 //! * [`stats`] — structural statistics used to pick formats and to
 //!   document the generated workloads.
+
+// The certified fast tier is the crate's one sanctioned unsafe surface:
+// its blocks carry a `Validate`-certificate safety argument (DESIGN.md
+// §12). Anywhere else `unsafe` is a compile error.
+#![deny(unsafe_code)]
 
 pub mod bsr;
 pub mod ccs;
@@ -39,6 +46,7 @@ pub mod coo;
 pub mod csr;
 pub mod dense;
 pub mod exec;
+#[allow(unsafe_code)]
 pub mod fast;
 pub mod gen;
 pub mod inode;

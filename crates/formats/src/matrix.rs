@@ -2,57 +2,99 @@
 //! value, with uniform construction, conversion and access-method
 //! delegation. This is what user-facing APIs (the compiler driver, the
 //! benchmark harness) traffic in.
+//!
+//! The variant list is written **once**, in the `formats!` table at
+//! the bottom of this preamble: adding a format to the enum is one row
+//! there (plus the format's own `MatrixAccess`/`Validate` impls and its
+//! one [`kernels::SpmvBody`] ranged body).
 
+use crate::exec::ExecCtx;
+use crate::kernels;
+use crate::par_kernels;
 use crate::{Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, InodeMatrix, Itpack, JDiag, Triplets};
 use bernoulli_analysis::validate::Validate;
 use bernoulli_analysis::Diagnostic;
 use bernoulli_relational::access::{
     FlatIter, InnerIter, MatMeta, MatrixAccess, OuterCursor, OuterIter,
 };
+use bernoulli_relational::semiring::{F64Plus, Semiring};
 
-/// The storage formats of the paper's Table 1 (plus dense).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum FormatKind {
-    Dense,
-    Coordinate,
-    Csr,
-    Ccs,
-    Cccs,
-    Diagonal,
-    Itpack,
-    JDiag,
-    Inode,
+/// Expands one `Variant(Storage) => "paper name", "slug";` row per
+/// format into [`FormatKind`], [`SparseMatrix`], their per-variant
+/// methods and the crate-internal `dispatch!` (the leading `$` is the
+/// usual trick for emitting a nested `macro_rules!`).
+macro_rules! formats {
+    ($d:tt $( $variant:ident($storage:ty) => $paper:literal, $slug:literal; )+) => {
+        /// The storage formats of the paper's Table 1 (plus dense).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum FormatKind {
+            $( $variant, )+
+        }
+
+        impl FormatKind {
+            /// Every supported format, in Table 1 column order (with the
+            /// two extra column-compressed formats and dense appended).
+            pub const ALL: [FormatKind; [$( $slug ),+].len()] = [$( FormatKind::$variant ),+];
+
+            /// The paper's name for the format (Table 1 headers).
+            pub fn paper_name(&self) -> &'static str {
+                match self {
+                    $( FormatKind::$variant => $paper, )+
+                }
+            }
+
+            /// Telemetry name component of the format's kernels
+            /// (`spmv_<slug>`, `par_spmv_<slug>`, …).
+            pub fn slug(&self) -> &'static str {
+                match self {
+                    $( FormatKind::$variant => $slug, )+
+                }
+            }
+        }
+
+        /// A sparse matrix in any supported storage format.
+        #[derive(Clone, Debug, PartialEq)]
+        pub enum SparseMatrix {
+            $( $variant($storage), )+
+        }
+
+        /// `dispatch!(self, m => expr)`: evaluate `expr` with `m` bound
+        /// to the concrete storage, whatever the variant.
+        macro_rules! dispatch {
+            ($d this:expr, $d m:ident => $d e:expr) => {
+                match $d this {
+                    $( SparseMatrix::$variant($d m) => $d e, )+
+                }
+            };
+        }
+
+        impl SparseMatrix {
+            /// Materialise triplets into the requested format.
+            pub fn from_triplets(kind: FormatKind, t: &Triplets) -> SparseMatrix {
+                match kind {
+                    $( FormatKind::$variant => SparseMatrix::$variant(<$storage>::from_triplets(t)), )+
+                }
+            }
+
+            pub fn kind(&self) -> FormatKind {
+                match self {
+                    $( SparseMatrix::$variant(_) => FormatKind::$variant, )+
+                }
+            }
+        }
+    };
 }
 
-impl FormatKind {
-    /// Every supported format, in Table 1 column order (with the two
-    /// extra column-compressed formats appended).
-    pub const ALL: [FormatKind; 9] = [
-        FormatKind::Diagonal,
-        FormatKind::Coordinate,
-        FormatKind::Csr,
-        FormatKind::Itpack,
-        FormatKind::JDiag,
-        FormatKind::Inode,
-        FormatKind::Ccs,
-        FormatKind::Cccs,
-        FormatKind::Dense,
-    ];
-
-    /// The paper's name for the format (Table 1 headers).
-    pub fn paper_name(&self) -> &'static str {
-        match self {
-            FormatKind::Dense => "Dense",
-            FormatKind::Coordinate => "Coordinate",
-            FormatKind::Csr => "CRS",
-            FormatKind::Ccs => "CCS",
-            FormatKind::Cccs => "CCCS",
-            FormatKind::Diagonal => "Diagonal",
-            FormatKind::Itpack => "ITPACK",
-            FormatKind::JDiag => "JDiag",
-            FormatKind::Inode => "BS95", // i-node storage is the BlockSolve building block
-        }
-    }
+formats! { $
+    Diagonal(DiagonalMatrix) => "Diagonal", "diag";
+    Coordinate(Coo) => "Coordinate", "coo";
+    Csr(Csr) => "CRS", "csr";
+    Itpack(Itpack) => "ITPACK", "itpack";
+    JDiag(JDiag) => "JDiag", "jdiag";
+    Inode(InodeMatrix) => "BS95", "inode"; // i-node storage is the BlockSolve building block
+    Ccs(Ccs) => "CCS", "ccs";
+    Cccs(Cccs) => "CCCS", "cccs";
+    Dense(DenseMatrix) => "Dense", "dense";
 }
 
 impl std::fmt::Display for FormatKind {
@@ -61,66 +103,7 @@ impl std::fmt::Display for FormatKind {
     }
 }
 
-/// A sparse matrix in any supported storage format.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SparseMatrix {
-    Dense(DenseMatrix),
-    Coordinate(Coo),
-    Csr(Csr),
-    Ccs(Ccs),
-    Cccs(Cccs),
-    Diagonal(DiagonalMatrix),
-    Itpack(Itpack),
-    JDiag(JDiag),
-    Inode(InodeMatrix),
-}
-
-macro_rules! dispatch {
-    ($self:expr, $m:ident => $e:expr) => {
-        match $self {
-            SparseMatrix::Dense($m) => $e,
-            SparseMatrix::Coordinate($m) => $e,
-            SparseMatrix::Csr($m) => $e,
-            SparseMatrix::Ccs($m) => $e,
-            SparseMatrix::Cccs($m) => $e,
-            SparseMatrix::Diagonal($m) => $e,
-            SparseMatrix::Itpack($m) => $e,
-            SparseMatrix::JDiag($m) => $e,
-            SparseMatrix::Inode($m) => $e,
-        }
-    };
-}
-
 impl SparseMatrix {
-    /// Materialise triplets into the requested format.
-    pub fn from_triplets(kind: FormatKind, t: &Triplets) -> SparseMatrix {
-        match kind {
-            FormatKind::Dense => SparseMatrix::Dense(DenseMatrix::from_triplets(t)),
-            FormatKind::Coordinate => SparseMatrix::Coordinate(Coo::from_triplets(t)),
-            FormatKind::Csr => SparseMatrix::Csr(Csr::from_triplets(t)),
-            FormatKind::Ccs => SparseMatrix::Ccs(Ccs::from_triplets(t)),
-            FormatKind::Cccs => SparseMatrix::Cccs(Cccs::from_triplets(t)),
-            FormatKind::Diagonal => SparseMatrix::Diagonal(DiagonalMatrix::from_triplets(t)),
-            FormatKind::Itpack => SparseMatrix::Itpack(Itpack::from_triplets(t)),
-            FormatKind::JDiag => SparseMatrix::JDiag(JDiag::from_triplets(t)),
-            FormatKind::Inode => SparseMatrix::Inode(InodeMatrix::from_triplets(t)),
-        }
-    }
-
-    pub fn kind(&self) -> FormatKind {
-        match self {
-            SparseMatrix::Dense(_) => FormatKind::Dense,
-            SparseMatrix::Coordinate(_) => FormatKind::Coordinate,
-            SparseMatrix::Csr(_) => FormatKind::Csr,
-            SparseMatrix::Ccs(_) => FormatKind::Ccs,
-            SparseMatrix::Cccs(_) => FormatKind::Cccs,
-            SparseMatrix::Diagonal(_) => FormatKind::Diagonal,
-            SparseMatrix::Itpack(_) => FormatKind::Itpack,
-            SparseMatrix::JDiag(_) => FormatKind::JDiag,
-            SparseMatrix::Inode(_) => FormatKind::Inode,
-        }
-    }
-
     pub fn nrows(&self) -> usize {
         self.meta().nrows
     }
@@ -135,17 +118,7 @@ impl SparseMatrix {
 
     /// Back to assembly form (exact for every format).
     pub fn to_triplets(&self) -> Triplets {
-        match self {
-            SparseMatrix::Dense(m) => m.to_triplets(),
-            SparseMatrix::Coordinate(m) => m.to_triplets(),
-            SparseMatrix::Csr(m) => m.to_triplets(),
-            SparseMatrix::Ccs(m) => m.to_triplets(),
-            SparseMatrix::Cccs(m) => m.to_triplets(),
-            SparseMatrix::Diagonal(m) => m.to_triplets(),
-            SparseMatrix::Itpack(m) => m.to_triplets(),
-            SparseMatrix::JDiag(m) => m.to_triplets(),
-            SparseMatrix::Inode(m) => m.to_triplets(),
-        }
+        dispatch!(self, m => m.to_triplets())
     }
 
     /// Convert to another format (through triplets).
@@ -153,85 +126,43 @@ impl SparseMatrix {
         SparseMatrix::from_triplets(kind, &self.to_triplets())
     }
 
-    /// Hand-written SpMV (`y ⊕= A·x`) over an arbitrary semiring,
-    /// dispatching to the per-format generic kernels of
-    /// [`crate::kernels`].
-    pub fn spmv_acc_in<S: bernoulli_relational::semiring::Semiring>(
-        &self,
-        x: &[S::Elem],
-        y: &mut [S::Elem],
-    ) {
-        use crate::kernels;
-        match self {
-            SparseMatrix::Dense(m) => kernels::matvec_dense_in::<S>(m, x, y),
-            SparseMatrix::Coordinate(m) => kernels::spmv_coo_in::<S>(m, x, y),
-            SparseMatrix::Csr(m) => kernels::spmv_csr_in::<S>(m, x, y),
-            SparseMatrix::Ccs(m) => kernels::spmv_ccs_in::<S>(m, x, y),
-            SparseMatrix::Cccs(m) => kernels::spmv_cccs_in::<S>(m, x, y),
-            SparseMatrix::Diagonal(m) => kernels::spmv_diag_in::<S>(m, x, y),
-            SparseMatrix::Itpack(m) => kernels::spmv_itpack_in::<S>(m, x, y),
-            SparseMatrix::JDiag(m) => kernels::spmv_jdiag_in::<S>(m, x, y),
-            SparseMatrix::Inode(m) => kernels::spmv_inode_in::<S>(m, x, y),
+    /// Hand-written SpMV (`y ⊕= A·x`) over an arbitrary semiring on the
+    /// tier `exec` selects — the one dispatch every `spmv_acc*` name
+    /// below goes through. `None`, one worker, or less work (stored
+    /// entries; a dense matrix stores them all) than `exec`'s threshold
+    /// runs the format's ranged body serially ([`kernels::spmv_in`]);
+    /// otherwise the same body runs under its family's parallel driver
+    /// ([`par_kernels::par_spmv_in`] — see that module for the
+    /// family-by-family determinism contract; in particular the scatter
+    /// family CCS/CCCS/COO silently stays serial for a semiring whose ⊕
+    /// is not associative-commutative).
+    pub fn spmv_acc_on<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem], exec: Option<&ExecCtx>) {
+        match exec.filter(|e| e.should_parallelize(self.nnz())) {
+            Some(exec) => dispatch!(self, m => par_kernels::par_spmv_in::<S, _>(m, x, y, exec)),
+            None => dispatch!(self, m => kernels::spmv_in::<S, _>(m, x, y)),
         }
     }
 
-    /// Hand-written SpMV (`y += A·x`) on the classical f64 algebra.
+    /// Serial SpMV (`y ⊕= A·x`) over an arbitrary semiring.
+    pub fn spmv_acc_in<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem]) {
+        self.spmv_acc_on::<S>(x, y, None)
+    }
+
+    /// Serial SpMV (`y += A·x`) on the classical f64 algebra.
     pub fn spmv_acc(&self, x: &[f64], y: &mut [f64]) {
-        // Dense keeps its historical direct path (identical loop
-        // structure to matvec_dense_in::<F64Plus>).
-        match self {
-            SparseMatrix::Dense(m) => m.matvec_acc(x, y),
-            _ => self.spmv_acc_in::<bernoulli_relational::semiring::F64Plus>(x, y),
-        }
+        self.spmv_acc_on::<F64Plus>(x, y, None)
     }
 
-    /// Parallel SpMV (`y ⊕= A·x`) over an arbitrary semiring,
-    /// dispatching to the per-format generic kernels of
-    /// [`crate::par_kernels`]. Matrices below `exec`'s work threshold
-    /// (and any run with one worker) use the serial kernels unchanged;
-    /// see the family-by-family determinism contract on the
-    /// [`crate::par_kernels`] module — in particular, the scatter
-    /// family (CCS/CCCS/COO) silently stays serial for a semiring
-    /// whose ⊕ is not associative-commutative.
-    pub fn par_spmv_acc_in<S: bernoulli_relational::semiring::Semiring>(
-        &self,
-        x: &[S::Elem],
-        y: &mut [S::Elem],
-        exec: &crate::exec::ExecCtx,
-    ) {
-        use crate::par_kernels as pk;
-        // Dense stores every element; its "work" is the full product.
-        let work = match self {
-            SparseMatrix::Dense(m) => m.nrows() * m.ncols(),
-            _ => self.nnz(),
-        };
-        if !exec.should_parallelize(work) {
-            return self.spmv_acc_in::<S>(x, y);
-        }
-        match self {
-            SparseMatrix::Dense(m) => pk::par_matvec_dense_in::<S>(m, x, y, exec),
-            SparseMatrix::Coordinate(m) => pk::par_spmv_coo_in::<S>(m, x, y, exec),
-            SparseMatrix::Csr(m) => pk::par_spmv_csr_in::<S>(m, x, y, exec),
-            SparseMatrix::Ccs(m) => pk::par_spmv_ccs_in::<S>(m, x, y, exec),
-            SparseMatrix::Cccs(m) => pk::par_spmv_cccs_in::<S>(m, x, y, exec),
-            SparseMatrix::Diagonal(m) => pk::par_spmv_diag_in::<S>(m, x, y, exec),
-            SparseMatrix::Itpack(m) => pk::par_spmv_itpack_in::<S>(m, x, y, exec),
-            SparseMatrix::JDiag(m) => pk::par_spmv_jdiag_in::<S>(m, x, y, exec),
-            SparseMatrix::Inode(m) => pk::par_spmv_inode_in::<S>(m, x, y, exec),
-        }
+    /// Thresholded parallel SpMV (`y ⊕= A·x`) over an arbitrary
+    /// semiring.
+    pub fn par_spmv_acc_in<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
+        self.spmv_acc_on::<S>(x, y, Some(exec))
     }
 
-    /// Parallel SpMV (`y += A·x`) on the classical f64 algebra.
-    pub fn par_spmv_acc(&self, x: &[f64], y: &mut [f64], exec: &crate::exec::ExecCtx) {
-        // Keep the Dense serial path identical to spmv_acc's.
-        let work = match self {
-            SparseMatrix::Dense(m) => m.nrows() * m.ncols(),
-            _ => self.nnz(),
-        };
-        if !exec.should_parallelize(work) {
-            return self.spmv_acc(x, y);
-        }
-        self.par_spmv_acc_in::<bernoulli_relational::semiring::F64Plus>(x, y, exec)
+    /// Thresholded parallel SpMV (`y += A·x`) on the classical f64
+    /// algebra.
+    pub fn par_spmv_acc(&self, x: &[f64], y: &mut [f64], exec: &ExecCtx) {
+        self.spmv_acc_on::<F64Plus>(x, y, Some(exec))
     }
 }
 

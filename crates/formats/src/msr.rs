@@ -13,6 +13,7 @@
 //! the relation is indistinguishable from CSR's — only the physical
 //! layout (and the O(1) diagonal access) differs.
 
+use crate::kernels::{self, Family, SpmvBody};
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
@@ -22,6 +23,7 @@ use bernoulli_relational::access::{
     FlatIter, InnerIter, MatMeta, MatrixAccess, Orientation, OuterCursor, OuterIter,
 };
 use bernoulli_relational::props::LevelProps;
+use bernoulli_relational::semiring::{F64Plus, Semiring};
 
 /// MSR sparse matrix: dense diagonal + CSR-style off-diagonals.
 #[derive(Clone, Debug, PartialEq)]
@@ -120,57 +122,37 @@ impl Msr {
         &self.vals
     }
 
-    /// `y += A·x`, diagonal handled as a dense stride-1 pass.
+    /// `y += A·x` on the classical f64 algebra (the serial tier of the
+    /// [`SpmvBody`] below).
     pub fn spmv_acc(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        for (i, &d) in self.diag.iter().enumerate() {
-            y[i] += d * x[i];
-        }
-        for (r, yr) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in self.rowptr[r]..self.rowptr[r + 1] {
-                acc += self.vals[k] * x[self.colind[k]];
-            }
-            *yr += acc;
-        }
-    }
-
-    /// Parallel `y += A·x` over row chunks. Each row applies its
-    /// diagonal entry first, then its off-diagonal dot product — the
-    /// same per-element order as the serial two-pass kernel, so the
-    /// result matches [`Msr::spmv_acc`] bit for bit. Falls back to the
-    /// serial kernel below `exec`'s worker/threshold gate.
-    pub fn par_spmv_acc(&self, x: &[f64], y: &mut [f64], exec: &crate::exec::ExecCtx) {
-        use rayon::prelude::*;
-        assert_eq!(x.len(), self.ncols);
-        assert_eq!(y.len(), self.nrows);
-        let t = exec.threads_hint();
-        if t <= 1 || !exec.should_parallelize(self.nnz) || y.is_empty() {
-            return self.spmv_acc(x, y);
-        }
-        let chunk = self.nrows.div_ceil(t).max(1);
-        exec.install(|| {
-            y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-                let r0 = ci * chunk;
-                for (dr, yr) in yc.iter_mut().enumerate() {
-                    let r = r0 + dr;
-                    if r < self.diag.len() {
-                        *yr += self.diag[r] * x[r];
-                    }
-                    let mut acc = 0.0;
-                    for k in self.rowptr[r]..self.rowptr[r + 1] {
-                        acc += self.vals[k] * x[self.colind[k]];
-                    }
-                    *yr += acc;
-                }
-            });
-        });
+        kernels::spmv_in::<F64Plus, Msr>(self, x, y)
     }
 
     fn offdiag_row(&self, r: usize) -> (&[usize], &[f64]) {
         let (s, e) = (self.rowptr[r], self.rowptr[r + 1]);
         (&self.colind[s..e], &self.vals[s..e])
+    }
+}
+
+/// MSR: the diagonal as a dense stride-1 pass over the row range, then
+/// the off-diagonal row dot products — per element, diagonal first.
+impl SpmvBody for Msr {
+    const FAMILY: Family = Family::Rows;
+
+    #[inline]
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+        let (dlo, dhi) = (lo.min(self.diag.len()), hi.min(self.diag.len()));
+        for ((yv, &d), &xv) in y.iter_mut().zip(&self.diag[dlo..dhi]).zip(&x[dlo..dhi]) {
+            *yv = S::plus(*yv, S::times(S::from_f64(d), xv));
+        }
+        let rowptr = &self.rowptr[lo..=hi];
+        for (r, yr) in y.iter_mut().enumerate() {
+            let mut acc = S::zero();
+            for k in rowptr[r]..rowptr[r + 1] {
+                acc = S::plus(acc, S::times(S::from_f64(self.vals[k]), x[self.colind[k]]));
+            }
+            *yr = S::plus(*yr, acc);
+        }
     }
 }
 

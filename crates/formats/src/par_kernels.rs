@@ -1,402 +1,158 @@
-//! Shared-memory parallel sparse kernels, one per storage format —
-//! generic over the scalar [`Semiring`].
+//! The shared-memory parallel tier: three generic drivers over the
+//! ranged bodies of [`crate::kernels`]. No loop body lives here — a
+//! parallel kernel is the *serial* body of its format run under the
+//! driver its [`Family`] names, so the two tiers cannot drift apart.
 //!
-//! Parallel counterparts of [`crate::kernels`], in two families with
-//! different determinism guarantees:
+//! **`par_rows` — row family** (CRS, ITPACK, JDIAG, Diagonal, i-node,
+//! Dense, MSR, BSR, CRS × skinny-dense): the output vector is split
+//! into one contiguous block of whole range units per worker. Each
+//! `y[i]` is written by exactly one worker, with the *same per-element
+//! operation order* as the serial tier — so the result is **bit-for-bit
+//! identical** to serial, for any worker count, with no atomics and no
+//! extra memory, under *any* semiring, including non-commutative ⊕
+//! (mirroring the race checker's algebra-independent `DisjointWrites`
+//! certificate).
 //!
-//! **Row-major family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense —
-//! plus the standalone BSR/MSR methods): the output vector is split
-//! into contiguous row blocks handed to workers via `par_chunks_mut`.
-//! Each `y[i]` is written by exactly one worker, with the *same
-//! per-element operation order* as the serial kernel — so the result
-//! is **bit-for-bit identical** to serial, for any worker count, with
-//! no atomics and no extra memory. Because the serial ⊕ chain per
-//! element is preserved, this family is sound for *any* semiring,
-//! including non-commutative ⊕ (mirroring the race checker's
-//! algebra-independent `DisjointWrites` certificate).
-//!
-//! **Column-major / scatter family** (CCS, CCCS, COO): the stored
-//! entries are split into `threads` chunks, each accumulated into a
-//! thread-local vector, and the partials are merged into `y` in fixed
-//! chunk order (itself parallelized over row blocks). The merge order
-//! is deterministic for a given worker count, but partial accumulation
-//! re-associates and re-orders ⊕ — sound only when ⊕ is an
-//! associative-commutative monoid (the `Reduction` certificate; for
-//! f64 "sound" means agreement with serial to rounding, ≤ 1e-12
+//! **`par_scatter` — scatter family** (CCS, CCCS, COO): the stored
+//! items are split into one range per worker (`par_ranges`), each
+//! accumulated into a thread-local full-length vector, and the partials
+//! are merged into `y` in fixed range order (itself a `par_rows` pass).
+//! The merge order is deterministic for a given worker count, but
+//! partial accumulation re-associates and re-orders ⊕ — sound only when
+//! ⊕ is an associative-commutative monoid (the `Reduction` certificate;
+//! for f64 "sound" means agreement with serial to rounding, ≤ 1e-12
 //! relative for reasonable inputs — the usual contract for parallel
-//! reductions). For a semiring whose ⊕ is **not** AC these kernels
-//! refuse to parallelize and run the serial kernel instead, exactly as
-//! the race checker refuses the nest with BA06.
+//! reductions). For a semiring whose ⊕ is **not** AC the driver refuses
+//! to split and runs the body serially, exactly as the race checker
+//! refuses the nest with BA06.
 //!
-//! Every kernel takes an [`ExecCtx`]; below its worker/threshold
-//! gate the serial kernel runs unchanged, so small operands keep the
-//! exact serial semantics (and its performance).
+//! **`par_wave` — DO-ACROSS** (SpTRSV, Gauss-Seidel): levels of a
+//! certified [`LevelSchedule`] run in order; within a level the
+//! (mutually independent) rows are computed into a scratch wave by
+//! `par_rows`, then written back serially in schedule order. Each row
+//! replays the serial row update and every dependence it reads was
+//! finalized by an earlier level, so the result is **bit-for-bit
+//! identical** to the serial sweep for any worker count. Soundness is
+//! not taken on faith: the driver re-checks [`WavefrontCert::covers`]
+//! at entry — the certificate is only constructible by the analysis
+//! pass and binds both the exact index slices analyzed and the exact
+//! schedule computed — and falls back to the serial sweep on any
+//! mismatch, exactly like the fast tier's certificate re-check.
+//!
+//! The drivers own the worker gate, the chunk geometry and
+//! [`ExecCtx::install`]; below the gate they run the body over the
+//! whole range on the calling thread, which *is* the serial tier.
+//! Work-size thresholds are the caller's business
+//! ([`crate::SparseMatrix::spmv_acc_on`], `core::pipeline`).
 
 use crate::exec::ExecCtx;
-use crate::kernels;
-use crate::{Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, InodeMatrix, Itpack, JDiag};
+use crate::kernels::{self, Family, SpmvBody};
+use crate::Csr;
+use bernoulli_analysis::wavefront::{LevelSchedule, Triangle, WavefrontCert};
 use bernoulli_relational::semiring::{F64Plus, Semiring};
 use rayon::prelude::*;
 
-/// Rows per worker chunk: one contiguous block per worker (row order
-/// inside a block matches serial, so chunking never changes results
-/// for the row family).
-fn chunk_rows(nrows: usize, threads: usize) -> usize {
-    nrows.div_ceil(threads.max(1)).max(1)
+/// Row driver: split `y` into one contiguous block per worker — a whole
+/// number of `unit`-element range units — and run `body(offset, block)`
+/// on each. Block-internal order is the body's own, so chunking never
+/// changes a row-family result.
+pub(crate) fn par_rows<T: Send>(
+    exec: &ExecCtx,
+    y: &mut [T],
+    unit: usize,
+    body: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let t = exec.threads_hint();
+    if t <= 1 || y.is_empty() {
+        return body(0, y);
+    }
+    let chunk = (y.len() / unit).div_ceil(t).max(1) * unit;
+    exec.install(|| {
+        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| body(ci * chunk, yc));
+    });
 }
 
-/// Whether the scatter family may parallelize under `S`: merging
-/// thread-local partials reassociates and commutes ⊕.
-fn plus_is_ac<S: Semiring>() -> bool {
-    S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE
+/// Range driver: cut `0..items` into one contiguous range per worker
+/// and return `f(lo, hi)` per range, in range order. One range (the
+/// whole) below the worker gate.
+pub(crate) fn par_ranges<R: Send>(
+    exec: &ExecCtx,
+    items: usize,
+    f: impl Fn(usize, usize) -> R + Sync,
+) -> Vec<R> {
+    let nchunks = exec.threads_hint().min(items);
+    if nchunks <= 1 {
+        return vec![f(0, items)];
+    }
+    let per = items.div_ceil(nchunks);
+    exec.install(|| {
+        (0..nchunks)
+            .into_par_iter()
+            .map(|c| {
+                let lo = (c * per).min(items);
+                f(lo, (lo + per).min(items))
+            })
+            .collect()
+    })
 }
 
-/// `y ⊕= A·x` for CRS, parallel over row blocks. Bit-identical to
-/// [`kernels::spmv_csr_in`].
+/// Scatter driver: accumulate each range of `0..items` into a
+/// thread-local partial via `body(lo, hi, partial)`, then merge the
+/// partials into `y` in fixed range order. Runs `body` straight into
+/// `y` — the serial tier — below the worker gate, for fewer than two
+/// items, and for a ⊕ that is not associative-commutative (merging
+/// partials reassociates and commutes it).
+pub(crate) fn par_scatter<S: Semiring>(
+    exec: &ExecCtx,
+    items: usize,
+    y: &mut [S::Elem],
+    body: impl Fn(usize, usize, &mut [S::Elem]) + Sync,
+) {
+    let ac = S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE;
+    if !ac || y.is_empty() || exec.threads_hint().min(items) <= 1 {
+        return body(0, items, y);
+    }
+    let n = y.len();
+    let partials = par_ranges(exec, items, |lo, hi| {
+        let mut part = vec![S::zero(); n];
+        body(lo, hi, &mut part);
+        part
+    });
+    par_rows(exec, y, 1, |r0, yc| {
+        for part in &partials {
+            for (yv, &pv) in yc.iter_mut().zip(&part[r0..]) {
+                *yv = S::plus(*yv, pv);
+            }
+        }
+    });
+}
+
+/// `y ⊕= A·x` on the parallel tier: the format's one ranged body under
+/// its family's driver (see the module docs for the result-vs-serial
+/// contract of each).
+pub fn par_spmv_in<S: Semiring, A: SpmvBody + Sync>(
+    a: &A,
+    x: &[S::Elem],
+    y: &mut [S::Elem],
+    exec: &ExecCtx,
+) {
+    kernels::staged::<S, A>(a, x, y, |out| match A::FAMILY {
+        Family::Rows => {
+            par_rows(exec, out, a.unit(), |lo, yc| a.acc::<S>(lo, lo + yc.len(), x, yc))
+        }
+        Family::Scatter => {
+            par_scatter::<S>(exec, a.extent(), out, |lo, hi, part| a.acc::<S>(lo, hi, x, part))
+        }
+    });
+}
+
+/// `y ⊕= A·x` for CRS, parallel over row blocks.
 pub fn par_spmv_csr_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() {
-        return kernels::spmv_csr_in::<S>(a, x, y);
-    }
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    let chunk = chunk_rows(y.len(), t);
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let r0 = ci * chunk;
-            for (dr, yr) in yc.iter_mut().enumerate() {
-                let r = r0 + dr;
-                let mut acc = S::zero();
-                for k in rowptr[r]..rowptr[r + 1] {
-                    acc = S::plus(acc, S::times(S::from_f64(vals[k]), x[colind[k]]));
-                }
-                *yr = S::plus(*yr, acc);
-            }
-        });
-    });
-}
-
-/// `y ⊕= A·x` for ITPACK, parallel over row blocks. Each row applies
-/// its padded slots in the same k-ascending order as the serial
-/// column-major sweep, so the result is bit-identical to
-/// [`kernels::spmv_itpack_in`].
-pub fn par_spmv_itpack_in<S: Semiring>(
-    a: &Itpack,
-    x: &[S::Elem],
-    y: &mut [S::Elem],
-    exec: &ExecCtx,
-) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() {
-        return kernels::spmv_itpack_in::<S>(a, x, y);
-    }
-    let n = a.nrows();
-    let width = a.width();
-    let (colind, vals) = a.arrays();
-    let chunk = chunk_rows(n, t);
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let r0 = ci * chunk;
-            for (dr, yr) in yc.iter_mut().enumerate() {
-                let r = r0 + dr;
-                for k in 0..width {
-                    let s = k * n + r;
-                    *yr = S::plus(*yr, S::times(S::from_f64(vals[s]), x[colind[s]]));
-                }
-            }
-        });
-    });
-}
-
-/// `y ⊕= A·x` for JDIAG: the permuted workspace is filled in parallel
-/// over position blocks (each position accumulates its jagged
-/// diagonals in the same d-ascending order as serial), then scattered
-/// through `IPERM`. Bit-identical to [`kernels::spmv_jdiag_in`].
-pub fn par_spmv_jdiag_in<S: Semiring>(a: &JDiag, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() {
-        return kernels::spmv_jdiag_in::<S>(a, x, y);
-    }
-    let (jd_ptr, colind, vals) = a.arrays();
-    let ndiags = a.num_jdiags();
-    let mut work = vec![S::zero(); a.nrows()];
-    let chunk = chunk_rows(work.len(), t);
-    exec.install(|| {
-        work.par_chunks_mut(chunk).enumerate().for_each(|(ci, wc)| {
-            let p0 = ci * chunk;
-            for d in 0..ndiags {
-                let (s, e) = (jd_ptr[d], jd_ptr[d + 1]);
-                let len = e - s;
-                // Jagged diagonals are non-increasing in length; once
-                // one ends before this block, all later ones do too.
-                if len <= p0 {
-                    break;
-                }
-                let hi = len.min(p0 + wc.len());
-                for p in p0..hi {
-                    wc[p - p0] =
-                        S::plus(wc[p - p0], S::times(S::from_f64(vals[s + p]), x[colind[s + p]]));
-                }
-            }
-        });
-    });
-    let perm = a.permutation();
-    for (p, &w) in work.iter().enumerate() {
-        let r = perm.backward(p);
-        y[r] = S::plus(y[r], w);
-    }
-}
-
-/// `y ⊕= A·x` for Diagonal storage, parallel over row blocks. Each row
-/// applies its diagonals in the same storage order as the serial
-/// per-diagonal axpys, so the result is bit-identical to
-/// [`kernels::spmv_diag_in`].
-pub fn par_spmv_diag_in<S: Semiring>(
-    a: &DiagonalMatrix,
-    x: &[S::Elem],
-    y: &mut [S::Elem],
-    exec: &ExecCtx,
-) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() {
-        return kernels::spmv_diag_in::<S>(a, x, y);
-    }
-    let diags = a.diagonals();
-    let chunk = chunk_rows(y.len(), t);
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let r0 = ci * chunk;
-            let r1 = r0 + yc.len();
-            for d in diags {
-                let lo = d.first_row.max(r0);
-                let hi = (d.first_row + d.vals.len()).min(r1);
-                for r in lo..hi {
-                    let j = (r as isize + d.offset) as usize;
-                    yc[r - r0] = S::plus(
-                        yc[r - r0],
-                        S::times(S::from_f64(d.vals[r - d.first_row]), x[j]),
-                    );
-                }
-            }
-        });
-    });
-}
-
-/// `y ⊕= A·x` for i-node storage, parallel over row blocks (an i-node
-/// straddling a block boundary is computed partly by each side; the
-/// gather of `x` through the shared column list is redone per side).
-/// Bit-identical to [`kernels::spmv_inode_in`].
-pub fn par_spmv_inode_in<S: Semiring>(
-    a: &InodeMatrix,
-    x: &[S::Elem],
-    y: &mut [S::Elem],
-    exec: &ExecCtx,
-) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() {
-        return kernels::spmv_inode_in::<S>(a, x, y);
-    }
-    let chunk = chunk_rows(y.len(), t);
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let r0 = ci * chunk;
-            let r1 = r0 + yc.len();
-            let mut gx: Vec<S::Elem> = Vec::new();
-            for g in a.inodes() {
-                let lo = g.first_row.max(r0);
-                let hi = (g.first_row + g.rows).min(r1);
-                if lo >= hi {
-                    continue;
-                }
-                let w = g.cols.len();
-                gx.clear();
-                gx.extend(g.cols.iter().map(|&c| x[c]));
-                for r in lo..hi {
-                    let gr = r - g.first_row;
-                    let row = &g.vals[gr * w..(gr + 1) * w];
-                    let mut acc = S::zero();
-                    for (a_rv, &xv) in row.iter().zip(&gx) {
-                        acc = S::plus(acc, S::times(S::from_f64(*a_rv), xv));
-                    }
-                    yc[r - r0] = S::plus(yc[r - r0], acc);
-                }
-            }
-        });
-    });
-}
-
-/// `y ⊕= A·x` for dense row-major storage, parallel over row blocks.
-/// Bit-identical to [`kernels::matvec_dense_in`] (and, at [`F64Plus`],
-/// to `DenseMatrix::matvec_acc`).
-pub fn par_matvec_dense_in<S: Semiring>(
-    a: &DenseMatrix,
-    x: &[S::Elem],
-    y: &mut [S::Elem],
-    exec: &ExecCtx,
-) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() {
-        return kernels::matvec_dense_in::<S>(a, x, y);
-    }
-    let chunk = chunk_rows(y.len(), t);
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let r0 = ci * chunk;
-            for (dr, yr) in yc.iter_mut().enumerate() {
-                let mut acc = S::zero();
-                for (c, &xv) in x.iter().enumerate() {
-                    acc = S::plus(acc, S::times(S::from_f64(a.row(r0 + dr)[c]), xv));
-                }
-                *yr = S::plus(*yr, acc);
-            }
-        });
-    });
-}
-
-/// Accumulate columns `j0..j1` of a CCS matrix into `part`, with the
-/// serial kernel's exact per-column skip rule (see
-/// [`kernels::spmv_ccs_in`] on why the f64 zero-skip is gated on
-/// finiteness).
-fn ccs_columns_into<S: Semiring>(a: &Ccs, x: &[S::Elem], j0: usize, j1: usize, part: &mut [S::Elem]) {
-    let colp = a.colp();
-    let rowind = a.rowind();
-    let vals = a.vals();
-    for j in j0..j1 {
-        let xj = x[j];
-        let (s, e) = (colp[j], colp[j + 1]);
-        if S::skip_scaled_column(xj, &vals[s..e]) {
-            continue;
-        }
-        for k in s..e {
-            part[rowind[k]] = S::plus(part[rowind[k]], S::times(S::from_f64(vals[k]), xj));
-        }
-    }
-}
-
-/// Merge per-chunk partial vectors into `y`, parallel over row blocks.
-/// Partials are added in fixed chunk order for every element, so the
-/// merge is deterministic for a given chunk count.
-fn merge_partials<S: Semiring>(y: &mut [S::Elem], partials: &[Vec<S::Elem>], threads: usize) {
-    let chunk = chunk_rows(y.len(), threads);
-    y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-        let r0 = ci * chunk;
-        for part in partials {
-            for (dr, yv) in yc.iter_mut().enumerate() {
-                *yv = S::plus(*yv, part[r0 + dr]);
-            }
-        }
-    });
-}
-
-/// `y ⊕= A·x` for CCS, parallel over column chunks with thread-local
-/// accumulators. Matches [`kernels::spmv_ccs_in`] to rounding (partial
-/// accumulation reassociates ⊕); stays serial for a non-AC ⊕.
-pub fn par_spmv_ccs_in<S: Semiring>(a: &Ccs, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() || a.ncols() < 2 || !plus_is_ac::<S>() {
-        return kernels::spmv_ccs_in::<S>(a, x, y);
-    }
-    let nchunks = t.min(a.ncols());
-    let per = a.ncols().div_ceil(nchunks);
-    exec.install(|| {
-        let partials: Vec<Vec<S::Elem>> = (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let j0 = c * per;
-                let j1 = (j0 + per).min(a.ncols());
-                let mut part = vec![S::zero(); a.nrows()];
-                ccs_columns_into::<S>(a, x, j0, j1, &mut part);
-                part
-            })
-            .collect();
-        merge_partials::<S>(y, &partials, t);
-    });
-}
-
-/// `y ⊕= A·x` for CCCS, parallel over stored-column chunks with
-/// thread-local accumulators. Matches [`kernels::spmv_cccs_in`] to
-/// rounding; stays serial for a non-AC ⊕.
-pub fn par_spmv_cccs_in<S: Semiring>(a: &Cccs, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    let stored = a.colind().len();
-    if t <= 1 || y.is_empty() || stored < 2 || !plus_is_ac::<S>() {
-        return kernels::spmv_cccs_in::<S>(a, x, y);
-    }
-    let colind = a.colind();
-    let colp = a.colp();
-    let rowind = a.rowind();
-    let vals = a.vals();
-    let nchunks = t.min(stored);
-    let per = stored.div_ceil(nchunks);
-    exec.install(|| {
-        let partials: Vec<Vec<S::Elem>> = (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let q0 = c * per;
-                let q1 = (q0 + per).min(stored);
-                let mut part = vec![S::zero(); a.nrows()];
-                for q in q0..q1 {
-                    let xj = x[colind[q]];
-                    for k in colp[q]..colp[q + 1] {
-                        part[rowind[k]] =
-                            S::plus(part[rowind[k]], S::times(S::from_f64(vals[k]), xj));
-                    }
-                }
-                part
-            })
-            .collect();
-        merge_partials::<S>(y, &partials, t);
-    });
-}
-
-/// `y ⊕= A·x` for COO, parallel over entry chunks with thread-local
-/// accumulators. Matches [`kernels::spmv_coo_in`] to rounding; stays
-/// serial for a non-AC ⊕.
-pub fn par_spmv_coo_in<S: Semiring>(a: &Coo, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
-    assert_eq!(x.len(), a.ncols());
-    assert_eq!(y.len(), a.nrows());
-    let t = exec.threads_hint();
-    let nnz = a.nnz();
-    if t <= 1 || y.is_empty() || nnz < 2 || !plus_is_ac::<S>() {
-        return kernels::spmv_coo_in::<S>(a, x, y);
-    }
-    let (rows, cols, vals) = a.arrays();
-    let nchunks = t.min(nnz);
-    let per = nnz.div_ceil(nchunks);
-    exec.install(|| {
-        let partials: Vec<Vec<S::Elem>> = (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let k0 = c * per;
-                let k1 = (k0 + per).min(nnz);
-                let mut part = vec![S::zero(); a.nrows()];
-                for k in k0..k1 {
-                    part[rows[k]] = S::plus(part[rows[k]], S::times(S::from_f64(vals[k]), x[cols[k]]));
-                }
-                part
-            })
-            .collect();
-        merge_partials::<S>(y, &partials, t);
-    });
+    par_spmv_in::<S, Csr>(a, x, y, exec)
 }
 
 /// Multi-vector SpMV `Y ⊕= A·X` (CRS × skinny row-major dense),
-/// parallel over row blocks of `Y`. Bit-identical to
+/// parallel over blocks of whole rows of `Y`. Bit-identical to
 /// [`kernels::spmm_csr_dense_in`].
 pub fn par_spmm_csr_dense_in<S: Semiring>(
     a: &Csr,
@@ -405,29 +161,12 @@ pub fn par_spmm_csr_dense_in<S: Semiring>(
     y: &mut [S::Elem],
     exec: &ExecCtx,
 ) {
-    assert_eq!(x.len(), a.ncols() * k);
-    assert_eq!(y.len(), a.nrows() * k);
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() || k == 0 {
-        return kernels::spmm_csr_dense_in::<S>(a, x, k, y);
+    kernels::check_spmm_dense(a, x, k, y);
+    if k == 0 {
+        return; // zero-width multivector: nothing to accumulate
     }
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    // Chunk in whole rows of Y (k elements each).
-    let chunk = chunk_rows(a.nrows(), t) * k;
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let r0 = ci * chunk / k;
-            for (dr, yrow) in yc.chunks_mut(k).enumerate() {
-                let r = r0 + dr;
-                for p in rowptr[r]..rowptr[r + 1] {
-                    let av = S::from_f64(vals[p]);
-                    let xrow = &x[colind[p] * k..(colind[p] + 1) * k];
-                    for (yv, &xv) in yrow.iter_mut().zip(xrow) {
-                        *yv = S::plus(*yv, S::times(av, xv));
-                    }
-                }
-            }
-        });
+    par_rows(exec, y, k, |e0, yc| {
+        kernels::spmm_csr_dense_rows::<S>(a, e0 / k, (e0 + yc.len()) / k, x, k, yc)
     });
 }
 
@@ -437,124 +176,69 @@ pub fn par_spmm_csr_dense(a: &Csr, x: &[f64], k: usize, y: &mut [f64], exec: &Ex
 }
 
 /// Sparse × sparse product over an arbitrary semiring (Gustavson),
-/// parallel over row blocks of `A`: each worker runs the serial
-/// per-row SPA over its block, and the per-block entry lists are
-/// concatenated in block (= row) order. Bit-identical to
-/// [`kernels::spmm_csr_csr_in`] — rows are independent, so this is a
-/// row-family kernel and sound for any semiring.
+/// parallel over row ranges of `A`: each worker runs the serial
+/// per-row SPA over its range, and the per-range entry lists are
+/// concatenated in range (= row) order. Bit-identical to
+/// [`kernels::spmm_csr_csr_in`].
 pub fn par_spmm_csr_csr_in<S: Semiring>(
     a: &Csr,
     b: &Csr,
     exec: &ExecCtx,
 ) -> Vec<(usize, usize, S::Elem)> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions");
-    let t = exec.threads_hint();
-    if t <= 1 || a.nrows() == 0 {
-        return kernels::spmm_csr_csr_in::<S>(a, b);
-    }
-    let chunk = chunk_rows(a.nrows(), t);
-    let nchunks = a.nrows().div_ceil(chunk);
-    let blocks: Vec<Vec<(usize, usize, S::Elem)>> = exec.install(|| {
-        (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let i0 = c * chunk;
-                let i1 = (i0 + chunk).min(a.nrows());
-                let mut out: Vec<(usize, usize, S::Elem)> = Vec::new();
-                let mut marker = vec![usize::MAX; b.ncols()];
-                let mut acc = vec![S::zero(); b.ncols()];
-                let mut touched: Vec<usize> = Vec::new();
-                for i in i0..i1 {
-                    touched.clear();
-                    for (p, &kcol) in a.row_cols(i).iter().enumerate() {
-                        let av = S::from_f64(a.row_vals(i)[p]);
-                        for (q, &j) in b.row_cols(kcol).iter().enumerate() {
-                            let bv = S::from_f64(b.row_vals(kcol)[q]);
-                            if marker[j] != i {
-                                marker[j] = i;
-                                acc[j] = S::zero();
-                                touched.push(j);
-                            }
-                            acc[j] = S::plus(acc[j], S::times(av, bv));
-                        }
-                    }
-                    for &j in &touched {
-                        if acc[j] != S::zero() {
-                            out.push((i, j, acc[j]));
-                        }
-                    }
-                }
-                out
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-    for block in blocks {
-        out.extend(block);
-    }
-    out
+    let blocks = par_ranges(exec, a.nrows(), |lo, hi| kernels::spmm_csr_csr_rows::<S>(a, b, lo, hi));
+    blocks.into_iter().flatten().collect()
 }
 
 /// Sparse × sparse product in CRS (Gustavson) on the classical f64
 /// algebra. Bit-identical to [`kernels::spmm_csr_csr`].
 pub fn par_spmm_csr_csr(a: &Csr, b: &Csr, exec: &ExecCtx) -> Csr {
-    let entries = par_spmm_csr_csr_in::<F64Plus>(a, b, exec);
-    let mut trip = crate::Triplets::with_capacity(a.nrows(), b.ncols(), entries.len());
-    for (i, j, v) in entries {
-        trip.push(i, j, v);
-    }
-    Csr::from_triplets(&trip)
+    kernels::csr_from_entries(a.nrows(), b.ncols(), par_spmm_csr_csr_in::<F64Plus>(a, b, exec))
 }
 
-// --- DO-ACROSS level-scheduled sweeps ------------------------------------
-//
-// Triangular solves and Gauss-Seidel sweeps carry loop dependences, so
-// the DO-ANY split above cannot apply. Instead these kernels follow a
-// [`LevelSchedule`] proved by `bernoulli_analysis::wavefront`: levels
-// execute in order, and within a level the (mutually independent) rows
-// are computed in parallel into a scratch wave buffer, then written
-// back serially in schedule order. Each row replays the serial
-// kernel's exact operation order and every dependence it reads was
-// finalized by an earlier level, so the result is **bit-for-bit
-// identical** to the serial sweep for any worker count.
-//
-// Soundness is not taken on faith: every kernel re-checks
-// [`WavefrontCert::covers`] at entry — the certificate is only
-// constructible by the analysis pass and binds both the exact index
-// slices analyzed and the exact schedule computed — and falls back to
-// the serial kernel on any mismatch, exactly like the fast tier's
-// certificate re-check.
-
-use bernoulli_analysis::wavefront::{LevelSchedule, Triangle, WavefrontCert};
-
-/// Fill `wave[p] = f(level[p])` in parallel over position blocks.
-/// Reads of `x` inside `f` are race-free because same-level rows are
-/// never dependence-connected (verified by the certificate).
-fn par_wave<F: Fn(usize, &[f64]) -> f64 + Sync>(
-    level: &[usize],
-    x: &[f64],
-    wave: &mut [f64],
-    t: usize,
+/// DO-ACROSS driver: `x[i] ← row(i, x)` level by level along `sched`.
+/// `cert` must certify `sched` against the dependence pattern
+/// `(dep_rowptr, dep_colind)` of a `tri` sweep; below the worker gate,
+/// or whenever it does not, this is the serial `kernels::sweep`.
+/// Reads of `x` inside `row` are race-free because same-level rows are
+/// never dependence-connected (what the certificate proves).
+pub(crate) fn par_wave(
     exec: &ExecCtx,
-    f: F,
+    tri: Triangle,
+    (dep_rowptr, dep_colind): (&[usize], &[usize]),
+    (sched, cert): (&LevelSchedule, &WavefrontCert),
+    x: &mut [f64],
+    row: impl Fn(usize, &[f64]) -> f64 + Sync,
 ) {
-    let chunk = chunk_rows(level.len(), t);
-    exec.install(|| {
-        wave[..level.len()].par_chunks_mut(chunk).enumerate().for_each(|(ci, wc)| {
-            let p0 = ci * chunk;
-            for (dp, wp) in wc.iter_mut().enumerate() {
-                *wp = f(level[p0 + dp], x);
+    if exec.threads_hint() <= 1
+        || x.is_empty()
+        || !cert.covers(x.len(), dep_rowptr, dep_colind, tri, sched)
+    {
+        return kernels::sweep(tri, x, row);
+    }
+    let mut wave = vec![0.0f64; sched.max_level_width()];
+    for l in 0..sched.num_levels() {
+        let level = sched.level(l);
+        let xs: &[f64] = x;
+        par_rows(exec, &mut wave[..level.len()], 1, |p0, wc| {
+            for (wp, &i) in wc.iter_mut().zip(&level[p0..]) {
+                *wp = row(i, xs);
             }
         });
-    });
+        for (&i, &w) in level.iter().zip(&wave) {
+            x[i] = w;
+        }
+    }
 }
 
-/// Level-parallel forward substitution: solve `L·x = b` following a
-/// certified [`LevelSchedule`]. Bit-identical to
-/// [`kernels::sptrsv_csr_lower`]; serial fallback below the worker
-/// gate or whenever `cert` does not cover `(L, sched)`.
-pub fn par_sptrsv_csr_lower(
+/// Level-parallel substitution: solve `T·x = b` following a certified
+/// [`LevelSchedule`] built for `tri`. Bit-identical to
+/// [`kernels::sptrsv_csr`]; serial fallback below the worker gate or
+/// whenever `cert` does not cover `(T, sched)`.
+#[allow(clippy::too_many_arguments)]
+pub fn par_sptrsv_csr(
     a: &Csr,
+    tri: Triangle,
     unit_diag: bool,
     b: &[f64],
     x: &mut [f64],
@@ -562,382 +246,74 @@ pub fn par_sptrsv_csr_lower(
     cert: &WavefrontCert,
     exec: &ExecCtx,
 ) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1
-        || x.is_empty()
-        || !cert.covers(a.nrows(), a.rowptr(), a.colind(), Triangle::Lower, sched)
-    {
-        return kernels::sptrsv_csr_lower(a, unit_diag, b, x);
-    }
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    let mut wave = vec![0.0f64; sched.max_level_width()];
-    for l in 0..sched.num_levels() {
-        let level = sched.level(l);
-        par_wave(level, x, &mut wave, t, exec, |i, x| {
-            let (s, e) = (rowptr[i], rowptr[i + 1]);
-            let mut acc = b[i];
-            if unit_diag {
-                for (&av, &j) in vals[s..e].iter().zip(&colind[s..e]) {
-                    acc -= av * x[j];
-                }
-                acc
-            } else {
-                assert!(e > s && colind[e - 1] == i, "row {i}: non-unit solve needs the diagonal stored last");
-                for (&av, &j) in vals[s..e - 1].iter().zip(&colind[s..e - 1]) {
-                    acc -= av * x[j];
-                }
-                acc / vals[e - 1]
-            }
-        });
-        for (p, &i) in level.iter().enumerate() {
-            x[i] = wave[p];
-        }
-    }
+    kernels::check_sweep(a, b, x);
+    let dep = (a.rowptr(), a.colind());
+    par_wave(exec, tri, dep, (sched, cert), x, kernels::sptrsv_row(a, tri, unit_diag, b));
 }
 
-/// Level-parallel backward substitution: solve `U·x = b` following a
-/// certified [`LevelSchedule`] (built with [`Triangle::Upper`]).
-/// Bit-identical to [`kernels::sptrsv_csr_upper`]; serial fallback on
-/// worker gate or certificate mismatch.
-pub fn par_sptrsv_csr_upper(
-    a: &Csr,
-    unit_diag: bool,
-    b: &[f64],
-    x: &mut [f64],
-    sched: &LevelSchedule,
-    cert: &WavefrontCert,
-    exec: &ExecCtx,
-) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1
-        || x.is_empty()
-        || !cert.covers(a.nrows(), a.rowptr(), a.colind(), Triangle::Upper, sched)
-    {
-        return kernels::sptrsv_csr_upper(a, unit_diag, b, x);
-    }
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    let mut wave = vec![0.0f64; sched.max_level_width()];
-    for l in 0..sched.num_levels() {
-        let level = sched.level(l);
-        par_wave(level, x, &mut wave, t, exec, |i, x| {
-            let (s, e) = (rowptr[i], rowptr[i + 1]);
-            let mut acc = b[i];
-            if unit_diag {
-                for (&av, &j) in vals[s..e].iter().zip(&colind[s..e]) {
-                    acc -= av * x[j];
-                }
-                acc
-            } else {
-                assert!(e > s && colind[s] == i, "row {i}: non-unit solve needs the diagonal stored first");
-                for (&av, &j) in vals[s + 1..e].iter().zip(&colind[s + 1..e]) {
-                    acc -= av * x[j];
-                }
-                acc / vals[s]
-            }
-        });
-        for (p, &i) in level.iter().enumerate() {
-            x[i] = wave[p];
-        }
-    }
-}
-
-/// Shared body of the level-parallel Gauss-Seidel sweeps: the rows of
-/// `A` are full (both triangles), so the schedule comes from the
+/// Level-parallel weighted Gauss-Seidel sweep on square `A` (forward
+/// for [`Triangle::Lower`], backward for [`Triangle::Upper`]). The rows
+/// of `A` are full (both triangles), so the schedule comes from the
 /// *symmetrized* strictly-triangular dependence pattern
 /// `(dep_rowptr, dep_colind)` — covering flow **and** anti-dependences
-/// — and the certificate binds those dependence arrays, not `A`'s.
-/// For any dependence-neighbor pair the smaller-level row has the
-/// smaller (forward) / larger (backward) index, so each row observes
-/// new-vs-old neighbor values exactly as the serial sweep does; with
-/// the per-row operation order preserved the sweep is bit-identical.
+/// (see `bernoulli_analysis::wavefront::symmetrize_lower`/`_upper`) —
+/// and the certificate binds those dependence arrays, not `A`'s. For
+/// any dependence-neighbor pair the smaller-level row has the smaller
+/// (forward) / larger (backward) index, so each row observes new-vs-old
+/// neighbor values exactly as the serial sweep does. Bit-identical to
+/// [`kernels::symgs_sweep_csr`]; serial fallback on worker gate or
+/// certificate mismatch.
 #[allow(clippy::too_many_arguments)]
-fn par_symgs_sweep(
+pub fn par_symgs_csr(
     a: &Csr,
+    tri: Triangle,
     omega: f64,
     b: &[f64],
     x: &mut [f64],
-    sched: &LevelSchedule,
-    t: usize,
-    exec: &ExecCtx,
-) {
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    let mut wave = vec![0.0f64; sched.max_level_width()];
-    for l in 0..sched.num_levels() {
-        let level = sched.level(l);
-        par_wave(level, x, &mut wave, t, exec, |i, x| {
-            let (s, e) = (rowptr[i], rowptr[i + 1]);
-            let mut acc = b[i];
-            let mut diag = 1.0;
-            for (&av, &j) in vals[s..e].iter().zip(&colind[s..e]) {
-                if j == i {
-                    diag = av;
-                } else {
-                    acc -= av * x[j];
-                }
-            }
-            let gs = acc / diag;
-            if omega == 1.0 { gs } else { (1.0 - omega) * x[i] + omega * gs }
-        });
-        for (p, &i) in level.iter().enumerate() {
-            x[i] = wave[p];
-        }
-    }
-}
-
-/// Level-parallel forward weighted Gauss-Seidel sweep on square `A`.
-/// `sched`/`cert` must certify the **symmetrized strictly-lower**
-/// dependence pattern `(dep_rowptr, dep_colind)` (see
-/// `bernoulli_analysis::wavefront::symmetrize_lower`). Bit-identical
-/// to [`kernels::symgs_forward_csr`]; serial fallback on worker gate
-/// or certificate mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn par_symgs_forward_csr(
-    a: &Csr,
-    omega: f64,
-    b: &[f64],
-    x: &mut [f64],
-    dep_rowptr: &[usize],
-    dep_colind: &[usize],
+    dep: (&[usize], &[usize]),
     sched: &LevelSchedule,
     cert: &WavefrontCert,
     exec: &ExecCtx,
 ) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1
-        || x.is_empty()
-        || !cert.covers(a.nrows(), dep_rowptr, dep_colind, Triangle::Lower, sched)
-    {
-        return kernels::symgs_forward_csr(a, omega, b, x);
-    }
-    par_symgs_sweep(a, omega, b, x, sched, t, exec);
-}
-
-/// Level-parallel backward weighted Gauss-Seidel sweep on square `A`.
-/// `sched`/`cert` must certify the **symmetrized strictly-upper**
-/// dependence pattern (see
-/// `bernoulli_analysis::wavefront::symmetrize_upper`). Bit-identical
-/// to [`kernels::symgs_backward_csr`]; serial fallback on worker gate
-/// or certificate mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn par_symgs_backward_csr(
-    a: &Csr,
-    omega: f64,
-    b: &[f64],
-    x: &mut [f64],
-    dep_rowptr: &[usize],
-    dep_colind: &[usize],
-    sched: &LevelSchedule,
-    cert: &WavefrontCert,
-    exec: &ExecCtx,
-) {
-    assert_eq!(a.nrows(), a.ncols());
-    assert_eq!(b.len(), a.nrows());
-    assert_eq!(x.len(), a.nrows());
-    let t = exec.threads_hint();
-    if t <= 1
-        || x.is_empty()
-        || !cert.covers(a.nrows(), dep_rowptr, dep_colind, Triangle::Upper, sched)
-    {
-        return kernels::symgs_backward_csr(a, omega, b, x);
-    }
-    par_symgs_sweep(a, omega, b, x, sched, t, exec);
+    kernels::check_sweep(a, b, x);
+    par_wave(exec, tri, dep, (sched, cert), x, kernels::gs_row(a, omega, b));
 }
 
 #[cfg(test)]
 mod tests {
+    //! Driver geometry only; what the drivers promise about *results*
+    //! is pinned per format in `tests/kernel_tiers.rs`.
     use super::*;
-    use crate::matrix::{FormatKind, SparseMatrix};
-    use crate::Triplets;
-    use bernoulli_relational::semiring::{BoolOrAnd, FirstNonZero, MinPlus};
 
-    fn grid() -> Triplets {
-        crate::gen::grid2d_5pt(17, 13)
-    }
-
-    fn x_for(t: &Triplets) -> Vec<f64> {
-        (0..t.ncols()).map(|i| ((i * 7 + 3) % 11) as f64 - 4.5).collect()
-    }
-
-    /// Row-family parallel kernels are bit-for-bit the serial kernels,
-    /// for several worker counts (including a straddling chunk split).
     #[test]
-    fn row_family_bit_identical() {
-        let t = grid();
-        let x = x_for(&t);
-        for kind in [
-            FormatKind::Csr,
-            FormatKind::Itpack,
-            FormatKind::JDiag,
-            FormatKind::Diagonal,
-            FormatKind::Inode,
-            FormatKind::Dense,
-        ] {
-            let m = SparseMatrix::from_triplets(kind, &t);
-            let mut want = vec![0.1; t.nrows()];
-            m.spmv_acc(&x, &mut want);
-            for threads in [2, 3, 8] {
-                let exec = ExecCtx::with_threads(threads).threshold(0);
-                let mut got = vec![0.1; t.nrows()];
-                m.par_spmv_acc(&x, &mut got, &exec);
-                assert_eq!(got, want, "format {kind}, {threads} threads");
+    fn par_rows_blocks_are_whole_units_covering_the_output_once() {
+        for (len, unit) in [(0, 1), (1, 1), (10, 1), (12, 3), (45, 3), (7, 7)] {
+            for threads in [1, 2, 3, 8] {
+                let mut y = vec![usize::MAX; len];
+                par_rows(&ExecCtx::with_threads(threads), &mut y, unit, |lo, yc| {
+                    assert!(lo % unit == 0 && yc.len() % unit == 0, "len {len}, unit {unit}");
+                    for (d, v) in yc.iter_mut().enumerate() {
+                        *v = lo + d;
+                    }
+                });
+                assert_eq!(y, (0..len).collect::<Vec<_>>(), "{threads} threads");
             }
         }
     }
 
-    /// Reduction-family parallel kernels agree with serial to rounding.
     #[test]
-    fn reduction_family_close_to_serial() {
-        let t = grid();
-        let x = x_for(&t);
-        for kind in [FormatKind::Ccs, FormatKind::Cccs, FormatKind::Coordinate] {
-            let m = SparseMatrix::from_triplets(kind, &t);
-            let mut want = vec![0.0; t.nrows()];
-            m.spmv_acc(&x, &mut want);
-            for threads in [2, 5] {
-                let exec = ExecCtx::with_threads(threads).threshold(0);
-                let mut got = vec![0.0; t.nrows()];
-                m.par_spmv_acc(&x, &mut got, &exec);
-                for (g, w) in got.iter().zip(&want) {
-                    assert!(
-                        (g - w).abs() <= 1e-12 * w.abs().max(1.0),
-                        "format {kind}, {threads} threads: {g} vs {w}"
-                    );
+    fn par_ranges_partition_the_items_in_order() {
+        for items in [0, 1, 2, 9, 10] {
+            for threads in [1, 2, 4, 16] {
+                let ranges = par_ranges(&ExecCtx::with_threads(threads), items, |lo, hi| (lo, hi));
+                assert!(ranges.len() <= threads.max(1), "{items} items, {threads} threads");
+                let mut next = 0;
+                for (lo, hi) in ranges {
+                    assert!(lo == next && hi >= lo);
+                    next = hi;
                 }
+                assert_eq!(next, items);
             }
         }
-    }
-
-    /// Below the work threshold the dispatcher stays serial (observable
-    /// through bit-identity even for the reduction family).
-    #[test]
-    fn threshold_keeps_small_matrices_serial() {
-        let t = grid();
-        let x = x_for(&t);
-        let m = SparseMatrix::from_triplets(FormatKind::Ccs, &t);
-        let exec = ExecCtx::with_threads(4); // default threshold ≫ grid nnz
-        let mut want = vec![0.0; t.nrows()];
-        m.spmv_acc(&x, &mut want);
-        let mut got = vec![0.0; t.nrows()];
-        m.par_spmv_acc(&x, &mut got, &exec);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn par_spmm_dense_matches_serial() {
-        let t = grid();
-        let a = crate::Csr::from_triplets(&t);
-        let k = 4;
-        let x: Vec<f64> = (0..t.ncols() * k).map(|i| (i % 17) as f64 * 0.25 - 2.0).collect();
-        let mut want = vec![0.0; t.nrows() * k];
-        kernels::spmm_csr_dense(&a, &x, k, &mut want);
-        let exec = ExecCtx::with_threads(3).threshold(0);
-        let mut got = vec![0.0; t.nrows() * k];
-        par_spmm_csr_dense(&a, &x, k, &mut got, &exec);
-        assert_eq!(got, want);
-    }
-
-    #[test]
-    fn par_spmm_csr_csr_matches_serial() {
-        let t = grid();
-        let a = crate::Csr::from_triplets(&t);
-        let b = crate::Csr::from_triplets(&t.transposed());
-        let want = kernels::spmm_csr_csr(&a, &b);
-        let exec = ExecCtx::with_threads(4).threshold(0);
-        let got = par_spmm_csr_csr(&a, &b, &exec);
-        assert_eq!(got.to_triplets().canonicalize(), want.to_triplets().canonicalize());
-    }
-
-    /// NaN/Inf in a column must propagate even when `x[j] == 0`, in
-    /// both the serial and parallel CCS kernels.
-    #[test]
-    fn ccs_nan_propagates_under_zero_x() {
-        let t = Triplets::from_entries(
-            3,
-            3,
-            &[(0, 0, f64::NAN), (1, 0, 2.0), (1, 1, 3.0), (2, 2, f64::INFINITY)],
-        );
-        let ccs = crate::Ccs::from_triplets(&t);
-        let x = vec![0.0, 1.0, 0.0];
-        let mut ys = vec![0.0; 3];
-        kernels::spmv_ccs_in::<F64Plus>(&ccs, &x, &mut ys);
-        assert!(ys[0].is_nan(), "NaN·0 dropped by serial CCS kernel");
-        assert!(ys[2].is_nan(), "Inf·0 dropped by serial CCS kernel");
-        let exec = ExecCtx::with_threads(3).threshold(0);
-        let mut yp = vec![0.0; 3];
-        par_spmv_ccs_in::<F64Plus>(&ccs, &x, &mut yp, &exec);
-        assert!(yp[0].is_nan() && yp[2].is_nan(), "parallel CCS differs from serial");
-        assert_eq!(ys[1], yp[1]);
-    }
-
-    /// Empty matrices and empty rows/cols go through every parallel
-    /// kernel without panicking and produce zeros.
-    #[test]
-    fn degenerate_shapes() {
-        let empty = Triplets::new(6, 4);
-        let x = vec![1.0; 4];
-        for kind in FormatKind::ALL {
-            let m = SparseMatrix::from_triplets(kind, &empty);
-            let mut y = vec![0.0; 6];
-            m.par_spmv_acc(&x, &mut y, &ExecCtx::with_threads(4).threshold(0));
-            assert_eq!(y, vec![0.0; 6], "format {kind}");
-        }
-    }
-
-    /// Row-family parallel kernels are exact for other semirings too
-    /// (per-element ⊕ order is the serial one).
-    #[test]
-    fn row_family_exact_for_min_plus_and_bool() {
-        let t = grid();
-        let a = crate::Csr::from_triplets(&t);
-        let n = t.nrows();
-        let xm: Vec<f64> =
-            (0..n).map(|i| if i % 3 == 0 { (i % 7) as f64 } else { f64::INFINITY }).collect();
-        let mut want = vec![MinPlus::zero(); n];
-        kernels::spmv_csr_in::<MinPlus>(&a, &xm, &mut want);
-        let xb: Vec<bool> = (0..n).map(|i| i % 5 == 0).collect();
-        let mut wantb = vec![false; n];
-        kernels::spmv_csr_in::<BoolOrAnd>(&a, &xb, &mut wantb);
-        for threads in [2, 7] {
-            let exec = ExecCtx::with_threads(threads).threshold(0);
-            let mut got = vec![MinPlus::zero(); n];
-            par_spmv_csr_in::<MinPlus>(&a, &xm, &mut got, &exec);
-            assert_eq!(got, want, "min-plus, {threads} threads");
-            let mut gotb = vec![false; n];
-            par_spmv_csr_in::<BoolOrAnd>(&a, &xb, &mut gotb, &exec);
-            assert_eq!(gotb, wantb, "bool, {threads} threads");
-        }
-    }
-
-    /// The scatter family refuses to parallelize a non-AC ⊕: the
-    /// parallel entry point silently runs the serial kernel, so the
-    /// result is exactly the serial one even with many workers (the
-    /// kernel-level mirror of the race checker's BA06 refusal).
-    #[test]
-    fn scatter_family_serial_for_non_ac_semiring() {
-        let t = grid();
-        let coo = crate::Coo::from_triplets(&t);
-        let ccs = crate::Ccs::from_triplets(&t);
-        let n = t.nrows();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13 + 1) % 5) as f64 - 1.0).collect();
-        let exec = ExecCtx::with_threads(8).threshold(0);
-        let mut want = vec![0.0; n];
-        kernels::spmv_coo_in::<FirstNonZero>(&coo, &x, &mut want);
-        let mut got = vec![0.0; n];
-        par_spmv_coo_in::<FirstNonZero>(&coo, &x, &mut got, &exec);
-        assert_eq!(got, want, "COO must fall back to serial for non-AC ⊕");
-        let mut want = vec![0.0; n];
-        kernels::spmv_ccs_in::<FirstNonZero>(&ccs, &x, &mut want);
-        let mut got = vec![0.0; n];
-        par_spmv_ccs_in::<FirstNonZero>(&ccs, &x, &mut got, &exec);
-        assert_eq!(got, want, "CCS must fall back to serial for non-AC ⊕");
     }
 }

@@ -85,10 +85,8 @@ fn cg_inner(
     opts: CgOptions,
     ctx: &ExecCtx,
 ) -> RelResult<CgResult> {
+    crate::check_square_system("cg", op, b, x)?;
     let n = b.len();
-    assert_eq!(x.len(), n);
-    assert_eq!(op.out_len(), n);
-    assert_eq!(op.in_len(), n);
     let mut r = vec![0.0; n];
     let mut z = vec![0.0; n];
     let mut p = vec![0.0; n];

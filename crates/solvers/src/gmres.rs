@@ -87,10 +87,8 @@ fn gmres_inner(
     opts: GmresOptions,
     ctx: &ExecCtx,
 ) -> RelResult<GmresResult> {
+    crate::check_square_system("gmres", op, b, x)?;
     let n = b.len();
-    assert_eq!(x.len(), n);
-    assert_eq!(op.out_len(), n);
-    assert_eq!(op.in_len(), n);
     let m = opts.restart.max(1);
     let mut total_iters = 0usize;
 

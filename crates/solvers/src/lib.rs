@@ -41,3 +41,25 @@ pub use gmres::{gmres, gmres_parallel, GmresOptions, GmresResult};
 pub use ic0::Ic0;
 pub use precond::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
 pub use symgs::SymGs;
+
+/// The Krylov solvers' operand check: `A` must be square of order
+/// `b.len()` and `x` as long as `b`. A mismatch is the caller's input,
+/// so it is reported as a [`bernoulli::RelError`] rather than panicking.
+pub(crate) fn check_square_system(
+    solver: &str,
+    op: &dyn Operator,
+    b: &[f64],
+    x: &[f64],
+) -> bernoulli::RelResult<()> {
+    let n = b.len();
+    if x.len() == n && op.out_len() == n && op.in_len() == n {
+        return Ok(());
+    }
+    Err(bernoulli::RelError::Validation(format!(
+        "{solver}: need a square operator of order {n} (the right-hand side's length) and a \
+         solution vector as long; got a {}x{} operator and x of length {}",
+        op.out_len(),
+        op.in_len(),
+        x.len()
+    )))
+}

@@ -25,6 +25,7 @@ use bernoulli_relational::access::MatrixAccess;
 use bernoulli_relational::exec::Bindings;
 use bernoulli_relational::ids::{MAT_A, PERM_P, VEC_X, VEC_Y};
 use bernoulli_relational::planner::QueryMeta;
+use bernoulli_relational::semiring::F64Plus;
 
 fn main() {
     // A row-length-skewed matrix (the class JDIAG exists for).
@@ -76,7 +77,7 @@ fn main() {
     // The same computation through the JDiag view, which translates
     // internally — both roads lead to the same numbers.
     let mut y2 = vec![0.0; n];
-    bernoulli_formats::kernels::spmv_jdiag(&jd, &x, &mut y2);
+    bernoulli_formats::kernels::spmv_in::<F64Plus, _>(&jd, &x, &mut y2);
     let err2 = y2.iter().zip(&want).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
     println!("JDiag hand kernel agrees: max err {err2:.3e}");
     assert!(err2 < 1e-9);

@@ -9,7 +9,7 @@
 //!   defines it is the lane kernel, not the single-accumulator one.
 //! * BSR and ITPACK fast kernels preserve the reference kernels' exact
 //!   operation order, so they are pinned bitwise against
-//!   `Bsr::spmv_acc` and `kernels::spmv_itpack_in::<F64Plus>` directly.
+//!   `Bsr::spmv_acc` and `kernels::spmv_in::<F64Plus, Itpack>` directly.
 //!
 //! Inputs deliberately include empty rows, dense rows, and NaN/±Inf
 //! values (the reassociation must not change which lanes see them —
@@ -159,7 +159,7 @@ proptest! {
         let cert = ItpackCert::certify(&a).expect("clean matrix certifies");
         let mut y_ref = vec![2.0; a.nrows()];
         let mut y_fast = y_ref.clone();
-        kernels::spmv_itpack_in::<F64Plus>(&a, &x, &mut y_ref);
+        kernels::spmv_in::<F64Plus, Itpack>(&a, &x, &mut y_ref);
         spmv_itpack_fast(&a, &x, &mut y_fast, &cert);
         assert_bits_eq(&y_fast, &y_ref, "itpack")?;
     }

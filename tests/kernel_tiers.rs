@@ -1,0 +1,378 @@
+//! One table-driven suite for the kernel tiers: every storage format's
+//! single ranged body (`formats::kernels`) under the three parallel
+//! drivers (`formats::par_kernels`) must keep its family's
+//! result-vs-serial contract, for every semiring class, worker count
+//! and degenerate operand:
+//!
+//! * **row family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense, MSR,
+//!   BSR, CRS × skinny-dense, Gustavson): bitwise == serial, always;
+//! * **scatter family** (CCS, CCCS, COO): ≤ 1e-12 relative to serial
+//!   under an associative-commutative ⊕, and bitwise == serial (the
+//!   driver refuses to split) under a non-AC ⊕;
+//! * **DO-ACROSS** (SpTRSV, Gauss-Seidel): bitwise == serial under a
+//!   valid `WavefrontCert`, and the serial sweep itself under a foreign
+//!   certificate or schedule.
+//!
+//! Worker counts are forced past the host's core count and the size
+//! gate is 1, so the drivers — not the environment — decide.
+
+use bernoulli_analysis::wavefront::{
+    analyze_wavefront, symmetrize_lower, symmetrize_upper, LevelSchedule, Triangle,
+};
+use bernoulli_formats::kernels;
+use bernoulli_formats::{gen, par_kernels, Bsr, Ccs, Csr, ExecCtx, FormatKind, Msr, SparseMatrix, Triplets};
+use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus, Semiring};
+
+const WORKERS: [usize; 4] = [1, 2, 3, 7];
+
+fn ctx(workers: usize) -> ExecCtx {
+    ExecCtx::with_threads(workers).threshold(1).oversubscribe(true)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One row of the format table: `t` held in one storage format.
+enum Operand {
+    Enum(SparseMatrix),
+    Msr(Msr),
+    Bsr(Bsr),
+}
+
+impl Operand {
+    /// Every `FormatKind` plus the two standalone formats.
+    fn all(t: &Triplets) -> Vec<(String, bool, Operand)> {
+        let scatter = [FormatKind::Ccs, FormatKind::Cccs, FormatKind::Coordinate];
+        let mut table: Vec<(String, bool, Operand)> = FormatKind::ALL
+            .into_iter()
+            .map(|kind| {
+                let m = Operand::Enum(SparseMatrix::from_triplets(kind, t));
+                (kind.to_string(), scatter.contains(&kind), m)
+            })
+            .collect();
+        table.push(("MSR".into(), false, Operand::Msr(Msr::from_triplets(t))));
+        // The largest block size dividing both dimensions, so chunk
+        // boundaries have whole multi-row block rows to respect.
+        let fits = |b: &usize| t.nrows().is_multiple_of(*b) && t.ncols().is_multiple_of(*b);
+        let b = [3, 2, 1].into_iter().find(fits).unwrap();
+        table.push((format!("BSR{b}"), false, Operand::Bsr(Bsr::from_triplets(t, b))));
+        table
+    }
+
+    fn serial<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem]) {
+        match self {
+            Operand::Enum(m) => m.spmv_acc_in::<S>(x, y),
+            Operand::Msr(m) => kernels::spmv_in::<S, _>(m, x, y),
+            Operand::Bsr(m) => kernels::spmv_in::<S, _>(m, x, y),
+        }
+    }
+
+    fn parallel<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
+        match self {
+            Operand::Enum(m) => m.par_spmv_acc_in::<S>(x, y, exec),
+            Operand::Msr(m) => par_kernels::par_spmv_in::<S, _>(m, x, y, exec),
+            Operand::Bsr(m) => par_kernels::par_spmv_in::<S, _>(m, x, y, exec),
+        }
+    }
+}
+
+/// The operand table: degenerate shapes, holes, and generators whose
+/// multi-row structures (diagonals, 3-row i-nodes and blocks) straddle
+/// the chunk boundaries of 2, 3 and 7 workers.
+fn operands() -> Vec<(&'static str, Triplets)> {
+    let holes: Vec<(usize, usize, f64)> = (0..12)
+        .flat_map(|i| (0..12).map(move |j| (i, j)))
+        .filter(|&(i, j)| i % 2 == 0 && j % 3 == 0 && (i + j) % 5 != 0)
+        .map(|(i, j)| (i, j, (i * 12 + j) as f64 * 0.125 - 7.0))
+        .collect();
+    let wide: Vec<(usize, usize, f64)> = [0, 2, 3, 7, 8].iter().map(|&j| (0, j, j as f64 - 3.5)).collect();
+    let tall: Vec<(usize, usize, f64)> = [1, 4, 5, 8].iter().map(|&i| (i, 0, 2.5 - i as f64)).collect();
+    vec![
+        ("0x0", Triplets::new(0, 0)),
+        ("empty 6x4", Triplets::new(6, 4)),
+        ("1xn", Triplets::from_entries(1, 9, &wide)),
+        ("nx1", Triplets::from_entries(9, 1, &tall)),
+        ("empty rows and columns", Triplets::from_entries(12, 12, &holes)),
+        // 221 rows: every stored diagonal spans all chunk boundaries.
+        ("grid2d 17x13", gen::grid2d_5pt(17, 13)),
+        // 45 rows in 3-row i-nodes: 2 workers cut at row 23, inside one.
+        ("fem 5x3 dof 3", gen::fem_grid_2d(5, 3, 3)),
+        ("rectangular random", gen::random_sparse(14, 22, 90, 5)),
+    ]
+}
+
+/// A small operand with NaN and ±Inf stored values, hit by zeros in `x`
+/// (`0·NaN` and `0·Inf` are NaN and must reach `y` on every tier).
+fn nonfinite() -> (Triplets, Vec<f64>) {
+    let t = Triplets::from_entries(
+        6,
+        6,
+        &[
+            (0, 0, f64::NAN),
+            (1, 0, 2.0),
+            (1, 1, 3.0),
+            (2, 2, f64::INFINITY),
+            (3, 1, f64::NEG_INFINITY),
+            (3, 4, 1.5),
+            (4, 3, -2.0),
+            (5, 5, 4.0),
+            (5, 2, f64::INFINITY),
+        ],
+    );
+    (t, vec![0.0, 1.0, 0.0, -1.0, 2.0, 0.5])
+}
+
+/// Scatter-family agreement under an AC ⊕: same NaN-ness, same
+/// infinities, finite values within 1e-12 relative.
+fn close(got: &[f64], want: &[f64]) -> bool {
+    got.iter().zip(want).all(|(&g, &w)| {
+        g.to_bits() == w.to_bits()
+            || (g.is_nan() && w.is_nan())
+            || (g - w).abs() <= 1e-12 * w.abs().max(1.0)
+    })
+}
+
+/// The contract of one `(operand, semiring)` cell, over every format
+/// and worker count.
+fn check_cell<S: Semiring<Elem = f64>>(name: &str, t: &Triplets, x: &[f64], y0: f64) {
+    let ac = S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE;
+    for (format, scatter, a) in Operand::all(t) {
+        let mut want = vec![y0; t.nrows()];
+        a.serial::<S>(x, &mut want);
+        for workers in WORKERS {
+            let mut got = vec![y0; t.nrows()];
+            a.parallel::<S>(x, &mut got, &ctx(workers));
+            let cell = format!("{name}, {format}, {}, {workers} workers", S::NAME);
+            if scatter && ac {
+                assert!(close(&got, &want), "{cell}: {got:?} vs {want:?}");
+            } else {
+                assert_eq!(bits(&got), bits(&want), "{cell}");
+            }
+        }
+    }
+}
+
+#[test]
+fn spmv_tiers_keep_their_family_contract() {
+    for (name, t) in operands() {
+        let n = t.ncols();
+        let xf: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 4.5).collect();
+        check_cell::<F64Plus>(name, &t, &xf, 0.1);
+        // Distances: a third of the sources reachable, y seeded both
+        // unreached (the ⊕ identity) and with a finite bound.
+        let xm: Vec<f64> =
+            (0..n).map(|i| if i % 3 == 0 { (i % 7) as f64 } else { f64::INFINITY }).collect();
+        check_cell::<MinPlus>(name, &t, &xm, MinPlus::zero());
+        check_cell::<MinPlus>(name, &t, &xm, 2.5);
+        // Non-commutative ⊕: any re-ordering of a scatter shows.
+        let xn: Vec<f64> = (0..n).map(|i| ((i * 13 + 1) % 5) as f64 - 1.0).collect();
+        check_cell::<FirstNonZero>(name, &t, &xn, 0.0);
+    }
+}
+
+#[test]
+fn nonfinite_values_propagate_identically_on_every_tier() {
+    let (t, x) = nonfinite();
+    check_cell::<F64Plus>("nonfinite", &t, &x, 0.0);
+    check_cell::<FirstNonZero>("nonfinite", &t, &x, 0.0);
+    // The serial CCS body itself must not drop NaN·0 / Inf·0 (its
+    // zero-column skip is gated on the column being finite), and the
+    // split keeps that rule per range.
+    let ccs = Ccs::from_triplets(&t);
+    let mut ys = vec![0.0; 6];
+    kernels::spmv_in::<F64Plus, _>(&ccs, &x, &mut ys);
+    assert!(ys[0].is_nan(), "NaN·0 dropped by serial CCS kernel");
+    assert!(ys[2].is_nan(), "Inf·0 dropped by serial CCS kernel");
+    let mut yp = vec![0.0; 6];
+    par_kernels::par_spmv_in::<F64Plus, _>(&ccs, &x, &mut yp, &ctx(3));
+    assert!(yp[0].is_nan() && yp[2].is_nan(), "parallel CCS differs from serial");
+    assert_eq!(ys[1], yp[1]);
+}
+
+/// The serial tier of every format is the textbook product (the other
+/// cells only compare tiers with each other).
+#[test]
+fn serial_tier_matches_the_triplet_oracle() {
+    for (name, t) in operands() {
+        let x: Vec<f64> = (0..t.ncols()).map(|i| ((i * 5 + 1) % 9) as f64 - 4.0).collect();
+        let mut want = vec![0.0; t.nrows()];
+        t.matvec_acc(&x, &mut want);
+        for (format, _, a) in Operand::all(&t) {
+            let mut y = vec![0.0; t.nrows()];
+            a.serial::<F64Plus>(&x, &mut y);
+            assert!(close(&y, &want), "{name}, {format}: {y:?} vs {want:?}");
+        }
+    }
+}
+
+/// Below the work threshold the dispatcher stays serial (observable
+/// through bit-identity even for the scatter family).
+#[test]
+fn threshold_keeps_small_matrices_serial() {
+    let t = gen::grid2d_5pt(17, 13);
+    let x: Vec<f64> = (0..t.ncols()).map(|i| ((i * 7 + 3) % 11) as f64 - 4.5).collect();
+    let exec = ExecCtx::with_threads(4); // default threshold ≫ grid nnz
+    for kind in FormatKind::ALL {
+        let m = SparseMatrix::from_triplets(kind, &t);
+        let mut want = vec![0.0; t.nrows()];
+        m.spmv_acc(&x, &mut want);
+        let mut got = vec![0.0; t.nrows()];
+        m.par_spmv_acc(&x, &mut got, &exec);
+        assert_eq!(bits(&got), bits(&want), "format {kind}");
+    }
+}
+
+/// The row driver is exact for carriers other than f64 too, through
+/// the frozen CRS entry point.
+#[test]
+fn csr_row_driver_exact_for_bool() {
+    let t = gen::grid2d_5pt(17, 13);
+    let a = Csr::from_triplets(&t);
+    let xb: Vec<bool> = (0..t.ncols()).map(|i| i % 5 == 0).collect();
+    let mut want = vec![false; t.nrows()];
+    kernels::spmv_csr_in::<BoolOrAnd>(&a, &xb, &mut want);
+    for workers in WORKERS {
+        let mut got = vec![false; t.nrows()];
+        par_kernels::par_spmv_csr_in::<BoolOrAnd>(&a, &xb, &mut got, &ctx(workers));
+        assert_eq!(got, want, "bool, {workers} workers");
+    }
+}
+
+/// CRS × skinny-dense and Gustavson are row-family bodies: bitwise ==
+/// serial for every worker count, any width (0 included), any semiring.
+#[test]
+fn spmm_tiers_are_bitwise_serial() {
+    for (name, t) in operands() {
+        let a = Csr::from_triplets(&t);
+        for k in [0, 1, 4] {
+            let x: Vec<f64> = (0..t.ncols() * k).map(|i| (i % 17) as f64 * 0.25 - 2.0).collect();
+            let mut want = vec![0.5; t.nrows() * k];
+            kernels::spmm_csr_dense(&a, &x, k, &mut want);
+            let mut want_min = vec![1.5; t.nrows() * k];
+            kernels::spmm_csr_dense_in::<MinPlus>(&a, &x, k, &mut want_min);
+            for workers in WORKERS {
+                let mut got = vec![0.5; t.nrows() * k];
+                par_kernels::par_spmm_csr_dense(&a, &x, k, &mut got, &ctx(workers));
+                assert_eq!(bits(&got), bits(&want), "{name}, k={k}, {workers} workers");
+                let mut got_min = vec![1.5; t.nrows() * k];
+                par_kernels::par_spmm_csr_dense_in::<MinPlus>(&a, &x, k, &mut got_min, &ctx(workers));
+                assert_eq!(bits(&got_min), bits(&want_min), "{name}, min-plus, k={k}, {workers} workers");
+            }
+        }
+        let b = Csr::from_triplets(&t.transposed());
+        let want = kernels::spmm_csr_csr(&a, &b);
+        let want_first = kernels::spmm_csr_csr_in::<FirstNonZero>(&a, &b);
+        for workers in WORKERS {
+            let got = par_kernels::par_spmm_csr_csr(&a, &b, &ctx(workers));
+            assert_eq!(got.to_triplets().canonicalize(), want.to_triplets().canonicalize(), "{name}");
+            assert_eq!((got.rowptr(), got.colind()), (want.rowptr(), want.colind()), "{name}");
+            assert_eq!(bits(got.vals()), bits(want.vals()), "{name}, {workers} workers");
+            let got_first = par_kernels::par_spmm_csr_csr_in::<FirstNonZero>(&a, &b, &ctx(workers));
+            assert_eq!(got_first, want_first, "{name}, first-nonzero, {workers} workers");
+        }
+    }
+}
+
+// --- DO-ACROSS ---------------------------------------------------------
+
+/// One triangle of the 12×9 grid stencil (108 rows, anti-diagonal
+/// wavefronts), off-diagonals scaled to keep the solve tame; `strict`
+/// drops the diagonal for the unit-diagonal solves.
+fn triangle_of(tri: Triangle, strict: bool) -> Csr {
+    let t = gen::grid2d_5pt(12, 9);
+    let keep: Vec<(usize, usize, f64)> = t
+        .entries()
+        .iter()
+        .filter(|&&(i, j, _)| match tri {
+            Triangle::Lower => j < i || (j == i && !strict),
+            Triangle::Upper => j > i || (j == i && !strict),
+        })
+        .map(|&(i, j, v)| (i, j, if i == j { v } else { 0.25 * v }))
+        .collect();
+    Csr::from_triplets(&Triplets::from_entries(t.nrows(), t.ncols(), &keep))
+}
+
+/// Every row in one level: following it would compute a Jacobi-style
+/// update, not the sweep — so equality with serial proves it was
+/// refused.
+fn one_level(n: usize) -> LevelSchedule {
+    LevelSchedule::from_raw_unchecked(n, (0..n).collect(), vec![0, n])
+}
+
+fn rhs(n: usize) -> Vec<f64> {
+    let mut b: Vec<f64> = (0..n).map(|i| ((i * 5 % 11) as f64) - 4.0).collect();
+    b[n / 2] = f64::INFINITY;
+    b[n - 1] = f64::NAN;
+    b
+}
+
+#[test]
+fn sptrsv_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
+    for tri in [Triangle::Lower, Triangle::Upper] {
+        for unit in [false, true] {
+            let a = triangle_of(tri, unit);
+            let n = a.nrows();
+            let b = rhs(n);
+            let mut want = vec![0.0; n];
+            kernels::sptrsv_csr(&a, tri, unit, &b, &mut want);
+
+            let report = analyze_wavefront(n, a.rowptr(), a.colind(), tri);
+            let (sched, cert) = (report.schedule.unwrap(), report.certificate.unwrap());
+            assert!(sched.num_levels() > 1 && sched.max_level_width() > 1);
+            // Certificates of another operand: same pattern, other arrays.
+            let twin = a.clone();
+            let foreign = analyze_wavefront(n, twin.rowptr(), twin.colind(), tri);
+            let (fsched, fcert) = (foreign.schedule.unwrap(), foreign.certificate.unwrap());
+
+            for workers in WORKERS {
+                let exec = ctx(workers);
+                let case = format!("{tri:?}, unit={unit}, {workers} workers");
+                let mut got = vec![0.0; n];
+                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, &sched, &cert, &exec);
+                assert_eq!(bits(&got), bits(&want), "{case}");
+                let mut got = vec![0.0; n];
+                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, &fsched, &fcert, &exec);
+                assert_eq!(bits(&got), bits(&want), "{case}, foreign certificate");
+                let mut got = vec![0.0; n];
+                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, &one_level(n), &cert, &exec);
+                assert_eq!(bits(&got), bits(&want), "{case}, forged schedule");
+            }
+        }
+    }
+}
+
+#[test]
+fn symgs_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
+    let a = Csr::from_triplets(&gen::grid2d_5pt(12, 9));
+    let n = a.nrows();
+    let b = rhs(n);
+    let x0: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
+    for (tri, (rp, ci)) in [
+        (Triangle::Lower, symmetrize_lower(n, a.rowptr(), a.colind())),
+        (Triangle::Upper, symmetrize_upper(n, a.rowptr(), a.colind())),
+    ] {
+        let report = analyze_wavefront(n, &rp, &ci, tri);
+        let (sched, cert) = (report.schedule.unwrap(), report.certificate.unwrap());
+        assert!(sched.num_levels() > 1 && sched.max_level_width() > 1);
+        for omega in [1.0, 1.3] {
+            let mut want = x0.clone();
+            kernels::symgs_sweep_csr(&a, tri, omega, &b, &mut want);
+            for workers in WORKERS {
+                let exec = ctx(workers);
+                let case = format!("{tri:?}, ω={omega}, {workers} workers");
+                let mut got = x0.clone();
+                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, (&rp, &ci), &sched, &cert, &exec);
+                assert_eq!(bits(&got), bits(&want), "{case}");
+                // The certificate binds the symmetrized arrays, not A's own.
+                let mut got = x0.clone();
+                let own = (a.rowptr(), a.colind());
+                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, own, &sched, &cert, &exec);
+                assert_eq!(bits(&got), bits(&want), "{case}, foreign dependence arrays");
+                let mut got = x0.clone();
+                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, (&rp, &ci), &one_level(n), &cert, &exec);
+                assert_eq!(bits(&got), bits(&want), "{case}, forged schedule");
+            }
+        }
+    }
+}

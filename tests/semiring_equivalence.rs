@@ -13,8 +13,8 @@
 //! every storage format, serial and parallel.
 
 use bernoulli_formats::{
-    Ccs, Cccs, Coo, Csr, DiagonalMatrix, ExecCtx, FormatKind, InodeMatrix, Itpack, JDiag,
-    SparseMatrix, Triplets,
+    Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, ExecCtx, FormatKind, InodeMatrix, Itpack,
+    JDiag, SparseMatrix, Triplets,
 };
 use bernoulli_formats::{kernels, par_kernels};
 use bernoulli_relational::semiring::F64Plus;
@@ -55,6 +55,19 @@ fn ref_spmv_cccs(a: &Cccs, x: &[f64], y: &mut [f64]) {
         for k in colp[q]..colp[q + 1] {
             y[rowind[k]] += vals[k] * xj;
         }
+    }
+}
+
+/// The pre-refactor `DenseMatrix::matvec_acc`, verbatim (that method is
+/// now the serial tier of the shared dense body).
+fn ref_spmv_dense(a: &DenseMatrix, x: &[f64], y: &mut [f64]) {
+    let (data, ncols) = (a.as_slice(), a.ncols());
+    for (r, yr) in y.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (c, &xv) in x.iter().enumerate() {
+            acc += data[r * ncols + c] * xv;
+        }
+        *yr += acc;
     }
 }
 
@@ -178,9 +191,7 @@ fn ref_spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
 /// Serial reference dispatch: the pre-refactor `SparseMatrix::spmv_acc`.
 fn ref_spmv(m: &SparseMatrix, x: &[f64], y: &mut [f64]) {
     match m {
-        // Dense kept its pre-refactor kernel verbatim; it doubles as
-        // its own reference.
-        SparseMatrix::Dense(d) => d.matvec_acc(x, y),
+        SparseMatrix::Dense(d) => ref_spmv_dense(d, x, y),
         SparseMatrix::Coordinate(c) => ref_spmv_coo(c, x, y),
         SparseMatrix::Csr(c) => ref_spmv_csr(c, x, y),
         SparseMatrix::Ccs(c) => ref_spmv_ccs(c, x, y),
@@ -415,7 +426,7 @@ fn non_finite_columns_keep_the_pre_refactor_gate() {
     let a = Ccs::from_triplets(&t);
     let mut y_gen = vec![1.0; 3];
     let mut y_ref = vec![1.0; 3];
-    kernels::spmv_ccs_in::<F64Plus>(&a, &x, &mut y_gen);
+    kernels::spmv_in::<F64Plus, Ccs>(&a, &x, &mut y_gen);
     ref_spmv_ccs(&a, &x, &mut y_ref);
     assert_eq!(bits(&y_gen), bits(&y_ref));
     assert!(y_gen[0].is_nan() && y_gen[2].is_nan() && y_gen[1] == 1.0);

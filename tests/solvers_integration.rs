@@ -154,3 +154,30 @@ fn ic0_handles_every_spd_suite_matrix() {
         assert!(ic.is_ok(), "{}: {:?}", m.name, ic.err());
     }
 }
+
+/// Wrong-length vectors and a rectangular operator are the caller's
+/// input: both Krylov solvers refuse them with a `RelError` (they used
+/// to `assert_eq!` inside a `RelResult` function).
+#[test]
+fn krylov_solvers_refuse_mismatched_systems_without_panicking() {
+    use bernoulli::RelError;
+    use bernoulli_solvers::precond::IdentityPreconditioner;
+    let ctx = ExecCtx::default();
+    let square = SparseMatrix::from_triplets(FormatKind::Csr, &fem_grid_2d(3, 3, 1));
+    let n = square.nrows();
+    let wide = SparseMatrix::from_triplets(
+        FormatKind::Csr,
+        &Triplets::from_entries(n, n + 2, &[(0, 0, 1.0), (n - 1, n + 1, 2.0)]),
+    );
+    let pc = IdentityPreconditioner { n };
+    let b = vec![1.0; n];
+    let before = vec![0.5; n + 1];
+    for (what, op, xlen) in [("long x", &square, n + 1), ("short x", &square, n - 1), ("rectangular", &wide, n)] {
+        let mut x = before[..xlen].to_vec();
+        let res = cg(op, &pc, &b, &mut x, CgOptions::default(), &ctx);
+        assert!(matches!(res, Err(RelError::Validation(_))), "cg, {what}: {res:?}");
+        let res = gmres(op, &pc, &b, &mut x, GmresOptions::default(), &ctx);
+        assert!(matches!(res, Err(RelError::Validation(_))), "gmres, {what}: {res:?}");
+        assert_eq!(x, before[..xlen], "{what}: a refused solve must not touch x");
+    }
+}
