@@ -263,7 +263,7 @@ impl<S: Semiring> SemiringSpmmEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::reason;
+    use crate::pipeline::Reason;
     use bernoulli_formats::{fast, FormatKind, Triplets};
     use bernoulli_obs::Obs;
     use bernoulli_relational::access::MatrixAccess;
@@ -780,11 +780,11 @@ mod tests {
         let s = &obs.report().strategies[0];
         if hw <= 1 {
             assert_eq!(eng.strategy(), Strategy::Specialized);
-            assert_eq!(s.downgrade, reason::SINGLE_WORKER_POOL);
+            assert_eq!(s.downgrade, Reason::SingleWorkerPool.as_str());
             assert!(!s.race_checked);
         } else {
             assert_eq!(eng.strategy(), Strategy::Parallel);
-            assert_eq!(s.downgrade, reason::NONE);
+            assert_eq!(s.downgrade, Reason::None.as_str());
         }
         // Oversubscription restores the historical behaviour anywhere.
         let eng = SpmvEngine::compile_in(&a, &ctx.clone().oversubscribe(true)).unwrap();

@@ -48,7 +48,7 @@ pub use engines::{
 };
 pub use operator::{BoundSpmv, BoundSpmvMulti, FnOperator, Operator, SemiringOperator};
 pub use pipeline::{
-    compile as compile_op, reason, CompiledOp, GateDecision, OpHints, OpKind, OpSpec, Operands,
+    compile as compile_op, CompiledOp, GateDecision, OpHints, OpKind, OpSpec, Operands, Reason,
 };
 pub use trisolve::{SptrsvEngine, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
 pub use bernoulli_formats::{ExecConfig, ExecCtx};

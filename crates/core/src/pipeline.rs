@@ -27,9 +27,10 @@
 //!   before the parallel tier arms. A stale or forged hint can mis-tier
 //!   an operand; it can never mis-compute.
 //! * **One downgrade vocabulary.** Every reason a parallel-eligible op
-//!   fell back to serial is a [`reason`] constant, recorded through the
-//!   one private `record_decision` emitter — `scripts/ci.sh` confines
-//!   both the gate-chain logic and the reason literals to this file.
+//!   fell back to serial is a [`Reason`] variant — a closed set the
+//!   compiler checks — recorded through the one private
+//!   `record_decision` emitter; `scripts/ci.sh` confines the gate-chain
+//!   logic to this file.
 
 use crate::ast::{programs, LoopNest};
 use crate::compile::{CompiledKernel, Compiler};
@@ -50,31 +51,54 @@ use bernoulli_relational::semiring::{AlgebraProps, F64Plus, Semiring};
 /// Minimum mean rows per level for the wavefront parallel tier: below
 /// this a schedule is mostly serial chain (the worst case is one row
 /// per level) and per-wave fork/join overhead cannot be amortized — the
-/// pipeline downgrades with reason [`reason::LEVELS_TOO_NARROW`].
+/// pipeline downgrades with reason [`Reason::LevelsTooNarrow`].
 pub const MIN_MEAN_LEVEL_WIDTH: f64 = 2.0;
 
-/// The one downgrade-reason vocabulary, shared by every op kind. The
-/// obs `strategies` stream records exactly these strings; `ci.sh`
-/// greps that the literals appear nowhere else in the crates.
-pub mod reason {
+/// The one downgrade-reason vocabulary, shared by every op kind: why a
+/// parallel-eligible op fell back to serial. The obs `strategies`
+/// stream and the profile JSON record [`Reason::as_str`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reason {
     /// No downgrade: the chosen strategy is the one the gates granted.
-    pub const NONE: &str = "";
+    None,
     /// The size gate passed but the effective pool is one worker —
     /// fork/join would be pure overhead.
-    pub const SINGLE_WORKER_POOL: &str = "single_worker_pool";
+    SingleWorkerPool,
     /// The DO-ANY race checker refused the nest (BA01/BA02/BA06).
-    pub const RACY_NEST: &str = "racy_nest";
+    RacyNest,
     /// Transposed-solve scatter loop: no bitwise-deterministic
     /// level-parallel form exists.
-    pub const TRANSPOSED_SCATTER: &str = "transposed_scatter";
+    TransposedScatter,
     /// The wavefront pass found no usable triangular structure.
-    pub const NOT_TRIANGULAR: &str = "not_triangular";
+    NotTriangular,
     /// The independent BA4x verifier refused the (possibly cached)
     /// level schedule.
-    pub const SCHEDULE_REJECTED: &str = "schedule_rejected";
+    ScheduleRejected,
     /// The schedule verified but its mean level width is below
-    /// [`super::MIN_MEAN_LEVEL_WIDTH`].
-    pub const LEVELS_TOO_NARROW: &str = "levels_too_narrow";
+    /// [`MIN_MEAN_LEVEL_WIDTH`].
+    LevelsTooNarrow,
+}
+
+impl Reason {
+    /// The reason's name as it appears in telemetry
+    /// ([`StrategyEvent::downgrade`]; `""` = no downgrade).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Reason::None => "",
+            Reason::SingleWorkerPool => "single_worker_pool",
+            Reason::RacyNest => "racy_nest",
+            Reason::TransposedScatter => "transposed_scatter",
+            Reason::NotTriangular => "not_triangular",
+            Reason::ScheduleRejected => "schedule_rejected",
+            Reason::LevelsTooNarrow => "levels_too_narrow",
+        }
+    }
+}
+
+impl std::fmt::Display for Reason {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
 }
 
 /// How a compiled op will execute.
@@ -117,7 +141,7 @@ pub enum TriangularOp {
     /// the transpose — a *scatter* loop, which has no bitwise-
     /// deterministic level-parallel form: concurrent waves would
     /// interleave partial updates of shared entries. Always serial
-    /// (downgrade reason [`reason::TRANSPOSED_SCATTER`]).
+    /// (downgrade reason [`Reason::TransposedScatter`]).
     LowerTransposed { unit_diag: bool },
 }
 
@@ -342,9 +366,9 @@ pub struct GateDecision {
     /// parallel tier is licensed by the wavefront certificate, not by
     /// DO-ANY safety.
     pub race_safe: bool,
-    /// Why a parallel-eligible plan fell back to serial — one of the
-    /// [`reason`] constants ([`reason::NONE`] = it didn't).
-    pub downgrade: &'static str,
+    /// Why a parallel-eligible plan fell back to serial
+    /// ([`Reason::None`] = it didn't).
+    pub downgrade: Reason,
     /// Level statistics from the wavefront certificate; zero for
     /// DO-ANY ops, which have no level schedule.
     pub levels: u64,
@@ -358,14 +382,14 @@ impl GateDecision {
             strategy,
             race_checked,
             race_safe,
-            downgrade: reason::NONE,
+            downgrade: Reason::None,
             levels: 0,
             max_level_width: 0,
             mean_level_width: 0.0,
         }
     }
 
-    fn serial(race_checked: bool, downgrade: &'static str) -> GateDecision {
+    fn serial(race_checked: bool, downgrade: Reason) -> GateDecision {
         GateDecision {
             downgrade,
             ..GateDecision::new(Strategy::Specialized, race_checked, false)
@@ -395,7 +419,7 @@ pub fn do_any_decision(
         return GateDecision::new(Strategy::Interpreted, false, false);
     }
     if !exec.should_parallelize(work) {
-        return GateDecision::serial(false, reason::NONE);
+        return GateDecision::serial(false, Reason::None);
     }
     // The size gate passed, so the plan *wants* to go parallel — but a
     // pool that can only run one worker at a time (requested threads
@@ -403,12 +427,12 @@ pub fn do_any_decision(
     // explicitly allowed) would pay pure fork/join overhead for it.
     // Downgrade to the serial specialized tier and say why.
     if exec.effective_workers() <= 1 {
-        return GateDecision::serial(false, reason::SINGLE_WORKER_POOL);
+        return GateDecision::serial(false, Reason::SingleWorkerPool);
     }
     let safe = bernoulli_analysis::race::check_do_any_in(nest, algebra).is_parallel_safe();
     GateDecision {
         strategy: if safe { Strategy::Parallel } else { Strategy::Specialized },
-        downgrade: if safe { reason::NONE } else { reason::RACY_NEST },
+        downgrade: if safe { Reason::None } else { Reason::RacyNest },
         ..GateDecision::new(Strategy::Specialized, true, safe)
     }
 }
@@ -423,7 +447,7 @@ pub fn do_any_decision(
 /// through `wavefront::certify_schedule`, which runs the same
 /// independent BA4x verifier against this operand's pattern, so a
 /// stale or forged cache entry downgrades to serial
-/// ([`reason::SCHEDULE_REJECTED`]) instead of racing.
+/// ([`Reason::ScheduleRejected`]) instead of racing.
 fn wave_decision(
     nrows: usize,
     rowptr: &[usize],
@@ -435,10 +459,10 @@ fn wave_decision(
 ) -> (GateDecision, Option<(LevelSchedule, WavefrontCert)>) {
     let cfg = ctx.config();
     if !cfg.should_parallelize(work) {
-        return (GateDecision::serial(false, reason::NONE), None);
+        return (GateDecision::serial(false, Reason::None), None);
     }
     if cfg.effective_workers() <= 1 {
-        return (GateDecision::serial(false, reason::SINGLE_WORKER_POOL), None);
+        return (GateDecision::serial(false, Reason::SingleWorkerPool), None);
     }
     // Consult the DO-ANY checker exactly like the dense engines do.
     // It refuses the sweep nest (BA01/BA02) — that refusal is the
@@ -448,22 +472,22 @@ fn wave_decision(
     // alongside the wavefront verdict.
     debug_assert!(!bernoulli_analysis::check_do_any(&programs::sptrsv()).is_parallel_safe());
     let Some(triangle) = triangle else {
-        return (GateDecision::serial(true, reason::TRANSPOSED_SCATTER), None);
+        return (GateDecision::serial(true, Reason::TransposedScatter), None);
     };
     let (sched, cert) = if let Some(sched) = cached {
         match wavefront::certify_schedule(nrows, rowptr, colind, triangle, &sched) {
             Ok(cert) => (sched, cert),
-            Err(_) => return (GateDecision::serial(true, reason::SCHEDULE_REJECTED), None),
+            Err(_) => return (GateDecision::serial(true, Reason::ScheduleRejected), None),
         }
     } else {
         let report = analyze_wavefront(nrows, rowptr, colind, triangle);
         let (Some(sched), Some(cert)) = (report.schedule, report.certificate) else {
-            return (GateDecision::serial(true, reason::NOT_TRIANGULAR), None);
+            return (GateDecision::serial(true, Reason::NotTriangular), None);
         };
         // Independent re-verification — the pipeline does not take the
         // analysis pass's word for it (`plan_verify` discipline).
         if !verify_level_schedule(nrows, rowptr, colind, triangle, &sched).is_empty() {
-            return (GateDecision::serial(true, reason::SCHEDULE_REJECTED), None);
+            return (GateDecision::serial(true, Reason::ScheduleRejected), None);
         }
         (sched, cert)
     };
@@ -474,7 +498,7 @@ fn wave_decision(
         strategy: if wide { Strategy::Parallel } else { Strategy::Specialized },
         race_checked: true,
         race_safe: false,
-        downgrade: if wide { reason::NONE } else { reason::LEVELS_TOO_NARROW },
+        downgrade: if wide { Reason::None } else { Reason::LevelsTooNarrow },
         levels: cert.levels() as u64,
         max_level_width: cert.max_level_width() as u64,
         mean_level_width: cert.mean_level_width(),
@@ -507,7 +531,7 @@ fn record_decision(
         race_checked: d.race_checked,
         race_safe: d.race_safe,
         tier,
-        downgrade: d.downgrade,
+        downgrade: d.downgrade.as_str(),
         levels: d.levels,
         max_level_width: d.max_level_width,
         mean_level_width: d.mean_level_width,
@@ -720,7 +744,7 @@ pub struct CompiledOp {
     strategy: Strategy,
     ctx: ExecCtx,
     plan: PlanSource,
-    downgrade: &'static str,
+    downgrade: Reason,
     /// Validation certificate for the fast microkernel tier, computed
     /// once at compile time when [`ExecCtx::fast_kernels`] armed it and
     /// the operand passed the full sanitizer. `None` = reference tier.
@@ -1059,9 +1083,9 @@ impl CompiledOp {
         self.strategy
     }
 
-    /// Why the parallel tier was not granted ([`reason::NONE`] = it
+    /// Why the parallel tier was not granted ([`Reason::None`] = it
     /// was, or the size gate never asked).
-    pub fn downgrade(&self) -> &'static str {
+    pub fn downgrade(&self) -> Reason {
         self.downgrade
     }
 
@@ -1505,11 +1529,11 @@ mod tests {
         let exec = ExecConfig::with_threads(4).threshold(1).oversubscribe(true);
         let d = do_any_f64(&racy, true, 1 << 20, &exec);
         assert_eq!(d.strategy, Strategy::Specialized);
-        assert_eq!(d.downgrade, reason::RACY_NEST);
+        assert_eq!(d.downgrade, Reason::RacyNest);
         // Same gates, the genuine reduction nest: Parallel granted.
         let d = do_any_f64(&programs::matvec(), true, 1 << 20, &exec);
         assert_eq!(d.strategy, Strategy::Parallel);
-        assert_eq!(d.downgrade, reason::NONE);
+        assert_eq!(d.downgrade, Reason::None);
         // All engine nests carry a certificate.
         for nest in [programs::matvec(), programs::matmat(), programs::matvec_multi()] {
             assert!(bernoulli_analysis::race::check_do_any(&nest).is_parallel_safe());
@@ -1522,7 +1546,7 @@ mod tests {
         // Below the threshold the race gate never runs.
         let d = do_any_f64(&nest, true, 4, &ExecConfig::with_threads(4).threshold(1000));
         assert_eq!((d.strategy, d.race_checked), (Strategy::Specialized, false));
-        assert_eq!(d.downgrade, reason::NONE);
+        assert_eq!(d.downgrade, Reason::None);
         // A requested-but-unavailable pool downgrades before the race
         // gate, too (threads_hint > 1, so the size gate passes; without
         // oversubscription the effective pool clamps to the hardware).
@@ -1530,13 +1554,13 @@ mod tests {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         if hw <= 1 {
             assert_eq!((d.strategy, d.race_checked), (Strategy::Specialized, false));
-            assert_eq!(d.downgrade, reason::SINGLE_WORKER_POOL);
+            assert_eq!(d.downgrade, Reason::SingleWorkerPool);
         } else {
             assert_eq!((d.strategy, d.race_checked), (Strategy::Parallel, true));
         }
         // Non-specialisable plans interpret without consulting any gate.
         let d = do_any_f64(&nest, false, 1 << 20, &ExecConfig::with_threads(4).threshold(1));
-        assert_eq!((d.strategy, d.downgrade), (Strategy::Interpreted, reason::NONE));
+        assert_eq!((d.strategy, d.downgrade), (Strategy::Interpreted, Reason::None));
     }
 
     #[test]

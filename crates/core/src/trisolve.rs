@@ -26,9 +26,9 @@
 //! through [`crate::pipeline::compile`]'s `hints`: it skips the O(nnz)
 //! wavefront *construction* but none of the gates — the BA4x verifier
 //! re-certifies it against this operand before the parallel tier arms,
-//! else [`reason::SCHEDULE_REJECTED`](crate::pipeline::reason::SCHEDULE_REJECTED).
+//! else [`Reason::ScheduleRejected`](crate::pipeline::Reason::ScheduleRejected).
 //! Every downgrade records its reason from the unified
-//! [`crate::pipeline::reason`] vocabulary in the obs `strategies`
+//! [`crate::pipeline::Reason`] vocabulary in the obs `strategies`
 //! stream, together with the level count and max/mean level width, so
 //! the decision is auditable. The serial tier is always available and
 //! bit-identical to the parallel one (the level-parallel kernels
@@ -127,7 +127,7 @@ impl SymGsEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::{reason, CompiledOp, OpHints, Strategy};
+    use crate::pipeline::{CompiledOp, OpHints, Reason, Strategy};
     use bernoulli_analysis::wavefront::LevelSchedule;
     use bernoulli_formats::gen::grid2d_5pt;
     use bernoulli_relational::error::RelError;
@@ -206,7 +206,7 @@ mod tests {
             SptrsvEngine::compile_in(&l, TriangularOp::Lower { unit_diag: false }, &par_ctx())
                 .unwrap();
         assert_eq!(eng.strategy(), Strategy::Specialized);
-        assert_eq!(eng.downgrade(), reason::LEVELS_TOO_NARROW);
+        assert_eq!(eng.downgrade(), Reason::LevelsTooNarrow);
     }
 
     #[test]
@@ -219,7 +219,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(eng.strategy(), Strategy::Specialized);
-        assert_eq!(eng.downgrade(), reason::TRANSPOSED_SCATTER);
+        assert_eq!(eng.downgrade(), Reason::TransposedScatter);
     }
 
     #[test]
@@ -295,7 +295,7 @@ mod tests {
         let forged = LevelSchedule::from_raw_unchecked(n, rows, s.level_ptr().to_vec());
         let bad: SptrsvEngine = compile_warm(OpSpec::Sptrsv { op }, &l, vec![forged]);
         assert_eq!(bad.strategy(), Strategy::Specialized);
-        assert_eq!(bad.downgrade(), reason::SCHEDULE_REJECTED);
+        assert_eq!(bad.downgrade(), Reason::ScheduleRejected);
         let mut x_bad = vec![0.0; n];
         bad.run(&l, &b, &mut x_bad).unwrap();
         assert_eq!(x_bad, x_cold, "serial fallback stays bit-identical");
@@ -326,7 +326,7 @@ mod tests {
         let [fwd, bwd] = cold.sweep_schedules().unwrap().map(clone_of);
         let swapped: SymGsEngine = compile_warm(OpSpec::Symgs, &a, vec![bwd, fwd]);
         assert_eq!(swapped.strategy(), Strategy::Specialized);
-        assert_eq!(swapped.downgrade(), reason::SCHEDULE_REJECTED);
+        assert_eq!(swapped.downgrade(), Reason::ScheduleRejected);
         let mut x_swapped = vec![0.0; n];
         swapped.apply_ssor(&a, 1.2, &b, &mut x_swapped).unwrap();
         assert_eq!(x_swapped, x_cold);
@@ -342,7 +342,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(eng.strategy(), Strategy::Specialized);
-        assert_eq!(eng.downgrade(), reason::NONE);
+        assert_eq!(eng.downgrade(), Reason::None);
     }
 
     #[test]

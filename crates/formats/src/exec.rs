@@ -8,15 +8,16 @@
 //!   work threshold, checked mode. `Copy`, comparable, cheap.
 //! * [`ExecCtx`] — the one context object threaded through the whole
 //!   pipeline: the config plus the [`Obs`] telemetry handle, the
-//!   specialization policy, and a lazily built, *cached* rayon thread
-//!   pool. Compilers, engines, kernels, the SPMD machine and the
-//!   solvers all take `&ExecCtx` instead of growing per-capability
+//!   specialization policy, and the workspace's only two fork/join
+//!   primitives ([`ExecCtx::par_blocks`], [`ExecCtx::par_ranges`]).
+//!   Compilers, engines, kernels, the SPMD machine and the solvers
+//!   all take `&ExecCtx` instead of growing per-capability
 //!   `_exec`/`_obs` parameter variants.
 //!
 //! The config knobs:
 //!
 //! * **`threads`** — how many workers a parallel region may use
-//!   (`0` = the rayon default, `1` = stay serial);
+//!   (`0` = one per hardware thread, `1` = stay serial);
 //! * **`par_threshold_nnz`** — the work size (stored nonzeros, or the
 //!   equivalent flop count for vector ops) below which parallel
 //!   dispatch is refused. Small operands lose more to fork/join and
@@ -25,8 +26,7 @@
 //!   specialized kernels *byte-identical* to the pre-parallel library,
 //!   which the engine tests assert.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use bernoulli_obs::Obs;
 
@@ -40,8 +40,8 @@ pub const DEFAULT_PAR_THRESHOLD_NNZ: usize = 32_768;
 /// How (and whether) an operation may execute in parallel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecConfig {
-    /// Worker threads for parallel regions: `0` = rayon's default for
-    /// this machine, `1` = serial, `n` = exactly `n`.
+    /// Worker threads for parallel regions: `0` = one per hardware
+    /// thread of this machine, `1` = serial, `n` = exactly `n`.
     pub threads: usize,
     /// Operations with less work (stored nonzeros) than this stay on
     /// the serial kernels.
@@ -113,10 +113,10 @@ impl ExecConfig {
     }
 
     /// The concrete worker count this config resolves to (`threads`,
-    /// with `0` resolved to rayon's default).
+    /// with `0` resolved to the machine's hardware parallelism).
     pub fn threads_hint(&self) -> usize {
         if self.threads == 0 {
-            rayon::current_num_threads().max(1)
+            hardware_threads()
         } else {
             self.threads
         }
@@ -132,8 +132,7 @@ impl ExecConfig {
         if self.oversubscribe {
             hint
         } else {
-            let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-            hint.min(hw)
+            hint.min(hardware_threads())
         }
     }
 
@@ -151,20 +150,33 @@ impl Default for ExecConfig {
     }
 }
 
-/// The cached pool slot shared by every clone of one [`ExecCtx`].
-#[derive(Default)]
-struct PoolCell {
-    pool: OnceLock<rayon::ThreadPool>,
-    builds: AtomicUsize,
+/// The machine's hardware parallelism, queried once per process: the
+/// size gates ask on every vector op.
+fn hardware_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-impl std::fmt::Debug for PoolCell {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolCell")
-            .field("built", &self.pool.get().is_some())
-            .field("builds", &self.builds.load(Ordering::Relaxed))
-            .finish()
-    }
+/// The workspace's one fork/join region: `f` on every task — the first
+/// on the calling thread, each other on its own scoped thread — with
+/// the results in task order. A panic in any task is re-raised on the
+/// caller with its payload, after `thread::scope` has joined every
+/// worker.
+fn fork_join<T: Send, R: Send>(
+    mut tasks: impl Iterator<Item = T>,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let Some(first) = tasks.next() else { return Vec::new() };
+    let f = &f;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = tasks.map(|task| s.spawn(move || f(task))).collect();
+        let mut out = Vec::with_capacity(workers.len() + 1);
+        out.push(f(first));
+        for w in workers {
+            out.push(w.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)));
+        }
+        out
+    })
 }
 
 /// The unified execution context: everything the pipeline needs to
@@ -177,22 +189,20 @@ impl std::fmt::Debug for PoolCell {
 /// * the [`Obs`] telemetry handle (disabled by default — zero cost),
 /// * the **specialization policy** (whether engines may emit
 ///   format-specialized kernels; on by default), and
-/// * a lazily built, **cached** rayon thread pool for explicit worker
-///   counts. The pool is built at most once per ctx family — clones
-///   share it — where the old `ExecConfig::install` rebuilt a fresh
-///   `ThreadPoolBuilder` on every call.
+/// * the two fork/join primitives every parallel kernel runs under
+///   ([`par_blocks`](ExecCtx::par_blocks),
+///   [`par_ranges`](ExecCtx::par_ranges)).
 ///
 /// `ExecCtx::default()` is the zero-overhead baseline: serial config,
-/// observability disabled, specialization on, no pool ever built. All
-/// the `compile(a)`-style convenience entry points are defined as the
-/// ctx-taking form applied to this default.
+/// observability disabled, specialization on, never a thread spawned.
+/// All the `compile(a)`-style convenience entry points are defined as
+/// the ctx-taking form applied to this default.
 #[derive(Clone, Debug)]
 pub struct ExecCtx {
     config: ExecConfig,
     obs: Obs,
     specialize: bool,
     fast: bool,
-    pool: Arc<PoolCell>,
 }
 
 impl Default for ExecCtx {
@@ -210,7 +220,6 @@ impl ExecCtx {
             obs: Obs::disabled(),
             specialize: true,
             fast: false,
-            pool: Arc::default(),
         }
     }
 
@@ -322,37 +331,45 @@ impl ExecCtx {
         self.config.should_parallelize(work)
     }
 
-    /// Run `f` with this context's worker count in effect for nested
-    /// rayon calls.
-    ///
-    /// `threads == 0` (machine default) and `threads == 1` (serial —
-    /// every parallel region in this workspace gates on
-    /// [`threads_hint`](ExecCtx::threads_hint) first, so nothing
-    /// inside `f` forks) run `f` inline: no pool, no allocation. An
-    /// explicit count `n > 1` installs the cached pool, building it on
-    /// first use only; clones of this ctx share the same pool.
-    pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        if self.config.threads <= 1 {
-            f()
-        } else {
-            self.pool
-                .pool
-                .get_or_init(|| {
-                    self.pool.builds.fetch_add(1, Ordering::Relaxed);
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(self.config.threads)
-                        .build()
-                        .expect("thread pool build")
-                })
-                .install(f)
+    /// Fork/join over an output: split `y` into one contiguous block
+    /// per worker — a whole number of `unit`-element units; a length
+    /// that is no multiple of `unit` leaves its remainder in a final,
+    /// shorter block — and run `body(offset, block)` on each. Every
+    /// element lies in exactly one block and the order inside a block
+    /// is the body's own, so the chunking never shows in an
+    /// element-wise result. On one worker the body runs inline over the
+    /// whole of `y`: no thread, no allocation.
+    pub fn par_blocks<T: Send>(
+        &self,
+        y: &mut [T],
+        unit: usize,
+        body: impl Fn(usize, &mut [T]) + Sync,
+    ) {
+        let t = self.threads_hint();
+        if t <= 1 || y.is_empty() {
+            return body(0, y);
         }
+        let chunk = (y.len() / unit).div_ceil(t).max(1) * unit;
+        fork_join(y.chunks_mut(chunk).enumerate(), |(ci, block)| body(ci * chunk, block));
     }
 
-    /// How many times this context (family — clones share the count)
-    /// has built its thread pool. At most 1 by construction; exposed
-    /// so tests can prove the cache works.
-    pub fn pool_builds(&self) -> usize {
-        self.pool.builds.load(Ordering::Relaxed)
+    /// Fork/join over an index space: cut `0..items` into one
+    /// contiguous range per worker and return `f(lo, hi)` per range, in
+    /// range order — a reduction over the result is deterministic for a
+    /// given worker count. One range (the whole, inline) on one worker
+    /// or for fewer than two items.
+    pub fn par_ranges<R: Send>(
+        &self,
+        items: usize,
+        f: impl Fn(usize, usize) -> R + Sync,
+    ) -> Vec<R> {
+        let nchunks = self.threads_hint().min(items);
+        if nchunks <= 1 {
+            return vec![f(0, items)];
+        }
+        let per = items.div_ceil(nchunks);
+        let los = (0..nchunks).map(|c| (c * per).min(items));
+        fork_join(los, |lo| f(lo, (lo + per).min(items)))
     }
 }
 
@@ -381,16 +398,10 @@ mod tests {
     }
 
     #[test]
-    fn install_sets_worker_count() {
-        let ctx = ExecCtx::with_threads(3);
-        assert_eq!(ctx.install(rayon::current_num_threads), 3);
-        assert_eq!(ctx.threads_hint(), 3);
-    }
-
-    #[test]
-    fn zero_resolves_to_rayon_default() {
-        let e = ExecConfig::parallel();
-        assert_eq!(e.threads_hint(), rayon::current_num_threads().max(1));
+    fn zero_resolves_to_the_hardware_parallelism() {
+        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(ExecConfig::parallel().threads_hint(), hw);
+        assert_eq!(ExecCtx::with_threads(3).threads_hint(), 3);
     }
 
     #[test]
@@ -400,7 +411,6 @@ mod tests {
         assert!(!ctx.obs().is_enabled());
         assert!(ctx.specialize());
         assert!(!ctx.fast());
-        assert_eq!(ctx.pool_builds(), 0);
     }
 
     #[test]
@@ -417,30 +427,5 @@ mod tests {
         assert!(!ExecCtx::serial().fast());
         assert!(ExecCtx::serial().fast_kernels(true).fast());
         assert!(!ExecCtx::serial().fast_kernels(true).fast_kernels(false).fast());
-    }
-
-    #[test]
-    fn pool_built_once_and_shared_by_clones() {
-        let ctx = ExecCtx::with_threads(3).threshold(1);
-        assert_eq!(ctx.pool_builds(), 0);
-        for _ in 0..32 {
-            assert_eq!(ctx.install(rayon::current_num_threads), 3);
-        }
-        let clone = ctx.clone();
-        clone.install(|| ());
-        assert_eq!(ctx.pool_builds(), 1);
-        assert_eq!(clone.pool_builds(), 1);
-    }
-
-    #[test]
-    fn serial_install_builds_no_pool() {
-        let ctx = ExecCtx::serial();
-        for _ in 0..32 {
-            ctx.install(|| ());
-        }
-        assert_eq!(ctx.pool_builds(), 0);
-        let dflt = ExecCtx::with_config(ExecConfig::parallel());
-        dflt.install(|| ());
-        assert_eq!(dflt.pool_builds(), 0);
     }
 }

@@ -100,7 +100,15 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Triplets, MmError> {
     }
     let (nrows, ncols, nnz) = (dims[0], dims[1], dims[2]);
 
-    let mut t = Triplets::with_capacity(nrows, ncols, nnz * 2);
+    // The size line is outside input: a count no matrix of this shape
+    // can hold is a parse error, and the reservation is capped so a
+    // lying header cannot request terabytes up front (the entry vector
+    // grows as real entries arrive; ×2 leaves room for mirrored ones).
+    if nrows.checked_mul(ncols).is_some_and(|cells| nnz > cells) {
+        return Err(parse_err(format!("size line declares {nnz} entries in a {nrows} x {ncols} matrix")));
+    }
+    const MAX_RESERVED_ENTRIES: usize = 1 << 16;
+    let mut t = Triplets::with_capacity(nrows, ncols, nnz.min(MAX_RESERVED_ENTRIES) * 2);
     let mut count = 0usize;
     for line in lines {
         let line = line?;

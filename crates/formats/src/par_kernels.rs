@@ -1,11 +1,13 @@
 //! The shared-memory parallel tier: three generic drivers over the
 //! ranged bodies of [`crate::kernels`]. No loop body lives here — a
 //! parallel kernel is the *serial* body of its format run under the
-//! driver its [`Family`] names, so the two tiers cannot drift apart.
+//! driver its [`Family`] names, so the two tiers cannot drift apart —
+//! and no thread is spawned here: every driver forks through
+//! [`ExecCtx::par_blocks`] / [`ExecCtx::par_ranges`].
 //!
-//! **`par_rows` — row family** (CRS, ITPACK, JDIAG, Diagonal, i-node,
-//! Dense, MSR, BSR, CRS × skinny-dense): the output vector is split
-//! into one contiguous block of whole range units per worker. Each
+//! **Row family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense, MSR,
+//! BSR, CRS × skinny-dense) — `par_blocks` itself: the output vector is
+//! split into one contiguous block of whole range units per worker. Each
 //! `y[i]` is written by exactly one worker, with the *same per-element
 //! operation order* as the serial tier — so the result is **bit-for-bit
 //! identical** to serial, for any worker count, with no atomics and no
@@ -16,7 +18,7 @@
 //! **`par_scatter` — scatter family** (CCS, CCCS, COO): the stored
 //! items are split into one range per worker (`par_ranges`), each
 //! accumulated into a thread-local full-length vector, and the partials
-//! are merged into `y` in fixed range order (itself a `par_rows` pass).
+//! are merged into `y` in fixed range order (itself a `par_blocks` pass).
 //! The merge order is deterministic for a given worker count, but
 //! partial accumulation re-associates and re-orders ⊕ — sound only when
 //! ⊕ is an associative-commutative monoid (the `Reduction` certificate;
@@ -29,7 +31,7 @@
 //! **`par_wave` — DO-ACROSS** (SpTRSV, Gauss-Seidel): levels of a
 //! certified [`LevelSchedule`] run in order; within a level the
 //! (mutually independent) rows are computed into a scratch wave by
-//! `par_rows`, then written back serially in schedule order. Each row
+//! `par_blocks`, then written back serially in schedule order. Each row
 //! replays the serial row update and every dependence it reads was
 //! finalized by an earlier level, so the result is **bit-for-bit
 //! identical** to the serial sweep for any worker count. Soundness is
@@ -39,9 +41,9 @@
 //! schedule computed — and falls back to the serial sweep on any
 //! mismatch, exactly like the fast tier's certificate re-check.
 //!
-//! The drivers own the worker gate, the chunk geometry and
-//! [`ExecCtx::install`]; below the gate they run the body over the
-//! whole range on the calling thread, which *is* the serial tier.
+//! The primitives own the worker gate and the chunk geometry; below
+//! the gate they run the body over the whole range on the calling
+//! thread, which *is* the serial tier.
 //! Work-size thresholds are the caller's business
 //! ([`crate::SparseMatrix::spmv_acc_on`], `core::pipeline`).
 
@@ -50,51 +52,6 @@ use crate::kernels::{self, Family, SpmvBody};
 use crate::Csr;
 use bernoulli_analysis::wavefront::{LevelSchedule, Triangle, WavefrontCert};
 use bernoulli_relational::semiring::{F64Plus, Semiring};
-use rayon::prelude::*;
-
-/// Row driver: split `y` into one contiguous block per worker — a whole
-/// number of `unit`-element range units — and run `body(offset, block)`
-/// on each. Block-internal order is the body's own, so chunking never
-/// changes a row-family result.
-pub(crate) fn par_rows<T: Send>(
-    exec: &ExecCtx,
-    y: &mut [T],
-    unit: usize,
-    body: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let t = exec.threads_hint();
-    if t <= 1 || y.is_empty() {
-        return body(0, y);
-    }
-    let chunk = (y.len() / unit).div_ceil(t).max(1) * unit;
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| body(ci * chunk, yc));
-    });
-}
-
-/// Range driver: cut `0..items` into one contiguous range per worker
-/// and return `f(lo, hi)` per range, in range order. One range (the
-/// whole) below the worker gate.
-pub(crate) fn par_ranges<R: Send>(
-    exec: &ExecCtx,
-    items: usize,
-    f: impl Fn(usize, usize) -> R + Sync,
-) -> Vec<R> {
-    let nchunks = exec.threads_hint().min(items);
-    if nchunks <= 1 {
-        return vec![f(0, items)];
-    }
-    let per = items.div_ceil(nchunks);
-    exec.install(|| {
-        (0..nchunks)
-            .into_par_iter()
-            .map(|c| {
-                let lo = (c * per).min(items);
-                f(lo, (lo + per).min(items))
-            })
-            .collect()
-    })
-}
 
 /// Scatter driver: accumulate each range of `0..items` into a
 /// thread-local partial via `body(lo, hi, partial)`, then merge the
@@ -113,12 +70,12 @@ pub(crate) fn par_scatter<S: Semiring>(
         return body(0, items, y);
     }
     let n = y.len();
-    let partials = par_ranges(exec, items, |lo, hi| {
+    let partials = exec.par_ranges(items, |lo, hi| {
         let mut part = vec![S::zero(); n];
         body(lo, hi, &mut part);
         part
     });
-    par_rows(exec, y, 1, |r0, yc| {
+    exec.par_blocks(y, 1, |r0, yc| {
         for part in &partials {
             for (yv, &pv) in yc.iter_mut().zip(&part[r0..]) {
                 *yv = S::plus(*yv, pv);
@@ -138,7 +95,7 @@ pub fn par_spmv_in<S: Semiring, A: SpmvBody + Sync>(
 ) {
     kernels::staged::<S, A>(a, x, y, |out| match A::FAMILY {
         Family::Rows => {
-            par_rows(exec, out, a.unit(), |lo, yc| a.acc::<S>(lo, lo + yc.len(), x, yc))
+            exec.par_blocks(out, a.unit(), |lo, yc| a.acc::<S>(lo, lo + yc.len(), x, yc))
         }
         Family::Scatter => {
             par_scatter::<S>(exec, a.extent(), out, |lo, hi, part| a.acc::<S>(lo, hi, x, part))
@@ -165,7 +122,7 @@ pub fn par_spmm_csr_dense_in<S: Semiring>(
     if k == 0 {
         return; // zero-width multivector: nothing to accumulate
     }
-    par_rows(exec, y, k, |e0, yc| {
+    exec.par_blocks(y, k, |e0, yc| {
         kernels::spmm_csr_dense_rows::<S>(a, e0 / k, (e0 + yc.len()) / k, x, k, yc)
     });
 }
@@ -186,7 +143,7 @@ pub fn par_spmm_csr_csr_in<S: Semiring>(
     exec: &ExecCtx,
 ) -> Vec<(usize, usize, S::Elem)> {
     assert_eq!(a.ncols(), b.nrows(), "inner dimensions");
-    let blocks = par_ranges(exec, a.nrows(), |lo, hi| kernels::spmm_csr_csr_rows::<S>(a, b, lo, hi));
+    let blocks = exec.par_ranges(a.nrows(), |lo, hi| kernels::spmm_csr_csr_rows::<S>(a, b, lo, hi));
     blocks.into_iter().flatten().collect()
 }
 
@@ -220,7 +177,7 @@ pub(crate) fn par_wave(
     for l in 0..sched.num_levels() {
         let level = sched.level(l);
         let xs: &[f64] = x;
-        par_rows(exec, &mut wave[..level.len()], 1, |p0, wc| {
+        exec.par_blocks(&mut wave[..level.len()], 1, |p0, wc| {
             for (wp, &i) in wc.iter_mut().zip(&level[p0..]) {
                 *wp = row(i, xs);
             }
@@ -277,43 +234,4 @@ pub fn par_symgs_csr(
 ) {
     kernels::check_sweep(a, b, x);
     par_wave(exec, tri, dep, (sched, cert), x, kernels::gs_row(a, omega, b));
-}
-
-#[cfg(test)]
-mod tests {
-    //! Driver geometry only; what the drivers promise about *results*
-    //! is pinned per format in `tests/kernel_tiers.rs`.
-    use super::*;
-
-    #[test]
-    fn par_rows_blocks_are_whole_units_covering_the_output_once() {
-        for (len, unit) in [(0, 1), (1, 1), (10, 1), (12, 3), (45, 3), (7, 7)] {
-            for threads in [1, 2, 3, 8] {
-                let mut y = vec![usize::MAX; len];
-                par_rows(&ExecCtx::with_threads(threads), &mut y, unit, |lo, yc| {
-                    assert!(lo % unit == 0 && yc.len() % unit == 0, "len {len}, unit {unit}");
-                    for (d, v) in yc.iter_mut().enumerate() {
-                        *v = lo + d;
-                    }
-                });
-                assert_eq!(y, (0..len).collect::<Vec<_>>(), "{threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn par_ranges_partition_the_items_in_order() {
-        for items in [0, 1, 2, 9, 10] {
-            for threads in [1, 2, 4, 16] {
-                let ranges = par_ranges(&ExecCtx::with_threads(threads), items, |lo, hi| (lo, hi));
-                assert!(ranges.len() <= threads.max(1), "{items} items, {threads} threads");
-                let mut next = 0;
-                for (lo, hi) in ranges {
-                    assert!(lo == next && hi >= lo);
-                    next = hi;
-                }
-                assert_eq!(next, items);
-            }
-        }
-    }
 }

@@ -37,8 +37,8 @@ pub struct PlanEvent {
 /// The classifying fields (`op`, `strategy`, `algebra`, `tier`,
 /// `downgrade`) are `&'static str`: every producer draws them from a
 /// closed vocabulary of interned names (op tags, `Strategy::name()`,
-/// `Semiring::NAME`, the `reason` constants of the compilation
-/// pipeline), so recording a decision allocates nothing.
+/// `Semiring::NAME`, `Reason::as_str()` of the compilation pipeline),
+/// so recording a decision allocates nothing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StrategyEvent {
     /// Engine kind (`spmv`, `spmm`, `spmv_multi`, `sptrsv`, `symgs`).

@@ -8,7 +8,6 @@
 use bernoulli_formats::ExecCtx;
 use bernoulli_relational::semiring::{F64Plus, Semiring};
 use bernoulli_spmd::machine::Ctx;
-use rayon::prelude::*;
 
 /// `⊕ᵢ (aᵢ ⊗ bᵢ)` — the dot product under an arbitrary semiring: the
 /// classical inner product at [`F64Plus`], the cheapest relaxed path
@@ -62,23 +61,10 @@ pub fn scale(alpha: f64, y: &mut [f64]) {
 /// serial left-to-right sum by O(n·ε) rounding).
 pub fn par_dot(a: &[f64], b: &[f64], exec: &ExecCtx) -> f64 {
     assert_eq!(a.len(), b.len());
-    let t = exec.threads_hint();
-    if t <= 1 || !exec.should_parallelize(a.len()) {
+    if !exec.should_parallelize(a.len()) {
         return dot(a, b);
     }
-    let nchunks = t.min(a.len().max(1));
-    let chunk = a.len().div_ceil(nchunks).max(1);
-    let partials: Vec<f64> = exec.install(|| {
-        (0..nchunks)
-            .into_par_iter()
-            .map(|ci| {
-                let lo = ci * chunk;
-                let hi = (lo + chunk).min(a.len());
-                dot(&a[lo..hi], &b[lo..hi])
-            })
-            .collect()
-    });
-    partials.iter().sum()
+    exec.par_ranges(a.len(), |lo, hi| dot(&a[lo..hi], &b[lo..hi])).iter().sum()
 }
 
 /// Shared-memory parallel Euclidean norm (see [`par_dot`]).
@@ -90,33 +76,19 @@ pub fn par_norm2(a: &[f64], exec: &ExecCtx) -> f64 {
 /// result is bit-identical to [`axpy`] for any worker count.
 pub fn par_axpy(alpha: f64, x: &[f64], y: &mut [f64], exec: &ExecCtx) {
     assert_eq!(x.len(), y.len());
-    let t = exec.threads_hint();
-    if t <= 1 || !exec.should_parallelize(y.len()) || y.is_empty() {
+    if !exec.should_parallelize(y.len()) {
         return axpy(alpha, x, y);
     }
-    let chunk = y.len().div_ceil(t).max(1);
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let lo = ci * chunk;
-            axpy(alpha, &x[lo..lo + yc.len()], yc);
-        });
-    });
+    exec.par_blocks(y, 1, |lo, yc| axpy(alpha, &x[lo..lo + yc.len()], yc));
 }
 
 /// Shared-memory parallel `y ← x + beta·y` (bit-identical to [`xpby`]).
 pub fn par_xpby(x: &[f64], beta: f64, y: &mut [f64], exec: &ExecCtx) {
     assert_eq!(x.len(), y.len());
-    let t = exec.threads_hint();
-    if t <= 1 || !exec.should_parallelize(y.len()) || y.is_empty() {
+    if !exec.should_parallelize(y.len()) {
         return xpby(x, beta, y);
     }
-    let chunk = y.len().div_ceil(t).max(1);
-    exec.install(|| {
-        y.par_chunks_mut(chunk).enumerate().for_each(|(ci, yc)| {
-            let lo = ci * chunk;
-            xpby(&x[lo..lo + yc.len()], beta, yc);
-        });
-    });
+    exec.par_blocks(y, 1, |lo, yc| xpby(&x[lo..lo + yc.len()], beta, yc));
 }
 
 /// Distributed dot product: local part + all-reduce.

@@ -20,7 +20,7 @@ fn main() {
     let n = t.nrows();
     let nnz = t.canonicalize().entries().len();
     println!("matrix: grid3d_7pt(24,24,24) — {n} rows, {nnz} stored nonzeros");
-    println!("host workers (rayon default): {}\n", ExecCtx::parallel().threads_hint());
+    println!("host workers (hardware threads): {}\n", ExecCtx::parallel().threads_hint());
 
     let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
 

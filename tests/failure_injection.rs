@@ -151,6 +151,12 @@ fn matrix_market_parser_survives_garbage() {
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1\n",
         "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",
         "%%MatrixMarket matrix coordinate complex hermitian\n2 2 1\n1 1 1.0 0.0\n",
+        // A lying entry count: more entries than the shape has cells ...
+        "%%MatrixMarket matrix coordinate real general\n2 2 18446744073709551615\n1 1 1.0\n",
+        "%%MatrixMarket matrix coordinate real general\n2 2 4611686018427387904\n1 1 1.0\n",
+        // ... or one the shape could hold but no allocation can: the
+        // reader must not reserve what the header claims.
+        "%%MatrixMarket matrix coordinate real general\n4294967296 4294967296 4611686018427387904\n1 1 1.0\n",
     ] {
         assert!(
             read_matrix_market(BufReader::new(bad.as_bytes())).is_err(),

@@ -13,6 +13,11 @@
 //!   valid `WavefrontCert`, and the serial sweep itself under a foreign
 //!   certificate or schedule.
 //!
+//! Underneath the drivers, the two fork/join primitives
+//! (`ExecCtx::{par_blocks, par_ranges}`) get a table of their own:
+//! geometry, result order, panic propagation, and bit patterns that pin
+//! where the chunk boundaries fall.
+//!
 //! Worker counts are forced past the host's core count and the size
 //! gate is 1, so the drivers — not the environment — decide.
 
@@ -22,6 +27,9 @@ use bernoulli_analysis::wavefront::{
 use bernoulli_formats::kernels;
 use bernoulli_formats::{gen, par_kernels, Bsr, Ccs, Csr, ExecCtx, FormatKind, Msr, SparseMatrix, Triplets};
 use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus, Semiring};
+use bernoulli_solvers::vecops;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 const WORKERS: [usize; 4] = [1, 2, 3, 7];
 
@@ -374,5 +382,125 @@ fn symgs_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
                 assert_eq!(bits(&got), bits(&want), "{case}, forged schedule");
             }
         }
+    }
+}
+
+// --- the fork/join primitives -------------------------------------------
+
+/// Geometry of `par_blocks` and `par_ranges` over workers × lengths
+/// around the worker count × units (4 and 5 leave a ragged tail on most
+/// lengths): every element is visited exactly once at its own offset,
+/// blocks start on unit boundaries at `(len/unit).div_ceil(t).max(1)·unit`
+/// strides, and ranges come back in order at `items.div_ceil(min(t, items))`
+/// strides — empty tail ranges and the single empty range of
+/// `items == 0` included.
+#[test]
+fn fork_join_primitives_partition_their_index_space_in_order() {
+    for t in WORKERS {
+        let exec = ExecCtx::with_threads(t);
+        for len in [0, 1, t - 1, t, t + 1, 103] {
+            for unit in [1, 4, 5] {
+                let case = format!("{t} workers, len {len}, unit {unit}");
+                let mut y = vec![0usize; len];
+                let blocks = Mutex::new(Vec::new());
+                exec.par_blocks(&mut y, unit, |offset, block| {
+                    blocks.lock().unwrap().push((offset, block.len()));
+                    for (d, v) in block.iter_mut().enumerate() {
+                        *v += offset + d + 1;
+                    }
+                });
+                assert_eq!(y, (1..=len).collect::<Vec<_>>(), "{case}");
+                let mut blocks = blocks.into_inner().unwrap();
+                blocks.sort_unstable();
+                let chunk = (len / unit).div_ceil(t).max(1) * unit;
+                let want: Vec<(usize, usize)> = if t == 1 || len == 0 {
+                    vec![(0, len)]
+                } else {
+                    (0..len).step_by(chunk).map(|lo| (lo, chunk.min(len - lo))).collect()
+                };
+                assert_eq!(blocks, want, "{case}");
+                // One block per worker; a ragged tail may add one more.
+                assert!(blocks.len() <= t + usize::from(len % unit != 0), "{case}");
+                assert!(blocks.iter().all(|&(lo, _)| lo % unit == 0), "{case}");
+            }
+
+            let ranges = exec.par_ranges(len, |lo, hi| (lo, hi));
+            let nchunks = t.min(len).max(1);
+            let per = len.div_ceil(nchunks);
+            let want: Vec<(usize, usize)> =
+                (0..nchunks).map(|c| ((c * per).min(len), ((c + 1) * per).min(len))).collect();
+            assert_eq!(ranges, want, "{t} workers, {len} items");
+            assert_eq!((ranges[0].0, ranges[nchunks - 1].1), (0, len));
+            assert!(ranges.windows(2).all(|w| w[0].1 == w[1].0), "{t} workers, {len} items");
+        }
+    }
+}
+
+/// A body that panics — on the calling thread (block 0) or on a spawned
+/// worker — surfaces as that panic, payload intact, after every other
+/// block has run to completion; it never hangs or turns into a generic
+/// "a scoped thread panicked".
+#[test]
+fn a_panicking_block_is_re_raised_on_the_caller_after_the_join() {
+    let exec = ExecCtx::with_threads(3);
+    let message = |r: std::thread::Result<()>| r.unwrap_err().downcast_ref::<String>().cloned();
+    for bad in 0..3 {
+        let mut y = vec![0u8; 9];
+        let blocks = catch_unwind(AssertUnwindSafe(|| {
+            exec.par_blocks(&mut y, 1, |offset, block| {
+                assert!(offset != 3 * bad, "block {bad} failed");
+                block.fill(1);
+            })
+        }));
+        assert_eq!(message(blocks), Some(format!("block {bad} failed")));
+        let survivors: Vec<u8> = (0..9).map(|i| u8::from(i / 3 != bad)).collect();
+        assert_eq!(y, survivors, "block {bad}: the others must have finished");
+
+        let ranges = catch_unwind(AssertUnwindSafe(|| {
+            exec.par_ranges(9, |lo, _| assert!(lo != 3 * bad, "range {bad} failed"));
+        }));
+        assert_eq!(message(ranges), Some(format!("range {bad} failed")));
+    }
+}
+
+fn bit_hash(v: &[f64]) -> u64 {
+    v.iter().fold(0xcbf2_9ce4_8422_2325, |h, x| (h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// Where the chunk boundaries fall decides how a parallel reduction
+/// rounds, so they are part of the contract: the bit patterns below
+/// were captured from the work-queue runtime these primitives replaced
+/// (dot and the CCS merge differ per worker count; the element-wise ops
+/// must not).
+#[test]
+fn chunk_boundaries_reproduce_the_pinned_bit_patterns() {
+    let n = 1003;
+    let a: Vec<f64> = (0..n).map(|i| ((i * 31 % 97) as f64) * 0.1 - 3.0).collect();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 17 % 89) as f64) * 0.3 - 5.0).collect();
+    let t = gen::random_sparse(61, 47, 900, 9);
+    let ccs = Ccs::from_triplets(&t);
+    let x: Vec<f64> = (0..47).map(|i| ((i * 7 + 3) % 11) as f64 * 0.1 - 0.45).collect();
+    assert_eq!(vecops::dot(&a, &b).to_bits(), 0x40cc_a23c_28f5_c28a);
+    for (workers, dot, spmv) in [
+        (2, 0x40cc_a23c_28f5_c292, 0xf85a_82b0_f14a_61aa),
+        (3, 0x40cc_a23c_28f5_c28e, 0x6313_981b_079a_9616),
+        (7, 0x40cc_a23c_28f5_c290, 0xa247_a84a_3842_2452),
+    ] {
+        let exec = ctx(workers);
+        assert_eq!(vecops::par_dot(&a, &b, &exec).to_bits(), dot, "par_dot, {workers} workers");
+        let mut y = b.clone();
+        vecops::par_axpy(0.7, &a, &mut y, &exec);
+        assert_eq!(bit_hash(&y), 0x0f8f_55d7_b764_64b7, "par_axpy, {workers} workers");
+        vecops::par_xpby(&a, -0.3, &mut y, &exec);
+        assert_eq!(bit_hash(&y), 0x98df_0330_d99c_fa79, "par_xpby, {workers} workers");
+        let mut y = vec![0.1; 61];
+        par_kernels::par_spmv_in::<F64Plus, _>(&ccs, &x, &mut y, &exec);
+        assert_eq!(bit_hash(&y), spmv, "CCS SpMV, {workers} workers");
+    }
+    // A length the worker count does not divide leaves an empty tail
+    // range (5 items on 4 workers: 2 + 2 + 1 + 0), not a stray index.
+    for len in [0, 1, 5, 9] {
+        let (got, want) = (vecops::par_dot(&a[..len], &b[..len], &ctx(4)), vecops::dot(&a[..len], &b[..len]));
+        assert!((got - want).abs() <= 1e-12 * want.abs().max(1.0), "par_dot, {len} elements");
     }
 }

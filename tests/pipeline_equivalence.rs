@@ -15,7 +15,7 @@ use bernoulli::engines::{
     SemiringSpmmEngine, SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine, Strategy,
 };
 use bernoulli::{
-    compile_op, reason, CompiledOp, OpHints, OpSpec, Operands, RelError, RelResult, SptrsvEngine,
+    compile_op, CompiledOp, OpHints, OpSpec, Operands, Reason, RelError, RelResult, SptrsvEngine,
     SymGsEngine, TriangularOp,
 };
 use bernoulli_analysis::wavefront::LevelSchedule;
@@ -231,7 +231,7 @@ fn schedule_replay_parity_and_forged_schedule_rejection() {
     let forged = OpHints { schedules: vec![forged], ..cold.hints() };
     let bad: SptrsvEngine = compile_warm::<F64Plus, _>(solve, Operands::Tri(&l), &ctx, &forged);
     assert_eq!(bad.strategy(), Strategy::Specialized);
-    assert_eq!(bad.downgrade(), reason::SCHEDULE_REJECTED);
+    assert_eq!(bad.downgrade(), Reason::ScheduleRejected);
     let mut x3 = vec![0.0; n];
     bad.run(&l, &b, &mut x3).unwrap();
     assert_eq!(bits(&x1), bits(&x3), "rejected schedule must not corrupt the solve");

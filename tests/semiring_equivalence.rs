@@ -209,7 +209,7 @@ fn ref_spmv(m: &SparseMatrix, x: &[f64], y: &mut [f64]) {
 // family (CCS / CCCS / COO) accumulated per-chunk partials serially
 // and merged them in fixed chunk order — deterministic for a given
 // worker count but re-associated vs serial — reproduced here with the
-// same chunk geometry, computed without rayon (the schedule never
+// same chunk geometry, computed on one thread (the schedule never
 // affected the result, only which thread ran which chunk).
 // ---------------------------------------------------------------------
 

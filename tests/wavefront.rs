@@ -5,7 +5,7 @@
 //! inputs (empty rows, dense columns, NaN/Inf values), because a
 //! level schedule permutes waves, never the operations within a row.
 
-use bernoulli::{reason, ExecCtx, SptrsvEngine, Strategy as Tier, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
+use bernoulli::{ExecCtx, Reason, SptrsvEngine, Strategy as Tier, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
 use bernoulli_analysis::wavefront::{analyze_wavefront, Triangle};
 use bernoulli_formats::{gen, Csr, Triplets};
 use bernoulli_obs::Obs;
@@ -62,7 +62,7 @@ fn grid_certified_and_chain_refused_both_visible_in_obs() {
     let ceng =
         SptrsvEngine::compile_in(&ch, TriangularOp::Lower { unit_diag: false }, &ctx).unwrap();
     assert_eq!(ceng.strategy(), Tier::Specialized);
-    assert_eq!(ceng.downgrade(), reason::LEVELS_TOO_NARROW);
+    assert_eq!(ceng.downgrade(), Reason::LevelsTooNarrow);
 
     let report = obs.report();
     report.validate().unwrap();
@@ -80,7 +80,7 @@ fn grid_certified_and_chain_refused_both_visible_in_obs() {
 
     let c = &report.strategies[1];
     assert_eq!((c.op, c.strategy), ("sptrsv", "Specialized"));
-    assert_eq!(c.downgrade, reason::LEVELS_TOO_NARROW);
+    assert_eq!(c.downgrade, Reason::LevelsTooNarrow.as_str());
     assert_eq!((c.levels, c.max_level_width), (64, 1));
     assert!((c.mean_level_width - 1.0).abs() < 1e-12);
 
@@ -119,7 +119,7 @@ fn non_triangular_operand_is_refused_a_certificate() {
         SptrsvEngine::compile_in(&full, TriangularOp::Lower { unit_diag: false }, &par_ctx())
             .unwrap();
     assert_eq!(eng.strategy(), Tier::Specialized);
-    assert_eq!(eng.downgrade(), reason::NOT_TRIANGULAR);
+    assert_eq!(eng.downgrade(), Reason::NotTriangular);
 }
 
 #[test]
