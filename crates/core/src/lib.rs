@@ -51,5 +51,5 @@ pub use pipeline::{
     compile as compile_op, CompiledOp, GateDecision, OpHints, OpKind, OpSpec, Operands, Reason,
 };
 pub use trisolve::{SptrsvEngine, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
-pub use bernoulli_formats::{ExecConfig, ExecCtx};
+pub use bernoulli_formats::ExecCtx;
 pub use bernoulli_relational::error::{RelError, RelResult};

@@ -38,7 +38,7 @@ use bernoulli_analysis::wavefront::{
     self, analyze_wavefront, verify_level_schedule, LevelSchedule, Triangle, WavefrontCert,
 };
 use bernoulli_formats::{
-    fast, kernels, par_kernels, Csr, DenseMatrix, ExecConfig, ExecCtx, SparseMatrix, Validate,
+    fast, kernels, par_kernels, Csr, DenseMatrix, ExecCtx, SparseMatrix, Validate,
 };
 use bernoulli_obs::events::{KernelCounters, StrategyEvent};
 use bernoulli_relational::access::{MatMeta, MatrixAccess, VecMeta};
@@ -108,7 +108,7 @@ pub enum Strategy {
     /// monomorphised kernel (the "generated code" path).
     Specialized,
     /// The plan matched the natural traversal *and* the operand is
-    /// large enough to clear the [`ExecConfig`] work threshold:
+    /// large enough to clear the [`ExecCtx`] work threshold:
     /// dispatch to the shared-memory parallel kernel of
     /// [`bernoulli_formats::par_kernels`]. Below the threshold an
     /// engine compiles to [`Strategy::Specialized`] with the identical
@@ -403,6 +403,22 @@ impl GateDecision {
     }
 }
 
+/// The O(1) gates every parallel verdict passes first — work threshold
+/// → worker pool. `Some` is the serial verdict that ends the chain. A
+/// plan that clears the size gate *wants* to go parallel, but a pool
+/// that can only run one worker at a time (requested threads clamped to
+/// the hardware parallelism, unless oversubscription is explicitly
+/// allowed) would pay pure fork/join overhead for it.
+fn pool_gates(work: usize, ctx: &ExecCtx) -> Option<GateDecision> {
+    if !ctx.should_parallelize(work) {
+        return Some(GateDecision::serial(false, Reason::None));
+    }
+    if ctx.effective_workers() <= 1 {
+        return Some(GateDecision::serial(false, Reason::SingleWorkerPool));
+    }
+    None
+}
+
 /// The DO-ANY gate chain under an explicit scalar algebra:
 /// specialisability → work threshold → worker pool → race certificate
 /// (`check_do_any_in`, so a reduction nest over a non-associative-
@@ -412,22 +428,14 @@ pub fn do_any_decision(
     nest: &LoopNest,
     specializable: bool,
     work: usize,
-    exec: &ExecConfig,
+    exec: &ExecCtx,
     algebra: &AlgebraProps,
 ) -> GateDecision {
     if !specializable {
         return GateDecision::new(Strategy::Interpreted, false, false);
     }
-    if !exec.should_parallelize(work) {
-        return GateDecision::serial(false, Reason::None);
-    }
-    // The size gate passed, so the plan *wants* to go parallel — but a
-    // pool that can only run one worker at a time (requested threads
-    // clamped to the hardware parallelism, unless oversubscription is
-    // explicitly allowed) would pay pure fork/join overhead for it.
-    // Downgrade to the serial specialized tier and say why.
-    if exec.effective_workers() <= 1 {
-        return GateDecision::serial(false, Reason::SingleWorkerPool);
+    if let Some(serial) = pool_gates(work, exec) {
+        return serial;
     }
     let safe = bernoulli_analysis::race::check_do_any_in(nest, algebra).is_parallel_safe();
     GateDecision {
@@ -457,12 +465,8 @@ fn wave_decision(
     ctx: &ExecCtx,
     cached: Option<LevelSchedule>,
 ) -> (GateDecision, Option<(LevelSchedule, WavefrontCert)>) {
-    let cfg = ctx.config();
-    if !cfg.should_parallelize(work) {
-        return (GateDecision::serial(false, Reason::None), None);
-    }
-    if cfg.effective_workers() <= 1 {
-        return (GateDecision::serial(false, Reason::SingleWorkerPool), None);
+    if let Some(serial) = pool_gates(work, ctx) {
+        return (serial, None);
     }
     // Consult the DO-ANY checker exactly like the dense engines do.
     // It refuses the sweep nest (BA01/BA02) — that refusal is the
@@ -518,7 +522,7 @@ fn record_decision(
     work: usize,
     tier: &'static str,
 ) {
-    let (obs, exec) = (ctx.obs(), ctx.config());
+    let obs = ctx.obs();
     obs.counter("engine.compile", 1);
     obs.strategy(|| StrategyEvent {
         op: kind.name(),
@@ -526,8 +530,8 @@ fn record_decision(
         algebra: kind.algebra(),
         specializable,
         work: work as u64,
-        threshold: exec.par_threshold_nnz as u64,
-        threads: exec.threads_hint() as u64,
+        threshold: ctx.par_threshold_nnz() as u64,
+        threads: ctx.threads_hint() as u64,
         race_checked: d.race_checked,
         race_safe: d.race_safe,
         tier,
@@ -588,11 +592,11 @@ fn sptrsv_counters(a: &Csr) -> KernelCounters {
     KernelCounters { nnz, flops: 2 * nnz + n, bytes: 8 * (2 * nnz + 2 * n), algebra: "f64_plus" }
 }
 
-/// Checked-mode operand gate: when [`ExecConfig::checked`] is set, run
+/// Checked-mode operand gate: when [`ExecCtx::checked`] is set, run
 /// the format-invariant sanitizer over the operand and refuse to
 /// compile against a corrupt matrix ([`RelError::Validation`]).
-fn check_operand(name: &str, m: &impl Validate, exec: &ExecConfig) -> RelResult<()> {
-    if exec.checked {
+fn check_operand(name: &str, m: &impl Validate, ctx: &ExecCtx) -> RelResult<()> {
+    if ctx.is_checked() {
         m.validate_ok()
             .map_err(|e| RelError::Validation(format!("operand {name}: {e}")))?;
     }
@@ -830,11 +834,11 @@ pub fn compile<S: Semiring>(
     ctx: &ExecCtx,
     hints: Option<&OpHints>,
 ) -> RelResult<CompiledOp> {
-    let (cfg, kind) = (ctx.config(), spec.kind());
+    let kind = spec.kind();
     let is_csr = |m: &SparseMatrix| matches!(m, SparseMatrix::Csr(_));
     let row = match (spec, operands) {
         (OpSpec::Spmv, Operands::Mat(a)) => {
-            check_operand("A", a, cfg)?;
+            check_operand("A", a, ctx)?;
             let m = a.meta();
             DoAny {
                 hand_shapes: spmv_hand_shapes(&m),
@@ -843,8 +847,8 @@ pub fn compile<S: Semiring>(
             }
         }
         (OpSpec::Spmm, Operands::MatPair(a, b)) => {
-            check_operand("A", a, cfg)?;
-            check_operand("B", b, cfg)?;
+            check_operand("A", a, ctx)?;
+            check_operand("B", b, ctx)?;
             let (ma, mb) = (a.meta(), b.meta());
             // Gustavson's traversal over two CSR operands is the one
             // shape with a hand-tuned kernel. Work estimate: the driver
@@ -857,7 +861,7 @@ pub fn compile<S: Semiring>(
             }
         }
         (OpSpec::SpmvMulti { k }, Operands::Mat(a)) => {
-            check_operand("A", a, cfg)?;
+            check_operand("A", a, ctx)?;
             let m = a.meta();
             // The natural shape: rows of A, then A's entries, then the
             // dense ncols × k multivector row — CSR dispatches to the
@@ -873,7 +877,7 @@ pub fn compile<S: Semiring>(
         }
         (OpSpec::SemiringSpmv { algebra }, Operands::Mat(a)) => {
             check_algebra::<S>(algebra)?;
-            check_operand("A", a, cfg)?;
+            check_operand("A", a, ctx)?;
             DoAny {
                 interpretable: false,
                 algebra: S::props(),
@@ -882,8 +886,8 @@ pub fn compile<S: Semiring>(
         }
         (OpSpec::SemiringSpmm { algebra }, Operands::CsrPair(a, b)) => {
             check_algebra::<S>(algebra)?;
-            check_operand("A", a, cfg)?;
-            check_operand("B", b, cfg)?;
+            check_operand("A", a, ctx)?;
+            check_operand("B", b, ctx)?;
             // The parallel tier merges per-block partial products,
             // which is only sound when ⊕ is associative-commutative —
             // the same BA06 gate the kernels self-apply.
@@ -933,7 +937,6 @@ fn check_algebra<S: Semiring>(algebra: &'static str) -> RelResult<()> {
 /// the `QueryMeta`, the planner and the race gate; only the O(1) gates
 /// re-run against *this* context and operand.
 fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelResult<CompiledOp> {
-    let cfg = ctx.config();
     // Whether *any* plan can reach a hand kernel on these operands.
     // An `Interpreted` hint needs a real plan to interpret, and a
     // specialised verdict only replays onto the operand family it was
@@ -946,7 +949,7 @@ fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelRe
         Some(h) => {
             ctx.obs().counter("engine.compile_warm", 1);
             let plan = PlanSource::Hinted { shape: h.plan_shape.clone() };
-            (GateDecision::replayed(regate(h.strategy, d.work, cfg)), true, plan)
+            (GateDecision::replayed(regate(h.strategy, d.work, ctx)), true, plan)
         }
         None => {
             let nest = (d.nest)();
@@ -959,7 +962,7 @@ fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelRe
             };
             let kernel = Compiler::in_ctx(ctx).compile(&nest, &meta)?;
             let specializable = specializes(d.hand_shapes.contains(&kernel.shape().as_str()));
-            let decision = do_any_decision(&nest, specializable, d.work, cfg, &d.algebra);
+            let decision = do_any_decision(&nest, specializable, d.work, ctx, &d.algebra);
             (decision, specializable, PlanSource::Compiled(kernel))
         }
     };
@@ -996,10 +999,8 @@ fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelRe
 /// cache carries (it depends only on the canonical nest and the
 /// algebra, both part of the cache key). Downgrade-only: a replay
 /// never upgrades a cached serial verdict.
-fn regate(cached: Strategy, work: usize, cfg: &ExecConfig) -> Strategy {
-    if cached == Strategy::Parallel
-        && (!cfg.should_parallelize(work) || cfg.effective_workers() <= 1)
-    {
+fn regate(cached: Strategy, work: usize, ctx: &ExecCtx) -> Strategy {
+    if cached == Strategy::Parallel && pool_gates(work, ctx).is_some() {
         Strategy::Specialized
     } else {
         cached
@@ -1012,7 +1013,7 @@ fn compile_sptrsv(
     ctx: &ExecCtx,
     cached: Option<LevelSchedule>,
 ) -> RelResult<CompiledOp> {
-    check_operand("A", a, ctx.config())?;
+    check_operand("A", a, ctx)?;
     check_square(a, "triangular solve")?;
     let (d, schedule) =
         wave_decision(a.nrows(), a.rowptr(), a.colind(), op.triangle(), a.nnz(), ctx, cached);
@@ -1035,13 +1036,24 @@ fn compile_symgs(
     ctx: &ExecCtx,
     cached: Option<(LevelSchedule, LevelSchedule)>,
 ) -> RelResult<CompiledOp> {
-    check_operand("A", a, ctx.config())?;
+    check_operand("A", a, ctx)?;
     check_square(a, "Gauss-Seidel")?;
     let n = a.nrows();
     let (cached_fwd, cached_bwd) = cached.unzip();
-    let (frp, fci) = wavefront::symmetrize_lower(n, a.rowptr(), a.colind());
-    let (d, fwd_sched) =
-        wave_decision(n, &frp, &fci, Some(Triangle::Lower), a.nnz(), ctx, cached_fwd);
+    // One sweep's plan: its symmetrised dependence pattern (two O(nnz)
+    // vectors) and the gate chain's verdict on it.
+    type Symmetrize = fn(usize, &[usize], &[usize]) -> (Vec<usize>, Vec<usize>);
+    let sweep = |symmetrize: Symmetrize, triangle, cached| {
+        let (rp, ci) = symmetrize(n, a.rowptr(), a.colind());
+        let (d, sched) = wave_decision(n, &rp, &ci, Some(triangle), a.nnz(), ctx, cached);
+        (d, sched.map(|(s, c)| (rp, ci, s, c)))
+    };
+    // The O(1) gates first: a context that stays serial anyway must not
+    // pay for a pattern it would build and drop.
+    let (d, fwd) = match pool_gates(a.nnz(), ctx) {
+        Some(serial) => (serial, None),
+        None => sweep(wavefront::symmetrize_lower, Triangle::Lower, cached_fwd),
+    };
     record_decision(ctx, OpKind::Symgs, &d, true, a.nnz(), "reference");
     let mut compiled = CompiledOp {
         kind: OpKind::Symgs,
@@ -1053,12 +1065,10 @@ fn compile_symgs(
         io_lens: (n, n),
         payload: Payload::Symgs { operand: OperandId::of(a), sweeps: None },
     };
-    if let (Some((fs, fc)), Payload::Symgs { sweeps, .. }) = (fwd_sched, &mut compiled.payload) {
-        let (brp, bci) = wavefront::symmetrize_upper(n, a.rowptr(), a.colind());
-        let (bd, bwd_sched) =
-            wave_decision(n, &brp, &bci, Some(Triangle::Upper), a.nnz(), ctx, cached_bwd);
-        if let Some((bs, bc)) = bwd_sched {
-            *sweeps = Some(Box::new([(frp, fci, fs, fc), (brp, bci, bs, bc)]));
+    if let (Some(fwd), Payload::Symgs { sweeps, .. }) = (fwd, &mut compiled.payload) {
+        let (bd, bwd) = sweep(wavefront::symmetrize_upper, Triangle::Upper, cached_bwd);
+        if let Some(bwd) = bwd {
+            *sweeps = Some(Box::new([fwd, bwd]));
         } else {
             // Can only happen if the two symmetrizations disagree —
             // they never should, but never trust, always verify.
@@ -1268,14 +1278,15 @@ impl CompiledOp {
         self.check_kind(self.kind == OpKind::Spmv, "run_spmv")?;
         self.check_lens(x.len(), y.len())?;
         // The cached certificate only covers the exact arrays it was
-        // computed over; a different matrix (or a clone — the arrays
-        // moved) falls back to the reference kernel.
-        let use_fast = self.strategy == Strategy::Specialized
-            && self.fast_cert.as_ref().is_some_and(|c| c.covers(a));
+        // computed over: on a different matrix (or a clone — the arrays
+        // moved) the fast kernel's own `covers()`, the one per-run
+        // check, leaves `y` untouched for the reference kernel below.
+        let ran_fast = self.strategy == Strategy::Specialized
+            && self.fast_cert.as_ref().is_some_and(|c| fast::spmv_acc_fast(a, x, y, c));
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let name = match self.strategy {
-                Strategy::Specialized if use_fast => {
+                Strategy::Specialized if ran_fast => {
                     format!("fast_spmv_{}", a.kind().slug())
                 }
                 Strategy::Specialized => format!("spmv_{}", a.kind().slug()),
@@ -1290,9 +1301,7 @@ impl CompiledOp {
                 b.bind_mat(MAT_A, a).bind_vec(VEC_X, &x).bind_vec_mut(VEC_Y, y);
                 return self.interpreter().run(&mut b);
             }
-            Strategy::Specialized if use_fast => {
-                fast::spmv_acc_fast(a, x, y, self.fast_cert.as_ref().unwrap())
-            }
+            Strategy::Specialized if ran_fast => {}
             _ => a.spmv_acc_on::<F64Plus>(x, y, self.par_ctx()),
         }
         Ok(())
@@ -1513,7 +1522,7 @@ mod tests {
     use super::*;
     use bernoulli_formats::FormatKind;
 
-    fn do_any_f64(nest: &LoopNest, specializable: bool, work: usize, exec: &ExecConfig) -> GateDecision {
+    fn do_any_f64(nest: &LoopNest, specializable: bool, work: usize, exec: &ExecCtx) -> GateDecision {
         do_any_decision(nest, specializable, work, exec, &AlgebraProps::f64_plus())
     }
 
@@ -1526,7 +1535,7 @@ mod tests {
         use bernoulli_relational::scalar::UpdateOp;
         let mut racy = programs::matvec();
         racy.op = UpdateOp::Assign;
-        let exec = ExecConfig::with_threads(4).threshold(1).oversubscribe(true);
+        let exec = ExecCtx::with_threads(4).threshold(1).oversubscribe(true);
         let d = do_any_f64(&racy, true, 1 << 20, &exec);
         assert_eq!(d.strategy, Strategy::Specialized);
         assert_eq!(d.downgrade, Reason::RacyNest);
@@ -1544,13 +1553,13 @@ mod tests {
     fn gate_order_is_size_then_pool_then_race() {
         let nest = programs::matvec();
         // Below the threshold the race gate never runs.
-        let d = do_any_f64(&nest, true, 4, &ExecConfig::with_threads(4).threshold(1000));
+        let d = do_any_f64(&nest, true, 4, &ExecCtx::with_threads(4).threshold(1000));
         assert_eq!((d.strategy, d.race_checked), (Strategy::Specialized, false));
         assert_eq!(d.downgrade, Reason::None);
         // A requested-but-unavailable pool downgrades before the race
         // gate, too (threads_hint > 1, so the size gate passes; without
         // oversubscription the effective pool clamps to the hardware).
-        let d = do_any_f64(&nest, true, 1 << 20, &ExecConfig::with_threads(4).threshold(1));
+        let d = do_any_f64(&nest, true, 1 << 20, &ExecCtx::with_threads(4).threshold(1));
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         if hw <= 1 {
             assert_eq!((d.strategy, d.race_checked), (Strategy::Specialized, false));
@@ -1559,7 +1568,7 @@ mod tests {
             assert_eq!((d.strategy, d.race_checked), (Strategy::Parallel, true));
         }
         // Non-specialisable plans interpret without consulting any gate.
-        let d = do_any_f64(&nest, false, 1 << 20, &ExecConfig::with_threads(4).threshold(1));
+        let d = do_any_f64(&nest, false, 1 << 20, &ExecCtx::with_threads(4).threshold(1));
         assert_eq!((d.strategy, d.downgrade), (Strategy::Interpreted, Reason::None));
     }
 

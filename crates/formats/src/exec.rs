@@ -1,24 +1,21 @@
-//! Shared-memory execution configuration and the unified execution
-//! context.
+//! The unified execution context.
 //!
-//! Two types live here, at the bottom of the crate graph, so every
-//! layer shares them without a dependency cycle:
+//! [`ExecCtx`] lives here, at the bottom of the crate graph, so every
+//! layer shares it without a dependency cycle: the one context object
+//! threaded through the whole pipeline — the parallel-dispatch policy
+//! (worker count, work threshold, oversubscription), checked mode, the
+//! [`Obs`] telemetry handle, the specialization and fast-tier policies,
+//! and the workspace's only two fork/join primitives
+//! ([`ExecCtx::par_blocks`], [`ExecCtx::par_ranges`]). Compilers,
+//! engines, kernels, the SPMD machine and the solvers all take
+//! `&ExecCtx` instead of growing per-capability `_exec`/`_obs`
+//! parameter variants.
 //!
-//! * [`ExecConfig`] — the plain-data knobs: worker count, parallel
-//!   work threshold, checked mode. `Copy`, comparable, cheap.
-//! * [`ExecCtx`] — the one context object threaded through the whole
-//!   pipeline: the config plus the [`Obs`] telemetry handle, the
-//!   specialization policy, and the workspace's only two fork/join
-//!   primitives ([`ExecCtx::par_blocks`], [`ExecCtx::par_ranges`]).
-//!   Compilers, engines, kernels, the SPMD machine and the solvers
-//!   all take `&ExecCtx` instead of growing per-capability
-//!   `_exec`/`_obs` parameter variants.
+//! The dispatch policy:
 //!
-//! The config knobs:
-//!
-//! * **`threads`** — how many workers a parallel region may use
+//! * **threads** — how many workers a parallel region may use
 //!   (`0` = one per hardware thread, `1` = stay serial);
-//! * **`par_threshold_nnz`** — the work size (stored nonzeros, or the
+//! * **threshold** — the work size (stored nonzeros, or the
 //!   equivalent flop count for vector ops) below which parallel
 //!   dispatch is refused. Small operands lose more to fork/join and
 //!   cache-line ping-pong than they gain, and — just as important for
@@ -36,119 +33,6 @@ use bernoulli_obs::Obs;
 /// where fork/join overhead (thread wake-up plus one pass of cache
 /// warm-up per worker) stops dominating on commodity hardware.
 pub const DEFAULT_PAR_THRESHOLD_NNZ: usize = 32_768;
-
-/// How (and whether) an operation may execute in parallel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ExecConfig {
-    /// Worker threads for parallel regions: `0` = one per hardware
-    /// thread of this machine, `1` = serial, `n` = exactly `n`.
-    pub threads: usize,
-    /// Operations with less work (stored nonzeros) than this stay on
-    /// the serial kernels.
-    pub par_threshold_nnz: usize,
-    /// Checked mode: engines validate operand invariants (the
-    /// `bernoulli-analysis` sanitizer) before compiling against them,
-    /// refusing corrupt matrices instead of computing garbage.
-    pub checked: bool,
-    /// Allow more workers than the machine has hardware threads.
-    /// Off by default: a requested `threads` count above the hardware
-    /// parallelism is pure fork/join overhead (`perfbench/run.sh`'s
-    /// `formats.par_kernels.spmv.speedup_2t` reads ≤ 1× on a 1-core
-    /// host), so engines downgrade such plans to the serial tier.
-    /// Tests that pin the `Parallel` strategy on small hosts turn this
-    /// on.
-    pub oversubscribe: bool,
-}
-
-impl ExecConfig {
-    /// Never parallelize: serial kernels only, whatever the size.
-    pub fn serial() -> ExecConfig {
-        ExecConfig {
-            threads: 1,
-            par_threshold_nnz: usize::MAX,
-            checked: false,
-            oversubscribe: false,
-        }
-    }
-
-    /// Parallelize large operations on the machine's default worker
-    /// count; small ones stay serial.
-    pub fn parallel() -> ExecConfig {
-        ExecConfig {
-            threads: 0,
-            par_threshold_nnz: DEFAULT_PAR_THRESHOLD_NNZ,
-            checked: false,
-            oversubscribe: false,
-        }
-    }
-
-    /// Parallelize large operations on exactly `threads` workers.
-    pub fn with_threads(threads: usize) -> ExecConfig {
-        ExecConfig {
-            threads,
-            par_threshold_nnz: DEFAULT_PAR_THRESHOLD_NNZ,
-            checked: false,
-            oversubscribe: false,
-        }
-    }
-
-    /// Replace the parallel-dispatch work threshold.
-    pub fn threshold(mut self, nnz: usize) -> ExecConfig {
-        self.par_threshold_nnz = nnz;
-        self
-    }
-
-    /// Enable or disable checked mode (operand invariant validation at
-    /// engine compile time).
-    pub fn checked(mut self, yes: bool) -> ExecConfig {
-        self.checked = yes;
-        self
-    }
-
-    /// Allow worker counts above the machine's hardware parallelism
-    /// (see the `oversubscribe` field).
-    pub fn oversubscribe(mut self, yes: bool) -> ExecConfig {
-        self.oversubscribe = yes;
-        self
-    }
-
-    /// The concrete worker count this config resolves to (`threads`,
-    /// with `0` resolved to the machine's hardware parallelism).
-    pub fn threads_hint(&self) -> usize {
-        if self.threads == 0 {
-            hardware_threads()
-        } else {
-            self.threads
-        }
-    }
-
-    /// The worker count that can actually run concurrently:
-    /// [`threads_hint`](ExecConfig::threads_hint) clamped to the
-    /// machine's hardware parallelism unless `oversubscribe` is set.
-    /// A result of 1 means a parallel plan would be pure fork/join
-    /// overhead, so engines downgrade it to the serial tier.
-    pub fn effective_workers(&self) -> usize {
-        let hint = self.threads_hint();
-        if self.oversubscribe {
-            hint
-        } else {
-            hint.min(hardware_threads())
-        }
-    }
-
-    /// Should an operation of `work` stored nonzeros run parallel?
-    pub fn should_parallelize(&self, work: usize) -> bool {
-        self.threads_hint() > 1 && work >= self.par_threshold_nnz
-    }
-}
-
-impl Default for ExecConfig {
-    /// The default is [`ExecConfig::parallel`]: thresholded parallel
-    /// dispatch on the machine's worker count.
-    fn default() -> ExecConfig {
-        ExecConfig::parallel()
-    }
-}
 
 /// The machine's hardware parallelism, queried once per process: the
 /// size gates ask on every vector op.
@@ -182,79 +66,75 @@ fn fork_join<T: Send, R: Send>(
 /// The unified execution context: everything the pipeline needs to
 /// know about *how* to run, in one cloneable handle.
 ///
-/// An `ExecCtx` carries
-///
-/// * the [`ExecConfig`] knobs (threads, parallel threshold, checked
-///   mode),
-/// * the [`Obs`] telemetry handle (disabled by default — zero cost),
-/// * the **specialization policy** (whether engines may emit
-///   format-specialized kernels; on by default), and
-/// * the two fork/join primitives every parallel kernel runs under
-///   ([`par_blocks`](ExecCtx::par_blocks),
-///   [`par_ranges`](ExecCtx::par_ranges)).
-///
-/// `ExecCtx::default()` is the zero-overhead baseline: serial config,
+/// `ExecCtx::default()` is the zero-overhead baseline: serial,
 /// observability disabled, specialization on, never a thread spawned.
 /// All the `compile(a)`-style convenience entry points are defined as
 /// the ctx-taking form applied to this default.
 #[derive(Clone, Debug)]
 pub struct ExecCtx {
-    config: ExecConfig,
+    /// Worker threads for parallel regions: `0` = one per hardware
+    /// thread of this machine, `1` = serial, `n` = exactly `n`.
+    threads: usize,
+    /// Operations with less work (stored nonzeros) than this stay on
+    /// the serial kernels.
+    par_threshold_nnz: usize,
+    checked: bool,
+    oversubscribe: bool,
     obs: Obs,
     specialize: bool,
     fast: bool,
 }
 
 impl Default for ExecCtx {
-    /// Serial config, observability disabled, specialization on: the
-    /// exact behavior of the historical no-argument entry points.
+    /// Serial, observability disabled, specialization on: the exact
+    /// behavior of the historical no-argument entry points.
     fn default() -> ExecCtx {
         ExecCtx::serial()
     }
 }
 
 impl ExecCtx {
-    fn from_cfg(config: ExecConfig) -> ExecCtx {
+    fn new(threads: usize, par_threshold_nnz: usize) -> ExecCtx {
         ExecCtx {
-            config,
+            threads,
+            par_threshold_nnz,
+            checked: false,
+            oversubscribe: false,
             obs: Obs::disabled(),
             specialize: true,
             fast: false,
         }
     }
 
-    /// Serial context: serial kernels only, observability disabled.
-    /// Identical to `ExecCtx::default()`.
+    /// Serial context: serial kernels only, whatever the size;
+    /// observability disabled. Identical to `ExecCtx::default()`.
     pub fn serial() -> ExecCtx {
-        ExecCtx::from_cfg(ExecConfig::serial())
+        ExecCtx::new(1, usize::MAX)
     }
 
     /// Thresholded parallel dispatch on the machine's default worker
-    /// count.
+    /// count; small operations stay serial.
     pub fn parallel() -> ExecCtx {
-        ExecCtx::from_cfg(ExecConfig::parallel())
+        ExecCtx::new(0, DEFAULT_PAR_THRESHOLD_NNZ)
     }
 
     /// Thresholded parallel dispatch on exactly `threads` workers.
     pub fn with_threads(threads: usize) -> ExecCtx {
-        ExecCtx::from_cfg(ExecConfig::with_threads(threads))
-    }
-
-    /// Wrap an existing [`ExecConfig`] in a fresh context.
-    pub fn with_config(config: ExecConfig) -> ExecCtx {
-        ExecCtx::from_cfg(config)
+        ExecCtx::new(threads, DEFAULT_PAR_THRESHOLD_NNZ)
     }
 
     /// Replace the parallel-dispatch work threshold.
     pub fn threshold(mut self, nnz: usize) -> ExecCtx {
-        self.config.par_threshold_nnz = nnz;
+        self.par_threshold_nnz = nnz;
         self
     }
 
-    /// Enable or disable checked mode (operand invariant validation at
-    /// engine compile time).
+    /// Enable or disable checked mode: engines validate operand
+    /// invariants (the `bernoulli-analysis` sanitizer) before compiling
+    /// against them, refusing corrupt matrices instead of computing
+    /// garbage.
     pub fn checked(mut self, yes: bool) -> ExecCtx {
-        self.config.checked = yes;
+        self.checked = yes;
         self
     }
 
@@ -287,16 +167,24 @@ impl ExecCtx {
         self
     }
 
-    /// Allow worker counts above the machine's hardware parallelism
-    /// (see [`ExecConfig::oversubscribe`]).
+    /// Allow more workers than the machine has hardware threads. Off by
+    /// default: a requested count above the hardware parallelism is
+    /// pure fork/join overhead, so engines downgrade such plans to the
+    /// serial tier. Tests that pin the `Parallel` strategy on small
+    /// hosts turn this on.
     pub fn oversubscribe(mut self, yes: bool) -> ExecCtx {
-        self.config.oversubscribe = yes;
+        self.oversubscribe = yes;
         self
     }
 
-    /// The plain-data execution knobs.
-    pub fn config(&self) -> &ExecConfig {
-        &self.config
+    /// The parallel-dispatch work threshold in force.
+    pub fn par_threshold_nnz(&self) -> usize {
+        self.par_threshold_nnz
+    }
+
+    /// Is checked mode on?
+    pub fn is_checked(&self) -> bool {
+        self.checked
     }
 
     /// The telemetry handle (disabled unless [`ExecCtx::instrument`]
@@ -315,20 +203,33 @@ impl ExecCtx {
         self.fast
     }
 
-    /// The concrete worker count this context resolves to.
+    /// The concrete worker count this context resolves to (`threads`,
+    /// with `0` resolved to the machine's hardware parallelism).
     pub fn threads_hint(&self) -> usize {
-        self.config.threads_hint()
+        if self.threads == 0 {
+            hardware_threads()
+        } else {
+            self.threads
+        }
     }
 
-    /// The worker count that can actually run concurrently (see
-    /// [`ExecConfig::effective_workers`]).
+    /// The worker count that can actually run concurrently:
+    /// [`threads_hint`](ExecCtx::threads_hint) clamped to the machine's
+    /// hardware parallelism unless oversubscription is allowed. A
+    /// result of 1 means a parallel plan would be pure fork/join
+    /// overhead, so engines downgrade it to the serial tier.
     pub fn effective_workers(&self) -> usize {
-        self.config.effective_workers()
+        let hint = self.threads_hint();
+        if self.oversubscribe {
+            hint
+        } else {
+            hint.min(hardware_threads())
+        }
     }
 
     /// Should an operation of `work` stored nonzeros run parallel?
     pub fn should_parallelize(&self, work: usize) -> bool {
-        self.config.should_parallelize(work)
+        self.threads_hint() > 1 && work >= self.par_threshold_nnz
     }
 
     /// Fork/join over an output: split `y` into one contiguous block
@@ -373,26 +274,20 @@ impl ExecCtx {
     }
 }
 
-impl From<ExecConfig> for ExecCtx {
-    fn from(config: ExecConfig) -> ExecCtx {
-        ExecCtx::with_config(config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn serial_never_parallelizes() {
-        let e = ExecConfig::serial();
+        let e = ExecCtx::serial();
         assert_eq!(e.threads_hint(), 1);
         assert!(!e.should_parallelize(usize::MAX - 1));
     }
 
     #[test]
     fn threshold_gates_dispatch() {
-        let e = ExecConfig::with_threads(4).threshold(1000);
+        let e = ExecCtx::with_threads(4).threshold(1000);
         assert!(!e.should_parallelize(999));
         assert!(e.should_parallelize(1000));
     }
@@ -400,14 +295,16 @@ mod tests {
     #[test]
     fn zero_resolves_to_the_hardware_parallelism() {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(ExecConfig::parallel().threads_hint(), hw);
+        assert_eq!(ExecCtx::parallel().threads_hint(), hw);
         assert_eq!(ExecCtx::with_threads(3).threads_hint(), 3);
     }
 
     #[test]
     fn default_ctx_is_serial_uninstrumented() {
         let ctx = ExecCtx::default();
-        assert_eq!(*ctx.config(), ExecConfig::serial());
+        assert_eq!(ctx.threads_hint(), 1);
+        assert_eq!(ctx.par_threshold_nnz(), usize::MAX);
+        assert!(!ctx.is_checked());
         assert!(!ctx.obs().is_enabled());
         assert!(ctx.specialize());
         assert!(!ctx.fast());
@@ -416,10 +313,10 @@ mod tests {
     #[test]
     fn effective_workers_clamps_to_hardware_unless_oversubscribed() {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let e = ExecConfig::with_threads(hw + 7);
+        let e = ExecCtx::with_threads(hw + 7);
         assert_eq!(e.effective_workers(), hw);
         assert_eq!(e.oversubscribe(true).effective_workers(), hw + 7);
-        assert_eq!(ExecConfig::serial().effective_workers(), 1);
+        assert_eq!(ExecCtx::serial().effective_workers(), 1);
     }
 
     #[test]

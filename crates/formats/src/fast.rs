@@ -204,9 +204,18 @@ pub fn spmv_csr_lanes(a: &Csr, x: &[f64], y: &mut [f64]) {
 /// [`spmv_csr_lanes`] (same expression structure, same order).
 ///
 /// Panics if `cert` does not cover `a` — the certificate is the proof
-/// obligation of every unchecked access below.
+/// obligation of every unchecked access in the kernel.
 pub fn spmv_csr_fast(a: &Csr, x: &[f64], y: &mut [f64], cert: &CsrCert) {
-    assert!(cert.covers(a), "CsrCert does not cover this matrix");
+    assert!(try_spmv_csr_fast(a, x, y, cert), "CsrCert does not cover this matrix");
+}
+
+/// [`spmv_csr_fast`], answering instead of panicking: `false` — and `y`
+/// untouched — when `cert` does not cover `a`. The one `covers()` sweep
+/// per run dominates every `unsafe` block below.
+fn try_spmv_csr_fast(a: &Csr, x: &[f64], y: &mut [f64], cert: &CsrCert) -> bool {
+    if !cert.covers(a) {
+        return false;
+    }
     assert_eq!(x.len(), a.ncols());
     assert_eq!(y.len(), a.nrows());
     let rowptr = a.rowptr();
@@ -245,6 +254,7 @@ pub fn spmv_csr_fast(a: &Csr, x: &[f64], y: &mut [f64], cert: &CsrCert) {
         }
         *yr += (l[0] + l[1]) + (l[2] + l[3]);
     }
+    true
 }
 
 /// Validation certificate for one [`Msr`] matrix (see [`CsrCert`]).
@@ -532,11 +542,19 @@ impl ItpackCert {
 /// [`crate::kernels::spmv_in`]`::<F64Plus, Itpack>` (same slot order,
 /// padding included: padded slots multiply 0.0 against an in-bounds
 /// `x` element, reproducing the reference's NaN/Inf propagation).
+pub fn spmv_itpack_fast(a: &Itpack, x: &[f64], y: &mut [f64], cert: &ItpackCert) {
+    assert!(try_spmv_itpack_fast(a, x, y, cert), "ItpackCert does not cover this matrix");
+}
+
+/// [`spmv_itpack_fast`], answering instead of panicking (see
+/// [`try_spmv_csr_fast`]).
 // The `y = y + p` spelling below is semantic, not style — see the
 // SAFETY/NaN comment on the inner statement.
 #[allow(clippy::assign_op_pattern)]
-pub fn spmv_itpack_fast(a: &Itpack, x: &[f64], y: &mut [f64], cert: &ItpackCert) {
-    assert!(cert.covers(a), "ItpackCert does not cover this matrix");
+fn try_spmv_itpack_fast(a: &Itpack, x: &[f64], y: &mut [f64], cert: &ItpackCert) -> bool {
+    if !cert.covers(a) {
+        return false;
+    }
     assert_eq!(x.len(), a.ncols());
     assert_eq!(y.len(), a.nrows());
     let n = a.nrows();
@@ -561,6 +579,7 @@ pub fn spmv_itpack_fast(a: &Itpack, x: &[f64], y: &mut [f64], cert: &ItpackCert)
             }
         }
     }
+    true
 }
 
 /// [`SparseMatrix`]-level validation certificate: the engine seam's
@@ -596,14 +615,15 @@ impl MatrixCert {
 }
 
 /// `y += A·x` through the fast tier of whichever format the
-/// certificate covers. Panics if `cert` does not match `a` — callers
-/// (the engine) check [`MatrixCert::covers`] first and fall back to the
-/// reference tier on a mismatch.
-pub fn spmv_acc_fast(a: &SparseMatrix, x: &[f64], y: &mut [f64], cert: &MatrixCert) {
+/// certificate covers: `true` when it ran. `false` — with `y` untouched
+/// — when `cert` does not cover `a` (another matrix, or a clone: the
+/// arrays moved); the caller (the engine) then runs the reference tier.
+/// The certificate is checked here once per run, an O(nnz) sweep.
+pub fn spmv_acc_fast(a: &SparseMatrix, x: &[f64], y: &mut [f64], cert: &MatrixCert) -> bool {
     match (cert, a) {
-        (MatrixCert::Csr(c), SparseMatrix::Csr(m)) => spmv_csr_fast(m, x, y, c),
-        (MatrixCert::Itpack(c), SparseMatrix::Itpack(m)) => spmv_itpack_fast(m, x, y, c),
-        _ => panic!("MatrixCert does not match this matrix's format"),
+        (MatrixCert::Csr(c), SparseMatrix::Csr(m)) => try_spmv_csr_fast(m, x, y, c),
+        (MatrixCert::Itpack(c), SparseMatrix::Itpack(m)) => try_spmv_itpack_fast(m, x, y, c),
+        _ => false,
     }
 }
 

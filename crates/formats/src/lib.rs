@@ -71,7 +71,7 @@ pub use coo::Coo;
 pub use csr::Csr;
 pub use dense::DenseMatrix;
 pub use diag::DiagonalMatrix;
-pub use exec::{ExecConfig, ExecCtx};
+pub use exec::ExecCtx;
 pub use inode::InodeMatrix;
 pub use itpack::Itpack;
 pub use jdiag::JDiag;

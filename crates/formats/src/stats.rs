@@ -27,13 +27,6 @@ pub struct MatrixStats {
     /// column structure (fewer groups = more i-node sharing).
     pub inode_groups: usize,
     pub symmetric: bool,
-    /// Row-length histogram in power-of-two buckets: bucket 0 counts
-    /// empty rows, bucket `i ≥ 1` counts rows with length in
-    /// `[2^(i-1), 2^i)`. Trailing empty buckets are trimmed.
-    pub row_len_histogram: Vec<usize>,
-    /// Mean of `|j - i|` over stored entries (`bandwidth` is the max):
-    /// how far from the diagonal the *typical* entry lives.
-    pub avg_bandwidth: f64,
 }
 
 impl MatrixStats {
@@ -65,43 +58,6 @@ impl MatrixStats {
             self.nnz as f64 / total
         }
     }
-
-    /// Mean length of the *nonzero* rows: `nnz / (nrows - empty_rows)`,
-    /// with the empty-row count read off bucket 0 of
-    /// [`row_len_histogram`](Self::row_len_histogram). Unlike
-    /// [`avg_row_len`](Self::avg_row_len) (`nnz / nrows`), empty rows do
-    /// not drag this toward zero — it is the row length a kernel
-    /// actually sees per row it does work on. 0.0 when every row is
-    /// empty.
-    pub fn nonzero_row_mean(&self) -> f64 {
-        let empty = self.row_len_histogram.first().copied().unwrap_or(0);
-        let nonzero_rows = self.nrows - empty;
-        if nonzero_rows == 0 {
-            0.0
-        } else {
-            self.nnz as f64 / nonzero_rows as f64
-        }
-    }
-
-    /// Advisory unroll factor for the row-dot microkernels: rows long
-    /// enough to fill 4 accumulator lanes suggest the full 4-way split,
-    /// shorter rows 2-way, near-empty rows none (the lane ramp-up would
-    /// dominate). Based on [`nonzero_row_mean`](Self::nonzero_row_mean),
-    /// not `avg_row_len`: empty rows cost a lane split nothing (the
-    /// kernel skips them), so an empty-row-heavy matrix whose nonempty
-    /// rows are long still wants the full split. The fast tier currently
-    /// fixes its lane count for determinism; this feeds the
-    /// structure-hash-keyed kernel cache.
-    pub fn suggested_unroll(&self) -> usize {
-        let mean = self.nonzero_row_mean();
-        if mean >= 4.0 {
-            4
-        } else if mean >= 2.0 {
-            2
-        } else {
-            1
-        }
-    }
 }
 
 /// Compute statistics for a matrix in triplet form.
@@ -112,29 +68,16 @@ pub fn analyze(t: &Triplets) -> MatrixStats {
     let nnz = c.len();
 
     let mut bandwidth = 0usize;
-    let mut dist_sum = 0.0f64;
     let mut diag_set = std::collections::BTreeSet::new();
     let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); nrows];
     for &(r, cc, _) in c.entries() {
         let d = cc as isize - r as isize;
         bandwidth = bandwidth.max(d.unsigned_abs());
-        dist_sum += d.unsigned_abs() as f64;
         diag_set.insert(d);
         row_cols[r].push(cc);
     }
-    let avg_bandwidth = if nnz == 0 { 0.0 } else { dist_sum / nnz as f64 };
 
     let lens: Vec<usize> = row_cols.iter().map(Vec::len).collect();
-    // Power-of-two histogram: bucket 0 = empty rows, bucket i ≥ 1 =
-    // lengths in [2^(i-1), 2^i).
-    let mut row_len_histogram = Vec::new();
-    for &l in &lens {
-        let bucket = if l == 0 { 0 } else { l.ilog2() as usize + 1 };
-        if row_len_histogram.len() <= bucket {
-            row_len_histogram.resize(bucket + 1, 0);
-        }
-        row_len_histogram[bucket] += 1;
-    }
     let min_row_len = lens.iter().copied().min().unwrap_or(0);
     let max_row_len = lens.iter().copied().max().unwrap_or(0);
     let avg_row_len = if nrows == 0 { 0.0 } else { nnz as f64 / nrows as f64 };
@@ -173,8 +116,6 @@ pub fn analyze(t: &Triplets) -> MatrixStats {
         row_len_stddev: var.sqrt(),
         inode_groups,
         symmetric: c.is_symmetric(),
-        row_len_histogram,
-        avg_bandwidth,
     }
 }
 
@@ -249,74 +190,5 @@ mod tests {
         assert_eq!(s.avg_row_len, 0.0);
         assert_eq!(s.density(), 0.0);
         assert_eq!(s.avg_inode_rows(), 0.0);
-        assert!(s.row_len_histogram.is_empty());
-        assert_eq!(s.avg_bandwidth, 0.0);
-        assert_eq!(s.suggested_unroll(), 1);
-    }
-
-    #[test]
-    fn row_len_histogram_buckets_powers_of_two() {
-        // Rows of length 0, 1, 3, 4: buckets 0, 1, 2, 3.
-        let mut t = Triplets::new(4, 4);
-        t.push(1, 0, 1.0);
-        for c in 0..3 {
-            t.push(2, c, 1.0);
-        }
-        for c in 0..4 {
-            t.push(3, c, 1.0);
-        }
-        let s = analyze(&t);
-        assert_eq!(s.row_len_histogram, vec![1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn avg_bandwidth_is_mean_diagonal_distance() {
-        // Entries at |j-i| = 0, 0, 2: avg 2/3; max bandwidth 2.
-        let t = Triplets::from_entries(3, 3, &[(0, 0, 1.0), (1, 1, 1.0), (0, 2, 1.0)]);
-        let s = analyze(&t);
-        assert_eq!(s.bandwidth, 2);
-        assert!((s.avg_bandwidth - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn suggested_unroll_tracks_average_row_length() {
-        // 3 rows × 1 entry: avg 1 → no unroll.
-        let t = Triplets::from_entries(3, 3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
-        assert_eq!(analyze(&t).suggested_unroll(), 1);
-        // grid2d has avg row length just under 5 → full 4-way split.
-        let g = crate::gen::grid2d_5pt(8, 8);
-        assert_eq!(analyze(&g).suggested_unroll(), 4);
-    }
-
-    #[test]
-    fn suggested_unroll_ignores_empty_rows() {
-        // 10 rows, but only rows 0 and 1 hold entries — 8 each. The
-        // whole-matrix average (16/10 = 1.6) would refuse any unroll,
-        // yet every row the kernel does work on has 8 entries: the
-        // nonzero-row mean must drive the full 4-way split.
-        let mut t = Triplets::new(10, 10);
-        for r in 0..2 {
-            for c in 0..8 {
-                t.push(r, c, 1.0);
-            }
-        }
-        let s = analyze(&t);
-        assert!((s.avg_row_len - 1.6).abs() < 1e-12);
-        assert_eq!(s.row_len_histogram[0], 8);
-        assert!((s.nonzero_row_mean() - 8.0).abs() < 1e-12);
-        assert_eq!(s.suggested_unroll(), 4);
-    }
-
-    #[test]
-    fn nonzero_row_mean_edge_cases() {
-        // All rows empty (nonzero dims, zero entries) → 0.0, unroll 1.
-        let s = analyze(&Triplets::new(5, 5));
-        assert_eq!(s.nonzero_row_mean(), 0.0);
-        assert_eq!(s.suggested_unroll(), 1);
-        // No empty rows → nonzero-row mean equals the plain average.
-        let g = crate::gen::grid2d_5pt(6, 6);
-        let s = analyze(&g);
-        assert_eq!(s.row_len_histogram[0], 0);
-        assert!((s.nonzero_row_mean() - s.avg_row_len).abs() < 1e-12);
     }
 }

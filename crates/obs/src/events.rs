@@ -52,7 +52,7 @@ pub struct StrategyEvent {
     pub specializable: bool,
     /// Work estimate (stored nonzeros or flop-equivalent).
     pub work: u64,
-    /// The `ExecConfig` parallel-dispatch threshold in force.
+    /// The `ExecCtx` parallel-dispatch threshold in force.
     pub threshold: u64,
     /// Resolved worker count.
     pub threads: u64,

@@ -67,11 +67,11 @@ use crate::calibrate::{calibrate_spmv, CalibrationOutcome};
 use crate::jsonio::{parse, Value};
 use crate::key::{structure_key, structure_key_csr, StructureKey};
 
-/// On-disk schema identifier. Any change to the cache's JSON layout
-/// bumps the version suffix, and [`PlanCache::load`] treats a file
-/// carrying a different identifier as absent — a schema bump is a
-/// wholesale cache invalidation, never a migration.
-pub const SCHEMA: &str = "bernoulli.plancache/v2";
+/// On-disk schema identifier. Any change to the cache's JSON layout or
+/// to the [`StructureKey`] digest layout bumps the version suffix, and
+/// [`PlanCache::load`] treats a file carrying a different identifier as
+/// absent — a bump is a wholesale cache invalidation, never a migration.
+pub const SCHEMA: &str = "bernoulli.plancache/v3";
 
 /// One cached verdict for one `(structure, op)` pair.
 #[derive(Clone, Debug)]
@@ -694,7 +694,7 @@ mod tests {
         assert_eq!(warm.tier(), "fast", "reload re-certifies through the sanitizer");
 
         // Schema bump = wholesale invalidation.
-        let bumped = json.replace("bernoulli.plancache/v2", "bernoulli.plancache/v0");
+        let bumped = json.replace(SCHEMA, "bernoulli.plancache/v0");
         assert!(PlanCache::from_json(&bumped).unwrap_err().starts_with("schema mismatch"));
         // An entry with an op tag this build does not know is dropped,
         // not fatal (forward compatibility within one schema version).

@@ -1,35 +1,23 @@
 //! Stable structure keys: what "the same problem" means to the cache.
 //!
-//! A [`StructureKey`] digests everything that determines planning,
-//! strategy selection and wavefront scheduling — and nothing else:
-//!
-//! * the **format tag** (a CSR and a CCS of the same pattern plan
-//!   differently, so they key differently);
-//! * **dimensions and nnz**;
-//! * the [`MatrixStats`](bernoulli_formats::stats::MatrixStats)
-//!   profile (bandwidth, diagonal count, row-length extremes and
-//!   histogram, i-node groups) — the quantities that rank formats in
-//!   the paper's Table 1;
-//! * the **canonical nonzero pattern** itself, position by position.
-//!
-//! Pattern-derived *predicates* such as symmetry are deliberately not
-//! folded: the full pattern already determines them, and computing
-//! them (O(nnz log) per check) would tax every warm cache lookup for
-//! zero extra discrimination.
-//!
-//! Numeric **values are excluded**: a refactorization that keeps the
-//! pattern (the common case in time-stepping and Newton loops) maps to
-//! the same key and replays the same plan. The digest is FNV-1a over
-//! the canonicalized (row-major sorted, deduplicated) pattern, so it is
-//! independent of assembly order and storage incidentals.
+//! A [`StructureKey`] is one FNV-1a fold (`digest`) over what a
+//! format *stores*: its tag (a CSR and a CCS of one pattern plan
+//! differently), its dimensions, every stored `(row, col)` in the order
+//! the format's own [`MatrixAccess::enum_flat`] delivers it, then the
+//! entry count. Numeric **values are excluded**, so a refactorization
+//! that keeps the pattern replays the same plan, and a constructor
+//! that sorts and merges its input (`from_triplets`) keys independently
+//! of assembly order.
 //!
 //! The key is *identification*, not *proof*: nothing downstream trusts
 //! it for soundness. Cached certificates are re-validated and cached
 //! schedules re-verified against the actual operand at compile time, so
-//! the worst a colliding or stale key can do is pick a suboptimal tier.
+//! the worst a colliding or stale key can do is pick a suboptimal tier
+//! (a hand-built CSR with unsorted rows keys apart from its sorted twin
+//! and simply compiles cold).
 
-use bernoulli_formats::stats::analyze;
-use bernoulli_formats::{Csr, FormatKind, SparseMatrix, Triplets};
+use bernoulli_formats::{Csr, FormatKind, SparseMatrix};
+use bernoulli_relational::access::MatrixAccess;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 
@@ -45,11 +33,6 @@ fn fnv(h: u64, x: u64) -> u64 {
 pub struct StructureKey(u64);
 
 impl StructureKey {
-    /// The raw digest.
-    pub fn digest(self) -> u64 {
-        self.0
-    }
-
     /// Fixed-width lowercase hex (16 digits) — the on-disk and
     /// in-report spelling.
     pub fn hex(self) -> String {
@@ -87,157 +70,55 @@ impl std::fmt::Display for StructureKey {
     }
 }
 
-/// Key a matrix in any supported format.
-pub fn structure_key(a: &SparseMatrix) -> StructureKey {
-    // CSR storage is already canonical (row-major sorted, deduplicated)
-    // — key it in one pass. Keying is the tax every *warm* compile
-    // pays, so it must not re-canonicalize through a BTreeMap the way
-    // the generic triplets path does.
-    if let SparseMatrix::Csr(m) = a {
-        return structure_key_csr(m);
-    }
-    key_of(a.kind(), &a.to_triplets())
-}
-
-/// Key a bare CSR operand (the trisolve/SymGS input type) identically
-/// to `structure_key(&SparseMatrix::Csr(..))` — values excluded, so
-/// the stored numbers never enter the digest.
-pub fn structure_key_csr(a: &Csr) -> StructureKey {
-    if let Some(k) = key_of_csr(a) {
-        return k;
-    }
-    // Non-canonical storage (unsorted rows): fall back to the
-    // canonicalizing triplets path.
-    let mut t = Triplets::new(a.nrows(), a.ncols());
-    for i in 0..a.nrows() {
-        for k in a.rowptr()[i]..a.rowptr()[i + 1] {
-            t.push(i, a.colind()[k], 1.0);
-        }
-    }
-    key_of(FormatKind::Csr, &t)
-}
-
-/// One-pass digest of a canonically stored CSR, bit-for-bit identical
-/// to `key_of(FormatKind::Csr, ..)` on the unit-valued pattern. `None`
-/// when any row is unsorted or holds duplicates (the caller falls back
-/// to canonicalization).
-///
-/// Everything — the sortedness check, the pattern fold and every
-/// derived stat — is computed in a single sweep over the row slices:
-/// this runs on every warm compile, so each avoided pass over `nnz`
-/// indices is latency off the cache's hit path.
-fn key_of_csr(a: &Csr) -> Option<StructureKey> {
-    let (rp, ci) = (a.rowptr(), a.colind());
-    let (nrows, ncols) = (a.nrows(), a.ncols());
-    let nnz = ci.len();
-
-    let mut h = FNV_OFFSET;
-    for b in FormatKind::Csr.paper_name().bytes() {
-        h = fnv(h, b as u64);
-    }
-    for v in [nrows, ncols, nnz] {
-        h = fnv(h, v as u64);
-    }
-
-    let mut bandwidth = 0usize;
-    let mut diag_seen = vec![false; (nrows + ncols).saturating_sub(1)];
-    let mut num_diagonals = 0usize;
-    let mut row_len_histogram: Vec<usize> = Vec::new();
-    let (mut min_row_len, mut max_row_len) = (usize::MAX, 0usize);
-    let mut inode_groups = 0usize;
-    let mut prev: &[usize] = &[];
-    for i in 0..nrows {
-        let w = &ci[rp[i]..rp[i + 1]];
-        if w.windows(2).any(|p| p[0] >= p[1]) {
-            return None;
-        }
-        for &c in w {
-            h = fnv(h, i as u64);
-            h = fnv(h, c as u64);
-            bandwidth = bandwidth.max(c.abs_diff(i));
-            let d = c + nrows - 1 - i;
-            if !diag_seen[d] {
-                diag_seen[d] = true;
-                num_diagonals += 1;
-            }
-        }
-        let l = w.len();
-        min_row_len = min_row_len.min(l);
-        max_row_len = max_row_len.max(l);
-        let bucket = if l == 0 { 0 } else { l.ilog2() as usize + 1 };
-        if row_len_histogram.len() <= bucket {
-            row_len_histogram.resize(bucket + 1, 0);
-        }
-        row_len_histogram[bucket] += 1;
-        if i == 0 || w != prev {
-            inode_groups += 1;
-        }
-        prev = w;
-    }
-    if nrows == 0 {
-        min_row_len = 0;
-    }
-
-    for v in [
-        bandwidth,
-        num_diagonals,
-        min_row_len,
-        max_row_len,
-        inode_groups,
-    ] {
-        h = fnv(h, v as u64);
-    }
-    h = fnv(h, row_len_histogram.len() as u64);
-    for &b in &row_len_histogram {
-        h = fnv(h, b as u64);
-    }
-    Some(StructureKey(h))
-}
-
-fn key_of(kind: FormatKind, t: &Triplets) -> StructureKey {
-    // Only pattern-derived *quantities* enter the digest. `analyze`'s
-    // `symmetric` flag is skipped twice over: it compares canonical
-    // entries *with* their values (folding it would leak values into
-    // the digest — a pattern-symmetric matrix with asymmetric values
-    // would key apart from its refactorizations), and the full pattern
-    // fold below already determines it.
-    let c = t.canonicalize();
-    let s = analyze(&c);
+/// The one digest: format tag, dimensions, the stored positions in
+/// enumeration order, entry count. Persisted keys depend on this layout
+/// — changing it bumps [`SCHEMA`](crate::SCHEMA).
+fn digest(
+    kind: FormatKind,
+    nrows: usize,
+    ncols: usize,
+    entries: impl Iterator<Item = (usize, usize)>,
+) -> StructureKey {
     let mut h = FNV_OFFSET;
     for b in kind.paper_name().bytes() {
         h = fnv(h, b as u64);
     }
-    for v in [s.nrows, s.ncols, s.nnz] {
-        h = fnv(h, v as u64);
+    h = fnv(fnv(h, nrows as u64), ncols as u64);
+    let mut count = 0u64;
+    // `for_each`, not `for`: internal iteration lets the CSR arm's
+    // `flat_map` compile to the plain nested loop.
+    entries.for_each(|(r, c)| {
+        h = fnv(fnv(h, r as u64), c as u64);
+        count += 1;
+    });
+    StructureKey(fnv(h, count))
+}
+
+/// Key a matrix in any supported format by what it stores (a dense
+/// matrix stores every position, so its key is its dimensions).
+pub fn structure_key(a: &SparseMatrix) -> StructureKey {
+    if let SparseMatrix::Csr(m) = a {
+        return structure_key_csr(m);
     }
-    // The pattern itself, canonical order, then the derived stats —
-    // redundant with the pattern, but they make near-miss keys diverge
-    // early. Pattern before stats matches `key_of_csr`'s single-sweep
-    // fold order.
-    for &(r, cc, _) in c.entries() {
-        h = fnv(h, r as u64);
-        h = fnv(h, cc as u64);
-    }
-    for v in [
-        s.bandwidth,
-        s.num_diagonals,
-        s.min_row_len,
-        s.max_row_len,
-        s.inode_groups,
-    ] {
-        h = fnv(h, v as u64);
-    }
-    h = fnv(h, s.row_len_histogram.len() as u64);
-    for &b in &s.row_len_histogram {
-        h = fnv(h, b as u64);
-    }
-    StructureKey(h)
+    let m = a.meta();
+    digest(a.kind(), m.nrows, m.ncols, a.enum_flat().map(|(r, c, _)| (r, c)))
+}
+
+/// Key a bare CSR operand (the trisolve/SymGS input type) identically
+/// to `structure_key(&SparseMatrix::Csr(..))`, straight off the row
+/// slices: the same fold without the boxed enumeration.
+pub fn structure_key_csr(a: &Csr) -> StructureKey {
+    let colind = a.colind();
+    let rows = a.rowptr().windows(2).enumerate();
+    let entries = rows.flat_map(|(r, w)| colind[w[0]..w[1]].iter().map(move |&c| (r, c)));
+    digest(FormatKind::Csr, a.nrows(), a.ncols(), entries)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bernoulli_formats::gen::grid2d_5pt;
+    use bernoulli_formats::Triplets;
 
     #[test]
     fn hex_round_trips_and_rejects_garbage() {
@@ -259,48 +140,6 @@ mod tests {
             structure_key_csr(&csr),
             structure_key(&SparseMatrix::Csr(csr.clone()))
         );
-    }
-
-    #[test]
-    fn csr_fast_path_matches_the_canonicalizing_path() {
-        let rect = Triplets::from_entries(
-            4,
-            6,
-            &[(0, 5, 1.0), (1, 0, 2.0), (1, 3, 3.0), (3, 2, 4.0)],
-        );
-        for t in [grid2d_5pt(7, 9), crate::key::tests::sym_pattern(), rect] {
-            let csr = Csr::from_triplets(&t);
-            let fast = key_of_csr(&csr).expect("canonical CSR takes the fast path");
-            let mut unit = Triplets::new(t.nrows(), t.ncols());
-            for &(r, c, _) in t.canonicalize().entries() {
-                unit.push(r, c, 1.0);
-            }
-            assert_eq!(fast, key_of(FormatKind::Csr, &unit));
-        }
-        // Unsorted storage (only reachable through the unchecked
-        // constructor) refuses the fast path but keys identically
-        // through the canonicalizing fallback.
-        let scrambled = Csr::from_raw_unchecked(
-            3,
-            3,
-            vec![0, 2, 3, 4],
-            vec![2, 0, 1, 0],
-            vec![1.0; 4],
-        );
-        let canonical = Csr::from_raw(3, 3, vec![0, 2, 3, 4], vec![0, 2, 1, 0], vec![1.0; 4]);
-        assert!(key_of_csr(&scrambled).is_none());
-        assert!(key_of_csr(&canonical).is_some());
-        assert_eq!(structure_key_csr(&scrambled), structure_key_csr(&canonical));
-    }
-
-    fn sym_pattern() -> Triplets {
-        let mut t = Triplets::new(3, 3);
-        for i in 0..3 {
-            t.push(i, i, 2.0);
-        }
-        t.push(0, 1, 5.0);
-        t.push(1, 0, -3.0);
-        t
     }
 
     #[test]

@@ -10,11 +10,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`key`] — a stable [`StructureKey`]: an FNV-1a
-//!   digest of the *structure* of a matrix (format tag, dimensions,
-//!   nnz, the [`MatrixStats`](bernoulli_formats::stats::MatrixStats)
-//!   profile, and the canonical nonzero pattern — **values excluded**,
-//!   so refactorizations with new numbers hit the same cache line).
+//! * [`key`] — a stable [`StructureKey`]: one FNV-1a digest of what a
+//!   format stores (tag, dimensions, stored positions in its own
+//!   enumeration order, entry count — **values excluded**, so
+//!   refactorizations with new numbers hit the same cache line).
 //! * [`cache`] — the [`PlanCache`]: one table keyed by
 //!   `(StructureKey, OpKind)` holding planner verdicts (strategy tier,
 //!   plan shape, fast-tier eligibility) for the whole multiply family
@@ -27,8 +26,8 @@
 //!   BA4x verifier before the parallel tier is granted. A cache entry
 //!   can therefore mis-*tier* a confused operand at worst; it can
 //!   never mis-compute. The cache persists to versioned JSON
-//!   (`bernoulli.plancache/v2`); a schema bump invalidates the file
-//!   wholesale.
+//!   (`bernoulli.plancache/v3`); a schema or digest-layout bump
+//!   invalidates the file wholesale.
 //! * [`dispatch`] — the [`Dispatcher`] registry: register a matrix
 //!   population once, then push a mixed [`OpSpec`](bernoulli::OpSpec)
 //!   stream through one `submit` front door; every request compiles

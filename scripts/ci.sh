@@ -19,17 +19,6 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # unsafe_code crate-wide and allows it on `mod fast` alone, so every
 # build above already enforced it.)
 #
-# Wavefront containment gate: the level-parallel sweep kernels run
-# only under a WavefrontCert, so their call sites are confined to the
-# kernels themselves (par_kernels.rs) and the unified compilation core
-# that checks certificates before dispatching (core's pipeline.rs).
-# Any other call site could bypass certificate checking.
-if grep -rn "par_sptrsv_\|par_symgs_" crates/ --include='*.rs' \
-  | grep -v "^crates/formats/src/par_kernels\.rs:" \
-  | grep -v "^crates/core/src/pipeline\.rs:"; then
-  echo "ERROR: level-parallel sweep kernel called outside par_kernels.rs/pipeline.rs; route through the unified compile so the wavefront certificate is checked" >&2
-  exit 1
-fi
 # Pipeline containment gate: since the engine unification there is
 # exactly ONE compile pipeline (core's pipeline.rs). The gate-chain
 # entry points — size/pool/race for DO-ANY, wavefront
@@ -68,10 +57,6 @@ grep -q '"schema":"bernoulli.profile/v1"' target/ci/PLANCACHE_PROFILE.json
 grep -q '"calibrations":\[{' target/ci/PLANCACHE_PROFILE.json
 grep -q '"est_cost":' target/ci/PLANCACHE_PROFILE.json
 grep -q '"measured_ns":' target/ci/PLANCACHE_PROFILE.json
-# Persisted-cache schema gate: the on-disk format must carry the
-# versioned tag the loader invalidates on (v2 = the unified
-# per-OpKind table).
-grep -rqn 'bernoulli\.plancache/v2' crates/tune/src/cache.rs
 # Filesystem-confinement gate: the tune crate persists plans;
 # everything else in the crates computes. A new fs-write call site
 # anywhere else is a regression (state belongs in the cache or in an

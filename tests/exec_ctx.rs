@@ -3,7 +3,10 @@
 //! The unified execution context must be free when it does nothing:
 //! on a default (serial) ctx the vector ops and both fork/join
 //! primitives run their body inline on the calling thread with **zero
-//! heap allocations** per call.
+//! heap allocations** per call. The same tally pins two per-request
+//! costs of the compile path: a serial-context SymGS compile allocates
+//! O(1) bytes, and a structure key at most the format's one boxed
+//! enumeration.
 //!
 //! Allocation counting uses a thread-local tally inside a wrapper
 //! global allocator, so worker threads and test-harness threads never
@@ -12,20 +15,23 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bernoulli::{ExecCtx, Operator};
+use bernoulli::{ExecCtx, Operator, SymGsEngine};
 use bernoulli_formats::gen;
-use bernoulli_formats::{FormatKind, SparseMatrix};
+use bernoulli_formats::{Csr, FormatKind, SparseMatrix};
 use bernoulli_solvers::vecops;
+use bernoulli_tune::{structure_key, structure_key_csr};
 
 struct CountingAlloc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.with(|c| c.set(c.get() + 1));
+        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
         unsafe { System.alloc(layout) }
     }
 
@@ -37,11 +43,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Allocations on *this* thread while running `f`.
-fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCS.with(|c| c.get());
+/// `(allocations, bytes requested)` on *this* thread while running `f`.
+fn allocs_during<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let tally = || (ALLOCS.with(|c| c.get()), BYTES.with(|c| c.get()));
+    let before = tally();
     let out = f();
-    (ALLOCS.with(|c| c.get()) - before, out)
+    let after = tally();
+    ((after.0 - before.0, after.1 - before.1), out)
 }
 
 #[test]
@@ -58,7 +66,7 @@ fn default_ctx_hot_path_is_allocation_free() {
     vecops::par_axpy(0.5, &a, &mut y, &ctx);
     vecops::par_xpby(&b, -0.25, &mut y, &ctx);
 
-    let (allocs, _) = allocs_during(|| {
+    let ((allocs, _), _) = allocs_during(|| {
         let mut acc = 0.0;
         for _ in 0..100 {
             acc += vecops::par_dot(&a, &b, &ctx);
@@ -90,10 +98,42 @@ fn default_ctx_operator_apply_is_allocation_free() {
     let mut y = vec![0.0; n];
 
     csr.apply(&x, &mut y).unwrap();
-    let (allocs, _) = allocs_during(|| {
+    let ((allocs, _), _) = allocs_during(|| {
         for _ in 0..50 {
             csr.apply(&x, &mut y).unwrap();
         }
     });
     assert_eq!(allocs, 0, "Operator::apply on a bound format must not allocate");
+}
+
+#[test]
+fn serial_ctx_symgs_compile_decides_its_gates_before_any_o_nnz_work() {
+    // Under a serial context the size gate refuses the wavefront tier
+    // in O(1), so the compile must not build the symmetrised pattern
+    // (two O(nnz) vectors plus counting-sort scratch) just to drop it:
+    // the whole compile stays under one `rowptr`'s worth of bytes.
+    let a = Csr::from_triplets(&gen::grid3d_7pt(16, 16, 16));
+    let nrows = a.nrows() as u64;
+    assert_eq!(nrows, 4096);
+    let ((_, bytes), engine) = allocs_during(|| SymGsEngine::compile_in(&a, &ExecCtx::serial()));
+    assert!(engine.unwrap().sweep_schedules().is_none());
+    assert!(bytes < 8 * nrows, "serial SymGS compile allocated {bytes} bytes");
+}
+
+#[test]
+fn structure_key_costs_at_most_the_formats_boxed_enumeration() {
+    // One digest for every format: CSR folds its row slices in place;
+    // every other format pays for its boxed `enum_flat` iterator and
+    // nothing that grows with the operand.
+    let t = gen::grid2d_5pt(24, 24);
+    assert!(t.canonicalize().len() >= 2000);
+    for kind in FormatKind::ALL {
+        let a = SparseMatrix::from_triplets(kind, &t);
+        let ((allocs, _), _) = allocs_during(|| structure_key(&a));
+        let budget = if kind == FormatKind::Csr { 0 } else { 2 };
+        assert!(allocs <= budget, "structure_key on {kind}: {allocs} allocations");
+    }
+    let csr = Csr::from_triplets(&t);
+    let ((allocs, _), _) = allocs_during(|| structure_key_csr(&csr));
+    assert_eq!(allocs, 0, "structure_key_csr must not allocate");
 }

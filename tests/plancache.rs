@@ -40,14 +40,16 @@ proptest! {
     #[test]
     fn structure_key_is_value_invariant(t in arb_matrix()) {
         let t2 = map_values(&t, |v| v * 2.5 - 7.0);
-        for kind in [FormatKind::Csr, FormatKind::Ccs, FormatKind::Coordinate, FormatKind::Inode] {
+        for kind in FormatKind::ALL {
             let a = SparseMatrix::from_triplets(kind, &t);
             let b = SparseMatrix::from_triplets(kind, &t2);
             prop_assert_eq!(structure_key(&a), structure_key(&b), "format {}", kind);
         }
     }
 
-    /// Dropping one pattern position changes the key.
+    /// Dropping one pattern position changes the key of every format
+    /// that stores a pattern; a dense matrix stores every position, so
+    /// its key is its dimensions.
     #[test]
     fn structure_key_is_pattern_sensitive(t in arb_matrix(), pick in 0usize..4096) {
         let c = t.canonicalize();
@@ -59,13 +61,16 @@ proptest! {
                 t2.push(r, col, v);
             }
         }
-        let a = SparseMatrix::from_triplets(FormatKind::Csr, &c);
-        let b = SparseMatrix::from_triplets(FormatKind::Csr, &t2);
-        prop_assert_ne!(structure_key(&a), structure_key(&b));
+        for kind in FormatKind::ALL {
+            let a = structure_key(&SparseMatrix::from_triplets(kind, &c));
+            let b = structure_key(&SparseMatrix::from_triplets(kind, &t2));
+            prop_assert_eq!(a == b, kind == FormatKind::Dense, "format {}", kind);
+        }
     }
 
-    /// The key is a pure function of the canonical pattern: assembly
-    /// order and duplicate accumulation are invisible.
+    /// Through `from_triplets` the key is a pure function of the
+    /// canonical pattern: assembly order and duplicate accumulation are
+    /// invisible — in any format.
     #[test]
     fn structure_key_ignores_assembly_order(t in arb_matrix()) {
         let c = t.canonicalize();
@@ -75,19 +80,50 @@ proptest! {
             reversed.push(r, col, v - 1.0);
             reversed.push(r, col, 1.0);
         }
-        let a = SparseMatrix::from_triplets(FormatKind::Csr, &c);
-        let b = SparseMatrix::from_triplets(FormatKind::Csr, &reversed);
-        prop_assert_eq!(structure_key(&a), structure_key(&b));
+        for kind in FormatKind::ALL {
+            let a = SparseMatrix::from_triplets(kind, &c);
+            let b = SparseMatrix::from_triplets(kind, &reversed);
+            prop_assert_eq!(structure_key(&a), structure_key(&b), "format {}", kind);
+        }
+    }
+}
+
+#[test]
+fn degenerate_and_rectangular_operands_key_apart_in_every_format() {
+    // Empty (0×0, n×0, 0×n), all-empty-rows and rectangular operands:
+    // every format keys them without panicking, and no two
+    // (operand, format) pairs share a key.
+    let rect = [(0, 5, 1.0), (1, 0, 2.0), (1, 3, 3.0), (3, 2, 4.0)];
+    let operands = [
+        Triplets::new(0, 0),
+        Triplets::new(5, 0),
+        Triplets::new(0, 5),
+        Triplets::new(4, 4),
+        Triplets::from_entries(4, 6, &rect),
+        Triplets::from_entries(6, 4, &rect.map(|(r, c, v)| (c, r, v))),
+    ];
+    let mut seen: std::collections::HashMap<StructureKey, String> = Default::default();
+    for t in &operands {
+        for kind in FormatKind::ALL {
+            let a = SparseMatrix::from_triplets(kind, t);
+            let label = format!("{}x{}/{}nz/{kind}", t.nrows(), t.ncols(), t.len());
+            if let Some(prev) = seen.insert(structure_key(&a), label.clone()) {
+                panic!("key collision: {label} vs {prev}");
+            }
+        }
+        let csr = Csr::from_triplets(t);
+        assert_eq!(structure_key_csr(&csr), structure_key(&SparseMatrix::Csr(csr.clone())));
     }
 }
 
 #[test]
 fn no_collisions_across_the_table1_suite() {
-    // Every suite structure, in several formats each, keys uniquely —
+    // Every suite structure, in every sparse format, keys uniquely —
     // and the hex spelling round-trips.
+    let sparse = FormatKind::ALL.into_iter().filter(|&k| k != FormatKind::Dense);
     let mut seen: std::collections::HashMap<StructureKey, String> = Default::default();
     for s in table1_suite(Scale::Small) {
-        for kind in [FormatKind::Csr, FormatKind::Ccs, FormatKind::JDiag, FormatKind::Inode] {
+        for kind in sparse.clone() {
             let a = SparseMatrix::from_triplets(kind, &s.triplets);
             let k = structure_key(&a);
             assert_eq!(StructureKey::from_hex(&k.hex()), Some(k));
@@ -97,7 +133,7 @@ fn no_collisions_across_the_table1_suite() {
             }
         }
     }
-    assert_eq!(seen.len(), 8 * 4);
+    assert_eq!(seen.len(), 8 * 8);
 }
 
 #[test]
@@ -317,4 +353,56 @@ fn loaded_entry_without_schedules_compiles_cold_instead_of_panicking() {
     // Both compiles armed their schedules, so the empty entries were
     // overwritten: the next compile replays for real.
     assert!(!cache.to_json().contains("\"schedules\":[]"), "{}", cache.to_json());
+}
+
+#[test]
+fn unsorted_csr_keys_apart_from_its_sorted_twin_and_neither_replays_onto_the_other() {
+    // Unsorted rows are only reachable through the unchecked
+    // constructor. The key identifies what is *stored*, so the twins
+    // key apart (no panic, no canonicalising fallback): two cold
+    // compiles, two entries, and each engine out of the shared cache is
+    // bit for bit its own uncached engine.
+    use bernoulli::SpmvEngine;
+    let (rowptr, vals) = (vec![0, 3, 5, 6], vec![1.5, -2.0, 0.25, 3.0, 7.0, -1.0]);
+    let scrambled = Csr::from_raw_unchecked(3, 4, rowptr.clone(), vec![3, 0, 2, 1, 0, 2], vals.clone());
+    let sorted = Csr::from_raw(3, 4, rowptr, vec![0, 2, 3, 0, 1, 2], vals);
+    assert_ne!(structure_key_csr(&scrambled), structure_key_csr(&sorted));
+
+    let ctx = ExecCtx::serial().fast_kernels(true);
+    let cache = PlanCache::new();
+    let x = [1.0, -0.5, 0.125, 3.0];
+    for csr in [scrambled, sorted] {
+        let a = SparseMatrix::Csr(csr);
+        let cached = cache.spmv_engine(&a, &ctx).unwrap();
+        let uncached = SpmvEngine::compile_in(&a, &ctx).unwrap();
+        assert_eq!((cached.strategy(), cached.tier()), (uncached.strategy(), uncached.tier()));
+        let (mut y1, mut y2) = (vec![0.5; 3], vec![0.5; 3]);
+        cached.run(&a, &x, &mut y1).unwrap();
+        uncached.run(&a, &x, &mut y2).unwrap();
+        assert_eq!(
+            y1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+            y2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        );
+    }
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.hits, stats.spmv_entries), (2, 0, 2));
+}
+
+#[test]
+fn a_v2_cache_file_loads_as_an_empty_cache() {
+    // The digest layout changed under the v2 keys, so the tag moved to
+    // v3 and a v2 file is wholesale stale: cold, not an error.
+    assert_eq!(SCHEMA, "bernoulli.plancache/v3");
+    let cache = PlanCache::new();
+    let a = SparseMatrix::from_triplets(FormatKind::Csr, &bernoulli_formats::gen::grid2d_5pt(6, 6));
+    cache.spmv_engine(&a, &ExecCtx::serial()).unwrap();
+    let v2 = cache.to_json().replace(SCHEMA, "bernoulli.plancache/v2");
+    assert!(PlanCache::from_json(&v2).unwrap_err().starts_with("schema mismatch"));
+
+    let dir = std::env::temp_dir().join("bernoulli_plancache_v2");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    std::fs::write(&path, v2).unwrap();
+    assert!(PlanCache::load(&path).unwrap().is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,7 +8,7 @@ use bernoulli::ast::programs;
 use bernoulli::engines::SpmvEngine;
 use bernoulli::pipeline::do_any_decision;
 use bernoulli::lower::extract_query;
-use bernoulli::{ExecConfig, Strategy};
+use bernoulli::{ExecCtx, Strategy};
 use bernoulli_analysis::plan_verify::verify_plan;
 use bernoulli_analysis::race::{check_do_any, ParallelCertificate};
 use bernoulli_formats::{DenseMatrix, FormatKind, SparseMatrix, SparseVec, Triplets};
@@ -54,7 +54,7 @@ fn engines_refuse_parallel_for_racy_nest() {
     racy.op = UpdateOp::Assign;
     // Oversubscribed so the single-worker downgrade (a different,
     // host-dependent gate) stays out of the way of the race gate.
-    let exec = ExecConfig::with_threads(4).threshold(1).oversubscribe(true);
+    let exec = ExecCtx::with_threads(4).threshold(1).oversubscribe(true);
     let work = 1 << 20; // far above threshold: only the race gate differs
     let f64_plus = AlgebraProps::f64_plus();
     let decide = |nest| do_any_decision(nest, true, work, &exec, &f64_plus).strategy;
@@ -63,8 +63,7 @@ fn engines_refuse_parallel_for_racy_nest() {
     // And the engine built from the clean nest does go parallel on the
     // same config — the gate, not the plumbing, made the difference.
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &sample(64, 5));
-    let eng =
-        SpmvEngine::compile_in(&a, &bernoulli::ExecCtx::with_config(exec)).unwrap();
+    let eng = SpmvEngine::compile_in(&a, &exec).unwrap();
     assert_eq!(eng.strategy(), Strategy::Parallel);
 }
 
