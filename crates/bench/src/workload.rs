@@ -136,14 +136,14 @@ pub fn bs_to_mixed(l: &BsLocal) -> MixedSpec {
             }
         }
     }
-    MixedSpec {
-        local_parts: std::sync::Arc::new(vec![Csr::from_triplets(&diag_t), l.a_sl.clone()]),
-        global_part: bernoulli::spmd::GlobalFragment {
+    MixedSpec::new(
+        vec![Csr::from_triplets(&diag_t), l.a_sl.clone()],
+        bernoulli::spmd::GlobalFragment {
             n_local: l.n_local,
             n_global: usize::MAX, // unused
             entries: l.a_snl.clone(),
         },
-    }
+    )
 }
 
 /// Timing results of one SPMD solver run.

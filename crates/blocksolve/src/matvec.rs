@@ -14,9 +14,8 @@
 //! overlap the paper credits for the hand-written code's last 2–4%.
 
 use crate::split::BsLocal;
-use bernoulli_formats::Csr;
 use bernoulli_spmd::dist::Distribution;
-use bernoulli_spmd::executor::{finish_receives, gather_ghosts, start_sends};
+use bernoulli_spmd::executor::{finish_receives, gather_ghosts, start_sends, GhostRows};
 use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_spmd::machine::Ctx;
 
@@ -24,8 +23,9 @@ use bernoulli_spmd::machine::Ctx;
 #[derive(Clone, Debug)]
 pub struct BsParallelMatvec {
     pub sched: CommSchedule,
-    /// `A_SNL` with columns rewritten to ghost slots.
-    pub a_snl_ghost: Csr,
+    /// `A_SNL` over the rows that touch a ghost, columns rewritten to
+    /// ghost slots.
+    pub a_snl_ghost: GhostRows,
     /// Scratch ghost buffer, reused across iterations.
     ghosts: Vec<f64>,
 }
@@ -39,13 +39,7 @@ impl BsParallelMatvec {
         // Bake the global→ghost translation into the stored matrix so
         // the executor performs no translation (the paper's point about
         // avoiding the extra level of indirection).
-        let rewritten: Vec<(usize, usize, f64)> = local
-            .a_snl
-            .iter()
-            .map(|&(lr, gc, v)| (lr, sched.ghost_of_global[&gc], v))
-            .collect();
-        let a_snl_ghost =
-            Csr::from_entries_nodup(local.n_local, sched.num_ghosts.max(1), &rewritten);
+        let a_snl_ghost = GhostRows::build(&sched, &local.a_snl);
         let ghosts = vec![0.0; sched.num_ghosts];
         BsParallelMatvec { sched, a_snl_ghost, ghosts }
     }
@@ -73,9 +67,7 @@ impl BsParallelMatvec {
             local.matvec_diag(x_local, y_local);
             local.matvec_sl(x_local, y_local);
         }
-        if self.sched.num_ghosts > 0 {
-            bernoulli_formats::kernels::spmv_csr(&self.a_snl_ghost, &self.ghosts, y_local);
-        }
+        self.a_snl_ghost.apply(&self.ghosts, y_local);
     }
 }
 

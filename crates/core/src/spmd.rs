@@ -22,11 +22,21 @@
 //! Each inspector also comes in a Chaos flavour (`inspect_chaos`),
 //! where `IND` is a distributed translation table and the join itself
 //! costs all-to-all rounds — the `Indirect-*` rows of Table 3.
+//!
+//! Both executors run their products on the operands' i-node level
+//! (Fig. 2(c): the rows of one discretisation point share a column
+//! list) through the one row-group body [`spmv_csr_inodes_with`], over
+//! the CRS arrays in place — so what separates them is what the paper
+//! measures, translation and inspector work, not the kernel. The
+//! partition is structure known before any iteration: a [`MixedSpec`]
+//! finds it when it is built, the naive inspector (whose work is ∝
+//! problem size anyway) at inspection.
 
-use bernoulli_formats::{Csr, Triplets};
+use bernoulli_formats::kernels::{spmv_csr_inodes, spmv_csr_inodes_with};
+use bernoulli_formats::{Csr, InodePartition, Triplets};
 use bernoulli_spmd::chaos::ChaosTable;
 use bernoulli_spmd::dist::Distribution;
-use bernoulli_spmd::executor::gather_ghosts;
+use bernoulli_spmd::executor::{gather_ghosts, GhostRows};
 use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_spmd::machine::Ctx;
 use std::collections::BTreeSet;
@@ -57,12 +67,27 @@ impl GlobalFragment {
 #[derive(Clone, Debug)]
 pub struct MixedSpec {
     /// Local products `y += L·x_local` (BlockSolve's `A_D` and `A_SL`
-    /// collapse to CSR operands here; columns are local indices).
+    /// are CSR operands here; columns are local indices).
     /// Shared, not copied: the compiled executor references the same
     /// storage, so inspecting costs O(boundary), not O(local matrix).
     pub local_parts: Arc<Vec<Csr>>,
+    /// The i-node level of each local part, shared the same way.
+    local_inodes: Arc<Vec<InodePartition>>,
     /// The sparse-nonlocal part `A_SNL`, global columns.
     pub global_part: GlobalFragment,
+}
+
+impl MixedSpec {
+    /// The spec over these local operands; finds each one's i-node
+    /// partition (one O(nnz) pass, here and not in any inspector).
+    pub fn new(local_parts: Vec<Csr>, global_part: GlobalFragment) -> Self {
+        let local_inodes = local_parts.iter().map(InodePartition::of).collect();
+        MixedSpec {
+            local_parts: Arc::new(local_parts),
+            local_inodes: Arc::new(local_inodes),
+            global_part,
+        }
+    }
 }
 
 /// Executor compiled from the **naive** data-parallel spec (eq. 23).
@@ -78,6 +103,7 @@ pub struct CompiledNaive {
     sched: CommSchedule,
     /// The whole fragment, columns rewritten to used-set ranks.
     a_used: Csr,
+    inodes: InodePartition,
     /// used-set rank → x-buffer slot (the run-time translation table).
     trans: Vec<usize>,
     /// `(xbuf_slot, local_offset)` copies performed every iteration —
@@ -157,29 +183,23 @@ impl CompiledNaive {
             })
             .collect();
         let a_used = Csr::from_entries_nodup(frag.n_local, used.len().max(1), &rewritten);
-        CompiledNaive { sched, a_used, trans, local_srcs, ghost_base, xbuf: vec![0.0; width] }
+        let inodes = InodePartition::of(&a_used);
+        CompiledNaive { sched, a_used, inodes, trans, local_srcs, ghost_base, xbuf: vec![0.0; width] }
     }
 
     /// One executor iteration: `y_local = A·x |_p`. Copies every local
     /// used value into the x-buffer (the redundant translation), then
     /// gathers ghosts, then runs the sparse product through the
-    /// rank→slot table — one extra load per stored entry.
+    /// rank→slot table — one extra load per referenced column.
     pub fn execute(&mut self, ctx: &mut Ctx, x_local: &[f64], y_local: &mut [f64]) {
         for &(slot, l) in &self.local_srcs {
             self.xbuf[slot] = x_local[l];
         }
         let (_, ghost_part) = self.xbuf.split_at_mut(self.ghost_base);
         gather_ghosts(ctx, &self.sched, x_local, ghost_part);
-        let rowptr = self.a_used.rowptr();
-        let colind = self.a_used.colind();
-        let vals = self.a_used.vals();
-        for (r, yv) in y_local.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for k in rowptr[r]..rowptr[r + 1] {
-                acc += vals[k] * self.xbuf[self.trans[colind[k]]];
-            }
-            *yv = acc;
-        }
+        let (xbuf, trans) = (&self.xbuf, &self.trans);
+        y_local.fill(0.0);
+        spmv_csr_inodes_with(&self.a_used, &self.inodes, |c| xbuf[trans[c]], y_local);
     }
 
     pub fn schedule(&self) -> &CommSchedule {
@@ -196,7 +216,8 @@ impl CompiledNaive {
 pub struct CompiledMixed {
     sched: CommSchedule,
     local_parts: Arc<Vec<Csr>>,
-    a_snl_ghost: Csr,
+    local_inodes: Arc<Vec<InodePartition>>,
+    a_snl_ghost: GhostRows,
     ghosts: Vec<f64>,
 }
 
@@ -220,16 +241,15 @@ impl CompiledMixed {
     }
 
     fn finish(spec: &MixedSpec, sched: CommSchedule) -> Self {
-        let frag = &spec.global_part;
-        let rewritten: Vec<(usize, usize, f64)> = frag
-            .entries
-            .iter()
-            .map(|&(lr, gc, v)| (lr, sched.ghost_of_global[&gc], v))
-            .collect();
-        let a_snl_ghost =
-            Csr::from_entries_nodup(frag.n_local, sched.num_ghosts.max(1), &rewritten);
+        let a_snl_ghost = GhostRows::build(&sched, &spec.global_part.entries);
         let ghosts = vec![0.0; sched.num_ghosts];
-        CompiledMixed { sched, local_parts: Arc::clone(&spec.local_parts), a_snl_ghost, ghosts }
+        CompiledMixed {
+            sched,
+            local_parts: Arc::clone(&spec.local_parts),
+            local_inodes: Arc::clone(&spec.local_inodes),
+            a_snl_ghost,
+            ghosts,
+        }
     }
 
     /// One executor iteration: gather, then local products plus the
@@ -240,12 +260,10 @@ impl CompiledMixed {
     pub fn execute(&mut self, ctx: &mut Ctx, x_local: &[f64], y_local: &mut [f64]) {
         gather_ghosts(ctx, &self.sched, x_local, &mut self.ghosts);
         y_local.fill(0.0);
-        for part in self.local_parts.iter() {
-            bernoulli_formats::kernels::spmv_csr(part, x_local, y_local);
+        for (part, inodes) in self.local_parts.iter().zip(self.local_inodes.iter()) {
+            spmv_csr_inodes(part, inodes, x_local, y_local);
         }
-        if self.sched.num_ghosts > 0 {
-            bernoulli_formats::kernels::spmv_csr(&self.a_snl_ghost, &self.ghosts, y_local);
-        }
+        self.a_snl_ghost.apply(&self.ghosts, y_local);
     }
 
     pub fn schedule(&self) -> &CommSchedule {
@@ -335,14 +353,10 @@ pub fn to_mixed_spec(
             None => global_entries.push((lr, gc, v)),
         }
     }
-    MixedSpec {
-        local_parts: Arc::new(vec![Csr::from_triplets(&local_t)]),
-        global_part: GlobalFragment {
-            n_local: frag.n_local,
-            n_global: frag.n_global,
-            entries: global_entries,
-        },
-    }
+    MixedSpec::new(
+        vec![Csr::from_triplets(&local_t)],
+        GlobalFragment { n_local: frag.n_local, n_global: frag.n_global, entries: global_entries },
+    )
 }
 
 /// Build each processor's [`GlobalFragment`] of a global matrix under a

@@ -36,7 +36,7 @@ pub const DEFAULT_PAR_THRESHOLD_NNZ: usize = 32_768;
 
 /// The machine's hardware parallelism, queried once per process: the
 /// size gates ask on every vector op.
-fn hardware_threads() -> usize {
+pub fn hardware_threads() -> usize {
     static HW: OnceLock<usize> = OnceLock::new();
     *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }

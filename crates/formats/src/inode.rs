@@ -11,7 +11,15 @@
 //! Detection here is structural: consecutive rows with equal column
 //! lists are grouped (the paper's matrices get their i-nodes from the
 //! mesh numbering, which our grid generators reproduce).
+//!
+//! The same structure also exists as a *description* of a matrix already
+//! held in CRS: an [`InodePartition`] names the row groups and the CRS
+//! arrays are used in place (rows of a group have equal length and are
+//! adjacent, so their `vals` already form the dense block). The SPMD
+//! executors run their local products that way
+//! ([`crate::kernels::spmv_csr_inodes`]).
 
+use crate::csr::Csr;
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_sorted_strict, meta_mismatch, Validate,
@@ -47,6 +55,61 @@ pub struct InodeMatrix {
     /// block slot may hold numeric zero if one row of the group lacks
     /// the entry — that is the format's padding cost).
     nnz_stored: usize,
+}
+
+/// Most rows in one group of an [`InodePartition`]: the row-group body
+/// keeps one accumulator per row, and eight still sit in registers.
+pub const MAX_GROUP_ROWS: usize = 8;
+
+/// The i-node level of a CRS matrix, over its arrays in place: maximal
+/// runs (up to [`MAX_GROUP_ROWS`]) of consecutive rows with identical
+/// column slices, one byte per group and no copy of the matrix. Found
+/// by one O(nnz) pass of slice comparisons in [`InodePartition::of`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct InodePartition {
+    /// Rows per group, in row order; the sizes sum to `nrows`.
+    sizes: Vec<u8>,
+    nrows: usize,
+    /// Stored entries of the matrix partitioned. With `nrows`, the O(1)
+    /// check the body makes that it was handed the same matrix.
+    nnz: usize,
+}
+
+impl InodePartition {
+    /// Partition the rows of `a`.
+    pub fn of(a: &Csr) -> Self {
+        let nrows = a.nrows();
+        let mut sizes = Vec::new();
+        let mut first = 0;
+        while first < nrows {
+            let cols = a.row_cols(first);
+            let mut rows = 1;
+            while rows < MAX_GROUP_ROWS
+                && first + rows < nrows
+                && a.row_cols(first + rows) == cols
+            {
+                rows += 1;
+            }
+            sizes.push(rows as u8);
+            first += rows;
+        }
+        InodePartition { sizes, nrows, nnz: a.nnz() }
+    }
+
+    /// The groups as row ranges, ascending.
+    pub fn groups(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.sizes.iter().scan(0usize, |first, &rows| {
+            let lo = *first;
+            *first += usize::from(rows);
+            Some(lo..*first)
+        })
+    }
+
+    /// Whether this partition was built from a matrix of `a`'s shape
+    /// and entry count.
+    pub fn fits(&self, a: &Csr) -> bool {
+        self.nrows == a.nrows() && self.nnz == a.nnz()
+    }
 }
 
 impl InodeMatrix {

@@ -9,7 +9,7 @@
 //! closure over the machine's [`Ctx`].
 
 use crate::precond::Preconditioner;
-use crate::vecops::{axpy, dot_dist, par_axpy, par_dot, par_xpby, xpby};
+use crate::vecops::{axpy, dot, dot_dist, par_axpy, par_dot, par_xpby, xpby};
 use bernoulli::{ExecCtx, Operator, RelResult};
 use bernoulli_obs::events::SolverTrace;
 use bernoulli_spmd::machine::Ctx;
@@ -137,7 +137,9 @@ fn cg_inner(
 /// SPMD preconditioned CG over distributed vectors. Each processor
 /// holds local fragments; `matvec(ctx, p_local, out_local)` computes
 /// the local rows of `A·p` (performing whatever communication its
-/// implementation needs); dots go through all-reduce.
+/// implementation needs); dots go through all-reduce — two per
+/// iteration: ⟨p,Ap⟩, then ⟨r,z⟩ and ⟨r,r⟩ of the updated residual
+/// together.
 #[allow(clippy::too_many_arguments)]
 pub fn cg_parallel(
     ctx: &mut Ctx,
@@ -160,8 +162,14 @@ pub fn cg_parallel(
     }
     precond_local.precondition(&r, &mut z);
     p.copy_from_slice(&z);
-    let mut rz = dot_dist(ctx, &r, &z);
-    let r0 = dot_dist(ctx, &r, &r).sqrt();
+    // ⟨r,z⟩ and ⟨r,r⟩ in one reduction.
+    let residual_dots = |ctx: &mut Ctx, r: &[f64], z: &[f64]| {
+        let mut dots = [dot(r, z), dot(r, r)];
+        ctx.all_reduce_sums(&mut dots);
+        dots
+    };
+    let [mut rz, rr] = residual_dots(ctx, &r, &z);
+    let r0 = rr.sqrt();
     let mut history = vec![r0];
     let target = opts.rel_tol * r0;
 
@@ -179,12 +187,12 @@ pub fn cg_parallel(
         axpy(alpha, &p, x_local);
         axpy(-alpha, &ap, &mut r);
         precond_local.precondition(&r, &mut z);
-        let rz_new = dot_dist(ctx, &r, &z);
+        let [rz_new, rr] = residual_dots(ctx, &r, &z);
         let beta = rz_new / rz;
         rz = rz_new;
         xpby(&z, beta, &mut p);
         iters += 1;
-        history.push(dot_dist(ctx, &r, &r).sqrt());
+        history.push(rr.sqrt());
     }
     let final_residual = *history.last().unwrap();
     CgResult {

@@ -5,9 +5,15 @@
 //! exchange. The overlap-capable split used by the hand-written
 //! BlockSolve code (post sends, compute local part, then receive) is
 //! provided as [`start_sends`] / [`finish_receives`].
+//!
+//! Everything an iteration does here is proportional to the boundary:
+//! the replay walks the slot lists the inspector resolved (no hashing),
+//! and the boundary product [`GhostRows`] stores only the rows that
+//! touch a ghost.
 
 use crate::inspector::CommSchedule;
 use crate::machine::{Ctx, Payload};
+use bernoulli_formats::Csr;
 
 /// Tag used by executor gathers.
 const TAG_GATHER: u32 = 0x0200;
@@ -32,11 +38,12 @@ pub fn start_sends(ctx: &mut Ctx, sched: &CommSchedule, x_local: &[f64]) {
 /// overlap communication with computation).
 pub fn finish_receives(ctx: &mut Ctx, sched: &CommSchedule, ghosts: &mut [f64]) {
     assert!(ghosts.len() >= sched.num_ghosts, "ghost buffer too small");
-    for (k, &peer) in sched.recv_peers.iter().enumerate() {
+    assert_eq!(sched.recv_slots.len(), sched.recv_peers.len(), "one slot list per recv peer");
+    for (&peer, slots) in sched.recv_peers.iter().zip(&sched.recv_slots) {
         let vals = ctx.recv(peer, TAG_GATHER).into_f64();
-        assert_eq!(vals.len(), sched.recv_globals[k].len(), "gather length from {peer}");
-        for (&g, v) in sched.recv_globals[k].iter().zip(vals) {
-            ghosts[sched.ghost_of_global[&g]] = v;
+        assert_eq!(vals.len(), slots.len(), "gather length from {peer}");
+        for (&slot, v) in slots.iter().zip(vals) {
+            ghosts[slot] = v;
         }
     }
 }
@@ -61,12 +68,10 @@ pub fn scatter_add_ghosts(
     y_local: &mut [f64],
 ) {
     assert!(ghost_partials.len() >= sched.num_ghosts, "ghost buffer too small");
+    assert_eq!(sched.recv_slots.len(), sched.recv_peers.len(), "one slot list per recv peer");
     // Reverse direction: recv-side of the schedule sends, send-side receives.
-    for (k, &peer) in sched.recv_peers.iter().enumerate() {
-        let vals: Vec<f64> = sched.recv_globals[k]
-            .iter()
-            .map(|&g| ghost_partials[sched.ghost_of_global[&g]])
-            .collect();
+    for (&peer, slots) in sched.recv_peers.iter().zip(&sched.recv_slots) {
+        let vals: Vec<f64> = slots.iter().map(|&slot| ghost_partials[slot]).collect();
         ctx.send(peer, TAG_SCATTER, Payload::F64(vals));
     }
     for (k, &peer) in sched.send_peers.iter().enumerate() {
@@ -74,6 +79,54 @@ pub fn scatter_add_ghosts(
         assert_eq!(vals.len(), sched.send_locals[k].len(), "scatter length from {peer}");
         for (&l, v) in sched.send_locals[k].iter().zip(vals) {
             y_local[l] += v;
+        }
+    }
+}
+
+/// The executor's boundary product `y += A_SNL·ghosts`, stored over
+/// only the local rows that touch a ghost, columns rewritten to ghost
+/// slots: building it and applying it cost ∝ boundary, whatever the
+/// local row count.
+#[derive(Clone, Debug)]
+pub struct GhostRows {
+    /// Local row of each stored row, ascending.
+    rows: Vec<usize>,
+    /// `rows.len() × num_ghosts`.
+    a: Csr,
+}
+
+impl GhostRows {
+    /// From duplicate-free `(local_row, global_col, value)` entries
+    /// whose columns `sched` receives.
+    pub fn build(sched: &CommSchedule, entries: &[(usize, usize, f64)]) -> GhostRows {
+        let mut rows: Vec<usize> = entries.iter().map(|&(lr, _, _)| lr).collect();
+        rows.sort_unstable();
+        rows.dedup();
+        let stored: Vec<(usize, usize, f64)> = entries
+            .iter()
+            .map(|&(lr, gc, v)| {
+                let k = rows.binary_search(&lr).expect("every entry's row was collected");
+                (k, sched.ghost_of_global[&gc], v)
+            })
+            .collect();
+        let a = Csr::from_entries_nodup(rows.len(), sched.num_ghosts.max(1), &stored);
+        GhostRows { rows, a }
+    }
+
+    /// Stored entries.
+    pub fn nnz(&self) -> usize {
+        self.a.nnz()
+    }
+
+    /// `y_local[r] += Σₛ a[r][s]·ghosts[s]` over the stored rows, each
+    /// row's products added in slot order (the CRS row body).
+    pub fn apply(&self, ghosts: &[f64], y_local: &mut [f64]) {
+        for (k, &r) in self.rows.iter().enumerate() {
+            let mut acc = 0.0;
+            for (&v, &slot) in self.a.row_vals(k).iter().zip(self.a.row_cols(k)) {
+                acc += v * ghosts[slot];
+            }
+            y_local[r] += acc;
         }
     }
 }
@@ -191,6 +244,75 @@ mod tests {
         // Proc 0 contributes 1.0 to globals 7, 8; proc 1 contributes
         // 2.0 to globals 1, 2; proc 2 contributes 3.0 to 4, 5.
         assert_eq!(y, vec![0.0, 2.0, 2.0, 0.0, 3.0, 3.0, 0.0, 1.0, 1.0]);
+    }
+
+    /// Slots need not follow wire order: a schedule whose table and
+    /// slot lists are permuted together verifies clean and replays every
+    /// value into (gather) and out of (scatter) the slot the table names.
+    #[test]
+    fn permuted_slots_replay_where_the_table_says() {
+        let n = 12;
+        let d = BlockDist::new(n, 3);
+        let out = Machine::run(3, |ctx| {
+            let me = ctx.rank();
+            let used: Vec<usize> = (0..n).filter(|&g| d.owner(g).0 != me && g % 2 == me % 2).collect();
+            let mut sched = CommSchedule::build_replicated(ctx, &d, &used);
+            // Reverse the slot numbering, consistently in both places.
+            let last = sched.num_ghosts - 1;
+            sched.ghost_of_global.values_mut().for_each(|s| *s = last - *s);
+            sched.recv_slots.iter_mut().flatten().for_each(|s| *s = last - *s);
+            assert!(sched.recv_slots[0].windows(2).all(|w| w[0] > w[1]), "slots now run against wire order");
+            crate::verify::verify_comm_schedule_ok(&sched, 3).unwrap();
+
+            let x_local: Vec<f64> = d.owned_globals(me).iter().map(|&g| (g * g) as f64).collect();
+            let mut ghosts = vec![f64::NAN; sched.num_ghosts];
+            gather_ghosts(ctx, &sched, &x_local, &mut ghosts);
+            for &g in &used {
+                assert_eq!(ghosts[sched.ghost_of_global[&g]], (g * g) as f64, "gathered global {g}");
+            }
+
+            // Scatter: contribute g + 1 to every used global.
+            let mut partials = vec![0.0; sched.num_ghosts];
+            for &g in &used {
+                partials[sched.ghost_of_global[&g]] = (g + 1) as f64;
+            }
+            let mut y_local = vec![0.0; d.local_len(me)];
+            scatter_add_ghosts(ctx, &sched, &partials, &mut y_local);
+            y_local
+        });
+        for (p, y_local) in out.results.iter().enumerate() {
+            for (l, &g) in d.owned_globals(p).iter().enumerate() {
+                // The other ranks of g's parity class each contributed.
+                let users = (0..3).filter(|&q| q != p && g % 2 == q % 2).count();
+                assert_eq!(y_local[l], (users * (g + 1)) as f64, "global {g}");
+            }
+        }
+    }
+
+    #[test]
+    fn ghost_rows_store_and_touch_only_boundary_rows() {
+        let d = BlockDist::new(8, 2);
+        let out = Machine::run(2, |ctx| {
+            let used: Vec<usize> = if ctx.rank() == 0 { vec![4, 7] } else { vec![3] };
+            let sched = CommSchedule::build_replicated(ctx, &d, &used);
+            // Entries in no particular row order; rows 1 and 3 only.
+            let entries: Vec<(usize, usize, f64)> = match ctx.rank() {
+                0 => vec![(3, 7, 2.0), (1, 4, -1.0), (3, 4, 0.5)],
+                _ => vec![(1, 3, 4.0)],
+            };
+            let rows = GhostRows::build(&sched, &entries);
+            let x_local: Vec<f64> = d.owned_globals(ctx.rank()).iter().map(|&g| g as f64).collect();
+            let mut ghosts = vec![0.0; sched.num_ghosts];
+            gather_ghosts(ctx, &sched, &x_local, &mut ghosts);
+            let mut y = vec![-0.0; 4];
+            rows.apply(&ghosts, &mut y);
+            (rows.nnz(), y)
+        });
+        assert_eq!(out.results[0].0, 3);
+        // Rows no entry names keep their bits (−0.0 + 0.0 would be +0.0).
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&out.results[0].1), bits(&[-0.0, -4.0, -0.0, 2.0 * 7.0 + 0.5 * 4.0]));
+        assert_eq!(bits(&out.results[1].1), bits(&[-0.0, 12.0, -0.0, -0.0]));
     }
 
     #[test]

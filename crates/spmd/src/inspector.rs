@@ -24,9 +24,6 @@ use crate::dist::Distribution;
 use crate::machine::{Ctx, Payload};
 use std::collections::HashMap;
 
-/// Tag used by the inspector's request exchange.
-const TAG_REQUESTS: u32 = 0x0100;
-
 /// A gather/scatter schedule for one distributed array.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CommSchedule {
@@ -34,6 +31,10 @@ pub struct CommSchedule {
     pub recv_peers: Vec<usize>,
     /// Per recv peer: the global indices received, in wire order.
     pub recv_globals: Vec<Vec<usize>>,
+    /// Per recv peer: the ghost slot of each received value, in wire
+    /// order — `ghost_of_global` resolved once here, so the executor
+    /// replays a gather or scatter without hashing.
+    pub recv_slots: Vec<Vec<usize>>,
     /// Peers we send values to, ascending.
     pub send_peers: Vec<usize>,
     /// Per send peer: local offsets of the values to send, in the wire
@@ -67,14 +68,13 @@ impl CommSchedule {
         // Ghost slots in (peer, wire-order) order.
         let mut requests: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
         for (peer, globals, peer_locals) in needs {
-            for &g in &globals {
-                let slot = sched.num_ghosts;
-                sched.ghost_of_global.insert(g, slot);
-                sched.num_ghosts += 1;
-            }
+            let slots = sched.num_ghosts..sched.num_ghosts + globals.len();
+            sched.ghost_of_global.extend(globals.iter().copied().zip(slots.clone()));
+            sched.num_ghosts = slots.end;
             requests[peer] = peer_locals;
             sched.recv_peers.push(peer);
             sched.recv_globals.push(globals);
+            sched.recv_slots.push(slots.collect());
         }
         // Tell each owner which of its locals we need. A full exchange
         // (empty payloads to non-neighbours) doubles as the "who sends
@@ -89,7 +89,6 @@ impl CommSchedule {
                 }
             })
             .collect();
-        let _ = TAG_REQUESTS; // pattern kept for the sparse-exchange variant below
         let inbox = ctx.all_to_all(send_requests);
         for (peer, pl) in inbox.into_iter().enumerate() {
             let locals = pl.into_usize();
@@ -182,6 +181,7 @@ mod tests {
         let s0 = &out.results[0];
         assert_eq!(s0.recv_peers, vec![1]);
         assert_eq!(s0.recv_globals, vec![vec![5, 6]]);
+        assert_eq!(s0.recv_slots, vec![vec![0, 1]]);
         assert_eq!(s0.num_ghosts, 2);
         assert_eq!(s0.send_peers, vec![1]);
         assert_eq!(s0.send_locals, vec![vec![0]]); // p1 wants global 0 = p0 local 0

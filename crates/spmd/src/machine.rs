@@ -12,16 +12,42 @@
 //! pending buffer so that out-of-order arrivals from different sources
 //! are handled like a real message-passing runtime's envelope matching.
 //!
+//! A receiver with nothing in its mailbox **polls before it parks**
+//! when every rank can have a core (`nprocs ≤ available_parallelism`):
+//! it spins on the mailbox for at most `POLL_BUDGET` (200 µs) and only
+//! then sleeps. Ranks of one iteration reach a collective within
+//! microseconds of each other, and a futex sleep/wake pair costs ≈ 20 µs
+//! — more than the collective. An oversubscribed pool parks at once: a
+//! spinning rank would hold the core its peer needs. Parked or polling,
+//! a waiter also watches the pool's failure flag, so a rank whose peer
+//! panicked unwinds instead of waiting for a message that will never
+//! come, and [`PooledMachine::run`] re-raises the first panic.
+//!
 //! Every byte moved is counted in [`TrafficStats`] — the simulator's
 //! substitute for the paper's SP-2 timings when distinguishing
 //! communication-light from communication-heavy algorithms.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Barrier, Mutex, OnceLock};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Barrier, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
+use bernoulli_formats::exec::hardware_threads;
 use bernoulli_formats::ExecCtx;
+
+/// How long a receiver polls an empty mailbox before parking (when it
+/// polls at all, see the module docs). The waits an executor iteration
+/// produces are the skew between ranks finishing the same kernel, tens
+/// of microseconds; 200 µs covers those several times over, and bounds
+/// what a rank burns when its peer is busy for real (set-up, an
+/// inspector) to less than ten wake-ups' worth per receive.
+const POLL_BUDGET: Duration = Duration::from_micros(200);
+
+/// Longest uninterrupted sleep of a parked waiter: the bound on how
+/// late it notices that a peer has failed.
+const PARK_SLICE: Duration = Duration::from_millis(50);
 
 /// A typed message payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -182,7 +208,7 @@ pub struct Ctx {
     txs: Vec<Sender<Envelope>>,
     rx: Receiver<Envelope>,
     pending: Vec<Envelope>,
-    barrier: Arc<Barrier>,
+    shared: Arc<Shared>,
     stats: TrafficStats,
     coll_seq: u32,
     network: Option<NetworkModel>,
@@ -190,6 +216,64 @@ pub struct Ctx {
 
 /// Tag space reserved for collectives (user tags must stay below).
 const COLL_TAG_BASE: u32 = 0x4000_0000;
+
+/// [`Shared::failed`] while no rank of the run has panicked.
+const NO_RANK: usize = usize::MAX;
+
+/// Payload a waiter unwinds with once a peer has failed. Raised with
+/// `resume_unwind`, so the panic hook stays silent: the peer's own
+/// panic is the one reported and re-raised.
+struct PeerFailed;
+
+/// What the ranks of one pool share besides their mailboxes.
+struct Shared {
+    nprocs: usize,
+    /// Whether an idle receiver polls before parking: every rank can
+    /// have a core of its own.
+    poll: bool,
+    /// The first rank whose job panicked in the current run.
+    failed: AtomicUsize,
+    /// [`Ctx::barrier`]: `(ranks waiting, generation)`.
+    barrier: Mutex<(usize, u64)>,
+    barrier_cv: Condvar,
+    /// The workers' end-of-run synchronisation. Apart from the barrier
+    /// above: a failed rank waits here while a survivor may still sit
+    /// in a user barrier, and the two must not release each other.
+    run_barrier: Barrier,
+}
+
+impl Shared {
+    /// Unwind if a rank of this run has panicked.
+    fn check_peers(&self) {
+        if self.failed.load(Ordering::Acquire) != NO_RANK {
+            resume_unwind(Box::new(PeerFailed));
+        }
+    }
+
+    /// A generation barrier whose waiters leave when a peer fails.
+    fn barrier_wait(&self) {
+        let mut st = self.barrier.lock().expect("no code panics under the barrier lock");
+        st.0 += 1;
+        if st.0 == self.nprocs {
+            *st = (0, st.1 + 1);
+            self.barrier_cv.notify_all();
+            return;
+        }
+        let generation = st.1;
+        while st.1 == generation {
+            if self.failed.load(Ordering::Acquire) != NO_RANK {
+                st.0 -= 1;
+                drop(st);
+                resume_unwind(Box::new(PeerFailed));
+            }
+            st = self
+                .barrier_cv
+                .wait_timeout(st, PARK_SLICE)
+                .expect("no code panics under the barrier lock")
+                .0;
+        }
+    }
+}
 
 impl Ctx {
     pub fn rank(&self) -> usize {
@@ -246,13 +330,14 @@ impl Ctx {
         env.payload
     }
 
-    /// Blocking receive matching `(from, tag)`.
+    /// Blocking receive matching `(from, tag)`. Unwinds if a peer's
+    /// job panics while this rank waits.
     pub fn recv(&mut self, from: usize, tag: u32) -> Payload {
         if let Some(k) = self.pending.iter().position(|e| e.from == from && e.tag == tag) {
             return Self::deliver(self.pending.swap_remove(k));
         }
         loop {
-            let env = self.rx.recv().expect("machine shut down while receiving");
+            let env = self.next_envelope();
             if env.from == from && env.tag == tag {
                 return Self::deliver(env);
             }
@@ -260,10 +345,37 @@ impl Ctx {
         }
     }
 
-    /// Synchronise all processors.
+    /// Wait for the next envelope: poll for [`POLL_BUDGET`] if this
+    /// pool polls, then park in [`PARK_SLICE`]s.
+    fn next_envelope(&mut self) -> Envelope {
+        if let Ok(env) = self.rx.try_recv() {
+            return env;
+        }
+        if self.shared.poll {
+            let give_up = Instant::now() + POLL_BUDGET;
+            while Instant::now() < give_up {
+                std::hint::spin_loop();
+                if let Ok(env) = self.rx.try_recv() {
+                    return env;
+                }
+                self.shared.check_peers();
+            }
+        }
+        loop {
+            self.shared.check_peers();
+            match self.rx.recv_timeout(PARK_SLICE) {
+                Ok(env) => return env,
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => panic!("machine shut down while receiving"),
+            }
+        }
+    }
+
+    /// Synchronise all processors. Unwinds if a peer's job panics
+    /// while this rank waits.
     pub fn barrier(&mut self) {
         self.stats.barriers += 1;
-        self.barrier.wait();
+        self.shared.barrier_wait();
     }
 
     fn next_coll_tag(&mut self) -> u32 {
@@ -272,29 +384,38 @@ impl Ctx {
         t
     }
 
-    /// Generic all-reduce over a binomial tree: ⌈log₂P⌉ reduce rounds
-    /// up to rank 0 and the mirrored broadcast back down — the
-    /// O(log P) critical path a real MPI implementation has, which is
-    /// what keeps the modelled all-reduce latency honest at P = 64
-    /// (a star would serialize P−1 receives at the root).
-    fn all_reduce_with(&mut self, x: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+    /// Generic element-wise all-reduce of a short slice over a binomial
+    /// tree: ⌈log₂P⌉ reduce rounds up to rank 0 and the mirrored
+    /// broadcast back down — the O(log P) critical path a real MPI
+    /// implementation has, which is what keeps the modelled all-reduce
+    /// latency honest at P = 64 (a star would serialize P−1 receives at
+    /// the root). Every element is combined in the order a scalar
+    /// all-reduce would combine it.
+    fn all_reduce_with(&mut self, xs: &mut [f64], op: impl Fn(f64, f64) -> f64) {
         self.stats.allreduces += 1;
         let reduce_tag = self.next_coll_tag();
         let bcast_tag = self.next_coll_tag();
         let p = self.nprocs;
         let me = self.rank;
-        let mut acc = x;
+        let n = xs.len();
+        let recv_from = |ctx: &mut Ctx, src: usize, tag: u32| {
+            let got = ctx.recv(src, tag).into_f64();
+            assert_eq!(got.len(), n, "all-reduce length differs on rank {src}");
+            got
+        };
         // Reduce toward rank 0.
         let mut step = 1;
         while step < p {
             if me % (2 * step) == step {
-                self.send_raw(me - step, reduce_tag, Payload::F64(vec![acc]));
+                self.send_raw(me - step, reduce_tag, Payload::F64(xs.to_vec()));
                 break;
             }
             if me.is_multiple_of(2 * step) {
                 let src = me + step;
                 if src < p {
-                    acc = op(acc, self.recv(src, reduce_tag).into_f64()[0]);
+                    for (x, got) in xs.iter_mut().zip(recv_from(self, src, reduce_tag)) {
+                        *x = op(*x, got);
+                    }
                 }
             }
             step *= 2;
@@ -309,27 +430,39 @@ impl Ctx {
             if me.is_multiple_of(2 * step) {
                 let dst = me + step;
                 if dst < p {
-                    self.send_raw(dst, bcast_tag, Payload::F64(vec![acc]));
+                    self.send_raw(dst, bcast_tag, Payload::F64(xs.to_vec()));
                 }
             } else if me % (2 * step) == step {
-                acc = self.recv(me - step, bcast_tag).into_f64()[0];
+                xs.copy_from_slice(&recv_from(self, me - step, bcast_tag));
             }
             if step == 1 {
                 break;
             }
             step /= 2;
         }
-        acc
+    }
+
+    fn all_reduce_scalar(&mut self, x: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+        let mut xs = [x];
+        self.all_reduce_with(&mut xs, op);
+        xs[0]
     }
 
     /// Global sum reduction.
     pub fn all_reduce_sum(&mut self, x: f64) -> f64 {
-        self.all_reduce_with(x, |a, b| a + b)
+        self.all_reduce_scalar(x, |a, b| a + b)
+    }
+
+    /// Element-wise global sums of a short slice in one reduction (one
+    /// message where [`Ctx::all_reduce_sum`] per element would send
+    /// `xs.len()`); each sum has the bits the scalar call gives.
+    pub fn all_reduce_sums(&mut self, xs: &mut [f64]) {
+        self.all_reduce_with(xs, |a, b| a + b)
     }
 
     /// Global max reduction.
     pub fn all_reduce_max(&mut self, x: f64) -> f64 {
-        self.all_reduce_with(x, f64::max)
+        self.all_reduce_scalar(x, f64::max)
     }
 
     /// Global reduction under an arbitrary [`Semiring`]'s ⊕, for the
@@ -351,7 +484,7 @@ impl Ctx {
             "all_reduce over '{}': a tree reduction needs an associative-commutative (+)",
             S::NAME
         );
-        self.all_reduce_with(x, S::plus)
+        self.all_reduce_scalar(x, S::plus)
     }
 
     /// Full exchange: `out[p]` goes to processor `p`; returns what each
@@ -439,6 +572,7 @@ struct JobMsg {
 /// spawn-per-run semantics.
 pub struct PooledMachine {
     nprocs: usize,
+    shared: Arc<Shared>,
     job_txs: Vec<Sender<JobMsg>>,
     /// Serialises concurrent `run` calls on one pool: ranks of two
     /// overlapping runs would otherwise interleave on the same wires.
@@ -459,7 +593,14 @@ impl PooledMachine {
             txs.push(tx);
             rxs.push(rx);
         }
-        let barrier = Arc::new(Barrier::new(nprocs));
+        let shared = Arc::new(Shared {
+            nprocs,
+            poll: nprocs <= hardware_threads(),
+            failed: AtomicUsize::new(NO_RANK),
+            barrier: Mutex::new((0, 0)),
+            barrier_cv: Condvar::new(),
+            run_barrier: Barrier::new(nprocs),
+        });
         let mut job_txs = Vec::with_capacity(nprocs);
         let mut handles = Vec::with_capacity(nprocs);
         for (rank, rx) in rxs.into_iter().enumerate() {
@@ -471,7 +612,7 @@ impl PooledMachine {
                 txs: txs.clone(),
                 rx,
                 pending: Vec::new(),
-                barrier: barrier.clone(),
+                shared: shared.clone(),
                 stats: TrafficStats::default(),
                 coll_seq: 0,
                 network: None,
@@ -489,20 +630,20 @@ impl PooledMachine {
                         job(&mut ctx);
                         // All ranks must finish before anyone drains:
                         // a straggler may still be sending.
-                        ctx.barrier.wait();
+                        ctx.shared.run_barrier.wait();
                         while ctx.rx.try_recv().is_ok() {}
                         ctx.pending.clear();
                         // And all drains must finish before anyone may
                         // start the next job, or a fast rank's new-run
                         // message would be swallowed by a peer still
                         // draining the old one.
-                        ctx.barrier.wait();
+                        ctx.shared.run_barrier.wait();
                     }
                 })
                 .expect("failed to spawn SPMD worker");
             handles.push(handle);
         }
-        PooledMachine { nprocs, job_txs, run_lock: Mutex::new(()), handles }
+        PooledMachine { nprocs, shared, job_txs, run_lock: Mutex::new(()), handles }
     }
 
     pub fn nprocs(&self) -> usize {
@@ -530,6 +671,9 @@ impl PooledMachine {
         // below) with the guard held; the lock protects no data, so a
         // poisoned guard is safe to reclaim.
         let _serialised = self.run_lock.lock().unwrap_or_else(|e| e.into_inner());
+        // Workers read the flag only inside a job, and every job of the
+        // previous run has signalled done.
+        self.shared.failed.store(NO_RANK, Ordering::Release);
         type Slot<T> = Mutex<Option<std::thread::Result<(T, TrafficStats)>>>;
         let slots: Vec<Slot<T>> = (0..self.nprocs).map(|_| Mutex::new(None)).collect();
         let (done_tx, done_rx) = channel::<()>();
@@ -538,6 +682,17 @@ impl PooledMachine {
             let done_tx = done_tx.clone();
             let job: Box<dyn FnOnce(&mut Ctx) + Send + '_> = Box::new(move |ctx: &mut Ctx| {
                 let out = catch_unwind(AssertUnwindSafe(|| f(&mut *ctx)));
+                if out.is_err() {
+                    // The first failure names itself; it is also what
+                    // releases the ranks waiting on this one (they
+                    // unwind with `PeerFailed`, which loses this race).
+                    let _ = ctx.shared.failed.compare_exchange(
+                        NO_RANK,
+                        ctx.rank,
+                        Ordering::AcqRel,
+                        Ordering::Acquire,
+                    );
+                }
                 *slot.lock().unwrap() = Some(out.map(|t| (t, ctx.stats)));
                 let _ = done_tx.send(());
             });
@@ -554,15 +709,18 @@ impl PooledMachine {
         for _ in 0..self.nprocs {
             done_rx.recv().expect("SPMD worker thread died mid-run");
         }
+        let first_failed = self.shared.failed.load(Ordering::Acquire);
         let mut results = Vec::with_capacity(self.nprocs);
         let mut traffic = Vec::with_capacity(self.nprocs);
-        for slot in slots {
+        for (rank, slot) in slots.into_iter().enumerate() {
             match slot.into_inner().unwrap().expect("rank produced no result") {
                 Ok((r, s)) => {
                     results.push(r);
                     traffic.push(s);
                 }
-                Err(panic) => std::panic::resume_unwind(panic),
+                Err(panic) if rank == first_failed => resume_unwind(panic),
+                // A waiter the first failure released, or a later panic.
+                Err(_) => {}
             }
         }
         RunOutput { results, traffic }
@@ -964,16 +1122,17 @@ mod network_model_tests {
         let model = NetworkModel { latency_s: 2e-3, bytes_per_s: 1e9 };
         let out = Machine::run_in(2, Some(model), "model", &ExecCtx::default(), |ctx| {
             let peer = 1 - ctx.rank();
-            ctx.barrier();
+            // Timer first: the peer sends only after the barrier, so
+            // however late this thread wakes from it, the message is
+            // due no earlier than `t` + latency.
             let t = Instant::now();
+            ctx.barrier();
             ctx.send(peer, 1, Payload::F64(vec![1.0]));
             let _ = ctx.recv(peer, 1);
             t.elapsed().as_secs_f64()
         });
         for &dt in &out.results {
-            // The peer's send may predate our timer by a scheduling
-            // sliver; demand most of the modelled latency.
-            assert!(dt >= 1.5e-3, "message arrived after {dt}s, model demands ~2ms");
+            assert!(dt >= 2e-3, "message arrived after {dt}s, model demands 2ms");
         }
     }
 
@@ -983,15 +1142,18 @@ mod network_model_tests {
         let model = NetworkModel { latency_s: 0.0, bytes_per_s: 100e6 };
         let out = Machine::run_in(2, Some(model), "model", &ExecCtx::default(), |ctx| {
             if ctx.rank() == 0 {
+                // Send only once the receiver's timer runs.
+                let _ = ctx.recv(1, 2);
                 ctx.send(1, 1, Payload::F64(vec![0.0; 125_000]));
                 0.0
             } else {
                 let t = Instant::now();
+                ctx.send(0, 2, Payload::Empty);
                 let _ = ctx.recv(0, 1);
                 t.elapsed().as_secs_f64()
             }
         });
-        assert!(out.results[1] >= 9e-3, "1MB took only {}s", out.results[1]);
+        assert!(out.results[1] >= 10e-3, "1MB took only {}s", out.results[1]);
     }
 
     #[test]
@@ -1034,6 +1196,28 @@ mod tree_allreduce_tests {
             });
             for &m in &out.results {
                 assert_eq!(m, (p - 1) as f64, "max at P={p}");
+            }
+        }
+    }
+
+    #[test]
+    fn slice_allreduce_is_the_scalar_allreduce_per_element() {
+        // Sums whose bits depend on the combine order.
+        let term = |rank: usize, k: usize| 0.1 * (rank + 1) as f64 + 1e-3 / (k + 1) as f64;
+        for p in 1..=9usize {
+            let out = Machine::run(p, |ctx| {
+                let scalar: Vec<f64> = (0..3).map(|k| ctx.all_reduce_sum(term(ctx.rank(), k))).collect();
+                let before = ctx.stats();
+                let mut sums: Vec<f64> = (0..3).map(|k| term(ctx.rank(), k)).collect();
+                ctx.all_reduce_sums(&mut sums);
+                let one = ctx.stats().since(&before);
+                assert_eq!((one.allreduces, one.bytes_sent), (1, 3 * 8 * one.msgs_sent));
+                (scalar, sums)
+            });
+            for (scalar, sums) in &out.results {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(sums), bits(scalar), "P={p}");
+                assert_eq!(bits(sums), bits(&out.results[0].1), "P={p}: ranks agree");
             }
         }
     }

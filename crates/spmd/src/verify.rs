@@ -91,8 +91,9 @@ pub fn check_distribution_collective(
 
 /// Statically verify one processor's [`CommSchedule`] (`BA31`): the
 /// parallel arrays must line up, peer lists must be strictly ascending
-/// and in range, and the ghost table must be a bijection between the
-/// flattened receive set and slots `0..num_ghosts`. The inspector
+/// and in range, the ghost table must be a bijection between the
+/// flattened receive set and slots `0..num_ghosts`, and the slot lists
+/// the executor replays must say what the table says. The inspector
 /// asserts this on every schedule it builds (debug builds); the lint
 /// driver runs it over sample schedules.
 pub fn verify_comm_schedule(sched: &CommSchedule, nprocs: usize) -> Vec<Diagnostic> {
@@ -109,6 +110,15 @@ pub fn verify_comm_schedule(sched: &CommSchedule, nprocs: usize) -> Vec<Diagnost
                 sched.recv_peers.len(),
                 sched.recv_globals.len()
             ),
+        ));
+    }
+    if sched.recv_slots.len() != sched.recv_globals.len()
+        || sched.recv_slots.iter().zip(&sched.recv_globals).any(|(s, g)| s.len() != g.len())
+    {
+        d.push(bad(
+            "recv_slots",
+            None,
+            "slot lists do not match the receive lists in shape".to_string(),
         ));
     }
     if sched.send_peers.len() != sched.send_locals.len() {
@@ -159,9 +169,15 @@ pub fn verify_comm_schedule(sched: &CommSchedule, nprocs: usize) -> Vec<Diagnost
             ),
         ));
     }
+    let flat_slots = sched.recv_slots.iter().flatten();
     let mut slot_seen = vec![false; sched.num_ghosts];
-    for (k, g) in flat.iter().enumerate() {
+    for (k, (g, &replayed)) in flat.iter().zip(flat_slots).enumerate() {
         match sched.ghost_of_global.get(g) {
+            Some(&s) if s != replayed => d.push(bad(
+                "recv_slots",
+                Some(k),
+                format!("global {g} is replayed into slot {replayed} but the table says {s}"),
+            )),
             None => d.push(bad(
                 "ghost_of_global",
                 Some(k),
@@ -245,6 +261,17 @@ mod tests {
         let slot = s.ghost_of_global[&9];
         s.ghost_of_global.insert(12, slot);
         assert!(verify_comm_schedule_ok(&s, 2).is_err());
+
+        // Replay slots that disagree with the translation table: the
+        // executor would put global 9's value where 12's is read.
+        let mut s = base.clone();
+        s.recv_slots[0].swap(0, 1);
+        assert!(verify_comm_schedule_ok(&s, 2).unwrap_err().contains("BA31"));
+
+        // A hand-built schedule that never resolved its slots.
+        let mut s = base.clone();
+        s.recv_slots.clear();
+        assert!(verify_comm_schedule_ok(&s, 2).unwrap_err().contains("recv_slots"));
 
         // The untouched schedule stays clean.
         assert!(verify_comm_schedule_ok(base, 2).is_ok());

@@ -9,10 +9,14 @@ cargo build --release
 cargo test --workspace -q
 # The threaded suites again at the optimisation level the benchmark
 # builds: a data race or a reordered reduction can hide behind debug
-# codegen. (fast_kernels stays debug-only: its NaN-payload bit
-# comparisons are codegen-dependent in release, see ROADMAP item 3.)
+# codegen, and the SPMD machine's polled hand-off window only exists
+# where a receive is faster than a wake-up — so every root suite that
+# drives the machine is here. (fast_kernels stays debug-only: its
+# NaN-payload bit comparisons are codegen-dependent in release, see
+# ROADMAP item 3.)
 cargo test --release -q --test exec_ctx --test kernel_tiers --test parallel \
-  --test wavefront --test solvers_integration
+  --test wavefront --test solvers_integration --test failure_injection \
+  --test properties --test observability
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # (`unsafe` containment needs no gate here: crates/formats denies

@@ -6,7 +6,8 @@
 //! heap allocations** per call. The same tally pins two per-request
 //! costs of the compile path: a serial-context SymGS compile allocates
 //! O(1) bytes, and a structure key at most the format's one boxed
-//! enumeration.
+//! enumeration — and the mixed SPMD inspector's, which allocates for
+//! the boundary and nothing that grows with the local matrix.
 //!
 //! Allocation counting uses a thread-local tally inside a wrapper
 //! global allocator, so worker threads and test-harness threads never
@@ -136,4 +137,39 @@ fn structure_key_costs_at_most_the_formats_boxed_enumeration() {
     let csr = Csr::from_triplets(&t);
     let ((allocs, _), _) = allocs_during(|| structure_key_csr(&csr));
     assert_eq!(allocs, 0, "structure_key_csr must not allocate");
+}
+
+#[test]
+fn mixed_inspector_allocates_for_the_boundary_not_the_local_matrix() {
+    // Two ranks split a 4×4×nz grid across z: whatever nz is, each rank
+    // sees one 4×4 plane of ghost points. The inspector reads `Used` off
+    // the global part, resolves the slots and builds the ghost rows —
+    // all boundary-sized; the local operands and their i-node partition
+    // come shared from the spec. So a grid 32 times longer must not
+    // move its allocation tally, which stays below one `rowptr` of the
+    // local rows (two of them at the commit before the ghost rows were
+    // compacted).
+    use bernoulli::spmd::{fragment_matrix, to_mixed_spec, CompiledMixed};
+    use bernoulli_spmd::dist::{BlockDist, Distribution};
+    use bernoulli_spmd::machine::Machine;
+    let inspect_bytes = |nz: usize| -> (u64, usize) {
+        let t = gen::fem_grid_3d(4, 4, nz, 2);
+        let dist = BlockDist::new(t.nrows(), 2);
+        let frags = fragment_matrix(&t, &dist);
+        let out = Machine::run(2, |ctx| {
+            let me = ctx.rank();
+            let spec = to_mixed_spec(&frags[me], |g| {
+                let (p, l) = dist.owner(g);
+                (p == me).then_some(l)
+            });
+            let ((_, bytes), engine) = allocs_during(|| CompiledMixed::inspect(ctx, &spec, &dist));
+            assert_eq!(engine.schedule().num_ghosts, 4 * 4 * 2);
+            bytes
+        });
+        (out.results[0].max(out.results[1]), dist.local_len(0))
+    };
+    let (short, _) = inspect_bytes(8);
+    let (long, n_local) = inspect_bytes(256);
+    assert!(long <= short + short / 10, "inspector allocations grew with the grid: {short} -> {long} bytes");
+    assert!(long < 8 * n_local as u64, "inspector allocated {long} bytes for {n_local} local rows");
 }

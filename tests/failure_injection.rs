@@ -1,7 +1,8 @@
 //! Failure injection: the run-time consistency checks the paper's §3.1
 //! calls for ("it can only be verified at run-time if a user specified
 //! distribution relation in fact provides a 1-1 and onto map"), plus
-//! the compiler's rejection of malformed inputs.
+//! the compiler's rejection of malformed inputs and a rank of the SPMD
+//! machine dying mid-run.
 
 use bernoulli::ast::{programs, AccessRef, ArrayDecl, ExprAst, LoopNest};
 use bernoulli::compile::Compiler;
@@ -162,5 +163,59 @@ fn matrix_market_parser_survives_garbage() {
             read_matrix_market(BufReader::new(bad.as_bytes())).is_err(),
             "parser accepted: {bad:?}"
         );
+    }
+}
+
+/// A rank that dies leaves its peers waiting for a message (or at a
+/// barrier) that never comes. The waiters must notice — while polling
+/// (`P ≤ cores`) and while parked (`P` oversubscribed) — and `run` must
+/// re-raise the dead rank's own panic promptly, then serve the next run.
+#[test]
+fn a_dead_peer_unwinds_its_waiters_and_the_pool_survives() {
+    use bernoulli_spmd::machine::{Payload, PooledMachine};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::{Duration, Instant};
+
+    enum Wait {
+        AllReduce,
+        Barrier,
+    }
+    for (nprocs, wait) in [(2, Wait::AllReduce), (5, Wait::AllReduce), (2, Wait::Barrier), (5, Wait::Barrier)] {
+        let pool = PooledMachine::new(nprocs);
+        let dying = nprocs - 1;
+        let started = Instant::now();
+        let died = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(|ctx| {
+                if ctx.rank() == dying {
+                    // Die only once rank 0 is on its way into the wait,
+                    // having sent nothing the collective could use.
+                    ctx.recv(0, 1);
+                    panic!("rank {dying} exploded");
+                }
+                if ctx.rank() == 0 {
+                    ctx.send(dying, 1, Payload::Empty);
+                }
+                match wait {
+                    Wait::AllReduce => ctx.all_reduce_sum(1.0),
+                    Wait::Barrier => {
+                        ctx.barrier();
+                        0.0
+                    }
+                }
+            })
+        }));
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(2), "P={nprocs}: a dead peer held the run for {took:?}");
+        let payload = died.err().expect("the run must not complete");
+        let message = payload.downcast_ref::<String>().expect("the dead rank's own panic is re-raised");
+        assert_eq!(message, &format!("rank {dying} exploded"), "P={nprocs}");
+
+        // Same pool, next run: collectives and barriers line up again.
+        let out = pool.run(|ctx| {
+            ctx.barrier();
+            ctx.all_reduce_sum(ctx.rank() as f64)
+        });
+        let want = (nprocs * (nprocs - 1) / 2) as f64;
+        assert!(out.results.iter().all(|&s| s == want), "P={nprocs}: {:?}", out.results);
     }
 }

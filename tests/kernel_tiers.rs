@@ -24,8 +24,12 @@
 use bernoulli_analysis::wavefront::{
     analyze_wavefront, symmetrize_lower, symmetrize_upper, LevelSchedule, Triangle,
 };
+use bernoulli_formats::inode::MAX_GROUP_ROWS;
 use bernoulli_formats::kernels;
-use bernoulli_formats::{gen, par_kernels, Bsr, Ccs, Csr, ExecCtx, FormatKind, Msr, SparseMatrix, Triplets};
+use bernoulli_formats::{
+    gen, par_kernels, Bsr, Ccs, Csr, ExecCtx, FormatKind, InodePartition, Msr, SparseMatrix, Triplets,
+};
+use proptest::prelude::*;
 use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus, Semiring};
 use bernoulli_solvers::vecops;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -279,6 +283,117 @@ fn spmm_tiers_are_bitwise_serial() {
             let got_first = par_kernels::par_spmm_csr_csr_in::<FirstNonZero>(&a, &b, &ctx(workers));
             assert_eq!(got_first, want_first, "{name}, first-nonzero, {workers} workers");
         }
+    }
+}
+
+// --- The i-node level of CRS -------------------------------------------
+
+/// `rows` consecutive rows sharing the column list `cols`, distinct
+/// values everywhere.
+fn identical_rows(rows: usize, cols: &[usize], ncols: usize) -> Triplets {
+    let mut t = Triplets::new(rows, ncols);
+    for r in 0..rows {
+        for (k, &c) in cols.iter().enumerate() {
+            t.push(r, c, (r * cols.len() + k) as f64 * 0.375 - 2.9);
+        }
+    }
+    t
+}
+
+/// The row-group body over the CRS arrays is `spmv_csr` bit for bit,
+/// whatever the groups look like: the paper's multi-dof grids as
+/// numbered and with shuffled points, no repeated column list at all,
+/// empty rows (which group with each other), a run longer than the cap,
+/// and non-finite `x`.
+#[test]
+fn csr_inode_body_is_bitwise_the_crs_body() {
+    let mut table: Vec<(String, Triplets)> = Vec::new();
+    for dof in 1..=5 {
+        let (g2, g3) = (gen::fem_grid_2d(6, 5, dof), gen::fem_grid_3d(4, 3, 3, dof));
+        table.push((format!("fem 2d dof {dof}, shuffled"), gen::shuffle_points(&g2, dof, 7)));
+        table.push((format!("fem 3d dof {dof}, shuffled"), gen::shuffle_points(&g3, dof, 11)));
+        table.push((format!("fem 2d dof {dof}"), g2));
+        table.push((format!("fem 3d dof {dof}"), g3));
+    }
+    table.push(("no repeated column list".into(), gen::grid2d_5pt(9, 7)));
+    table.extend(operands().into_iter().map(|(name, t)| (name.to_string(), t)));
+    table.push(("13 identical rows".into(), identical_rows(13, &[0, 2, 3, 9], 11)));
+
+    for (name, t) in &table {
+        let a = Csr::from_triplets(t);
+        let part = InodePartition::of(&a);
+        let n = t.ncols();
+        let finite: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 * 0.3 - 1.7).collect();
+        let mut nonfinite = finite.clone();
+        for (at, v) in [(0, f64::NAN), (n / 2, f64::INFINITY), (n.saturating_sub(1), f64::NEG_INFINITY)] {
+            if let Some(x) = nonfinite.get_mut(at) {
+                *x = v;
+            }
+        }
+        for x in [&finite, &nonfinite] {
+            let mut want = vec![0.25; t.nrows()];
+            kernels::spmv_csr(&a, x, &mut want);
+            let mut got = vec![0.25; t.nrows()];
+            kernels::spmv_csr_inodes(&a, &part, x, &mut got);
+            assert_eq!(bits(&got), bits(&want), "{name}");
+            // Through a column translation, as the naive executor reads x.
+            let shifted: Vec<f64> = std::iter::once(0.0).chain(x.iter().copied()).collect();
+            let mut via = vec![0.25; t.nrows()];
+            kernels::spmv_csr_inodes_with(&a, &part, |c| shifted[c + 1], &mut via);
+            assert_eq!(bits(&via), bits(&want), "{name}, translated");
+        }
+    }
+
+    let sizes = |t: &Triplets| -> Vec<usize> {
+        InodePartition::of(&Csr::from_triplets(t)).groups().map(|g| g.len()).collect()
+    };
+    assert_eq!(sizes(&gen::fem_grid_2d(6, 5, 5)), vec![5; 30], "one group per point");
+    assert!(sizes(&gen::grid2d_5pt(9, 7)).iter().all(|&rows| rows == 1));
+    assert_eq!(sizes(&identical_rows(13, &[0, 2, 3, 9], 11)), vec![8, 5], "a run crosses the cap");
+    assert_eq!(sizes(&Triplets::new(6, 4)), vec![6], "empty rows share the empty list");
+}
+
+/// A partition handed another matrix is refused, not replayed.
+#[test]
+#[should_panic(expected = "i-node partition of another matrix")]
+fn csr_inode_body_refuses_a_foreign_partition() {
+    let a = Csr::from_triplets(&gen::fem_grid_2d(4, 3, 2));
+    let part = InodePartition::of(&Csr::from_triplets(&gen::fem_grid_2d(4, 4, 2)));
+    kernels::spmv_csr_inodes(&a, &part, &vec![1.0; a.ncols()], &mut vec![0.0; a.nrows()]);
+}
+
+proptest! {
+    /// The partition tiles `0..nrows` in order, every group's rows have
+    /// equal column slices, and no group could have taken the next row
+    /// (it is full, the matrix ended, or the next row differs).
+    #[test]
+    fn inode_partition_tiles_rows_into_maximal_equal_groups(
+        nrows in 0usize..40,
+        ncols in 1usize..7,
+        // Few distinct lists, so runs of equal rows — long ones too — occur.
+        lists in proptest::collection::vec(0usize..8, 0..40),
+    ) {
+        let mut t = Triplets::new(nrows, ncols);
+        for r in 0..nrows {
+            let mask = lists.get(r).copied().unwrap_or(5);
+            for c in (0..ncols).filter(|c| mask >> (c % 3) & 1 == 1) {
+                t.push(r, c, (r * ncols + c) as f64 + 1.0);
+            }
+        }
+        let a = Csr::from_triplets(&t);
+        let part = InodePartition::of(&a);
+        let mut next = 0;
+        for g in part.groups() {
+            prop_assert_eq!(g.start, next, "groups tile the rows in order");
+            prop_assert!((1..=MAX_GROUP_ROWS).contains(&g.len()));
+            prop_assert!(g.clone().all(|r| a.row_cols(r) == a.row_cols(g.start)));
+            let maximal = g.len() == MAX_GROUP_ROWS
+                || g.end == nrows
+                || a.row_cols(g.end) != a.row_cols(g.start);
+            prop_assert!(maximal, "group {:?} stops early", g);
+            next = g.end;
+        }
+        prop_assert_eq!(next, nrows);
     }
 }
 

@@ -227,3 +227,161 @@ fn executor_traffic_independent_of_spec_but_inspector_is_not() {
     let exec_n: u64 = nv.results.iter().map(|r| r.1).sum();
     assert_eq!(exec_m, exec_n, "executors move the same boundary values");
 }
+
+// --- Numbers unchanged -------------------------------------------------
+
+/// FNV-1a-style fold over f64 bit patterns: the golden fingerprint.
+fn bit_hash(xs: &[f64]) -> u64 {
+    xs.iter().fold(0xcbf29ce484222325u64, |h, x| (h ^ x.to_bits()).wrapping_mul(0x100000001b3))
+}
+
+/// `iters` iterations of diagonally preconditioned CG over the mixed
+/// executor on `fem_grid_2d(6, 5, 2)`, block rows over `p` ranks: every
+/// rank's residual history, and the traffic of all ranks in the solve.
+fn mixed_cg_histories(p: usize, iters: usize) -> (Vec<Vec<f64>>, bernoulli_spmd::machine::TrafficStats) {
+    let t = fem_grid_2d(6, 5, 2);
+    let n = t.nrows();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 11) as f64) * 0.25 - 1.0).collect();
+    let dist = BlockDist::new(n, p);
+    let frags = fragment_matrix(&t, &dist);
+    let pc = DiagonalPreconditioner::from_matrix(&t);
+    let out = Machine::run(p, |ctx| {
+        let me = ctx.rank();
+        let owned = dist.owned_globals(me);
+        let b_local: Vec<f64> = owned.iter().map(|&g| b[g]).collect();
+        let spec = to_mixed_spec(&frags[me], |g| {
+            let (q, l) = dist.owner(g);
+            (q == me).then_some(l)
+        });
+        let mut eng = CompiledMixed::inspect(ctx, &spec, &dist);
+        let mut x_local = vec![0.0; owned.len()];
+        let before = ctx.stats();
+        let res = cg_parallel(
+            ctx,
+            |ctx, v, out| eng.execute(ctx, v, out),
+            &pc.restrict(&owned),
+            &b_local,
+            &mut x_local,
+            CgOptions { max_iters: iters, rel_tol: 0.0 },
+        );
+        (res.residual_history, ctx.stats().since(&before))
+    });
+    let traffic: Vec<_> = out.results.iter().map(|r| r.1).collect();
+    (out.results.into_iter().map(|r| r.0).collect(), bernoulli_spmd::machine::TrafficStats::merged(&traffic))
+}
+
+/// The executor rewrite (i-node local products, slot replay, compact
+/// ghost rows, poll-before-park, the fused ⟨r,z⟩/⟨r,r⟩ reduction)
+/// changes no number: residual histories carry the bits captured at the
+/// commit before it, on every rank; only the all-reduce count moves.
+#[test]
+fn cg_parallel_histories_keep_their_bits_and_bytes() {
+    // Captured at the parent commit with this same function.
+    const HISTORY_GOLD: [u64; 4] = [0x57b6b4a7af6dbfee, 0x5da0a2d9e2fbba9b, 0x4555b4935d625bb1, 0x1c460daa9acc113e];
+    // Bytes all ranks send per iteration (gather + all-reduces).
+    const BYTES_PER_ITER_GOLD: [u64; 4] = [0, 240, 480, 752];
+    for p in 1..=4usize {
+        let (histories, short) = mixed_cg_histories(p, 12);
+        assert_eq!(histories[0].len(), 13);
+        for (rank, h) in histories.iter().enumerate() {
+            assert_eq!(bit_hash(h), HISTORY_GOLD[p - 1], "P={p}, rank {rank}");
+        }
+        let (_, long) = mixed_cg_histories(p, 24);
+        let per_iter = long.since(&short);
+        assert_eq!(per_iter.bytes_sent, 12 * BYTES_PER_ITER_GOLD[p - 1], "P={p}");
+        assert_eq!(per_iter.allreduces, 12 * 2 * p as u64, "P={p}: two all-reduces per iteration (three at the parent)");
+        assert_eq!(per_iter.alltoalls + per_iter.barriers, 0);
+    }
+}
+
+/// One product on each executor's own unit-test fixture, stitched to
+/// global order.
+fn executor_outputs() -> Vec<(&'static str, Vec<f64>)> {
+    use bernoulli::spmd::CompiledTransposed;
+    let stitch = |dist: &dyn Distribution, parts: &[Vec<f64>]| {
+        let mut out = vec![0.0; dist.len()];
+        for (p, part) in parts.iter().enumerate() {
+            for (l, &g) in dist.owned_globals(p).iter().enumerate() {
+                out[g] = part[l];
+            }
+        }
+        out
+    };
+    let mut outputs = Vec::new();
+
+    let compiled = |name: &'static str, t: &Triplets, nprocs: usize, x: Vec<f64>| {
+        let dist = BlockDist::new(t.nrows(), nprocs);
+        let frags = fragment_matrix(t, &dist);
+        let out = Machine::run(nprocs, |ctx| {
+            let me = ctx.rank();
+            let x_local: Vec<f64> = dist.owned_globals(me).iter().map(|&g| x[g]).collect();
+            let mut y = vec![0.0; dist.local_len(me)];
+            match name {
+                "naive" => CompiledNaive::inspect(ctx, &frags[me], &dist).execute(ctx, &x_local, &mut y),
+                "mixed" => {
+                    let spec = to_mixed_spec(&frags[me], |g| {
+                        let (p, l) = dist.owner(g);
+                        (p == me).then_some(l)
+                    });
+                    CompiledMixed::inspect(ctx, &spec, &dist).execute(ctx, &x_local, &mut y)
+                }
+                _ => CompiledTransposed::inspect(ctx, &frags[me], &dist).execute(ctx, &x_local, &mut y),
+            }
+            y
+        });
+        (name, stitch(&dist, &out.results))
+    };
+    let t = fem_grid_2d(6, 4, 2);
+    let n = t.nrows();
+    outputs.push(compiled("naive", &t, 3, (0..n).map(|i| ((i % 9) as f64) - 4.0).collect()));
+    let mut unsym = t.clone();
+    unsym.push(0, n - 1, 5.0);
+    outputs.push(compiled("transposed", &unsym, 3, (0..n).map(|i| ((i * 5 % 13) as f64) - 6.0).collect()));
+    let t = fem_grid_2d(5, 5, 2);
+    outputs.push(compiled("mixed", &t, 4, (0..t.nrows()).map(|i| (i as f64 * 0.11).sin()).collect()));
+
+    let blocksolve = |name: &'static str, t: &Triplets, dof: usize, nprocs: usize, overlap: bool| {
+        let layout = build_layout(t, dof, nprocs, 2);
+        let rt = layout.permute_matrix(t);
+        let x: Vec<f64> = (0..t.nrows()).map(|i| ((i * 7 % 13) as f64) - 6.0).collect();
+        let locals = split_matrix(&layout, &rt);
+        let dist = layout.dist.clone();
+        let out = Machine::run(nprocs, |ctx| {
+            let me = ctx.rank();
+            let x_local: Vec<f64> = dist.owned_globals(me).iter().map(|&g| x[g]).collect();
+            let mut pm = BsParallelMatvec::inspect(ctx, &locals[me], &dist);
+            let mut y_local = vec![0.0; locals[me].n_local];
+            pm.execute(ctx, &locals[me], &x_local, &mut y_local, overlap);
+            y_local
+        });
+        (name, stitch(&dist, &out.results))
+    };
+    let t = fem_grid_2d(5, 4, 3);
+    outputs.push(blocksolve("blocksolve 2d P=1", &t, 3, 1, false));
+    outputs.push(blocksolve("blocksolve 2d P=2", &t, 3, 2, false));
+    outputs.push(blocksolve("blocksolve 2d P=4", &t, 3, 4, false));
+    let t = fem_grid_3d(3, 3, 2, 5);
+    outputs.push(blocksolve("blocksolve 3d P=4", &t, 5, 4, false));
+    outputs.push(blocksolve("blocksolve 3d P=4 overlapped", &t, 5, 4, true));
+    outputs
+}
+
+#[test]
+fn executor_outputs_keep_the_parent_commits_bits() {
+    // Captured at the parent commit with `executor_outputs` as it stands.
+    const GOLD: [u64; 8] = [
+        0xb068704ecac85292,
+        0xcb96248f786555b4,
+        0x51a68a8ecea4f7f2,
+        0x25ebb3a5c033415b,
+        0x0f22fdb95cd86b72,
+        0x7f1a9d855cab0399,
+        0x6955d8ac739704df,
+        0x6955d8ac739704df,
+    ];
+    let outputs = executor_outputs();
+    assert_eq!(outputs.len(), GOLD.len());
+    for ((name, y), gold) in outputs.iter().zip(GOLD) {
+        assert_eq!(bit_hash(y), gold, "{name} drifted from the parent's bits");
+    }
+}
