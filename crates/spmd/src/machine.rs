@@ -14,14 +14,18 @@
 //!
 //! A receiver with nothing in its mailbox **polls before it parks**
 //! when every rank can have a core (`nprocs ≤ available_parallelism`):
-//! it spins on the mailbox for at most `POLL_BUDGET` (200 µs) and only
+//! it probes the mailbox for at most `POLL_BUDGET` (200 µs) and only
 //! then sleeps. Ranks of one iteration reach a collective within
 //! microseconds of each other, and a futex sleep/wake pair costs ≈ 20 µs
-//! — more than the collective. An oversubscribed pool parks at once: a
-//! spinning rank would hold the core its peer needs. Parked or polling,
-//! a waiter also watches the pool's failure flag, so a rank whose peer
-//! panicked unwinds instead of waiting for a message that will never
-//! come, and [`PooledMachine::run`] re-raises the first panic.
+//! — more than the collective. A poller that never gave up its core
+//! would hold the one its peer needs — in an oversubscribed pool always,
+//! and in a pool that fits whenever the OS has put two ranks on one core
+//! (neither sleeps long enough to be migrated, so every receive would
+//! burn the whole budget). Hence an oversubscribed pool parks at once,
+//! and a polling rank yields to the scheduler between probes. Parked
+//! or polling, a waiter also watches the pool's failure flag, so a rank
+//! whose peer panicked unwinds instead of waiting for a message that
+//! will never come, and [`PooledMachine::run`] re-raises the first panic.
 //!
 //! Every byte moved is counted in [`TrafficStats`] — the simulator's
 //! substitute for the paper's SP-2 timings when distinguishing
@@ -354,7 +358,7 @@ impl Ctx {
         if self.shared.poll {
             let give_up = Instant::now() + POLL_BUDGET;
             while Instant::now() < give_up {
-                std::hint::spin_loop();
+                std::thread::yield_now();
                 if let Ok(env) = self.rx.try_recv() {
                     return env;
                 }

@@ -11,12 +11,11 @@ cargo test --workspace -q
 # builds: a data race or a reordered reduction can hide behind debug
 # codegen, and the SPMD machine's polled hand-off window only exists
 # where a receive is faster than a wake-up — so every root suite that
-# drives the machine is here. (fast_kernels stays debug-only: its
-# NaN-payload bit comparisons are codegen-dependent in release, see
-# ROADMAP item 3.)
+# drives the machine is here, `tables` with its twenty invocations of
+# the P = 2 Table-2 cell included, and the fast tier's bitwise suite.
 cargo test --release -q --test exec_ctx --test kernel_tiers --test parallel \
   --test wavefront --test solvers_integration --test failure_injection \
-  --test properties --test observability
+  --test properties --test observability --test fast_kernels --test tables
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # (`unsafe` containment needs no gate here: crates/formats denies
@@ -41,10 +40,14 @@ cargo run --release --example lint
 # semiring engine path against closed-form answers (exits nonzero on
 # any mismatch).
 cargo run --release --example graph > /dev/null
+# Reproduction gate: every table, figure series and ablation of the
+# paper, full scale (P = 2..64, ~12 s); exits nonzero if any shape
+# claim EXPERIMENTS.md cites fails.
+mkdir -p target/ci
+cargo run --release --bin tables > target/ci/tables_output.txt
 # Observability schema gate: the profile driver exits nonzero if the
 # report fails validation or any telemetry stream is empty; the grep
 # catches a schema-identifier drift the driver itself can't see.
-mkdir -p target/ci
 cargo run --release --example profile target/ci/PROFILE.json > /dev/null
 grep -q '"schema":"bernoulli.profile/v1"' target/ci/PROFILE.json
 for stream in plans strategies kernels traffic solvers calibrations spans; do

@@ -1,0 +1,250 @@
+//! The design-choice ablations (DESIGN.md §4): each isolates one
+//! decision of the compiler or the runtime, prints what it measured and
+//! returns the claim the decision rests on. Clock claims carry wide
+//! margins; the distribution ablation's is a byte count.
+
+use crate::table1::TABLE1_FORMATS;
+use crate::workload::{build_workload, median_times};
+use crate::Claim;
+use bernoulli::engines::SpmvEngine;
+use bernoulli::ExecCtx;
+use bernoulli_blocksolve::matvec::BsParallelMatvec;
+use bernoulli_formats::gen::{fem_grid_3d, grid2d_9pt};
+use bernoulli_formats::{Csr, FormatKind, SparseMatrix, SparseVec, Triplets};
+use bernoulli_relational::exec::{execute, Bindings};
+use bernoulli_relational::plan::{Driver, JoinMethod, Lookup, LoopNode, Plan, PlanNode, ProbeKind};
+use bernoulli_relational::planner::{Planner, QueryMeta};
+use bernoulli_relational::prelude::*;
+use bernoulli_spmd::chaos::ChaosTable;
+use bernoulli_spmd::dist::{
+    BlockDist, ContiguousRunsDist, Distribution, GeneralizedBlockDist, IndirectDist,
+};
+use bernoulli_spmd::inspector::CommSchedule;
+use bernoulli_spmd::machine::{Machine, NetworkModel};
+use std::hint::black_box;
+
+/// Samples per timed arm.
+const SAMPLES: usize = 15;
+
+pub fn run() -> Vec<Claim> {
+    let claims = [dispatch(), joins(), empty_cols(), dist()].into_iter().flatten().collect();
+    overlap();
+    claims
+}
+
+/// Median microseconds per call of each of `N` interleaved arms:
+/// `f(arm)` is one call, arm `k` makes `reps[k]` of them per sample.
+fn micros<const N: usize>(reps: [usize; N], mut f: impl FnMut(usize)) -> [f64; N] {
+    let secs = median_times::<N>(SAMPLES, |arm| (0..reps[arm]).for_each(|_| f(arm)));
+    std::array::from_fn(|arm| secs[arm] / reps[arm] as f64 * 1e6)
+}
+
+/// Dispatch hoisting — "generality does not come at the expense of
+/// performance": the hand-written per-format kernel, the compiled
+/// engine specialised on plan shape (the default), and the general
+/// plan interpreter with dispatch *inside* the loops.
+fn dispatch() -> Vec<Claim> {
+    let t = fem_grid_3d(6, 6, 4, 3);
+    let x: Vec<f64> = (0..t.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
+    let mut y = vec![0.0; t.nrows()];
+    println!("--- dispatch: SpMV tiers, µs per product ---");
+    println!("{:<12}{:>10}{:>13}{:>13}", "format", "hand", "specialised", "interpreted");
+    // Summed over the formats: a single 3 µs kernel's median still
+    // wanders ±20 % between runs on this host; six of them do not.
+    let mut total = [0.0; 3];
+    for kind in TABLE1_FORMATS {
+        let a = SparseMatrix::from_triplets(kind, &t);
+        let fast = SpmvEngine::compile(&a).expect("spmv compiles for every format");
+        let slow = SpmvEngine::compile_in(&a, &ExecCtx::default().specialization(false))
+            .expect("the interpreter takes every format");
+        let us = micros([400, 400, 2], |arm| match arm {
+            0 => a.spmv_acc(black_box(&x), black_box(&mut y)),
+            1 => fast.run(&a, black_box(&x), black_box(&mut y)).expect("runs"),
+            _ => slow.run(&a, black_box(&x), black_box(&mut y)).expect("runs"),
+        });
+        println!("{:<12}{:>10.2}{:>13.2}{:>13.1}", kind.paper_name(), us[0], us[1], us[2]);
+        total = std::array::from_fn(|arm| total[arm] + us[arm]);
+    }
+    println!();
+    let [hand, specialised, interpreted] = total;
+    let (fast, slow) =
+        ("specialised / hand-written, six-format totals", "interpreted / specialised");
+    vec![
+        Claim::at_most("A.dispatch-specialised", specialised / hand, 1.3, fast),
+        Claim::at_least("A.dispatch-interpreter", interpreted / specialised, 10.0, slow),
+    ]
+}
+
+/// The CSR matvec plan with the `X` join forced to `method`.
+fn forced_plan(method: JoinMethod) -> Plan {
+    let lookup = Lookup { rel: VEC_X, kind: ProbeKind::VecAt(VAR_J), method, in_predicate: true };
+    let level =
+        |var, driver, lookups| PlanNode::Loop(LoopNode { var, driver, derived: vec![], lookups });
+    let outer = level(VAR_I, Driver::MatOuter(MAT_A), vec![]);
+    Plan { nodes: vec![outer, level(VAR_J, Driver::MatInner(MAT_A), vec![lookup])], est_cost: 0.0 }
+}
+
+/// Join-implementation choice: merge-join (co-traversal of the sorted
+/// sparse `x`) against search-join (a binary probe per stored entry) in
+/// a sparse-`A` × sparse-`x` product across `x` densities, and the plan
+/// the planner picks from the declared access properties, which should
+/// track the better of the two as the crossover moves.
+fn joins() -> Vec<Claim> {
+    let am = SparseMatrix::Csr(Csr::from_triplets(&grid2d_9pt(40, 40)));
+    let n = am.nrows();
+    let mut query = QueryBuilder::mat_vec_product().build();
+    query.infer_predicate(&|r| r == MAT_A || r == VEC_X);
+    println!("--- joins: sparse A × sparse x, µs per product ---");
+    println!("{:<10}{:>10}{:>10}{:>10}", "x density", "merge", "search", "planner");
+    let mut worst: f64 = 0.0;
+    for density_pct in [1usize, 10, 50] {
+        let stored: Vec<(usize, f64)> =
+            (0..n).step_by(100 / density_pct).map(|i| (i, 1.0 + (i % 3) as f64)).collect();
+        let x = SparseVec::from_pairs(n, &stored);
+        let mut y = vec![0.0; n];
+        let meta = QueryMeta::new().mat(MAT_A, am.meta()).vec(VEC_X, x.meta());
+        let planned = Planner::new().plan(&query, &meta).expect("the product plans");
+        let plans = [forced_plan(JoinMethod::Merge), forced_plan(JoinMethod::Search), planned];
+        let [merge, search, planner] = micros([3; 3], |arm| {
+            let mut binds = Bindings::new();
+            binds.bind_mat(MAT_A, &am).bind_vec(VEC_X, &x).bind_vec_mut(VEC_Y, &mut y);
+            execute(black_box(&plans[arm]), &query, &mut binds).expect("executes");
+        });
+        println!("{:<10}{merge:>10.1}{search:>10.1}{planner:>10.1}", format!("{density_pct}%"));
+        if density_pct != 10 {
+            worst = worst.max(planner / merge.min(search));
+        }
+    }
+    println!();
+    let what = "planner / better of merge, search; worse of 1% and 50% density";
+    vec![Claim::at_most("A.joins-planner-tracks-best", worst, 1.25, what)]
+}
+
+/// The CCCS column-compression level (Fig. 1's motivation): "if a
+/// matrix has many zero columns, then the zero columns are not stored"
+/// — CCCS adds the COLIND indirection so SpMV touches only the stored
+/// columns, while CCS walks every COLP slot. CRS is the row-major
+/// control.
+fn empty_cols() -> Vec<Claim> {
+    let n = 200_000;
+    let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+    let mut y = vec![0.0; n];
+    println!("--- empty columns: SpMV, µs per product ---");
+    println!("{:<10}{:>10}{:>10}{:>10}", "empty", "CCS", "CCCS", "CRS");
+    let mut cccs_over_ccs = Vec::new();
+    for (label, stride) in [("0%", 1usize), ("90%", 10), ("99%", 100)] {
+        // Every `stride`-th column holds three entries, a banded pattern.
+        let mut t = Triplets::new(n, n);
+        for c in (0..n).step_by(stride) {
+            (0..3).for_each(|dr| t.push((c + dr * 7) % n, c, 1.0 + dr as f64));
+        }
+        let mats = [FormatKind::Ccs, FormatKind::Cccs, FormatKind::Csr]
+            .map(|kind| SparseMatrix::from_triplets(kind, &t));
+        let engines = mats.each_ref().map(|a| SpmvEngine::compile(a).expect("compiles"));
+        let us = micros([5; 3], |k| {
+            engines[k].run(black_box(&mats[k]), black_box(&x), black_box(&mut y)).expect("runs")
+        });
+        println!("{label:<10}{:>10.2}{:>10.2}{:>10.2}", us[0], us[1], us[2]);
+        cccs_over_ccs.push(us[1] / us[0]);
+    }
+    println!();
+    // With no column empty COLIND is one more load per three-entry
+    // column: 1.1–1.3× here, so "costs little" is held to 1.5×.
+    vec![
+        Claim::at_least("A.cccs-gain", 1.0 / cccs_over_ccs[2], 5.0, "CCS / CCCS at 99% empty"),
+        Claim::at_most("A.cccs-cost", cccs_over_ccs[0], 1.5, "CCCS / CCS at 0% empty"),
+    ]
+}
+
+/// Structure in distribution relations (the Table 3 claim isolated):
+/// the same inspector over progressively less structured index
+/// translations — closed-form Block, replicated GeneralizedBlock,
+/// replicated ContiguousRuns (BlockSolve), replicated Indirect (MAP) —
+/// and the Chaos distributed translation table.
+fn dist() -> Vec<Claim> {
+    const N: usize = 8000;
+    const P: usize = 4;
+    // Each processor needs a band of 64 indices past its block.
+    let used_for = |dist: &dyn Distribution, me: usize| -> Vec<usize> {
+        let base = dist.to_global(me, dist.local_len(me) - 1);
+        (1..=64).map(|k| (base + k) % N).filter(|&g| dist.owner(g).0 != me).collect()
+    };
+    let block = BlockDist::new(N, P);
+    let genblock = GeneralizedBlockDist::new(&[N / P; P]);
+    let runs = (0..2 * P).map(|k| (k * (N / (2 * P)), N / (2 * P), k % P)).collect();
+    let contig = ContiguousRunsDist::new(P, runs);
+    let indirect = IndirectDist::new(P, (0..N).map(|g| (g / (N / P)).min(P - 1)).collect());
+    let replicated: [(&str, &dyn Distribution); 4] = [
+        ("block", &block),
+        ("generalized-block", &genblock),
+        ("contiguous-runs", &contig),
+        ("indirect-replicated", &indirect),
+    ];
+
+    println!("--- distribution relations: one inspector, N = {N}, P = {P} ---");
+    println!("{:<22}{:>12}{:>12}", "relation", "µs", "bytes sent");
+    let mut bytes = [0u64; 5];
+    let us = micros([1; 5], |arm| {
+        let out = Machine::run(P, |ctx| {
+            let me = ctx.rank();
+            let sched = match replicated.get(arm) {
+                Some(&(_, dist)) => CommSchedule::build_replicated(ctx, dist, &used_for(dist, me)),
+                None => {
+                    let table = ChaosTable::build(ctx, N, &block.owned_globals(me));
+                    CommSchedule::build_with_chaos(ctx, &table, &used_for(&block, me))
+                }
+            };
+            black_box(sched.recv_volume());
+            ctx.stats().bytes_sent
+        });
+        bytes[arm] = out.results.iter().sum();
+    });
+    let names = replicated.iter().map(|&(name, _)| name).chain(["chaos-table/block"]);
+    for (name, (us, bytes)) in names.zip(us.iter().zip(bytes)) {
+        println!("{name:<22}{us:>12.1}{bytes:>12}");
+    }
+    println!();
+    let (chaos, most) = (bytes[4], bytes[..4].iter().copied().fold(0, u64::max));
+    let seen = format!("Chaos-table inspector sent {chaos} B, a replicated one at most {most} B");
+    vec![Claim::new("A.dist-chaos-bytes", chaos > most, seen)]
+}
+
+/// Communication/computation overlap in the BlockSolve matvec — what
+/// the paper credits for the hand-written code's 2–4 % edge. Printed
+/// only: with P simulated processors on two cores there is little
+/// concurrent progress for overlap to buy.
+fn overlap() {
+    println!("--- overlap: 20 BlockSolve matvecs on the SP-2 network model, ms ---");
+    println!("{:<6}{:>14}{:>14}", "P", "gather-first", "overlapped");
+    for p in [2, 4] {
+        let w = build_workload(p);
+        let network = Some(NetworkModel::sp2_scaled());
+        let ms: [f64; 2] = median_times(SAMPLES, |overlap| {
+            let out = Machine::run_in(p, network, "overlap", &ExecCtx::default(), |ctx| {
+                let local = &w.bs_locals[ctx.rank()];
+                let mut pm = BsParallelMatvec::inspect(ctx, local, &w.dist);
+                let x = vec![1.0; local.n_local];
+                let mut y = vec![0.0; local.n_local];
+                // 20 matvecs amortise the inspector.
+                (0..20).for_each(|_| pm.execute(ctx, local, &x, &mut y, overlap == 1));
+                y[0]
+            });
+            black_box(out.results);
+        })
+        .map(|s| 1e3 * s);
+        println!("{p:<6}{:>14.3}{:>14.3}", ms[0], ms[1]);
+    }
+    println!();
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn chaos_table_moves_more_bytes_than_any_replicated_relation() {
+        // The one count among the ablation claims; the clocks are the
+        // release binary's to read (`scripts/ci.sh` runs it).
+        let claims = super::dist();
+        assert_eq!(claims[0].id, "A.dist-chaos-bytes");
+        assert!(claims[0].holds, "{}", claims[0].seen);
+    }
+}

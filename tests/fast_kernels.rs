@@ -13,11 +13,14 @@
 //!
 //! Inputs deliberately include empty rows, dense rows, and NaN/±Inf
 //! values (the reassociation must not change which lanes see them —
-//! the lane kernels make the order deterministic, and bit equality
-//! holds even for NaN payload propagation on this target). Adversarial
-//! cases assert the fast path is *refused*: `Validate`-rejected
-//! matrices never yield a certificate, so no unsafe code is reachable
-//! for them.
+//! the lane kernels make the order deterministic). Where the reference
+//! produces a NaN the fast kernel must too, but the two need not be the
+//! same NaN: neither IEEE 754 nor LLVM fixes the sign or payload of a
+//! generated NaN, and optimised builds do differ (`0xFFF8…` against
+//! `0x7FF8…`). Everything else — ±0, ±Inf, subnormals — is compared
+//! bit for bit. Adversarial cases assert the fast path is *refused*:
+//! `Validate`-rejected matrices never yield a certificate, so no unsafe
+//! code is reachable for them.
 
 use bernoulli::engines::SpmvEngine;
 use bernoulli_formats::fast::{
@@ -69,6 +72,9 @@ fn arb_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
 fn assert_bits_eq(got: &[f64], want: &[f64], what: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(got.len(), want.len());
     for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        if g.is_nan() && w.is_nan() {
+            continue;
+        }
         prop_assert_eq!(
             g.to_bits(),
             w.to_bits(),

@@ -190,7 +190,7 @@ fn json_schema_golden() {
 
 #[test]
 fn results_byte_identical_with_instrumentation_disabled() {
-    // The acceptance criterion: threading a disabled handle through
+    // The acceptance condition: threading a disabled handle through
     // every instrumented layer changes no bit of any result.
     let t = gen::grid2d_5pt(12, 12);
     let n = t.nrows();

@@ -47,7 +47,7 @@ fn mat_dot_is_reduction_only() {
 
 #[test]
 fn engines_refuse_parallel_for_racy_nest() {
-    // Acceptance criterion: Strategy::Parallel is provably refused for
+    // Acceptance condition: Strategy::Parallel is provably refused for
     // a nest the race checker rejects, through the exact decision
     // function every engine's compile_in routes through.
     let mut racy = programs::matvec();
