@@ -584,8 +584,8 @@ pub(crate) fn spmv_multi_counters(m: &MatMeta, k: usize) -> KernelCounters {
 }
 
 /// Triangular-solve counter model: one multiply-subtract per stored
-/// off-diagonal plus one divide per row; values + indices read once,
-/// `b` read and `x` written once.
+/// off-diagonal plus one reciprocal multiply per row; values + indices
+/// read once, `b` read and `x` written once.
 fn sptrsv_counters(a: &Csr) -> KernelCounters {
     let nnz = a.nnz() as u64;
     let n = a.nrows() as u64;
@@ -612,6 +612,18 @@ fn check_square(a: &Csr, what: &str) -> RelResult<()> {
         )));
     }
     Ok(())
+}
+
+/// A non-unit solve reads each row's diagonal where sorted triangular
+/// CSR stores it; an operand that does not is refused here, once, from
+/// the operand's diagonal index — the row body does not look again.
+fn check_diag(a: &Csr, op: TriangularOp) -> RelResult<()> {
+    let tri = op.triangle().unwrap_or(Triangle::Lower);
+    if op.unit_diag() || a.stores_diag(tri) {
+        return Ok(());
+    }
+    let (name, at) = (op.kernel_name(false), if tri == Triangle::Lower { "last" } else { "first" });
+    Err(RelError::Validation(format!("{name}: a non-unit solve needs every row's diagonal stored {at}")))
 }
 
 const FLAT_SPMV_SHAPE: &str = "(i,j):flat(A)[X?]";
@@ -1015,6 +1027,7 @@ fn compile_sptrsv(
 ) -> RelResult<CompiledOp> {
     check_operand("A", a, ctx)?;
     check_square(a, "triangular solve")?;
+    check_diag(a, op)?;
     let (d, schedule) =
         wave_decision(a.nrows(), a.rowptr(), a.colind(), op.triangle(), a.nnz(), ctx, cached);
     let kind = OpSpec::Sptrsv { op }.kind();
@@ -1443,6 +1456,7 @@ impl CompiledOp {
             return self.check_kind(false, "run_sptrsv");
         };
         self.check_lens(b.len(), x.len())?;
+        check_diag(a, *op)?;
         let parallel = self.strategy == Strategy::Parallel && schedule.is_some();
         let obs = self.ctx.obs();
         if obs.is_enabled() {

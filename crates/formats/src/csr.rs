@@ -14,16 +14,44 @@ use bernoulli_analysis::Diagnostic;
 use bernoulli_relational::access::{
     FlatIter, InnerIter, MatMeta, MatrixAccess, Orientation, OuterCursor, OuterIter,
 };
+use bernoulli_analysis::wavefront::Triangle;
 use bernoulli_relational::props::LevelProps;
+use std::sync::OnceLock;
 
 /// CRS sparse matrix.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Csr {
     nrows: usize,
     ncols: usize,
     rowptr: Vec<usize>,
     colind: Vec<usize>,
     vals: Vec<f64>,
+    /// Built by the first sweep over this operand. The index arrays
+    /// have no `_mut` accessor, so it cannot go stale.
+    diag: OnceLock<DiagIndex>,
+}
+
+/// Where each row's diagonal sits: the inspector product the DO-ACROSS
+/// row bodies (`kernels::gs_row`, `kernels::sptrsv_row`) execute over.
+#[derive(Clone, Debug)]
+pub(crate) struct DiagIndex {
+    /// Per row, the in-row offset of the first stored column ≥ the row
+    /// index: already-swept columns of a forward sweep lie before it.
+    pub(crate) split: Vec<u32>,
+    /// Every row stores its diagonal as its last / first entry.
+    last: bool,
+    first: bool,
+}
+
+/// Equality is over what the matrix stores; the derived index is not
+/// part of it.
+impl PartialEq for Csr {
+    fn eq(&self, o: &Csr) -> bool {
+        (self.nrows, self.ncols) == (o.nrows, o.ncols)
+            && self.rowptr == o.rowptr
+            && self.colind == o.colind
+            && self.vals == o.vals
+    }
 }
 
 impl Csr {
@@ -44,7 +72,7 @@ impl Csr {
             colind.push(cc);
             vals.push(v);
         }
-        Csr { nrows, ncols: t.ncols(), rowptr, colind, vals }
+        Csr { nrows, ncols: t.ncols(), rowptr, colind, vals, diag: OnceLock::new() }
     }
 
     /// Build from raw arrays (must satisfy the CRS invariants: monotone
@@ -69,7 +97,7 @@ impl Csr {
                 assert!(c < ncols, "column {c} out of range");
             }
         }
-        Csr { nrows, ncols, rowptr, colind, vals }
+        Csr { nrows, ncols, rowptr, colind, vals, diag: OnceLock::new() }
     }
 
     /// Build from raw arrays **without** checking any invariant.
@@ -84,7 +112,7 @@ impl Csr {
         colind: Vec<usize>,
         vals: Vec<f64>,
     ) -> Self {
-        Csr { nrows, ncols, rowptr, colind, vals }
+        Csr { nrows, ncols, rowptr, colind, vals, diag: OnceLock::new() }
     }
 
     /// Fast constructor for entries known to be duplicate-free: a
@@ -131,7 +159,7 @@ impl Csr {
                 vals[s..e].copy_from_slice(&vs);
             }
         }
-        Csr { nrows, ncols, rowptr, colind, vals }
+        Csr { nrows, ncols, rowptr, colind, vals, diag: OnceLock::new() }
     }
 
     pub fn to_triplets(&self) -> Triplets {
@@ -185,6 +213,33 @@ impl Csr {
     /// Stored length of one row.
     pub fn row_len(&self, r: usize) -> usize {
         self.rowptr[r + 1] - self.rowptr[r]
+    }
+
+    /// The diagonal index, built on first use in one pass over the
+    /// index arrays. Total on any `from_raw_unchecked` input: a row
+    /// whose extent is not a range of `colind` counts as empty, an
+    /// unsorted row gets some in-row offset.
+    pub(crate) fn diag_index(&self) -> &DiagIndex {
+        self.diag.get_or_init(|| {
+            let (mut last, mut first) = (true, true);
+            let split = (self.rowptr.windows(2).enumerate())
+                .map(|(i, w)| {
+                    let cols = self.colind.get(w[0]..w[1]).unwrap_or(&[]);
+                    last &= cols.last() == Some(&i);
+                    first &= cols.first() == Some(&i);
+                    cols.partition_point(|&j| j < i).min(u32::MAX as usize) as u32
+                })
+                .collect();
+            DiagIndex { split, last, first }
+        })
+    }
+
+    /// Whether every row stores its diagonal entry **last**
+    /// ([`Triangle::Lower`]) or **first** ([`Triangle::Upper`]) — what a
+    /// non-unit triangular solve in that direction needs of its operand.
+    pub fn stores_diag(&self, tri: Triangle) -> bool {
+        let d = self.diag_index();
+        if tri == Triangle::Lower { d.last } else { d.first }
     }
 
     /// The transpose, also in CRS (equivalently: this matrix in CCS).

@@ -233,5 +233,5 @@ pub fn par_symgs_csr(
     exec: &ExecCtx,
 ) {
     kernels::check_sweep(a, b, x);
-    par_wave(exec, tri, dep, (sched, cert), x, kernels::gs_row(a, omega, b));
+    par_wave(exec, tri, dep, (sched, cert), x, kernels::gs_row(a, tri, omega, b));
 }

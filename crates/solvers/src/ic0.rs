@@ -129,10 +129,9 @@ impl Ic0 {
     }
 
     /// Forward substitution: solve `L w = r` through the shared SpTRSV
-    /// path ([`kernels::sptrsv_csr_lower`]), which reproduces the
-    /// historical hand-rolled loop operation-for-operation (subtract
-    /// the strictly-lower entries in storage order, then divide by the
-    /// diagonal stored last) — pinned bitwise by
+    /// path ([`kernels::sptrsv_csr_lower`]): subtract the strictly-lower
+    /// entries in storage order (nearest dependency last), then multiply
+    /// by the reciprocal of the diagonal stored last — pinned bitwise by
     /// `hand_rolled_loops_reproduced_bitwise`.
     pub fn forward(&self, r: &[f64], w: &mut [f64]) {
         kernels::sptrsv_csr_lower(&self.l, false, r, w);
@@ -262,8 +261,9 @@ mod tests {
     #[test]
     fn hand_rolled_loops_reproduced_bitwise() {
         // `forward`/`backward` now route through the shared SpTRSV
-        // kernels; this pins them bitwise against local copies of the
-        // historical hand-rolled loops so CG+IC0 goldens cannot drift.
+        // kernels; this pins them bitwise against local hand-rolled
+        // loops (forward closes with the row body's reciprocal multiply)
+        // so CG+IC0 goldens cannot drift.
         let f = Ic0::factor(&grid2d_5pt(9, 11)).unwrap();
         let l = f.l();
         let n = l.nrows();
@@ -277,7 +277,7 @@ mod tests {
             for k in s..e - 1 {
                 acc -= vals[k] * w_old[colind[k]];
             }
-            w_old[i] = acc / vals[e - 1];
+            w_old[i] = acc * (1.0 / vals[e - 1]);
         }
         let mut w_new = vec![0.0; n];
         f.forward(&r, &mut w_new);

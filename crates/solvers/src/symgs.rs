@@ -20,7 +20,10 @@ use bernoulli_formats::Csr;
 /// bound to the operand's buffer identity, so the pair must travel
 /// together. Moving the struct is fine (the CSR's heap buffers stay
 /// put); rebuilding the matrix elsewhere — even an identical clone —
-/// makes the engine fall back to the serial sweeps.
+/// makes the engine fall back to the serial sweeps. The operand also
+/// carries the diagonal index the sweeps' row body runs over (far-to-near
+/// sums closed by a reciprocal multiply, see `kernels::gs_row`): the
+/// first `precondition` builds it, every later one only executes.
 pub struct SymGs {
     a: Csr,
     omega: f64,

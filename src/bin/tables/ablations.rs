@@ -9,8 +9,8 @@ use crate::Claim;
 use bernoulli::engines::SpmvEngine;
 use bernoulli::ExecCtx;
 use bernoulli_blocksolve::matvec::BsParallelMatvec;
-use bernoulli_formats::gen::{fem_grid_3d, grid2d_9pt};
-use bernoulli_formats::{Csr, FormatKind, SparseMatrix, SparseVec, Triplets};
+use bernoulli_formats::gen::{fem_grid_3d, grid2d_9pt, grid3d_7pt};
+use bernoulli_formats::{kernels, Csr, FormatKind, SparseMatrix, SparseVec, Triplets};
 use bernoulli_relational::exec::{execute, Bindings};
 use bernoulli_relational::plan::{Driver, JoinMethod, Lookup, LoopNode, Plan, PlanNode, ProbeKind};
 use bernoulli_relational::planner::{Planner, QueryMeta};
@@ -27,7 +27,8 @@ use std::hint::black_box;
 const SAMPLES: usize = 15;
 
 pub fn run() -> Vec<Claim> {
-    let claims = [dispatch(), joins(), empty_cols(), dist()].into_iter().flatten().collect();
+    let claims =
+        [dispatch(), joins(), empty_cols(), sweep_recurrence(), dist()].into_iter().flatten().collect();
     overlap();
     claims
 }
@@ -154,6 +155,76 @@ fn empty_cols() -> Vec<Claim> {
         Claim::at_least("A.cccs-gain", 1.0 / cccs_over_ccs[2], 5.0, "CCS / CCCS at 99% empty"),
         Claim::at_most("A.cccs-cost", cccs_over_ccs[0], 1.5, "CCCS / CCS at 0% empty"),
     ]
+}
+
+/// One Gauss-Seidel sweep with the row body's two decisions as
+/// switches. `ORDERED`: the side of the row the sweep has not reached
+/// first, then the swept side with the nearest row last (`split[i]` is
+/// the in-row offset of the first column ≥ `i`); else storage order.
+/// `RECIP`: close with a multiply by `1/diag`; else a divide.
+fn gs_sweep<const ORDERED: bool, const RECIP: bool>(
+    a: &Csr,
+    split: &[usize],
+    forward: bool,
+    b: &[f64],
+    x: &mut [f64],
+) {
+    let (n, rowptr) = (x.len(), a.rowptr());
+    for k in 0..n {
+        let i = if forward { k } else { n - 1 - k };
+        let row = rowptr[i]..rowptr[i + 1];
+        let (cols, vals) = (&a.colind()[row.clone()], &a.vals()[row]);
+        let (mut acc, mut diag) = (b[i], 1.0);
+        let mut term = |(&j, &v): (&usize, &f64)| match j == i {
+            true => diag = v,
+            false => acc -= v * x[j],
+        };
+        // Unordered, the whole row is one run in storage order.
+        let m = if ORDERED { split[i] } else { cols.len() };
+        let (lower, upper) = (cols[..m].iter().zip(&vals[..m]), cols[m..].iter().zip(&vals[m..]));
+        if forward {
+            upper.for_each(&mut term);
+            lower.for_each(&mut term);
+        } else {
+            lower.for_each(&mut term);
+            upper.rev().for_each(&mut term);
+        }
+        x[i] = if RECIP { acc * (1.0 / diag) } else { acc / diag };
+    }
+}
+
+/// The DO-ACROSS row body (`kernels::gs_row`): a sweep runs at the
+/// speed of its loop-carried chain `x[i∓1] → x[i]`, so the body takes a
+/// row's terms far-to-near over the operand's diagonal index and keeps
+/// the divide off the chain. The textbook body — storage order, one
+/// divide per row — against each decision alone and the kernel, on a
+/// grid that fits one core's L2 (1.2 MB), so the chain is the limit and
+/// a neighbour's last-level-cache traffic is not in the ratio.
+fn sweep_recurrence() -> Vec<Claim> {
+    const GRID: usize = 20;
+    let a = Csr::from_triplets(&grid3d_7pt(GRID, GRID, GRID));
+    let n = a.nrows();
+    let split: Vec<usize> = (0..n).map(|i| a.row_cols(i).partition_point(|&j| j < i)).collect();
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+    let mut x = vec![0.0; n];
+    let us = micros([16; 4], |arm| {
+        let (a, b, x) = (black_box(&a), black_box(&b), black_box(&mut x));
+        x.fill(0.0);
+        for forward in [true, false] {
+            match arm {
+                0 => gs_sweep::<false, false>(a, &split, forward, b, x),
+                1 => gs_sweep::<false, true>(a, &split, forward, b, x),
+                2 => gs_sweep::<true, false>(a, &split, forward, b, x),
+                _ if forward => kernels::symgs_forward_csr(a, 1.0, b, x),
+                _ => kernels::symgs_backward_csr(a, 1.0, b, x),
+            }
+        }
+    });
+    println!("--- sweep recurrence: SymGS forward + backward, {GRID}^3 grid, µs per apply ---");
+    println!("{:>15}{:>13}{:>13}{:>15}", "storage, divide", "reciprocal", "far-to-near", "both (kernel)");
+    println!("{:>15.1}{:>13.1}{:>13.1}{:>15.1}\n", us[0], us[1], us[2], us[3]);
+    let what = "storage-order divide-per-row sweeps / kernels::symgs_{forward,backward}_csr";
+    vec![Claim::at_least("A.sweep-recurrence", us[0] / us[3], 1.2, what)]
 }
 
 /// Structure in distribution relations (the Table 3 claim isolated):

@@ -3,7 +3,9 @@
 //! property tests showing valid matrices always lint clean and random
 //! single-field corruption is always caught.
 
-use bernoulli_formats::{Csr, FormatKind, JDiag, SparseMatrix, Triplets, Validate};
+use bernoulli::{ExecCtx, RelError, SptrsvEngine, SymGsEngine, TriangularOp};
+use bernoulli_analysis::wavefront::Triangle;
+use bernoulli_formats::{kernels, Csr, FormatKind, JDiag, SparseMatrix, Triplets, Validate};
 use bernoulli_relational::permutation::Permutation;
 use proptest::prelude::*;
 
@@ -93,6 +95,38 @@ fn corpus_counterparts_are_clean() {
     let (rowptr, colind, vals) = good_parts();
     let m = Csr::from_raw_unchecked(3, 4, rowptr, colind, vals);
     assert!(m.validate_ok().is_ok());
+}
+
+/// The sweeps' per-operand diagonal index must not turn a corrupt
+/// operand into a panic: `from_raw_unchecked` stays a plain move, the
+/// checked compile still refuses before any sweep, and the index pass
+/// itself is total — an unsorted in-range row sweeps to *some* answer
+/// without leaving its arrays.
+#[test]
+fn corrupt_square_operands_meet_the_sweeps_without_a_panic() {
+    let vals = vec![4.0, 1.0, 1.0, 4.0, 1.0, 4.0];
+    // Rows {0: [0,1], 1: [0,1], 2: [1,2]}, row 1 stored as [1, 0] ...
+    let unsorted = Csr::from_raw_unchecked(3, 3, vec![0, 2, 4, 6], vec![0, 1, 1, 0, 1, 2], vals.clone());
+    // ... and the sorted arrays under a row pointer that steps back.
+    let nonmonotone = Csr::from_raw_unchecked(3, 3, vec![0, 4, 2, 6], vec![0, 1, 0, 1, 1, 2], vals);
+    let checked = ExecCtx::default().checked(true);
+    let lower = TriangularOp::Lower { unit_diag: false };
+    for m in [&unsorted, &nonmonotone] {
+        assert!(m.clone() == *m);
+        assert!(matches!(SymGsEngine::compile_in(m, &checked), Err(RelError::Validation(_))));
+        assert!(matches!(SptrsvEngine::compile_in(m, lower, &checked), Err(RelError::Validation(_))));
+        // Unchecked, the diagonal gate reads the index: built without a
+        // panic, and neither operand stores every diagonal last.
+        assert!(!m.stores_diag(Triangle::Lower) && !m.stores_diag(Triangle::Upper));
+        assert!(matches!(SptrsvEngine::compile_in(m, lower, &ExecCtx::default()), Err(RelError::Validation(_))));
+        assert!(m.clone() == *m);
+    }
+    let b = [1.0, 2.0, 3.0];
+    for tri in [Triangle::Lower, Triangle::Upper] {
+        let mut x = [0.0; 3];
+        kernels::symgs_sweep_csr(&unsorted, tri, 1.0, &b, &mut x);
+        assert!(x.iter().all(|v| v.is_finite()), "{tri:?}: {x:?}");
+    }
 }
 
 fn arb_matrix() -> impl Strategy<Value = Triplets> {

@@ -500,6 +500,30 @@ fn symgs_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
     }
 }
 
+/// The sweeps' diagonal index is built by the first sweep over an
+/// operand and is no part of its value: `==` and `clone()` read the same
+/// before and after, and a clone sweeps to the same bits either way.
+#[test]
+fn diagonal_index_is_invisible_to_clone_and_eq() {
+    let t = gen::grid2d_5pt(12, 9);
+    let (fresh, swept) = (Csr::from_triplets(&t), Csr::from_triplets(&t));
+    let n = swept.nrows();
+    let b = rhs(n);
+    let early = swept.clone();
+    let mut want = vec![0.0; n];
+    kernels::symgs_sweep_csr(&swept, Triangle::Lower, 1.3, &b, &mut want);
+    let late = swept.clone();
+    assert!(fresh == swept && early == swept && late == swept && late == early);
+    let mut other = late.clone();
+    other.vals_mut()[0] += 1.0;
+    assert!(other != swept);
+    for (case, twin) in [("cloned before the first sweep", &early), ("cloned after", &late), ("never swept", &fresh)] {
+        let mut got = vec![0.0; n];
+        kernels::symgs_sweep_csr(twin, Triangle::Lower, 1.3, &b, &mut got);
+        assert_eq!(bits(&got), bits(&want), "{case}");
+    }
+}
+
 // --- the fork/join primitives -------------------------------------------
 
 /// Geometry of `par_blocks` and `par_ranges` over workers × lengths

@@ -5,9 +5,11 @@
 //! inputs (empty rows, dense columns, NaN/Inf values), because a
 //! level schedule permutes waves, never the operations within a row.
 
-use bernoulli::{ExecCtx, Reason, SptrsvEngine, Strategy as Tier, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
+use bernoulli::pipeline::OpSpec;
+use bernoulli::{ExecCtx, Reason, RelError, SptrsvEngine, Strategy as Tier, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
 use bernoulli_analysis::wavefront::{analyze_wavefront, Triangle};
-use bernoulli_formats::{gen, Csr, Triplets};
+use bernoulli_formats::{gen, kernels, Csr, Triplets};
+use bernoulli_tune::Dispatcher;
 use bernoulli_obs::Obs;
 use bernoulli_solvers::cg::{cg, CgOptions};
 use bernoulli_solvers::precond::{IdentityPreconditioner, Preconditioner};
@@ -115,11 +117,15 @@ fn non_triangular_operand_is_refused_a_certificate() {
         analyze_wavefront(full.nrows(), full.rowptr(), full.colind(), Triangle::Lower);
     assert!(!report.is_parallel_safe());
 
+    // (Unit solve: a non-unit one is refused outright, the diagonal of
+    // a full row is not stored last.)
     let eng =
-        SptrsvEngine::compile_in(&full, TriangularOp::Lower { unit_diag: false }, &par_ctx())
+        SptrsvEngine::compile_in(&full, TriangularOp::Lower { unit_diag: true }, &par_ctx())
             .unwrap();
     assert_eq!(eng.strategy(), Tier::Specialized);
     assert_eq!(eng.downgrade(), Reason::NotTriangular);
+    let refused = SptrsvEngine::compile_in(&full, TriangularOp::Lower { unit_diag: false }, &par_ctx());
+    assert!(matches!(refused, Err(RelError::Validation(_))));
 }
 
 #[test]
@@ -158,6 +164,220 @@ fn ssor_pcg_beats_plain_cg_on_grid3d_with_residual_history() {
         assert_eq!(trace.residuals, run.residual_history);
         assert!(trace.residuals.first().copied().unwrap_or(0.0) > *trace.residuals.last().unwrap());
     }
+}
+
+// --- the row bodies' term order against a textbook sweep ----------------
+
+/// The textbook Gauss-Seidel sweep the row body is measured against:
+/// storage order, diagonal found on the way, one divide per row. Returns
+/// each entry's magnitude `(|b| + Σ|a||x|)/|d| + |x|`, the unit its
+/// rounding is counted in.
+fn textbook_sweep(a: &Csr, tri: Triangle, omega: f64, b: &[f64], x: &mut [f64]) -> Vec<f64> {
+    let n = a.nrows();
+    let mut mag = vec![0.0; n];
+    for k in 0..n {
+        let i = if tri == Triangle::Lower { k } else { n - 1 - k };
+        let (mut acc, mut diag, mut m) = (b[i], 1.0, b[i].abs());
+        for (&j, &v) in a.row_cols(i).iter().zip(a.row_vals(i)) {
+            if j == i {
+                diag = v;
+            } else {
+                acc -= v * x[j];
+                m += (v * x[j]).abs();
+            }
+        }
+        mag[i] = m / f64::abs(diag) + x[i].abs();
+        let gs = acc / diag;
+        x[i] = if omega == 1.0 { gs } else { (1.0 - omega) * x[i] + omega * gs };
+    }
+    mag
+}
+
+fn assert_within(got: &[f64], want: &[f64], mag: &[f64], case: &str) {
+    for (i, ((g, w), m)) in got.iter().zip(want).zip(mag).enumerate() {
+        assert!((g - w).abs() <= 1e-12 * m, "{case}: entry {i} reads {g}, textbook {w} (unit {m})");
+    }
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Rows 3k are empty, rows 3k+1 store only their diagonal, rows 3k+2
+/// store neighbours on both sides and *no* diagonal (read as 1).
+fn ragged(n: usize) -> Triplets {
+    let mut t = Triplets::new(n, n);
+    for i in 0..n {
+        match i % 3 {
+            0 => {}
+            1 => t.push(i, i, 4.0 + (i % 5) as f64),
+            _ => {
+                for j in [i - 2, i - 1, (i + 1) % n, (i + 5) % n] {
+                    t.push(i, j, 0.2 - 0.05 * (j % 3) as f64);
+                }
+            }
+        }
+    }
+    t
+}
+
+fn sweep_operands() -> Vec<(&'static str, Triplets)> {
+    vec![
+        ("grid3d_7pt", gen::grid3d_7pt(6, 5, 4)),
+        ("random symmetric", gen::power_network(90, 7)),
+        ("ragged", ragged(60)),
+    ]
+}
+
+/// The tentpole's contract: one row body, so the bare kernel, the
+/// serial engine, the level-parallel engine and the dispatcher agree
+/// bitwise; and the far-to-near order with a reciprocal close moves a
+/// textbook sweep by rounding only.
+#[test]
+fn symgs_tiers_agree_bitwise_and_match_the_textbook_sweep() {
+    for (name, t) in sweep_operands() {
+        let a = Csr::from_triplets(&t);
+        let n = a.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 5 % 11) as f64) - 4.0).collect();
+        let x0: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
+        let serial = SymGsEngine::compile_in(&a, &ExecCtx::default()).unwrap();
+        let par = SymGsEngine::compile_in(&a, &par_ctx()).unwrap();
+        if name == "grid3d_7pt" {
+            assert_eq!(par.strategy(), Tier::Parallel, "{}", par.downgrade());
+        }
+        for omega in [1.0, 1.3] {
+            for tri in [Triangle::Lower, Triangle::Upper] {
+                let case = format!("{name}, ω={omega}, {tri:?}");
+                let mut want = x0.clone();
+                let mag = textbook_sweep(&a, tri, omega, &b, &mut want);
+                let mut bare = x0.clone();
+                kernels::symgs_sweep_csr(&a, tri, omega, &b, &mut bare);
+                assert_within(&bare, &want, &mag, &case);
+                for (tier, eng) in [("serial", &serial), ("level-parallel", &par)] {
+                    let mut got = x0.clone();
+                    match tri {
+                        Triangle::Lower => eng.sweep_forward(&a, omega, &b, &mut got).unwrap(),
+                        Triangle::Upper => eng.sweep_backward(&a, omega, &b, &mut got).unwrap(),
+                    }
+                    assert_eq!(bits(&got), bits(&bare), "{case}, {tier} engine");
+                }
+            }
+        }
+        // The dispatcher's SymGS request is one ω = 1 apply from zero.
+        let mut bare = vec![0.0; n];
+        kernels::symgs_forward_csr(&a, 1.0, &b, &mut bare);
+        kernels::symgs_backward_csr(&a, 1.0, &b, &mut bare);
+        for ctx in [ExecCtx::default(), par_ctx()] {
+            let mut d = Dispatcher::new(ctx);
+            let id = d.register(&t);
+            for pass in ["cold", "warm"] {
+                let got = d.submit(id, OpSpec::Symgs, &b).unwrap();
+                assert_eq!(bits(&got), bits(&bare), "{name}, dispatched, {pass}");
+            }
+        }
+    }
+}
+
+/// Same contract for the substitution body, both triangles: the upper
+/// solve now walks its row descending, both close with a reciprocal.
+#[test]
+fn sptrsv_tiers_agree_bitwise_and_match_the_textbook_solve() {
+    for (name, t) in sweep_operands().into_iter().take(2) {
+        let n = t.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7 % 13) as f64) / 3.0 - 2.0).collect();
+        for (tri, op) in [
+            (Triangle::Lower, TriangularOp::Lower { unit_diag: false }),
+            (Triangle::Upper, TriangularOp::Upper { unit_diag: false }),
+        ] {
+            let half: Vec<_> = (t.canonicalize().entries().iter().copied())
+                .filter(|&(i, j, _)| if tri == Triangle::Lower { j <= i } else { j >= i })
+                .collect();
+            let half = Triplets::from_entries(n, n, &half);
+            let a = Csr::from_triplets(&half);
+            let case = format!("{name}, {tri:?}");
+            // A triangular solve is a Gauss-Seidel sweep from zero.
+            let mut want = vec![0.0; n];
+            let mag = textbook_sweep(&a, tri, 1.0, &b, &mut want);
+            let mut bare = vec![0.0; n];
+            kernels::sptrsv_csr(&a, tri, false, &b, &mut bare);
+            assert_within(&bare, &want, &mag, &case);
+            for ctx in [ExecCtx::default(), par_ctx()] {
+                let mut got = vec![0.0; n];
+                SptrsvEngine::compile_in(&a, op, &ctx).unwrap().run(&a, &b, &mut got).unwrap();
+                assert_eq!(bits(&got), bits(&bare), "{case}, engine");
+                let mut d = Dispatcher::new(ctx);
+                let id = d.register(&half);
+                let got = d.submit(id, OpSpec::Sptrsv { op }, &b).unwrap();
+                assert_eq!(bits(&got), bits(&bare), "{case}, dispatched");
+            }
+        }
+    }
+}
+
+/// A non-unit solve on an operand whose rows do not store their
+/// diagonal last / first used to panic inside the row closure; it is a
+/// `Validation` error from compile, run and submit, for every variant.
+#[test]
+fn non_unit_solve_without_a_stored_diagonal_is_a_validation_error() {
+    let strict = Triplets::from_entries(3, 3, &[(1, 0, 1.0), (2, 0, 0.5), (2, 1, 0.25)]);
+    let full = Triplets::from_entries(3, 3, &[(0, 0, 2.0), (1, 0, 1.0), (1, 1, 2.0), (2, 1, 0.25), (2, 2, 2.0)]);
+    let (bad, good) = (Csr::from_triplets(&strict), Csr::from_triplets(&full));
+    let b = [1.0, 2.0, 3.0];
+    for op in [
+        TriangularOp::Lower { unit_diag: false },
+        TriangularOp::Upper { unit_diag: false },
+        TriangularOp::LowerTransposed { unit_diag: false },
+    ] {
+        for ctx in [ExecCtx::default(), par_ctx()] {
+            let refused = SptrsvEngine::compile_in(&bad, op, &ctx);
+            assert!(matches!(refused, Err(RelError::Validation(_))), "{op:?}: compile");
+            let mut d = Dispatcher::new(ctx);
+            let id = d.register(&strict);
+            let refused = d.submit(id, OpSpec::Sptrsv { op }, &b);
+            assert!(matches!(refused, Err(RelError::Validation(_))), "{op:?}: submit");
+        }
+    }
+    // An engine compiled for a sound operand, run against the bad one.
+    let lower = TriangularOp::Lower { unit_diag: false };
+    let eng = SptrsvEngine::compile_in(&good, lower, &ExecCtx::default()).unwrap();
+    let mut x = [0.0; 3];
+    assert!(matches!(eng.run(&bad, &b, &mut x), Err(RelError::Validation(_))));
+    eng.run(&good, &b, &mut x).unwrap();
+    assert_eq!(x, [0.5, 0.75, 1.40625]);
+    // The unit-diagonal solve of the same strictly-lower operand is fine.
+    let unit = TriangularOp::Lower { unit_diag: true };
+    SptrsvEngine::compile_in(&bad, unit, &ExecCtx::default()).unwrap().run(&bad, &b, &mut x).unwrap();
+    assert_eq!(x, [1.0, 1.0, 2.25]);
+}
+
+/// Symmetric Gauss-Seidel by the textbook sweep, as a preconditioner.
+struct TextbookSgs(Csr);
+
+impl Preconditioner for TextbookSgs {
+    fn dim(&self) -> usize {
+        self.0.nrows()
+    }
+
+    fn precondition(&self, r: &[f64], z: &mut [f64]) {
+        z.fill(0.0);
+        textbook_sweep(&self.0, Triangle::Lower, 1.0, r, z);
+        textbook_sweep(&self.0, Triangle::Upper, 1.0, r, z);
+    }
+}
+
+#[test]
+fn sgs_pcg_takes_the_textbook_iteration_count() {
+    let t = gen::grid3d_7pt(16, 16, 16);
+    let n = t.nrows();
+    let a = Csr::from_triplets(&t);
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64 * 0.5).collect();
+    let opts = CgOptions { max_iters: 200, rel_tol: 1e-8 };
+    let ctx = ExecCtx::default();
+    let (mut x1, mut x2) = (vec![0.0; n], vec![0.0; n]);
+    let ours = cg(&a, &SymGs::new(a.clone(), &ctx).unwrap(), &b, &mut x1, opts, &ctx).unwrap();
+    let textbook = cg(&a, &TextbookSgs(a.clone()), &b, &mut x2, opts, &ctx).unwrap();
+    assert!(ours.converged && textbook.converged);
+    assert_eq!(ours.iters, textbook.iters);
 }
 
 /// Random strictly-lower pattern with values drawn from a pool that
