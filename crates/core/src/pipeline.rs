@@ -654,17 +654,19 @@ fn algebra_kernel_name(base: &str, algebra: &'static str) -> String {
     }
 }
 
-/// O(1) operand identity: heap addresses + lengths of the index
-/// arrays, plus the dimension. Moving the owning [`Csr`] (or the
-/// struct that holds it) keeps the heap buffers in place, so the
-/// fingerprint survives moves but rejects clones and different
-/// matrices — the same containment story as the fast-tier and
-/// wavefront certificates.
+/// Operand identity of the armed parallel sweeps: heap addresses +
+/// lengths of the index arrays, the dimension, and the operand's
+/// memoised index digest. Moving the owning [`Csr`] keeps the heap
+/// buffers in place, so the fingerprint survives moves but rejects
+/// clones; the digest rejects a different pattern the allocator placed
+/// at a dropped operand's addresses — the same containment story as
+/// the fast-tier certificates, O(1) after the operand's first hash.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct OperandId {
     rowptr: (usize, usize),
     colind: (usize, usize),
     nrows: usize,
+    digest: u64,
 }
 
 impl OperandId {
@@ -673,6 +675,7 @@ impl OperandId {
             rowptr: (a.rowptr().as_ptr() as usize, a.rowptr().len()),
             colind: (a.colind().as_ptr() as usize, a.colind().len()),
             nrows: a.nrows(),
+            digest: a.index_digest(),
         }
     }
 }
@@ -743,11 +746,11 @@ enum Payload {
         schedule: Option<(LevelSchedule, WavefrontCert)>,
     },
     Symgs {
-        operand: OperandId,
-        /// The `[forward, backward]` sweep plans, when the parallel
-        /// tier is armed — both or neither. Boxed: the armed payload is
-        /// ~6x the next-largest variant, and most ops never carry it.
-        sweeps: Option<Box<[SweepPlan; 2]>>,
+        /// The `[forward, backward]` sweep plans and the operand they
+        /// were derived from, when the parallel tier is armed — both
+        /// or neither. Boxed: the armed payload is ~6x the next-largest
+        /// variant, and most ops never carry it.
+        sweeps: Option<Box<(OperandId, [SweepPlan; 2])>>,
     },
 }
 
@@ -981,9 +984,10 @@ fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelRe
     // The fast tier is armed only by explicit opt-in, only for the
     // serial specialized strategy, and only by a certificate that
     // covers the operand *now*: a replayed one when `covers()`
-    // re-checks dimensions, addresses and the index-array hash, else a
-    // fresh run of the full Validate sanitizer — a rejected certificate
-    // silently keeps the reference tier (observable via `tier`).
+    // re-checks dimensions, addresses and the operand's memoised index
+    // digest (O(1) on an instance already hashed), else a fresh run of
+    // the full Validate sanitizer — a rejected certificate silently
+    // keeps the reference tier (observable via `tier`).
     let fast_ok = ctx.fast()
         && decision.strategy == Strategy::Specialized
         && replay.is_none_or(|h| h.fast_eligible);
@@ -1076,12 +1080,12 @@ fn compile_symgs(
         downgrade: d.downgrade,
         fast_cert: None,
         io_lens: (n, n),
-        payload: Payload::Symgs { operand: OperandId::of(a), sweeps: None },
+        payload: Payload::Symgs { sweeps: None },
     };
-    if let (Some(fwd), Payload::Symgs { sweeps, .. }) = (fwd, &mut compiled.payload) {
+    if let (Some(fwd), Payload::Symgs { sweeps }) = (fwd, &mut compiled.payload) {
         let (bd, bwd) = sweep(wavefront::symmetrize_upper, Triangle::Upper, cached_bwd);
         if let Some(bwd) = bwd {
-            *sweeps = Some(Box::new([fwd, bwd]));
+            *sweeps = Some(Box::new((OperandId::of(a), [fwd, bwd])));
         } else {
             // Can only happen if the two symmetrizations disagree —
             // they never should, but never trust, always verify.
@@ -1155,7 +1159,7 @@ impl CompiledOp {
     pub fn hints(&self) -> OpHints {
         let schedules = match &self.payload {
             Payload::Sptrsv { schedule: Some((s, _)), .. } => vec![s.clone()],
-            Payload::Symgs { sweeps: Some(s), .. } => vec![s[0].2.clone(), s[1].2.clone()],
+            Payload::Symgs { sweeps: Some(s) } => s.1.iter().map(|p| p.2.clone()).collect(),
             _ => Vec::new(),
         };
         OpHints {
@@ -1180,7 +1184,7 @@ impl CompiledOp {
     /// SymGS op, when armed (what a plan cache persists).
     pub fn sweep_schedules(&self) -> Option<[&LevelSchedule; 2]> {
         match &self.payload {
-            Payload::Symgs { sweeps, .. } => sweeps.as_ref().map(|s| [&s[0].2, &s[1].2]),
+            Payload::Symgs { sweeps } => sweeps.as_deref().map(|(_, [f, b])| [&f.2, &b.2]),
             _ => None,
         }
     }
@@ -1293,7 +1297,8 @@ impl CompiledOp {
         // The cached certificate only covers the exact arrays it was
         // computed over: on a different matrix (or a clone — the arrays
         // moved) the fast kernel's own `covers()`, the one per-run
-        // check, leaves `y` untouched for the reference kernel below.
+        // check — O(1), the operand memoises its index digest — leaves
+        // `y` untouched for the reference kernel below.
         let ran_fast = self.strategy == Strategy::Specialized
             && self.fast_cert.as_ref().is_some_and(|c| fast::spmv_acc_fast(a, x, y, c));
         let obs = self.ctx.obs();
@@ -1478,14 +1483,14 @@ impl CompiledOp {
     /// certificates bind the engine-owned symmetrized arrays, and the
     /// operand fingerprint ties those arrays back to `a`.
     fn sweep(&self, forward: bool, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        let Payload::Symgs { operand, sweeps } = &self.payload else {
+        let Payload::Symgs { sweeps } = &self.payload else {
             return self.check_kind(false, "a Gauss-Seidel sweep");
         };
         self.check_lens(b.len(), x.len())?;
         let armed = sweeps
-            .as_ref()
-            .filter(|_| self.strategy == Strategy::Parallel && *operand == OperandId::of(a))
-            .map(|s| &s[if forward { 0 } else { 1 }]);
+            .as_deref()
+            .filter(|(id, _)| self.strategy == Strategy::Parallel && *id == OperandId::of(a))
+            .map(|(_, s)| &s[if forward { 0 } else { 1 }]);
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let name = match (armed.is_some(), forward) {

@@ -266,6 +266,46 @@ mod tests {
         assert_eq!(kernels["symgs_forward_csr"].calls, 1);
     }
 
+    /// Regression: the armed sweeps must never transfer to a
+    /// same-shape, different-pattern operand the allocator placed at
+    /// the recycled addresses of the one they were scheduled for —
+    /// address + length alone accepted it and ran the wrong level
+    /// schedule. Hunts for the collision the way
+    /// `stale_certificate_never_survives_reallocation` does.
+    #[test]
+    fn armed_sweeps_never_survive_reallocation() {
+        // Same order, same nnz, different dependence pattern.
+        let (g, h) = (Csr::from_triplets(&grid2d_5pt(5, 4)), Csr::from_triplets(&grid2d_5pt(4, 5)));
+        assert_eq!((g.nrows(), g.nnz()), (h.nrows(), h.nnz()));
+        let exact = |m: &Csr, rowptr: Vec<usize>, colind: Vec<usize>, vals: Vec<f64>| {
+            Csr::from_raw_unchecked(m.nrows(), m.ncols(), rowptr, colind, vals)
+        };
+        let n = g.nrows();
+        let b = vec![1.0; n];
+        let (mut reuses, mut trials) = (0, 0);
+        while trials < 4096 && reuses < 4 {
+            trials += 1;
+            let good = exact(&g, g.rowptr().to_vec(), g.colind().to_vec(), g.vals().to_vec());
+            let obs = bernoulli_obs::Obs::enabled();
+            let eng = SymGsEngine::compile_in(&good, &par_ctx().instrument(obs.clone())).unwrap();
+            assert_eq!(eng.strategy(), Strategy::Parallel, "downgrade: {}", eng.downgrade());
+            let old = (good.rowptr().as_ptr(), good.colind().as_ptr());
+            drop(good);
+            // Allocated in reverse field order, mirroring the drop.
+            let vals = h.vals().to_vec();
+            let colind = h.colind().to_vec();
+            let other = exact(&h, h.rowptr().to_vec(), colind, vals);
+            reuses += (old == (other.rowptr().as_ptr(), other.colind().as_ptr())) as usize;
+            let (mut x, mut x_ser) = (vec![0.0; n], vec![0.0; n]);
+            eng.sweep_forward(&other, 1.0, &b, &mut x).unwrap();
+            ker::symgs_forward_csr(&other, 1.0, &b, &mut x_ser);
+            assert_eq!(x, x_ser, "trial {trials}");
+            let kernels = obs.report().kernels;
+            assert_eq!(kernels.keys().collect::<Vec<_>>(), ["symgs_forward_csr"], "trial {trials}");
+        }
+        assert!(reuses > 0, "allocator never recycled the address in {trials} trials");
+    }
+
     #[test]
     fn cached_schedule_replay_matches_cold_engine_bitwise() {
         let l = lower_of_grid();

@@ -12,6 +12,7 @@
 //! columns gathered from its block row (sorted, O(log) search via the
 //! block column index).
 
+use crate::fast::IndexDigest;
 use crate::kernels::{self, Family, SpmvBody};
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
@@ -38,6 +39,8 @@ pub struct Bsr {
     blocks: Vec<f64>,
     /// Stored nonzero count (zeros inside blocks excluded).
     nnz: usize,
+    /// Memoised [`Bsr::index_digest`].
+    digest: IndexDigest,
 }
 
 impl Bsr {
@@ -77,7 +80,8 @@ impl Bsr {
             blocks[k * b * b + (r % b) * b + (cc % b)] = v;
             nnz += 1;
         }
-        Bsr { nrows: t.nrows(), ncols: t.ncols(), b, browptr, bcolind, blocks, nnz }
+        let digest = IndexDigest::default();
+        Bsr { nrows: t.nrows(), ncols: t.ncols(), b, browptr, bcolind, blocks, nnz, digest }
     }
 
     pub fn to_triplets(&self) -> Triplets {
@@ -127,6 +131,11 @@ impl Bsr {
     /// Block payloads, row-major `b × b` per stored block.
     pub fn blocks(&self) -> &[f64] {
         &self.blocks
+    }
+
+    /// Content digest of `browptr ++ bcolind` (see [`crate::Csr::index_digest`]).
+    pub fn index_digest(&self) -> u64 {
+        self.digest.of(&[&self.browptr, &self.bcolind])
     }
 
     /// `y += A·x` on the classical f64 algebra (the serial tier of the

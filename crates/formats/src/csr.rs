@@ -6,6 +6,7 @@
 //! view is the hierarchy `I ≻ (J, V)`: a dense, directly indexable
 //! outer row level over sorted, binary-searchable column entries.
 
+use crate::fast::IndexDigest;
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
@@ -29,6 +30,9 @@ pub struct Csr {
     /// Built by the first sweep over this operand. The index arrays
     /// have no `_mut` accessor, so it cannot go stale.
     diag: OnceLock<DiagIndex>,
+    /// Same argument: filled by the first certificate bound to this
+    /// operand ([`Csr::index_digest`]).
+    digest: IndexDigest,
 }
 
 /// Where each row's diagonal sits: the inspector product the DO-ACROSS
@@ -72,7 +76,7 @@ impl Csr {
             colind.push(cc);
             vals.push(v);
         }
-        Csr { nrows, ncols: t.ncols(), rowptr, colind, vals, diag: OnceLock::new() }
+        Csr::from_raw_unchecked(nrows, t.ncols(), rowptr, colind, vals)
     }
 
     /// Build from raw arrays (must satisfy the CRS invariants: monotone
@@ -97,7 +101,7 @@ impl Csr {
                 assert!(c < ncols, "column {c} out of range");
             }
         }
-        Csr { nrows, ncols, rowptr, colind, vals, diag: OnceLock::new() }
+        Csr::from_raw_unchecked(nrows, ncols, rowptr, colind, vals)
     }
 
     /// Build from raw arrays **without** checking any invariant.
@@ -112,7 +116,8 @@ impl Csr {
         colind: Vec<usize>,
         vals: Vec<f64>,
     ) -> Self {
-        Csr { nrows, ncols, rowptr, colind, vals, diag: OnceLock::new() }
+        let (diag, digest) = (OnceLock::new(), IndexDigest::default());
+        Csr { nrows, ncols, rowptr, colind, vals, diag, digest }
     }
 
     /// Fast constructor for entries known to be duplicate-free: a
@@ -159,7 +164,7 @@ impl Csr {
                 vals[s..e].copy_from_slice(&vs);
             }
         }
-        Csr { nrows, ncols, rowptr, colind, vals, diag: OnceLock::new() }
+        Csr::from_raw_unchecked(nrows, ncols, rowptr, colind, vals)
     }
 
     pub fn to_triplets(&self) -> Triplets {
@@ -232,6 +237,12 @@ impl Csr {
                 .collect();
             DiagIndex { split, last, first }
         })
+    }
+
+    /// Content digest of `rowptr ++ colind` — what a [`crate::fast`]
+    /// certificate binds. One O(nnz) pass on first use, O(1) after.
+    pub fn index_digest(&self) -> u64 {
+        self.digest.of(&[&self.rowptr, &self.colind])
     }
 
     /// Whether every row stores its diagonal entry **last**

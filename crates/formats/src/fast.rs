@@ -42,10 +42,13 @@
 //! hole: equal index-array content at equal dimensions re-establishes
 //! every BA2x invariant the sanitizer proved (no format exposes `&mut`
 //! access to its index structure — only [`Csr::vals_mut`] exists, and
-//! values cannot break an index invariant). The price is an O(nnz)
-//! hash sweep per kernel entry instead of an O(1) pointer compare; the
-//! four interleaved FNV lanes keep that sweep off a single serial
-//! multiply chain.
+//! values cannot break an index invariant). The same fact makes the
+//! hash a property of the operand *instance*: each certifiable format
+//! memoises it ([`Csr::index_digest`] and its three siblings), so the
+//! O(nnz) sweep runs once per instance — inspector cost — and every
+//! later `certify`, `covers()` and kernel entry binds in O(1). A
+//! matrix built at a recycled address starts with an empty memo and
+//! hashes its *own* arrays, so it is refused exactly as before.
 //!
 //! ## Determinism contract
 //!
@@ -71,6 +74,7 @@
 //! the historical goldens.
 
 use crate::{Bsr, Csr, Itpack, Msr, SparseMatrix, Validate};
+use std::sync::OnceLock;
 
 /// Lane count of the multi-accumulator CSR/MSR row-dot split.
 pub const LANES: usize = 4;
@@ -95,14 +99,22 @@ fn fnv(h: u64, x: u64) -> u64 {
     (h ^ x).wrapping_mul(0x100000001b3)
 }
 
+#[cfg(test)]
+thread_local! {
+    /// [`index_hash`] runs on this thread: what the memo tests count.
+    static HASH_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// FNV-1a content hash of the certified *index* arrays (values carry no
 /// BA2x obligation and are excluded). Four interleaved lanes — element
 /// at position `p` feeds lane `p % 4`, lanes folded together at the end
-/// — so the per-entry multiply chains stay independent and the covers()
-/// sweep does not serialise on one chain. Each array's length is folded
+/// — so the per-entry multiply chains stay independent and the sweep
+/// does not serialise on one chain. Each array's length is folded
 /// in first, separating the arrays so content cannot shift across an
 /// array boundary unnoticed.
 fn index_hash(arrays: &[&[usize]]) -> u64 {
+    #[cfg(test)]
+    HASH_RUNS.with(|n| n.set(n.get() + 1));
     let mut lanes = [FNV_OFFSET; 4];
     for a in arrays {
         lanes[0] = fnv(lanes[0], a.len() as u64);
@@ -124,6 +136,25 @@ fn index_hash(arrays: &[&[usize]]) -> u64 {
     h
 }
 
+/// One operand instance's [`index_hash`], filled by its first reader.
+/// The owning format hands in its index arrays, which have no `_mut`
+/// accessor, so the memo cannot go stale; a clone carries it (equal
+/// arrays), equality ignores it (derived, not stored, state).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct IndexDigest(OnceLock<u64>);
+
+impl IndexDigest {
+    pub(crate) fn of(&self, arrays: &[&[usize]]) -> u64 {
+        *self.0.get_or_init(|| index_hash(arrays))
+    }
+}
+
+impl PartialEq for IndexDigest {
+    fn eq(&self, _: &IndexDigest) -> bool {
+        true
+    }
+}
+
 /// Validation certificate for one [`Csr`] matrix.
 ///
 /// Obtainable only through [`CsrCert::certify`], which runs the full
@@ -136,9 +167,9 @@ pub struct CsrCert {
     rowptr: SliceId,
     colind: SliceId,
     vals: SliceId,
-    /// [`index_hash`] over `rowptr ++ colind`: the content gate that
-    /// keeps a certificate from transferring to a never-validated
-    /// matrix the allocator placed at a recycled address.
+    /// [`Csr::index_digest`]: the content gate that keeps a
+    /// certificate from transferring to a never-validated matrix the
+    /// allocator placed at a recycled address.
     content: u64,
 }
 
@@ -152,20 +183,20 @@ impl CsrCert {
             rowptr: slice_id(a.rowptr()),
             colind: slice_id(a.colind()),
             vals: slice_id(a.vals()),
-            content: index_hash(&[a.rowptr(), a.colind()]),
+            content: a.index_digest(),
         })
     }
 
     /// Does this certificate describe exactly this matrix's storage?
-    /// Cheap dimension/address checks first, then the O(nnz) content
-    /// hash over the index arrays.
+    /// Dimension/address checks, then the operand's memoised index
+    /// digest: O(nnz) the first time an instance is asked, O(1) after.
     pub fn covers(&self, a: &Csr) -> bool {
         self.nrows == a.nrows()
             && self.ncols == a.ncols()
             && self.rowptr == slice_id(a.rowptr())
             && self.colind == slice_id(a.colind())
             && self.vals == slice_id(a.vals())
-            && self.content == index_hash(&[a.rowptr(), a.colind()])
+            && self.content == a.index_digest()
     }
 }
 
@@ -210,8 +241,9 @@ pub fn spmv_csr_fast(a: &Csr, x: &[f64], y: &mut [f64], cert: &CsrCert) {
 }
 
 /// [`spmv_csr_fast`], answering instead of panicking: `false` — and `y`
-/// untouched — when `cert` does not cover `a`. The one `covers()` sweep
-/// per run dominates every `unsafe` block below.
+/// untouched — when `cert` does not cover `a`. The `covers()` check —
+/// O(1) once `a`'s digest is memoised — dominates every `unsafe` block
+/// below.
 fn try_spmv_csr_fast(a: &Csr, x: &[f64], y: &mut [f64], cert: &CsrCert) -> bool {
     if !cert.covers(a) {
         return false;
@@ -266,7 +298,7 @@ pub struct MsrCert {
     rowptr: SliceId,
     colind: SliceId,
     vals: SliceId,
-    /// [`index_hash`] over `rowptr ++ colind` (diag holds values only).
+    /// [`Msr::index_digest`] (diag holds values only).
     content: u64,
 }
 
@@ -281,7 +313,7 @@ impl MsrCert {
             rowptr: slice_id(a.rowptr()),
             colind: slice_id(a.colind()),
             vals: slice_id(a.vals()),
-            content: index_hash(&[a.rowptr(), a.colind()]),
+            content: a.index_digest(),
         })
     }
 
@@ -293,7 +325,7 @@ impl MsrCert {
             && self.rowptr == slice_id(a.rowptr())
             && self.colind == slice_id(a.colind())
             && self.vals == slice_id(a.vals())
-            && self.content == index_hash(&[a.rowptr(), a.colind()])
+            && self.content == a.index_digest()
     }
 }
 
@@ -389,7 +421,7 @@ pub struct BsrCert {
     browptr: SliceId,
     bcolind: SliceId,
     blocks: SliceId,
-    /// [`index_hash`] over `browptr ++ bcolind`.
+    /// [`Bsr::index_digest`].
     content: u64,
 }
 
@@ -404,7 +436,7 @@ impl BsrCert {
             browptr: slice_id(a.browptr()),
             bcolind: slice_id(a.bcolind()),
             blocks: slice_id(a.blocks()),
-            content: index_hash(&[a.browptr(), a.bcolind()]),
+            content: a.index_digest(),
         })
     }
 
@@ -416,7 +448,7 @@ impl BsrCert {
             && self.browptr == slice_id(a.browptr())
             && self.bcolind == slice_id(a.bcolind())
             && self.blocks == slice_id(a.blocks())
-            && self.content == index_hash(&[a.browptr(), a.bcolind()])
+            && self.content == a.index_digest()
     }
 }
 
@@ -503,7 +535,7 @@ pub struct ItpackCert {
     width: usize,
     colind: SliceId,
     vals: SliceId,
-    /// [`index_hash`] over `colind` (padded slots included — the BA22
+    /// [`Itpack::index_digest`] (padded slots included — the BA22
     /// obligation covers them too).
     content: u64,
 }
@@ -519,7 +551,7 @@ impl ItpackCert {
             width: a.width(),
             colind: slice_id(colind),
             vals: slice_id(vals),
-            content: index_hash(&[colind]),
+            content: a.index_digest(),
         })
     }
 
@@ -531,7 +563,7 @@ impl ItpackCert {
             && self.width == a.width()
             && self.colind == slice_id(colind)
             && self.vals == slice_id(vals)
-            && self.content == index_hash(&[colind])
+            && self.content == a.index_digest()
     }
 }
 
@@ -584,8 +616,8 @@ fn try_spmv_itpack_fast(a: &Itpack, x: &[f64], y: &mut [f64], cert: &ItpackCert)
 
 /// [`SparseMatrix`]-level validation certificate: the engine seam's
 /// handle. Computed once at engine compile time, cached in the engine,
-/// and re-checked (dimension/address compare plus the index-array
-/// content hash) on every run.
+/// and re-checked (dimension/address compare plus the operand's
+/// memoised index digest) on every run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MatrixCert {
     Csr(CsrCert),
@@ -618,7 +650,8 @@ impl MatrixCert {
 /// certificate covers: `true` when it ran. `false` — with `y` untouched
 /// — when `cert` does not cover `a` (another matrix, or a clone: the
 /// arrays moved); the caller (the engine) then runs the reference tier.
-/// The certificate is checked here once per run, an O(nnz) sweep.
+/// The certificate is checked here once per run, in O(1) on every run
+/// after the operand's first.
 pub fn spmv_acc_fast(a: &SparseMatrix, x: &[f64], y: &mut [f64], cert: &MatrixCert) -> bool {
     match (cert, a) {
         (MatrixCert::Csr(c), SparseMatrix::Csr(m)) => try_spmv_csr_fast(m, x, y, c),
@@ -737,6 +770,136 @@ mod tests {
         assert!(cert.covers(&a));
         let b = a.clone();
         assert!(!cert.covers(&b), "clone moved the arrays; fingerprint must miss");
+    }
+
+    fn runs() -> usize {
+        HASH_RUNS.with(|n| n.get())
+    }
+
+    /// `certify` + 100 kernel entries + 100 `covers()` hash the operand
+    /// once; a rebuilt operand hashes once more, for its own
+    /// certificate, and the old one keeps refusing it.
+    macro_rules! binds_in_one_hash_run {
+        ($build:expr, $certify:path, $kernel:path) => {{
+            let t = sample();
+            let (a, start) = ($build(&t), runs());
+            let cert = $certify(&a).unwrap();
+            let x = xvec(t.ncols());
+            let mut y = vec![0.0; t.nrows()];
+            for _ in 0..100 {
+                let _ = $kernel(&a, &x, &mut y, &cert);
+                assert!(cert.covers(&a));
+            }
+            assert_eq!(runs() - start, 1);
+            let rebuilt = $build(&t);
+            let cert2 = $certify(&rebuilt).unwrap();
+            for _ in 0..100 {
+                assert!(!cert.covers(&rebuilt) && cert2.covers(&rebuilt));
+            }
+            assert_eq!(runs() - start, 2);
+        }};
+    }
+
+    #[test]
+    fn every_certificate_binds_in_one_hash_run_per_operand_instance() {
+        binds_in_one_hash_run!(Csr::from_triplets, CsrCert::certify, spmv_csr_fast);
+        binds_in_one_hash_run!(Msr::from_triplets, MsrCert::certify, spmv_msr_fast);
+        binds_in_one_hash_run!(|t| Bsr::from_triplets(t, 1), BsrCert::certify, spmv_bsr_fast);
+        binds_in_one_hash_run!(Itpack::from_triplets, ItpackCert::certify, spmv_itpack_fast);
+        for kind in [crate::FormatKind::Csr, crate::FormatKind::Itpack] {
+            binds_in_one_hash_run!(
+                |t| SparseMatrix::from_triplets(kind, t),
+                MatrixCert::certify,
+                spmv_acc_fast
+            );
+        }
+    }
+
+    /// The ABA case at O(1) binding: a never-validated replacement the
+    /// allocator placed at the certified operand's addresses starts
+    /// with an empty memo, so `covers()` hashes *its* arrays — once —
+    /// and refuses.
+    #[test]
+    fn recycled_address_costs_one_hash_run_and_is_refused() {
+        const N: usize = 64;
+        let (mut reuses, mut trials) = (0, 0);
+        while trials < 4096 && reuses < 4 {
+            trials += 1;
+            let good = Csr::from_raw_unchecked(
+                N,
+                N,
+                (0..=N).collect(),
+                (0..N).collect(),
+                vec![1.0f64; N],
+            );
+            let cert = CsrCert::certify(&good).unwrap();
+            drop(good);
+            // Allocated in reverse field order, mirroring the drop.
+            let vals = vec![2.0f64; N];
+            let mut colind: Vec<usize> = (0..N).collect();
+            colind[trials % N] = N + 9999;
+            let bad = Csr::from_raw_unchecked(N, N, (0..=N).collect(), colind, vals);
+            let recycled = (cert.rowptr, cert.colind, cert.vals)
+                == (slice_id(bad.rowptr()), slice_id(bad.colind()), slice_id(bad.vals()));
+            let start = runs();
+            for _ in 0..100 {
+                assert!(!cert.covers(&bad), "trial {trials}");
+            }
+            assert_eq!(runs() - start, recycled as usize);
+            reuses += recycled as usize;
+        }
+        assert!(reuses > 0, "allocator never recycled the address in {trials} trials");
+    }
+
+    #[test]
+    fn digest_memo_invariants() {
+        let t = sample();
+        let mut a = Csr::from_triplets(&t);
+        let start = runs();
+        let d = a.index_digest();
+        // `Clone` carries the memo, `vals_mut` preserves it.
+        let b = a.clone();
+        a.vals_mut()[0] = -7.0;
+        assert_eq!((b.index_digest(), a.index_digest()), (d, d));
+        assert_eq!(runs() - start, 1);
+        // `==` ignores it: a hashed operand equals an unhashed rebuild.
+        assert_eq!(b, Csr::from_triplets(&t));
+        let (m, s) = (Msr::from_triplets(&t), Bsr::from_triplets(&t, 1));
+        let i = Itpack::from_triplets(&t);
+        // MSR splits the diagonal out of the index arrays CSR hashes.
+        assert_ne!(m.index_digest(), d);
+        assert_eq!(s.index_digest(), d, "b = 1 block arrays are the CSR arrays");
+        assert_ne!(i.index_digest(), d);
+        assert_eq!(m, Msr::from_triplets(&t));
+        assert_eq!(s, Bsr::from_triplets(&t, 1));
+        assert_eq!(i, Itpack::from_triplets(&t));
+    }
+
+    #[test]
+    fn racing_first_covers_agree_and_hash_once() {
+        let a = Csr::from_triplets(&sample());
+        // A certificate assembled by hand, so the operand's memo is
+        // still empty when the two threads meet.
+        let cert = CsrCert {
+            nrows: a.nrows(),
+            ncols: a.ncols(),
+            rowptr: slice_id(a.rowptr()),
+            colind: slice_id(a.colind()),
+            vals: slice_id(a.vals()),
+            content: index_hash(&[a.rowptr(), a.colind()]),
+        };
+        let gate = std::sync::Barrier::new(2);
+        let racer = || {
+            gate.wait();
+            let start = runs();
+            (cert.covers(&a), runs() - start)
+        };
+        let (p, q) = std::thread::scope(|s| {
+            let h = s.spawn(racer);
+            (racer(), h.join().unwrap())
+        });
+        assert!(p.0 && q.0);
+        assert_eq!(p.1 + q.1, 1, "the loser of the race waits for the winner's hash");
     }
 
     #[test]

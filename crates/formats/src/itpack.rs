@@ -10,6 +10,7 @@
 //! them via the per-row length array, so the relation contains exactly
 //! the nonzeros.
 
+use crate::fast::IndexDigest;
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_sorted_strict, meta_mismatch, Validate,
@@ -35,6 +36,8 @@ pub struct Itpack {
     /// Real (unpadded) length of each row.
     rowlen: Vec<usize>,
     nnz: usize,
+    /// Memoised [`Itpack::index_digest`].
+    digest: IndexDigest,
 }
 
 impl Itpack {
@@ -63,7 +66,8 @@ impl Itpack {
                 }
             }
         }
-        Itpack { nrows, ncols: t.ncols(), width, colind, vals, rowlen, nnz: c.len() }
+        let (nnz, digest) = (c.len(), IndexDigest::default());
+        Itpack { nrows, ncols: t.ncols(), width, colind, vals, rowlen, nnz, digest }
     }
 
     pub fn to_triplets(&self) -> Triplets {
@@ -102,6 +106,12 @@ impl Itpack {
     /// Total stored slots including padding — the format's footprint.
     pub fn stored_len(&self) -> usize {
         self.nrows * self.width
+    }
+
+    /// Content digest of the padded `colind` (see
+    /// [`crate::Csr::index_digest`]).
+    pub fn index_digest(&self) -> u64 {
+        self.digest.of(&[&self.colind])
     }
 
     /// Raw column-major arrays (for the hand-written kernel).

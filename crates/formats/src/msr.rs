@@ -13,6 +13,7 @@
 //! the relation is indistinguishable from CSR's — only the physical
 //! layout (and the O(1) diagonal access) differs.
 
+use crate::fast::IndexDigest;
 use crate::kernels::{self, Family, SpmvBody};
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
@@ -39,6 +40,8 @@ pub struct Msr {
     vals: Vec<f64>,
     /// Stored nonzeros (diagonal zeros excluded).
     nnz: usize,
+    /// Memoised [`Msr::index_digest`].
+    digest: IndexDigest,
 }
 
 impl Msr {
@@ -72,7 +75,8 @@ impl Msr {
                 vals[at] = v;
             }
         }
-        Msr { nrows, ncols: t.ncols(), diag, rowptr, colind, vals, nnz }
+        let digest = IndexDigest::default();
+        Msr { nrows, ncols: t.ncols(), diag, rowptr, colind, vals, nnz, digest }
     }
 
     pub fn to_triplets(&self) -> Triplets {
@@ -120,6 +124,11 @@ impl Msr {
     /// Off-diagonal values, parallel to [`Msr::colind`].
     pub fn vals(&self) -> &[f64] {
         &self.vals
+    }
+
+    /// Content digest of `rowptr ++ colind` (see [`crate::Csr::index_digest`]).
+    pub fn index_digest(&self) -> u64 {
+        self.digest.of(&[&self.rowptr, &self.colind])
     }
 
     /// `y += A·x` on the classical f64 algebra (the serial tier of the

@@ -184,9 +184,11 @@ impl PlanCache {
         let op = pipeline::compile::<S>(spec, operands, ctx, hit.as_ref())?;
         match hit {
             Some(h) if replayable(&h) => {
-                // Refresh only the in-memory certificate (it now binds
-                // this operand instance); the cold verdict fields stay.
-                if let Some(cert) = op.fast_cert() {
+                // Refresh only the in-memory certificate, and only when
+                // the compile re-issued it for a new operand instance
+                // (a replayed one is already stored); the cold verdict
+                // fields stay.
+                if let Some(cert) = op.fast_cert().filter(|c| h.fast_cert != Some(*c)) {
                     if let Some(r) = self.lock().ops.get_mut(&key) {
                         r.hints.fast_cert = Some(cert);
                     }
@@ -548,10 +550,14 @@ mod tests {
         assert_eq!(cache.stats().hits, 1, "value perturbation must not change the key");
         assert_eq!(warm.tier(), cold.tier());
         // And the refreshed certificate binds b, so a third call still
-        // hits and still runs fast.
+        // hits, still runs fast, and replays it as stored.
+        let stored = || cache.lock().ops.values().next().unwrap().hints.fast_cert;
+        assert_ne!(warm.fast_cert(), cold.fast_cert());
+        assert_eq!(stored(), warm.fast_cert());
         let again = cache.spmv_engine(&b, &ctx).unwrap();
         assert_eq!(cache.stats().hits, 2);
         assert_eq!(again.tier(), "fast");
+        assert_eq!(stored(), again.fast_cert());
     }
 
     #[test]

@@ -12,10 +12,13 @@ cargo test --workspace -q
 # codegen, and the SPMD machine's polled hand-off window only exists
 # where a receive is faster than a wake-up — so every root suite that
 # drives the machine is here, `tables` with its twenty invocations of
-# the P = 2 Table-2 cell included, and the fast tier's bitwise suite.
+# the P = 2 Table-2 cell included, the fast tier's bitwise suite, and
+# the three that replay certificates through hints and bind schedules
+# to operands (pipeline_equivalence, plancache, corrupt_schedule).
 cargo test --release -q --test exec_ctx --test kernel_tiers --test parallel \
   --test wavefront --test solvers_integration --test failure_injection \
-  --test properties --test observability --test fast_kernels --test tables
+  --test properties --test observability --test fast_kernels --test tables \
+  --test pipeline_equivalence --test plancache --test corrupt_schedule
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # (`unsafe` containment needs no gate here: crates/formats denies

@@ -9,12 +9,16 @@ use crate::Claim;
 use bernoulli::engines::SpmvEngine;
 use bernoulli::ExecCtx;
 use bernoulli_blocksolve::matvec::BsParallelMatvec;
+use bernoulli_formats::fast::{self, BsrCert, CsrCert, ItpackCert, MsrCert};
 use bernoulli_formats::gen::{fem_grid_3d, grid2d_9pt, grid3d_7pt};
-use bernoulli_formats::{kernels, Csr, FormatKind, SparseMatrix, SparseVec, Triplets};
+use bernoulli_formats::{
+    kernels, Bsr, Csr, FormatKind, Itpack, Msr, SparseMatrix, SparseVec, Triplets,
+};
 use bernoulli_relational::exec::{execute, Bindings};
 use bernoulli_relational::plan::{Driver, JoinMethod, Lookup, LoopNode, Plan, PlanNode, ProbeKind};
 use bernoulli_relational::planner::{Planner, QueryMeta};
 use bernoulli_relational::prelude::*;
+use bernoulli_relational::semiring::F64Plus;
 use bernoulli_spmd::chaos::ChaosTable;
 use bernoulli_spmd::dist::{
     BlockDist, ContiguousRunsDist, Distribution, GeneralizedBlockDist, IndirectDist,
@@ -28,7 +32,10 @@ const SAMPLES: usize = 15;
 
 pub fn run() -> Vec<Claim> {
     let claims =
-        [dispatch(), joins(), empty_cols(), sweep_recurrence(), dist()].into_iter().flatten().collect();
+        [dispatch(), joins(), empty_cols(), sweep_recurrence(), cert_bind(), dist()]
+            .into_iter()
+            .flatten()
+            .collect();
     overlap();
     claims
 }
@@ -225,6 +232,68 @@ fn sweep_recurrence() -> Vec<Claim> {
     println!("{:>15.1}{:>13.1}{:>13.1}{:>15.1}\n", us[0], us[1], us[2], us[3]);
     let what = "storage-order divide-per-row sweeps / kernels::symgs_{forward,backward}_csr";
     vec![Claim::at_least("A.sweep-recurrence", us[0] / us[3], 1.2, what)]
+}
+
+/// Certificate binding — the inspector/executor cost model applied to
+/// the certified kernel tier: the structure fact a certificate rests on
+/// (the operand's index digest) is hashed once per operand instance, so
+/// a bound kernel entry costs an O(1) `covers()` and the unchecked
+/// 4-lane body has to beat the safe reference on its own. Per format,
+/// on a grid inside one core's L2 and on `pcg_solve`'s out-of-cache
+/// one: the reference kernel, the bound fast kernel, and 1 000 repeat
+/// `covers()`.
+fn cert_bind() -> Vec<Claim> {
+    println!("--- certificate binding: reference vs bound fast SpMV, µs per product ---");
+    println!(
+        "{:<8}{:<10}{:>11}{:>11}{:>10}{:>15}",
+        "grid", "format", "reference", "fast", "ref/fast", "1000 covers()"
+    );
+    // Per printed row: reference / fast, and 1 000 covers() / fast.
+    let (mut speedup, mut covers_share) = (Vec::new(), Vec::new());
+    for (grid, reps) in [(20, 64), (64, 2)] {
+        let t = grid3d_7pt(grid, grid, grid);
+        let x: Vec<f64> = (0..t.ncols()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut y = vec![0.0; t.nrows()];
+        let label = format!("{grid}^3");
+        // One row per format: `$reference`, `$fast` under `$Cert`.
+        macro_rules! row {
+            ($name:expr, $a:expr, $Cert:ident, $reference:expr, $fast:path) => {{
+                let a = $a;
+                let cert = $Cert::certify(&a).expect("a generated grid validates");
+                let us = micros([reps, reps, 1], |arm| {
+                    let (x, y) = (black_box(&x), black_box(&mut y));
+                    match arm {
+                        0 => $reference(&a, x, y),
+                        1 => $fast(&a, x, y, &cert),
+                        _ => (0..1000).for_each(|_| assert!(black_box(&cert).covers(&a))),
+                    }
+                });
+                let [reference, bound, covers] = us;
+                println!(
+                    "{label:<8}{:<10}{reference:>11.1}{bound:>11.1}{:>10.2}{covers:>15.2}",
+                    $name,
+                    reference / bound
+                );
+                speedup.push(reference / bound);
+                covers_share.push(covers / bound);
+            }};
+        }
+        row!("CRS", Csr::from_triplets(&t), CsrCert, kernels::spmv_csr, fast::spmv_csr_fast);
+        row!("MSR", Msr::from_triplets(&t), MsrCert, Msr::spmv_acc, fast::spmv_msr_fast);
+        row!("BSR b=2", Bsr::from_triplets(&t, 2), BsrCert, Bsr::spmv_acc, fast::spmv_bsr_fast);
+        let itpack = kernels::spmv_in::<F64Plus, Itpack>;
+        row!("ITPACK", Itpack::from_triplets(&t), ItpackCert, itpack, fast::spmv_itpack_fast);
+    }
+    println!();
+    let worst = covers_share.into_iter().fold(0.0, f64::max);
+    let (fast, covers) = (
+        "CRS reference / bound fast kernel at 64^3",
+        "1000 repeat covers() / one fast SpMV pass, worst row",
+    );
+    vec![
+        Claim::at_least("A.cert-bind", speedup[4], 1.0, fast),
+        Claim::at_most("A.cert-bind-covers", worst, 1.0, covers),
+    ]
 }
 
 /// Structure in distribution relations (the Table 3 claim isolated):
