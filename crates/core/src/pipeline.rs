@@ -37,6 +37,7 @@ use crate::compile::{CompiledKernel, Compiler};
 use bernoulli_analysis::wavefront::{
     self, analyze_wavefront, verify_level_schedule, LevelSchedule, Triangle, WavefrontCert,
 };
+use bernoulli_formats::kernels::SweepSplit;
 use bernoulli_formats::{
     fast, kernels, par_kernels, Csr, DenseMatrix, ExecCtx, SparseMatrix, Validate,
 };
@@ -1478,19 +1479,23 @@ impl CompiledOp {
         Ok(())
     }
 
-    /// One weighted Gauss-Seidel sweep in either direction. The
-    /// parallel tier runs only when it is armed *for this operand*: the
-    /// certificates bind the engine-owned symmetrized arrays, and the
-    /// operand fingerprint ties those arrays back to `a`.
+    /// The `[forward, backward]` sweep plans, when the parallel tier is
+    /// armed *for this operand*: the certificates bind the engine-owned
+    /// symmetrized arrays, and the operand fingerprint ties those
+    /// arrays back to `a`.
+    fn armed<'s>(&self, sweeps: &'s Option<Box<(OperandId, [SweepPlan; 2])>>, a: &Csr) -> Option<&'s [SweepPlan; 2]> {
+        let (id, plans) = sweeps.as_deref()?;
+        (self.strategy == Strategy::Parallel && *id == OperandId::of(a)).then_some(plans)
+    }
+
+    /// One weighted Gauss-Seidel sweep in either direction, on the
+    /// parallel tier when [armed](Self::armed) for `a`.
     fn sweep(&self, forward: bool, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
         let Payload::Symgs { sweeps } = &self.payload else {
             return self.check_kind(false, "a Gauss-Seidel sweep");
         };
         self.check_lens(b.len(), x.len())?;
-        let armed = sweeps
-            .as_deref()
-            .filter(|(id, _)| self.strategy == Strategy::Parallel && *id == OperandId::of(a))
-            .map(|(_, s)| &s[if forward { 0 } else { 1 }]);
+        let armed = self.armed(sweeps, a).map(|s| &s[if forward { 0 } else { 1 }]);
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let name = match (armed.is_some(), forward) {
@@ -1528,11 +1533,42 @@ impl CompiledOp {
     /// forward sweep from `z = 0` followed by a backward sweep (the
     /// constant SSOR scaling `1/(ω(2−ω))` is dropped — preconditioned
     /// CG is invariant under positive scaling of `M`). `ω = 1` is
-    /// symmetric Gauss-Seidel.
+    /// symmetric Gauss-Seidel. This is the general two-sweep form, over
+    /// the rows as the caller stores them and for any ω per call: the
+    /// engine holds structure only, so it can serve every matrix of
+    /// this pattern. The owner of one matrix does half the work through
+    /// [`apply_split`](Self::apply_split).
     pub fn apply_ssor(&self, a: &Csr, omega: f64, r: &[f64], z: &mut [f64]) -> RelResult<()> {
         z.fill(0.0);
         self.sweep_forward(a, omega, r, z)?;
         self.sweep_backward(a, omega, r, z)
+    }
+
+    /// [`apply_ssor`](Self::apply_ssor) for a caller that *owns* `a`
+    /// and inspected it once into `split` ([`SweepSplit::of`], which
+    /// fixes ω): one pass over each strict triangle, serially or — when
+    /// armed for `a` — over the same level schedules, which cover a
+    /// sweep that reads a subset of the pattern they were built for.
+    /// Bitwise-identical on every tier; within rounding of `apply_ssor`,
+    /// not equal to it (the split pre-scales by `ω/diag`).
+    pub fn apply_split(&self, a: &Csr, split: &SweepSplit, r: &[f64], z: &mut [f64]) -> RelResult<()> {
+        let Payload::Symgs { sweeps } = &self.payload else {
+            return self.check_kind(false, "a split SSOR application");
+        };
+        self.check_lens(r.len(), z.len())?;
+        if split.nrows() != r.len() || !split.is_of(a) {
+            return Err(RelError::Validation("the sweep split was not built from this operand".into()));
+        }
+        let armed = self.armed(sweeps, a);
+        let obs = self.ctx.obs();
+        if obs.is_enabled() {
+            let (nnz, n) = (split.nnz() as u64, r.len() as u64);
+            let counters = KernelCounters { nnz, flops: 2 * (nnz + n), bytes: 12 * nnz + 48 * n, algebra: "f64_plus" };
+            obs.kernel(if armed.is_some() { "par_symgs_split" } else { "symgs_split" }, counters);
+        }
+        let waves = armed.map(|plans| plans.each_ref().map(|(rp, ci, s, c)| ((&rp[..], &ci[..]), s, c)));
+        par_kernels::split_ssor(split, r, z, waves, &self.ctx);
+        Ok(())
     }
 }
 

@@ -14,10 +14,10 @@
 //! the whole range; the parallel tier
 //! ([`crate::par_kernels::par_spmv_in`]) is the *same* body under the
 //! driver its [`Family`] names. The DO-ACROSS kernels work the same
-//! way: one per-row update (`sptrsv_row`, `gs_row`) that `sweep`
-//! walks in storage order and `par_kernels::par_wave` walks level by
-//! level. Parallelisation is a transformation *of* the one loop, never
-//! a second kernel.
+//! way: one per-row update (`sptrsv_row`, `gs_row`, `split_row`) that
+//! `sweep` walks in storage order and `par_kernels::par_wave` walks
+//! level by level. Parallelisation is a transformation *of* the one
+//! loop, never a second kernel.
 //!
 //! Formats store `f64` regardless of the semiring; values are lifted on
 //! the fly via [`Semiring::from_f64`] — the identity for [`F64Plus`],
@@ -33,6 +33,7 @@ use crate::inode::{InodePartition, MAX_GROUP_ROWS};
 use crate::{Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, InodeMatrix, Itpack, JDiag, Triplets};
 use bernoulli_analysis::wavefront::Triangle;
 use bernoulli_relational::access::MatrixAccess;
+use bernoulli_relational::error::{RelError, RelResult};
 use bernoulli_relational::permutation::Permutation;
 use bernoulli_relational::semiring::{F64Plus, Semiring};
 
@@ -546,6 +547,11 @@ pub fn spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
 // not reached first, then the updated ones with the nearest dependency
 // last, and close with a multiply by `1/diag` computed beside the sum:
 // ≈ 12 cycles a row on the chain where storage order and a divide put 34.
+// Those bodies serve any operand handed in. An owner that always sweeps
+// from zero (a preconditioner) inspects its operand once into a
+// `SweepSplit`, whose `split_row` shortens the chain again: the scaling
+// is in the stored values, so a row closes with one multiply-subtract,
+// and `sweep_carry` hands it `x[i∓1]` in a register, not through memory.
 
 /// Shape check shared by every sweep entry point.
 pub(crate) fn check_sweep(a: &Csr, b: &[f64], x: &[f64]) {
@@ -559,7 +565,17 @@ pub(crate) fn check_sweep(a: &Csr, b: &[f64], x: &[f64]) {
 /// descending for [`Triangle::Upper`] (backward).
 #[inline]
 pub(crate) fn sweep(tri: Triangle, x: &mut [f64], row: impl Fn(usize, &[f64]) -> f64) {
+    sweep_carry(tri, x, |i, x, _| row(i, x));
+}
+
+/// [`sweep`] for a row body that can take `x[i∓1]` — the value the
+/// previous step just produced — from a register instead of waiting for
+/// its store to come back through memory. (The first row is handed a
+/// placeholder: no row precedes it, so its body never asks.)
+#[inline(always)]
+pub(crate) fn sweep_carry(tri: Triangle, x: &mut [f64], row: impl Fn(usize, &[f64], Option<f64>) -> f64) {
     let n = x.len();
+    let mut carried = 0.0;
     // One loop (hence one call site, so `row` always inlines) for both
     // directions; `tri` is loop-invariant and usually a constant.
     for k in 0..n {
@@ -567,7 +583,8 @@ pub(crate) fn sweep(tri: Triangle, x: &mut [f64], row: impl Fn(usize, &[f64]) ->
             Triangle::Lower => k,
             Triangle::Upper => n - 1 - k,
         };
-        x[i] = row(i, x);
+        carried = row(i, x, Some(carried));
+        x[i] = carried;
     }
 }
 
@@ -722,6 +739,114 @@ pub fn symgs_forward_csr(a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) {
 /// One backward (descending-row) weighted Gauss-Seidel sweep.
 pub fn symgs_backward_csr(a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) {
     symgs_sweep_csr(a, Triangle::Upper, omega, b, x)
+}
+
+/// What SSOR *from a zero guess* needs of square `A = L + D + U`, laid
+/// out for that one computation: `L̃ = ω·D⁻¹L` and `Ũ = ω·D⁻¹U` as row
+/// lists (pointers, `u32` columns, values) and `ω/d` per row, a missing
+/// diagonal counting as 1. Forward `z_i = (ω/d_i)·r_i − Σ_{j<i} L̃_ij·z_j`
+/// never meets the upper triangle (it would multiply zeros) and leaves
+/// `D·z/ω = r − L·z`, so backward is `z_i ← (2−ω)·z_i − Σ_{j>i} Ũ_ij·z_j`
+/// in place: no lower triangle, no second read of `r`. The copy carries
+/// *values*, so it belongs to whoever owns the matrix — never to a
+/// structure-keyed cache.
+#[derive(Clone, Debug)]
+pub struct SweepSplit {
+    /// `[L̃, Ũ]`.
+    tri: [(Vec<u32>, Vec<u32>, Vec<f64>); 2],
+    /// `ω / d_i`.
+    dinv: Vec<f64>,
+    /// `2 − ω`.
+    back: f64,
+    /// [`Csr::index_digest`] of the operand this was built from.
+    digest: u64,
+}
+
+impl SweepSplit {
+    /// Inspect `a` once for weight `omega`. Entries are classed by
+    /// column against row, so both triangles are strict whatever the
+    /// in-row order; an order, entry count or column the `u32` lists
+    /// cannot hold is refused, never truncated.
+    pub fn of(a: &Csr, omega: f64) -> RelResult<SweepSplit> {
+        let n = a.nrows();
+        let refuse = |why: &str| Err(RelError::Validation(format!("sweep split of a {n}x{} operand: {why}", a.ncols())));
+        if a.ncols() != n || n.max(a.nnz()) > u32::MAX as usize {
+            return refuse("needs a square order and an entry count within u32");
+        }
+        let mut count = [0usize; 2];
+        for (i, j) in (0..n).flat_map(|i| a.row_cols(i).iter().map(move |&j| (i, j))) {
+            if j >= n {
+                return refuse(&format!("row {i} stores column {j}"));
+            }
+            count[usize::from(j > i)] += usize::from(j != i);
+        }
+        // Exact capacities: the split is the largest thing its build allocates.
+        let mut tri = count.map(|c| (Vec::with_capacity(n + 1), Vec::with_capacity(c), Vec::with_capacity(c)));
+        let mut dinv = Vec::with_capacity(n);
+        for i in 0..n {
+            let (cols, vals) = (a.row_cols(i), a.row_vals(i));
+            let scale = omega / cols.iter().position(|&j| j == i).map_or(1.0, |k| vals[k]);
+            dinv.push(scale);
+            tri.iter_mut().for_each(|t| t.0.push(t.1.len() as u32));
+            for (&j, &v) in cols.iter().zip(vals).filter(|&(&j, _)| j != i) {
+                let t = &mut tri[usize::from(j > i)];
+                t.1.push(j as u32);
+                t.2.push(v * scale);
+            }
+        }
+        tri.iter_mut().for_each(|t| t.0.push(t.1.len() as u32));
+        Ok(SweepSplit { tri, dinv, back: 2.0 - omega, digest: a.index_digest() })
+    }
+
+    /// Order of the operand.
+    pub fn nrows(&self) -> usize {
+        self.dinv.len()
+    }
+
+    /// Strictly triangular entries: what one application visits.
+    pub fn nnz(&self) -> usize {
+        self.tri[0].1.len() + self.tri[1].1.len()
+    }
+
+    /// Whether `a` has the order and index arrays this was built from.
+    pub fn is_of(&self, a: &Csr) -> bool {
+        self.nrows() == a.nrows() && self.digest == a.index_digest()
+    }
+}
+
+/// The row update of one sweep over a [`SweepSplit`] (see there):
+/// forward for [`Triangle::Lower`], in-place backward for
+/// [`Triangle::Upper`], summed far-to-near as in [`gs_row`]. When the
+/// nearest entry is `i∓1` and the driver hands that row's value in
+/// `carried`, it stands in for the load — the same bits either way.
+#[inline]
+pub(crate) fn split_row<'a>(
+    sp: &'a SweepSplit,
+    tri: Triangle,
+    r: &'a [f64],
+) -> impl Fn(usize, &[f64], Option<f64>) -> f64 + Sync + 'a {
+    #[inline(always)]
+    fn sum<'a>(head: f64, mut far_to_near: impl DoubleEndedIterator<Item = (&'a f64, &'a u32)>, prev: (usize, Option<f64>), z: &[f64]) -> f64 {
+        let Some((&v, &j)) = far_to_near.next_back() else { return head };
+        let acc = far_to_near.fold(head, |acc, (&v, &j)| acc - v * z[j as usize]);
+        let near = match prev {
+            (i, Some(carried)) if i == j as usize => carried,
+            _ => z[j as usize],
+        };
+        acc - v * near
+    }
+    let (ptr, cols, vals) = &sp.tri[usize::from(tri == Triangle::Upper)];
+    // Always inlined: a driver with two call sites (serial and wave)
+    // must still get `tri` and `carried` as constants in each.
+    #[inline(always)]
+    move |i, z, carried| {
+        let (s, e) = (ptr[i] as usize, ptr[i + 1] as usize);
+        let entries = vals[s..e].iter().zip(&cols[s..e]);
+        match tri {
+            Triangle::Lower => sum(sp.dinv[i] * r[i], entries, (i.wrapping_sub(1), carried), z),
+            Triangle::Upper => sum(sp.back * z[i], entries.rev(), (i + 1, carried), z),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -986,6 +1111,77 @@ mod tests {
             symgs_backward_csr(&a, omega, &b, &mut x);
             for (got, want) in x.iter().zip(xt) {
                 assert!((got - want).abs() < 1e-12, "ω={omega}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_split_lays_out_scaled_strict_triangles() {
+        // Row 1 stores no diagonal (treated as 1), row 3 nothing at all.
+        let t = Triplets::from_entries(
+            4,
+            4,
+            &[(0, 0, 4.0), (0, 2, -1.0), (1, 0, 3.0), (1, 2, 5.0), (2, 0, -2.0), (2, 1, 6.0), (2, 2, 8.0)],
+        );
+        let sp = SweepSplit::of(&Csr::from_triplets(&t), 1.5).unwrap();
+        assert_eq!((sp.nrows(), sp.nnz(), sp.back), (4, 5, 0.5));
+        assert_eq!(sp.dinv, [1.5 / 4.0, 1.5, 1.5 / 8.0, 1.5]);
+        let scaled = |v: f64, d: f64| v * (1.5 / d);
+        assert_eq!(sp.tri[0], (vec![0, 0, 1, 3, 3], vec![0, 0, 1], vec![3.0 * 1.5, scaled(-2.0, 8.0), scaled(6.0, 8.0)]));
+        assert_eq!(sp.tri[1], (vec![0, 1, 2, 2, 2], vec![2, 2], vec![scaled(-1.0, 4.0), 5.0 * 1.5]));
+    }
+
+    #[test]
+    fn sweep_split_refuses_what_its_lists_cannot_hold() {
+        let refused = |a: &Csr| matches!(SweepSplit::of(a, 1.0), Err(RelError::Validation(_)));
+        assert!(refused(&Csr::from_triplets(&Triplets::new(2, 3))));
+        // A column past the order, reachable through the sanitizer's seam.
+        assert!(refused(&Csr::from_raw_unchecked(2, 2, vec![0, 1, 2], vec![0, 7], vec![1.0, 1.0])));
+        // An order a `u32` column cannot name: refused before any row
+        // is read, never truncated.
+        #[cfg(target_pointer_width = "64")]
+        {
+            let big = u32::MAX as usize + 1;
+            assert!(refused(&Csr::from_raw_unchecked(big, big, vec![0], vec![], vec![])));
+        }
+        let a = Csr::from_triplets(&sample());
+        let sp = SweepSplit::of(&a, 1.0).unwrap();
+        assert!(sp.is_of(&a) && sp.is_of(&a.clone()));
+        assert!(!sp.is_of(&Csr::from_triplets(&Triplets::from_entries(3, 3, &[(0, 0, 1.0)]))));
+    }
+
+    #[test]
+    fn carried_and_loaded_neighbours_give_the_same_bits() {
+        // A band (every row's nearest entry is i∓1: the register path)
+        // plus far couplings, swept serially with the carry and by a
+        // driver that always loads, as the level-scheduled tier does.
+        let n = 40;
+        let mut t = Triplets::new(n, n);
+        for i in 0..n {
+            t.push(i, i, 4.0 + (i % 3) as f64);
+            for j in [i.wrapping_sub(7), i.wrapping_sub(1), i + 1, i + 5] {
+                if j < n {
+                    t.push(i, j, 0.3 - 0.1 * ((i + j) % 4) as f64);
+                }
+            }
+        }
+        let a = Csr::from_triplets(&t);
+        let r: Vec<f64> = (0..n).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
+        for omega in [1.0, 1.3] {
+            let sp = SweepSplit::of(&a, omega).unwrap();
+            let (mut carried, mut loaded) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+            for tri in [Triangle::Lower, Triangle::Upper] {
+                sweep_carry(tri, &mut carried, split_row(&sp, tri, &r));
+                let row = split_row(&sp, tri, &r);
+                sweep(tri, &mut loaded, |i, z| row(i, z, None));
+            }
+            assert_eq!(carried.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), loaded.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+            // And it is the textbook application, to rounding.
+            let mut want = vec![0.0; n];
+            symgs_forward_csr(&a, omega, &r, &mut want);
+            symgs_backward_csr(&a, omega, &r, &mut want);
+            for (got, want) in carried.iter().zip(&want) {
+                assert!((got - want).abs() <= 1e-14 * want.abs().max(1.0), "ω={omega}: {got} vs {want}");
             }
         }
     }

@@ -48,7 +48,7 @@
 //! ([`crate::SparseMatrix::spmv_acc_on`], `core::pipeline`).
 
 use crate::exec::ExecCtx;
-use crate::kernels::{self, Family, SpmvBody};
+use crate::kernels::{self, Family, SpmvBody, SweepSplit};
 use crate::Csr;
 use bernoulli_analysis::wavefront::{LevelSchedule, Triangle, WavefrontCert};
 use bernoulli_relational::semiring::{F64Plus, Semiring};
@@ -235,3 +235,29 @@ pub fn par_symgs_csr(
     kernels::check_sweep(a, b, x);
     par_wave(exec, tri, dep, (sched, cert), x, kernels::gs_row(a, tri, omega, b));
 }
+
+/// `z ← M⁻¹·r` over a [`SweepSplit`]: the forward sweep overwrites `z`
+/// from `r` (no fill comes first), the backward one finishes it in
+/// place. `waves` are the `[forward, backward]` `(dep, schedule, cert)`
+/// of [`par_symgs_csr`]: a split sweep reads a subset of what the
+/// Gauss-Seidel sweep of the same operand reads, so they cover it, and
+/// each row loads the `i∓1` value the serial driver carries — the same
+/// bits. `None`, the worker gate or a certificate mismatch run serially.
+pub fn split_ssor(sp: &SweepSplit, r: &[f64], z: &mut [f64], waves: Option<[Wave<'_>; 2]>, exec: &ExecCtx) {
+    // Inlined per call so each sweep's direction is a constant in its row loop.
+    #[inline(always)]
+    fn sweep(sp: &SweepSplit, tri: Triangle, r: &[f64], z: &mut [f64], wave: Option<&Wave<'_>>, exec: &ExecCtx) {
+        let row = kernels::split_row(sp, tri, r);
+        match wave {
+            Some(&(dep, sched, cert)) => par_wave(exec, tri, dep, (sched, cert), z, |i, z| row(i, z, None)),
+            None => kernels::sweep_carry(tri, z, row),
+        }
+    }
+    assert_eq!((r.len(), z.len()), (sp.nrows(), sp.nrows()));
+    let [fwd, bwd] = waves.map_or([None, None], |w| w.map(Some));
+    sweep(sp, Triangle::Lower, r, z, fwd.as_ref(), exec);
+    sweep(sp, Triangle::Upper, r, z, bwd.as_ref(), exec);
+}
+
+/// One sweep direction's `((dep_rowptr, dep_colind), schedule, cert)`.
+pub type Wave<'a> = ((&'a [usize], &'a [usize]), &'a LevelSchedule, &'a WavefrontCert);

@@ -85,17 +85,19 @@ fn cg_inner(
     opts: CgOptions,
     ctx: &ExecCtx,
 ) -> RelResult<CgResult> {
-    crate::check_square_system("cg", op, b, x)?;
+    crate::check_square_system("cg", op, precond.dim(), b, x)?;
     let n = b.len();
-    let mut r = vec![0.0; n];
+    let mut r = b.to_vec();
     let mut z = vec![0.0; n];
     let mut p = vec![0.0; n];
     let mut ap = vec![0.0; n];
 
-    // r = b - A x
-    op.apply(x, &mut ap)?;
-    for i in 0..n {
-        r[i] = b[i] - ap[i];
+    // r = b - A x; from an all-zero guess that is b, with no product.
+    if x.iter().any(|&v| v != 0.0) {
+        op.apply(x, &mut ap)?;
+        for i in 0..n {
+            r[i] = b[i] - ap[i];
+        }
     }
     precond.precondition(&r, &mut z);
     p.copy_from_slice(&z);
@@ -405,5 +407,50 @@ mod tests {
         assert_eq!(x, x2);
         assert_eq!(res.residual_history, res2.residual_history);
         assert!(silent.report().solvers.is_empty());
+    }
+
+    #[test]
+    fn zero_guess_forms_its_residual_without_a_product() {
+        use std::cell::Cell;
+        let t = grid2d_5pt(9, 8);
+        let a = Csr::from_triplets(&t);
+        let n = t.nrows();
+        // Signed zeros included: `b − A·0` must be `b` to the bit.
+        let b: Vec<f64> = (0..n).map(|i| [1.5, -0.0, 0.0, -2.0][i % 4] * (1 + i % 3) as f64).collect();
+        let pc = DiagonalPreconditioner::from_matrix(&t);
+        let opts = CgOptions { max_iters: 11, rel_tol: 0.0 };
+        let applied = Cell::new(0);
+        let op = bernoulli::FnOperator::new(n, n, |v: &[f64], out: &mut [f64]| {
+            applied.set(applied.get() + 1);
+            out.fill(0.0);
+            bernoulli_formats::kernels::spmv_csr(&a, v, out);
+        });
+        let mut x = vec![0.0; n];
+        let skipped = cg(&op, &pc, &b, &mut x, opts, &ExecCtx::default()).unwrap();
+        assert_eq!((skipped.iters, applied.get()), (11, 11));
+        // The product the zero guess skips changes no bit of the solve:
+        // a guess of negative zeros is still all zeros, a guess the
+        // scan rejects takes the product, and `A·0 = 0` exactly.
+        let mut ax = vec![1.0; n];
+        op.apply(&vec![0.0; n], &mut ax).unwrap();
+        assert!(b.iter().zip(&ax).all(|(b, ax)| (b - ax).to_bits() == b.to_bits()));
+        assert_eq!(skipped.residual_history[0].to_bits(), dot(&b, &b).sqrt().to_bits());
+        applied.set(0);
+        let mut x_neg = vec![-0.0; n];
+        let again = cg(&op, &pc, &b, &mut x_neg, opts, &ExecCtx::default()).unwrap();
+        assert_eq!((applied.get(), &again.residual_history), (11, &skipped.residual_history));
+        applied.set(0);
+        let mut x_one = vec![0.0; n];
+        x_one[n - 1] = 1.0;
+        cg(&op, &pc, &b, &mut x_one, opts, &ExecCtx::default()).unwrap();
+        assert_eq!(applied.get(), 12);
+
+        // A NaN in the operator is still met by the first search
+        // direction: the solve does not report convergence.
+        let mut poisoned = a.clone();
+        poisoned.vals_mut()[3] = f64::NAN;
+        let mut x = vec![0.0; n];
+        let res = cg(&poisoned, &pc, &b, &mut x, CgOptions::default(), &ExecCtx::default()).unwrap();
+        assert!(!res.converged);
     }
 }

@@ -87,7 +87,7 @@ fn gmres_inner(
     opts: GmresOptions,
     ctx: &ExecCtx,
 ) -> RelResult<GmresResult> {
-    crate::check_square_system("gmres", op, b, x)?;
+    crate::check_square_system("gmres", op, precond.dim(), b, x)?;
     let n = b.len();
     let m = opts.restart.max(1);
     let mut total_iters = 0usize;

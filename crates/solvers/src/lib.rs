@@ -43,21 +43,24 @@ pub use precond::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner
 pub use symgs::SymGs;
 
 /// The Krylov solvers' operand check: `A` must be square of order
-/// `b.len()` and `x` as long as `b`. A mismatch is the caller's input,
-/// so it is reported as a [`bernoulli::RelError`] rather than panicking.
+/// `b.len()`, `x` as long as `b`, and the preconditioner built for that
+/// order. A mismatch is the caller's input, so it is reported as a
+/// [`bernoulli::RelError`] rather than panicking inside an application.
 pub(crate) fn check_square_system(
     solver: &str,
     op: &dyn Operator,
+    precond_dim: usize,
     b: &[f64],
     x: &[f64],
 ) -> bernoulli::RelResult<()> {
     let n = b.len();
-    if x.len() == n && op.out_len() == n && op.in_len() == n {
+    if x.len() == n && op.out_len() == n && op.in_len() == n && precond_dim == n {
         return Ok(());
     }
     Err(bernoulli::RelError::Validation(format!(
-        "{solver}: need a square operator of order {n} (the right-hand side's length) and a \
-         solution vector as long; got a {}x{} operator and x of length {}",
+        "{solver}: need a square operator of order {n} (the right-hand side's length), a solution \
+         vector as long and a preconditioner of that order; got a {}x{} operator, x of length {} \
+         and a preconditioner of order {precond_dim}",
         op.out_len(),
         op.in_len(),
         x.len()

@@ -2,32 +2,42 @@
 //! substrate.
 //!
 //! The paper's §6 names triangular solution as the next Bernoulli
-//! target; [`bernoulli::SymGsEngine`] supplies the compiled sweeps
-//! (level-parallel when the DO-ACROSS pass certifies the symmetrized
-//! dependence pattern, serial otherwise, bitwise-identical either
-//! way). This module wraps one engine plus its operand into a
-//! [`Preconditioner`] so the existing CG drives it unchanged:
-//! `M ∝ (D + ωL)·D⁻¹·(D + ωU)`, with `ω = 1` giving symmetric
-//! Gauss-Seidel.
+//! target, and its thesis is that the storage a loop runs over is the
+//! compiler's choice, made once by an inspector and amortised over the
+//! executor's iterations. A preconditioner applies
+//! `M⁻¹ = (D + ωU)⁻¹·D·(D + ωL)⁻¹` (`ω = 1`: symmetric Gauss-Seidel)
+//! from a *zero* guess, every time — and from zero the two general
+//! sweeps do twice the work: the forward one multiplies the upper
+//! triangle by zeros, and it leaves `D·z/ω = r − L·z`, which is
+//! exactly the part the backward one would re-derive from `r` and the
+//! lower triangle. [`SymGs`] therefore inspects its operand once into
+//! a [`SweepSplit`] — strict triangles pre-scaled by `ω/diag`, `u32`
+//! columns — and each application is one pass over each triangle,
+//! under the compiled [`bernoulli::SymGsEngine`]: level-parallel when
+//! the DO-ACROSS pass certified the symmetrized dependence pattern,
+//! serial otherwise, bitwise-identical either way.
 
 use crate::precond::Preconditioner;
 use bernoulli::{ExecCtx, RelError, RelResult, SymGsEngine};
+use bernoulli_formats::kernels::SweepSplit;
 use bernoulli_formats::Csr;
 
 /// Symmetric Gauss-Seidel / SSOR preconditioner owning its operand.
 ///
-/// Owning the matrix matters: the engine's wavefront certificate is
-/// bound to the operand's buffer identity, so the pair must travel
-/// together. Moving the struct is fine (the CSR's heap buffers stay
+/// Owning the matrix matters twice. The engine's wavefront certificate
+/// is bound to the operand's buffer identity, so the pair must travel
+/// together: moving the struct is fine (the CSR's heap buffers stay
 /// put); rebuilding the matrix elsewhere — even an identical clone —
-/// makes the engine fall back to the serial sweeps. The operand also
-/// carries the diagonal index the sweeps' row body runs over (far-to-near
-/// sums closed by a reciprocal multiply, see `kernels::gs_row`): the
-/// first `precondition` builds it, every later one only executes.
+/// makes the engine fall back to the serial sweeps. And the split holds
+/// the operand's *values*, so it lives here, with the one object that
+/// owns them, and never in the structure-keyed caches that replay one
+/// verdict across matrices of equal pattern. It costs ≈ 0.75× the
+/// operand's bytes and is the only way this type applies `M⁻¹`.
 pub struct SymGs {
     a: Csr,
     omega: f64,
     engine: SymGsEngine,
+    split: SweepSplit,
 }
 
 impl SymGs {
@@ -52,7 +62,9 @@ impl SymGs {
     /// analysis. The
     /// closure runs against the operand *before* the move into the
     /// returned struct, so the certificates it issues bind the final
-    /// heap buffers.
+    /// heap buffers. The split is inspected here, after the compile's
+    /// temporaries are gone; an operand its `u32` lists cannot index
+    /// is a [`RelError::Validation`].
     pub fn with_engine_from(
         a: Csr,
         omega: f64,
@@ -64,7 +76,8 @@ impl SymGs {
             )));
         }
         let engine = compile(&a)?;
-        Ok(SymGs { a, omega, engine })
+        let split = SweepSplit::of(&a, omega)?;
+        Ok(SymGs { a, omega, engine, split })
     }
 
     /// The relaxation weight.
@@ -91,7 +104,7 @@ impl Preconditioner for SymGs {
 
     fn precondition(&self, r: &[f64], z: &mut [f64]) {
         self.engine
-            .apply_ssor(&self.a, self.omega, r, z)
+            .apply_split(&self.a, &self.split, r, z)
             .expect("SSOR sweeps are infallible once compiled");
     }
 }

@@ -24,6 +24,8 @@ use bernoulli_spmd::dist::{
     BlockDist, ContiguousRunsDist, Distribution, GeneralizedBlockDist, IndirectDist,
 };
 use bernoulli_spmd::inspector::CommSchedule;
+use bernoulli_obs::Obs;
+use bernoulli_solvers::{Preconditioner, SymGs};
 use bernoulli_spmd::machine::{Machine, NetworkModel};
 use std::hint::black_box;
 
@@ -32,7 +34,7 @@ const SAMPLES: usize = 15;
 
 pub fn run() -> Vec<Claim> {
     let claims =
-        [dispatch(), joins(), empty_cols(), sweep_recurrence(), cert_bind(), dist()]
+        [dispatch(), joins(), empty_cols(), sweep_recurrence(), symgs_zero_guess(), cert_bind(), dist()]
             .into_iter()
             .flatten()
             .collect();
@@ -232,6 +234,63 @@ fn sweep_recurrence() -> Vec<Claim> {
     println!("{:>15.1}{:>13.1}{:>13.1}{:>15.1}\n", us[0], us[1], us[2], us[3]);
     let what = "storage-order divide-per-row sweeps / kernels::symgs_{forward,backward}_csr";
     vec![Claim::at_least("A.sweep-recurrence", us[0] / us[3], 1.2, what)]
+}
+
+/// The storage a loop runs over is the compiler's choice: a
+/// preconditioner applies SSOR from a *zero* guess, where the general
+/// forward sweep multiplies the upper triangle by zeros and the
+/// backward one re-derives `r − L·z`, which the forward one left behind
+/// as `D·z/ω`. `SymGs` inspects its operand once into pre-scaled strict
+/// triangles with `u32` columns and makes one pass over each, handing
+/// the row just produced to the next in a register. Fill + the two
+/// general sweeps against `SymGs::precondition`, on a grid inside one
+/// core's L2 and on `pcg_solve`'s out-of-cache one; the entries each
+/// visits are the kernels' own counters, not a clock.
+fn symgs_zero_guess() -> Vec<Claim> {
+    println!("--- SymGS from a zero guess: fill + two general sweeps vs the sweep split, per apply ---");
+    println!(
+        "{:<8}{:>12}{:>11}{:>8}{:>22}{:>26}",
+        "grid", "general µs", "split µs", "ratio", "entries visited", "index + value bytes"
+    );
+    let mut ratio = 0.0;
+    for (grid, reps) in [(20, 16), (64, 1)] {
+        let a = Csr::from_triplets(&grid3d_7pt(grid, grid, grid));
+        let r: Vec<f64> = (0..a.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
+        let mut z = vec![0.0; a.nrows()];
+        // One instrumented application of each for the counts, then the
+        // clocks on an uninstrumented preconditioner.
+        let obs = Obs::enabled();
+        let counted = SymGs::new(a.clone(), &ExecCtx::default().instrument(obs.clone())).expect("a grid compiles");
+        counted.engine().apply_ssor(counted.matrix(), 1.0, &r, &mut z).expect("sweeps run");
+        counted.precondition(&r, &mut z);
+        drop(counted);
+        let visited = |names: &[&str]| names.iter().map(|&k| obs.report().kernels[k].nnz).sum::<u64>();
+        let entries = [visited(&["symgs_forward_csr", "symgs_backward_csr"]), visited(&["symgs_split"])];
+        let pre = SymGs::new(a, &ExecCtx::default()).expect("a grid compiles");
+        let us = micros([reps; 2], |arm| {
+            let (a, r, z) = (black_box(pre.matrix()), black_box(&r), black_box(&mut z));
+            match arm {
+                0 => {
+                    z.fill(0.0);
+                    kernels::symgs_forward_csr(a, 1.0, r, z);
+                    kernels::symgs_backward_csr(a, 1.0, r, z);
+                }
+                _ => pre.precondition(r, z),
+            }
+        });
+        ratio = us[0] / us[1];
+        println!(
+            "{:<8}{:>12.1}{:>11.1}{ratio:>8.2}{:>22}{:>26}",
+            format!("{grid}^3"),
+            us[0],
+            us[1],
+            format!("{} / {}", entries[0], entries[1]),
+            format!("{} / {}", 16 * entries[0], 12 * entries[1]),
+        );
+    }
+    println!();
+    let what = "fill + two general sweeps / SymGs::precondition at 64^3";
+    vec![Claim::at_least("A.symgs-zero-guess", ratio, 1.4, what)]
 }
 
 /// Certificate binding — the inspector/executor cost model applied to

@@ -7,7 +7,9 @@
 //! costs of the compile path: a serial-context SymGS compile allocates
 //! O(1) bytes, and a structure key at most the format's one boxed
 //! enumeration — and the mixed SPMD inspector's, which allocates for
-//! the boundary and nothing that grows with the local matrix.
+//! the boundary and nothing that grows with the local matrix. And one
+//! inspector product: `SymGs` builds its sweep split with no temporary
+//! and applies it without allocating.
 //!
 //! Allocation counting uses a thread-local tally inside a wrapper
 //! global allocator, so worker threads and test-harness threads never
@@ -19,7 +21,7 @@ use std::cell::Cell;
 use bernoulli::{ExecCtx, Operator, SymGsEngine};
 use bernoulli_formats::gen;
 use bernoulli_formats::{Csr, FormatKind, SparseMatrix};
-use bernoulli_solvers::vecops;
+use bernoulli_solvers::{vecops, Preconditioner, SymGs};
 use bernoulli_tune::{structure_key, structure_key_csr};
 
 struct CountingAlloc;
@@ -119,6 +121,36 @@ fn serial_ctx_symgs_compile_decides_its_gates_before_any_o_nnz_work() {
     let ((_, bytes), engine) = allocs_during(|| SymGsEngine::compile_in(&a, &ExecCtx::serial()));
     assert!(engine.unwrap().sweep_schedules().is_none());
     assert!(bytes < 8 * nrows, "serial SymGS compile allocated {bytes} bytes");
+}
+
+#[test]
+fn symgs_inspects_once_and_applies_without_allocating() {
+    // The preconditioner's one inspector product is its sweep split:
+    // `u32` strict triangles and a scaled diagonal, ≈ 0.73× the bytes
+    // of the operand's three arrays. Building it requests nothing else
+    // — no temporary, so nothing larger than the split is ever live —
+    // and applying it requests nothing at all.
+    let a = Csr::from_triplets(&gen::grid3d_7pt(16, 16, 16));
+    let (n, operand) = (a.nrows(), (8 * (a.nrows() + 1) + 16 * a.nnz()) as u64);
+    let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+    let mut z = vec![0.0; n];
+    let owned = a.clone();
+    let ((_, held), pre) = allocs_during(move || SymGs::new(owned, &ExecCtx::serial()).unwrap());
+    assert!(5 * held <= 4 * operand + 5 * 8 * n as u64, "split + engine hold {held} B of a {operand} B operand");
+    pre.precondition(&r, &mut z);
+    let ((allocs, _), _) = allocs_during(|| (0..20).for_each(|_| pre.precondition(&r, &mut z)));
+    assert_eq!(allocs, 0, "a serial SymGs application must not allocate");
+
+    // The level-scheduled tier forks per level, which allocates on the
+    // forking thread; the split adds nothing to what the general
+    // sweeps cost under the same driver.
+    let par = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let pre = SymGs::new(a, &par).unwrap();
+    assert!(pre.engine().sweep_schedules().is_some(), "{}", pre.engine().downgrade());
+    pre.precondition(&r, &mut z);
+    let ((split, _), _) = allocs_during(|| pre.precondition(&r, &mut z));
+    let ((general, _), _) = allocs_during(|| pre.engine().apply_ssor(pre.matrix(), 1.0, &r, &mut z).unwrap());
+    assert!(split <= general, "split application made {split} allocations, the general sweeps {general}");
 }
 
 #[test]

@@ -231,6 +231,37 @@ fn warm_cache_pcg_solve_is_bitwise_identical_to_uncached() {
     );
 }
 
+/// The cache is keyed by structure and replays one verdict across
+/// matrices of equal pattern, so the values-carrying sweep split must
+/// not travel with it: two preconditioners built through one cache —
+/// the second compile a hit — each apply their *own* values.
+#[test]
+fn same_pattern_preconditioners_through_one_cache_apply_their_own_values() {
+    use bernoulli_formats::kernels::{symgs_backward_csr, symgs_forward_csr};
+    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let t = bernoulli_formats::gen::grid2d_5pt(12, 12);
+    let n = t.nrows();
+    let scaled = map_values(&t, |v| if v > 0.0 { 3.0 * v } else { 0.5 * v });
+    let cache = PlanCache::new();
+    let build = |t: &Triplets| {
+        SymGs::with_engine_from(Csr::from_triplets(t), 1.2, |m| cache.symgs_engine(m, &ctx)).unwrap()
+    };
+    let (first, second) = (build(&t), build(&scaled));
+    assert_eq!((cache.stats().misses, cache.stats().hits), (1, 1));
+    let r: Vec<f64> = (0..n).map(|i| ((i * 11 % 23) as f64) - 11.0).collect();
+    let apply = |pre: &SymGs| {
+        let (mut z, mut want) = (vec![0.0; n], vec![0.0; n]);
+        pre.precondition(&r, &mut z);
+        symgs_forward_csr(pre.matrix(), 1.2, &r, &mut want);
+        symgs_backward_csr(pre.matrix(), 1.2, &r, &mut want);
+        for (got, want) in z.iter().zip(&want) {
+            assert!((got - want).abs() <= 1e-13 * want.abs().max(1.0), "{got} vs {want}");
+        }
+        z
+    };
+    assert_ne!(apply(&first), apply(&second));
+}
+
 #[test]
 fn calibration_fold_in_survives_save_load() {
     let dir = std::env::temp_dir().join("bernoulli_plancache_cal");

@@ -181,3 +181,30 @@ fn krylov_solvers_refuse_mismatched_systems_without_panicking() {
         assert_eq!(x, before[..xlen], "{what}: a refused solve must not touch x");
     }
 }
+
+/// A preconditioner built for another matrix is the caller's input
+/// too: each solver refuses each preconditioner type with a `RelError`
+/// where the application used to panic (`copy_from_slice`, a length
+/// assert, the sweeps' `expect`).
+#[test]
+fn krylov_solvers_refuse_a_preconditioner_of_another_order() {
+    use bernoulli::RelError;
+    use bernoulli_formats::Csr;
+    use bernoulli_solvers::{IdentityPreconditioner, Preconditioner, SymGs};
+    fn refused(what: &str, a: &SparseMatrix, pc: &impl Preconditioner) {
+        let (n, ctx) = (a.nrows(), ExecCtx::default());
+        assert_ne!(pc.dim(), n);
+        let (b, mut x) = (vec![1.0; n], vec![0.5; n]);
+        let res = cg(a, pc, &b, &mut x, CgOptions::default(), &ctx);
+        assert!(matches!(res, Err(RelError::Validation(_))), "cg, {what}: {res:?}");
+        let res = gmres(a, pc, &b, &mut x, GmresOptions::default(), &ctx);
+        assert!(matches!(res, Err(RelError::Validation(_))), "gmres, {what}: {res:?}");
+        assert_eq!(x, vec![0.5; n], "{what}: a refused solve must not touch x");
+    }
+    let a = SparseMatrix::from_triplets(FormatKind::Csr, &fem_grid_2d(3, 3, 1));
+    let other = fem_grid_2d(4, 3, 1);
+    refused("Identity", &a, &IdentityPreconditioner { n: a.nrows() + 1 });
+    refused("Diagonal", &a, &DiagonalPreconditioner::from_matrix(&other));
+    refused("Ic0", &a, &Ic0::factor(&other).unwrap());
+    refused("SymGs", &a, &SymGs::new(Csr::from_triplets(&other), &ExecCtx::default()).unwrap());
+}

@@ -437,6 +437,50 @@ fn arb_lower_case() -> impl Strategy<Value = (Csr, bool)> {
     })
 }
 
+/// A square operand for the zero-guess application, diagonally
+/// dominant so the comparison with the textbook form is well
+/// conditioned. `flags`: 1 = symmetric pattern, 2 = every row couples
+/// to `i∓1` (the sweep's nearest dependency is the row just produced),
+/// 4 = no row does (the nearest entry is loaded), 8 = some rows store
+/// no diagonal and some nothing at all.
+fn build_square(n: usize, masks: &[u32], flags: usize) -> Csr {
+    let mut t = Triplets::new(n, n);
+    for i in 0..n {
+        if flags & 8 != 0 && masks[i] & (1 << 30) != 0 {
+            continue;
+        }
+        let stored = |j: usize| match i.abs_diff(j) {
+            1 if flags & 2 != 0 => true,
+            1 if flags & 4 != 0 => false,
+            _ if flags & 1 != 0 => masks[i.min(j)] & (1 << (i.max(j) % 24)) != 0,
+            _ => masks[i] & (1 << (j % 24)) != 0,
+        };
+        let off: Vec<usize> = (0..n).filter(|&j| j != i && stored(j)).collect();
+        for &j in &off {
+            t.push(i, j, 1.0 - 0.25 * ((3 * i + j) % 7) as f64);
+        }
+        if flags & 8 == 0 || masks[i] & (1 << 29) == 0 {
+            t.push(i, i, off.len() as f64 + 2.0 + 0.5 * (i % 3) as f64);
+        }
+    }
+    Csr::from_triplets(&t)
+}
+
+fn arb_square() -> impl Strategy<Value = Csr> {
+    (1usize..28, 0usize..16).prop_flat_map(|(n, flags)| {
+        proptest::collection::vec(0u32..u32::MAX, n..=n).prop_map(move |masks| build_square(n, &masks, flags))
+    })
+}
+
+/// `M⁻¹·r` the textbook way: zero guess, one general forward sweep, one
+/// general backward sweep.
+fn textbook_ssor(a: &Csr, omega: f64, r: &[f64]) -> Vec<f64> {
+    let mut z = vec![0.0; r.len()];
+    kernels::symgs_forward_csr(a, omega, r, &mut z);
+    kernels::symgs_backward_csr(a, omega, r, &mut z);
+    z
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -492,5 +536,40 @@ proptest! {
         for (p, q) in zs.iter().zip(&zp) {
             prop_assert_eq!(p.to_bits(), q.to_bits());
         }
+    }
+
+    /// `SymGs::precondition` — one pass over each pre-scaled strict
+    /// triangle — is the textbook zero-guess application to 8 ulp
+    /// normwise, on both tiers, whatever the previous contents of `z`.
+    #[test]
+    fn split_ssor_matches_the_textbook_application((a, omega) in (arb_square(), 0usize..2)) {
+        let (n, omega) = (a.nrows(), [1.0, 1.3][omega]);
+        let r: Vec<f64> = (0..n).map(|i| ((i * 11 % 17) as f64) / 4.0 - 2.0).collect();
+        let want = textbook_ssor(&a, omega, &r);
+        let norm = |v: &[f64]| v.iter().map(|x| x * x).sum::<f64>().sqrt();
+        for ctx in [ExecCtx::default(), par_ctx()] {
+            let pre = SymGs::with_omega(a.clone(), omega, &ctx).unwrap();
+            let mut z = vec![f64::NAN; n];
+            pre.precondition(&r, &mut z);
+            let diff: Vec<f64> = z.iter().zip(&want).map(|(p, q)| p - q).collect();
+            prop_assert!(norm(&diff) <= 8.0 * f64::EPSILON * norm(&want), "{} of {}", norm(&diff), norm(&want));
+        }
+    }
+
+    /// A NaN or an infinity stored anywhere in the operand is never
+    /// scaled or skipped away: it reaches `z` whenever it reaches the
+    /// textbook application's result.
+    #[test]
+    fn split_ssor_propagates_non_finite_values((a, at, poison) in (arb_square(), 0usize..1000, 0usize..3)) {
+        prop_assume!(a.nnz() > 0);
+        let (n, at, mut a) = (a.nrows(), at % a.nnz(), a);
+        let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][poison];
+        a.vals_mut()[at] = poison;
+        let r: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
+        let reached = |z: &[f64]| z.iter().any(|v| !v.is_finite());
+        let mut z = vec![0.0; n];
+        SymGs::new(a.clone(), &ExecCtx::default()).unwrap().precondition(&r, &mut z);
+        prop_assert_eq!(reached(&z), reached(&textbook_ssor(&a, 1.0, &r)));
+        prop_assert!(reached(&z) || !poison.is_nan());
     }
 }
