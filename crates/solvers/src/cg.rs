@@ -1,18 +1,23 @@
 //! Preconditioned Conjugate Gradients (Saad; the paper's §4 solver).
 //!
-//! Both variants are generic over the matvec, so the same solver drives
-//! the hand-written BlockSolve kernels, the Bernoulli compiled
-//! executors, and any plain storage format. The shared-memory solver
-//! [`cg`] takes the operator through the [`Operator`] seam and all
-//! policy (parallel vector ops, telemetry) through one [`ExecCtx`];
-//! the SPMD solver [`cg_parallel`] takes a communicating matvec
-//! closure over the machine's [`Ctx`].
+//! One recurrence, two machines. The paper compiles the SPMD program as
+//! the sequential one evaluated over distributed relations: the
+//! distribution changes where vector entries live and what a dot
+//! product reduces, never the program. So the CG loop is written once,
+//! over a crate-private vector-space seam (`Space`) that holds exactly
+//! what the machines differ in — applying `A`, reducing inner products,
+//! the two vector updates, and whether the opening residual needs a
+//! product. [`cg`] runs it in one address space over any [`Operator`],
+//! with all policy in one [`ExecCtx`]; [`cg_parallel`] runs it on one
+//! rank of the machine's [`Ctx`] over local fragments and a
+//! communicating matvec closure.
 
 use crate::precond::Preconditioner;
-use crate::vecops::{axpy, dot, dot_dist, par_axpy, par_dot, par_xpby, xpby};
-use bernoulli::{ExecCtx, Operator, RelResult};
+use crate::vecops::{axpy, dot, par_axpy, par_dot, par_xpby, xpby};
+use bernoulli::{ExecCtx, Operator, RelError, RelResult};
 use bernoulli_obs::events::SolverTrace;
 use bernoulli_spmd::machine::Ctx;
+use std::convert::Infallible;
 
 /// Solver configuration.
 #[derive(Clone, Copy, Debug)]
@@ -38,6 +43,8 @@ pub struct CgResult {
     pub final_residual: f64,
     /// ‖r‖₂ per iteration (index 0 = initial residual).
     pub residual_history: Vec<f64>,
+    /// The target was met — in benchmark mode, the iterations ran — and
+    /// the final residual is finite.
     pub converged: bool,
 }
 
@@ -62,7 +69,8 @@ pub fn cg(
 ) -> RelResult<CgResult> {
     let obs = ctx.obs();
     let span = obs.span("solver.cg");
-    let res = cg_inner(op, precond, b, x, opts, ctx);
+    let res = crate::check_square_system("cg", op, precond.dim(), b, x)
+        .and_then(|()| pcg(&mut Shared { op, ctx }, precond, b, x, opts));
     drop(span);
     if let Ok(res) = &res {
         obs.solver(|| SolverTrace {
@@ -77,100 +85,135 @@ pub fn cg(
     res
 }
 
-fn cg_inner(
-    op: &dyn Operator,
+/// SPMD preconditioned CG over distributed vectors: [`cg`]'s recurrence
+/// on one rank. Each processor holds local fragments;
+/// `matvec(ctx, p_local, out_local)` computes the local rows of `A·p`
+/// (performing whatever communication its implementation needs); dots
+/// go through all-reduce — two per iteration: ⟨p,Ap⟩, then ⟨r,z⟩ and
+/// ⟨r,r⟩ of the updated residual together. At one rank it is [`cg`]
+/// under a serial ctx bit for bit, except that it always forms the
+/// opening residual with a product.
+pub fn cg_parallel(
+    ctx: &mut Ctx,
+    matvec: impl FnMut(&mut Ctx, &[f64], &mut [f64]),
+    precond_local: &impl Preconditioner,
+    b_local: &[f64],
+    x_local: &mut [f64],
+    opts: CgOptions,
+) -> CgResult {
+    assert_eq!(x_local.len(), b_local.len());
+    let Ok(res) = pcg(&mut Spmd { ctx, matvec }, precond_local, b_local, x_local, opts);
+    res
+}
+
+/// What the CG recurrence asks of the machine it runs on.
+trait Space {
+    type Error;
+    /// Whether `b − A·x` needs the product, or is `b` itself.
+    fn opening_product(&self, x: &[f64]) -> bool;
+    /// `y ← A·p`.
+    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Self::Error>;
+    /// `K` inner products in one reduction.
+    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K];
+    /// `y ← y + alpha·x`.
+    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]);
+    /// `y ← x + beta·y`.
+    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]);
+}
+
+/// One address space: the [`Operator`] seam, vector operations through
+/// the ctx's pool.
+struct Shared<'a> {
+    op: &'a dyn Operator,
+    ctx: &'a ExecCtx,
+}
+
+impl Space for Shared<'_> {
+    type Error = RelError;
+
+    fn opening_product(&self, x: &[f64]) -> bool {
+        // From an all-zero guess `b − A·x` is `b` to the bit.
+        x.iter().any(|&v| v != 0.0)
+    }
+
+    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> RelResult<()> {
+        self.op.apply(p, y)
+    }
+
+    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K] {
+        pairs.map(|(a, b)| par_dot(a, b, self.ctx))
+    }
+
+    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        par_axpy(alpha, x, y, self.ctx)
+    }
+
+    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]) {
+        par_xpby(x, beta, y, self.ctx)
+    }
+}
+
+/// One rank of the SPMD machine: local fragments, a matvec that does its
+/// own communication, dots as local sums plus one all-reduce.
+struct Spmd<'c, M> {
+    ctx: &'c mut Ctx,
+    matvec: M,
+}
+
+impl<M: FnMut(&mut Ctx, &[f64], &mut [f64])> Space for Spmd<'_, M> {
+    type Error = Infallible;
+
+    fn opening_product(&self, _: &[f64]) -> bool {
+        // The matvec exchanges ghosts: a skip decided on one rank's
+        // fragment would leave its peers' exchange unmatched.
+        true
+    }
+
+    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Infallible> {
+        (self.matvec)(self.ctx, p, y);
+        Ok(())
+    }
+
+    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K] {
+        let mut sums = pairs.map(|(a, b)| dot(a, b));
+        self.ctx.all_reduce_sums(&mut sums);
+        sums
+    }
+
+    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        axpy(alpha, x, y)
+    }
+
+    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]) {
+        xpby(x, beta, y)
+    }
+}
+
+/// The preconditioned CG recurrence, once for both machines. Each
+/// iteration is one `A·p` and two reductions: ⟨p,Ap⟩, then ⟨r,z⟩ and
+/// ⟨r,r⟩ of the updated residual.
+fn pcg<S: Space>(
+    space: &mut S,
     precond: &impl Preconditioner,
     b: &[f64],
     x: &mut [f64],
     opts: CgOptions,
-    ctx: &ExecCtx,
-) -> RelResult<CgResult> {
-    crate::check_square_system("cg", op, precond.dim(), b, x)?;
+) -> Result<CgResult, S::Error> {
     let n = b.len();
     let mut r = b.to_vec();
     let mut z = vec![0.0; n];
     let mut p = vec![0.0; n];
     let mut ap = vec![0.0; n];
 
-    // r = b - A x; from an all-zero guess that is b, with no product.
-    if x.iter().any(|&v| v != 0.0) {
-        op.apply(x, &mut ap)?;
+    if space.opening_product(x) {
+        space.apply(x, &mut ap)?;
         for i in 0..n {
             r[i] = b[i] - ap[i];
         }
     }
     precond.precondition(&r, &mut z);
     p.copy_from_slice(&z);
-    let mut rz = par_dot(&r, &z, ctx);
-    let r0 = par_dot(&r, &r, ctx).sqrt();
-    let mut history = vec![r0];
-    let target = opts.rel_tol * r0;
-
-    let mut iters = 0;
-    while iters < opts.max_iters {
-        if history[iters] <= target && opts.rel_tol > 0.0 {
-            break;
-        }
-        op.apply(&p, &mut ap)?;
-        let pap = par_dot(&p, &ap, ctx);
-        if pap == 0.0 {
-            break;
-        }
-        let alpha = rz / pap;
-        par_axpy(alpha, &p, x, ctx);
-        par_axpy(-alpha, &ap, &mut r, ctx);
-        precond.precondition(&r, &mut z);
-        let rz_new = par_dot(&r, &z, ctx);
-        let beta = rz_new / rz;
-        rz = rz_new;
-        par_xpby(&z, beta, &mut p, ctx);
-        iters += 1;
-        history.push(par_dot(&r, &r, ctx).sqrt());
-    }
-    let final_residual = *history.last().unwrap();
-    Ok(CgResult {
-        iters,
-        final_residual,
-        converged: final_residual <= target || opts.rel_tol == 0.0,
-        residual_history: history,
-    })
-}
-
-/// SPMD preconditioned CG over distributed vectors. Each processor
-/// holds local fragments; `matvec(ctx, p_local, out_local)` computes
-/// the local rows of `A·p` (performing whatever communication its
-/// implementation needs); dots go through all-reduce — two per
-/// iteration: ⟨p,Ap⟩, then ⟨r,z⟩ and ⟨r,r⟩ of the updated residual
-/// together.
-#[allow(clippy::too_many_arguments)]
-pub fn cg_parallel(
-    ctx: &mut Ctx,
-    mut matvec: impl FnMut(&mut Ctx, &[f64], &mut [f64]),
-    precond_local: &impl Preconditioner,
-    b_local: &[f64],
-    x_local: &mut [f64],
-    opts: CgOptions,
-) -> CgResult {
-    let n = b_local.len();
-    assert_eq!(x_local.len(), n);
-    let mut r = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut ap = vec![0.0; n];
-
-    matvec(ctx, x_local, &mut ap);
-    for i in 0..n {
-        r[i] = b_local[i] - ap[i];
-    }
-    precond_local.precondition(&r, &mut z);
-    p.copy_from_slice(&z);
-    // ⟨r,z⟩ and ⟨r,r⟩ in one reduction.
-    let residual_dots = |ctx: &mut Ctx, r: &[f64], z: &[f64]| {
-        let mut dots = [dot(r, z), dot(r, r)];
-        ctx.all_reduce_sums(&mut dots);
-        dots
-    };
-    let [mut rz, rr] = residual_dots(ctx, &r, &z);
+    let [mut rz, rr] = space.dots([(&r, &z), (&r, &r)]);
     let r0 = rr.sqrt();
     let mut history = vec![r0];
     let target = opts.rel_tol * r0;
@@ -180,29 +223,31 @@ pub fn cg_parallel(
         if history[iters] <= target && opts.rel_tol > 0.0 {
             break;
         }
-        matvec(ctx, &p, &mut ap);
-        let pap = dot_dist(ctx, &p, &ap);
+        space.apply(&p, &mut ap)?;
+        let [pap] = space.dots([(&p, &ap)]);
         if pap == 0.0 {
             break;
         }
         let alpha = rz / pap;
-        axpy(alpha, &p, x_local);
-        axpy(-alpha, &ap, &mut r);
-        precond_local.precondition(&r, &mut z);
-        let [rz_new, rr] = residual_dots(ctx, &r, &z);
+        space.axpy(alpha, &p, x);
+        space.axpy(-alpha, &ap, &mut r);
+        precond.precondition(&r, &mut z);
+        let [rz_new, rr] = space.dots([(&r, &z), (&r, &r)]);
         let beta = rz_new / rz;
         rz = rz_new;
-        xpby(&z, beta, &mut p);
+        space.xpby(&z, beta, &mut p);
         iters += 1;
         history.push(rr.sqrt());
     }
     let final_residual = *history.last().unwrap();
-    CgResult {
+    Ok(CgResult {
         iters,
         final_residual,
-        converged: final_residual <= target || opts.rel_tol == 0.0,
+        // Benchmark mode runs `max_iters` by design, but a residual that
+        // went NaN or infinite solved nothing.
+        converged: final_residual.is_finite() && (final_residual <= target || opts.rel_tol == 0.0),
         residual_history: history,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -452,5 +497,40 @@ mod tests {
         let mut x = vec![0.0; n];
         let res = cg(&poisoned, &pc, &b, &mut x, CgOptions::default(), &ExecCtx::default()).unwrap();
         assert!(!res.converged);
+    }
+
+    #[test]
+    fn a_non_finite_residual_never_converges() {
+        // Through both entries, in benchmark mode and against a target:
+        // a NaN in the operator or the right-hand side poisons the
+        // residual, and a poisoned solve is not a converged one.
+        let t = fem_grid_2d(5, 4, 2);
+        let n = t.nrows();
+        let a = Csr::from_triplets(&t);
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
+        let pc = DiagonalPreconditioner::from_matrix(&t);
+        let mut bad_a = a.clone();
+        bad_a.vals_mut()[5] = f64::NAN;
+        let mut bad_b = b.clone();
+        bad_b[n / 2] = f64::NAN;
+        for (what, a, b) in [("operator", &bad_a, &b), ("rhs", &a, &bad_b)] {
+            for rel_tol in [0.0, 1e-8] {
+                let opts = CgOptions { max_iters: 12, rel_tol };
+                let mut x = vec![0.0; n];
+                let shared = cg(a, &pc, b, &mut x, opts, &ExecCtx::default()).unwrap();
+                let spmd = Machine::run(1, |ctx| {
+                    let mut x = vec![0.0; n];
+                    let matvec = |_: &mut Ctx, v: &[f64], out: &mut [f64]| {
+                        out.fill(0.0);
+                        bernoulli_formats::kernels::spmv_csr(a, v, out);
+                    };
+                    cg_parallel(ctx, matvec, &pc, b, &mut x, opts)
+                });
+                for res in [&shared, &spmd.results[0]] {
+                    assert!(res.final_residual.is_nan(), "NaN {what}, rel_tol {rel_tol}");
+                    assert!(!res.converged, "NaN {what}, rel_tol {rel_tol}: reported converged");
+                }
+            }
+        }
     }
 }

@@ -225,158 +225,12 @@ fn gmres_inner(
     }
 }
 
-/// SPMD restarted GMRES over distributed vectors: same algorithm as
-/// [`gmres`], with every inner product reduced across the machine and
-/// the matvec performing its own communication — one more consumer of
-/// the identical inspector/executor substrate (and a heavier one: the
-/// modified Gram–Schmidt step costs `k` all-reduces per iteration,
-/// which is exactly why the paper's all-reduce-light CG was the
-/// benchmark of choice on the SP-2).
-pub fn gmres_parallel(
-    ctx: &mut bernoulli_spmd::machine::Ctx,
-    mut matvec: impl FnMut(&mut bernoulli_spmd::machine::Ctx, &[f64], &mut [f64]),
-    precond_local: &impl Preconditioner,
-    b_local: &[f64],
-    x_local: &mut [f64],
-    opts: GmresOptions,
-) -> GmresResult {
-    use crate::vecops::dot_dist;
-    let n = b_local.len();
-    assert_eq!(x_local.len(), n);
-    let m = opts.restart.max(1);
-    let mut total_iters = 0usize;
-    let mut scratch = vec![0.0; n];
-    let mut pre = vec![0.0; n];
-
-    let norm_dist = |ctx: &mut bernoulli_spmd::machine::Ctx, v: &[f64]| -> f64 {
-        dot_dist(ctx, v, v).sqrt()
-    };
-
-    let r0_norm = {
-        matvec(ctx, x_local, &mut scratch);
-        for i in 0..n {
-            scratch[i] = b_local[i] - scratch[i];
-        }
-        precond_local.precondition(&scratch, &mut pre);
-        norm_dist(ctx, &pre)
-    };
-    let mut history = vec![r0_norm];
-    if r0_norm == 0.0 {
-        return GmresResult {
-            iters: 0,
-            final_residual: 0.0,
-            converged: true,
-            residual_history: history,
-        };
-    }
-    let target = opts.rel_tol * r0_norm;
-
-    loop {
-        let mut v: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
-        let mut h = vec![vec![0.0f64; m]; m + 1];
-        let mut cs = vec![0.0f64; m];
-        let mut sn = vec![0.0f64; m];
-        let mut g = vec![0.0f64; m + 1];
-
-        matvec(ctx, x_local, &mut scratch);
-        for i in 0..n {
-            scratch[i] = b_local[i] - scratch[i];
-        }
-        precond_local.precondition(&scratch, &mut pre);
-        let beta = norm_dist(ctx, &pre);
-        if beta <= target || total_iters >= opts.max_iters {
-            return GmresResult {
-                iters: total_iters,
-                final_residual: beta,
-                converged: beta <= target,
-                residual_history: history,
-            };
-        }
-        v.push(pre.iter().map(|&p| p / beta).collect());
-        g[0] = beta;
-
-        let mut k_used = 0usize;
-        for k in 0..m {
-            if total_iters >= opts.max_iters {
-                break;
-            }
-            matvec(ctx, &v[k], &mut scratch);
-            precond_local.precondition(&scratch, &mut pre);
-            total_iters += 1;
-            let mut w = pre.clone();
-            for (j, vj) in v.iter().enumerate() {
-                let hjk = dot_dist(ctx, &w, vj);
-                h[j][k] = hjk;
-                for (wi, &vji) in w.iter_mut().zip(vj) {
-                    *wi -= hjk * vji;
-                }
-            }
-            let hk1 = norm_dist(ctx, &w);
-            h[k + 1][k] = hk1;
-            for j in 0..k {
-                let t = cs[j] * h[j][k] + sn[j] * h[j + 1][k];
-                h[j + 1][k] = -sn[j] * h[j][k] + cs[j] * h[j + 1][k];
-                h[j][k] = t;
-            }
-            let denom = (h[k][k] * h[k][k] + hk1 * hk1).sqrt();
-            if denom == 0.0 {
-                history.push(g[k].abs());
-                k_used = k + 1;
-                break;
-            }
-            cs[k] = h[k][k] / denom;
-            sn[k] = hk1 / denom;
-            h[k][k] = denom;
-            h[k + 1][k] = 0.0;
-            g[k + 1] = -sn[k] * g[k];
-            g[k] *= cs[k];
-            k_used = k + 1;
-            history.push(g[k + 1].abs());
-            if g[k + 1].abs() <= target || hk1 == 0.0 {
-                break;
-            }
-            v.push(w.iter().map(|&wi| wi / hk1).collect());
-        }
-
-        let kk = k_used;
-        let mut y = vec![0.0f64; kk];
-        for i in (0..kk).rev() {
-            let mut acc = g[i];
-            for (j, &yj) in y.iter().enumerate().skip(i + 1) {
-                acc -= h[i][j] * yj;
-            }
-            y[i] = acc / h[i][i];
-        }
-        for (j, &yj) in y.iter().enumerate() {
-            for i in 0..n {
-                x_local[i] += yj * v[j][i];
-            }
-        }
-        let est = g[kk].abs();
-        if est <= target || total_iters >= opts.max_iters {
-            matvec(ctx, x_local, &mut scratch);
-            for i in 0..n {
-                scratch[i] = b_local[i] - scratch[i];
-            }
-            precond_local.precondition(&scratch, &mut pre);
-            let rn = norm_dist(ctx, &pre);
-            return GmresResult {
-                iters: total_iters,
-                final_residual: rn,
-                converged: rn <= target * 1.01 + f64::EPSILON,
-                residual_history: history,
-            };
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::precond::{DiagonalPreconditioner, IdentityPreconditioner};
     use bernoulli_formats::gen::{circuit, grid2d_5pt};
     use bernoulli_formats::{Csr, Triplets};
-
 
     fn true_residual(t: &Triplets, x: &[f64], b: &[f64]) -> f64 {
         let mut ax = vec![0.0; b.len()];
@@ -453,91 +307,6 @@ mod tests {
         .unwrap();
         assert!(res.iters <= 7);
         assert!(!res.converged);
-    }
-
-    #[test]
-    fn parallel_gmres_matches_sequential() {
-        use bernoulli_spmd::dist::{BlockDist, Distribution};
-        use bernoulli_spmd::executor::gather_ghosts;
-        use bernoulli_spmd::inspector::CommSchedule;
-        use bernoulli_spmd::machine::Machine;
-        let t = bernoulli_formats::gen::fem_grid_2d(6, 5, 2);
-        let n = t.nrows();
-        let a = Csr::from_triplets(&t);
-        let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 11) as f64) * 0.5 - 2.0).collect();
-        let pc = DiagonalPreconditioner::from_matrix(&t);
-        let opts = GmresOptions { restart: 10, max_iters: 60, rel_tol: 1e-9 };
-
-        let mut x_seq = vec![0.0; n];
-        let res_seq = gmres(&a, &pc, &b, &mut x_seq, opts, &ExecCtx::default()).unwrap();
-        assert!(res_seq.converged);
-
-        let nprocs = 3;
-        let dist = BlockDist::new(n, nprocs);
-        let out = Machine::run(nprocs, |ctx| {
-            let me = ctx.rank();
-            let owned = dist.owned_globals(me);
-            let n_local = owned.len();
-            // Local rows with ghosted columns (same plumbing as the CG
-            // parallel test).
-            let mut local_rows: Vec<(usize, usize, f64)> = Vec::new();
-            for &(r, c, v) in t.canonicalize().entries() {
-                if dist.owner(r).0 == me {
-                    local_rows.push((dist.owner(r).1, c, v));
-                }
-            }
-            let mut used: Vec<usize> = local_rows
-                .iter()
-                .map(|&(_, c, _)| c)
-                .filter(|&c| dist.owner(c).0 != me)
-                .collect();
-            used.sort_unstable();
-            used.dedup();
-            let sched = CommSchedule::build_replicated(ctx, &dist, &used);
-            let a_local = Csr::from_entries_nodup(
-                n_local,
-                n_local + sched.num_ghosts,
-                &local_rows
-                    .iter()
-                    .map(|&(lr, c, v)| {
-                        let col = match dist.owner(c) {
-                            (p, l) if p == me => l,
-                            _ => n_local + sched.ghost_of_global[&c],
-                        };
-                        (lr, col, v)
-                    })
-                    .collect::<Vec<_>>(),
-            );
-            let b_local: Vec<f64> = owned.iter().map(|&g| b[g]).collect();
-            let pc_local = pc.restrict(&owned);
-            let mut x_local = vec![0.0; n_local];
-            let mut xg = vec![0.0; n_local + sched.num_ghosts];
-            let res = gmres_parallel(
-                ctx,
-                |ctx, p_local, out| {
-                    xg[..n_local].copy_from_slice(p_local);
-                    let (loc, gho) = xg.split_at_mut(n_local);
-                    gather_ghosts(ctx, &sched, loc, gho);
-                    out.fill(0.0);
-                    bernoulli_formats::kernels::spmv_csr(&a_local, &xg, out);
-                },
-                &pc_local,
-                &b_local,
-                &mut x_local,
-                opts,
-            );
-            assert!(res.converged, "rank {me}: residual {}", res.final_residual);
-            x_local
-        });
-        let mut x_par = vec![0.0; n];
-        for (p, xl) in out.results.iter().enumerate() {
-            for (l, &g) in dist.owned_globals(p).iter().enumerate() {
-                x_par[g] = xl[l];
-            }
-        }
-        for (a1, a2) in x_par.iter().zip(&x_seq) {
-            assert!((a1 - a2).abs() < 1e-6, "parallel GMRES diverged from sequential");
-        }
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //!
 //! Iterative solvers over the Bernoulli substrates — the application
 //! layer of the paper's §4 experiments: a preconditioned Conjugate
-//! Gradient solver ("parallel CG with diagonal preconditioning"), in
-//! both sequential and SPMD form, generic over the matvec so it runs
-//! identically on hand-written BlockSolve kernels, compiler-generated
-//! executors, or any storage format.
+//! Gradient solver ("parallel CG with diagonal preconditioning"),
+//! generic over the matvec so it runs identically on hand-written
+//! BlockSolve kernels, compiler-generated executors, or any storage
+//! format.
 //!
 //! Every shared-memory solver has exactly one entry point: it applies
 //! the matrix through the [`Operator`] seam of the core crate (a bound
@@ -14,12 +14,12 @@
 //! dispatch, checked mode, telemetry. `ExecCtx::default()` reproduces
 //! the historical serial solvers bit for bit.
 //!
-//! * [`vecops`] — dense vector primitives and their distributed
-//!   counterparts (local part + all-reduce);
+//! * [`vecops`] — dense vector primitives, serial and through an
+//!   [`ExecCtx`];
 //! * [`precond`] — the diagonal (Jacobi) preconditioner;
-//! * [`mod@cg`] — preconditioned CG, sequential and parallel;
-//! * [`stationary`] — Jacobi and Chebyshev iterations (extensions
-//!   beyond the paper's experiments, same substrate);
+//! * [`mod@cg`] — preconditioned CG: one recurrence, entered in one
+//!   address space ([`cg()`]) or on each rank of the SPMD machine
+//!   ([`cg_parallel`]);
 //! * [`ic0`] — incomplete Cholesky IC(0) with sparse triangular
 //!   solves, the paper's §6 "ongoing work" substrate;
 //! * [`symgs`] — symmetric Gauss-Seidel / SSOR preconditioning over
@@ -31,13 +31,12 @@ pub mod cg;
 pub mod gmres;
 pub mod ic0;
 pub mod precond;
-pub mod stationary;
 pub mod symgs;
 pub mod vecops;
 
 pub use bernoulli::{ExecCtx, FnOperator, Operator};
 pub use cg::{cg, cg_parallel, CgOptions, CgResult};
-pub use gmres::{gmres, gmres_parallel, GmresOptions, GmresResult};
+pub use gmres::{gmres, GmresOptions, GmresResult};
 pub use ic0::Ic0;
 pub use precond::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
 pub use symgs::SymGs;

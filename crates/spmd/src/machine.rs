@@ -469,28 +469,6 @@ impl Ctx {
         self.all_reduce_scalar(x, f64::max)
     }
 
-    /// Global reduction under an arbitrary [`Semiring`]'s ⊕, for the
-    /// f64-element algebras the wire format carries (`min_plus` gives
-    /// the distributed min of Bellman-Ford relaxation, `max_plus` the
-    /// bottleneck max). The binomial tree reassociates and reorders the
-    /// combine, so the algebra must declare ⊕ associative-commutative —
-    /// the same certificate the shared-memory parallel tier demands
-    /// (BA06). A non-AC algebra panics on every rank rather than
-    /// returning a rank-dependent result.
-    ///
-    /// [`Semiring`]: bernoulli_relational::semiring::Semiring
-    pub fn all_reduce_semiring<S>(&mut self, x: f64) -> f64
-    where
-        S: bernoulli_relational::semiring::Semiring<Elem = f64>,
-    {
-        assert!(
-            S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE,
-            "all_reduce over '{}': a tree reduction needs an associative-commutative (+)",
-            S::NAME
-        );
-        self.all_reduce_scalar(x, S::plus)
-    }
-
     /// Full exchange: `out[p]` goes to processor `p`; returns what each
     /// processor sent here (`in[p]` from processor `p`). The self slot
     /// is moved without touching the wire.
@@ -1224,32 +1202,6 @@ mod tree_allreduce_tests {
                 assert_eq!(bits(sums), bits(&out.results[0].1), "P={p}: ranks agree");
             }
         }
-    }
-
-    #[test]
-    fn semiring_allreduce_follows_the_algebra() {
-        use bernoulli_relational::semiring::{MaxPlus, MinPlus};
-        for p in 1..=6usize {
-            let out = Machine::run(p, |ctx| {
-                // min_plus ⊕ = min: the distributed Bellman-Ford combine.
-                let lo = ctx.all_reduce_semiring::<MinPlus>(10.0 - ctx.rank() as f64);
-                let hi = ctx.all_reduce_semiring::<MaxPlus>(ctx.rank() as f64);
-                (lo, hi)
-            });
-            for &(lo, hi) in &out.results {
-                assert_eq!(lo, 10.0 - (p - 1) as f64, "P={p}");
-                assert_eq!(hi, (p - 1) as f64, "P={p}");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "associative-commutative")]
-    fn semiring_allreduce_refuses_non_ac_algebra() {
-        use bernoulli_relational::semiring::FirstNonZero;
-        // ⊕ = first-nonzero is order-dependent: a tree reduction would
-        // return rank-dependent results, so the machine refuses it.
-        Machine::run(2, |ctx| ctx.all_reduce_semiring::<FirstNonZero>(1.0));
     }
 
     #[test]

@@ -12,7 +12,8 @@ cargo test --workspace -q
 # codegen, and the SPMD machine's polled hand-off window only exists
 # where a receive is faster than a wake-up — so every root suite that
 # drives the machine is here, `tables` with its twenty invocations of
-# the P = 2 Table-2 cell included, the fast tier's bitwise suite, and
+# the P = 2 Table-2 cell and of every timed ablation claim included
+# (~2.5 min), the fast tier's bitwise suite, and
 # the three that replay certificates through hints and bind schedules
 # to operands (pipeline_equivalence, plancache, corrupt_schedule).
 cargo test --release -q --test exec_ctx --test kernel_tiers --test parallel \
@@ -44,7 +45,7 @@ cargo run --release --example lint
 # any mismatch).
 cargo run --release --example graph > /dev/null
 # Reproduction gate: every table, figure series and ablation of the
-# paper, full scale (P = 2..64, ~12 s); exits nonzero if any shape
+# paper, full scale (P = 2..64, ~15 s); exits nonzero if any shape
 # claim EXPERIMENTS.md cites fails.
 mkdir -p target/ci
 cargo run --release --bin tables > target/ci/tables_output.txt

@@ -25,11 +25,10 @@ use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_spmd::machine::{Ctx, Machine, NetworkModel};
 use std::time::Instant;
 
-/// Median wall-clock seconds of `samples` runs of each of `f(0)` …
-/// `f(N - 1)`. The arms' samples are interleaved, so a change of host
-/// speed mid-measurement lands on all of them alike and their ratios
-/// survive it.
-pub fn median_times<const N: usize>(samples: usize, mut f: impl FnMut(usize)) -> [f64; N] {
+/// Wall-clock seconds of `samples` runs of each of `f(0)` … `f(N - 1)`,
+/// one list per arm. The arms' samples are interleaved, so a change of
+/// host speed mid-measurement lands on all of them alike.
+pub fn sample_times<const N: usize>(samples: usize, mut f: impl FnMut(usize)) -> [Vec<f64>; N] {
     assert!(samples >= 1);
     let mut times = [(); N].map(|_| Vec::with_capacity(samples));
     for _ in 0..samples {
@@ -39,10 +38,18 @@ pub fn median_times<const N: usize>(samples: usize, mut f: impl FnMut(usize)) ->
             ts.push(t.elapsed().as_secs_f64());
         }
     }
-    times.map(|mut ts| {
-        ts.sort_by(f64::total_cmp);
-        ts[ts.len() / 2]
-    })
+    times
+}
+
+/// The upper median of a non-empty list.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// Median wall-clock seconds of each arm of [`sample_times`].
+pub fn median_times<const N: usize>(samples: usize, f: impl FnMut(usize)) -> [f64; N] {
+    sample_times(samples, f).map(median)
 }
 
 /// Degrees of freedom per grid point (the paper's 5).

@@ -7,8 +7,10 @@ use bernoulli_blocksolve::reorder::build_layout;
 use bernoulli_blocksolve::split::split_matrix;
 use bernoulli_formats::gen::{fem_grid_2d, fem_grid_3d};
 use bernoulli_formats::Triplets;
-use bernoulli_solvers::cg::{cg, cg_parallel, CgOptions};
-use bernoulli_solvers::precond::DiagonalPreconditioner;
+use bernoulli::{ExecCtx, FnOperator, Operator};
+use bernoulli_solvers::cg::{cg, cg_parallel, CgOptions, CgResult};
+use bernoulli_solvers::precond::{DiagonalPreconditioner, Preconditioner};
+use bernoulli_solvers::SymGs;
 use bernoulli_spmd::chaos::ChaosTable;
 use bernoulli_spmd::dist::{
     BlockCyclicDist, BlockDist, CyclicDist, Distribution, GeneralizedBlockDist, IndirectDist,
@@ -25,7 +27,7 @@ fn sequential_solution(t: &Triplets, b: &[f64], iters: usize) -> Vec<f64> {
         b,
         &mut x,
         CgOptions { max_iters: iters, rel_tol: 0.0 },
-        &bernoulli::ExecCtx::default(),
+        &ExecCtx::default(),
     )
     .unwrap();
     x
@@ -291,6 +293,115 @@ fn cg_parallel_histories_keep_their_bits_and_bytes() {
         assert_eq!(per_iter.bytes_sent, 12 * BYTES_PER_ITER_GOLD[p - 1], "P={p}");
         assert_eq!(per_iter.allreduces, 12 * 2 * p as u64, "P={p}: two all-reduces per iteration (three at the parent)");
         assert_eq!(per_iter.alltoalls + per_iter.barriers, 0);
+    }
+}
+
+// --- One program, two machines ----------------------------------------
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `x` and the result of `cg` under a serial ctx, then of `cg_parallel`
+/// on a one-rank machine, both from a guess of `guess` everywhere.
+fn solve_on_both_machines(
+    a: &bernoulli_formats::Csr,
+    pc: &(impl Preconditioner + Sync),
+    b: &[f64],
+    guess: f64,
+    opts: CgOptions,
+) -> [(CgResult, Vec<f64>); 2] {
+    let mut x = vec![guess; b.len()];
+    let shared = cg(a, pc, b, &mut x, opts, &ExecCtx::default()).unwrap();
+    let mut out = Machine::run(1, |ctx| {
+        let mut x = vec![guess; b.len()];
+        let res = cg_parallel(ctx, |_, v, y| a.apply(v, y).unwrap(), pc, b, &mut x, opts);
+        (res, x)
+    });
+    [(shared, x), out.results.remove(0)]
+}
+
+/// The two entries run one recurrence: at one rank their solutions and
+/// residual histories agree to the bit for zero and nonzero guesses,
+/// benchmark mode and a target, and both preconditioners.
+#[test]
+fn cg_parallel_at_one_rank_is_cg_bit_for_bit() {
+    let t = fem_grid_2d(9, 7, 2);
+    let n = t.nrows();
+    let a = bernoulli_formats::Csr::from_triplets(&t);
+    let b: Vec<f64> = (0..n).map(|i| ((i * 3 % 11) as f64) * 0.25 - 1.0).collect();
+    let diag = DiagonalPreconditioner::from_matrix(&t);
+    let symgs = SymGs::new(a.clone(), &ExecCtx::default()).unwrap();
+    for guess in [0.0, 0.25] {
+        for (max_iters, rel_tol) in [(25, 0.0), (200, 1e-10)] {
+            let opts = CgOptions { max_iters, rel_tol };
+            let runs = [
+                ("diagonal", solve_on_both_machines(&a, &diag, &b, guess, opts)),
+                ("symgs", solve_on_both_machines(&a, &symgs, &b, guess, opts)),
+            ];
+            for (name, [(shared, x_shared), (spmd, x_spmd)]) in runs {
+                let what = format!("{name}, guess {guess}, rel_tol {rel_tol}");
+                assert!(shared.converged && shared.iters > 0, "{what}");
+                assert_eq!((spmd.iters, spmd.converged), (shared.iters, shared.converged), "{what}");
+                assert_eq!(bits(&spmd.residual_history), bits(&shared.residual_history), "{what}");
+                assert_eq!(bits(&x_spmd), bits(&x_shared), "{what}");
+            }
+        }
+    }
+}
+
+/// From a zero guess the shared-memory entry forms `r = b` with no
+/// product; the SPMD entry multiplies on every rank, because its matvec
+/// exchanges ghosts and a skip decided on one rank would leave the
+/// others' exchange unmatched.
+#[test]
+fn cg_parallel_multiplies_for_its_opening_residual_on_every_rank() {
+    use std::cell::Cell;
+    let t = fem_grid_2d(6, 5, 2);
+    let n = t.nrows();
+    let a = bernoulli_formats::Csr::from_triplets(&t);
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 4) as f64).collect();
+    let pc = DiagonalPreconditioner::from_matrix(&t);
+    let opts = CgOptions { max_iters: 9, rel_tol: 0.0 };
+
+    let applied = Cell::new(0);
+    let op = FnOperator::new(n, n, |v: &[f64], y: &mut [f64]| {
+        applied.set(applied.get() + 1);
+        a.apply(v, y).unwrap();
+    });
+    let mut x = vec![0.0; n];
+    let res = cg(&op, &pc, &b, &mut x, opts, &ExecCtx::default()).unwrap();
+    assert_eq!((res.iters, applied.get()), (9, 9));
+
+    let p = 3;
+    let dist = BlockDist::new(n, p);
+    let frags = fragment_matrix(&t, &dist);
+    let out = Machine::run(p, |ctx| {
+        let me = ctx.rank();
+        let owned = dist.owned_globals(me);
+        let spec = to_mixed_spec(&frags[me], |g| {
+            let (q, l) = dist.owner(g);
+            (q == me).then_some(l)
+        });
+        let mut eng = CompiledMixed::inspect(ctx, &spec, &dist);
+        let b_local: Vec<f64> = owned.iter().map(|&g| b[g]).collect();
+        let mut x_local = vec![0.0; owned.len()];
+        let mut products = 0;
+        let res = cg_parallel(
+            ctx,
+            |ctx, v, y| {
+                products += 1;
+                eng.execute(ctx, v, y);
+            },
+            &pc.restrict(&owned),
+            &b_local,
+            &mut x_local,
+            opts,
+        );
+        (res.iters, products)
+    });
+    for (rank, &(iters, products)) in out.results.iter().enumerate() {
+        assert_eq!((iters, products), (9, 10), "rank {rank}");
     }
 }
 

@@ -9,17 +9,6 @@ use bernoulli_solvers::cg::{cg, CgOptions};
 use bernoulli_solvers::gmres::{gmres, GmresOptions};
 use bernoulli_solvers::ic0::Ic0;
 use bernoulli_solvers::precond::DiagonalPreconditioner;
-use bernoulli_solvers::stationary::{chebyshev, jacobi};
-
-fn engine_matvec<'a>(
-    eng: &'a SpmvEngine,
-    a: &'a SparseMatrix,
-) -> impl FnMut(&[f64], &mut [f64]) + 'a {
-    move |v, out| {
-        out.fill(0.0);
-        eng.run(a, v, out).unwrap();
-    }
-}
 
 fn residual(t: &Triplets, x: &[f64], b: &[f64]) -> f64 {
     let mut ax = vec![0.0; b.len()];
@@ -27,87 +16,54 @@ fn residual(t: &Triplets, x: &[f64], b: &[f64]) -> f64 {
     ax.iter().zip(b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt()
 }
 
+/// Every Krylov method over a row-major (CRS) and a column-major (CCS)
+/// compiled engine: the six solutions agree.
 #[test]
 fn all_krylov_methods_agree_through_compiled_engines() {
     let t = fem_grid_2d(7, 6, 2);
     let n = t.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 5 % 13) as f64) * 0.3).collect();
-    let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-    let eng = SpmvEngine::compile(&a).unwrap();
     let diag = DiagonalPreconditioner::from_matrix(&t);
-
-    let op = eng.bind(&a);
-
-    // CG (SPD) with diagonal preconditioning.
-    let mut x_cg = vec![0.0; n];
-    let r = cg(
-        &op,
-        &diag,
-        &b,
-        &mut x_cg,
-        CgOptions { max_iters: 2000, rel_tol: 1e-11 },
-        &ExecCtx::default(),
-    )
-    .unwrap();
-    assert!(r.converged);
-
-    // CG with IC(0).
     let ic = Ic0::factor(&t).unwrap();
-    let mut x_ic = vec![0.0; n];
-    let r_ic = cg(
-        &op,
-        &ic,
-        &b,
-        &mut x_ic,
-        CgOptions { max_iters: 2000, rel_tol: 1e-11 },
-        &ExecCtx::default(),
-    )
-    .unwrap();
-    assert!(r_ic.converged);
-    assert!(r_ic.iters <= r.iters, "IC(0) must not be slower in iterations");
+    let mut reference: Option<Vec<f64>> = None;
 
-    // GMRES over the same bound operator.
-    let mut x_gm = vec![0.0; n];
-    let r_gm = gmres(
-        &op,
-        &diag,
-        &b,
-        &mut x_gm,
-        GmresOptions { restart: 30, max_iters: 3000, rel_tol: 1e-11 },
-        &ExecCtx::default(),
-    )
-    .unwrap();
-    assert!(r_gm.converged);
+    for kind in [FormatKind::Csr, FormatKind::Ccs] {
+        let a = SparseMatrix::from_triplets(kind, &t);
+        let eng = SpmvEngine::compile(&a).unwrap();
+        let op = eng.bind(&a);
+        let opts = CgOptions { max_iters: 2000, rel_tol: 1e-11 };
 
-    // All three solutions agree.
-    for i in 0..n {
-        assert!((x_cg[i] - x_ic[i]).abs() < 1e-6, "CG vs IC0-PCG at {i}");
-        assert!((x_cg[i] - x_gm[i]).abs() < 1e-6, "CG vs GMRES at {i}");
-    }
-    assert!(residual(&t, &x_cg, &b) < 1e-7);
-}
+        // CG (SPD) with diagonal preconditioning.
+        let mut x_cg = vec![0.0; n];
+        let r = cg(&op, &diag, &b, &mut x_cg, opts, &ExecCtx::default()).unwrap();
+        assert!(r.converged, "{kind:?}");
 
-#[test]
-fn stationary_methods_converge_through_compiled_engines() {
-    let t = fem_grid_2d(6, 6, 1);
-    let n = t.nrows();
-    let b: Vec<f64> = (0..n).map(|i| (i % 4) as f64 - 1.5).collect();
-    let a = SparseMatrix::from_triplets(FormatKind::Ccs, &t); // column-major engine
-    let eng = SpmvEngine::compile(&a).unwrap();
-    let diag = DiagonalPreconditioner::from_matrix(&t);
+        // CG with IC(0).
+        let mut x_ic = vec![0.0; n];
+        let r_ic = cg(&op, &ic, &b, &mut x_ic, opts, &ExecCtx::default()).unwrap();
+        assert!(r_ic.converged, "{kind:?}");
+        assert!(r_ic.iters <= r.iters, "{kind:?}: IC(0) must not be slower in iterations");
 
-    let mut x_j = vec![0.0; n];
-    let rj = jacobi(engine_matvec(&eng, &a), &diag, &b, &mut x_j, 0.9, 20000, 1e-8);
-    assert!(rj.converged, "jacobi residual {}", rj.final_residual);
+        // GMRES over the same bound operator.
+        let mut x_gm = vec![0.0; n];
+        let r_gm = gmres(
+            &op,
+            &diag,
+            &b,
+            &mut x_gm,
+            GmresOptions { restart: 30, max_iters: 3000, rel_tol: 1e-11 },
+            &ExecCtx::default(),
+        )
+        .unwrap();
+        assert!(r_gm.converged, "{kind:?}");
 
-    // Gershgorin bounds of the generator's 2·(Laplacian + I) on a 2-D
-    // grid: [2, 18].
-    let mut x_c = vec![0.0; n];
-    let rc = chebyshev(engine_matvec(&eng, &a), &b, &mut x_c, 2.0, 18.0, 20000, 1e-8);
-    assert!(rc.converged, "chebyshev residual {}", rc.final_residual);
-
-    for i in 0..n {
-        assert!((x_j[i] - x_c[i]).abs() < 1e-5);
+        let x_ref = reference.get_or_insert_with(|| x_cg.clone());
+        for i in 0..n {
+            assert!((x_cg[i] - x_ic[i]).abs() < 1e-6, "{kind:?}: CG vs IC0-PCG at {i}");
+            assert!((x_cg[i] - x_gm[i]).abs() < 1e-6, "{kind:?}: CG vs GMRES at {i}");
+            assert!((x_cg[i] - x_ref[i]).abs() < 1e-6, "{kind:?}: CG vs CRS CG at {i}");
+        }
+        assert!(residual(&t, &x_cg, &b) < 1e-7, "{kind:?}");
     }
 }
 

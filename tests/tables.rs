@@ -3,10 +3,25 @@
 //! read nothing else but the one cell they bound.
 
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard};
 
+/// Held by each test that reads clocks: `cargo test` runs a binary's
+/// tests on parallel threads, and two timed runs on a 2-vCPU host would
+/// each measure the other.
+fn clocks() -> MutexGuard<'static, ()> {
+    static CLOCKS: Mutex<()> = Mutex::new(());
+    CLOCKS.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Whether the run passed, and its standard output — followed, when it
+/// failed, by its exit status and standard error.
 fn tables(args: &[&str]) -> (bool, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_tables")).args(args).output().expect("tables runs");
-    (out.status.success(), String::from_utf8(out.stdout).expect("tables prints UTF-8"))
+    let mut text = String::from_utf8(out.stdout).expect("tables prints UTF-8");
+    if !out.status.success() {
+        text += &format!("{}\n{}", out.status, String::from_utf8_lossy(&out.stderr));
+    }
+    (out.status.success(), text)
 }
 
 /// Seconds in the P = 2 BlockSolve cell of a printed Table 2.
@@ -30,6 +45,7 @@ fn p2_blocksolve_cell(stdout: &str) -> f64 {
 #[test]
 #[cfg_attr(debug_assertions, ignore = "reads clocks: cargo test --release --test tables")]
 fn p2_cell_is_unimodal_over_twenty_invocations() {
+    let _clocks = clocks();
     let cells: Vec<f64> = (0..20)
         .map(|_| {
             let (ok, stdout) = tables(&["--small", "table2"]);
@@ -40,6 +56,23 @@ fn p2_cell_is_unimodal_over_twenty_invocations() {
     let min = cells.iter().copied().fold(f64::INFINITY, f64::min);
     let max = cells.iter().copied().fold(0.0, f64::max);
     assert!(max <= 3.0 * min, "P = 2 BlockSolve cell over 20 invocations: {cells:?}");
+}
+
+/// Every timed ablation claim — `A.sweep-recurrence`, `A.cert-bind`,
+/// `A.symgs-zero-guess`, `A.cccs-cost`, and the dispatch and join clocks
+/// beside them — over twenty invocations, so that a bar inside this
+/// host's spread fails here rather than in one CI run out of four.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "reads clocks: cargo test --release --test tables")]
+fn timed_ablation_claims_hold_over_twenty_invocations() {
+    let _clocks = clocks();
+    let failed: Vec<String> = (0..20)
+        .filter_map(|_| {
+            let (ok, stdout) = tables(&["ablations"]);
+            (!ok).then(|| stdout.lines().skip_while(|l| !l.starts_with("=== Claims")).collect::<Vec<_>>().join("\n"))
+        })
+        .collect();
+    assert!(failed.is_empty(), "{} of 20 invocations failed:\n{}", failed.len(), failed.join("\n"));
 }
 
 #[test]
