@@ -31,12 +31,11 @@
 //!   `relational::access_check`.
 //! * [`wavefront`] — the **DO-ACROSS dependence pass**: where the race
 //!   checker must refuse (triangular solve, Gauss-Seidel — the written
-//!   vector is read across iterations), this pass extracts the
-//!   loop-carried dependence DAG from the operand's sparsity structure,
-//!   computes level sets, and issues an unforgeable
-//!   [`wavefront::WavefrontCert`] licensing level-parallel execution;
-//!   an independent [`wavefront::verify_level_schedule`] re-checks any
-//!   schedule (BA4x) before the parallel tier is allowed.
+//!   vector is read across iterations), this pass reads the
+//!   loop-carried dependence DAG off the operand's sparsity structure,
+//!   computes level sets, verifies them independently (BA4x) and
+//!   issues an unforgeable [`wavefront::WavefrontCert`] licensing
+//!   level-parallel execution of one [`wavefront::Relation`].
 
 pub mod diag;
 pub mod plan_verify;
@@ -49,6 +48,6 @@ pub use plan_verify::{verify_plan, verify_plan_hook};
 pub use race::{check_do_any, ParallelCertificate, RaceReport};
 pub use validate::Validate;
 pub use wavefront::{
-    analyze_wavefront, verify_level_schedule, LevelSchedule, Triangle, WavefrontCert,
-    WavefrontReport,
+    analyze_wavefront, certify_wavefront, verify_level_schedule, LevelSchedule, Relation,
+    Triangle, WavefrontCert, WavefrontReport,
 };

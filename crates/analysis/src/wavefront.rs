@@ -1,39 +1,36 @@
-//! DO-ACROSS wavefront dependence analysis for triangular sweeps.
+//! DO-ACROSS wavefront dependence analysis for sweeps.
 //!
 //! The [`race`](crate::race) pass certifies DO-ANY nests — iterations
 //! that may run in any order. Triangular solve and Gauss-Seidel are the
 //! canonical nests it must *refuse* (`BA01`/`BA02`: the written vector
 //! is also read across iterations). This pass recovers their
-//! parallelism anyway, per-operand: the loop-carried dependence
-//! relation of a sweep is exactly the sparsity structure (row `i`
-//! depends on row `j` iff `A[i][j] != 0` with `j < i` for a forward
-//! sweep), and that relation is a DAG whenever the operand is
-//! triangular. Rows at equal longest-path depth in the DAG (a *level*)
-//! are mutually independent, so levels execute as parallel waves while
-//! the level sequence preserves every dependence — classic DO-ACROSS
-//! level scheduling, derived from the actual operand at plan time as in
-//! SpComp-style per-structure compilation.
+//! parallelism anyway, per operand: a sweep's loop-carried dependence
+//! relation ([`Relation`]) is read straight off the sparsity structure,
+//! it is a DAG whenever the structure admits the sweep at all, and rows
+//! at equal longest-path depth (a *level*) are mutually independent — so
+//! levels execute as parallel waves while the level sequence preserves
+//! every dependence. Classic DO-ACROSS level scheduling, derived from
+//! the actual operand at plan time as in SpComp-style per-structure
+//! compilation.
 //!
-//! Two artifacts come out of [`analyze_wavefront`]:
+//! [`certify_wavefront`] is the one entry point. It computes a
+//! [`LevelSchedule`] (or takes a cached one), checks it once with the
+//! independent verifier, and issues an unforgeable [`WavefrontCert`] —
+//! the DO-ACROSS analogue of the race checker's certificates — that
+//! names the relation it proves and binds the operand's own index
+//! arrays (pointer + length, like `fast.rs` certificates) and the exact
+//! schedule (FNV-1a over its contents). Kernels re-check
+//! [`WavefrontCert::covers`] at entry and fall back to serial on any
+//! mismatch. [`analyze_wavefront`] is the solve relation's cold
+//! analysis as a report, [`verify_level_schedule`] its bare verifier.
 //!
-//! * a [`LevelSchedule`] — rows grouped level-major, the execution
-//!   order the parallel kernels follow;
-//! * an unforgeable [`WavefrontCert`] — the DO-ACROSS analogue of the
-//!   race checker's `DisjointWrites`/`Reduction` certificates. It is
-//!   only constructible here, fingerprints the analyzed index structure
-//!   (pointer + length, like `fast.rs` certificates) *and* the exact
-//!   schedule (FNV-1a over its contents), and kernels re-check
-//!   [`WavefrontCert::covers`] at entry, falling back to serial on any
-//!   mismatch.
-//!
-//! Independently of certification, [`verify_level_schedule`] re-checks
-//! an arbitrary schedule against the operand in the spirit of
-//! `plan_verify.rs`: the engine runs it on every schedule before the
-//! parallel tier is allowed, so even a bug in the level computation
-//! cannot license a racy wave. Its codes are the `BA4x` family:
-//! `BA41` non-triangular (cyclic) structure, `BA42` non-topological
-//! level assignment, `BA43` missing/duplicate/out-of-range row, `BA44`
-//! same-level dependence overlap.
+//! The verifier re-checks a schedule against the dependences in the
+//! spirit of `plan_verify.rs`: it recomputes nothing, so a bug in the
+//! level computation — or a forged cached schedule — cannot license a
+//! racy wave. Its codes are the `BA4x` family: `BA41` non-triangular
+//! (cyclic) structure, `BA42` non-topological level assignment, `BA43`
+//! missing/duplicate/out-of-range row, `BA44` same-level dependence
+//! overlap.
 
 use crate::diag::{codes, Diagnostic, Span};
 
@@ -56,6 +53,28 @@ impl Triangle {
             Triangle::Upper => "upper",
         }
     }
+}
+
+/// The loop-carried dependence relation a schedule is proved against.
+/// A certificate names its relation, so one op's proof never licenses
+/// another op's sweep over the same arrays.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Relation {
+    /// Substitution with a triangular factor: row `i` reads `x[j]` for
+    /// every stored `T[i][j]` on the triangle's side of the diagonal,
+    /// so row `j` comes first. Levels are listed in solve order.
+    Solve(Triangle),
+    /// A Gauss-Seidel sweep over a square operand, in either direction.
+    /// Row `i` reads `x[j]` for every stored `A[i][j]` — the new value
+    /// of a row swept before it, the old value of one swept after — so
+    /// every stored off-diagonal orders its two rows: the relation is
+    /// `struct(A) ∪ struct(Aᵀ)`, read off `A`'s own arrays with no
+    /// symmetrized copy. Levels are listed in forward (ascending) order.
+    /// The relation is symmetric, so the backward sweep's DAG is the
+    /// forward one with every edge reversed, and the same schedule
+    /// walked last level first is a valid backward schedule: one
+    /// schedule serves both sweeps.
+    GaussSeidel,
 }
 
 /// Rows grouped by longest-path depth in the dependence DAG.
@@ -112,12 +131,11 @@ impl LevelSchedule {
         }
     }
 
-    /// Build a schedule from raw parts **without** any checking — the
-    /// corrupt-schedule corpus uses this to craft invalid schedules
-    /// that [`verify_level_schedule`] must reject. A schedule built
-    /// here never carries a certificate: [`WavefrontCert::covers`]
-    /// compares the schedule hash, so only the exact schedule computed
-    /// by [`analyze_wavefront`] unlocks the parallel tier.
+    /// Build a schedule from raw parts **without** any checking — what a
+    /// plan cache rebuilds from disk, and what the corrupt-schedule
+    /// corpus crafts. Nothing trusts it: only [`certify_wavefront`]
+    /// issues a certificate, and only after the verifier accepts the
+    /// schedule against the operand.
     pub fn from_raw_unchecked(nrows: usize, rows: Vec<usize>, level_ptr: Vec<usize>) -> LevelSchedule {
         LevelSchedule { nrows, rows, level_ptr }
     }
@@ -154,15 +172,16 @@ fn schedule_hash(s: &LevelSchedule) -> u64 {
     h
 }
 
-/// Proof that a specific `(pattern, schedule)` pair admits DO-ACROSS
-/// level-parallel execution. Only [`analyze_wavefront`] constructs one
-/// (private fields), and it binds both the index structure it analyzed
-/// (by slice identity) and the exact schedule it computed (by content
-/// hash); [`WavefrontCert::covers`] re-checks both at kernel entry.
+/// Proof that a schedule admits DO-ACROSS level-parallel execution of
+/// one [`Relation`] over one operand. Only [`certify_wavefront`]
+/// constructs one (private fields); it binds the relation, the
+/// operand's index arrays (by slice identity) and the exact schedule
+/// (by content hash), and [`WavefrontCert::covers`] re-checks all
+/// three at kernel entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WavefrontCert {
     nrows: usize,
-    triangle: Triangle,
+    relation: Relation,
     rowptr: SliceId,
     colind: SliceId,
     schedule_hash: u64,
@@ -171,19 +190,19 @@ pub struct WavefrontCert {
 }
 
 impl WavefrontCert {
-    /// Does this certificate license running `sched` against the given
-    /// pattern? True only for the exact slices analyzed and the exact
-    /// schedule computed at certification time.
+    /// Does this certificate license running `sched` as a `relation`
+    /// sweep over the given pattern? True only for the exact slices
+    /// certified, the relation proved and the schedule verified.
     pub fn covers(
         &self,
         nrows: usize,
         rowptr: &[usize],
         colind: &[usize],
-        triangle: Triangle,
+        relation: Relation,
         sched: &LevelSchedule,
     ) -> bool {
         self.nrows == nrows
-            && self.triangle == triangle
+            && self.relation == relation
             && self.rowptr == slice_id(rowptr)
             && self.colind == slice_id(colind)
             && sched.nrows == nrows
@@ -278,15 +297,19 @@ fn check_pattern_shape(nrows: usize, rowptr: &[usize], colind: &[usize]) -> Vec<
     diags
 }
 
-/// Is stored entry `(i, j)` a loop-carried dependence of the sweep
-/// (`Some(j)`), a diagonal entry (`None`), or on the wrong side of the
-/// diagonal for the claimed triangle (`Err`)?
-fn classify(triangle: Triangle, i: usize, j: usize) -> Result<Option<usize>, ()> {
-    match (triangle, j.cmp(&i)) {
-        (_, std::cmp::Ordering::Equal) => Ok(None),
-        (Triangle::Lower, std::cmp::Ordering::Less) => Ok(Some(j)),
-        (Triangle::Upper, std::cmp::Ordering::Greater) => Ok(Some(j)),
-        _ => Err(()),
+/// The dependence a stored entry `(i, j)` of row `i` carries under
+/// `relation`, as the `(earlier, later)` pair of rows it orders:
+/// `Ok(None)` for a diagonal entry, `Err(triangle)` for an entry on the
+/// wrong side of a solve's triangle (the relation is cyclic).
+fn edge(relation: Relation, i: usize, j: usize) -> Result<Option<(usize, usize)>, Triangle> {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    match (relation, j.cmp(&i)) {
+        (_, Equal) => Ok(None),
+        (Relation::GaussSeidel, _) => Ok(Some((i.min(j), i.max(j)))),
+        (Relation::Solve(Triangle::Lower), Less) | (Relation::Solve(Triangle::Upper), Greater) => {
+            Ok(Some((j, i)))
+        }
+        (Relation::Solve(triangle), _) => Err(triangle),
     }
 }
 
@@ -302,52 +325,41 @@ fn wrong_side_diag(triangle: Triangle, i: usize, j: usize, k: usize) -> Diagnost
     )
 }
 
-/// Extract the loop-carried dependence relation of a triangular sweep
-/// from the sparsity pattern and compute its level sets (longest-path
-/// depth in the dependence DAG). Returns the schedule and an
-/// unforgeable [`WavefrontCert`] when the pattern is triangular for the
-/// claimed [`Triangle`]; otherwise `BA41` (plus any `BA21`/`BA22`
-/// shape findings) and no certificate.
-///
-/// Takes the raw CSR index structure rather than a format type so the
-/// pass stays below `bernoulli-formats` in the crate DAG; callers pass
-/// `csr.rowptr()` / `csr.colind()` (values are irrelevant — only the
-/// pattern carries dependences; an explicitly stored zero is treated
-/// as a dependence, which is conservative and always safe).
-pub fn analyze_wavefront(
+/// Longest-path level sets of `relation` over a well-shaped pattern.
+/// Rows are visited in dependence order (descending for an upper solve,
+/// ascending otherwise). Each row first *pulls* from the rows its own
+/// entries make it follow — already final, as they were visited
+/// earlier — and then *pushes* its level to the rows its entries make
+/// it precede (Gauss-Seidel's upper entries, which the later row cannot
+/// see from its own). A wrong-side entry is `BA41`.
+fn levels(
     nrows: usize,
     rowptr: &[usize],
     colind: &[usize],
-    triangle: Triangle,
-) -> WavefrontReport {
-    let mut diags = check_pattern_shape(nrows, rowptr, colind);
-    if !diags.is_empty() {
-        return WavefrontReport { schedule: None, certificate: None, diagnostics: diags };
-    }
-
-    // Longest-path depth: sweep rows in dependence order (ascending for
-    // Lower, descending for Upper) so every dependence's level is final
-    // before its dependents read it. Triangularity makes this a valid
-    // topological order; a wrong-side entry is reported as BA41.
+    relation: Relation,
+) -> Result<LevelSchedule, Vec<Diagnostic>> {
+    let mut diags = Vec::new();
     let mut level = vec![0usize; nrows];
-    let order: Box<dyn Iterator<Item = usize>> = match triangle {
-        Triangle::Lower => Box::new(0..nrows),
-        Triangle::Upper => Box::new((0..nrows).rev()),
-    };
-    for i in order {
-        let mut lv = 0usize;
-        let (s, e) = (rowptr[i], rowptr[i + 1]);
-        for (k, &j) in colind[s..e].iter().enumerate().map(|(dk, j)| (s + dk, j)) {
-            match classify(triangle, i, j) {
-                Ok(Some(dep)) => lv = lv.max(level[dep] + 1),
-                Ok(None) => {}
-                Err(()) => diags.push(wrong_side_diag(triangle, i, j, k)),
+    let descending = relation == Relation::Solve(Triangle::Upper);
+    for step in 0..nrows {
+        let i = if descending { nrows - 1 - step } else { step };
+        let entries = rowptr[i]..rowptr[i + 1];
+        for k in entries.clone() {
+            match edge(relation, i, colind[k]) {
+                Ok(Some((dep, row))) if row == i => level[i] = level[i].max(level[dep] + 1),
+                Ok(_) => {}
+                Err(triangle) => diags.push(wrong_side_diag(triangle, i, colind[k], k)),
             }
         }
-        level[i] = lv;
+        for k in entries {
+            match edge(relation, i, colind[k]) {
+                Ok(Some((row, later))) if row == i => level[later] = level[later].max(level[i] + 1),
+                _ => {}
+            }
+        }
     }
     if !diags.is_empty() {
-        return WavefrontReport { schedule: None, certificate: None, diagnostics: diags };
+        return Err(diags);
     }
 
     // Bucket rows level-major (stable: ascending row order within each
@@ -366,62 +378,78 @@ pub fn analyze_wavefront(
         rows[next[l]] = i;
         next[l] += 1;
     }
-    let sched = LevelSchedule { nrows, rows, level_ptr };
+    Ok(LevelSchedule { nrows, rows, level_ptr })
+}
 
-    // Defense in depth: the certificate is only issued if the
-    // *independent* verifier also accepts the schedule we just built.
-    let verdict = verify_level_schedule(nrows, rowptr, colind, triangle, &sched);
-    if !verdict.is_empty() {
-        diags.extend(verdict);
-        return WavefrontReport { schedule: None, certificate: None, diagnostics: diags };
+/// The one DO-ACROSS certifier: the schedule — `cached` (say, rebuilt
+/// from a plan cache with [`LevelSchedule::from_raw_unchecked`]) or the
+/// longest-path levels of `relation` — checked once by the independent
+/// verifier, and a [`WavefrontCert`] binding the relation, the
+/// operand's own index arrays and that schedule. A cached schedule
+/// skips the level computation, never the verification, so a stale or
+/// forged one can never arm a parallel sweep. A malformed pattern, a
+/// cyclic relation or a rejected schedule returns the diagnostics
+/// instead.
+pub fn certify_wavefront(
+    nrows: usize,
+    rowptr: &[usize],
+    colind: &[usize],
+    relation: Relation,
+    cached: Option<LevelSchedule>,
+) -> Result<(LevelSchedule, WavefrontCert), Vec<Diagnostic>> {
+    let shape = check_pattern_shape(nrows, rowptr, colind);
+    if !shape.is_empty() {
+        return Err(shape);
     }
-
+    let sched = match cached {
+        Some(sched) => sched,
+        None => levels(nrows, rowptr, colind, relation)?,
+    };
+    // Defense in depth: a computed schedule passes the same independent
+    // check as a cached one before it is certified.
+    let verdict = check_schedule(nrows, rowptr, colind, relation, &sched);
+    if !verdict.is_empty() {
+        return Err(verdict);
+    }
     let cert = WavefrontCert {
         nrows,
-        triangle,
+        relation,
         rowptr: slice_id(rowptr),
         colind: slice_id(colind),
         schedule_hash: schedule_hash(&sched),
         levels: sched.num_levels(),
         max_width: sched.max_level_width(),
     };
-    WavefrontReport { schedule: Some(sched), certificate: Some(cert), diagnostics: diags }
+    Ok((sched, cert))
 }
 
-/// Issue a [`WavefrontCert`] for a schedule obtained *outside*
-/// [`analyze_wavefront`] — e.g. one rebuilt from a structure-keyed plan
-/// cache via [`LevelSchedule::from_raw_unchecked`]. The certificate is
-/// only issued if the independent verifier accepts the schedule against
-/// this operand's pattern, so a stale or corrupted cached schedule can
-/// never arm a parallel sweep: reuse skips the O(nnz) *construction* of
-/// the schedule, never the verification gate. On rejection the
-/// diagnostics are returned instead.
-pub fn certify_schedule(
+/// The cold analysis of a triangular solve, as a report:
+/// [`certify_wavefront`] for [`Relation::Solve`] with no cached
+/// schedule. Takes the raw CSR index structure rather than a format
+/// type so the pass stays below `bernoulli-formats` in the crate DAG;
+/// callers pass `csr.rowptr()` / `csr.colind()` (values are irrelevant —
+/// only the pattern carries dependences; an explicitly stored zero is
+/// treated as a dependence, which is conservative and always safe).
+pub fn analyze_wavefront(
     nrows: usize,
     rowptr: &[usize],
     colind: &[usize],
     triangle: Triangle,
-    sched: &LevelSchedule,
-) -> Result<WavefrontCert, Vec<Diagnostic>> {
-    let verdict = verify_level_schedule(nrows, rowptr, colind, triangle, sched);
-    if !verdict.is_empty() {
-        return Err(verdict);
+) -> WavefrontReport {
+    match certify_wavefront(nrows, rowptr, colind, Relation::Solve(triangle), None) {
+        Ok((sched, cert)) => WavefrontReport {
+            schedule: Some(sched),
+            certificate: Some(cert),
+            diagnostics: Vec::new(),
+        },
+        Err(diagnostics) => WavefrontReport { schedule: None, certificate: None, diagnostics },
     }
-    Ok(WavefrontCert {
-        nrows,
-        triangle,
-        rowptr: slice_id(rowptr),
-        colind: slice_id(colind),
-        schedule_hash: schedule_hash(sched),
-        levels: sched.num_levels(),
-        max_width: sched.max_level_width(),
-    })
 }
 
-/// Independently re-check a level schedule against a sweep's dependence
-/// relation — the `plan_verify` analogue for wavefront schedules. Does
-/// not trust [`analyze_wavefront`]: it recomputes nothing, it only
-/// checks the claimed schedule, so the two can cross-validate.
+/// Independently re-check a level schedule against a triangular solve's
+/// dependence relation — the `plan_verify` analogue for wavefront
+/// schedules. It recomputes nothing, it only checks the claimed
+/// schedule, so it and the level computation cross-validate.
 ///
 /// Emits:
 /// * `BA21`/`BA22` — malformed pattern (shared with the sanitizer);
@@ -440,11 +468,22 @@ pub fn verify_level_schedule(
     triangle: Triangle,
     sched: &LevelSchedule,
 ) -> Vec<Diagnostic> {
-    let mut diags = check_pattern_shape(nrows, rowptr, colind);
+    let diags = check_pattern_shape(nrows, rowptr, colind);
     if !diags.is_empty() {
         return diags;
     }
+    check_schedule(nrows, rowptr, colind, Relation::Solve(triangle), sched)
+}
 
+/// The verifier proper, over a well-shaped pattern and any relation.
+fn check_schedule(
+    nrows: usize,
+    rowptr: &[usize],
+    colind: &[usize],
+    relation: Relation,
+    sched: &LevelSchedule,
+) -> Vec<Diagnostic> {
+    let mut diags = Vec::new();
     // Schedule structure: level_ptr must delimit rows, rows must be a
     // permutation of 0..nrows.
     if sched.nrows != nrows {
@@ -512,115 +551,38 @@ pub fn verify_level_schedule(
     for i in 0..nrows {
         let (s, e) = (rowptr[i], rowptr[i + 1]);
         for (k, &j) in colind[s..e].iter().enumerate().map(|(dk, j)| (s + dk, j)) {
-            match classify(triangle, i, j) {
-                Ok(Some(dep)) => {
-                    if level_of[dep] == level_of[i] {
-                        diags.push(Diagnostic::error(
-                            codes::WAVE_LEVEL_OVERLAP,
-                            Span::Component { name: "rows", at: Some(i) },
-                            format!(
-                                "rows {i} and {dep} share level {} but row {i} depends on \
-                                 row {dep}: the wave would read {dep}'s write mid-flight",
-                                level_of[i]
-                            ),
-                        ));
-                    } else if level_of[dep] > level_of[i] {
-                        diags.push(Diagnostic::error(
-                            codes::WAVE_NON_TOPOLOGICAL,
-                            Span::Component { name: "rows", at: Some(i) },
-                            format!(
-                                "row {i} (level {}) depends on row {dep} scheduled later \
-                                 (level {}): the schedule is not a topological order",
-                                level_of[i], level_of[dep]
-                            ),
-                        ));
-                    }
+            let (dep, row) = match edge(relation, i, j) {
+                Ok(Some(pair)) => pair,
+                Ok(None) => continue,
+                Err(triangle) => {
+                    diags.push(wrong_side_diag(triangle, i, j, k));
+                    continue;
                 }
-                Ok(None) => {}
-                Err(()) => diags.push(wrong_side_diag(triangle, i, j, k)),
+            };
+            if level_of[dep] == level_of[row] {
+                diags.push(Diagnostic::error(
+                    codes::WAVE_LEVEL_OVERLAP,
+                    Span::Component { name: "rows", at: Some(row) },
+                    format!(
+                        "rows {row} and {dep} share level {} but row {row} depends on \
+                         row {dep}: the wave would read {dep}'s write mid-flight",
+                        level_of[row]
+                    ),
+                ));
+            } else if level_of[dep] > level_of[row] {
+                diags.push(Diagnostic::error(
+                    codes::WAVE_NON_TOPOLOGICAL,
+                    Span::Component { name: "rows", at: Some(row) },
+                    format!(
+                        "row {row} (level {}) depends on row {dep} scheduled later \
+                         (level {}): the schedule is not a topological order",
+                        level_of[row], level_of[dep]
+                    ),
+                ));
             }
         }
     }
     diags
-}
-
-/// Lower-triangular pattern of `struct(A) ∪ struct(Aᵀ)` — the
-/// dependence relation of a *Gauss-Seidel* sweep over a general square
-/// `A`. A forward sweep's row `i` both reads `x[j]` for every stored
-/// `A[i][j]` (flow dependence when `j < i`) and is read by row `j`'s
-/// update for every stored `A[j][i]` (anti-dependence when `j > i`
-/// writes after reading), so two rows may share a level only when
-/// *neither* `A[i][j]` nor `A[j][i]` is stored. Symmetrizing the
-/// pattern covers both hazard directions for any square `A`; the
-/// result feeds [`analyze_wavefront`] with [`Triangle::Lower`] for the
-/// forward sweep and [`Triangle::Upper`] (on the transposed-equivalent
-/// upper pattern, which for a symmetrized structure is the mirror) for
-/// the backward sweep.
-///
-/// Returns strictly-lower CSR `(rowptr, colind)` with sorted,
-/// duplicate-free rows.
-pub fn symmetrize_lower(nrows: usize, rowptr: &[usize], colind: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    symmetrize(nrows, rowptr, colind, |i, j| if i > j { (i, j) } else { (j, i) })
-}
-
-/// Mirror of [`symmetrize_lower`]: strictly-upper CSR pattern of
-/// `struct(A) ∪ struct(Aᵀ)` — the dependence relation of a *backward*
-/// Gauss-Seidel sweep (row `i` depends on rows `j > i`).
-pub fn symmetrize_upper(nrows: usize, rowptr: &[usize], colind: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    symmetrize(nrows, rowptr, colind, |i, j| if i < j { (i, j) } else { (j, i) })
-}
-
-/// Shared symmetrization: scatter every off-diagonal entry to the row
-/// `orient` picks, then sort and deduplicate each row in place. Flat
-/// counting-sort layout — one pass to size the rows, one to scatter,
-/// one to compact — because this runs on *every* compile (a plan-cache
-/// warm replay included, where it dominates once the wavefront
-/// analysis itself is skipped); the obvious `Vec<Vec<usize>>` build
-/// costs one heap allocation per row.
-fn symmetrize(
-    nrows: usize,
-    rowptr: &[usize],
-    colind: &[usize],
-    orient: impl Fn(usize, usize) -> (usize, usize),
-) -> (Vec<usize>, Vec<usize>) {
-    let mut counts = vec![0usize; nrows + 1];
-    for i in 0..nrows {
-        for &j in &colind[rowptr[i]..rowptr[i + 1]] {
-            if i != j {
-                counts[orient(i, j).0 + 1] += 1;
-            }
-        }
-    }
-    for r in 0..nrows {
-        counts[r + 1] += counts[r];
-    }
-    let mut scattered = vec![0usize; counts[nrows]];
-    let mut next = counts.clone();
-    for i in 0..nrows {
-        for &j in &colind[rowptr[i]..rowptr[i + 1]] {
-            if i != j {
-                let (row, dep) = orient(i, j);
-                scattered[next[row]] = dep;
-                next[row] += 1;
-            }
-        }
-    }
-    let mut out_ptr = Vec::with_capacity(nrows + 1);
-    let mut out_ind = Vec::with_capacity(scattered.len());
-    out_ptr.push(0);
-    for r in 0..nrows {
-        let row = &mut scattered[counts[r]..counts[r + 1]];
-        row.sort_unstable();
-        let mut prev = usize::MAX;
-        for &dep in row.iter() {
-            if dep != prev {
-                out_ind.push(dep);
-                prev = dep;
-            }
-        }
-        out_ptr.push(out_ind.len());
-    }
-    (out_ptr, out_ind)
 }
 
 #[cfg(test)]
@@ -648,6 +610,8 @@ mod tests {
         let colind = (0..n).collect();
         (rowptr, colind)
     }
+
+    const LOWER: Relation = Relation::Solve(Triangle::Lower);
 
     #[test]
     fn chain_is_serial_and_certified() {
@@ -710,6 +674,9 @@ mod tests {
         assert!(rep.diagnostics.iter().any(|d| d.code == codes::FMT_BAD_PTR));
         let rep = analyze_wavefront(2, &[0, 1, 2], &[0, 7], Triangle::Lower);
         assert!(rep.diagnostics.iter().any(|d| d.code == codes::FMT_INDEX_OOB));
+        // The Gauss-Seidel relation is shape-checked before it is read.
+        let gs = certify_wavefront(2, &[0, 1, 2], &[0, 7], Relation::GaussSeidel, None);
+        assert!(gs.unwrap_err().iter().any(|d| d.code == codes::FMT_INDEX_OOB));
     }
 
     #[test]
@@ -754,25 +721,30 @@ mod tests {
     }
 
     #[test]
-    fn certificate_is_bound_to_pattern_and_schedule() {
+    fn certificate_is_bound_to_pattern_relation_and_schedule() {
         let (rp, ci) = chain(4);
         let rep = analyze_wavefront(4, &rp, &ci, Triangle::Lower);
         let (s, c) = (rep.schedule.unwrap(), rep.certificate.unwrap());
-        assert!(c.covers(4, &rp, &ci, Triangle::Lower, &s));
+        assert!(c.covers(4, &rp, &ci, LOWER, &s));
         // Different slices (same contents) are refused — identity, not value.
         let rp2 = rp.clone();
-        assert!(!c.covers(4, &rp2, &ci, Triangle::Lower, &s));
+        assert!(!c.covers(4, &rp2, &ci, LOWER, &s));
         // A tampered schedule is refused by the content hash.
         let mut rows = s.rows().to_vec();
         rows.swap(0, 3);
         let forged = LevelSchedule::from_raw_unchecked(4, rows, s.level_ptr().to_vec());
-        assert!(!c.covers(4, &rp, &ci, Triangle::Lower, &forged));
-        // Wrong triangle is refused.
-        assert!(!c.covers(4, &rp, &ci, Triangle::Upper, &s));
+        assert!(!c.covers(4, &rp, &ci, LOWER, &forged));
+        // Another relation over the same arrays is refused: a solve's
+        // proof never licenses a Gauss-Seidel sweep, nor the reverse.
+        assert!(!c.covers(4, &rp, &ci, Relation::Solve(Triangle::Upper), &s));
+        assert!(!c.covers(4, &rp, &ci, Relation::GaussSeidel, &s));
+        let (gs, gc) = certify_wavefront(4, &rp, &ci, Relation::GaussSeidel, None).unwrap();
+        assert_eq!(gs, s, "a lower chain orders its rows the same way under both relations");
+        assert!(gc.covers(4, &rp, &ci, Relation::GaussSeidel, &s) && !gc.covers(4, &rp, &ci, LOWER, &s));
     }
 
     #[test]
-    fn certify_schedule_gates_cached_schedules_through_the_verifier() {
+    fn cached_schedules_are_verified_never_trusted() {
         let (rp, ci) = chain(5);
         let rep = analyze_wavefront(5, &rp, &ci, Triangle::Lower);
         let s = rep.schedule.unwrap();
@@ -781,38 +753,82 @@ mod tests {
         // like a freshly analyzed one.
         let rebuilt =
             LevelSchedule::from_raw_unchecked(s.nrows(), s.rows().to_vec(), s.level_ptr().to_vec());
-        let cert = certify_schedule(5, &rp, &ci, Triangle::Lower, &rebuilt).unwrap();
-        assert!(cert.covers(5, &rp, &ci, Triangle::Lower, &rebuilt));
-        assert!(cert.covers(5, &rp, &ci, Triangle::Lower, &s));
+        let (replayed, cert) = certify_wavefront(5, &rp, &ci, LOWER, Some(rebuilt)).unwrap();
+        assert_eq!(replayed, s);
+        assert!(cert.covers(5, &rp, &ci, LOWER, &s));
         // A stale/corrupt cached schedule is refused with diagnostics,
         // never certified.
         let mut rows = s.rows().to_vec();
         rows.swap(0, 4);
         let forged = LevelSchedule::from_raw_unchecked(5, rows, s.level_ptr().to_vec());
-        let diags = certify_schedule(5, &rp, &ci, Triangle::Lower, &forged).unwrap_err();
+        let diags = certify_wavefront(5, &rp, &ci, LOWER, Some(forged)).unwrap_err();
         assert!(diags.iter().any(|d| d.code == codes::WAVE_NON_TOPOLOGICAL), "{diags:?}");
         // Schedule for the wrong triangle direction is refused too.
-        assert!(certify_schedule(5, &rp, &ci, Triangle::Upper, &s).is_err());
+        let upper = Relation::Solve(Triangle::Upper);
+        assert!(certify_wavefront(5, &rp, &ci, upper, Some(s)).is_err());
     }
 
     #[test]
-    fn symmetrize_covers_both_hazard_directions() {
+    fn gauss_seidel_orders_both_hazard_directions() {
         // A = [[d, x, 0], [0, d, 0], [0, y, d]] — entry (0,1) is an
-        // anti-dependence for the forward sweep, (2,1) a flow dep.
+        // anti-dependence for the forward sweep, (2,1) a flow dep: one
+        // row per level, where the lower triangle alone allows two.
         let rowptr = vec![0, 2, 3, 5];
         let colind = vec![0, 1, 1, 1, 2];
-        let (lp, li) = symmetrize_lower(3, &rowptr, &colind);
-        assert_eq!(lp, vec![0, 0, 1, 2]);
-        assert_eq!(li, vec![0, 1]); // row1 dep row0 (anti), row2 dep row1 (flow)
-        let (up, ui) = symmetrize_upper(3, &rowptr, &colind);
-        assert_eq!(up, vec![0, 1, 2, 2]);
-        assert_eq!(ui, vec![1, 2]);
-        // Both patterns certify; the schedules are mirrors.
-        let f = analyze_wavefront(3, &lp, &li, Triangle::Lower);
-        let b = analyze_wavefront(3, &up, &ui, Triangle::Upper);
-        assert!(f.is_parallel_safe() && b.is_parallel_safe());
-        assert_eq!(f.schedule.unwrap().num_levels(), 3);
-        assert_eq!(b.schedule.unwrap().num_levels(), 3);
+        let (s, _) = certify_wavefront(3, &rowptr, &colind, Relation::GaussSeidel, None).unwrap();
+        assert_eq!((s.rows(), s.level_ptr()), (&[0, 1, 2][..], &[0, 1, 2, 3][..]));
+        // Merging rows 0 and 1 ignores the anti-dependence: BA44.
+        let merged = LevelSchedule::from_raw_unchecked(3, vec![0, 1, 2], vec![0, 2, 3]);
+        let diags = certify_wavefront(3, &rowptr, &colind, Relation::GaussSeidel, Some(merged)).unwrap_err();
+        assert!(diags.iter().any(|d| d.code == codes::WAVE_LEVEL_OVERLAP), "{diags:?}");
+    }
+
+    /// The strictly-lower pattern of `struct(A) ∪ struct(Aᵀ)`, built the
+    /// obvious way: a second, independent derivation of the relation.
+    fn symmetrized_lower(n: usize, rowptr: &[usize], colind: &[usize]) -> (Vec<usize>, Vec<usize>) {
+        let mut rows = vec![std::collections::BTreeSet::new(); n];
+        for i in 0..n {
+            for &j in &colind[rowptr[i]..rowptr[i + 1]] {
+                if i != j {
+                    rows[i.max(j)].insert(i.min(j));
+                }
+            }
+        }
+        let mut out = (vec![0], Vec::new());
+        for r in rows {
+            out.1.extend(r);
+            out.0.push(out.1.len());
+        }
+        out
+    }
+
+    #[test]
+    fn gauss_seidel_levels_equal_those_of_the_symmetrized_lower_pattern() {
+        // Read off A's own arrays, the relation schedules exactly as the
+        // lower solve of the symmetrized pattern does, on unsymmetric
+        // random patterns with rows in arbitrary order.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % m as u64) as usize
+        };
+        for n in [1, 2, 7, 40, 90] {
+            let (mut rowptr, mut colind) = (vec![0], Vec::new());
+            for i in 0..n {
+                for _ in 0..next(5) {
+                    colind.push(next(n));
+                }
+                colind.push(i);
+                rowptr.push(colind.len());
+            }
+            let (gs, cert) = certify_wavefront(n, &rowptr, &colind, Relation::GaussSeidel, None).unwrap();
+            let (sp, si) = symmetrized_lower(n, &rowptr, &colind);
+            let solve = analyze_wavefront(n, &sp, &si, Triangle::Lower).schedule.unwrap();
+            assert_eq!(gs, solve, "n = {n}");
+            assert_eq!((cert.levels(), cert.max_level_width()), (solve.num_levels(), solve.max_level_width()));
+        }
     }
 
     #[test]

@@ -34,10 +34,9 @@
 
 use crate::ast::{programs, LoopNest};
 use crate::compile::{CompiledKernel, Compiler};
-use bernoulli_analysis::wavefront::{
-    self, analyze_wavefront, verify_level_schedule, LevelSchedule, Triangle, WavefrontCert,
-};
+use bernoulli_analysis::wavefront::{certify_wavefront, LevelSchedule, Relation, Triangle, WavefrontCert};
 use bernoulli_formats::kernels::SweepSplit;
+use bernoulli_formats::par_kernels::Wave;
 use bernoulli_formats::{
     fast, kernels, par_kernels, Csr, DenseMatrix, ExecCtx, SparseMatrix, Validate,
 };
@@ -448,25 +447,20 @@ pub fn do_any_decision(
 
 /// The wavefront gate chain: size threshold → worker pool → DO-ANY
 /// race checker (always refuses a sweep nest — recorded, not trusted)
-/// → wavefront certification → independent BA4x verification → width
-/// heuristic. `triangle == None` means the kernel is a scatter loop
+/// → level schedule of `relation`, verified once by the independent
+/// BA4x verifier → width heuristic, into one [`WavePlan`] over `a`'s
+/// own arrays. `relation == None` means the kernel is a scatter loop
 /// with no parallel form. A `cached` schedule (a structure-cache
-/// replay) skips the O(nnz) longest-path *construction* of
-/// `analyze_wavefront` — never the verification: it is certified
-/// through `wavefront::certify_schedule`, which runs the same
-/// independent BA4x verifier against this operand's pattern, so a
+/// replay) skips the level computation — never the verification, so a
 /// stale or forged cache entry downgrades to serial
 /// ([`Reason::ScheduleRejected`]) instead of racing.
 fn wave_decision(
-    nrows: usize,
-    rowptr: &[usize],
-    colind: &[usize],
-    triangle: Option<Triangle>,
-    work: usize,
+    a: &Csr,
+    relation: Option<Relation>,
     ctx: &ExecCtx,
-    cached: Option<LevelSchedule>,
-) -> (GateDecision, Option<(LevelSchedule, WavefrontCert)>) {
-    if let Some(serial) = pool_gates(work, ctx) {
+    cached: Option<&LevelSchedule>,
+) -> (GateDecision, Option<Box<WavePlan>>) {
+    if let Some(serial) = pool_gates(a.nnz(), ctx) {
         return (serial, None);
     }
     // Consult the DO-ANY checker exactly like the dense engines do.
@@ -476,25 +470,13 @@ fn wave_decision(
     // recorded event shows `race_checked: true, race_safe: false`
     // alongside the wavefront verdict.
     debug_assert!(!bernoulli_analysis::check_do_any(&programs::sptrsv()).is_parallel_safe());
-    let Some(triangle) = triangle else {
+    let Some(relation) = relation else {
         return (GateDecision::serial(true, Reason::TransposedScatter), None);
     };
-    let (sched, cert) = if let Some(sched) = cached {
-        match wavefront::certify_schedule(nrows, rowptr, colind, triangle, &sched) {
-            Ok(cert) => (sched, cert),
-            Err(_) => return (GateDecision::serial(true, Reason::ScheduleRejected), None),
-        }
-    } else {
-        let report = analyze_wavefront(nrows, rowptr, colind, triangle);
-        let (Some(sched), Some(cert)) = (report.schedule, report.certificate) else {
-            return (GateDecision::serial(true, Reason::NotTriangular), None);
-        };
-        // Independent re-verification — the pipeline does not take the
-        // analysis pass's word for it (`plan_verify` discipline).
-        if !verify_level_schedule(nrows, rowptr, colind, triangle, &sched).is_empty() {
-            return (GateDecision::serial(true, Reason::ScheduleRejected), None);
-        }
-        (sched, cert)
+    let refused = if cached.is_some() { Reason::ScheduleRejected } else { Reason::NotTriangular };
+    let Ok((schedule, cert)) = certify_wavefront(a.nrows(), a.rowptr(), a.colind(), relation, cached.cloned())
+    else {
+        return (GateDecision::serial(true, refused), None);
     };
     // Wide enough per wave to pay for dispatch, or serial with the
     // level statistics still on record.
@@ -508,7 +490,7 @@ fn wave_decision(
         max_level_width: cert.max_level_width() as u64,
         mean_level_width: cert.mean_level_width(),
     };
-    (decision, wide.then_some((sched, cert)))
+    (decision, wide.then(|| Box::new(WavePlan { id: OperandId::of(a), schedule, cert })))
 }
 
 /// The one obs `strategies` record emitter: every op kind's
@@ -655,13 +637,13 @@ fn algebra_kernel_name(base: &str, algebra: &'static str) -> String {
     }
 }
 
-/// Operand identity of the armed parallel sweeps: heap addresses +
-/// lengths of the index arrays, the dimension, and the operand's
-/// memoised index digest. Moving the owning [`Csr`] keeps the heap
-/// buffers in place, so the fingerprint survives moves but rejects
-/// clones; the digest rejects a different pattern the allocator placed
-/// at a dropped operand's addresses — the same containment story as
-/// the fast-tier certificates, O(1) after the operand's first hash.
+/// Operand identity of an armed [`WavePlan`]: heap addresses + lengths
+/// of the index arrays, the dimension, and the operand's memoised
+/// index digest. Moving the owning [`Csr`] keeps the heap buffers in
+/// place, so the fingerprint survives moves but rejects clones; the
+/// digest rejects a different pattern the allocator placed at a
+/// dropped operand's addresses — the same containment story as the
+/// fast-tier certificates, O(1) after the operand's first hash.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct OperandId {
     rowptr: (usize, usize),
@@ -684,7 +666,7 @@ impl OperandId {
 /// The planning verdicts a structure-keyed plan cache stores per
 /// `(StructureKey, OpKind)` and feeds back through [`compile`].
 /// Everything here is a cached *decision* — strategy tier, plan shape,
-/// fast-tier eligibility, level schedules — never a proof: the hinted
+/// fast-tier eligibility, level schedule — never a proof: the hinted
 /// path skips the planner search, the race-gate re-derivation and the
 /// wavefront schedule *construction*, but checked-mode validation
 /// still runs, the fast tier is armed only by a certificate that
@@ -705,12 +687,12 @@ pub struct OpHints {
     /// [`fast::MatrixCert::covers`] accepts the operand, re-derived
     /// otherwise.
     pub fast_cert: Option<fast::MatrixCert>,
-    /// Cached level schedules: `[solve]` for SpTRSV, `[fwd, bwd]` for
-    /// SymGS, empty for the DO-ANY ops and for structures whose cold
-    /// compile never armed the wavefront tier. The wavefront ops read
-    /// nothing else: their strategy is decided fresh by the certify
-    /// gate on every replay.
-    pub schedules: Vec<LevelSchedule>,
+    /// The cached level schedule of a wavefront op (SpTRSV's solve,
+    /// SymGS's one schedule for both sweeps); `None` for the DO-ANY
+    /// ops and for structures whose cold compile never armed the
+    /// wavefront tier. The wavefront ops read nothing else: their
+    /// strategy is decided fresh by the certify gate on every replay.
+    pub schedule: Option<LevelSchedule>,
 }
 
 /// Where a compiled op's plan came from: the planner (cold), a
@@ -732,27 +714,22 @@ impl PlanSource {
     }
 }
 
-/// One armed SymGS sweep direction: `(dep_rowptr, dep_colind,
-/// schedule, cert)` over the engine-owned symmetrized triangle.
-type SweepPlan = (Vec<usize>, Vec<usize>, LevelSchedule, WavefrontCert);
+/// One armed DO-ACROSS plan, SpTRSV's and SymGS's alike: the level
+/// schedule, the certificate proving it for the op's relation over the
+/// operand's *own* index arrays, and that operand's identity. Nothing
+/// else is kept: the Gauss-Seidel relation is read off the operand, so
+/// there is no dependence pattern to hold.
+struct WavePlan {
+    id: OperandId,
+    schedule: LevelSchedule,
+    cert: WavefrontCert,
+}
 
 /// Per-kind run state (the kinds not listed carry none).
 enum Payload {
     None,
-    SpmvMulti {
-        k: usize,
-    },
-    Sptrsv {
-        op: TriangularOp,
-        schedule: Option<(LevelSchedule, WavefrontCert)>,
-    },
-    Symgs {
-        /// The `[forward, backward]` sweep plans and the operand they
-        /// were derived from, when the parallel tier is armed — both
-        /// or neither. Boxed: the armed payload is ~6x the next-largest
-        /// variant, and most ops never carry it.
-        sweeps: Option<Box<(OperandId, [SweepPlan; 2])>>,
-    },
+    SpmvMulti { k: usize },
+    Sptrsv { op: TriangularOp },
 }
 
 /// The one compiled artifact every engine facade wraps: the strategy
@@ -772,6 +749,9 @@ pub struct CompiledOp {
     /// Expected `(input, output)` slice lengths of the run calls.
     io_lens: (usize, usize),
     payload: Payload,
+    /// The wavefront ops' plan, when the parallel tier is armed. Boxed:
+    /// most ops never carry one.
+    wave: Option<Box<WavePlan>>,
 }
 
 // ---------------------------------------------------------------------
@@ -915,16 +895,8 @@ pub fn compile<S: Semiring>(
                 ..DoAny::new(kind, programs::matmat, a.meta())
             }
         }
-        (OpSpec::Sptrsv { op }, Operands::Tri(a)) => {
-            let cached = hints.and_then(|h| h.schedules.first().cloned());
-            return compile_sptrsv(a, op, ctx, cached);
-        }
-        (OpSpec::Symgs, Operands::Tri(a)) => {
-            let cached = match hints.map(|h| &h.schedules[..]) {
-                Some([f, b]) => Some((f.clone(), b.clone())),
-                _ => None,
-            };
-            return compile_symgs(a, ctx, cached);
+        (OpSpec::Sptrsv { .. } | OpSpec::Symgs, Operands::Tri(a)) => {
+            return compile_wave(spec, a, ctx, hints.and_then(|h| h.schedule.as_ref()));
         }
         (spec, operands) => {
             return Err(RelError::Validation(format!(
@@ -1007,6 +979,7 @@ fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelRe
         fast_cert,
         io_lens: d.io_lens,
         payload: d.payload,
+        wave: None,
     })
 }
 
@@ -1024,77 +997,35 @@ fn regate(cached: Strategy, work: usize, ctx: &ExecCtx) -> Strategy {
     }
 }
 
-fn compile_sptrsv(
-    a: &Csr,
-    op: TriangularOp,
-    ctx: &ExecCtx,
-    cached: Option<LevelSchedule>,
-) -> RelResult<CompiledOp> {
+/// The DO-ACROSS half of [`compile`], one function for both ops: the
+/// operand checks, then the wavefront gate chain over the op's relation
+/// — SpTRSV's solve, SymGS's Gauss-Seidel sweep — into one [`WavePlan`].
+fn compile_wave(spec: OpSpec, a: &Csr, ctx: &ExecCtx, cached: Option<&LevelSchedule>) -> RelResult<CompiledOp> {
     check_operand("A", a, ctx)?;
-    check_square(a, "triangular solve")?;
-    check_diag(a, op)?;
-    let (d, schedule) =
-        wave_decision(a.nrows(), a.rowptr(), a.colind(), op.triangle(), a.nnz(), ctx, cached);
-    let kind = OpSpec::Sptrsv { op }.kind();
-    record_decision(ctx, kind, &d, true, a.nnz(), "reference");
+    let (relation, payload) = match spec {
+        OpSpec::Sptrsv { op } => {
+            check_square(a, "triangular solve")?;
+            check_diag(a, op)?;
+            (op.triangle().map(Relation::Solve), Payload::Sptrsv { op })
+        }
+        _ => {
+            check_square(a, "Gauss-Seidel")?;
+            (Some(Relation::GaussSeidel), Payload::None)
+        }
+    };
+    let (d, wave) = wave_decision(a, relation, ctx, cached);
+    record_decision(ctx, spec.kind(), &d, true, a.nnz(), "reference");
     Ok(CompiledOp {
-        kind,
+        kind: spec.kind(),
         strategy: d.strategy,
         ctx: ctx.clone(),
         plan: PlanSource::None,
         downgrade: d.downgrade,
         fast_cert: None,
         io_lens: (a.nrows(), a.nrows()),
-        payload: Payload::Sptrsv { op, schedule },
+        payload,
+        wave,
     })
-}
-
-fn compile_symgs(
-    a: &Csr,
-    ctx: &ExecCtx,
-    cached: Option<(LevelSchedule, LevelSchedule)>,
-) -> RelResult<CompiledOp> {
-    check_operand("A", a, ctx)?;
-    check_square(a, "Gauss-Seidel")?;
-    let n = a.nrows();
-    let (cached_fwd, cached_bwd) = cached.unzip();
-    // One sweep's plan: its symmetrised dependence pattern (two O(nnz)
-    // vectors) and the gate chain's verdict on it.
-    type Symmetrize = fn(usize, &[usize], &[usize]) -> (Vec<usize>, Vec<usize>);
-    let sweep = |symmetrize: Symmetrize, triangle, cached| {
-        let (rp, ci) = symmetrize(n, a.rowptr(), a.colind());
-        let (d, sched) = wave_decision(n, &rp, &ci, Some(triangle), a.nnz(), ctx, cached);
-        (d, sched.map(|(s, c)| (rp, ci, s, c)))
-    };
-    // The O(1) gates first: a context that stays serial anyway must not
-    // pay for a pattern it would build and drop.
-    let (d, fwd) = match pool_gates(a.nnz(), ctx) {
-        Some(serial) => (serial, None),
-        None => sweep(wavefront::symmetrize_lower, Triangle::Lower, cached_fwd),
-    };
-    record_decision(ctx, OpKind::Symgs, &d, true, a.nnz(), "reference");
-    let mut compiled = CompiledOp {
-        kind: OpKind::Symgs,
-        strategy: d.strategy,
-        ctx: ctx.clone(),
-        plan: PlanSource::None,
-        downgrade: d.downgrade,
-        fast_cert: None,
-        io_lens: (n, n),
-        payload: Payload::Symgs { sweeps: None },
-    };
-    if let (Some(fwd), Payload::Symgs { sweeps }) = (fwd, &mut compiled.payload) {
-        let (bd, bwd) = sweep(wavefront::symmetrize_upper, Triangle::Upper, cached_bwd);
-        if let Some(bwd) = bwd {
-            *sweeps = Some(Box::new((OperandId::of(a), [fwd, bwd])));
-        } else {
-            // Can only happen if the two symmetrizations disagree —
-            // they never should, but never trust, always verify.
-            compiled.strategy = Strategy::Specialized;
-            compiled.downgrade = bd.downgrade;
-        }
-    }
-    Ok(compiled)
 }
 
 // ---------------------------------------------------------------------
@@ -1158,36 +1089,20 @@ impl CompiledOp {
     /// Export this op's decisions for a structure-keyed plan cache
     /// (what [`compile`] replays when handed back as `hints`).
     pub fn hints(&self) -> OpHints {
-        let schedules = match &self.payload {
-            Payload::Sptrsv { schedule: Some((s, _)), .. } => vec![s.clone()],
-            Payload::Symgs { sweeps: Some(s) } => s.1.iter().map(|p| p.2.clone()).collect(),
-            _ => Vec::new(),
-        };
         OpHints {
             strategy: self.strategy,
             plan_shape: self.plan.shape(),
             fast_eligible: self.fast_cert.is_some(),
             fast_cert: self.fast_cert,
-            schedules,
+            schedule: self.schedule().cloned(),
         }
     }
 
-    /// The certified level schedule of an SpTRSV op, when the parallel
-    /// tier is armed.
+    /// The certified level schedule of a wavefront op — SpTRSV's solve
+    /// order, SymGS's forward order (its backward sweep walks it in
+    /// reverse) — when the parallel tier is armed.
     pub fn schedule(&self) -> Option<&LevelSchedule> {
-        match &self.payload {
-            Payload::Sptrsv { schedule, .. } => schedule.as_ref().map(|(s, _)| s),
-            _ => None,
-        }
-    }
-
-    /// The certified `[forward, backward]` sweep level schedules of a
-    /// SymGS op, when armed (what a plan cache persists).
-    pub fn sweep_schedules(&self) -> Option<[&LevelSchedule; 2]> {
-        match &self.payload {
-            Payload::Symgs { sweeps } => sweeps.as_deref().map(|(_, [f, b])| [&f.2, &b.2]),
-            _ => None,
-        }
+        self.wave.as_deref().map(|w| &w.schedule)
     }
 
     /// Render an SpMV op's plan as pseudocode, truthful about the
@@ -1458,59 +1373,54 @@ impl CompiledOp {
     /// Solve the triangular system for `b` into `x`. Bitwise-identical
     /// results on every tier.
     pub fn run_sptrsv(&self, a: &Csr, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        let Payload::Sptrsv { op, schedule } = &self.payload else {
+        let Payload::Sptrsv { op } = self.payload else {
             return self.check_kind(false, "run_sptrsv");
         };
         self.check_lens(b.len(), x.len())?;
-        check_diag(a, *op)?;
-        let parallel = self.strategy == Strategy::Parallel && schedule.is_some();
+        check_diag(a, op)?;
+        let armed = self.armed(a);
         let obs = self.ctx.obs();
         if obs.is_enabled() {
-            obs.kernel(op.kernel_name(parallel), sptrsv_counters(a));
+            obs.kernel(op.kernel_name(armed.is_some()), sptrsv_counters(a));
         }
         let ud = op.unit_diag();
-        match (op.triangle(), schedule) {
-            (Some(tri), Some((sched, cert))) if parallel => {
-                par_kernels::par_sptrsv_csr(a, tri, ud, b, x, sched, cert, &self.ctx)
-            }
-            (Some(tri), _) => kernels::sptrsv_csr(a, tri, ud, b, x),
+        match (op.triangle(), armed) {
+            (Some(tri), Some(wave)) => par_kernels::par_sptrsv_csr(a, tri, ud, b, x, wave, &self.ctx),
+            (Some(tri), None) => kernels::sptrsv_csr(a, tri, ud, b, x),
             (None, _) => kernels::sptrsv_csr_lower_transposed(a, ud, b, x),
         }
         Ok(())
     }
 
-    /// The `[forward, backward]` sweep plans, when the parallel tier is
-    /// armed *for this operand*: the certificates bind the engine-owned
-    /// symmetrized arrays, and the operand fingerprint ties those
-    /// arrays back to `a`.
-    fn armed<'s>(&self, sweeps: &'s Option<Box<(OperandId, [SweepPlan; 2])>>, a: &Csr) -> Option<&'s [SweepPlan; 2]> {
-        let (id, plans) = sweeps.as_deref()?;
-        (self.strategy == Strategy::Parallel && *id == OperandId::of(a)).then_some(plans)
+    /// The wave plan, when the parallel tier is armed *for this
+    /// operand*: the certificate binds `a`'s index arrays by address
+    /// and length, and the operand identity adds their digest, so
+    /// neither a clone nor another pattern at recycled addresses
+    /// inherits it.
+    fn armed(&self, a: &Csr) -> Option<Wave<'_>> {
+        let w = self.wave.as_deref()?;
+        (w.id == OperandId::of(a)).then_some((&w.schedule, &w.cert))
     }
 
-    /// One weighted Gauss-Seidel sweep in either direction, on the
-    /// parallel tier when [armed](Self::armed) for `a`.
-    fn sweep(&self, forward: bool, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        let Payload::Symgs { sweeps } = &self.payload else {
-            return self.check_kind(false, "a Gauss-Seidel sweep");
-        };
+    /// One weighted Gauss-Seidel sweep, forward for [`Triangle::Lower`]
+    /// and backward for [`Triangle::Upper`], on the parallel tier when
+    /// [armed](Self::armed) for `a`.
+    fn sweep(&self, tri: Triangle, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
+        self.check_kind(self.kind == OpKind::Symgs, "a Gauss-Seidel sweep")?;
         self.check_lens(b.len(), x.len())?;
-        let armed = self.armed(sweeps, a).map(|s| &s[if forward { 0 } else { 1 }]);
+        let armed = self.armed(a);
         let obs = self.ctx.obs();
         if obs.is_enabled() {
-            let name = match (armed.is_some(), forward) {
-                (true, true) => "par_symgs_forward_csr",
-                (true, false) => "par_symgs_backward_csr",
-                (false, true) => "symgs_forward_csr",
-                (false, false) => "symgs_backward_csr",
+            let name = match (armed.is_some(), tri) {
+                (true, Triangle::Lower) => "par_symgs_forward_csr",
+                (true, Triangle::Upper) => "par_symgs_backward_csr",
+                (false, Triangle::Lower) => "symgs_forward_csr",
+                (false, Triangle::Upper) => "symgs_backward_csr",
             };
             obs.kernel(name, sptrsv_counters(a));
         }
-        let tri = if forward { Triangle::Lower } else { Triangle::Upper };
         match armed {
-            Some((rp, ci, s, c)) => {
-                par_kernels::par_symgs_csr(a, tri, omega, b, x, (rp, ci), s, c, &self.ctx)
-            }
+            Some(wave) => par_kernels::par_symgs_csr(a, tri, omega, b, x, wave, &self.ctx),
             None => kernels::symgs_sweep_csr(a, tri, omega, b, x),
         }
         Ok(())
@@ -1519,13 +1429,14 @@ impl CompiledOp {
     /// One forward (ascending-row) weighted Gauss-Seidel sweep on `x`
     /// in place. Bitwise-identical on every tier.
     pub fn sweep_forward(&self, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        self.sweep(true, a, omega, b, x)
+        self.sweep(Triangle::Lower, a, omega, b, x)
     }
 
     /// One backward (descending-row) weighted Gauss-Seidel sweep on
-    /// `x` in place. Bitwise-identical on every tier.
+    /// `x` in place, along the forward schedule walked in reverse.
+    /// Bitwise-identical on every tier.
     pub fn sweep_backward(&self, a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) -> RelResult<()> {
-        self.sweep(false, a, omega, b, x)
+        self.sweep(Triangle::Upper, a, omega, b, x)
     }
 
     /// Apply the symmetric Gauss-Seidel / SSOR preconditioner:
@@ -1547,27 +1458,24 @@ impl CompiledOp {
     /// [`apply_ssor`](Self::apply_ssor) for a caller that *owns* `a`
     /// and inspected it once into `split` ([`SweepSplit::of`], which
     /// fixes ω): one pass over each strict triangle, serially or — when
-    /// armed for `a` — over the same level schedules, which cover a
-    /// sweep that reads a subset of the pattern they were built for.
+    /// armed for `a` — along the same one schedule, which covers a sweep
+    /// that reads a subset of the relation it was proved for.
     /// Bitwise-identical on every tier; within rounding of `apply_ssor`,
     /// not equal to it (the split pre-scales by `ω/diag`).
     pub fn apply_split(&self, a: &Csr, split: &SweepSplit, r: &[f64], z: &mut [f64]) -> RelResult<()> {
-        let Payload::Symgs { sweeps } = &self.payload else {
-            return self.check_kind(false, "a split SSOR application");
-        };
+        self.check_kind(self.kind == OpKind::Symgs, "a split SSOR application")?;
         self.check_lens(r.len(), z.len())?;
         if split.nrows() != r.len() || !split.is_of(a) {
             return Err(RelError::Validation("the sweep split was not built from this operand".into()));
         }
-        let armed = self.armed(sweeps, a);
+        let armed = self.armed(a);
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let (nnz, n) = (split.nnz() as u64, r.len() as u64);
             let counters = KernelCounters { nnz, flops: 2 * (nnz + n), bytes: 12 * nnz + 48 * n, algebra: "f64_plus" };
             obs.kernel(if armed.is_some() { "par_symgs_split" } else { "symgs_split" }, counters);
         }
-        let waves = armed.map(|plans| plans.each_ref().map(|(rp, ci, s, c)| ((&rp[..], &ci[..]), s, c)));
-        par_kernels::split_ssor(split, r, z, waves, &self.ctx);
+        par_kernels::split_ssor(a, split, r, z, armed, &self.ctx);
         Ok(())
     }
 }

@@ -7,26 +7,26 @@
 //! and read across rows), and rightly so under any-order execution.
 //! These engines route through the `bernoulli-analysis` **wavefront
 //! pass** instead: at compile time the loop-carried dependence DAG is
-//! extracted from the operand's sparsity structure, its level sets are
+//! read off the operand's sparsity structure, its level sets are
 //! computed, and the parallel tier is granted only when
 //!
-//! 1. the pass issues an unforgeable `WavefrontCert`,
-//! 2. the **independent** BA4x schedule verifier re-accepts the
-//!    schedule (the `plan_verify` pattern: never trust the producer),
-//!    and
-//! 3. the schedule has enough parallelism per wave to pay for
+//! 1. the **independent** BA4x schedule verifier accepts the schedule
+//!    (the `plan_verify` pattern: never trust the producer) and the
+//!    pass issues an unforgeable `WavefrontCert` for the op's relation
+//!    over the operand's own index arrays, and
+//! 2. the schedule has enough parallelism per wave to pay for
 //!    dispatch ([`MIN_MEAN_LEVEL_WIDTH`]).
 //!
 //! That whole gate chain lives in [`crate::pipeline`]
 //! (`wave_decision`), shared with the DO-ANY ops; the two types here
 //! are [`Engine`] facades exactly like the DO-ANY ones — an `OpSpec`
 //! and typed run calls over a [`crate::pipeline::CompiledOp`], whose
-//! `strategy`, `downgrade`, `schedule*` and `hints` are reached through
+//! `strategy`, `downgrade`, `schedule` and `hints` are reached through
 //! `Deref`. A level schedule replayed from a structure cache goes in
-//! through [`crate::pipeline::compile`]'s `hints`: it skips the O(nnz)
-//! wavefront *construction* but none of the gates — the BA4x verifier
-//! re-certifies it against this operand before the parallel tier arms,
-//! else [`Reason::ScheduleRejected`](crate::pipeline::Reason::ScheduleRejected).
+//! through [`crate::pipeline::compile`]'s `hints`: it skips the level
+//! computation but none of the gates — the BA4x verifier re-certifies
+//! it against this operand before the parallel tier arms, else
+//! [`Reason::ScheduleRejected`](crate::pipeline::Reason::ScheduleRejected).
 //! Every downgrade records its reason from the unified
 //! [`crate::pipeline::Reason`] vocabulary in the obs `strategies`
 //! stream, together with the level count and max/mean level width, so
@@ -100,11 +100,10 @@ impl SptrsvEngine {
 /// Gauss-Seidel rows carry dependences in *both* directions: row `i`
 /// reads `x[j]` for every stored `A[i][j]` (flow, `j` earlier in sweep
 /// order) and is read by row `j` for every stored `A[j][i]` (anti,
-/// `j` later). The engine therefore schedules the **symmetrized**
-/// strictly-triangular pattern `struct(A) ∪ struct(Aᵀ)` — sound for
-/// any square `A` — with one schedule per sweep direction, and the
-/// certificates bind those engine-owned dependence arrays plus the
-/// operand identity.
+/// `j` later). The engine therefore schedules the relation
+/// `struct(A) ∪ struct(Aᵀ)` — sound for any square `A`, read off `A`'s
+/// own arrays — and, the relation being symmetric, one schedule serves
+/// both sweeps: the backward one walks it last level first.
 pub type SymGsEngine = Engine<SymGsOp>;
 
 impl SymGsEngine {
@@ -113,12 +112,10 @@ impl SymGsEngine {
         Self::compile_in(a, &ExecCtx::default())
     }
 
-    /// Compile under an execution context: symmetrizes `a`'s pattern,
-    /// runs the wavefront pass per sweep direction, and gates the
-    /// parallel tier exactly like [`SptrsvEngine::compile_in`]. One
-    /// obs `strategies` event is recorded (op `symgs`) with the
-    /// forward schedule's level statistics (the backward schedule of a
-    /// symmetrized pattern has the same widths, mirrored).
+    /// Compile under an execution context: certifies one Gauss-Seidel
+    /// schedule for `a` and gates the parallel tier exactly like
+    /// [`SptrsvEngine::compile_in`], recording one obs `strategies`
+    /// event (op `symgs`) with its level statistics.
     pub fn compile_in(a: &Csr, ctx: &ExecCtx) -> RelResult<SymGsEngine> {
         pipeline::compile::<F64Plus>(OpSpec::Symgs, Operands::Tri(a), ctx, None)?.try_into()
     }
@@ -160,24 +157,41 @@ mod tests {
         ExecCtx::with_threads(2).oversubscribe(true).threshold(1)
     }
 
-    /// Warm compile through the one entry point, replaying `schedules`
-    /// the way a structure cache would hand them back.
-    fn compile_warm<E: TryFrom<CompiledOp, Error = RelError>>(
-        spec: OpSpec,
-        a: &Csr,
-        schedules: Vec<LevelSchedule>,
-    ) -> E {
+    /// Warm compile through the one entry point, replaying `schedule`
+    /// the way a structure cache would hand it back.
+    fn compile_warm<E: TryFrom<CompiledOp, Error = RelError>>(spec: OpSpec, a: &Csr, schedule: LevelSchedule) -> E {
         let hints = OpHints {
             strategy: Strategy::Specialized,
             plan_shape: String::new(),
             fast_eligible: false,
             fast_cert: None,
-            schedules,
+            schedule: Some(schedule),
         };
         pipeline::compile::<F64Plus>(spec, Operands::Tri(a), &par_ctx(), Some(&hints))
             .unwrap()
             .try_into()
             .unwrap()
+    }
+
+    fn raw_copy(s: &LevelSchedule) -> LevelSchedule {
+        LevelSchedule::from_raw_unchecked(s.nrows(), s.rows().to_vec(), s.level_ptr().to_vec())
+    }
+
+    /// `second` rebuilt in `first`'s buffers: the same addresses and
+    /// lengths, another pattern — the collision an allocator may hand
+    /// out once `first` is dropped, made deterministic.
+    fn in_buffers_of(first: Csr, second: &Csr) -> Csr {
+        let old = (first.rowptr().as_ptr(), first.colind().as_ptr());
+        let (mut rowptr, mut colind, mut vals) = first.into_raw();
+        rowptr.clear();
+        rowptr.extend_from_slice(second.rowptr());
+        colind.clear();
+        colind.extend_from_slice(second.colind());
+        vals.clear();
+        vals.extend_from_slice(second.vals());
+        let rebuilt = Csr::from_raw_unchecked(second.nrows(), second.ncols(), rowptr, colind, vals);
+        assert_eq!((rebuilt.rowptr().as_ptr(), rebuilt.colind().as_ptr()), old);
+        rebuilt
     }
 
     #[test]
@@ -266,44 +280,53 @@ mod tests {
         assert_eq!(kernels["symgs_forward_csr"].calls, 1);
     }
 
-    /// Regression: the armed sweeps must never transfer to a
-    /// same-shape, different-pattern operand the allocator placed at
-    /// the recycled addresses of the one they were scheduled for —
-    /// address + length alone accepted it and ran the wrong level
-    /// schedule. Hunts for the collision the way
-    /// `stale_certificate_never_survives_reallocation` does.
+    /// Regression: an armed plan must never transfer to a same-shape,
+    /// different-pattern operand placed at the addresses of the one it
+    /// was certified for — address + length alone accepted it and ran
+    /// the wrong level schedule.
     #[test]
     fn armed_sweeps_never_survive_reallocation() {
         // Same order, same nnz, different dependence pattern.
         let (g, h) = (Csr::from_triplets(&grid2d_5pt(5, 4)), Csr::from_triplets(&grid2d_5pt(4, 5)));
         assert_eq!((g.nrows(), g.nnz()), (h.nrows(), h.nnz()));
-        let exact = |m: &Csr, rowptr: Vec<usize>, colind: Vec<usize>, vals: Vec<f64>| {
-            Csr::from_raw_unchecked(m.nrows(), m.ncols(), rowptr, colind, vals)
-        };
         let n = g.nrows();
-        let b = vec![1.0; n];
-        let (mut reuses, mut trials) = (0, 0);
-        while trials < 4096 && reuses < 4 {
-            trials += 1;
-            let good = exact(&g, g.rowptr().to_vec(), g.colind().to_vec(), g.vals().to_vec());
-            let obs = bernoulli_obs::Obs::enabled();
-            let eng = SymGsEngine::compile_in(&good, &par_ctx().instrument(obs.clone())).unwrap();
-            assert_eq!(eng.strategy(), Strategy::Parallel, "downgrade: {}", eng.downgrade());
-            let old = (good.rowptr().as_ptr(), good.colind().as_ptr());
-            drop(good);
-            // Allocated in reverse field order, mirroring the drop.
-            let vals = h.vals().to_vec();
-            let colind = h.colind().to_vec();
-            let other = exact(&h, h.rowptr().to_vec(), colind, vals);
-            reuses += (old == (other.rowptr().as_ptr(), other.colind().as_ptr())) as usize;
-            let (mut x, mut x_ser) = (vec![0.0; n], vec![0.0; n]);
-            eng.sweep_forward(&other, 1.0, &b, &mut x).unwrap();
-            ker::symgs_forward_csr(&other, 1.0, &b, &mut x_ser);
-            assert_eq!(x, x_ser, "trial {trials}");
-            let kernels = obs.report().kernels;
-            assert_eq!(kernels.keys().collect::<Vec<_>>(), ["symgs_forward_csr"], "trial {trials}");
-        }
-        assert!(reuses > 0, "allocator never recycled the address in {trials} trials");
+        let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 4.5).collect();
+        let obs = bernoulli_obs::Obs::enabled();
+        let first = g.clone();
+        let eng = SymGsEngine::compile_in(&first, &par_ctx().instrument(obs.clone())).unwrap();
+        assert_eq!(eng.strategy(), Strategy::Parallel, "downgrade: {}", eng.downgrade());
+        let other = in_buffers_of(first, &h);
+        let (mut x, mut want) = (vec![0.0; n], vec![0.0; n]);
+        eng.apply_ssor(&other, 1.0, &b, &mut x).unwrap();
+        ker::symgs_forward_csr(&other, 1.0, &b, &mut want);
+        ker::symgs_backward_csr(&other, 1.0, &b, &mut want);
+        assert_eq!(x, want);
+        let kernels = obs.report().kernels;
+        assert_eq!(kernels.keys().collect::<Vec<_>>(), ["symgs_backward_csr", "symgs_forward_csr"]);
+    }
+
+    /// The same hole in the triangular solve, closed by the same plan.
+    #[test]
+    fn armed_solve_never_survives_reallocation() {
+        let lower = |t: Triplets| {
+            let e: Vec<_> = t.entries().iter().copied().filter(|&(i, j, _)| j <= i).collect();
+            Csr::from_triplets(&Triplets::from_entries(t.nrows(), t.ncols(), &e))
+        };
+        let (g, h) = (lower(grid2d_5pt(6, 5)), lower(grid2d_5pt(5, 6)));
+        assert_eq!((g.nrows(), g.nnz()), (h.nrows(), h.nnz()));
+        let n = g.nrows();
+        let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect();
+        let op = TriangularOp::Lower { unit_diag: false };
+        let obs = bernoulli_obs::Obs::enabled();
+        let first = g.clone();
+        let eng = SptrsvEngine::compile_in(&first, op, &par_ctx().instrument(obs.clone())).unwrap();
+        assert_eq!(eng.strategy(), Strategy::Parallel, "downgrade: {}", eng.downgrade());
+        let other = in_buffers_of(first, &h);
+        let (mut x, mut want) = (vec![0.0; n], vec![0.0; n]);
+        eng.run(&other, &b, &mut x).unwrap();
+        ker::sptrsv_csr_lower(&other, false, &b, &mut want);
+        assert_eq!(x, want);
+        assert_eq!(obs.report().kernels.keys().collect::<Vec<_>>(), ["sptrsv_csr_lower"]);
     }
 
     #[test]
@@ -315,10 +338,8 @@ mod tests {
         assert_eq!(cold.strategy(), Strategy::Parallel);
         let s = cold.schedule().unwrap();
         // A cache replay rebuilds the schedule from raw parts; the
-        // certify_schedule gate re-verifies it and arms parallel.
-        let replay =
-            LevelSchedule::from_raw_unchecked(s.nrows(), s.rows().to_vec(), s.level_ptr().to_vec());
-        let warm: SptrsvEngine = compile_warm(OpSpec::Sptrsv { op }, &l, vec![replay]);
+        // verifier re-checks it and arms parallel.
+        let warm: SptrsvEngine = compile_warm(OpSpec::Sptrsv { op }, &l, raw_copy(s));
         assert_eq!(warm.strategy(), Strategy::Parallel, "downgrade: {}", warm.downgrade());
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect();
         let (mut x_cold, mut x_warm) = (vec![0.0; n], vec![0.0; n]);
@@ -333,7 +354,7 @@ mod tests {
         let mut rows = s.rows().to_vec();
         rows.swap(0, n - 1);
         let forged = LevelSchedule::from_raw_unchecked(n, rows, s.level_ptr().to_vec());
-        let bad: SptrsvEngine = compile_warm(OpSpec::Sptrsv { op }, &l, vec![forged]);
+        let bad: SptrsvEngine = compile_warm(OpSpec::Sptrsv { op }, &l, forged);
         assert_eq!(bad.strategy(), Strategy::Specialized);
         assert_eq!(bad.downgrade(), Reason::ScheduleRejected);
         let mut x_bad = vec![0.0; n];
@@ -342,16 +363,13 @@ mod tests {
     }
 
     #[test]
-    fn symgs_cached_schedules_replay_bitwise() {
+    fn symgs_cached_schedule_replays_bitwise() {
         let a = Csr::from_triplets(&grid2d_5pt(11, 9));
         let n = a.nrows();
         let cold = SymGsEngine::compile_in(&a, &par_ctx()).unwrap();
         assert_eq!(cold.strategy(), Strategy::Parallel);
-        let clone_of = |s: &LevelSchedule| {
-            LevelSchedule::from_raw_unchecked(s.nrows(), s.rows().to_vec(), s.level_ptr().to_vec())
-        };
-        let [fwd, bwd] = cold.sweep_schedules().unwrap().map(clone_of);
-        let warm: SymGsEngine = compile_warm(OpSpec::Symgs, &a, vec![fwd, bwd]);
+        let s = cold.schedule().unwrap();
+        let warm: SymGsEngine = compile_warm(OpSpec::Symgs, &a, raw_copy(s));
         assert_eq!(warm.strategy(), Strategy::Parallel, "downgrade: {}", warm.downgrade());
         let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 4.5).collect();
         let (mut x_cold, mut x_warm) = (vec![0.0; n], vec![0.0; n]);
@@ -361,10 +379,16 @@ mod tests {
             x_cold.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             x_warm.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-        // Swapping the two schedules hands each verifier the wrong
-        // triangle's order — refused, downgraded, still bit-identical.
-        let [fwd, bwd] = cold.sweep_schedules().unwrap().map(clone_of);
-        let swapped: SymGsEngine = compile_warm(OpSpec::Symgs, &a, vec![bwd, fwd]);
+        // The backward sweep's walk order handed in as the schedule
+        // itself runs every dependence the wrong way — refused,
+        // downgraded, still bit-identical.
+        let levels: Vec<&[usize]> = (0..s.num_levels()).rev().map(|l| s.level(l)).collect();
+        let level_ptr = std::iter::once(0).chain(levels.iter().scan(0, |end, l| {
+            *end += l.len();
+            Some(*end)
+        }));
+        let reversed = LevelSchedule::from_raw_unchecked(n, levels.concat(), level_ptr.collect());
+        let swapped: SymGsEngine = compile_warm(OpSpec::Symgs, &a, reversed);
         assert_eq!(swapped.strategy(), Strategy::Specialized);
         assert_eq!(swapped.downgrade(), Reason::ScheduleRejected);
         let mut x_swapped = vec![0.0; n];

@@ -120,6 +120,12 @@ impl Csr {
         Csr { nrows, ncols, rowptr, colind, vals, diag, digest }
     }
 
+    /// The `(rowptr, colind, vals)` buffers back, the inverse of
+    /// [`Csr::from_raw_unchecked`]; the derived indexes are dropped.
+    pub fn into_raw(self) -> (Vec<usize>, Vec<usize>, Vec<f64>) {
+        (self.rowptr, self.colind, self.vals)
+    }
+
     /// Fast constructor for entries known to be duplicate-free: a
     /// counting sort by row plus a per-row column sort, with no
     /// `BTreeMap` canonicalisation. Used on inspector-critical paths

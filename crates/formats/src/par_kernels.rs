@@ -29,7 +29,8 @@
 //! refuses the nest with BA06.
 //!
 //! **`par_wave` — DO-ACROSS** (SpTRSV, Gauss-Seidel): levels of a
-//! certified [`LevelSchedule`] run in order; within a level the
+//! certified [`LevelSchedule`] run in order (a backward Gauss-Seidel
+//! sweep walks its one schedule in reverse); within a level the
 //! (mutually independent) rows are computed into a scratch wave by
 //! `par_blocks`, then written back serially in schedule order. Each row
 //! replays the serial row update and every dependence it reads was
@@ -37,8 +38,8 @@
 //! identical** to the serial sweep for any worker count. Soundness is
 //! not taken on faith: the driver re-checks [`WavefrontCert::covers`]
 //! at entry — the certificate is only constructible by the analysis
-//! pass and binds both the exact index slices analyzed and the exact
-//! schedule computed — and falls back to the serial sweep on any
+//! pass and binds the relation it proved, the operand's index slices
+//! and the exact schedule — and falls back to the serial sweep on any
 //! mismatch, exactly like the fast tier's certificate re-check.
 //!
 //! The primitives own the worker gate and the chunk geometry; below
@@ -50,7 +51,7 @@
 use crate::exec::ExecCtx;
 use crate::kernels::{self, Family, SpmvBody, SweepSplit};
 use crate::Csr;
-use bernoulli_analysis::wavefront::{LevelSchedule, Triangle, WavefrontCert};
+use bernoulli_analysis::wavefront::{LevelSchedule, Relation, Triangle, WavefrontCert};
 use bernoulli_relational::semiring::{F64Plus, Semiring};
 
 /// Scatter driver: accumulate each range of `0..items` into a
@@ -153,29 +154,38 @@ pub fn par_spmm_csr_csr(a: &Csr, b: &Csr, exec: &ExecCtx) -> Csr {
     kernels::csr_from_entries(a.nrows(), b.ncols(), par_spmm_csr_csr_in::<F64Plus>(a, b, exec))
 }
 
-/// DO-ACROSS driver: `x[i] ← row(i, x)` level by level along `sched`.
-/// `cert` must certify `sched` against the dependence pattern
-/// `(dep_rowptr, dep_colind)` of a `tri` sweep; below the worker gate,
-/// or whenever it does not, this is the serial `kernels::sweep`.
-/// Reads of `x` inside `row` are race-free because same-level rows are
-/// never dependence-connected (what the certificate proves).
+/// One armed DO-ACROSS plan as the drivers take it: a certified
+/// schedule and its certificate.
+pub type Wave<'a> = (&'a LevelSchedule, &'a WavefrontCert);
+
+/// DO-ACROSS driver: `x[i] ← row(i, x)` level by level along a schedule
+/// of `relation` over `a`'s pattern — first level to last, except that
+/// a backward ([`Triangle::Upper`]) Gauss-Seidel sweep walks the forward
+/// schedule last level first (see [`Relation::GaussSeidel`]). Below the
+/// worker gate, or whenever the certificate does not cover `(a,
+/// relation, schedule)`, this is the serial `kernels::sweep`. Reads of
+/// `x` inside `row` are race-free because same-level rows are never
+/// dependence-connected (what the certificate proves).
 pub(crate) fn par_wave(
     exec: &ExecCtx,
+    a: &Csr,
+    relation: Relation,
     tri: Triangle,
-    (dep_rowptr, dep_colind): (&[usize], &[usize]),
-    (sched, cert): (&LevelSchedule, &WavefrontCert),
+    (sched, cert): Wave<'_>,
     x: &mut [f64],
     row: impl Fn(usize, &[f64]) -> f64 + Sync,
 ) {
     if exec.threads_hint() <= 1
         || x.is_empty()
-        || !cert.covers(x.len(), dep_rowptr, dep_colind, tri, sched)
+        || !cert.covers(a.nrows(), a.rowptr(), a.colind(), relation, sched)
     {
         return kernels::sweep(tri, x, row);
     }
+    let reversed = relation == Relation::GaussSeidel && tri == Triangle::Upper;
+    let levels = sched.num_levels();
     let mut wave = vec![0.0f64; sched.max_level_width()];
-    for l in 0..sched.num_levels() {
-        let level = sched.level(l);
+    for l in 0..levels {
+        let level = sched.level(if reversed { levels - 1 - l } else { l });
         let xs: &[f64] = x;
         exec.par_blocks(&mut wave[..level.len()], 1, |p0, wc| {
             for (wp, &i) in wc.iter_mut().zip(&level[p0..]) {
@@ -188,76 +198,47 @@ pub(crate) fn par_wave(
     }
 }
 
-/// Level-parallel substitution: solve `T·x = b` following a certified
-/// [`LevelSchedule`] built for `tri`. Bit-identical to
+/// Level-parallel substitution: solve `T·x = b` along a schedule
+/// certified for `tri`'s solve relation over `T`. Bit-identical to
 /// [`kernels::sptrsv_csr`]; serial fallback below the worker gate or
-/// whenever `cert` does not cover `(T, sched)`.
-#[allow(clippy::too_many_arguments)]
-pub fn par_sptrsv_csr(
-    a: &Csr,
-    tri: Triangle,
-    unit_diag: bool,
-    b: &[f64],
-    x: &mut [f64],
-    sched: &LevelSchedule,
-    cert: &WavefrontCert,
-    exec: &ExecCtx,
-) {
+/// whenever the certificate does not cover `(T, schedule)`.
+pub fn par_sptrsv_csr(a: &Csr, tri: Triangle, unit_diag: bool, b: &[f64], x: &mut [f64], wave: Wave<'_>, exec: &ExecCtx) {
     kernels::check_sweep(a, b, x);
-    let dep = (a.rowptr(), a.colind());
-    par_wave(exec, tri, dep, (sched, cert), x, kernels::sptrsv_row(a, tri, unit_diag, b));
+    par_wave(exec, a, Relation::Solve(tri), tri, wave, x, kernels::sptrsv_row(a, tri, unit_diag, b));
 }
 
 /// Level-parallel weighted Gauss-Seidel sweep on square `A` (forward
-/// for [`Triangle::Lower`], backward for [`Triangle::Upper`]). The rows
-/// of `A` are full (both triangles), so the schedule comes from the
-/// *symmetrized* strictly-triangular dependence pattern
-/// `(dep_rowptr, dep_colind)` — covering flow **and** anti-dependences
-/// (see `bernoulli_analysis::wavefront::symmetrize_lower`/`_upper`) —
-/// and the certificate binds those dependence arrays, not `A`'s. For
-/// any dependence-neighbor pair the smaller-level row has the smaller
-/// (forward) / larger (backward) index, so each row observes new-vs-old
-/// neighbor values exactly as the serial sweep does. Bit-identical to
-/// [`kernels::symgs_sweep_csr`]; serial fallback on worker gate or
-/// certificate mismatch.
-#[allow(clippy::too_many_arguments)]
-pub fn par_symgs_csr(
-    a: &Csr,
-    tri: Triangle,
-    omega: f64,
-    b: &[f64],
-    x: &mut [f64],
-    dep: (&[usize], &[usize]),
-    sched: &LevelSchedule,
-    cert: &WavefrontCert,
-    exec: &ExecCtx,
-) {
+/// for [`Triangle::Lower`], backward for [`Triangle::Upper`]) along one
+/// schedule certified for [`Relation::GaussSeidel`] over `A`'s own
+/// arrays. For any dependence-neighbour pair the earlier-level row has
+/// the smaller (forward) / larger (backward) index, so each row
+/// observes new-vs-old neighbour values exactly as the serial sweep
+/// does. Bit-identical to [`kernels::symgs_sweep_csr`]; serial fallback
+/// on the worker gate or a certificate mismatch.
+pub fn par_symgs_csr(a: &Csr, tri: Triangle, omega: f64, b: &[f64], x: &mut [f64], wave: Wave<'_>, exec: &ExecCtx) {
     kernels::check_sweep(a, b, x);
-    par_wave(exec, tri, dep, (sched, cert), x, kernels::gs_row(a, tri, omega, b));
+    par_wave(exec, a, Relation::GaussSeidel, tri, wave, x, kernels::gs_row(a, tri, omega, b));
 }
 
-/// `z ← M⁻¹·r` over a [`SweepSplit`]: the forward sweep overwrites `z`
-/// from `r` (no fill comes first), the backward one finishes it in
-/// place. `waves` are the `[forward, backward]` `(dep, schedule, cert)`
-/// of [`par_symgs_csr`]: a split sweep reads a subset of what the
-/// Gauss-Seidel sweep of the same operand reads, so they cover it, and
-/// each row loads the `i∓1` value the serial driver carries — the same
-/// bits. `None`, the worker gate or a certificate mismatch run serially.
-pub fn split_ssor(sp: &SweepSplit, r: &[f64], z: &mut [f64], waves: Option<[Wave<'_>; 2]>, exec: &ExecCtx) {
+/// `z ← M⁻¹·r` over `a`'s [`SweepSplit`]: the forward sweep overwrites
+/// `z` from `r` (no fill comes first), the backward one finishes it in
+/// place, both along `a`'s one Gauss-Seidel `wave`. A split sweep reads
+/// a subset of what the Gauss-Seidel sweep of its operand reads, so the
+/// schedule covers it, and each row loads the `i∓1` value the serial
+/// driver carries — the same bits. `None`, the worker gate, a split of
+/// another operand or a certificate mismatch run serially.
+pub fn split_ssor(a: &Csr, sp: &SweepSplit, r: &[f64], z: &mut [f64], wave: Option<Wave<'_>>, exec: &ExecCtx) {
     // Inlined per call so each sweep's direction is a constant in its row loop.
     #[inline(always)]
-    fn sweep(sp: &SweepSplit, tri: Triangle, r: &[f64], z: &mut [f64], wave: Option<&Wave<'_>>, exec: &ExecCtx) {
+    fn sweep(a: &Csr, sp: &SweepSplit, tri: Triangle, r: &[f64], z: &mut [f64], wave: Option<Wave<'_>>, exec: &ExecCtx) {
         let row = kernels::split_row(sp, tri, r);
         match wave {
-            Some(&(dep, sched, cert)) => par_wave(exec, tri, dep, (sched, cert), z, |i, z| row(i, z, None)),
+            Some(wave) => par_wave(exec, a, Relation::GaussSeidel, tri, wave, z, |i, z| row(i, z, None)),
             None => kernels::sweep_carry(tri, z, row),
         }
     }
     assert_eq!((r.len(), z.len()), (sp.nrows(), sp.nrows()));
-    let [fwd, bwd] = waves.map_or([None, None], |w| w.map(Some));
-    sweep(sp, Triangle::Lower, r, z, fwd.as_ref(), exec);
-    sweep(sp, Triangle::Upper, r, z, bwd.as_ref(), exec);
+    let wave = wave.filter(|_| sp.is_of(a));
+    sweep(a, sp, Triangle::Lower, r, z, wave, exec);
+    sweep(a, sp, Triangle::Upper, r, z, wave, exec);
 }
-
-/// One sweep direction's `((dep_rowptr, dep_colind), schedule, cert)`.
-pub type Wave<'a> = ((&'a [usize], &'a [usize]), &'a LevelSchedule, &'a WavefrontCert);

@@ -13,9 +13,9 @@
 //! lower triangle. [`SymGs`] therefore inspects its operand once into
 //! a [`SweepSplit`] — strict triangles pre-scaled by `ω/diag`, `u32`
 //! columns — and each application is one pass over each triangle,
-//! under the compiled [`bernoulli::SymGsEngine`]: level-parallel when
-//! the DO-ACROSS pass certified the symmetrized dependence pattern,
-//! serial otherwise, bitwise-identical either way.
+//! under the compiled [`bernoulli::SymGsEngine`]: level-parallel along
+//! its one certified Gauss-Seidel schedule (the backward pass walks it
+//! in reverse), serial otherwise, bitwise-identical either way.
 
 use crate::precond::Preconditioner;
 use bernoulli::{ExecCtx, RelError, RelResult, SymGsEngine};
@@ -56,15 +56,14 @@ impl SymGs {
     }
 
     /// SSOR whose engine is produced by `compile` — the seam a
-    /// structure-keyed plan cache uses to inject a warm compile
-    /// (cached, re-verified level schedules, e.g.
+    /// structure-keyed plan cache uses to inject a warm compile (a
+    /// cached, re-verified level schedule, e.g.
     /// `PlanCache::symgs_engine`) in place of the full wavefront
-    /// analysis. The
-    /// closure runs against the operand *before* the move into the
-    /// returned struct, so the certificates it issues bind the final
-    /// heap buffers. The split is inspected here, after the compile's
-    /// temporaries are gone; an operand its `u32` lists cannot index
-    /// is a [`RelError::Validation`].
+    /// analysis. The closure runs against the operand *before* the move
+    /// into the returned struct, so the certificate it issues binds the
+    /// final heap buffers. The split is inspected here, after the
+    /// compile's temporaries are gone; an operand its `u32` lists
+    /// cannot index is a [`RelError::Validation`].
     pub fn with_engine_from(
         a: Csr,
         omega: f64,

@@ -21,12 +21,12 @@
 //!   race-gate re-derivation but re-applies the O(1) context gates
 //!   and re-validates (or re-derives) the fast certificate via
 //!   `covers()` against the operand actually handed in.
-//! * **SpTRSV / SymGS** — the wavefront level schedules. A hit skips
-//!   the O(nnz) longest-path *construction* of `analyze_wavefront`,
-//!   never the verification: the engine re-runs the independent BA4x
-//!   verifier against this operand's pattern before the parallel tier
-//!   is armed, and a stale or forged schedule downgrades to the
-//!   bit-identical serial sweep (`schedule_rejected`).
+//! * **SpTRSV / SymGS** — the one wavefront level schedule per entry.
+//!   A hit skips the level computation, never the verification: the
+//!   engine re-runs the independent BA4x verifier against this
+//!   operand's pattern before the parallel tier is armed, and a stale
+//!   or forged schedule downgrades to the bit-identical serial sweep
+//!   (`schedule_rejected`).
 //!
 //! The worst a wrong cache entry can do is therefore pick a suboptimal
 //! tier; it can never mis-compute. Serial planning verdicts (below
@@ -71,7 +71,7 @@ use crate::key::{structure_key, structure_key_csr, StructureKey};
 /// to the [`StructureKey`] digest layout bumps the version suffix, and
 /// [`PlanCache::load`] treats a file carrying a different identifier as
 /// absent — a bump is a wholesale cache invalidation, never a migration.
-pub const SCHEMA: &str = "bernoulli.plancache/v3";
+pub const SCHEMA: &str = "bernoulli.plancache/v4";
 
 /// One cached verdict for one `(structure, op)` pair.
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ pub struct CacheStats {
     pub spmv_entries: usize,
     /// Cached SpTRSV level schedules (one per structure × triangle).
     pub sptrsv_entries: usize,
-    /// Cached SymGS forward/backward schedule pairs.
+    /// Cached SymGS schedules (one serves both sweeps).
     pub symgs_entries: usize,
     /// Cached verdicts for every other op kind (multi-RHS SpMV and the
     /// semiring variants).
@@ -162,7 +162,7 @@ impl PlanCache {
     /// results, planning skipped, every soundness gate re-applied.
     ///
     /// The wavefront ops cache only a compile that armed its level
-    /// schedules (serial verdicts are O(1) to re-derive or must be
+    /// schedule (serial verdicts are O(1) to re-derive or must be
     /// re-derived for soundness), and an entry holding no schedule is
     /// overwritten by the first compile that arms one.
     /// `LowerTransposed` is always serial and bypasses the cache,
@@ -177,8 +177,8 @@ impl PlanCache {
         if kind == OpKind::SptrsvLowerTransposed {
             return pipeline::compile::<S>(spec, operands, ctx, None);
         }
-        // A wavefront verdict without its schedules replays nothing.
-        let replayable = |h: &OpHints| !(kind.is_wavefront() && h.schedules.is_empty());
+        // A wavefront verdict without its schedule replays nothing.
+        let replayable = |h: &OpHints| !(kind.is_wavefront() && h.schedule.is_none());
         let key = (key_of(&operands), kind);
         let hit = self.lock().lookup(key);
         let op = pipeline::compile::<S>(spec, operands, ctx, hit.as_ref())?;
@@ -249,7 +249,7 @@ impl PlanCache {
 
     /// A triangular-solve engine through [`compile`](Self::compile),
     /// replaying the cached level schedule when this structure (and
-    /// sweep direction) armed the parallel tier before.
+    /// solve direction) armed the parallel tier before.
     pub fn sptrsv_engine(
         &self,
         a: &Csr,
@@ -260,9 +260,8 @@ impl PlanCache {
     }
 
     /// A symmetric Gauss-Seidel engine through
-    /// [`compile`](Self::compile), replaying the cached
-    /// forward/backward schedule pair (both sweeps must have armed cold
-    /// for the pair to be cached).
+    /// [`compile`](Self::compile), replaying the one cached schedule
+    /// both sweeps walk.
     pub fn symgs_engine(&self, a: &Csr, ctx: &ExecCtx) -> RelResult<SymGsEngine> {
         self.compile::<F64Plus>(OpSpec::Symgs, Operands::Tri(a), ctx)?.try_into()
     }
@@ -322,20 +321,19 @@ impl PlanCache {
     /// array, one object per `(structure, op)` verdict, written in
     /// `(structure, op tag)` order so the output is deterministic.
     /// In-memory certificates are omitted (they fingerprint heap
-    /// addresses of the process that issued them); wavefront schedules
-    /// are flattened to raw parts and re-verified on every replay.
+    /// addresses of the process that issued them); a wavefront entry's
+    /// schedule is written inline as its raw `rows` and `level_ptr`
+    /// (`null` without one), so the document nests four levels deep,
+    /// and it is re-verified on every replay.
     pub fn to_json(&self) -> String {
         let g = self.lock();
         let mut ops: Vec<_> = g.ops.iter().collect();
         ops.sort_by_key(|((k, kind), _)| (*k, kind.tag()));
         let ops = array(ops.into_iter().map(|((k, kind), r)| {
-            let scheds = array(r.hints.schedules.iter().map(|s| {
-                Obj::new()
-                    .usize("nrows", s.nrows())
-                    .raw("rows", usize_array(s.rows()))
-                    .raw("level_ptr", usize_array(s.level_ptr()))
-                    .finish()
-            }));
+            let (rows, level_ptr) = match &r.hints.schedule {
+                Some(s) => (usize_array(s.rows()), usize_array(s.level_ptr())),
+                None => ("null".to_string(), "null".to_string()),
+            };
             let o = Obj::new()
                 .str("structure", &k.hex())
                 .str("op", &kind.tag())
@@ -346,7 +344,8 @@ impl PlanCache {
                 Some(c) => o.str("calibrated", c),
                 None => o.raw("calibrated", "null"),
             }
-            .raw("schedules", scheds)
+            .raw("rows", &rows)
+            .raw("level_ptr", &level_ptr)
             .finish()
         }));
         Obj::new().str("schema", SCHEMA).raw("ops", ops).finish()
@@ -388,13 +387,7 @@ impl PlanCache {
                 .and_then(Value::as_bool)
                 .ok_or("ops entry: no fast_eligible")?;
             let calibrated = e.get("calibrated").and_then(Value::as_str).map(str::to_string);
-            let schedules = e
-                .get("schedules")
-                .and_then(Value::as_arr)
-                .ok_or("ops entry: no schedules")?
-                .iter()
-                .map(sched_of)
-                .collect::<Result<Vec<_>, _>>()?;
+            let schedule = sched_of(e)?;
             inner.ops.insert(
                 (key, kind),
                 OpRecord {
@@ -403,7 +396,7 @@ impl PlanCache {
                         plan_shape,
                         fast_eligible,
                         fast_cert: None,
-                        schedules,
+                        schedule,
                     },
                     calibrated,
                 },
@@ -458,21 +451,26 @@ fn usize_array(v: &[usize]) -> String {
     array(v.iter().map(|x| x.to_string()))
 }
 
-/// Rebuild one persisted schedule. `from_raw_unchecked` is sound here
-/// because nothing trusts the result until the BA4x verifier re-accepts
-/// it against the live operand at replay time.
-fn sched_of(e: &Value) -> Result<LevelSchedule, String> {
-    let read_arr = |field: &str| -> Result<Vec<usize>, String> {
-        e.get(field)
-            .and_then(Value::as_arr)
-            .ok_or(format!("schedule entry: no {field}"))?
-            .iter()
-            .map(|x| x.as_usize().ok_or(format!("schedule entry: bad {field} element")))
-            .collect()
+/// Rebuild an entry's persisted schedule, if it has one.
+/// `from_raw_unchecked` is sound here because nothing trusts the
+/// result until the BA4x verifier re-accepts it against the live
+/// operand at replay time.
+fn sched_of(e: &Value) -> Result<Option<LevelSchedule>, String> {
+    let read = |field: &str| -> Result<Option<Vec<usize>>, String> {
+        match e.get(field) {
+            Some(Value::Null) => Ok(None),
+            Some(Value::Arr(items)) => (items.iter())
+                .map(|x| x.as_usize().ok_or(format!("ops entry: bad {field} element")))
+                .collect::<Result<_, _>>()
+                .map(Some),
+            _ => Err(format!("ops entry: no {field}")),
+        }
     };
-    let nrows =
-        e.get("nrows").and_then(Value::as_usize).ok_or("schedule entry: no nrows".to_string())?;
-    Ok(LevelSchedule::from_raw_unchecked(nrows, read_arr("rows")?, read_arr("level_ptr")?))
+    match (read("rows")?, read("level_ptr")?) {
+        (Some(rows), Some(level_ptr)) => Ok(Some(LevelSchedule::from_raw_unchecked(rows.len(), rows, level_ptr))),
+        (None, None) => Ok(None),
+        _ => Err("ops entry: half a schedule".to_string()),
+    }
 }
 
 fn strategy_str(s: Strategy) -> &'static str {

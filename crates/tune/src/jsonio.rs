@@ -3,7 +3,10 @@
 //! The workspace vendors no serde; `bernoulli-obs` owns the writing
 //! half ([`bernoulli_obs::json`]), and this module is its mirror: a
 //! small recursive-descent parser for exactly the JSON subset the
-//! writer emits (RFC 8259 values, `\uXXXX` escapes, no comments).
+//! writer emits (RFC 8259 values, `\uXXXX` escapes, no comments),
+//! nested at most [`MAX_DEPTH`] deep. It reads any input to `Ok` or
+//! `Err` — never a panic or an unbounded recursion — because a cache
+//! file is whatever is on disk.
 //! Internal to the crate — the public surface is
 //! [`PlanCache::save`](crate::cache::PlanCache::save) /
 //! [`load`](crate::cache::PlanCache::load).
@@ -72,9 +75,16 @@ impl Value {
     }
 }
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// plan-cache writer emits four levels (document, `ops`, entry,
+/// schedule array) and the previous schema six, which must still parse
+/// so a stale file is recognised by its tag and loads cold; anything
+/// deeper is refused before its recursion can exhaust the stack.
+pub const MAX_DEPTH: usize = 8;
+
 /// Parse one JSON document (trailing whitespace allowed, nothing else).
 pub fn parse(input: &str) -> Result<Value, String> {
-    let mut p = Parser { b: input.as_bytes(), pos: 0 };
+    let mut p = Parser { s: input, b: input.as_bytes(), pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -85,8 +95,11 @@ pub fn parse(input: &str) -> Result<Value, String> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -124,8 +137,15 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!("nesting deeper than {MAX_DEPTH} at offset {}", self.pos));
+                }
+                self.depth += 1;
+                let v = if open == b'{' { self.object() } else { self.array() };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.lit("true", Value::Bool(true)),
             Some(b'f') => self.lit("false", Value::Bool(false)),
@@ -226,11 +246,11 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar; the input came in as
-                    // &str and pos only ever lands on char boundaries.
-                    let rest = &self.b[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar, decoding only it: every
+                    // other step advances over ASCII or a whole escape,
+                    // so `pos` lands on char boundaries.
+                    let rest = self.s.get(self.pos..).ok_or("string split inside a character")?;
+                    let c = rest.chars().next().ok_or("unterminated string")?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -294,6 +314,17 @@ mod tests {
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[1].get("i").unwrap().as_usize(), Some(1));
         assert_eq!(entries[1].get("even").unwrap().as_bool(), Some(false));
+    }
+
+    #[test]
+    fn nesting_is_bounded_not_recursed_to_exhaustion() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(parse(&format!("{{\"a\":{}}}", nest(MAX_DEPTH - 1))).is_ok());
+        for d in [MAX_DEPTH + 1, 200_000] {
+            assert!(parse(&nest(d)).unwrap_err().starts_with("nesting deeper"), "depth {d}");
+            assert!(parse(&"{\"a\":".repeat(d)).is_err(), "depth {d}");
+        }
     }
 
     #[test]

@@ -17,16 +17,16 @@
 //! * [`cache`] — the [`PlanCache`]: one table keyed by
 //!   `(StructureKey, OpKind)` holding planner verdicts (strategy tier,
 //!   plan shape, fast-tier eligibility) for the whole multiply family
-//!   — classical, multi-RHS and semiring — and wavefront level
-//!   schedules for SpTRSV/SymGS. A hit skips the planner search, the
-//!   race-gate re-derivation and schedule *construction* — never
+//!   — classical, multi-RHS and semiring — and the one wavefront
+//!   level schedule of an SpTRSV/SymGS entry. A hit skips the planner
+//!   search, the race-gate re-derivation and schedule *construction* — never
 //!   verification: fast-tier certificates are re-validated through
 //!   `covers()` (or re-issued by the sanitizer) against the operand
 //!   actually handed in, and cached schedules pass the independent
 //!   BA4x verifier before the parallel tier is granted. A cache entry
 //!   can therefore mis-*tier* a confused operand at worst; it can
 //!   never mis-compute. The cache persists to versioned JSON
-//!   (`bernoulli.plancache/v3`); a schema or digest-layout bump
+//!   (`bernoulli.plancache/v4`); a schema or digest-layout bump
 //!   invalidates the file wholesale.
 //! * [`dispatch`] — the [`Dispatcher`] registry: register a matrix
 //!   population once, then push a mixed [`OpSpec`](bernoulli::OpSpec)

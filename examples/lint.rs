@@ -19,7 +19,9 @@ use bernoulli_analysis::diag::{codes, Diagnostic};
 use bernoulli_analysis::plan_verify::verify_plan;
 use bernoulli_analysis::race::check_do_any;
 use bernoulli_analysis::validate::Validate;
-use bernoulli_analysis::wavefront::{analyze_wavefront, verify_level_schedule, Triangle};
+use bernoulli_analysis::wavefront::{
+    analyze_wavefront, certify_wavefront, verify_level_schedule, LevelSchedule, Relation, Triangle,
+};
 use bernoulli_formats::{
     Bsr, Csr, DenseMatrix, FormatKind, Msr, Skyline, SparseMatrix, SparseVec, Triplets,
 };
@@ -244,6 +246,31 @@ fn main() {
             .map(|d| d.code)
             .unwrap_or("??");
         println!("  grid2d_8x8/full: refused ({code}) — as designed");
+    }
+    // Gauss-Seidel reads its relation off the full operand, and the one
+    // schedule certified for it serves both sweeps. A forged schedule —
+    // every row in one wave — must be refused.
+    for (name, m) in [("grid2d_8x8/gauss-seidel", &full), ("random/gauss-seidel", &Csr::from_triplets(&t))] {
+        let (nr, rp, ci) = (m.nrows(), m.rowptr(), m.colind());
+        let cert = match certify_wavefront(nr, rp, ci, Relation::GaussSeidel, None) {
+            Ok((_, cert)) => cert,
+            Err(diags) => {
+                report(name, &diags, &mut errors);
+                println!("  {name}: no certificate for a square pattern");
+                errors += 1;
+                continue;
+            }
+        };
+        schedules_certified += 1;
+        println!("  {name}: certified — {} levels, max width {}", cert.levels(), cert.max_level_width());
+        let forged = LevelSchedule::from_raw_unchecked(nr, (0..nr).collect(), vec![0, nr]);
+        match certify_wavefront(nr, rp, ci, Relation::GaussSeidel, Some(forged)) {
+            Err(diags) => println!("  {name}: one-wave forgery refused ({}) — as designed", diags[0].code),
+            Ok(_) => {
+                println!("  {name}: certified a forged one-wave schedule");
+                errors += 1;
+            }
+        }
     }
     println!("  {schedules_certified} wavefront schedules certified and independently verified");
 

@@ -28,10 +28,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 #
 # Pipeline containment gate: since the engine unification there is
 # exactly ONE compile pipeline (core's pipeline.rs). The gate-chain
-# entry points — size/pool/race for DO-ANY, wavefront
-# construction/verification for DO-ACROSS — may not be called from any
-# other core module: a second call site is a second pipeline.
-if grep -rn "should_parallelize(\|effective_workers(\|check_do_any(\|check_do_any_in(\|analyze_wavefront(\|certify_schedule(\|verify_level_schedule(" \
+# entry points — size/pool/race for DO-ANY, the wavefront pass's
+# certifier, analysis and verifier for DO-ACROSS — may not be called
+# from any other core module: a second call site is a second pipeline.
+if grep -rn "should_parallelize(\|effective_workers(\|check_do_any(\|check_do_any_in(\|certify_wavefront(\|analyze_wavefront(\|verify_level_schedule(" \
   crates/core/src --include='*.rs' \
   | grep -v "^crates/core/src/pipeline\.rs:"; then
   echo "ERROR: gate-chain call outside crates/core/src/pipeline.rs; all compiles route through pipeline::compile" >&2

@@ -3,13 +3,14 @@
 //! The unified execution context must be free when it does nothing:
 //! on a default (serial) ctx the vector ops and both fork/join
 //! primitives run their body inline on the calling thread with **zero
-//! heap allocations** per call. The same tally pins two per-request
+//! heap allocations** per call. The same tally pins the per-request
 //! costs of the compile path: a serial-context SymGS compile allocates
-//! O(1) bytes, and a structure key at most the format's one boxed
-//! enumeration — and the mixed SPMD inspector's, which allocates for
-//! the boundary and nothing that grows with the local matrix. And one
-//! inspector product: `SymGs` builds its sweep split with no temporary
-//! and applies it without allocating.
+//! O(1) bytes, a parallel one certifies one schedule, copies no index
+//! array and keeps nothing else, and a structure key costs at most the
+//! format's one boxed enumeration — and the mixed SPMD inspector's,
+//! which allocates for the boundary and nothing that grows with the
+//! local matrix. And one inspector product: `SymGs` builds its sweep
+//! split with no temporary and applies it without allocating.
 //!
 //! Allocation counting uses a thread-local tally inside a wrapper
 //! global allocator, so worker threads and test-harness threads never
@@ -18,9 +19,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bernoulli::{ExecCtx, Operator, SymGsEngine};
+use bernoulli::{compile_op, ExecCtx, OpSpec, Operands, Operator, SymGsEngine};
 use bernoulli_formats::gen;
 use bernoulli_formats::{Csr, FormatKind, SparseMatrix};
+use bernoulli_relational::semiring::F64Plus;
 use bernoulli_solvers::{vecops, Preconditioner, SymGs};
 use bernoulli_tune::{structure_key, structure_key_csr};
 
@@ -29,16 +31,27 @@ struct CountingAlloc;
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     static BYTES: Cell<u64> = const { Cell::new(0) };
+    static FREED: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
+    /// `(size, count)`: how many requests were exactly `size` bytes.
+    static WATCH: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let size = layout.size() as u64;
         ALLOCS.with(|c| c.set(c.get() + 1));
-        BYTES.with(|c| c.set(c.get() + layout.size() as u64));
+        BYTES.with(|c| c.set(c.get() + size));
+        LARGEST.with(|c| c.set(c.get().max(size)));
+        WATCH.with(|c| {
+            let (watched, count) = c.get();
+            c.set((watched, count + u64::from(size == watched)));
+        });
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        FREED.with(|c| c.set(c.get() + layout.size() as u64));
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -53,6 +66,30 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
     let out = f();
     let after = tally();
     ((after.0 - before.0, after.1 - before.1), out)
+}
+
+/// What `f` did to this thread's heap.
+#[derive(Debug)]
+struct Footprint {
+    /// Bytes requested.
+    bytes: u64,
+    /// Bytes requested and not freed: what `f`'s result keeps.
+    live: u64,
+    /// The largest single request.
+    largest: u64,
+    /// Requests of exactly the watched size.
+    watched: u64,
+}
+
+fn footprint<R>(watch: u64, f: impl FnOnce() -> R) -> (Footprint, R) {
+    let (bytes, freed) = (BYTES.with(|c| c.get()), FREED.with(|c| c.get()));
+    LARGEST.with(|c| c.set(0));
+    WATCH.with(|c| c.set((watch, 0)));
+    let out = f();
+    let bytes = BYTES.with(|c| c.get()) - bytes;
+    let freed = FREED.with(|c| c.get()) - freed;
+    let (largest, watched) = (LARGEST.with(|c| c.get()), WATCH.with(|c| c.get().1));
+    (Footprint { bytes, live: bytes.saturating_sub(freed), largest, watched }, out)
 }
 
 #[test]
@@ -112,15 +149,50 @@ fn default_ctx_operator_apply_is_allocation_free() {
 #[test]
 fn serial_ctx_symgs_compile_decides_its_gates_before_any_o_nnz_work() {
     // Under a serial context the size gate refuses the wavefront tier
-    // in O(1), so the compile must not build the symmetrised pattern
-    // (two O(nnz) vectors plus counting-sort scratch) just to drop it:
-    // the whole compile stays under one `rowptr`'s worth of bytes.
+    // in O(1), so the compile must not compute and verify a schedule
+    // just to drop it: the whole compile stays under one `rowptr`'s
+    // worth of bytes.
     let a = Csr::from_triplets(&gen::grid3d_7pt(16, 16, 16));
     let nrows = a.nrows() as u64;
     assert_eq!(nrows, 4096);
     let ((_, bytes), engine) = allocs_during(|| SymGsEngine::compile_in(&a, &ExecCtx::serial()));
-    assert!(engine.unwrap().sweep_schedules().is_none());
+    assert!(engine.unwrap().schedule().is_none());
     assert!(bytes < 8 * nrows, "serial SymGS compile allocated {bytes} bytes");
+}
+
+#[test]
+fn parallel_symgs_compile_certifies_one_schedule_and_keeps_nothing_else() {
+    // The Gauss-Seidel relation is read off the operand's own arrays, so
+    // no compile copies an index array: no request exceeds n words. A
+    // cold compile makes three n-word buffers — the level labels and
+    // the schedule's rows (one level computation) and the verifier's
+    // row positions (one verification); a warm replay two — the
+    // replayed rows and the verifier's positions. Beside them only
+    // level bounds and a few small requests are made (the plan's box;
+    // in debug builds the DO-ANY consult's loop nest), and what stays
+    // live is the armed plan: its schedule, bounds and box.
+    let a = Csr::from_triplets(&gen::grid3d_7pt(16, 16, 16));
+    let n = a.nrows() as u64;
+    let par = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    // The first compile also memoises the operand's index digest and
+    // the host's parallelism, once per operand and per process.
+    drop(SymGsEngine::compile_in(&a, &par));
+    let (cold, engine) = footprint(8 * n, || SymGsEngine::compile_in(&a, &par).unwrap());
+    let schedule = engine.schedule().expect("a 16^3 grid arms the wave tier");
+    let (bounds, small) = (8 * (schedule.num_levels() as u64 + 1), 2048);
+    let plan = 8 * n + bounds + 512;
+    assert_eq!(cold.watched, 3, "cold: {cold:?}");
+    assert!(cold.largest <= 8 * n && cold.bytes <= 3 * 8 * n + 2 * bounds + small, "cold: {cold:?}");
+    assert!(cold.live <= plan, "cold: {cold:?}, plan ≤ {plan} B");
+
+    let hints = Some(engine.hints());
+    let warm_compile = || compile_op::<F64Plus>(OpSpec::Symgs, Operands::Tri(&a), &par, hints.as_ref()).unwrap();
+    let (warm, replayed) = footprint(8 * n, warm_compile);
+    assert_eq!(replayed.schedule(), Some(schedule));
+    assert_eq!(warm.watched, 2, "warm: {warm:?}");
+    assert!(warm.largest <= 8 * n && warm.bytes <= 2 * 8 * n + bounds + small, "warm: {warm:?}");
+    assert!(warm.live <= plan, "warm: {warm:?}, plan ≤ {plan} B");
+    println!("parallel SymGS compile at 16^3: cold {cold:?}, warm {warm:?}");
 }
 
 #[test]
@@ -146,7 +218,7 @@ fn symgs_inspects_once_and_applies_without_allocating() {
     // sweeps cost under the same driver.
     let par = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
     let pre = SymGs::new(a, &par).unwrap();
-    assert!(pre.engine().sweep_schedules().is_some(), "{}", pre.engine().downgrade());
+    assert!(pre.engine().schedule().is_some(), "{}", pre.engine().downgrade());
     pre.precondition(&r, &mut z);
     let ((split, _), _) = allocs_during(|| pre.precondition(&r, &mut z));
     let ((general, _), _) = allocs_during(|| pre.engine().apply_ssor(pre.matrix(), 1.0, &r, &mut z).unwrap());

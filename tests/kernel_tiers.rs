@@ -21,9 +21,7 @@
 //! Worker counts are forced past the host's core count and the size
 //! gate is 1, so the drivers — not the environment — decide.
 
-use bernoulli_analysis::wavefront::{
-    analyze_wavefront, symmetrize_lower, symmetrize_upper, LevelSchedule, Triangle,
-};
+use bernoulli_analysis::wavefront::{analyze_wavefront, certify_wavefront, LevelSchedule, Relation, Triangle};
 use bernoulli_formats::inode::MAX_GROUP_ROWS;
 use bernoulli_formats::kernels;
 use bernoulli_formats::{
@@ -452,13 +450,13 @@ fn sptrsv_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
                 let exec = ctx(workers);
                 let case = format!("{tri:?}, unit={unit}, {workers} workers");
                 let mut got = vec![0.0; n];
-                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, &sched, &cert, &exec);
+                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, (&sched, &cert), &exec);
                 assert_eq!(bits(&got), bits(&want), "{case}");
                 let mut got = vec![0.0; n];
-                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, &fsched, &fcert, &exec);
+                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, (&fsched, &fcert), &exec);
                 assert_eq!(bits(&got), bits(&want), "{case}, foreign certificate");
                 let mut got = vec![0.0; n];
-                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, &one_level(n), &cert, &exec);
+                par_kernels::par_sptrsv_csr(&a, tri, unit, &b, &mut got, (&one_level(n), &cert), &exec);
                 assert_eq!(bits(&got), bits(&want), "{case}, forged schedule");
             }
         }
@@ -471,13 +469,14 @@ fn symgs_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
     let n = a.nrows();
     let b = rhs(n);
     let x0: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
-    for (tri, (rp, ci)) in [
-        (Triangle::Lower, symmetrize_lower(n, a.rowptr(), a.colind())),
-        (Triangle::Upper, symmetrize_upper(n, a.rowptr(), a.colind())),
-    ] {
-        let report = analyze_wavefront(n, &rp, &ci, tri);
-        let (sched, cert) = (report.schedule.unwrap(), report.certificate.unwrap());
-        assert!(sched.num_levels() > 1 && sched.max_level_width() > 1);
+    // One schedule over A's own arrays serves both sweeps.
+    let gauss_seidel = |m: &Csr| certify_wavefront(n, m.rowptr(), m.colind(), Relation::GaussSeidel, None).unwrap();
+    let (sched, cert) = gauss_seidel(&a);
+    assert!(sched.num_levels() > 1 && sched.max_level_width() > 1);
+    // Certificates of another operand: same pattern, other arrays.
+    let twin = a.clone();
+    let (fsched, fcert) = gauss_seidel(&twin);
+    for tri in [Triangle::Lower, Triangle::Upper] {
         for omega in [1.0, 1.3] {
             let mut want = x0.clone();
             kernels::symgs_sweep_csr(&a, tri, omega, &b, &mut want);
@@ -485,15 +484,13 @@ fn symgs_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
                 let exec = ctx(workers);
                 let case = format!("{tri:?}, ω={omega}, {workers} workers");
                 let mut got = x0.clone();
-                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, (&rp, &ci), &sched, &cert, &exec);
+                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, (&sched, &cert), &exec);
                 assert_eq!(bits(&got), bits(&want), "{case}");
-                // The certificate binds the symmetrized arrays, not A's own.
                 let mut got = x0.clone();
-                let own = (a.rowptr(), a.colind());
-                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, own, &sched, &cert, &exec);
-                assert_eq!(bits(&got), bits(&want), "{case}, foreign dependence arrays");
+                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, (&fsched, &fcert), &exec);
+                assert_eq!(bits(&got), bits(&want), "{case}, foreign certificate");
                 let mut got = x0.clone();
-                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, (&rp, &ci), &one_level(n), &cert, &exec);
+                par_kernels::par_symgs_csr(&a, tri, omega, &b, &mut got, (&one_level(n), &cert), &exec);
                 assert_eq!(bits(&got), bits(&want), "{case}, forged schedule");
             }
         }

@@ -228,7 +228,7 @@ fn schedule_replay_parity_and_forged_schedule_rejection() {
     // Forged: claim every row is independent (one flat level). BA4x
     // must refuse it and the engine must fall back to the serial sweep.
     let forged = LevelSchedule::from_raw_unchecked(n, (0..n).collect(), vec![0, n]);
-    let forged = OpHints { schedules: vec![forged], ..cold.hints() };
+    let forged = OpHints { schedule: Some(forged), ..cold.hints() };
     let bad: SptrsvEngine = compile_warm::<F64Plus, _>(solve, Operands::Tri(&l), &ctx, &forged);
     assert_eq!(bad.strategy(), Strategy::Specialized);
     assert_eq!(bad.downgrade(), Reason::ScheduleRejected);
@@ -236,9 +236,9 @@ fn schedule_replay_parity_and_forged_schedule_rejection() {
     bad.run(&l, &b, &mut x3).unwrap();
     assert_eq!(bits(&x1), bits(&x3), "rejected schedule must not corrupt the solve");
 
-    // SymGS: pair replay parity.
+    // SymGS: one schedule, both sweeps, replay parity.
     let gs_cold = SymGsEngine::compile_in(&sym, &ctx).unwrap();
-    assert!(gs_cold.sweep_schedules().is_some(), "both sweeps armed");
+    assert!(gs_cold.schedule().is_some(), "the sweeps armed");
     let gs_warm: SymGsEngine =
         compile_warm::<F64Plus, _>(OpSpec::Symgs, Operands::Tri(&sym), &ctx, &gs_cold.hints());
     let (mut z1, mut z2) = (vec![0.0; n], vec![0.0; n]);

@@ -325,7 +325,7 @@ fn csr_helper_key_matches_enum_key_on_suite() {
 #[test]
 fn loaded_entry_without_schedules_compiles_cold_instead_of_panicking() {
     // A well-formed cache file can carry a wavefront entry with no
-    // schedules (hand-edited, or written by a build that cached serial
+    // schedule (hand-edited, or written by a build that cached serial
     // verdicts). Replaying it must degrade to the cold compile — same
     // verdict, same bits as the uncached engine — not panic.
     use bernoulli::{SptrsvEngine, SymGsEngine, TriangularOp};
@@ -342,7 +342,7 @@ fn loaded_entry_without_schedules_compiles_cold_instead_of_panicking() {
     let entry = |key: StructureKey, op: &str| {
         format!(
             "{{\"structure\":\"{}\",\"op\":\"{op}\",\"strategy\":\"parallel\",\"plan_shape\":\"\",\
-             \"fast_eligible\":false,\"calibrated\":null,\"schedules\":[]}}",
+             \"fast_eligible\":false,\"calibrated\":null,\"rows\":null,\"level_ptr\":null}}",
             key.hex()
         )
     };
@@ -383,7 +383,7 @@ fn loaded_entry_without_schedules_compiles_cold_instead_of_panicking() {
 
     // Both compiles armed their schedules, so the empty entries were
     // overwritten: the next compile replays for real.
-    assert!(!cache.to_json().contains("\"schedules\":[]"), "{}", cache.to_json());
+    assert!(!cache.to_json().contains("\"rows\":null"), "{}", cache.to_json());
 }
 
 #[test]
@@ -419,21 +419,116 @@ fn unsorted_csr_keys_apart_from_its_sorted_twin_and_neither_replays_onto_the_oth
     assert_eq!((stats.misses, stats.hits, stats.spmv_entries), (2, 0, 2));
 }
 
-#[test]
-fn a_v2_cache_file_loads_as_an_empty_cache() {
-    // The digest layout changed under the v2 keys, so the tag moved to
-    // v3 and a v2 file is wholesale stale: cold, not an error.
-    assert_eq!(SCHEMA, "bernoulli.plancache/v3");
-    let cache = PlanCache::new();
-    let a = SparseMatrix::from_triplets(FormatKind::Csr, &bernoulli_formats::gen::grid2d_5pt(6, 6));
-    cache.spmv_engine(&a, &ExecCtx::serial()).unwrap();
-    let v2 = cache.to_json().replace(SCHEMA, "bernoulli.plancache/v2");
-    assert!(PlanCache::from_json(&v2).unwrap_err().starts_with("schema mismatch"));
+/// The lower triangle of `t`, diagonal stored last.
+fn lower_of(t: &Triplets) -> Csr {
+    let e: Vec<_> = t.canonicalize().entries().iter().copied().filter(|&(r, c, _)| c <= r).collect();
+    Csr::from_triplets(&Triplets::from_entries(t.nrows(), t.ncols(), &e))
+}
 
-    let dir = std::env::temp_dir().join("bernoulli_plancache_v2");
+#[test]
+fn a_v3_cache_file_loads_as_an_empty_cache() {
+    // v3 kept a `[forward, backward]` schedule pair per SymGS entry
+    // (and `[solve]` per SpTRSV one) in a `schedules` array; v4 keeps
+    // one schedule inline. A v3 file is wholesale stale: cold, not an
+    // error, and what compiles next through it compiles cold.
+    assert_eq!(SCHEMA, "bernoulli.plancache/v4");
+    let t = bernoulli_formats::gen::grid2d_5pt(6, 6);
+    let a = Csr::from_triplets(&t);
+    let n = a.nrows();
+    let sched = |rows: Vec<usize>| format!("{{\"nrows\":{n},\"rows\":{rows:?},\"level_ptr\":[0,{n}]}}");
+    let v3 = format!(
+        "{{\"schema\":\"bernoulli.plancache/v3\",\"ops\":[{{\"structure\":\"{}\",\"op\":\"symgs\",\
+         \"strategy\":\"parallel\",\"plan_shape\":\"\",\"fast_eligible\":false,\"calibrated\":null,\
+         \"schedules\":[{},{}]}}]}}",
+        structure_key_csr(&a).hex(),
+        sched((0..n).collect()),
+        sched((0..n).rev().collect()),
+    );
+    assert!(PlanCache::from_json(&v3).unwrap_err().starts_with("schema mismatch"));
+
+    let dir = std::env::temp_dir().join("bernoulli_plancache_v3");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.json");
-    std::fs::write(&path, v2).unwrap();
-    assert!(PlanCache::load(&path).unwrap().is_empty());
+    std::fs::write(&path, v3).unwrap();
+    let cache = PlanCache::load(&path).unwrap();
+    assert!(cache.is_empty());
+    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let eng = cache.symgs_engine(&a, &ctx).unwrap();
+    assert_eq!((cache.stats().misses, eng.downgrade()), (1, bernoulli::Reason::None));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache file is whatever is on disk when it is read back. Every
+/// byte-level mutant of a saved v4 file loads or is an error — never a
+/// panic — and whatever schedule a loaded mutant hands the wavefront
+/// compiles, the wave tier arms only on one the verifier accepts for
+/// the operand, and the results stay the uncached engines' bits.
+#[test]
+fn byte_mutants_of_a_saved_cache_load_or_fail_and_never_arm_past_the_verifier() {
+    use bernoulli::{SptrsvEngine, Strategy, SymGsEngine, TriangularOp};
+    use bernoulli_analysis::wavefront::{certify_wavefront, Relation, Triangle};
+    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let t = bernoulli_formats::gen::grid2d_5pt(5, 4);
+    let (full, l) = (Csr::from_triplets(&t), lower_of(&t));
+    let (n, op) = (full.nrows(), TriangularOp::Lower { unit_diag: false });
+    let b: Vec<f64> = (0..n).map(|i| ((i * 7 + 1) % 13) as f64 - 6.0).collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let solve = |e: &SptrsvEngine| {
+        let mut x = vec![0.0; n];
+        e.run(&l, &b, &mut x).unwrap();
+        bits(&x)
+    };
+    let ssor = |e: &SymGsEngine| {
+        let mut z = vec![0.0; n];
+        e.apply_ssor(&full, 1.0, &b, &mut z).unwrap();
+        bits(&z)
+    };
+    let (want_x, want_z) = (solve(&SptrsvEngine::compile(&l, op).unwrap()), ssor(&SymGsEngine::compile(&full).unwrap()));
+
+    let cache = PlanCache::new();
+    let (cold_l, cold_a) = (cache.sptrsv_engine(&l, op, &ctx).unwrap(), cache.symgs_engine(&full, &ctx).unwrap());
+    assert_eq!((cold_l.strategy(), cold_a.strategy()), (Strategy::Parallel, Strategy::Parallel));
+    let dir = std::env::temp_dir().join("bernoulli_plancache_mutants");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    cache.save(&path).unwrap();
+    let saved = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(saved.is_ascii());
+
+    let verifies = |m: &Csr, relation, e: Option<&bernoulli_analysis::LevelSchedule>| {
+        e.is_none_or(|s| certify_wavefront(n, m.rowptr(), m.colind(), relation, Some(s.clone())).is_ok())
+    };
+    let (mut loaded, mut armed) = (0, 0);
+    for at in 0..saved.len() {
+        for byte in [None, Some(b'['), Some(b'{'), Some(b'"'), Some(b','), Some(b'0'), Some(b'7'), Some(b'-'), Some(b'x')] {
+            let mut mutant = saved.clone();
+            match byte {
+                None => drop(mutant.remove(at)),
+                Some(c) if mutant[at] != c => mutant[at] = c,
+                Some(_) => continue,
+            }
+            let Ok(mutated) = PlanCache::from_json(std::str::from_utf8(&mutant).unwrap()) else { continue };
+            loaded += 1;
+            let (Ok(el), Ok(ea)) = (mutated.sptrsv_engine(&l, op, &ctx), mutated.symgs_engine(&full, &ctx)) else {
+                panic!("a loaded mutant failed a compile at byte {at}");
+            };
+            let case = format!("byte {at} -> {byte:?}");
+            assert!(verifies(&l, Relation::Solve(Triangle::Lower), el.schedule()), "{case}");
+            assert!(verifies(&full, Relation::GaussSeidel, ea.schedule()), "{case}");
+            armed += usize::from(el.schedule().is_some() && ea.schedule().is_some());
+            // A schedule other than the cold one that still armed runs
+            // for real: the same bits or the test fails.
+            if el.schedule() != cold_l.schedule() {
+                assert_eq!(solve(&el), want_x, "{case}");
+            }
+            if ea.schedule() != cold_a.schedule() {
+                assert_eq!(ssor(&ea), want_z, "{case}");
+            }
+        }
+    }
+    println!("{} bytes: {loaded} mutants loaded, {armed} armed both ops", saved.len());
+    assert!(loaded > 0 && armed > 0, "{loaded} mutants loaded, {armed} armed");
+    // Nesting deep enough to exhaust the stack is an error, not an abort.
+    assert!(PlanCache::from_json(&"[".repeat(200_000)).is_err());
 }
