@@ -36,13 +36,18 @@
 //!   computes level sets, verifies them independently (BA4x) and
 //!   issues an unforgeable [`wavefront::WavefrontCert`] licensing
 //!   level-parallel execution of one [`wavefront::Relation`].
+//!
+//! [`binding`] holds the one O(1) operand check every certificate —
+//! the fast tier's and the wavefront pass's — re-runs at kernel entry.
 
+pub mod binding;
 pub mod diag;
 pub mod plan_verify;
 pub mod race;
 pub mod validate;
 pub mod wavefront;
 
+pub use binding::OperandBinding;
 pub use diag::{codes, Diagnostic, Severity, Span};
 pub use plan_verify::{verify_plan, verify_plan_hook};
 pub use race::{check_do_any, ParallelCertificate, RaceReport};

@@ -17,8 +17,8 @@
 //! [`LevelSchedule`] (or takes a cached one), checks it once with the
 //! independent verifier, and issues an unforgeable [`WavefrontCert`] —
 //! the DO-ACROSS analogue of the race checker's certificates — that
-//! names the relation it proves and binds the operand's own index
-//! arrays (pointer + length, like `fast.rs` certificates) and the exact
+//! names the relation it proves and binds the operand (by the one
+//! [`OperandBinding`], like the fast-tier certificates) and the exact
 //! schedule (FNV-1a over its contents). Kernels re-check
 //! [`WavefrontCert::covers`] at entry and fall back to serial on any
 //! mismatch. [`analyze_wavefront`] is the solve relation's cold
@@ -32,6 +32,7 @@
 //! missing/duplicate/out-of-range row, `BA44` same-level dependence
 //! overlap.
 
+use crate::binding::{fnv, index_digest, OperandBinding, FNV_OFFSET};
 use crate::diag::{codes, Diagnostic, Span};
 
 /// Which half of the matrix a sweep traverses — and therefore which
@@ -141,26 +142,8 @@ impl LevelSchedule {
     }
 }
 
-/// O(1) identity fingerprint of a slice: address + length. The same
-/// scheme as the fast-tier certificates — sound against accidental
-/// operand swaps because nothing in the workspace exposes `&mut`
-/// access to index structure after construction.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct SliceId {
-    ptr: usize,
-    len: usize,
-}
-
-fn slice_id<T>(s: &[T]) -> SliceId {
-    SliceId { ptr: s.as_ptr() as usize, len: s.len() }
-}
-
-fn fnv(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x100000001b3)
-}
-
 fn schedule_hash(s: &LevelSchedule) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
+    let mut h = FNV_OFFSET;
     h = fnv(h, s.nrows as u64);
     h = fnv(h, s.level_ptr.len() as u64);
     for &p in &s.level_ptr {
@@ -174,16 +157,13 @@ fn schedule_hash(s: &LevelSchedule) -> u64 {
 
 /// Proof that a schedule admits DO-ACROSS level-parallel execution of
 /// one [`Relation`] over one operand. Only [`certify_wavefront`]
-/// constructs one (private fields); it binds the relation, the
-/// operand's index arrays (by slice identity) and the exact schedule
-/// (by content hash), and [`WavefrontCert::covers`] re-checks all
-/// three at kernel entry.
+/// constructs one (private fields); it binds the relation, the operand
+/// ([`OperandBinding`]) and the exact schedule (by content hash), and
+/// [`WavefrontCert::covers`] re-checks all three at kernel entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WavefrontCert {
-    nrows: usize,
     relation: Relation,
-    rowptr: SliceId,
-    colind: SliceId,
+    operand: OperandBinding,
     schedule_hash: u64,
     levels: usize,
     max_width: usize,
@@ -191,22 +171,16 @@ pub struct WavefrontCert {
 
 impl WavefrontCert {
     /// Does this certificate license running `sched` as a `relation`
-    /// sweep over the given pattern? True only for the exact slices
-    /// certified, the relation proved and the schedule verified.
-    pub fn covers(
-        &self,
-        nrows: usize,
-        rowptr: &[usize],
-        colind: &[usize],
-        relation: Relation,
-        sched: &LevelSchedule,
-    ) -> bool {
-        self.nrows == nrows
-            && self.relation == relation
-            && self.rowptr == slice_id(rowptr)
-            && self.colind == slice_id(colind)
-            && sched.nrows == nrows
-            && self.schedule_hash == schedule_hash(sched)
+    /// sweep over the operand `op`? True only for the operand certified,
+    /// the relation proved and the schedule verified.
+    pub fn covers(&self, op: &OperandBinding, relation: Relation, sched: &LevelSchedule) -> bool {
+        self.binds(op) && self.relation == relation && self.schedule_hash == schedule_hash(sched)
+    }
+
+    /// Is `op` the operand this certificate was issued for? The O(1)
+    /// part of [`covers`](Self::covers).
+    pub fn binds(&self, op: &OperandBinding) -> bool {
+        self.operand == *op
     }
 
     /// Number of levels in the certified schedule.
@@ -224,7 +198,7 @@ impl WavefrontCert {
         if self.levels == 0 {
             0.0
         } else {
-            self.nrows as f64 / self.levels as f64
+            self.operand.nrows() as f64 / self.levels as f64
         }
     }
 }
@@ -384,16 +358,18 @@ fn levels(
 /// The one DO-ACROSS certifier: the schedule — `cached` (say, rebuilt
 /// from a plan cache with [`LevelSchedule::from_raw_unchecked`]) or the
 /// longest-path levels of `relation` — checked once by the independent
-/// verifier, and a [`WavefrontCert`] binding the relation, the
-/// operand's own index arrays and that schedule. A cached schedule
-/// skips the level computation, never the verification, so a stale or
-/// forged one can never arm a parallel sweep. A malformed pattern, a
-/// cyclic relation or a rejected schedule returns the diagnostics
-/// instead.
+/// verifier, and a [`WavefrontCert`] binding the relation, the square
+/// operand — its index arrays and `digest`, their [`index_digest`] (the
+/// operand's memoised `index_digest()`) — and that schedule. A cached
+/// schedule skips the level computation, never the verification, so a
+/// stale or forged one can never arm a parallel sweep. A malformed
+/// pattern, a cyclic relation or a rejected schedule returns the
+/// diagnostics instead.
 pub fn certify_wavefront(
     nrows: usize,
     rowptr: &[usize],
     colind: &[usize],
+    digest: u64,
     relation: Relation,
     cached: Option<LevelSchedule>,
 ) -> Result<(LevelSchedule, WavefrontCert), Vec<Diagnostic>> {
@@ -412,10 +388,8 @@ pub fn certify_wavefront(
         return Err(verdict);
     }
     let cert = WavefrontCert {
-        nrows,
         relation,
-        rowptr: slice_id(rowptr),
-        colind: slice_id(colind),
+        operand: OperandBinding::new(nrows, nrows, [rowptr, colind], digest),
         schedule_hash: schedule_hash(&sched),
         levels: sched.num_levels(),
         max_width: sched.max_level_width(),
@@ -425,18 +399,20 @@ pub fn certify_wavefront(
 
 /// The cold analysis of a triangular solve, as a report:
 /// [`certify_wavefront`] for [`Relation::Solve`] with no cached
-/// schedule. Takes the raw CSR index structure rather than a format
-/// type so the pass stays below `bernoulli-formats` in the crate DAG;
-/// callers pass `csr.rowptr()` / `csr.colind()` (values are irrelevant —
-/// only the pattern carries dependences; an explicitly stored zero is
-/// treated as a dependence, which is conservative and always safe).
+/// schedule, digesting the arrays itself. Takes the raw CSR index
+/// structure rather than a format type so the pass stays below
+/// `bernoulli-formats` in the crate DAG; callers pass `csr.rowptr()` /
+/// `csr.colind()` (values are irrelevant — only the pattern carries
+/// dependences; an explicitly stored zero is treated as a dependence,
+/// which is conservative and always safe).
 pub fn analyze_wavefront(
     nrows: usize,
     rowptr: &[usize],
     colind: &[usize],
     triangle: Triangle,
 ) -> WavefrontReport {
-    match certify_wavefront(nrows, rowptr, colind, Relation::Solve(triangle), None) {
+    let digest = index_digest(&[rowptr, colind]);
+    match certify_wavefront(nrows, rowptr, colind, digest, Relation::Solve(triangle), None) {
         Ok((sched, cert)) => WavefrontReport {
             schedule: Some(sched),
             certificate: Some(cert),
@@ -613,6 +589,22 @@ mod tests {
 
     const LOWER: Relation = Relation::Solve(Triangle::Lower);
 
+    /// [`certify_wavefront`] with the pattern's own digest.
+    fn certify(
+        n: usize,
+        rp: &[usize],
+        ci: &[usize],
+        relation: Relation,
+        cached: Option<LevelSchedule>,
+    ) -> Result<(LevelSchedule, WavefrontCert), Vec<Diagnostic>> {
+        certify_wavefront(n, rp, ci, index_digest(&[rp, ci]), relation, cached)
+    }
+
+    /// The binding a CSR operand over these arrays presents.
+    fn op(n: usize, rp: &[usize], ci: &[usize]) -> OperandBinding {
+        OperandBinding::new(n, n, [rp, ci], index_digest(&[rp, ci]))
+    }
+
     #[test]
     fn chain_is_serial_and_certified() {
         let (rp, ci) = chain(6);
@@ -675,7 +667,7 @@ mod tests {
         let rep = analyze_wavefront(2, &[0, 1, 2], &[0, 7], Triangle::Lower);
         assert!(rep.diagnostics.iter().any(|d| d.code == codes::FMT_INDEX_OOB));
         // The Gauss-Seidel relation is shape-checked before it is read.
-        let gs = certify_wavefront(2, &[0, 1, 2], &[0, 7], Relation::GaussSeidel, None);
+        let gs = certify(2, &[0, 1, 2], &[0, 7], Relation::GaussSeidel, None);
         assert!(gs.unwrap_err().iter().any(|d| d.code == codes::FMT_INDEX_OOB));
     }
 
@@ -725,22 +717,26 @@ mod tests {
         let (rp, ci) = chain(4);
         let rep = analyze_wavefront(4, &rp, &ci, Triangle::Lower);
         let (s, c) = (rep.schedule.unwrap(), rep.certificate.unwrap());
-        assert!(c.covers(4, &rp, &ci, LOWER, &s));
+        assert!(c.covers(&op(4, &rp, &ci), LOWER, &s));
         // Different slices (same contents) are refused — identity, not value.
         let rp2 = rp.clone();
-        assert!(!c.covers(4, &rp2, &ci, LOWER, &s));
+        assert!(!c.covers(&op(4, &rp2, &ci), LOWER, &s));
         // A tampered schedule is refused by the content hash.
         let mut rows = s.rows().to_vec();
         rows.swap(0, 3);
         let forged = LevelSchedule::from_raw_unchecked(4, rows, s.level_ptr().to_vec());
-        assert!(!c.covers(4, &rp, &ci, LOWER, &forged));
+        assert!(!c.covers(&op(4, &rp, &ci), LOWER, &forged));
         // Another relation over the same arrays is refused: a solve's
         // proof never licenses a Gauss-Seidel sweep, nor the reverse.
-        assert!(!c.covers(4, &rp, &ci, Relation::Solve(Triangle::Upper), &s));
-        assert!(!c.covers(4, &rp, &ci, Relation::GaussSeidel, &s));
-        let (gs, gc) = certify_wavefront(4, &rp, &ci, Relation::GaussSeidel, None).unwrap();
+        assert!(!c.covers(&op(4, &rp, &ci), Relation::Solve(Triangle::Upper), &s));
+        assert!(!c.covers(&op(4, &rp, &ci), Relation::GaussSeidel, &s));
+        let (gs, gc) = certify(4, &rp, &ci, Relation::GaussSeidel, None).unwrap();
         assert_eq!(gs, s, "a lower chain orders its rows the same way under both relations");
-        assert!(gc.covers(4, &rp, &ci, Relation::GaussSeidel, &s) && !gc.covers(4, &rp, &ci, LOWER, &s));
+        assert!(gc.covers(&op(4, &rp, &ci), Relation::GaussSeidel, &s) && !gc.covers(&op(4, &rp, &ci), LOWER, &s));
+        // Another pattern in the certified buffers is refused by the digest.
+        let mut ci = ci;
+        ci[1] = 1;
+        assert!(!c.covers(&op(4, &rp, &ci), LOWER, &s));
     }
 
     #[test]
@@ -753,19 +749,19 @@ mod tests {
         // like a freshly analyzed one.
         let rebuilt =
             LevelSchedule::from_raw_unchecked(s.nrows(), s.rows().to_vec(), s.level_ptr().to_vec());
-        let (replayed, cert) = certify_wavefront(5, &rp, &ci, LOWER, Some(rebuilt)).unwrap();
+        let (replayed, cert) = certify(5, &rp, &ci, LOWER, Some(rebuilt)).unwrap();
         assert_eq!(replayed, s);
-        assert!(cert.covers(5, &rp, &ci, LOWER, &s));
+        assert!(cert.covers(&op(5, &rp, &ci), LOWER, &s));
         // A stale/corrupt cached schedule is refused with diagnostics,
         // never certified.
         let mut rows = s.rows().to_vec();
         rows.swap(0, 4);
         let forged = LevelSchedule::from_raw_unchecked(5, rows, s.level_ptr().to_vec());
-        let diags = certify_wavefront(5, &rp, &ci, LOWER, Some(forged)).unwrap_err();
+        let diags = certify(5, &rp, &ci, LOWER, Some(forged)).unwrap_err();
         assert!(diags.iter().any(|d| d.code == codes::WAVE_NON_TOPOLOGICAL), "{diags:?}");
         // Schedule for the wrong triangle direction is refused too.
         let upper = Relation::Solve(Triangle::Upper);
-        assert!(certify_wavefront(5, &rp, &ci, upper, Some(s)).is_err());
+        assert!(certify(5, &rp, &ci, upper, Some(s)).is_err());
     }
 
     #[test]
@@ -775,11 +771,11 @@ mod tests {
         // row per level, where the lower triangle alone allows two.
         let rowptr = vec![0, 2, 3, 5];
         let colind = vec![0, 1, 1, 1, 2];
-        let (s, _) = certify_wavefront(3, &rowptr, &colind, Relation::GaussSeidel, None).unwrap();
+        let (s, _) = certify(3, &rowptr, &colind, Relation::GaussSeidel, None).unwrap();
         assert_eq!((s.rows(), s.level_ptr()), (&[0, 1, 2][..], &[0, 1, 2, 3][..]));
         // Merging rows 0 and 1 ignores the anti-dependence: BA44.
         let merged = LevelSchedule::from_raw_unchecked(3, vec![0, 1, 2], vec![0, 2, 3]);
-        let diags = certify_wavefront(3, &rowptr, &colind, Relation::GaussSeidel, Some(merged)).unwrap_err();
+        let diags = certify(3, &rowptr, &colind, Relation::GaussSeidel, Some(merged)).unwrap_err();
         assert!(diags.iter().any(|d| d.code == codes::WAVE_LEVEL_OVERLAP), "{diags:?}");
     }
 
@@ -823,7 +819,7 @@ mod tests {
                 colind.push(i);
                 rowptr.push(colind.len());
             }
-            let (gs, cert) = certify_wavefront(n, &rowptr, &colind, Relation::GaussSeidel, None).unwrap();
+            let (gs, cert) = certify(n, &rowptr, &colind, Relation::GaussSeidel, None).unwrap();
             let (sp, si) = symmetrized_lower(n, &rowptr, &colind);
             let solve = analyze_wavefront(n, &sp, &si, Triangle::Lower).schedule.unwrap();
             assert_eq!(gs, solve, "n = {n}");

@@ -474,7 +474,8 @@ fn wave_decision(
         return (GateDecision::serial(true, Reason::TransposedScatter), None);
     };
     let refused = if cached.is_some() { Reason::ScheduleRejected } else { Reason::NotTriangular };
-    let Ok((schedule, cert)) = certify_wavefront(a.nrows(), a.rowptr(), a.colind(), relation, cached.cloned())
+    let Ok((schedule, cert)) =
+        certify_wavefront(a.nrows(), a.rowptr(), a.colind(), a.index_digest(), relation, cached.cloned())
     else {
         return (GateDecision::serial(true, refused), None);
     };
@@ -490,7 +491,7 @@ fn wave_decision(
         max_level_width: cert.max_level_width() as u64,
         mean_level_width: cert.mean_level_width(),
     };
-    (decision, wide.then(|| Box::new(WavePlan { id: OperandId::of(a), schedule, cert })))
+    (decision, wide.then(|| Box::new(WavePlan { schedule, cert })))
 }
 
 /// The one obs `strategies` record emitter: every op kind's
@@ -637,32 +638,6 @@ fn algebra_kernel_name(base: &str, algebra: &'static str) -> String {
     }
 }
 
-/// Operand identity of an armed [`WavePlan`]: heap addresses + lengths
-/// of the index arrays, the dimension, and the operand's memoised
-/// index digest. Moving the owning [`Csr`] keeps the heap buffers in
-/// place, so the fingerprint survives moves but rejects clones; the
-/// digest rejects a different pattern the allocator placed at a
-/// dropped operand's addresses — the same containment story as the
-/// fast-tier certificates, O(1) after the operand's first hash.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct OperandId {
-    rowptr: (usize, usize),
-    colind: (usize, usize),
-    nrows: usize,
-    digest: u64,
-}
-
-impl OperandId {
-    fn of(a: &Csr) -> OperandId {
-        OperandId {
-            rowptr: (a.rowptr().as_ptr() as usize, a.rowptr().len()),
-            colind: (a.colind().as_ptr() as usize, a.colind().len()),
-            nrows: a.nrows(),
-            digest: a.index_digest(),
-        }
-    }
-}
-
 /// The planning verdicts a structure-keyed plan cache stores per
 /// `(StructureKey, OpKind)` and feeds back through [`compile`].
 /// Everything here is a cached *decision* — strategy tier, plan shape,
@@ -715,12 +690,11 @@ impl PlanSource {
 }
 
 /// One armed DO-ACROSS plan, SpTRSV's and SymGS's alike: the level
-/// schedule, the certificate proving it for the op's relation over the
-/// operand's *own* index arrays, and that operand's identity. Nothing
-/// else is kept: the Gauss-Seidel relation is read off the operand, so
-/// there is no dependence pattern to hold.
+/// schedule and the certificate proving it for the op's relation over
+/// the operand it binds. Nothing else is kept: the Gauss-Seidel
+/// relation is read off the operand, so there is no dependence pattern
+/// to hold.
 struct WavePlan {
-    id: OperandId,
     schedule: LevelSchedule,
     cert: WavefrontCert,
 }
@@ -1393,13 +1367,12 @@ impl CompiledOp {
     }
 
     /// The wave plan, when the parallel tier is armed *for this
-    /// operand*: the certificate binds `a`'s index arrays by address
-    /// and length, and the operand identity adds their digest, so
-    /// neither a clone nor another pattern at recycled addresses
-    /// inherits it.
+    /// operand*: the certificate's binding check, the one the parallel
+    /// driver repeats, so neither a clone nor another pattern at
+    /// recycled addresses inherits it.
     fn armed(&self, a: &Csr) -> Option<Wave<'_>> {
         let w = self.wave.as_deref()?;
-        (w.id == OperandId::of(a)).then_some((&w.schedule, &w.cert))
+        w.cert.binds(&a.binding()).then_some((&w.schedule, &w.cert))
     }
 
     /// One weighted Gauss-Seidel sweep, forward for [`Triangle::Lower`]

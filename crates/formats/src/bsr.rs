@@ -12,7 +12,6 @@
 //! columns gathered from its block row (sorted, O(log) search via the
 //! block column index).
 
-use crate::fast::IndexDigest;
 use crate::kernels::{self, Family, SpmvBody};
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
@@ -39,8 +38,6 @@ pub struct Bsr {
     blocks: Vec<f64>,
     /// Stored nonzero count (zeros inside blocks excluded).
     nnz: usize,
-    /// Memoised [`Bsr::index_digest`].
-    digest: IndexDigest,
 }
 
 impl Bsr {
@@ -80,8 +77,7 @@ impl Bsr {
             blocks[k * b * b + (r % b) * b + (cc % b)] = v;
             nnz += 1;
         }
-        let digest = IndexDigest::default();
-        Bsr { nrows: t.nrows(), ncols: t.ncols(), b, browptr, bcolind, blocks, nnz, digest }
+        Bsr { nrows: t.nrows(), ncols: t.ncols(), b, browptr, bcolind, blocks, nnz }
     }
 
     pub fn to_triplets(&self) -> Triplets {
@@ -116,26 +112,6 @@ impl Bsr {
     /// Storage footprint in value slots (blocks × b²).
     pub fn stored_len(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Block-row pointers (length `nrows/b + 1`).
-    pub fn browptr(&self) -> &[usize] {
-        &self.browptr
-    }
-
-    /// Block-column indices, sorted within block rows.
-    pub fn bcolind(&self) -> &[usize] {
-        &self.bcolind
-    }
-
-    /// Block payloads, row-major `b × b` per stored block.
-    pub fn blocks(&self) -> &[f64] {
-        &self.blocks
-    }
-
-    /// Content digest of `browptr ++ bcolind` (see [`crate::Csr::index_digest`]).
-    pub fn index_digest(&self) -> u64 {
-        self.digest.of(&[&self.browptr, &self.bcolind])
     }
 
     /// `y += A·x` on the classical f64 algebra (the serial tier of the

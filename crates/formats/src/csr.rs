@@ -7,6 +7,7 @@
 //! outer row level over sorted, binary-searchable column entries.
 
 use crate::fast::IndexDigest;
+use bernoulli_analysis::binding::OperandBinding;
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
@@ -31,7 +32,7 @@ pub struct Csr {
     /// have no `_mut` accessor, so it cannot go stale.
     diag: OnceLock<DiagIndex>,
     /// Same argument: filled by the first certificate bound to this
-    /// operand ([`Csr::index_digest`]).
+    /// operand ([`Csr::binding`]).
     digest: IndexDigest,
 }
 
@@ -245,10 +246,17 @@ impl Csr {
         })
     }
 
-    /// Content digest of `rowptr ++ colind` — what a [`crate::fast`]
-    /// certificate binds. One O(nnz) pass on first use, O(1) after.
+    /// Content digest of `rowptr ++ colind` — what a certificate
+    /// binds. One O(nnz) pass on first use, O(1) after.
     pub fn index_digest(&self) -> u64 {
         self.digest.of(&[&self.rowptr, &self.colind])
+    }
+
+    /// What every certificate over this operand binds: its order, its
+    /// index arrays and their [`index_digest`](Self::index_digest).
+    #[inline]
+    pub fn binding(&self) -> OperandBinding {
+        OperandBinding::new(self.nrows, self.ncols, [&self.rowptr, &self.colind], self.index_digest())
     }
 
     /// Whether every row stores its diagonal entry **last**

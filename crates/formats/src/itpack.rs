@@ -11,6 +11,7 @@
 //! the nonzeros.
 
 use crate::fast::IndexDigest;
+use bernoulli_analysis::binding::OperandBinding;
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_sorted_strict, meta_mismatch, Validate,
@@ -112,6 +113,13 @@ impl Itpack {
     /// [`crate::Csr::index_digest`]).
     pub fn index_digest(&self) -> u64 {
         self.digest.of(&[&self.colind])
+    }
+
+    /// What a certificate over this operand binds (see
+    /// [`crate::Csr::binding`]): `colind` is the one index array.
+    #[inline]
+    pub fn binding(&self) -> OperandBinding {
+        OperandBinding::new(self.nrows, self.ncols, [&self.colind, &[]], self.index_digest())
     }
 
     /// Raw column-major arrays (for the hand-written kernel).

@@ -13,7 +13,6 @@
 //! the relation is indistinguishable from CSR's — only the physical
 //! layout (and the O(1) diagonal access) differs.
 
-use crate::fast::IndexDigest;
 use crate::kernels::{self, Family, SpmvBody};
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
@@ -40,8 +39,6 @@ pub struct Msr {
     vals: Vec<f64>,
     /// Stored nonzeros (diagonal zeros excluded).
     nnz: usize,
-    /// Memoised [`Msr::index_digest`].
-    digest: IndexDigest,
 }
 
 impl Msr {
@@ -75,8 +72,7 @@ impl Msr {
                 vals[at] = v;
             }
         }
-        let digest = IndexDigest::default();
-        Msr { nrows, ncols: t.ncols(), diag, rowptr, colind, vals, nnz, digest }
+        Msr { nrows, ncols: t.ncols(), diag, rowptr, colind, vals, nnz }
     }
 
     pub fn to_triplets(&self) -> Triplets {
@@ -109,26 +105,6 @@ impl Msr {
     /// O(1) diagonal access — the format's raison d'être.
     pub fn diagonal(&self) -> &[f64] {
         &self.diag
-    }
-
-    /// Off-diagonal row pointers (length `nrows + 1`).
-    pub fn rowptr(&self) -> &[usize] {
-        &self.rowptr
-    }
-
-    /// Off-diagonal column indices, sorted within rows.
-    pub fn colind(&self) -> &[usize] {
-        &self.colind
-    }
-
-    /// Off-diagonal values, parallel to [`Msr::colind`].
-    pub fn vals(&self) -> &[f64] {
-        &self.vals
-    }
-
-    /// Content digest of `rowptr ++ colind` (see [`crate::Csr::index_digest`]).
-    pub fn index_digest(&self) -> u64 {
-        self.digest.of(&[&self.rowptr, &self.colind])
     }
 
     /// `y += A·x` on the classical f64 algebra (the serial tier of the

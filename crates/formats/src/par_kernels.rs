@@ -38,8 +38,9 @@
 //! identical** to the serial sweep for any worker count. Soundness is
 //! not taken on faith: the driver re-checks [`WavefrontCert::covers`]
 //! at entry — the certificate is only constructible by the analysis
-//! pass and binds the relation it proved, the operand's index slices
-//! and the exact schedule — and falls back to the serial sweep on any
+//! pass and binds the relation it proved, the operand (its
+//! `OperandBinding`: index arrays and their digest) and the exact
+//! schedule — and falls back to the serial sweep on any
 //! mismatch, exactly like the fast tier's certificate re-check.
 //!
 //! The primitives own the worker gate and the chunk geometry; below
@@ -177,7 +178,7 @@ pub(crate) fn par_wave(
 ) {
     if exec.threads_hint() <= 1
         || x.is_empty()
-        || !cert.covers(a.nrows(), a.rowptr(), a.colind(), relation, sched)
+        || !cert.covers(&a.binding(), relation, sched)
     {
         return kernels::sweep(tri, x, row);
     }

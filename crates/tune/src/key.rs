@@ -16,15 +16,9 @@
 //! (a hand-built CSR with unsorted rows keys apart from its sorted twin
 //! and simply compiles cold).
 
+use bernoulli_analysis::binding::{fnv, FNV_OFFSET};
 use bernoulli_formats::{Csr, FormatKind, SparseMatrix};
 use bernoulli_relational::access::MatrixAccess;
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-
-#[inline]
-fn fnv(h: u64, x: u64) -> u64 {
-    (h ^ x).wrapping_mul(0x100000001b3)
-}
 
 /// A 64-bit structure digest. `Copy`, hashable, order-stable — made
 /// for use as a `HashMap` key and a fixed-width hex token in the
@@ -42,7 +36,8 @@ impl StructureKey {
     /// Parse the [`hex`](Self::hex) spelling back. `None` on anything
     /// that is not exactly 16 lowercase/uppercase hex digits.
     pub fn from_hex(s: &str) -> Option<StructureKey> {
-        if s.len() != 16 {
+        // `from_str_radix` alone would also take a leading `+`.
+        if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u64::from_str_radix(s, 16).ok().map(StructureKey)
@@ -130,6 +125,7 @@ mod tests {
         assert_eq!(k.hex().len(), 16);
         assert_eq!(StructureKey::from_hex("xyz"), None);
         assert_eq!(StructureKey::from_hex("0123"), None);
+        assert_eq!(StructureKey::from_hex("+000000000000001"), None);
     }
 
     #[test]

@@ -251,8 +251,8 @@ fn main() {
     // schedule certified for it serves both sweeps. A forged schedule —
     // every row in one wave — must be refused.
     for (name, m) in [("grid2d_8x8/gauss-seidel", &full), ("random/gauss-seidel", &Csr::from_triplets(&t))] {
-        let (nr, rp, ci) = (m.nrows(), m.rowptr(), m.colind());
-        let cert = match certify_wavefront(nr, rp, ci, Relation::GaussSeidel, None) {
+        let (nr, rp, ci, digest) = (m.nrows(), m.rowptr(), m.colind(), m.index_digest());
+        let cert = match certify_wavefront(nr, rp, ci, digest, Relation::GaussSeidel, None) {
             Ok((_, cert)) => cert,
             Err(diags) => {
                 report(name, &diags, &mut errors);
@@ -264,7 +264,7 @@ fn main() {
         schedules_certified += 1;
         println!("  {name}: certified — {} levels, max width {}", cert.levels(), cert.max_level_width());
         let forged = LevelSchedule::from_raw_unchecked(nr, (0..nr).collect(), vec![0, nr]);
-        match certify_wavefront(nr, rp, ci, Relation::GaussSeidel, Some(forged)) {
+        match certify_wavefront(nr, rp, ci, digest, Relation::GaussSeidel, Some(forged)) {
             Err(diags) => println!("  {name}: one-wave forgery refused ({}) — as designed", diags[0].code),
             Ok(_) => {
                 println!("  {name}: certified a forged one-wave schedule");

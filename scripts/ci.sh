@@ -85,7 +85,8 @@ fi
 cargo run --release --example dispatch > /dev/null
 # The repo's benchmark (BENCHMARK.json) is its own workspace, so none
 # of the cargo invocations above compile it: build it against the
-# crates as they are now, then run every workload's correctness checks
-# in two-second rounds (nonzero exit on any failed operation).
+# crates as they are now, run its own unit tests, then run every
+# workload's correctness checks in two-second rounds (nonzero exit on any failed operation).
 cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 perfbench/run.sh --smoke > /dev/null

@@ -3,13 +3,13 @@
 //!
 //! The correctness contract is *bitwise*, not approximate:
 //!
-//! * CSR and MSR fast kernels must reproduce their safe lane-reference
-//!   kernels (`spmv_csr_lanes` / `spmv_msr_lanes`) bit for bit — the
-//!   4-lane split is a documented reassociation, so the reference that
-//!   defines it is the lane kernel, not the single-accumulator one.
-//! * BSR and ITPACK fast kernels preserve the reference kernels' exact
-//!   operation order, so they are pinned bitwise against
-//!   `Bsr::spmv_acc` and `kernels::spmv_in::<F64Plus, Itpack>` directly.
+//! * The CSR fast kernel must reproduce its safe lane-reference kernel
+//!   (`spmv_csr_lanes`) bit for bit — the 4-lane split is a documented
+//!   reassociation, so the reference that defines it is the lane
+//!   kernel, not the single-accumulator one.
+//! * The ITPACK fast kernel preserves the reference kernel's exact
+//!   operation order, so it is pinned bitwise against
+//!   `kernels::spmv_in::<F64Plus, Itpack>` directly.
 //!
 //! Inputs deliberately include empty rows, dense rows, and NaN/±Inf
 //! values (the reassociation must not change which lanes see them —
@@ -23,11 +23,8 @@
 //! code is reachable for them.
 
 use bernoulli::engines::SpmvEngine;
-use bernoulli_formats::fast::{
-    spmv_bsr_fast, spmv_csr_fast, spmv_csr_lanes, spmv_itpack_fast, spmv_msr_fast,
-    spmv_msr_lanes, BsrCert, CsrCert, ItpackCert, MatrixCert, MsrCert,
-};
-use bernoulli_formats::{kernels, Bsr, Csr, ExecCtx, Itpack, Msr, SparseMatrix, Triplets};
+use bernoulli_formats::fast::{spmv_csr_fast, spmv_csr_lanes, spmv_itpack_fast, CsrCert, ItpackCert, MatrixCert};
+use bernoulli_formats::{kernels, Csr, ExecCtx, FormatKind, Itpack, SparseMatrix, Triplets};
 use bernoulli_relational::semiring::F64Plus;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -106,54 +103,6 @@ proptest! {
         assert_bits_eq(&y_fast, &y_ref, "csr")?;
     }
 
-    /// Fast MSR == lane-reference MSR, bit for bit.
-    #[test]
-    fn msr_fast_bitwise_equals_lane_reference((t, x) in arb_matrix().prop_flat_map(|t| {
-        let nc = t.ncols();
-        (Just(t), arb_vec(nc))
-    })) {
-        let a = Msr::from_triplets(&t);
-        let cert = MsrCert::certify(&a).expect("clean matrix certifies");
-        let mut y_ref = vec![-0.25; a.nrows()];
-        let mut y_fast = y_ref.clone();
-        spmv_msr_lanes(&a, &x, &mut y_ref);
-        spmv_msr_fast(&a, &x, &mut y_fast, &cert);
-        assert_bits_eq(&y_fast, &y_ref, "msr")?;
-    }
-
-    /// Fast BSR == reference BSR, bit for bit, across block sizes
-    /// covering every unrolled micro-kernel and the generic fallback.
-    #[test]
-    fn bsr_fast_bitwise_equals_reference((t, x, b) in (1usize..5, 1usize..5, 1usize..=5)
-        .prop_flat_map(|(nbr, nbc, b)| {
-            let (nr, nc) = (nbr * b, nbc * b);
-            (
-                proptest::collection::vec(
-                    (0..nr, 0..nc, -100i32..100, 0u8..32).prop_map(move |(r, c, v, s)| {
-                        let val = match s {
-                            0 => f64::NAN,
-                            1 => f64::INFINITY,
-                            2 => -0.0,
-                            _ => v as f64 / 4.0,
-                        };
-                        (r, c, val)
-                    }),
-                    0..60,
-                )
-                .prop_map(move |entries| Triplets::from_entries(nr, nc, &entries)),
-                arb_vec(nc),
-                Just(b),
-            )
-        })) {
-        let a = Bsr::from_triplets(&t, b);
-        let cert = BsrCert::certify(&a).expect("clean matrix certifies");
-        let mut y_ref = vec![1.5; a.nrows()];
-        let mut y_fast = y_ref.clone();
-        a.spmv_acc(&x, &mut y_ref);
-        spmv_bsr_fast(&a, &x, &mut y_fast, &cert);
-        assert_bits_eq(&y_fast, &y_ref, "bsr")?;
-    }
-
     /// Fast ITPACK == reference ITPACK, bit for bit (padding slots
     /// included in the sweep, exactly as the reference orders them).
     #[test]
@@ -206,6 +155,29 @@ proptest! {
         b.spmv_acc(&x, &mut y_ref);
         assert_bits_eq(&y, &y_ref, "engine/fallback")?;
     }
+
+    /// The fast tier arms for CSR and ITPACK only: every other format,
+    /// compiled with the fast tier enabled, stays on the reference tier
+    /// and runs bitwise its own `spmv_acc`.
+    #[test]
+    fn fast_tier_arms_for_csr_and_itpack_only((t, x) in arb_matrix().prop_flat_map(|t| {
+        let nc = t.ncols();
+        (Just(t), arb_vec(nc))
+    })) {
+        for kind in FormatKind::ALL {
+            let a = SparseMatrix::from_triplets(kind, &t);
+            let eng = SpmvEngine::compile_in(&a, &ExecCtx::serial().fast_kernels(true)).unwrap();
+            if !matches!(kind, FormatKind::Csr | FormatKind::Itpack) {
+                prop_assert_eq!(eng.tier(), "reference", "{}", kind);
+                prop_assert!(MatrixCert::certify(&a).is_err());
+                let mut y = vec![0.75; t.nrows()];
+                let mut y_ref = y.clone();
+                eng.run(&a, &x, &mut y).unwrap();
+                a.spmv_acc(&x, &mut y_ref);
+                assert_bits_eq(&y, &y_ref, kind.paper_name())?;
+            }
+        }
+    }
 }
 
 /// Adversarial corpus: every matrix here fails `Validate`, so every
@@ -249,6 +221,24 @@ fn certificate_tracks_storage_identity() {
     assert!(cert.covers(&a), "value mutation cannot break index invariants");
     let rebuilt = Csr::from_triplets(&t);
     assert!(!cert.covers(&rebuilt));
+}
+
+/// The ITPACK certificate binds its operand the same way: it covers the
+/// matrix it certified, and neither a clone nor an equal rebuild.
+#[test]
+fn itpack_certificate_tracks_storage_identity() {
+    let t = bernoulli_formats::gen::grid2d_5pt(5, 5);
+    let a = Itpack::from_triplets(&t);
+    let cert = ItpackCert::certify(&a).unwrap();
+    assert!(cert.covers(&a));
+    assert!(!cert.covers(&a.clone()), "a clone moved the arrays");
+    let rebuilt = Itpack::from_triplets(&t);
+    assert_eq!(rebuilt, a);
+    assert!(!cert.covers(&rebuilt));
+    // The format-level certificate is format-bound too.
+    let m = MatrixCert::Itpack(cert);
+    assert!(m.covers(&SparseMatrix::Itpack(a)));
+    assert!(!m.covers(&SparseMatrix::from_triplets(FormatKind::Csr, &t)));
 }
 
 /// Empty and fully dense extremes, plus rows at every remainder mod 4

@@ -470,7 +470,7 @@ fn symgs_level_parallel_is_bitwise_serial_and_refuses_foreign_certificates() {
     let b = rhs(n);
     let x0: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.5 - 1.0).collect();
     // One schedule over A's own arrays serves both sweeps.
-    let gauss_seidel = |m: &Csr| certify_wavefront(n, m.rowptr(), m.colind(), Relation::GaussSeidel, None).unwrap();
+    let gauss_seidel = |m: &Csr| certify_wavefront(n, m.rowptr(), m.colind(), m.index_digest(), Relation::GaussSeidel, None).unwrap();
     let (sched, cert) = gauss_seidel(&a);
     assert!(sched.num_levels() > 1 && sched.max_level_width() > 1);
     // Certificates of another operand: same pattern, other arrays.

@@ -497,7 +497,7 @@ fn byte_mutants_of_a_saved_cache_load_or_fail_and_never_arm_past_the_verifier() 
     assert!(saved.is_ascii());
 
     let verifies = |m: &Csr, relation, e: Option<&bernoulli_analysis::LevelSchedule>| {
-        e.is_none_or(|s| certify_wavefront(n, m.rowptr(), m.colind(), relation, Some(s.clone())).is_ok())
+        e.is_none_or(|s| certify_wavefront(n, m.rowptr(), m.colind(), m.index_digest(), relation, Some(s.clone())).is_ok())
     };
     let (mut loaded, mut armed) = (0, 0);
     for at in 0..saved.len() {

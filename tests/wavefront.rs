@@ -7,8 +7,9 @@
 
 use bernoulli::pipeline::OpSpec;
 use bernoulli::{ExecCtx, Reason, RelError, SptrsvEngine, Strategy as Tier, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
-use bernoulli_analysis::wavefront::{analyze_wavefront, Triangle};
-use bernoulli_formats::{gen, kernels, Csr, Triplets};
+use bernoulli_analysis::wavefront::{analyze_wavefront, certify_wavefront, Relation, Triangle};
+use bernoulli_formats::kernels::SweepSplit;
+use bernoulli_formats::{gen, kernels, par_kernels, Csr, Triplets};
 use bernoulli_tune::Dispatcher;
 use bernoulli_obs::Obs;
 use bernoulli_solvers::cg::{cg, CgOptions};
@@ -572,4 +573,60 @@ proptest! {
         prop_assert_eq!(reached(&z), reached(&textbook_ssor(&a, 1.0, &r)));
         prop_assert!(reached(&z) || !poison.is_nan());
     }
+}
+
+/// `second` rebuilt in `first`'s buffers: the same addresses and
+/// lengths, another pattern — what an allocator may hand out once
+/// `first` is dropped, made deterministic.
+fn in_buffers_of(first: Csr, second: &Csr) -> Csr {
+    let old = (first.rowptr().as_ptr(), first.colind().as_ptr());
+    let (mut rowptr, mut colind, mut vals) = first.into_raw();
+    rowptr.clear();
+    rowptr.extend_from_slice(second.rowptr());
+    colind.clear();
+    colind.extend_from_slice(second.colind());
+    vals.clear();
+    vals.extend_from_slice(second.vals());
+    let rebuilt = Csr::from_raw_unchecked(second.nrows(), second.ncols(), rowptr, colind, vals);
+    assert_eq!((rebuilt.rowptr().as_ptr(), rebuilt.colind().as_ptr()), old);
+    rebuilt
+}
+
+/// Regression at the public kernel API: a wave certified for one
+/// pattern, handed to the parallel kernels with another pattern rebuilt
+/// in the same buffers, must fall back to the serial sweep — the
+/// certificate's own binding refuses the recycled address.
+#[test]
+fn stale_wave_never_survives_reallocation_at_the_kernel_api() {
+    let exec = par_ctx();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let wave_of = |a: &Csr, relation| {
+        certify_wavefront(a.nrows(), a.rowptr(), a.colind(), a.index_digest(), relation, None).unwrap()
+    };
+
+    // The solve: same order and nnz, another dependence pattern.
+    let (g, h) = (lower_of(&gen::grid2d_5pt(6, 5), 0.25), lower_of(&gen::grid2d_5pt(5, 6), 0.25));
+    assert_eq!((g.nrows(), g.nnz()), (h.nrows(), h.nnz()));
+    let n = g.nrows();
+    let b: Vec<f64> = (0..n).map(|i| ((i * 13 + 5) % 17) as f64 - 8.0).collect();
+    let lower = Relation::Solve(Triangle::Lower);
+    let (sched, cert) = wave_of(&g, lower);
+    let other = in_buffers_of(g, &h);
+    let (mut x, mut want) = (vec![0.0; n], vec![0.0; n]);
+    par_kernels::par_sptrsv_csr(&other, Triangle::Lower, false, &b, &mut x, (&sched, &cert), &exec);
+    kernels::sptrsv_csr(&other, Triangle::Lower, false, &b, &mut want);
+    assert_eq!(bits(&x), bits(&want), "solve");
+
+    // The split SSOR application, along a stale Gauss-Seidel wave.
+    let (g, h) = (Csr::from_triplets(&gen::grid2d_5pt(5, 4)), Csr::from_triplets(&gen::grid2d_5pt(4, 5)));
+    assert_eq!((g.nrows(), g.nnz()), (h.nrows(), h.nnz()));
+    let n = g.nrows();
+    let (sched, cert) = wave_of(&g, Relation::GaussSeidel);
+    let other = in_buffers_of(g, &h);
+    let split = SweepSplit::of(&other, 1.0).unwrap();
+    let r: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 - 4.5).collect();
+    let (mut z, mut want) = (vec![0.0; n], vec![0.0; n]);
+    par_kernels::split_ssor(&other, &split, &r, &mut z, Some((&sched, &cert)), &exec);
+    par_kernels::split_ssor(&other, &split, &r, &mut want, None, &exec);
+    assert_eq!(bits(&z), bits(&want), "split SSOR");
 }
