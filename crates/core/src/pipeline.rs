@@ -598,6 +598,16 @@ fn check_square(a: &Csr, what: &str) -> RelResult<()> {
     Ok(())
 }
 
+/// A product's run state: its operands' shapes, once their inner
+/// dimensions agree (the kernels `assert!` that they do).
+fn product(a: MatMeta, b: MatMeta) -> RelResult<Payload> {
+    let shapes = [(a.nrows, a.ncols), (b.nrows, b.ncols)];
+    if a.ncols != b.nrows {
+        return Err(RelError::Validation(format!("product inner dimensions disagree: {shapes:?}")));
+    }
+    Ok(Payload::Product { shapes })
+}
+
 /// A non-unit solve reads each row's diagonal where sorted triangular
 /// CSR stores it; an operand that does not is refused here, once, from
 /// the operand's diagonal index — the row body does not look again.
@@ -704,6 +714,8 @@ enum Payload {
     None,
     SpmvMulti { k: usize },
     Sptrsv { op: TriangularOp },
+    /// `(rows, cols)` of a product's `A` and `B`.
+    Product { shapes: [(usize, usize); 2] },
 }
 
 /// The one compiled artifact every engine facade wraps: the strategy
@@ -824,6 +836,7 @@ pub fn compile<S: Semiring>(
             // shape with a hand-tuned kernel. Work estimate: the driver
             // operand's nonzeros (each expands into a B-row scan).
             DoAny {
+                payload: product(ma, mb)?,
                 b: Some(mb),
                 hand_shapes: if is_csr(a) && is_csr(b) { &[GUSTAVSON_SHAPE] } else { &[] },
                 io_lens: (0, ma.nrows * mb.ncols),
@@ -862,6 +875,7 @@ pub fn compile<S: Semiring>(
             // which is only sound when ⊕ is associative-commutative —
             // the same BA06 gate the kernels self-apply.
             DoAny {
+                payload: product(a.meta(), b.meta())?,
                 b: Some(b.meta()),
                 interpretable: false,
                 algebra: S::props(),
@@ -1127,6 +1141,20 @@ impl CompiledOp {
         )))
     }
 
+    /// Refuse a product pair whose shapes are not the ones the compile
+    /// checked — a disagreeing inner dimension would `assert!` in the
+    /// kernels.
+    fn check_pair(&self, a: MatMeta, b: MatMeta) -> RelResult<()> {
+        let got = [(a.nrows, a.ncols), (b.nrows, b.ncols)];
+        match self.payload {
+            Payload::Product { shapes } if shapes == got => Ok(()),
+            _ => Err(RelError::Validation(format!(
+                "{} op compiled for other operand shapes, run against {got:?}",
+                self.kind.tag()
+            ))),
+        }
+    }
+
     /// Run any compiled op through one untyped front door — what a
     /// dispatcher over heterogeneous requests calls. `operands` must be
     /// the bundle the op was compiled against; `rhs` is the input
@@ -1220,6 +1248,7 @@ impl CompiledOp {
     pub fn run_spmm(&self, a: &SparseMatrix, b: &SparseMatrix, c: &mut [f64]) -> RelResult<()> {
         self.check_kind(self.kind == OpKind::Spmm, "run_spmm")?;
         self.check_lens(0, c.len())?;
+        self.check_pair(a.meta(), b.meta())?;
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let name = match self.strategy {
@@ -1322,6 +1351,7 @@ impl CompiledOp {
         b: &Csr,
     ) -> RelResult<Vec<(usize, usize, S::Elem)>> {
         self.check_kind(self.kind == OpKind::SemiringSpmm(S::NAME), "run_semiring_spmm_entries")?;
+        self.check_pair(a.meta(), b.meta())?;
         let obs = self.ctx.obs();
         if obs.is_enabled() {
             let base = match self.strategy {

@@ -63,12 +63,6 @@ pub trait SpmvBody: MatrixAccess {
         self.meta().nrows
     }
 
-    /// Rows per indivisible range unit ([`Family::Rows`] only): a split
-    /// lands on multiples of this (BSR's block size).
-    fn unit(&self) -> usize {
-        1
-    }
-
     /// `Some(perm)` when the body's rows are *stored positions* rather
     /// than global rows (JDIAG): the tiers run it over a zeroed
     /// workspace and scatter `y[perm.backward(p)] ⊕= work[p]` after.

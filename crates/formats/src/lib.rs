@@ -38,7 +38,6 @@
 // §12). Anywhere else `unsafe` is a compile error.
 #![deny(unsafe_code)]
 
-pub mod bsr;
 pub mod ccs;
 pub mod cccs;
 pub mod convert;
@@ -55,16 +54,13 @@ pub mod itpack;
 pub mod jdiag;
 pub mod kernels;
 pub mod matrix;
-pub mod msr;
 pub mod par_kernels;
 pub mod diag;
-pub mod skyline;
 pub mod sparsevec;
 pub mod stats;
 pub mod triplet;
 
 pub use bernoulli_analysis::validate::Validate;
-pub use bsr::Bsr;
 pub use ccs::Ccs;
 pub use cccs::Cccs;
 pub use coo::Coo;
@@ -76,7 +72,5 @@ pub use inode::{InodeMatrix, InodePartition};
 pub use itpack::Itpack;
 pub use jdiag::JDiag;
 pub use matrix::{FormatKind, SparseMatrix};
-pub use msr::Msr;
-pub use skyline::Skyline;
 pub use sparsevec::SparseVec;
 pub use triplet::Triplets;

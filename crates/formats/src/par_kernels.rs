@@ -5,9 +5,9 @@
 //! and no thread is spawned here: every driver forks through
 //! [`ExecCtx::par_blocks`] / [`ExecCtx::par_ranges`].
 //!
-//! **Row family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense, MSR,
-//! BSR, CRS × skinny-dense) — `par_blocks` itself: the output vector is
-//! split into one contiguous block of whole range units per worker. Each
+//! **Row family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense,
+//! CRS × skinny-dense) — `par_blocks` itself: the output vector is
+//! split into one contiguous block of rows per worker. Each
 //! `y[i]` is written by exactly one worker, with the *same per-element
 //! operation order* as the serial tier — so the result is **bit-for-bit
 //! identical** to serial, for any worker count, with no atomics and no
@@ -96,9 +96,7 @@ pub fn par_spmv_in<S: Semiring, A: SpmvBody + Sync>(
     exec: &ExecCtx,
 ) {
     kernels::staged::<S, A>(a, x, y, |out| match A::FAMILY {
-        Family::Rows => {
-            exec.par_blocks(out, a.unit(), |lo, yc| a.acc::<S>(lo, lo + yc.len(), x, yc))
-        }
+        Family::Rows => exec.par_blocks(out, 1, |lo, yc| a.acc::<S>(lo, lo + yc.len(), x, yc)),
         Family::Scatter => {
             par_scatter::<S>(exec, a.extent(), out, |lo, hi, part| a.acc::<S>(lo, hi, x, part))
         }

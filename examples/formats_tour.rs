@@ -71,31 +71,6 @@ fn main() {
         jd.permutation().as_forward()
     );
 
-    println!("\n== extension formats on the same matrix ==");
-    let msr = bernoulli_formats::Msr::from_triplets(&t);
-    println!("MSR:      diagonal extracted dense: {:?}", msr.diagonal());
-    let bsr = bernoulli_formats::Bsr::from_triplets(&t, 2);
-    println!(
-        "BSR(2):   {} blocks, {} stored slots for {} nonzeros",
-        bsr.num_blocks(),
-        bsr.stored_len(),
-        bsr.nnz()
-    );
-    let sym = {
-        // Symmetrise for skyline.
-        let mut s = Triplets::new(6, 6);
-        for &(r, c, v) in t.canonicalize().entries() {
-            s.push_sym(r, c, v);
-        }
-        s
-    };
-    let sky = bernoulli_formats::Skyline::from_triplets(&sym);
-    println!(
-        "Skyline:  envelope {} slots for {} nonzeros (symmetrised)",
-        sky.envelope(),
-        sky.nnz()
-    );
-
     println!("\n== the Table 1 suite: why no single format wins ==");
     println!(
         "{:<10} {:>7} {:>9} {:>6} {:>9} {:>11} {:>12}",

@@ -22,9 +22,7 @@ use bernoulli_analysis::validate::Validate;
 use bernoulli_analysis::wavefront::{
     analyze_wavefront, certify_wavefront, verify_level_schedule, LevelSchedule, Relation, Triangle,
 };
-use bernoulli_formats::{
-    Bsr, Csr, DenseMatrix, FormatKind, Msr, Skyline, SparseMatrix, SparseVec, Triplets,
-};
+use bernoulli_formats::{Csr, DenseMatrix, FormatKind, SparseMatrix, SparseVec, Triplets};
 use bernoulli_relational::access::{MatrixAccess, VecMeta, VectorAccess};
 use bernoulli_relational::ids::{MAT_A, MAT_B, PERM_P, VEC_X, VEC_Y};
 use bernoulli_relational::planner::{Planner, QueryMeta};
@@ -136,24 +134,9 @@ fn main() {
         report(&format!("{kind}"), &m.validate(), &mut errors);
         formats_checked += 1;
     }
-    // Formats outside the SparseMatrix enum.
-    report("Bsr", &Bsr::from_triplets(&t, 4).validate(), &mut errors);
-    report("Msr", &Msr::from_triplets(&t).validate(), &mut errors);
-    let sym = {
-        let mut s = Triplets::new(n, n);
-        for &(r, c, v) in t.canonicalize().entries() {
-            if r >= c {
-                s.push(r, c, v);
-                if r > c {
-                    s.push(c, r, v);
-                }
-            }
-        }
-        s
-    };
-    report("Skyline", &Skyline::from_triplets(&sym).validate(), &mut errors);
+    // The one storage type outside the SparseMatrix enum.
     report("SparseVec", &sv.validate(), &mut errors);
-    formats_checked += 4;
+    formats_checked += 1;
     println!("  {formats_checked} formats validated");
 
     println!("\n== pass 3b: SPMD communication schedules");

@@ -166,6 +166,43 @@ fn matrix_market_parser_survives_garbage() {
     }
 }
 
+/// Every single-byte mutant of a small general and a small symmetric
+/// file — each position overwritten by a non-UTF-8 byte, `0`, `-`, `9`
+/// and a newline — parses or is an error, never a panic, and whatever
+/// parses keeps its entries inside the shape it declares.
+#[test]
+fn matrix_market_byte_mutants_parse_or_fail_inside_their_shape() {
+    use bernoulli_formats::io::read_matrix_market;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let files = [
+        "%%MatrixMarket matrix coordinate real general\n% note\n3 4 4\n1 1 2.5\n2 4 -1\n3 2 1e2\n3 3 7\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 4\n1 1 4.0\n2 1 -1.0\n3 2 -1.0\n3 3 4.0\n",
+    ];
+    let (mut parsed, mut refused) = (0, 0);
+    for file in files {
+        for at in 0..file.len() {
+            for byte in [0xff, b'0', b'-', b'9', b'\n'] {
+                let mut mutant = file.as_bytes().to_vec();
+                if std::mem::replace(&mut mutant[at], byte) == byte {
+                    continue;
+                }
+                let case = String::from_utf8_lossy(&mutant).into_owned();
+                let read = catch_unwind(AssertUnwindSafe(|| read_matrix_market(mutant.as_slice())))
+                    .unwrap_or_else(|_| panic!("the reader panicked on {case:?}"));
+                match read {
+                    Ok(t) => {
+                        parsed += 1;
+                        let inside = t.entries().iter().all(|&(r, c, _)| r < t.nrows() && c < t.ncols());
+                        assert!(inside, "an entry outside the declared shape from {case:?}");
+                    }
+                    Err(_) => refused += 1,
+                }
+            }
+        }
+    }
+    assert!(parsed > 0 && refused > 0, "{parsed} mutants parsed, {refused} refused");
+}
+
 /// A rank that dies leaves its peers waiting for a message (or at a
 /// barrier) that never comes. The waiters must notice — while polling
 /// (`P ≤ cores`) and while parked (`P` oversubscribed) — and `run` must

@@ -4,8 +4,8 @@
 //! result-vs-serial contract, for every semiring class, worker count
 //! and degenerate operand:
 //!
-//! * **row family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense, MSR,
-//!   BSR, CRS × skinny-dense, Gustavson): bitwise == serial, always;
+//! * **row family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense,
+//!   CRS × skinny-dense, Gustavson): bitwise == serial, always;
 //! * **scatter family** (CCS, CCCS, COO): ≤ 1e-12 relative to serial
 //!   under an associative-commutative ⊕, and bitwise == serial (the
 //!   driver refuses to split) under a non-AC ⊕;
@@ -25,7 +25,7 @@ use bernoulli_analysis::wavefront::{analyze_wavefront, certify_wavefront, LevelS
 use bernoulli_formats::inode::MAX_GROUP_ROWS;
 use bernoulli_formats::kernels;
 use bernoulli_formats::{
-    gen, par_kernels, Bsr, Ccs, Csr, ExecCtx, FormatKind, InodePartition, Msr, SparseMatrix, Triplets,
+    gen, par_kernels, Ccs, Csr, ExecCtx, FormatKind, InodePartition, SparseMatrix, Triplets,
 };
 use proptest::prelude::*;
 use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus, Semiring};
@@ -43,52 +43,18 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// One row of the format table: `t` held in one storage format.
-enum Operand {
-    Enum(SparseMatrix),
-    Msr(Msr),
-    Bsr(Bsr),
-}
-
-impl Operand {
-    /// Every `FormatKind` plus the two standalone formats.
-    fn all(t: &Triplets) -> Vec<(String, bool, Operand)> {
-        let scatter = [FormatKind::Ccs, FormatKind::Cccs, FormatKind::Coordinate];
-        let mut table: Vec<(String, bool, Operand)> = FormatKind::ALL
-            .into_iter()
-            .map(|kind| {
-                let m = Operand::Enum(SparseMatrix::from_triplets(kind, t));
-                (kind.to_string(), scatter.contains(&kind), m)
-            })
-            .collect();
-        table.push(("MSR".into(), false, Operand::Msr(Msr::from_triplets(t))));
-        // The largest block size dividing both dimensions, so chunk
-        // boundaries have whole multi-row block rows to respect.
-        let fits = |b: &usize| t.nrows().is_multiple_of(*b) && t.ncols().is_multiple_of(*b);
-        let b = [3, 2, 1].into_iter().find(fits).unwrap();
-        table.push((format!("BSR{b}"), false, Operand::Bsr(Bsr::from_triplets(t, b))));
-        table
-    }
-
-    fn serial<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem]) {
-        match self {
-            Operand::Enum(m) => m.spmv_acc_in::<S>(x, y),
-            Operand::Msr(m) => kernels::spmv_in::<S, _>(m, x, y),
-            Operand::Bsr(m) => kernels::spmv_in::<S, _>(m, x, y),
-        }
-    }
-
-    fn parallel<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
-        match self {
-            Operand::Enum(m) => m.par_spmv_acc_in::<S>(x, y, exec),
-            Operand::Msr(m) => par_kernels::par_spmv_in::<S, _>(m, x, y, exec),
-            Operand::Bsr(m) => par_kernels::par_spmv_in::<S, _>(m, x, y, exec),
-        }
-    }
+/// The format table: `t` held in every `FormatKind`, with its name and
+/// whether its body is in the scatter family.
+fn formats(t: &Triplets) -> Vec<(String, bool, SparseMatrix)> {
+    let scatter = [FormatKind::Ccs, FormatKind::Cccs, FormatKind::Coordinate];
+    FormatKind::ALL
+        .into_iter()
+        .map(|kind| (kind.to_string(), scatter.contains(&kind), SparseMatrix::from_triplets(kind, t)))
+        .collect()
 }
 
 /// The operand table: degenerate shapes, holes, and generators whose
-/// multi-row structures (diagonals, 3-row i-nodes and blocks) straddle
+/// multi-row structures (diagonals, 3-row i-nodes) straddle
 /// the chunk boundaries of 2, 3 and 7 workers.
 fn operands() -> Vec<(&'static str, Triplets)> {
     let holes: Vec<(usize, usize, f64)> = (0..12)
@@ -147,12 +113,12 @@ fn close(got: &[f64], want: &[f64]) -> bool {
 /// and worker count.
 fn check_cell<S: Semiring<Elem = f64>>(name: &str, t: &Triplets, x: &[f64], y0: f64) {
     let ac = S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE;
-    for (format, scatter, a) in Operand::all(t) {
+    for (format, scatter, a) in formats(t) {
         let mut want = vec![y0; t.nrows()];
-        a.serial::<S>(x, &mut want);
+        a.spmv_acc_in::<S>(x, &mut want);
         for workers in WORKERS {
             let mut got = vec![y0; t.nrows()];
-            a.parallel::<S>(x, &mut got, &ctx(workers));
+            a.par_spmv_acc_in::<S>(x, &mut got, &ctx(workers));
             let cell = format!("{name}, {format}, {}, {workers} workers", S::NAME);
             if scatter && ac {
                 assert!(close(&got, &want), "{cell}: {got:?} vs {want:?}");
@@ -208,9 +174,9 @@ fn serial_tier_matches_the_triplet_oracle() {
         let x: Vec<f64> = (0..t.ncols()).map(|i| ((i * 5 + 1) % 9) as f64 - 4.0).collect();
         let mut want = vec![0.0; t.nrows()];
         t.matvec_acc(&x, &mut want);
-        for (format, _, a) in Operand::all(&t) {
+        for (format, _, a) in formats(&t) {
             let mut y = vec![0.0; t.nrows()];
-            a.serial::<F64Plus>(&x, &mut y);
+            a.spmv_acc_in::<F64Plus>(&x, &mut y);
             assert!(close(&y, &want), "{name}, {format}: {y:?} vs {want:?}");
         }
     }

@@ -384,3 +384,57 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
         }
     }
 }
+
+/// Operands of 4×3, 5×2 and 3×2 (the first times the second disagrees
+/// inside, times the third agrees), and a serial, a parallel and an
+/// interpreting context.
+fn product_cases() -> ([Triplets; 3], [ExecCtx; 3]) {
+    let t = [gen::random_sparse(4, 3, 8, 1), gen::random_sparse(5, 2, 6, 2), gen::random_sparse(3, 2, 4, 3)];
+    let par = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    (t, [ExecCtx::serial(), par, ExecCtx::serial().specialization(false)])
+}
+
+fn refused(r: RelResult<()>) -> bool {
+    matches!(r, Err(RelError::Validation(_)))
+}
+
+const MIN_PLUS_SPMM: OpSpec = OpSpec::SemiringSpmm { algebra: MinPlus::NAME };
+
+/// A product whose inner dimensions disagree is refused with
+/// `Validation` on the serial, parallel and interpreting tiers and
+/// through the dispatcher, not left to the kernels' `assert!`.
+#[test]
+fn a_product_whose_inner_dimensions_disagree_is_refused_on_every_tier() {
+    let ([ta, tb, _], ctxs) = product_cases();
+    let (a, b) = (SparseMatrix::from_triplets(FormatKind::Csr, &ta), SparseMatrix::from_triplets(FormatKind::Csr, &tb));
+    let (ca, cb) = (Csr::from_triplets(&ta), Csr::from_triplets(&tb));
+    for ctx in &ctxs {
+        let spmm = compile_op::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &b), ctx, None);
+        assert!(refused(spmm.map(drop)), "spmm");
+        let semiring = compile_op::<MinPlus>(MIN_PLUS_SPMM, Operands::CsrPair(&ca, &cb), ctx, None);
+        assert!(refused(semiring.map(drop)), "semiring spmm");
+    }
+    let [_, par, _] = ctxs;
+    let mut dispatcher = bernoulli_tune::Dispatcher::new(par);
+    let (ia, ib) = (dispatcher.register(&ta), dispatcher.register(&tb));
+    for spec in [OpSpec::Spmm, MIN_PLUS_SPMM] {
+        assert!(refused(dispatcher.submit_product(ia, ib, spec).map(drop)), "{spec:?}");
+    }
+}
+
+/// A product compiled for a 4×3 · 3×2 pair refuses to run against the
+/// 4×3 · 5×2 one, whose output has the same length.
+#[test]
+fn a_compiled_product_refuses_a_pair_of_other_shapes() {
+    let ([ta, tb, tc], ctxs) = product_cases();
+    let mat = |t: &Triplets| SparseMatrix::from_triplets(FormatKind::Csr, t);
+    let (a, b, c) = (mat(&ta), mat(&tb), mat(&tc));
+    let (ca, cb, cc) = (Csr::from_triplets(&ta), Csr::from_triplets(&tb), Csr::from_triplets(&tc));
+    for ctx in &ctxs {
+        let op = compile_op::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &c), ctx, None).unwrap();
+        assert!(refused(op.run::<F64Plus>(Operands::MatPair(&a, &b), &[], &mut [0.0; 8])));
+        let op = compile_op::<MinPlus>(MIN_PLUS_SPMM, Operands::CsrPair(&ca, &cc), ctx, None).unwrap();
+        assert!(refused(op.run::<MinPlus>(Operands::CsrPair(&ca, &cb), &[], &mut [0.0; 8])));
+        assert!(refused(op.run_semiring_spmm_entries::<MinPlus>(&ca, &cb).map(drop)));
+    }
+}

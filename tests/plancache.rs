@@ -419,6 +419,59 @@ fn unsorted_csr_keys_apart_from_its_sorted_twin_and_neither_replays_onto_the_oth
     assert_eq!((stats.misses, stats.hits, stats.spmv_entries), (2, 0, 2));
 }
 
+/// `THREADS` threads released together each compile the same
+/// `(structure, op)` into one cold cache and check `run`'s bits against
+/// `want`. However the misses interleave, the cache ends with one entry,
+/// every call is counted once, and the next compile hits.
+fn race_first_compiles<E>(compile: impl Fn(&PlanCache) -> E + Sync, run: impl Fn(&E) -> Vec<u64> + Sync, want: &[u64]) {
+    const THREADS: usize = 8;
+    let cache = PlanCache::new();
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for _ in 0..THREADS {
+            s.spawn(|| {
+                start.wait();
+                assert_eq!(run(&compile(&cache)), want, "a racing compile changed the bits");
+            });
+        }
+    });
+    let stats = cache.stats();
+    assert_eq!((stats.entries(), stats.hits + stats.misses), (1, THREADS as u64), "{stats:?}");
+    assert_eq!(run(&compile(&cache)), want);
+    assert_eq!(cache.stats().hits, stats.hits + 1, "the next compile hits");
+}
+
+#[test]
+fn concurrent_first_spmv_compiles_leave_one_entry_and_the_uncached_bits() {
+    use bernoulli::SpmvEngine;
+    let ctx = ExecCtx::serial().fast_kernels(true);
+    let a = SparseMatrix::from_triplets(FormatKind::Csr, &bernoulli_formats::gen::grid2d_5pt(12, 12));
+    let x: Vec<f64> = (0..a.ncols()).map(|i| (i as f64 * 0.37).sin()).collect();
+    let run = |e: &SpmvEngine| {
+        let mut y = vec![0.25; a.nrows()];
+        e.run(&a, &x, &mut y).unwrap();
+        y.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let want = run(&SpmvEngine::compile_in(&a, &ctx).unwrap());
+    race_first_compiles(|cache| cache.spmv_engine(&a, &ctx).unwrap(), run, &want);
+}
+
+#[test]
+fn concurrent_first_armed_symgs_compiles_leave_one_entry_and_the_uncached_bits() {
+    use bernoulli::SymGsEngine;
+    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let a = Csr::from_triplets(&bernoulli_formats::gen::grid3d_7pt(5, 5, 5));
+    let r: Vec<f64> = (0..a.nrows()).map(|i| ((i * 11 % 23) as f64) - 11.0).collect();
+    let run = |e: &SymGsEngine| {
+        assert!(e.schedule().is_some(), "the sweeps armed");
+        let mut z = vec![0.0; a.nrows()];
+        e.apply_ssor(&a, 1.1, &r, &mut z).unwrap();
+        z.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+    };
+    let want = run(&SymGsEngine::compile_in(&a, &ctx).unwrap());
+    race_first_compiles(|cache| cache.symgs_engine(&a, &ctx).unwrap(), run, &want);
+}
+
 /// The lower triangle of `t`, diagonal stored last.
 fn lower_of(t: &Triplets) -> Csr {
     let e: Vec<_> = t.canonicalize().entries().iter().copied().filter(|&(r, c, _)| c <= r).collect();

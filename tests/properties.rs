@@ -166,48 +166,6 @@ proptest! {
         prop_assert_eq!(back.canonicalize(), t.canonicalize());
     }
 
-    /// BSR round-trips and its blocked SpMV matches the reference for
-    /// every block size dividing the dimensions.
-    #[test]
-    fn bsr_roundtrip_and_spmv(nb in 1usize..5, bsz in 1usize..4, entries in
-        proptest::collection::vec((0usize..144, -40i32..40), 0..50))
-    {
-        use bernoulli_formats::Bsr;
-        let n = nb * bsz;
-        let t = Triplets::from_entries(
-            n, n,
-            &entries.iter()
-                .map(|&(k, v)| ((k / 12) % n, k % n, v as f64 / 4.0))
-                .collect::<Vec<_>>(),
-        );
-        let m = Bsr::from_triplets(&t, bsz);
-        prop_assert_eq!(m.to_triplets().canonicalize(), t.canonicalize());
-        let x: Vec<f64> = (0..n).map(|i| (i % 5) as f64 - 2.0).collect();
-        let mut want = vec![0.0; n];
-        t.matvec_acc(&x, &mut want);
-        let mut y = vec![0.0; n];
-        m.spmv_acc(&x, &mut y);
-        for (a, b) in y.iter().zip(&want) {
-            prop_assert!((a - b).abs() < 1e-9);
-        }
-    }
-
-    /// Skyline round-trips any symmetric matrix.
-    #[test]
-    fn skyline_roundtrip(n in 1usize..10, entries in
-        proptest::collection::vec((0usize..100, -40i32..40), 0..40))
-    {
-        use bernoulli_formats::Skyline;
-        let mut t = Triplets::new(n, n);
-        for &(k, v) in &entries {
-            let (r, c) = ((k / 10) % n, k % n);
-            t.push_sym(r, c, v as f64 / 4.0);
-        }
-        let s = Skyline::from_triplets(&t);
-        prop_assert_eq!(s.to_triplets().canonicalize(), t.canonicalize());
-        prop_assert!(s.envelope() >= s.to_triplets().canonicalize().len() / 2);
-    }
-
     /// Sparse vectors: round-trip, and both dot products agree with
     /// the dense computation.
     #[test]
