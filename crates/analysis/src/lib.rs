@@ -27,8 +27,7 @@
 //!   trait (implemented by every format in `bernoulli-formats`) checking
 //!   pointer monotonicity, index bounds, intra-row/col sortedness,
 //!   duplicate-freedom, and permutation bijectivity, plus the
-//!   access-method contract checker that subsumes the old
-//!   `relational::access_check`.
+//!   access-method contract checker.
 //! * [`wavefront`] — the **DO-ACROSS dependence pass**: where the race
 //!   checker must refuse (triangular solve, Gauss-Seidel — the written
 //!   vector is read across iterations), this pass reads the

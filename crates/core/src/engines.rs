@@ -31,7 +31,7 @@
 //! variants.
 
 use crate::pipeline::{self, CompiledOp, OpKind, OpSpec, Operands};
-use bernoulli_formats::{Csr, ExecCtx, SparseMatrix};
+use bernoulli_formats::{ExecCtx, SparseMatrix};
 use bernoulli_relational::error::{RelError, RelResult};
 use bernoulli_relational::semiring::{F64Plus, Semiring};
 use std::marker::PhantomData;
@@ -73,12 +73,11 @@ impl<F: OpFamily> TryFrom<CompiledOp> for Engine<F> {
     }
 }
 
-/// Family markers of the five DO-ANY facades.
+/// Family markers of the four DO-ANY facades.
 pub struct SpmvOp;
 pub struct SpmmOp;
 pub struct SpmvMultiOp;
 pub struct SemiringSpmvOp<S>(PhantomData<S>);
-pub struct SemiringSpmmOp<S>(PhantomData<S>);
 
 impl OpFamily for SpmvOp {
     fn admits(kind: OpKind) -> bool {
@@ -101,12 +100,6 @@ impl OpFamily for SpmvMultiOp {
 impl<S: Semiring> OpFamily for SemiringSpmvOp<S> {
     fn admits(kind: OpKind) -> bool {
         kind == OpKind::SemiringSpmv(S::NAME)
-    }
-}
-
-impl<S: Semiring> OpFamily for SemiringSpmmOp<S> {
-    fn admits(kind: OpKind) -> bool {
-        kind == OpKind::SemiringSpmm(S::NAME)
     }
 }
 
@@ -233,38 +226,11 @@ impl<S: Semiring> SemiringSpmvEngine<S> {
     }
 }
 
-/// A compiled `C = C ⊕ (A ⊗ B)` engine (CSR × CSR, sparse result)
-/// under an arbitrary [`Semiring`] — Gustavson's algorithm with the
-/// scalar algebra as a type parameter, the workhorse behind triangle
-/// counting (`count_u64`) and transitive-step queries (`bool_or_and`).
-/// Only CSR operands carry the generic hand kernel, so unlike
-/// [`SpmmEngine`] the operands are [`Csr`] by construction.
-pub type SemiringSpmmEngine<S> = Engine<SemiringSpmmOp<S>>;
-
-impl<S: Semiring> SemiringSpmmEngine<S> {
-    /// Compile with the default [`ExecCtx`].
-    pub fn compile(a: &Csr, b: &Csr) -> RelResult<SemiringSpmmEngine<S>> {
-        Self::compile_in(a, b, &ExecCtx::default())
-    }
-
-    /// Compile under an execution context.
-    pub fn compile_in(a: &Csr, b: &Csr, ctx: &ExecCtx) -> RelResult<SemiringSpmmEngine<S>> {
-        let spec = OpSpec::SemiringSpmm { algebra: S::NAME };
-        pipeline::compile::<S>(spec, Operands::CsrPair(a, b), ctx, None)?.try_into()
-    }
-
-    /// The product's nonzero entries `(i, j, v)` with `v ≠ S::zero()`,
-    /// row-sorted, columns sorted within each row.
-    pub fn run_entries(&self, a: &Csr, b: &Csr) -> RelResult<Vec<(usize, usize, S::Elem)>> {
-        self.run_semiring_spmm_entries::<S>(a, b)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::pipeline::Reason;
-    use bernoulli_formats::{fast, FormatKind, Triplets};
+    use bernoulli_formats::{fast, Csr, FormatKind, Triplets};
     use bernoulli_obs::Obs;
     use bernoulli_relational::access::MatrixAccess;
 
@@ -626,27 +592,6 @@ mod tests {
             (s.algebra, s.race_checked, s.race_safe),
             ("first_nonzero", true, false)
         );
-    }
-
-    #[test]
-    fn semiring_spmm_engine_counts_triangle_paths() {
-        use bernoulli_relational::semiring::CountU64;
-        // A = K3 adjacency; under the counting semiring A² holds the
-        // number of length-2 walks: 2 on the diagonal, 1 elsewhere.
-        let t = Triplets::from_entries(
-            3,
-            3,
-            &[(0, 1, 1.0), (0, 2, 1.0), (1, 0, 1.0), (1, 2, 1.0), (2, 0, 1.0), (2, 1, 1.0)],
-        );
-        let a = Csr::from_triplets(&t);
-        for ctx in [ExecCtx::default(), ExecCtx::with_threads(4).threshold(1)] {
-            let eng = SemiringSpmmEngine::<CountU64>::compile_in(&a, &a, &ctx).unwrap();
-            let entries = eng.run_entries(&a, &a).unwrap();
-            assert_eq!(entries.len(), 9);
-            for (i, j, walks) in entries {
-                assert_eq!(walks, if i == j { 2 } else { 1 }, "({i},{j})");
-            }
-        }
     }
 
     #[test]
@@ -1057,21 +1002,6 @@ mod tests {
             &cold_fnz.hints(),
         );
         assert_eq!(warm_fnz.strategy(), Strategy::Specialized);
-        // Semiring SpMM rides the seam too, bitwise.
-        use bernoulli_relational::semiring::CountU64;
-        let ca = Csr::from_triplets(&sample(24, 57));
-        let cold_mm = SemiringSpmmEngine::<CountU64>::compile_in(&ca, &ca, &par).unwrap();
-        let warm_mm: SemiringSpmmEngine<CountU64> = compile_warm::<CountU64, _>(
-            OpSpec::SemiringSpmm { algebra: CountU64::NAME },
-            Operands::CsrPair(&ca, &ca),
-            &par,
-            &cold_mm.hints(),
-        );
-        assert_eq!(warm_mm.strategy(), cold_mm.strategy());
-        assert_eq!(
-            warm_mm.run_entries(&ca, &ca).unwrap(),
-            cold_mm.run_entries(&ca, &ca).unwrap()
-        );
     }
 
     #[test]

@@ -42,11 +42,8 @@ pub mod trisolve;
 pub use ast::{ArrayDecl, ExprAst, LoopNest};
 pub use codegen::{emit_pseudocode, emit_pseudocode_in};
 pub use compile::{CompiledKernel, Compiler};
-pub use engines::{
-    Engine, SemiringSpmmEngine, SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine,
-    Strategy,
-};
-pub use operator::{BoundSpmv, BoundSpmvMulti, FnOperator, Operator, SemiringOperator};
+pub use engines::{Engine, SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine, Strategy};
+pub use operator::{BoundSpmv, BoundSpmvMulti, FnOperator, Operator};
 pub use pipeline::{
     compile as compile_op, CompiledOp, GateDecision, OpHints, OpKind, OpSpec, Operands, Reason,
 };

@@ -13,13 +13,12 @@
 
 use std::cell::RefCell;
 
-use crate::engines::{SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine};
+use crate::engines::{SpmvEngine, SpmvMultiEngine};
 use crate::pipeline::{spmv_counters, spmv_multi_counters};
 use bernoulli_formats::{Csr, SparseMatrix};
 use bernoulli_obs::events::KernelCounters;
 use bernoulli_relational::access::MatrixAccess;
 use bernoulli_relational::error::RelResult;
-use bernoulli_relational::semiring::Semiring;
 
 /// A linear operator `y = A·x` with **overwrite** semantics: `apply`
 /// must fill `y` entirely (implementations built on the accumulating
@@ -182,72 +181,6 @@ impl Operator for Csr {
     }
 }
 
-/// The semiring-generic operator seam: `y = A·x` under an arbitrary
-/// [`Semiring`], with the same overwrite semantics as [`Operator`].
-/// Graph algorithms (BFS frontiers over `bool_or_and`, shortest-path
-/// relaxation over `min_plus`) consume this instead of hard-wiring a
-/// kernel, exactly as the f64 solvers consume [`Operator`].
-pub trait SemiringOperator<S: Semiring> {
-    /// Length `apply` requires of `y`.
-    fn out_len(&self) -> usize;
-
-    /// Length `apply` requires of `x`.
-    fn in_len(&self) -> usize;
-
-    /// `y = A·x` under `S` (overwriting `y`; implementations built on
-    /// the accumulating engines fill `y` with `S::zero()` first).
-    fn apply(&self, x: &[S::Elem], y: &mut [S::Elem]) -> RelResult<()>;
-
-    /// Per-application cost model for telemetry (counts ⊗⊕ pairs, not
-    /// classical flops, off the f64 algebra).
-    fn model(&self) -> KernelCounters {
-        KernelCounters::default()
-    }
-
-    /// A short name for telemetry spans.
-    fn name(&self) -> &str {
-        "semiring_operator"
-    }
-}
-
-/// A compiled [`SemiringSpmvEngine`] bound to its matrix — the usual
-/// way a graph algorithm consumes the engine.
-pub struct BoundSemiringSpmv<'a, S: Semiring> {
-    engine: &'a SemiringSpmvEngine<S>,
-    a: &'a SparseMatrix,
-}
-
-impl<S: Semiring> SemiringSpmvEngine<S> {
-    /// Bind the engine to its matrix as a [`SemiringOperator`]. The
-    /// matrix must be the one the engine was compiled for.
-    pub fn bind<'a>(&'a self, a: &'a SparseMatrix) -> BoundSemiringSpmv<'a, S> {
-        BoundSemiringSpmv { engine: self, a }
-    }
-}
-
-impl<S: Semiring> SemiringOperator<S> for BoundSemiringSpmv<'_, S> {
-    fn out_len(&self) -> usize {
-        self.a.meta().nrows
-    }
-
-    fn in_len(&self) -> usize {
-        self.a.meta().ncols
-    }
-
-    fn apply(&self, x: &[S::Elem], y: &mut [S::Elem]) -> RelResult<()> {
-        y.fill(S::zero());
-        self.engine.run(self.a, x, y)
-    }
-
-    fn model(&self) -> KernelCounters {
-        KernelCounters { algebra: S::NAME, ..spmv_counters(&self.a.meta()) }
-    }
-
-    fn name(&self) -> &str {
-        "spmv"
-    }
-}
-
 /// A matrix-free operator from a closure. The closure may capture
 /// mutable state (it is stored behind a `RefCell`), but `apply` must
 /// not reenter the same operator.
@@ -359,26 +292,6 @@ mod tests {
         assert_eq!(y, [3.0, 5.0, 7.0]);
         op.apply(&x, &mut y).unwrap();
         assert_eq!(y, [4.0, 6.0, 8.0]);
-    }
-
-    #[test]
-    fn semiring_operator_seam_overwrites_under_the_algebra() {
-        use bernoulli_relational::semiring::{BoolOrAnd, Semiring};
-        // Edges 0→1→2 stored as A(dst, src): one Bool-SpMV advances the
-        // frontier one hop, exactly BFS's expansion step.
-        let t = Triplets::from_entries(3, 3, &[(1, 0, 1.0), (2, 1, 1.0)]);
-        let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-        let eng = SemiringSpmvEngine::<BoolOrAnd>::compile(&a).unwrap();
-        let op = eng.bind(&a);
-        assert_eq!((SemiringOperator::out_len(&op), SemiringOperator::in_len(&op)), (3, 3));
-        assert_eq!(SemiringOperator::name(&op), "spmv");
-        assert_eq!(SemiringOperator::model(&op).algebra, BoolOrAnd::NAME);
-        // Overwrite semantics: garbage in y must not leak through.
-        let mut y = [true, true, true];
-        op.apply(&[true, false, false], &mut y).unwrap();
-        assert_eq!(y, [false, true, false]);
-        op.apply(&y.clone(), &mut y).unwrap();
-        assert_eq!(y, [false, false, true]);
     }
 
     #[test]

@@ -271,72 +271,6 @@ impl CompiledMixed {
     }
 }
 
-/// Executor for the **transposed** product `y = Aᵀ·x` over a
-/// row-distributed `A` — the other direction of the fragmentation
-/// equation: each processor's local rows produce *contributions to
-/// nonlocal elements of y*, so the executor's communication is a
-/// scatter-add (the dual of the matvec gather), with the same
-/// `Used ⋈ IND` inspector building the schedule.
-pub struct CompiledTransposed {
-    sched: CommSchedule,
-    /// Aᵀ restricted to local output rows: `n_local × n_local`-ish CSR
-    /// over (local output index, local input index).
-    at_local: Csr,
-    /// Aᵀ's nonlocal output rows: (ghost slot, local input index, v).
-    at_ghost: Csr,
-    ghost_partials: Vec<f64>,
-}
-
-impl CompiledTransposed {
-    /// Inspector over a replicated distribution: the `Used` set is the
-    /// fragment's nonlocal columns (now *output* indices).
-    pub fn inspect(ctx: &mut Ctx, frag: &GlobalFragment, dist: &dyn Distribution) -> Self {
-        let me = ctx.rank();
-        let used: Vec<usize> = frag
-            .used_columns()
-            .into_iter()
-            .filter(|&g| dist.owner(g).0 != me)
-            .collect();
-        let sched = CommSchedule::build_replicated(ctx, dist, &used);
-        // Split Aᵀ by output locality.
-        let mut local_entries: Vec<(usize, usize, f64)> = Vec::new();
-        let mut ghost_entries: Vec<(usize, usize, f64)> = Vec::new();
-        for &(lr, gc, v) in &frag.entries {
-            match dist.owner(gc) {
-                (p, lc) if p == me => local_entries.push((lc, lr, v)),
-                _ => ghost_entries.push((sched.ghost_of_global[&gc], lr, v)),
-            }
-        }
-        let at_local = Csr::from_entries_nodup(dist.local_len(me), frag.n_local, &local_entries);
-        let at_ghost =
-            Csr::from_entries_nodup(sched.num_ghosts.max(1), frag.n_local, &ghost_entries);
-        let ghost_partials = vec![0.0; sched.num_ghosts];
-        CompiledTransposed { sched, at_local, at_ghost, ghost_partials }
-    }
-
-    /// One executor iteration: `y_local = Aᵀ·x |_p`. Computes local and
-    /// nonlocal partial sums, then scatter-adds the nonlocal ones to
-    /// their owners.
-    pub fn execute(&mut self, ctx: &mut Ctx, x_local: &[f64], y_local: &mut [f64]) {
-        y_local.fill(0.0);
-        bernoulli_formats::kernels::spmv_csr(&self.at_local, x_local, y_local);
-        if self.sched.num_ghosts > 0 {
-            self.ghost_partials.fill(0.0);
-            bernoulli_formats::kernels::spmv_csr(&self.at_ghost, x_local, &mut self.ghost_partials);
-        }
-        bernoulli_spmd::executor::scatter_add_ghosts(
-            ctx,
-            &self.sched,
-            &self.ghost_partials,
-            y_local,
-        );
-    }
-
-    pub fn schedule(&self) -> &CommSchedule {
-        &self.sched
-    }
-}
-
 /// Split a full global fragment into the mixed specification, given the
 /// ownership predicate (what the paper's user supplies when writing the
 /// mixed program): entries with local columns go to one local CSR part,
@@ -485,60 +419,6 @@ mod tests {
             for (a, b) in got.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-10, "mixed={mixed}");
             }
-        }
-    }
-
-    #[test]
-    fn transposed_executor_matches_reference() {
-        let t = fem_grid_2d(6, 4, 2);
-        // Make it genuinely unsymmetric so the transpose is visible.
-        let mut tt = t.clone();
-        tt.push(0, t.ncols() - 1, 5.0);
-        let t = tt;
-        let n = t.nrows();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 5 % 13) as f64) - 6.0).collect();
-        let mut want = vec![0.0; n];
-        t.transposed().matvec_acc(&x, &mut want);
-        let nprocs = 3;
-        let dist = BlockDist::new(n, nprocs);
-        let frags = fragment_matrix(&t, &dist);
-        let out = Machine::run(nprocs, |ctx| {
-            let me = ctx.rank();
-            let x_local: Vec<f64> = dist.owned_globals(me).iter().map(|&g| x[g]).collect();
-            let mut eng = CompiledTransposed::inspect(ctx, &frags[me], &dist);
-            let mut y = vec![0.0; dist.local_len(me)];
-            eng.execute(ctx, &x_local, &mut y);
-            y
-        });
-        let got = stitch(&dist, &out.results);
-        for (a, b) in got.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-10, "{got:?} vs {want:?}");
-        }
-    }
-
-    #[test]
-    fn transposed_executor_repeats_and_balances_traffic() {
-        let t = fem_grid_2d(5, 5, 2);
-        let n = t.nrows();
-        let dist = BlockDist::new(n, 4);
-        let frags = fragment_matrix(&t, &dist);
-        let out = Machine::run(4, |ctx| {
-            let me = ctx.rank();
-            let x_local = vec![1.0; dist.local_len(me)];
-            let mut eng = CompiledTransposed::inspect(ctx, &frags[me], &dist);
-            let mut y1 = vec![0.0; dist.local_len(me)];
-            let before = ctx.stats();
-            eng.execute(ctx, &x_local, &mut y1);
-            let bytes = ctx.stats().since(&before).bytes_sent;
-            // Second run must give identical results (buffers reset).
-            let mut y2 = vec![0.0; dist.local_len(me)];
-            eng.execute(ctx, &x_local, &mut y2);
-            assert_eq!(y1, y2);
-            (bytes, eng.schedule().recv_volume() as u64)
-        });
-        for &(bytes, boundary) in &out.results {
-            // scatter sends exactly the boundary values (8 bytes each).
-            assert_eq!(bytes, 8 * boundary);
         }
     }
 

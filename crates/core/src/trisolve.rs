@@ -49,10 +49,7 @@ pub struct SymGsOp;
 
 impl OpFamily for SptrsvOp {
     fn admits(kind: OpKind) -> bool {
-        matches!(
-            kind,
-            OpKind::SptrsvLower | OpKind::SptrsvUpper | OpKind::SptrsvLowerTransposed
-        )
+        matches!(kind, OpKind::SptrsvLower | OpKind::SptrsvUpper)
     }
 }
 
@@ -221,19 +218,6 @@ mod tests {
                 .unwrap();
         assert_eq!(eng.strategy(), Strategy::Specialized);
         assert_eq!(eng.downgrade(), Reason::LevelsTooNarrow);
-    }
-
-    #[test]
-    fn transposed_solve_stays_serial_with_reason() {
-        let l = lower_of_grid();
-        let eng = SptrsvEngine::compile_in(
-            &l,
-            TriangularOp::LowerTransposed { unit_diag: false },
-            &par_ctx(),
-        )
-        .unwrap();
-        assert_eq!(eng.strategy(), Strategy::Specialized);
-        assert_eq!(eng.downgrade(), Reason::TransposedScatter);
     }
 
     #[test]

@@ -390,30 +390,6 @@ impl SpmvBody for DenseMatrix {
     }
 }
 
-/// `y ⊕= Aᵀ·x` for CRS (equivalently CCS SpMV of the transpose).
-pub fn spmv_csr_transposed_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::Elem]) {
-    assert_eq!(x.len(), a.nrows());
-    assert_eq!(y.len(), a.ncols());
-    let rowptr = a.rowptr();
-    let colind = a.colind();
-    let vals = a.vals();
-    for (r, &xr) in x.iter().enumerate() {
-        let (s, e) = (rowptr[r], rowptr[r + 1]);
-        // Same column-skip gate as the CCS body.
-        if S::skip_scaled_column(xr, &vals[s..e]) {
-            continue;
-        }
-        for k in s..e {
-            y[colind[k]] = S::plus(y[colind[k]], S::times(S::from_f64(vals[k]), xr));
-        }
-    }
-}
-
-/// `y += Aᵀ·x` for CRS on the classical f64 algebra.
-pub fn spmv_csr_transposed(a: &Csr, x: &[f64], y: &mut [f64]) {
-    spmv_csr_transposed_in::<F64Plus>(a, x, y)
-}
-
 /// Shape check of the sparse × skinny-dense product.
 pub(crate) fn check_spmm_dense<E>(a: &Csr, x: &[E], k: usize, y: &[E]) {
     assert_eq!(x.len(), a.ncols() * k);
@@ -533,8 +509,7 @@ pub fn spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
 // walks a certified level schedule with the *same* row closure, so
 // serial and level-parallel results are *bitwise identical* — the
 // schedule only changes which independent rows run concurrently, never
-// what any row computes. The transposed solve is a scatter loop and
-// stays serial-only.
+// what any row computes.
 //
 // A sweep runs at the speed of its loop-carried chain `x[i∓1] → x[i]`,
 // not of its traffic, so both row bodies take the entries the sweep has
@@ -645,35 +620,6 @@ pub fn sptrsv_csr(a: &Csr, tri: Triangle, unit_diag: bool, b: &[f64], x: &mut [f
 /// substitution.
 pub fn sptrsv_csr_lower(a: &Csr, unit_diag: bool, b: &[f64], x: &mut [f64]) {
     sptrsv_csr(a, Triangle::Lower, unit_diag, b, x)
-}
-
-/// Solve `Lᵀ·x = b` given lower-triangular CSR `L` (diagonal stored
-/// last per row unless `unit_diag`), without materializing the
-/// transpose: the classic scatter loop — divide `x[i]`, then subtract
-/// its contribution from every `x[j]` with `L[i][j]` stored.
-///
-/// Scatter solves have no bitwise-deterministic level-parallel form
-/// (concurrent waves would interleave updates to shared `x[j]`
-/// accumulators), so this kernel is serial-only; the engine records
-/// the `transposed_scatter` downgrade reason when asked to run it.
-pub fn sptrsv_csr_lower_transposed(a: &Csr, unit_diag: bool, b: &[f64], x: &mut [f64]) {
-    check_sweep(a, b, x);
-    assert!(unit_diag || a.stores_diag(Triangle::Lower), "non-unit solve needs every row's diagonal stored last");
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    x.copy_from_slice(b);
-    for i in (0..a.nrows()).rev() {
-        let (s, e) = (rowptr[i], rowptr[i + 1]);
-        let strict = if unit_diag {
-            e
-        } else {
-            x[i] /= vals[e - 1];
-            e - 1
-        };
-        let xi = x[i];
-        for (&av, &j) in vals[s..strict].iter().zip(&colind[s..strict]) {
-            x[j] -= av * xi;
-        }
-    }
 }
 
 /// The weighted Gauss-Seidel row update on square CSR `A`:
@@ -848,7 +794,7 @@ mod tests {
     use super::*;
     use crate::matrix::{FormatKind, SparseMatrix};
     use crate::DenseMatrix;
-    use bernoulli_relational::semiring::{BoolOrAnd, CountU64, MinPlus};
+    use bernoulli_relational::semiring::{BoolOrAnd, MinPlus};
 
     fn sample() -> Triplets {
         Triplets::from_entries(
@@ -897,17 +843,6 @@ mod tests {
         spmv_csr(&a, &x, &mut y);
         let mut want = vec![10.0; 5];
         sample().matvec_acc(&x, &mut want);
-        assert_eq!(y, want);
-    }
-
-    #[test]
-    fn transposed_spmv() {
-        let a = Csr::from_triplets(&sample());
-        let x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut y = vec![0.0; 5];
-        spmv_csr_transposed(&a, &x, &mut y);
-        let mut want = vec![0.0; 5];
-        sample().transposed().matvec_acc(&x, &mut want);
         assert_eq!(y, want);
     }
 
@@ -1008,21 +943,20 @@ mod tests {
     }
 
     #[test]
-    fn counting_spmm_counts_paths() {
-        // Path counting: C = A ⊗ A over (+,×) on u64 counts length-2
-        // walks through the pattern. Triangle of nodes {0,1,2}.
+    fn bool_spmm_is_two_hop_reachability() {
+        // C = A ⊗ A over (∨,∧) marks every pair joined by a length-2
+        // walk through the pattern. Triangle of nodes {0,1,2}.
         let t = Triplets::from_entries(
             3,
             3,
             &[(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
         );
         let a = Csr::from_triplets(&t);
-        let c = spmm_csr_csr_in::<CountU64>(&a, &a);
-        // Each node has 2 length-2 closed walks (i→j→i for both
-        // neighbors) and 1 walk to each other node.
-        for (i, j, n) in c {
-            assert_eq!(n, if i == j { 2 } else { 1 }, "walks {i}→{j}");
-        }
+        let c = spmm_csr_csr_in::<BoolOrAnd>(&a, &a);
+        // Every node reaches itself (i→j→i) and each other node (via
+        // the third) in two hops.
+        assert_eq!(c.len(), 9);
+        assert!(c.iter().all(|&(_, _, reached)| reached));
     }
 
     /// `L = [[2,0,0],[1,3,0],[0,4,5]]`, sorted CSR (diag last per row).
@@ -1058,20 +992,6 @@ mod tests {
         sptrsv_csr(&u, Triangle::Upper, false, &b, &mut x);
         for (got, want) in x.iter().zip(xt) {
             assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-        }
-    }
-
-    #[test]
-    fn sptrsv_lower_transposed_matches_explicit_transpose() {
-        let l = lower3();
-        let u = l.transposed();
-        let b = [1.5, -0.5, 2.0];
-        let mut via_scatter = vec![0.0; 3];
-        sptrsv_csr_lower_transposed(&l, false, &b, &mut via_scatter);
-        let mut via_gather = vec![0.0; 3];
-        sptrsv_csr(&u, Triangle::Upper, false, &b, &mut via_gather);
-        for (a, b) in via_scatter.iter().zip(&via_gather) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
         }
     }
 

@@ -69,7 +69,6 @@ pub struct StrategyEvent {
     /// was (`""` = no downgrade): `single_worker_pool` (the effective
     /// pool cannot run > 1 worker), `racy_nest` (the DO-ANY race
     /// checker refused), or — for wavefront engines —
-    /// `transposed_scatter` (no deterministic level-parallel form),
     /// `not_triangular` (no `WavefrontCert`: the dependence relation
     /// is cyclic), `schedule_rejected` (the independent BA4x verifier
     /// refused the schedule) or `levels_too_narrow` (a valid schedule
@@ -182,7 +181,7 @@ pub struct CalibrationEvent {
 /// A solver run's convergence trace.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverTrace {
-    /// Solver name (`cg`, `gmres`).
+    /// Solver name (`cg`).
     pub solver: String,
     /// Problem size (vector length).
     pub n: usize,

@@ -4,7 +4,7 @@
 //! `f64`: joins and aggregations are algebra-agnostic, and the same
 //! query plans evaluate graph algorithms once the scalar operations are
 //! swapped — shortest paths over `(min, +)`, reachability over
-//! `(∨, ∧)`, path counting over `(+, ×)` on integers. This module
+//! `(∨, ∧)`. This module
 //! defines the [`Semiring`] trait threaded through `formats::kernels`,
 //! `par_kernels`, and the engines, plus the concrete instances shipped
 //! with the repo.
@@ -118,7 +118,7 @@ pub trait Semiring: 'static {
     /// min-plus).
     fn from_f64(v: f64) -> Self::Elem;
 
-    /// Column-skip gate for the CCS/transposed-CSR kernels: may the
+    /// Column-skip gate for the CCS kernels: may the
     /// whole stored column scaled by `xj` be skipped without touching
     /// `y`? The default `false` never skips (always sound). [`F64Plus`]
     /// overrides it with the exact NaN-safe test of the pre-refactor
@@ -236,52 +236,6 @@ impl Semiring for MinPlus {
     }
 }
 
-/// Tropical max-plus: `(f64 ∪ {−∞}, max, +, −∞, 0.0)` — critical
-/// paths / longest bottleneck-free schedules. As with [`MinPlus`], a
-/// stored `0.0` lifts to the inert `−∞`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaxPlus;
-
-impl Semiring for MaxPlus {
-    type Elem = f64;
-    const NAME: &'static str = "max_plus";
-    const PLUS_SYMBOL: &'static str = "max";
-    const TIMES_SYMBOL: &'static str = "+";
-
-    #[inline(always)]
-    fn zero() -> f64 {
-        f64::NEG_INFINITY
-    }
-
-    #[inline(always)]
-    fn one() -> f64 {
-        0.0
-    }
-
-    #[inline(always)]
-    fn plus(a: f64, b: f64) -> f64 {
-        if b > a {
-            b
-        } else {
-            a
-        }
-    }
-
-    #[inline(always)]
-    fn times(a: f64, b: f64) -> f64 {
-        a + b
-    }
-
-    #[inline(always)]
-    fn from_f64(v: f64) -> f64 {
-        if v == 0.0 {
-            f64::NEG_INFINITY
-        } else {
-            v
-        }
-    }
-}
-
 /// Boolean algebra: `({0,1}, ∨, ∧, false, true)` — reachability and
 /// BFS frontiers. `y = A ⊗ x` computes "has a neighbor in `x`".
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -316,44 +270,6 @@ impl Semiring for BoolOrAnd {
     #[inline(always)]
     fn from_f64(v: f64) -> bool {
         v != 0.0
-    }
-}
-
-/// Counting: `(u64, +, ×, 0, 1)` — path/triangle counting. A stored
-/// nonzero lifts to 1, a stored (explicit) zero to 0, so `A ⊗ A`
-/// counts length-2 paths through the pattern of `A`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CountU64;
-
-impl Semiring for CountU64 {
-    type Elem = u64;
-    const NAME: &'static str = "count_u64";
-    const PLUS_SYMBOL: &'static str = "+";
-    const TIMES_SYMBOL: &'static str = "*";
-
-    #[inline(always)]
-    fn zero() -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    fn one() -> u64 {
-        1
-    }
-
-    #[inline(always)]
-    fn plus(a: u64, b: u64) -> u64 {
-        a + b
-    }
-
-    #[inline(always)]
-    fn times(a: u64, b: u64) -> u64 {
-        a * b
-    }
-
-    #[inline(always)]
-    fn from_f64(v: f64) -> u64 {
-        u64::from(v != 0.0)
     }
 }
 
@@ -442,18 +358,8 @@ mod tests {
     }
 
     #[test]
-    fn max_plus_laws() {
-        check_monoid_laws::<MaxPlus>(&[0.0, 1.5, -3.0, 7.0, f64::NEG_INFINITY]);
-    }
-
-    #[test]
     fn bool_laws() {
         check_monoid_laws::<BoolOrAnd>(&[false, true]);
-    }
-
-    #[test]
-    fn count_laws() {
-        check_monoid_laws::<CountU64>(&[0, 1, 2, 5]);
     }
 
     #[test]
@@ -506,17 +412,13 @@ mod tests {
         // (dense, ITPACK padding, diagonal) sound under every algebra.
         assert_eq!(F64Plus::from_f64(0.0), F64Plus::zero());
         assert_eq!(MinPlus::from_f64(0.0), MinPlus::zero());
-        assert_eq!(MaxPlus::from_f64(0.0), MaxPlus::zero());
         assert_eq!(BoolOrAnd::from_f64(0.0), BoolOrAnd::zero());
-        assert_eq!(CountU64::from_f64(0.0), CountU64::zero());
         assert_eq!(FirstNonZero::from_f64(0.0), FirstNonZero::zero());
     }
 
     #[test]
-    fn bool_and_count_lifts() {
+    fn bool_lifts() {
         assert!(BoolOrAnd::from_f64(2.5));
         assert!(!BoolOrAnd::from_f64(0.0));
-        assert_eq!(CountU64::from_f64(3.0), 1);
-        assert_eq!(CountU64::from_f64(0.0), 0);
     }
 }

@@ -16,28 +16,20 @@
 //!
 //! * [`vecops`] — dense vector primitives, serial and through an
 //!   [`ExecCtx`];
-//! * [`precond`] — the diagonal (Jacobi) preconditioner;
+//! * [`precond`] — the identity and diagonal (Jacobi) preconditioners;
 //! * [`mod@cg`] — preconditioned CG: one recurrence, entered in one
 //!   address space ([`cg()`]) or on each rank of the SPMD machine
 //!   ([`cg_parallel`]);
-//! * [`ic0`] — incomplete Cholesky IC(0) with sparse triangular
-//!   solves, the paper's §6 "ongoing work" substrate;
 //! * [`symgs`] — symmetric Gauss-Seidel / SSOR preconditioning over
-//!   the wavefront-certified sweep engine;
-//! * `gmres` — restarted GMRES(m) for the unsymmetric matrices of
-//!   the Table-1 suite.
+//!   the wavefront-certified sweep engine.
 
 pub mod cg;
-pub mod gmres;
-pub mod ic0;
 pub mod precond;
 pub mod symgs;
 pub mod vecops;
 
 pub use bernoulli::{ExecCtx, FnOperator, Operator};
 pub use cg::{cg, cg_parallel, CgOptions, CgResult};
-pub use gmres::{gmres, GmresOptions, GmresResult};
-pub use ic0::Ic0;
 pub use precond::{DiagonalPreconditioner, IdentityPreconditioner, Preconditioner};
 pub use symgs::SymGs;
 

@@ -1,6 +1,6 @@
-//! Preconditioners: the trait, and the diagonal (Jacobi) instance used
-//! by the paper's CG experiments. Incomplete Cholesky lives in
-//! [`crate::ic0`] (the paper's §6 "ongoing work" direction).
+//! Preconditioners: the trait, the identity, and the diagonal (Jacobi)
+//! instance used by the paper's CG experiments. Symmetric Gauss-Seidel
+//! lives in [`crate::symgs`].
 
 use bernoulli_formats::Triplets;
 

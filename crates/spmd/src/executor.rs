@@ -48,41 +48,6 @@ pub fn finish_receives(ctx: &mut Ctx, sched: &CommSchedule, ghosts: &mut [f64]) 
     }
 }
 
-/// Tag used by executor scatters.
-const TAG_SCATTER: u32 = 0x0201;
-
-/// The dual of [`gather_ghosts`]: scatter-add partial contributions.
-///
-/// Where a gather moves *owned values out to users*, a scatter-add
-/// moves *users' partial sums back to owners*: this processor's
-/// accumulated contributions to nonlocal elements (indexed by ghost
-/// slot, as laid out by the same [`CommSchedule`]) travel to the
-/// owners, and contributions for this processor's own elements arrive
-/// and are added into `y_local`. This is the communication pattern of
-/// the transposed product `y = Aᵀ·x` over row-distributed `A` (and of
-/// FEM assembly).
-pub fn scatter_add_ghosts(
-    ctx: &mut Ctx,
-    sched: &CommSchedule,
-    ghost_partials: &[f64],
-    y_local: &mut [f64],
-) {
-    assert!(ghost_partials.len() >= sched.num_ghosts, "ghost buffer too small");
-    assert_eq!(sched.recv_slots.len(), sched.recv_peers.len(), "one slot list per recv peer");
-    // Reverse direction: recv-side of the schedule sends, send-side receives.
-    for (&peer, slots) in sched.recv_peers.iter().zip(&sched.recv_slots) {
-        let vals: Vec<f64> = slots.iter().map(|&slot| ghost_partials[slot]).collect();
-        ctx.send(peer, TAG_SCATTER, Payload::F64(vals));
-    }
-    for (k, &peer) in sched.send_peers.iter().enumerate() {
-        let vals = ctx.recv(peer, TAG_SCATTER).into_f64();
-        assert_eq!(vals.len(), sched.send_locals[k].len(), "scatter length from {peer}");
-        for (&l, v) in sched.send_locals[k].iter().zip(vals) {
-            y_local[l] += v;
-        }
-    }
-}
-
 /// The executor's boundary product `y += A_SNL·ghosts`, stored over
 /// only the local rows that touch a ghost, columns rewritten to ghost
 /// slots: building it and applying it cost ∝ boundary, whatever the
@@ -212,48 +177,14 @@ mod tests {
         assert_eq!(out.results[1].0, vec![3.5]);
     }
 
-    #[test]
-    fn scatter_add_is_the_transpose_of_gather() {
-        // Each proc owns 3 values; each proc contributes +rank to the
-        // two globals before its block. Owners must accumulate exactly
-        // the contributions aimed at them.
-        let n = 9;
-        let d = BlockDist::new(n, 3);
-        let out = Machine::run(3, |ctx| {
-            let me = ctx.rank();
-            let start = d.to_global(me, 0);
-            let used: Vec<usize> =
-                (1..=2).map(|k| (start + n - k) % n).collect();
-            let sched = CommSchedule::build_replicated(ctx, &d, &used);
-            let mut ghost_partials = vec![0.0; sched.num_ghosts];
-            for &g in &used {
-                ghost_partials[sched.ghost_of_global[&g]] = (me + 1) as f64;
-            }
-            let mut y_local = vec![0.0; d.local_len(me)];
-            super::scatter_add_ghosts(ctx, &sched, &ghost_partials, &mut y_local);
-            y_local
-        });
-        // Global y: proc p's last two globals receive from proc (p+1)%3
-        // a contribution of (p+1 mod 3)+1.
-        let mut y = vec![0.0; n];
-        for (p, yl) in out.results.iter().enumerate() {
-            for (l, &g) in d.owned_globals(p).iter().enumerate() {
-                y[g] = yl[l];
-            }
-        }
-        // Proc 0 contributes 1.0 to globals 7, 8; proc 1 contributes
-        // 2.0 to globals 1, 2; proc 2 contributes 3.0 to 4, 5.
-        assert_eq!(y, vec![0.0, 2.0, 2.0, 0.0, 3.0, 3.0, 0.0, 1.0, 1.0]);
-    }
-
     /// Slots need not follow wire order: a schedule whose table and
-    /// slot lists are permuted together verifies clean and replays every
-    /// value into (gather) and out of (scatter) the slot the table names.
+    /// slot lists are permuted together verifies clean and gathers every
+    /// value into the slot the table names.
     #[test]
     fn permuted_slots_replay_where_the_table_says() {
         let n = 12;
         let d = BlockDist::new(n, 3);
-        let out = Machine::run(3, |ctx| {
+        Machine::run(3, |ctx| {
             let me = ctx.rank();
             let used: Vec<usize> = (0..n).filter(|&g| d.owner(g).0 != me && g % 2 == me % 2).collect();
             let mut sched = CommSchedule::build_replicated(ctx, &d, &used);
@@ -270,23 +201,7 @@ mod tests {
             for &g in &used {
                 assert_eq!(ghosts[sched.ghost_of_global[&g]], (g * g) as f64, "gathered global {g}");
             }
-
-            // Scatter: contribute g + 1 to every used global.
-            let mut partials = vec![0.0; sched.num_ghosts];
-            for &g in &used {
-                partials[sched.ghost_of_global[&g]] = (g + 1) as f64;
-            }
-            let mut y_local = vec![0.0; d.local_len(me)];
-            scatter_add_ghosts(ctx, &sched, &partials, &mut y_local);
-            y_local
         });
-        for (p, y_local) in out.results.iter().enumerate() {
-            for (l, &g) in d.owned_globals(p).iter().enumerate() {
-                // The other ranks of g's parity class each contributed.
-                let users = (0..3).filter(|&q| q != p && g % 2 == q % 2).count();
-                assert_eq!(y_local[l], (users * (g + 1)) as f64, "global {g}");
-            }
-        }
     }
 
     #[test]

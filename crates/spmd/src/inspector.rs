@@ -24,7 +24,7 @@ use crate::dist::Distribution;
 use crate::machine::{Ctx, Payload};
 use std::collections::HashMap;
 
-/// A gather/scatter schedule for one distributed array.
+/// A gather schedule for one distributed array.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CommSchedule {
     /// Peers we receive ghost values from, ascending.
@@ -33,7 +33,7 @@ pub struct CommSchedule {
     pub recv_globals: Vec<Vec<usize>>,
     /// Per recv peer: the ghost slot of each received value, in wire
     /// order — `ghost_of_global` resolved once here, so the executor
-    /// replays a gather or scatter without hashing.
+    /// replays a gather without hashing.
     pub recv_slots: Vec<Vec<usize>>,
     /// Peers we send values to, ascending.
     pub send_peers: Vec<usize>,

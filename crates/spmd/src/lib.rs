@@ -26,7 +26,7 @@
 //!   communication (the `Indirect` rows of Table 3);
 //! * [`inspector`] — communication-set computation (§3.2.3): the
 //!   `Used ⋈ IND → RecvInd` queries, producing a [`inspector::CommSchedule`];
-//! * [`executor`] — ghost-value gather/scatter over a schedule, and the
+//! * [`executor`] — ghost-value gather over a schedule, and the
 //!   boundary product over the rows that touch a ghost;
 //! * [`verify`] — the §3.1 "debugging version": collective run-time
 //!   consistency checking of user-supplied distribution relations.

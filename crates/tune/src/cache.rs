@@ -52,9 +52,7 @@ use std::io;
 use std::path::Path;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use bernoulli::engines::{
-    SemiringSpmmEngine, SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine, Strategy,
-};
+use bernoulli::engines::{SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine, Strategy};
 use bernoulli::pipeline::{self, CompiledOp, OpHints, OpKind, OpSpec, Operands};
 use bernoulli::{SptrsvEngine, SymGsEngine, TriangularOp};
 use bernoulli_analysis::LevelSchedule;
@@ -165,8 +163,6 @@ impl PlanCache {
     /// schedule (serial verdicts are O(1) to re-derive or must be
     /// re-derived for soundness), and an entry holding no schedule is
     /// overwritten by the first compile that arms one.
-    /// `LowerTransposed` is always serial and bypasses the cache,
-    /// counters included.
     pub fn compile<S: Semiring>(
         &self,
         spec: OpSpec,
@@ -174,9 +170,6 @@ impl PlanCache {
         ctx: &ExecCtx,
     ) -> RelResult<CompiledOp> {
         let kind = spec.kind();
-        if kind == OpKind::SptrsvLowerTransposed {
-            return pipeline::compile::<S>(spec, operands, ctx, None);
-        }
         // A wavefront verdict without its schedule replays nothing.
         let replayable = |h: &OpHints| !(kind.is_wavefront() && h.schedule.is_none());
         let key = (key_of(&operands), kind);
@@ -235,18 +228,6 @@ impl PlanCache {
         self.compile::<S>(spec, Operands::Mat(a), ctx)?.try_into()
     }
 
-    /// A semiring SpMM engine through [`compile`](Self::compile),
-    /// keyed by the *ordered* operand pair and the algebra.
-    pub fn semiring_spmm_engine<S: Semiring>(
-        &self,
-        a: &Csr,
-        b: &Csr,
-        ctx: &ExecCtx,
-    ) -> RelResult<SemiringSpmmEngine<S>> {
-        let spec = OpSpec::SemiringSpmm { algebra: S::NAME };
-        self.compile::<S>(spec, Operands::CsrPair(a, b), ctx)?.try_into()
-    }
-
     /// A triangular-solve engine through [`compile`](Self::compile),
     /// replaying the cached level schedule when this structure (and
     /// solve direction) armed the parallel tier before.
@@ -302,9 +283,7 @@ impl PlanCache {
         for (_, kind) in g.ops.keys() {
             match kind {
                 OpKind::Spmv => s.spmv_entries += 1,
-                OpKind::SptrsvLower | OpKind::SptrsvUpper | OpKind::SptrsvLowerTransposed => {
-                    s.sptrsv_entries += 1
-                }
+                OpKind::SptrsvLower | OpKind::SptrsvUpper => s.sptrsv_entries += 1,
                 OpKind::Symgs => s.symgs_entries += 1,
                 _ => s.other_entries += 1,
             }
@@ -441,9 +420,6 @@ fn key_of(operands: &Operands<'_>) -> StructureKey {
         Operands::Mat(a) => structure_key(a),
         Operands::Tri(a) => structure_key_csr(a),
         Operands::MatPair(a, b) => StructureKey::combine(structure_key(a), structure_key(b)),
-        Operands::CsrPair(a, b) => {
-            StructureKey::combine(structure_key_csr(a), structure_key_csr(b))
-        }
     }
 }
 
@@ -495,7 +471,7 @@ mod tests {
     use super::*;
     use bernoulli_formats::gen::{grid2d_5pt, grid3d_7pt};
     use bernoulli_formats::FormatKind;
-    use bernoulli_relational::semiring::{CountU64, MinPlus};
+    use bernoulli_relational::semiring::MinPlus;
 
     fn par_ctx() -> ExecCtx {
         ExecCtx::with_threads(2).oversubscribe(true).threshold(1)
@@ -599,17 +575,6 @@ mod tests {
             d1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             d2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-
-        // Semiring SpMM: keyed by the ordered operand pair + algebra.
-        let ca = Csr::from_triplets(&grid2d_5pt(6, 6));
-        let cold_mm = cache.semiring_spmm_engine::<CountU64>(&ca, &ca, &ctx).unwrap();
-        let warm_mm = cache.semiring_spmm_engine::<CountU64>(&ca, &ca, &ctx).unwrap();
-        assert_eq!(warm_mm.strategy(), cold_mm.strategy());
-        assert_eq!(
-            warm_mm.run_entries(&ca, &ca).unwrap(),
-            cold_mm.run_entries(&ca, &ca).unwrap()
-        );
-        assert_eq!(cache.stats().other_entries, 3);
     }
 
     #[test]
@@ -654,25 +619,6 @@ mod tests {
             z1.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
             z2.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn transposed_scatter_bypasses_the_cache() {
-        let cache = PlanCache::new();
-        let l = Csr::from_triplets(&{
-            let mut t = bernoulli_formats::Triplets::new(6, 6);
-            for i in 0..6 {
-                t.push(i, i, 2.0);
-                if i > 0 {
-                    t.push(i, i - 1, 1.0);
-                }
-            }
-            t
-        });
-        let op = TriangularOp::LowerTransposed { unit_diag: false };
-        cache.sptrsv_engine(&l, op, &par_ctx()).unwrap();
-        assert!(cache.is_empty());
-        assert_eq!(cache.stats().misses, 0, "uncacheable ops never touch the counters");
     }
 
     #[test]

@@ -22,7 +22,7 @@ use std::time::Instant;
 use bernoulli::pipeline::{OpSpec, Operands};
 use bernoulli_formats::{Csr, ExecCtx, FormatKind, SparseMatrix, Triplets};
 use bernoulli_relational::error::{RelError, RelResult};
-use bernoulli_relational::semiring::{F64Plus, MaxPlus, MinPlus, Semiring};
+use bernoulli_relational::semiring::{F64Plus, MinPlus, Semiring};
 
 use crate::cache::{CacheStats, PlanCache};
 
@@ -35,8 +35,7 @@ pub struct MatrixId(usize);
 /// [`CacheStats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DispatchStats {
-    /// Requests accepted by [`submit`](Dispatcher::submit) /
-    /// [`submit_product`](Dispatcher::submit_product).
+    /// Requests accepted by [`submit`](Dispatcher::submit).
     pub submitted: u64,
     /// Cache counters at the time of the stats call.
     pub cache: CacheStats,
@@ -61,8 +60,8 @@ pub struct Dispatcher {
     cache: PlanCache,
     ctx: ExecCtx,
     /// Every operand is stored once, as CSR: the multiply family takes
-    /// the [`SparseMatrix`], the wavefront ops and semiring products
-    /// borrow the [`Csr`] inside it.
+    /// the [`SparseMatrix`], the wavefront ops borrow the [`Csr`]
+    /// inside it.
     matrices: Vec<SparseMatrix>,
     submitted: u64,
 }
@@ -114,15 +113,13 @@ impl Dispatcher {
     /// algebra's ⊕-identity (so the result is exactly `A·x` /
     /// `A ⊗ x`); the solves start from a zero guess. An `rhs` of the
     /// wrong length for the op is refused ([`RelError::Validation`]),
-    /// as are matrix-matrix specs — use
-    /// [`submit_product`](Dispatcher::submit_product).
+    /// as is the matrix-matrix [`OpSpec::Spmm`] (the dispatcher serves
+    /// vector ops only).
     pub fn submit(&mut self, id: MatrixId, spec: OpSpec, rhs: &[f64]) -> RelResult<Vec<f64>> {
         let a = self.matrix(id)?;
         let operands = match spec {
-            OpSpec::Spmm | OpSpec::SemiringSpmm { .. } => {
-                return Err(RelError::Validation(
-                    "dispatcher submit: matrix-matrix specs go through submit_product".to_string(),
-                ))
+            OpSpec::Spmm => {
+                return Err(RelError::Validation("dispatcher submit: serves vector ops only".to_string()))
             }
             OpSpec::Sptrsv { .. } | OpSpec::Symgs => Operands::Tri(csr_of(a)),
             _ => Operands::Mat(a),
@@ -132,29 +129,6 @@ impl Dispatcher {
         Ok(out)
     }
 
-    /// Run one matrix-matrix op over a registered operand pair,
-    /// returning the dense row-major product. Both variants replay
-    /// through the pair-keyed cache entry.
-    pub fn submit_product(
-        &mut self,
-        a: MatrixId,
-        b: MatrixId,
-        spec: OpSpec,
-    ) -> RelResult<Vec<f64>> {
-        let (a, b) = (self.matrix(a)?, self.matrix(b)?);
-        let operands = match spec {
-            OpSpec::Spmm => Operands::MatPair(a, b),
-            OpSpec::SemiringSpmm { .. } => Operands::CsrPair(csr_of(a), csr_of(b)),
-            _ => {
-                return Err(RelError::Validation(
-                    "dispatcher submit_product: vector specs go through submit".to_string(),
-                ))
-            }
-        };
-        let out = execute(&self.cache, &self.ctx, spec, operands, &[])?;
-        self.submitted += 1;
-        Ok(out)
-    }
 }
 
 /// The CSR inside a registered operand ([`Dispatcher::register`]
@@ -168,7 +142,9 @@ fn csr_of(m: &SparseMatrix) -> &Csr {
 
 /// One request, start to finish: resolve the spec's algebra name to
 /// its semiring type — the only per-op knowledge left here — run it,
-/// and record the `dispatch.<op>` span.
+/// and, when the context's obs is enabled, time it onto the
+/// `dispatch.<op>` span (a disabled obs costs no clock read and no
+/// allocation).
 fn execute(
     cache: &PlanCache,
     ctx: &ExecCtx,
@@ -176,12 +152,12 @@ fn execute(
     operands: Operands<'_>,
     rhs: &[f64],
 ) -> RelResult<Vec<f64>> {
-    let t0 = Instant::now();
+    let obs = ctx.obs();
+    let t0 = obs.is_enabled().then(Instant::now);
     let kind = spec.kind();
     let run = match kind.algebra() {
         F64Plus::NAME => run_as::<F64Plus>,
         MinPlus::NAME => run_as::<MinPlus>,
-        MaxPlus::NAME => run_as::<MaxPlus>,
         other => {
             return Err(RelError::Validation(format!(
                 "dispatcher: no f64-element semiring named {other:?}"
@@ -189,7 +165,9 @@ fn execute(
         }
     };
     let out = run(cache, ctx, spec, operands, rhs)?;
-    ctx.obs().span_ns(&format!("dispatch.{}", kind.tag()), t0.elapsed().as_nanos() as u64);
+    if let Some(t0) = t0 {
+        obs.span_ns(&format!("dispatch.{}", kind.tag()), t0.elapsed().as_nanos() as u64);
+    }
     Ok(out)
 }
 
@@ -285,15 +263,15 @@ mod tests {
     }
 
     #[test]
-    fn products_and_bad_requests() {
+    fn bad_requests_are_refused() {
         let mut d = Dispatcher::new(ExecCtx::serial());
         let t = grid2d_5pt(4, 4);
         let a = d.register(&t);
         let rhs = vec![1.0; 16];
 
-        // Vector spec through submit_product and vice versa: refused.
+        // A matrix-matrix spec, or an algebra with no f64 elements:
+        // refused.
         assert!(d.submit(a, OpSpec::Spmm, &rhs).is_err());
-        assert!(d.submit_product(a, a, OpSpec::Spmv).is_err());
         assert!(d
             .submit(a, OpSpec::SemiringSpmv { algebra: "bool_or_and" }, &rhs)
             .is_err());
@@ -302,7 +280,6 @@ mod tests {
         let foreign = MatrixId(99);
         let is_validation = |r: RelResult<Vec<f64>>| matches!(r, Err(RelError::Validation(_)));
         assert!(is_validation(d.submit(foreign, OpSpec::Spmv, &rhs)));
-        assert!(is_validation(d.submit_product(a, foreign, OpSpec::Spmm)));
         assert!(matches!(d.matrix(foreign), Err(RelError::Validation(_))));
         assert_eq!(d.matrix(a).unwrap().nrows(), 16);
 
@@ -326,20 +303,5 @@ mod tests {
             assert_eq!(d.submit(id, spec, &vec![1.0; len]).unwrap().len(), len, "{spec:?}");
         }
         assert_eq!(d.stats().submitted, 5, "refused requests are not counted");
-
-        // A·A through both the classical and the semiring path agree
-        // under (+, ×).
-        let c1 = d.submit_product(a, a, OpSpec::Spmm).unwrap();
-        let c2 = d
-            .submit_product(a, a, OpSpec::SemiringSpmm { algebra: "f64_plus" })
-            .unwrap();
-        assert_eq!(c1.len(), c2.len());
-        for (u, v) in c1.iter().zip(&c2) {
-            assert!((u - v).abs() <= 1e-12 * u.abs().max(1.0));
-        }
-        // Second semiring product is a warm hit on the pair key.
-        let before = d.stats().cache.hits;
-        d.submit_product(a, a, OpSpec::SemiringSpmm { algebra: "f64_plus" }).unwrap();
-        assert_eq!(d.stats().cache.hits, before + 1);
     }
 }

@@ -18,7 +18,6 @@ use bernoulli::engines::{SpmmEngine, SpmvEngine, SpmvMultiEngine};
 use bernoulli_formats::{gen, Csr, ExecCtx, FormatKind, SparseMatrix};
 use bernoulli_obs::Obs;
 use bernoulli_solvers::cg::{cg, cg_parallel, CgOptions};
-use bernoulli_solvers::gmres::{gmres, GmresOptions};
 use bernoulli_solvers::precond::DiagonalPreconditioner;
 use bernoulli_spmd::dist::{BlockDist, Distribution};
 use bernoulli_spmd::executor::gather_ghosts;
@@ -63,28 +62,13 @@ fn main() {
     multi.run(&a_csr, &xm, &mut ym).expect("multivector run");
 
     // Solver convergence traces (and their spans): CG on the SPD grid
-    // Laplacian, GMRES on an unsymmetric circuit matrix.
+    // Laplacian.
     let pc = DiagonalPreconditioner::from_matrix(&t);
     let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
     let csr = Csr::from_triplets(&t);
     let mut xs = vec![0.0; n];
     let cg_res =
         cg(&csr, &pc, &b, &mut xs, CgOptions::default(), &serial_obs).expect("cg solve");
-    let tc = gen::circuit(300, 5);
-    let nc = tc.nrows();
-    let ac = Csr::from_triplets(&tc);
-    let pc_c = DiagonalPreconditioner::from_matrix(&tc);
-    let bc: Vec<f64> = (0..nc).map(|i| 1.0 + (i % 3) as f64).collect();
-    let mut xc = vec![0.0; nc];
-    let gm_res = gmres(
-        &ac,
-        &pc_c,
-        &bc,
-        &mut xc,
-        GmresOptions { restart: 30, max_iters: 2000, rel_tol: 1e-9 },
-        &serial_obs,
-    )
-    .expect("gmres solve");
 
     // SPMD traffic: a distributed CG (block distribution, replicated
     // inspector, halo-exchange executor) timed and counted per rank.
@@ -163,7 +147,7 @@ fn main() {
     }
     eprintln!(
         "profile: {} plans, {} strategies, {} kernels, {} traffic phases, {} solver traces, \
-         {} calibrations (cg {} iters conv={}, gmres {} matvecs conv={})",
+         {} calibrations (cg {} iters conv={})",
         report.plans.len(),
         report.strategies.len(),
         report.kernels.len(),
@@ -172,8 +156,6 @@ fn main() {
         report.calibrations.len(),
         cg_res.iters,
         cg_res.converged,
-        gm_res.iters,
-        gm_res.converged,
     );
     println!("{json}");
 }

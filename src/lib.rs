@@ -16,10 +16,8 @@
 //! * [`bernoulli_blocksolve`] — the BlockSolve95 baseline substrate;
 //! * [`bernoulli_spmd`] — the simulated machine and distribution
 //!   relations;
-//! * [`bernoulli_solvers`] — CG/GMRES/Jacobi/Chebyshev + IC(0) and
-//!   SymGS/SSOR preconditioning;
-//! * [`bernoulli_graph`] — graph algorithms (PageRank, BFS, triangle
-//!   counting) as semiring-parameterized sparse queries.
+//! * [`bernoulli_solvers`] — preconditioned CG (shared-memory and
+//!   SPMD) with identity, diagonal and SymGS/SSOR preconditioning.
 //!
 //! Start with `examples/quickstart.rs`, README.md for the architecture,
 //! DESIGN.md for the system inventory, and EXPERIMENTS.md for the
@@ -29,7 +27,6 @@ pub use bernoulli;
 pub use bernoulli_analysis;
 pub use bernoulli_blocksolve;
 pub use bernoulli_formats;
-pub use bernoulli_graph;
 pub use bernoulli_relational;
 pub use bernoulli_solvers;
 pub use bernoulli_spmd;

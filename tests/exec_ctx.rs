@@ -10,7 +10,8 @@
 //! format's one boxed enumeration — and the mixed SPMD inspector's,
 //! which allocates for the boundary and nothing that grows with the
 //! local matrix. And one inspector product: `SymGs` builds its sweep
-//! split with no temporary and applies it without allocating.
+//! split with no temporary and applies it without allocating. A warm
+//! `Dispatcher::submit` under a disabled obs pays nothing for telemetry.
 //!
 //! Allocation counting uses a thread-local tally inside a wrapper
 //! global allocator, so worker threads and test-harness threads never
@@ -19,12 +20,12 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use bernoulli::{compile_op, ExecCtx, OpSpec, Operands, Operator, SymGsEngine};
+use bernoulli::{compile_op, ExecCtx, OpSpec, Operands, Operator, SymGsEngine, TriangularOp};
 use bernoulli_formats::gen;
-use bernoulli_formats::{Csr, FormatKind, SparseMatrix};
-use bernoulli_relational::semiring::F64Plus;
+use bernoulli_formats::{Csr, FormatKind, SparseMatrix, Triplets};
+use bernoulli_relational::semiring::{F64Plus, MinPlus, Semiring};
 use bernoulli_solvers::{vecops, Preconditioner, SymGs};
-use bernoulli_tune::{structure_key, structure_key_csr};
+use bernoulli_tune::{structure_key, structure_key_csr, Dispatcher};
 
 struct CountingAlloc;
 
@@ -276,4 +277,34 @@ fn mixed_inspector_allocates_for_the_boundary_not_the_local_matrix() {
     let (long, n_local) = inspect_bytes(256);
     assert!(long <= short + short / 10, "inspector allocations grew with the grid: {short} -> {long} bytes");
     assert!(long < 8 * n_local as u64, "inspector allocated {long} bytes for {n_local} local rows");
+}
+
+/// A warm submit of each request kind the benchmark sends, under the
+/// benchmark's context (serial, fast tier, obs disabled): what is left
+/// is the request's own cost — cache lookup, hinted compile, result
+/// vector — and nothing for telemetry, neither the `dispatch.<op>` span
+/// name nor a clock read. Pinned per kind; building the span name alone
+/// cost two to four allocations (the op tag, then the name).
+#[test]
+fn warm_dispatch_under_a_disabled_obs_pays_nothing_for_telemetry() {
+    const K: usize = 4;
+    let t = gen::grid2d_5pt(8, 8);
+    let n = t.nrows();
+    let lower: Vec<_> = t.entries().iter().copied().filter(|&(i, j, _)| j <= i).collect();
+    let mut d = Dispatcher::new(ExecCtx::serial().fast_kernels(true));
+    let (full, tri) = (d.register(&t), d.register(&Triplets::from_entries(n, n, &lower)));
+    let (x, xk) = (vec![1.0; n], vec![1.0; n * K]);
+    let requests = [
+        (full, OpSpec::Spmv, &x, 3),
+        (full, OpSpec::SpmvMulti { k: K }, &xk, 3),
+        (full, OpSpec::SemiringSpmv { algebra: MinPlus::NAME }, &x, 3),
+        (tri, OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } }, &x, 1),
+        (full, OpSpec::Symgs, &x, 1),
+    ];
+    for (id, spec, rhs, want) in requests {
+        d.submit(id, spec, rhs).unwrap();
+        let ((allocs, _), out) = allocs_during(|| d.submit(id, spec, rhs));
+        out.unwrap();
+        assert_eq!(allocs, want, "warm {spec:?}");
+    }
 }

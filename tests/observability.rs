@@ -20,7 +20,6 @@ use bernoulli_relational::access::{MatrixAccess, VecMeta};
 use bernoulli_relational::ids::{MAT_A, VEC_X, VEC_Y};
 use bernoulli_relational::planner::QueryMeta;
 use bernoulli_solvers::cg::{cg, CgOptions};
-use bernoulli_solvers::gmres::{gmres, GmresOptions};
 use bernoulli_solvers::precond::DiagonalPreconditioner;
 
 fn plan_event_for(a: &SparseMatrix, n: usize) -> PlanEvent {
@@ -222,13 +221,6 @@ fn results_byte_identical_with_instrumentation_disabled() {
     let r2 = cg(&csr, &pc, &b, &mut x2, CgOptions::default(), &wired).unwrap();
     assert_eq!(x1, x2);
     assert_eq!(r1.residual_history, r2.residual_history);
-
-    let mut g1 = vec![0.0; n];
-    let mut g2 = vec![0.0; n];
-    let s1 = gmres(&csr, &pc, &b, &mut g1, GmresOptions::default(), &plain).unwrap();
-    let s2 = gmres(&csr, &pc, &b, &mut g2, GmresOptions::default(), &wired).unwrap();
-    assert_eq!(g1, g2);
-    assert_eq!(s1.residual_history, s2.residual_history);
 }
 
 /// FNV-1a-style fold over f64 bit patterns: the golden fingerprint.
@@ -241,17 +233,14 @@ fn bit_hash(xs: &[f64]) -> u64 {
 #[test]
 fn ctx_path_is_bitwise_identical_to_pre_refactor_goldens() {
     // Captured from the pre-ExecCtx library (the separate
-    // `compile`/`cg`/`gmres` default-ctx entry
-    // points) on this exact workload, before the refactor landed. The
-    // unified ctx path must reproduce every bit: SpMV across all nine
-    // formats, then CG and GMRES solutions and residual histories.
+    // `compile`/`cg` default-ctx entry points) on this exact workload,
+    // before the refactor landed. The unified ctx path must reproduce
+    // every bit: SpMV across all nine formats, then the CG solution and
+    // residual history.
     const SPMV_GOLD: u64 = 0x68298f63ec3a43f9;
     const CG_X_GOLD: u64 = 0xc0c5d5c80def860c;
     const CG_HIST_GOLD: u64 = 0xb30dd9dc7ab4f567;
     const CG_ITERS_GOLD: usize = 29;
-    const GMRES_X_GOLD: u64 = 0x1905fe36263bb67d;
-    const GMRES_HIST_GOLD: u64 = 0x182603db6cf5d98e;
-    const GMRES_ITERS_GOLD: usize = 29;
 
     let t = gen::grid2d_5pt(12, 12);
     let n = t.nrows();
@@ -276,12 +265,6 @@ fn ctx_path_is_bitwise_identical_to_pre_refactor_goldens() {
     assert_eq!(r.iters, CG_ITERS_GOLD);
     assert_eq!(bit_hash(&xs), CG_X_GOLD, "CG solution drifted from the pre-refactor bits");
     assert_eq!(bit_hash(&r.residual_history), CG_HIST_GOLD);
-
-    let mut xg = vec![0.0; n];
-    let g = gmres(&csr, &pc, &b, &mut xg, GmresOptions::default(), &ExecCtx::default()).unwrap();
-    assert_eq!(g.iters, GMRES_ITERS_GOLD);
-    assert_eq!(bit_hash(&xg), GMRES_X_GOLD, "GMRES solution drifted from the pre-refactor bits");
-    assert_eq!(bit_hash(&g.residual_history), GMRES_HIST_GOLD);
 }
 
 #[test]

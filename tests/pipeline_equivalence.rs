@@ -2,7 +2,7 @@
 //! thin veneer over `bernoulli::pipeline::compile`, and this file pins
 //! the two properties the unification must preserve:
 //!
-//! 1. **Uniform provenance** — all seven op kinds emit `strategies`
+//! 1. **Uniform provenance** — all six op specs emit `strategies`
 //!    records with the *identical* field set under
 //!    `bernoulli.profile/v1`; no engine gets a private vocabulary.
 //! 2. **Replay parity** — compiling with hints (the plan cache's warm
@@ -11,9 +11,7 @@
 //!    corrupting the result, and hints from another op kind or a
 //!    mismatched operand bundle never panic.
 
-use bernoulli::engines::{
-    SemiringSpmmEngine, SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine, Strategy,
-};
+use bernoulli::engines::{SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine, Strategy};
 use bernoulli::{
     compile_op, CompiledOp, OpHints, OpSpec, Operands, Reason, RelError, RelResult, SptrsvEngine,
     SymGsEngine, TriangularOp,
@@ -21,7 +19,7 @@ use bernoulli::{
 use bernoulli_analysis::wavefront::LevelSchedule;
 use bernoulli_formats::{gen, Csr, ExecCtx, FormatKind, SparseMatrix, Triplets};
 use bernoulli_obs::Obs;
-use bernoulli_relational::semiring::{CountU64, F64Plus, MinPlus, Semiring};
+use bernoulli_relational::semiring::{F64Plus, MinPlus, Semiring};
 
 fn lower_triangle(t: &Triplets) -> Csr {
     let mut lt = Triplets::new(t.nrows(), t.ncols());
@@ -65,11 +63,11 @@ fn json_keys(obj: &str) -> Vec<String> {
     keys
 }
 
-/// Satellite golden: one compile per op kind, one report, and every
+/// Satellite golden: one compile per op spec, one report, and every
 /// `strategies` record must carry the same field set in the same
-/// order — the unified pipeline emits one vocabulary for all seven.
+/// order — the unified pipeline emits one vocabulary for all six.
 #[test]
-fn all_seven_op_kinds_emit_identical_strategy_field_sets() {
+fn all_six_op_specs_emit_identical_strategy_field_sets() {
     let obs = Obs::enabled();
     let ctx = ExecCtx::with_threads(2)
         .oversubscribe(true)
@@ -78,7 +76,6 @@ fn all_seven_op_kinds_emit_identical_strategy_field_sets() {
 
     let t = gen::grid2d_5pt(8, 8);
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-    let ca = Csr::from_triplets(&t);
     let sym_t = gen::grid3d_7pt(4, 4, 4);
     let sym = Csr::from_triplets(&sym_t);
     let l = lower_triangle(&sym_t);
@@ -87,20 +84,16 @@ fn all_seven_op_kinds_emit_identical_strategy_field_sets() {
     SpmmEngine::compile_in(&a, &a, &ctx).unwrap();
     SpmvMultiEngine::compile_in(&a, 2, &ctx).unwrap();
     SemiringSpmvEngine::<MinPlus>::compile_in(&a, &ctx).unwrap();
-    SemiringSpmmEngine::<CountU64>::compile_in(&ca, &ca, &ctx).unwrap();
     SptrsvEngine::compile_in(&l, TriangularOp::Lower { unit_diag: false }, &ctx).unwrap();
     SymGsEngine::compile_in(&sym, &ctx).unwrap();
 
     let report = obs.report();
     report.validate().unwrap();
-    assert_eq!(report.strategies.len(), 7, "one decision record per op kind");
+    assert_eq!(report.strategies.len(), 6, "one decision record per op spec");
     let ops: Vec<&str> = report.strategies.iter().map(|s| s.op).collect();
-    assert_eq!(ops, ["spmv", "spmm", "spmv_multi", "spmv", "spmm", "sptrsv", "symgs"]);
+    assert_eq!(ops, ["spmv", "spmm", "spmv_multi", "spmv", "sptrsv", "symgs"]);
     let algebras: Vec<&str> = report.strategies.iter().map(|s| s.algebra).collect();
-    assert_eq!(
-        algebras,
-        ["f64_plus", "f64_plus", "f64_plus", "min_plus", "count_u64", "f64_plus", "f64_plus"]
-    );
+    assert_eq!(algebras, ["f64_plus", "f64_plus", "f64_plus", "min_plus", "f64_plus", "f64_plus"]);
 
     // The golden: identical field sets, pinned by name and order.
     let json = report.to_json();
@@ -111,7 +104,7 @@ fn all_seven_op_kinds_emit_identical_strategy_field_sets() {
         .split("},{")
         .map(|r| r.trim_matches(|c| c == '{' || c == '}'))
         .collect();
-    assert_eq!(records.len(), 7);
+    assert_eq!(records.len(), 6);
     let want = [
         "op",
         "strategy",
@@ -150,7 +143,6 @@ fn hinted_replay_matches_cold_compile_bitwise_for_the_multiply_family() {
     let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1).fast_kernels(true);
     let t = gen::grid2d_9pt(12, 12);
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-    let ca = Csr::from_triplets(&t);
     let n = a.nrows();
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.19).sin()).collect();
 
@@ -188,16 +180,6 @@ fn hinted_replay_matches_cold_compile_bitwise_for_the_multiply_family() {
     cold.run(&a, &d0, &mut d1).unwrap();
     warm.run(&a, &d0, &mut d2).unwrap();
     assert_eq!(bits(&d1), bits(&d2));
-
-    // Semiring SpMM (count_u64 path counting).
-    let cold = SemiringSpmmEngine::<CountU64>::compile_in(&ca, &ca, &ctx).unwrap();
-    let warm: SemiringSpmmEngine<CountU64> = compile_warm::<CountU64, _>(
-        OpSpec::SemiringSpmm { algebra: CountU64::NAME },
-        Operands::CsrPair(&ca, &ca),
-        &ctx,
-        &cold.hints(),
-    );
-    assert_eq!(cold.run_entries(&ca, &ca).unwrap(), warm.run_entries(&ca, &ca).unwrap());
 }
 
 /// Replaying the engine's own schedule is bitwise-identical; replaying
@@ -279,7 +261,7 @@ impl Case<'_> {
     }
 }
 
-fn seven_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 7] {
+fn six_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 6] {
     let f64_plus = |spec, operands| Case {
         spec,
         operands,
@@ -298,7 +280,6 @@ fn seven_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 7
         f64_plus(OpSpec::Spmm, Operands::MatPair(a, a)),
         f64_plus(OpSpec::SpmvMulti { k: 3 }, Operands::Mat(a)),
         min_plus(OpSpec::SemiringSpmv { algebra }, Operands::Mat(a)),
-        min_plus(OpSpec::SemiringSpmm { algebra }, Operands::CsrPair(ca, ca)),
         f64_plus(
             OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } },
             Operands::Tri(l),
@@ -307,7 +288,7 @@ fn seven_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 7
     ]
 }
 
-/// The table-driven contract of the single entry point, over all seven
+/// The table-driven contract of the single entry point, over all six
 /// `OpSpec`s: (a) a compile replaying the op's own hints is the cold
 /// compile in every observable — verdict and output bits; (b) hints
 /// exported by a *different* op kind, and a spec handed another op's
@@ -319,7 +300,7 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
     let ca = Csr::from_triplets(&t);
     let l = lower_triangle(&t);
-    let cases = seven_cases(&a, &ca, &l);
+    let cases = six_cases(&a, &ca, &l);
     let verdict = |op: &CompiledOp| (op.strategy(), op.tier(), op.plan_shape(), op.downgrade());
 
     // (a) Under the parallel context (wavefront schedules arm) and the
@@ -363,8 +344,7 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
     let shape = |o: &Operands<'_>| match o {
         Operands::Mat(_) => 0,
         Operands::MatPair(..) => 1,
-        Operands::CsrPair(..) => 2,
-        Operands::Tri(_) => 3,
+        Operands::Tri(_) => 2,
     };
     for (i, case) in cases.iter().enumerate() {
         for other in &cases {
@@ -398,27 +378,16 @@ fn refused(r: RelResult<()>) -> bool {
     matches!(r, Err(RelError::Validation(_)))
 }
 
-const MIN_PLUS_SPMM: OpSpec = OpSpec::SemiringSpmm { algebra: MinPlus::NAME };
-
 /// A product whose inner dimensions disagree is refused with
-/// `Validation` on the serial, parallel and interpreting tiers and
-/// through the dispatcher, not left to the kernels' `assert!`.
+/// `Validation` on the serial, parallel and interpreting tiers, not
+/// left to the kernels' `assert!`.
 #[test]
 fn a_product_whose_inner_dimensions_disagree_is_refused_on_every_tier() {
     let ([ta, tb, _], ctxs) = product_cases();
     let (a, b) = (SparseMatrix::from_triplets(FormatKind::Csr, &ta), SparseMatrix::from_triplets(FormatKind::Csr, &tb));
-    let (ca, cb) = (Csr::from_triplets(&ta), Csr::from_triplets(&tb));
     for ctx in &ctxs {
         let spmm = compile_op::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &b), ctx, None);
         assert!(refused(spmm.map(drop)), "spmm");
-        let semiring = compile_op::<MinPlus>(MIN_PLUS_SPMM, Operands::CsrPair(&ca, &cb), ctx, None);
-        assert!(refused(semiring.map(drop)), "semiring spmm");
-    }
-    let [_, par, _] = ctxs;
-    let mut dispatcher = bernoulli_tune::Dispatcher::new(par);
-    let (ia, ib) = (dispatcher.register(&ta), dispatcher.register(&tb));
-    for spec in [OpSpec::Spmm, MIN_PLUS_SPMM] {
-        assert!(refused(dispatcher.submit_product(ia, ib, spec).map(drop)), "{spec:?}");
     }
 }
 
@@ -429,12 +398,28 @@ fn a_compiled_product_refuses_a_pair_of_other_shapes() {
     let ([ta, tb, tc], ctxs) = product_cases();
     let mat = |t: &Triplets| SparseMatrix::from_triplets(FormatKind::Csr, t);
     let (a, b, c) = (mat(&ta), mat(&tb), mat(&tc));
-    let (ca, cb, cc) = (Csr::from_triplets(&ta), Csr::from_triplets(&tb), Csr::from_triplets(&tc));
     for ctx in &ctxs {
         let op = compile_op::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &c), ctx, None).unwrap();
         assert!(refused(op.run::<F64Plus>(Operands::MatPair(&a, &b), &[], &mut [0.0; 8])));
-        let op = compile_op::<MinPlus>(MIN_PLUS_SPMM, Operands::CsrPair(&ca, &cc), ctx, None).unwrap();
-        assert!(refused(op.run::<MinPlus>(Operands::CsrPair(&ca, &cb), &[], &mut [0.0; 8])));
-        assert!(refused(op.run_semiring_spmm_entries::<MinPlus>(&ca, &cb).map(drop)));
+    }
+}
+
+/// A multivector width whose `X`/`Y` lengths overflow `usize` is
+/// refused with `Validation` at compile on the serial, parallel and
+/// interpreting tiers and through the dispatcher — not a capacity
+/// panic, a debug-build multiply panic, or (wrapped) an empty result.
+#[test]
+fn a_multivector_width_that_overflows_is_refused_on_every_tier() {
+    let (_, ctxs) = product_cases();
+    let t = gen::grid2d_5pt(2, 2);
+    let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
+    let overflow = |r: RelResult<()>| matches!(r, Err(RelError::Validation(m)) if m.contains("overflows"));
+    for k in [usize::MAX, 1 << 62] {
+        for ctx in &ctxs {
+            assert!(overflow(SpmvMultiEngine::compile_in(&a, k, ctx).map(drop)), "k = {k}, {ctx:?}");
+        }
+        let mut dispatcher = bernoulli_tune::Dispatcher::new(ctxs[1].clone());
+        let id = dispatcher.register(&t);
+        assert!(overflow(dispatcher.submit(id, OpSpec::SpmvMulti { k }, &[]).map(drop)), "k = {k}, submit");
     }
 }

@@ -511,6 +511,70 @@ fn a_v3_cache_file_loads_as_an_empty_cache() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A v4 file may carry entries for op kinds this build does not know —
+/// a semiring product, an algebra it does not ship, a transposed solve.
+/// It still loads under the same schema: those entries are dropped (the
+/// tags do not parse) and every other entry loads unchanged and hits.
+#[test]
+fn a_v4_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
+    use bernoulli::{OpSpec, Operands, TriangularOp};
+    use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus};
+    assert_eq!(SCHEMA, "bernoulli.plancache/v4");
+    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let t = bernoulli_formats::gen::grid3d_7pt(5, 5, 5);
+    let (a, full, l) = (SparseMatrix::from_triplets(FormatKind::Csr, &t), Csr::from_triplets(&t), lower_of(&t));
+    let u = l.transposed();
+    let (lower, upper) = (TriangularOp::Lower { unit_diag: false }, TriangularOp::Upper { unit_diag: false });
+    // One compile of every op kind there is; the calls hit from the
+    // second round on.
+    let compile_all = |cache: &PlanCache| {
+        cache.spmv_engine(&a, &ctx).unwrap();
+        cache.compile::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &a), &ctx).unwrap();
+        cache.spmv_multi_engine(&a, 3, &ctx).unwrap();
+        cache.semiring_spmv_engine::<MinPlus>(&a, &ctx).unwrap();
+        cache.semiring_spmv_engine::<BoolOrAnd>(&a, &ctx).unwrap();
+        cache.semiring_spmv_engine::<FirstNonZero>(&a, &ctx).unwrap();
+        cache.sptrsv_engine(&l, lower, &ctx).unwrap();
+        cache.sptrsv_engine(&u, upper, &ctx).unwrap();
+        cache.symgs_engine(&full, &ctx).unwrap();
+    };
+    let cache = PlanCache::new();
+    compile_all(&cache);
+    assert_eq!(cache.stats().entries(), 9);
+    let json = cache.to_json();
+
+    let removed = |op: &str, key: StructureKey| {
+        format!(
+            "{{\"structure\":\"{}\",\"op\":\"{op}\",\"strategy\":\"parallel\",\"plan_shape\":\"\",\
+             \"fast_eligible\":false,\"calibrated\":null,\"rows\":null,\"level_ptr\":null}}",
+            key.hex()
+        )
+    };
+    let pair = StructureKey::combine(structure_key_csr(&full), structure_key_csr(&full));
+    let old = json.replacen(
+        "\"ops\":[",
+        &format!(
+            "\"ops\":[{},{},{},",
+            removed("spmm.count_u64", pair),
+            removed("spmv.max_plus", structure_key(&a)),
+            removed("sptrsv.lower_transposed", structure_key_csr(&l)),
+        ),
+        1,
+    );
+    let dir = std::env::temp_dir().join("bernoulli_plancache_removed_kinds");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("cache.json");
+    std::fs::write(&path, &old).unwrap();
+    let loaded = PlanCache::load(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Exactly the removed entries went; the rest is what was written.
+    assert_eq!(loaded.to_json(), json);
+    compile_all(&loaded);
+    let stats = loaded.stats();
+    assert_eq!((stats.hits, stats.misses, stats.entries()), (9, 0, 9), "{stats:?}");
+}
+
 /// A cache file is whatever is on disk when it is read back. Every
 /// byte-level mutant of a saved v4 file loads or is an error — never a
 /// panic — and whatever schedule a loaded mutant hands the wavefront

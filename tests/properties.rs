@@ -205,15 +205,16 @@ proptest! {
         }
     }
 
-    /// IC(0) of an SPD grid-like matrix: M⁻¹ application is symmetric
-    /// positive (zᵀr > 0 for r ≠ 0) — the property PCG relies on.
+    /// Symmetric Gauss-Seidel of an SPD grid-like matrix: M⁻¹
+    /// application is symmetric positive (zᵀr > 0 for r ≠ 0) — the
+    /// property PCG relies on.
     #[test]
-    fn ic0_preconditioner_spd_action(seed in 0u64..50) {
-        use bernoulli_solvers::ic0::Ic0;
+    fn symgs_preconditioner_spd_action(seed in 0u64..50) {
         use bernoulli_solvers::precond::Preconditioner;
+        use bernoulli_solvers::{ExecCtx, SymGs};
         let t = bernoulli_formats::gen::grid2d_5pt(5, 5);
         let n = t.nrows();
-        let f = Ic0::factor(&t).unwrap();
+        let f = SymGs::new(bernoulli_formats::Csr::from_triplets(&t), &ExecCtx::default()).unwrap();
         let r: Vec<f64> = (0..n)
             .map(|i| (((i as u64 + 1) * (seed + 3)) % 17) as f64 - 8.0)
             .collect();
@@ -226,8 +227,8 @@ proptest! {
         prop_assert!(zr > 0.0, "zᵀr = {zr}");
     }
 
-    /// Transposing twice is the identity; SpMV with Aᵀ equals
-    /// transposed-SpMV with A.
+    /// Transposing twice is the identity; SpMV with the transposed CSR
+    /// equals the triplets' transposed product.
     #[test]
     fn transpose_laws((t, x) in arb_matrix().prop_flat_map(|t| {
         let nr = t.nrows();
@@ -236,7 +237,7 @@ proptest! {
         let a = bernoulli_formats::Csr::from_triplets(&t);
         prop_assert_eq!(a.transposed().transposed(), a.clone());
         let mut y1 = vec![0.0; t.ncols()];
-        bernoulli_formats::kernels::spmv_csr_transposed(&a, &x, &mut y1);
+        t.transposed().matvec_acc(&x, &mut y1);
         let mut y2 = vec![0.0; t.ncols()];
         bernoulli_formats::kernels::spmv_csr(&a.transposed(), &x, &mut y2);
         for (p1, p2) in y1.iter().zip(&y2) {

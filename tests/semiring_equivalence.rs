@@ -133,19 +133,6 @@ fn ref_spmv_inode(a: &InodeMatrix, x: &[f64], y: &mut [f64]) {
     }
 }
 
-fn ref_spmv_csr_transposed(a: &Csr, x: &[f64], y: &mut [f64]) {
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    for (r, &xr) in x.iter().enumerate() {
-        let (s, e) = (rowptr[r], rowptr[r + 1]);
-        if xr == 0.0 && vals[s..e].iter().all(|v| v.is_finite()) {
-            continue;
-        }
-        for k in s..e {
-            y[colind[k]] += vals[k] * xr;
-        }
-    }
-}
-
 fn ref_spmm_csr_dense(a: &Csr, x: &[f64], k: usize, y: &mut [f64]) {
     let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
     for r in 0..a.nrows() {
@@ -323,7 +310,7 @@ fn arb_matrix() -> impl Strategy<Value = Triplets> {
 }
 
 /// Vector with exact dyadic values (and plenty of zeros, to exercise
-/// the CCS / transposed-CSR zero-column skip).
+/// the CCS zero-column skip).
 fn arb_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec((-16i32..16).prop_map(|v| v as f64 / 4.0), len..=len)
 }
@@ -371,22 +358,13 @@ proptest! {
         }
     }
 
-    /// Transposed SpMV and both SpMM kernels, serial + parallel: the
-    /// generic code path behind the surviving f64 wrappers is
-    /// byte-identical to the pre-refactor loops.
+    /// Both SpMM kernels, serial + parallel: the generic code path
+    /// behind the surviving f64 wrappers is byte-identical to the
+    /// pre-refactor loops.
     #[test]
-    fn generic_transposed_and_spmm_bitwise_equal_f64((t, u, k) in arb_matrix().prop_flat_map(|t| {
-        let nr = t.nrows();
-        (Just(t), arb_vec(nr), 1usize..4)
-    })) {
+    fn generic_spmm_bitwise_equals_f64((t, k) in arb_matrix().prop_flat_map(|t| (Just(t), 1usize..4))) {
         let a = Csr::from_triplets(&t);
-        // Aᵀ·x.
-        let mut y_gen = vec![0.0; a.ncols()];
-        let mut y_ref = vec![0.0; a.ncols()];
-        kernels::spmv_csr_transposed_in::<F64Plus>(&a, &u, &mut y_gen);
-        ref_spmv_csr_transposed(&a, &u, &mut y_ref);
-        prop_assert_eq!(bits(&y_gen), bits(&y_ref));
-        // A·X with a skinny dense X (entries derived from u, dyadic).
+        // A·X with a skinny dense X (dyadic entries).
         let x: Vec<f64> = (0..a.ncols() * k).map(|i| ((i % 7) as f64) * 0.5 - 1.5).collect();
         let exec = ExecCtx::with_threads(4).threshold(1);
         let mut y_gen = vec![0.0; a.nrows() * k];
@@ -428,14 +406,6 @@ fn non_finite_columns_keep_the_pre_refactor_gate() {
     let mut y_ref = vec![1.0; 3];
     kernels::spmv_in::<F64Plus, Ccs>(&a, &x, &mut y_gen);
     ref_spmv_ccs(&a, &x, &mut y_ref);
-    assert_eq!(bits(&y_gen), bits(&y_ref));
-    assert!(y_gen[0].is_nan() && y_gen[2].is_nan() && y_gen[1] == 1.0);
-
-    let c = Csr::from_triplets(&t);
-    let mut y_gen = vec![1.0; 3];
-    let mut y_ref = vec![1.0; 3];
-    kernels::spmv_csr_transposed_in::<F64Plus>(&c, &x, &mut y_gen);
-    ref_spmv_csr_transposed(&c, &x, &mut y_ref);
     assert_eq!(bits(&y_gen), bits(&y_ref));
     assert!(y_gen[0].is_nan() && y_gen[2].is_nan() && y_gen[1] == 1.0);
 }

@@ -1,14 +1,13 @@
-//! Cross-crate solver integration: every iterative method over the
-//! compiled engines, agreeing on the same solutions.
+//! Cross-crate solver integration: preconditioned CG over the compiled
+//! engines, agreeing on the same solutions.
 
 use bernoulli::engines::SpmvEngine;
 use bernoulli::ExecCtx;
 use bernoulli_formats::gen::{fem_grid_2d, table1_suite, Scale};
-use bernoulli_formats::{FormatKind, SparseMatrix, Triplets};
+use bernoulli_formats::{Csr, FormatKind, SparseMatrix, Triplets};
 use bernoulli_solvers::cg::{cg, CgOptions};
-use bernoulli_solvers::gmres::{gmres, GmresOptions};
-use bernoulli_solvers::ic0::Ic0;
 use bernoulli_solvers::precond::DiagonalPreconditioner;
+use bernoulli_solvers::SymGs;
 
 fn residual(t: &Triplets, x: &[f64], b: &[f64]) -> f64 {
     let mut ax = vec![0.0; b.len()];
@@ -16,15 +15,15 @@ fn residual(t: &Triplets, x: &[f64], b: &[f64]) -> f64 {
     ax.iter().zip(b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt()
 }
 
-/// Every Krylov method over a row-major (CRS) and a column-major (CCS)
-/// compiled engine: the six solutions agree.
+/// CG under both preconditioners over a row-major (CRS) and a
+/// column-major (CCS) compiled engine: the four solutions agree.
 #[test]
-fn all_krylov_methods_agree_through_compiled_engines() {
+fn preconditioned_cg_agrees_through_compiled_engines() {
     let t = fem_grid_2d(7, 6, 2);
     let n = t.nrows();
     let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 5 % 13) as f64) * 0.3).collect();
     let diag = DiagonalPreconditioner::from_matrix(&t);
-    let ic = Ic0::factor(&t).unwrap();
+    let gs = SymGs::new(Csr::from_triplets(&t), &ExecCtx::default()).unwrap();
     let mut reference: Option<Vec<f64>> = None;
 
     for kind in [FormatKind::Csr, FormatKind::Ccs] {
@@ -38,29 +37,15 @@ fn all_krylov_methods_agree_through_compiled_engines() {
         let r = cg(&op, &diag, &b, &mut x_cg, opts, &ExecCtx::default()).unwrap();
         assert!(r.converged, "{kind:?}");
 
-        // CG with IC(0).
-        let mut x_ic = vec![0.0; n];
-        let r_ic = cg(&op, &ic, &b, &mut x_ic, opts, &ExecCtx::default()).unwrap();
-        assert!(r_ic.converged, "{kind:?}");
-        assert!(r_ic.iters <= r.iters, "{kind:?}: IC(0) must not be slower in iterations");
-
-        // GMRES over the same bound operator.
-        let mut x_gm = vec![0.0; n];
-        let r_gm = gmres(
-            &op,
-            &diag,
-            &b,
-            &mut x_gm,
-            GmresOptions { restart: 30, max_iters: 3000, rel_tol: 1e-11 },
-            &ExecCtx::default(),
-        )
-        .unwrap();
-        assert!(r_gm.converged, "{kind:?}");
+        // CG with symmetric Gauss-Seidel.
+        let mut x_gs = vec![0.0; n];
+        let r_gs = cg(&op, &gs, &b, &mut x_gs, opts, &ExecCtx::default()).unwrap();
+        assert!(r_gs.converged, "{kind:?}");
+        assert!(r_gs.iters <= r.iters, "{kind:?}: SymGS must not be slower in iterations");
 
         let x_ref = reference.get_or_insert_with(|| x_cg.clone());
         for i in 0..n {
-            assert!((x_cg[i] - x_ic[i]).abs() < 1e-6, "{kind:?}: CG vs IC0-PCG at {i}");
-            assert!((x_cg[i] - x_gm[i]).abs() < 1e-6, "{kind:?}: CG vs GMRES at {i}");
+            assert!((x_cg[i] - x_gs[i]).abs() < 1e-6, "{kind:?}: CG vs SymGS-PCG at {i}");
             assert!((x_cg[i] - x_ref[i]).abs() < 1e-6, "{kind:?}: CG vs CRS CG at {i}");
         }
         assert!(residual(&t, &x_cg, &b) < 1e-7, "{kind:?}");
@@ -68,11 +53,10 @@ fn all_krylov_methods_agree_through_compiled_engines() {
 }
 
 #[test]
-fn gmres_solves_every_suite_matrix_through_engines() {
-    // Including the unsymmetric circuit twin, where CG is inapplicable.
+fn cg_solves_every_spd_suite_matrix_through_engines() {
     for m in table1_suite(Scale::Small) {
         let s = m.stats();
-        if s.nrows > 3000 {
+        if !s.symmetric || s.nrows > 3000 {
             continue; // keep the test fast (memplus runs in benches)
         }
         let n = s.nrows;
@@ -81,41 +65,17 @@ fn gmres_solves_every_suite_matrix_through_engines() {
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 3) as f64).collect();
         let diag = DiagonalPreconditioner::from_matrix(&m.triplets);
         let mut x = vec![0.0; n];
-        let r = gmres(
-            &eng.bind(&a),
-            &diag,
-            &b,
-            &mut x,
-            GmresOptions { restart: 50, max_iters: 6000, rel_tol: 1e-8 },
-            &ExecCtx::default(),
-        )
-        .unwrap();
-        assert!(
-            r.converged,
-            "{}: residual {} after {} matvecs",
-            m.name, r.final_residual, r.iters
-        );
-    }
-}
-
-#[test]
-fn ic0_handles_every_spd_suite_matrix() {
-    for m in table1_suite(Scale::Small) {
-        let s = m.stats();
-        if !s.symmetric || s.nrows > 3000 {
-            continue;
-        }
-        // Shifted factorisation always succeeds on these.
-        let ic = Ic0::factor_shifted(&m.triplets, 8);
-        assert!(ic.is_ok(), "{}: {:?}", m.name, ic.err());
+        let opts = CgOptions { max_iters: 6000, rel_tol: 1e-8 };
+        let r = cg(&eng.bind(&a), &diag, &b, &mut x, opts, &ExecCtx::default()).unwrap();
+        assert!(r.converged, "{}: residual {} after {} iterations", m.name, r.final_residual, r.iters);
     }
 }
 
 /// Wrong-length vectors and a rectangular operator are the caller's
-/// input: both Krylov solvers refuse them with a `RelError` (they used
-/// to `assert_eq!` inside a `RelResult` function).
+/// input: CG refuses them with a `RelError` (it used to `assert_eq!`
+/// inside a `RelResult` function).
 #[test]
-fn krylov_solvers_refuse_mismatched_systems_without_panicking() {
+fn cg_refuses_mismatched_systems_without_panicking() {
     use bernoulli::RelError;
     use bernoulli_solvers::precond::IdentityPreconditioner;
     let ctx = ExecCtx::default();
@@ -132,35 +92,29 @@ fn krylov_solvers_refuse_mismatched_systems_without_panicking() {
         let mut x = before[..xlen].to_vec();
         let res = cg(op, &pc, &b, &mut x, CgOptions::default(), &ctx);
         assert!(matches!(res, Err(RelError::Validation(_))), "cg, {what}: {res:?}");
-        let res = gmres(op, &pc, &b, &mut x, GmresOptions::default(), &ctx);
-        assert!(matches!(res, Err(RelError::Validation(_))), "gmres, {what}: {res:?}");
         assert_eq!(x, before[..xlen], "{what}: a refused solve must not touch x");
     }
 }
 
 /// A preconditioner built for another matrix is the caller's input
-/// too: each solver refuses each preconditioner type with a `RelError`
-/// where the application used to panic (`copy_from_slice`, a length
-/// assert, the sweeps' `expect`).
+/// too: CG refuses each preconditioner type with a `RelError` where the
+/// application used to panic (`copy_from_slice`, a length assert, the
+/// sweeps' `expect`).
 #[test]
-fn krylov_solvers_refuse_a_preconditioner_of_another_order() {
+fn cg_refuses_a_preconditioner_of_another_order() {
     use bernoulli::RelError;
-    use bernoulli_formats::Csr;
-    use bernoulli_solvers::{IdentityPreconditioner, Preconditioner, SymGs};
+    use bernoulli_solvers::{IdentityPreconditioner, Preconditioner};
     fn refused(what: &str, a: &SparseMatrix, pc: &impl Preconditioner) {
         let (n, ctx) = (a.nrows(), ExecCtx::default());
         assert_ne!(pc.dim(), n);
         let (b, mut x) = (vec![1.0; n], vec![0.5; n]);
         let res = cg(a, pc, &b, &mut x, CgOptions::default(), &ctx);
         assert!(matches!(res, Err(RelError::Validation(_))), "cg, {what}: {res:?}");
-        let res = gmres(a, pc, &b, &mut x, GmresOptions::default(), &ctx);
-        assert!(matches!(res, Err(RelError::Validation(_))), "gmres, {what}: {res:?}");
         assert_eq!(x, vec![0.5; n], "{what}: a refused solve must not touch x");
     }
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &fem_grid_2d(3, 3, 1));
     let other = fem_grid_2d(4, 3, 1);
     refused("Identity", &a, &IdentityPreconditioner { n: a.nrows() + 1 });
     refused("Diagonal", &a, &DiagonalPreconditioner::from_matrix(&other));
-    refused("Ic0", &a, &Ic0::factor(&other).unwrap());
     refused("SymGs", &a, &SymGs::new(Csr::from_triplets(&other), &ExecCtx::default()).unwrap());
 }
