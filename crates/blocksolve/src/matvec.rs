@@ -35,7 +35,7 @@ impl BsParallelMatvec {
     /// volume proportional to the boundary (`used_nonlocal`).
     pub fn inspect(ctx: &mut Ctx, local: &BsLocal, dist: &dyn Distribution) -> BsParallelMatvec {
         let used = local.used_nonlocal();
-        let sched = CommSchedule::build_replicated(ctx, dist, &used);
+        let sched = CommSchedule::build(ctx, dist, &used);
         // Bake the global→ghost translation into the stored matrix so
         // the executor performs no translation (the paper's point about
         // avoiding the extra level of indirection).

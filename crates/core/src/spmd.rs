@@ -19,9 +19,10 @@
 //!   indices, and only the sparse-nonlocal part is compiled at the
 //!   global level. `Used` is just the boundary.
 //!
-//! Each inspector also comes in a Chaos flavour (`inspect_chaos`),
-//! where `IND` is a distributed translation table and the join itself
-//! costs all-to-all rounds — the `Indirect-*` rows of Table 3.
+//! The two inspectors differ only in their `Used` set: both take any
+//! `IND` ([`IndexTranslation`]) and reach their schedule through the one
+//! [`CommSchedule::build`], so a Chaos table in place of a replicated
+//! relation gives Table 3's `Indirect-*` rows with no code of its own.
 //!
 //! Both executors run their products on the operands' i-node level
 //! (Fig. 2(c): the rows of one discretisation point share a column
@@ -34,8 +35,7 @@
 
 use bernoulli_formats::kernels::{spmv_csr_inodes, spmv_csr_inodes_with};
 use bernoulli_formats::{Csr, InodePartition, Triplets};
-use bernoulli_spmd::chaos::ChaosTable;
-use bernoulli_spmd::dist::Distribution;
+use bernoulli_spmd::dist::{Distribution, IndexTranslation};
 use bernoulli_spmd::executor::{gather_ghosts, GhostRows};
 use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_spmd::machine::Ctx;
@@ -114,61 +114,37 @@ pub struct CompiledNaive {
 }
 
 impl CompiledNaive {
-    /// Inspector over a replicated distribution (the paper's
-    /// `Bernoulli` row): ownership lookups are local but are performed
-    /// for *every* referenced column.
-    pub fn inspect(ctx: &mut Ctx, frag: &GlobalFragment, dist: &dyn Distribution) -> Self {
+    /// The inspector of eq. (23): `Used` is *every* referenced column,
+    /// and all of it is joined with `ind` — the translation work the
+    /// paper's `Bernoulli` and `Indirect` rows pay even to discover
+    /// that most columns are local. The schedule is then built over the
+    /// nonlocal part, whose join `ind` answers a second time.
+    pub fn inspect(ctx: &mut Ctx, frag: &GlobalFragment, ind: &(impl IndexTranslation + ?Sized)) -> Self {
         let me = ctx.rank();
         let used = frag.used_columns();
-        let owners: Vec<(usize, usize)> = used.iter().map(|&g| dist.owner(g)).collect();
-        Self::finish(ctx, frag, &used, &owners, me, |ctx, nonlocal| {
-            CommSchedule::build_replicated(ctx, dist, nonlocal)
-        })
-    }
-
-    /// Inspector over a Chaos distributed translation table (the
-    /// paper's `Indirect` row): every referenced column is
-    /// dereferenced through the table — all-to-all volume ∝ references.
-    pub fn inspect_chaos(ctx: &mut Ctx, frag: &GlobalFragment, table: &ChaosTable) -> Self {
-        let me = ctx.rank();
-        let used = frag.used_columns();
-        let owners = table.dereference(ctx, &used);
-        Self::finish(ctx, frag, &used, &owners, me, |ctx, nonlocal| {
-            CommSchedule::build_with_chaos(ctx, table, nonlocal)
-        })
-    }
-
-    fn finish(
-        ctx: &mut Ctx,
-        frag: &GlobalFragment,
-        used: &[usize],
-        owners: &[(usize, usize)],
-        me: usize,
-        build: impl FnOnce(&mut Ctx, &[usize]) -> CommSchedule,
-    ) -> Self {
-        // Split used into local and nonlocal; locals get the leading
-        // x-buffer slots. `used` is sorted, so the rank of a global is
-        // its position in `used`.
+        let owners = ind.join(ctx, &used);
+        // Locals get the leading x-buffer slots. `used` is sorted, so
+        // the rank of a global is its position in `used`.
         let mut local_srcs: Vec<(usize, usize)> = Vec::new();
         let mut nonlocal: Vec<usize> = Vec::new();
-        for (&_g, &(p, l)) in used.iter().zip(owners) {
+        for (&g, &(p, l)) in used.iter().zip(&owners) {
             if p == me {
                 local_srcs.push((local_srcs.len(), l));
             } else {
-                nonlocal.push(_g);
+                nonlocal.push(g);
             }
         }
         let ghost_base = local_srcs.len();
-        let sched = build(ctx, &nonlocal);
+        let sched = CommSchedule::build(ctx, ind, &nonlocal);
         // trans[rank] = x-buffer slot of used[rank].
         let mut trans = vec![0usize; used.len()];
         let mut next_local = 0usize;
-        for (rank, (&g, &(p, _))) in used.iter().zip(owners).enumerate() {
+        for (rank, (g, &(p, _))) in used.iter().zip(&owners).enumerate() {
             if p == me {
                 trans[rank] = next_local;
                 next_local += 1;
             } else {
-                trans[rank] = ghost_base + sched.ghost_of_global[&g];
+                trans[rank] = ghost_base + sched.ghost_of_global[g];
             }
         }
         let width = ghost_base + sched.num_ghosts;
@@ -222,25 +198,12 @@ pub struct CompiledMixed {
 }
 
 impl CompiledMixed {
-    /// Inspector over a replicated distribution (the paper's
-    /// `Bernoulli-Mixed` row): `Used` is read off the global part's
-    /// structure — work and communication ∝ boundary.
-    pub fn inspect(ctx: &mut Ctx, spec: &MixedSpec, dist: &dyn Distribution) -> Self {
-        let used = spec.global_part.used_columns();
-        let sched = CommSchedule::build_replicated(ctx, dist, &used);
-        Self::finish(spec, sched)
-    }
-
-    /// Inspector over a Chaos translation table (`Indirect-Mixed`):
-    /// the boundary is still small, but dereferencing it — and having
-    /// built the table at all — costs all-to-all communication.
-    pub fn inspect_chaos(ctx: &mut Ctx, spec: &MixedSpec, table: &ChaosTable) -> Self {
-        let used = spec.global_part.used_columns();
-        let sched = CommSchedule::build_with_chaos(ctx, table, &used);
-        Self::finish(spec, sched)
-    }
-
-    fn finish(spec: &MixedSpec, sched: CommSchedule) -> Self {
+    /// The inspector of eq. (24): `Used` is read off the global part's
+    /// structure, so the join with `ind` is boundary-sized — work and,
+    /// over a replicated relation, communication too (the paper's
+    /// `Bernoulli-Mixed` row; over a Chaos table, `Indirect-Mixed`).
+    pub fn inspect(ctx: &mut Ctx, spec: &MixedSpec, ind: &(impl IndexTranslation + ?Sized)) -> Self {
+        let sched = CommSchedule::build(ctx, ind, &spec.global_part.used_columns());
         let a_snl_ghost = GhostRows::build(&sched, &spec.global_part.entries);
         let ghosts = vec![0.0; sched.num_ghosts];
         CompiledMixed {
@@ -316,6 +279,7 @@ pub fn fragment_matrix(t: &Triplets, dist: &dyn Distribution) -> Vec<GlobalFragm
 mod tests {
     use super::*;
     use bernoulli_formats::gen::fem_grid_2d;
+    use bernoulli_spmd::chaos::ChaosTable;
     use bernoulli_spmd::dist::BlockDist;
     use bernoulli_spmd::machine::Machine;
 
@@ -407,10 +371,10 @@ mod tests {
                         let (p, l) = dist.owner(g);
                         (p == me).then_some(l)
                     });
-                    let mut eng = CompiledMixed::inspect_chaos(ctx, &spec, &table);
+                    let mut eng = CompiledMixed::inspect(ctx, &spec, &table);
                     eng.execute(ctx, &x_local, &mut y);
                 } else {
-                    let mut eng = CompiledNaive::inspect_chaos(ctx, &frags[me], &table);
+                    let mut eng = CompiledNaive::inspect(ctx, &frags[me], &table);
                     eng.execute(ctx, &x_local, &mut y);
                 }
                 y
@@ -459,7 +423,7 @@ mod tests {
             let me = ctx.rank();
             let table = ChaosTable::build(ctx, n, &dist.owned_globals(me));
             let before = ctx.stats();
-            let _eng = CompiledNaive::inspect_chaos(ctx, &frags[me], &table);
+            let _eng = CompiledNaive::inspect(ctx, &frags[me], &table);
             ctx.stats().since(&before).bytes_sent
         });
         let mixed_bytes: u64 = mixed.results.iter().map(|r| r.0).sum();

@@ -374,7 +374,7 @@ mod tests {
                 local_rows.iter().map(|&(_, c, _)| c).filter(|&c| dist.owner(c).0 != me).collect();
             used.sort_unstable();
             used.dedup();
-            let sched = CommSchedule::build_replicated(ctx, &dist, &used);
+            let sched = CommSchedule::build(ctx, &dist, &used);
             // Rewrite columns: locals to local offsets, ghosts to
             // n_local + slot.
             let n_local = owned.len();

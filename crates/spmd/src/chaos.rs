@@ -13,6 +13,7 @@
 //! indices involved — the asymptotic cost the paper's Table 3 pins the
 //! `Indirect` inspectors' order-of-magnitude slowdown on.
 
+use crate::dist::IndexTranslation;
 use crate::machine::{Ctx, Payload};
 
 /// One processor's slice of the distributed translation table.
@@ -75,16 +76,14 @@ impl ChaosTable {
     pub fn home_of(&self, g: usize) -> usize {
         g / self.block
     }
+}
 
-    /// Collectively resolve ownership of `queries` (global indices).
-    /// Returns `⟨proc, local⟩` per query, in order. Costs two
-    /// all-to-all rounds (requests out, answers back) with volume
-    /// proportional to the number of queries.
-    ///
-    /// Every processor must call this the same number of times
-    /// (SPMD collective discipline); processors with no queries pass
-    /// an empty slice.
-    pub fn dereference(&self, ctx: &mut Ctx, queries: &[usize]) -> Vec<(usize, usize)> {
+/// Dereferencing the distributed table: two all-to-all rounds (queries
+/// out to their table homes, answers back) with volume proportional to
+/// the number of queries. Every processor must call it the same number
+/// of times (SPMD collective discipline).
+impl IndexTranslation for ChaosTable {
+    fn join(&self, ctx: &mut Ctx, queries: &[usize]) -> Vec<(usize, usize)> {
         let nprocs = ctx.nprocs();
         // Round 1: route query indices to their table homes.
         let mut outgoing: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
@@ -139,7 +138,7 @@ mod tests {
             let table = ChaosTable::build(ctx, n, &owned);
             // Everyone queries a different set, including empty-ish.
             let queries: Vec<usize> = (0..n).filter(|g| g % 3 == ctx.rank()).collect();
-            let answers = table.dereference(ctx, &queries);
+            let answers = table.join(ctx, &queries);
             (queries, answers)
         });
         for (queries, answers) in out.results {
@@ -172,9 +171,9 @@ mod tests {
         let out = Machine::run(2, |ctx| {
             let table = ChaosTable::build(ctx, n, &d.owned_globals(ctx.rank()));
             if ctx.rank() == 0 {
-                table.dereference(ctx, &[3, 0])
+                table.join(ctx, &[3, 0])
             } else {
-                table.dereference(ctx, &[])
+                table.join(ctx, &[])
             }
         });
         assert_eq!(out.results[0], vec![d.owner(3), d.owner(0)]);

@@ -19,11 +19,35 @@
 //!   structure than indirect");
 //! * [`IndirectDist`] — HPF-2 indirect with a replicated `MAP` array
 //!   (the fully general, least structured relation).
+//!
+//! Whatever its storage, a relation is joined through its one declared
+//! access method, [`IndexTranslation::join`]; every [`Distribution`]
+//! has it by a blanket impl, a local probe per index.
 
+use crate::machine::Ctx;
 use std::sync::Arc;
 
+/// `IND` as the inspector sees it (§3.2.3): the one access method that
+/// evaluates `Used ⋈ IND`. A replicated relation answers locally; the
+/// Chaos table ([`crate::chaos::ChaosTable`]) answers with all-to-all
+/// rounds. Adding a distribution means describing this, nothing more.
+pub trait IndexTranslation {
+    /// `⟨proc, local⟩` of each of `used`, in order. Collective for a
+    /// distributed relation: every processor calls it, passing an
+    /// empty slice when it has nothing to ask.
+    fn join(&self, ctx: &mut Ctx, used: &[usize]) -> Vec<(usize, usize)>;
+}
+
+/// A replicated relation: one local `owner` probe per index, no
+/// messages.
+impl<D: Distribution + ?Sized> IndexTranslation for D {
+    fn join(&self, _ctx: &mut Ctx, used: &[usize]) -> Vec<(usize, usize)> {
+        used.iter().map(|&g| self.owner(g)).collect()
+    }
+}
+
 /// A replicated 1–1 distribution relation over `0..len()`.
-pub trait Distribution: Send + Sync {
+pub trait Distribution: IndexTranslation + Send + Sync {
     /// Number of processors.
     fn nprocs(&self) -> usize;
 

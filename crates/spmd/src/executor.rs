@@ -96,22 +96,6 @@ impl GhostRows {
     }
 }
 
-/// Resolve a used global index to a value, given local ownership
-/// translation `local_of` and the gathered ghosts.
-#[inline]
-pub fn value_of(
-    g: usize,
-    local_of: impl Fn(usize) -> Option<usize>,
-    x_local: &[f64],
-    sched: &CommSchedule,
-    ghosts: &[f64],
-) -> f64 {
-    match local_of(g) {
-        Some(l) => x_local[l],
-        None => ghosts[sched.ghost_of_global[&g]],
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,23 +115,10 @@ mod tests {
             let start = d.to_global(me, 0);
             let used: Vec<usize> =
                 (1..=2).map(|k| (start + n - k) % n).filter(|&g| d.owner(g).0 != me).collect();
-            let sched = CommSchedule::build_replicated(ctx, &d, &used);
+            let sched = CommSchedule::build(ctx, &d, &used);
             let mut ghosts = vec![f64::NAN; sched.num_ghosts];
             gather_ghosts(ctx, &sched, &x_local, &mut ghosts);
-            used.iter()
-                .map(|&g| {
-                    value_of(
-                        g,
-                        |g| {
-                            let (p, l) = d.owner(g);
-                            (p == me).then_some(l)
-                        },
-                        &x_local,
-                        &sched,
-                        &ghosts,
-                    )
-                })
-                .collect::<Vec<f64>>()
+            used.iter().map(|g| ghosts[sched.ghost_of_global[g]]).collect::<Vec<f64>>()
         });
         // proc1 wanted globals 3, 2 → 9, 4; proc2 wanted 7, 6 → 49, 36;
         // proc0 wanted 11, 10 → 121, 100.
@@ -165,7 +136,7 @@ mod tests {
             let x_local: Vec<f64> =
                 d.owned_globals(me).iter().map(|&g| g as f64 + 0.5).collect();
             let used: Vec<usize> = if me == 0 { vec![4, 7] } else { vec![3] };
-            let sched = CommSchedule::build_replicated(ctx, &d, &used);
+            let sched = CommSchedule::build(ctx, &d, &used);
             let mut ghosts = vec![0.0; sched.num_ghosts];
             // Overlapped: sends first, fake local work, then receives.
             start_sends(ctx, &sched, &x_local);
@@ -187,7 +158,7 @@ mod tests {
         Machine::run(3, |ctx| {
             let me = ctx.rank();
             let used: Vec<usize> = (0..n).filter(|&g| d.owner(g).0 != me && g % 2 == me % 2).collect();
-            let mut sched = CommSchedule::build_replicated(ctx, &d, &used);
+            let mut sched = CommSchedule::build(ctx, &d, &used);
             // Reverse the slot numbering, consistently in both places.
             let last = sched.num_ghosts - 1;
             sched.ghost_of_global.values_mut().for_each(|s| *s = last - *s);
@@ -209,7 +180,7 @@ mod tests {
         let d = BlockDist::new(8, 2);
         let out = Machine::run(2, |ctx| {
             let used: Vec<usize> = if ctx.rank() == 0 { vec![4, 7] } else { vec![3] };
-            let sched = CommSchedule::build_replicated(ctx, &d, &used);
+            let sched = CommSchedule::build(ctx, &d, &used);
             // Entries in no particular row order; rows 1 and 3 only.
             let entries: Vec<(usize, usize, f64)> = match ctx.rank() {
                 0 => vec![(3, 7, 2.0), (1, 4, -1.0), (3, 4, 0.5)],
@@ -238,7 +209,7 @@ mod tests {
             let me = ctx.rank();
             let x_local = vec![1.0; d.local_len(me)];
             let used: Vec<usize> = vec![(d.to_global(me, 0) + 4) % n];
-            let sched = CommSchedule::build_replicated(ctx, &d, &used);
+            let sched = CommSchedule::build(ctx, &d, &used);
             let before = ctx.stats();
             let mut ghosts = vec![0.0; sched.num_ghosts];
             gather_ghosts(ctx, &sched, &x_local, &mut ghosts);

@@ -8,21 +8,22 @@
 //! what to **send**. The result is a [`CommSchedule`] the executor
 //! replays every iteration.
 //!
-//! Two paths, matching the paper's Table 3 comparison:
+//! One join, [`CommSchedule::build`], evaluated the way `IND` describes
+//! its own access ([`IndexTranslation::join`]) — which is where the
+//! paper's Table 3 comparison comes from:
 //!
-//! * [`CommSchedule::build_replicated`] — `IND` is replicated
-//!   ([`Distribution`]), so the join is a local lookup; communication
-//!   is one exchange of request lists, volume ∝ boundary size
-//!   (the `BlockSolve` / `Bernoulli-*` inspectors);
-//! * [`CommSchedule::build_with_chaos`] — `IND` is a distributed
-//!   translation table, so the join itself requires all-to-all rounds
-//!   with volume ∝ number of used indices (the `Indirect-*`
-//!   inspectors).
+//! * a replicated [`Distribution`] answers locally, so communication is
+//!   one exchange of request lists, volume ∝ boundary size (the
+//!   `BlockSolve` / `Bernoulli-*` inspectors);
+//! * the Chaos distributed translation table
+//!   ([`crate::chaos::ChaosTable`]) answers with all-to-all rounds of
+//!   volume ∝ number of used indices (the `Indirect-*` inspectors).
+//!
+//! [`Distribution`]: crate::dist::Distribution
 
-use crate::chaos::ChaosTable;
-use crate::dist::Distribution;
+use crate::dist::IndexTranslation;
 use crate::machine::{Ctx, Payload};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A gather schedule for one distributed array.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -57,21 +58,32 @@ impl CommSchedule {
         self.send_locals.iter().map(Vec::len).sum()
     }
 
-    /// Assemble from per-peer `(peer, globals, peer_locals)` needs and
-    /// run the request exchange. `needs` must be grouped by peer.
-    fn finish(
-        ctx: &mut Ctx,
-        needs: Vec<(usize, Vec<usize>, Vec<usize>)>,
-    ) -> CommSchedule {
-        let nprocs = ctx.nprocs();
+    /// The inspector: join `used` with `ind` (`RecvInd = Used ⋈ IND`),
+    /// group the answers by owner in `used` order, and run the request
+    /// exchange. An index this processor owns needs no ghost and is
+    /// skipped, whatever the relation: the naive spec pays to discover
+    /// that locality, the mixed one never asks.
+    ///
+    /// `used` is this processor's set of used global indices (any
+    /// order, no duplicates). Collective: every processor calls it.
+    pub fn build(ctx: &mut Ctx, ind: &(impl IndexTranslation + ?Sized), used: &[usize]) -> CommSchedule {
+        let (me, nprocs) = (ctx.rank(), ctx.nprocs());
+        let mut by_owner: BTreeMap<usize, (Vec<usize>, Vec<usize>)> = BTreeMap::new();
+        for (&g, (p, l)) in used.iter().zip(ind.join(ctx, used)) {
+            if p != me {
+                let e = by_owner.entry(p).or_default();
+                e.0.push(g);
+                e.1.push(l);
+            }
+        }
         let mut sched = CommSchedule::default();
         // Ghost slots in (peer, wire-order) order.
-        let mut requests: Vec<Vec<usize>> = vec![Vec::new(); nprocs];
-        for (peer, globals, peer_locals) in needs {
+        let mut requests: Vec<Payload> = (0..nprocs).map(|_| Payload::Empty).collect();
+        for (peer, (globals, peer_locals)) in by_owner {
             let slots = sched.num_ghosts..sched.num_ghosts + globals.len();
             sched.ghost_of_global.extend(globals.iter().copied().zip(slots.clone()));
             sched.num_ghosts = slots.end;
-            requests[peer] = peer_locals;
+            requests[peer] = Payload::Usize(peer_locals);
             sched.recv_peers.push(peer);
             sched.recv_globals.push(globals);
             sched.recv_slots.push(slots.collect());
@@ -79,18 +91,7 @@ impl CommSchedule {
         // Tell each owner which of its locals we need. A full exchange
         // (empty payloads to non-neighbours) doubles as the "who sends
         // to me" discovery.
-        let send_requests: Vec<Payload> = requests
-            .iter()
-            .map(|r| {
-                if r.is_empty() {
-                    Payload::Empty
-                } else {
-                    Payload::Usize(r.clone())
-                }
-            })
-            .collect();
-        let inbox = ctx.all_to_all(send_requests);
-        for (peer, pl) in inbox.into_iter().enumerate() {
+        for (peer, pl) in ctx.all_to_all(requests).into_iter().enumerate() {
             let locals = pl.into_usize();
             if !locals.is_empty() {
                 sched.send_peers.push(peer);
@@ -104,69 +105,13 @@ impl CommSchedule {
         );
         sched
     }
-
-    /// Inspector over a **replicated** index-translation relation:
-    /// ownership is a local lookup (`dist.owner`), so the only
-    /// communication is the request exchange (volume ∝ boundary).
-    ///
-    /// `used_nonlocal` is this processor's set of used global indices
-    /// that it does not own (any order; duplicates not allowed).
-    pub fn build_replicated(
-        ctx: &mut Ctx,
-        dist: &dyn Distribution,
-        used_nonlocal: &[usize],
-    ) -> CommSchedule {
-        let me = ctx.rank();
-        // Group by owner (the RecvInd query, eq. (22), evaluated locally).
-        let mut by_owner: HashMap<usize, (Vec<usize>, Vec<usize>)> = HashMap::new();
-        for &g in used_nonlocal {
-            let (p, l) = dist.owner(g);
-            assert_ne!(p, me, "used index {g} is local, not a ghost");
-            let e = by_owner.entry(p).or_default();
-            e.0.push(g);
-            e.1.push(l);
-        }
-        let mut needs: Vec<(usize, Vec<usize>, Vec<usize>)> =
-            by_owner.into_iter().map(|(p, (gs, ls))| (p, gs, ls)).collect();
-        needs.sort_by_key(|&(p, _, _)| p);
-        Self::finish(ctx, needs)
-    }
-
-    /// Inspector over a **distributed** translation table: resolving
-    /// ownership requires dereferencing every used index through the
-    /// table (two all-to-all rounds, volume ∝ `used.len()`), before the
-    /// request exchange.
-    ///
-    /// `used` may include indices that turn out to be local — the whole
-    /// point of the paper's `Indirect` (non-mixed) row is that the
-    /// naive data-parallel version pays to discover locality.
-    pub fn build_with_chaos(
-        ctx: &mut Ctx,
-        table: &ChaosTable,
-        used: &[usize],
-    ) -> CommSchedule {
-        let me = ctx.rank();
-        let owners = table.dereference(ctx, used);
-        let mut by_owner: HashMap<usize, (Vec<usize>, Vec<usize>)> = HashMap::new();
-        for (&g, (p, l)) in used.iter().zip(owners) {
-            if p == me {
-                continue; // discovered to be local after all
-            }
-            let e = by_owner.entry(p).or_default();
-            e.0.push(g);
-            e.1.push(l);
-        }
-        let mut needs: Vec<(usize, Vec<usize>, Vec<usize>)> =
-            by_owner.into_iter().map(|(p, (gs, ls))| (p, gs, ls)).collect();
-        needs.sort_by_key(|&(p, _, _)| p);
-        Self::finish(ctx, needs)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::BlockDist;
+    use crate::chaos::ChaosTable;
+    use crate::dist::{BlockDist, Distribution};
     use crate::machine::Machine;
 
     /// 8 indices over 2 procs, block: p0 owns 0..4, p1 owns 4..8.
@@ -176,7 +121,7 @@ mod tests {
         let d = BlockDist::new(8, 2);
         let out = Machine::run(2, |ctx| {
             let used: Vec<usize> = if ctx.rank() == 0 { vec![5, 6] } else { vec![0] };
-            CommSchedule::build_replicated(ctx, &d, &used)
+            CommSchedule::build(ctx, &d, &used)
         });
         let s0 = &out.results[0];
         assert_eq!(s0.recv_peers, vec![1]);
@@ -201,13 +146,11 @@ mod tests {
             let end = (p + 1) * 10;
             (0..3).map(|k| (end + k) % n).collect()
         };
-        let rep = Machine::run(4, |ctx| {
-            CommSchedule::build_replicated(ctx, &d, &used_of(ctx.rank()))
-        });
+        let rep = Machine::run(4, |ctx| CommSchedule::build(ctx, &d, &used_of(ctx.rank())));
         let chaos = Machine::run(4, |ctx| {
             let owned = d.owned_globals(ctx.rank());
             let table = ChaosTable::build(ctx, n, &owned);
-            CommSchedule::build_with_chaos(ctx, &table, &used_of(ctx.rank()))
+            CommSchedule::build(ctx, &table, &used_of(ctx.rank()))
         });
         for p in 0..4 {
             assert_eq!(rep.results[p], chaos.results[p], "proc {p}");
@@ -230,7 +173,7 @@ mod tests {
             let table = ChaosTable::build(ctx, n, &owned);
             // Naive used-set: everything, local included.
             let used: Vec<usize> = (0..n).collect();
-            CommSchedule::build_with_chaos(ctx, &table, &used)
+            CommSchedule::build(ctx, &table, &used)
         });
         // Each proc ends up needing exactly the other's 10 values.
         for p in 0..2 {
@@ -242,9 +185,7 @@ mod tests {
     #[test]
     fn no_ghosts_needed() {
         let d = BlockDist::new(6, 3);
-        let out = Machine::run(3, |ctx| {
-            CommSchedule::build_replicated(ctx, &d, &[])
-        });
+        let out = Machine::run(3, |ctx| CommSchedule::build(ctx, &d, &[]));
         for s in &out.results {
             assert_eq!(s.num_ghosts, 0);
             assert!(s.recv_peers.is_empty());

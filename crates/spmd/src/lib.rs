@@ -20,12 +20,14 @@
 //!   BlockCyclic, HPF-2 GeneralizedBlock, BlockSolve-style
 //!   ContiguousRuns, and replicated Indirect (MAP array) — all
 //!   answering the global ↔ (proc, local) queries of the fragmentation
-//!   equation;
+//!   equation — and [`dist::IndexTranslation`], the one access method
+//!   by which the inspector joins any `IND`;
 //! * [`chaos`] — the Chaos-library distributed translation table:
-//!   a MAP array partitioned blockwise, so ownership queries require
-//!   communication (the `Indirect` rows of Table 3);
-//! * [`inspector`] — communication-set computation (§3.2.3): the
-//!   `Used ⋈ IND → RecvInd` queries, producing a [`inspector::CommSchedule`];
+//!   a MAP array partitioned blockwise, so its join takes all-to-all
+//!   rounds (the `Indirect` rows of Table 3) — one more `IND`;
+//! * [`inspector`] — communication-set computation (§3.2.3): the one
+//!   `Used ⋈ IND → RecvInd` query over any `IND`, producing a
+//!   [`inspector::CommSchedule`];
 //! * [`executor`] — ghost-value gather over a schedule, and the
 //!   boundary product over the rows that touch a ghost;
 //! * [`verify`] — the §3.1 "debugging version": collective run-time
@@ -40,7 +42,7 @@ pub mod verify;
 
 pub use dist::{
     BlockCyclicDist, BlockDist, ContiguousRunsDist, CyclicDist, Distribution, GeneralizedBlockDist,
-    IndirectDist,
+    IndexTranslation, IndirectDist,
 };
 pub use inspector::CommSchedule;
 pub use machine::{Ctx, Machine, NetworkModel, PooledMachine, TrafficStats};

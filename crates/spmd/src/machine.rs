@@ -115,21 +115,11 @@ pub struct NetworkModel {
 }
 
 impl NetworkModel {
-    /// No communication cost (pure shared-memory channels).
-    pub fn ideal() -> Option<NetworkModel> {
-        None
-    }
-
-    /// A modern-cluster-flavoured interconnect: 10 µs latency, 1 GB/s.
-    pub fn cluster() -> NetworkModel {
-        NetworkModel { latency_s: 10e-6, bytes_per_s: 1e9 }
-    }
-
     /// An SP-2-flavoured interconnect scaled toward today's CPUs:
-    /// 20 µs latency, 100 MB/s. Slower than [`NetworkModel::cluster`],
-    /// it keeps the communication/computation balance in the regime the
-    /// paper measured — in particular, inspector communication volume
-    /// (the Chaos translation-table rounds) costs real time.
+    /// 20 µs latency, 100 MB/s. It keeps the communication/computation
+    /// balance in the regime the paper measured — in particular,
+    /// inspector communication volume (the Chaos translation-table
+    /// rounds) costs real time.
     pub fn sp2_scaled() -> NetworkModel {
         NetworkModel { latency_s: 20e-6, bytes_per_s: 100e6 }
     }
@@ -493,30 +483,6 @@ impl Ctx {
         }
         inbox
     }
-
-    /// Gather one `usize` list from every processor onto all of them.
-    pub fn all_gather_usize(&mut self, mine: Vec<usize>) -> Vec<Vec<usize>> {
-        let out: Vec<Payload> =
-            (0..self.nprocs).map(|_| Payload::Usize(mine.clone())).collect();
-        self.all_to_all(out).into_iter().map(Payload::into_usize).collect()
-    }
-
-    /// Point-to-point exchange along a known sparse pattern: send
-    /// `sends[k] = (peer, payload)`, receive one payload from each peer
-    /// in `recv_from`. Unlike [`Ctx::all_to_all`], only real neighbour
-    /// messages touch the wire — the "nearest-neighbour connectivity"
-    /// the paper contrasts with all-to-all inspector traffic.
-    pub fn exchange(
-        &mut self,
-        tag: u32,
-        sends: Vec<(usize, Payload)>,
-        recv_from: &[usize],
-    ) -> Vec<(usize, Payload)> {
-        for (peer, pl) in sends {
-            self.send(peer, tag, pl);
-        }
-        recv_from.iter().map(|&p| (p, self.recv(p, tag))).collect()
-    }
 }
 
 /// The simulated machine (static facade over pooled workers).
@@ -867,45 +833,6 @@ mod tests {
     }
 
     #[test]
-    fn all_gather() {
-        let out = Machine::run(3, |ctx| ctx.all_gather_usize(vec![ctx.rank(); ctx.rank()]));
-        for r in &out.results {
-            assert_eq!(r[0], Vec::<usize>::new());
-            assert_eq!(r[1], vec![1]);
-            assert_eq!(r[2], vec![2, 2]);
-        }
-    }
-
-    #[test]
-    fn exchange_sparse_pattern() {
-        // 0 ↔ 1 only; 2 silent.
-        let out = Machine::run(3, |ctx| match ctx.rank() {
-            0 => {
-                let got = ctx.exchange(
-                    9,
-                    vec![(1, Payload::F64(vec![5.0]))],
-                    &[1],
-                );
-                got[0].1.clone().into_f64()[0]
-            }
-            1 => {
-                let got = ctx.exchange(
-                    9,
-                    vec![(0, Payload::F64(vec![6.0]))],
-                    &[0],
-                );
-                got[0].1.clone().into_f64()[0]
-            }
-            _ => {
-                ctx.exchange(9, vec![], &[]);
-                0.0
-            }
-        });
-        assert_eq!(out.results, vec![6.0, 5.0, 0.0]);
-        assert_eq!(out.traffic[2].msgs_sent, 0);
-    }
-
-    #[test]
     fn stats_since_and_merged() {
         let out = Machine::run(2, |ctx| {
             let before = ctx.stats();
@@ -1150,15 +1077,6 @@ mod network_model_tests {
         for &dt in &out.results {
             assert!(dt < 0.5, "ideal network unexpectedly slow: {dt}s");
         }
-    }
-
-    #[test]
-    fn cluster_model_parameters() {
-        let m = NetworkModel::cluster();
-        assert!(m.latency_s > 0.0 && m.bytes_per_s > 0.0);
-        assert!(NetworkModel::ideal().is_none());
-        let d = m.delay(1_000_000);
-        assert!(d.as_secs_f64() > 1e-3);
     }
 }
 

@@ -219,7 +219,7 @@ mod tests {
                 1 => vec![0, 1, 20],
                 _ => vec![7],
             };
-            CommSchedule::build_replicated(ctx, &d, &used)
+            CommSchedule::build(ctx, &d, &used)
         });
         for s in &out.results {
             assert!(verify_comm_schedule_ok(s, 3).is_ok());
@@ -231,7 +231,7 @@ mod tests {
         let d = BlockDist::new(16, 2);
         let out = Machine::run(2, |ctx| {
             let used: Vec<usize> = if ctx.rank() == 0 { vec![9, 12] } else { vec![2, 3] };
-            CommSchedule::build_replicated(ctx, &d, &used)
+            CommSchedule::build(ctx, &d, &used)
         });
         let base = &out.results[0];
 

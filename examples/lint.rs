@@ -147,7 +147,7 @@ fn main() {
             1 => vec![0, 20],
             _ => vec![7, 8],
         };
-        CommSchedule::build_replicated(ctx, &d, &used)
+        CommSchedule::build(ctx, &d, &used)
     });
     for (r, s) in out.results.iter().enumerate() {
         report(&format!("proc{r}"), &verify_comm_schedule(s, 3), &mut errors);

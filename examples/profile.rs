@@ -15,13 +15,12 @@
 //! profiles.
 
 use bernoulli::engines::{SpmmEngine, SpmvEngine, SpmvMultiEngine};
+use bernoulli::spmd::{fragment_matrix, to_mixed_spec, CompiledMixed};
 use bernoulli_formats::{gen, Csr, ExecCtx, FormatKind, SparseMatrix};
 use bernoulli_obs::Obs;
 use bernoulli_solvers::cg::{cg, cg_parallel, CgOptions};
 use bernoulli_solvers::precond::DiagonalPreconditioner;
 use bernoulli_spmd::dist::{BlockDist, Distribution};
-use bernoulli_spmd::executor::gather_ghosts;
-use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_spmd::machine::Machine;
 
 fn main() {
@@ -70,57 +69,25 @@ fn main() {
     let cg_res =
         cg(&csr, &pc, &b, &mut xs, CgOptions::default(), &serial_obs).expect("cg solve");
 
-    // SPMD traffic: a distributed CG (block distribution, replicated
-    // inspector, halo-exchange executor) timed and counted per rank.
+    // SPMD traffic: a distributed CG (block distribution, the compiled
+    // mixed spec's inspector and executor) timed and counted per rank.
     const P: usize = 4;
     let dist = BlockDist::new(n, P);
-    let entries = t.canonicalize();
+    let frags = fragment_matrix(&t, &dist);
     Machine::run_in(P, None, "cg.dist", &serial_obs, |ctx| {
         let me = ctx.rank();
         let owned = dist.owned_globals(me);
-        let n_local = owned.len();
-        let mut local_rows: Vec<(usize, usize, f64)> = Vec::new();
-        for &(r, cgl, v) in entries.entries() {
-            if dist.owner(r).0 == me {
-                local_rows.push((dist.owner(r).1, cgl, v));
-            }
-        }
-        let mut used: Vec<usize> = local_rows
-            .iter()
-            .map(|&(_, cgl, _)| cgl)
-            .filter(|&cgl| dist.owner(cgl).0 != me)
-            .collect();
-        used.sort_unstable();
-        used.dedup();
-        let sched = CommSchedule::build_replicated(ctx, &dist, &used);
-        let a_local = Csr::from_entries_nodup(
-            n_local,
-            n_local + sched.num_ghosts,
-            &local_rows
-                .iter()
-                .map(|&(lr, cgl, v)| {
-                    let col = match dist.owner(cgl) {
-                        (p, l) if p == me => l,
-                        _ => n_local + sched.ghost_of_global[&cgl],
-                    };
-                    (lr, col, v)
-                })
-                .collect::<Vec<_>>(),
-        );
+        let spec = to_mixed_spec(&frags[me], |g| {
+            let (p, l) = dist.owner(g);
+            (p == me).then_some(l)
+        });
+        let mut eng = CompiledMixed::inspect(ctx, &spec, &dist);
         let b_local: Vec<f64> = owned.iter().map(|&g| b[g]).collect();
-        let pc_local = pc.restrict(&owned);
-        let mut x_local = vec![0.0; n_local];
-        let mut xg = vec![0.0; n_local + sched.num_ghosts];
+        let mut x_local = vec![0.0; owned.len()];
         let res = cg_parallel(
             ctx,
-            |ctx, p_local, out| {
-                xg[..n_local].copy_from_slice(p_local);
-                let (loc, gho) = xg.split_at_mut(n_local);
-                gather_ghosts(ctx, &sched, loc, gho);
-                out.fill(0.0);
-                bernoulli_formats::kernels::spmv_csr(&a_local, &xg, out);
-            },
-            &pc_local,
+            |ctx, p_local, out| eng.execute(ctx, p_local, out),
+            &pc.restrict(&owned),
             &b_local,
             &mut x_local,
             CgOptions { max_iters: 100, rel_tol: 1e-8 },

@@ -45,6 +45,21 @@ cargo run --release --example lint
 # claim EXPERIMENTS.md cites fails.
 mkdir -p target/ci
 cargo run --release --bin tables > target/ci/tables_output.txt
+# Counter-drift gate: Table 3's inspector bytes (P = 2..64), the `T3.*`
+# claims and `A.dist-chaos-bytes` are exact counters, so the fresh run
+# must print them byte for byte as the committed tables_output.txt does;
+# a change that moves one regenerates that file in the same commit.
+counters() {
+  awk '/^--- machine-independent companion: inspector bytes/ { on = 1 } /^===/ { on = 0 } on' "$1"
+  grep -E '^(PASS|FAIL) +(T3\.|A\.dist-chaos-bytes )' "$1"
+}
+counters tables_output.txt > target/ci/counters.committed
+counters target/ci/tables_output.txt > target/ci/counters.fresh
+if ! cmp -s target/ci/counters.committed target/ci/counters.fresh; then
+  diff target/ci/counters.committed target/ci/counters.fresh >&2 || true
+  echo "ERROR: exact Table-3 counters drifted from tables_output.txt" >&2
+  exit 1
+fi
 # Observability schema gate: the profile driver exits nonzero if the
 # report fails validation or any telemetry stream is empty; the grep
 # catches a schema-identifier drift the driver itself can't see.

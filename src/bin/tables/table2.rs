@@ -180,7 +180,16 @@ pub mod tests {
         assert_eq!(t.rows.len(), 2);
         assert!(t.table2().contains("BlockSolve"));
         assert!(t.table3().contains("Indirect-Mixed"));
-        assert!(t.traffic().contains("2896"));
+        // Exact counters: every inspector's bytes, as printed.
+        let traffic = t.traffic();
+        let rows: Vec<Vec<&str>> = traffic.lines().skip(1).map(|l| l.split_whitespace().collect()).collect();
+        assert_eq!(
+            rows,
+            [
+                ["2", "2896", "2896", "2896", "21616", "47536"],
+                ["4", "8688", "8688", "8688", "69168", "151248"],
+            ]
+        );
     }
 
     #[test]

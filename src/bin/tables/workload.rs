@@ -20,7 +20,7 @@ use bernoulli_formats::{Csr, Triplets};
 use bernoulli_solvers::cg::{cg_parallel, CgOptions};
 use bernoulli_solvers::precond::DiagonalPreconditioner;
 use bernoulli_spmd::chaos::ChaosTable;
-use bernoulli_spmd::dist::{ContiguousRunsDist, Distribution};
+use bernoulli_spmd::dist::{ContiguousRunsDist, Distribution, IndexTranslation};
 use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_spmd::machine::{Ctx, Machine, NetworkModel};
 use std::time::Instant;
@@ -241,26 +241,31 @@ enum Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    /// This processor's inspector.
+    /// This processor's inspector: BlockSolve's own, or the compiled
+    /// spec (mixed or naive) over its `IND`.
     fn inspect(ctx: &mut Ctx, w: &'a Workload, implementation: Impl) -> Engine<'a> {
         let me = ctx.rank();
-        let (bs, mixed, full) = (&w.bs_locals[me], &w.mixed_specs[me], &w.full_frags[me]);
-        // Part of the indirect inspectors' cost: "setting up the
-        // distributed translation table … requires the round of all-to-all
+        if implementation == Impl::BlockSolve {
+            let bs = &w.bs_locals[me];
+            return Engine::Bs(BsParallelMatvec::inspect(ctx, bs, &w.dist), bs);
+        }
+        // The Indirect rows hold the same relation in a Chaos table, and
+        // building it is part of their cost: "setting up the distributed
+        // translation table … requires the round of all-to-all
         // communication with the volume proportional to the problem size".
-        let chaos = |ctx: &mut Ctx| ChaosTable::build(ctx, w.n, &w.dist.owned_globals(me));
+        let table;
+        let ind: &dyn IndexTranslation = match implementation {
+            Impl::IndirectMixed | Impl::Indirect => {
+                table = ChaosTable::build(ctx, w.n, &w.dist.owned_globals(me));
+                &table
+            }
+            _ => &w.dist,
+        };
         match implementation {
-            Impl::BlockSolve => Engine::Bs(BsParallelMatvec::inspect(ctx, bs, &w.dist), bs),
-            Impl::BernoulliMixed => Engine::Mixed(CompiledMixed::inspect(ctx, mixed, &w.dist)),
-            Impl::Bernoulli => Engine::Naive(CompiledNaive::inspect(ctx, full, &w.dist)),
-            Impl::IndirectMixed => {
-                let table = chaos(ctx);
-                Engine::Mixed(CompiledMixed::inspect_chaos(ctx, mixed, &table))
+            Impl::BernoulliMixed | Impl::IndirectMixed => {
+                Engine::Mixed(CompiledMixed::inspect(ctx, &w.mixed_specs[me], ind))
             }
-            Impl::Indirect => {
-                let table = chaos(ctx);
-                Engine::Naive(CompiledNaive::inspect_chaos(ctx, full, &table))
-            }
+            _ => Engine::Naive(CompiledNaive::inspect(ctx, &w.full_frags[me], ind)),
         }
     }
 

@@ -13,9 +13,12 @@ use bernoulli_solvers::precond::{DiagonalPreconditioner, Preconditioner};
 use bernoulli_solvers::SymGs;
 use bernoulli_spmd::chaos::ChaosTable;
 use bernoulli_spmd::dist::{
-    BlockCyclicDist, BlockDist, CyclicDist, Distribution, GeneralizedBlockDist, IndirectDist,
+    BlockCyclicDist, BlockDist, ContiguousRunsDist, CyclicDist, Distribution, GeneralizedBlockDist,
+    IndexTranslation, IndirectDist,
 };
+use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_spmd::machine::Machine;
+use bernoulli_spmd::verify::verify_comm_schedule;
 
 fn sequential_solution(t: &Triplets, b: &[f64], iters: usize) -> Vec<f64> {
     let a = bernoulli_formats::Csr::from_triplets(t);
@@ -51,6 +54,10 @@ fn parallel_solution(
         let pc_local = pc.restrict(&owned);
         let mut x_local = vec![0.0; owned.len()];
         let table = chaos.then(|| ChaosTable::build(ctx, n, &owned));
+        let ind: &dyn IndexTranslation = match &table {
+            Some(tab) => tab,
+            None => dist,
+        };
         enum E {
             M(CompiledMixed),
             N(CompiledNaive),
@@ -60,15 +67,9 @@ fn parallel_solution(
                 let (p, l) = dist.owner(g);
                 (p == me).then_some(l)
             });
-            E::M(match &table {
-                Some(tab) => CompiledMixed::inspect_chaos(ctx, &spec, tab),
-                None => CompiledMixed::inspect(ctx, &spec, dist),
-            })
+            E::M(CompiledMixed::inspect(ctx, &spec, ind))
         } else {
-            E::N(match &table {
-                Some(tab) => CompiledNaive::inspect_chaos(ctx, &frags[me], tab),
-                None => CompiledNaive::inspect(ctx, &frags[me], dist),
-            })
+            E::N(CompiledNaive::inspect(ctx, &frags[me], ind))
         };
         cg_parallel(
             ctx,
@@ -133,6 +134,47 @@ fn chaos_translation_gives_identical_solutions() {
     for mixed in [true, false] {
         let got = parallel_solution(&t, &b, &dist, 12, mixed, true);
         assert_close(&got, &want, 1e-8, &format!("chaos/mixed={mixed}"));
+    }
+}
+
+/// A used index the rank owns needs no ghost, whatever the `IND`: a
+/// used set with owned indices mixed in builds the very schedule of its
+/// nonlocal part alone, and both verify clean (BA31).
+#[test]
+fn every_ind_skips_owned_indices_in_used() {
+    const N: usize = 30;
+    const P: usize = 3;
+    let block = BlockDist::new(N, P);
+    let genblock = GeneralizedBlockDist::new(&[7, 12, 11]);
+    let runs = (0..6).map(|k| (5 * k, 5, k % P)).collect();
+    let contig = ContiguousRunsDist::new(P, runs);
+    let indirect = IndirectDist::new(P, (0..N).map(|g| (g * 7 + 1) % P).collect());
+    // A relation, and whether its MAP is held in a Chaos table.
+    let inds: [(&str, &dyn Distribution, bool); 5] = [
+        ("block", &block, false),
+        ("generalized-block", &genblock, false),
+        ("contiguous-runs", &contig, false),
+        ("indirect-replicated", &indirect, false),
+        ("chaos-table", &indirect, true),
+    ];
+    for (name, dist, distributed) in inds {
+        let out = Machine::run(P, |ctx| {
+            let me = ctx.rank();
+            let table = distributed.then(|| ChaosTable::build(ctx, N, &dist.owned_globals(me)));
+            let ind: &dyn IndexTranslation = match &table {
+                Some(tab) => tab,
+                None => dist,
+            };
+            let used: Vec<usize> = (0..N).filter(|g| g % 4 != me).collect();
+            let nonlocal: Vec<usize> = used.iter().copied().filter(|&g| dist.owner(g).0 != me).collect();
+            assert!(nonlocal.len() < used.len(), "{name}: rank {me} uses none of its own");
+            (CommSchedule::build(ctx, ind, &used), CommSchedule::build(ctx, ind, &nonlocal))
+        });
+        for (rank, (with_owned, alone)) in out.results.iter().enumerate() {
+            assert_eq!(with_owned, alone, "{name}, rank {rank}");
+            assert!(alone.num_ghosts > 0, "{name}, rank {rank}");
+            assert!(verify_comm_schedule(with_owned, P).is_empty(), "{name}, rank {rank}");
+        }
     }
 }
 

@@ -139,7 +139,7 @@ proptest! {
             v
         };
         let out = Machine::run(p, |ctx| {
-            let sched = CommSchedule::build_replicated(ctx, &dist, &used_of(ctx.rank()));
+            let sched = CommSchedule::build(ctx, &dist, &used_of(ctx.rank()));
             (sched.recv_volume(), sched.send_volume(),
              sched.recv_globals.concat(), sched.num_ghosts)
         });
