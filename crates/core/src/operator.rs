@@ -45,6 +45,14 @@ pub trait Operator {
     fn name(&self) -> &str {
         "operator"
     }
+
+    /// The CSR matrix `apply` multiplies by, when the operator is one:
+    /// what lets a consumer holding a matrix prove the operator is that
+    /// matrix (SymGS's Eisenstat form in `bernoulli-solvers`). The
+    /// default, for closures and every other format, proves nothing.
+    fn csr(&self) -> Option<&Csr> {
+        None
+    }
 }
 
 /// A compiled [`SpmvEngine`] bound to the matrix it was compiled for —
@@ -82,6 +90,10 @@ impl Operator for BoundSpmv<'_> {
 
     fn name(&self) -> &str {
         "spmv"
+    }
+
+    fn csr(&self) -> Option<&Csr> {
+        self.a.csr()
     }
 }
 
@@ -148,6 +160,13 @@ impl Operator for SparseMatrix {
     fn name(&self) -> &str {
         "spmv"
     }
+
+    fn csr(&self) -> Option<&Csr> {
+        match self {
+            SparseMatrix::Csr(c) => Some(c),
+            _ => None,
+        }
+    }
 }
 
 /// A bare CSR matrix is an operator (serial kernel).
@@ -178,6 +197,10 @@ impl Operator for Csr {
 
     fn name(&self) -> &str {
         "spmv_csr"
+    }
+
+    fn csr(&self) -> Option<&Csr> {
+        Some(self)
     }
 }
 

@@ -35,7 +35,7 @@
 use crate::ast::{programs, LoopNest};
 use crate::compile::{CompiledKernel, Compiler};
 use bernoulli_analysis::wavefront::{certify_wavefront, LevelSchedule, Relation, Triangle, WavefrontCert};
-use bernoulli_formats::kernels::SweepSplit;
+use bernoulli_formats::kernels::{SplitStep, SweepSplit};
 use bernoulli_formats::par_kernels::Wave;
 use bernoulli_formats::{
     fast, kernels, par_kernels, Csr, DenseMatrix, ExecCtx, SparseMatrix, Validate,
@@ -1372,20 +1372,59 @@ impl CompiledOp {
     /// Bitwise-identical on every tier; within rounding of `apply_ssor`,
     /// not equal to it (the split pre-scales by `ω/diag`).
     pub fn apply_split(&self, a: &Csr, split: &SweepSplit, r: &[f64], z: &mut [f64]) -> RelResult<()> {
-        self.check_kind(self.kind == OpKind::Symgs, "a split SSOR application")?;
-        self.check_lens(r.len(), z.len())?;
-        if split.nrows() != r.len() || !split.is_of(a) {
-            return Err(RelError::Validation("the sweep split was not built from this operand".into()));
-        }
-        let armed = self.armed(a);
-        let obs = self.ctx.obs();
-        if obs.is_enabled() {
-            let (nnz, n) = (split.nnz() as u64, r.len() as u64);
-            let counters = KernelCounters { nnz, flops: 2 * (nnz + n), bytes: 12 * nnz + 48 * n, algebra: "f64_plus" };
-            obs.kernel(if armed.is_some() { "par_symgs_split" } else { "symgs_split" }, counters);
-        }
+        let armed = self.split_armed(a, split, &[r.len(), z.len()], "a split SSOR application")?;
+        self.split_event("symgs_split", armed.is_some(), split.nnz(), 48);
         par_kernels::split_ssor(a, split, r, z, armed, &self.ctx);
         Ok(())
+    }
+
+    /// `r̂ ← M₁⁻¹·r`, the forward half of
+    /// [`apply_split`](Self::apply_split): how Eisenstat's form
+    /// ([`SplitStep`]) opens from a residual. Same checks and tiers.
+    pub fn apply_split_forward(&self, a: &Csr, split: &SweepSplit, r: &[f64], rhat: &mut [f64]) -> RelResult<()> {
+        let armed = self.split_armed(a, split, &[r.len(), rhat.len()], "a split forward sweep")?;
+        self.split_event("symgs_split_forward", armed.is_some(), split.triangle_nnz(Triangle::Lower), 24);
+        par_kernels::split_forward(a, split, r, rhat, armed, &self.ctx);
+        Ok(())
+    }
+
+    /// One step of Eisenstat's form of SSOR-preconditioned CG over
+    /// `split` ([`SplitStep`]): the direction head, `t = M₂⁻¹·p̂`, `u`,
+    /// `w = A·t`, and `⟨p̂, t + u⟩` returned — `Â·p̂` with no product by
+    /// `A`, one pass over each strict triangle. The caller owns `a`
+    /// and proved the split [exact](SweepSplit::is_exact) for it.
+    /// Same checks and tiers as [`apply_split`](Self::apply_split),
+    /// bitwise-identical on both.
+    pub fn apply_split_operator(&self, a: &Csr, split: &SweepSplit, step: SplitStep<'_>) -> RelResult<f64> {
+        let lens = [step.r.len(), step.p.len(), step.t.len(), step.u.len(), step.w.len()];
+        let armed = self.split_armed(a, split, &lens, "a split operator step")?;
+        // Per row: r̂, d/ω, p̃ and t read, p̃ again; p̃, t, u and w written.
+        self.split_event("symgs_split_op", armed.is_some(), split.nnz(), 72);
+        Ok(par_kernels::split_operator(a, split, step, armed, &self.ctx))
+    }
+
+    /// The split entries' shared gate: a SymGS op, every vector of the
+    /// operand's order, a split built from `a`; then the wave plan when
+    /// [armed](Self::armed) for `a`.
+    fn split_armed(&self, a: &Csr, split: &SweepSplit, lens: &[usize], call: &str) -> RelResult<Option<Wave<'_>>> {
+        self.check_kind(self.kind == OpKind::Symgs, call)?;
+        self.check_lens(lens[0], lens[1])?;
+        if lens.iter().any(|&l| l != split.nrows()) || !split.is_of(a) {
+            return Err(RelError::Validation("the sweep split was not built from this operand".into()));
+        }
+        Ok(self.armed(a))
+    }
+
+    /// One kernel event for passes visiting `nnz` split entries (12 B
+    /// each) and `row_bytes` of vectors per row, `par_`-prefixed on
+    /// the wave.
+    fn split_event(&self, name: &str, armed: bool, nnz: usize, row_bytes: u64) {
+        let obs = self.ctx.obs();
+        if obs.is_enabled() {
+            let (nnz, n) = (nnz as u64, self.io_lens.0 as u64);
+            let counters = KernelCounters { nnz, flops: 2 * (nnz + n), bytes: 12 * nnz + row_bytes * n, algebra: "f64_plus" };
+            obs.kernel(&if armed { format!("par_{name}") } else { name.to_string() }, counters);
+        }
     }
 }
 

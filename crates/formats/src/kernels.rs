@@ -683,21 +683,30 @@ pub fn symgs_backward_csr(a: &Csr, omega: f64, b: &[f64], x: &mut [f64]) {
 
 /// What SSOR *from a zero guess* needs of square `A = L + D + U`, laid
 /// out for that one computation: `L̃ = ω·D⁻¹L` and `Ũ = ω·D⁻¹U` as row
-/// lists (pointers, `u32` columns, values) and `ω/d` per row, a missing
-/// diagonal counting as 1. Forward `z_i = (ω/d_i)·r_i − Σ_{j<i} L̃_ij·z_j`
-/// never meets the upper triangle (it would multiply zeros) and leaves
-/// `D·z/ω = r − L·z`, so backward is `z_i ← (2−ω)·z_i − Σ_{j>i} Ũ_ij·z_j`
-/// in place: no lower triangle, no second read of `r`. The copy carries
-/// *values*, so it belongs to whoever owns the matrix — never to a
-/// structure-keyed cache.
+/// lists (pointers, `u32` columns, values), and `ω/d` and `d/ω` per
+/// row, a missing diagonal counting as 1. Forward `z_i = (ω/d_i)·r_i −
+/// Σ_{j<i} L̃_ij·z_j` never meets the upper triangle (it would multiply
+/// zeros) and leaves `D·z/ω = r − L·z`, so backward is `z_i ← (2−ω)·z_i
+/// − Σ_{j>i} Ũ_ij·z_j` in place: no lower triangle, no second read of
+/// `r`. The same lists run Eisenstat's form of the preconditioned
+/// operator ([`SplitStep`]), which is `A`'s only when every row stores
+/// its diagonal exactly once ([`is_exact`](Self::is_exact)). The copy
+/// carries *values*, so it belongs to whoever owns the matrix — never
+/// to a structure-keyed cache.
 #[derive(Clone, Debug)]
 pub struct SweepSplit {
     /// `[L̃, Ũ]`.
     tri: [(Vec<u32>, Vec<u32>, Vec<f64>); 2],
     /// `ω / d_i`.
     dinv: Vec<f64>,
+    /// `d_i / ω`.
+    dw: Vec<f64>,
+    /// `ω`.
+    omega: f64,
     /// `2 − ω`.
     back: f64,
+    /// Every row stores its diagonal exactly once.
+    exact: bool,
     /// [`Csr::index_digest`] of the operand this was built from.
     digest: u64,
 }
@@ -706,7 +715,9 @@ impl SweepSplit {
     /// Inspect `a` once for weight `omega`. Entries are classed by
     /// column against row, so both triangles are strict whatever the
     /// in-row order; an order, entry count or column the `u32` lists
-    /// cannot hold is refused, never truncated.
+    /// cannot hold is refused, never truncated. A row's first stored
+    /// diagonal is its `d`; a missing one counts as 1, and a repeated
+    /// one leaves the split short of it — both make it inexact.
     pub fn of(a: &Csr, omega: f64) -> RelResult<SweepSplit> {
         let n = a.nrows();
         let refuse = |why: &str| Err(RelError::Validation(format!("sweep split of a {n}x{} operand: {why}", a.ncols())));
@@ -722,11 +733,14 @@ impl SweepSplit {
         }
         // Exact capacities: the split is the largest thing its build allocates.
         let mut tri = count.map(|c| (Vec::with_capacity(n + 1), Vec::with_capacity(c), Vec::with_capacity(c)));
-        let mut dinv = Vec::with_capacity(n);
+        let (mut dinv, mut dw, mut exact) = (Vec::with_capacity(n), Vec::with_capacity(n), true);
         for i in 0..n {
             let (cols, vals) = (a.row_cols(i), a.row_vals(i));
-            let scale = omega / cols.iter().position(|&j| j == i).map_or(1.0, |k| vals[k]);
+            exact &= cols.iter().filter(|&&j| j == i).count() == 1;
+            let d = cols.iter().position(|&j| j == i).map_or(1.0, |k| vals[k]);
+            let scale = omega / d;
             dinv.push(scale);
+            dw.push(d / omega);
             tri.iter_mut().for_each(|t| t.0.push(t.1.len() as u32));
             for (&j, &v) in cols.iter().zip(vals).filter(|&(&j, _)| j != i) {
                 let t = &mut tri[usize::from(j > i)];
@@ -735,7 +749,7 @@ impl SweepSplit {
             }
         }
         tri.iter_mut().for_each(|t| t.0.push(t.1.len() as u32));
-        Ok(SweepSplit { tri, dinv, back: 2.0 - omega, digest: a.index_digest() })
+        Ok(SweepSplit { tri, dinv, dw, omega, back: 2.0 - omega, exact, digest: a.index_digest() })
     }
 
     /// Order of the operand.
@@ -745,47 +759,144 @@ impl SweepSplit {
 
     /// Strictly triangular entries: what one application visits.
     pub fn nnz(&self) -> usize {
-        self.tri[0].1.len() + self.tri[1].1.len()
+        self.triangle_nnz(Triangle::Lower) + self.triangle_nnz(Triangle::Upper)
+    }
+
+    /// Entries of one strict triangle: what one sweep visits.
+    pub fn triangle_nnz(&self, tri: Triangle) -> usize {
+        self.tri[usize::from(tri == Triangle::Upper)].1.len()
     }
 
     /// Whether `a` has the order and index arrays this was built from.
     pub fn is_of(&self, a: &Csr) -> bool {
         self.nrows() == a.nrows() && self.digest == a.index_digest()
     }
+
+    /// Whether every row of the operand stored its diagonal exactly
+    /// once, so that `M₁ + M₂ − K` is the operand itself (see
+    /// [`SplitStep`]).
+    pub fn is_exact(&self) -> bool {
+        self.exact
+    }
+
+    /// `P_i = (2−ω)·d_i/ω`: row `i` of Eisenstat's diagonal
+    /// preconditioner (see [`SplitStep`]).
+    #[inline(always)]
+    pub fn pdiag(&self, i: usize) -> f64 {
+        self.back * self.dw[i]
+    }
+
+    /// `head − Σ T̃_ij·z_j` over row `i` of the `tri` triangle, summed
+    /// far-to-near. When the nearest entry is `i∓1` and the driver
+    /// hands that row's value in `carried`, it stands in for the load —
+    /// the same bits either way.
+    #[inline(always)]
+    fn row_sum(&self, tri: Triangle, i: usize, head: f64, z: &[f64], carried: Option<f64>) -> f64 {
+        #[inline(always)]
+        fn sum<'a>(head: f64, mut far_to_near: impl DoubleEndedIterator<Item = (&'a f64, &'a u32)>, prev: (usize, Option<f64>), z: &[f64]) -> f64 {
+            let Some((&v, &j)) = far_to_near.next_back() else { return head };
+            let acc = far_to_near.fold(head, |acc, (&v, &j)| acc - v * z[j as usize]);
+            let near = match prev {
+                (i, Some(carried)) if i == j as usize => carried,
+                _ => z[j as usize],
+            };
+            acc - v * near
+        }
+        let (ptr, cols, vals) = &self.tri[usize::from(tri == Triangle::Upper)];
+        let (s, e) = (ptr[i] as usize, ptr[i + 1] as usize);
+        let entries = vals[s..e].iter().zip(&cols[s..e]);
+        match tri {
+            Triangle::Lower => sum(head, entries, (i.wrapping_sub(1), carried), z),
+            Triangle::Upper => sum(head, entries.rev(), (i + 1, carried), z),
+        }
+    }
+
+    /// The direction head of a [`SplitStep`], in the scaled `p̃`:
+    /// `p̃_i ← (2−ω)·r̂_i + β·p̃_i`.
+    #[inline(always)]
+    pub(crate) fn direction_row(&self, r: f64, beta: f64, p: f64) -> f64 {
+        self.back * r + beta * p
+    }
+
+    /// Row `i` of `t = M₂⁻¹·p̂` (backward): `p̃_i − Σ_{j>i} Ũ_ij·t_j`.
+    #[inline(always)]
+    pub(crate) fn back_row(&self, i: usize, p: f64, t: &[f64], carried: Option<f64>) -> f64 {
+        self.row_sum(Triangle::Upper, i, p, t, carried)
+    }
+
+    /// Row `i` of `u = M₁⁻¹·(p̂ − K·t)` (forward):
+    /// `p̃_i − (2−ω)·t_i − Σ_{j<i} L̃_ij·u_j`.
+    #[inline(always)]
+    pub(crate) fn forward_row(&self, i: usize, p: f64, t: f64, u: &[f64], carried: Option<f64>) -> f64 {
+        self.row_sum(Triangle::Lower, i, p - self.back * t, u, carried)
+    }
+
+    /// Row `i` of `w = A·t`, off the chain: `(d_i/ω)·(p̃_i + Σ_{j<i}
+    /// L̃_ij·t_j + (ω−1)·t_i)`, the lower triangle's entries in storage
+    /// order.
+    #[inline(always)]
+    pub(crate) fn product_row(&self, i: usize, p: f64, t: &[f64]) -> f64 {
+        self.dw[i] * (p - self.row_sum(Triangle::Lower, i, (1.0 - self.omega) * t[i], t, None))
+    }
+
+    /// Row `i`'s term of `⟨p̂, q⟩`: `(d_i/ω)·p̃_i·q_i`.
+    #[inline(always)]
+    pub(crate) fn dot_row(&self, i: usize, p: f64, q: f64) -> f64 {
+        self.dw[i] * p * q
+    }
+}
+
+/// The vectors of one step of Eisenstat's form of SSOR-preconditioned
+/// CG over a [`SweepSplit`] (S. C. Eisenstat, SIAM J. Sci. Stat.
+/// Comput. 2(1), 1981). With `M₁ = D/ω + L`, `M₂ = D/ω + U`, `K =
+/// (2/ω − 1)·D` and `P = ((2−ω)/ω)·D`, SSOR is `M⁻¹ = M₂⁻¹·P·M₁⁻¹`, and
+/// `A = M₁ + M₂ − K` (which is what an [exact](SweepSplit::is_exact)
+/// split guarantees), so `Â = M₁⁻¹·A·M₂⁻¹` applies as one backward and
+/// one forward pass over the split with no product by `A`:
+///
+/// * the direction head `p̂ ← P·r̂ + β·p̂`;
+/// * backward `t = M₂⁻¹·p̂`;
+/// * forward `u = M₁⁻¹·(p̂ − K·t)`, so that `Â·p̂ = t + u`, and off the
+///   chain `w = A·t = p̂ + (D/ω)·(L̃·t + (ω−1)·t)`.
+///
+/// The direction is held scaled, `p̃ = (ω/D)·p̂`, which is what both
+/// passes consume: the head becomes `p̃ ← (2−ω)·r̂ + β·p̃` and neither
+/// pass reads `ω/d`. A driver returns `⟨p̂, t + u⟩`. Every vector has
+/// the operand's order.
+pub struct SplitStep<'a> {
+    /// `r̂`, read by the direction head.
+    pub r: &'a [f64],
+    /// `β` of the direction head (0 over a zero `p̃` opens).
+    pub beta: f64,
+    /// `p̃ = (ω/D)·p̂`, updated in place by the head.
+    pub p: &'a mut [f64],
+    /// `t = M₂⁻¹·p̂`, overwritten.
+    pub t: &'a mut [f64],
+    /// `u = M₁⁻¹·(p̂ − K·t)`, overwritten.
+    pub u: &'a mut [f64],
+    /// `w = A·t`, overwritten.
+    pub w: &'a mut [f64],
 }
 
 /// The row update of one sweep over a [`SweepSplit`] (see there):
 /// forward for [`Triangle::Lower`], in-place backward for
-/// [`Triangle::Upper`], summed far-to-near as in [`gs_row`]. When the
-/// nearest entry is `i∓1` and the driver hands that row's value in
-/// `carried`, it stands in for the load — the same bits either way.
+/// [`Triangle::Upper`], summed far-to-near as in [`gs_row`], the
+/// `i∓1` value taken from `carried` when the driver hands it.
 #[inline]
 pub(crate) fn split_row<'a>(
     sp: &'a SweepSplit,
     tri: Triangle,
     r: &'a [f64],
 ) -> impl Fn(usize, &[f64], Option<f64>) -> f64 + Sync + 'a {
-    #[inline(always)]
-    fn sum<'a>(head: f64, mut far_to_near: impl DoubleEndedIterator<Item = (&'a f64, &'a u32)>, prev: (usize, Option<f64>), z: &[f64]) -> f64 {
-        let Some((&v, &j)) = far_to_near.next_back() else { return head };
-        let acc = far_to_near.fold(head, |acc, (&v, &j)| acc - v * z[j as usize]);
-        let near = match prev {
-            (i, Some(carried)) if i == j as usize => carried,
-            _ => z[j as usize],
-        };
-        acc - v * near
-    }
-    let (ptr, cols, vals) = &sp.tri[usize::from(tri == Triangle::Upper)];
     // Always inlined: a driver with two call sites (serial and wave)
     // must still get `tri` and `carried` as constants in each.
     #[inline(always)]
     move |i, z, carried| {
-        let (s, e) = (ptr[i] as usize, ptr[i + 1] as usize);
-        let entries = vals[s..e].iter().zip(&cols[s..e]);
-        match tri {
-            Triangle::Lower => sum(sp.dinv[i] * r[i], entries, (i.wrapping_sub(1), carried), z),
-            Triangle::Upper => sum(sp.back * z[i], entries.rev(), (i + 1, carried), z),
-        }
+        let head = match tri {
+            Triangle::Lower => sp.dinv[i] * r[i],
+            Triangle::Upper => sp.back * z[i],
+        };
+        sp.row_sum(tri, i, head, z, carried)
     }
 }
 
@@ -1038,11 +1149,26 @@ mod tests {
             &[(0, 0, 4.0), (0, 2, -1.0), (1, 0, 3.0), (1, 2, 5.0), (2, 0, -2.0), (2, 1, 6.0), (2, 2, 8.0)],
         );
         let sp = SweepSplit::of(&Csr::from_triplets(&t), 1.5).unwrap();
-        assert_eq!((sp.nrows(), sp.nnz(), sp.back), (4, 5, 0.5));
+        assert_eq!((sp.nrows(), sp.nnz(), sp.back, sp.is_exact()), (4, 5, 0.5, false));
         assert_eq!(sp.dinv, [1.5 / 4.0, 1.5, 1.5 / 8.0, 1.5]);
+        assert_eq!(sp.dw, [4.0 / 1.5, 1.0 / 1.5, 8.0 / 1.5, 1.0 / 1.5]);
         let scaled = |v: f64, d: f64| v * (1.5 / d);
         assert_eq!(sp.tri[0], (vec![0, 0, 1, 3, 3], vec![0, 0, 1], vec![3.0 * 1.5, scaled(-2.0, 8.0), scaled(6.0, 8.0)]));
         assert_eq!(sp.tri[1], (vec![0, 1, 2, 2, 2], vec![2, 2], vec![scaled(-1.0, 4.0), 5.0 * 1.5]));
+    }
+
+    #[test]
+    fn a_split_is_exact_when_every_row_stores_its_diagonal_once() {
+        let once = Csr::from_triplets(&sample());
+        assert!(SweepSplit::of(&once, 1.0).unwrap().is_exact());
+        // Row 1 stores its diagonal twice (an SpMV sums the two); the
+        // split takes the first and drops the second.
+        let twice = Csr::from_raw_unchecked(2, 2, vec![0, 1, 3], vec![0, 1, 1], vec![2.0, 1.5, 2.5]);
+        let sp = SweepSplit::of(&twice, 1.0).unwrap();
+        assert_eq!((sp.is_exact(), sp.nnz(), &sp.dw[..]), (false, 0, &[2.0, 1.5][..]));
+        // Row 0 stores none.
+        let none = Csr::from_triplets(&Triplets::from_entries(2, 2, &[(0, 1, 1.0), (1, 1, 3.0)]));
+        assert!(!SweepSplit::of(&none, 1.0).unwrap().is_exact());
     }
 
     #[test]

@@ -50,7 +50,7 @@
 //! ([`crate::SparseMatrix::spmv_acc_on`], `core::pipeline`).
 
 use crate::exec::ExecCtx;
-use crate::kernels::{self, Family, SpmvBody, SweepSplit};
+use crate::kernels::{self, Family, SplitStep, SpmvBody, SweepSplit};
 use crate::Csr;
 use bernoulli_analysis::wavefront::{LevelSchedule, Relation, Triangle, WavefrontCert};
 use bernoulli_relational::semiring::{F64Plus, Semiring};
@@ -219,25 +219,81 @@ pub fn par_symgs_csr(a: &Csr, tri: Triangle, omega: f64, b: &[f64], x: &mut [f64
     par_wave(exec, a, Relation::GaussSeidel, tri, wave, x, kernels::gs_row(a, tri, omega, b));
 }
 
+/// One sweep over `a`'s split, along `a`'s one Gauss-Seidel `wave` or
+/// serially with the `i∓1` value carried (see [`split_ssor`]). Inlined
+/// per call so each sweep's direction is a constant in its row loop.
+#[inline(always)]
+fn split_sweep(a: &Csr, tri: Triangle, wave: Option<Wave<'_>>, exec: &ExecCtx, z: &mut [f64], row: impl Fn(usize, &[f64], Option<f64>) -> f64 + Sync) {
+    match wave {
+        Some(wave) => par_wave(exec, a, Relation::GaussSeidel, tri, wave, z, |i, z| row(i, z, None)),
+        None => kernels::sweep_carry(tri, z, row),
+    }
+}
+
 /// `z ← M⁻¹·r` over `a`'s [`SweepSplit`]: the forward sweep overwrites
 /// `z` from `r` (no fill comes first), the backward one finishes it in
-/// place, both along `a`'s one Gauss-Seidel `wave`. A split sweep reads
-/// a subset of what the Gauss-Seidel sweep of its operand reads, so the
-/// schedule covers it, and each row loads the `i∓1` value the serial
-/// driver carries — the same bits. `None`, the worker gate, a split of
-/// another operand or a certificate mismatch run serially.
+/// place, both along `a`'s one Gauss-Seidel `wave`. A split sweep
+/// reads a subset of what the Gauss-Seidel sweep of its operand reads,
+/// so the schedule covers it, and each row loads the `i∓1` value the
+/// serial driver carries — the same bits. `None`, the worker gate, a
+/// split of another operand or a certificate mismatch run serially.
 pub fn split_ssor(a: &Csr, sp: &SweepSplit, r: &[f64], z: &mut [f64], wave: Option<Wave<'_>>, exec: &ExecCtx) {
-    // Inlined per call so each sweep's direction is a constant in its row loop.
-    #[inline(always)]
-    fn sweep(a: &Csr, sp: &SweepSplit, tri: Triangle, r: &[f64], z: &mut [f64], wave: Option<Wave<'_>>, exec: &ExecCtx) {
-        let row = kernels::split_row(sp, tri, r);
-        match wave {
-            Some(wave) => par_wave(exec, a, Relation::GaussSeidel, tri, wave, z, |i, z| row(i, z, None)),
-            None => kernels::sweep_carry(tri, z, row),
-        }
-    }
     assert_eq!((r.len(), z.len()), (sp.nrows(), sp.nrows()));
     let wave = wave.filter(|_| sp.is_of(a));
-    sweep(a, sp, Triangle::Lower, r, z, wave, exec);
-    sweep(a, sp, Triangle::Upper, r, z, wave, exec);
+    split_sweep(a, Triangle::Lower, wave, exec, z, kernels::split_row(sp, Triangle::Lower, r));
+    split_sweep(a, Triangle::Upper, wave, exec, z, kernels::split_row(sp, Triangle::Upper, r));
+}
+
+/// `r̂ ← M₁⁻¹·r`, the forward half of [`split_ssor`]: how Eisenstat's
+/// form ([`SplitStep`]) opens from the residual.
+pub fn split_forward(a: &Csr, sp: &SweepSplit, r: &[f64], rhat: &mut [f64], wave: Option<Wave<'_>>, exec: &ExecCtx) {
+    assert_eq!((r.len(), rhat.len()), (sp.nrows(), sp.nrows()));
+    let wave = wave.filter(|_| sp.is_of(a));
+    split_sweep(a, Triangle::Lower, wave, exec, rhat, kernels::split_row(sp, Triangle::Lower, r));
+}
+
+/// One step of Eisenstat's form over `a`'s split ([`SplitStep`]),
+/// returning `⟨p̂, t + u⟩`. Serially it is two passes: the direction
+/// head fused into the backward one, and `w` and the inner product
+/// (ascending, one accumulator) into the forward one, `t[i+1]` and
+/// `u[i−1]` carried. Along `a`'s `wave` the chains run level by level
+/// and the head, `w` and the inner product are row-independent passes
+/// around them. Each output row is the one row body of
+/// [`SweepSplit`], so the two tiers agree to the bit; `None`, a split of
+/// another operand or a certificate mismatch run serially.
+pub fn split_operator(a: &Csr, sp: &SweepSplit, step: SplitStep<'_>, wave: Option<Wave<'_>>, exec: &ExecCtx) -> f64 {
+    let SplitStep { r, beta, p, t, u, w } = step;
+    let n = sp.nrows();
+    assert!([r.len(), p.len(), t.len(), u.len(), w.len()].iter().all(|&l| l == n));
+    let Some(wave) = wave.filter(|_| sp.is_of(a)) else {
+        let mut carried = 0.0;
+        for i in (0..n).rev() {
+            p[i] = sp.direction_row(r[i], beta, p[i]);
+            carried = sp.back_row(i, p[i], t, Some(carried));
+            t[i] = carried;
+        }
+        let (mut carried, mut pq) = (0.0, 0.0);
+        for i in 0..n {
+            carried = sp.forward_row(i, p[i], t[i], u, Some(carried));
+            u[i] = carried;
+            w[i] = sp.product_row(i, p[i], t);
+            pq += sp.dot_row(i, p[i], t[i] + carried);
+        }
+        return pq;
+    };
+    exec.par_blocks(p, 1, |lo, pc| {
+        for (pv, &rv) in pc.iter_mut().zip(&r[lo..]) {
+            *pv = sp.direction_row(rv, beta, *pv);
+        }
+    });
+    let p: &[f64] = p;
+    split_sweep(a, Triangle::Upper, Some(wave), exec, t, |i, t, c| sp.back_row(i, p[i], t, c));
+    let t: &[f64] = t;
+    split_sweep(a, Triangle::Lower, Some(wave), exec, u, |i, u, c| sp.forward_row(i, p[i], t[i], u, c));
+    exec.par_blocks(w, 1, |lo, wc| {
+        for (k, wv) in wc.iter_mut().enumerate() {
+            *wv = sp.product_row(lo + k, p[lo + k], t);
+        }
+    });
+    (0..n).fold(0.0, |pq, i| pq + sp.dot_row(i, p[i], t[i] + u[i]))
 }

@@ -1,20 +1,33 @@
 //! Preconditioned Conjugate Gradients (Saad; the paper's §4 solver).
 //!
-//! One recurrence, two machines. The paper compiles the SPMD program as
+//! One recurrence, three spaces. The paper compiles the SPMD program as
 //! the sequential one evaluated over distributed relations: the
 //! distribution changes where vector entries live and what a dot
 //! product reduces, never the program. So the CG loop is written once,
-//! over a crate-private vector-space seam (`Space`) that holds exactly
-//! what the machines differ in — applying `A`, reducing inner products,
-//! the two vector updates, and whether the opening residual needs a
-//! product. [`cg`] runs it in one address space over any [`Operator`],
-//! with all policy in one [`ExecCtx`]; [`cg_parallel`] runs it on one
-//! rank of the machine's [`Ctx`] over local fragments and a
-//! communicating matvec closure.
+//! over a crate-private seam (`Space`) that owns the work vectors and
+//! the preconditioner and takes four steps — open, apply the operator
+//! to the direction with its inner product, update, new direction. [`cg`]
+//! runs it in one address space over any [`Operator`], with all policy
+//! in one [`ExecCtx`]; [`cg_parallel`] runs it on one rank of the
+//! machine's [`Ctx`] over local fragments and a communicating matvec
+//! closure.
+//!
+//! The third space is a storage choice made by proof, the paper's §6
+//! thesis one level up: when the preconditioner is [`SymGs`] and the
+//! operator is provably its own matrix
+//! ([`Preconditioner::split_form`]), [`cg`] runs Eisenstat's form over
+//! the sweep split ([`SplitStep`]) — an iteration is one backward and
+//! one forward pass over the strict triangles and one fused vector
+//! pass, with no product by `A`. Its iterates are the general form's
+//! in exact arithmetic for symmetric `A` (CG's own contract), and it
+//! tracks `r` in the original space, so the stopping test and
+//! `residual_history` read ‖r‖₂ exactly as the general form's do.
 
 use crate::precond::Preconditioner;
-use crate::vecops::{axpy, dot, par_axpy, par_dot, par_xpby, xpby};
+use crate::symgs::SymGs;
+use crate::vecops::{axpy, axpy_norm2, dot, par_axpy, par_axpy_norm2, par_dot, par_xpby, xpby};
 use bernoulli::{ExecCtx, Operator, RelError, RelResult};
+use bernoulli_formats::kernels::SplitStep;
 use bernoulli_obs::events::SolverTrace;
 use bernoulli_spmd::machine::Ctx;
 use std::convert::Infallible;
@@ -59,6 +72,11 @@ pub struct CgResult {
 /// whole solve as a `solver.cg` span plus a [`SolverTrace`] of the
 /// residual history the solver already keeps. With a disabled handle
 /// the trace closure never runs.
+///
+/// When `precond` proves `op` is its own matrix
+/// ([`Preconditioner::split_form`]), the solve runs Eisenstat's form
+/// (see the module docs): the same iteration count and residuals to
+/// rounding, its vector pass serial whatever the ctx.
 pub fn cg(
     op: &dyn Operator,
     precond: &impl Preconditioner,
@@ -69,8 +87,10 @@ pub fn cg(
 ) -> RelResult<CgResult> {
     let obs = ctx.obs();
     let span = obs.span("solver.cg");
-    let res = crate::check_square_system("cg", op, precond.dim(), b, x)
-        .and_then(|()| pcg(&mut Shared { op, ctx }, precond, b, x, opts));
+    let res = crate::check_square_system("cg", op, precond.dim(), b, x).and_then(|()| match precond.split_form(op) {
+        Some(pre) => pcg(&mut Split::new(op, pre, ctx, b), b, x, opts),
+        None => pcg(&mut Shared { op, pre: precond, ctx, v: Vectors::new(b) }, b, x, opts),
+    });
     drop(span);
     if let Ok(res) = &res {
         obs.solver(|| SolverTrace {
@@ -90,9 +110,9 @@ pub fn cg(
 /// `matvec(ctx, p_local, out_local)` computes the local rows of `A·p`
 /// (performing whatever communication its implementation needs); dots
 /// go through all-reduce — two per iteration: ⟨p,Ap⟩, then ⟨r,z⟩ and
-/// ⟨r,r⟩ of the updated residual together. At one rank it is [`cg`]
-/// under a serial ctx bit for bit, except that it always forms the
-/// opening residual with a product.
+/// ⟨r,r⟩ of the updated residual together. At one rank it is [`cg`]'s
+/// general form under a serial ctx bit for bit, except that it always
+/// forms the opening residual with a product.
 pub fn cg_parallel(
     ctx: &mut Ctx,
     matvec: impl FnMut(&mut Ctx, &[f64], &mut [f64]),
@@ -102,118 +122,227 @@ pub fn cg_parallel(
     opts: CgOptions,
 ) -> CgResult {
     assert_eq!(x_local.len(), b_local.len());
-    let Ok(res) = pcg(&mut Spmd { ctx, matvec }, precond_local, b_local, x_local, opts);
+    let mut space = Spmd { ctx, matvec, pre: precond_local, v: Vectors::new(b_local) };
+    let Ok(res) = pcg(&mut space, b_local, x_local, opts);
     res
 }
 
-/// What the CG recurrence asks of the machine it runs on.
+/// What the CG recurrence asks of the space it runs in, which owns
+/// every vector but `x` and the preconditioner.
 trait Space {
     type Error;
-    /// Whether `b − A·x` needs the product, or is `b` itself.
-    fn opening_product(&self, x: &[f64]) -> bool;
-    /// `y ← A·p`.
-    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Self::Error>;
-    /// `K` inner products in one reduction.
-    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K];
-    /// `y ← y + alpha·x`.
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]);
-    /// `y ← x + beta·y`.
-    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]);
+    /// Form the residual of `x` for `b`, precondition it into the first
+    /// direction: `[⟨r,z⟩, ⟨r,r⟩]`.
+    fn open(&mut self, b: &[f64], x: &[f64]) -> Result<[f64; 2], Self::Error>;
+    /// Apply the operator to the direction: `⟨p, A·p⟩`.
+    fn apply_dot(&mut self) -> Result<f64, Self::Error>;
+    /// `x += α·p`, `r −= α·A·p`, `z = M⁻¹·r`: `[⟨r,z⟩, ⟨r,r⟩]`.
+    fn update(&mut self, alpha: f64, x: &mut [f64]) -> [f64; 2];
+    /// `p = z + β·p`.
+    fn direction(&mut self, beta: f64);
+}
+
+/// The work vectors of the general form.
+struct Vectors {
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
+}
+
+impl Vectors {
+    /// `r = b`, the rest zero.
+    fn new(b: &[f64]) -> Vectors {
+        let n = b.len();
+        Vectors { r: b.to_vec(), z: vec![0.0; n], p: vec![0.0; n], ap: vec![0.0; n] }
+    }
+
+    /// `z = M⁻¹·r`, and the first direction `p = z`.
+    fn precondition(&mut self, pre: &impl Preconditioner) {
+        pre.precondition(&self.r, &mut self.z);
+        self.p.copy_from_slice(&self.z);
+    }
+}
+
+/// Whether `b − A·x` needs the product: from an all-zero guess it is
+/// `b` to the bit.
+fn nonzero(x: &[f64]) -> bool {
+    x.iter().any(|&v| v != 0.0)
+}
+
+/// `r = b − A·x` from the product `ax`.
+fn residual(r: &mut [f64], b: &[f64], ax: &[f64]) {
+    for ((r, &b), &ax) in r.iter_mut().zip(b).zip(ax) {
+        *r = b - ax;
+    }
 }
 
 /// One address space: the [`Operator`] seam, vector operations through
 /// the ctx's pool.
-struct Shared<'a> {
+struct Shared<'a, P> {
     op: &'a dyn Operator,
+    pre: &'a P,
     ctx: &'a ExecCtx,
+    v: Vectors,
 }
 
-impl Space for Shared<'_> {
+impl<P: Preconditioner> Space for Shared<'_, P> {
     type Error = RelError;
 
-    fn opening_product(&self, x: &[f64]) -> bool {
-        // From an all-zero guess `b − A·x` is `b` to the bit.
-        x.iter().any(|&v| v != 0.0)
+    fn open(&mut self, b: &[f64], x: &[f64]) -> RelResult<[f64; 2]> {
+        if nonzero(x) {
+            self.op.apply(x, &mut self.v.ap)?;
+            residual(&mut self.v.r, b, &self.v.ap);
+        }
+        self.v.precondition(self.pre);
+        let Vectors { r, z, .. } = &self.v;
+        Ok([par_dot(r, z, self.ctx), par_dot(r, r, self.ctx)])
     }
 
-    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> RelResult<()> {
-        self.op.apply(p, y)
+    fn apply_dot(&mut self) -> RelResult<f64> {
+        self.op.apply(&self.v.p, &mut self.v.ap)?;
+        Ok(par_dot(&self.v.p, &self.v.ap, self.ctx))
     }
 
-    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K] {
-        pairs.map(|(a, b)| par_dot(a, b, self.ctx))
+    fn update(&mut self, alpha: f64, x: &mut [f64]) -> [f64; 2] {
+        let Vectors { r, z, p, ap } = &mut self.v;
+        par_axpy(alpha, p, x, self.ctx);
+        let rr = par_axpy_norm2(-alpha, ap, r, self.ctx);
+        self.pre.precondition(r, z);
+        [par_dot(r, z, self.ctx), rr]
     }
 
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        par_axpy(alpha, x, y, self.ctx)
-    }
-
-    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]) {
-        par_xpby(x, beta, y, self.ctx)
+    fn direction(&mut self, beta: f64) {
+        par_xpby(&self.v.z, beta, &mut self.v.p, self.ctx)
     }
 }
 
 /// One rank of the SPMD machine: local fragments, a matvec that does its
-/// own communication, dots as local sums plus one all-reduce.
-struct Spmd<'c, M> {
+/// own communication, local sums plus one all-reduce per reduction step.
+struct Spmd<'c, M, P> {
     ctx: &'c mut Ctx,
     matvec: M,
+    pre: &'c P,
+    v: Vectors,
 }
 
-impl<M: FnMut(&mut Ctx, &[f64], &mut [f64])> Space for Spmd<'_, M> {
+impl<M: FnMut(&mut Ctx, &[f64], &mut [f64]), P: Preconditioner> Space for Spmd<'_, M, P> {
     type Error = Infallible;
 
-    fn opening_product(&self, _: &[f64]) -> bool {
-        // The matvec exchanges ghosts: a skip decided on one rank's
-        // fragment would leave its peers' exchange unmatched.
-        true
+    fn open(&mut self, b: &[f64], x: &[f64]) -> Result<[f64; 2], Infallible> {
+        // Always the product: the matvec exchanges ghosts, and a skip
+        // decided on one rank's fragment would leave its peers'
+        // exchange unmatched.
+        (self.matvec)(self.ctx, x, &mut self.v.ap);
+        residual(&mut self.v.r, b, &self.v.ap);
+        self.v.precondition(self.pre);
+        let Vectors { r, z, .. } = &self.v;
+        let mut sums = [dot(r, z), dot(r, r)];
+        self.ctx.all_reduce_sums(&mut sums);
+        Ok(sums)
     }
 
-    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Infallible> {
-        (self.matvec)(self.ctx, p, y);
-        Ok(())
+    fn apply_dot(&mut self) -> Result<f64, Infallible> {
+        (self.matvec)(self.ctx, &self.v.p, &mut self.v.ap);
+        let mut pap = [dot(&self.v.p, &self.v.ap)];
+        self.ctx.all_reduce_sums(&mut pap);
+        Ok(pap[0])
     }
 
-    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K] {
-        let mut sums = pairs.map(|(a, b)| dot(a, b));
+    fn update(&mut self, alpha: f64, x: &mut [f64]) -> [f64; 2] {
+        let Vectors { r, z, p, ap } = &mut self.v;
+        axpy(alpha, p, x);
+        let rr = axpy_norm2(-alpha, ap, r);
+        self.pre.precondition(r, z);
+        let mut sums = [dot(r, z), rr];
         self.ctx.all_reduce_sums(&mut sums);
         sums
     }
 
-    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
-        axpy(alpha, x, y)
-    }
-
-    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]) {
-        xpby(x, beta, y)
+    fn direction(&mut self, beta: f64) {
+        xpby(&self.v.z, beta, &mut self.v.p)
     }
 }
 
-/// The preconditioned CG recurrence, once for both machines. Each
-/// iteration is one `A·p` and two reductions: ⟨p,Ap⟩, then ⟨r,z⟩ and
-/// ⟨r,r⟩ of the updated residual.
-fn pcg<S: Space>(
-    space: &mut S,
-    precond: &impl Preconditioner,
-    b: &[f64],
-    x: &mut [f64],
-    opts: CgOptions,
-) -> Result<CgResult, S::Error> {
-    let n = b.len();
-    let mut r = b.to_vec();
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut ap = vec![0.0; n];
+/// SymGS-preconditioned CG in Eisenstat's form ([`SplitStep`]): CG on
+/// `Â = M₁⁻¹·A·M₂⁻¹` preconditioned by `P`, with `r̂ = M₁⁻¹·r` and
+/// `p = M₂⁻¹·p̂` (held as `p̃ = (ω/D)·p̂`). `x` moves by `t = M₂⁻¹·p̂`
+/// and `r` by `w = A·t`, both in the original space, in one fused pass
+/// with `⟨r̂, P·r̂⟩` and `⟨r,r⟩`. The direction is deferred: `β` waits
+/// for the next step's backward head.
+struct Split<'a> {
+    op: &'a dyn Operator,
+    pre: &'a SymGs,
+    ctx: &'a ExecCtx,
+    r: Vec<f64>,
+    rhat: Vec<f64>,
+    p: Vec<f64>,
+    t: Vec<f64>,
+    u: Vec<f64>,
+    w: Vec<f64>,
+    beta: f64,
+}
 
-    if space.opening_product(x) {
-        space.apply(x, &mut ap)?;
-        for i in 0..n {
-            r[i] = b[i] - ap[i];
-        }
+impl<'a> Split<'a> {
+    /// `r = b`, the rest zero: the first head, with `β = 0`, makes
+    /// `p̂ = P·r̂`.
+    fn new(op: &'a dyn Operator, pre: &'a SymGs, ctx: &'a ExecCtx, b: &[f64]) -> Split<'a> {
+        let zero = || vec![0.0; b.len()];
+        Split { op, pre, ctx, r: b.to_vec(), rhat: zero(), p: zero(), t: zero(), u: zero(), w: zero(), beta: 0.0 }
     }
-    precond.precondition(&r, &mut z);
-    p.copy_from_slice(&z);
-    let [mut rz, rr] = space.dots([(&r, &z), (&r, &r)]);
+}
+
+impl Space for Split<'_> {
+    type Error = RelError;
+
+    fn open(&mut self, b: &[f64], x: &[f64]) -> RelResult<[f64; 2]> {
+        if nonzero(x) {
+            self.op.apply(x, &mut self.w)?;
+            residual(&mut self.r, b, &self.w);
+        }
+        self.pre.split_forward(&self.r, &mut self.rhat)?;
+        let sp = self.pre.split();
+        let rz = self.rhat.iter().enumerate().fold(0.0, |acc, (i, &v)| acc + v * (sp.pdiag(i) * v));
+        Ok([rz, par_dot(&self.r, &self.r, self.ctx)])
+    }
+
+    fn apply_dot(&mut self) -> RelResult<f64> {
+        self.pre.split_step(SplitStep {
+            r: &self.rhat,
+            beta: self.beta,
+            p: &mut self.p,
+            t: &mut self.t,
+            u: &mut self.u,
+            w: &mut self.w,
+        })
+    }
+
+    fn update(&mut self, alpha: f64, x: &mut [f64]) -> [f64; 2] {
+        let sp = self.pre.split();
+        let (mut rz, mut rr) = (0.0, 0.0);
+        let t = self.t.iter().zip(&self.u).zip(&self.w);
+        let v = x.iter_mut().zip(self.rhat.iter_mut()).zip(self.r.iter_mut());
+        for (i, (((x, rhat), r), ((&t, &u), &w))) in v.zip(t).enumerate() {
+            *x += alpha * t;
+            *rhat -= alpha * (t + u);
+            *r -= alpha * w;
+            rz += *rhat * (sp.pdiag(i) * *rhat);
+            rr += *r * *r;
+        }
+        [rz, rr]
+    }
+
+    fn direction(&mut self, beta: f64) {
+        self.beta = beta;
+    }
+}
+
+/// The preconditioned CG recurrence, once for every space. Each
+/// iteration applies the operator to the direction with ⟨p,Ap⟩, then
+/// updates with ⟨r,z⟩ and ⟨r,r⟩ of the new residual: two reduction
+/// steps.
+fn pcg<S: Space>(space: &mut S, b: &[f64], x: &mut [f64], opts: CgOptions) -> Result<CgResult, S::Error> {
+    let [mut rz, rr] = space.open(b, x)?;
     let r0 = rr.sqrt();
     let mut history = vec![r0];
     let target = opts.rel_tol * r0;
@@ -223,19 +352,15 @@ fn pcg<S: Space>(
         if history[iters] <= target && opts.rel_tol > 0.0 {
             break;
         }
-        space.apply(&p, &mut ap)?;
-        let [pap] = space.dots([(&p, &ap)]);
+        let pap = space.apply_dot()?;
         if pap == 0.0 {
             break;
         }
         let alpha = rz / pap;
-        space.axpy(alpha, &p, x);
-        space.axpy(-alpha, &ap, &mut r);
-        precond.precondition(&r, &mut z);
-        let [rz_new, rr] = space.dots([(&r, &z), (&r, &r)]);
+        let [rz_new, rr] = space.update(alpha, x);
         let beta = rz_new / rz;
         rz = rz_new;
-        space.xpby(&z, beta, &mut p);
+        space.direction(beta);
         iters += 1;
         history.push(rr.sqrt());
     }

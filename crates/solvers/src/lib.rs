@@ -21,7 +21,9 @@
 //!   address space ([`cg()`]) or on each rank of the SPMD machine
 //!   ([`cg_parallel`]);
 //! * [`symgs`] — symmetric Gauss-Seidel / SSOR preconditioning over
-//!   the wavefront-certified sweep engine.
+//!   the wavefront-certified sweep engine, and — when it proves CG's
+//!   operator is its own matrix — Eisenstat's form of the whole
+//!   iteration over the same sweep split.
 
 pub mod cg;
 pub mod precond;

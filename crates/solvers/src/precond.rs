@@ -2,6 +2,8 @@
 //! instance used by the paper's CG experiments. Symmetric Gauss-Seidel
 //! lives in [`crate::symgs`].
 
+use crate::symgs::SymGs;
+use bernoulli::Operator;
 use bernoulli_formats::Triplets;
 
 /// Application of `z = M⁻¹ r` for some preconditioner `M ≈ A`.
@@ -11,6 +13,14 @@ pub trait Preconditioner {
 
     /// `z ← M⁻¹ r` (overwrites `z`).
     fn precondition(&self, r: &[f64], z: &mut [f64]);
+
+    /// This preconditioner as [`SymGs`] holding a split of `op` itself,
+    /// which lets [`cg`](crate::cg()) run Eisenstat's form with no
+    /// product by `op` in an iteration. `Some` only when that is proved
+    /// (see [`SymGs`]'s impl); the default proves nothing.
+    fn split_form(&self, _op: &dyn Operator) -> Option<&SymGs> {
+        None
+    }
 }
 
 /// The identity preconditioner (plain CG).

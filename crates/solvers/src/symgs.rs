@@ -16,10 +16,17 @@
 //! under the compiled [`bernoulli::SymGsEngine`]: level-parallel along
 //! its one certified Gauss-Seidel schedule (the backward pass walks it
 //! in reverse), serial otherwise, bitwise-identical either way.
+//!
+//! The same split holds Eisenstat's form of the preconditioned operator
+//! ([`SplitStep`]): when CG's operator is provably the matrix a `SymGs`
+//! owns ([`Preconditioner::split_form`]), an iteration is one backward
+//! and one forward pass over the split and no product by `A` at all.
+//! That form is today's SSOR-PCG only for symmetric `A` — CG's own
+//! contract, which neither form checks.
 
 use crate::precond::Preconditioner;
-use bernoulli::{ExecCtx, RelError, RelResult, SymGsEngine};
-use bernoulli_formats::kernels::SweepSplit;
+use bernoulli::{ExecCtx, Operator, RelError, RelResult, SymGsEngine};
+use bernoulli_formats::kernels::{SplitStep, SweepSplit};
 use bernoulli_formats::Csr;
 
 /// Symmetric Gauss-Seidel / SSOR preconditioner owning its operand.
@@ -32,7 +39,8 @@ use bernoulli_formats::Csr;
 /// the operand's *values*, so it lives here, with the one object that
 /// owns them, and never in the structure-keyed caches that replay one
 /// verdict across matrices of equal pattern. It costs ≈ 0.75× the
-/// operand's bytes and is the only way this type applies `M⁻¹`.
+/// operand's bytes plus 8 B a row (`d/ω`, for Eisenstat's form) and is
+/// the only way this type applies `M⁻¹`.
 pub struct SymGs {
     a: Csr,
     omega: f64,
@@ -94,6 +102,21 @@ impl SymGs {
     pub fn matrix(&self) -> &Csr {
         &self.a
     }
+
+    /// The owned split.
+    pub(crate) fn split(&self) -> &SweepSplit {
+        &self.split
+    }
+
+    /// `r̂ ← M₁⁻¹·r`: Eisenstat's form opens (see [`SplitStep`]).
+    pub(crate) fn split_forward(&self, r: &[f64], rhat: &mut [f64]) -> RelResult<()> {
+        self.engine.apply_split_forward(&self.a, &self.split, r, rhat)
+    }
+
+    /// One step of Eisenstat's form: `⟨p̂, Â·p̂⟩`.
+    pub(crate) fn split_step(&self, step: SplitStep<'_>) -> RelResult<f64> {
+        self.engine.apply_split_operator(&self.a, &self.split, step)
+    }
 }
 
 impl Preconditioner for SymGs {
@@ -105,6 +128,25 @@ impl Preconditioner for SymGs {
         self.engine
             .apply_split(&self.a, &self.split, r, z)
             .expect("SSOR sweeps are infallible once compiled");
+    }
+
+    /// Proved when `op` is a CSR matrix of this order whose memoised
+    /// index digest is the owned operand's (the `OperandBinding`
+    /// standard), the split saw every row's diagonal exactly once, and
+    /// the values are bitwise the owned ones — one pass over them, or
+    /// none when `op` is the owned matrix.
+    fn split_form(&self, op: &dyn Operator) -> Option<&SymGs> {
+        let (c, a) = (op.csr()?, &self.a);
+        let same_values = || {
+            std::ptr::eq(c.vals(), a.vals())
+                || (c.vals().len() == a.vals().len()
+                    && c.vals().iter().zip(a.vals()).all(|(u, v)| u.to_bits() == v.to_bits()))
+        };
+        let proved = (c.nrows(), c.ncols()) == (a.nrows(), a.ncols())
+            && c.index_digest() == a.index_digest()
+            && self.split.is_exact()
+            && same_values();
+        proved.then_some(self)
     }
 }
 

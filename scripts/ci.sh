@@ -46,12 +46,13 @@ cargo run --release --example lint
 mkdir -p target/ci
 cargo run --release --bin tables > target/ci/tables_output.txt
 # Counter-drift gate: Table 3's inspector bytes (P = 2..64), the `T3.*`
-# claims and `A.dist-chaos-bytes` are exact counters, so the fresh run
-# must print them byte for byte as the committed tables_output.txt does;
-# a change that moves one regenerates that file in the same commit.
+# claims, `A.dist-chaos-bytes` and `A.eisenstat-products` are exact
+# counters, so the fresh run must print them byte for byte as the
+# committed tables_output.txt does; a change that moves one regenerates
+# that file in the same commit.
 counters() {
   awk '/^--- machine-independent companion: inspector bytes/ { on = 1 } /^===/ { on = 0 } on' "$1"
-  grep -E '^(PASS|FAIL) +(T3\.|A\.dist-chaos-bytes )' "$1"
+  grep -E '^(PASS|FAIL) +(T3\.|A\.dist-chaos-bytes |A\.eisenstat-products )' "$1"
 }
 counters tables_output.txt > target/ci/counters.committed
 counters target/ci/tables_output.txt > target/ci/counters.fresh

@@ -23,7 +23,8 @@ use bernoulli_spmd::dist::{
 };
 use bernoulli_spmd::inspector::CommSchedule;
 use bernoulli_obs::Obs;
-use bernoulli_solvers::{Preconditioner, SymGs};
+use bernoulli::{FnOperator, Operator};
+use bernoulli_solvers::{cg, CgOptions, Preconditioner, SymGs};
 use bernoulli_spmd::machine::{Machine, NetworkModel};
 use std::hint::black_box;
 
@@ -375,7 +376,67 @@ fn symgs_zero_guess() -> Vec<Claim> {
     }
     println!();
     let what = "fill + two general sweeps / SymGs::precondition at 64^3";
-    vec![Claim::at_least("A.symgs-zero-guess", ratio, 1.4, what)]
+    vec![Claim::at_least("A.symgs-zero-guess", ratio, 1.4, what), eisenstat_products()]
+}
+
+/// One level up: when the operator is provably the preconditioner's own
+/// matrix, `cg` runs Eisenstat's form over the same split, and an
+/// iteration makes no product by `A` — one backward and one forward
+/// pass over the strict triangles stand in for the SpMV and the SSOR
+/// application. The kernels' own counters of one zero-guess solve each
+/// way, at 20³: the general form through a closure over the bound
+/// engine, Eisenstat's over the engine itself.
+fn eisenstat_products() -> Claim {
+    let t = grid3d_7pt(20, 20, 20);
+    let sm = SparseMatrix::from_triplets(FormatKind::Csr, &t);
+    let (n, nnz) = (t.nrows() as u64, sm.meta().nnz as u64);
+    let b: Vec<f64> = (0..t.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
+    let opts = CgOptions { max_iters: 200, rel_tol: 1e-8 };
+    let obs = Obs::enabled();
+    let ctx = ExecCtx::default().instrument(obs.clone());
+    let engine = SpmvEngine::compile_in(&sm, &ctx).expect("a grid compiles");
+    let pre = SymGs::new(Csr::from_triplets(&t), &ctx).expect("a grid compiles");
+    let op = engine.bind(&sm);
+    let closure = FnOperator::new(t.nrows(), t.ncols(), |v: &[f64], y: &mut [f64]| op.apply(v, y).expect("bound"));
+    // Per form: iterations, products by `A`, entries one iteration visits.
+    let form = |op: &dyn Operator, names: &[&str]| {
+        let before = obs.report().kernels;
+        let mut x = vec![0.0; t.nrows()];
+        let res = cg(op, &pre, &b, &mut x, opts, &ExecCtx::default()).expect("the grid solves");
+        let kernels = obs.report().kernels;
+        let delta = |k: &str| {
+            let (now, was) = (kernels.get(k).copied().unwrap_or_default(), before.get(k).copied().unwrap_or_default());
+            (now.calls - was.calls, now.nnz - was.nnz)
+        };
+        let products: u64 = kernels.keys().filter(|k| k.contains("spmv")).map(|k| delta(k).0).sum();
+        let per_iter: u64 = names.iter().map(|k| delta(k)).map(|(calls, nnz)| nnz.checked_div(calls).unwrap_or(0)).sum();
+        (res.converged.then_some(res.iters as u64), products, per_iter)
+    };
+    let general = form(&closure, &["spmv_csr", "symgs_split"]);
+    let split = form(&op, &["symgs_split_op"]);
+    let iters = |form: (Option<u64>, u64, u64)| form.0.map_or("unconverged".into(), |k| k.to_string());
+    println!("--- Eisenstat's form: one zero-guess SymGS-PCG solve at 20^3, kernel counters ---");
+    println!("{:<14}{:>12}{:>20}{:>26}", "form", "iterations", "products by A", "entries per iteration");
+    for (name, form) in [("general", general), ("Eisenstat", split)] {
+        println!("{name:<14}{:>12}{:>20}{:>26}", iters(form), form.1, form.2);
+    }
+    println!();
+    let holds = general.0.is_some()
+        && split.0 == general.0
+        && (general.1, split.1) == (general.0.unwrap_or(0), 0)
+        && (general.2, split.2) == (nnz + (nnz - n), nnz - n);
+    let seen = format!(
+        "general / Eisenstat: iterations {} / {}, products by A {} / {}, entries per iteration {} / {} (nnz + (nnz - n) = {}, nnz - n = {})",
+        iters(general),
+        iters(split),
+        general.1,
+        split.1,
+        general.2,
+        split.2,
+        nnz + (nnz - n),
+        nnz - n,
+    );
+    Claim::new("A.eisenstat-products", holds, seen)
 }
 
 /// Certificate binding — the inspector/executor cost model applied to

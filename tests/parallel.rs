@@ -346,6 +346,9 @@ fn bits(xs: &[f64]) -> Vec<u64> {
 
 /// `x` and the result of `cg` under a serial ctx, then of `cg_parallel`
 /// on a one-rank machine, both from a guess of `guess` everywhere.
+/// `cg` is handed `a` behind a closure: its general form, the one
+/// recurrence both entries share (over `a` itself, SymGS would prove
+/// the operator its own and take Eisenstat's form).
 fn solve_on_both_machines(
     a: &bernoulli_formats::Csr,
     pc: &(impl Preconditioner + Sync),
@@ -354,7 +357,8 @@ fn solve_on_both_machines(
     opts: CgOptions,
 ) -> [(CgResult, Vec<f64>); 2] {
     let mut x = vec![guess; b.len()];
-    let shared = cg(a, pc, b, &mut x, opts, &ExecCtx::default()).unwrap();
+    let op = bernoulli::FnOperator::new(b.len(), b.len(), |v: &[f64], y: &mut [f64]| a.apply(v, y).unwrap());
+    let shared = cg(&op, pc, b, &mut x, opts, &ExecCtx::default()).unwrap();
     let mut out = Machine::run(1, |ctx| {
         let mut x = vec![guess; b.len()];
         let res = cg_parallel(ctx, |_, v, y| a.apply(v, y).unwrap(), pc, b, &mut x, opts);

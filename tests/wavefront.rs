@@ -8,7 +8,7 @@
 use bernoulli::pipeline::OpSpec;
 use bernoulli::{ExecCtx, Reason, RelError, SptrsvEngine, Strategy as Tier, SymGsEngine, TriangularOp, MIN_MEAN_LEVEL_WIDTH};
 use bernoulli_analysis::wavefront::{analyze_wavefront, certify_wavefront, Relation, Triangle};
-use bernoulli_formats::kernels::SweepSplit;
+use bernoulli_formats::kernels::{SplitStep, SweepSplit};
 use bernoulli_formats::{gen, kernels, par_kernels, Csr, Triplets};
 use bernoulli_tune::Dispatcher;
 use bernoulli_obs::Obs;
@@ -553,6 +553,57 @@ proptest! {
         }
     }
 
+    /// One step of Eisenstat's form (`SymGsEngine::apply_split_operator`)
+    /// is bitwise the same on both tiers, and is the textbook operator:
+    /// `t = M₂⁻¹·p̂`, `t + u = M₁⁻¹·A·M₂⁻¹·p̂` and `w = A·t` through the
+    /// general sweeps and SpMV, and `⟨p̂, t + u⟩`, where `p̂ = (D/ω)·p̃`
+    /// after the head `p̃ ← (2−ω)·r̂ + β·p̃`.
+    #[test]
+    fn split_operator_is_eisenstats_form_on_both_tiers((a, omega) in (arb_square(), 0usize..2)) {
+        let (n, omega) = (a.nrows(), [1.0, 1.3][omega]);
+        let split = SweepSplit::of(&a, omega).unwrap();
+        prop_assume!(split.is_exact());
+        let rhat: Vec<f64> = (0..n).map(|i| ((i * 11 % 17) as f64) / 4.0 - 2.0).collect();
+        let p0: Vec<f64> = (0..n).map(|i| ((i * 5 % 7) as f64) / 3.0 - 1.0).collect();
+        let beta = 0.375;
+        let mut runs = Vec::new();
+        for ctx in [ExecCtx::default(), par_ctx()] {
+            let eng = SymGsEngine::compile_in(&a, &ctx).unwrap();
+            let (mut p, mut t, mut u, mut w) = (p0.clone(), vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
+            let step = SplitStep { r: &rhat, beta, p: &mut p, t: &mut t, u: &mut u, w: &mut w };
+            let pq = eng.apply_split_operator(&a, &split, step).unwrap();
+            runs.push([p, t, u, w, vec![pq]].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()));
+        }
+        prop_assert_eq!(&runs[0], &runs[1]);
+        let [p, t, u, w, pq] = runs.swap_remove(0).map(|v| v.into_iter().map(f64::from_bits).collect::<Vec<_>>());
+        let d: Vec<f64> = (0..n).map(|i| a.row_vals(i)[a.row_cols(i).iter().position(|&j| j == i).unwrap()]).collect();
+        let want_p: Vec<f64> = (0..n).map(|i| (2.0 - omega) * rhat[i] + beta * p0[i]).collect();
+        let phat: Vec<f64> = (0..n).map(|i| d[i] / omega * p[i]).collect();
+        let mul = |v: &[f64]| {
+            let mut y = vec![0.0; n];
+            kernels::spmv_csr(&a, v, &mut y);
+            y
+        };
+        let sweep = |forward: bool, v: &[f64]| {
+            let mut z = vec![0.0; n];
+            if forward { kernels::symgs_forward_csr(&a, omega, v, &mut z) } else { kernels::symgs_backward_csr(&a, omega, v, &mut z) }
+            z
+        };
+        let want_t = sweep(false, &phat);
+        let want_q = sweep(true, &mul(&want_t));
+        let q: Vec<f64> = t.iter().zip(&u).map(|(t, u)| t + u).collect();
+        let close = |got: &[f64], want: &[f64]| {
+            let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
+            norm(&mut got.iter().zip(want).map(|(g, w)| g - w)) <= 1e-12 * norm(&mut want.iter().copied()).max(1.0)
+        };
+        prop_assert!(close(&p, &want_p));
+        prop_assert!(close(&t, &want_t));
+        prop_assert!(close(&q, &want_q));
+        prop_assert!(close(&w, &mul(&t)));
+        let want_pq: f64 = phat.iter().zip(&want_q).map(|(p, q)| p * q).sum();
+        prop_assert!((pq[0] - want_pq).abs() <= 1e-12 * phat.iter().zip(&want_q).map(|(p, q)| (p * q).abs()).sum::<f64>().max(1.0));
+    }
+
     /// A NaN or an infinity stored anywhere in the operand is never
     /// scaled or skipped away: it reaches `z` whenever it reaches the
     /// textbook application's result.
@@ -625,4 +676,13 @@ fn stale_wave_never_survives_reallocation_at_the_kernel_api() {
     par_kernels::split_ssor(&other, &split, &r, &mut z, Some((&sched, &cert)), &exec);
     par_kernels::split_ssor(&other, &split, &r, &mut want, None, &exec);
     assert_eq!(bits(&z), bits(&want), "split SSOR");
+
+    // And one step of Eisenstat's form over the same split.
+    let step = |wave| {
+        let mut v = [r.clone(), vec![0.0; n], vec![0.0; n], vec![0.0; n]];
+        let [p, t, u, w] = &mut v;
+        let pq = par_kernels::split_operator(&other, &split, SplitStep { r: &r, beta: 0.5, p, t, u, w }, wave, &exec);
+        (v.map(|v| bits(&v)), pq.to_bits())
+    };
+    assert_eq!(step(Some((&sched, &cert))), step(None), "split operator");
 }
