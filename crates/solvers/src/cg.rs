@@ -1,18 +1,21 @@
 //! Preconditioned Conjugate Gradients (Saad; the paper's §4 solver).
 //!
-//! One recurrence, three spaces. The paper compiles the SPMD program as
-//! the sequential one evaluated over distributed relations: the
-//! distribution changes where vector entries live and what a dot
+//! One recurrence, two machines, two forms. The paper compiles the SPMD
+//! program as the sequential one evaluated over distributed relations:
+//! the distribution changes where vector entries live and what a dot
 //! product reduces, never the program. So the CG loop is written once,
-//! over a crate-private seam (`Space`) that owns the work vectors and
-//! the preconditioner and takes four steps — open, apply the operator
-//! to the direction with its inner product, update, new direction. [`cg`]
+//! over a crate-private seam (`Form`) of four steps — open, apply the
+//! operator to the direction with its inner product, update, new
+//! direction — and its general form is written once too, over a
+//! vector-space seam (`Space`) that holds exactly what the machines
+//! differ in: applying `A`, reducing inner products, the two vector
+//! updates, and whether the opening residual needs a product. [`cg`]
 //! runs it in one address space over any [`Operator`], with all policy
 //! in one [`ExecCtx`]; [`cg_parallel`] runs it on one rank of the
 //! machine's [`Ctx`] over local fragments and a communicating matvec
 //! closure.
 //!
-//! The third space is a storage choice made by proof, the paper's §6
+//! The second form is a storage choice made by proof, the paper's §6
 //! thesis one level up: when the preconditioner is [`SymGs`] and the
 //! operator is provably its own matrix
 //! ([`Preconditioner::split_form`]), [`cg`] runs Eisenstat's form over
@@ -25,7 +28,7 @@
 
 use crate::precond::Preconditioner;
 use crate::symgs::SymGs;
-use crate::vecops::{axpy, axpy_norm2, dot, par_axpy, par_axpy_norm2, par_dot, par_xpby, xpby};
+use crate::vecops::{axpy, dot, par_axpy, par_dot, par_xpby, xpby};
 use bernoulli::{ExecCtx, Operator, RelError, RelResult};
 use bernoulli_formats::kernels::SplitStep;
 use bernoulli_obs::events::SolverTrace;
@@ -74,9 +77,11 @@ pub struct CgResult {
 /// the trace closure never runs.
 ///
 /// When `precond` proves `op` is its own matrix
-/// ([`Preconditioner::split_form`]), the solve runs Eisenstat's form
-/// (see the module docs): the same iteration count and residuals to
-/// rounding, its vector pass serial whatever the ctx.
+/// ([`Preconditioner::split_form`]) and the ctx would run the vector
+/// operations serially (`!ctx.should_parallelize(b.len())`), the solve
+/// runs Eisenstat's form (see the module docs): the same iteration
+/// count and residuals to rounding. Its fused vector pass is serial, so
+/// a ctx that parallelises vector work keeps the general form.
 pub fn cg(
     op: &dyn Operator,
     precond: &impl Preconditioner,
@@ -87,9 +92,13 @@ pub fn cg(
 ) -> RelResult<CgResult> {
     let obs = ctx.obs();
     let span = obs.span("solver.cg");
-    let res = crate::check_square_system("cg", op, precond.dim(), b, x).and_then(|()| match precond.split_form(op) {
-        Some(pre) => pcg(&mut Split::new(op, pre, ctx, b), b, x, opts),
-        None => pcg(&mut Shared { op, pre: precond, ctx, v: Vectors::new(b) }, b, x, opts),
+    let shared = Shared { op, ctx };
+    // Split's vector pass is serial: a ctx that would run the general
+    // form's vector operations on its pool keeps the general form.
+    let split = || precond.split_form(op).filter(|_| !ctx.should_parallelize(b.len()));
+    let res = crate::check_square_system("cg", op, precond.dim(), b, x).and_then(|()| match split() {
+        Some(pre) => pcg(&mut Split::new(shared, pre, b), b, x, opts),
+        None => pcg(&mut General::new(shared, precond, b), b, x, opts),
     });
     drop(span);
     if let Ok(res) = &res {
@@ -122,14 +131,14 @@ pub fn cg_parallel(
     opts: CgOptions,
 ) -> CgResult {
     assert_eq!(x_local.len(), b_local.len());
-    let mut space = Spmd { ctx, matvec, pre: precond_local, v: Vectors::new(b_local) };
-    let Ok(res) = pcg(&mut space, b_local, x_local, opts);
+    let mut form = General::new(Spmd { ctx, matvec }, precond_local, b_local);
+    let Ok(res) = pcg(&mut form, b_local, x_local, opts);
     res
 }
 
-/// What the CG recurrence asks of the space it runs in, which owns
-/// every vector but `x` and the preconditioner.
-trait Space {
+/// What the CG recurrence asks of the form it runs in, which owns every
+/// vector but `x`.
+trait Form {
     type Error;
     /// Form the residual of `x` for `b`, precondition it into the first
     /// direction: `[⟨r,z⟩, ⟨r,r⟩]`.
@@ -142,32 +151,19 @@ trait Space {
     fn direction(&mut self, beta: f64);
 }
 
-/// The work vectors of the general form.
-struct Vectors {
-    r: Vec<f64>,
-    z: Vec<f64>,
-    p: Vec<f64>,
-    ap: Vec<f64>,
-}
-
-impl Vectors {
-    /// `r = b`, the rest zero.
-    fn new(b: &[f64]) -> Vectors {
-        let n = b.len();
-        Vectors { r: b.to_vec(), z: vec![0.0; n], p: vec![0.0; n], ap: vec![0.0; n] }
-    }
-
-    /// `z = M⁻¹·r`, and the first direction `p = z`.
-    fn precondition(&mut self, pre: &impl Preconditioner) {
-        pre.precondition(&self.r, &mut self.z);
-        self.p.copy_from_slice(&self.z);
-    }
-}
-
-/// Whether `b − A·x` needs the product: from an all-zero guess it is
-/// `b` to the bit.
-fn nonzero(x: &[f64]) -> bool {
-    x.iter().any(|&v| v != 0.0)
+/// What the general form asks of the machine it runs on.
+trait Space {
+    type Error;
+    /// Whether `b − A·x` needs the product, or is `b` itself.
+    fn opening_product(&self, x: &[f64]) -> bool;
+    /// `y ← A·p`.
+    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Self::Error>;
+    /// `K` inner products in one reduction.
+    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K];
+    /// `y ← y + alpha·x`.
+    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]);
+    /// `y ← x + beta·y`.
+    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]);
 }
 
 /// `r = b − A·x` from the product `ax`.
@@ -177,90 +173,121 @@ fn residual(r: &mut [f64], b: &[f64], ax: &[f64]) {
     }
 }
 
-/// One address space: the [`Operator`] seam, vector operations through
-/// the ctx's pool.
-struct Shared<'a, P> {
-    op: &'a dyn Operator,
-    pre: &'a P,
-    ctx: &'a ExecCtx,
-    v: Vectors,
+/// The general form on any machine: each iteration is one `A·p` and two
+/// reductions, ⟨p,Ap⟩, then ⟨r,z⟩ and ⟨r,r⟩ of the updated residual.
+struct General<'p, S, P> {
+    space: S,
+    pre: &'p P,
+    r: Vec<f64>,
+    z: Vec<f64>,
+    p: Vec<f64>,
+    ap: Vec<f64>,
 }
 
-impl<P: Preconditioner> Space for Shared<'_, P> {
-    type Error = RelError;
+impl<'p, S: Space, P: Preconditioner> General<'p, S, P> {
+    /// `r = b`, the rest zero.
+    fn new(space: S, pre: &'p P, b: &[f64]) -> Self {
+        let zero = || vec![0.0; b.len()];
+        General { space, pre, r: b.to_vec(), z: zero(), p: zero(), ap: zero() }
+    }
+}
 
-    fn open(&mut self, b: &[f64], x: &[f64]) -> RelResult<[f64; 2]> {
-        if nonzero(x) {
-            self.op.apply(x, &mut self.v.ap)?;
-            residual(&mut self.v.r, b, &self.v.ap);
+impl<S: Space, P: Preconditioner> Form for General<'_, S, P> {
+    type Error = S::Error;
+
+    fn open(&mut self, b: &[f64], x: &[f64]) -> Result<[f64; 2], S::Error> {
+        if self.space.opening_product(x) {
+            self.space.apply(x, &mut self.ap)?;
+            residual(&mut self.r, b, &self.ap);
         }
-        self.v.precondition(self.pre);
-        let Vectors { r, z, .. } = &self.v;
-        Ok([par_dot(r, z, self.ctx), par_dot(r, r, self.ctx)])
+        self.pre.precondition(&self.r, &mut self.z);
+        self.p.copy_from_slice(&self.z);
+        Ok(self.space.dots([(&self.r, &self.z), (&self.r, &self.r)]))
     }
 
-    fn apply_dot(&mut self) -> RelResult<f64> {
-        self.op.apply(&self.v.p, &mut self.v.ap)?;
-        Ok(par_dot(&self.v.p, &self.v.ap, self.ctx))
+    fn apply_dot(&mut self) -> Result<f64, S::Error> {
+        self.space.apply(&self.p, &mut self.ap)?;
+        let [pap] = self.space.dots([(&self.p, &self.ap)]);
+        Ok(pap)
     }
 
     fn update(&mut self, alpha: f64, x: &mut [f64]) -> [f64; 2] {
-        let Vectors { r, z, p, ap } = &mut self.v;
-        par_axpy(alpha, p, x, self.ctx);
-        let rr = par_axpy_norm2(-alpha, ap, r, self.ctx);
-        self.pre.precondition(r, z);
-        [par_dot(r, z, self.ctx), rr]
+        self.space.axpy(alpha, &self.p, x);
+        self.space.axpy(-alpha, &self.ap, &mut self.r);
+        self.pre.precondition(&self.r, &mut self.z);
+        self.space.dots([(&self.r, &self.z), (&self.r, &self.r)])
     }
 
     fn direction(&mut self, beta: f64) {
-        par_xpby(&self.v.z, beta, &mut self.v.p, self.ctx)
+        self.space.xpby(&self.z, beta, &mut self.p)
+    }
+}
+
+/// One address space: the [`Operator`] seam, vector operations through
+/// the ctx's pool.
+struct Shared<'a> {
+    op: &'a dyn Operator,
+    ctx: &'a ExecCtx,
+}
+
+impl Space for Shared<'_> {
+    type Error = RelError;
+
+    fn opening_product(&self, x: &[f64]) -> bool {
+        // From an all-zero guess `b − A·x` is `b` to the bit.
+        x.iter().any(|&v| v != 0.0)
+    }
+
+    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> RelResult<()> {
+        self.op.apply(p, y)
+    }
+
+    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K] {
+        pairs.map(|(a, b)| par_dot(a, b, self.ctx))
+    }
+
+    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        par_axpy(alpha, x, y, self.ctx)
+    }
+
+    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]) {
+        par_xpby(x, beta, y, self.ctx)
     }
 }
 
 /// One rank of the SPMD machine: local fragments, a matvec that does its
-/// own communication, local sums plus one all-reduce per reduction step.
-struct Spmd<'c, M, P> {
+/// own communication, dots as local sums plus one all-reduce.
+struct Spmd<'c, M> {
     ctx: &'c mut Ctx,
     matvec: M,
-    pre: &'c P,
-    v: Vectors,
 }
 
-impl<M: FnMut(&mut Ctx, &[f64], &mut [f64]), P: Preconditioner> Space for Spmd<'_, M, P> {
+impl<M: FnMut(&mut Ctx, &[f64], &mut [f64])> Space for Spmd<'_, M> {
     type Error = Infallible;
 
-    fn open(&mut self, b: &[f64], x: &[f64]) -> Result<[f64; 2], Infallible> {
-        // Always the product: the matvec exchanges ghosts, and a skip
-        // decided on one rank's fragment would leave its peers'
-        // exchange unmatched.
-        (self.matvec)(self.ctx, x, &mut self.v.ap);
-        residual(&mut self.v.r, b, &self.v.ap);
-        self.v.precondition(self.pre);
-        let Vectors { r, z, .. } = &self.v;
-        let mut sums = [dot(r, z), dot(r, r)];
-        self.ctx.all_reduce_sums(&mut sums);
-        Ok(sums)
+    fn opening_product(&self, _: &[f64]) -> bool {
+        // The matvec exchanges ghosts: a skip decided on one rank's
+        // fragment would leave its peers' exchange unmatched.
+        true
     }
 
-    fn apply_dot(&mut self) -> Result<f64, Infallible> {
-        (self.matvec)(self.ctx, &self.v.p, &mut self.v.ap);
-        let mut pap = [dot(&self.v.p, &self.v.ap)];
-        self.ctx.all_reduce_sums(&mut pap);
-        Ok(pap[0])
+    fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Infallible> {
+        (self.matvec)(self.ctx, p, y);
+        Ok(())
     }
 
-    fn update(&mut self, alpha: f64, x: &mut [f64]) -> [f64; 2] {
-        let Vectors { r, z, p, ap } = &mut self.v;
-        axpy(alpha, p, x);
-        let rr = axpy_norm2(-alpha, ap, r);
-        self.pre.precondition(r, z);
-        let mut sums = [dot(r, z), rr];
+    fn dots<const K: usize>(&mut self, pairs: [(&[f64], &[f64]); K]) -> [f64; K] {
+        let mut sums = pairs.map(|(a, b)| dot(a, b));
         self.ctx.all_reduce_sums(&mut sums);
         sums
     }
 
-    fn direction(&mut self, beta: f64) {
-        xpby(&self.v.z, beta, &mut self.v.p)
+    fn axpy(&self, alpha: f64, x: &[f64], y: &mut [f64]) {
+        axpy(alpha, x, y)
+    }
+
+    fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]) {
+        xpby(x, beta, y)
     }
 }
 
@@ -271,9 +298,8 @@ impl<M: FnMut(&mut Ctx, &[f64], &mut [f64]), P: Preconditioner> Space for Spmd<'
 /// with `⟨r̂, P·r̂⟩` and `⟨r,r⟩`. The direction is deferred: `β` waits
 /// for the next step's backward head.
 struct Split<'a> {
-    op: &'a dyn Operator,
+    shared: Shared<'a>,
     pre: &'a SymGs,
-    ctx: &'a ExecCtx,
     r: Vec<f64>,
     rhat: Vec<f64>,
     p: Vec<f64>,
@@ -286,24 +312,25 @@ struct Split<'a> {
 impl<'a> Split<'a> {
     /// `r = b`, the rest zero: the first head, with `β = 0`, makes
     /// `p̂ = P·r̂`.
-    fn new(op: &'a dyn Operator, pre: &'a SymGs, ctx: &'a ExecCtx, b: &[f64]) -> Split<'a> {
+    fn new(shared: Shared<'a>, pre: &'a SymGs, b: &[f64]) -> Split<'a> {
         let zero = || vec![0.0; b.len()];
-        Split { op, pre, ctx, r: b.to_vec(), rhat: zero(), p: zero(), t: zero(), u: zero(), w: zero(), beta: 0.0 }
+        Split { shared, pre, r: b.to_vec(), rhat: zero(), p: zero(), t: zero(), u: zero(), w: zero(), beta: 0.0 }
     }
 }
 
-impl Space for Split<'_> {
+impl Form for Split<'_> {
     type Error = RelError;
 
     fn open(&mut self, b: &[f64], x: &[f64]) -> RelResult<[f64; 2]> {
-        if nonzero(x) {
-            self.op.apply(x, &mut self.w)?;
+        if self.shared.opening_product(x) {
+            self.shared.apply(x, &mut self.w)?;
             residual(&mut self.r, b, &self.w);
         }
         self.pre.split_forward(&self.r, &mut self.rhat)?;
         let sp = self.pre.split();
         let rz = self.rhat.iter().enumerate().fold(0.0, |acc, (i, &v)| acc + v * (sp.pdiag(i) * v));
-        Ok([rz, par_dot(&self.r, &self.r, self.ctx)])
+        let [rr] = self.shared.dots([(&self.r, &self.r)]);
+        Ok([rz, rr])
     }
 
     fn apply_dot(&mut self) -> RelResult<f64> {
@@ -337,12 +364,12 @@ impl Space for Split<'_> {
     }
 }
 
-/// The preconditioned CG recurrence, once for every space. Each
+/// The preconditioned CG recurrence, once for every form. Each
 /// iteration applies the operator to the direction with ⟨p,Ap⟩, then
 /// updates with ⟨r,z⟩ and ⟨r,r⟩ of the new residual: two reduction
 /// steps.
-fn pcg<S: Space>(space: &mut S, b: &[f64], x: &mut [f64], opts: CgOptions) -> Result<CgResult, S::Error> {
-    let [mut rz, rr] = space.open(b, x)?;
+fn pcg<F: Form>(form: &mut F, b: &[f64], x: &mut [f64], opts: CgOptions) -> Result<CgResult, F::Error> {
+    let [mut rz, rr] = form.open(b, x)?;
     let r0 = rr.sqrt();
     let mut history = vec![r0];
     let target = opts.rel_tol * r0;
@@ -352,15 +379,15 @@ fn pcg<S: Space>(space: &mut S, b: &[f64], x: &mut [f64], opts: CgOptions) -> Re
         if history[iters] <= target && opts.rel_tol > 0.0 {
             break;
         }
-        let pap = space.apply_dot()?;
+        let pap = form.apply_dot()?;
         if pap == 0.0 {
             break;
         }
         let alpha = rz / pap;
-        let [rz_new, rr] = space.update(alpha, x);
+        let [rz_new, rr] = form.update(alpha, x);
         let beta = rz_new / rz;
         rz = rz_new;
-        space.direction(beta);
+        form.direction(beta);
         iters += 1;
         history.push(rr.sqrt());
     }

@@ -130,22 +130,24 @@ impl Preconditioner for SymGs {
             .expect("SSOR sweeps are infallible once compiled");
     }
 
-    /// Proved when `op` is a CSR matrix of this order whose memoised
-    /// index digest is the owned operand's (the `OperandBinding`
-    /// standard), the split saw every row's diagonal exactly once, and
-    /// the values are bitwise the owned ones — one pass over them, or
-    /// none when `op` is the owned matrix.
+    /// Proved when `op` is a CSR matrix of this order with the owned
+    /// operand's row pointers, column indices and values, and the split
+    /// saw every row's diagonal exactly once. The memoised index digests
+    /// reject a different pattern at once; the arrays themselves are then
+    /// compared — none of them when `op` is the owned matrix, else one
+    /// pass over each (a digest collision is never taken for equality).
     fn split_form(&self, op: &dyn Operator) -> Option<&SymGs> {
         let (c, a) = (op.csr()?, &self.a);
-        let same_values = || {
-            std::ptr::eq(c.vals(), a.vals())
-                || (c.vals().len() == a.vals().len()
-                    && c.vals().iter().zip(a.vals()).all(|(u, v)| u.to_bits() == v.to_bits()))
+        let same_bits = |u: &[f64], v: &[f64]| {
+            std::ptr::eq(u, v) || (u.len() == v.len() && u.iter().zip(v).all(|(u, v)| u.to_bits() == v.to_bits()))
         };
+        let same = |u: &[usize], v: &[usize]| std::ptr::eq(u, v) || u == v;
         let proved = (c.nrows(), c.ncols()) == (a.nrows(), a.ncols())
-            && c.index_digest() == a.index_digest()
             && self.split.is_exact()
-            && same_values();
+            && c.index_digest() == a.index_digest()
+            && same(c.rowptr(), a.rowptr())
+            && same(c.colind(), a.colind())
+            && same_bits(c.vals(), a.vals());
         proved.then_some(self)
     }
 }

@@ -17,16 +17,6 @@ pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     }
 }
 
-/// `y ← y + alpha·x`, returning `Σ yᵢ²` of the result: [`axpy`] then
-/// [`dot`]`(y, y)` in one pass, to the bit.
-pub fn axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64]) -> f64 {
-    assert_eq!(x.len(), y.len());
-    y.iter_mut().zip(x).fold(0.0, |acc, (yv, &xv)| {
-        *yv += alpha * xv;
-        acc + *yv * *yv
-    })
-}
-
 /// `y ← x + beta·y` (the CG direction update).
 pub fn xpby(x: &[f64], beta: f64, y: &mut [f64]) {
     assert_eq!(x.len(), y.len());
@@ -58,17 +48,6 @@ pub fn par_axpy(alpha: f64, x: &[f64], y: &mut [f64], exec: &ExecCtx) {
         return axpy(alpha, x, y);
     }
     exec.par_blocks(y, 1, |lo, yc| axpy(alpha, &x[lo..lo + yc.len()], yc));
-}
-
-/// [`axpy_norm2`] through `exec`: one pass below the work threshold,
-/// else [`par_axpy`] then [`par_dot`]`(y, y)` — the bits of the two
-/// calls either way.
-pub fn par_axpy_norm2(alpha: f64, x: &[f64], y: &mut [f64], exec: &ExecCtx) -> f64 {
-    if !exec.should_parallelize(y.len()) {
-        return axpy_norm2(alpha, x, y);
-    }
-    par_axpy(alpha, x, y, exec);
-    par_dot(y, y, exec)
 }
 
 /// Shared-memory parallel `y ← x + beta·y` (bit-identical to [`xpby`]).
@@ -113,14 +92,6 @@ mod tests {
         axpy(1.5, &a, &mut y1);
         par_axpy(1.5, &a, &mut y2, &exec);
         assert_eq!(y1, y2);
-        // The fused update: the two calls' bits, serial and through the pool.
-        for exec in [ExecCtx::serial(), exec.clone()] {
-            let (mut y2, mut y3) = (b.clone(), b.clone());
-            let rr = par_axpy_norm2(1.5, &a, &mut y2, &exec);
-            par_axpy(1.5, &a, &mut y3, &exec);
-            assert_eq!((y2.clone(), rr.to_bits()), (y3.clone(), par_dot(&y3, &y3, &exec).to_bits()));
-            assert_eq!(y2, y1);
-        }
         let mut y1 = b.clone();
         let mut y2 = b.clone();
         xpby(&a, -0.75, &mut y1);

@@ -136,11 +136,10 @@ fn solve_hashes(op: &dyn bernoulli::Operator, pc: &impl bernoulli_solvers::Preco
 /// A serial `cg` that does not take the split form — a diagonal
 /// preconditioner, or SymGS behind an operator that cannot prove it is
 /// the preconditioner's matrix — carries the bits it had before the
-/// split form and the fused update existed, from a zero and a nonzero
-/// guess.
+/// split form existed, from a zero and a nonzero guess.
 #[test]
 fn serial_cg_outside_the_split_form_keeps_its_bits() {
-    // Captured at the commit before the fused `Space` steps.
+    // Captured at the commit before the split form.
     const GOLD: [[u64; 2]; 6] = [
         [0x6cbb8f68cf21134f, 0x7a22b2c9664db6ae],
         [0x77f02456cf913bbf, 0x99235c1dc65f8312],
@@ -235,7 +234,8 @@ fn split_form_tracks_the_general_form() {
 }
 
 /// An operator that is not provably the preconditioner's own matrix —
-/// one value off, another pattern of the same order, a CCS operator, a
+/// one value off, another pattern of the same order, the same values
+/// over swapped columns, a CCS operator, a
 /// closure, or a matrix whose split is inexact (a row missing its
 /// diagonal, a row storing it twice) — takes the general form, bit for
 /// bit the solve through a closure wrapper.
@@ -269,6 +269,13 @@ fn split_form_is_refused_unless_proved() {
     ));
     assert_ne!(other.nnz(), a.nnz());
     check("another pattern", &other, &pc);
+    // The same row pointers and values, two column indices of row 5
+    // swapped: only the index arrays tell it from the owned matrix.
+    let offd: Vec<usize> = (a.rowptr()[5]..a.rowptr()[6]).filter(|&k| a.colind()[k] != 5).collect();
+    let mut ci = a.colind().to_vec();
+    ci.swap(offd[0], offd[1]);
+    let swapped = Csr::from_raw_unchecked(n, n, a.rowptr().to_vec(), ci, a.vals().to_vec());
+    check("two columns swapped", &swapped, &pc);
     check("a CCS operator", &SparseMatrix::from_triplets(FormatKind::Ccs, &t), &pc);
     let closure = bernoulli::FnOperator::new(n, n, |v: &[f64], out: &mut [f64]| {
         out.fill(0.0);
@@ -327,4 +334,26 @@ fn split_form_makes_no_product() {
     let general = general(&bound, &pc, &b, &mut y, opts);
     assert_eq!(general.iters, res.iters);
     assert_eq!(products(&obs) - before, res.iters as u64);
+}
+
+/// Eisenstat's form runs its vector pass serially, so a ctx that would
+/// put the general form's vector operations on its pool keeps the
+/// general form, bit for bit the solve through a closure wrapper.
+#[test]
+fn a_parallel_ctx_keeps_the_general_form() {
+    let t = fem_grid_2d(6, 5, 2);
+    let n = t.nrows();
+    let a = Csr::from_triplets(&t);
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 3 % 7) as f64) * 0.25).collect();
+    let opts = CgOptions { max_iters: 25, rel_tol: 0.0 };
+    let ctx = par_ctx();
+    assert!(ctx.should_parallelize(n));
+    let pc = SymGs::new(a.clone(), &ctx).unwrap();
+    assert!(pc.split_form(&a).is_some());
+    let wrapped = bernoulli::FnOperator::new(n, n, |v: &[f64], out: &mut [f64]| bernoulli::Operator::apply(&a, v, out).unwrap());
+    let (mut x, mut y) = (vec![0.0; n], vec![0.0; n]);
+    let got = cg(&a, &pc, &b, &mut x, opts, &ctx).unwrap();
+    let want = cg(&wrapped, &pc, &b, &mut y, opts, &ctx).unwrap();
+    let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!((bits(&x), bits(&got.residual_history)), (bits(&y), bits(&want.residual_history)));
 }
