@@ -1373,7 +1373,7 @@ impl CompiledOp {
     /// not equal to it (the split pre-scales by `ω/diag`).
     pub fn apply_split(&self, a: &Csr, split: &SweepSplit, r: &[f64], z: &mut [f64]) -> RelResult<()> {
         let armed = self.split_armed(a, split, &[r.len(), z.len()], "a split SSOR application")?;
-        self.split_event("symgs_split", armed.is_some(), split.nnz(), 48);
+        self.split_event("symgs_split", armed.is_some(), split.nnz(), split.nnz(), 48);
         par_kernels::split_ssor(a, split, r, z, armed, &self.ctx);
         Ok(())
     }
@@ -1383,7 +1383,8 @@ impl CompiledOp {
     /// ([`SplitStep`]) opens from a residual. Same checks and tiers.
     pub fn apply_split_forward(&self, a: &Csr, split: &SweepSplit, r: &[f64], rhat: &mut [f64]) -> RelResult<()> {
         let armed = self.split_armed(a, split, &[r.len(), rhat.len()], "a split forward sweep")?;
-        self.split_event("symgs_split_forward", armed.is_some(), split.triangle_nnz(Triangle::Lower), 24);
+        let lower = split.triangle_nnz(Triangle::Lower);
+        self.split_event("symgs_split_forward", armed.is_some(), lower, lower, 24);
         par_kernels::split_forward(a, split, r, rhat, armed, &self.ctx);
         Ok(())
     }
@@ -1399,8 +1400,24 @@ impl CompiledOp {
         let lens = [step.r.len(), step.p.len(), step.t.len(), step.u.len(), step.w.len()];
         let armed = self.split_armed(a, split, &lens, "a split operator step")?;
         // Per row: r̂, d/ω, p̃ and t read, p̃ again; p̃, t, u and w written.
-        self.split_event("symgs_split_op", armed.is_some(), split.nnz(), 72);
+        // The entries are visited once each, but `L̃`'s are multiplied
+        // twice: by `u` on the chain and by `t` for `w`.
+        let products = split.nnz() + split.triangle_nnz(Triangle::Lower);
+        self.split_event("symgs_split_op", armed.is_some(), split.nnz(), products, 72);
         Ok(par_kernels::split_operator(a, split, step, armed, &self.ctx))
+    }
+
+    /// Record one proof that an operator is the matrix this engine
+    /// sweeps, made by comparing `nnz` entries of each against the
+    /// other's (`SymGs`'s split-form proof): a `symgs_split_proof`
+    /// kernel event, both operands' three arrays read once.
+    pub fn note_split_proof(&self, nnz: usize) {
+        let obs = self.ctx.obs();
+        if obs.is_enabled() {
+            let (nnz, n) = (nnz as u64, self.io_lens.0 as u64);
+            let counters = KernelCounters { nnz, flops: 0, bytes: 2 * (16 * nnz + 8 * (n + 1)), algebra: "f64_plus" };
+            obs.kernel("symgs_split_proof", counters);
+        }
     }
 
     /// The split entries' shared gate: a SymGS op, every vector of the
@@ -1416,13 +1433,14 @@ impl CompiledOp {
     }
 
     /// One kernel event for passes visiting `nnz` split entries (12 B
-    /// each) and `row_bytes` of vectors per row, `par_`-prefixed on
-    /// the wave.
-    fn split_event(&self, name: &str, armed: bool, nnz: usize, row_bytes: u64) {
+    /// each) and `row_bytes` of vectors per row, making `products`
+    /// multiply-adds over them and one per row, `par_`-prefixed on the
+    /// wave.
+    fn split_event(&self, name: &str, armed: bool, nnz: usize, products: usize, row_bytes: u64) {
         let obs = self.ctx.obs();
         if obs.is_enabled() {
-            let (nnz, n) = (nnz as u64, self.io_lens.0 as u64);
-            let counters = KernelCounters { nnz, flops: 2 * (nnz + n), bytes: 12 * nnz + row_bytes * n, algebra: "f64_plus" };
+            let (nnz, products, n) = (nnz as u64, products as u64, self.io_lens.0 as u64);
+            let counters = KernelCounters { nnz, flops: 2 * (products + n), bytes: 12 * nnz + row_bytes * n, algebra: "f64_plus" };
             obs.kernel(&if armed { format!("par_{name}") } else { name.to_string() }, counters);
         }
     }

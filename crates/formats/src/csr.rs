@@ -18,6 +18,7 @@ use bernoulli_relational::access::{
 };
 use bernoulli_analysis::wavefront::Triangle;
 use bernoulli_relational::props::LevelProps;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// CRS sparse matrix.
@@ -34,6 +35,15 @@ pub struct Csr {
     /// Same argument: filled by the first certificate bound to this
     /// operand ([`Csr::binding`]).
     digest: IndexDigest,
+    /// The value version ([`Csr::stamp`]).
+    stamp: u64,
+}
+
+/// The one source of [`Csr::stamp`]s: a stamp is never drawn twice.
+static STAMPS: AtomicU64 = AtomicU64::new(1);
+
+fn fresh_stamp() -> u64 {
+    STAMPS.fetch_add(1, Ordering::Relaxed)
 }
 
 /// Where each row's diagonal sits: the inspector product the DO-ACROSS
@@ -48,8 +58,8 @@ pub(crate) struct DiagIndex {
     first: bool,
 }
 
-/// Equality is over what the matrix stores; the derived index is not
-/// part of it.
+/// Equality is over what the matrix stores; the derived index and the
+/// stamp are not part of it.
 impl PartialEq for Csr {
     fn eq(&self, o: &Csr) -> bool {
         (self.nrows, self.ncols) == (o.nrows, o.ncols)
@@ -118,7 +128,7 @@ impl Csr {
         vals: Vec<f64>,
     ) -> Self {
         let (diag, digest) = (OnceLock::new(), IndexDigest::default());
-        Csr { nrows, ncols, rowptr, colind, vals, diag, digest }
+        Csr { nrows, ncols, rowptr, colind, vals, diag, digest, stamp: fresh_stamp() }
     }
 
     /// The `(rowptr, colind, vals)` buffers back, the inverse of
@@ -208,8 +218,23 @@ impl Csr {
         &self.vals
     }
 
+    /// The values, for writing: the one way to change what a built
+    /// matrix stores, so it starts a new value version ([`stamp`](Self::stamp))
+    /// whether or not the caller writes.
     pub fn vals_mut(&mut self) -> &mut [f64] {
+        self.stamp = fresh_stamp();
         &mut self.vals
+    }
+
+    /// The value version: drawn from one process-wide counter when the
+    /// matrix is built and again by [`vals_mut`](Self::vals_mut), the
+    /// only mutator, and copied by `clone`. Two matrices with equal
+    /// stamps store the same arrays, so a verdict about one content
+    /// (`SymGs`'s proof that an operator is its own matrix) can be kept
+    /// against its stamp. Unequal stamps prove nothing: equal contents
+    /// built twice get two.
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Column indices of one row.

@@ -521,6 +521,10 @@ pub fn spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
 // `SweepSplit`, whose `split_row` shortens the chain again: the scaling
 // is in the stored values, so a row closes with one multiply-subtract,
 // and `sweep_carry` hands it `x[i∓1]` in a register, not through memory.
+// What is left is the instructions around each row: a split pass costs
+// about the same per row whether its 7-point operand fits in L2 or not.
+// So Eisenstat's forward pass walks each row of `L̃` once for both of
+// its sums (`forward_product_row`, over `SweepSplit::walk`).
 
 /// Shape check shared by every sweep entry point.
 pub(crate) fn check_sweep(a: &Csr, b: &[f64], x: &[f64]) {
@@ -786,29 +790,34 @@ impl SweepSplit {
         self.back * self.dw[i]
     }
 
-    /// `head − Σ T̃_ij·z_j` over row `i` of the `tri` triangle, summed
-    /// far-to-near. When the nearest entry is `i∓1` and the driver
-    /// hands that row's value in `carried`, it stands in for the load —
-    /// the same bits either way.
+    /// Row `i` of the `tri` triangle folded into `init` far to near by
+    /// `step(acc, T̃_ij, j, carried)`, where `carried` is the driver's
+    /// value of row `i∓1`, handed over only at the nearest entry and
+    /// only when that entry is `i∓1`.
     #[inline(always)]
-    fn row_sum(&self, tri: Triangle, i: usize, head: f64, z: &[f64], carried: Option<f64>) -> f64 {
+    fn walk<A>(&self, tri: Triangle, i: usize, init: A, carried: Option<f64>, step: impl Fn(A, f64, usize, Option<f64>) -> A) -> A {
         #[inline(always)]
-        fn sum<'a>(head: f64, mut far_to_near: impl DoubleEndedIterator<Item = (&'a f64, &'a u32)>, prev: (usize, Option<f64>), z: &[f64]) -> f64 {
-            let Some((&v, &j)) = far_to_near.next_back() else { return head };
-            let acc = far_to_near.fold(head, |acc, (&v, &j)| acc - v * z[j as usize]);
-            let near = match prev {
-                (i, Some(carried)) if i == j as usize => carried,
-                _ => z[j as usize],
-            };
-            acc - v * near
+        fn fold<'a, A>(init: A, mut far_to_near: impl DoubleEndedIterator<Item = (&'a f64, &'a u32)>, prev: usize, carried: Option<f64>, step: impl Fn(A, f64, usize, Option<f64>) -> A) -> A {
+            let Some((&v, &j)) = far_to_near.next_back() else { return init };
+            let acc = far_to_near.fold(init, |acc, (&v, &j)| step(acc, v, j as usize, None));
+            step(acc, v, j as usize, carried.filter(|_| j as usize == prev))
         }
         let (ptr, cols, vals) = &self.tri[usize::from(tri == Triangle::Upper)];
         let (s, e) = (ptr[i] as usize, ptr[i + 1] as usize);
         let entries = vals[s..e].iter().zip(&cols[s..e]);
         match tri {
-            Triangle::Lower => sum(head, entries, (i.wrapping_sub(1), carried), z),
-            Triangle::Upper => sum(head, entries.rev(), (i + 1, carried), z),
+            Triangle::Lower => fold(init, entries, i.wrapping_sub(1), carried, step),
+            Triangle::Upper => fold(init, entries.rev(), i + 1, carried, step),
         }
+    }
+
+    /// `head − Σ T̃_ij·z_j` over row `i` of the `tri` triangle, summed
+    /// far-to-near ([`walk`](Self::walk)). When the nearest entry is
+    /// `i∓1` and the driver hands that row's value in `carried`, it
+    /// stands in for the load — the same bits either way.
+    #[inline(always)]
+    fn row_sum(&self, tri: Triangle, i: usize, head: f64, z: &[f64], carried: Option<f64>) -> f64 {
+        self.walk(tri, i, head, carried, |acc, v, j, c| acc - v * c.unwrap_or_else(|| z[j]))
     }
 
     /// The direction head of a [`SplitStep`], in the scaled `p̃`:
@@ -837,6 +846,19 @@ impl SweepSplit {
     #[inline(always)]
     pub(crate) fn product_row(&self, i: usize, p: f64, t: &[f64]) -> f64 {
         self.dw[i] * (p - self.row_sum(Triangle::Lower, i, (1.0 - self.omega) * t[i], t, None))
+    }
+
+    /// Rows `i` of `u` ([`forward_row`](Self::forward_row)) and `w`
+    /// ([`product_row`](Self::product_row)) in one walk of row `i` of
+    /// `L̃`: the two sums step for step as those bodies take them, so
+    /// the same bits.
+    #[inline(always)]
+    pub(crate) fn forward_product_row(&self, i: usize, p: f64, t: &[f64], u: &[f64], carried: Option<f64>) -> (f64, f64) {
+        let heads = (p - self.back * t[i], (1.0 - self.omega) * t[i]);
+        let (ui, aw) = self.walk(Triangle::Lower, i, heads, carried, |(au, aw), v, j, c| {
+            (au - v * c.unwrap_or_else(|| u[j]), aw - v * t[j])
+        });
+        (ui, self.dw[i] * (p - aw))
     }
 
     /// Row `i`'s term of `⟨p̂, q⟩`: `(d_i/ω)·p̃_i·q_i`.

@@ -256,7 +256,8 @@ pub fn split_forward(a: &Csr, sp: &SweepSplit, r: &[f64], rhat: &mut [f64], wave
 /// returning `⟨p̂, t + u⟩`. Serially it is two passes: the direction
 /// head fused into the backward one, and `w` and the inner product
 /// (ascending, one accumulator) into the forward one, `t[i+1]` and
-/// `u[i−1]` carried. Along `a`'s `wave` the chains run level by level
+/// `u[i−1]` carried; the forward pass walks each row of `L̃` once for
+/// both `u` and `w`. Along `a`'s `wave` the chains run level by level
 /// and the head, `w` and the inner product are row-independent passes
 /// around them. Each output row is the one row body of
 /// [`SweepSplit`], so the two tiers agree to the bit; `None`, a split of
@@ -274,9 +275,8 @@ pub fn split_operator(a: &Csr, sp: &SweepSplit, step: SplitStep<'_>, wave: Optio
         }
         let (mut carried, mut pq) = (0.0, 0.0);
         for i in 0..n {
-            carried = sp.forward_row(i, p[i], t[i], u, Some(carried));
+            (carried, w[i]) = sp.forward_product_row(i, p[i], t, u, Some(carried));
             u[i] = carried;
-            w[i] = sp.product_row(i, p[i], t);
             pq += sp.dot_row(i, p[i], t[i] + carried);
         }
         return pq;

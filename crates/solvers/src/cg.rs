@@ -81,7 +81,10 @@ pub struct CgResult {
 /// operations serially (`!ctx.should_parallelize(b.len())`), the solve
 /// runs Eisenstat's form (see the module docs): the same iteration
 /// count and residuals to rounding. Its fused vector pass is serial, so
-/// a ctx that parallelises vector work keeps the general form.
+/// a ctx that parallelises vector work keeps the general form and never
+/// asks for the proof. The proof reads the arrays once per value
+/// version of `op` ([`SymGs`]'s `split_form`), so a repeat solve on an
+/// unchanged operator skips it.
 pub fn cg(
     op: &dyn Operator,
     precond: &impl Preconditioner,
@@ -94,8 +97,9 @@ pub fn cg(
     let span = obs.span("solver.cg");
     let shared = Shared { op, ctx };
     // Split's vector pass is serial: a ctx that would run the general
-    // form's vector operations on its pool keeps the general form.
-    let split = || precond.split_form(op).filter(|_| !ctx.should_parallelize(b.len()));
+    // form's vector operations on its pool keeps the general form, and
+    // is not made to pay for a proof it would not use.
+    let split = || (!ctx.should_parallelize(b.len())).then(|| precond.split_form(op)).flatten();
     let res = crate::check_square_system("cg", op, precond.dim(), b, x).and_then(|()| match split() {
         Some(pre) => pcg(&mut Split::new(shared, pre, b), b, x, opts),
         None => pcg(&mut General::new(shared, precond, b), b, x, opts),

@@ -28,6 +28,7 @@ use crate::precond::Preconditioner;
 use bernoulli::{ExecCtx, Operator, RelError, RelResult, SymGsEngine};
 use bernoulli_formats::kernels::{SplitStep, SweepSplit};
 use bernoulli_formats::Csr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Symmetric Gauss-Seidel / SSOR preconditioner owning its operand.
 ///
@@ -46,6 +47,10 @@ pub struct SymGs {
     omega: f64,
     engine: SymGsEngine,
     split: SweepSplit,
+    /// The [`Csr::stamp`] of the last operator proved to be `a`
+    /// ([`Preconditioner::split_form`]); at first `a`'s own, or none
+    /// when the split is inexact (stamps start at 1).
+    proved: AtomicU64,
 }
 
 impl SymGs {
@@ -84,7 +89,8 @@ impl SymGs {
         }
         let engine = compile(&a)?;
         let split = SweepSplit::of(&a, omega)?;
-        Ok(SymGs { a, omega, engine, split })
+        let proved = AtomicU64::new(if split.is_exact() { a.stamp() } else { 0 });
+        Ok(SymGs { a, omega, engine, split, proved })
     }
 
     /// The relaxation weight.
@@ -132,22 +138,27 @@ impl Preconditioner for SymGs {
 
     /// Proved when `op` is a CSR matrix of this order with the owned
     /// operand's row pointers, column indices and values, and the split
-    /// saw every row's diagonal exactly once. The memoised index digests
-    /// reject a different pattern at once; the arrays themselves are then
-    /// compared — none of them when `op` is the owned matrix, else one
-    /// pass over each (a digest collision is never taken for equality).
+    /// saw every row's diagonal exactly once. The proof is kept against
+    /// the operator's value version ([`Csr::stamp`]), so a repeat solve
+    /// on an operator nobody mutated — or on the owned matrix, or a
+    /// clone of either — returns at once. Otherwise the memoised index
+    /// digests reject a different pattern, and only then are the three
+    /// arrays compared (a `symgs_split_proof` kernel event; a digest
+    /// collision is never taken for equality) and a success recorded.
     fn split_form(&self, op: &dyn Operator) -> Option<&SymGs> {
         let (c, a) = (op.csr()?, &self.a);
-        let same_bits = |u: &[f64], v: &[f64]| {
-            std::ptr::eq(u, v) || (u.len() == v.len() && u.iter().zip(v).all(|(u, v)| u.to_bits() == v.to_bits()))
-        };
-        let same = |u: &[usize], v: &[usize]| std::ptr::eq(u, v) || u == v;
-        let proved = (c.nrows(), c.ncols()) == (a.nrows(), a.ncols())
-            && self.split.is_exact()
-            && c.index_digest() == a.index_digest()
-            && same(c.rowptr(), a.rowptr())
-            && same(c.colind(), a.colind())
-            && same_bits(c.vals(), a.vals());
+        if c.stamp() == self.proved.load(Ordering::Relaxed) {
+            return Some(self);
+        }
+        if (c.nrows(), c.ncols()) != (a.nrows(), a.ncols()) || !self.split.is_exact() || c.index_digest() != a.index_digest() {
+            return None;
+        }
+        self.engine.note_split_proof(c.nnz());
+        let same_bits = |u: &[f64], v: &[f64]| u.len() == v.len() && u.iter().zip(v).all(|(u, v)| u.to_bits() == v.to_bits());
+        let proved = c.rowptr() == a.rowptr() && c.colind() == a.colind() && same_bits(c.vals(), a.vals());
+        if proved {
+            self.proved.store(c.stamp(), Ordering::Relaxed);
+        }
         proved.then_some(self)
     }
 }

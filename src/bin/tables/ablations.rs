@@ -385,10 +385,13 @@ fn symgs_zero_guess() -> Vec<Claim> {
 /// pass over the strict triangles stand in for the SpMV and the SSOR
 /// application. The kernels' own counters of one zero-guess solve each
 /// way, at 20³: the general form through a closure over the bound
-/// engine, Eisenstat's over the engine itself.
+/// engine, Eisenstat's over the engine itself. The proof is an
+/// inspector too, run once per value version of the operand: two more
+/// solves leave the proof passes at 1, and a `vals_mut` (writing a
+/// value back) costs one more.
 fn eisenstat_products() -> Claim {
     let t = grid3d_7pt(20, 20, 20);
-    let sm = SparseMatrix::from_triplets(FormatKind::Csr, &t);
+    let mut sm = SparseMatrix::from_triplets(FormatKind::Csr, &t);
     let (n, nnz) = (t.nrows() as u64, sm.meta().nnz as u64);
     let b: Vec<f64> = (0..t.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
     let opts = CgOptions { max_iters: 200, rel_tol: 1e-8 };
@@ -414,19 +417,31 @@ fn eisenstat_products() -> Claim {
     };
     let general = form(&closure, &["spmv_csr", "symgs_split"]);
     let split = form(&op, &["symgs_split_op"]);
+    let proof_passes = || obs.report().kernels.get("symgs_split_proof").map_or(0, |k| k.calls);
+    let repeats = [form(&op, &[]), form(&op, &[])];
+    let proved_once = proof_passes();
+    if let SparseMatrix::Csr(a) = &mut sm {
+        let v = a.vals()[0];
+        a.vals_mut()[0] = v;
+    }
+    let touched = form(&engine.bind(&sm), &[]);
+    let proofs = [proved_once, proof_passes()];
     let iters = |form: (Option<u64>, u64, u64)| form.0.map_or("unconverged".into(), |k| k.to_string());
     println!("--- Eisenstat's form: one zero-guess SymGS-PCG solve at 20^3, kernel counters ---");
     println!("{:<14}{:>12}{:>20}{:>26}", "form", "iterations", "products by A", "entries per iteration");
     for (name, form) in [("general", general), ("Eisenstat", split)] {
         println!("{name:<14}{:>12}{:>20}{:>26}", iters(form), form.1, form.2);
     }
+    println!("proof passes: {} over three solves on one operand, {} after a vals_mut", proofs[0], proofs[1]);
     println!();
     let holds = general.0.is_some()
         && split.0 == general.0
         && (general.1, split.1) == (general.0.unwrap_or(0), 0)
-        && (general.2, split.2) == (nnz + (nnz - n), nnz - n);
+        && (general.2, split.2) == (nnz + (nnz - n), nnz - n)
+        && repeats.iter().chain([&touched]).all(|f| (f.0, f.1) == (split.0, 0))
+        && proofs == [1, 2];
     let seen = format!(
-        "general / Eisenstat: iterations {} / {}, products by A {} / {}, entries per iteration {} / {} (nnz + (nnz - n) = {}, nnz - n = {})",
+        "general / Eisenstat: iterations {} / {}, products by A {} / {}, entries per iteration {} / {} (nnz + (nnz - n) = {}, nnz - n = {}); proof passes {} over three solves, {} after a vals_mut",
         iters(general),
         iters(split),
         general.1,
@@ -435,6 +450,8 @@ fn eisenstat_products() -> Claim {
         split.2,
         nnz + (nnz - n),
         nnz - n,
+        proofs[0],
+        proofs[1],
     );
     Claim::new("A.eisenstat-products", holds, seen)
 }

@@ -171,6 +171,47 @@ fn serial_cg_outside_the_split_form_keeps_its_bits() {
     }
 }
 
+/// A serial `cg` in Eisenstat's form carries the bits it had before
+/// its row bodies were fused and its proof memoised — on a 3-D stencil
+/// and a 2-dof FEM grid, at ω = 1 and 1.3, from a zero and a nonzero
+/// guess, over a serial and an armed-wave SymGS engine (which agree to
+/// the bit, so one golden pair serves both).
+#[test]
+fn serial_cg_in_the_split_form_keeps_its_bits() {
+    // Captured before the fused forward pass and the proof memo.
+    const GOLD: [[u64; 2]; 8] = [
+        [0x83884d52f4ebbef0, 0xcf8b8f5ebcdf1264],
+        [0x56c6cc723f288713, 0x875eca6abf94f1a4],
+        [0x1f2511eec59670d1, 0x99190b89080779ba],
+        [0xa5dd5c9f327a4efc, 0xa909b3e199089c5c],
+        [0x516682ea5d322e66, 0xa910b4a50f1f98e3],
+        [0x2579abfd06379076, 0x94938c50cc891d03],
+        [0x39b2a8ced451c4f7, 0xf39fa1ee00e0dace],
+        [0x198b1f1385d84b4b, 0x266b86f0cd5e9790],
+    ];
+    let mut got = Vec::new();
+    for t in [bernoulli_formats::gen::grid3d_7pt(16, 16, 16), fem_grid_2d(9, 8, 2)] {
+        let n = t.nrows();
+        let a = Csr::from_triplets(&t);
+        let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 5 % 13) as f64) * 0.3).collect();
+        let guess: Vec<f64> = (0..n).map(|i| ((i * 7 % 5) as f64) * 0.125 - 0.25).collect();
+        for omega in [1.0, 1.3] {
+            for x0 in [vec![0.0; n], guess.clone()] {
+                let tiers = [ExecCtx::default(), par_ctx()].map(|ctx| {
+                    let gs = SymGs::with_omega(a.clone(), omega, &ctx).unwrap();
+                    assert!(gs.split_form(&a).is_some());
+                    solve_hashes(&a, &gs, &b, &x0)
+                });
+                assert_eq!(tiers[0], tiers[1], "n {n}, ω {omega}: the wave tier left the serial bits");
+                got.push(tiers[0]);
+            }
+        }
+    }
+    for (k, (got, want)) in got.iter().zip(GOLD).enumerate() {
+        assert_eq!(*got, want, "case {k}: {got:#018x?}");
+    }
+}
+
 // --- Eisenstat's form against the general form ---------------------------
 
 /// `ExecCtx` whose SymGS engines arm the level-parallel tier.
@@ -304,9 +345,64 @@ fn split_form_is_refused_unless_proved() {
     }
 }
 
+/// The split-form proof is kept against the operator's value version
+/// (`Csr::stamp`), and reads the arrays only when that version is new
+/// (a `symgs_split_proof` kernel event): three solves on one operand
+/// prove once; a `vals_mut` that writes a value back is proved again;
+/// one that changes a value sends the next solve to the general form,
+/// bit for bit the solve through a closure; a clone of a proved
+/// operand is proved at once, a rebuild from the same triplets by one
+/// more proof.
+#[test]
+fn split_form_proof_is_kept_per_value_version() {
+    use bernoulli_obs::Obs;
+    let t = fem_grid_2d(6, 5, 2);
+    let n = t.nrows();
+    let b: Vec<f64> = (0..n).map(|i| 1.0 + ((i * 3 % 7) as f64) * 0.25).collect();
+    let opts = CgOptions { max_iters: 25, rel_tol: 0.0 };
+    let obs = Obs::enabled();
+    let pc = SymGs::new(Csr::from_triplets(&t), &ExecCtx::default().instrument(obs.clone())).unwrap();
+    let proofs = || obs.report().kernels.get("symgs_split_proof").map_or(0, |k| k.calls);
+    let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    let solve = |op: &dyn bernoulli::Operator| {
+        let mut x = vec![0.0; n];
+        let res = cg(op, &pc, &b, &mut x, opts, &ExecCtx::default()).unwrap();
+        (bits(&x), bits(&res.residual_history))
+    };
+
+    assert!(pc.split_form(pc.matrix()).is_some() && pc.split_form(&pc.matrix().clone()).is_some());
+    assert_eq!(proofs(), 0, "the owned matrix and its clones need no proof");
+    let mut a = Csr::from_triplets(&t);
+    let split = solve(&a);
+    for _ in 0..2 {
+        assert_eq!(solve(&a), split);
+    }
+    let kernels = obs.report().kernels;
+    assert_eq!((kernels["symgs_split_proof"].calls, kernels["symgs_split_proof"].nnz), (1, a.nnz() as u64));
+    assert_eq!(kernels["symgs_split_op"].calls, 3 * 25);
+
+    let v = a.vals()[7];
+    a.vals_mut()[7] = v;
+    assert_eq!(solve(&a), split);
+    assert_eq!(proofs(), 2, "the same value written back");
+    assert!(pc.split_form(&a.clone()).is_some());
+    assert_eq!(proofs(), 2, "a clone of a proved operand");
+
+    a.vals_mut()[7] *= 1.0 + f64::EPSILON;
+    let mut y = vec![0.0; n];
+    let want = general(&a, &pc, &b, &mut y, opts);
+    assert_eq!(solve(&a), (bits(&y), bits(&want.residual_history)), "one value changed");
+    assert!(pc.split_form(&a).is_none());
+    assert_eq!(proofs(), 4, "a failed proof is not kept");
+
+    assert!(pc.split_form(&Csr::from_triplets(&t)).is_some());
+    assert_eq!(proofs(), 5, "a rebuild from the same triplets");
+}
+
 /// A zero-guess solve in Eisenstat's form makes no product by `A`: an
 /// instrumented run records no `spmv*` kernel event and one
-/// `symgs_split_op` per iteration, where the general form over the same
+/// `symgs_split_op` per iteration (its flops counting the lower
+/// triangle twice), where the general form over the same
 /// bound engine records one SpMV per iteration.
 #[test]
 fn split_form_makes_no_product() {
@@ -328,6 +424,10 @@ fn split_form_makes_no_product() {
     let report = obs.report();
     assert_eq!(products(&obs), before, "{:?}", report.kernels.keys());
     assert_eq!(report.kernels["symgs_split_op"].calls, res.iters as u64);
+    // Per step: every strict entry multiplied once, the lower triangle's
+    // again for `w = A·t`, and one multiply-add per row.
+    let strict = (Csr::from_triplets(&t).nnz() - n) as u64;
+    assert_eq!(report.kernels["symgs_split_op"].flops, res.iters as u64 * 2 * (strict + strict / 2 + n as u64));
     assert_eq!(report.kernels["symgs_split_forward"].calls, 1);
     let mut y = vec![0.0; n];
     let bound = eng.bind(&sm);

@@ -478,6 +478,54 @@ fn textbook_ssor(a: &Csr, omega: f64, r: &[f64]) -> Vec<f64> {
     z
 }
 
+/// One case of `split_operator_is_eisenstats_form_on_both_tiers`:
+/// `a` split for weight `omega`, when that split is exact.
+fn split_operator_case(a: &Csr, omega: f64) -> Result<(), proptest::test_runner::TestCaseError> {
+    let n = a.nrows();
+    let split = SweepSplit::of(a, omega).unwrap();
+    prop_assume!(split.is_exact());
+    let rhat: Vec<f64> = (0..n).map(|i| ((i * 11 % 17) as f64) / 4.0 - 2.0).collect();
+    let p0: Vec<f64> = (0..n).map(|i| ((i * 5 % 7) as f64) / 3.0 - 1.0).collect();
+    let beta = 0.375;
+    let mut runs = Vec::new();
+    for ctx in [ExecCtx::default(), par_ctx()] {
+        let eng = SymGsEngine::compile_in(a, &ctx).unwrap();
+        let (mut p, mut t, mut u, mut w) = (p0.clone(), vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
+        let step = SplitStep { r: &rhat, beta, p: &mut p, t: &mut t, u: &mut u, w: &mut w };
+        let pq = eng.apply_split_operator(a, &split, step).unwrap();
+        runs.push([p, t, u, w, vec![pq]].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()));
+    }
+    prop_assert_eq!(&runs[0], &runs[1]);
+    let [p, t, u, w, pq] = runs.swap_remove(0).map(|v| v.into_iter().map(f64::from_bits).collect::<Vec<_>>());
+    let d: Vec<f64> = (0..n).map(|i| a.row_vals(i)[a.row_cols(i).iter().position(|&j| j == i).unwrap()]).collect();
+    let want_p: Vec<f64> = (0..n).map(|i| (2.0 - omega) * rhat[i] + beta * p0[i]).collect();
+    let phat: Vec<f64> = (0..n).map(|i| d[i] / omega * p[i]).collect();
+    let mul = |v: &[f64]| {
+        let mut y = vec![0.0; n];
+        kernels::spmv_csr(a, v, &mut y);
+        y
+    };
+    let sweep = |forward: bool, v: &[f64]| {
+        let mut z = vec![0.0; n];
+        if forward { kernels::symgs_forward_csr(a, omega, v, &mut z) } else { kernels::symgs_backward_csr(a, omega, v, &mut z) }
+        z
+    };
+    let want_t = sweep(false, &phat);
+    let want_q = sweep(true, &mul(&want_t));
+    let q: Vec<f64> = t.iter().zip(&u).map(|(t, u)| t + u).collect();
+    let close = |got: &[f64], want: &[f64]| {
+        let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
+        norm(&mut got.iter().zip(want).map(|(g, w)| g - w)) <= 1e-12 * norm(&mut want.iter().copied()).max(1.0)
+    };
+    prop_assert!(close(&p, &want_p));
+    prop_assert!(close(&t, &want_t));
+    prop_assert!(close(&q, &want_q));
+    prop_assert!(close(&w, &mul(&t)));
+    let want_pq: f64 = phat.iter().zip(&want_q).map(|(p, q)| p * q).sum();
+    prop_assert!((pq[0] - want_pq).abs() <= 1e-12 * phat.iter().zip(&want_q).map(|(p, q)| (p * q).abs()).sum::<f64>().max(1.0));
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -557,51 +605,16 @@ proptest! {
     /// is bitwise the same on both tiers, and is the textbook operator:
     /// `t = M₂⁻¹·p̂`, `t + u = M₁⁻¹·A·M₂⁻¹·p̂` and `w = A·t` through the
     /// general sweeps and SpMV, and `⟨p̂, t + u⟩`, where `p̂ = (D/ω)·p̃`
-    /// after the head `p̃ ← (2−ω)·r̂ + β·p̃`.
+    /// after the head `p̃ ← (2−ω)·r̂ + β·p̃`. Besides a random square,
+    /// most cases first run a grid (5-point 2-D, 7-point 3-D, 9-point
+    /// 2-D, or 3-D with 2 unknowns a point), whose split is always exact,
+    /// so a random square rejected as inexact never skips the grid.
     #[test]
-    fn split_operator_is_eisenstats_form_on_both_tiers((a, omega) in (arb_square(), 0usize..2)) {
-        let (n, omega) = (a.nrows(), [1.0, 1.3][omega]);
-        let split = SweepSplit::of(&a, omega).unwrap();
-        prop_assume!(split.is_exact());
-        let rhat: Vec<f64> = (0..n).map(|i| ((i * 11 % 17) as f64) / 4.0 - 2.0).collect();
-        let p0: Vec<f64> = (0..n).map(|i| ((i * 5 % 7) as f64) / 3.0 - 1.0).collect();
-        let beta = 0.375;
-        let mut runs = Vec::new();
-        for ctx in [ExecCtx::default(), par_ctx()] {
-            let eng = SymGsEngine::compile_in(&a, &ctx).unwrap();
-            let (mut p, mut t, mut u, mut w) = (p0.clone(), vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; n]);
-            let step = SplitStep { r: &rhat, beta, p: &mut p, t: &mut t, u: &mut u, w: &mut w };
-            let pq = eng.apply_split_operator(&a, &split, step).unwrap();
-            runs.push([p, t, u, w, vec![pq]].map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>()));
+    fn split_operator_is_eisenstats_form_on_both_tiers((a, omega, grid) in (arb_square(), 0usize..2, 0usize..5)) {
+        let grid = [None, Some(gen::grid2d_5pt(6, 5)), Some(gen::grid3d_7pt(4, 4, 3)), Some(gen::grid2d_9pt(6, 5)), Some(gen::fem_grid_3d(3, 3, 2, 2))][grid].take();
+        for a in grid.map(|t| Csr::from_triplets(&t)).into_iter().chain(std::iter::once(a)) {
+            split_operator_case(&a, [1.0, 1.3][omega])?;
         }
-        prop_assert_eq!(&runs[0], &runs[1]);
-        let [p, t, u, w, pq] = runs.swap_remove(0).map(|v| v.into_iter().map(f64::from_bits).collect::<Vec<_>>());
-        let d: Vec<f64> = (0..n).map(|i| a.row_vals(i)[a.row_cols(i).iter().position(|&j| j == i).unwrap()]).collect();
-        let want_p: Vec<f64> = (0..n).map(|i| (2.0 - omega) * rhat[i] + beta * p0[i]).collect();
-        let phat: Vec<f64> = (0..n).map(|i| d[i] / omega * p[i]).collect();
-        let mul = |v: &[f64]| {
-            let mut y = vec![0.0; n];
-            kernels::spmv_csr(&a, v, &mut y);
-            y
-        };
-        let sweep = |forward: bool, v: &[f64]| {
-            let mut z = vec![0.0; n];
-            if forward { kernels::symgs_forward_csr(&a, omega, v, &mut z) } else { kernels::symgs_backward_csr(&a, omega, v, &mut z) }
-            z
-        };
-        let want_t = sweep(false, &phat);
-        let want_q = sweep(true, &mul(&want_t));
-        let q: Vec<f64> = t.iter().zip(&u).map(|(t, u)| t + u).collect();
-        let close = |got: &[f64], want: &[f64]| {
-            let norm = |v: &mut dyn Iterator<Item = f64>| v.map(|x| x * x).sum::<f64>().sqrt();
-            norm(&mut got.iter().zip(want).map(|(g, w)| g - w)) <= 1e-12 * norm(&mut want.iter().copied()).max(1.0)
-        };
-        prop_assert!(close(&p, &want_p));
-        prop_assert!(close(&t, &want_t));
-        prop_assert!(close(&q, &want_q));
-        prop_assert!(close(&w, &mul(&t)));
-        let want_pq: f64 = phat.iter().zip(&want_q).map(|(p, q)| p * q).sum();
-        prop_assert!((pq[0] - want_pq).abs() <= 1e-12 * phat.iter().zip(&want_q).map(|(p, q)| (p * q).abs()).sum::<f64>().max(1.0));
     }
 
     /// A NaN or an infinity stored anywhere in the operand is never
