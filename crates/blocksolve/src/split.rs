@@ -16,14 +16,15 @@
 //! code, and only `A_SNL` goes through the global (data-parallel) path.
 //!
 //! `A_SL` keeps the i-node structure BlockSolve stores (Fig. 2(c)): the
-//! rows of one point share a column list. [`split_matrix`] records it as
-//! an [`InodePartition`] beside the CRS arrays and
-//! [`BsLocal::matvec_sl`] runs the row-group body on it — the same body
-//! the compiled executors of `bernoulli::spmd` run, so Table 2 compares
-//! translation and overlap, not kernels.
+//! rows of one point share a column list. [`split_matrix`] stores it as
+//! an [`InodeMatrix`] and [`BsLocal::matvec_sl`] runs the group body on
+//! it — the same body, on the same storage, the compiled
+//! executors of `bernoulli::spmd` run, so Table 2 compares translation
+//! and overlap, not kernels.
 
 use crate::reorder::BlockSolveLayout;
-use bernoulli_formats::{Csr, InodePartition, Triplets};
+use bernoulli_formats::kernels::spmv_inode_with;
+use bernoulli_formats::{InodeMatrix, Triplets};
 use bernoulli_spmd::dist::Distribution;
 
 /// One dense clique-diagonal block: rows/cols `l0 .. l0+size` of the
@@ -42,10 +43,9 @@ pub struct BsLocal {
     pub n_local: usize,
     /// Dense clique blocks, ascending `l0`.
     pub diag: Vec<DiagBlock>,
-    /// Sparse local part: `n_local × n_local`, local column indices.
-    pub a_sl: Csr,
-    /// The i-node level of `a_sl`.
-    pub a_sl_inodes: InodePartition,
+    /// Sparse local part: `n_local × n_local`, local column indices, in
+    /// i-node storage.
+    pub a_sl: InodeMatrix,
     /// Sparse non-local part as `(local_row, global_col, value)`
     /// triplets; the inspector later rewrites the columns to ghost
     /// slots.
@@ -88,7 +88,7 @@ impl BsLocal {
 
     /// `y += A_SL·x` (sparse local part).
     pub fn matvec_sl(&self, x_local: &[f64], y_local: &mut [f64]) {
-        bernoulli_formats::kernels::spmv_csr_inodes(&self.a_sl, &self.a_sl_inodes, x_local, y_local);
+        spmv_inode_with(&self.a_sl, |c| x_local[c], y_local);
     }
 }
 
@@ -97,16 +97,12 @@ pub fn split_matrix(layout: &BlockSolveLayout, reordered: &Triplets) -> Vec<BsLo
     let nprocs = layout.nprocs;
     let dist = &layout.dist;
     let mut locals: Vec<BsLocal> = (0..nprocs)
-        .map(|p| {
-            let a_sl = Csr::from_triplets(&Triplets::new(dist.local_len(p), dist.local_len(p)));
-            BsLocal {
-                rank: p,
-                n_local: dist.local_len(p),
-                diag: Vec::new(),
-                a_sl_inodes: InodePartition::of(&a_sl),
-                a_sl,
-                a_snl: Vec::new(),
-            }
+        .map(|p| BsLocal {
+            rank: p,
+            n_local: dist.local_len(p),
+            diag: Vec::new(),
+            a_sl: InodeMatrix::from_triplets(&Triplets::new(dist.local_len(p), dist.local_len(p))),
+            a_snl: Vec::new(),
         })
         .collect();
 
@@ -153,8 +149,7 @@ pub fn split_matrix(layout: &BlockSolveLayout, reordered: &Triplets) -> Vec<BsLo
         }
     }
     for (p, t) in sl_trip.into_iter().enumerate() {
-        locals[p].a_sl = Csr::from_triplets(&t);
-        locals[p].a_sl_inodes = InodePartition::of(&locals[p].a_sl);
+        locals[p].a_sl = InodeMatrix::from_triplets(&t);
     }
     locals
 }

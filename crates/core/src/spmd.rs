@@ -24,17 +24,16 @@
 //! [`CommSchedule::build`], so a Chaos table in place of a replicated
 //! relation gives Table 3's `Indirect-*` rows with no code of its own.
 //!
-//! Both executors run their products on the operands' i-node level
-//! (Fig. 2(c): the rows of one discretisation point share a column
-//! list) through the one row-group body [`spmv_csr_inodes_with`], over
-//! the CRS arrays in place — so what separates them is what the paper
-//! measures, translation and inspector work, not the kernel. The
-//! partition is structure known before any iteration: a [`MixedSpec`]
-//! finds it when it is built, the naive inspector (whose work is ∝
-//! problem size anyway) at inspection.
+//! Both executors run their products in i-node storage (Fig. 2(c): the
+//! rows of one discretisation point share a column list and a dense
+//! block) through the one group body [`spmv_inode_with`] — so what
+//! separates them is what the paper measures, translation and inspector
+//! work, not the kernel. The storage is built before any iteration: a
+//! [`MixedSpec`] builds it from its CRS parts when it is built, the
+//! naive inspector (whose work is ∝ problem size anyway) at inspection.
 
-use bernoulli_formats::kernels::{spmv_csr_inodes, spmv_csr_inodes_with};
-use bernoulli_formats::{Csr, InodePartition, Triplets};
+use bernoulli_formats::kernels::spmv_inode_with;
+use bernoulli_formats::{Csr, InodeMatrix, Triplets};
 use bernoulli_spmd::dist::{Distribution, IndexTranslation};
 use bernoulli_spmd::executor::{gather_ghosts, GhostRows};
 use bernoulli_spmd::inspector::CommSchedule;
@@ -67,21 +66,23 @@ impl GlobalFragment {
 #[derive(Clone, Debug)]
 pub struct MixedSpec {
     /// Local products `y += L·x_local` (BlockSolve's `A_D` and `A_SL`
-    /// are CSR operands here; columns are local indices).
-    /// Shared, not copied: the compiled executor references the same
-    /// storage, so inspecting costs O(boundary), not O(local matrix).
+    /// are CSR operands here; columns are local indices), as given to
+    /// [`MixedSpec::new`]. The executor multiplies by their i-node
+    /// storage, built there, and never reads these.
     pub local_parts: Arc<Vec<Csr>>,
-    /// The i-node level of each local part, shared the same way.
-    local_inodes: Arc<Vec<InodePartition>>,
+    /// Each local part in i-node storage. Shared, not copied: the
+    /// compiled executor references the same storage, so inspecting
+    /// costs O(boundary), not O(local matrix).
+    local_inodes: Arc<Vec<InodeMatrix>>,
     /// The sparse-nonlocal part `A_SNL`, global columns.
     pub global_part: GlobalFragment,
 }
 
 impl MixedSpec {
-    /// The spec over these local operands; finds each one's i-node
-    /// partition (one O(nnz) pass, here and not in any inspector).
+    /// The spec over these local operands; builds each one's i-node
+    /// storage (one O(nnz) pass, here and not in any inspector).
     pub fn new(local_parts: Vec<Csr>, global_part: GlobalFragment) -> Self {
-        let local_inodes = local_parts.iter().map(InodePartition::of).collect();
+        let local_inodes = local_parts.iter().map(InodeMatrix::of).collect();
         MixedSpec {
             local_parts: Arc::new(local_parts),
             local_inodes: Arc::new(local_inodes),
@@ -93,7 +94,7 @@ impl MixedSpec {
 /// Executor compiled from the **naive** data-parallel spec (eq. 23).
 ///
 /// The stored matrix's columns are *used-set ranks*, and every access
-/// to `x` goes `xbuf[trans[colind[k]]]` — the "extra level of
+/// to `x` goes `xbuf[trans[cols[k]]]` — the "extra level of
 /// indirection in the accesses to x even for the local references" the
 /// paper measures a ~10% executor penalty for. The inspector's
 /// translation work (and the executor's per-iteration copy of local
@@ -101,9 +102,9 @@ impl MixedSpec {
 /// size, not the boundary.
 pub struct CompiledNaive {
     sched: CommSchedule,
-    /// The whole fragment, columns rewritten to used-set ranks.
-    a_used: Csr,
-    inodes: InodePartition,
+    /// The whole fragment in i-node storage, columns rewritten to
+    /// used-set ranks.
+    a_used: InodeMatrix,
     /// used-set rank → x-buffer slot (the run-time translation table).
     trans: Vec<usize>,
     /// `(xbuf_slot, local_offset)` copies performed every iteration —
@@ -158,9 +159,9 @@ impl CompiledNaive {
                 (lr, rank, v)
             })
             .collect();
-        let a_used = Csr::from_entries_nodup(frag.n_local, used.len().max(1), &rewritten);
-        let inodes = InodePartition::of(&a_used);
-        CompiledNaive { sched, a_used, inodes, trans, local_srcs, ghost_base, xbuf: vec![0.0; width] }
+        let a_used =
+            InodeMatrix::of(&Csr::from_entries_nodup(frag.n_local, used.len().max(1), &rewritten));
+        CompiledNaive { sched, a_used, trans, local_srcs, ghost_base, xbuf: vec![0.0; width] }
     }
 
     /// One executor iteration: `y_local = A·x |_p`. Copies every local
@@ -175,7 +176,7 @@ impl CompiledNaive {
         gather_ghosts(ctx, &self.sched, x_local, ghost_part);
         let (xbuf, trans) = (&self.xbuf, &self.trans);
         y_local.fill(0.0);
-        spmv_csr_inodes_with(&self.a_used, &self.inodes, |c| xbuf[trans[c]], y_local);
+        spmv_inode_with(&self.a_used, |c| xbuf[trans[c]], y_local);
     }
 
     pub fn schedule(&self) -> &CommSchedule {
@@ -191,8 +192,7 @@ impl CompiledNaive {
 /// Executor compiled from the **mixed** local/global spec (eq. 24).
 pub struct CompiledMixed {
     sched: CommSchedule,
-    local_parts: Arc<Vec<Csr>>,
-    local_inodes: Arc<Vec<InodePartition>>,
+    local_inodes: Arc<Vec<InodeMatrix>>,
     a_snl_ghost: GhostRows,
     ghosts: Vec<f64>,
 }
@@ -206,13 +206,7 @@ impl CompiledMixed {
         let sched = CommSchedule::build(ctx, ind, &spec.global_part.used_columns());
         let a_snl_ghost = GhostRows::build(&sched, &spec.global_part.entries);
         let ghosts = vec![0.0; sched.num_ghosts];
-        CompiledMixed {
-            sched,
-            local_parts: Arc::clone(&spec.local_parts),
-            local_inodes: Arc::clone(&spec.local_inodes),
-            a_snl_ghost,
-            ghosts,
-        }
+        CompiledMixed { sched, local_inodes: Arc::clone(&spec.local_inodes), a_snl_ghost, ghosts }
     }
 
     /// One executor iteration: gather, then local products plus the
@@ -223,8 +217,8 @@ impl CompiledMixed {
     pub fn execute(&mut self, ctx: &mut Ctx, x_local: &[f64], y_local: &mut [f64]) {
         gather_ghosts(ctx, &self.sched, x_local, &mut self.ghosts);
         y_local.fill(0.0);
-        for (part, inodes) in self.local_parts.iter().zip(self.local_inodes.iter()) {
-            spmv_csr_inodes(part, inodes, x_local, y_local);
+        for part in self.local_inodes.iter() {
+            spmv_inode_with(part, |c| x_local[c], y_local);
         }
         self.a_snl_ghost.apply(&self.ghosts, y_local);
     }
@@ -383,6 +377,28 @@ mod tests {
             for (a, b) in got.iter().zip(&want) {
                 assert!((a - b).abs() < 1e-10, "mixed={mixed}");
             }
+        }
+    }
+
+    #[test]
+    fn mixed_inspector_shares_the_specs_inode_storage() {
+        let t = fem_grid_2d(5, 4, 3);
+        let nprocs = 2;
+        let dist = BlockDist::new(t.nrows(), nprocs);
+        let frags = fragment_matrix(&t, &dist);
+        let specs: Vec<MixedSpec> = (0..nprocs)
+            .map(|me| {
+                to_mixed_spec(&frags[me], |g| {
+                    let (p, l) = dist.owner(g);
+                    (p == me).then_some(l)
+                })
+            })
+            .collect();
+        let engines = Machine::run(nprocs, |ctx| CompiledMixed::inspect(ctx, &specs[ctx.rank()], &dist));
+        for (spec, eng) in specs.iter().zip(&engines.results) {
+            assert!(Arc::ptr_eq(&spec.local_inodes, &eng.local_inodes), "the executor copied its operand");
+            assert_eq!(Arc::strong_count(&spec.local_inodes), 2, "one spec, one executor");
+            assert!(spec.local_inodes.iter().all(|m| m.nnz() > 0));
         }
     }
 

@@ -4,25 +4,30 @@
 //! groups of (consecutive) rows with *identical column structure*: one
 //! group per discretisation point, one row per degree of freedom. An
 //! i-node stores the shared column-index list once and gathers the
-//! groups' values into a small **dense** block, cutting index-array
+//! group's values into a small **dense** block, cutting index-array
 //! overhead and letting the matvec kernel run dense inner loops — the
 //! same idea the BlockSolve library builds on.
 //!
-//! Detection here is structural: consecutive rows with equal column
-//! lists are grouped (the paper's matrices get their i-nodes from the
-//! mesh numbering, which our grid generators reproduce).
+//! Detection is structural: maximal runs of consecutive rows with equal
+//! column lists form the groups (the paper's matrices get their i-nodes
+//! from the mesh numbering, which our grid generators reproduce).
 //!
-//! The same structure also exists as a *description* of a matrix already
-//! held in CRS: an [`InodePartition`] names the row groups and the CRS
-//! arrays are used in place (rows of a group have equal length and are
-//! adjacent, so their `vals` already form the dense block). The SPMD
-//! executors run their local products that way
-//! ([`crate::kernels::spmv_csr_inodes`]).
+//! The storage is flat: every group's column list sits in one array and
+//! every group's values in another, each block **interleaved** by row —
+//! `vals[k·h + r]` is row `r`'s value in column `cols[k]` of a group of
+//! height `h`. That is the order the product streams: for each shared
+//! column the group's rows read adjacent slots, so the kernel loads one
+//! column index and one `x` value per column and vectorises across rows
+//! ([`crate::kernels`]' group body). A CRS matrix's own arrays hold the
+//! same numbers row-major with a column index per entry; reading them
+//! in place forgoes both halves of that, which is why the SPMD
+//! executors and BlockSolve's `A_SL` build this copy once, O(nnz), from
+//! their CRS part ([`InodeMatrix::of`]) and multiply on it.
 
 use crate::csr::Csr;
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
-    check_access_contract, check_bounds, check_sorted_strict, meta_mismatch, Validate,
+    check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
 };
 use bernoulli_analysis::Diagnostic;
 use bernoulli_relational::access::{
@@ -30,17 +35,28 @@ use bernoulli_relational::access::{
 };
 use bernoulli_relational::props::LevelProps;
 
-/// One i-node: `rows` consecutive rows starting at `first_row`, all
-/// with column structure `cols`, values stored as a dense
-/// `rows × cols.len()` row-major block.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Inode {
+/// Most rows the group body multiplies at once: it keeps one
+/// accumulator per row, and eight still sit in registers. A taller
+/// group is processed eight rows at a time.
+pub const MAX_GROUP_ROWS: usize = 8;
+
+/// One i-node, borrowed from its [`InodeMatrix`]: `rows` consecutive
+/// rows starting at `first_row`, all with column structure `cols`,
+/// values interleaved by row — `vals[k * rows + r]` is the value at
+/// `(first_row + r, cols[k])`.
+#[derive(Clone, Copy, Debug)]
+pub struct Inode<'a> {
     pub first_row: usize,
     pub rows: usize,
-    pub cols: Vec<usize>,
-    /// Dense block, row-major: `vals[r * cols.len() + k]` is the value
-    /// at `(first_row + r, cols[k])`.
-    pub vals: Vec<f64>,
+    pub cols: &'a [usize],
+    pub vals: &'a [f64],
+}
+
+impl Inode<'_> {
+    /// Row `r` of the group in column `cols[k]`.
+    pub fn at(&self, r: usize, k: usize) -> f64 {
+        self.vals[k * self.rows + r]
+    }
 }
 
 /// I-node sparse matrix.
@@ -48,123 +64,58 @@ pub struct Inode {
 pub struct InodeMatrix {
     nrows: usize,
     ncols: usize,
-    inodes: Vec<Inode>,
-    /// `row_inode[r]` = index of the i-node containing row `r`.
-    row_inode: Vec<usize>,
-    /// Stored nonzeros (block slots that are structurally present; a
-    /// block slot may hold numeric zero if one row of the group lacks
-    /// the entry — that is the format's padding cost).
-    nnz_stored: usize,
-}
-
-/// Most rows in one group of an [`InodePartition`]: the row-group body
-/// keeps one accumulator per row, and eight still sit in registers.
-pub const MAX_GROUP_ROWS: usize = 8;
-
-/// The i-node level of a CRS matrix, over its arrays in place: maximal
-/// runs (up to [`MAX_GROUP_ROWS`]) of consecutive rows with identical
-/// column slices, one byte per group and no copy of the matrix. Found
-/// by one O(nnz) pass of slice comparisons in [`InodePartition::of`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InodePartition {
-    /// Rows per group, in row order; the sizes sum to `nrows`.
-    sizes: Vec<u8>,
-    nrows: usize,
-    /// Stored entries of the matrix partitioned. With `nrows`, the O(1)
-    /// check the body makes that it was handed the same matrix.
-    nnz: usize,
-}
-
-impl InodePartition {
-    /// Partition the rows of `a`.
-    pub fn of(a: &Csr) -> Self {
-        let nrows = a.nrows();
-        let mut sizes = Vec::new();
-        let mut first = 0;
-        while first < nrows {
-            let cols = a.row_cols(first);
-            let mut rows = 1;
-            while rows < MAX_GROUP_ROWS
-                && first + rows < nrows
-                && a.row_cols(first + rows) == cols
-            {
-                rows += 1;
-            }
-            sizes.push(rows as u8);
-            first += rows;
-        }
-        InodePartition { sizes, nrows, nnz: a.nnz() }
-    }
-
-    /// The groups as row ranges, ascending.
-    pub fn groups(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
-        self.sizes.iter().scan(0usize, |first, &rows| {
-            let lo = *first;
-            *first += usize::from(rows);
-            Some(lo..*first)
-        })
-    }
-
-    /// Whether this partition was built from a matrix of `a`'s shape
-    /// and entry count.
-    pub fn fits(&self, a: &Csr) -> bool {
-        self.nrows == a.nrows() && self.nnz == a.nnz()
-    }
+    /// Group `g` holds rows `row_start[g]..row_start[g + 1]`.
+    row_start: Vec<usize>,
+    /// Group `g`'s column list is `cols[col_start[g]..col_start[g + 1]]`.
+    col_start: Vec<usize>,
+    cols: Vec<usize>,
+    /// Group `g`'s interleaved block is `vals[val_start[g]..val_start[g + 1]]`.
+    val_start: Vec<usize>,
+    vals: Vec<f64>,
 }
 
 impl InodeMatrix {
-    /// Build with unbounded i-node size.
+    /// Build from triplets (canonicalised), grouping maximal runs.
     pub fn from_triplets(t: &Triplets) -> Self {
-        Self::from_triplets_max(t, usize::MAX)
+        Self::of(&Csr::from_triplets(t))
     }
 
-    /// Build, capping each i-node at `max_rows` rows (the BlockSolve
-    /// library caps groups at the number of degrees of freedom).
-    pub fn from_triplets_max(t: &Triplets, max_rows: usize) -> Self {
-        assert!(max_rows >= 1);
-        let c = t.canonicalize();
-        let nrows = t.nrows();
-        let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); nrows];
-        let mut row_vals: Vec<Vec<f64>> = vec![Vec::new(); nrows];
-        for &(r, cc, v) in c.entries() {
-            row_cols[r].push(cc);
-            row_vals[r].push(v);
+    /// The i-node storage of `a`: maximal runs of consecutive rows with
+    /// identical column slices form the groups, found by one O(nnz)
+    /// pass of slice comparisons. Every stored entry is copied bit for
+    /// bit, so a product on the copy is [`crate::kernels::spmv_csr`]'s
+    /// on `a`.
+    pub fn of(a: &Csr) -> Self {
+        let nrows = a.nrows();
+        let (mut row_start, mut col_start, mut val_start) = (vec![0], vec![0], vec![0]);
+        let mut cols = Vec::new();
+        let mut vals = vec![0.0; a.nnz()];
+        let mut first = 0;
+        while first < nrows {
+            let list = a.row_cols(first);
+            let mut end = first + 1;
+            while end < nrows && a.row_cols(end) == list {
+                end += 1;
+            }
+            let (h, base) = (end - first, *val_start.last().expect("val_start opens at 0"));
+            for r in 0..h {
+                for (k, &v) in a.row_vals(first + r).iter().enumerate() {
+                    vals[base + k * h + r] = v;
+                }
+            }
+            cols.extend_from_slice(list);
+            row_start.push(end);
+            col_start.push(cols.len());
+            val_start.push(base + h * list.len());
+            first = end;
         }
-        let mut inodes: Vec<Inode> = Vec::new();
-        let mut row_inode = vec![0usize; nrows];
-        let mut r = 0;
-        while r < nrows {
-            let mut rows = 1;
-            while r + rows < nrows && rows < max_rows && row_cols[r + rows] == row_cols[r] {
-                rows += 1;
-            }
-            let cols = row_cols[r].clone();
-            let mut vals = Vec::with_capacity(rows * cols.len());
-            for rr in 0..rows {
-                vals.extend_from_slice(&row_vals[r + rr]);
-            }
-            for rr in 0..rows {
-                row_inode[r + rr] = inodes.len();
-            }
-            inodes.push(Inode { first_row: r, rows, cols, vals });
-            r += rows;
-        }
-        let nnz_stored = inodes.iter().map(|g| g.vals.len()).sum();
-        InodeMatrix { nrows, ncols: t.ncols(), inodes, row_inode, nnz_stored }
+        InodeMatrix { nrows, ncols: a.ncols(), row_start, col_start, cols, val_start, vals }
     }
 
     pub fn to_triplets(&self) -> Triplets {
-        let mut t = Triplets::with_capacity(self.nrows, self.ncols, self.nnz_stored);
-        for g in &self.inodes {
-            let w = g.cols.len();
-            for r in 0..g.rows {
-                for (k, &c) in g.cols.iter().enumerate() {
-                    let v = g.vals[r * w + k];
-                    if v != 0.0 {
-                        t.push(g.first_row + r, c, v);
-                    }
-                }
-            }
+        let mut t = Triplets::with_capacity(self.nrows, self.ncols, self.vals.len());
+        for (i, j, v) in self.enum_flat() {
+            t.push(i, j, v);
         }
         t
     }
@@ -177,32 +128,44 @@ impl InodeMatrix {
         self.ncols
     }
 
-    /// Stored slots (structural entries; includes any numeric zeros
-    /// shared into a group's dense block).
+    /// Stored entries.
     pub fn nnz(&self) -> usize {
-        self.nnz_stored
+        self.vals.len()
     }
 
     pub fn num_inodes(&self) -> usize {
-        self.inodes.len()
+        self.row_start.len() - 1
     }
 
-    pub fn inodes(&self) -> &[Inode] {
-        &self.inodes
+    /// Group `g`.
+    #[inline]
+    pub fn inode(&self, g: usize) -> Inode<'_> {
+        Inode {
+            first_row: self.row_start[g],
+            rows: self.row_start[g + 1] - self.row_start[g],
+            cols: &self.cols[self.col_start[g]..self.col_start[g + 1]],
+            vals: &self.vals[self.val_start[g]..self.val_start[g + 1]],
+        }
+    }
+
+    /// The groups, in row order.
+    pub fn inodes(&self) -> impl Iterator<Item = Inode<'_>> + '_ {
+        (0..self.num_inodes()).map(|g| self.inode(g))
+    }
+
+    /// The group holding row `r < nrows`.
+    #[inline]
+    pub(crate) fn inode_of_row(&self, r: usize) -> usize {
+        self.row_start.partition_point(|&s| s <= r) - 1
     }
 
     /// Average rows per i-node — the "i-node richness" statistic that
     /// predicts when this format wins Table 1 columns.
     pub fn avg_inode_rows(&self) -> f64 {
-        if self.inodes.is_empty() {
-            0.0
-        } else {
-            self.nrows as f64 / self.inodes.len() as f64
+        match self.num_inodes() {
+            0 => 0.0,
+            groups => self.nrows as f64 / groups as f64,
         }
-    }
-
-    fn inode_of_row(&self, r: usize) -> &Inode {
-        &self.inodes[self.row_inode[r]]
     }
 }
 
@@ -211,7 +174,7 @@ impl MatrixAccess for InodeMatrix {
         MatMeta {
             nrows: self.nrows,
             ncols: self.ncols,
-            nnz: self.nnz_stored,
+            nnz: self.vals.len(),
             orientation: Orientation::RowMajor,
             outer: LevelProps::dense(),
             inner: LevelProps::sparse_sorted(),
@@ -222,8 +185,8 @@ impl MatrixAccess for InodeMatrix {
 
     fn enum_outer(&self) -> OuterIter<'_> {
         // OuterCursor.a = i-node index, .b = row offset within it.
-        Box::new(self.inodes.iter().enumerate().flat_map(|(gi, g)| {
-            (0..g.rows).map(move |rr| OuterCursor { index: g.first_row + rr, a: gi, b: rr })
+        Box::new(self.inodes().enumerate().flat_map(|(gi, g)| {
+            (0..g.rows).map(move |b| OuterCursor { index: g.first_row + b, a: gi, b })
         }))
     }
 
@@ -231,108 +194,105 @@ impl MatrixAccess for InodeMatrix {
         if index >= self.nrows {
             return None;
         }
-        let gi = self.row_inode[index];
-        let g = &self.inodes[gi];
-        Some(OuterCursor { index, a: gi, b: index - g.first_row })
+        let a = self.inode_of_row(index);
+        Some(OuterCursor { index, a, b: index - self.row_start[a] })
     }
 
     fn enum_inner(&self, outer: &OuterCursor) -> InnerIter<'_> {
-        let g = &self.inodes[outer.a];
-        let w = g.cols.len();
-        InnerIter::Pairs {
-            idx: &g.cols,
-            vals: &g.vals[outer.b * w..(outer.b + 1) * w],
+        let g = self.inode(outer.a);
+        if g.cols.is_empty() {
+            return InnerIter::Empty;
+        }
+        InnerIter::Strided {
+            idx: g.cols,
+            idx_stride: 1,
+            vals: &g.vals[outer.b..],
+            val_stride: g.rows,
+            count: g.cols.len(),
             pos: 0,
         }
     }
 
     fn search_inner(&self, outer: &OuterCursor, index: usize) -> Option<f64> {
-        let g = &self.inodes[outer.a];
-        let w = g.cols.len();
-        g.cols.binary_search(&index).ok().map(|k| g.vals[outer.b * w + k])
+        let g = self.inode(outer.a);
+        g.cols.binary_search(&index).ok().map(|k| g.at(outer.b, k))
     }
 
     fn enum_flat(&self) -> FlatIter<'_> {
-        Box::new(self.inodes.iter().flat_map(|g| {
-            let w = g.cols.len();
-            (0..g.rows).flat_map(move |rr| {
-                g.cols
-                    .iter()
-                    .enumerate()
-                    .map(move |(k, &c)| (g.first_row + rr, c, g.vals[rr * w + k]))
-            })
-        }))
+        let none = Inode { first_row: 0, rows: 0, cols: &[], vals: &[] };
+        Box::new(Flat { m: self, g: none, next_group: 0, r: 0, k: 0 })
     }
 
     fn search_pair(&self, i: usize, j: usize) -> Option<f64> {
-        if i >= self.nrows {
-            return None;
+        let c = self.search_outer(i)?;
+        self.search_inner(&c, j)
+    }
+}
+
+/// The flat view, row by row: slot `k` of row `r` of group `g`, then
+/// the next slot, row, group. (One cursor, not nested `flat_map`s: the
+/// structure key of a non-CRS operand walks this view.)
+struct Flat<'a> {
+    m: &'a InodeMatrix,
+    g: Inode<'a>,
+    next_group: usize,
+    r: usize,
+    k: usize,
+}
+
+impl Iterator for Flat<'_> {
+    type Item = (usize, usize, f64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(usize, usize, f64)> {
+        while self.k == self.g.cols.len() {
+            self.k = 0;
+            self.r += 1;
+            if self.r >= self.g.rows {
+                if self.next_group == self.m.num_inodes() {
+                    return None;
+                }
+                self.g = self.m.inode(self.next_group);
+                self.next_group += 1;
+                self.r = 0;
+            }
         }
-        let g = self.inode_of_row(i);
-        let w = g.cols.len();
-        g.cols.binary_search(&j).ok().map(|k| g.vals[(i - g.first_row) * w + k])
+        let k = self.k;
+        self.k += 1;
+        Some((self.g.first_row + self.r, self.g.cols[k], self.g.at(self.r, k)))
     }
 }
 
 impl Validate for InodeMatrix {
     fn validate(&self) -> Vec<Diagnostic> {
-        let mut d = Vec::new();
-        if self.row_inode.len() != self.nrows {
-            d.push(meta_mismatch(
-                "row_inode",
-                format!("{} row slots for {} rows", self.row_inode.len(), self.nrows),
-            ));
+        let groups = self.row_start.len().saturating_sub(1);
+        let mut d = check_ptr("row_start", &self.row_start, groups + 1, self.nrows);
+        d.extend(check_ptr("col_start", &self.col_start, groups + 1, self.cols.len()));
+        d.extend(check_ptr("val_start", &self.val_start, groups + 1, self.vals.len()));
+        if !d.is_empty() {
             return d;
         }
-        let mut expect_row = 0usize;
-        for (gi, g) in self.inodes.iter().enumerate() {
-            if g.first_row != expect_row || g.rows == 0 || g.first_row + g.rows > self.nrows {
-                d.push(meta_mismatch(
-                    "inodes",
-                    format!(
-                        "i-node {gi} spans rows {}..{} but the previous one ended at {expect_row}",
-                        g.first_row,
-                        g.first_row + g.rows
-                    ),
-                ));
-                return d;
+        for g in 0..groups {
+            let (h, w) = (
+                self.row_start[g + 1] - self.row_start[g],
+                self.col_start[g + 1] - self.col_start[g],
+            );
+            if h == 0 {
+                d.push(meta_mismatch("row_start", format!("i-node {g} has no rows")));
             }
-            if g.vals.len() != g.rows * g.cols.len() {
+            if self.val_start[g + 1] - self.val_start[g] != h * w {
                 d.push(meta_mismatch(
-                    "inodes",
+                    "val_start",
                     format!(
-                        "i-node {gi} has {} value slots for a {}x{} block",
-                        g.vals.len(),
-                        g.rows,
-                        g.cols.len()
+                        "i-node {g} has {} value slots for a {h}x{w} block",
+                        self.val_start[g + 1] - self.val_start[g]
                     ),
                 ));
             }
-            d.extend(check_bounds("cols", &g.cols, self.ncols));
-            d.extend(check_sorted_strict("cols", &g.cols, &format!("i-node {gi}")));
-            for rr in 0..g.rows {
-                if self.row_inode[g.first_row + rr] != gi {
-                    d.push(meta_mismatch(
-                        "row_inode",
-                        format!("row {} does not map back to i-node {gi}", g.first_row + rr),
-                    ));
-                }
-            }
-            expect_row += g.rows;
+            let list = &self.cols[self.col_start[g]..self.col_start[g + 1]];
+            d.extend(check_sorted_strict("cols", list, &format!("i-node {g}")));
         }
-        if expect_row != self.nrows {
-            d.push(meta_mismatch(
-                "inodes",
-                format!("i-nodes cover {expect_row} rows of {}", self.nrows),
-            ));
-        }
-        let true_stored: usize = self.inodes.iter().map(|g| g.vals.len()).sum();
-        if self.nnz_stored != true_stored {
-            d.push(meta_mismatch(
-                "nnz",
-                format!("declared {} stored slots but the blocks hold {true_stored}", self.nnz_stored),
-            ));
-        }
+        d.extend(check_bounds("cols", &self.cols, self.ncols));
         if !d.is_empty() {
             return d;
         }
@@ -365,25 +325,20 @@ mod tests {
     fn detects_identical_rows() {
         let m = InodeMatrix::from_triplets(&sample());
         assert_eq!(m.num_inodes(), 2);
-        assert_eq!(m.inodes()[0].rows, 2);
-        assert_eq!(m.inodes()[0].cols, vec![0, 1, 2]);
-        assert_eq!(m.inodes()[1].first_row, 2);
+        assert_eq!(m.inode(0).rows, 2);
+        assert_eq!(m.inode(0).cols, &[0, 1, 2]);
+        assert_eq!(m.inode(1).first_row, 2);
         assert!((m.avg_inode_rows() - 2.0).abs() < 1e-12);
+        assert!(m.validate().is_empty());
     }
 
     #[test]
-    fn dense_block_layout() {
+    fn dense_block_is_interleaved_by_row() {
         let m = InodeMatrix::from_triplets(&sample());
-        let g = &m.inodes()[0];
-        // Row 0 values then row 1 values, contiguous.
-        assert_eq!(g.vals, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-    }
-
-    #[test]
-    fn max_rows_cap() {
-        let m = InodeMatrix::from_triplets_max(&sample(), 1);
-        assert_eq!(m.num_inodes(), 4);
-        assert_eq!(m.to_triplets().canonicalize(), sample().canonicalize());
+        // Row 0 is 1 2 3 and row 1 is 4 5 6: column by column, the
+        // group's two rows sit side by side.
+        assert_eq!(m.inode(0).vals, &[1.0, 4.0, 2.0, 5.0, 3.0, 6.0]);
+        assert_eq!(m.inode(0).at(1, 2), 6.0);
     }
 
     #[test]
@@ -398,6 +353,7 @@ mod tests {
         let m = InodeMatrix::from_triplets(&sample());
         assert_eq!(m.search_pair(1, 2), Some(6.0));
         assert_eq!(m.search_pair(1, 3), None);
+        assert_eq!(m.search_pair(4, 0), None);
         let c = m.search_outer(3).unwrap();
         assert_eq!(m.enum_inner(&c).collect::<Vec<_>>(), vec![(1, 10.0), (2, 11.0), (3, 12.0)]);
         assert_eq!(m.search_inner(&c, 3), Some(12.0));
@@ -412,10 +368,29 @@ mod tests {
     }
 
     #[test]
+    fn flat_view_walks_past_empty_groups() {
+        // Rows 0, 2 and 3 are empty; rows 2..4 form one empty group.
+        let t = Triplets::from_entries(5, 3, &[(1, 0, 1.0), (1, 2, 2.0), (4, 1, 3.0)]);
+        let m = InodeMatrix::from_triplets(&t);
+        assert_eq!(m.num_inodes(), 4);
+        assert_eq!(m.enum_flat().collect::<Vec<_>>(), t.canonicalize().entries());
+        assert!(InodeMatrix::from_triplets(&Triplets::new(0, 2)).enum_flat().next().is_none());
+        assert!(m.validate().is_empty());
+    }
+
+    #[test]
     fn distinct_rows_become_singletons() {
         let t = Triplets::from_entries(3, 3, &[(0, 0, 1.0), (1, 1, 2.0), (2, 0, 3.0)]);
         let m = InodeMatrix::from_triplets(&t);
         assert_eq!(m.num_inodes(), 3);
         assert!((m.avg_inode_rows() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn validate_catches_a_short_block() {
+        let mut m = InodeMatrix::from_triplets(&sample());
+        m.vals.pop();
+        *m.val_start.last_mut().unwrap() -= 1;
+        assert!(!m.validate().is_empty());
     }
 }

@@ -160,11 +160,14 @@ impl MatrixAccess for Itpack {
     }
 
     fn enum_inner(&self, outer: &OuterCursor) -> InnerIter<'_> {
+        if outer.b == 0 {
+            return InnerIter::Empty;
+        }
         InnerIter::Strided {
-            idx: &self.colind,
-            vals: &self.vals,
-            base: outer.a,
-            stride: self.nrows,
+            idx: &self.colind[outer.a..],
+            idx_stride: self.nrows,
+            vals: &self.vals[outer.a..],
+            val_stride: self.nrows,
             count: outer.b,
             pos: 0,
         }

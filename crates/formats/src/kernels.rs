@@ -29,7 +29,7 @@
 //! All SpMV kernels *accumulate*: `y ⊕= A·x`. Fill `y` with
 //! `S::zero()` first for a plain product.
 
-use crate::inode::{InodePartition, MAX_GROUP_ROWS};
+use crate::inode::MAX_GROUP_ROWS;
 use crate::{Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, InodeMatrix, Itpack, JDiag, Triplets};
 use bernoulli_analysis::wavefront::Triangle;
 use bernoulli_relational::access::MatrixAccess;
@@ -271,26 +271,28 @@ impl SpmvBody for JDiag {
     }
 }
 
-/// `R` rows of one i-node: `y[r] ⊕= Σₖ block[r·w + k] ⊗ x(cols[k])`
-/// over the dense row-major `R × w` block sharing the column list
-/// `cols`. The list and `x` are read once for the group; each row keeps
-/// its own accumulator and adds its products in column order — the ⊕
-/// chain of the CRS body, so a row's result does not depend on how the
-/// rows were grouped.
+/// Rows `r0..r0 + R` of an i-node of height `h`: `y[r] ⊕= Σₖ
+/// vals[k·h + r0 + r] ⊗ x(cols[k])` over the group's interleaved block.
+/// The column list and `x` are read once for the `R` rows, whose values
+/// for one column are adjacent, so the row loop vectorises; each row
+/// keeps its own accumulator and adds its products in column order —
+/// the ⊕ chain of the CRS body, so a row's result does not depend on
+/// how the rows were grouped.
 #[inline]
 fn inode_rows<S: Semiring, const R: usize>(
     cols: &[usize],
-    block: &[f64],
+    vals: &[f64],
+    h: usize,
+    r0: usize,
     x_at: &impl Fn(usize) -> S::Elem,
     y: &mut [S::Elem],
 ) {
-    let w = cols.len();
-    let rows: [&[f64]; R] = std::array::from_fn(|r| &block[r * w..(r + 1) * w]);
     let mut acc = [S::zero(); R];
-    for (k, &c) in cols.iter().enumerate() {
+    for (&c, column) in cols.iter().zip(vals.chunks_exact(h)) {
+        let v: &[f64; R] = column[r0..r0 + R].try_into().expect("R rows of the group");
         let xv = x_at(c);
         for r in 0..R {
-            acc[r] = S::plus(acc[r], S::times(S::from_f64(rows[r][k]), xv));
+            acc[r] = S::plus(acc[r], S::times(S::from_f64(v[r]), xv));
         }
     }
     for (yr, a) in y[..R].iter_mut().zip(acc) {
@@ -298,78 +300,65 @@ fn inode_rows<S: Semiring, const R: usize>(
     }
 }
 
-/// The i-node group step: [`inode_rows`] for a group of any height,
-/// [`MAX_GROUP_ROWS`] rows at a time.
+/// The one i-node body: rows `lo..hi` of `a` into `y` (= `y[lo..hi]`),
+/// reading `x[c]` as `x_at(c)`, each group's rows [`MAX_GROUP_ROWS`] at
+/// a time through [`inode_rows`]. A range may start or end inside a
+/// group.
 #[inline]
-fn inode_group<S: Semiring>(
-    cols: &[usize],
-    block: &[f64],
+fn inode_acc<S: Semiring>(
+    a: &InodeMatrix,
+    lo: usize,
+    hi: usize,
     x_at: &impl Fn(usize) -> S::Elem,
     y: &mut [S::Elem],
 ) {
-    let w = cols.len();
-    let mut r = 0;
-    while r < y.len() {
-        let rows = (y.len() - r).min(MAX_GROUP_ROWS);
-        let (b, out) = (&block[r * w..(r + rows) * w], &mut y[r..r + rows]);
-        match rows {
-            1 => inode_rows::<S, 1>(cols, b, x_at, out),
-            2 => inode_rows::<S, 2>(cols, b, x_at, out),
-            3 => inode_rows::<S, 3>(cols, b, x_at, out),
-            4 => inode_rows::<S, 4>(cols, b, x_at, out),
-            5 => inode_rows::<S, 5>(cols, b, x_at, out),
-            6 => inode_rows::<S, 6>(cols, b, x_at, out),
-            7 => inode_rows::<S, 7>(cols, b, x_at, out),
-            _ => inode_rows::<S, 8>(cols, b, x_at, out),
+    if lo >= hi {
+        return;
+    }
+    for gi in a.inode_of_row(lo)..a.num_inodes() {
+        let g = a.inode(gi);
+        if g.first_row >= hi {
+            break;
         }
-        r += rows;
+        let (cols, vals, h) = (g.cols, g.vals, g.rows);
+        let mut r = lo.max(g.first_row) - g.first_row;
+        let end = hi.min(g.first_row + h) - g.first_row;
+        while r < end {
+            let rows = (end - r).min(MAX_GROUP_ROWS);
+            let out = &mut y[g.first_row + r - lo..][..rows];
+            match rows {
+                1 => inode_rows::<S, 1>(cols, vals, h, r, x_at, out),
+                2 => inode_rows::<S, 2>(cols, vals, h, r, x_at, out),
+                3 => inode_rows::<S, 3>(cols, vals, h, r, x_at, out),
+                4 => inode_rows::<S, 4>(cols, vals, h, r, x_at, out),
+                5 => inode_rows::<S, 5>(cols, vals, h, r, x_at, out),
+                6 => inode_rows::<S, 6>(cols, vals, h, r, x_at, out),
+                7 => inode_rows::<S, 7>(cols, vals, h, r, x_at, out),
+                _ => inode_rows::<S, 8>(cols, vals, h, r, x_at, out),
+            }
+            r += rows;
+        }
     }
 }
 
-/// I-node storage: the group step per i-node (an i-node straddling a
-/// range boundary is computed partly by each side).
+/// I-node storage: the group body over rows `lo..hi` (a group
+/// straddling a range boundary is computed partly by each side).
 impl SpmvBody for InodeMatrix {
     const FAMILY: Family = Family::Rows;
 
     #[inline]
     fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
-        for g in self.inodes() {
-            let i0 = g.first_row.max(lo);
-            let i1 = (g.first_row + g.rows).min(hi);
-            if i0 >= i1 {
-                continue;
-            }
-            let w = g.cols.len();
-            let block = &g.vals[(i0 - g.first_row) * w..(i1 - g.first_row) * w];
-            inode_group::<S>(&g.cols, block, &|c| x[c], &mut y[i0 - lo..i1 - lo]);
-        }
+        inode_acc::<S>(self, lo, hi, &|c| x[c], y)
     }
 }
 
-/// `y += A·x` for CRS on its i-node level, the arrays used in place:
-/// the group step over each group of `part`, reading `x[c]` as
-/// `x_at(c)` (an executor that translates columns passes its table
-/// here). Every `y[i]` is bit-for-bit [`spmv_csr`]'s.
-pub fn spmv_csr_inodes_with(
-    a: &Csr,
-    part: &InodePartition,
-    x_at: impl Fn(usize) -> f64,
-    y: &mut [f64],
-) {
-    assert!(part.fits(a), "i-node partition of another matrix");
+/// `y += A·x` for i-node storage, reading `x[c]` as `x_at(c)` (an
+/// executor that translates columns passes its table here). Every
+/// `y[i]` is bit for bit [`spmv_csr`]'s on the CRS matrix `a` was built
+/// from ([`InodeMatrix::of`]).
+pub fn spmv_inode_with(a: &InodeMatrix, x_at: impl Fn(usize) -> f64, y: &mut [f64]) {
     assert_eq!(y.len(), a.nrows());
-    let (rowptr, colind, vals) = (a.rowptr(), a.colind(), a.vals());
-    for g in part.groups() {
-        let (s, e) = (rowptr[g.start], rowptr[g.end]);
-        let cols = &colind[s..rowptr[g.start + 1]];
-        inode_group::<F64Plus>(cols, &vals[s..e], &x_at, &mut y[g]);
-    }
-}
-
-/// [`spmv_csr_inodes_with`] reading `x` directly.
-pub fn spmv_csr_inodes(a: &Csr, part: &InodePartition, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), a.ncols());
-    spmv_csr_inodes_with(a, part, |c| x[c], y)
+    inode_acc::<F64Plus>(a, 0, a.nrows(), &x_at, y)
 }
 
 /// Dense storage: plain row-wise dot products.

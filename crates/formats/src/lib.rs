@@ -68,7 +68,7 @@ pub use csr::Csr;
 pub use dense::DenseMatrix;
 pub use diag::DiagonalMatrix;
 pub use exec::ExecCtx;
-pub use inode::{InodeMatrix, InodePartition};
+pub use inode::InodeMatrix;
 pub use itpack::Itpack;
 pub use jdiag::JDiag;
 pub use matrix::{FormatKind, SparseMatrix};

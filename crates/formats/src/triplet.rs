@@ -127,13 +127,16 @@ impl Triplets {
         self.canonicalize().entries == self.transposed().canonicalize().entries
     }
 
-    /// Extract the main diagonal as a dense vector (zeros where absent).
+    /// Extract the main diagonal as a dense vector (zeros where absent),
+    /// in one pass over the raw entries: each `d[r]` sums its entries in
+    /// insertion order from `+0.0`, the sum [`Triplets::canonicalize`]
+    /// forms, so the result is bitwise the canonical diagonal (a sum
+    /// that cancels reads `+0.0`, as a dropped entry does).
     pub fn diagonal(&self) -> Vec<f64> {
-        let n = self.nrows.min(self.ncols);
-        let mut d = vec![0.0; n];
-        for &(r, c, v) in &self.canonicalize().entries {
+        let mut d = vec![0.0; self.nrows.min(self.ncols)];
+        for &(r, c, v) in &self.entries {
             if r == c {
-                d[r] = v;
+                d[r] += v;
             }
         }
         d
@@ -209,6 +212,52 @@ mod tests {
         );
         assert_eq!(t.diagonal(), vec![2.0, 5.0, 0.0]);
         assert_eq!(t.row_lengths(), vec![1, 3, 1]);
+    }
+
+    /// The diagonal off the canonical entries, as `diagonal` read it
+    /// before it went one-pass.
+    fn canonical_diagonal(t: &Triplets) -> Vec<f64> {
+        let mut d = vec![0.0; t.nrows().min(t.ncols())];
+        for &(r, c, v) in t.canonicalize().entries() {
+            if r == c {
+                d[r] = v;
+            }
+        }
+        d
+    }
+
+    proptest::proptest! {
+        /// One pass is the canonical diagonal bit for bit: duplicates,
+        /// exact cancellation, `-0.0`, NaN and rectangular shapes.
+        #[test]
+        fn diagonal_is_bitwise_the_canonical_one(
+            nrows in 0usize..6,
+            ncols in 0usize..6,
+            picks in proptest::collection::vec((0usize..6, 0usize..6, 0usize..8), 0..40),
+        ) {
+            const VALUES: [f64; 8] = [1.5, -1.5, 0.0, -0.0, f64::NAN, 0.1, 0.2, -0.30000000000000004];
+            let mut t = Triplets::new(nrows, ncols);
+            for (r, c, v) in picks {
+                if r < nrows && c < ncols {
+                    t.push(r, c, VALUES[v]);
+                    // A diagonal twin of every pick, so duplicates and
+                    // cancellations on the diagonal are common.
+                    if r < ncols {
+                        t.push(r, r, VALUES[v]);
+                    }
+                }
+            }
+            let bits = |d: Vec<f64>| d.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(t.diagonal()), bits(canonical_diagonal(&t)));
+        }
+    }
+
+    #[test]
+    fn diagonal_cancellation_and_negative_zero_read_positive_zero() {
+        let t = Triplets::from_entries(3, 2, &[(0, 0, 2.5), (1, 1, -0.0), (0, 0, -2.5), (2, 1, 1.0)]);
+        let d = t.diagonal();
+        assert_eq!(d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), vec![0, 0]);
+        assert_eq!(d, canonical_diagonal(&t));
     }
 
     #[test]

@@ -126,13 +126,16 @@ pub type OuterIter<'a> = Box<dyn Iterator<Item = OuterCursor> + 'a>;
 pub enum InnerIter<'a> {
     /// Parallel index/value slices (CRS/CCS rows, sparse vectors).
     Pairs { idx: &'a [usize], vals: &'a [f64], pos: usize },
-    /// Strided parallel slices: element `k` lives at `base + k*stride`
-    /// (ITPACK/ELLPACK stored column-major). `count` entries are real.
+    /// Strided parallel slices: element `k` is
+    /// `(idx[k*idx_stride], vals[k*val_stride])` (ITPACK/ELLPACK stored
+    /// column-major: both strides are the row count; an i-node row: its
+    /// group's column list, values interleaved by the group height).
+    /// `count` entries are real.
     Strided {
         idx: &'a [usize],
+        idx_stride: usize,
         vals: &'a [f64],
-        base: usize,
-        stride: usize,
+        val_stride: usize,
         count: usize,
         pos: usize,
     },
@@ -159,11 +162,11 @@ impl<'a> Iterator for InnerIter<'a> {
                     None
                 }
             }
-            InnerIter::Strided { idx, vals, base, stride, count, pos } => {
+            InnerIter::Strided { idx, idx_stride, vals, val_stride, count, pos } => {
                 if *pos < *count {
-                    let at = *base + *pos * *stride;
+                    let k = *pos;
                     *pos += 1;
-                    Some((idx[at], vals[at]))
+                    Some((idx[k * *idx_stride], vals[k * *val_stride]))
                 } else {
                     None
                 }
@@ -339,9 +342,17 @@ mod tests {
         // storage position of (row r, slot k) = k*2 + r
         let idx = [0usize, 1, 2, 3, 0, 5];
         let vals = [1.0, 2.0, 3.0, 4.0, 0.0, 6.0];
-        let row0 = InnerIter::Strided { idx: &idx, vals: &vals, base: 0, stride: 2, count: 2, pos: 0 };
+        let strided = |r: usize, count| InnerIter::Strided {
+            idx: &idx[r..],
+            idx_stride: 2,
+            vals: &vals[r..],
+            val_stride: 2,
+            count,
+            pos: 0,
+        };
+        let row0 = strided(0, 2);
         assert_eq!(row0.collect::<Vec<_>>(), vec![(0, 1.0), (2, 3.0)]);
-        let row1 = InnerIter::Strided { idx: &idx, vals: &vals, base: 1, stride: 2, count: 3, pos: 0 };
+        let row1 = strided(1, 3);
         assert_eq!(row1.collect::<Vec<_>>(), vec![(1, 2.0), (3, 4.0), (5, 6.0)]);
     }
 

@@ -145,7 +145,8 @@ fn bs_to_mixed(l: &BsLocal) -> MixedSpec {
     // `n_global` is not read by the mixed inspector.
     let a_snl =
         GlobalFragment { n_local: l.n_local, n_global: usize::MAX, entries: l.a_snl.clone() };
-    MixedSpec::new(vec![Csr::from_triplets(&diag_t), l.a_sl.clone()], a_snl)
+    let a_sl = Csr::from_triplets(&l.a_sl.to_triplets());
+    MixedSpec::new(vec![Csr::from_triplets(&diag_t), a_sl], a_snl)
 }
 
 /// What one implementation cost at one processor count.

@@ -22,12 +22,12 @@
 //! gate is 1, so the drivers — not the environment — decide.
 
 use bernoulli_analysis::wavefront::{analyze_wavefront, certify_wavefront, LevelSchedule, Relation, Triangle};
-use bernoulli_formats::inode::MAX_GROUP_ROWS;
-use bernoulli_formats::kernels;
+use bernoulli_formats::kernels::{self, SpmvBody};
 use bernoulli_formats::{
-    gen, par_kernels, Ccs, Csr, ExecCtx, FormatKind, InodePartition, SparseMatrix, Triplets,
+    gen, par_kernels, Ccs, Csr, ExecCtx, FormatKind, InodeMatrix, SparseMatrix, Triplets, Validate,
 };
 use proptest::prelude::*;
+use bernoulli_relational::access::MatrixAccess;
 use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus, Semiring};
 use bernoulli_solvers::vecops;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -250,7 +250,7 @@ fn spmm_tiers_are_bitwise_serial() {
     }
 }
 
-// --- The i-node level of CRS -------------------------------------------
+// --- I-node storage built from CRS -------------------------------------
 
 /// `rows` consecutive rows sharing the column list `cols`, distinct
 /// values everywhere.
@@ -264,11 +264,12 @@ fn identical_rows(rows: usize, cols: &[usize], ncols: usize) -> Triplets {
     t
 }
 
-/// The row-group body over the CRS arrays is `spmv_csr` bit for bit,
-/// whatever the groups look like: the paper's multi-dof grids as
-/// numbered and with shuffled points, no repeated column list at all,
-/// empty rows (which group with each other), a run longer than the cap,
-/// and non-finite `x`.
+/// The group body over `InodeMatrix::of(&a)` is `spmv_csr` on `a` bit
+/// for bit, whatever the groups look like: the paper's multi-dof grids
+/// as numbered and with shuffled points, no repeated column list at
+/// all, empty rows (which group with each other), a group taller than
+/// the body's eight rows, and non-finite `x`. So is the body over any
+/// row range, including ranges that start and end inside a group.
 #[test]
 fn csr_inode_body_is_bitwise_the_crs_body() {
     let mut table: Vec<(String, Triplets)> = Vec::new();
@@ -285,7 +286,7 @@ fn csr_inode_body_is_bitwise_the_crs_body() {
 
     for (name, t) in &table {
         let a = Csr::from_triplets(t);
-        let part = InodePartition::of(&a);
+        let m = InodeMatrix::of(&a);
         let n = t.ncols();
         let finite: Vec<f64> = (0..n).map(|i| ((i * 7 + 3) % 11) as f64 * 0.3 - 1.7).collect();
         let mut nonfinite = finite.clone();
@@ -298,40 +299,42 @@ fn csr_inode_body_is_bitwise_the_crs_body() {
             let mut want = vec![0.25; t.nrows()];
             kernels::spmv_csr(&a, x, &mut want);
             let mut got = vec![0.25; t.nrows()];
-            kernels::spmv_csr_inodes(&a, &part, x, &mut got);
+            kernels::spmv_in::<F64Plus, InodeMatrix>(&m, x, &mut got);
             assert_eq!(bits(&got), bits(&want), "{name}");
             // Through a column translation, as the naive executor reads x.
             let shifted: Vec<f64> = std::iter::once(0.0).chain(x.iter().copied()).collect();
             let mut via = vec![0.25; t.nrows()];
-            kernels::spmv_csr_inodes_with(&a, &part, |c| shifted[c + 1], &mut via);
+            kernels::spmv_inode_with(&m, |c| shifted[c + 1], &mut via);
             assert_eq!(bits(&via), bits(&want), "{name}, translated");
+            // Rows in ranges of 3 and of 11: both cut 5-row groups and
+            // the 13-row one, at every offset.
+            for width in [3, 11] {
+                let mut ranged = vec![0.25; t.nrows()];
+                for lo in (0..t.nrows()).step_by(width) {
+                    let hi = (lo + width).min(t.nrows());
+                    m.acc::<F64Plus>(lo, hi, x, &mut ranged[lo..hi]);
+                }
+                assert_eq!(bits(&ranged), bits(&want), "{name}, ranges of {width}");
+            }
         }
     }
 
     let sizes = |t: &Triplets| -> Vec<usize> {
-        InodePartition::of(&Csr::from_triplets(t)).groups().map(|g| g.len()).collect()
+        InodeMatrix::of(&Csr::from_triplets(t)).inodes().map(|g| g.rows).collect()
     };
     assert_eq!(sizes(&gen::fem_grid_2d(6, 5, 5)), vec![5; 30], "one group per point");
     assert!(sizes(&gen::grid2d_5pt(9, 7)).iter().all(|&rows| rows == 1));
-    assert_eq!(sizes(&identical_rows(13, &[0, 2, 3, 9], 11)), vec![8, 5], "a run crosses the cap");
+    assert_eq!(sizes(&identical_rows(13, &[0, 2, 3, 9], 11)), vec![13], "one group, run as 8 + 5 rows");
     assert_eq!(sizes(&Triplets::new(6, 4)), vec![6], "empty rows share the empty list");
 }
 
-/// A partition handed another matrix is refused, not replayed.
-#[test]
-#[should_panic(expected = "i-node partition of another matrix")]
-fn csr_inode_body_refuses_a_foreign_partition() {
-    let a = Csr::from_triplets(&gen::fem_grid_2d(4, 3, 2));
-    let part = InodePartition::of(&Csr::from_triplets(&gen::fem_grid_2d(4, 4, 2)));
-    kernels::spmv_csr_inodes(&a, &part, &vec![1.0; a.ncols()], &mut vec![0.0; a.nrows()]);
-}
-
 proptest! {
-    /// The partition tiles `0..nrows` in order, every group's rows have
-    /// equal column slices, and no group could have taken the next row
-    /// (it is full, the matrix ended, or the next row differs).
+    /// The groups tile `0..nrows` in order, every group's rows have
+    /// equal column slices, no group could have taken the next row (the
+    /// matrix ended, or the next row differs), and the interleaved block
+    /// holds each row's CRS values: `vals[k·h + r]` is row `r`'s `k`-th.
     #[test]
-    fn inode_partition_tiles_rows_into_maximal_equal_groups(
+    fn inode_matrix_tiles_rows_into_maximal_equal_groups(
         nrows in 0usize..40,
         ncols in 1usize..7,
         // Few distinct lists, so runs of equal rows — long ones too — occur.
@@ -345,19 +348,69 @@ proptest! {
             }
         }
         let a = Csr::from_triplets(&t);
-        let part = InodePartition::of(&a);
+        let m = InodeMatrix::of(&a);
+        prop_assert!(m.validate().is_empty());
         let mut next = 0;
-        for g in part.groups() {
-            prop_assert_eq!(g.start, next, "groups tile the rows in order");
-            prop_assert!((1..=MAX_GROUP_ROWS).contains(&g.len()));
-            prop_assert!(g.clone().all(|r| a.row_cols(r) == a.row_cols(g.start)));
-            let maximal = g.len() == MAX_GROUP_ROWS
-                || g.end == nrows
-                || a.row_cols(g.end) != a.row_cols(g.start);
-            prop_assert!(maximal, "group {:?} stops early", g);
-            next = g.end;
+        for g in m.inodes() {
+            let rows = g.first_row..g.first_row + g.rows;
+            prop_assert_eq!(rows.start, next, "groups tile the rows in order");
+            prop_assert!(g.rows >= 1);
+            prop_assert!(rows.clone().all(|r| a.row_cols(r) == g.cols));
+            let maximal = rows.end == nrows || a.row_cols(rows.end) != g.cols;
+            prop_assert!(maximal, "group {:?} stops early", rows);
+            for r in 0..g.rows {
+                let row: Vec<f64> = (0..g.cols.len()).map(|k| g.at(r, k)).collect();
+                prop_assert_eq!(bits(&row), bits(a.row_vals(g.first_row + r)));
+            }
+            next = rows.end;
         }
         prop_assert_eq!(next, nrows);
+    }
+}
+
+/// The copy's access views read the CRS entries back bit for bit —
+/// stored NaN and ±Inf too: the flat view in row order, each row
+/// through its outer cursor and the strided inner walk, every stored
+/// pair by search (and no pair that is not stored), `to_triplets` back
+/// to `a` itself, and `from_triplets` the same entries as `of`.
+#[test]
+fn inode_matrix_views_read_back_the_crs_entries() {
+    let entries = |a: &Csr| -> Vec<(usize, usize, u64)> {
+        (0..a.nrows())
+            .flat_map(|i| a.row_cols(i).iter().zip(a.row_vals(i)).map(move |(&j, v)| (i, j, v.to_bits())))
+            .collect()
+    };
+    let mut table: Vec<(String, Triplets)> =
+        operands().into_iter().map(|(name, t)| (name.to_string(), t)).collect();
+    table.push(("non-finite values".into(), nonfinite().0));
+    table.push(("13 identical rows".into(), identical_rows(13, &[0, 2, 3, 9], 11)));
+    table.push(("fem 3d dof 4, shuffled".into(), gen::shuffle_points(&gen::fem_grid_3d(3, 3, 2, 4), 4, 5)));
+
+    for (name, t) in &table {
+        let a = Csr::from_triplets(t);
+        let m = InodeMatrix::of(&a);
+        let want = entries(&a);
+        assert_eq!((m.nrows(), m.ncols(), m.nnz()), (a.nrows(), a.ncols(), a.nnz()), "{name}: shape");
+
+        let flat: Vec<_> = m.enum_flat().map(|(i, j, v)| (i, j, v.to_bits())).collect();
+        assert_eq!(flat, want, "{name}: flat view");
+
+        let mut nested = Vec::new();
+        for cur in m.enum_outer() {
+            assert_eq!(m.search_outer(cur.index).map(|c| (c.a, c.b)), Some((cur.a, cur.b)), "{name}");
+            nested.extend(m.enum_inner(&cur).map(|(j, v)| (cur.index, j, v.to_bits())));
+        }
+        assert_eq!(nested, want, "{name}: outer then inner");
+
+        for i in 0..a.nrows() {
+            for j in 0..a.ncols() {
+                let stored = want.iter().find(|e| (e.0, e.1) == (i, j)).map(|e| e.2);
+                assert_eq!(m.search_pair(i, j).map(f64::to_bits), stored, "{name}: ({i}, {j})");
+            }
+        }
+        assert_eq!(entries(&Csr::from_triplets(&m.to_triplets())), want, "{name}: to_triplets");
+        let via: Vec<_> = InodeMatrix::from_triplets(t).enum_flat().map(|(i, j, v)| (i, j, v.to_bits())).collect();
+        assert_eq!(via, want, "{name}: from_triplets");
     }
 }
 

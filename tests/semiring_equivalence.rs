@@ -119,13 +119,13 @@ fn ref_spmv_jdiag(a: &JDiag, x: &[f64], y: &mut [f64]) {
 fn ref_spmv_inode(a: &InodeMatrix, x: &[f64], y: &mut [f64]) {
     let mut gx: Vec<f64> = Vec::new();
     for g in a.inodes() {
-        let w = g.cols.len();
         gx.clear();
         gx.extend(g.cols.iter().map(|&c| x[c]));
         for r in 0..g.rows {
-            let row = &g.vals[r * w..(r + 1) * w];
+            // Row r's values sit at r, r + h, r + 2h, … of the block.
+            let row = g.vals.iter().skip(r).step_by(g.rows);
             let mut acc = 0.0;
-            for (a_rv, &xv) in row.iter().zip(&gx) {
+            for (a_rv, &xv) in row.zip(&gx) {
                 acc += a_rv * xv;
             }
             y[g.first_row + r] += acc;
