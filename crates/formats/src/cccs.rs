@@ -173,7 +173,7 @@ impl Validate for Cccs {
             d.extend(check_sorted_strict(
                 "rowind",
                 &self.rowind[self.colp[q]..self.colp[q + 1]],
-                &format!("stored column {q}"),
+                format_args!("stored column {q}"),
             ));
         }
         if !d.is_empty() {

@@ -173,7 +173,7 @@ impl Validate for Ccs {
             d.extend(check_sorted_strict(
                 "rowind",
                 &self.rowind[self.colp[j]..self.colp[j + 1]],
-                &format!("column {j}"),
+                format_args!("column {j}"),
             ));
         }
         if !d.is_empty() {

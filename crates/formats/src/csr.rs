@@ -367,7 +367,7 @@ impl Validate for Csr {
             d.extend(check_sorted_strict(
                 "colind",
                 &self.colind[self.rowptr[r]..self.rowptr[r + 1]],
-                &format!("row {r}"),
+                format_args!("row {r}"),
             ));
         }
         if !d.is_empty() {

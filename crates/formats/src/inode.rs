@@ -290,7 +290,7 @@ impl Validate for InodeMatrix {
                 ));
             }
             let list = &self.cols[self.col_start[g]..self.col_start[g + 1]];
-            d.extend(check_sorted_strict("cols", list, &format!("i-node {g}")));
+            d.extend(check_sorted_strict("cols", list, format_args!("i-node {g}")));
         }
         d.extend(check_bounds("cols", &self.cols, self.ncols));
         if !d.is_empty() {

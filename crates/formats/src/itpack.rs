@@ -235,7 +235,7 @@ impl Validate for Itpack {
         for r in 0..self.nrows {
             row.clear();
             row.extend((0..self.rowlen[r]).map(|k| self.colind[k * self.nrows + r]));
-            d.extend(check_sorted_strict("colind", &row, &format!("row {r}")));
+            d.extend(check_sorted_strict("colind", &row, format_args!("row {r}")));
         }
         let true_nnz: usize = self.rowlen.iter().sum();
         if self.nnz != true_nnz {

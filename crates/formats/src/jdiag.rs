@@ -240,7 +240,7 @@ impl Validate for JDiag {
         for p in 0..stored_rows {
             row.clear();
             row.extend((0..self.stored_row_len(p)).map(|dd| self.colind[self.jd_ptr[dd] + p]));
-            d.extend(check_sorted_strict("colind", &row, &format!("stored row {p}")));
+            d.extend(check_sorted_strict("colind", &row, format_args!("stored row {p}")));
         }
         if !d.is_empty() {
             return d;

@@ -5,8 +5,16 @@
 //! explicit-zero dropping and sorting happen, so that each format's
 //! constructor can assume clean, sorted input and round-trips between
 //! formats are exact.
-
-use std::collections::BTreeMap;
+//!
+//! Canonical assembly is a counting sort, O(nnz + n) for `n` rows (or
+//! columns, for the column-major form) plus a stable sort of each row's
+//! own entries, which is linear on the rows assemblers emit in order.
+//! The entries are counted per row, scattered stably into one output
+//! buffer of exact size through one cursor per row, sorted within each
+//! row by column, and compacted in place. The sum-order contract: the
+//! entries at one `(row, col)` are summed in insertion order starting
+//! from `+0.0` (so a lone `-0.0` reads `+0.0` and NaN payloads travel
+//! as `0.0 + v` carries them), and a sum `== 0.0` is dropped.
 
 /// A matrix under assembly: a list of `(row, col, value)` entries.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -81,23 +89,61 @@ impl Triplets {
     /// Sort row-major, sum duplicates, drop entries that are exactly
     /// zero after summing. Idempotent.
     pub fn canonicalize(&self) -> Triplets {
-        let mut map: BTreeMap<(usize, usize), f64> = BTreeMap::new();
-        for &(r, c, v) in &self.entries {
-            *map.entry((r, c)).or_insert(0.0) += v;
-        }
-        let entries: Vec<(usize, usize, f64)> = map
-            .into_iter()
-            .filter(|&(_, v)| v != 0.0)
-            .map(|((r, c), v)| (r, c, v))
-            .collect();
+        let entries = self.assemble(false);
         Triplets { nrows: self.nrows, ncols: self.ncols, entries }
     }
 
-    /// Canonical entries sorted column-major (for CCS/CCCS assembly).
+    /// Canonical entries sorted column-major (for CCS/CCCS assembly):
+    /// the same counting sort keyed by column, so the sums are
+    /// [`Triplets::canonicalize`]'s and the order is theirs sorted by
+    /// `(col, row)`.
     pub fn canonical_col_major(&self) -> Vec<(usize, usize, f64)> {
-        let mut e = self.canonicalize().entries;
-        e.sort_by_key(|&(r, c, _)| (c, r));
-        e
+        self.assemble(true)
+    }
+
+    /// The canonical entries grouped by row (by column when
+    /// `col_major`), each group ascending in the other index: counted,
+    /// scattered stably through one cursor per group, sorted stably
+    /// within each group so duplicates keep insertion order, then
+    /// summed and compacted in place.
+    fn assemble(&self, col_major: bool) -> Vec<(usize, usize, f64)> {
+        let split = |&(r, c, _): &(usize, usize, f64)| if col_major { (c, r) } else { (r, c) };
+        let groups = if col_major { self.ncols } else { self.nrows };
+        // `end[g]` starts as group `g`'s first slot and is its cursor,
+        // so after the scatter it is the group's end.
+        let mut end = vec![0usize; groups + 1];
+        for e in &self.entries {
+            end[split(e).0 + 1] += 1;
+        }
+        for g in 0..groups {
+            end[g + 1] += end[g];
+        }
+        let mut out = vec![(0, 0, 0.0); self.entries.len()];
+        for &e in &self.entries {
+            let slot = &mut end[split(&e).0];
+            out[*slot] = e;
+            *slot += 1;
+        }
+        let mut lo = 0;
+        for &hi in &end[..groups] {
+            out[lo..hi].sort_by_key(|e| split(e).1);
+            lo = hi;
+        }
+        let (mut kept, mut k) = (0, 0);
+        while k < out.len() {
+            let (r, c, _) = out[k];
+            let mut sum = 0.0;
+            while k < out.len() && (out[k].0, out[k].1) == (r, c) {
+                sum += out[k].2;
+                k += 1;
+            }
+            if sum != 0.0 {
+                out[kept] = (r, c, sum);
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
+        out
     }
 
     /// Dense matvec reference used throughout the test suites:
@@ -258,6 +304,83 @@ mod tests {
         let d = t.diagonal();
         assert_eq!(d.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), vec![0, 0]);
         assert_eq!(d, canonical_diagonal(&t));
+    }
+
+    /// The assembly `canonicalize` ran as before it became a counting
+    /// sort: a `BTreeMap` keyed `(row, col)`, each key's sum started at
+    /// `+0.0`, zero sums dropped. The oracle the counting sort is held
+    /// to bit for bit.
+    fn btree_canonical(t: &Triplets) -> Vec<(usize, usize, f64)> {
+        let mut map = std::collections::BTreeMap::new();
+        for &(r, c, v) in t.entries() {
+            *map.entry((r, c)).or_insert(0.0) += v;
+        }
+        map.into_iter().filter(|&(_, v)| v != 0.0).map(|((r, c), v)| (r, c, v)).collect()
+    }
+
+    fn bits(e: &[(usize, usize, f64)]) -> Vec<(usize, usize, u64)> {
+        e.iter().map(|&(r, c, v)| (r, c, v.to_bits())).collect()
+    }
+
+    /// Duplicates, exact cancellation, both zeros, NaNs with distinct
+    /// payloads and both infinities (whose sum is a NaN).
+    const AWKWARD: [f64; 12] = [
+        1.5,
+        -1.5,
+        0.0,
+        -0.0,
+        f64::NAN,
+        0.1,
+        0.2,
+        -0.30000000000000004,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::from_bits(0x7ff8_0000_0000_beef),
+        f64::from_bits(0xfff0_0000_0000_0001),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+        /// The counting sort is the `BTreeMap` assembly bit for bit, in
+        /// both orders, and a second pass is the identity — on
+        /// rectangular and 0-row shapes, empty rows, and input that is
+        /// already canonical.
+        #[test]
+        fn counting_sort_is_bitwise_the_btree_assembly(
+            nrows in 0usize..7,
+            ncols in 0usize..7,
+            picks in proptest::collection::vec((0usize..7, 0usize..7, 0usize..12), 0..60),
+        ) {
+            let mut t = Triplets::new(nrows, ncols);
+            for (r, c, v) in picks {
+                if r < nrows && c < ncols {
+                    t.push(r, c, AWKWARD[v]);
+                }
+            }
+            let oracle = btree_canonical(&t);
+            let c = t.canonicalize();
+            proptest::prop_assert_eq!(bits(c.entries()), bits(&oracle));
+            proptest::prop_assert_eq!(bits(c.canonicalize().entries()), bits(c.entries()));
+            proptest::prop_assert_eq!(bits(&btree_canonical(&c)), bits(c.entries()));
+            let mut by_col = oracle;
+            by_col.sort_by_key(|&(r, c, _)| (c, r));
+            proptest::prop_assert_eq!(bits(&t.canonical_col_major()), bits(&by_col));
+        }
+    }
+
+    #[test]
+    fn duplicates_sum_in_insertion_order() {
+        // (1e16 + 1) + 1 loses both ones; 1 + 1 + 1e16 keeps them.
+        let t = Triplets::from_entries(2, 2, &[(1, 0, 1e16), (0, 1, 1.0), (1, 0, 1.0), (1, 0, 1.0)]);
+        let u = Triplets::from_entries(2, 2, &[(1, 0, 1.0), (1, 0, 1.0), (1, 0, 1e16)]);
+        assert_eq!(t.canonicalize().entries(), &[(0, 1, 1.0), (1, 0, 1e16)]);
+        assert_eq!(u.canonicalize().entries(), &[(1, 0, 1e16 + 2.0)]);
+        assert_eq!(bits(t.canonicalize().entries()), bits(&btree_canonical(&t)));
+        assert_eq!(bits(u.canonicalize().entries()), bits(&btree_canonical(&u)));
+        // A lone -0.0 is dropped; a NaN payload survives `0.0 + v`.
+        let nan = f64::from_bits(0x7ff8_0000_0000_0042);
+        let z = Triplets::from_entries(1, 3, &[(0, 0, -0.0), (0, 2, nan)]);
+        assert_eq!(bits(z.canonicalize().entries()), bits(&[(0, 2, 0.0 + nan)]));
     }
 
     #[test]

@@ -25,6 +25,17 @@
 //! in exact arithmetic for symmetric `A` (CG's own contract), and it
 //! tracks `r` in the original space, so the stopping test and
 //! `residual_history` read ‖r‖₂ exactly as the general form's do.
+//!
+//! Neither form allocates its vectors per solve. Each takes them from
+//! its thread's spares (a solver-private pool holding at most one
+//! form's worth, larger orders displacing smaller) and gives them back
+//! when it drops, so a repeat solve on a thread — [`cg`]'s caller, or
+//! a persistent SPMD rank in [`cg_parallel`] — allocates nothing of
+//! the operand's order; only `residual_history` grows. A fresh vector
+//! per solve would make solve time depend on where the allocator put
+//! it: pages it had just mapped fault in on first touch, warm ones do
+//! not. `r` starts as a copy of `b` and every other vector at `+0.0`,
+//! so a solve's bits never depend on what its spares last held.
 
 use crate::precond::Preconditioner;
 use crate::symgs::SymGs;
@@ -33,6 +44,7 @@ use bernoulli::{ExecCtx, Operator, RelError, RelResult};
 use bernoulli_formats::kernels::SplitStep;
 use bernoulli_obs::events::SolverTrace;
 use bernoulli_spmd::machine::Ctx;
+use std::cell::RefCell;
 use std::convert::Infallible;
 
 /// Solver configuration.
@@ -170,6 +182,40 @@ trait Space {
     fn xpby(&self, x: &[f64], beta: f64, y: &mut [f64]);
 }
 
+/// The most vectors a form holds (`Split`'s six).
+const SPARES: usize = 6;
+
+thread_local! {
+    /// This thread's spare solver vectors, largest capacity first.
+    static SPARE: RefCell<Vec<Vec<f64>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// `K` vectors of `b`'s order from this thread's spares (allocating
+/// only what they lack): the first a copy of `b`, the rest `+0.0`.
+fn take<const K: usize>(b: &[f64]) -> [Vec<f64>; K] {
+    SPARE.with_borrow_mut(|spare| {
+        std::array::from_fn(|k| {
+            let mut v = spare.pop().unwrap_or_default();
+            v.clear();
+            match k {
+                0 => v.extend_from_slice(b),
+                _ => v.resize(b.len(), 0.0),
+            }
+            v
+        })
+    })
+}
+
+/// Return a form's vectors to this thread's spares, which keep the
+/// [`SPARES`] largest.
+fn give_back(vecs: impl IntoIterator<Item = Vec<f64>>) {
+    SPARE.with_borrow_mut(|spare| {
+        spare.extend(vecs);
+        spare.sort_by_key(|v| std::cmp::Reverse(v.capacity()));
+        spare.truncate(SPARES);
+    })
+}
+
 /// `r = b − A·x` from the product `ax`.
 fn residual(r: &mut [f64], b: &[f64], ax: &[f64]) {
     for ((r, &b), &ax) in r.iter_mut().zip(b).zip(ax) {
@@ -191,8 +237,14 @@ struct General<'p, S, P> {
 impl<'p, S: Space, P: Preconditioner> General<'p, S, P> {
     /// `r = b`, the rest zero.
     fn new(space: S, pre: &'p P, b: &[f64]) -> Self {
-        let zero = || vec![0.0; b.len()];
-        General { space, pre, r: b.to_vec(), z: zero(), p: zero(), ap: zero() }
+        let [r, z, p, ap] = take(b);
+        General { space, pre, r, z, p, ap }
+    }
+}
+
+impl<S, P> Drop for General<'_, S, P> {
+    fn drop(&mut self) {
+        give_back([&mut self.r, &mut self.z, &mut self.p, &mut self.ap].map(std::mem::take));
     }
 }
 
@@ -317,8 +369,14 @@ impl<'a> Split<'a> {
     /// `r = b`, the rest zero: the first head, with `β = 0`, makes
     /// `p̂ = P·r̂`.
     fn new(shared: Shared<'a>, pre: &'a SymGs, b: &[f64]) -> Split<'a> {
-        let zero = || vec![0.0; b.len()];
-        Split { shared, pre, r: b.to_vec(), rhat: zero(), p: zero(), t: zero(), u: zero(), w: zero(), beta: 0.0 }
+        let [r, rhat, p, t, u, w] = take(b);
+        Split { shared, pre, r, rhat, p, t, u, w, beta: 0.0 }
+    }
+}
+
+impl Drop for Split<'_> {
+    fn drop(&mut self) {
+        give_back([&mut self.r, &mut self.rhat, &mut self.p, &mut self.t, &mut self.u, &mut self.w].map(std::mem::take));
     }
 }
 
