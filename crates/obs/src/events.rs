@@ -152,32 +152,6 @@ pub struct TrafficEvent {
     pub per_rank: Vec<TrafficSample>,
 }
 
-/// One calibration measurement: a candidate plan/tier micro-benchmarked
-/// on the actual operand, recorded *next to* the static cost model's
-/// estimate so the model can be audited (and overridden per structure)
-/// against ground truth. Produced by `bernoulli-tune`'s calibration
-/// mode.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CalibrationEvent {
-    /// The operation being calibrated (`spmv`, `sptrsv`, `symgs`).
-    pub op: String,
-    /// The structure key the measurement is bound to (hex digest).
-    pub structure: String,
-    /// The candidate being timed (e.g. `fast`, `reference`,
-    /// `interpreted`).
-    pub candidate: String,
-    /// The static cost model's estimate for this candidate (scalar ops
-    /// under the counter model — the quantity calibration audits).
-    pub est_cost: f64,
-    /// Measured wall time per repetition, nanoseconds (minimum over
-    /// `reps` to suppress scheduling noise).
-    pub measured_ns: u64,
-    /// How many timed repetitions the measurement aggregates.
-    pub reps: u64,
-    /// Whether this candidate won and was recorded in the plan cache.
-    pub chosen: bool,
-}
-
 /// A solver run's convergence trace.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SolverTrace {

@@ -33,8 +33,7 @@ pub mod json;
 pub mod report;
 
 use events::{
-    CalibrationEvent, KernelCounters, KernelStat, PlanEvent, SolverTrace, SpanStat, StrategyEvent,
-    TrafficEvent,
+    KernelCounters, KernelStat, PlanEvent, SolverTrace, SpanStat, StrategyEvent, TrafficEvent,
 };
 use report::Report;
 use std::collections::BTreeMap;
@@ -69,7 +68,6 @@ struct Sink {
     kernels: BTreeMap<String, KernelStat>,
     traffic: Vec<TrafficEvent>,
     solvers: Vec<SolverTrace>,
-    calibrations: Vec<CalibrationEvent>,
 }
 
 /// The observability handle. Clone freely; clones share the sink.
@@ -204,17 +202,6 @@ impl Obs {
         self.with_sink(|s| s.solvers.push(ev));
     }
 
-    /// Record one calibration measurement (estimate + on-operand
-    /// timing for a candidate plan/tier).
-    #[inline]
-    pub fn calibration(&self, ev: impl FnOnce() -> CalibrationEvent) {
-        if self.inner.is_none() {
-            return;
-        }
-        let ev = ev();
-        self.with_sink(|s| s.calibrations.push(ev));
-    }
-
     /// Snapshot everything recorded so far into a [`Report`].
     /// Returns the empty (but schema-valid) report on a disabled handle.
     pub fn report(&self) -> Report {
@@ -227,7 +214,6 @@ impl Obs {
             r.kernels = s.kernels.clone();
             r.traffic = s.traffic.clone();
             r.solvers = s.solvers.clone();
-            r.calibrations = s.calibrations.clone();
         });
         r
     }
@@ -277,7 +263,6 @@ mod tests {
         obs.solver(|| panic!("solver closure evaluated on a disabled handle"));
         obs.strategy(|| panic!("strategy closure evaluated on a disabled handle"));
         obs.traffic(|| panic!("traffic closure evaluated on a disabled handle"));
-        obs.calibration(|| panic!("calibration closure evaluated on a disabled handle"));
     }
 
     #[test]

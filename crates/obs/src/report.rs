@@ -5,8 +5,9 @@
 //! `scripts/ci.sh` (the consumer) and the golden test in
 //! `tests/observability.rs` that pins the key set — making the
 //! performance trajectory diffable across PRs. Bump
-//! [`SCHEMA`] whenever a key is renamed or retyped; purely additive
-//! keys keep the identifier (consumers ignore what they don't know).
+//! [`SCHEMA`] whenever a key is renamed, retyped or removed; purely
+//! additive keys keep the identifier (consumers ignore what they don't
+//! know).
 //!
 //! Since the semiring generalization, `strategies[*].algebra` and
 //! `kernels[*].algebra` record which algebra the decision/kernel ran
@@ -16,14 +17,13 @@
 //! (`"spmv_csr.min_plus"`).
 
 use crate::events::{
-    CalibrationEvent, KernelStat, PlanEvent, SolverTrace, SpanStat, StrategyEvent, TrafficEvent,
-    TrafficSample,
+    KernelStat, PlanEvent, SolverTrace, SpanStat, StrategyEvent, TrafficEvent, TrafficSample,
 };
 use crate::json::{array, Obj};
 use std::collections::BTreeMap;
 
 /// The schema identifier embedded in every report.
-pub const SCHEMA: &str = "bernoulli.profile/v1";
+pub const SCHEMA: &str = "bernoulli.profile/v2";
 
 /// Snapshot of everything an [`crate::Obs`] handle recorded.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -35,7 +35,6 @@ pub struct Report {
     pub kernels: BTreeMap<String, KernelStat>,
     pub traffic: Vec<TrafficEvent>,
     pub solvers: Vec<SolverTrace>,
-    pub calibrations: Vec<CalibrationEvent>,
 }
 
 fn traffic_sample_json(s: &TrafficSample) -> String {
@@ -131,17 +130,6 @@ impl Report {
                 .raw("residuals", array(s.residuals.iter().map(|r| crate::json::number(*r))))
                 .finish()
         }));
-        let calibrations = array(self.calibrations.iter().map(|c| {
-            Obj::new()
-                .str("op", &c.op)
-                .str("structure", &c.structure)
-                .str("candidate", &c.candidate)
-                .f64("est_cost", c.est_cost)
-                .u64("measured_ns", c.measured_ns)
-                .u64("reps", c.reps)
-                .bool("chosen", c.chosen)
-                .finish()
-        }));
         Obj::new()
             .str("schema", SCHEMA)
             .raw("counters", counters)
@@ -151,7 +139,6 @@ impl Report {
             .raw("kernels", kernels)
             .raw("traffic", traffic)
             .raw("solvers", solvers)
-            .raw("calibrations", calibrations)
             .finish()
     }
 
@@ -206,27 +193,15 @@ impl Report {
                 return Err(format!("solver {}: non-finite residual", s.solver));
             }
         }
-        for c in &self.calibrations {
-            if !c.est_cost.is_finite() {
-                return Err(format!("calibration {}/{}: non-finite estimate", c.op, c.candidate));
-            }
-            if c.reps == 0 {
-                return Err(format!("calibration {}/{}: zero repetitions", c.op, c.candidate));
-            }
-            if c.candidate.is_empty() || c.structure.is_empty() {
-                return Err(format!("calibration {}: empty candidate or structure key", c.op));
-            }
-        }
         Ok(())
     }
 
     /// Coverage validation for the profile driver / CI gate: the report
     /// must carry at least one event of every telemetry stream the
     /// schema defines (plan provenance, strategy decisions, kernel
-    /// counters, SPMD traffic, solver traces, calibration measurements,
-    /// spans). A stream going silent is schema drift as far as
-    /// downstream diffing is concerned, so `examples/profile.rs` fails
-    /// on it.
+    /// counters, SPMD traffic, solver traces, spans). A stream going
+    /// silent is schema drift as far as downstream diffing is
+    /// concerned, so `examples/profile.rs` fails on it.
     pub fn validate_complete(&self) -> Result<(), String> {
         self.validate()?;
         let missing: Vec<&str> = [
@@ -235,7 +210,6 @@ impl Report {
             ("kernels", self.kernels.is_empty()),
             ("traffic", self.traffic.is_empty()),
             ("solvers", self.solvers.is_empty()),
-            ("calibrations", self.calibrations.is_empty()),
             ("spans", self.spans.is_empty()),
         ]
         .iter()
@@ -301,15 +275,6 @@ mod tests {
             final_residual: 1e-12,
             residuals: vec![1.0, 0.1, 1e-12],
         });
-        obs.calibration(|| CalibrationEvent {
-            op: "spmv".into(),
-            structure: "a1b2c3d4e5f60718".into(),
-            candidate: "fast".into(),
-            est_cost: 200.0,
-            measured_ns: 1_500,
-            reps: 32,
-            chosen: true,
-        });
         obs.report()
     }
 
@@ -321,7 +286,7 @@ mod tests {
         assert_eq!(j1, j2);
         for key in
             ["\"schema\"", "\"counters\"", "\"spans\"", "\"plans\"", "\"strategies\"",
-             "\"kernels\"", "\"traffic\"", "\"solvers\"", "\"calibrations\"", "\"per_rank\"",
+             "\"kernels\"", "\"traffic\"", "\"solvers\"", "\"per_rank\"",
              "\"total\""]
         {
             assert!(j1.contains(key), "missing {key} in {j1}");
@@ -422,21 +387,5 @@ mod tests {
             mean_level_width: f64::NAN, // non-finite width statistic
         });
         assert!(r.validate().is_err());
-
-        for (est, reps, cand) in
-            [(f64::INFINITY, 8, "fast"), (1.0, 0, "fast"), (1.0, 8, "")]
-        {
-            let mut r = Report::empty();
-            r.calibrations.push(CalibrationEvent {
-                op: "spmv".into(),
-                structure: "a1b2c3d4e5f60718".into(),
-                candidate: cand.into(),
-                est_cost: est,
-                measured_ns: 100,
-                reps,
-                chosen: false,
-            });
-            assert!(r.validate().is_err(), "est={est} reps={reps} cand={cand:?}");
-        }
     }
 }

@@ -158,8 +158,8 @@ impl Planner {
         }
 
         // Surface non-finite cost-model discards through provenance:
-        // downstream calibration audits the cost model against measured
-        // time, so the candidate set it sees must not shrink silently.
+        // the candidate set EXPLAIN and the plan events report must not
+        // shrink silently.
         if nonfinite > 0 {
             self.obs.counter("planner.nonfinite_cost_discards", nonfinite as u64);
         }
@@ -723,7 +723,7 @@ impl Planner {
     /// cost cannot be ranked) but the discard is *counted* so
     /// [`Planner::plan_all`] can surface it through obs/EXPLAIN
     /// provenance instead of silently shrinking the candidate set
-    /// downstream calibration sees.
+    /// EXPLAIN reports.
     fn price_candidate(
         &self,
         nodes: Vec<PlanNode>,

@@ -36,7 +36,7 @@ use std::fmt::Debug;
 /// (the race checker, codegen, telemetry).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AlgebraProps {
-    /// Stable identifier recorded in telemetry (`bernoulli.profile/v1`
+    /// Stable identifier recorded in telemetry (`bernoulli.profile/v2`
     /// `algebra` fields), e.g. `"f64_plus"` or `"min_plus"`.
     pub name: &'static str,
     /// `⊕` is associative (up to rounding for float instances).

@@ -274,8 +274,9 @@ pub mod prelude {
 }
 
 /// Declare property tests: each `fn name(pat in strategy, ...) { body }`
-/// becomes a `#[test]` that runs `body` over `config.cases` random
-/// inputs.
+/// becomes a fn that runs `body` over `config.cases` random inputs. As
+/// in upstream proptest, the caller writes `#[test]` on each fn; the
+/// macro adds none, so a property is registered exactly once.
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -298,7 +299,6 @@ macro_rules! __proptest_fns {
      fn $name:ident($($pat:pat in $strat:expr),+ $(,)?) $body:block
      $($rest:tt)*) => {
         $(#[$meta])*
-        #[test]
         fn $name() {
             let config: $crate::test_runner::Config = $cfg;
             let mut rng = $crate::test_runner::TestRng::deterministic(
@@ -385,6 +385,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
         /// Ranges respect their bounds.
+        #[test]
         #[allow(clippy::manual_range_contains)]
         fn ranges_in_bounds(n in 3usize..17, v in -5i32..6) {
             prop_assert!(n >= 3 && n < 17);
@@ -393,6 +394,7 @@ mod tests {
 
         /// Vec strategy respects size bounds and flat-map chains see
         /// consistent outer values.
+        #[test]
         fn vec_and_flat_map(xs in (1usize..8).prop_flat_map(|n| {
             crate::collection::vec(0usize..10, n..=n).prop_map(move |v| (n, v))
         })) {
@@ -401,6 +403,7 @@ mod tests {
         }
 
         /// Just yields its value; tuples compose.
+        #[test]
         fn just_and_tuples((a, b) in (Just(41usize), 1usize..2)) {
             prop_assert_eq!(a + b, 42, "a={} b={}", a, b);
         }

@@ -15,12 +15,11 @@
 //! * **SpMV family** (classical, multi-RHS, semiring) — the
 //!   [`OpHints`] a cold compile produced (strategy tier, plan shape,
 //!   fast-tier eligibility, and — in memory only — the validation
-//!   certificate), plus the winning candidate of the last
-//!   [calibration](crate::calibrate) run. A hit hands them back to
-//!   `pipeline::compile`, which skips the planner search and the
-//!   race-gate re-derivation but re-applies the O(1) context gates
-//!   and re-validates (or re-derives) the fast certificate via
-//!   `covers()` against the operand actually handed in.
+//!   certificate). A hit hands them back to `pipeline::compile`,
+//!   which skips the planner search and the race-gate re-derivation
+//!   but re-applies the O(1) context gates and re-validates (or
+//!   re-derives) the fast certificate via `covers()` against the
+//!   operand actually handed in.
 //! * **SpTRSV / SymGS** — the one wavefront level schedule per entry.
 //!   A hit skips the level computation, never the verification: the
 //!   engine re-runs the independent BA4x verifier against this
@@ -61,7 +60,6 @@ use bernoulli_obs::json::{array, Obj};
 use bernoulli_relational::error::RelResult;
 use bernoulli_relational::semiring::{F64Plus, Semiring};
 
-use crate::calibrate::{calibrate_spmv, CalibrationOutcome};
 use crate::jsonio::{parse, Value};
 use crate::key::{structure_key, structure_key_csr, StructureKey};
 
@@ -69,37 +67,24 @@ use crate::key::{structure_key, structure_key_csr, StructureKey};
 /// to the [`StructureKey`] digest layout bumps the version suffix, and
 /// [`PlanCache::load`] treats a file carrying a different identifier as
 /// absent — a bump is a wholesale cache invalidation, never a migration.
-pub const SCHEMA: &str = "bernoulli.plancache/v4";
-
-/// One cached verdict for one `(structure, op)` pair.
-#[derive(Clone, Debug)]
-struct OpRecord {
-    hints: OpHints,
-    /// Winning candidate of the last calibration run against this
-    /// structure (`None` until calibrated). Informational + persisted:
-    /// the override itself is already folded into `hints`.
-    calibrated: Option<String>,
-}
+pub const SCHEMA: &str = "bernoulli.plancache/v5";
 
 #[derive(Debug, Default)]
 struct Inner {
-    ops: HashMap<(StructureKey, OpKind), OpRecord>,
+    /// One cached verdict per `(structure, op)` pair.
+    ops: HashMap<(StructureKey, OpKind), OpHints>,
     hits: u64,
     misses: u64,
 }
 
 impl Inner {
     fn lookup(&mut self, key: (StructureKey, OpKind)) -> Option<OpHints> {
-        let hit = self.ops.get(&key).map(|r| r.hints.clone());
+        let hit = self.ops.get(&key).cloned();
         match hit {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
         hit
-    }
-
-    fn insert(&mut self, key: (StructureKey, OpKind), hints: OpHints) {
-        self.ops.insert(key, OpRecord { hints, calibrated: None });
     }
 }
 
@@ -182,15 +167,15 @@ impl PlanCache {
                 // (a replayed one is already stored); the cold verdict
                 // fields stay.
                 if let Some(cert) = op.fast_cert().filter(|c| h.fast_cert != Some(*c)) {
-                    if let Some(r) = self.lock().ops.get_mut(&key) {
-                        r.hints.fast_cert = Some(cert);
+                    if let Some(stored) = self.lock().ops.get_mut(&key) {
+                        stored.fast_cert = Some(cert);
                     }
                 }
             }
             _ => {
                 let hints = op.hints();
                 if replayable(&hints) {
-                    self.lock().insert(key, hints);
+                    self.lock().ops.insert(key, hints);
                 }
             }
         }
@@ -247,35 +232,6 @@ impl PlanCache {
         self.compile::<F64Plus>(OpSpec::Symgs, Operands::Tri(a), ctx)?.try_into()
     }
 
-    /// Calibrate the SpMV candidates on this operand
-    /// ([`crate::calibrate::calibrate_spmv`]) and fold the winner into
-    /// the cached verdict: subsequent [`spmv_engine`](Self::spmv_engine)
-    /// hits replay the *measured* best tier, not the cost model's
-    /// guess. Every measurement (estimate + on-operand timing) is
-    /// recorded through the context's obs `calibrations` stream.
-    pub fn calibrate_spmv(
-        &self,
-        a: &SparseMatrix,
-        ctx: &ExecCtx,
-        reps: u64,
-    ) -> RelResult<CalibrationOutcome> {
-        let outcome = calibrate_spmv(a, ctx, reps)?;
-        self.lock().ops.insert(
-            (outcome.structure, OpKind::Spmv),
-            OpRecord { hints: outcome.hints.clone(), calibrated: Some(outcome.chosen.clone()) },
-        );
-        Ok(outcome)
-    }
-
-    /// The winning calibration candidate recorded for a structure, if
-    /// it has been calibrated.
-    pub fn calibrated_choice(&self, key: StructureKey) -> Option<String> {
-        self.lock()
-            .ops
-            .get(&(key, OpKind::Spmv))
-            .and_then(|r| r.calibrated.clone())
-    }
-
     /// Hit/miss counters and per-operation entry counts.
     pub fn stats(&self) -> CacheStats {
         let g = self.lock();
@@ -308,24 +264,20 @@ impl PlanCache {
         let g = self.lock();
         let mut ops: Vec<_> = g.ops.iter().collect();
         ops.sort_by_key(|((k, kind), _)| (*k, kind.tag()));
-        let ops = array(ops.into_iter().map(|((k, kind), r)| {
-            let (rows, level_ptr) = match &r.hints.schedule {
+        let ops = array(ops.into_iter().map(|((k, kind), h)| {
+            let (rows, level_ptr) = match &h.schedule {
                 Some(s) => (usize_array(s.rows()), usize_array(s.level_ptr())),
                 None => ("null".to_string(), "null".to_string()),
             };
-            let o = Obj::new()
+            Obj::new()
                 .str("structure", &k.hex())
                 .str("op", &kind.tag())
-                .str("strategy", strategy_str(r.hints.strategy))
-                .str("plan_shape", &r.hints.plan_shape)
-                .bool("fast_eligible", r.hints.fast_eligible);
-            match &r.calibrated {
-                Some(c) => o.str("calibrated", c),
-                None => o.raw("calibrated", "null"),
-            }
-            .raw("rows", &rows)
-            .raw("level_ptr", &level_ptr)
-            .finish()
+                .str("strategy", strategy_str(h.strategy))
+                .str("plan_shape", &h.plan_shape)
+                .bool("fast_eligible", h.fast_eligible)
+                .raw("rows", &rows)
+                .raw("level_ptr", &level_ptr)
+                .finish()
         }));
         Obj::new().str("schema", SCHEMA).raw("ops", ops).finish()
     }
@@ -365,20 +317,10 @@ impl PlanCache {
                 .get("fast_eligible")
                 .and_then(Value::as_bool)
                 .ok_or("ops entry: no fast_eligible")?;
-            let calibrated = e.get("calibrated").and_then(Value::as_str).map(str::to_string);
             let schedule = sched_of(e)?;
             inner.ops.insert(
                 (key, kind),
-                OpRecord {
-                    hints: OpHints {
-                        strategy,
-                        plan_shape,
-                        fast_eligible,
-                        fast_cert: None,
-                        schedule,
-                    },
-                    calibrated,
-                },
+                OpHints { strategy, plan_shape, fast_eligible, fast_cert: None, schedule },
             );
         }
         Ok(PlanCache { inner: Mutex::new(inner) })
@@ -525,7 +467,7 @@ mod tests {
         assert_eq!(warm.tier(), cold.tier());
         // And the refreshed certificate binds b, so a third call still
         // hits, still runs fast, and replays it as stored.
-        let stored = || cache.lock().ops.values().next().unwrap().hints.fast_cert;
+        let stored = || cache.lock().ops.values().next().unwrap().fast_cert;
         assert_ne!(warm.fast_cert(), cold.fast_cert());
         assert_eq!(stored(), warm.fast_cert());
         let again = cache.spmv_engine(&b, &ctx).unwrap();

@@ -12,7 +12,7 @@
 //!
 //! Per-op wall time is recorded through the context's obs under
 //! `dispatch.<op tag>` spans (`dispatch.spmv`, `dispatch.spmv.min_plus`,
-//! `dispatch.sptrsv.lower`, ...), so a `bernoulli.profile/v1` report shows the
+//! `dispatch.sptrsv.lower`, ...), so a `bernoulli.profile/v2` report shows the
 //! request mix and latency next to the `strategies` records the
 //! compiles themselves emit. Warm-cache effectiveness is the cache's
 //! own hit/miss counters, surfaced via [`Dispatcher::stats`].

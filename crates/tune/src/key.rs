@@ -22,13 +22,12 @@ use bernoulli_relational::access::MatrixAccess;
 
 /// A 64-bit structure digest. `Copy`, hashable, order-stable — made
 /// for use as a `HashMap` key and a fixed-width hex token in the
-/// persisted cache and the obs `calibrations` stream.
+/// persisted cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct StructureKey(u64);
 
 impl StructureKey {
-    /// Fixed-width lowercase hex (16 digits) — the on-disk and
-    /// in-report spelling.
+    /// Fixed-width lowercase hex (16 digits) — the on-disk spelling.
     pub fn hex(self) -> String {
         format!("{:016x}", self.0)
     }

@@ -1,14 +1,17 @@
 //! # bernoulli-tune
 //!
-//! Structure-keyed plan/strategy caching with measured calibration —
-//! the amortization layer the paper's premise calls for: analyzing
-//! sparsity structure and choosing data structures and schedules is
-//! the expensive part, so do it **once per structure** and replay it
-//! over the millions of solves a long-lived service performs against
-//! a small population of structures (ROADMAP item 2; SpComp pushes the
-//! same idea to per-structure compilation).
+//! Structure-keyed plan/strategy caching — the amortization layer the
+//! paper's premise calls for: analyzing sparsity structure and choosing
+//! data structures and schedules is the expensive part, so do it
+//! **once per structure** and replay it over the millions of solves a
+//! long-lived service performs against a small population of
+//! structures (ROADMAP item 2; SpComp pushes the same idea to
+//! per-structure compilation).
 //!
-//! Three pieces:
+//! It keys structures and replays gate verdicts; it never times
+//! candidates on an operand. Like the paper's compiler, the tier comes
+//! from the planner's cost model and the soundness gates, and the cache
+//! only remembers that choice. Three pieces:
 //!
 //! * [`key`] — a stable [`StructureKey`]: one FNV-1a digest of what a
 //!   format stores (tag, dimensions, stored positions in its own
@@ -26,30 +29,23 @@
 //!   BA4x verifier before the parallel tier is granted. A cache entry
 //!   can therefore mis-*tier* a confused operand at worst; it can
 //!   never mis-compute. The cache persists to versioned JSON
-//!   (`bernoulli.plancache/v4`); a schema or digest-layout bump
+//!   (`bernoulli.plancache/v5`); a schema or digest-layout bump
 //!   invalidates the file wholesale.
 //! * [`dispatch`] — the [`Dispatcher`] registry: register a matrix
 //!   population once, then push a mixed [`OpSpec`](bernoulli::OpSpec)
 //!   stream through one `submit` front door; every request compiles
 //!   through the shared cache and reports per-op latency through the
 //!   obs `dispatch.<op>` spans.
-//! * [`calibrate`] — measured calibration: micro-benchmark the
-//!   candidate tiers on the actual operand (kease's `kernel_tuner`
-//!   move) and record the static cost-model estimate *next to* the
-//!   measurement through the obs `calibrations` stream, so the model
-//!   is auditable — and overridable — per structure.
 //!
 //! This crate is the workspace's only sanctioned filesystem writer
 //! outside `formats::io` (enforced by `scripts/ci.sh`): everything
 //! else computes; this crate remembers.
 
 pub mod cache;
-pub mod calibrate;
 pub mod dispatch;
 mod jsonio;
 pub mod key;
 
 pub use cache::{CacheStats, PlanCache, SCHEMA};
-pub use calibrate::{calibrate_spmv, CalibrationOutcome, Measurement};
 pub use dispatch::{DispatchStats, Dispatcher, MatrixId};
 pub use key::{structure_key, structure_key_csr, StructureKey};

@@ -15,7 +15,7 @@
 //! triangular solves and SymGS sweeps. Every compile goes through the
 //! shared structure-keyed plan cache; the driver demands a warm-cache
 //! hit rate of at least 90% and bitwise-stable replay across rounds,
-//! and the obs report must validate under `bernoulli.profile/v1` with
+//! and the obs report must validate under `bernoulli.profile/v2` with
 //! per-op `dispatch.<op>` latency spans and live `strategies`
 //! provenance. Exits nonzero on any failed expectation; `scripts/ci.sh`
 //! runs this as the dispatch smoke gate.

@@ -1,26 +1,24 @@
-//! The plan-cache driver: cold plan + calibrate + persist, then reload
-//! and replay warm — the SpComp "compile once per structure" loop as a
-//! runnable demo and CI gate.
+//! The plan-cache driver: cold plan + persist, then reload and replay
+//! warm — the SpComp "compile once per structure" loop as a runnable
+//! demo and CI gate.
 //!
 //! ```text
 //! cargo run --release --example plancache [CACHE.json [PROFILE.json]]
 //! ```
 //!
 //! Phase 1 (cold) compiles SpMV/SpTRSV/SymGS engines against fresh
-//! structures, calibrates the SpMV candidates on the live operand, and
-//! saves the cache. Phase 2 simulates a process restart: it reloads
-//! the cache from disk, regenerates the same matrices, and demands
-//! that every compile is a warm hit replaying the persisted verdicts.
-//! The obs report must validate under `bernoulli.profile/v1` with a
-//! non-empty `calibrations` stream in which every record carries both
-//! the cost-model estimate and the on-operand measurement. Exits
-//! nonzero on any failed expectation; `scripts/ci.sh` runs this as the
-//! calibration smoke gate.
+//! structures and saves the cache. Phase 2 simulates a process
+//! restart: it reloads the cache from disk, regenerates the same
+//! matrices, and demands that every compile is a warm hit replaying
+//! the persisted verdicts, that every warm engine computes what the
+//! uncached reference computes, and that the obs report validates
+//! under `bernoulli.profile/v2`. Exits nonzero on any failed
+//! expectation; `scripts/ci.sh` runs this as the plan-cache smoke gate.
 
 use bernoulli_formats::{gen, Csr, ExecCtx, FormatKind, SparseMatrix, Triplets};
 use bernoulli_obs::Obs;
 use bernoulli_tune::{structure_key, PlanCache, SCHEMA};
-use bernoulli::TriangularOp;
+use bernoulli::{SptrsvEngine, SymGsEngine, TriangularOp};
 use std::time::Instant;
 
 fn fail(code: i32, msg: &str) -> ! {
@@ -61,8 +59,8 @@ fn main() {
     let spmv_t = gen::grid2d_9pt(30, 30);
     let tri_t = gen::grid3d_7pt(8, 8, 8);
 
-    // ---- Phase 1: cold. Full planner search, wavefront analysis,
-    // calibration — then persist the verdicts.
+    // ---- Phase 1: cold. Full planner search and wavefront analysis,
+    // then persist the verdicts.
     let cache = PlanCache::new();
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &spmv_t);
     let l = lower_triangle(&tri_t);
@@ -79,28 +77,14 @@ fn main() {
     cache
         .symgs_engine(&sym, &par)
         .unwrap_or_else(|e| fail(2, &format!("cold symgs compile failed: {e}")));
-    let outcome = cache
-        .calibrate_spmv(&a, &serial, 5)
-        .unwrap_or_else(|e| fail(2, &format!("calibration failed: {e}")));
     let cold_ns = t0.elapsed().as_nanos();
 
     println!(
-        "cold: spmv tier={} strategy={:?}; calibration on {} chose {:?}",
+        "cold: spmv tier={} strategy={:?} on {}",
         cold_spmv.tier(),
         cold_spmv.strategy(),
-        outcome.structure,
-        outcome.chosen,
+        structure_key(&a),
     );
-    for m in &outcome.measurements {
-        println!(
-            "  candidate {:<12} est_cost={:<10.1} measured_ns={:<9} reps={}{}",
-            m.candidate,
-            m.est_cost,
-            m.measured_ns,
-            m.reps,
-            if m.candidate == outcome.chosen { "  <- chosen" } else { "" },
-        );
-    }
 
     if let Err(e) = cache.save(&cache_path) {
         fail(3, &format!("cannot write {cache_path}: {e}"));
@@ -141,12 +125,11 @@ fn main() {
             ),
         );
     }
-    if reloaded.calibrated_choice(outcome.structure).as_deref() != Some(outcome.chosen.as_str()) {
-        fail(4, "calibrated winner did not survive persistence");
-    }
 
     // The warm engines actually compute: one application each, checked
-    // against the straight-off-the-triplets reference.
+    // against an uncached reference — the straight-off-the-triplets
+    // matvec for SpMV, a compile that bypasses the cache (bit for bit)
+    // for the two sweeps.
     let n = a2.nrows();
     let x: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
     let mut y = vec![0.0; n];
@@ -158,34 +141,36 @@ fn main() {
     }
     let nt = l2.nrows();
     let b: Vec<f64> = (0..nt).map(|i| ((i * 5 + 2) % 11) as f64 - 5.0).collect();
-    let mut xs = vec![0.0; nt];
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let (mut xs, mut xs_ref) = (vec![0.0; nt], vec![0.0; nt]);
     warm_tri.run(&l2, &b, &mut xs).unwrap_or_else(|e| fail(2, &format!("warm sptrsv run: {e}")));
-    let mut zs = vec![0.0; nt];
+    SptrsvEngine::compile_in(&l2, op, &par)
+        .and_then(|e| e.run(&l2, &b, &mut xs_ref))
+        .unwrap_or_else(|e| fail(2, &format!("uncached sptrsv: {e}")));
+    if bits(&xs) != bits(&xs_ref) {
+        fail(4, "warm sptrsv replay diverged from the uncached solve");
+    }
+    let (mut zs, mut zs_ref) = (vec![0.0; nt], vec![0.0; nt]);
     warm_gs
         .apply_ssor(&sym2, 1.0, &b, &mut zs)
         .unwrap_or_else(|e| fail(2, &format!("warm symgs run: {e}")));
+    SymGsEngine::compile_in(&sym2, &par)
+        .and_then(|e| e.apply_ssor(&sym2, 1.0, &b, &mut zs_ref))
+        .unwrap_or_else(|e| fail(2, &format!("uncached symgs: {e}")));
+    if bits(&zs) != bits(&zs_ref) {
+        fail(4, "warm symgs replay diverged from the uncached sweep");
+    }
 
-    // ---- Report gate: bernoulli.profile/v1 with a live calibrations
-    // stream whose every record carries estimate AND measurement.
+    // ---- Report gate: a valid bernoulli.profile/v2 report carrying the
+    // cold compiles' plan provenance.
     let report = obs.report();
     if let Err(e) = report.validate() {
         fail(2, &format!("report failed validation: {e}"));
     }
-    if report.calibrations.is_empty() {
-        fail(4, "calibrations stream is empty");
-    }
-    for c in &report.calibrations {
-        if !(c.est_cost.is_finite() && c.est_cost > 0.0) || c.measured_ns == 0 || c.reps == 0 {
-            fail(4, &format!("calibration record missing estimate or measurement: {c:?}"));
-        }
-    }
-    if report.calibrations.iter().filter(|c| c.chosen).count() != 1 {
-        fail(4, "exactly one calibration candidate must be chosen");
-    }
     if report.plans.is_empty() || report.strategies.is_empty() {
         fail(4, "cold compiles must leave plan provenance in the report");
     }
-    if structure_key(&a2) != outcome.structure {
+    if structure_key(&a2) != structure_key(&a) {
         fail(4, "regenerated operand keys differently — structure hash instability");
     }
 
@@ -197,9 +182,8 @@ fn main() {
     }
     let _ = std::fs::remove_file(&cache_path);
     eprintln!(
-        "plancache: schema {SCHEMA}; cold plan+calibrate {:.2} ms, warm replay {:.3} ms \
-         ({} entries: {} spmv, {} sptrsv, {} symgs); warm tiers: spmv={} sptrsv={:?} symgs={:?}; \
-         {} calibration records",
+        "plancache: schema {SCHEMA}; cold plan {:.2} ms, warm replay {:.3} ms \
+         ({} entries: {} spmv, {} sptrsv, {} symgs); warm tiers: spmv={} sptrsv={:?} symgs={:?}",
         cold_ns as f64 / 1e6,
         warm_ns as f64 / 1e6,
         stats.entries(),
@@ -209,6 +193,5 @@ fn main() {
         warm_spmv.tier(),
         warm_tri.strategy(),
         warm_gs.strategy(),
-        report.calibrations.len(),
     );
 }

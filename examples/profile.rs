@@ -5,11 +5,11 @@
 //! cargo run --release --example profile [OUT.json]
 //! ```
 //!
-//! Prints the `bernoulli.profile/v1` report to stdout (and to
+//! Prints the `bernoulli.profile/v2` report to stdout (and to
 //! `OUT.json` when given). Exits nonzero if the report fails
-//! structural validation or any of the seven streams — plan
+//! structural validation or any of the six streams — plan
 //! provenance, strategy decisions, kernel counters, SPMD traffic,
-//! solver traces, calibration measurements, spans — came back empty;
+//! solver traces, spans — came back empty;
 //! `scripts/ci.sh` runs this as its schema gate, so a stream going
 //! silent fails CI rather than silently producing undiffable
 //! profiles.
@@ -95,11 +95,6 @@ fn main() {
         (res.iters, res.converged)
     });
 
-    // Calibration measurements: time the SpMV candidate tiers on the
-    // grid operand, recording the cost model's estimate next to each
-    // measurement (the tune crate's calibration mode).
-    bernoulli_tune::calibrate_spmv(&a_csr, &serial_obs, 3).expect("calibration");
-
     let report = obs.report();
     if let Err(e) = report.validate_complete() {
         eprintln!("profile: report failed validation: {e}");
@@ -113,14 +108,13 @@ fn main() {
         }
     }
     eprintln!(
-        "profile: {} plans, {} strategies, {} kernels, {} traffic phases, {} solver traces, \
-         {} calibrations (cg {} iters conv={})",
+        "profile: {} plans, {} strategies, {} kernels, {} traffic phases, {} solver traces \
+         (cg {} iters conv={})",
         report.plans.len(),
         report.strategies.len(),
         report.kernels.len(),
         report.traffic.len(),
         report.solvers.len(),
-        report.calibrations.len(),
         cg_res.iters,
         cg_res.converged,
     );

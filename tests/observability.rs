@@ -11,8 +11,7 @@ use bernoulli::engines::{SpmmEngine, SpmvEngine, SpmvMultiEngine};
 use bernoulli::ExecCtx;
 use bernoulli_formats::{gen, Csr, FormatKind, SparseMatrix, Triplets};
 use bernoulli_obs::events::{
-    CalibrationEvent, KernelCounters, PlanEvent, SolverTrace, StrategyEvent, TrafficEvent,
-    TrafficSample,
+    KernelCounters, PlanEvent, SolverTrace, StrategyEvent, TrafficEvent, TrafficSample,
 };
 use bernoulli_obs::report::{Report, SCHEMA};
 use bernoulli_obs::Obs;
@@ -93,8 +92,7 @@ fn json_schema_golden() {
         Report::empty().to_json(),
         format!(
             "{{\"schema\":\"{SCHEMA}\",\"counters\":{{}},\"spans\":[],\"plans\":[],\
-             \"strategies\":[],\"kernels\":[],\"traffic\":[],\"solvers\":[],\
-             \"calibrations\":[]}}"
+             \"strategies\":[],\"kernels\":[],\"traffic\":[],\"solvers\":[]}}"
         )
     );
 
@@ -146,20 +144,11 @@ fn json_schema_golden() {
         final_residual: 0.25,
         residuals: vec![1.0, 0.5, 0.25],
     });
-    obs.calibration(|| CalibrationEvent {
-        op: "spmv".into(),
-        structure: "00ff00ff00ff00ff".into(),
-        candidate: "fast".into(),
-        est_cost: 640.0,
-        measured_ns: 2048,
-        reps: 16,
-        chosen: true,
-    });
     let report = obs.report();
     report.validate_complete().unwrap();
     assert_eq!(
         report.to_json(),
-        "{\"schema\":\"bernoulli.profile/v1\",\"counters\":{\"engine.compile\":2},\
+        "{\"schema\":\"bernoulli.profile/v2\",\"counters\":{\"engine.compile\":2},\
          \"spans\":[{\"name\":\"solver.cg\",\"calls\":1,\"total_ns\":1500}],\
          \"plans\":[{\"op\":\"Y(i) += (val(A) * val(X))\",\"shape\":\"i:outer(A)>j:inner(A)[X?]\",\
          \"est_cost\":928.0,\"candidates\":11,\
@@ -180,10 +169,7 @@ fn json_schema_golden() {
          \"total\":{\"msgs_sent\":6,\"bytes_sent\":192,\"barriers\":2,\"allreduces\":8,\
          \"alltoalls\":0}}],\
          \"solvers\":[{\"solver\":\"cg\",\"n\":64,\"iters\":2,\"converged\":true,\
-         \"final_residual\":0.25,\"residuals\":[1.0,0.5,0.25]}],\
-         \"calibrations\":[{\"op\":\"spmv\",\"structure\":\"00ff00ff00ff00ff\",\
-         \"candidate\":\"fast\",\"est_cost\":640.0,\"measured_ns\":2048,\"reps\":16,\
-         \"chosen\":true}]}"
+         \"final_residual\":0.25,\"residuals\":[1.0,0.5,0.25]}]}"
     );
 }
 
@@ -270,9 +256,8 @@ fn ctx_path_is_bitwise_identical_to_pre_refactor_goldens() {
 #[test]
 fn one_handle_collects_every_stream() {
     // Compact version of examples/profile.rs: a single shared handle
-    // wired through planner, engines, SPMD machine, solvers and the
-    // tune crate's calibration mode ends up with all seven streams
-    // populated and a valid report.
+    // wired through planner, engines, SPMD machine and solvers ends up
+    // with all six streams populated and a valid report.
     let obs = Obs::enabled();
     let t = gen::grid2d_5pt(10, 10);
     let n = t.nrows();
@@ -299,12 +284,9 @@ fn one_handle_collects_every_stream() {
         ctx.all_reduce_sum(ctx.rank() as f64)
     });
 
-    bernoulli_tune::calibrate_spmv(&a, &ctx, 2).unwrap();
-
     let report = obs.report();
     report.validate_complete().unwrap();
     assert_eq!(report.plans.len(), 3);
-    assert!(!report.calibrations.is_empty());
     assert_eq!(report.strategies.len(), 3);
     assert!(report.kernels.contains_key("spmv_csr"));
     assert_eq!(report.traffic[0].phase, "allreduce");

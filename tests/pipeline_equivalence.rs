@@ -4,7 +4,7 @@
 //!
 //! 1. **Uniform provenance** — all six op specs emit `strategies`
 //!    records with the *identical* field set under
-//!    `bernoulli.profile/v1`; no engine gets a private vocabulary.
+//!    `bernoulli.profile/v2`; no engine gets a private vocabulary.
 //! 2. **Replay parity** — compiling with hints (the plan cache's warm
 //!    path) is bitwise-identical to the cold path for every op, a
 //!    forged schedule is rejected by the independent verifier without
@@ -97,7 +97,7 @@ fn all_six_op_specs_emit_identical_strategy_field_sets() {
 
     // The golden: identical field sets, pinned by name and order.
     let json = report.to_json();
-    assert!(json.starts_with("{\"schema\":\"bernoulli.profile/v1\""));
+    assert!(json.starts_with("{\"schema\":\"bernoulli.profile/v2\""));
     let arr_start = json.find("\"strategies\":[").expect("strategies stream") + 14;
     let arr_end = json[arr_start..].find(']').expect("unterminated stream") + arr_start;
     let records: Vec<&str> = json[arr_start..arr_end]

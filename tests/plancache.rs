@@ -1,8 +1,8 @@
 //! Integration tests for the structure-keyed plan cache
 //! (`bernoulli-tune`): structure-key properties across random matrices
-//! and the Table 1 suite, persistence round-trips, calibration
-//! fold-in, and warm-replay equivalence through a full preconditioned
-//! solve.
+//! and the Table 1 suite, persistence round-trips, schema
+//! invalidation, and warm-replay equivalence through a full
+//! preconditioned solve.
 
 use bernoulli_formats::gen::{table1_suite, Scale};
 use bernoulli_formats::{Csr, ExecCtx, FormatKind, SparseMatrix, Triplets};
@@ -263,57 +263,6 @@ fn same_pattern_preconditioners_through_one_cache_apply_their_own_values() {
 }
 
 #[test]
-fn calibration_fold_in_survives_save_load() {
-    let dir = std::env::temp_dir().join("bernoulli_plancache_cal");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("cache.json");
-
-    let ctx = ExecCtx::serial().fast_kernels(true);
-    let a = SparseMatrix::from_triplets(
-        FormatKind::Csr,
-        &bernoulli_formats::gen::grid2d_5pt(10, 10),
-    );
-    let cache = PlanCache::new();
-    let outcome = cache.calibrate_spmv(&a, &ctx, 3).unwrap();
-    assert_eq!(cache.calibrated_choice(outcome.structure).as_deref(), Some(outcome.chosen.as_str()));
-    // Every measurement carries both columns.
-    for m in &outcome.measurements {
-        assert!(m.est_cost.is_finite() && m.est_cost > 0.0);
-        assert!(m.measured_ns >= 1 && m.reps == 3);
-    }
-    cache.save(&path).unwrap();
-
-    let reloaded = PlanCache::load(&path).unwrap();
-    assert_eq!(
-        reloaded.calibrated_choice(outcome.structure),
-        cache.calibrated_choice(outcome.structure),
-        "the measured winner must survive persistence"
-    );
-    // The reloaded verdict replays the measured winner's tier bitwise:
-    // a warm compile before the save and one after the reload are the
-    // same engine in every observable way. (An uncached `compile_in`
-    // may legitimately pick a different tier than the measured winner —
-    // tiers agree to rounding, not bit for bit — so the comparison is
-    // warm-vs-warm on the same verdict.)
-    let pre_save = cache.spmv_engine(&a, &ctx).unwrap();
-    let warm = reloaded.spmv_engine(&a, &ctx).unwrap();
-    assert_eq!(reloaded.stats().hits, 1);
-    assert_eq!(warm.strategy(), pre_save.strategy());
-    assert_eq!(warm.plan_shape(), pre_save.plan_shape());
-    assert_eq!(warm.tier(), pre_save.tier());
-    let n = a.nrows();
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
-    let (mut y0, mut y1) = (vec![0.0; n], vec![0.0; n]);
-    pre_save.run(&a, &x, &mut y0).unwrap();
-    warm.run(&a, &x, &mut y1).unwrap();
-    assert_eq!(
-        y0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-        y1.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
 fn csr_helper_key_matches_enum_key_on_suite() {
     for s in table1_suite(Scale::Small) {
         let csr = Csr::from_triplets(&s.triplets);
@@ -342,7 +291,7 @@ fn loaded_entry_without_schedules_compiles_cold_instead_of_panicking() {
     let entry = |key: StructureKey, op: &str| {
         format!(
             "{{\"structure\":\"{}\",\"op\":\"{op}\",\"strategy\":\"parallel\",\"plan_shape\":\"\",\
-             \"fast_eligible\":false,\"calibrated\":null,\"rows\":null,\"level_ptr\":null}}",
+             \"fast_eligible\":false,\"rows\":null,\"level_ptr\":null}}",
             key.hex()
         )
     };
@@ -479,47 +428,51 @@ fn lower_of(t: &Triplets) -> Csr {
 }
 
 #[test]
-fn a_v3_cache_file_loads_as_an_empty_cache() {
-    // v3 kept a `[forward, backward]` schedule pair per SymGS entry
-    // (and `[solve]` per SpTRSV one) in a `schedules` array; v4 keeps
-    // one schedule inline. A v3 file is wholesale stale: cold, not an
-    // error, and what compiles next through it compiles cold.
-    assert_eq!(SCHEMA, "bernoulli.plancache/v4");
+fn a_v4_cache_file_loads_as_an_empty_cache() {
+    // v4 carried one more field per entry, between `fast_eligible` and
+    // `rows`: the tier a measured run had picked, or `null`; v5 drops
+    // it. Build what a v4 build writes for an SpMV entry and an armed
+    // SymGS one. The two share a key, so the SpMV entry (one winner
+    // recorded) sorts first. The file is wholesale stale by its tag
+    // alone: cold, not an error, and what compiles next through it
+    // compiles cold.
+    assert_eq!(SCHEMA, "bernoulli.plancache/v5");
     let t = bernoulli_formats::gen::grid2d_5pt(6, 6);
-    let a = Csr::from_triplets(&t);
-    let n = a.nrows();
-    let sched = |rows: Vec<usize>| format!("{{\"nrows\":{n},\"rows\":{rows:?},\"level_ptr\":[0,{n}]}}");
-    let v3 = format!(
-        "{{\"schema\":\"bernoulli.plancache/v3\",\"ops\":[{{\"structure\":\"{}\",\"op\":\"symgs\",\
-         \"strategy\":\"parallel\",\"plan_shape\":\"\",\"fast_eligible\":false,\"calibrated\":null,\
-         \"schedules\":[{},{}]}}]}}",
-        structure_key_csr(&a).hex(),
-        sched((0..n).collect()),
-        sched((0..n).rev().collect()),
-    );
-    assert!(PlanCache::from_json(&v3).unwrap_err().starts_with("schema mismatch"));
+    let (a, full) = (SparseMatrix::from_triplets(FormatKind::Csr, &t), Csr::from_triplets(&t));
+    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    let current = PlanCache::new();
+    current.spmv_engine(&a, &ExecCtx::serial().fast_kernels(true)).unwrap();
+    current.symgs_engine(&full, &ctx).unwrap();
+    let v5 = current.to_json();
+    let parts: Vec<&str> = v5.split(",\"rows\"").collect();
+    assert!(parts.len() == 3 && parts[0].contains("\"op\":\"spmv\""), "{v5}");
+    let field = |v: &str| format!(",\"calibrated\":{v},\"rows\"");
+    let v4 = [parts[0], &field("\"fast\""), parts[1], &field("null"), parts[2]]
+        .concat()
+        .replace(SCHEMA, "bernoulli.plancache/v4");
+    assert!(PlanCache::from_json(&v4.replace("bernoulli.plancache/v4", SCHEMA)).is_ok());
+    assert!(PlanCache::from_json(&v4).unwrap_err().starts_with("schema mismatch"));
 
-    let dir = std::env::temp_dir().join("bernoulli_plancache_v3");
+    let dir = std::env::temp_dir().join("bernoulli_plancache_v4");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("cache.json");
-    std::fs::write(&path, v3).unwrap();
+    std::fs::write(&path, v4).unwrap();
     let cache = PlanCache::load(&path).unwrap();
-    assert!(cache.is_empty());
-    let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
-    let eng = cache.symgs_engine(&a, &ctx).unwrap();
-    assert_eq!((cache.stats().misses, eng.downgrade()), (1, bernoulli::Reason::None));
     let _ = std::fs::remove_dir_all(&dir);
+    assert!(cache.is_empty());
+    let eng = cache.symgs_engine(&full, &ctx).unwrap();
+    assert_eq!((cache.stats().misses, eng.downgrade()), (1, bernoulli::Reason::None));
 }
 
-/// A v4 file may carry entries for op kinds this build does not know —
+/// A v5 file may carry entries for op kinds this build does not know —
 /// a semiring product, an algebra it does not ship, a transposed solve.
 /// It still loads under the same schema: those entries are dropped (the
 /// tags do not parse) and every other entry loads unchanged and hits.
 #[test]
-fn a_v4_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
+fn a_v5_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
     use bernoulli::{OpSpec, Operands, TriangularOp};
     use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus};
-    assert_eq!(SCHEMA, "bernoulli.plancache/v4");
+    assert_eq!(SCHEMA, "bernoulli.plancache/v5");
     let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
     let t = bernoulli_formats::gen::grid3d_7pt(5, 5, 5);
     let (a, full, l) = (SparseMatrix::from_triplets(FormatKind::Csr, &t), Csr::from_triplets(&t), lower_of(&t));
@@ -546,7 +499,7 @@ fn a_v4_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
     let removed = |op: &str, key: StructureKey| {
         format!(
             "{{\"structure\":\"{}\",\"op\":\"{op}\",\"strategy\":\"parallel\",\"plan_shape\":\"\",\
-             \"fast_eligible\":false,\"calibrated\":null,\"rows\":null,\"level_ptr\":null}}",
+             \"fast_eligible\":false,\"rows\":null,\"level_ptr\":null}}",
             key.hex()
         )
     };
@@ -576,7 +529,7 @@ fn a_v4_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
 }
 
 /// A cache file is whatever is on disk when it is read back. Every
-/// byte-level mutant of a saved v4 file loads or is an error — never a
+/// byte-level mutant of a saved v5 file loads or is an error — never a
 /// panic — and whatever schedule a loaded mutant hands the wavefront
 /// compiles, the wave tier arms only on one the verifier accepts for
 /// the operand, and the results stay the uncached engines' bits.
