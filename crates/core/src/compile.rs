@@ -37,21 +37,6 @@ impl Compiler {
         Compiler::default()
     }
 
-    /// Install (or clear) the belt-and-braces plan verifier regardless
-    /// of build profile.
-    pub fn verify_plans(mut self, yes: bool) -> Self {
-        self.planner.verifier =
-            yes.then_some(bernoulli_analysis::plan_verify::verify_plan_hook as _);
-        self
-    }
-
-    /// Insist that plans drive enumeration from a sparsity-predicate
-    /// relation (assertion that generated code is "truly sparse").
-    pub fn require_sparse_driver(mut self, yes: bool) -> Self {
-        self.planner.require_sparse_driver = yes;
-        self
-    }
-
     /// A compiler wired to an execution context: the planner records
     /// plan provenance (shape, estimated cost, candidate count, full
     /// EXPLAIN text) through the context's observability handle. With
@@ -135,8 +120,14 @@ mod tests {
 
     #[test]
     fn explicit_verifier_accepts_every_format_plan() {
-        // verify_plans(true) forces the BA11–BA16 re-check even in
-        // release builds; every format's matvec plan must pass it.
+        // A planner with the verifier installed directly runs the
+        // BA11–BA16 re-check in every build profile; every format's
+        // matvec plan must pass it.
+        let planner = Planner {
+            verifier: Some(bernoulli_analysis::plan_verify::verify_plan_hook),
+            ..Planner::default()
+        };
+        let query = extract_query(&programs::matvec()).unwrap();
         let t = sample();
         for kind in FormatKind::ALL {
             let a = SparseMatrix::from_triplets(kind, &t);
@@ -144,25 +135,8 @@ mod tests {
                 .mat(MAT_A, a.meta())
                 .vec(VEC_X, VecMeta::dense(4))
                 .vec(VEC_Y, VecMeta::dense(4));
-            Compiler::new()
-                .verify_plans(true)
-                .compile(&programs::matvec(), &meta)
-                .unwrap_or_else(|e| panic!("format {kind}: {e}"));
+            planner.plan(&query, &meta).unwrap_or_else(|e| panic!("format {kind}: {e}"));
         }
-    }
-
-    #[test]
-    fn require_sparse_driver_still_compiles_matvec() {
-        let a = SparseMatrix::from_triplets(FormatKind::Csr, &sample());
-        let meta = QueryMeta::new()
-            .mat(MAT_A, a.meta())
-            .vec(VEC_X, VecMeta::dense(4))
-            .vec(VEC_Y, VecMeta::dense(4));
-        let k = Compiler::new()
-            .require_sparse_driver(true)
-            .compile(&programs::matvec(), &meta)
-            .unwrap();
-        assert!(k.shape().contains("A"));
     }
 
     #[test]

@@ -73,21 +73,14 @@ impl<F: OpFamily> TryFrom<CompiledOp> for Engine<F> {
     }
 }
 
-/// Family markers of the four DO-ANY facades.
+/// Family markers of the three DO-ANY facades.
 pub struct SpmvOp;
-pub struct SpmmOp;
 pub struct SpmvMultiOp;
 pub struct SemiringSpmvOp<S>(PhantomData<S>);
 
 impl OpFamily for SpmvOp {
     fn admits(kind: OpKind) -> bool {
         kind == OpKind::Spmv
-    }
-}
-
-impl OpFamily for SpmmOp {
-    fn admits(kind: OpKind) -> bool {
-        kind == OpKind::Spmm
     }
 }
 
@@ -135,29 +128,6 @@ impl SpmvEngine {
     /// underlying paths).
     pub fn run(&self, a: &SparseMatrix, x: &[f64], y: &mut [f64]) -> RelResult<()> {
         self.run_spmv(a, x, y)
-    }
-}
-
-/// A compiled `C += A·B` engine (dense result, row-major buffer).
-pub type SpmmEngine = Engine<SpmmOp>;
-
-impl SpmmEngine {
-    /// Compile with the default [`ExecCtx`] (serial, unchecked,
-    /// uninstrumented).
-    pub fn compile(a: &SparseMatrix, b: &SparseMatrix) -> RelResult<SpmmEngine> {
-        Self::compile_in(a, b, &ExecCtx::default())
-    }
-
-    /// Compile under an execution context (see
-    /// [`SpmvEngine::compile_in`] for the policy the ctx carries).
-    pub fn compile_in(a: &SparseMatrix, b: &SparseMatrix, ctx: &ExecCtx) -> RelResult<SpmmEngine> {
-        pipeline::compile::<F64Plus>(OpSpec::Spmm, Operands::MatPair(a, b), ctx, None)?.try_into()
-    }
-
-    /// `C += A·B` into a dense row-major buffer `c` of shape
-    /// `a.nrows() × b.ncols()`.
-    pub fn run(&self, a: &SparseMatrix, b: &SparseMatrix, c: &mut [f64]) -> RelResult<()> {
-        self.run_spmm(a, b, c)
     }
 }
 
@@ -221,7 +191,7 @@ impl<S: Semiring> SemiringSpmvEngine<S> {
 
     /// `y = y ⊕ (A ⊗ x)` under `S` (accumulating, like
     /// [`SpmvEngine::run`]).
-    pub fn run(&self, a: &SparseMatrix, x: &[S::Elem], y: &mut [S::Elem]) -> RelResult<()> {
+    pub fn run(&self, a: &SparseMatrix, x: &[f64], y: &mut [f64]) -> RelResult<()> {
         self.run_semiring_spmv::<S>(a, x, y)
     }
 }
@@ -284,51 +254,6 @@ mod tests {
             slow.run(&a, &x, &mut y2).unwrap();
             for (a1, a2) in y1.iter().zip(&y2) {
                 assert!((a1 - a2).abs() < 1e-12, "format {kind}");
-            }
-        }
-    }
-
-    #[test]
-    fn spmm_csr_csr_specializes() {
-        let ta = sample(10, 3);
-        let tb = sample(10, 4);
-        let a = SparseMatrix::from_triplets(FormatKind::Csr, &ta);
-        let b = SparseMatrix::from_triplets(FormatKind::Csr, &tb);
-        let eng = SpmmEngine::compile(&a, &b).unwrap();
-        assert_eq!(eng.strategy(), Strategy::Specialized);
-        let mut c1 = vec![0.0; 100];
-        eng.run(&a, &b, &mut c1).unwrap();
-        // Interpreted agrees.
-        let slow =
-            SpmmEngine::compile_in(&a, &b, &ExecCtx::default().specialization(false)).unwrap();
-        let mut c2 = vec![0.0; 100];
-        slow.run(&a, &b, &mut c2).unwrap();
-        for (x1, x2) in c1.iter().zip(&c2) {
-            assert!((x1 - x2).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn spmm_with_coordinate_driver_uses_flat_plan() {
-        // COO has no hierarchy: the planner must open with a flat sweep
-        // of A binding (i, k), then run B's row below it.
-        let ta = sample(10, 31);
-        let tb = sample(10, 32);
-        let a = SparseMatrix::from_triplets(FormatKind::Coordinate, &ta);
-        let b = SparseMatrix::from_triplets(FormatKind::Csr, &tb);
-        let eng = SpmmEngine::compile(&a, &b).unwrap();
-        assert_eq!(eng.strategy(), Strategy::Interpreted);
-        let mut c = vec![0.0; 100];
-        eng.run(&a, &b, &mut c).unwrap();
-        let da = bernoulli_formats::DenseMatrix::from_triplets(&ta);
-        let db = bernoulli_formats::DenseMatrix::from_triplets(&tb);
-        for i in 0..10 {
-            for j in 0..10 {
-                let mut want = 0.0;
-                for k in 0..10 {
-                    want += da[(i, k)] * db[(k, j)];
-                }
-                assert!((c[i * 10 + j] - want).abs() < 1e-10, "({i},{j})");
             }
         }
     }
@@ -441,24 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn spmm_and_multivector_parallel_above_threshold_agree() {
+    fn multivector_parallel_above_threshold_agrees() {
         let ta = sample(40, 13);
-        let tb = sample(40, 14);
         let a = SparseMatrix::from_triplets(FormatKind::Csr, &ta);
-        let b = SparseMatrix::from_triplets(FormatKind::Csr, &tb);
         let hot = ExecCtx::with_threads(4).threshold(1).oversubscribe(true);
-        let par = SpmmEngine::compile_in(&a, &b, &hot).unwrap();
-        assert_eq!(par.strategy(), Strategy::Parallel);
-        let ser = SpmmEngine::compile(&a, &b).unwrap();
-        assert_eq!(ser.strategy(), Strategy::Specialized);
-        let mut c1 = vec![0.0; 1600];
-        let mut c2 = vec![0.0; 1600];
-        par.run(&a, &b, &mut c1).unwrap();
-        ser.run(&a, &b, &mut c2).unwrap();
-        for (x1, x2) in c1.iter().zip(&c2) {
-            assert!((x1 - x2).abs() <= 1e-12 * x2.abs().max(1.0));
-        }
-
         let k = 3;
         let mpar = SpmvMultiEngine::compile_in(&a, k, &hot).unwrap();
         assert_eq!(mpar.strategy(), Strategy::Parallel);
@@ -499,45 +410,11 @@ mod tests {
         let good = SparseMatrix::from_triplets(FormatKind::Csr, &sample(8, 21));
         let eng = SpmvEngine::compile_in(&good, &checked).unwrap();
         assert_eq!(eng.strategy(), Strategy::Specialized);
-        // SpMM checks both operands: B is the corrupt one here.
-        let ga = SparseMatrix::from_triplets(FormatKind::Csr, &sample(2, 22));
-        match SpmmEngine::compile_in(&ga, &bad, &checked) {
-            Err(RelError::Validation(msg)) => assert!(msg.contains("operand B"), "{msg}"),
-            other => panic!("expected Validation for B, got {:?}", other.err()),
-        }
-    }
-
-    #[test]
-    fn spmm_mixed_formats_interpret() {
-        let ta = sample(8, 5);
-        let tb = sample(8, 6);
-        // The paper's 36-versions point: any format pairing compiles.
-        for (ka, kb) in [
-            (FormatKind::Csr, FormatKind::Ccs),
-            (FormatKind::Ccs, FormatKind::Csr),
-            (FormatKind::Itpack, FormatKind::Csr),
-            (FormatKind::Csr, FormatKind::Cccs),
-        ] {
-            let a = SparseMatrix::from_triplets(ka, &ta);
-            let b = SparseMatrix::from_triplets(kb, &tb);
-            let eng = SpmmEngine::compile(&a, &b).unwrap();
-            let mut c = vec![0.0; 64];
-            eng.run(&a, &b, &mut c).unwrap();
-            // Dense reference.
-            let da = bernoulli_formats::DenseMatrix::from_triplets(&ta);
-            let db = bernoulli_formats::DenseMatrix::from_triplets(&tb);
-            for i in 0..8 {
-                for j in 0..8 {
-                    let mut want = 0.0;
-                    for k in 0..8 {
-                        want += da[(i, k)] * db[(k, j)];
-                    }
-                    assert!(
-                        (c[i * 8 + j] - want).abs() < 1e-10,
-                        "({ka:?},{kb:?}) at ({i},{j})"
-                    );
-                }
-            }
+        // The multivector product checks its sparse operand the same
+        // way before it sizes the dense one.
+        match SpmvMultiEngine::compile_in(&bad, 2, &checked) {
+            Err(RelError::Validation(msg)) => assert!(msg.contains("operand A"), "{msg}"),
+            other => panic!("expected Validation for A, got {:?}", other.err()),
         }
     }
 
@@ -686,28 +563,22 @@ mod tests {
     }
 
     #[test]
-    fn spmm_and_multivector_obs_kernel_names_track_strategy() {
+    fn multivector_obs_kernel_names_track_strategy() {
         let ta = sample(40, 44);
-        let tb = sample(40, 45);
         let a = SparseMatrix::from_triplets(FormatKind::Csr, &ta);
-        let b = SparseMatrix::from_triplets(FormatKind::Csr, &tb);
         let obs = Obs::enabled();
         let par =
             ExecCtx::with_threads(2).threshold(1).oversubscribe(true).instrument(obs.clone());
-        let spmm = SpmmEngine::compile_in(&a, &b, &par).unwrap();
-        let mut c = vec![0.0; 1600];
-        spmm.run(&a, &b, &mut c).unwrap();
         let multi = SpmvMultiEngine::compile_in(&a, 3, &par).unwrap();
         let x = vec![1.0; 120];
         let mut y = vec![0.0; 120];
         multi.run(&a, &x, &mut y).unwrap();
         let r = obs.report();
         r.validate().unwrap();
-        assert!(r.kernels.contains_key("par_spmm_csr_csr"), "{:?}", r.kernels.keys());
         assert!(r.kernels.contains_key("par_spmm_csr_dense"), "{:?}", r.kernels.keys());
         let ops: Vec<&str> = r.strategies.iter().map(|s| s.op).collect();
-        assert_eq!(ops, ["spmm", "spmv_multi"]);
-        assert_eq!(r.plans.len(), 2);
+        assert_eq!(ops, ["spmv_multi"]);
+        assert_eq!(r.plans.len(), 1);
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!    access-method metadata and wraps the result in an executable
 //!    kernel;
 //! 4. [`engines`] — ready-to-run engines for the paper's kernels
-//!    (SpMV, SpMM, dots), with *plan-shape-directed specialisation*:
+//!    (SpMV, the skinny multivector product, semiring SpMV, the
+//!    triangular solves and SymGS), with *plan-shape-directed specialisation*:
 //!    when the planner picks a format's natural traversal, execution
 //!    dispatches to the monomorphised kernel for that format (the
 //!    reproduction's stand-in for emitting C), otherwise the general
@@ -42,7 +43,7 @@ pub mod trisolve;
 pub use ast::{ArrayDecl, ExprAst, LoopNest};
 pub use codegen::{emit_pseudocode, emit_pseudocode_in};
 pub use compile::{CompiledKernel, Compiler};
-pub use engines::{Engine, SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine, Strategy};
+pub use engines::{Engine, SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine, Strategy};
 pub use operator::{BoundSpmv, BoundSpmvMulti, FnOperator, Operator};
 pub use pipeline::{
     compile as compile_op, CompiledOp, GateDecision, OpHints, OpKind, OpSpec, Operands, Reason,

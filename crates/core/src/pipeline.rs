@@ -1,4 +1,4 @@
-//! The op-generic compilation core: one pipeline, six facades.
+//! The op-generic compilation core: one pipeline, five facades.
 //!
 //! Every engine in this crate — DO-ANY ([`crate::engines`]) and
 //! DO-ACROSS ([`crate::trisolve`]) alike — used to hand-roll the same
@@ -6,7 +6,7 @@
 //! certificate → independent verifier → downgrade. This module owns
 //! that chain once. An [`OpSpec`] names the operation, [`Operands`]
 //! carries the matrices, and [`compile`] runs the full chain to a
-//! [`CompiledOp`] — the one compiled artifact all six public engine
+//! [`CompiledOp`] — the one compiled artifact all five public engine
 //! types wrap. The warm path is the same call: pass the [`OpHints`] a
 //! structure cache stored (decisions, never proofs) and [`compile`]
 //! replays them through the identical soundness gates, keyed upstream
@@ -168,8 +168,6 @@ impl TriangularOp {
 pub enum OpKind {
     /// `y += A·x` under the classical algebra.
     Spmv,
-    /// `C += A·B` (dense result) under the classical algebra.
-    Spmm,
     /// `Y += A·X` against a skinny dense multivector.
     SpmvMulti,
     /// `y = y ⊕ (A ⊗ x)` under the named semiring.
@@ -190,7 +188,6 @@ impl OpKind {
     pub fn name(self) -> &'static str {
         match self {
             OpKind::Spmv | OpKind::SemiringSpmv(_) => "spmv",
-            OpKind::Spmm => "spmm",
             OpKind::SpmvMulti => "spmv_multi",
             OpKind::SptrsvLower | OpKind::SptrsvUpper => "sptrsv",
             OpKind::Symgs => "symgs",
@@ -217,7 +214,6 @@ impl OpKind {
     pub fn tag(self) -> String {
         match self {
             OpKind::Spmv => "spmv".to_string(),
-            OpKind::Spmm => "spmm".to_string(),
             OpKind::SpmvMulti => "spmv_multi".to_string(),
             OpKind::SemiringSpmv(a) => format!("spmv.{a}"),
             OpKind::SptrsvLower => "sptrsv.lower".to_string(),
@@ -232,7 +228,6 @@ impl OpKind {
     pub fn from_tag(tag: &str) -> Option<OpKind> {
         match tag {
             "spmv" => Some(OpKind::Spmv),
-            "spmm" => Some(OpKind::Spmm),
             "spmv_multi" => Some(OpKind::SpmvMulti),
             "sptrsv.lower" => Some(OpKind::SptrsvLower),
             "sptrsv.upper" => Some(OpKind::SptrsvUpper),
@@ -245,7 +240,7 @@ impl OpKind {
 /// Map an algebra name to its `'static` interned form — the inverse of
 /// `S::NAME` for every semiring the workspace ships.
 fn intern_algebra(name: &str) -> Option<&'static str> {
-    ["f64_plus", "min_plus", "bool_or_and", "first_nonzero"]
+    ["f64_plus", "min_plus", "first_nonzero"]
         .into_iter()
         .find(|&k| k == name)
 }
@@ -257,8 +252,6 @@ fn intern_algebra(name: &str) -> Option<&'static str> {
 pub enum OpSpec {
     /// `y += A·x`.
     Spmv,
-    /// `C += A·B` into a dense row-major buffer.
-    Spmm,
     /// `Y += A·X`, `X: ncols×k` row-major.
     SpmvMulti { k: usize },
     /// `y = y ⊕ (A ⊗ x)` under the named semiring (must match the
@@ -275,7 +268,6 @@ impl OpSpec {
     pub fn kind(self) -> OpKind {
         match self {
             OpSpec::Spmv => OpKind::Spmv,
-            OpSpec::Spmm => OpKind::Spmm,
             OpSpec::SpmvMulti { .. } => OpKind::SpmvMulti,
             OpSpec::SemiringSpmv { algebra } => OpKind::SemiringSpmv(algebra),
             OpSpec::Sptrsv { op } => match op {
@@ -293,8 +285,6 @@ impl OpSpec {
 pub enum Operands<'a> {
     /// One general-format matrix (SpMV family).
     Mat(&'a SparseMatrix),
-    /// Two general-format matrices (classical SpMM).
-    MatPair(&'a SparseMatrix, &'a SparseMatrix),
     /// One square CSR matrix (SpTRSV / SymGS).
     Tri(&'a Csr),
 }
@@ -303,7 +293,6 @@ impl Operands<'_> {
     fn shape_name(&self) -> &'static str {
         match self {
             Operands::Mat(_) => "Mat",
-            Operands::MatPair(..) => "MatPair",
             Operands::Tri(_) => "Tri",
         }
     }
@@ -491,21 +480,6 @@ pub(crate) fn spmv_counters(m: &MatMeta) -> KernelCounters {
     }
 }
 
-/// The SpMM (sparse × sparse) counter model. Exact flops would need the
-/// row-expansion sum; the estimate charges every `A` entry an average
-/// `B` row scan, and bytes charge both operands read once plus the
-/// expansion written through the accumulator.
-pub(crate) fn spmm_counters(a: &MatMeta, b: &MatMeta) -> KernelCounters {
-    let (an, bn) = (a.nnz as u64, b.nnz as u64);
-    let expansion = an.saturating_mul(bn) / (b.nrows.max(1) as u64);
-    KernelCounters {
-        nnz: an + bn,
-        flops: 2 * expansion,
-        bytes: 8 * 2 * (an + bn) + 16 * expansion,
-        algebra: "f64_plus",
-    }
-}
-
 /// The multivector (sparse × skinny dense) counter model: each stored
 /// nonzero does `k` multiply-adds against a dense row.
 pub(crate) fn spmv_multi_counters(m: &MatMeta, k: usize) -> KernelCounters {
@@ -550,16 +524,6 @@ fn check_square(a: &Csr, what: &str) -> RelResult<()> {
     Ok(())
 }
 
-/// A product's run state: its operands' shapes, once their inner
-/// dimensions agree (the kernels `assert!` that they do).
-fn product(a: MatMeta, b: MatMeta) -> RelResult<Payload> {
-    let shapes = [(a.nrows, a.ncols), (b.nrows, b.ncols)];
-    if a.ncols != b.nrows {
-        return Err(RelError::Validation(format!("product inner dimensions disagree: {shapes:?}")));
-    }
-    Ok(Payload::Product { shapes })
-}
-
 /// A non-unit solve reads each row's diagonal where sorted triangular
 /// CSR stores it; an operand that does not is refused here, once, from
 /// the operand's diagonal index — the row body does not look again.
@@ -573,7 +537,6 @@ fn check_diag(a: &Csr, op: TriangularOp) -> RelResult<()> {
 }
 
 const FLAT_SPMV_SHAPE: &str = "(i,j):flat(A)[X?]";
-const GUSTAVSON_SHAPE: &str = "i:outer(A)>k:inner(A)[B?]>j:inner(B)";
 const MULTI_SHAPE: &str = "i:outer(A)>j:inner(A)[B?]>k:inner(B)";
 
 /// The matvec plan shapes that dispatch to a format's hand kernel: its
@@ -666,8 +629,6 @@ enum Payload {
     None,
     SpmvMulti { k: usize },
     Sptrsv { op: TriangularOp },
-    /// `(rows, cols)` of a product's `A` and `B`.
-    Product { shapes: [(usize, usize); 2] },
 }
 
 /// The one compiled artifact every engine facade wraps: the strategy
@@ -706,9 +667,9 @@ struct DoAny<'a> {
     /// The canned dense loop nest the op lowers from. A function, not
     /// a value: only the cold path builds it.
     nest: fn() -> LoopNest,
-    /// Relation metadata for the planner: `A`, then `B` for the
-    /// two-matrix ops (the vector ops bind dense `X`/`Y` of `A`'s
-    /// dimensions instead).
+    /// Relation metadata for the planner: `A`, then the dense `X` as
+    /// `B` for the multivector op (the vector ops bind dense `X`/`Y` of
+    /// `A`'s dimensions instead).
     a: MatMeta,
     b: Option<MatMeta>,
     /// Plan shapes that dispatch to a hand kernel on these operands
@@ -769,7 +730,6 @@ pub fn compile<S: Semiring>(
     hints: Option<&OpHints>,
 ) -> RelResult<CompiledOp> {
     let kind = spec.kind();
-    let is_csr = |m: &SparseMatrix| matches!(m, SparseMatrix::Csr(_));
     let row = match (spec, operands) {
         (OpSpec::Spmv, Operands::Mat(a)) => {
             check_operand("A", a, ctx)?;
@@ -778,21 +738,6 @@ pub fn compile<S: Semiring>(
                 hand_shapes: spmv_hand_shapes(&m),
                 fast: Some(a),
                 ..DoAny::new(kind, programs::matvec, m)
-            }
-        }
-        (OpSpec::Spmm, Operands::MatPair(a, b)) => {
-            check_operand("A", a, ctx)?;
-            check_operand("B", b, ctx)?;
-            let (ma, mb) = (a.meta(), b.meta());
-            // Gustavson's traversal over two CSR operands is the one
-            // shape with a hand-tuned kernel. Work estimate: the driver
-            // operand's nonzeros (each expands into a B-row scan).
-            DoAny {
-                payload: product(ma, mb)?,
-                b: Some(mb),
-                hand_shapes: if is_csr(a) && is_csr(b) { &[GUSTAVSON_SHAPE] } else { &[] },
-                io_lens: (0, ma.nrows * mb.ncols),
-                ..DoAny::new(kind, programs::matmat, ma)
             }
         }
         (OpSpec::SpmvMulti { k }, Operands::Mat(a)) => {
@@ -805,7 +750,7 @@ pub fn compile<S: Semiring>(
             DoAny {
                 payload: Payload::SpmvMulti { k },
                 b: Some(DenseMatrix::meta_of(m.ncols, k)),
-                hand_shapes: if is_csr(a) { &[MULTI_SHAPE] } else { &[] },
+                hand_shapes: if matches!(a, SparseMatrix::Csr(_)) { &[MULTI_SHAPE] } else { &[] },
                 work: m.nnz.saturating_mul(k.max(1)),
                 io_lens,
                 ..DoAny::new(kind, programs::matvec_multi, m)
@@ -1007,8 +952,7 @@ impl CompiledOp {
     }
 
     /// Expected `(input, output)` slice lengths of this op's run call,
-    /// derived from the operand at compile time (the matrix-matrix ops
-    /// take no input vector; their output is the dense product).
+    /// derived from the operand at compile time.
     pub fn io_lens(&self) -> (usize, usize) {
         self.io_lens
     }
@@ -1064,8 +1008,8 @@ impl CompiledOp {
         Err(RelError::Validation(format!("{call} called on a compiled {} op", self.kind.tag())))
     }
 
-    /// The hand kernels of the two-operand products exist for CSR only;
-    /// the op specialised because its compile-time operands were CSR.
+    /// The multivector hand kernels exist for CSR only; the op
+    /// specialised because its compile-time operand was CSR.
     fn not_csr(&self) -> RelError {
         RelError::Validation(format!(
             "{} op was specialised for CSR operands, run against another format",
@@ -1087,27 +1031,13 @@ impl CompiledOp {
         )))
     }
 
-    /// Refuse a product pair whose shapes are not the ones the compile
-    /// checked — a disagreeing inner dimension would `assert!` in the
-    /// kernels.
-    fn check_pair(&self, a: MatMeta, b: MatMeta) -> RelResult<()> {
-        let got = [(a.nrows, a.ncols), (b.nrows, b.ncols)];
-        match self.payload {
-            Payload::Product { shapes } if shapes == got => Ok(()),
-            _ => Err(RelError::Validation(format!(
-                "{} op compiled for other operand shapes, run against {got:?}",
-                self.kind.tag()
-            ))),
-        }
-    }
-
     /// Run any compiled op through one untyped front door — what a
     /// dispatcher over heterogeneous requests calls. `operands` must be
     /// the bundle the op was compiled against; `rhs` is the input
-    /// vector (ignored by the matrix-matrix ops); `out` follows the op's
-    /// own convention: the multiply family accumulates into it, the
-    /// solves overwrite it, SymGS applies one `ω = 1` SSOR step.
-    pub fn run<S: Semiring<Elem = f64>>(
+    /// vector; `out` follows the op's own convention: the multiply
+    /// family accumulates into it, the solves overwrite it, SymGS
+    /// applies one `ω = 1` SSOR step.
+    pub fn run<S: Semiring>(
         &self,
         operands: Operands<'_>,
         rhs: &[f64],
@@ -1115,7 +1045,6 @@ impl CompiledOp {
     ) -> RelResult<()> {
         match (self.kind, operands) {
             (OpKind::Spmv, Operands::Mat(a)) => self.run_spmv(a, rhs, out),
-            (OpKind::Spmm, Operands::MatPair(a, b)) => self.run_spmm(a, b, out),
             (OpKind::SpmvMulti, Operands::Mat(a)) => self.run_spmv_multi(a, rhs, out),
             (OpKind::SemiringSpmv(_), Operands::Mat(a)) => {
                 self.run_semiring_spmv::<S>(a, rhs, out)
@@ -1181,47 +1110,6 @@ impl CompiledOp {
         Ok(())
     }
 
-    /// `C += A·B` into a dense row-major buffer `c` of shape
-    /// `a.nrows() × b.ncols()`.
-    pub fn run_spmm(&self, a: &SparseMatrix, b: &SparseMatrix, c: &mut [f64]) -> RelResult<()> {
-        self.check_kind(self.kind == OpKind::Spmm, "run_spmm")?;
-        self.check_lens(0, c.len())?;
-        self.check_pair(a.meta(), b.meta())?;
-        let obs = self.ctx.obs();
-        if obs.is_enabled() {
-            let name = match self.strategy {
-                Strategy::Specialized => "spmm_csr_csr",
-                Strategy::Parallel => "par_spmm_csr_csr",
-                Strategy::Interpreted => "interp_spmm",
-            };
-            obs.kernel(name, spmm_counters(&a.meta(), &b.meta()));
-        }
-        let prod = match (self.strategy, a, b) {
-            (Strategy::Interpreted, ..) => {
-                let mut binds = Bindings::new();
-                binds.bind_mat(MAT_A, a).bind_mat(MAT_B, b).bind_mat_mut(
-                    MAT_C,
-                    c,
-                    a.meta().nrows,
-                    b.meta().ncols,
-                );
-                return self.interpreter().run(&mut binds);
-            }
-            (Strategy::Specialized, SparseMatrix::Csr(ca), SparseMatrix::Csr(cb)) => {
-                kernels::spmm_csr_csr(ca, cb)
-            }
-            (Strategy::Parallel, SparseMatrix::Csr(ca), SparseMatrix::Csr(cb)) => {
-                par_kernels::par_spmm_csr_csr(ca, cb, &self.ctx)
-            }
-            _ => return Err(self.not_csr()),
-        };
-        let ncols = prod.ncols();
-        for (i, j, v) in prod.to_triplets().canonicalize().entries().iter().copied() {
-            c[i * ncols + j] += v;
-        }
-        Ok(())
-    }
-
     /// `Y += A·X` with `X: ncols×k` and `Y: nrows×k`, both row-major.
     pub fn run_spmv_multi(&self, a: &SparseMatrix, x: &[f64], y: &mut [f64]) -> RelResult<()> {
         let Payload::SpmvMulti { k } = self.payload else {
@@ -1262,8 +1150,8 @@ impl CompiledOp {
     pub fn run_semiring_spmv<S: Semiring>(
         &self,
         a: &SparseMatrix,
-        x: &[S::Elem],
-        y: &mut [S::Elem],
+        x: &[f64],
+        y: &mut [f64],
     ) -> RelResult<()> {
         self.check_kind(self.kind == OpKind::SemiringSpmv(S::NAME), "run_semiring_spmv")?;
         self.check_lens(x.len(), y.len())?;
@@ -1505,7 +1393,6 @@ mod tests {
     fn op_kind_tags_round_trip() {
         let kinds = [
             OpKind::Spmv,
-            OpKind::Spmm,
             OpKind::SpmvMulti,
             OpKind::SemiringSpmv("min_plus"),
             OpKind::SptrsvLower,
@@ -1517,7 +1404,7 @@ mod tests {
         }
         assert_eq!(OpKind::from_tag("spmv.warp_shuffle"), None);
         assert_eq!(OpKind::from_tag("conv2d"), None);
-        for deleted in ["spmm.count_u64", "spmv.max_plus", "sptrsv.lower_transposed"] {
+        for deleted in ["spmm", "spmv.bool_or_and", "spmm.count_u64", "spmv.max_plus", "sptrsv.lower_transposed"] {
             assert_eq!(OpKind::from_tag(deleted), None, "tag {deleted}");
         }
     }

@@ -19,18 +19,19 @@
 //! level by level. Parallelisation is a transformation *of* the one
 //! loop, never a second kernel.
 //!
-//! Formats store `f64` regardless of the semiring; values are lifted on
-//! the fly via [`Semiring::from_f64`] — the identity for [`F64Plus`],
-//! so the generic bodies monomorphise to the classical f64 loops
-//! (pinned bitwise by the goldens in `tests/observability.rs` and
-//! `tests/semiring_equivalence.rs`). The f64 names external callers use
-//! (`spmv_csr`, `spmm_csr_csr`, …) are thin [`F64Plus`] instantiations.
+//! Formats store `f64` and every semiring computes on `f64`; stored
+//! values are lifted on the fly via [`Semiring::from_f64`] — the
+//! identity for [`F64Plus`], so the generic bodies monomorphise to the
+//! classical f64 loops (pinned bitwise by the goldens in
+//! `tests/observability.rs` and `tests/semiring_equivalence.rs`). The
+//! classical names external callers use (`spmv_csr`, `spmm_csr_dense`,
+//! …) are thin [`F64Plus`] instantiations.
 //!
 //! All SpMV kernels *accumulate*: `y ⊕= A·x`. Fill `y` with
 //! `S::zero()` first for a plain product.
 
 use crate::inode::MAX_GROUP_ROWS;
-use crate::{Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, InodeMatrix, Itpack, JDiag, Triplets};
+use crate::{Ccs, Cccs, Coo, Csr, DenseMatrix, DiagonalMatrix, InodeMatrix, Itpack, JDiag};
 use bernoulli_analysis::wavefront::Triangle;
 use bernoulli_relational::access::MatrixAccess;
 use bernoulli_relational::error::{RelError, RelResult};
@@ -72,16 +73,16 @@ pub trait SpmvBody: MatrixAccess {
 
     /// Accumulate range `lo..hi` of `A·x` into `out`, in storage order
     /// (see [`Family`] for what the range and `out` are).
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], out: &mut [S::Elem]);
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], out: &mut [f64]);
 }
 
 /// Shape check shared by both tiers, then `run` over `y` itself or —
 /// for a row-permuted body — over a workspace scattered back into `y`.
 pub(crate) fn staged<S: Semiring, A: SpmvBody>(
     a: &A,
-    x: &[S::Elem],
-    y: &mut [S::Elem],
-    run: impl FnOnce(&mut [S::Elem]),
+    x: &[f64],
+    y: &mut [f64],
+    run: impl FnOnce(&mut [f64]),
 ) {
     let m = a.meta();
     assert_eq!(x.len(), m.ncols);
@@ -99,7 +100,7 @@ pub(crate) fn staged<S: Semiring, A: SpmvBody>(
 
 /// `y ⊕= A·x` on the serial tier: the format's body over its whole
 /// range, in storage order.
-pub fn spmv_in<S: Semiring, A: SpmvBody>(a: &A, x: &[S::Elem], y: &mut [S::Elem]) {
+pub fn spmv_in<S: Semiring, A: SpmvBody>(a: &A, x: &[f64], y: &mut [f64]) {
     staged::<S, A>(a, x, y, |out| a.acc::<S>(0, a.extent(), x, out));
 }
 
@@ -108,7 +109,7 @@ impl SpmvBody for Csr {
     const FAMILY: Family = Family::Rows;
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
         let colind = self.colind();
         let vals = self.vals();
         for (yr, row) in y.iter_mut().zip(self.rowptr()[lo..=hi].windows(2)) {
@@ -123,7 +124,7 @@ impl SpmvBody for Csr {
 }
 
 /// `y ⊕= A·x` for CRS.
-pub fn spmv_csr_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::Elem]) {
+pub fn spmv_csr_in<S: Semiring>(a: &Csr, x: &[f64], y: &mut [f64]) {
     spmv_in::<S, Csr>(a, x, y)
 }
 
@@ -146,7 +147,7 @@ impl SpmvBody for Ccs {
     }
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
         let colp = self.colp();
         let rowind = self.rowind();
         let vals = self.vals();
@@ -172,7 +173,7 @@ impl SpmvBody for Cccs {
     }
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
         let colind = self.colind();
         let colp = self.colp();
         let rowind = self.rowind();
@@ -195,7 +196,7 @@ impl SpmvBody for Coo {
     }
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
         let (rows, cols, vals) = self.arrays();
         for k in lo..hi {
             y[rows[k]] = S::plus(y[rows[k]], S::times(S::from_f64(vals[k]), x[cols[k]]));
@@ -210,7 +211,7 @@ impl SpmvBody for DiagonalMatrix {
     const FAMILY: Family = Family::Rows;
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
         for d in self.diagonals() {
             let i0 = d.first_row.max(lo);
             let i1 = (d.first_row + d.vals.len()).min(hi);
@@ -235,7 +236,7 @@ impl SpmvBody for Itpack {
     const FAMILY: Family = Family::Rows;
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, _hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, _hi: usize, x: &[f64], y: &mut [f64]) {
         let n = self.nrows();
         let (colind, vals) = self.arrays();
         for k in 0..self.width() {
@@ -258,7 +259,7 @@ impl SpmvBody for JDiag {
     }
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], work: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], work: &mut [f64]) {
         let (jd_ptr, colind, vals) = self.arrays();
         for d in 0..self.num_jdiags() {
             // Positions of this jagged diagonal inside the range (they
@@ -284,8 +285,8 @@ fn inode_rows<S: Semiring, const R: usize>(
     vals: &[f64],
     h: usize,
     r0: usize,
-    x_at: &impl Fn(usize) -> S::Elem,
-    y: &mut [S::Elem],
+    x_at: &impl Fn(usize) -> f64,
+    y: &mut [f64],
 ) {
     let mut acc = [S::zero(); R];
     for (&c, column) in cols.iter().zip(vals.chunks_exact(h)) {
@@ -309,8 +310,8 @@ fn inode_acc<S: Semiring>(
     a: &InodeMatrix,
     lo: usize,
     hi: usize,
-    x_at: &impl Fn(usize) -> S::Elem,
-    y: &mut [S::Elem],
+    x_at: &impl Fn(usize) -> f64,
+    y: &mut [f64],
 ) {
     if lo >= hi {
         return;
@@ -347,7 +348,7 @@ impl SpmvBody for InodeMatrix {
     const FAMILY: Family = Family::Rows;
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
         inode_acc::<S>(self, lo, hi, &|c| x[c], y)
     }
 }
@@ -366,7 +367,7 @@ impl SpmvBody for DenseMatrix {
     const FAMILY: Family = Family::Rows;
 
     #[inline]
-    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[S::Elem], y: &mut [S::Elem]) {
+    fn acc<S: Semiring>(&self, lo: usize, hi: usize, x: &[f64], y: &mut [f64]) {
         let ncols = self.ncols();
         let data = &self.as_slice()[lo * ncols..hi * ncols];
         for (r, yr) in y.iter_mut().enumerate() {
@@ -380,7 +381,7 @@ impl SpmvBody for DenseMatrix {
 }
 
 /// Shape check of the sparse × skinny-dense product.
-pub(crate) fn check_spmm_dense<E>(a: &Csr, x: &[E], k: usize, y: &[E]) {
+pub(crate) fn check_spmm_dense(a: &Csr, x: &[f64], k: usize, y: &[f64]) {
     assert_eq!(x.len(), a.ncols() * k);
     assert_eq!(y.len(), a.nrows() * k);
 }
@@ -392,9 +393,9 @@ pub(crate) fn spmm_csr_dense_rows<S: Semiring>(
     a: &Csr,
     lo: usize,
     hi: usize,
-    x: &[S::Elem],
+    x: &[f64],
     k: usize,
-    y: &mut [S::Elem],
+    y: &mut [f64],
 ) {
     let rowptr = a.rowptr();
     let colind = a.colind();
@@ -415,7 +416,7 @@ pub(crate) fn spmm_csr_dense_rows<S: Semiring>(
 /// `ncols × k` row-major and `Y` is `nrows × k` row-major. This is the
 /// other core operation of iterative solvers the paper's conclusion
 /// names ("the product of a sparse matrix and a skinny dense matrix").
-pub fn spmm_csr_dense_in<S: Semiring>(a: &Csr, x: &[S::Elem], k: usize, y: &mut [S::Elem]) {
+pub fn spmm_csr_dense_in<S: Semiring>(a: &Csr, x: &[f64], k: usize, y: &mut [f64]) {
     check_spmm_dense(a, x, k, y);
     spmm_csr_dense_rows::<S>(a, 0, a.nrows(), x, k, y);
 }
@@ -423,70 +424,6 @@ pub fn spmm_csr_dense_in<S: Semiring>(a: &Csr, x: &[S::Elem], k: usize, y: &mut 
 /// `Y += A·X` (skinny dense `X`) on the classical f64 algebra.
 pub fn spmm_csr_dense(a: &Csr, x: &[f64], k: usize, y: &mut [f64]) {
     spmm_csr_dense_in::<F64Plus>(a, x, k, y)
-}
-
-/// Ranged body of the sparse × sparse product (Gustavson's algorithm
-/// with a dense SPA row accumulator): the stored entries of rows
-/// `lo..hi` of `A·B`. Rows are independent, so this is a row-family
-/// body and sound for any semiring.
-pub(crate) fn spmm_csr_csr_rows<S: Semiring>(
-    a: &Csr,
-    b: &Csr,
-    lo: usize,
-    hi: usize,
-) -> Vec<(usize, usize, S::Elem)> {
-    let mut out: Vec<(usize, usize, S::Elem)> = Vec::new();
-    // Dense accumulator per row (SPA), classic Gustavson.
-    let mut marker = vec![usize::MAX; b.ncols()];
-    let mut acc = vec![S::zero(); b.ncols()];
-    let mut touched: Vec<usize> = Vec::new();
-    for i in lo..hi {
-        touched.clear();
-        for (p, &kcol) in a.row_cols(i).iter().enumerate() {
-            let av = S::from_f64(a.row_vals(i)[p]);
-            for (q, &j) in b.row_cols(kcol).iter().enumerate() {
-                let bv = S::from_f64(b.row_vals(kcol)[q]);
-                if marker[j] != i {
-                    marker[j] = i;
-                    acc[j] = S::zero();
-                    touched.push(j);
-                }
-                acc[j] = S::plus(acc[j], S::times(av, bv));
-            }
-        }
-        for &j in &touched {
-            if acc[j] != S::zero() {
-                out.push((i, j, acc[j]));
-            }
-        }
-    }
-    out
-}
-
-/// Sparse × sparse matrix product over an arbitrary semiring. Returns
-/// the stored entries `(i, j, c_ij)` with rows ascending and columns
-/// in first-touch order within a row; entries equal to `S::zero()`
-/// after accumulation are dropped, mirroring the f64 kernel's
-/// numeric-cancellation rule.
-pub fn spmm_csr_csr_in<S: Semiring>(a: &Csr, b: &Csr) -> Vec<(usize, usize, S::Elem)> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions");
-    spmm_csr_csr_rows::<S>(a, b, 0, a.nrows())
-}
-
-/// Assemble product entries into CRS (the f64 wrappers of both tiers).
-pub(crate) fn csr_from_entries(nrows: usize, ncols: usize, entries: Vec<(usize, usize, f64)>) -> Csr {
-    let mut t = Triplets::with_capacity(nrows, ncols, entries.len());
-    for (i, j, v) in entries {
-        t.push(i, j, v);
-    }
-    Csr::from_triplets(&t)
-}
-
-/// Sparse × sparse matrix product in CRS (Gustavson's algorithm) on
-/// the classical f64 algebra: the hand-written baseline for the
-/// compiled `C(i,j) += A(i,k)·B(k,j)`.
-pub fn spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
-    csr_from_entries(a.nrows(), b.ncols(), spmm_csr_csr_in::<F64Plus>(a, b))
 }
 
 // --- Triangular sweeps (f64 only: they divide by the diagonal, and a
@@ -915,8 +852,8 @@ pub(crate) fn split_row<'a>(
 mod tests {
     use super::*;
     use crate::matrix::{FormatKind, SparseMatrix};
-    use crate::DenseMatrix;
-    use bernoulli_relational::semiring::{BoolOrAnd, MinPlus};
+    use crate::Triplets;
+    use bernoulli_relational::semiring::MinPlus;
 
     fn sample() -> Triplets {
         Triplets::from_entries(
@@ -987,50 +924,6 @@ mod tests {
     }
 
     #[test]
-    fn spmm_csr_csr_matches_dense() {
-        let ta = sample();
-        let tb = Triplets::from_entries(
-            5,
-            4,
-            &[(0, 1, 1.0), (1, 0, 2.0), (2, 2, 3.0), (3, 3, 1.0), (4, 1, 4.0)],
-        );
-        let a = Csr::from_triplets(&ta);
-        let b = Csr::from_triplets(&tb);
-        let c = spmm_csr_csr(&a, &b);
-        let da = DenseMatrix::from_triplets(&ta);
-        let db = DenseMatrix::from_triplets(&tb);
-        let mut want = DenseMatrix::zeros(5, 4);
-        for i in 0..5 {
-            for j in 0..4 {
-                let mut s = 0.0;
-                for kk in 0..5 {
-                    s += da[(i, kk)] * db[(kk, j)];
-                }
-                want[(i, j)] = s;
-            }
-        }
-        let got = DenseMatrix::from_triplets(&c.to_triplets());
-        assert!(got.max_abs_diff(&want) < 1e-12);
-    }
-
-    #[test]
-    fn spmm_numeric_cancellation_dropped() {
-        // A row whose products cancel exactly must not create a stored
-        // zero in the result.
-        let a = Csr::from_triplets(&Triplets::from_entries(1, 2, &[(0, 0, 1.0), (0, 1, -1.0)]));
-        let b = Csr::from_triplets(&Triplets::from_entries(2, 1, &[(0, 0, 3.0), (1, 0, 3.0)]));
-        let c = spmm_csr_csr(&a, &b);
-        assert_eq!(c.nnz(), 0);
-    }
-
-    /// Reference `y ⊕= A·x` straight off the triplets, any semiring.
-    fn matvec_acc_in<S: Semiring>(t: &Triplets, x: &[S::Elem], y: &mut [S::Elem]) {
-        for &(r, c, v) in t.canonicalize().entries() {
-            y[r] = S::plus(y[r], S::times(S::from_f64(v), x[c]));
-        }
-    }
-
-    #[test]
     fn min_plus_relaxation_over_every_format() {
         // One SpMV over (min,+) relaxes distances through one edge.
         // Graph: 0→1 (w=2), 0→2 (w=7), 1→2 (w=3), stored as A[i][j] =
@@ -1048,37 +941,6 @@ mod tests {
             m.spmv_acc_in::<MinPlus>(&y, &mut z);
             assert_eq!(z, vec![0.0, 2.0, 5.0], "format {kind}, 2 hops");
         }
-    }
-
-    #[test]
-    fn bool_spmv_is_neighborhood() {
-        let t = sample();
-        let a = Csr::from_triplets(&t);
-        let x = vec![true, false, false, false, false];
-        let mut y = vec![false; 5];
-        spmv_csr_in::<BoolOrAnd>(&a, &x, &mut y);
-        // Rows with a stored entry in column 0: rows 0 and 2.
-        assert_eq!(y, vec![true, false, true, false, false]);
-        let mut want = vec![false; 5];
-        matvec_acc_in::<BoolOrAnd>(&t, &x, &mut want);
-        assert_eq!(y, want);
-    }
-
-    #[test]
-    fn bool_spmm_is_two_hop_reachability() {
-        // C = A ⊗ A over (∨,∧) marks every pair joined by a length-2
-        // walk through the pattern. Triangle of nodes {0,1,2}.
-        let t = Triplets::from_entries(
-            3,
-            3,
-            &[(0, 1, 1.0), (1, 0, 1.0), (0, 2, 1.0), (2, 0, 1.0), (1, 2, 1.0), (2, 1, 1.0)],
-        );
-        let a = Csr::from_triplets(&t);
-        let c = spmm_csr_csr_in::<BoolOrAnd>(&a, &a);
-        // Every node reaches itself (i→j→i) and each other node (via
-        // the third) in two hops.
-        assert_eq!(c.len(), 9);
-        assert!(c.iter().all(|&(_, _, reached)| reached));
     }
 
     /// `L = [[2,0,0],[1,3,0],[0,4,5]]`, sorted CSR (diag last per row).

@@ -136,7 +136,7 @@ impl SparseMatrix {
     /// family-by-family determinism contract; in particular the scatter
     /// family CCS/CCCS/COO silently stays serial for a semiring whose ⊕
     /// is not associative-commutative).
-    pub fn spmv_acc_on<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem], exec: Option<&ExecCtx>) {
+    pub fn spmv_acc_on<S: Semiring>(&self, x: &[f64], y: &mut [f64], exec: Option<&ExecCtx>) {
         match exec.filter(|e| e.should_parallelize(self.nnz())) {
             Some(exec) => dispatch!(self, m => par_kernels::par_spmv_in::<S, _>(m, x, y, exec)),
             None => dispatch!(self, m => kernels::spmv_in::<S, _>(m, x, y)),
@@ -144,7 +144,7 @@ impl SparseMatrix {
     }
 
     /// Serial SpMV (`y ⊕= A·x`) over an arbitrary semiring.
-    pub fn spmv_acc_in<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem]) {
+    pub fn spmv_acc_in<S: Semiring>(&self, x: &[f64], y: &mut [f64]) {
         self.spmv_acc_on::<S>(x, y, None)
     }
 
@@ -155,7 +155,7 @@ impl SparseMatrix {
 
     /// Thresholded parallel SpMV (`y ⊕= A·x`) over an arbitrary
     /// semiring.
-    pub fn par_spmv_acc_in<S: Semiring>(&self, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
+    pub fn par_spmv_acc_in<S: Semiring>(&self, x: &[f64], y: &mut [f64], exec: &ExecCtx) {
         self.spmv_acc_on::<S>(x, y, Some(exec))
     }
 

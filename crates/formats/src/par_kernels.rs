@@ -64,8 +64,8 @@ use bernoulli_relational::semiring::{F64Plus, Semiring};
 pub(crate) fn par_scatter<S: Semiring>(
     exec: &ExecCtx,
     items: usize,
-    y: &mut [S::Elem],
-    body: impl Fn(usize, usize, &mut [S::Elem]) + Sync,
+    y: &mut [f64],
+    body: impl Fn(usize, usize, &mut [f64]) + Sync,
 ) {
     let ac = S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE;
     if !ac || y.is_empty() || exec.threads_hint().min(items) <= 1 {
@@ -91,8 +91,8 @@ pub(crate) fn par_scatter<S: Semiring>(
 /// contract of each).
 pub fn par_spmv_in<S: Semiring, A: SpmvBody + Sync>(
     a: &A,
-    x: &[S::Elem],
-    y: &mut [S::Elem],
+    x: &[f64],
+    y: &mut [f64],
     exec: &ExecCtx,
 ) {
     kernels::staged::<S, A>(a, x, y, |out| match A::FAMILY {
@@ -104,7 +104,7 @@ pub fn par_spmv_in<S: Semiring, A: SpmvBody + Sync>(
 }
 
 /// `y ⊕= A·x` for CRS, parallel over row blocks.
-pub fn par_spmv_csr_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::Elem], exec: &ExecCtx) {
+pub fn par_spmv_csr_in<S: Semiring>(a: &Csr, x: &[f64], y: &mut [f64], exec: &ExecCtx) {
     par_spmv_in::<S, Csr>(a, x, y, exec)
 }
 
@@ -113,9 +113,9 @@ pub fn par_spmv_csr_in<S: Semiring>(a: &Csr, x: &[S::Elem], y: &mut [S::Elem], e
 /// [`kernels::spmm_csr_dense_in`].
 pub fn par_spmm_csr_dense_in<S: Semiring>(
     a: &Csr,
-    x: &[S::Elem],
+    x: &[f64],
     k: usize,
-    y: &mut [S::Elem],
+    y: &mut [f64],
     exec: &ExecCtx,
 ) {
     kernels::check_spmm_dense(a, x, k, y);
@@ -130,27 +130,6 @@ pub fn par_spmm_csr_dense_in<S: Semiring>(
 /// `Y += A·X` (skinny dense `X`) on the classical f64 algebra.
 pub fn par_spmm_csr_dense(a: &Csr, x: &[f64], k: usize, y: &mut [f64], exec: &ExecCtx) {
     par_spmm_csr_dense_in::<F64Plus>(a, x, k, y, exec)
-}
-
-/// Sparse × sparse product over an arbitrary semiring (Gustavson),
-/// parallel over row ranges of `A`: each worker runs the serial
-/// per-row SPA over its range, and the per-range entry lists are
-/// concatenated in range (= row) order. Bit-identical to
-/// [`kernels::spmm_csr_csr_in`].
-pub fn par_spmm_csr_csr_in<S: Semiring>(
-    a: &Csr,
-    b: &Csr,
-    exec: &ExecCtx,
-) -> Vec<(usize, usize, S::Elem)> {
-    assert_eq!(a.ncols(), b.nrows(), "inner dimensions");
-    let blocks = exec.par_ranges(a.nrows(), |lo, hi| kernels::spmm_csr_csr_rows::<S>(a, b, lo, hi));
-    blocks.into_iter().flatten().collect()
-}
-
-/// Sparse × sparse product in CRS (Gustavson) on the classical f64
-/// algebra. Bit-identical to [`kernels::spmm_csr_csr`].
-pub fn par_spmm_csr_csr(a: &Csr, b: &Csr, exec: &ExecCtx) -> Csr {
-    kernels::csr_from_entries(a.nrows(), b.ncols(), par_spmm_csr_csr_in::<F64Plus>(a, b, exec))
 }
 
 /// One armed DO-ACROSS plan as the drivers take it: a certified

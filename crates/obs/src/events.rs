@@ -41,7 +41,7 @@ pub struct PlanEvent {
 /// so recording a decision allocates nothing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StrategyEvent {
-    /// Engine kind (`spmv`, `spmm`, `spmv_multi`, `sptrsv`, `symgs`).
+    /// Engine kind (`spmv`, `spmv_multi`, `sptrsv`, `symgs`).
     pub op: &'static str,
     /// The decision: `Specialized`, `Parallel` or `Interpreted`.
     pub strategy: &'static str,

@@ -84,6 +84,6 @@ pub mod prelude {
     pub use crate::props::{Density, LevelProps, SearchCost, Sortedness};
     pub use crate::query::{Query, QueryBuilder, Term};
     pub use crate::scalar::{Expr, Stmt, Target, UpdateOp};
-    pub use crate::semiring::{AlgebraProps, BoolOrAnd, F64Plus, FirstNonZero, MinPlus, Semiring};
+    pub use crate::semiring::{AlgebraProps, F64Plus, FirstNonZero, MinPlus, Semiring};
     pub use crate::testmat::DokMatrix;
 }

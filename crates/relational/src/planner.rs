@@ -79,13 +79,9 @@ impl QueryMeta {
 /// cannot depend on — hence the function-pointer seam.
 pub type PlanVerifier = fn(&Plan, &Query, &QueryMeta) -> Result<(), String>;
 
-/// The planner. Stateless; configuration knobs may grow here.
+/// The planner. Stateless apart from its two seams.
 #[derive(Clone, Debug, Default)]
 pub struct Planner {
-    /// When set, refuse plans that enumerate a dense range where a
-    /// sparsity-predicate relation could drive instead (useful to assert
-    /// that generated code is "truly sparse").
-    pub require_sparse_driver: bool,
     /// When set, every candidate plan is re-checked by this hook before
     /// being returned; a failure aborts planning (belt-and-braces
     /// against planner/metadata skew, wired up by `Compiler::new()`
@@ -701,18 +697,6 @@ impl Planner {
             }
         }
 
-        if self.require_sparse_driver {
-            let any_pred_driver = nodes.iter().any(|n| match n {
-                PlanNode::Flat(f) => query.predicate.contains(&f.rel),
-                PlanNode::Loop(l) => {
-                    l.driver.rel().is_some_and(|r| query.predicate.contains(&r))
-                }
-            });
-            if !query.predicate.is_empty() && !any_pred_driver {
-                return None;
-            }
-        }
-
         self.price_candidate(nodes, query, meta, extents, nonfinite)
     }
 
@@ -1138,16 +1122,6 @@ mod tests {
         let q = QueryBuilder::mat_vec_product().build();
         let meta = QueryMeta::new().mat(MAT_A, csr_meta(10, 10));
         assert_eq!(Planner::new().plan(&q, &meta), Err(RelError::MissingMeta(VEC_X)));
-    }
-
-    #[test]
-    fn require_sparse_driver_honoured() {
-        let q = QueryBuilder::mat_vec_product().build();
-        let meta = QueryMeta::new().mat(MAT_A, csr_meta(100, 500)).vec(VEC_X, VecMeta::dense(100));
-        let planner = Planner { require_sparse_driver: true, ..Planner::default() };
-        let plan = planner.plan(&q, &meta).unwrap();
-        // A (the only predicate relation) must drive some level.
-        assert!(plan.shape().contains("outer(A)") || plan.shape().contains("flat(A)"));
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! The paper's relational compilation story never assumed `(+, ×)` on
 //! `f64`: joins and aggregations are algebra-agnostic, and the same
 //! query plans evaluate graph algorithms once the scalar operations are
-//! swapped — shortest paths over `(min, +)`, reachability over
-//! `(∨, ∧)`. This module
+//! swapped — shortest paths over `(min, +)`, for one. This module
 //! defines the [`Semiring`] trait threaded through `formats::kernels`,
 //! `par_kernels`, and the engines, plus the concrete instances shipped
 //! with the repo.
 //!
 //! Two design constraints shape the trait:
 //!
-//! 1. **Formats store `f64`.** Every sparse format keeps its stored
-//!    values as `f64`; a semiring lifts them on the fly via
-//!    [`Semiring::from_f64`]. For [`F64Plus`] the lift is the identity,
-//!    which is what makes the generic kernels compile to byte-identical
-//!    code and output as the pre-refactor f64 kernels.
+//! 1. **Everything is `f64`.** Every sparse format keeps its stored
+//!    values as `f64` and every instance computes on `f64`; a semiring
+//!    re-reads a stored value on the fly via [`Semiring::from_f64`]
+//!    (min-plus lifts the stored `0.0` to its `+∞`). For [`F64Plus`]
+//!    the lift is the identity, which is what makes the generic kernels
+//!    compile to byte-identical code and output as the pre-refactor f64
+//!    kernels.
 //! 2. **Parallel safety is per-algebra.** The reduction-style parallel
 //!    kernels (CCS/CCCS/COO scatter with thread-local partials) merge
 //!    partial results in an order that differs from the serial
@@ -28,8 +29,6 @@
 //! floating-point sum is only associative up to rounding, matching the
 //! long-standing convention that a `Reduction` certificate permits
 //! reassociation within O(n·ε).
-
-use std::fmt::Debug;
 
 /// Plain-data description of a semiring's additive monoid, consumable
 /// by crates that must not depend on a concrete [`Semiring`] type
@@ -77,14 +76,11 @@ impl Default for AlgebraProps {
 
 /// A semiring `(S, ⊕, ⊗, 0, 1)` driving the generic kernels.
 ///
-/// Implementors are zero-sized marker types; all state lives in
-/// `Elem`. `0` must be the identity of `⊕` and an annihilator of `⊗`
+/// Implementors are zero-sized marker types over `f64`. `0` must be
+/// the identity of `⊕` and an annihilator of `⊗`
 /// for the sparsity predicate (`A(i,j) = 0 ⇒` the tuple contributes
 /// nothing) to remain sound — every instance here satisfies that.
 pub trait Semiring: 'static {
-    /// The carrier type.
-    type Elem: Copy + PartialEq + Send + Sync + Debug;
-
     /// Stable algebra identifier (telemetry, diagnostics).
     const NAME: &'static str;
     /// `⊕` is associative (algebraically; up to rounding for floats).
@@ -97,15 +93,15 @@ pub trait Semiring: 'static {
     const TIMES_SYMBOL: &'static str = "(*)";
 
     /// Additive identity (and multiplicative annihilator).
-    fn zero() -> Self::Elem;
+    fn zero() -> f64;
     /// Multiplicative identity.
-    fn one() -> Self::Elem;
+    fn one() -> f64;
     /// `a ⊕ b`. Left operand is the accumulator: non-commutative
     /// instances rely on this orientation.
-    fn plus(a: Self::Elem, b: Self::Elem) -> Self::Elem;
+    fn plus(a: f64, b: f64) -> f64;
     /// `a ⊗ b`.
-    fn times(a: Self::Elem, b: Self::Elem) -> Self::Elem;
-    /// Lift a stored `f64` (all formats store `f64`) into the carrier.
+    fn times(a: f64, b: f64) -> f64;
+    /// Lift a stored value into the algebra.
     ///
     /// **Contract:** `from_f64(0.0)` must equal [`Semiring::zero`].
     /// Formats materialize structural zeros (dense storage, ITPACK
@@ -116,7 +112,7 @@ pub trait Semiring: 'static {
     /// sparse algebra: an explicitly stored `0.0` is indistinguishable
     /// from an absent entry (e.g. a 0-weight edge is no edge under
     /// min-plus).
-    fn from_f64(v: f64) -> Self::Elem;
+    fn from_f64(v: f64) -> f64;
 
     /// Column-skip gate for the CCS kernels: may the
     /// whole stored column scaled by `xj` be skipped without touching
@@ -124,7 +120,7 @@ pub trait Semiring: 'static {
     /// overrides it with the exact NaN-safe test of the pre-refactor
     /// f64 kernels (`xj == 0.0` and every stored value finite, so that
     /// `0 · v` cannot produce a NaN that must propagate).
-    fn skip_scaled_column(_xj: Self::Elem, _stored: &[f64]) -> bool {
+    fn skip_scaled_column(_xj: f64, _stored: &[f64]) -> bool {
         false
     }
 
@@ -150,7 +146,6 @@ pub trait Semiring: 'static {
 pub struct F64Plus;
 
 impl Semiring for F64Plus {
-    type Elem = f64;
     const NAME: &'static str = "f64_plus";
     const PLUS_SYMBOL: &'static str = "+";
     const TIMES_SYMBOL: &'static str = "*";
@@ -194,7 +189,6 @@ impl Semiring for F64Plus {
 pub struct MinPlus;
 
 impl Semiring for MinPlus {
-    type Elem = f64;
     const NAME: &'static str = "min_plus";
     const PLUS_SYMBOL: &'static str = "min";
     const TIMES_SYMBOL: &'static str = "+";
@@ -236,43 +230,6 @@ impl Semiring for MinPlus {
     }
 }
 
-/// Boolean algebra: `({0,1}, ∨, ∧, false, true)` — reachability and
-/// BFS frontiers. `y = A ⊗ x` computes "has a neighbor in `x`".
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BoolOrAnd;
-
-impl Semiring for BoolOrAnd {
-    type Elem = bool;
-    const NAME: &'static str = "bool_or_and";
-    const PLUS_SYMBOL: &'static str = "|";
-    const TIMES_SYMBOL: &'static str = "&";
-
-    #[inline(always)]
-    fn zero() -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn one() -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn plus(a: bool, b: bool) -> bool {
-        a | b
-    }
-
-    #[inline(always)]
-    fn times(a: bool, b: bool) -> bool {
-        a & b
-    }
-
-    #[inline(always)]
-    fn from_f64(v: f64) -> bool {
-        v != 0.0
-    }
-}
-
 /// First-nonzero-wins selection: `⊕` keeps the accumulator unless it
 /// is still `0.0` — associative but **not** commutative (parent
 /// selection in traversals, where "which parent" depends on visit
@@ -284,7 +241,6 @@ impl Semiring for BoolOrAnd {
 pub struct FirstNonZero;
 
 impl Semiring for FirstNonZero {
-    type Elem = f64;
     const NAME: &'static str = "first_nonzero";
     const PLUS_IS_COMMUTATIVE: bool = false;
     const PLUS_SYMBOL: &'static str = "first";
@@ -324,7 +280,7 @@ impl Semiring for FirstNonZero {
 mod tests {
     use super::*;
 
-    fn check_monoid_laws<S: Semiring>(samples: &[S::Elem]) {
+    fn check_monoid_laws<S: Semiring>(samples: &[f64]) {
         for &a in samples {
             // Identity laws.
             assert_eq!(S::plus(S::zero(), a), a, "{}: 0 ⊕ a", S::NAME);
@@ -355,11 +311,6 @@ mod tests {
     #[test]
     fn min_plus_laws() {
         check_monoid_laws::<MinPlus>(&[0.0, 1.5, -3.0, 7.0, f64::INFINITY]);
-    }
-
-    #[test]
-    fn bool_laws() {
-        check_monoid_laws::<BoolOrAnd>(&[false, true]);
     }
 
     #[test]
@@ -412,13 +363,6 @@ mod tests {
         // (dense, ITPACK padding, diagonal) sound under every algebra.
         assert_eq!(F64Plus::from_f64(0.0), F64Plus::zero());
         assert_eq!(MinPlus::from_f64(0.0), MinPlus::zero());
-        assert_eq!(BoolOrAnd::from_f64(0.0), BoolOrAnd::zero());
         assert_eq!(FirstNonZero::from_f64(0.0), FirstNonZero::zero());
-    }
-
-    #[test]
-    fn bool_lifts() {
-        assert!(BoolOrAnd::from_f64(2.5));
-        assert!(!BoolOrAnd::from_f64(0.0));
     }
 }

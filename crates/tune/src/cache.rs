@@ -5,8 +5,7 @@
 //! by `(StructureKey, OpKind)`: every op the unified compilation core
 //! knows — SpMV, multi-RHS SpMV, the semiring variants, SpTRSV and
 //! SymGS — files its verdict under the same key shape and replays it
-//! through the same [`OpHints`] seam. Two-operand products key the
-//! ordered operand pair via [`StructureKey::combine`].
+//! through the same [`OpHints`] seam.
 //!
 //! # What is cached, what is re-verified
 //!
@@ -136,9 +135,8 @@ impl PlanCache {
 
     /// Compile any op, serving repeated structures from the cache —
     /// the one lookup → compile → insert every typed method below goes
-    /// through. The key is the operands' [`StructureKey`] (the ordered
-    /// pair, [`StructureKey::combine`]d, for the two-matrix ops) plus
-    /// the spec's [`OpKind`], which folds the algebra in and the
+    /// through. The key is the operand's [`StructureKey`] plus the
+    /// spec's [`OpKind`], which folds the algebra in and the
     /// instance parameters (`k`, `unit_diag`) out. A miss runs the cold
     /// `pipeline::compile` and stores its verdict; a hit hands the
     /// stored [`OpHints`] back to the same call — bitwise-identical
@@ -355,13 +353,11 @@ impl PlanCache {
     }
 }
 
-/// The structure half of a cache key: the operand's key, or the
-/// order-sensitive combination of an operand pair's.
+/// The structure half of a cache key: the operand's key.
 fn key_of(operands: &Operands<'_>) -> StructureKey {
     match *operands {
         Operands::Mat(a) => structure_key(a),
         Operands::Tri(a) => structure_key_csr(a),
-        Operands::MatPair(a, b) => StructureKey::combine(structure_key(a), structure_key(b)),
     }
 }
 

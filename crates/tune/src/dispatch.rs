@@ -112,15 +112,10 @@ impl Dispatcher {
     /// Result conventions: the multiply family starts from the
     /// algebra's ⊕-identity (so the result is exactly `A·x` /
     /// `A ⊗ x`); the solves start from a zero guess. An `rhs` of the
-    /// wrong length for the op is refused ([`RelError::Validation`]),
-    /// as is the matrix-matrix [`OpSpec::Spmm`] (the dispatcher serves
-    /// vector ops only).
+    /// wrong length for the op is refused ([`RelError::Validation`]).
     pub fn submit(&mut self, id: MatrixId, spec: OpSpec, rhs: &[f64]) -> RelResult<Vec<f64>> {
         let a = self.matrix(id)?;
         let operands = match spec {
-            OpSpec::Spmm => {
-                return Err(RelError::Validation("dispatcher submit: serves vector ops only".to_string()))
-            }
             OpSpec::Sptrsv { .. } | OpSpec::Symgs => Operands::Tri(csr_of(a)),
             _ => Operands::Mat(a),
         };
@@ -160,7 +155,7 @@ fn execute(
         MinPlus::NAME => run_as::<MinPlus>,
         other => {
             return Err(RelError::Validation(format!(
-                "dispatcher: no f64-element semiring named {other:?}"
+                "dispatcher: serves no semiring named {other:?}"
             )))
         }
     };
@@ -173,7 +168,7 @@ fn execute(
 
 /// Compile through the cache, then run into a fresh ⊕-identity buffer
 /// of the length the compile derived from the operand.
-fn run_as<S: Semiring<Elem = f64>>(
+fn run_as<S: Semiring>(
     cache: &PlanCache,
     ctx: &ExecCtx,
     spec: OpSpec,
@@ -269,9 +264,7 @@ mod tests {
         let a = d.register(&t);
         let rhs = vec![1.0; 16];
 
-        // A matrix-matrix spec, or an algebra with no f64 elements:
-        // refused.
-        assert!(d.submit(a, OpSpec::Spmm, &rhs).is_err());
+        // An algebra the dispatcher does not serve: refused.
         assert!(d
             .submit(a, OpSpec::SemiringSpmv { algebra: "bool_or_and" }, &rhs)
             .is_err());

@@ -41,21 +41,6 @@ impl StructureKey {
         }
         u64::from_str_radix(s, 16).ok().map(StructureKey)
     }
-
-    /// Digest an *ordered* pair of keys into one — how two-operand ops
-    /// (sparse × sparse products) key their operand bundle. FNV-1a over
-    /// the two digests, so `combine(a, b) != combine(b, a)` for
-    /// `a != b` (the product is not commutative) and neither input key
-    /// is recoverable.
-    pub fn combine(a: StructureKey, b: StructureKey) -> StructureKey {
-        let mut h = FNV_OFFSET;
-        for part in [a.0, b.0] {
-            for byte in part.to_le_bytes() {
-                h = fnv(h, byte as u64);
-            }
-        }
-        StructureKey(h)
-    }
 }
 
 impl std::fmt::Display for StructureKey {
@@ -156,16 +141,6 @@ mod tests {
             structure_key(&SparseMatrix::from_triplets(FormatKind::Csr, &t)),
             structure_key(&SparseMatrix::from_triplets(FormatKind::Csr, &unit)),
         );
-    }
-
-    #[test]
-    fn combine_is_order_sensitive_and_stable() {
-        let ka = structure_key(&SparseMatrix::from_triplets(FormatKind::Csr, &grid2d_5pt(4, 4)));
-        let kb = structure_key(&SparseMatrix::from_triplets(FormatKind::Csr, &grid2d_5pt(5, 3)));
-        assert_eq!(StructureKey::combine(ka, kb), StructureKey::combine(ka, kb));
-        assert_ne!(StructureKey::combine(ka, kb), StructureKey::combine(kb, ka));
-        assert_ne!(StructureKey::combine(ka, kb), ka);
-        assert_ne!(StructureKey::combine(ka, ka), ka);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! silent fails CI rather than silently producing undiffable
 //! profiles.
 
-use bernoulli::engines::{SpmmEngine, SpmvEngine, SpmvMultiEngine};
+use bernoulli::engines::{SpmvEngine, SpmvMultiEngine};
 use bernoulli::spmd::{fragment_matrix, to_mixed_spec, CompiledMixed};
 use bernoulli_formats::{gen, Csr, ExecCtx, FormatKind, SparseMatrix};
 use bernoulli_obs::Obs;
@@ -44,14 +44,8 @@ fn main() {
         }
     }
 
-    // SpMM (Gustavson) and the skinny multivector product.
-    let ts = gen::grid2d_5pt(16, 16);
-    let ns = ts.nrows();
-    let s = SparseMatrix::from_triplets(FormatKind::Csr, &ts);
+    // The skinny multivector product.
     let serial_obs = ExecCtx::serial().instrument(obs.clone());
-    let spmm = SpmmEngine::compile_in(&s, &s, &serial_obs).expect("spmm compile");
-    let mut c = vec![0.0; ns * ns];
-    spmm.run(&s, &s, &mut c).expect("spmm run");
     let a_csr = SparseMatrix::from_triplets(FormatKind::Csr, &t);
     let k = 4;
     let multi =

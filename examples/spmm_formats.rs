@@ -7,15 +7,24 @@
 //! ```
 //!
 //! — and plans it for every format pairing from the access-method
-//! properties alone.
+//! properties alone: no pairing has a hand-written kernel, each runs
+//! the plan the compiler chose for it.
 //!
 //! ```text
 //! cargo run --release --example spmm_formats
 //! ```
+//!
+//! Checks every pairing against the dense product and exits nonzero on
+//! any mismatch.
 
-use bernoulli::engines::{SpmmEngine, Strategy};
+use bernoulli::ast::programs;
+use bernoulli::Compiler;
 use bernoulli_formats::gen::random_sparse;
 use bernoulli_formats::{DenseMatrix, FormatKind, SparseMatrix};
+use bernoulli_relational::access::MatrixAccess;
+use bernoulli_relational::exec::Bindings;
+use bernoulli_relational::ids::{MAT_A, MAT_B, MAT_C};
+use bernoulli_relational::planner::QueryMeta;
 
 fn main() {
     let n = 40;
@@ -37,47 +46,37 @@ fn main() {
         }
     }
 
-    let kinds = [
-        FormatKind::Csr,
-        FormatKind::Ccs,
-        FormatKind::Cccs,
-        FormatKind::Coordinate,
-        FormatKind::Itpack,
-        FormatKind::JDiag,
-    ];
-    println!(
-        "C(i,j) += A(i,k)·B(k,j) for every (A-format, B-format) pairing ({} versions):\n",
-        kinds.len() * kinds.len()
-    );
-    let mut specialized = 0;
+    let kinds = FormatKind::ALL;
+    let pairs = kinds.len() * kinds.len();
+    println!("C(i,j) += A(i,k)·B(k,j) for every (A-format, B-format) pairing ({pairs} versions):\n");
+    let nest = programs::matmat();
+    let mut wrong = 0;
     for ka in kinds {
+        let a = SparseMatrix::from_triplets(ka, &ta);
         for kb in kinds {
-            let a = SparseMatrix::from_triplets(ka, &ta);
             let b = SparseMatrix::from_triplets(kb, &tb);
-            let eng = SpmmEngine::compile(&a, &b).expect("every pairing compiles");
+            let meta = QueryMeta::new().mat(MAT_A, a.meta()).mat(MAT_B, b.meta());
+            let kernel = Compiler::new().compile(&nest, &meta).expect("every pairing compiles");
             let mut c = vec![0.0; n * n];
-            eng.run(&a, &b, &mut c).expect("every pairing runs");
-            let err = c
-                .iter()
-                .zip(&want)
-                .map(|(x, y)| (x - y).abs())
-                .fold(0.0f64, f64::max);
-            assert!(err < 1e-9, "({ka:?},{kb:?}): err {err}");
-            if eng.strategy() == Strategy::Specialized {
-                specialized += 1;
-            }
+            let mut binds = Bindings::new();
+            binds.bind_mat(MAT_A, &a).bind_mat(MAT_B, &b).bind_mat_mut(MAT_C, &mut c, n, n);
+            kernel.run(&mut binds).expect("every pairing runs");
+            drop(binds);
+            let err = c.iter().zip(&want).map(|(x, y)| (x - y).abs()).fold(0.0f64, f64::max);
+            let ok = err < 1e-9;
+            wrong += usize::from(!ok);
             println!(
-                "  A={:<11} B={:<11} {:<12} max|err| {err:.1e}",
+                "  A={:<11} B={:<11} {} max|err| {err:.1e}  {}",
                 ka.paper_name(),
                 kb.paper_name(),
-                format!("{:?}", eng.strategy())
+                if ok { "ok  " } else { "FAIL" },
+                kernel.shape()
             );
         }
     }
-    println!(
-        "\nall {} pairings correct; {} dispatched to the hand-tuned Gustavson kernel,",
-        kinds.len() * kinds.len(),
-        specialized
-    );
-    println!("the rest ran on the general plan interpreter — one loop nest, every format.");
+    if wrong > 0 {
+        eprintln!("\n{wrong} of {pairs} pairings disagree with the dense product");
+        std::process::exit(1);
+    }
+    println!("\nall {pairs} pairings correct — one loop nest, every format, no per-pair kernel.");
 }

@@ -96,6 +96,11 @@ fi
 # stable across rounds, and the profile report validates with per-op
 # dispatch.<op> latency spans.
 cargo run --release --example dispatch > /dev/null
+# The paper's "36 versions" demo: the one matrix-matrix nest compiled
+# for every pair of formats, with no engine or hand kernel behind it;
+# the example exits nonzero if any pairing disagrees with the dense
+# product.
+cargo run --release --example spmm_formats > /dev/null
 # The repo's benchmark (BENCHMARK.json) is its own workspace, so none
 # of the cargo invocations above compile it: build it against the
 # crates as they are now, run its own unit tests, then run every

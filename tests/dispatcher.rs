@@ -256,3 +256,25 @@ fn registration_keeps_the_operand_exactly_as_csr() {
     let y = d.submit(id, OpSpec::Spmv, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).unwrap();
     assert_eq!(y, vec![-1.0, 0.0, 12.0, 15.0]);
 }
+
+/// The dispatcher serves the classical and the min-plus algebra. A
+/// request under any other — one the workspace compiles elsewhere
+/// (`first_nonzero`) or a name nothing knows — is refused with its name
+/// before it reaches the cache: nothing compiled, nothing counted, and
+/// the next served request is the first.
+#[test]
+fn a_request_under_an_algebra_it_does_not_serve_is_refused_before_the_cache() {
+    let mut d = Dispatcher::new(ExecCtx::serial());
+    let id = d.register(&grid2d_5pt(4, 4));
+    for algebra in ["first_nonzero", "max_times"] {
+        match d.submit(id, OpSpec::SemiringSpmv { algebra }, &rhs(16)) {
+            Err(bernoulli::RelError::Validation(m)) => assert!(m.contains(algebra), "{m}"),
+            other => panic!("{algebra}: expected a Validation refusal, got {other:?}"),
+        }
+    }
+    let s = d.stats();
+    assert_eq!((s.submitted, s.cache.hits, s.cache.misses, s.cache.entries()), (0, 0, 0, 0));
+    d.submit(id, OpSpec::SemiringSpmv { algebra: "min_plus" }, &rhs(16)).unwrap();
+    let s = d.stats();
+    assert_eq!((s.submitted, s.cache.misses, s.cache.entries()), (1, 1, 1));
+}

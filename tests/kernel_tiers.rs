@@ -5,7 +5,7 @@
 //! and degenerate operand:
 //!
 //! * **row family** (CRS, ITPACK, JDIAG, Diagonal, i-node, Dense,
-//!   CRS × skinny-dense, Gustavson): bitwise == serial, always;
+//!   CRS × skinny-dense): bitwise == serial, always;
 //! * **scatter family** (CCS, CCCS, COO): ≤ 1e-12 relative to serial
 //!   under an associative-commutative ⊕, and bitwise == serial (the
 //!   driver refuses to split) under a non-AC ⊕;
@@ -28,7 +28,7 @@ use bernoulli_formats::{
 };
 use proptest::prelude::*;
 use bernoulli_relational::access::MatrixAccess;
-use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus, Semiring};
+use bernoulli_relational::semiring::{F64Plus, FirstNonZero, MinPlus, Semiring};
 use bernoulli_solvers::vecops;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
@@ -111,7 +111,7 @@ fn close(got: &[f64], want: &[f64]) -> bool {
 
 /// The contract of one `(operand, semiring)` cell, over every format
 /// and worker count.
-fn check_cell<S: Semiring<Elem = f64>>(name: &str, t: &Triplets, x: &[f64], y0: f64) {
+fn check_cell<S: Semiring>(name: &str, t: &Triplets, x: &[f64], y0: f64) {
     let ac = S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE;
     for (format, scatter, a) in formats(t) {
         let mut want = vec![y0; t.nrows()];
@@ -199,24 +199,8 @@ fn threshold_keeps_small_matrices_serial() {
     }
 }
 
-/// The row driver is exact for carriers other than f64 too, through
-/// the frozen CRS entry point.
-#[test]
-fn csr_row_driver_exact_for_bool() {
-    let t = gen::grid2d_5pt(17, 13);
-    let a = Csr::from_triplets(&t);
-    let xb: Vec<bool> = (0..t.ncols()).map(|i| i % 5 == 0).collect();
-    let mut want = vec![false; t.nrows()];
-    kernels::spmv_csr_in::<BoolOrAnd>(&a, &xb, &mut want);
-    for workers in WORKERS {
-        let mut got = vec![false; t.nrows()];
-        par_kernels::par_spmv_csr_in::<BoolOrAnd>(&a, &xb, &mut got, &ctx(workers));
-        assert_eq!(got, want, "bool, {workers} workers");
-    }
-}
-
-/// CRS × skinny-dense and Gustavson are row-family bodies: bitwise ==
-/// serial for every worker count, any width (0 included), any semiring.
+/// CRS × skinny-dense is a row-family body: bitwise == serial for every
+/// worker count, any width (0 included), any semiring.
 #[test]
 fn spmm_tiers_are_bitwise_serial() {
     for (name, t) in operands() {
@@ -235,17 +219,6 @@ fn spmm_tiers_are_bitwise_serial() {
                 par_kernels::par_spmm_csr_dense_in::<MinPlus>(&a, &x, k, &mut got_min, &ctx(workers));
                 assert_eq!(bits(&got_min), bits(&want_min), "{name}, min-plus, k={k}, {workers} workers");
             }
-        }
-        let b = Csr::from_triplets(&t.transposed());
-        let want = kernels::spmm_csr_csr(&a, &b);
-        let want_first = kernels::spmm_csr_csr_in::<FirstNonZero>(&a, &b);
-        for workers in WORKERS {
-            let got = par_kernels::par_spmm_csr_csr(&a, &b, &ctx(workers));
-            assert_eq!(got.to_triplets().canonicalize(), want.to_triplets().canonicalize(), "{name}");
-            assert_eq!((got.rowptr(), got.colind()), (want.rowptr(), want.colind()), "{name}");
-            assert_eq!(bits(got.vals()), bits(want.vals()), "{name}, {workers} workers");
-            let got_first = par_kernels::par_spmm_csr_csr_in::<FirstNonZero>(&a, &b, &ctx(workers));
-            assert_eq!(got_first, want_first, "{name}, first-nonzero, {workers} workers");
         }
     }
 }

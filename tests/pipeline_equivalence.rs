@@ -2,7 +2,7 @@
 //! thin veneer over `bernoulli::pipeline::compile`, and this file pins
 //! the two properties the unification must preserve:
 //!
-//! 1. **Uniform provenance** — all six op specs emit `strategies`
+//! 1. **Uniform provenance** — all five op specs emit `strategies`
 //!    records with the *identical* field set under
 //!    `bernoulli.profile/v2`; no engine gets a private vocabulary.
 //! 2. **Replay parity** — compiling with hints (the plan cache's warm
@@ -11,7 +11,7 @@
 //!    corrupting the result, and hints from another op kind or a
 //!    mismatched operand bundle never panic.
 
-use bernoulli::engines::{SemiringSpmvEngine, SpmmEngine, SpmvEngine, SpmvMultiEngine, Strategy};
+use bernoulli::engines::{SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine, Strategy};
 use bernoulli::{
     compile_op, CompiledOp, OpHints, OpSpec, Operands, Reason, RelError, RelResult, SptrsvEngine,
     SymGsEngine, TriangularOp,
@@ -65,9 +65,9 @@ fn json_keys(obj: &str) -> Vec<String> {
 
 /// Satellite golden: one compile per op spec, one report, and every
 /// `strategies` record must carry the same field set in the same
-/// order — the unified pipeline emits one vocabulary for all six.
+/// order — the unified pipeline emits one vocabulary for all five.
 #[test]
-fn all_six_op_specs_emit_identical_strategy_field_sets() {
+fn all_five_op_specs_emit_identical_strategy_field_sets() {
     let obs = Obs::enabled();
     let ctx = ExecCtx::with_threads(2)
         .oversubscribe(true)
@@ -81,7 +81,6 @@ fn all_six_op_specs_emit_identical_strategy_field_sets() {
     let l = lower_triangle(&sym_t);
 
     SpmvEngine::compile_in(&a, &ctx).unwrap();
-    SpmmEngine::compile_in(&a, &a, &ctx).unwrap();
     SpmvMultiEngine::compile_in(&a, 2, &ctx).unwrap();
     SemiringSpmvEngine::<MinPlus>::compile_in(&a, &ctx).unwrap();
     SptrsvEngine::compile_in(&l, TriangularOp::Lower { unit_diag: false }, &ctx).unwrap();
@@ -89,11 +88,11 @@ fn all_six_op_specs_emit_identical_strategy_field_sets() {
 
     let report = obs.report();
     report.validate().unwrap();
-    assert_eq!(report.strategies.len(), 6, "one decision record per op spec");
+    assert_eq!(report.strategies.len(), 5, "one decision record per op spec");
     let ops: Vec<&str> = report.strategies.iter().map(|s| s.op).collect();
-    assert_eq!(ops, ["spmv", "spmm", "spmv_multi", "spmv", "sptrsv", "symgs"]);
+    assert_eq!(ops, ["spmv", "spmv_multi", "spmv", "sptrsv", "symgs"]);
     let algebras: Vec<&str> = report.strategies.iter().map(|s| s.algebra).collect();
-    assert_eq!(algebras, ["f64_plus", "f64_plus", "f64_plus", "min_plus", "f64_plus", "f64_plus"]);
+    assert_eq!(algebras, ["f64_plus", "f64_plus", "min_plus", "f64_plus", "f64_plus"]);
 
     // The golden: identical field sets, pinned by name and order.
     let json = report.to_json();
@@ -104,7 +103,7 @@ fn all_six_op_specs_emit_identical_strategy_field_sets() {
         .split("},{")
         .map(|r| r.trim_matches(|c| c == '{' || c == '}'))
         .collect();
-    assert_eq!(records.len(), 6);
+    assert_eq!(records.len(), 5);
     let want = [
         "op",
         "strategy",
@@ -261,7 +260,7 @@ impl Case<'_> {
     }
 }
 
-fn six_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 6] {
+fn five_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 5] {
     let f64_plus = |spec, operands| Case {
         spec,
         operands,
@@ -277,7 +276,6 @@ fn six_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 6] 
     let algebra = MinPlus::NAME;
     [
         f64_plus(OpSpec::Spmv, Operands::Mat(a)),
-        f64_plus(OpSpec::Spmm, Operands::MatPair(a, a)),
         f64_plus(OpSpec::SpmvMulti { k: 3 }, Operands::Mat(a)),
         min_plus(OpSpec::SemiringSpmv { algebra }, Operands::Mat(a)),
         f64_plus(
@@ -288,7 +286,7 @@ fn six_cases<'a>(a: &'a SparseMatrix, ca: &'a Csr, l: &'a Csr) -> [Case<'a>; 6] 
     ]
 }
 
-/// The table-driven contract of the single entry point, over all six
+/// The table-driven contract of the single entry point, over all five
 /// `OpSpec`s: (a) a compile replaying the op's own hints is the cold
 /// compile in every observable — verdict and output bits; (b) hints
 /// exported by a *different* op kind, and a spec handed another op's
@@ -300,7 +298,7 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
     let ca = Csr::from_triplets(&t);
     let l = lower_triangle(&t);
-    let cases = six_cases(&a, &ca, &l);
+    let cases = five_cases(&a, &ca, &l);
     let verdict = |op: &CompiledOp| (op.strategy(), op.tier(), op.plan_shape(), op.downgrade());
 
     // (a) Under the parallel context (wavefront schedules arm) and the
@@ -317,8 +315,7 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
 
     // (b) Foreign hints: every op's export fed to every other op. The
     // tier may differ from the cold one (a foreign verdict can
-    // mis-tier), the answer may not — up to the rounding the parallel
-    // SpMM merge is allowed.
+    // mis-tier), the answer may not — up to rounding.
     let same = |p: &f64, q: &f64| {
         p.to_bits() == q.to_bits() || (p - q).abs() <= 1e-12 * q.abs().max(1.0)
     };
@@ -343,7 +340,6 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
     // compiled op run against a foreign bundle is refused likewise.
     let shape = |o: &Operands<'_>| match o {
         Operands::Mat(_) => 0,
-        Operands::MatPair(..) => 1,
         Operands::Tri(_) => 2,
     };
     for (i, case) in cases.iter().enumerate() {
@@ -365,43 +361,10 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
     }
 }
 
-/// Operands of 4×3, 5×2 and 3×2 (the first times the second disagrees
-/// inside, times the third agrees), and a serial, a parallel and an
-/// interpreting context.
-fn product_cases() -> ([Triplets; 3], [ExecCtx; 3]) {
-    let t = [gen::random_sparse(4, 3, 8, 1), gen::random_sparse(5, 2, 6, 2), gen::random_sparse(3, 2, 4, 3)];
+/// A serial, a parallel and an interpreting context.
+fn tier_ctxs() -> [ExecCtx; 3] {
     let par = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
-    (t, [ExecCtx::serial(), par, ExecCtx::serial().specialization(false)])
-}
-
-fn refused(r: RelResult<()>) -> bool {
-    matches!(r, Err(RelError::Validation(_)))
-}
-
-/// A product whose inner dimensions disagree is refused with
-/// `Validation` on the serial, parallel and interpreting tiers, not
-/// left to the kernels' `assert!`.
-#[test]
-fn a_product_whose_inner_dimensions_disagree_is_refused_on_every_tier() {
-    let ([ta, tb, _], ctxs) = product_cases();
-    let (a, b) = (SparseMatrix::from_triplets(FormatKind::Csr, &ta), SparseMatrix::from_triplets(FormatKind::Csr, &tb));
-    for ctx in &ctxs {
-        let spmm = compile_op::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &b), ctx, None);
-        assert!(refused(spmm.map(drop)), "spmm");
-    }
-}
-
-/// A product compiled for a 4×3 · 3×2 pair refuses to run against the
-/// 4×3 · 5×2 one, whose output has the same length.
-#[test]
-fn a_compiled_product_refuses_a_pair_of_other_shapes() {
-    let ([ta, tb, tc], ctxs) = product_cases();
-    let mat = |t: &Triplets| SparseMatrix::from_triplets(FormatKind::Csr, t);
-    let (a, b, c) = (mat(&ta), mat(&tb), mat(&tc));
-    for ctx in &ctxs {
-        let op = compile_op::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &c), ctx, None).unwrap();
-        assert!(refused(op.run::<F64Plus>(Operands::MatPair(&a, &b), &[], &mut [0.0; 8])));
-    }
+    [ExecCtx::serial(), par, ExecCtx::serial().specialization(false)]
 }
 
 /// A multivector width whose `X`/`Y` lengths overflow `usize` is
@@ -410,7 +373,7 @@ fn a_compiled_product_refuses_a_pair_of_other_shapes() {
 /// panic, a debug-build multiply panic, or (wrapped) an empty result.
 #[test]
 fn a_multivector_width_that_overflows_is_refused_on_every_tier() {
-    let (_, ctxs) = product_cases();
+    let ctxs = tier_ctxs();
     let t = gen::grid2d_5pt(2, 2);
     let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
     let overflow = |r: RelResult<()>| matches!(r, Err(RelError::Validation(m)) if m.contains("overflows"));
@@ -421,5 +384,33 @@ fn a_multivector_width_that_overflows_is_refused_on_every_tier() {
         let mut dispatcher = bernoulli_tune::Dispatcher::new(ctxs[1].clone());
         let id = dispatcher.register(&t);
         assert!(overflow(dispatcher.submit(id, OpSpec::SpmvMulti { k }, &[]).map(drop)), "k = {k}, submit");
+    }
+}
+
+/// A compiled semiring op is bound to its algebra: run through the
+/// untyped front door under another semiring it is refused, on every
+/// tier, and leaves the output untouched — a min-plus plan is never
+/// evaluated with `(+, ×)` or first-nonzero.
+#[test]
+fn a_compiled_semiring_op_refuses_to_run_under_another_algebra() {
+    use bernoulli_relational::semiring::FirstNonZero;
+    let t = gen::grid2d_5pt(4, 4);
+    let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
+    let operands = Operands::Mat(&a);
+    let x = vec![1.0; 16];
+    let mut want = vec![7.0f64; 16];
+    for &(i, _, v) in t.canonicalize().entries() {
+        want[i] = want[i].min(v + 1.0);
+    }
+    for ctx in tier_ctxs() {
+        let spec = OpSpec::SemiringSpmv { algebra: MinPlus::NAME };
+        let op = compile_op::<MinPlus>(spec, operands, &ctx, None).unwrap();
+        let mut y = vec![7.0; 16];
+        for ran in [op.run::<F64Plus>(operands, &x, &mut y), op.run::<FirstNonZero>(operands, &x, &mut y)] {
+            assert!(matches!(ran, Err(RelError::Validation(_))), "{ctx:?}: {ran:?}");
+        }
+        assert_eq!(y, vec![7.0; 16], "{ctx:?}: a refused run wrote its output");
+        op.run::<MinPlus>(operands, &x, &mut y).unwrap();
+        assert_eq!(y, want, "{ctx:?}");
     }
 }

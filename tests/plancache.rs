@@ -465,13 +465,16 @@ fn a_v4_cache_file_loads_as_an_empty_cache() {
 }
 
 /// A v5 file may carry entries for op kinds this build does not know —
-/// a semiring product, an algebra it does not ship, a transposed solve.
-/// It still loads under the same schema: those entries are dropped (the
-/// tags do not parse) and every other entry loads unchanged and hits.
+/// the sparse × sparse product and the boolean SpMV earlier builds
+/// cached, a semiring product, an algebra it does not ship, a transposed
+/// solve. It still loads under the same schema: those entries are
+/// dropped (the tags do not parse) and every other entry loads
+/// unchanged and hits.
 #[test]
 fn a_v5_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
-    use bernoulli::{OpSpec, Operands, TriangularOp};
-    use bernoulli_relational::semiring::{BoolOrAnd, F64Plus, FirstNonZero, MinPlus};
+    use bernoulli::TriangularOp;
+    use bernoulli_analysis::binding::{fnv, FNV_OFFSET};
+    use bernoulli_relational::semiring::{FirstNonZero, MinPlus};
     assert_eq!(SCHEMA, "bernoulli.plancache/v5");
     let ctx = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
     let t = bernoulli_formats::gen::grid3d_7pt(5, 5, 5);
@@ -482,10 +485,8 @@ fn a_v5_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
     // second round on.
     let compile_all = |cache: &PlanCache| {
         cache.spmv_engine(&a, &ctx).unwrap();
-        cache.compile::<F64Plus>(OpSpec::Spmm, Operands::MatPair(&a, &a), &ctx).unwrap();
         cache.spmv_multi_engine(&a, 3, &ctx).unwrap();
         cache.semiring_spmv_engine::<MinPlus>(&a, &ctx).unwrap();
-        cache.semiring_spmv_engine::<BoolOrAnd>(&a, &ctx).unwrap();
         cache.semiring_spmv_engine::<FirstNonZero>(&a, &ctx).unwrap();
         cache.sptrsv_engine(&l, lower, &ctx).unwrap();
         cache.sptrsv_engine(&u, upper, &ctx).unwrap();
@@ -493,24 +494,31 @@ fn a_v5_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
     };
     let cache = PlanCache::new();
     compile_all(&cache);
-    assert_eq!(cache.stats().entries(), 9);
+    assert_eq!(cache.stats().entries(), 7);
     let json = cache.to_json();
 
-    let removed = |op: &str, key: StructureKey| {
+    let removed = |op: &str, key: &str, shape: &str| {
         format!(
-            "{{\"structure\":\"{}\",\"op\":\"{op}\",\"strategy\":\"parallel\",\"plan_shape\":\"\",\
-             \"fast_eligible\":false,\"rows\":null,\"level_ptr\":null}}",
-            key.hex()
+            "{{\"structure\":\"{key}\",\"op\":\"{op}\",\"strategy\":\"parallel\",\"plan_shape\":\"{shape}\",\
+             \"fast_eligible\":false,\"rows\":null,\"level_ptr\":null}}"
         )
     };
-    let pair = StructureKey::combine(structure_key_csr(&full), structure_key_csr(&full));
+    // Earlier builds keyed a product by FNV-1a over both operands'
+    // digests, and cached `spmm` and `spmv.bool_or_and` entries for
+    // `a` under this context as below.
+    let digest = u64::from_str_radix(&structure_key(&a).hex(), 16).unwrap();
+    let pair = [digest; 2].iter().flat_map(|d| d.to_le_bytes()).fold(FNV_OFFSET, |h, b| fnv(h, b as u64));
+    assert_eq!(format!("{pair:016x}"), "849c5c7af63619c5", "the key such a build wrote");
+    let key = |k: StructureKey| k.hex();
     let old = json.replacen(
         "\"ops\":[",
         &format!(
-            "\"ops\":[{},{},{},",
-            removed("spmm.count_u64", pair),
-            removed("spmv.max_plus", structure_key(&a)),
-            removed("sptrsv.lower_transposed", structure_key_csr(&l)),
+            "\"ops\":[{},{},{},{},{},",
+            removed("spmv.bool_or_and", &key(structure_key(&a)), "i:outer(A)>j:inner(A)[X?]"),
+            removed("spmm", &format!("{pair:016x}"), "i:outer(A)>k:inner(A)[B?]>j:inner(B)"),
+            removed("spmm.count_u64", &format!("{pair:016x}"), ""),
+            removed("spmv.max_plus", &key(structure_key(&a)), ""),
+            removed("sptrsv.lower_transposed", &key(structure_key_csr(&l)), ""),
         ),
         1,
     );
@@ -525,7 +533,7 @@ fn a_v5_file_with_entries_for_removed_op_kinds_drops_them_and_keeps_the_rest() {
     assert_eq!(loaded.to_json(), json);
     compile_all(&loaded);
     let stats = loaded.stats();
-    assert_eq!((stats.hits, stats.misses, stats.entries()), (9, 0, 9), "{stats:?}");
+    assert_eq!((stats.hits, stats.misses, stats.entries()), (7, 0, 7), "{stats:?}");
 }
 
 /// A cache file is whatever is on disk when it is read back. Every

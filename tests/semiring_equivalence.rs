@@ -147,34 +147,6 @@ fn ref_spmm_csr_dense(a: &Csr, x: &[f64], k: usize, y: &mut [f64]) {
     }
 }
 
-fn ref_spmm_csr_csr(a: &Csr, b: &Csr) -> Csr {
-    let mut t = Triplets::new(a.nrows(), b.ncols());
-    let mut marker = vec![usize::MAX; b.ncols()];
-    let mut acc = vec![0.0f64; b.ncols()];
-    let mut touched: Vec<usize> = Vec::new();
-    for i in 0..a.nrows() {
-        touched.clear();
-        for (p, &kcol) in a.row_cols(i).iter().enumerate() {
-            let av = a.row_vals(i)[p];
-            for (q, &j) in b.row_cols(kcol).iter().enumerate() {
-                let bv = b.row_vals(kcol)[q];
-                if marker[j] != i {
-                    marker[j] = i;
-                    acc[j] = 0.0;
-                    touched.push(j);
-                }
-                acc[j] += av * bv;
-            }
-        }
-        for &j in &touched {
-            if acc[j] != 0.0 {
-                t.push(i, j, acc[j]);
-            }
-        }
-    }
-    Csr::from_triplets(&t)
-}
-
 /// Serial reference dispatch: the pre-refactor `SparseMatrix::spmv_acc`.
 fn ref_spmv(m: &SparseMatrix, x: &[f64], y: &mut [f64]) {
     match m {
@@ -358,9 +330,9 @@ proptest! {
         }
     }
 
-    /// Both SpMM kernels, serial + parallel: the generic code path
-    /// behind the surviving f64 wrappers is byte-identical to the
-    /// pre-refactor loops.
+    /// The CRS × skinny-dense kernel, serial + parallel: the generic
+    /// code path behind the surviving f64 wrappers is byte-identical to
+    /// the pre-refactor loop.
     #[test]
     fn generic_spmm_bitwise_equals_f64((t, k) in arb_matrix().prop_flat_map(|t| (Just(t), 1usize..4))) {
         let a = Csr::from_triplets(&t);
@@ -375,14 +347,6 @@ proptest! {
         let mut y_par = vec![0.0; a.nrows() * k];
         par_kernels::par_spmm_csr_dense_in::<F64Plus>(&a, &x, k, &mut y_par, &exec);
         prop_assert_eq!(bits(&y_par), bits(&y_ref), "par_spmm_csr_dense");
-        // A·Aᵀ as a sparse×sparse product (Gustavson).
-        let b = Csr::from_triplets(&t.transposed());
-        let c_ref = ref_spmm_csr_csr(&a, &b);
-        for c in [kernels::spmm_csr_csr(&a, &b), par_kernels::par_spmm_csr_csr(&a, &b, &exec)] {
-            prop_assert_eq!(c.rowptr(), c_ref.rowptr());
-            prop_assert_eq!(c.colind(), c_ref.colind());
-            prop_assert_eq!(bits(c.vals()), bits(c_ref.vals()));
-        }
     }
 }
 
