@@ -79,16 +79,43 @@ pub fn check_ptr(
 
 /// Check every stored index is `< bound` (`BA22`; first offender only).
 pub fn check_bounds(name: &'static str, idx: &[usize], bound: usize) -> Vec<Diagnostic> {
+    bounds_from(name, idx, bound, 0)
+}
+
+/// [`check_bounds`] over `idx`, which starts at offset `base` of `name`.
+fn bounds_from(name: &'static str, idx: &[usize], bound: usize, base: usize) -> Vec<Diagnostic> {
     for (k, &i) in idx.iter().enumerate() {
         if i >= bound {
             return vec![Diagnostic::error(
                 codes::FMT_INDEX_OOB,
-                Span::Component { name, at: Some(k) },
+                Span::Component { name, at: Some(base + k) },
                 format!("index {i} out of bounds (< {bound})"),
             )];
         }
     }
     Vec::new()
+}
+
+/// The index runs of a compressed level, `idx[ptr[r]..ptr[r + 1]]`:
+/// [`check_bounds`] over `idx`, then [`check_sorted_strict`] over each
+/// run, named `"{run} {r}"`, with their findings in that order. One
+/// pass over `idx`: a strictly ascending run is in bounds when its last
+/// index is, and only a run that is not is checked element by element.
+/// `ptr` must have passed [`check_ptr`] against `idx.len()`.
+pub fn check_compressed(name: &'static str, ptr: &[usize], idx: &[usize], bound: usize, run: &str) -> Vec<Diagnostic> {
+    let (mut bounds, mut order) = (Vec::new(), Vec::new());
+    for (r, w) in ptr.windows(2).enumerate() {
+        let ids = &idx[w[0]..w[1]];
+        if ids.windows(2).all(|p| p[0] < p[1]) && ids.last().is_none_or(|&l| l < bound) {
+            continue;
+        }
+        if bounds.is_empty() {
+            bounds = bounds_from(name, ids, bound, w[0]);
+        }
+        order.extend(check_sorted_strict(name, ids, format_args!("{run} {r}")));
+    }
+    bounds.extend(order);
+    bounds
 }
 
 /// Check one run of indices is strictly ascending: descent is `BA23`
@@ -184,16 +211,21 @@ const MISS_PROBES: usize = 20;
 /// 5. the hierarchical view (if any) agrees with the flat view, and
 ///    `search_inner`/`search_pair` agree with enumeration (`BA27`).
 ///
-/// Linear and copy-free for views that keep their order: one pass over
-/// the flat view counts it, finds the first tuple out of bounds, keeps
-/// the pair probes and the leading block's occupancy, and sees whether
-/// it ascends strictly in the hierarchy's key (row-major for a flat
-/// view) — which makes it duplicate-free. Under a hierarchy whose
-/// levels both declare sorted, the walk then compares against a second
-/// flat enumeration in lockstep. Only a flat view out of that order is
-/// collected and sorted, and only unsorted levels or views that
-/// disagree are compared sorted by `(row, col)`, which is where every
-/// view diagnostic comes from.
+/// Findings keep that precedence, first offender only.
+///
+/// Linear and copy-free for views that keep their order, with one flat
+/// enumeration: each flat tuple is counted, bounds-checked, kept as a
+/// pair probe if it is among the least, marked in the leading block's
+/// occupancy, and checked to ascend strictly in the hierarchy's key
+/// (row-major for a flat view), which makes the view duplicate-free.
+/// Under a hierarchy whose levels both declare sorted, that enumeration
+/// runs in lockstep with the hierarchy walk, which compares the two
+/// views tuple by tuple; a walk fault waits until the flat view has
+/// been drained, so the flat findings still come first. Otherwise the
+/// flat view is enumerated on its own. Only a flat view out of order
+/// is collected again and sorted, and only unsorted levels or views
+/// that disagree are compared sorted by `(row, col)`, which is where
+/// every view diagnostic comes from.
 ///
 /// Call only after raw structural checks pass — enumerating a corrupt
 /// format may panic.
@@ -207,7 +239,7 @@ pub fn check_access_contract(m: &dyn MatrixAccess) -> Vec<Diagnostic> {
     // Max-heap of the pair probes, ranked in the order they are taken.
     let mut probes = BinaryHeap::with_capacity(PAIR_PROBES + 1);
     let mut corner = [[false; CORNER]; CORNER];
-    for (i, j, v) in m.enum_flat() {
+    let mut see = |(i, j, v): (usize, usize, f64)| {
         if outside.is_none() && (i >= meta.nrows || j >= meta.ncols) {
             outside = Some((i, j));
         }
@@ -219,12 +251,30 @@ pub fn check_access_contract(m: &dyn MatrixAccess) -> Vec<Diagnostic> {
         let probe = (if hierarchical { (i, j) } else { (count, 0) }, (i, j), v.to_bits());
         if probes.len() < PAIR_PROBES {
             probes.push(probe);
-        } else if let Some(mut top) = probes.peek_mut() {
-            if probe < *top {
-                *top = probe;
-            }
+        } else if probes.peek().is_some_and(|top| probe < *top) {
+            *probes.peek_mut().expect("full") = probe;
         }
         count += 1;
+    };
+    // The lockstep walk's verdict: whether the views agree, or its fault.
+    let mut walked = None;
+    if hierarchical && meta.outer.sortedness.is_sorted() && meta.inner.sortedness.is_sorted() {
+        let (mut flat, mut same) = (m.enum_flat(), true);
+        let bits = |(i, j, v): (usize, usize, f64)| (i, j, v.to_bits());
+        let walk = walk_hierarchy(m, &meta, |h| {
+            let f = flat.next();
+            if let Some(f) = f {
+                see(f);
+            }
+            same &= f.map(bits) == Some(bits(h));
+        });
+        for f in flat {
+            see(f);
+            same = false;
+        }
+        walked = Some(walk.map(|()| same));
+    } else {
+        m.enum_flat().for_each(see);
     }
     if count != meta.nnz {
         return error(
@@ -250,17 +300,13 @@ pub fn check_access_contract(m: &dyn MatrixAccess) -> Vec<Diagnostic> {
     }
 
     if hierarchical {
-        // Views that both ascend in the hierarchy's key compare in
-        // lockstep; any others, and views that disagree, sorted.
-        let mut same = ascending && meta.outer.sortedness.is_sorted() && meta.inner.sortedness.is_sorted();
-        if same {
-            let mut flat = m.enum_flat();
-            let bits = |(i, j, v): (usize, usize, f64)| (i, j, v.to_bits());
-            if let Err(d) = walk_hierarchy(m, &meta, |h| same = same && flat.next().map(bits) == Some(bits(h))) {
-                return vec![d];
-            }
-            same = same && flat.next().is_none();
-        }
+        // Views that disagree, or whose levels are not both sorted,
+        // compare sorted.
+        let same = match walked {
+            Some(Err(d)) => return vec![d],
+            Some(Ok(same)) => same,
+            None => false,
+        };
         if !same {
             let mut hier = Vec::new();
             if let Err(d) = walk_hierarchy(m, &meta, |h| hier.push(h)) {
@@ -727,6 +773,23 @@ mod tests {
             assert_eq!(d[0].code, codes::FMT_DUPLICATE, "{d:?}");
             // Unsorted but duplicate-free: the views still compare.
             same_as_oracle(&sample(o).with_flat(|f| f.reverse()), false);
+        }
+    }
+
+    #[test]
+    fn a_count_mismatch_outranks_a_walk_fault_met_first() {
+        for o in ORIENTATIONS.into_iter().filter(|&o| o != Orientation::Flat) {
+            let mut m = sample(o);
+            let k = m.hier.iter().position(|(_, list)| list.len() > 1).unwrap();
+            m.hier[k].1.reverse();
+            let d = same_as_oracle(&m, true);
+            assert_eq!(d[0].code, codes::FMT_UNSORTED, "{d:?}");
+            // The walk stops at its fault; the count still covers the
+            // whole flat view.
+            m.meta.nnz += 1;
+            let d = same_as_oracle(&m, true);
+            assert_eq!(d[0].code, codes::FMT_META_MISMATCH, "{d:?}");
+            assert!(d[0].message.contains("meta.nnz = 7 but the flat view has 6 tuples"), "{}", d[0].message);
         }
     }
 

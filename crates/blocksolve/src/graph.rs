@@ -49,8 +49,7 @@ impl PointGraph {
         assert_eq!(t.nrows(), t.ncols(), "point graphs need square matrices");
         let npoints = t.nrows() / dof;
         let edges: Vec<(usize, usize)> = t
-            .canonicalize()
-            .entries()
+            .canonical_entries()
             .iter()
             .map(|&(r, c, _)| (r / dof, c / dof))
             .filter(|&(p, q)| p != q)

@@ -116,7 +116,7 @@ impl BlockSolveLayout {
     /// Symmetrically permute a matrix into the new numbering.
     pub fn permute_matrix(&self, t: &Triplets) -> Triplets {
         let mut out = Triplets::with_capacity(t.nrows(), t.ncols(), t.len());
-        for &(r, c, v) in t.canonicalize().entries() {
+        for &(r, c, v) in t.canonical_entries().iter() {
             out.push(self.row_perm.forward(r), self.row_perm.forward(c), v);
         }
         out

@@ -121,7 +121,7 @@ pub fn split_matrix(layout: &BlockSolveLayout, reordered: &Triplets) -> Vec<BsLo
         .map(|p| Triplets::new(dist.local_len(p), dist.local_len(p)))
         .collect();
 
-    for &(r, col, v) in reordered.canonicalize().entries() {
+    for &(r, col, v) in reordered.canonical_entries().iter() {
         let (p, lr) = dist.owner(r);
         let same_clique = layout.clique_of_new_row[r] == layout.clique_of_new_row.get(col).copied().unwrap_or(usize::MAX)
             && layout.clique_of_new_row[r] == layout.clique_of_new_row[col];

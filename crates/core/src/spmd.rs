@@ -262,7 +262,7 @@ pub fn fragment_matrix(t: &Triplets, dist: &dyn Distribution) -> Vec<GlobalFragm
             entries: Vec::new(),
         })
         .collect();
-    for &(r, c, v) in t.canonicalize().entries() {
+    for &(r, c, v) in t.canonical_entries().iter() {
         let (p, lr) = dist.owner(r);
         frags[p].entries.push((lr, c, v));
     }

@@ -11,7 +11,8 @@
 
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
-    check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
+    check_access_contract, check_bounds, check_compressed, check_ptr, check_sorted_strict, meta_mismatch,
+    Validate,
 };
 use bernoulli_analysis::Diagnostic;
 use bernoulli_relational::access::{
@@ -168,14 +169,7 @@ impl Validate for Cccs {
         if !d.is_empty() {
             return d;
         }
-        d.extend(check_bounds("rowind", &self.rowind, self.nrows));
-        for q in 0..self.colind.len() {
-            d.extend(check_sorted_strict(
-                "rowind",
-                &self.rowind[self.colp[q]..self.colp[q + 1]],
-                format_args!("stored column {q}"),
-            ));
-        }
+        d.extend(check_compressed("rowind", &self.colp, &self.rowind, self.nrows, "stored column"));
         if !d.is_empty() {
             return d;
         }

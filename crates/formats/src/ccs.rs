@@ -10,7 +10,7 @@
 
 use crate::triplet::Triplets;
 use bernoulli_analysis::validate::{
-    check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
+    check_access_contract, check_compressed, check_ptr, meta_mismatch, Validate,
 };
 use bernoulli_analysis::Diagnostic;
 use bernoulli_relational::access::{
@@ -168,14 +168,7 @@ impl Validate for Ccs {
         if !d.is_empty() {
             return d;
         }
-        d.extend(check_bounds("rowind", &self.rowind, self.nrows));
-        for j in 0..self.ncols {
-            d.extend(check_sorted_strict(
-                "rowind",
-                &self.rowind[self.colp[j]..self.colp[j + 1]],
-                format_args!("column {j}"),
-            ));
-        }
+        d.extend(check_compressed("rowind", &self.colp, &self.rowind, self.nrows, "column"));
         if !d.is_empty() {
             return d;
         }

@@ -30,15 +30,10 @@ impl Coo {
     /// dropped, row-major sorted — sortedness is *not* advertised to
     /// the planner, matching classical COO which makes no such promise).
     pub fn from_triplets(t: &Triplets) -> Self {
-        let c = t.canonicalize();
-        let mut rows = Vec::with_capacity(c.len());
-        let mut cols = Vec::with_capacity(c.len());
-        let mut vals = Vec::with_capacity(c.len());
-        for &(r, cc, v) in c.entries() {
-            rows.push(r);
-            cols.push(cc);
-            vals.push(v);
-        }
+        let c = t.canonical_entries();
+        let rows = c.iter().map(|e| e.0).collect();
+        let cols = c.iter().map(|e| e.1).collect();
+        let vals = c.iter().map(|e| e.2).collect();
         Coo { nrows: t.nrows(), ncols: t.ncols(), rows, cols, vals }
     }
 

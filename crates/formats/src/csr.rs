@@ -8,9 +8,9 @@
 
 use crate::fast::IndexDigest;
 use bernoulli_analysis::binding::OperandBinding;
-use crate::triplet::Triplets;
+use crate::triplet::{row_ptr, Triplets};
 use bernoulli_analysis::validate::{
-    check_access_contract, check_bounds, check_ptr, check_sorted_strict, meta_mismatch, Validate,
+    check_access_contract, check_compressed, check_ptr, meta_mismatch, Validate,
 };
 use bernoulli_analysis::Diagnostic;
 use bernoulli_relational::access::{
@@ -72,22 +72,11 @@ impl PartialEq for Csr {
 impl Csr {
     /// Build from triplets (canonicalised).
     pub fn from_triplets(t: &Triplets) -> Self {
-        let c = t.canonicalize();
-        let nrows = t.nrows();
-        let mut rowptr = vec![0usize; nrows + 1];
-        for &(r, _, _) in c.entries() {
-            rowptr[r + 1] += 1;
-        }
-        for i in 0..nrows {
-            rowptr[i + 1] += rowptr[i];
-        }
-        let mut colind = Vec::with_capacity(c.len());
-        let mut vals = Vec::with_capacity(c.len());
-        for &(_, cc, v) in c.entries() {
-            colind.push(cc);
-            vals.push(v);
-        }
-        Csr::from_raw_unchecked(nrows, t.ncols(), rowptr, colind, vals)
+        let c = t.canonical_entries();
+        let rowptr = row_ptr(t.nrows(), &c);
+        let colind = c.iter().map(|e| e.1).collect();
+        let vals = c.iter().map(|e| e.2).collect();
+        Csr::from_raw_unchecked(t.nrows(), t.ncols(), rowptr, colind, vals)
     }
 
     /// Build from raw arrays (must satisfy the CRS invariants: monotone
@@ -362,14 +351,7 @@ impl Validate for Csr {
         if !d.is_empty() {
             return d;
         }
-        d.extend(check_bounds("colind", &self.colind, self.ncols));
-        for r in 0..self.nrows {
-            d.extend(check_sorted_strict(
-                "colind",
-                &self.colind[self.rowptr[r]..self.rowptr[r + 1]],
-                format_args!("row {r}"),
-            ));
-        }
+        d.extend(check_compressed("colind", &self.rowptr, &self.colind, self.ncols, "row"));
         if !d.is_empty() {
             return d;
         }

@@ -60,7 +60,7 @@ impl DenseMatrix {
 
     pub fn from_triplets(t: &Triplets) -> Self {
         let mut m = DenseMatrix::zeros(t.nrows(), t.ncols());
-        for &(r, c, v) in t.canonicalize().entries() {
+        for &(r, c, v) in t.canonical_entries().iter() {
             m[(r, c)] = v;
         }
         m

@@ -44,10 +44,9 @@ pub struct DiagonalMatrix {
 
 impl DiagonalMatrix {
     pub fn from_triplets(t: &Triplets) -> Self {
-        let c = t.canonicalize();
         // Group by offset, tracking first/last row per diagonal.
         let mut by_off: BTreeMap<isize, Vec<(usize, f64)>> = BTreeMap::new();
-        for &(r, cc, v) in c.entries() {
+        for &(r, cc, v) in t.canonical_entries().iter() {
             by_off.entry(cc as isize - r as isize).or_default().push((r, v));
         }
         let mut diags = Vec::with_capacity(by_off.len());

@@ -135,7 +135,7 @@ pub fn shuffle_points(t: &Triplets, dof: usize, seed: u64) -> Triplets {
     }
     let remap = |r: usize| perm[r / dof] * dof + r % dof;
     let mut out = Triplets::with_capacity(t.nrows(), t.ncols(), t.len());
-    for &(r, c, v) in t.canonicalize().entries() {
+    for &(r, c, v) in t.canonical_entries().iter() {
         out.push(remap(r), remap(c), v);
     }
     out

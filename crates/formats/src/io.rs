@@ -197,11 +197,11 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Triplets, MmError> {
 
 /// Write triplets as a general real coordinate Matrix Market file.
 pub fn write_matrix_market<W: Write>(t: &Triplets, mut w: W) -> Result<(), MmError> {
-    let c = t.canonicalize();
+    let c = t.canonical_entries();
     writeln!(w, "%%MatrixMarket matrix coordinate real general")?;
     writeln!(w, "% written by bernoulli-formats")?;
-    writeln!(w, "{} {} {}", c.nrows(), c.ncols(), c.len())?;
-    for &(r, cc, v) in c.entries() {
+    writeln!(w, "{} {} {}", t.nrows(), t.ncols(), c.len())?;
+    for &(r, cc, v) in c.iter() {
         writeln!(w, "{} {} {:.17e}", r + 1, cc + 1, v)?;
     }
     Ok(())

@@ -12,7 +12,7 @@
 
 use crate::fast::IndexDigest;
 use bernoulli_analysis::binding::OperandBinding;
-use crate::triplet::Triplets;
+use crate::triplet::{row_ptr, Triplets};
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_sorted_strict, meta_mismatch, Validate,
 };
@@ -43,28 +43,19 @@ pub struct Itpack {
 
 impl Itpack {
     pub fn from_triplets(t: &Triplets) -> Self {
-        let c = t.canonicalize();
+        let c = t.canonical_entries();
         let nrows = t.nrows();
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
-        for &(r, cc, v) in c.entries() {
-            rows[r].push((cc, v));
-        }
-        let width = rows.iter().map(Vec::len).max().unwrap_or(0);
+        let ptr = row_ptr(nrows, &c);
+        let rowlen: Vec<usize> = ptr.windows(2).map(|w| w[1] - w[0]).collect();
+        let width = rowlen.iter().copied().max().unwrap_or(0);
         let mut colind = vec![0usize; nrows * width];
         let mut vals = vec![0.0; nrows * width];
-        let mut rowlen = vec![0usize; nrows];
-        for (r, entries) in rows.iter().enumerate() {
-            rowlen[r] = entries.len();
-            let pad_col = entries.last().map_or(0, |&(cc, _)| cc);
+        for (r, w) in ptr.windows(2).enumerate() {
+            let row = &c[w[0]..w[1]];
+            let pad_col = row.last().map_or(0, |e| e.1);
             for k in 0..width {
                 let at = k * nrows + r;
-                if k < entries.len() {
-                    colind[at] = entries[k].0;
-                    vals[at] = entries[k].1;
-                } else {
-                    colind[at] = pad_col;
-                    vals[at] = 0.0;
-                }
+                (colind[at], vals[at]) = row.get(k).map_or((pad_col, 0.0), |e| (e.1, e.2));
             }
         }
         let (nnz, digest) = (c.len(), IndexDigest::default());

@@ -9,7 +9,7 @@
 //! indices) and as a first-class [`Permutation`] value, so the permuted
 //! query formulation of §2.2 can be reproduced explicitly.
 
-use crate::triplet::Triplets;
+use crate::triplet::{row_ptr, Triplets};
 use bernoulli_analysis::validate::{
     check_access_contract, check_bounds, check_permutation, check_ptr, check_sorted_strict,
     meta_mismatch, Validate,
@@ -38,16 +38,13 @@ pub struct JDiag {
 
 impl JDiag {
     pub fn from_triplets(t: &Triplets) -> Self {
-        let c = t.canonicalize();
+        let c = t.canonical_entries();
         let nrows = t.nrows();
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nrows];
-        for &(r, cc, v) in c.entries() {
-            rows[r].push((cc, v));
-        }
+        let rows: Vec<_> = row_ptr(nrows, &c).windows(2).map(|w| &c[w[0]..w[1]]).collect();
         // Permutation sorting rows by decreasing length (stable).
         let neg_lens: Vec<isize> = rows.iter().map(|r| -(r.len() as isize)).collect();
         let perm = Permutation::sorting(&neg_lens);
-        let ndiags = rows.iter().map(Vec::len).max().unwrap_or(0);
+        let ndiags = rows.iter().map(|r| r.len()).max().unwrap_or(0);
 
         // jd_len[d] = number of stored rows with length > d; because the
         // permuted order is by decreasing length these are exactly the
@@ -67,7 +64,7 @@ impl JDiag {
         let mut vals = vec![0.0; total];
         for (gr, entries) in rows.iter().enumerate() {
             let p = perm.forward(gr);
-            for (d, &(cc, v)) in entries.iter().enumerate() {
+            for (d, &(_, cc, v)) in entries.iter().enumerate() {
                 let at = jd_ptr[d] + p;
                 colind[at] = cc;
                 vals[at] = v;

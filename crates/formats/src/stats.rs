@@ -62,15 +62,15 @@ impl MatrixStats {
 
 /// Compute statistics for a matrix in triplet form.
 pub fn analyze(t: &Triplets) -> MatrixStats {
-    let c = t.canonicalize();
-    let nrows = c.nrows();
-    let ncols = c.ncols();
+    let c = t.canonical_entries();
+    let nrows = t.nrows();
+    let ncols = t.ncols();
     let nnz = c.len();
 
     let mut bandwidth = 0usize;
     let mut diag_set = std::collections::BTreeSet::new();
     let mut row_cols: Vec<Vec<usize>> = vec![Vec::new(); nrows];
-    for &(r, cc, _) in c.entries() {
+    for &(r, cc, _) in c.iter() {
         let d = cc as isize - r as isize;
         bandwidth = bandwidth.max(d.unsigned_abs());
         diag_set.insert(d);
@@ -115,7 +115,7 @@ pub fn analyze(t: &Triplets) -> MatrixStats {
         avg_row_len,
         row_len_stddev: var.sqrt(),
         inode_groups,
-        symmetric: c.is_symmetric(),
+        symmetric: t.is_symmetric(),
     }
 }
 

@@ -15,6 +15,21 @@
 //! entries at one `(row, col)` are summed in insertion order starting
 //! from `+0.0` (so a lone `-0.0` reads `+0.0` and NaN payloads travel
 //! as `0.0 + v` carries them), and a sum `== 0.0` is dropped.
+//!
+//! The sort is skipped when the entries already are their own assembly
+//! ([`Triplets::canonical_entries`] then borrows them): strictly
+//! ascending by `(row, col)`, so every sum has one term, and every value
+//! `v` nonzero with `0.0 + v` bitwise `v`, so that term is what the
+//! assembly would store (it fails for `-0.0`, dropped, and for a
+//! signalling NaN, which the addition quiets). The check is one
+//! read-only pass; any entry that fails it sends the whole list through
+//! the counting sort, so a borrowed view and an assembled one cannot
+//! differ in a bit. Canonical input is common — what `canonicalize`
+//! returns, and what a row-major format's `to_triplets` gives back — and
+//! the constructors reading it pay that pass instead of a sort and a
+//! copy.
+
+use std::borrow::Cow;
 
 /// A matrix under assembly: a list of `(row, col, value)` entries.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -89,8 +104,30 @@ impl Triplets {
     /// Sort row-major, sum duplicates, drop entries that are exactly
     /// zero after summing. Idempotent.
     pub fn canonicalize(&self) -> Triplets {
-        let entries = self.assemble(false);
+        let entries = self.canonical_entries().into_owned();
         Triplets { nrows: self.nrows, ncols: self.ncols, entries }
+    }
+
+    /// The entries of [`Triplets::canonicalize`], borrowed when the raw
+    /// entries already are their own assembly (see the module doc),
+    /// assembled otherwise.
+    pub fn canonical_entries(&self) -> Cow<'_, [(usize, usize, f64)]> {
+        // The sum the sort would form for a lone `v`, added at run time:
+        // a `+0.0` the optimiser sees may let it assume `0.0 + v` is `v`
+        // for a nonzero `v`, which is not what the sort's addition does
+        // to a signalling NaN.
+        let zero = std::hint::black_box(0.0);
+        let kept = |v: f64| {
+            let sum = zero + v;
+            sum != 0.0 && sum.to_bits() == v.to_bits()
+        };
+        let canonical = self.entries.first().is_none_or(|e| kept(e.2))
+            && self.entries.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1) && kept(w[1].2));
+        if canonical {
+            Cow::Borrowed(&self.entries)
+        } else {
+            Cow::Owned(self.assemble(false))
+        }
     }
 
     /// Canonical entries sorted column-major (for CCS/CCCS assembly):
@@ -151,7 +188,7 @@ impl Triplets {
     pub fn matvec_acc(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.ncols, "x length");
         assert_eq!(y.len(), self.nrows, "y length");
-        for &(r, c, v) in &self.canonicalize().entries {
+        for &(r, c, v) in self.canonical_entries().iter() {
             y[r] += v * x[c];
         }
     }
@@ -165,12 +202,15 @@ impl Triplets {
         t
     }
 
-    /// True when the canonical matrix equals its transpose.
+    /// True when the canonical matrix equals its transpose: the
+    /// canonical entries against the column-major assembly (the
+    /// transpose's canonical entries, indices swapped).
     pub fn is_symmetric(&self) -> bool {
         if self.nrows != self.ncols {
             return false;
         }
-        self.canonicalize().entries == self.transposed().canonicalize().entries
+        let (rows, cols) = (self.canonical_entries(), self.canonical_col_major());
+        rows.len() == cols.len() && rows.iter().zip(&cols).all(|(&e, &(r, c, v))| e == (c, r, v))
     }
 
     /// Extract the main diagonal as a dense vector (zeros where absent),
@@ -191,11 +231,24 @@ impl Triplets {
     /// Per-row stored-entry counts of the canonical matrix.
     pub fn row_lengths(&self) -> Vec<usize> {
         let mut lens = vec![0usize; self.nrows];
-        for &(r, _, _) in &self.canonicalize().entries {
+        for &(r, _, _) in self.canonical_entries().iter() {
             lens[r] += 1;
         }
         lens
     }
+}
+
+/// Where each row of canonical `entries` starts, plus their end: the
+/// CRS row pointer of an `nrows`-row matrix.
+pub(crate) fn row_ptr(nrows: usize, entries: &[(usize, usize, f64)]) -> Vec<usize> {
+    let mut ptr = vec![0usize; nrows + 1];
+    for &(r, _, _) in entries {
+        ptr[r + 1] += 1;
+    }
+    for i in 0..nrows {
+        ptr[i + 1] += ptr[i];
+    }
+    ptr
 }
 
 #[cfg(test)]
@@ -365,6 +418,54 @@ mod tests {
             let mut by_col = oracle;
             by_col.sort_by_key(|&(r, c, _)| (c, r));
             proptest::prop_assert_eq!(bits(&t.canonical_col_major()), bits(&by_col));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(512))]
+        /// The canonical view of ascending input — whose values may be
+        /// zeros of either sign, quiet or signalling NaNs with payloads,
+        /// and which may carry one duplicate or one swapped pair — is
+        /// the `BTreeMap` assembly bit for bit, and borrows exactly when
+        /// the input is its own assembly.
+        #[test]
+        fn canonical_view_is_bitwise_the_btree_assembly(
+            nrows in 1usize..7,
+            ncols in 1usize..7,
+            cells in proptest::collection::vec((0usize..7, 0usize..7, 0usize..20), 0..40),
+            flaw in 0usize..3,
+            at in 0usize..64,
+        ) {
+            // Most picks are ordinary numbers, so many inputs are clean.
+            const VALUES: [f64; 8] = [
+                0.0,
+                -0.0,
+                f64::NAN,
+                f64::from_bits(0xfff8_0000_0000_beef), // quiet, negative, with payload
+                f64::from_bits(0x7ff0_0000_0000_0001), // signalling
+                f64::from_bits(0xfff4_0000_0000_0042), // signalling, negative
+                f64::INFINITY,
+                -0.30000000000000004,
+            ];
+            let value = |k: usize| VALUES.get(k).copied().unwrap_or(k as f64 - 13.5);
+            let mut e: Vec<(usize, usize, f64)> = cells
+                .into_iter()
+                .filter(|&(r, c, _)| r < nrows && c < ncols)
+                .map(|(r, c, k)| (r, c, value(k)))
+                .collect();
+            e.sort_by_key(|t| (t.0, t.1));
+            e.dedup_by_key(|t| (t.0, t.1));
+            let n = e.len();
+            match flaw {
+                1 if n > 0 => e.insert(at % n, e[at % n]),
+                2 if n > 1 => e.swap(at % (n - 1), at % (n - 1) + 1),
+                _ => {}
+            }
+            let t = Triplets::from_entries(nrows, ncols, &e);
+            let (view, oracle) = (t.canonical_entries(), btree_canonical(&t));
+            proptest::prop_assert_eq!(bits(&view), bits(&oracle));
+            let borrowed = matches!(view, std::borrow::Cow::Borrowed(_));
+            proptest::prop_assert_eq!(borrowed, bits(t.entries()) == bits(&oracle));
         }
     }
 

@@ -16,13 +16,14 @@ cargo test --workspace -q
 # (~2.5 min), the fast tier's bitwise suite,
 # the three that replay certificates through hints and bind schedules
 # to operands (pipeline_equivalence, plancache, corrupt_schedule), and
-# the solvers' allocation-free steady state (solve_allocations), since
+# the solvers' allocation-free steady state (solve_allocations) and the
+# copy-free reading of canonical triplets (setup_allocations), since
 # where the allocator places a buffer is a release-build effect.
 cargo test --release -q --test exec_ctx --test kernel_tiers --test parallel \
   --test wavefront --test solvers_integration --test failure_injection \
   --test properties --test observability --test fast_kernels --test tables \
   --test pipeline_equivalence --test plancache --test corrupt_schedule \
-  --test solve_allocations
+  --test solve_allocations --test setup_allocations
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # (`unsafe` containment needs no gate here: crates/formats denies
