@@ -13,7 +13,12 @@
 //! runs it in one address space over any [`Operator`], with all policy
 //! in one [`ExecCtx`]; [`cg_parallel`] runs it on one rank of the
 //! machine's [`Ctx`] over local fragments and a communicating matvec
-//! closure.
+//! closure. Both machines reduce every inner product in the one shape
+//! of [`crate::vecops`], and both skip the opening product when the
+//! whole guess is zero (`b − A·0` is `b` to the bit for finite `A`):
+//! one address space sees the whole guess, the ranks agree on it in
+//! one all-reduce, so every rank takes the same branch and no ghost
+//! exchange is left unmatched.
 //!
 //! The second form is a storage choice made by proof, the paper's §6
 //! thesis one level up: when the preconditioner is [`SymGs`] and the
@@ -81,9 +86,9 @@ pub struct CgResult {
 /// engine, a raw matrix, a matrix-free closure).
 ///
 /// The context decides everything else. `ExecCtx::default()` is the
-/// exact bit-for-bit serial solver; a parallel ctx dispatches the hot
-/// vector operations (dots, norms, axpy-style updates) through its
-/// thread pool; an [instrumented](ExecCtx::instrument) ctx records the
+/// serial solver; a parallel ctx dispatches the hot vector operations
+/// (dots, norms, axpy-style updates) through its thread pool, with the
+/// serial general form's bits for any worker count; an [instrumented](ExecCtx::instrument) ctx records the
 /// whole solve as a `solver.cg` span plus a [`SolverTrace`] of the
 /// residual history the solver already keeps. With a disabled handle
 /// the trace closure never runs.
@@ -135,9 +140,11 @@ pub fn cg(
 /// `matvec(ctx, p_local, out_local)` computes the local rows of `A·p`
 /// (performing whatever communication its implementation needs); dots
 /// go through all-reduce — two per iteration: ⟨p,Ap⟩, then ⟨r,z⟩ and
-/// ⟨r,r⟩ of the updated residual together. At one rank it is [`cg`]'s
-/// general form under a serial ctx bit for bit, except that it always
-/// forms the opening residual with a product.
+/// ⟨r,r⟩ of the updated residual together. The opening adds one
+/// all-reduce of a flag, "my fragment of `x` has a nonzero": when no
+/// rank's has, no rank multiplies, so a zero-guess solve of `k`
+/// iterations makes `k` products on every rank. At one rank it is
+/// [`cg`]'s general form under a serial ctx bit for bit.
 pub fn cg_parallel(
     ctx: &mut Ctx,
     matvec: impl FnMut(&mut Ctx, &[f64], &mut [f64]),
@@ -170,8 +177,9 @@ trait Form {
 /// What the general form asks of the machine it runs on.
 trait Space {
     type Error;
-    /// Whether `b − A·x` needs the product, or is `b` itself.
-    fn opening_product(&self, x: &[f64]) -> bool;
+    /// Whether `b − A·x` needs the product, or is `b` itself: the
+    /// same answer on every rank.
+    fn opening_product(&mut self, x: &[f64]) -> bool;
     /// `y ← A·p`.
     fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Self::Error>;
     /// `K` inner products in one reduction.
@@ -214,6 +222,11 @@ fn give_back(vecs: impl IntoIterator<Item = Vec<f64>>) {
         spare.sort_by_key(|v| std::cmp::Reverse(v.capacity()));
         spare.truncate(SPARES);
     })
+}
+
+/// Whether a guess has an entry other than `±0.0` (a NaN counts).
+fn has_nonzero(x: &[f64]) -> bool {
+    x.iter().any(|&v| v != 0.0)
 }
 
 /// `r = b − A·x` from the product `ax`.
@@ -289,9 +302,9 @@ struct Shared<'a> {
 impl Space for Shared<'_> {
     type Error = RelError;
 
-    fn opening_product(&self, x: &[f64]) -> bool {
+    fn opening_product(&mut self, x: &[f64]) -> bool {
         // From an all-zero guess `b − A·x` is `b` to the bit.
-        x.iter().any(|&v| v != 0.0)
+        has_nonzero(x)
     }
 
     fn apply(&mut self, p: &[f64], y: &mut [f64]) -> RelResult<()> {
@@ -321,10 +334,11 @@ struct Spmd<'c, M> {
 impl<M: FnMut(&mut Ctx, &[f64], &mut [f64])> Space for Spmd<'_, M> {
     type Error = Infallible;
 
-    fn opening_product(&self, _: &[f64]) -> bool {
-        // The matvec exchanges ghosts: a skip decided on one rank's
-        // fragment would leave its peers' exchange unmatched.
-        true
+    fn opening_product(&mut self, x: &[f64]) -> bool {
+        // The matvec exchanges ghosts, so the ranks decide together: a
+        // skip decided on one rank's fragment would leave its peers'
+        // exchange unmatched.
+        self.ctx.all_reduce_max(f64::from(u8::from(has_nonzero(x)))) > 0.0
     }
 
     fn apply(&mut self, p: &[f64], y: &mut [f64]) -> Result<(), Infallible> {
@@ -538,10 +552,11 @@ mod tests {
 
     #[test]
     fn exec_parallel_vecops_match_serial_solve() {
-        // Shared-memory CG: the same solve with parallel vector ops
-        // converges to the same solution (dots re-associate, so compare
-        // solutions rather than bits).
-        let t = grid2d_5pt(12, 11);
+        // Shared-memory CG: the same solve with parallel vector ops is
+        // the serial solve to the bit, since every dot has one shape
+        // and the element-wise updates never see the chunking. Three
+        // dot blocks, so the workers split them.
+        let t = grid2d_5pt(48, 47);
         let a = Csr::from_triplets(&t);
         let n = t.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 5 % 13) as f64) * 0.5 - 3.0).collect();
@@ -549,12 +564,14 @@ mod tests {
         let opts = CgOptions::default();
         let mut x_ser = vec![0.0; n];
         let res_ser = cg(&a, &pc, &b, &mut x_ser, opts, &ExecCtx::default()).unwrap();
-        let par = ExecCtx::with_threads(4).threshold(1);
-        let mut x_par = vec![0.0; n];
-        let res_par = cg(&a, &pc, &b, &mut x_par, opts, &par).unwrap();
-        assert!(res_ser.converged && res_par.converged);
-        for (p, s) in x_par.iter().zip(&x_ser) {
-            assert!((p - s).abs() < 1e-8, "parallel-ctx CG diverged from serial");
+        assert!(res_ser.converged);
+        for workers in 2..=4 {
+            let par = ExecCtx::with_threads(workers).threshold(1);
+            let mut x_par = vec![0.0; n];
+            let res_par = cg(&a, &pc, &b, &mut x_par, opts, &par).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&res_par.residual_history), bits(&res_ser.residual_history), "{workers} workers");
+            assert_eq!(bits(&x_par), bits(&x_ser), "{workers} workers");
         }
     }
 

@@ -11,8 +11,9 @@
 //! the matrix through the [`Operator`] seam of the core crate (a bound
 //! engine, a raw format, or a matrix-free closure all qualify) and
 //! takes one [`ExecCtx`] carrying all policy — parallel vector-op
-//! dispatch, checked mode, telemetry. `ExecCtx::default()` reproduces
-//! the historical serial solvers bit for bit.
+//! dispatch, checked mode, telemetry. `ExecCtx::default()` is the
+//! serial solver, and parallel vector-op dispatch keeps the bits of
+//! its general form.
 //!
 //! * [`vecops`] — dense vector primitives, serial and through an
 //!   [`ExecCtx`];

@@ -24,6 +24,11 @@ cargo test --release -q --test exec_ctx --test kernel_tiers --test parallel \
   --test properties --test observability --test fast_kernels --test tables \
   --test pipeline_equivalence --test plancache --test corrupt_schedule \
   --test solve_allocations --test setup_allocations
+# The formats and solvers crates' own unit tests at the same level: their
+# bitwise claims (the counting sort is the BTreeMap assembly, a dot has
+# one shape for any worker count) must hold in the code the benchmark
+# runs, not only in debug codegen.
+cargo test --release -q -p bernoulli-formats -p bernoulli-solvers --lib
 cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # (`unsafe` containment needs no gate here: crates/formats denies

@@ -220,12 +220,13 @@ fn bit_hash(xs: &[f64]) -> u64 {
 fn ctx_path_is_bitwise_identical_to_pre_refactor_goldens() {
     // Captured from the pre-ExecCtx library (the separate
     // `compile`/`cg` default-ctx entry points) on this exact workload,
-    // before the refactor landed. The unified ctx path must reproduce
-    // every bit: SpMV across all nine formats, then the CG solution and
-    // residual history.
+    // before the refactor landed; the CG pair again when every dot took
+    // the blocked eight-lane shape (`vecops`). The unified ctx path must
+    // reproduce every bit: SpMV across all nine formats, then the CG
+    // solution and residual history.
     const SPMV_GOLD: u64 = 0x68298f63ec3a43f9;
-    const CG_X_GOLD: u64 = 0xc0c5d5c80def860c;
-    const CG_HIST_GOLD: u64 = 0xb30dd9dc7ab4f567;
+    const CG_X_GOLD: u64 = 0xf087abeb3e6e469b;
+    const CG_HIST_GOLD: u64 = 0xd9e3c888d14247cf;
     const CG_ITERS_GOLD: usize = 29;
 
     let t = gen::grid2d_5pt(12, 12);

@@ -318,10 +318,13 @@ fn mixed_cg_histories(p: usize, iters: usize) -> (Vec<Vec<f64>>, bernoulli_spmd:
 /// ghost rows, poll-before-park, the fused ⟨r,z⟩/⟨r,r⟩ reduction)
 /// changes no number: residual histories carry the bits captured at the
 /// commit before it, on every rank; only the all-reduce count moves.
+/// The blocked dot shape (`vecops`) moved the histories once, on
+/// purpose; the bytes stayed.
 #[test]
 fn cg_parallel_histories_keep_their_bits_and_bytes() {
-    // Captured at the parent commit with this same function.
-    const HISTORY_GOLD: [u64; 4] = [0x57b6b4a7af6dbfee, 0x5da0a2d9e2fbba9b, 0x4555b4935d625bb1, 0x1c460daa9acc113e];
+    // Captured with this same function when the rank-local dots took the
+    // blocked eight-lane shape.
+    const HISTORY_GOLD: [u64; 4] = [0x5ceab75516b2b216, 0x290c9a57f32385b4, 0x99bde7dc201d50e6, 0xd3b5d0b74cf74f27];
     // Bytes all ranks send per iteration (gather + all-reduces).
     const BYTES_PER_ITER_GOLD: [u64; 4] = [0, 240, 480, 752];
     for p in 1..=4usize {
@@ -396,12 +399,14 @@ fn cg_parallel_at_one_rank_is_cg_bit_for_bit() {
     }
 }
 
-/// From a zero guess the shared-memory entry forms `r = b` with no
-/// product; the SPMD entry multiplies on every rank, because its matvec
-/// exchanges ghosts and a skip decided on one rank would leave the
-/// others' exchange unmatched.
+/// From a zero guess neither entry multiplies for its opening residual:
+/// the shared-memory entry sees the whole guess, and the SPMD ranks agree
+/// in one all-reduce whether any fragment has a nonzero, so a guess that
+/// is nonzero on one rank only makes every rank multiply (a skip decided
+/// on one fragment would leave the others' ghost exchange unmatched and
+/// hang the machine), and `-0.0` counts as zero.
 #[test]
-fn cg_parallel_multiplies_for_its_opening_residual_on_every_rank() {
+fn cg_parallel_skips_its_opening_product_only_when_every_rank_guesses_zero() {
     use std::cell::Cell;
     let t = fem_grid_2d(6, 5, 2);
     let n = t.nrows();
@@ -422,32 +427,46 @@ fn cg_parallel_multiplies_for_its_opening_residual_on_every_rank() {
     let p = 3;
     let dist = BlockDist::new(n, p);
     let frags = fragment_matrix(&t, &dist);
-    let out = Machine::run(p, |ctx| {
-        let me = ctx.rank();
-        let owned = dist.owned_globals(me);
-        let spec = to_mixed_spec(&frags[me], |g| {
-            let (q, l) = dist.owner(g);
-            (q == me).then_some(l)
+    // `guess(rank)` fills that rank's fragment of the initial `x`.
+    let products_per_rank = |guess: &(dyn Fn(usize) -> f64 + Sync)| {
+        let out = Machine::run(p, |ctx| {
+            let me = ctx.rank();
+            let owned = dist.owned_globals(me);
+            let spec = to_mixed_spec(&frags[me], |g| {
+                let (q, l) = dist.owner(g);
+                (q == me).then_some(l)
+            });
+            let mut eng = CompiledMixed::inspect(ctx, &spec, &dist);
+            let b_local: Vec<f64> = owned.iter().map(|&g| b[g]).collect();
+            let mut x_local = vec![guess(me); owned.len()];
+            let mut products = 0;
+            let res = cg_parallel(
+                ctx,
+                |ctx, v, y| {
+                    products += 1;
+                    eng.execute(ctx, v, y);
+                },
+                &pc.restrict(&owned),
+                &b_local,
+                &mut x_local,
+                opts,
+            );
+            (res.iters, products, res.residual_history)
         });
-        let mut eng = CompiledMixed::inspect(ctx, &spec, &dist);
-        let b_local: Vec<f64> = owned.iter().map(|&g| b[g]).collect();
-        let mut x_local = vec![0.0; owned.len()];
-        let mut products = 0;
-        let res = cg_parallel(
-            ctx,
-            |ctx, v, y| {
-                products += 1;
-                eng.execute(ctx, v, y);
-            },
-            &pc.restrict(&owned),
-            &b_local,
-            &mut x_local,
-            opts,
-        );
-        (res.iters, products)
-    });
-    for (rank, &(iters, products)) in out.results.iter().enumerate() {
-        assert_eq!((iters, products), (9, 10), "rank {rank}");
+        out.results
+    };
+    let zero = products_per_rank(&|_| 0.0);
+    let negative_zero = products_per_rank(&|_| -0.0);
+    for (rank, (z, nz)) in zero.iter().zip(&negative_zero).enumerate() {
+        assert_eq!((z.0, z.1), (9, 9), "zero guess, rank {rank}");
+        assert_eq!((nz.0, nz.1), (9, 9), "-0.0 guess, rank {rank}");
+        assert_eq!(bits(&nz.2), bits(&z.2), "-0.0 guess, rank {rank}");
+    }
+    for lone in 0..p {
+        let one_rank = products_per_rank(&|me| if me == lone { 0.5 } else { 0.0 });
+        for (rank, r) in one_rank.iter().enumerate() {
+            assert_eq!((r.0, r.1), (9, 10), "guess nonzero on rank {lone} only, rank {rank}");
+        }
     }
 }
 

@@ -139,14 +139,15 @@ fn solve_hashes(op: &dyn bernoulli::Operator, pc: &impl bernoulli_solvers::Preco
 /// split form existed, from a zero and a nonzero guess.
 #[test]
 fn serial_cg_outside_the_split_form_keeps_its_bits() {
-    // Captured at the commit before the split form.
+    // Captured when every dot took the blocked eight-lane shape
+    // (`vecops`); before that, at the commit before the split form.
     const GOLD: [[u64; 2]; 6] = [
-        [0x6cbb8f68cf21134f, 0x7a22b2c9664db6ae],
-        [0x77f02456cf913bbf, 0x99235c1dc65f8312],
-        [0xd125688c1eb87361, 0xa01b4f47a359dc4b],
-        [0xeda56115d1badaa5, 0x9a810337a35b01d9],
-        [0xbb42994faeea01f7, 0x2ea29741f0060f8a],
-        [0xb3857577e9644ba6, 0x6cf06dd352328597],
+        [0xa0a2474f539c18f9, 0xa028e39a71769b14],
+        [0x29d12932ed82f041, 0x90c429f112ee82c2],
+        [0x7e7305465bc553b8, 0xd579024dc7d6e067],
+        [0x69e18c1b338b9b1d, 0x4481c1ae0df4b8f7],
+        [0x5a93fd854df1c5fa, 0xb1fb4f9b59dfbd5d],
+        [0xf21d2539305edb7a, 0x7174ac94e2292d50],
     ];
     let t = fem_grid_2d(7, 6, 2);
     let n = t.nrows();
@@ -178,16 +179,18 @@ fn serial_cg_outside_the_split_form_keeps_its_bits() {
 /// the bit, so one golden pair serves both).
 #[test]
 fn serial_cg_in_the_split_form_keeps_its_bits() {
-    // Captured before the fused forward pass and the proof memo.
+    // Captured before the fused forward pass and the proof memo; the
+    // histories again when the opening ⟨r,r⟩ took the blocked dot shape
+    // (`vecops`), which moves only their first entry.
     const GOLD: [[u64; 2]; 8] = [
-        [0x83884d52f4ebbef0, 0xcf8b8f5ebcdf1264],
-        [0x56c6cc723f288713, 0x875eca6abf94f1a4],
-        [0x1f2511eec59670d1, 0x99190b89080779ba],
-        [0xa5dd5c9f327a4efc, 0xa909b3e199089c5c],
-        [0x516682ea5d322e66, 0xa910b4a50f1f98e3],
-        [0x2579abfd06379076, 0x94938c50cc891d03],
-        [0x39b2a8ced451c4f7, 0xf39fa1ee00e0dace],
-        [0x198b1f1385d84b4b, 0x266b86f0cd5e9790],
+        [0x83884d52f4ebbef0, 0x9ec6b1c9181a3933],
+        [0x56c6cc723f288713, 0x4a68830c57012c4f],
+        [0x1f2511eec59670d1, 0x3e22c5960a4990e1],
+        [0xa5dd5c9f327a4efc, 0x07fb73930e6eb4f7],
+        [0x516682ea5d322e66, 0x40defc69c4e1b6f1],
+        [0x2579abfd06379076, 0x0a60e0c5aae1f810],
+        [0x39b2a8ced451c4f7, 0xaa7fe87453333c3c],
+        [0x198b1f1385d84b4b, 0x7f2e1d7233d4384f],
     ];
     let mut got = Vec::new();
     for t in [bernoulli_formats::gen::grid3d_7pt(16, 16, 16), fem_grid_2d(9, 8, 2)] {
