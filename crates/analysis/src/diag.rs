@@ -186,11 +186,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Whether any finding is an error.
-pub fn has_errors(diags: &[Diagnostic]) -> bool {
-    diags.iter().any(Diagnostic::is_error)
-}
-
 /// Render error findings into one `Result`-friendly string
 /// (warnings omitted); `Ok(())` when there are none.
 pub fn into_result(diags: &[Diagnostic]) -> Result<(), String> {
@@ -214,8 +209,6 @@ mod tests {
         assert_eq!(d.to_string(), "error[BA21] at rowptr[3]: decreases");
         let w = Diagnostic::warning(codes::FMT_CONTRACT, Span::Rel(MAT_A), "odd");
         assert!(w.to_string().starts_with("warning[BA27] at A"));
-        assert!(!has_errors(std::slice::from_ref(&w)));
-        assert!(has_errors(&[w.clone(), d.clone()]));
         into_result(std::slice::from_ref(&w)).unwrap();
         let msg = into_result(&[w, d]).unwrap_err();
         assert!(msg.contains("BA21") && !msg.contains("BA27"), "{msg}");

@@ -334,13 +334,13 @@ fn check_driver_sound(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diag::has_errors;
     use bernoulli_relational::access::{MatMeta, VecMeta};
     use bernoulli_relational::ids::{MAT_A, VAR_I, VAR_J, VAR_K, VEC_X};
     use bernoulli_relational::plan::LoopNode;
     use bernoulli_relational::planner::Planner;
     use bernoulli_relational::props::{LevelProps, SearchCost};
-    use bernoulli_relational::query::QueryBuilder;
+    use bernoulli_relational::ast::programs;
+    use bernoulli_relational::lower::extract_query;
 
     fn csr_meta(n: usize, nnz: usize) -> MatMeta {
         MatMeta {
@@ -356,7 +356,7 @@ mod tests {
     }
 
     fn matvec_setup() -> (Query, QueryMeta) {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta =
             QueryMeta::new().mat(MAT_A, csr_meta(50, 200)).vec(VEC_X, VecMeta::dense(50));
         (q, meta)
@@ -379,7 +379,7 @@ mod tests {
         let (q, meta) = matvec_setup();
         for p in Planner::new().plan_all(&q, &meta).unwrap() {
             let diags = verify_plan(&p, &q, &meta);
-            assert!(!has_errors(&diags), "plan {}: {diags:?}", p.shape());
+            assert!(!diags.iter().any(Diagnostic::is_error), "plan {}: {diags:?}", p.shape());
         }
         let (p, q, meta) = clean_plan();
         verify_plan_hook(&p, &q, &meta).unwrap();
@@ -411,7 +411,7 @@ mod tests {
         let (mut plan, q, _) = clean_plan();
         let meta = QueryMeta::new().mat(MAT_A, csr_meta(50, 200)).vec(
             VEC_X,
-            VecMeta { len: 50, nnz: 20, props: LevelProps::sparse_sorted().with_duplicates(true) },
+            VecMeta { len: 50, nnz: 20, props: LevelProps { duplicates: true, ..LevelProps::sparse_sorted() } },
         );
         for n in &mut plan.nodes {
             if let PlanNode::Loop(l) = n {
@@ -535,14 +535,14 @@ mod tests {
 
     #[test]
     fn permuted_plans_verify_clean() {
-        let q = QueryBuilder::permuted_mat_vec_product().build();
+        let q = extract_query(&programs::matvec_row_permuted()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, csr_meta(40, 160))
             .vec(VEC_X, VecMeta::dense(40))
             .perm(bernoulli_relational::ids::PERM_P, 40);
         for p in Planner::new().plan_all(&q, &meta).unwrap() {
             let diags = verify_plan(&p, &q, &meta);
-            assert!(!has_errors(&diags), "plan {}: {diags:?}", p.shape());
+            assert!(!diags.iter().any(Diagnostic::is_error), "plan {}: {diags:?}", p.shape());
         }
     }
 }

@@ -121,16 +121,6 @@ impl BlockSolveLayout {
         }
         out
     }
-
-    /// Permute a vector into the new numbering.
-    pub fn permute_vec(&self, v: &[f64]) -> Vec<f64> {
-        self.row_perm.apply_to_vec(v)
-    }
-
-    /// Bring a vector in the new numbering back to the original one.
-    pub fn unpermute_vec(&self, v: &[f64]) -> Vec<f64> {
-        self.row_perm.unapply_to_vec(v)
-    }
 }
 
 #[cfg(test)]
@@ -192,15 +182,15 @@ mod tests {
     fn permute_roundtrip() {
         let (t, l) = sample_layout(2);
         let x: Vec<f64> = (0..t.nrows()).map(|i| i as f64).collect();
-        let px = l.permute_vec(&x);
-        assert_eq!(l.unpermute_vec(&px), x);
+        let px = l.row_perm.apply_to_vec(&x);
+        assert_eq!(l.row_perm.unapply_to_vec(&px), x);
         // Permuted matvec equals permuted reference.
         let pt = l.permute_matrix(&t);
         let mut py = vec![0.0; t.nrows()];
         pt.matvec_acc(&px, &mut py);
         let mut y = vec![0.0; t.nrows()];
         t.matvec_acc(&x, &mut y);
-        for (a, b) in l.unpermute_vec(&py).iter().zip(&y) {
+        for (a, b) in l.row_perm.unapply_to_vec(&py).iter().zip(&y) {
             assert!((a - b).abs() < 1e-10, "permuted matvec mismatch");
         }
     }

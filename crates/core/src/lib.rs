@@ -13,7 +13,8 @@
 //!    sparse/dense annotations per array;
 //! 2. [`lower`] — query extraction: the loop nest becomes a relational
 //!    query `σ_P (I ⋈ A ⋈ X ⋈ …)` with the sparsity predicate `P`
-//!    inferred à la Bik & Wijshoff;
+//!    inferred à la Bik & Wijshoff (both this and [`ast`] live in
+//!    `bernoulli-relational` and are re-exported here);
 //! 3. [`compile`] — the driver: plans the query against the arrays'
 //!    access-method metadata and wraps the result in an executable
 //!    kernel;
@@ -30,11 +31,10 @@
 //!    translation (eq. 23) and the mixed local/global translation
 //!    (eq. 24).
 
-pub use bernoulli_relational::ast;
+pub use bernoulli_relational::{ast, lower};
 pub mod codegen;
 pub mod compile;
 pub mod engines;
-pub mod lower;
 pub mod operator;
 pub mod pipeline;
 pub mod spmd;

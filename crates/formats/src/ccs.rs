@@ -88,16 +88,6 @@ impl Ccs {
         &self.vals
     }
 
-    /// Row indices of one column.
-    pub fn col_rows(&self, j: usize) -> &[usize] {
-        &self.rowind[self.colp[j]..self.colp[j + 1]]
-    }
-
-    /// Values of one column.
-    pub fn col_vals(&self, j: usize) -> &[f64] {
-        &self.vals[self.colp[j]..self.colp[j + 1]]
-    }
-
     /// Number of entirely empty columns (motivates CCCS, Fig. 1(c)).
     pub fn empty_cols(&self) -> usize {
         (0..self.ncols).filter(|&j| self.colp[j] == self.colp[j + 1]).count()
@@ -210,14 +200,6 @@ pub(crate) mod tests {
         assert_eq!(m.rowind(), &[0, 2, 1, 4, 5, 0, 3, 2, 5]);
         assert_eq!(m.vals(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0]);
         assert_eq!(m.empty_cols(), 2);
-    }
-
-    #[test]
-    fn column_slices() {
-        let m = Ccs::from_triplets(&fig1_matrix());
-        assert_eq!(m.col_rows(1), &[1, 4, 5]);
-        assert_eq!(m.col_vals(1), &[3.0, 4.0, 5.0]);
-        assert!(m.col_rows(2).is_empty());
     }
 
     #[test]

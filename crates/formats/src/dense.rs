@@ -96,41 +96,17 @@ impl DenseMatrix {
         self.data.is_empty()
     }
 
-    /// Count of nonzero values.
-    pub fn count_nonzeros(&self) -> usize {
-        self.data.iter().filter(|&&v| v != 0.0).count()
-    }
-
     pub fn row(&self, r: usize) -> &[f64] {
         &self.data[r * self.ncols..(r + 1) * self.ncols]
-    }
-
-    pub fn row_mut(&mut self, r: usize) -> &mut [f64] {
-        &mut self.data[r * self.ncols..(r + 1) * self.ncols]
     }
 
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
 
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// `y += A·x` (the serial tier of the dense [`crate::kernels::SpmvBody`]).
     pub fn matvec_acc(&self, x: &[f64], y: &mut [f64]) {
         crate::kernels::spmv_in::<bernoulli_relational::semiring::F64Plus, DenseMatrix>(self, x, y)
-    }
-
-    /// Max-norm distance to another matrix (testing aid).
-    pub fn max_abs_diff(&self, other: &DenseMatrix) -> f64 {
-        assert_eq!(self.nrows, other.nrows);
-        assert_eq!(self.ncols, other.ncols);
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -226,7 +202,7 @@ mod tests {
         let m = DenseMatrix::from_triplets(&t);
         assert_eq!(m[(0, 1)], 4.0);
         assert_eq!(m[(1, 2)], -2.0);
-        assert_eq!(m.count_nonzeros(), 2);
+        assert_eq!(m.row(1), &[0.0, 0.0, -2.0]);
         assert_eq!(m.to_triplets().canonicalize(), t.canonicalize());
     }
 
@@ -242,14 +218,5 @@ mod tests {
         assert_eq!(m.search_pair(5, 0), None);
         // Dense matrices store zeros: nnz is the full extent.
         assert_eq!(m.meta().nnz, 4);
-    }
-
-    #[test]
-    fn rows_and_diff() {
-        let mut m = DenseMatrix::zeros(2, 2);
-        m.row_mut(1)[0] = 7.0;
-        assert_eq!(m.row(1), &[7.0, 0.0]);
-        let z = DenseMatrix::zeros(2, 2);
-        assert_eq!(m.max_abs_diff(&z), 7.0);
     }
 }

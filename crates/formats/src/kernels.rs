@@ -934,11 +934,11 @@ mod tests {
             let m = SparseMatrix::from_triplets(kind, &t);
             // One Bellman-Ford step: y = min(x, A ⊗ x).
             let mut y = x.clone();
-            m.spmv_acc_in::<MinPlus>(&x, &mut y);
+            m.spmv_acc_on::<MinPlus>(&x, &mut y, None);
             assert_eq!(y, vec![0.0, 2.0, 7.0], "format {kind}, 1 hop");
             // Second step finds the cheaper 2-hop path 0→1→2.
             let mut z = y.clone();
-            m.spmv_acc_in::<MinPlus>(&y, &mut z);
+            m.spmv_acc_on::<MinPlus>(&y, &mut z, None);
             assert_eq!(z, vec![0.0, 2.0, 5.0], "format {kind}, 2 hops");
         }
     }

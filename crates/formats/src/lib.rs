@@ -40,7 +40,6 @@
 
 pub mod ccs;
 pub mod cccs;
-pub mod convert;
 pub mod coo;
 pub mod csr;
 pub mod dense;

@@ -127,10 +127,10 @@ impl SparseMatrix {
     }
 
     /// Hand-written SpMV (`y ⊕= A·x`) over an arbitrary semiring on the
-    /// tier `exec` selects — the one dispatch every `spmv_acc*` name
-    /// below goes through. `None`, one worker, or less work (stored
-    /// entries; a dense matrix stores them all) than `exec`'s threshold
-    /// runs the format's ranged body serially ([`kernels::spmv_in`]);
+    /// tier `exec` selects — the one dispatch every SpMV on a
+    /// [`SparseMatrix`] goes through. `None`, one worker, or less work
+    /// (stored entries; a dense matrix stores them all) than `exec`'s
+    /// threshold runs the format's ranged body serially ([`kernels::spmv_in`]);
     /// otherwise the same body runs under its family's parallel driver
     /// ([`par_kernels::par_spmv_in`] — see that module for the
     /// family-by-family determinism contract; in particular the scatter
@@ -143,26 +143,9 @@ impl SparseMatrix {
         }
     }
 
-    /// Serial SpMV (`y ⊕= A·x`) over an arbitrary semiring.
-    pub fn spmv_acc_in<S: Semiring>(&self, x: &[f64], y: &mut [f64]) {
-        self.spmv_acc_on::<S>(x, y, None)
-    }
-
     /// Serial SpMV (`y += A·x`) on the classical f64 algebra.
     pub fn spmv_acc(&self, x: &[f64], y: &mut [f64]) {
         self.spmv_acc_on::<F64Plus>(x, y, None)
-    }
-
-    /// Thresholded parallel SpMV (`y ⊕= A·x`) over an arbitrary
-    /// semiring.
-    pub fn par_spmv_acc_in<S: Semiring>(&self, x: &[f64], y: &mut [f64], exec: &ExecCtx) {
-        self.spmv_acc_on::<S>(x, y, Some(exec))
-    }
-
-    /// Thresholded parallel SpMV (`y += A·x`) on the classical f64
-    /// algebra.
-    pub fn par_spmv_acc(&self, x: &[f64], y: &mut [f64], exec: &ExecCtx) {
-        self.spmv_acc_on::<F64Plus>(x, y, Some(exec))
     }
 }
 

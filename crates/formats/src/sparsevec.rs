@@ -41,22 +41,6 @@ impl SparseVec {
         SparseVec { len, idx, vals }
     }
 
-    /// Densify a dense slice, dropping zeros.
-    pub fn from_dense(x: &[f64]) -> Self {
-        let pairs: Vec<(usize, f64)> =
-            x.iter().enumerate().filter(|(_, &v)| v != 0.0).map(|(i, &v)| (i, v)).collect();
-        SparseVec::from_pairs(x.len(), &pairs)
-    }
-
-    /// Back to a dense vector.
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut out = vec![0.0; self.len];
-        for (&i, &v) in self.idx.iter().zip(&self.vals) {
-            out[i] = v;
-        }
-        out
-    }
-
     pub fn len(&self) -> usize {
         self.len
     }
@@ -81,31 +65,6 @@ impl SparseVec {
     /// The sorted index/value arrays.
     pub fn arrays(&self) -> (&[usize], &[f64]) {
         (&self.idx, &self.vals)
-    }
-
-    /// Sparse dot product with a dense vector.
-    pub fn dot_dense(&self, x: &[f64]) -> f64 {
-        assert_eq!(x.len(), self.len);
-        self.idx.iter().zip(&self.vals).map(|(&i, &v)| v * x[i]).sum()
-    }
-
-    /// Sparse dot product with another sparse vector (merge join).
-    pub fn dot_sparse(&self, other: &SparseVec) -> f64 {
-        assert_eq!(self.len, other.len);
-        let (mut a, mut b) = (0usize, 0usize);
-        let mut acc = 0.0;
-        while a < self.idx.len() && b < other.idx.len() {
-            match self.idx[a].cmp(&other.idx[b]) {
-                std::cmp::Ordering::Less => a += 1,
-                std::cmp::Ordering::Greater => b += 1,
-                std::cmp::Ordering::Equal => {
-                    acc += self.vals[a] * other.vals[b];
-                    a += 1;
-                    b += 1;
-                }
-            }
-        }
-        acc
     }
 }
 
@@ -153,22 +112,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_roundtrip() {
-        let x = vec![0.0, 1.5, 0.0, -2.0, 0.0];
-        let v = SparseVec::from_dense(&x);
+    fn density_counts_stored_entries() {
+        let v = SparseVec::from_pairs(5, &[(1, 1.5), (3, -2.0), (4, 0.0)]);
         assert_eq!(v.nnz(), 2);
-        assert_eq!(v.to_dense(), x);
         assert!((v.density() - 0.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dots() {
-        let a = SparseVec::from_pairs(6, &[(0, 1.0), (3, 2.0), (5, 3.0)]);
-        let b = SparseVec::from_pairs(6, &[(3, 4.0), (4, 9.0), (5, -1.0)]);
-        assert_eq!(a.dot_sparse(&b), 8.0 - 3.0);
-        assert_eq!(b.dot_sparse(&a), 5.0);
-        let dense = vec![1.0; 6];
-        assert_eq!(a.dot_dense(&dense), 6.0);
     }
 
     #[test]

@@ -227,15 +227,6 @@ impl Triplets {
         }
         d
     }
-
-    /// Per-row stored-entry counts of the canonical matrix.
-    pub fn row_lengths(&self) -> Vec<usize> {
-        let mut lens = vec![0usize; self.nrows];
-        for &(r, _, _) in self.canonical_entries().iter() {
-            lens[r] += 1;
-        }
-        lens
-    }
 }
 
 /// Where each row of canonical `entries` starts, plus their end: the
@@ -303,14 +294,13 @@ mod tests {
     }
 
     #[test]
-    fn diagonal_and_row_lengths() {
+    fn diagonal_reads_zero_where_nothing_is_stored() {
         let t = Triplets::from_entries(
             3,
             3,
             &[(0, 0, 2.0), (1, 0, 1.0), (1, 1, 5.0), (1, 2, 1.0), (2, 0, 1.0)],
         );
         assert_eq!(t.diagonal(), vec![2.0, 5.0, 0.0]);
-        assert_eq!(t.row_lengths(), vec![1, 3, 1]);
     }
 
     /// The diagonal off the canonical entries, as `diagonal` read it

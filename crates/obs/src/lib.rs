@@ -40,24 +40,6 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Construction-time knobs for an [`Obs`] handle. Today the only knob
-/// is on/off; sampling and filtering would live here.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ObsConfig {
-    /// When false, [`Obs::with_config`] returns the no-op handle.
-    pub enabled: bool,
-}
-
-impl ObsConfig {
-    pub fn enabled() -> ObsConfig {
-        ObsConfig { enabled: true }
-    }
-
-    pub fn disabled() -> ObsConfig {
-        ObsConfig { enabled: false }
-    }
-}
-
 /// The aggregation sink behind an enabled handle.
 #[derive(Debug, Default)]
 struct Sink {
@@ -86,15 +68,6 @@ impl Obs {
     /// A fresh, isolated, recording handle.
     pub fn enabled() -> Obs {
         Obs { inner: Some(Arc::new(Mutex::new(Sink::default()))) }
-    }
-
-    /// Build from an [`ObsConfig`].
-    pub fn with_config(cfg: &ObsConfig) -> Obs {
-        if cfg.enabled {
-            Obs::enabled()
-        } else {
-            Obs::disabled()
-        }
     }
 
     #[inline]
@@ -322,10 +295,9 @@ mod tests {
     }
 
     #[test]
-    fn with_config_honours_flag() {
-        assert!(Obs::with_config(&ObsConfig::enabled()).is_enabled());
-        assert!(!Obs::with_config(&ObsConfig::disabled()).is_enabled());
-        assert!(!Obs::with_config(&ObsConfig::default()).is_enabled());
+    fn only_an_enabled_handle_records() {
+        assert!(Obs::enabled().is_enabled());
+        assert!(!Obs::disabled().is_enabled());
         assert!(!Obs::default().is_enabled());
     }
 }

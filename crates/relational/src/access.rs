@@ -28,18 +28,6 @@ pub enum Orientation {
     Flat,
 }
 
-impl Orientation {
-    /// The loop variable (0 = row `i`, 1 = column `j`) enumerated at the
-    /// outer level, if the format is hierarchical.
-    pub fn outer_axis(self) -> Option<usize> {
-        match self {
-            Orientation::RowMajor => Some(0),
-            Orientation::ColMajor => Some(1),
-            Orientation::Flat => None,
-        }
-    }
-}
-
 /// Planner-visible metadata for a matrix relation `A(i, j, a)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MatMeta {
@@ -368,13 +356,6 @@ mod tests {
         assert_eq!(InnerIter::Empty.count(), 0);
         let it = InnerIter::Boxed(Box::new([(3usize, 1.5)].into_iter()));
         assert_eq!(it.collect::<Vec<_>>(), vec![(3, 1.5)]);
-    }
-
-    #[test]
-    fn orientation_outer_axis() {
-        assert_eq!(Orientation::RowMajor.outer_axis(), Some(0));
-        assert_eq!(Orientation::ColMajor.outer_axis(), Some(1));
-        assert_eq!(Orientation::Flat.outer_axis(), None);
     }
 
     #[test]

@@ -639,7 +639,8 @@ mod tests {
     use super::*;
     use crate::ids::{MAT_A, MAT_B, MAT_C, PERM_P, VEC_X, VEC_Y};
     use crate::planner::{Planner, QueryMeta};
-    use crate::query::QueryBuilder;
+    use crate::ast::programs;
+    use crate::lower::extract_query;
     use crate::testmat::DokMatrix;
 
     fn plan_for(q: &Query, meta: &QueryMeta) -> Plan {
@@ -655,7 +656,7 @@ mod tests {
         );
         let x = vec![1.0, 2.0, 3.0];
         let mut y = vec![0.0; 3];
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, a.meta())
             .vec(VEC_X, crate::access::VecMeta::dense(3));
@@ -671,7 +672,7 @@ mod tests {
         let a = DokMatrix::from_triplets(2, 3, &[(0, 1, 2.0), (1, 0, 3.0), (1, 2, 4.0)]);
         let x = vec![10.0, 20.0];
         let mut y = vec![0.0; 3];
-        let q = QueryBuilder::mat_transposed_vec_product().build();
+        let q = extract_query(&programs::matvec_transposed()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, a.meta())
             .vec(VEC_X, crate::access::VecMeta::dense(2));
@@ -688,7 +689,7 @@ mod tests {
         let a = DokMatrix::from_triplets(2, 3, &[(0, 0, 1.0), (0, 2, 2.0), (1, 1, 3.0)]);
         let bm = DokMatrix::from_triplets(3, 2, &[(0, 1, 4.0), (1, 0, 5.0), (2, 1, 6.0)]);
         let mut c = vec![0.0; 4];
-        let q = QueryBuilder::mat_mat_product().build();
+        let q = extract_query(&programs::matmat()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, a.meta()).mat(MAT_B, bm.meta());
         let plan = plan_for(&q, &meta);
         let mut b = Bindings::new();
@@ -703,11 +704,11 @@ mod tests {
         let a = DokMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 1, 3.0)]);
         let bm = DokMatrix::from_triplets(2, 2, &[(0, 0, 5.0), (0, 1, 7.0), (1, 1, 11.0)]);
         let mut s = 0.0;
-        let q = QueryBuilder::mat_dot().build();
+        let q = extract_query(&programs::mat_dot()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, a.meta()).mat(MAT_B, bm.meta());
         let plan = plan_for(&q, &meta);
         let mut b = Bindings::new();
-        b.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(VEC_Y, &mut s);
+        b.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(MAT_C, &mut s);
         execute(&plan, &q, &mut b).unwrap();
         assert_eq!(s, 2.0 * 5.0 + 3.0 * 11.0);
     }
@@ -726,7 +727,7 @@ mod tests {
         );
         let x = vec![1.0, 10.0, 100.0];
         let mut y = vec![0.0; 3];
-        let q = QueryBuilder::permuted_mat_vec_product().build();
+        let q = extract_query(&programs::matvec_row_permuted()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, a_stored.meta())
             .vec(VEC_X, crate::access::VecMeta::dense(3))
@@ -786,7 +787,7 @@ mod tests {
         let b_t = DokMatrix::from_triplets(3, 3, &[(0, 0, 5.0), (2, 1, 7.0), (1, 2, 11.0)]);
         let bm = ColMajor(b_t);
         let want = 2.0 * 5.0 + 3.0 * 7.0 + 4.0 * 11.0;
-        let q = QueryBuilder::mat_dot().build();
+        let q = extract_query(&programs::mat_dot()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, a.meta())
             .mat(MAT_B, crate::access::MatrixAccess::meta(&bm));
@@ -794,7 +795,7 @@ mod tests {
         let plan = plan_for(&q, &meta);
         let mut s = 0.0;
         let mut binds = Bindings::new();
-        binds.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(VEC_Y, &mut s);
+        binds.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(MAT_C, &mut s);
         execute(&plan, &q, &mut binds).unwrap();
         drop(binds);
         assert_eq!(s, want, "plan {}", plan.shape());
@@ -828,7 +829,7 @@ mod tests {
         };
         let mut s2 = 0.0;
         let mut binds = Bindings::new();
-        binds.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(VEC_Y, &mut s2);
+        binds.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(MAT_C, &mut s2);
         execute(&forced, &q, &mut binds).unwrap();
         drop(binds);
         assert_eq!(s2, want);
@@ -846,7 +847,7 @@ mod tests {
             4,
             &[(0, 1, 10.0), (2, 2, 20.0), (3, 1, 30.0)],
         );
-        let q = QueryBuilder::mat_dot().build();
+        let q = extract_query(&programs::mat_dot()).unwrap();
         let plan = Plan {
             nodes: vec![
                 PlanNode::Loop(LoopNode {
@@ -876,7 +877,7 @@ mod tests {
         };
         let mut s = 0.0;
         let mut binds = Bindings::new();
-        binds.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(VEC_Y, &mut s);
+        binds.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(MAT_C, &mut s);
         execute(&plan, &q, &mut binds).unwrap();
         drop(binds);
         assert_eq!(s, 1.0 * 10.0 + 5.0 * 20.0);
@@ -885,7 +886,7 @@ mod tests {
     #[test]
     fn missing_binding_is_reported() {
         let a = DokMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]);
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, a.meta())
             .vec(VEC_X, crate::access::VecMeta::dense(2));
@@ -900,7 +901,7 @@ mod tests {
     fn shape_mismatch_is_reported() {
         let a = DokMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]);
         let x = vec![0.0; 3]; // wrong length
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, a.meta())
             .vec(VEC_X, crate::access::VecMeta::dense(2));
@@ -918,7 +919,7 @@ mod tests {
     fn target_not_writable_reported_and_bindings_reusable() {
         let a = DokMatrix::from_triplets(2, 2, &[(0, 0, 1.0)]);
         let x = vec![1.0, 1.0];
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, a.meta())
             .vec(VEC_X, crate::access::VecMeta::dense(2));
@@ -941,7 +942,8 @@ mod stats_tests {
     use super::*;
     use crate::ids::{MAT_A, VAR_I, VAR_J, VEC_X, VEC_Y};
     use crate::planner::{Planner, QueryMeta};
-    use crate::query::QueryBuilder;
+    use crate::ast::programs;
+    use crate::lower::extract_query;
     use crate::testmat::DokMatrix;
 
     fn grid_matrix(n: usize) -> DokMatrix {
@@ -964,7 +966,7 @@ mod stats_tests {
         let nnz = a.nnz() as u64;
         let x = vec![1.0; n];
         let mut y = vec![0.0; n];
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, crate::access::MatrixAccess::meta(&a))
             .vec(VEC_X, crate::access::VecMeta::dense(n));
@@ -988,7 +990,7 @@ mod stats_tests {
         let n = 120;
         let a = grid_matrix(n);
         let x = vec![1.0; n];
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, crate::access::MatrixAccess::meta(&a))
             .vec(VEC_X, crate::access::VecMeta::dense(n));

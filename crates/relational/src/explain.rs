@@ -189,7 +189,8 @@ mod tests {
     use crate::access::{MatMeta, Orientation, VecMeta};
     use crate::ids::{MAT_A, PERM_P, VEC_X};
     use crate::planner::Planner;
-    use crate::query::QueryBuilder;
+    use crate::ast::programs;
+    use crate::lower::extract_query;
 
     fn csr_meta(n: usize, nnz: usize) -> MatMeta {
         MatMeta {
@@ -206,13 +207,13 @@ mod tests {
 
     #[test]
     fn describe_stmt_matvec() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         assert_eq!(describe_stmt(&q), "Y(i) += (val(A) * val(X))");
     }
 
     #[test]
     fn csr_matvec_explain_names_levels_and_joins() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, csr_meta(100, 500))
             .vec(VEC_X, VecMeta::dense(100));
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn merge_join_justified_by_sortedness() {
-        let mut q = QueryBuilder::mat_vec_product().build();
+        let mut q = extract_query(&programs::matvec()).unwrap();
         q.infer_predicate(&|r| r == MAT_A || r == VEC_X);
         let meta = QueryMeta::new()
             .mat(MAT_A, csr_meta(1_000, 200_000))
@@ -254,7 +255,7 @@ mod tests {
 
     #[test]
     fn permuted_plan_explains_derivation() {
-        let q = QueryBuilder::permuted_mat_vec_product().build();
+        let q = extract_query(&programs::matvec_row_permuted()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, csr_meta(100, 600))
             .vec(VEC_X, VecMeta::dense(100))
@@ -277,7 +278,7 @@ mod tests {
             pair_search_cheap: false,
             ..csr_meta(100, 500)
         };
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, coo).vec(VEC_X, VecMeta::dense(100));
         let plan = Planner::new().plan(&q, &meta).unwrap();
         let text = explain_plan(&plan, &q, &meta);

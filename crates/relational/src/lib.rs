@@ -16,6 +16,12 @@
 //!   with declared [`props::LevelProps`] (sortedness, search cost class,
 //!   density). The planner consults only these properties, never the
 //!   concrete layout — this is what makes the compiler extensible.
+//! * [`ast`] — the dense DO-ANY loop nest the user writes, with a
+//!   sparse/dense declaration per array, and canned [`ast::programs`]
+//!   for the paper's kernels.
+//! * [`lower`] — query extraction: the loop nest becomes a relational
+//!   query `σ_P (I ⋈ A ⋈ X ⋈ …)` with the sparsity predicate `P`
+//!   inferred à la Bik & Wijshoff.
 //! * [`query`] — the logical query IR extracted from a loop nest:
 //!   terms (iteration space, matrices, vectors, permutations), the
 //!   sparsity predicate, and the scalar statement to evaluate per tuple.
@@ -41,7 +47,7 @@
 //! let x = vec![1.0, 10.0, 100.0];
 //! let mut y = vec![0.0; 3];
 //!
-//! let query = QueryBuilder::mat_vec_product().build();
+//! let query = extract_query(&programs::matvec()).unwrap();
 //! let meta = QueryMeta::new()
 //!     .mat(MAT_A, a.meta())
 //!     .vec(VEC_X, VecMeta::dense(3))
@@ -62,6 +68,7 @@ pub mod error;
 pub mod exec;
 pub mod explain;
 pub mod ids;
+pub mod lower;
 pub mod permutation;
 pub mod plan;
 pub mod planner;
@@ -74,15 +81,17 @@ pub mod testmat;
 pub mod prelude {
     //! Convenient glob import for downstream crates.
     pub use crate::access::{InnerIter, MatMeta, MatrixAccess, Orientation, OuterCursor, VecMeta, VectorAccess};
+    pub use crate::ast::{programs, LoopNest};
     pub use crate::error::{RelError, RelResult};
     pub use crate::exec::{execute, execute_with_stats, Bindings, ExecStats};
     pub use crate::explain::{describe_stmt, explain_plan};
     pub use crate::ids::{RelId, Var, MAT_A, MAT_B, MAT_C, VAR_I, VAR_J, VAR_K, VEC_X, VEC_Y};
+    pub use crate::lower::extract_query;
     pub use crate::permutation::Permutation;
     pub use crate::plan::{Driver, JoinMethod, LoopNode, Plan, PlanNode};
     pub use crate::planner::{Planner, QueryMeta};
     pub use crate::props::{Density, LevelProps, SearchCost, Sortedness};
-    pub use crate::query::{Query, QueryBuilder, Term};
+    pub use crate::query::{Query, Term};
     pub use crate::scalar::{Expr, Stmt, Target, UpdateOp};
     pub use crate::semiring::{AlgebraProps, F64Plus, FirstNonZero, MinPlus, Semiring};
     pub use crate::testmat::DokMatrix;

@@ -104,19 +104,6 @@ impl Permutation {
         Permutation { perm: self.iperm.clone(), iperm: self.perm.clone() }
     }
 
-    /// Composition: `(self ∘ other)(i) = self(other(i))`.
-    pub fn compose(&self, other: &Permutation) -> RelResult<Permutation> {
-        if self.len() != other.len() {
-            return Err(RelError::MalformedQuery(format!(
-                "composing permutations of lengths {} and {}",
-                self.len(),
-                other.len()
-            )));
-        }
-        let perm: Vec<usize> = (0..self.len()).map(|i| self.forward(other.forward(i))).collect();
-        Permutation::from_forward(perm)
-    }
-
     /// Gather a vector through the permutation: `out[perm[i]] = v[i]`,
     /// i.e. element `i` moves to its permuted position.
     pub fn apply_to_vec(&self, v: &[f64]) -> Vec<f64> {
@@ -188,18 +175,6 @@ mod tests {
         // The two zeros keep their relative order, as do the ones.
         assert!(p.forward(1) < p.forward(3));
         assert!(p.forward(0) < p.forward(2));
-    }
-
-    #[test]
-    fn compose_matches_sequential_application() {
-        let p = Permutation::from_forward(vec![1, 2, 0]).unwrap();
-        let q = Permutation::from_forward(vec![2, 1, 0]).unwrap();
-        let pq = p.compose(&q).unwrap();
-        for i in 0..3 {
-            assert_eq!(pq.forward(i), p.forward(q.forward(i)));
-        }
-        let r = Permutation::identity(4);
-        assert!(p.compose(&r).is_err());
     }
 
     #[test]

@@ -1025,7 +1025,8 @@ mod tests {
     use crate::access::{MatMeta, VecMeta};
     use crate::ids::{MAT_A, MAT_B, VAR_I, VAR_J, VEC_X, VEC_Y};
     use crate::props::LevelProps;
-    use crate::query::QueryBuilder;
+    use crate::ast::programs;
+    use crate::lower::extract_query;
 
     fn csr_meta(n: usize, nnz: usize) -> MatMeta {
         MatMeta {
@@ -1057,7 +1058,7 @@ mod tests {
 
     #[test]
     fn csr_matvec_plans_row_then_col() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, csr_meta(100, 500)).vec(VEC_X, VecMeta::dense(100));
         let plan = Planner::new().plan(&q, &meta).unwrap();
         assert_eq!(plan.shape(), "i:outer(A)>j:inner(A)[X?]");
@@ -1065,7 +1066,7 @@ mod tests {
 
     #[test]
     fn ccs_matvec_plans_col_then_row() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, ccs_meta(100, 500)).vec(VEC_X, VecMeta::dense(100));
         let plan = Planner::new().plan(&q, &meta).unwrap();
         // Column-major: enumerate j at the outer level, probe X once per
@@ -1075,7 +1076,7 @@ mod tests {
 
     #[test]
     fn coo_matvec_uses_flat_enumeration() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, coo_meta(100, 500)).vec(VEC_X, VecMeta::dense(100));
         let plan = Planner::new().plan(&q, &meta).unwrap();
         assert!(plan.shape().starts_with("(i,j):flat(A)"), "got {}", plan.shape());
@@ -1083,7 +1084,7 @@ mod tests {
 
     #[test]
     fn sparse_x_enters_predicate_and_merges() {
-        let mut q = QueryBuilder::mat_vec_product().build();
+        let mut q = extract_query(&programs::matvec()).unwrap();
         q.infer_predicate(&|r| r == MAT_A || r == VEC_X);
         // Long rows (200 entries) against a short sparse x (100 stored):
         // one co-traversal of x per row beats 200 binary searches.
@@ -1096,7 +1097,7 @@ mod tests {
 
     #[test]
     fn mat_dot_csr_csr_merges_inner() {
-        let q = QueryBuilder::mat_dot().build();
+        let q = extract_query(&programs::mat_dot()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, csr_meta(1000, 20_000))
             .mat(MAT_B, csr_meta(1000, 20_000));
@@ -1108,7 +1109,7 @@ mod tests {
 
     #[test]
     fn spmm_csr_csr_feasible() {
-        let q = QueryBuilder::mat_mat_product().build();
+        let q = extract_query(&programs::matmat()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, csr_meta(500, 5_000))
             .mat(MAT_B, csr_meta(500, 5_000));
@@ -1119,14 +1120,14 @@ mod tests {
 
     #[test]
     fn missing_meta_reported() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, csr_meta(10, 10));
         assert_eq!(Planner::new().plan(&q, &meta), Err(RelError::MissingMeta(VEC_X)));
     }
 
     #[test]
     fn verifier_hook_gates_plan_all() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new().mat(MAT_A, csr_meta(10, 30)).vec(VEC_X, VecMeta::dense(10));
         let mut planner = Planner::new();
         planner.verifier = Some(|_, _, _| Err("rejected by test hook".into()));
@@ -1142,7 +1143,7 @@ mod tests {
 
     #[test]
     fn permuted_matvec_derives_via_perm() {
-        let q = QueryBuilder::permuted_mat_vec_product().build();
+        let q = extract_query(&programs::matvec_row_permuted()).unwrap();
         let meta = QueryMeta::new()
             .mat(MAT_A, csr_meta(100, 600))
             .vec(VEC_X, VecMeta::dense(100))
@@ -1160,7 +1161,7 @@ mod tests {
     fn permutations_helper() {
         assert_eq!(permutations(&[VAR_I]).len(), 1);
         assert_eq!(permutations(&[VAR_I, VAR_J]).len(), 2);
-        let q = QueryBuilder::mat_mat_product().build();
+        let q = extract_query(&programs::matmat()).unwrap();
         assert_eq!(permutations(&q.vars).len(), 6);
     }
 
@@ -1172,7 +1173,7 @@ mod tests {
         // (choose_method refuses), so the skew is injected directly at
         // the pricing seam — the guard this exercises is exactly the
         // planner/metadata-skew defence at the end of `assemble`.
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let vm = VecMeta { props: LevelProps::enumerate_only(), ..VecMeta::dense(100) };
         let meta = QueryMeta::new().mat(MAT_A, csr_meta(100, 500)).vec(VEC_X, vm);
         let extents = var_extents(&q, &meta).unwrap();
@@ -1217,7 +1218,7 @@ mod tests {
 
     #[test]
     fn extent_mismatch_takes_min() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta =
             QueryMeta::new().mat(MAT_A, csr_meta(100, 500)).vec(VEC_X, VecMeta::dense(100));
         let ext = var_extents(&q, &meta).unwrap();
@@ -1233,13 +1234,14 @@ mod plan_all_tests {
     use super::*;
     use crate::access::VecMeta;
     use crate::ids::{MAT_A, VEC_X};
-    use crate::query::QueryBuilder;
+    use crate::ast::programs;
+    use crate::lower::extract_query;
     use crate::access::{MatMeta, Orientation};
     use crate::props::LevelProps;
 
     #[test]
     fn plan_all_is_sorted_and_deduplicated() {
-        let q = QueryBuilder::mat_vec_product().build();
+        let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(
                 MAT_A,

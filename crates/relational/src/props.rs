@@ -121,22 +121,8 @@ impl LevelProps {
         }
     }
 
-    pub fn with_sorted(mut self, sorted: bool) -> Self {
-        self.sortedness = if sorted {
-            Sortedness::SortedAscending
-        } else {
-            Sortedness::Unsorted
-        };
-        self
-    }
-
     pub fn with_search(mut self, search: SearchCost) -> Self {
         self.search = search;
-        self
-    }
-
-    pub fn with_duplicates(mut self, dup: bool) -> Self {
-        self.duplicates = dup;
         self
     }
 
@@ -188,9 +174,8 @@ mod tests {
     }
 
     #[test]
-    fn builders_compose() {
-        let p = LevelProps::sparse_unsorted()
-            .with_sorted(true)
+    fn with_search_sets_the_search_cost() {
+        let p = LevelProps { sortedness: Sortedness::SortedAscending, ..LevelProps::sparse_unsorted() }
             .with_search(SearchCost::Logarithmic);
         assert_eq!(p, LevelProps::sparse_sorted());
     }

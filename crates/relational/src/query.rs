@@ -22,8 +22,8 @@
 //! binding time.
 
 use crate::error::{RelError, RelResult};
-use crate::ids::{RelId, Var, MAT_A, MAT_B, MAT_C, PERM_P, VAR_I, VAR_J, VAR_K, VEC_X, VEC_Y};
-use crate::scalar::{Expr, Stmt, Target, UpdateOp};
+use crate::ids::{RelId, Var};
+use crate::scalar::{Stmt, UpdateOp};
 
 /// One relation joined into the query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -70,15 +70,6 @@ pub struct Query {
 }
 
 impl Query {
-    /// Every relation mentioned anywhere in the query.
-    pub fn rels(&self) -> Vec<RelId> {
-        let mut out: Vec<RelId> = self.terms.iter().map(|t| t.rel()).collect();
-        out.push(self.stmt.target.rel());
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// The term (if any) for a given relation.
     pub fn term(&self, rel: RelId) -> Option<&Term> {
         self.terms.iter().find(|t| t.rel() == rel)
@@ -165,200 +156,35 @@ impl Query {
     }
 }
 
-/// Fluent constructor for the query shapes the paper's kernels use.
-pub struct QueryBuilder {
-    query: Query,
-}
-
-impl QueryBuilder {
-    /// `Y(i) += A(i,j) * X(j)` — sparse matrix-vector product, the core
-    /// of the paper's experiments.
-    pub fn mat_vec_product() -> Self {
-        QueryBuilder {
-            query: Query {
-                vars: vec![VAR_I, VAR_J],
-                terms: vec![
-                    Term::Mat { rel: MAT_A, row: VAR_I, col: VAR_J },
-                    Term::Vec { rel: VEC_X, idx: VAR_J },
-                ],
-                predicate: vec![MAT_A],
-                stmt: Stmt::new(
-                    Target::VecElem { rel: VEC_Y, var: VAR_I },
-                    UpdateOp::AddAssign,
-                    Expr::value(MAT_A).mul(Expr::value(VEC_X)),
-                ),
-            },
-        }
-    }
-
-    /// `Y(j) += A(i,j) * X(i)` — transposed matrix-vector product.
-    pub fn mat_transposed_vec_product() -> Self {
-        QueryBuilder {
-            query: Query {
-                vars: vec![VAR_I, VAR_J],
-                terms: vec![
-                    Term::Mat { rel: MAT_A, row: VAR_I, col: VAR_J },
-                    Term::Vec { rel: VEC_X, idx: VAR_I },
-                ],
-                predicate: vec![MAT_A],
-                stmt: Stmt::new(
-                    Target::VecElem { rel: VEC_Y, var: VAR_J },
-                    UpdateOp::AddAssign,
-                    Expr::value(MAT_A).mul(Expr::value(VEC_X)),
-                ),
-            },
-        }
-    }
-
-    /// `C(i,j) += A(i,k) * B(k,j)` — matrix-matrix product with a dense
-    /// result (the paper's "6² = 36 versions" example; here one query
-    /// covers every input-format pairing).
-    pub fn mat_mat_product() -> Self {
-        QueryBuilder {
-            query: Query {
-                vars: vec![VAR_I, VAR_K, VAR_J],
-                terms: vec![
-                    Term::Mat { rel: MAT_A, row: VAR_I, col: VAR_K },
-                    Term::Mat { rel: MAT_B, row: VAR_K, col: VAR_J },
-                ],
-                predicate: vec![MAT_A, MAT_B],
-                stmt: Stmt::new(
-                    Target::MatElem { rel: MAT_C, row: VAR_I, col: VAR_J },
-                    UpdateOp::AddAssign,
-                    Expr::value(MAT_A).mul(Expr::value(MAT_B)),
-                ),
-            },
-        }
-    }
-
-    /// `s += A(i,j) * B(i,j)` — Frobenius inner product of two sparse
-    /// matrices (a two-sided sparsity predicate exercising merge joins).
-    pub fn mat_dot() -> Self {
-        QueryBuilder {
-            query: Query {
-                vars: vec![VAR_I, VAR_J],
-                terms: vec![
-                    Term::Mat { rel: MAT_A, row: VAR_I, col: VAR_J },
-                    Term::Mat { rel: MAT_B, row: VAR_I, col: VAR_J },
-                ],
-                predicate: vec![MAT_A, MAT_B],
-                stmt: Stmt::new(
-                    Target::Scalar { rel: VEC_Y },
-                    UpdateOp::AddAssign,
-                    Expr::value(MAT_A).mul(Expr::value(MAT_B)),
-                ),
-            },
-        }
-    }
-
-    /// `s += X(j) * A(i,j) * X(i)` would need two aliases of `X`; the
-    /// supported quadratic-form shape uses distinct vectors:
-    /// `s += X(j) * A(i,j) * Z(i)` with `Z` bound to `VEC_Y`.
-    pub fn bilinear_form() -> Self {
-        QueryBuilder {
-            query: Query {
-                vars: vec![VAR_I, VAR_J],
-                terms: vec![
-                    Term::Mat { rel: MAT_A, row: VAR_I, col: VAR_J },
-                    Term::Vec { rel: VEC_X, idx: VAR_J },
-                    Term::Vec { rel: VEC_Y, idx: VAR_I },
-                ],
-                predicate: vec![MAT_A],
-                stmt: Stmt::new(
-                    Target::Scalar { rel: MAT_C },
-                    UpdateOp::AddAssign,
-                    Expr::value(MAT_A).mul(Expr::value(VEC_X)).mul(Expr::value(VEC_Y)),
-                ),
-            },
-        }
-    }
-
-    /// `Y(i') += A(i',j) * X(j)` with rows of `A` permuted by
-    /// `P(i, i')` (§2.2): the matrix stores permuted row indices and the
-    /// permutation joins them back to global indices.
-    pub fn permuted_mat_vec_product() -> Self {
-        // A is indexed by the *permuted* row variable i' (VAR_K reused
-        // as the permuted-index variable), P relates i ↔ i', and Y is
-        // indexed by the global i.
-        QueryBuilder {
-            query: Query {
-                vars: vec![VAR_I, VAR_K, VAR_J],
-                terms: vec![
-                    Term::Perm { rel: PERM_P, from: VAR_I, to: VAR_K },
-                    Term::Mat { rel: MAT_A, row: VAR_K, col: VAR_J },
-                    Term::Vec { rel: VEC_X, idx: VAR_J },
-                ],
-                predicate: vec![MAT_A],
-                stmt: Stmt::new(
-                    Target::VecElem { rel: VEC_Y, var: VAR_I },
-                    UpdateOp::AddAssign,
-                    Expr::value(MAT_A).mul(Expr::value(VEC_X)),
-                ),
-            },
-        }
-    }
-
-    /// Replace the per-tuple statement (e.g. to scale: `Y(i) += c·A·X`).
-    pub fn with_stmt(mut self, stmt: Stmt) -> Self {
-        self.query.stmt = stmt;
-        self
-    }
-
-    /// Override the sparsity predicate.
-    pub fn with_predicate(mut self, predicate: Vec<RelId>) -> Self {
-        self.query.predicate = predicate;
-        self
-    }
-
-    /// Finish, validating the query.
-    pub fn build(self) -> Query {
-        self.query
-            .validate()
-            .unwrap_or_else(|e| panic!("QueryBuilder produced invalid query: {e}"));
-        self.query
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::programs;
+    use crate::ids::{MAT_A, MAT_B, PERM_P, VAR_I, VAR_J, VAR_K, VEC_X, VEC_Y};
+    use crate::lower::extract_query;
+    use crate::scalar::{Expr, Target};
 
-    #[test]
-    fn canned_queries_validate() {
-        QueryBuilder::mat_vec_product().build();
-        QueryBuilder::mat_transposed_vec_product().build();
-        QueryBuilder::mat_mat_product().build();
-        QueryBuilder::mat_dot().build();
-        QueryBuilder::bilinear_form().build();
-        QueryBuilder::permuted_mat_vec_product().build();
-    }
-
-    #[test]
-    fn rels_include_target() {
-        let q = QueryBuilder::mat_vec_product().build();
-        let rels = q.rels();
-        assert!(rels.contains(&MAT_A));
-        assert!(rels.contains(&VEC_X));
-        assert!(rels.contains(&VEC_Y));
+    fn matvec() -> Query {
+        extract_query(&programs::matvec()).unwrap()
     }
 
     #[test]
     fn undeclared_variable_rejected() {
-        let mut q = QueryBuilder::mat_vec_product().build();
+        let mut q = matvec();
         q.vars = vec![VAR_I]; // j now undeclared
         assert!(matches!(q.validate(), Err(RelError::MalformedQuery(_))));
     }
 
     #[test]
     fn duplicate_relation_rejected() {
-        let mut q = QueryBuilder::mat_vec_product().build();
+        let mut q = matvec();
         q.terms.push(Term::Vec { rel: VEC_X, idx: VAR_I });
         assert!(q.validate().is_err());
     }
 
     #[test]
     fn predicate_must_be_joined() {
-        let mut q = QueryBuilder::mat_vec_product().build();
+        let mut q = matvec();
         q.predicate.push(MAT_B);
         assert!(q.validate().is_err());
     }
@@ -366,7 +192,7 @@ mod tests {
     #[test]
     fn infer_predicate_matvec_sparse_a_sparse_x() {
         // Matches the paper's running example: P = NZ(A) ∧ NZ(X).
-        let mut q = QueryBuilder::mat_vec_product().build();
+        let mut q = matvec();
         q.infer_predicate(&|r| r == MAT_A || r == VEC_X);
         assert_eq!(q.predicate, vec![MAT_A, VEC_X]);
     }
@@ -374,7 +200,7 @@ mod tests {
     #[test]
     fn infer_predicate_dense_x_excluded() {
         // Dense X: NZ(X) ≡ true, so P = NZ(A) alone.
-        let mut q = QueryBuilder::mat_vec_product().build();
+        let mut q = matvec();
         q.infer_predicate(&|r| r == MAT_A);
         assert_eq!(q.predicate, vec![MAT_A]);
     }
@@ -382,14 +208,12 @@ mod tests {
     #[test]
     fn infer_predicate_additive_term_blocks() {
         // Y(i) += A(i,j)*X(j) + X(j): zero of A no longer annihilates.
-        let mut q = QueryBuilder::mat_vec_product()
-            .with_stmt(Stmt::new(
-                Target::VecElem { rel: VEC_Y, var: VAR_I },
-                UpdateOp::AddAssign,
-                Expr::value(MAT_A).mul(Expr::value(VEC_X)).add(Expr::value(VEC_X)),
-            ))
-            .with_predicate(vec![])
-            .build();
+        let mut q = matvec();
+        q.stmt = Stmt::new(
+            Target::VecElem { rel: VEC_Y, var: VAR_I },
+            UpdateOp::AddAssign,
+            Expr::value(MAT_A).mul(Expr::value(VEC_X)).add(Expr::value(VEC_X)),
+        );
         q.infer_predicate(&|r| r == MAT_A || r == VEC_X);
         assert_eq!(q.predicate, vec![VEC_X]); // X still annihilates both terms
     }

@@ -37,16 +37,6 @@ impl Value {
         }
     }
 
-    /// Used by the parser tests; the cache reader itself only needs
-    /// the integral accessors.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Num(v) if *v >= 0.0 && v.fract() == 0.0 && *v <= u64::MAX as f64 => {
@@ -287,8 +277,8 @@ mod tests {
         let v = parse(src).unwrap();
         assert_eq!(v.get("schema").unwrap().as_str(), Some("bernoulli.plancache/v1"));
         assert_eq!(v.get("n").unwrap().as_usize(), Some(3));
-        assert_eq!(v.get("cost").unwrap().as_f64(), Some(2.5));
-        assert_eq!(v.get("neg").unwrap().as_f64(), Some(-0.001));
+        assert_eq!(v.get("cost"), Some(&Value::Num(2.5)));
+        assert_eq!(v.get("neg"), Some(&Value::Num(-0.001)));
         assert_eq!(v.get("ok").unwrap().as_bool(), Some(true));
         assert_eq!(v.get("none"), Some(&Value::Null));
         let arr = v.get("arr").unwrap().as_arr().unwrap();

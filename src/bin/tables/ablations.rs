@@ -120,8 +120,9 @@ fn forced_plan(method: JoinMethod) -> Plan {
 fn joins() -> Vec<Claim> {
     let am = SparseMatrix::Csr(Csr::from_triplets(&grid2d_9pt(40, 40)));
     let n = am.nrows();
-    let mut query = QueryBuilder::mat_vec_product().build();
-    query.infer_predicate(&|r| r == MAT_A || r == VEC_X);
+    let mut nest = programs::matvec();
+    nest.arrays.iter_mut().find(|a| a.id == VEC_X).expect("X is declared").sparse = true;
+    let query = extract_query(&nest).expect("the product lowers");
     println!("--- joins: sparse A × sparse x, µs per product ---");
     println!("{:<10}{:>10}{:>10}{:>10}", "x density", "merge", "search", "planner");
     let mut worst: f64 = 0.0;

@@ -127,14 +127,14 @@ fn solving_in_the_blocksolve_numbering_answers_the_original_system() {
         let r = cg(
             &Csr::from_triplets(&rt),
             &DiagonalPreconditioner::from_matrix(&rt),
-            &l.permute_vec(&b),
+            &l.row_perm.apply_to_vec(&b),
             &mut x_new,
             CgOptions { max_iters: 1000, rel_tol: 1e-12 },
             &bernoulli::ExecCtx::serial(),
         )
         .unwrap();
         assert!(r.converged, "{r:?}");
-        let x = l.unpermute_vec(&x_new);
+        let x = l.row_perm.unapply_to_vec(&x_new);
         let mut ax = vec![0.0; n];
         SparseMatrix::from_triplets(FormatKind::Csr, &t).spmv_acc(&x, &mut ax);
         let res = ax.iter().zip(&b).map(|(p, q)| (p - q) * (p - q)).sum::<f64>().sqrt();

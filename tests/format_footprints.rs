@@ -4,10 +4,9 @@
 //! here each one is held to the storage it is meant to describe, over
 //! the Table 1 suite and a rectangular random matrix.
 
-use bernoulli_formats::convert::{ccs_to_csr, csr_to_ccs};
 use bernoulli_formats::gen::{random_sparse, table1_suite, Scale};
 use bernoulli_formats::stats::analyze;
-use bernoulli_formats::{Cccs, Ccs, Csr, DiagonalMatrix, InodeMatrix, Itpack, JDiag, Triplets};
+use bernoulli_formats::{Cccs, DiagonalMatrix, FormatKind, InodeMatrix, Itpack, JDiag, SparseMatrix, Triplets};
 
 fn matrices() -> Vec<(String, Triplets)> {
     let mut out: Vec<(String, Triplets)> =
@@ -104,10 +103,10 @@ fn compressed_column_storage_keeps_only_occupied_columns() {
 }
 
 #[test]
-fn direct_crs_ccs_conversions_agree_with_the_triplet_route() {
+fn crs_ccs_conversions_are_exact_both_ways() {
     for (name, t) in matrices() {
-        let (csr, ccs) = (Csr::from_triplets(&t), Ccs::from_triplets(&t));
-        assert_eq!(csr_to_ccs(&csr), ccs, "{name}: CRS → CCS");
-        assert_eq!(ccs_to_csr(&ccs), csr, "{name}: CCS → CRS");
+        let [csr, ccs] = [FormatKind::Csr, FormatKind::Ccs].map(|k| SparseMatrix::from_triplets(k, &t));
+        assert_eq!(csr.convert(FormatKind::Ccs), ccs, "{name}: CRS → CCS");
+        assert_eq!(ccs.convert(FormatKind::Csr), csr, "{name}: CCS → CRS");
     }
 }

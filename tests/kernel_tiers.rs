@@ -115,10 +115,10 @@ fn check_cell<S: Semiring>(name: &str, t: &Triplets, x: &[f64], y0: f64) {
     let ac = S::PLUS_IS_ASSOCIATIVE && S::PLUS_IS_COMMUTATIVE;
     for (format, scatter, a) in formats(t) {
         let mut want = vec![y0; t.nrows()];
-        a.spmv_acc_in::<S>(x, &mut want);
+        a.spmv_acc_on::<S>(x, &mut want, None);
         for workers in WORKERS {
             let mut got = vec![y0; t.nrows()];
-            a.par_spmv_acc_in::<S>(x, &mut got, &ctx(workers));
+            a.spmv_acc_on::<S>(x, &mut got, Some(&ctx(workers)));
             let cell = format!("{name}, {format}, {}, {workers} workers", S::NAME);
             if scatter && ac {
                 assert!(close(&got, &want), "{cell}: {got:?} vs {want:?}");
@@ -176,7 +176,7 @@ fn serial_tier_matches_the_triplet_oracle() {
         t.matvec_acc(&x, &mut want);
         for (format, _, a) in formats(&t) {
             let mut y = vec![0.0; t.nrows()];
-            a.spmv_acc_in::<F64Plus>(&x, &mut y);
+            a.spmv_acc_on::<F64Plus>(&x, &mut y, None);
             assert!(close(&y, &want), "{name}, {format}: {y:?} vs {want:?}");
         }
     }
@@ -194,7 +194,7 @@ fn threshold_keeps_small_matrices_serial() {
         let mut want = vec![0.0; t.nrows()];
         m.spmv_acc(&x, &mut want);
         let mut got = vec![0.0; t.nrows()];
-        m.par_spmv_acc(&x, &mut got, &exec);
+        m.spmv_acc_on::<F64Plus>(&x, &mut got, Some(&exec));
         assert_eq!(bits(&got), bits(&want), "format {kind}");
     }
 }

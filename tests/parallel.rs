@@ -198,7 +198,7 @@ fn blocksolve_pipeline_cg_matches_sequential() {
     let layout = build_layout(&t, 5, 4, 2);
     let rt = layout.permute_matrix(&t);
     let b_orig: Vec<f64> = (0..n).map(|i| 1.0 + (i % 5) as f64).collect();
-    let b_re = layout.permute_vec(&b_orig);
+    let b_re = layout.row_perm.apply_to_vec(&b_orig);
     let want = sequential_solution(&rt, &b_re, 15);
 
     let locals = split_matrix(&layout, &rt);

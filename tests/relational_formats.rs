@@ -1,12 +1,13 @@
-//! The relational query shapes beyond `Y += A·X`, planned and executed
-//! over every storage format's access-method description: a transposed
-//! product, a bilinear form, a Frobenius product, a row-permuted
-//! product and a sparse × sparse product, each against a triplet
-//! oracle. The paper's claim is that one query covers every format (and
+//! The relational query shapes beyond `Y += A·X`, each lowered from its
+//! DO-ANY loop nest, then planned and executed over every storage
+//! format's access-method description: a transposed product, a bilinear
+//! form, a Frobenius product, a row-permuted product and a sparse ×
+//! sparse product, each against a triplet oracle. The paper's claim is that one query covers every format (and
 //! every pairing of formats); these tests hold the executor to it.
 
 use bernoulli_formats::gen::{grid2d_9pt, random_sparse};
 use bernoulli_formats::{FormatKind, SparseMatrix, Triplets};
+use bernoulli_relational::ast::{AccessRef, ArrayDecl, ExprAst};
 use bernoulli_relational::ids::PERM_P;
 use bernoulli_relational::prelude::*;
 
@@ -29,13 +30,17 @@ fn plan(q: &Query, meta: &QueryMeta) -> Plan {
     Planner::new().plan(q, meta).unwrap()
 }
 
+fn lowered(nest: &LoopNest) -> Query {
+    extract_query(nest).unwrap()
+}
+
 #[test]
 fn transposed_product_matches_the_oracle_in_every_format() {
     let t = random_sparse(17, 11, 60, 5);
     let x = wave(17, 0.0);
     let mut want = vec![0.0; 11];
     t.transposed().matvec_acc(&x, &mut want);
-    let q = QueryBuilder::mat_transposed_vec_product().build();
+    let q = lowered(&programs::matvec_transposed());
     for kind in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(kind, &t);
         let meta = QueryMeta::new().mat(MAT_A, a.meta()).vec(VEC_X, VecMeta::dense(17));
@@ -52,7 +57,17 @@ fn bilinear_form_matches_the_oracle_in_every_format() {
     let t = random_sparse(13, 9, 45, 6);
     let (x, z) = (wave(9, 0.5), wave(13, 1.5));
     let want: f64 = t.entries().iter().map(|&(i, j, v)| z[i] * v * x[j]).sum();
-    let q = QueryBuilder::bilinear_form().build();
+    // s += A(i,j) · X(j) · Z(i), with Z declared under the id VEC_Y.
+    let decl = |id, name: &str, rank, sparse| ArrayDecl { id, name: name.into(), rank, sparse };
+    let q = lowered(&LoopNest::new(
+        vec![VAR_I, VAR_J],
+        vec![decl(MAT_A, "A", 2, true), decl(VEC_X, "X", 1, false), decl(VEC_Y, "Z", 1, false), decl(MAT_C, "s", 0, false)],
+        AccessRef { array: MAT_C, indices: vec![] },
+        UpdateOp::AddAssign,
+        ExprAst::access(AccessRef::mat(MAT_A, VAR_I, VAR_J))
+            .mul(ExprAst::access(AccessRef::vec(VEC_X, VAR_J)))
+            .mul(ExprAst::access(AccessRef::vec(VEC_Y, VAR_I))),
+    ));
     for kind in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(kind, &t);
         let meta = QueryMeta::new()
@@ -75,7 +90,7 @@ fn frobenius_product_matches_the_oracle_for_every_pair_of_formats() {
     let tb = random_sparse(10, 12, 50, 8);
     let dense_b = bernoulli_formats::DenseMatrix::from_triplets(&tb);
     let want: f64 = ta.canonicalize().entries().iter().map(|&(i, j, v)| v * dense_b[(i, j)]).sum();
-    let q = QueryBuilder::mat_dot().build();
+    let q = lowered(&programs::mat_dot());
     for ka in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(ka, &ta);
         for kb in FormatKind::ALL {
@@ -83,7 +98,7 @@ fn frobenius_product_matches_the_oracle_for_every_pair_of_formats() {
             let meta = QueryMeta::new().mat(MAT_A, a.meta()).mat(MAT_B, bm.meta());
             let mut s = 0.0;
             let mut b = Bindings::new();
-            b.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(VEC_Y, &mut s);
+            b.bind_mat(MAT_A, &a).bind_mat(MAT_B, &bm).bind_scalar_mut(MAT_C, &mut s);
             execute(&plan(&q, &meta), &q, &mut b).unwrap();
             assert!(close(s, want), "A:B with ({ka}, {kb}): {s} vs {want}");
         }
@@ -104,7 +119,7 @@ fn row_permuted_product_matches_the_oracle_in_every_format() {
     let x = wave(n, 0.25);
     let mut want = vec![0.0; n];
     t.matvec_acc(&x, &mut want);
-    let q = QueryBuilder::permuted_mat_vec_product().build();
+    let q = lowered(&programs::matvec_row_permuted());
     for kind in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(kind, &stored);
         let meta = QueryMeta::new().mat(MAT_A, a.meta()).vec(VEC_X, VecMeta::dense(n)).perm(PERM_P, n);
@@ -131,7 +146,7 @@ fn sparse_times_sparse_matches_the_oracle_for_every_pair_of_formats() {
             }
         }
     }
-    let q = QueryBuilder::mat_mat_product().build();
+    let q = lowered(&programs::matmat());
     for ka in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(ka, &ta);
         for kb in FormatKind::ALL {
@@ -154,7 +169,7 @@ fn every_enumerated_plan_computes_the_same_product() {
     let x = wave(14, 2.0);
     let mut want = vec![0.0; 14];
     t.matvec_acc(&x, &mut want);
-    let q = QueryBuilder::mat_vec_product().build();
+    let q = lowered(&programs::matvec());
     for kind in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(kind, &t);
         let meta = QueryMeta::new().mat(MAT_A, a.meta()).vec(VEC_X, VecMeta::dense(14));
@@ -176,12 +191,12 @@ fn a_scaled_statement_scales_the_product_in_every_format() {
     let x = wave(9, 0.75);
     let mut want = vec![0.0; 9];
     t.matvec_acc(&x, &mut want);
-    let stmt = Stmt::new(
-        Target::VecElem { rel: VEC_Y, var: VAR_I },
-        UpdateOp::AddAssign,
-        Expr::constant(-2.0).mul(Expr::value(MAT_A)).mul(Expr::value(VEC_X)),
-    );
-    let q = QueryBuilder::mat_vec_product().with_stmt(stmt).build();
+    // Y(i) += -2 · A(i,j) · X(j): a constant factor keeps A's zeros
+    // annihilating, so the predicate stays NZ(A).
+    let mut nest = programs::matvec();
+    nest.rhs = ExprAst::constant(-2.0).mul(nest.rhs);
+    let q = lowered(&nest);
+    assert_eq!(q.predicate, vec![MAT_A]);
     for kind in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(kind, &t);
         let meta = QueryMeta::new().mat(MAT_A, a.meta()).vec(VEC_X, VecMeta::dense(9));
@@ -201,11 +216,15 @@ fn a_sparse_x_joins_only_its_stored_entries_in_every_format() {
     // stored, and the answer matches the dense-x product.
     let t = random_sparse(12, 15, 55, 13);
     let dense_x: Vec<f64> = (0..15).map(|j| if j % 3 == 0 { (j as f64) - 4.5 } else { 0.0 }).collect();
-    let xs = bernoulli_formats::SparseVec::from_dense(&dense_x);
+    let stored_x: Vec<(usize, f64)> = dense_x.iter().copied().enumerate().filter(|&(_, v)| v != 0.0).collect();
+    let xs = bernoulli_formats::SparseVec::from_pairs(15, &stored_x);
     let mut want = vec![0.0; 12];
     t.matvec_acc(&dense_x, &mut want);
     let stored_pairs = t.canonicalize().entries().iter().filter(|&&(_, j, _)| dense_x[j] != 0.0).count() as u64;
-    let q = QueryBuilder::mat_vec_product().with_predicate(vec![MAT_A, VEC_X]).build();
+    let mut nest = programs::matvec();
+    nest.arrays.iter_mut().find(|a| a.id == VEC_X).unwrap().sparse = true;
+    let q = lowered(&nest);
+    assert_eq!(q.predicate, vec![MAT_A, VEC_X]);
     for kind in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(kind, &t);
         let meta = QueryMeta::new()

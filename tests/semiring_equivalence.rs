@@ -294,8 +294,9 @@ fn bits(v: &[f64]) -> Vec<u64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Serial: `spmv_acc_in::<F64Plus>` is byte-identical to the
-    /// pre-refactor kernel for every storage format.
+    /// Serial: `spmv_acc_on::<F64Plus>` without a context is
+    /// byte-identical to the pre-refactor kernel for every storage
+    /// format.
     #[test]
     fn serial_generic_spmv_bitwise_equals_f64((t, x) in arb_matrix().prop_flat_map(|t| {
         let nc = t.ncols();
@@ -305,13 +306,13 @@ proptest! {
             let m = SparseMatrix::from_triplets(kind, &t);
             let mut y_gen = vec![0.25; t.nrows()];
             let mut y_ref = vec![0.25; t.nrows()];
-            m.spmv_acc_in::<F64Plus>(&x, &mut y_gen);
+            m.spmv_acc_on::<F64Plus>(&x, &mut y_gen, None);
             ref_spmv(&m, &x, &mut y_ref);
             prop_assert_eq!(bits(&y_gen), bits(&y_ref), "format {}", kind);
         }
     }
 
-    /// Parallel: `par_spmv_acc_in::<F64Plus>` at 4 workers is
+    /// Parallel: `spmv_acc_on::<F64Plus>` at 4 workers is
     /// byte-identical to the pre-refactor parallel kernel (row family:
     /// same bits as serial; scatter family: same chunk-partial bits).
     #[test]
@@ -324,7 +325,7 @@ proptest! {
             let m = SparseMatrix::from_triplets(kind, &t);
             let mut y_gen = vec![-0.5; t.nrows()];
             let mut y_ref = vec![-0.5; t.nrows()];
-            m.par_spmv_acc_in::<F64Plus>(&x, &mut y_gen, &exec);
+            m.spmv_acc_on::<F64Plus>(&x, &mut y_gen, Some(&exec));
             ref_par_spmv(&m, &x, &mut y_ref, 4, 1);
             prop_assert_eq!(bits(&y_gen), bits(&y_ref), "format {}", kind);
         }
