@@ -17,7 +17,7 @@
 //! [`crate::pipeline::compile`]; a facade contributes its op's
 //! [`OpSpec`], the typed `run` signature, and nothing else. What the
 //! compile decided (`strategy`, `tier`, `plan_shape`, `downgrade`,
-//! `hints`, `pseudocode`, ...) is read off the `CompiledOp` itself
+//! `hints`, `schedule`, ...) is read off the `CompiledOp` itself
 //! through `Deref`. Code dispatching heterogeneous ops (the `Dispatcher`)
 //! holds plain `CompiledOp`s; `TryFrom<CompiledOp>` checks the kind.
 //! Results are bitwise-identical to the pre-unification engines on
@@ -716,7 +716,6 @@ mod tests {
         assert_eq!(r.counters["engine.compile_warm"], 1);
         assert_eq!(r.strategies[0].strategy, "Specialized");
         assert!(!r.strategies[0].race_checked, "hinted path never re-runs the race gate");
-        assert!(warm.pseudocode().contains("plan replayed from structure cache"));
     }
 
     #[test]
@@ -873,20 +872,5 @@ mod tests {
             &cold_fnz.hints(),
         );
         assert_eq!(warm_fnz.strategy(), Strategy::Specialized);
-    }
-
-    #[test]
-    fn fast_engine_pseudocode_shows_the_lane_split() {
-        let t = sample(32, 50);
-        let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-        let eng = SpmvEngine::compile_in(&a, &ExecCtx::serial().fast_kernels(true)).unwrap();
-        let code = eng.pseudocode();
-        assert!(code.contains("acc0 = acc1 = acc2 = acc3 = 0.0;"), "{code}");
-        assert!(code.contains("Y[i] += ((acc0 + acc1) + (acc2 + acc3));"), "{code}");
-        // The reference engine renders the classic loop.
-        let eng = SpmvEngine::compile_in(&a, &ExecCtx::serial()).unwrap();
-        let code = eng.pseudocode();
-        assert!(code.contains("Y[i] += (a_val * x_val);"), "{code}");
-        assert!(!code.contains("fast tier"), "{code}");
     }
 }

@@ -983,23 +983,6 @@ impl CompiledOp {
         self.wave.as_deref().map(|w| &w.schedule)
     }
 
-    /// Render an SpMV op's plan as pseudocode, truthful about the
-    /// tier: the fast tier shows the 4-lane unrolled reduction shape
-    /// (see [`crate::codegen::emit_pseudocode_fast`]); the reference
-    /// tier is the classic [`crate::codegen::emit_pseudocode`] loop.
-    pub fn pseudocode(&self) -> String {
-        let PlanSource::Compiled(kernel) = &self.plan else {
-            return format!("// plan replayed from structure cache: {}", self.plan.shape());
-        };
-        match &self.fast_cert {
-            Some(fast::MatrixCert::Csr(_)) => {
-                crate::codegen::emit_pseudocode_fast(kernel, fast::LANES)
-            }
-            Some(_) => crate::codegen::emit_pseudocode_fast(kernel, 1),
-            None => crate::codegen::emit_pseudocode(kernel),
-        }
-    }
-
     /// Refuse a typed run call on an op of another kind.
     fn check_kind(&self, ok: bool, call: &str) -> RelResult<()> {
         if ok {

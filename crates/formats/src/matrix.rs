@@ -121,11 +121,6 @@ impl SparseMatrix {
         dispatch!(self, m => m.to_triplets())
     }
 
-    /// Convert to another format (through triplets).
-    pub fn convert(&self, kind: FormatKind) -> SparseMatrix {
-        SparseMatrix::from_triplets(kind, &self.to_triplets())
-    }
-
     /// Hand-written SpMV (`y ⊕= A·x`) over an arbitrary semiring on the
     /// tier `exec` selects — the one dispatch every SpMV on a
     /// [`SparseMatrix`] goes through. `None`, one worker, or less work
@@ -225,7 +220,7 @@ mod tests {
     fn convert_between_formats() {
         let t = sample();
         let csr = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-        let jd = csr.convert(FormatKind::JDiag);
+        let jd = SparseMatrix::from_triplets(FormatKind::JDiag, &csr.to_triplets());
         assert_eq!(jd.kind(), FormatKind::JDiag);
         assert_eq!(jd.nnz(), csr.nnz());
         assert_eq!(jd.to_triplets().canonicalize(), t.canonicalize());

@@ -25,8 +25,7 @@
 //! * **Events aggregate, never stream.** Counters and kernel stats
 //!   merge by name; provenance/trace events append in order. A
 //!   [`report::Report`] snapshot serialises to the one stable JSON
-//!   schema ([`report::SCHEMA`]) that `examples/profile.rs` emits and
-//!   `scripts/ci.sh` gates on.
+//!   schema ([`report::SCHEMA`]), pinned by `tests/observability.rs`.
 
 pub mod events;
 pub mod json;

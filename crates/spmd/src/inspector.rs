@@ -53,11 +53,6 @@ impl CommSchedule {
         self.recv_globals.iter().map(Vec::len).sum()
     }
 
-    /// Total values sent per executor iteration.
-    pub fn send_volume(&self) -> usize {
-        self.send_locals.iter().map(Vec::len).sum()
-    }
-
     /// The inspector: join `used` with `ind` (`RecvInd = Used ⋈ IND`),
     /// group the answers by owner in `used` order, and run the request
     /// exchange. An index this processor owns needs no ghost and is
@@ -132,7 +127,7 @@ mod tests {
         assert_eq!(s0.send_locals, vec![vec![0]]); // p1 wants global 0 = p0 local 0
         let s1 = &out.results[1];
         assert_eq!(s1.recv_volume(), 1);
-        assert_eq!(s1.send_volume(), 2);
+        assert_eq!(s1.send_locals.concat().len(), 2);
         assert_eq!(s1.send_locals, vec![vec![1, 2]]); // globals 5,6 = p1 locals 1,2
         assert_eq!(s1.ghost_of_global[&0], 0);
     }
@@ -178,7 +173,7 @@ mod tests {
         // Each proc ends up needing exactly the other's 10 values.
         for p in 0..2 {
             assert_eq!(out.results[p].recv_volume(), 10, "proc {p}");
-            assert_eq!(out.results[p].send_volume(), 10, "proc {p}");
+            assert_eq!(out.results[p].send_locals.concat().len(), 10, "proc {p}");
         }
     }
 

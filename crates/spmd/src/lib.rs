@@ -46,4 +46,4 @@ pub use dist::{
 };
 pub use inspector::CommSchedule;
 pub use machine::{Ctx, Machine, NetworkModel, PooledMachine, TrafficStats};
-pub use verify::{check_distribution_collective, verify_comm_schedule, verify_comm_schedule_ok};
+pub use verify::{check_distribution_collective, verify_comm_schedule};

@@ -199,16 +199,12 @@ pub fn verify_comm_schedule(sched: &CommSchedule, nprocs: usize) -> Vec<Diagnost
     d
 }
 
-/// [`verify_comm_schedule`] as a `Result` (errors joined).
-pub fn verify_comm_schedule_ok(sched: &CommSchedule, nprocs: usize) -> Result<(), String> {
-    bernoulli_analysis::diag::into_result(&verify_comm_schedule(sched, nprocs))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dist::{BlockDist, Distribution};
     use crate::machine::Machine;
+    use bernoulli_analysis::diag::into_result;
 
     #[test]
     fn ba31_inspector_schedules_verify_clean() {
@@ -222,7 +218,7 @@ mod tests {
             CommSchedule::build(ctx, &d, &used)
         });
         for s in &out.results {
-            assert!(verify_comm_schedule_ok(s, 3).is_ok());
+            assert!(into_result(&verify_comm_schedule(s, 3)).is_ok());
         }
     }
 
@@ -244,37 +240,37 @@ mod tests {
         // Peer out of range.
         let mut s = base.clone();
         s.send_peers[0] = 7;
-        assert!(verify_comm_schedule_ok(&s, 2).is_err());
+        assert!(into_result(&verify_comm_schedule(&s, 2)).is_err());
 
         // Ghost slot count lies.
         let mut s = base.clone();
         s.num_ghosts += 1;
-        assert!(verify_comm_schedule_ok(&s, 2).unwrap_err().contains("BA31"));
+        assert!(into_result(&verify_comm_schedule(&s, 2)).unwrap_err().contains("BA31"));
 
         // A received global missing from the translation table.
         let mut s = base.clone();
         s.ghost_of_global.remove(&9);
-        assert!(verify_comm_schedule_ok(&s, 2).is_err());
+        assert!(into_result(&verify_comm_schedule(&s, 2)).is_err());
 
         // Two globals collapsed onto one ghost slot.
         let mut s = base.clone();
         let slot = s.ghost_of_global[&9];
         s.ghost_of_global.insert(12, slot);
-        assert!(verify_comm_schedule_ok(&s, 2).is_err());
+        assert!(into_result(&verify_comm_schedule(&s, 2)).is_err());
 
         // Replay slots that disagree with the translation table: the
         // executor would put global 9's value where 12's is read.
         let mut s = base.clone();
         s.recv_slots[0].swap(0, 1);
-        assert!(verify_comm_schedule_ok(&s, 2).unwrap_err().contains("BA31"));
+        assert!(into_result(&verify_comm_schedule(&s, 2)).unwrap_err().contains("BA31"));
 
         // A hand-built schedule that never resolved its slots.
         let mut s = base.clone();
         s.recv_slots.clear();
-        assert!(verify_comm_schedule_ok(&s, 2).unwrap_err().contains("recv_slots"));
+        assert!(into_result(&verify_comm_schedule(&s, 2)).unwrap_err().contains("recv_slots"));
 
         // The untouched schedule stays clean.
-        assert!(verify_comm_schedule_ok(base, 2).is_ok());
+        assert!(into_result(&verify_comm_schedule(base, 2)).is_ok());
     }
 
     #[test]

@@ -236,24 +236,26 @@ mod tests {
             let x = d
                 .submit(lower, OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } }, &rhs)
                 .unwrap();
+            let multi = d.submit(full, OpSpec::SpmvMulti { k: 2 }, &[&rhs[..], &rhs[..]].concat()).unwrap();
             if round == 0 {
-                first.push(x);
+                first.extend([x, multi]);
             } else {
-                assert_eq!(x, first[3]);
+                assert_eq!((x, multi), (first[3].clone(), first[4].clone()));
             }
         }
         let s = d.stats();
-        assert_eq!(s.submitted, 20);
-        // 4 cacheable (structure, op) pairs → 4 misses, rest hits.
+        assert_eq!(s.submitted, 25);
+        // 5 cacheable (structure, op) pairs → 5 misses, rest hits.
         // Symgs on this tiny serial ctx may stay serial (no schedules
         // cached) — so just bound the rate from below.
         assert!(s.hit_rate() >= 0.75, "hit rate {} stats {s:?}", s.hit_rate());
-        // Per-op spans landed in the profile report.
+        // One latency span per op kind landed in the profile report,
+        // beside the compiles' strategy provenance.
         let r = obs.report();
-        assert!(r.spans.contains_key("dispatch.spmv"));
-        assert!(r.spans.contains_key("dispatch.sptrsv.lower"));
-        assert!(r.spans.contains_key("dispatch.spmv.min_plus"));
-        assert_eq!(r.spans["dispatch.spmv"].calls, 5);
+        for op in ["spmv", "spmv.min_plus", "spmv_multi", "sptrsv.lower", "symgs"] {
+            assert_eq!(r.spans[&format!("dispatch.{op}")].calls, 5, "dispatch.{op}");
+        }
+        assert!(!r.strategies.is_empty());
         r.validate().unwrap();
     }
 

@@ -46,9 +46,6 @@ if grep -rn "should_parallelize(\|effective_workers(\|check_do_any(\|check_do_an
   echo "ERROR: gate-chain call outside crates/core/src/pipeline.rs; all compiles route through pipeline::compile" >&2
   exit 1
 fi
-# Static-analysis acceptance gate: every built-in kernel, plan, and
-# format must lint clean (nonzero exit on any error finding).
-cargo run --release --example lint
 # Reproduction gate: every table, figure series and ablation of the
 # paper, full scale (P = 2..64, ~15 s); exits nonzero if any shape
 # claim EXPERIMENTS.md cites fails.
@@ -70,23 +67,6 @@ if ! cmp -s target/ci/counters.committed target/ci/counters.fresh; then
   echo "ERROR: exact Table-3 counters drifted from tables_output.txt" >&2
   exit 1
 fi
-# Observability schema gate: the profile driver exits nonzero if the
-# report fails validation or any telemetry stream is empty; the grep
-# catches a schema-identifier drift the driver itself can't see.
-cargo run --release --example profile target/ci/PROFILE.json > /dev/null
-grep -q '"schema":"bernoulli.profile/v2"' target/ci/PROFILE.json
-for stream in plans strategies kernels traffic solvers spans; do
-  grep -q "\"$stream\":" target/ci/PROFILE.json
-done
-# Plan-cache gate (bernoulli-tune): the example exits nonzero unless
-# the reloaded cache replays every compile warm, results match the
-# uncached reference, and the report validates — the greps additionally
-# pin the profile's schema identifier and that the cold compiles' plan
-# events carry the cost model's estimate. Both artefacts go under
-# target/ci/ so a CI run leaves the tree clean.
-cargo run --release --example plancache target/ci/PLANCACHE.json target/ci/PLANCACHE_PROFILE.json > /dev/null
-grep -q '"schema":"bernoulli.profile/v2"' target/ci/PLANCACHE_PROFILE.json
-grep -q '"est_cost":' target/ci/PLANCACHE_PROFILE.json
 # Filesystem-confinement gate: the tune crate persists plans;
 # everything else in the crates computes. A new fs-write call site
 # anywhere else is a regression (state belongs in the cache or in an
@@ -96,17 +76,11 @@ if grep -rn "fs::write\|File::create\|OpenOptions\|create_dir" crates/ --include
   echo "ERROR: filesystem write outside crates/tune" >&2
   exit 1
 fi
-# The dispatch registry smoke: a mixed op stream over a small matrix
-# population through the one `submit` front door — the example exits
-# nonzero unless the warm-cache hit rate is >= 90%, replay is bitwise
-# stable across rounds, and the profile report validates with per-op
-# dispatch.<op> latency spans.
-cargo run --release --example dispatch > /dev/null
-# The paper's "36 versions" demo: the one matrix-matrix nest compiled
-# for every pair of formats, with no engine or hand kernel behind it;
-# the example exits nonzero if any pairing disagrees with the dense
-# product.
-cargo run --release --example spmm_formats > /dev/null
+# The paper's demos (examples/): each runs once and must exit 0, so
+# none can rot. What they show is checked by the `cargo test` runs above.
+for demo in quickstart formats_tour blocksolve_pde parallel_cg permuted_rows planner_explain spmm_formats; do
+  cargo run --release --example "$demo" > /dev/null
+done
 # The repo's benchmark (BENCHMARK.json) is its own workspace, so none
 # of the cargo invocations above compile it: build it against the
 # crates as they are now, run its own unit tests, then run every

@@ -2,15 +2,17 @@
 //! *"Compiling Parallel Code for Sparse Matrix Applications"* (SC'97).
 //!
 //! This crate exists to host the cross-crate integration tests
-//! (`tests/`) and the runnable examples (`examples/`); the actual
-//! functionality lives in the member crates, re-exported here for
-//! convenience:
+//! (`tests/`, the repo's one behavioural check), the `tables`
+//! reproduction harness and the paper's runnable demos (`examples/`);
+//! the actual functionality lives in the member crates, re-exported
+//! here for convenience:
 //!
 //! * [`bernoulli`] — the compiler core (loop DSL → query → plan →
 //!   engines; SPMD compilation);
 //! * [`bernoulli_analysis`] — the static passes (race checker, plan
-//!   verifier, format sanitizer, wavefront dependence analysis)
-//!   behind `examples/lint.rs`;
+//!   verifier, format sanitizer, wavefront dependence analysis),
+//!   checked over every built-in kernel, plan and format by
+//!   `tests/static_analysis.rs`;
 //! * [`bernoulli_relational`] — the relational engine;
 //! * [`bernoulli_formats`] — storage formats, generators, I/O;
 //! * [`bernoulli_blocksolve`] — the BlockSolve95 baseline substrate;

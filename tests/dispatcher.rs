@@ -8,6 +8,7 @@ use bernoulli::pipeline::OpSpec;
 use bernoulli::TriangularOp;
 use bernoulli_formats::gen::{grid2d_5pt, grid3d_7pt};
 use bernoulli_formats::{ExecCtx, Triplets};
+use bernoulli_obs::Obs;
 use bernoulli_tune::{DispatchStats, Dispatcher, PlanCache};
 
 const LOWER: OpSpec = OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } };
@@ -38,7 +39,7 @@ fn rhs(n: usize) -> Vec<f64> {
 fn assert_close(got: &[f64], want: &[f64], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: length");
     for (k, (g, w)) in got.iter().zip(want).enumerate() {
-        assert!((g - w).abs() <= 1e-12 * w.abs().max(1.0), "{what}: entry {k}: {g} vs {w}");
+        assert!(g == w || (g - w).abs() <= 1e-12 * w.abs().max(1.0), "{what}: entry {k}: {g} vs {w}");
     }
 }
 
@@ -46,11 +47,13 @@ fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The contexts the dispatcher is exercised under: the serial default
-/// and a real pool with a zero size gate, so the parallel and wavefront
-/// tiers arm on these small operands.
-fn contexts() -> [ExecCtx; 2] {
-    [ExecCtx::serial(), ExecCtx::with_threads(2).oversubscribe(true).threshold(1)]
+/// The contexts the dispatcher is exercised under: the serial default,
+/// a real pool with a zero size gate, so the parallel and wavefront
+/// tiers arm on these small operands, and that pool again on the fast
+/// tier with telemetry on.
+fn contexts() -> [ExecCtx; 3] {
+    let pool = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
+    [ExecCtx::serial(), pool.clone(), pool.fast_kernels(true).instrument(Obs::enabled())]
 }
 
 #[test]
@@ -61,27 +64,30 @@ fn the_multiply_family_answers_match_the_dense_oracle() {
     let x = rhs(n);
     let want: Vec<f64> = a.iter().map(|row| row.iter().zip(&x).map(|(v, xv)| v * xv).sum()).collect();
     // (min, +): the empty row-minimum is +inf, and only stored entries
-    // take part.
-    let want_min: Vec<f64> = (0..n)
-        .map(|i| {
-            t.entries()
-                .iter()
-                .filter(|e| e.0 == i)
-                .map(|&(_, j, v)| v + x[j])
-                .fold(f64::INFINITY, f64::min)
-        })
-        .collect();
+    // take part. One relaxation step from the distances (0, inf, ...)
+    // leaves every row that does not see node 0 at +inf.
+    let dist: Vec<f64> = (0..n).map(|i| if i == 0 { 0.0 } else { f64::INFINITY }).collect();
+    let want_min = |x: &[f64]| -> Vec<f64> {
+        (0..n)
+            .map(|i| {
+                t.entries()
+                    .iter()
+                    .filter(|e| e.0 == i)
+                    .map(|&(_, j, v)| v + x[j])
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect()
+    };
     let k = 3;
     let xs: Vec<f64> = (0..n * k).map(|i| ((i as f64) * 0.11).sin()).collect();
     for ctx in contexts() {
         let mut d = Dispatcher::new(ctx);
         let id = d.register(&t);
         assert_close(&d.submit(id, OpSpec::Spmv, &x).unwrap(), &want, "A·x");
-        assert_close(
-            &d.submit(id, OpSpec::SemiringSpmv { algebra: "min_plus" }, &x).unwrap(),
-            &want_min,
-            "A ⊗ x over (min, +)",
-        );
+        for x in [&x, &dist] {
+            let got = d.submit(id, OpSpec::SemiringSpmv { algebra: "min_plus" }, x).unwrap();
+            assert_close(&got, &want_min(x), "A ⊗ x over (min, +)");
+        }
         let ys = d.submit(id, OpSpec::SpmvMulti { k }, &xs).unwrap();
         for c in 0..k {
             let col: Vec<f64> = (0..n).map(|j| xs[j * k + c]).collect();
@@ -171,7 +177,7 @@ fn same_pattern_operands_share_a_verdict_and_keep_their_own_values() {
 fn each_op_on_one_structure_is_its_own_cache_entry() {
     let t = grid2d_5pt(8, 8);
     let n = t.nrows();
-    for (ctx, stored) in contexts().into_iter().zip([3u64, 6]) {
+    for (ctx, stored) in contexts().into_iter().zip([3u64, 6, 6]) {
         let mut d = Dispatcher::new(ctx);
         let (full, lower, upper) =
             (d.register(&t), d.register(&triangle(&t, true)), d.register(&triangle(&t, false)));
@@ -227,7 +233,7 @@ fn a_dispatcher_over_a_reloaded_cache_starts_warm_with_the_same_bits() {
         answers.push(cold.submit(lower_id, LOWER, &b).unwrap());
         cold.cache().save(&path).unwrap();
 
-        let mut warm = Dispatcher::with_cache(ctx, PlanCache::load(&path).unwrap());
+        let mut warm = Dispatcher::with_cache(ctx.clone(), PlanCache::load(&path).unwrap());
         let (full_id, lower_id) = (warm.register(&t), warm.register(&lower));
         let mut again: Vec<Vec<f64>> = specs.iter().map(|&s| warm.submit(full_id, s, &b).unwrap()).collect();
         again.push(warm.submit(lower_id, LOWER, &b).unwrap());
@@ -238,6 +244,10 @@ fn a_dispatcher_over_a_reloaded_cache_starts_warm_with_the_same_bits() {
         for (i, (got, want)) in again.iter().zip(&answers).enumerate() {
             assert_eq!(bits(got), bits(want), "context {k}, request {i}");
         }
+        // An instrumented context's cold compiles left plan provenance.
+        let r = ctx.obs().report();
+        r.validate().unwrap();
+        assert_eq!(ctx.obs().is_enabled(), !r.plans.is_empty() && !r.strategies.is_empty(), "context {k}");
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -65,12 +65,10 @@ fn format_conversion_graph_is_lossless() {
         .triplets
         .canonicalize();
     // Chain conversions through several formats and come back.
-    let m = SparseMatrix::from_triplets(FormatKind::Csr, &t)
-        .convert(FormatKind::JDiag)
-        .convert(FormatKind::Cccs)
-        .convert(FormatKind::Diagonal)
-        .convert(FormatKind::Inode)
-        .convert(FormatKind::Coordinate);
+    let chain = [FormatKind::JDiag, FormatKind::Cccs, FormatKind::Diagonal, FormatKind::Inode, FormatKind::Coordinate];
+    let m = chain.into_iter().fold(SparseMatrix::from_triplets(FormatKind::Csr, &t), |m, kind| {
+        SparseMatrix::from_triplets(kind, &m.to_triplets())
+    });
     assert_eq!(m.to_triplets().canonicalize(), t);
 }
 

@@ -1,9 +1,8 @@
 //! Observability golden tests: the EXPLAIN text and the JSON report
-//! schema are contracts — `scripts/ci.sh` diffs profiles across PRs,
-//! so any change here is a deliberate schema bump, not drift. Plus the
-//! headline zero-cost guarantee: with a disabled handle, every
-//! instrumented path produces byte-identical results to the
-//! uninstrumented one.
+//! schema are contracts, so any change here is a deliberate schema
+//! bump, not drift. Plus the headline zero-cost guarantee: with a
+//! disabled handle, every instrumented path produces byte-identical
+//! results to the uninstrumented one.
 
 use bernoulli::ast::programs;
 use bernoulli::compile::Compiler;
@@ -145,7 +144,7 @@ fn json_schema_golden() {
         residuals: vec![1.0, 0.5, 0.25],
     });
     let report = obs.report();
-    report.validate_complete().unwrap();
+    report.validate().unwrap();
     assert_eq!(
         report.to_json(),
         "{\"schema\":\"bernoulli.profile/v2\",\"counters\":{\"engine.compile\":2},\
@@ -256,9 +255,9 @@ fn ctx_path_is_bitwise_identical_to_pre_refactor_goldens() {
 
 #[test]
 fn one_handle_collects_every_stream() {
-    // Compact version of examples/profile.rs: a single shared handle
-    // wired through planner, engines, SPMD machine and solvers ends up
-    // with all six streams populated and a valid report.
+    // A single shared handle wired through planner, engines, SPMD
+    // machine and solvers ends up with all six streams populated and a
+    // valid report.
     let obs = Obs::enabled();
     let t = gen::grid2d_5pt(10, 10);
     let n = t.nrows();
@@ -283,7 +282,7 @@ fn one_handle_collects_every_stream() {
     });
 
     let report = obs.report();
-    report.validate_complete().unwrap();
+    report.validate().unwrap();
     assert_eq!(report.plans.len(), 2);
     assert_eq!(report.strategies.len(), 2);
     assert!(report.kernels.contains_key("spmv_csr"));

@@ -139,7 +139,7 @@ proptest! {
         };
         let out = Machine::run(p, |ctx| {
             let sched = CommSchedule::build(ctx, &dist, &used_of(ctx.rank()));
-            (sched.recv_volume(), sched.send_volume(),
+            (sched.recv_volume(), sched.send_locals.concat().len(),
              sched.recv_globals.concat(), sched.num_ghosts)
         });
         let recv_total: usize = out.results.iter().map(|r| r.0).sum();

@@ -1,8 +1,10 @@
-//! Cross-crate checks that the three `bernoulli-analysis` passes hold
-//! over everything the repo actually builds: the race checker
-//! certifies the canned kernels, every plan `plan_all` emits verifies
-//! clean, and the engines provably refuse `Strategy::Parallel` for a
-//! nest the race checker rejects.
+//! Cross-crate checks that the `bernoulli-analysis` passes hold over
+//! everything the repo actually builds: the race checker certifies the
+//! canned kernels and refuses the sweep nest, every plan `plan_all`
+//! emits verifies clean, every format's constructor output validates
+//! clean, the wavefront pass certifies triangular patterns (and refuses
+//! a full one or a forged schedule), and the engines provably refuse
+//! `Strategy::Parallel` for a nest the race checker rejects.
 
 use bernoulli::ast::programs;
 use bernoulli::engines::SpmvEngine;
@@ -11,7 +13,11 @@ use bernoulli::lower::extract_query;
 use bernoulli::{ExecCtx, Strategy};
 use bernoulli_analysis::plan_verify::verify_plan;
 use bernoulli_analysis::race::{check_do_any, ParallelCertificate};
-use bernoulli_formats::{DenseMatrix, FormatKind, SparseMatrix, SparseVec, Triplets};
+use bernoulli_analysis::wavefront::{
+    analyze_wavefront, certify_wavefront, verify_level_schedule, LevelSchedule, Relation, Triangle,
+};
+use bernoulli_formats::gen::{grid2d_5pt, grid3d_7pt};
+use bernoulli_formats::{Csr, DenseMatrix, FormatKind, SparseMatrix, SparseVec, Triplets, Validate};
 use bernoulli_relational::access::{MatrixAccess, VecMeta, VectorAccess};
 use bernoulli_relational::ids::{MAT_A, MAT_B, PERM_P, VEC_X, VEC_Y};
 use bernoulli_relational::planner::{Planner, QueryMeta};
@@ -77,8 +83,10 @@ fn all_plans_for_all_programs_verify_clean() {
     let planner = Planner::default();
     let mut checked = 0usize;
 
+    assert!(sv.validate().is_empty(), "{:?}", sv.validate());
     for kind in FormatKind::ALL {
         let a = SparseMatrix::from_triplets(kind, &t);
+        assert!(a.validate().is_empty(), "{kind}: {:?}", a.validate());
         let b = SparseMatrix::from_triplets(kind, &t);
         let dense_multi = DenseMatrix::zeros(n, 3).meta();
         let cases: Vec<(&str, bernoulli::LoopNest, QueryMeta)> = vec![
@@ -152,4 +160,40 @@ fn all_plans_for_all_programs_verify_clean() {
     }
     // Sanity: the sweep actually covered a meaningful plan population.
     assert!(checked > 100, "only {checked} plans verified");
+}
+
+/// The sweep nest is loop-carried, so DO-ANY must refuse it — that
+/// refusal is why the wavefront pass exists. That pass then certifies
+/// the lower triangle of every built-in pattern with a schedule the
+/// independent BA4x verifier accepts, refuses a pattern with both
+/// triangles, and certifies Gauss-Seidel's relation on a full operand
+/// while refusing a forged one-wave schedule for it.
+#[test]
+fn the_sweep_nest_is_refused_and_the_wavefront_pass_certifies_only_sound_schedules() {
+    assert!(!check_do_any(&programs::sptrsv()).is_parallel_safe());
+    let lower = |t: &Triplets| {
+        let kept: Vec<_> = t.canonicalize().entries().iter().copied().filter(|&(r, c, _)| c <= r).collect();
+        Csr::from_triplets(&Triplets::from_entries(t.nrows(), t.ncols(), &kept))
+    };
+    let chain: Vec<_> = (0..16usize).map(|i| (i, i, 2.0)).chain((1..16).map(|i| (i, i - 1, -1.0))).collect();
+    for (name, m) in [
+        ("grid2d_16x16", lower(&grid2d_5pt(16, 16))),
+        ("grid3d_6x6x6", lower(&grid3d_7pt(6, 6, 6))),
+        ("random", lower(&sample(16, 42))),
+        ("chain", lower(&Triplets::from_entries(16, 16, &chain))),
+    ] {
+        let r = analyze_wavefront(m.nrows(), m.rowptr(), m.colind(), Triangle::Lower);
+        assert!(r.certificate.is_some() && r.diagnostics.is_empty(), "{name}: {:?}", r.diagnostics);
+        let sched = r.schedule.unwrap();
+        let diags = verify_level_schedule(m.nrows(), m.rowptr(), m.colind(), Triangle::Lower, &sched);
+        assert!(diags.is_empty(), "{name}: {diags:?}");
+    }
+    let full = Csr::from_triplets(&grid2d_5pt(8, 8));
+    assert!(!analyze_wavefront(full.nrows(), full.rowptr(), full.colind(), Triangle::Lower).is_parallel_safe());
+    for (name, m) in [("grid2d_8x8", full), ("random", Csr::from_triplets(&sample(16, 42)))] {
+        let (n, rp, ci, digest) = (m.nrows(), m.rowptr(), m.colind(), m.index_digest());
+        certify_wavefront(n, rp, ci, digest, Relation::GaussSeidel, None).unwrap_or_else(|d| panic!("{name}: {d:?}"));
+        let one_wave = LevelSchedule::from_raw_unchecked(n, (0..n).collect(), vec![0, n]);
+        assert!(certify_wavefront(n, rp, ci, digest, Relation::GaussSeidel, Some(one_wave)).is_err(), "{name}");
+    }
 }

@@ -2,6 +2,7 @@
 //! exit status is the verdict on the paper's claims, so these tests
 //! read nothing else but the one cell they bound.
 
+use std::collections::BTreeMap;
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard};
 
@@ -69,10 +70,23 @@ fn timed_ablation_claims_hold_over_twenty_invocations() {
     let failed: Vec<String> = (0..20)
         .filter_map(|_| {
             let (ok, stdout) = tables(&["ablations"]);
-            (!ok).then(|| stdout.lines().skip_while(|l| !l.starts_with("=== Claims")).collect::<Vec<_>>().join("\n"))
+            (!ok).then_some(stdout)
         })
         .collect();
-    assert!(failed.is_empty(), "{} of 20 invocations failed:\n{}", failed.len(), failed.join("\n"));
+    // Name each failing claim with its count over the twenty; a run that
+    // failed without a `FAIL` line (a crash) is shown whole.
+    let mut counts = BTreeMap::<&str, usize>::new();
+    let mut crashes = String::new();
+    for stdout in &failed {
+        let ids: Vec<&str> =
+            stdout.lines().filter_map(|l| l.strip_prefix("FAIL ")?.split_whitespace().next()).collect();
+        if ids.is_empty() {
+            crashes += stdout;
+        }
+        ids.into_iter().for_each(|id| *counts.entry(id).or_default() += 1);
+    }
+    let claims: Vec<String> = counts.iter().map(|(id, n)| format!("{id} {n}/20")).collect();
+    assert!(failed.is_empty(), "{} of 20 invocations failed: {}\n{crashes}", failed.len(), claims.join(", "));
 }
 
 #[test]
