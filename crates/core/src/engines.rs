@@ -26,7 +26,7 @@
 //! Every engine has exactly two entry points: `compile(operands)` — the
 //! default serial, uninstrumented context — and
 //! `compile_in(operands, &ExecCtx)`, which reads *all* policy (threads,
-//! parallel threshold, checked mode, specialization, telemetry) from
+//! parallel threshold, checked mode, telemetry) from
 //! the one context object instead of growing per-capability parameter
 //! variants.
 
@@ -115,7 +115,6 @@ impl SpmvEngine {
     /// compiles to [`Strategy::Parallel`] (below the threshold, or
     /// serial, the engine is byte-identical to the default one — same
     /// plan shape, same kernel, same strategy);
-    /// [`ExecCtx::specialization`]`(false)` forces the interpreter;
     /// [`ExecCtx::checked`] validates operands before compiling; an
     /// [instrumented](ExecCtx::instrument) context records plan
     /// provenance, the strategy decision and per-run kernel counters.
@@ -166,9 +165,9 @@ impl SpmvMultiEngine {
 /// * Stored values lift through `S::from_f64` (structural zeros lift to
 ///   `S::zero()`, so formats that pad — Dense, ITPACK, Diagonal — stay
 ///   correct under algebras like min-plus where the identity is +∞).
-/// * There is no interpreter tier off the f64 algebra, so
-///   [`ExecCtx::specialization`] is moot: every format dispatches to
-///   its generic serial kernel, which *is* the baseline tier.
+/// * There is no interpreter tier off the f64 algebra: every format
+///   dispatches to its generic serial kernel, which *is* the baseline
+///   tier.
 /// * The parallel gate consults the race checker **under `S`'s
 ///   algebra**: a non-associative-commutative ⊕ is refused the
 ///   reduction certificate (BA06) and provably compiles to the serial
@@ -199,10 +198,15 @@ impl<S: Semiring> SemiringSpmvEngine<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::programs;
+    use crate::compile::Compiler;
     use crate::pipeline::Reason;
+    use bernoulli_relational::exec::Bindings;
+    use bernoulli_relational::ids::{MAT_A, VEC_X, VEC_Y};
+    use bernoulli_relational::planner::QueryMeta;
     use bernoulli_formats::{fast, Csr, FormatKind, Triplets};
     use bernoulli_obs::Obs;
-    use bernoulli_relational::access::MatrixAccess;
+    use bernoulli_relational::access::{MatrixAccess, VecMeta};
 
     fn sample(n: usize, seed: u64) -> Triplets {
         bernoulli_formats::gen::random_sparse(n, n, n * 3, seed)
@@ -242,16 +246,21 @@ mod tests {
     fn spmv_specialized_and_interpreted_agree() {
         let t = sample(15, 2);
         let x: Vec<f64> = (0..15).map(|i| (i as f64 * 0.7).cos()).collect();
-        let interp = ExecCtx::default().specialization(false);
         for kind in FormatKind::ALL {
             let a = SparseMatrix::from_triplets(kind, &t);
             let fast = SpmvEngine::compile(&a).unwrap();
-            let slow = SpmvEngine::compile_in(&a, &interp).unwrap();
-            assert_eq!(slow.strategy(), Strategy::Interpreted);
+            // The plan interpreter itself, past every engine.
+            let meta = QueryMeta::new()
+                .mat(MAT_A, a.meta())
+                .vec(VEC_X, VecMeta::dense(15))
+                .vec(VEC_Y, VecMeta::dense(15));
+            let slow = Compiler::new().compile(&programs::matvec(), &meta).unwrap();
             let mut y1 = vec![0.0; 15];
             let mut y2 = vec![0.0; 15];
             fast.run(&a, &x, &mut y1).unwrap();
-            slow.run(&a, &x, &mut y2).unwrap();
+            let mut binds = Bindings::new();
+            binds.bind_mat(MAT_A, &a).bind_vec(VEC_X, &x).bind_vec_mut(VEC_Y, &mut y2);
+            slow.run(&mut binds).unwrap();
             for (a1, a2) in y1.iter().zip(&y2) {
                 assert!((a1 - a2).abs() < 1e-12, "format {kind}");
             }
@@ -265,7 +274,7 @@ mod tests {
         let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
         let eng = SpmvMultiEngine::compile(&a, k).unwrap();
         assert_eq!(eng.strategy(), Strategy::Specialized, "plan {}", eng.plan_shape());
-        assert_eq!(eng.multi_width(), k);
+        assert_eq!(eng.io_lens(), (12 * k, 12 * k));
         let x: Vec<f64> = (0..12 * k).map(|i| (i as f64 * 0.3).sin()).collect();
         let mut y = vec![0.0; 12 * k];
         eng.run(&a, &x, &mut y).unwrap();
@@ -278,11 +287,12 @@ mod tests {
                 assert!((y[r * k + col] - yc[r]).abs() < 1e-10, "col {col} row {r}");
             }
         }
-        // Interpreted path agrees.
-        let slow =
-            SpmvMultiEngine::compile_in(&a, k, &ExecCtx::default().specialization(false)).unwrap();
+        // The interpreted tier, which a CCS operand takes, agrees.
+        let ccs = SparseMatrix::from_triplets(FormatKind::Ccs, &t);
+        let slow = SpmvMultiEngine::compile(&ccs, k).unwrap();
+        assert_eq!(slow.strategy(), Strategy::Interpreted);
         let mut y2 = vec![0.0; 12 * k];
-        slow.run(&a, &x, &mut y2).unwrap();
+        slow.run(&ccs, &x, &mut y2).unwrap();
         for (a1, a2) in y.iter().zip(&y2) {
             assert!((a1 - a2).abs() < 1e-10);
         }
@@ -773,19 +783,22 @@ mod tests {
     fn hinted_interpreter_tier_falls_back_to_the_full_compile() {
         // An Interpreted hint needs a real plan to interpret, so the
         // warm path degenerates to the cold one (plan event and all).
+        // A multivector product on a non-CSR operand has no hand kernel.
         let t = sample(15, 54);
         let a = SparseMatrix::from_triplets(FormatKind::Coordinate, &t);
-        let interp = ExecCtx::default().specialization(false);
-        let cold = SpmvEngine::compile_in(&a, &interp).unwrap();
+        let k = 2;
+        let cold = SpmvMultiEngine::compile(&a, k).unwrap();
         assert_eq!(cold.strategy(), Strategy::Interpreted);
         let obs = Obs::enabled();
-        let warm = warm_spmv(&a, &interp.clone().instrument(obs.clone()), &cold.hints());
+        let ctx = ExecCtx::default().instrument(obs.clone());
+        let warm: SpmvMultiEngine =
+            compile_warm::<F64Plus, _>(OpSpec::SpmvMulti { k }, Operands::Mat(&a), &ctx, &cold.hints());
         assert_eq!(warm.strategy(), Strategy::Interpreted);
         let r = obs.report();
         assert_eq!(r.plans.len(), 1, "fallback goes through the planner");
         assert!(!r.counters.contains_key("engine.compile_warm"));
-        let x: Vec<f64> = (0..15).map(|i| (i as f64).sqrt()).collect();
-        let (mut y1, mut y2) = (vec![0.0; 15], vec![0.0; 15]);
+        let x: Vec<f64> = (0..15 * k).map(|i| (i as f64).sqrt()).collect();
+        let (mut y1, mut y2) = (vec![0.0; 15 * k], vec![0.0; 15 * k]);
         cold.run(&a, &x, &mut y1).unwrap();
         warm.run(&a, &x, &mut y2).unwrap();
         assert_eq!(y1, y2);
@@ -813,7 +826,7 @@ mod tests {
         );
         assert_eq!(warm.strategy(), Strategy::Parallel);
         assert_eq!(warm.plan_shape(), cold.plan_shape());
-        assert_eq!(warm.multi_width(), k);
+        assert_eq!(warm.io_lens(), (48 * k, 48 * k));
         let r = obs.report();
         assert!(r.plans.is_empty(), "warm path must skip the planner: {:?}", r.plans);
         assert_eq!(r.counters["engine.compile_warm"], 1);

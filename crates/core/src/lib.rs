@@ -44,7 +44,7 @@ pub use ast::{ArrayDecl, ExprAst, LoopNest};
 pub use codegen::{emit_pseudocode, emit_pseudocode_in};
 pub use compile::{CompiledKernel, Compiler};
 pub use engines::{Engine, SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine, Strategy};
-pub use operator::{BoundSpmv, BoundSpmvMulti, FnOperator, Operator};
+pub use operator::{BoundSpmv, FnOperator, Operator};
 pub use pipeline::{
     compile as compile_op, CompiledOp, GateDecision, OpHints, OpKind, OpSpec, Operands, Reason,
 };

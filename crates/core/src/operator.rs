@@ -6,15 +6,14 @@
 //! the solvers in `bernoulli-solvers` take `&dyn Operator` instead of
 //! one entry point per engine/format/closure combination. Anything
 //! that can multiply implements it: a compiled [`SpmvEngine`] bound to
-//! its matrix ([`SpmvEngine::bind`]), a [`SpmvMultiEngine`] over a
-//! flattened block vector, a raw [`SparseMatrix`] or [`Csr`] (no
-//! compilation step), or an arbitrary closure ([`FnOperator`]) for
+//! its matrix ([`SpmvEngine::bind`]), a raw [`SparseMatrix`] or [`Csr`]
+//! (no compilation step), or an arbitrary closure ([`FnOperator`]) for
 //! matrix-free operators.
 
 use std::cell::RefCell;
 
-use crate::engines::{SpmvEngine, SpmvMultiEngine};
-use crate::pipeline::{spmv_counters, spmv_multi_counters};
+use crate::engines::SpmvEngine;
+use crate::pipeline::spmv_counters;
 use bernoulli_formats::{Csr, SparseMatrix};
 use bernoulli_obs::events::KernelCounters;
 use bernoulli_relational::access::MatrixAccess;
@@ -97,45 +96,6 @@ impl Operator for BoundSpmv<'_> {
     }
 }
 
-/// A compiled [`SpmvMultiEngine`] bound to its matrix: the operator on
-/// flattened row-major block vectors (`in_len = ncols·k`,
-/// `out_len = nrows·k`), for block Krylov methods.
-pub struct BoundSpmvMulti<'a> {
-    engine: &'a SpmvMultiEngine,
-    a: &'a SparseMatrix,
-}
-
-impl SpmvMultiEngine {
-    /// Bind the engine to its matrix as an [`Operator`] over flattened
-    /// `n × k` block vectors.
-    pub fn bind<'a>(&'a self, a: &'a SparseMatrix) -> BoundSpmvMulti<'a> {
-        BoundSpmvMulti { engine: self, a }
-    }
-}
-
-impl Operator for BoundSpmvMulti<'_> {
-    fn out_len(&self) -> usize {
-        self.a.meta().nrows * self.engine.multi_width()
-    }
-
-    fn in_len(&self) -> usize {
-        self.a.meta().ncols * self.engine.multi_width()
-    }
-
-    fn apply(&self, x: &[f64], y: &mut [f64]) -> RelResult<()> {
-        y.fill(0.0);
-        self.engine.run(self.a, x, y)
-    }
-
-    fn model(&self) -> KernelCounters {
-        spmv_multi_counters(&self.a.meta(), self.engine.multi_width())
-    }
-
-    fn name(&self) -> &str {
-        "spmv_multi"
-    }
-}
-
 /// Any sparse matrix is an operator directly (serial `spmv_acc`, no
 /// compilation step) — handy when no engine/ctx policy is needed.
 impl Operator for SparseMatrix {
@@ -210,7 +170,6 @@ impl Operator for Csr {
 pub struct FnOperator<F> {
     out_len: usize,
     in_len: usize,
-    name: String,
     f: RefCell<F>,
 }
 
@@ -218,13 +177,7 @@ impl<F: FnMut(&[f64], &mut [f64])> FnOperator<F> {
     /// An `out_len × in_len` operator applying `f(x, y)`; `f` must
     /// overwrite `y` completely.
     pub fn new(out_len: usize, in_len: usize, f: F) -> FnOperator<F> {
-        FnOperator { out_len, in_len, name: "matfree".to_string(), f: RefCell::new(f) }
-    }
-
-    /// Replace the telemetry name (default `"matfree"`).
-    pub fn named(mut self, name: &str) -> FnOperator<F> {
-        self.name = name.to_string();
-        self
+        FnOperator { out_len, in_len, f: RefCell::new(f) }
     }
 }
 
@@ -243,7 +196,7 @@ impl<F: FnMut(&[f64], &mut [f64])> Operator for FnOperator<F> {
     }
 
     fn name(&self) -> &str {
-        &self.name
+        "matfree"
     }
 }
 
@@ -277,27 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_engine_operator_flattens_block_vectors() {
-        let t = sample(10, 52);
-        let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
-        let k = 3;
-        let eng = SpmvMultiEngine::compile(&a, k).unwrap();
-        let op = eng.bind(&a);
-        assert_eq!((op.out_len(), op.in_len()), (30, 30));
-        let x: Vec<f64> = (0..30).map(|i| i as f64 * 0.1 - 1.0).collect();
-        let mut y = vec![f64::NAN; 30];
-        op.apply(&x, &mut y).unwrap();
-        for col in 0..k {
-            let xc: Vec<f64> = (0..10).map(|r| x[r * k + col]).collect();
-            let mut yc = vec![0.0; 10];
-            t.matvec_acc(&xc, &mut yc);
-            for r in 0..10 {
-                assert!((y[r * k + col] - yc[r]).abs() < 1e-12, "col {col} row {r}");
-            }
-        }
-    }
-
-    #[test]
     fn fn_operator_runs_closures_with_state() {
         let mut calls = 0usize;
         let op = FnOperator::new(3, 3, move |x: &[f64], y: &mut [f64]| {
@@ -305,9 +237,8 @@ mod tests {
             for (yi, xi) in y.iter_mut().zip(x) {
                 *yi = 2.0 * xi + calls as f64;
             }
-        })
-        .named("twice-plus-count");
-        assert_eq!(op.name(), "twice-plus-count");
+        });
+        assert_eq!(op.name(), "matfree");
         assert_eq!(op.model(), KernelCounters::default());
         let x = [1.0, 2.0, 3.0];
         let mut y = [0.0; 3];

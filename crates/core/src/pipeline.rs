@@ -677,7 +677,7 @@ struct DoAny<'a> {
     hand_shapes: &'static [&'static str],
     /// Whether the op has an interpreter tier at all. Off the f64
     /// algebra it does not: every plan runs the format's generic
-    /// kernel and [`ExecCtx::specialization`] is moot.
+    /// kernel.
     interpretable: bool,
     /// Work estimate for the size gate.
     work: usize,
@@ -809,7 +809,7 @@ fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelRe
     // specialised verdict only replays onto the operand family it was
     // derived for (the structure key upstream pins the format tag; the
     // O(1) re-check keeps the seam sound against a confused caller).
-    let specializes = |shape_ok: bool| !d.interpretable || (ctx.specialize() && shape_ok);
+    let specializes = |shape_ok: bool| !d.interpretable || shape_ok;
     let hand_kernel = specializes(!d.hand_shapes.is_empty());
     let replay = hints.filter(|h| h.strategy != Strategy::Interpreted && hand_kernel);
     let (decision, specializable, plan) = match replay {
@@ -939,15 +939,6 @@ impl CompiledOp {
             "fast"
         } else {
             "reference"
-        }
-    }
-
-    /// The multivector width a [`OpSpec::SpmvMulti`] op was compiled
-    /// for (0 for every other kind).
-    pub fn multi_width(&self) -> usize {
-        match self.payload {
-            Payload::SpmvMulti { k } => k,
-            _ => 0,
         }
     }
 

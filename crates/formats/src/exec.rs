@@ -4,7 +4,7 @@
 //! layer shares it without a dependency cycle: the one context object
 //! threaded through the whole pipeline — the parallel-dispatch policy
 //! (worker count, work threshold, oversubscription), checked mode, the
-//! [`Obs`] telemetry handle, the specialization and fast-tier policies,
+//! [`Obs`] telemetry handle, the fast-tier policy,
 //! and the workspace's only two fork/join primitives
 //! ([`ExecCtx::par_blocks`], [`ExecCtx::par_ranges`]). Compilers,
 //! engines, kernels, the SPMD machine and the solvers all take
@@ -67,7 +67,7 @@ fn fork_join<T: Send, R: Send>(
 /// know about *how* to run, in one cloneable handle.
 ///
 /// `ExecCtx::default()` is the zero-overhead baseline: serial,
-/// observability disabled, specialization on, never a thread spawned.
+/// observability disabled, never a thread spawned.
 /// All the `compile(a)`-style convenience entry points are defined as
 /// the ctx-taking form applied to this default.
 #[derive(Clone, Debug)]
@@ -81,13 +81,12 @@ pub struct ExecCtx {
     checked: bool,
     oversubscribe: bool,
     obs: Obs,
-    specialize: bool,
     fast: bool,
 }
 
 impl Default for ExecCtx {
-    /// Serial, observability disabled, specialization on: the exact
-    /// behavior of the historical no-argument entry points.
+    /// Serial, observability disabled: the exact behavior of the
+    /// historical no-argument entry points.
     fn default() -> ExecCtx {
         ExecCtx::serial()
     }
@@ -101,7 +100,6 @@ impl ExecCtx {
             checked: false,
             oversubscribe: false,
             obs: Obs::disabled(),
-            specialize: true,
             fast: false,
         }
     }
@@ -146,14 +144,6 @@ impl ExecCtx {
         self
     }
 
-    /// Allow or forbid format-specialized kernels (the
-    /// `Strategy::Specialized` tier); forbidding forces the relational
-    /// interpreter, which is what the ablation benches measure.
-    pub fn specialization(mut self, yes: bool) -> ExecCtx {
-        self.specialize = yes;
-        self
-    }
-
     /// Arm the certified bounds-check-free microkernel tier
     /// ([`crate::fast`]). Off by default — the default path stays
     /// bitwise-pinned by the historical goldens. When on, engines
@@ -191,11 +181,6 @@ impl ExecCtx {
     /// attached one).
     pub fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// May engines emit format-specialized kernels?
-    pub fn specialize(&self) -> bool {
-        self.specialize
     }
 
     /// Is the certified fast-kernel tier armed?
@@ -306,7 +291,6 @@ mod tests {
         assert_eq!(ctx.par_threshold_nnz(), usize::MAX);
         assert!(!ctx.is_checked());
         assert!(!ctx.obs().is_enabled());
-        assert!(ctx.specialize());
         assert!(!ctx.fast());
     }
 

@@ -9,8 +9,8 @@
 //! the planner's [`Obs`](bernoulli_obs::Obs) handle and golden-pinned by
 //! `tests/observability.rs` — treat format changes as schema changes.
 
-use crate::plan::{Driver, JoinMethod, Lookup, Plan, PlanNode, ProbeKind};
-use crate::planner::{node_driver_card, var_extents, QueryMeta};
+use crate::plan::{JoinMethod, Lookup, Plan, PlanNode, ProbeKind};
+use crate::planner::{driver_level, var_extents, QueryMeta};
 use crate::props::{LevelProps, SearchCost};
 use crate::query::Query;
 use crate::scalar::{Target, UpdateOp};
@@ -102,41 +102,21 @@ fn node_header(
     meta: &QueryMeta,
     extents: &std::collections::HashMap<crate::ids::Var, usize>,
 ) -> String {
+    let (level, c) = driver_level(node, meta, extents);
     match node {
-        PlanNode::Loop(l) => {
-            let (drv, props) = match l.driver {
-                Driver::Range => ("range".to_string(), Some(LevelProps::dense())),
-                Driver::Vector(r) => {
-                    (format!("vec({r})"), meta.vec_meta(r).map(|m| m.props))
-                }
-                Driver::MatOuter(r) => {
-                    (format!("outer({r})"), meta.mat_meta(r).map(|m| m.outer))
-                }
-                Driver::MatInner(r) => {
-                    (format!("inner({r})"), meta.mat_meta(r).map(|m| m.inner))
-                }
-            };
-            let props_s =
-                props.map_or_else(|| "unknown".to_string(), |p| p.to_string());
-            let c = node_driver_card(node, meta, extents);
-            format!(
-                "for {} in {drv} -- level {props_s}, ~{} candidates/start",
-                l.var,
-                card(c)
-            )
-        }
-        PlanNode::Flat(f) => {
-            let props_s = meta
-                .mat_meta(f.rel)
-                .map_or_else(|| "unknown".to_string(), |m| m.flat.to_string());
-            format!(
-                "for ({},{}) in flat({}) -- level {props_s}, ~{} stored tuples",
-                f.row_var,
-                f.col_var,
-                f.rel,
-                card(node_driver_card(node, meta, extents))
-            )
-        }
+        PlanNode::Loop(l) => format!(
+            "for {} in {} -- level {level}, ~{} candidates/start",
+            l.var,
+            l.driver.label(),
+            card(c)
+        ),
+        PlanNode::Flat(f) => format!(
+            "for ({},{}) in flat({}) -- level {level}, ~{} stored tuples",
+            f.row_var,
+            f.col_var,
+            f.rel,
+            card(c)
+        ),
     }
 }
 

@@ -77,6 +77,16 @@ impl Driver {
             Driver::Vector(r) | Driver::MatOuter(r) | Driver::MatInner(r) => Some(*r),
         }
     }
+
+    /// The driver as plan shapes and EXPLAIN print it.
+    pub(crate) fn label(self) -> String {
+        match self {
+            Driver::Range => "range".to_string(),
+            Driver::Vector(r) => format!("vec({r})"),
+            Driver::MatOuter(r) => format!("outer({r})"),
+            Driver::MatInner(r) => format!("inner({r})"),
+        }
+    }
 }
 
 /// Derivation of a variable through a permutation relation (§2.2):
@@ -164,32 +174,14 @@ impl Plan {
                 s.push('>');
             }
             match n {
-                PlanNode::Loop(l) => {
-                    let d = match l.driver {
-                        Driver::Range => "range".to_string(),
-                        Driver::Vector(r) => format!("vec({r})"),
-                        Driver::MatOuter(r) => format!("outer({r})"),
-                        Driver::MatInner(r) => format!("inner({r})"),
-                    };
-                    s.push_str(&format!("{}:{}", l.var, d));
-                    for lk in &l.lookups {
-                        s.push_str(&format!(
-                            "[{}{}]",
-                            lk.rel,
-                            if lk.method == JoinMethod::Merge { "~" } else { "?" }
-                        ));
-                    }
-                }
+                PlanNode::Loop(l) => s.push_str(&format!("{}:{}", l.var, l.driver.label())),
                 PlanNode::Flat(f) => {
-                    s.push_str(&format!("({},{}):flat({})", f.row_var, f.col_var, f.rel));
-                    for lk in &f.lookups {
-                        s.push_str(&format!(
-                            "[{}{}]",
-                            lk.rel,
-                            if lk.method == JoinMethod::Merge { "~" } else { "?" }
-                        ));
-                    }
+                    s.push_str(&format!("({},{}):flat({})", f.row_var, f.col_var, f.rel))
                 }
+            }
+            for lk in n.lookups() {
+                let method = if lk.method == JoinMethod::Merge { "~" } else { "?" };
+                s.push_str(&format!("[{}{method}]", lk.rel));
             }
         }
         s

@@ -12,7 +12,7 @@
 //!    predicate, so that only nonzeros are visited);
 //! 3. a **join implementation** per remaining relation — merge-join
 //!    against a sorted co-enumeration, or a search probe — based purely
-//!    on the declared [`LevelProps`](crate::props::LevelProps).
+//!    on the declared [`LevelProps`].
 //!
 //! The search is exhaustive over variable orders and driver choices
 //! (queries have ≤ 3 variables and ≤ 4 terms), scored by an abstract
@@ -25,7 +25,7 @@ use crate::ids::{RelId, Var};
 use crate::plan::{
     Derivation, Driver, FlatNode, JoinMethod, LoopNode, Lookup, Plan, PlanNode, ProbeKind,
 };
-use crate::props::SearchCost;
+use crate::props::{LevelProps, SearchCost};
 use crate::query::{Query, Term};
 use bernoulli_obs::events::PlanEvent;
 use bernoulli_obs::Obs;
@@ -126,31 +126,9 @@ impl Planner {
         let extents = var_extents(query, meta)?;
         let mut candidates: Vec<Plan> = Vec::new();
         let mut nonfinite = 0usize;
-
         // Choose, for every permutation term, which side is derived.
-        for deriv_choice in derivation_choices(query) {
-            let enum_vars: Vec<Var> = query
-                .vars
-                .iter()
-                .copied()
-                .filter(|v| !deriv_choice.iter().any(|d| d.to == *v))
-                .collect();
-            if enum_vars.is_empty() {
-                continue;
-            }
-            for order in permutations(&enum_vars) {
-                // Nested-loop candidates.
-                self.candidates_for_order(
-                    query, meta, &extents, &order, &deriv_choice, &mut candidates,
-                    &mut nonfinite,
-                );
-                // Flat-enumeration candidates: a matrix binds both of
-                // its variables at the outermost position.
-                self.flat_candidates(
-                    query, meta, &extents, &order, &deriv_choice, &mut candidates,
-                    &mut nonfinite,
-                );
-            }
+        for derivs in derivation_choices(query) {
+            self.candidates(query, meta, &extents, &derivs, &mut candidates, &mut nonfinite);
         }
 
         // Surface non-finite cost-model discards through provenance:
@@ -171,18 +149,8 @@ impl Planner {
             };
             return Err(RelError::NoFeasiblePlan(msg));
         }
+        // Stable: cost ties keep their enumeration order.
         candidates.sort_by(|a, b| a.est_cost.total_cmp(&b.est_cost));
-        // Drop duplicate shapes, keeping the cheapest instance of each.
-        let mut seen: Vec<String> = Vec::new();
-        candidates.retain(|c| {
-            let sh = c.shape();
-            if seen.contains(&sh) {
-                false
-            } else {
-                seen.push(sh);
-                true
-            }
-        });
         if let Some(verify) = self.verifier {
             for c in &candidates {
                 verify(c, query, meta).map_err(|e| {
@@ -209,219 +177,88 @@ impl Planner {
         Ok(candidates)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn candidates_for_order(
+    /// Every candidate for one derivation choice, each built and priced
+    /// once. Each loop order of the enumerated variables yields its
+    /// nested-loop candidates, then the candidates that enumerate one
+    /// matrix flat — binding its two variables at the outermost node —
+    /// and loop over the rest in that order. Several orders leave the
+    /// same rest; the flat candidates are taken at the first of them,
+    /// so cost ties keep one enumeration order.
+    fn candidates(
         &self,
         query: &Query,
         meta: &QueryMeta,
         extents: &HashMap<Var, usize>,
-        order: &[Var],
         derivs: &[Derivation],
         out: &mut Vec<Plan>,
         nonfinite: &mut usize,
     ) {
-        // Enumerate driver assignments with a simple product search.
-        let options: Vec<Vec<Driver>> = order
-            .iter()
-            .enumerate()
-            .map(|(pos, &v)| self.driver_options(query, meta, order, pos, v))
-            .collect();
-        if options.iter().any(|o| o.is_empty()) {
+        let enum_vars: Vec<Var> =
+            query.vars.iter().copied().filter(|v| !derivs.iter().any(|d| d.to == *v)).collect();
+        if enum_vars.is_empty() {
             return;
         }
-        let mut idx = vec![0usize; order.len()];
-        loop {
-            let drivers: Vec<Driver> =
-                idx.iter().zip(&options).map(|(&k, opts)| opts[k]).collect();
-            if let Some(plan) =
-                self.assemble(query, meta, extents, order, &drivers, derivs, None, nonfinite)
-            {
-                out.push(plan);
-            }
-            // Advance the product counter.
-            let mut p = 0;
-            loop {
-                if p == idx.len() {
-                    return;
+        let flats: Vec<FlatNode> = query
+            .terms
+            .iter()
+            .filter_map(|t| match *t {
+                Term::Mat { rel, row, col }
+                    if enum_vars.contains(&row) && enum_vars.contains(&col) =>
+                {
+                    let (row_var, col_var) = (row, col);
+                    Some(FlatNode { rel, row_var, col_var, derived: vec![], lookups: vec![] })
                 }
-                idx[p] += 1;
-                if idx[p] < options[p].len() {
-                    break;
-                }
-                idx[p] = 0;
-                p += 1;
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn flat_candidates(
-        &self,
-        query: &Query,
-        meta: &QueryMeta,
-        extents: &HashMap<Var, usize>,
-        order: &[Var],
-        derivs: &[Derivation],
-        out: &mut Vec<Plan>,
-        nonfinite: &mut usize,
-    ) {
-        for t in &query.terms {
-            let (rel, row, col) = match t {
-                Term::Mat { rel, row, col } => (*rel, *row, *col),
-                _ => continue,
-            };
-            // The flat node binds row & col; the remaining enumerated
-            // vars must follow in `order`'s relative order.
-            if !order.contains(&row) || !order.contains(&col) {
-                continue;
-            }
-            let rest: Vec<Var> =
-                order.iter().copied().filter(|v| *v != row && *v != col).collect();
-            // Drivers for the remaining vars.
-            let flat_bound = [row, col];
-            let options: Vec<Vec<Driver>> = rest
-                .iter()
-                .enumerate()
-                .map(|(pos, &v)| {
-                    self.driver_options_with_prefix(query, meta, &flat_bound, &rest, pos, v, rel)
-                })
-                .collect();
-            if options.iter().any(|o| o.is_empty()) {
-                continue;
-            }
-            let mut idx = vec![0usize; rest.len()];
-            loop {
-                let drivers: Vec<Driver> =
-                    idx.iter().zip(&options).map(|(&k, opts)| opts[k]).collect();
-                if let Some(plan) = self.assemble(
-                    query,
-                    meta,
-                    extents,
-                    &rest,
-                    &drivers,
-                    derivs,
-                    Some((rel, row, col)),
-                    nonfinite,
-                ) {
-                    out.push(plan);
-                }
-                let mut p = 0;
-                let mut done = false;
+                _ => None,
+            })
+            .collect();
+        let rest = |f: &FlatNode, order: &[Var]| -> Vec<Var> {
+            order.iter().copied().filter(|&v| v != f.row_var && v != f.col_var).collect()
+        };
+        let orders = permutations(&enum_vars);
+        for (k, order) in orders.iter().enumerate() {
+            let first = |f: &&FlatNode| !orders[..k].iter().any(|o| rest(f, o) == rest(f, order));
+            for flat in std::iter::once(None).chain(flats.iter().filter(first).map(Some)) {
+                let loops = flat.map_or_else(|| order.clone(), |f| rest(f, order));
+                let options: Vec<Vec<Driver>> =
+                    (0..loops.len()).map(|pos| driver_options(query, meta, flat, &loops, pos)).collect();
+                // An odometer over the driver choices, position 0 fastest.
+                let mut idx = vec![0usize; loops.len()];
                 loop {
-                    if p == idx.len() {
-                        done = true;
+                    let nodes = flat.map(|f| PlanNode::Flat(f.clone())).into_iter().chain(
+                        loops.iter().zip(&idx).zip(&options).map(|((&var, &i), opts)| {
+                            let driver = opts[i];
+                            PlanNode::Loop(LoopNode { var, driver, derived: vec![], lookups: vec![] })
+                        }),
+                    );
+                    let plan = self.assemble(query, meta, extents, nodes.collect(), derivs, nonfinite);
+                    out.extend(plan);
+                    let Some(p) = (0..idx.len()).find(|&p| idx[p] + 1 < options[p].len()) else {
                         break;
-                    }
-                    idx[p] += 1;
-                    if idx[p] < options[p].len() {
-                        break;
-                    }
-                    idx[p] = 0;
-                    p += 1;
-                }
-                if done || rest.is_empty() {
-                    break;
-                }
-            }
-            if rest.is_empty() {
-                // Handled the single empty-product iteration above.
-                continue;
-            }
-        }
-    }
-
-    /// Legal drivers for enumerated var `v` at position `pos` of `order`
-    /// in a pure nested-loop plan.
-    fn driver_options(
-        &self,
-        query: &Query,
-        meta: &QueryMeta,
-        order: &[Var],
-        pos: usize,
-        v: Var,
-    ) -> Vec<Driver> {
-        self.driver_options_with_prefix(query, meta, &[], order, pos, v, RelId(u32::MAX))
-    }
-
-    /// Same, with `prefix_bound` vars already bound by a flat node for
-    /// relation `flat_rel` (which cannot be used again as a driver).
-    #[allow(clippy::too_many_arguments)]
-    fn driver_options_with_prefix(
-        &self,
-        query: &Query,
-        meta: &QueryMeta,
-        prefix_bound: &[Var],
-        order: &[Var],
-        pos: usize,
-        v: Var,
-        flat_rel: RelId,
-    ) -> Vec<Driver> {
-        let bound: Vec<Var> =
-            prefix_bound.iter().copied().chain(order[..pos].iter().copied()).collect();
-        let mut out = vec![Driver::Range];
-        for t in &query.terms {
-            match t {
-                Term::Vec { rel, idx } if *idx == v => out.push(Driver::Vector(*rel)),
-                Term::Mat { rel, row, col } if *rel != flat_rel => {
-                    let m = &meta.mats[rel];
-                    let (outer_v, inner_v) = match m.orientation {
-                        Orientation::RowMajor => (*row, *col),
-                        Orientation::ColMajor => (*col, *row),
-                        Orientation::Flat => continue,
                     };
-                    if outer_v == v {
-                        out.push(Driver::MatOuter(*rel));
-                    }
-                    if inner_v == v && bound.contains(&outer_v) {
-                        // The outer cursor can be located: either this
-                        // relation drove the outer var (checked at
-                        // assembly) or outer search is supported.
-                        out.push(Driver::MatInner(*rel));
-                    }
+                    idx[p] += 1;
+                    idx[..p].fill(0);
                 }
-                _ => {}
             }
         }
-        out
     }
 
-    /// Try to assemble a full plan for one (order, drivers) choice.
-    /// Returns `None` when some join cannot be implemented.
-    #[allow(clippy::too_many_arguments)]
+    /// Complete one candidate skeleton — an optional flat node, then one
+    /// loop per variable with its driver — into a priced plan: attach the
+    /// derivations and resolve every other term with a lookup. Returns
+    /// `None` when some join cannot be implemented.
     fn assemble(
         &self,
         query: &Query,
         meta: &QueryMeta,
         extents: &HashMap<Var, usize>,
-        order: &[Var],
-        drivers: &[Driver],
+        mut nodes: Vec<PlanNode>,
         derivs: &[Derivation],
-        flat: Option<(RelId, Var, Var)>,
         nonfinite: &mut usize,
     ) -> Option<Plan> {
         // node index at which each var becomes bound
         let mut bind_node: HashMap<Var, usize> = HashMap::new();
-        let mut nodes: Vec<PlanNode> = Vec::new();
-        if let Some((rel, row, col)) = flat {
-            bind_node.insert(row, 0);
-            bind_node.insert(col, 0);
-            nodes.push(PlanNode::Flat(FlatNode {
-                rel,
-                row_var: row,
-                col_var: col,
-                derived: vec![],
-                lookups: vec![],
-            }));
-        }
-        let base = nodes.len();
-        for (k, (&v, &d)) in order.iter().zip(drivers).enumerate() {
-            bind_node.insert(v, base + k);
-            nodes.push(PlanNode::Loop(LoopNode {
-                var: v,
-                driver: d,
-                derived: vec![],
-                lookups: vec![],
-            }));
+        for (k, node) in nodes.iter().enumerate() {
+            bind_node.extend(node.bound_vars().into_iter().map(|v| (v, k)));
         }
         // Attach derivations to the node binding their source var, and
         // record the derived var as bound at that node.
@@ -437,41 +274,47 @@ impl Planner {
         for v in &query.vars {
             bind_node.get(v)?;
         }
+        let flat_rel = match nodes.first() {
+            Some(PlanNode::Flat(f)) => Some(f.rel),
+            _ => None,
+        };
+        let drives = |d: Driver| nodes.iter().any(|n| matches!(n, PlanNode::Loop(l) if l.driver == d));
+        let choose = |node: usize, partner: LevelProps, len: f64| {
+            choose_method(&nodes[node], meta, extents, partner, len)
+        };
 
         // A matrix driving its inner level must have a locatable outer
         // cursor: either it drove the outer var, or we must attach a
         // MatOuterAt lookup at the outer var's node.
         let mut extra_lookups: Vec<(usize, Lookup)> = Vec::new();
         for (k, node) in nodes.iter().enumerate() {
-            let l = match node {
-                PlanNode::Loop(l) => l,
-                PlanNode::Flat(_) => continue,
+            let PlanNode::Loop(LoopNode { driver: Driver::MatInner(rel), .. }) = *node else {
+                continue;
             };
-            if let Driver::MatInner(rel) = l.driver {
-                let m = &meta.mats[&rel];
-                let (outer_v, _) = mat_axis_vars(query, rel, m)?;
-                let outer_node = *bind_node.get(&outer_v)?;
-                if outer_node >= k {
+            let m = &meta.mats[&rel];
+            let Some(Term::Mat { row, col, .. }) = query.term(rel) else { return None };
+            let (outer_v, _) = axis_vars(m, *row, *col)?;
+            let outer_node = *bind_node.get(&outer_v)?;
+            if outer_node >= k {
+                return None;
+            }
+            let drove_outer = matches!(
+                &nodes[outer_node],
+                PlanNode::Loop(ol) if ol.driver == Driver::MatOuter(rel)
+            );
+            if !drove_outer {
+                if !m.outer.search.supported() {
                     return None;
                 }
-                let drove_outer = matches!(
-                    &nodes[outer_node],
-                    PlanNode::Loop(ol) if ol.driver == Driver::MatOuter(rel)
-                );
-                if !drove_outer {
-                    if !m.outer.search.supported() {
-                        return None;
-                    }
-                    extra_lookups.push((
-                        outer_node,
-                        Lookup {
-                            rel,
-                            kind: ProbeKind::MatOuterAt(outer_v),
-                            method: JoinMethod::Search,
-                            in_predicate: query.predicate.contains(&rel),
-                        },
-                    ));
-                }
+                extra_lookups.push((
+                    outer_node,
+                    Lookup {
+                        rel,
+                        kind: ProbeKind::MatOuterAt(outer_v),
+                        method: JoinMethod::Search,
+                        in_predicate: query.predicate.contains(&rel),
+                    },
+                ));
             }
         }
 
@@ -480,51 +323,35 @@ impl Planner {
             match t {
                 Term::Perm { .. } => {} // derivations handle these
                 Term::Vec { rel, idx } => {
-                    let driven = nodes.iter().any(|n| {
-                        matches!(n, PlanNode::Loop(l) if l.driver == Driver::Vector(*rel))
-                    });
-                    if driven {
+                    if drives(Driver::Vector(*rel)) {
                         continue;
                     }
                     let node = *bind_node.get(idx)?;
                     let vm = &meta.vecs[rel];
-                    let method = choose_method(
-                        node_sorted(&nodes[node], meta, query),
-                        vm.props.sortedness.is_sorted(),
-                        vm.props.search,
-                        vm.nnz as f64,
-                        node_driver_card(&nodes[node], meta, extents),
-                    )?;
                     extra_lookups.push((
                         node,
                         Lookup {
                             rel: *rel,
                             kind: ProbeKind::VecAt(*idx),
-                            method,
+                            method: choose(node, vm.props, vm.nnz as f64)?,
                             in_predicate: query.predicate.contains(rel),
                         },
                     ));
                 }
                 Term::Mat { rel, row, col } => {
-                    if flat.map(|(r, _, _)| r) == Some(*rel) {
+                    if flat_rel == Some(*rel) {
                         continue; // the flat driver
                     }
-                    let m = &meta.mats[&rel.clone()];
+                    let m = &meta.mats[rel];
                     let in_pred = query.predicate.contains(rel);
-                    let drove_outer = nodes.iter().any(|n| {
-                        matches!(n, PlanNode::Loop(l) if l.driver == Driver::MatOuter(*rel))
-                    });
-                    let drove_inner = nodes.iter().any(|n| {
-                        matches!(n, PlanNode::Loop(l) if l.driver == Driver::MatInner(*rel))
-                    });
+                    let drove_outer = drives(Driver::MatOuter(*rel));
+                    let drove_inner = drives(Driver::MatInner(*rel));
                     if drove_outer && drove_inner {
                         continue; // fully enumerated
                     }
-                    if m.orientation == Orientation::Flat {
+                    let Some((outer_v, inner_v)) = axis_vars(m, *row, *col) else {
                         // Only random pair probes are possible.
-                        let n_row = *bind_node.get(row)?;
-                        let n_col = *bind_node.get(col)?;
-                        let node = n_row.max(n_col);
+                        let node = (*bind_node.get(row)?).max(*bind_node.get(col)?);
                         extra_lookups.push((
                             node,
                             Lookup {
@@ -535,25 +362,15 @@ impl Planner {
                             },
                         ));
                         continue;
-                    }
-                    let (outer_v, inner_v) = match m.orientation {
-                        Orientation::RowMajor => (*row, *col),
-                        Orientation::ColMajor => (*col, *row),
-                        Orientation::Flat => unreachable!(),
                     };
                     let n_outer = *bind_node.get(&outer_v)?;
                     let n_inner = *bind_node.get(&inner_v)?;
+                    let lookup = |kind, method| Lookup { rel: *rel, kind, method, in_predicate: in_pred };
                     if drove_outer {
                         // Need only the inner value at the later var.
                         let node = n_outer.max(n_inner);
                         let method = if n_inner > n_outer {
-                            choose_method(
-                                node_sorted(&nodes[node], meta, query),
-                                m.inner.sortedness.is_sorted(),
-                                m.inner.search,
-                                m.avg_inner_len(),
-                                node_driver_card(&nodes[node], meta, extents),
-                            )?
+                            choose(node, m.inner, m.avg_inner_len())?
                         } else {
                             // inner var bound before/at the outer node:
                             // probe inner under the driver's cursor.
@@ -562,80 +379,30 @@ impl Planner {
                             }
                             JoinMethod::Search
                         };
-                        extra_lookups.push((
-                            node,
-                            Lookup {
-                                rel: *rel,
-                                kind: ProbeKind::MatInnerAt(inner_v),
-                                method,
-                                in_predicate: in_pred,
-                            },
-                        ));
-                        continue;
-                    }
-                    if drove_inner {
+                        extra_lookups.push((node, lookup(ProbeKind::MatInnerAt(inner_v), method)));
+                    } else if drove_inner {
                         // Outer cursor handled above (extra MatOuterAt or
                         // an error); nothing further: the inner driver
                         // produces the value.
-                        continue;
-                    }
-                    // Not a driver at all.
-                    if n_outer < n_inner {
-                        // Locate the cursor when the outer var binds,
-                        // then resolve the value at the inner var.
+                    } else if n_outer < n_inner {
+                        // Not a driver at all. Locate the cursor when the
+                        // outer var binds, then resolve the value at the
+                        // inner var.
                         if !m.outer.search.supported() {
                             return None;
                         }
-                        let outer_method = choose_method(
-                            node_sorted(&nodes[n_outer], meta, query),
-                            m.outer.sortedness.is_sorted(),
-                            m.outer.search,
-                            m.outer_extent() as f64,
-                            node_driver_card(&nodes[n_outer], meta, extents),
-                        )?;
-                        extra_lookups.push((
-                            n_outer,
-                            Lookup {
-                                rel: *rel,
-                                kind: ProbeKind::MatOuterAt(outer_v),
-                                method: outer_method,
-                                in_predicate: in_pred,
-                            },
-                        ));
-                        let inner_method = choose_method(
-                            node_sorted(&nodes[n_inner], meta, query),
-                            m.inner.sortedness.is_sorted(),
-                            m.inner.search,
-                            m.avg_inner_len(),
-                            node_driver_card(&nodes[n_inner], meta, extents),
-                        )?;
-                        extra_lookups.push((
-                            n_inner,
-                            Lookup {
-                                rel: *rel,
-                                kind: ProbeKind::MatInnerAt(inner_v),
-                                method: inner_method,
-                                in_predicate: in_pred,
-                            },
-                        ));
+                        let outer = choose(n_outer, m.outer, m.outer_extent() as f64)?;
+                        extra_lookups.push((n_outer, lookup(ProbeKind::MatOuterAt(outer_v), outer)));
+                        let inner = choose(n_inner, m.inner, m.avg_inner_len())?;
+                        extra_lookups.push((n_inner, lookup(ProbeKind::MatInnerAt(inner_v), inner)));
                     } else {
                         // Inner var binds first: combined probe at the
                         // outer var's node.
                         if !m.outer.search.supported() || !m.inner.search.supported() {
                             return None;
                         }
-                        extra_lookups.push((
-                            n_outer,
-                            Lookup {
-                                rel: *rel,
-                                kind: ProbeKind::MatPairAt {
-                                    outer_var: outer_v,
-                                    inner_var: inner_v,
-                                },
-                                method: JoinMethod::Search,
-                                in_predicate: in_pred,
-                            },
-                        ));
+                        let kind = ProbeKind::MatPairAt { outer_var: outer_v, inner_var: inner_v };
+                        extra_lookups.push((n_outer, lookup(kind, JoinMethod::Search)));
                     }
                 }
             }
@@ -674,27 +441,16 @@ impl Planner {
         // indices, which is only legal when the relation is in the
         // sparsity predicate (zeros may be skipped) or the enumerated
         // level is dense (nothing is skipped).
-        for n in &nodes {
-            let sound = match n {
-                PlanNode::Flat(f) => {
-                    query.predicate.contains(&f.rel) || meta.mats[&f.rel].flat.is_dense()
-                }
-                PlanNode::Loop(l) => match l.driver {
-                    Driver::Range => true,
-                    Driver::Vector(r) => {
-                        query.predicate.contains(&r) || meta.vecs[&r].props.is_dense()
-                    }
-                    Driver::MatOuter(r) => {
-                        query.predicate.contains(&r) || meta.mats[&r].outer.is_dense()
-                    }
-                    Driver::MatInner(r) => {
-                        query.predicate.contains(&r) || meta.mats[&r].inner.is_dense()
-                    }
-                },
+        let sound = |n: &PlanNode| {
+            let rel = match n {
+                PlanNode::Flat(f) => Some(f.rel),
+                PlanNode::Loop(l) => l.driver.rel(),
             };
-            if !sound {
-                return None;
-            }
+            rel.is_some_and(|r| query.predicate.contains(&r))
+                || driver_level(n, meta, extents).0.is_dense()
+        };
+        if !nodes.iter().all(sound) {
+            return None;
         }
 
         self.price_candidate(nodes, query, meta, extents, nonfinite)
@@ -725,68 +481,105 @@ impl Planner {
     }
 }
 
-/// Whether a node's driver enumerates its variable in ascending order
-/// (precondition for merge joins at that node).
-/// Expected number of candidates a node's driver enumerates per start.
-pub(crate) fn node_driver_card(
+/// Legal drivers for the variable at `pos` of `loops`, after an optional
+/// flat node that binds its matrix's two variables (that matrix drives
+/// nothing further).
+fn driver_options(
+    query: &Query,
+    meta: &QueryMeta,
+    flat: Option<&FlatNode>,
+    loops: &[Var],
+    pos: usize,
+) -> Vec<Driver> {
+    let v = loops[pos];
+    let bound = |u: Var| {
+        loops[..pos].contains(&u) || flat.is_some_and(|f| u == f.row_var || u == f.col_var)
+    };
+    let mut out = vec![Driver::Range];
+    for t in &query.terms {
+        match *t {
+            Term::Vec { rel, idx } if idx == v => out.push(Driver::Vector(rel)),
+            Term::Mat { rel, row, col } if flat.is_none_or(|f| f.rel != rel) => {
+                let Some((outer_v, inner_v)) = axis_vars(&meta.mats[&rel], row, col) else {
+                    continue;
+                };
+                if outer_v == v {
+                    out.push(Driver::MatOuter(rel));
+                }
+                if inner_v == v && bound(outer_v) {
+                    // The outer cursor can be located: either this
+                    // relation drove the outer var (checked at
+                    // assembly) or outer search is supported.
+                    out.push(Driver::MatInner(rel));
+                }
+            }
+            _ => {}
+        }
+    }
+    out
+}
+
+/// The level a node's driver enumerates, as declared, and the candidates
+/// it yields per node start — what pricing, the join-method choice, the
+/// soundness check and EXPLAIN all read. A range enumerates a dense level.
+pub(crate) fn driver_level(
     node: &PlanNode,
     meta: &QueryMeta,
     extents: &HashMap<Var, usize>,
-) -> f64 {
+) -> (LevelProps, f64) {
     match node {
-        PlanNode::Flat(f) => meta.mats[&f.rel].nnz as f64,
+        PlanNode::Flat(f) => {
+            let m = &meta.mats[&f.rel];
+            (m.flat, m.nnz as f64)
+        }
         PlanNode::Loop(l) => match l.driver {
-            Driver::Range => extents[&l.var] as f64,
-            Driver::Vector(r) => meta.vecs[&r].nnz as f64,
+            Driver::Range => (LevelProps::dense(), extents[&l.var] as f64),
+            Driver::Vector(r) => {
+                let vm = &meta.vecs[&r];
+                (vm.props, vm.nnz as f64)
+            }
             Driver::MatOuter(r) => {
                 let m = &meta.mats[&r];
-                if m.outer.is_dense() {
-                    m.outer_extent() as f64
-                } else {
-                    (m.nnz as f64).min(m.outer_extent() as f64)
-                }
+                let extent = m.outer_extent() as f64;
+                (m.outer, if m.outer.is_dense() { extent } else { (m.nnz as f64).min(extent) })
             }
-            Driver::MatInner(r) => meta.mats[&r].avg_inner_len(),
+            Driver::MatInner(r) => {
+                let m = &meta.mats[&r];
+                (m.inner, m.avg_inner_len())
+            }
         },
     }
 }
 
-fn node_sorted(node: &PlanNode, meta: &QueryMeta, _query: &Query) -> bool {
-    match node {
-        PlanNode::Flat(_) => false,
-        PlanNode::Loop(l) => match l.driver {
-            Driver::Range => true,
-            Driver::Vector(r) => meta.vecs[&r].props.sortedness.is_sorted(),
-            Driver::MatOuter(r) => meta.mats[&r].outer.sortedness.is_sorted(),
-            Driver::MatInner(r) => meta.mats[&r].inner.sortedness.is_sorted(),
-        },
-    }
-}
-
-/// Pick merge vs. search for one lookup; `None` if neither is legal.
+/// Pick merge vs. search for a lookup at `node` against a `partner`
+/// level of `partner_len` entries; `None` if neither is legal.
 ///
-/// The trade-off is contextual: a merge join traverses the whole partner
-/// once per node start (`partner_len` steps), while searching probes
-/// once per driver candidate (`driver_card × probe_cost`). Both legal ⇒
-/// pick the cheaper.
+/// A merge needs the node to bind its variable in ascending order, which
+/// a flat node (binding two at once) never does. The trade-off is
+/// contextual: a merge join traverses the whole partner once per node
+/// start (`partner_len` steps), while searching probes once per driver
+/// candidate (`driver_card × probe_cost`). Both legal ⇒ pick the cheaper.
 fn choose_method(
-    driver_sorted: bool,
-    partner_sorted: bool,
-    partner_search: SearchCost,
+    node: &PlanNode,
+    meta: &QueryMeta,
+    extents: &HashMap<Var, usize>,
+    partner: LevelProps,
     partner_len: f64,
-    driver_card: f64,
 ) -> Option<JoinMethod> {
-    let merge_ok = driver_sorted && partner_sorted;
-    let search_ok = partner_search.supported();
+    let (level, driver_card) = driver_level(node, meta, extents);
+    let merge_ok = matches!(node, PlanNode::Loop(_))
+        && level.sortedness.is_sorted()
+        && partner.sortedness.is_sorted();
+    let search_ok = partner.search.supported();
     match (merge_ok, search_ok) {
         (false, false) => None,
         (true, false) => Some(JoinMethod::Merge),
         (false, true) => Some(JoinMethod::Search),
         (true, true) => {
-            if partner_search == SearchCost::Constant {
+            if partner.search == SearchCost::Constant {
                 // Dense direct indexing beats co-traversal outright.
                 Some(JoinMethod::Search)
-            } else if partner_len < driver_card * partner_search.probe_cost(partner_len) {
+            } else if partner_len < driver_card * partner.search.probe_cost(partner_len) {
                 Some(JoinMethod::Merge)
             } else {
                 Some(JoinMethod::Search)
@@ -795,15 +588,13 @@ fn choose_method(
     }
 }
 
-/// Derive (outer_var, inner_var) for a matrix relation from the query.
-fn mat_axis_vars(query: &Query, rel: RelId, m: &MatMeta) -> Option<(Var, Var)> {
-    match query.term(rel)? {
-        Term::Mat { row, col, .. } => match m.orientation {
-            Orientation::RowMajor => Some((*row, *col)),
-            Orientation::ColMajor => Some((*col, *row)),
-            Orientation::Flat => None,
-        },
-        _ => None,
+/// A hierarchical matrix's (outer, inner) variables, given its term's
+/// (row, col); `None` for a flat matrix.
+fn axis_vars(m: &MatMeta, row: Var, col: Var) -> Option<(Var, Var)> {
+    match m.orientation {
+        Orientation::RowMajor => Some((row, col)),
+        Orientation::ColMajor => Some((col, row)),
+        Orientation::Flat => None,
     }
 }
 
@@ -905,26 +696,8 @@ fn estimate_cost(
             PlanNode::Flat(_) => 1.5,
             PlanNode::Loop(_) => 1.0,
         };
-        let (dcard, lookups) = match node {
-            PlanNode::Flat(f) => (meta.mats[&f.rel].nnz as f64, &f.lookups),
-            PlanNode::Loop(l) => {
-                let c = match l.driver {
-                    Driver::Range => extents[&l.var] as f64,
-                    Driver::Vector(r) => meta.vecs[&r].nnz as f64,
-                    Driver::MatOuter(r) => {
-                        let m = &meta.mats[&r];
-                        if m.outer.is_dense() {
-                            m.outer_extent() as f64
-                        } else {
-                            (m.nnz as f64).min(m.outer_extent() as f64)
-                        }
-                    }
-                    Driver::MatInner(r) => meta.mats[&r].avg_inner_len(),
-                };
-                (c, &l.lookups)
-            }
-        };
-        let raw = starts * dcard;
+        let lookups = node.lookups();
+        let raw = starts * driver_level(node, meta, extents).1;
         cost += raw * step_cost; // driver stepping
         let mut surviving = raw;
         // Merges first: co-traversal cost per node start, then filter.
@@ -1240,7 +1013,7 @@ mod plan_all_tests {
     use crate::props::LevelProps;
 
     #[test]
-    fn plan_all_is_sorted_and_deduplicated() {
+    fn plan_all_is_sorted_and_lists_each_shape_once() {
         let q = extract_query(&programs::matvec()).unwrap();
         let meta = QueryMeta::new()
             .mat(

@@ -498,7 +498,7 @@ mod tests {
         );
         let wider = cache.spmv_multi_engine(&a, k + 2, &ctx).unwrap();
         assert_eq!(cache.stats().hits, 2, "width is not part of the key");
-        assert_eq!(wider.multi_width(), k + 2);
+        assert_eq!(wider.io_lens(), (n * (k + 2), n * (k + 2)));
 
         // Semiring SpMV: per-algebra entries for the same structure.
         let cold_mp = cache.semiring_spmv_engine::<MinPlus>(&a, &ctx).unwrap();

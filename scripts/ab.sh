@@ -29,6 +29,12 @@
 # that exits nonzero or prints no result line as `... crashed <exit status>`,
 # and the report is printed again into `report.txt`.
 #
+# Each run also records `faults_per_op`: the run's minor page faults (the
+# `cminflt` field of the wrapping shell's /proc/self/stat once the run is
+# reaped) over its attempted operations. It is printed beside each
+# workload's medians with no bound and no verdict: a request metric that
+# moves with faults per operation points at heap placement, not the code.
+#
 # Verdicts, per workload and metric, in this order: "OUT OF BOUND" when the
 # change's median is worse than the parent's by more than the bound;
 # "unresolved" when the parent's IQR is wider than the bound and not every
@@ -99,12 +105,19 @@ done
 # whose last line is no JSON object is recorded as crashed.
 run() { # arm side pair workload
   cp "$dir/bin/$1-$2" "$dir/run/bernoulli-bench"
-  local out last rows status=0
-  out=$(cd "$dir/ab-src" && "$dir/run/bernoulli-bench" --trace-dir "$dir/run/trace" \
-    --workload "$4") || status=$?
-  last=$(printf '%s\n' "$out" | tail -n 1)
-  if [ "$status" = 0 ] && [ "${last:0:1}" = "{" ] && rows=$(printf '%s\n' "$last" | jq -r --arg p "$1 $2 $3 $4" \
-    '(.metrics | to_entries[] | "\($p) \(.key) \(.value.value)"), "\($p) ops_failed \(.failed)", "\($p) ops_attempted \(.attempted)"'); then
+  local out last rows faults status=0
+  # The substitution's own shell runs the binary and reaps it, so its
+  # `cminflt` (field 11 of /proc/self/stat; the fields after `comm`
+  # start at field 3) is the binary's alone. The count goes out as the
+  # last line, after the binary's.
+  out=$(cd "$dir/ab-src" && { "$dir/run/bernoulli-bench" --trace-dir "$dir/run/trace" \
+    --workload "$4" || s=$?; read -r stat < /proc/self/stat; set -- ${stat##*) }
+    echo "$9"; exit "${s:-0}"; }) || status=$?
+  faults=$(printf '%s\n' "$out" | tail -n 1)
+  last=$(printf '%s\n' "$out" | tail -n 2 | head -n 1)
+  if [ "$status" = 0 ] && [ "${last:0:1}" = "{" ] && rows=$(printf '%s\n' "$last" | jq -r --arg p "$1 $2 $3 $4" --argjson f "$faults" \
+    '(.metrics | to_entries[] | "\($p) \(.key) \(.value.value)"), "\($p) ops_failed \(.failed)", "\($p) ops_attempted \(.attempted)",
+     (select(.attempted > 0) | "\($p) faults_per_op \($f / .attempted)")'); then
     printf '%s\n' "$rows" >> "$dir/runs.tsv"
   else
     echo "$1 $2 $3 $4 crashed $status" >> "$dir/runs.tsv"
@@ -126,7 +139,7 @@ for arm in $arms; do
 done
 
 # The report. Bounds and directions come from BENCHMARK.json's end_to_end.
-jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json" > "$dir/bounds.txt"
+{ jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json"; echo "faults_per_op lower -"; } > "$dir/bounds.txt"
 awk -v pairs="$pairs" '
   function sort(a, n,    i, j, t) {
     for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
@@ -153,7 +166,7 @@ awk -v pairs="$pairs" '
     for (a = 1; a <= na; a++) {
       arm = arms[a]
       printf "== %s arm: %d pairs; failed operations parent %d, change %d; crashed runs parent %d, change %d\n", arm, pairs, failed[arm, "parent"], failed[arm, "change"], crashed[arm, "parent"], crashed[arm, "change"]
-      printf "%-14s %-12s %12s %12s %8s %6s %10s %7s  %s\n", "workload", "metric", "parent p50", "change p50", "delta", "wins", "parent IQR", "bound", "verdict"
+      printf "%-14s %-13s %12s %12s %8s %6s %10s %7s  %s\n", "workload", "metric", "parent p50", "change p50", "delta", "wins", "parent IQR", "bound", "verdict"
       for (k = 1; k <= nw; k++) for (j = 1; j <= nm; j++) {
         w = works[k]; m = order[j]
         np = stats(arm, "parent", w, m, P); nc = stats(arm, "change", w, m, C)
@@ -173,13 +186,14 @@ awk -v pairs="$pairs" '
         limit = bound[m] * (mp < 0 ? -mp : mp)
         # Every change run beats every parent run.
         apart = (s < 0) ? C[nc] < P[1] : C[1] > P[np]
-        if (-gain > limit) verdict = "OUT OF BOUND"
+        if (bound[m] == "-") verdict = "(report only)"
+        else if (-gain > limit) verdict = "OUT OF BOUND"
         else if (iqr > limit && !apart) verdict = "unresolved"
         else if (wins * 10 >= 9 * n && gain > iqr) verdict = "better"
         else if (losses * 10 >= 9 * n && -gain > iqr) verdict = "worse, in bound"
         else verdict = "no change"
         verdicts[arm, w, m] = verdict
-        printf "%-14s %-12s %12.4g %12.4g %+7.1f%% %3d/%-2d %10.4g %6.0f%%  %s\n", w, m, mp, mc, 100 * rel, wins, n, iqr, 100 * bound[m], verdict
+        printf "%-14s %-13s %12.4g %12.4g %+7.1f%% %3d/%-2d %10.4g %7s  %s\n", w, m, mp, mc, 100 * rel, wins, n, iqr, bound[m] == "-" ? "-" : sprintf("%.0f%%", 100 * bound[m]), verdict
       }
       print ""
     }

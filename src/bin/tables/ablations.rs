@@ -7,6 +7,7 @@ use crate::table1::TABLE1_FORMATS;
 use crate::workload::{build_workload, median, median_times, sample_times};
 use crate::Claim;
 use bernoulli::engines::SpmvEngine;
+use bernoulli::compile::Compiler;
 use bernoulli::ExecCtx;
 use bernoulli_blocksolve::matvec::BsParallelMatvec;
 use bernoulli_formats::fast::{self, CsrCert, ItpackCert};
@@ -68,8 +69,8 @@ impl<const N: usize> Timed<N> {
 
 /// Dispatch hoisting — "generality does not come at the expense of
 /// performance": the hand-written per-format kernel, the compiled
-/// engine specialised on plan shape (the default), and the general
-/// plan interpreter with dispatch *inside* the loops.
+/// engine specialised on plan shape, and the general plan interpreter
+/// (the compiler's plan run directly) with dispatch *inside* the loops.
 fn dispatch() -> Vec<Claim> {
     let t = fem_grid_3d(6, 6, 4, 3);
     let x: Vec<f64> = (0..t.nrows()).map(|i| 1.0 + (i % 5) as f64).collect();
@@ -82,12 +83,22 @@ fn dispatch() -> Vec<Claim> {
     for kind in TABLE1_FORMATS {
         let a = SparseMatrix::from_triplets(kind, &t);
         let fast = SpmvEngine::compile(&a).expect("spmv compiles for every format");
-        let slow = SpmvEngine::compile_in(&a, &ExecCtx::default().specialization(false))
-            .expect("the interpreter takes every format");
+        let n = t.nrows();
+        let meta = QueryMeta::new()
+            .mat(MAT_A, a.meta())
+            .vec(VEC_X, VecMeta::dense(n))
+            .vec(VEC_Y, VecMeta::dense(n));
+        let slow =
+            Compiler::new().compile(&programs::matvec(), &meta).expect("the interpreter takes every format");
         let us = timed([400, 400, 2], |arm| match arm {
             0 => a.spmv_acc(black_box(&x), black_box(&mut y)),
             1 => fast.run(&a, black_box(&x), black_box(&mut y)).expect("runs"),
-            _ => slow.run(&a, black_box(&x), black_box(&mut y)).expect("runs"),
+            _ => {
+                let mut binds = Bindings::new();
+                let (x, y) = (black_box(&x), black_box(&mut y));
+                binds.bind_mat(MAT_A, &a).bind_vec(VEC_X, x).bind_vec_mut(VEC_Y, y);
+                slow.run(&mut binds).expect("runs")
+            }
         })
         .us();
         println!("{:<12}{:>10.2}{:>13.2}{:>13.1}", kind.paper_name(), us[0], us[1], us[2]);

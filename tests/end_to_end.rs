@@ -1,10 +1,15 @@
 //! End-to-end integration: the compiler pipeline (loop nest → query →
 //! plan → executor) against every storage format and workload class.
 
+use bernoulli::ast::programs;
+use bernoulli::compile::Compiler;
 use bernoulli::engines::SpmvEngine;
 use bernoulli_formats::gen::{table1_suite, Scale};
 use bernoulli_formats::{DenseMatrix, FormatKind, SparseMatrix, Triplets};
-use bernoulli_relational::access::MatrixAccess;
+use bernoulli_relational::access::{MatrixAccess, VecMeta};
+use bernoulli_relational::exec::Bindings;
+use bernoulli_relational::ids::{MAT_A, VEC_X, VEC_Y};
+use bernoulli_relational::planner::QueryMeta;
 
 fn reference_matvec(t: &Triplets, x: &[f64]) -> Vec<f64> {
     let mut y = vec![0.0; t.nrows()];
@@ -42,13 +47,18 @@ fn interpreted_path_matches_specialized_on_suite() {
         for kind in [FormatKind::Csr, FormatKind::Ccs, FormatKind::Diagonal, FormatKind::Inode] {
             let a = SparseMatrix::from_triplets(kind, &m.triplets);
             let fast = SpmvEngine::compile(&a).unwrap();
-            let slow =
-                SpmvEngine::compile_in(&a, &bernoulli::ExecCtx::default().specialization(false))
-                    .unwrap();
+            // The plan interpreter itself, past every engine.
+            let meta = QueryMeta::new()
+                .mat(MAT_A, a.meta())
+                .vec(VEC_X, VecMeta::dense(n))
+                .vec(VEC_Y, VecMeta::dense(n));
+            let slow = Compiler::new().compile(&programs::matvec(), &meta).unwrap();
             let mut y1 = vec![0.0; n];
             let mut y2 = vec![0.0; n];
             fast.run(&a, &x, &mut y1).unwrap();
-            slow.run(&a, &x, &mut y2).unwrap();
+            let mut binds = Bindings::new();
+            binds.bind_mat(MAT_A, &a).bind_vec(VEC_X, &x).bind_vec_mut(VEC_Y, &mut y2);
+            slow.run(&mut binds).unwrap();
             for (a1, a2) in y1.iter().zip(&y2) {
                 assert!((a1 - a2).abs() < 1e-9, "{} in {kind}", m.name);
             }

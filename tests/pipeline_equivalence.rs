@@ -361,25 +361,28 @@ fn every_op_spec_replays_its_own_hints_and_survives_foreign_ones() {
     }
 }
 
-/// A serial, a parallel and an interpreting context.
-fn tier_ctxs() -> [ExecCtx; 3] {
-    let par = ExecCtx::with_threads(2).oversubscribe(true).threshold(1);
-    [ExecCtx::serial(), par, ExecCtx::serial().specialization(false)]
+/// A serial and a parallel context.
+fn tier_ctxs() -> [ExecCtx; 2] {
+    [ExecCtx::serial(), ExecCtx::with_threads(2).oversubscribe(true).threshold(1)]
 }
 
 /// A multivector width whose `X`/`Y` lengths overflow `usize` is
-/// refused with `Validation` at compile on the serial, parallel and
-/// interpreting tiers and through the dispatcher — not a capacity
-/// panic, a debug-build multiply panic, or (wrapped) an empty result.
+/// refused with `Validation` at compile on the serial and parallel
+/// tiers, on the interpreting tier (a CCS operand has no hand kernel)
+/// and through the dispatcher — not a capacity panic, a debug-build
+/// multiply panic, or (wrapped) an empty result.
 #[test]
 fn a_multivector_width_that_overflows_is_refused_on_every_tier() {
     let ctxs = tier_ctxs();
     let t = gen::grid2d_5pt(2, 2);
-    let a = SparseMatrix::from_triplets(FormatKind::Csr, &t);
     let overflow = |r: RelResult<()>| matches!(r, Err(RelError::Validation(m)) if m.contains("overflows"));
     for k in [usize::MAX, 1 << 62] {
-        for ctx in &ctxs {
-            assert!(overflow(SpmvMultiEngine::compile_in(&a, k, ctx).map(drop)), "k = {k}, {ctx:?}");
+        for kind in [FormatKind::Csr, FormatKind::Ccs] {
+            let a = SparseMatrix::from_triplets(kind, &t);
+            for ctx in &ctxs {
+                let compiled = SpmvMultiEngine::compile_in(&a, k, ctx).map(drop);
+                assert!(overflow(compiled), "k = {k}, {kind}, {ctx:?}");
+            }
         }
         let mut dispatcher = bernoulli_tune::Dispatcher::new(ctxs[1].clone());
         let id = dispatcher.register(&t);

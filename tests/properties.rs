@@ -2,8 +2,14 @@
 //! format round-trips, kernel equivalence, permutations, distribution
 //! relations, and inspector communication-set correctness.
 
+use bernoulli::ast::programs;
+use bernoulli::compile::Compiler;
 use bernoulli::engines::SpmvEngine;
 use bernoulli_formats::{FormatKind, SparseMatrix, Triplets};
+use bernoulli_relational::access::{MatrixAccess, VecMeta};
+use bernoulli_relational::exec::Bindings;
+use bernoulli_relational::ids::{MAT_A, VEC_X, VEC_Y};
+use bernoulli_relational::planner::QueryMeta;
 use bernoulli_relational::permutation::Permutation;
 use bernoulli_relational::semiring::F64Plus;
 use bernoulli_spmd::dist::{
@@ -72,18 +78,21 @@ proptest! {
                      FormatKind::Coordinate, FormatKind::Diagonal, FormatKind::Itpack,
                      FormatKind::JDiag, FormatKind::Inode] {
             let m = SparseMatrix::from_triplets(kind, &t);
-            // Both strategies.
-            for spec in [true, false] {
-                let eng = SpmvEngine::compile_in(
-                    &m,
-                    &bernoulli::ExecCtx::default().specialization(spec),
-                )
-                .unwrap();
-                let mut y = vec![0.0; t.nrows()];
-                eng.run(&m, &x, &mut y).unwrap();
-                for (a, b) in y.iter().zip(&want) {
-                    prop_assert!((a - b).abs() < 1e-9,
-                        "format {} specialize={}", kind, spec);
+            // The engine's kernel, then the plan interpreter itself.
+            let mut y = vec![0.0; t.nrows()];
+            SpmvEngine::compile(&m).unwrap().run(&m, &x, &mut y).unwrap();
+            let meta = QueryMeta::new()
+                .mat(MAT_A, m.meta())
+                .vec(VEC_X, VecMeta::dense(t.ncols()))
+                .vec(VEC_Y, VecMeta::dense(t.nrows()));
+            let plan = Compiler::new().compile(&programs::matvec(), &meta).unwrap();
+            let mut yi = vec![0.0; t.nrows()];
+            let mut binds = Bindings::new();
+            binds.bind_mat(MAT_A, &m).bind_vec(VEC_X, &x).bind_vec_mut(VEC_Y, &mut yi);
+            plan.run(&mut binds).unwrap();
+            for (tier, got) in [("engine", &y), ("interpreter", &yi)] {
+                for (a, b) in got.iter().zip(&want) {
+                    prop_assert!((a - b).abs() < 1e-9, "format {} {}", kind, tier);
                 }
             }
         }
