@@ -19,10 +19,11 @@
 //! the DO-ACROSS analogue of the race checker's certificates — that
 //! names the relation it proves and binds the operand (by the one
 //! [`OperandBinding`], like the fast-tier certificates) and the exact
-//! schedule (FNV-1a over its contents). Kernels re-check
-//! [`WavefrontCert::covers`] at entry and fall back to serial on any
-//! mismatch. [`analyze_wavefront`] is the solve relation's cold
-//! analysis as a report, [`verify_level_schedule`] its bare verifier.
+//! schedule (the four-lane [`index_digest`] fold over its contents).
+//! Kernels re-check [`WavefrontCert::covers`] at entry and fall back to
+//! serial on any mismatch. [`analyze_wavefront`] is the solve relation's
+//! cold analysis as a report, [`verify_level_schedule`] its bare
+//! verifier.
 //!
 //! The verifier re-checks a schedule against the dependences in the
 //! spirit of `plan_verify.rs`: it recomputes nothing, so a bug in the
@@ -32,7 +33,7 @@
 //! missing/duplicate/out-of-range row, `BA44` same-level dependence
 //! overlap.
 
-use crate::binding::{fnv, index_digest, OperandBinding, FNV_OFFSET};
+use crate::binding::{index_digest, OperandBinding};
 use crate::diag::{codes, Diagnostic, Span};
 
 /// Which half of the matrix a sweep traverses — and therefore which
@@ -142,17 +143,10 @@ impl LevelSchedule {
     }
 }
 
+/// Content hash of a schedule: [`index_digest`]'s four-lane fold over
+/// its order, its level boundaries and its rows.
 fn schedule_hash(s: &LevelSchedule) -> u64 {
-    let mut h = FNV_OFFSET;
-    h = fnv(h, s.nrows as u64);
-    h = fnv(h, s.level_ptr.len() as u64);
-    for &p in &s.level_ptr {
-        h = fnv(h, p as u64);
-    }
-    for &r in &s.rows {
-        h = fnv(h, r as u64);
-    }
-    h
+    index_digest(&[&[s.nrows], &s.level_ptr, &s.rows])
 }
 
 /// Proof that a schedule admits DO-ACROSS level-parallel execution of
@@ -221,73 +215,150 @@ impl WavefrontReport {
     }
 }
 
+/// Where a pass reports its checks. Each pass below is written once,
+/// generic over its sink, and first runs over [`Failed`], which only
+/// notes that a check failed, so a passing run builds no diagnostic.
+/// Only a failed pass runs again, over a `Vec<Diagnostic>`, to collect
+/// its findings in order (`diagnosed!`).
+trait Sink {
+    /// Note the check `ok`, `diag` describing its failure; returns `ok`.
+    fn check(&mut self, ok: bool, diag: impl FnOnce() -> Diagnostic) -> bool;
+}
+
+/// The first run's sink: did any check fail?
+struct Failed(bool);
+
+impl Sink for Failed {
+    #[inline(always)]
+    fn check(&mut self, ok: bool, _: impl FnOnce() -> Diagnostic) -> bool {
+        self.0 |= !ok;
+        ok
+    }
+}
+
+impl Sink for Vec<Diagnostic> {
+    fn check(&mut self, ok: bool, diag: impl FnOnce() -> Diagnostic) -> bool {
+        if !ok {
+            self.push(diag());
+        }
+        ok
+    }
+}
+
+/// `$pass(args.., sink)` over a [`Failed`] sink and, only when a check
+/// failed, once more over a `Vec<Diagnostic>`: `Ok` of the first run's
+/// result, or `Err` of the second run's findings.
+macro_rules! diagnosed {
+    ($pass:expr, $($arg:expr),*) => {{
+        let mut failed = Failed(false);
+        let out = $pass($($arg,)* &mut failed);
+        if failed.0 {
+            let mut diags = Vec::new();
+            $pass($($arg,)* &mut diags);
+            Err(diags)
+        } else {
+            Ok(out)
+        }
+    }};
+}
+
+/// A [`Relation`] fixed at compile time. The level pass and the
+/// verifier are each written once, generic over it, so each runs as one
+/// loop per relation, decided once per call.
+trait Fixed {
+    const RELATION: Relation;
+}
+
+struct LowerSolve;
+struct UpperSolve;
+struct GaussSeidelSweep;
+
+impl Fixed for LowerSolve {
+    const RELATION: Relation = Relation::Solve(Triangle::Lower);
+}
+impl Fixed for UpperSolve {
+    const RELATION: Relation = Relation::Solve(Triangle::Upper);
+}
+impl Fixed for GaussSeidelSweep {
+    const RELATION: Relation = Relation::GaussSeidel;
+}
+
+/// The dependences a stored entry `(i, j)` of row `i` carries. Each
+/// test folds to a comparison when the relation is a constant.
+impl Relation {
+    /// Rows are visited in dependence order: descending for an upper
+    /// solve, ascending otherwise.
+    #[inline(always)]
+    fn descending(self) -> bool {
+        matches!(self, Relation::Solve(Triangle::Upper))
+    }
+
+    /// The entry makes row `j` come before row `i`.
+    #[inline(always)]
+    fn before(self, i: usize, j: usize) -> bool {
+        if self.descending() {
+            j > i
+        } else {
+            j < i
+        }
+    }
+
+    /// The entry makes row `i` come before row `j`: Gauss-Seidel's upper
+    /// entries, which the later row cannot see from its own.
+    #[inline(always)]
+    fn after(self, i: usize, j: usize) -> bool {
+        matches!(self, Relation::GaussSeidel) && j > i
+    }
+
+    /// The entry lies on the wrong side of a solve's triangle, so the
+    /// relation is cyclic.
+    #[inline(always)]
+    fn wrong_side(self, i: usize, j: usize) -> bool {
+        j != i && !self.before(i, j) && !self.after(i, j)
+    }
+}
+
 /// Basic CSR-pattern shape checks shared by the analyzer and the
 /// verifier, reusing the sanitizer's `BA21`/`BA22` codes: a malformed
 /// pattern is a format defect, not a scheduling defect.
-fn check_pattern_shape(nrows: usize, rowptr: &[usize], colind: &[usize]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    if rowptr.len() != nrows + 1 {
-        diags.push(Diagnostic::error(
-            codes::FMT_BAD_PTR,
-            Span::Component { name: "rowptr", at: None },
-            format!("rowptr has length {} for {nrows} rows (want {})", rowptr.len(), nrows + 1),
-        ));
-        return diags;
+fn shape(nrows: usize, rowptr: &[usize], colind: &[usize], sink: &mut impl Sink) {
+    let ptr = |at| Span::Component { name: "rowptr", at };
+    if !sink.check(rowptr.len() == nrows + 1, || {
+        let msg = format!("rowptr has length {} for {nrows} rows (want {})", rowptr.len(), nrows + 1);
+        Diagnostic::error(codes::FMT_BAD_PTR, ptr(None), msg)
+    }) {
+        return;
     }
-    if rowptr[0] != 0 {
-        diags.push(Diagnostic::error(
-            codes::FMT_BAD_PTR,
-            Span::Component { name: "rowptr", at: Some(0) },
-            format!("rowptr starts at {} (want 0)", rowptr[0]),
-        ));
-    }
+    sink.check(rowptr[0] == 0, || {
+        Diagnostic::error(codes::FMT_BAD_PTR, ptr(Some(0)), format!("rowptr starts at {} (want 0)", rowptr[0]))
+    });
     for k in 1..rowptr.len() {
-        if rowptr[k] < rowptr[k - 1] {
-            diags.push(Diagnostic::error(
-                codes::FMT_BAD_PTR,
-                Span::Component { name: "rowptr", at: Some(k) },
-                format!("rowptr decreases at {k}: {} -> {}", rowptr[k - 1], rowptr[k]),
-            ));
-            return diags;
+        if !sink.check(rowptr[k] >= rowptr[k - 1], || {
+            let msg = format!("rowptr decreases at {k}: {} -> {}", rowptr[k - 1], rowptr[k]);
+            Diagnostic::error(codes::FMT_BAD_PTR, ptr(Some(k)), msg)
+        }) {
+            return;
         }
     }
-    if rowptr[nrows] != colind.len() {
-        diags.push(Diagnostic::error(
-            codes::FMT_BAD_PTR,
-            Span::Component { name: "rowptr", at: Some(nrows) },
-            format!("rowptr ends at {} but colind has {} entries", rowptr[nrows], colind.len()),
-        ));
-        return diags;
+    if !sink.check(rowptr[nrows] == colind.len(), || {
+        let msg = format!("rowptr ends at {} but colind has {} entries", rowptr[nrows], colind.len());
+        Diagnostic::error(codes::FMT_BAD_PTR, ptr(Some(nrows)), msg)
+    }) {
+        return;
     }
     for (k, &j) in colind.iter().enumerate() {
-        if j >= nrows {
-            diags.push(Diagnostic::error(
+        sink.check(j < nrows, || {
+            Diagnostic::error(
                 codes::FMT_INDEX_OOB,
                 Span::Component { name: "colind", at: Some(k) },
                 format!("column index {j} out of bounds for {nrows} rows"),
-            ));
-        }
-    }
-    diags
-}
-
-/// The dependence a stored entry `(i, j)` of row `i` carries under
-/// `relation`, as the `(earlier, later)` pair of rows it orders:
-/// `Ok(None)` for a diagonal entry, `Err(triangle)` for an entry on the
-/// wrong side of a solve's triangle (the relation is cyclic).
-fn edge(relation: Relation, i: usize, j: usize) -> Result<Option<(usize, usize)>, Triangle> {
-    use std::cmp::Ordering::{Equal, Greater, Less};
-    match (relation, j.cmp(&i)) {
-        (_, Equal) => Ok(None),
-        (Relation::GaussSeidel, _) => Ok(Some((i.min(j), i.max(j)))),
-        (Relation::Solve(Triangle::Lower), Less) | (Relation::Solve(Triangle::Upper), Greater) => {
-            Ok(Some((j, i)))
-        }
-        (Relation::Solve(triangle), _) => Err(triangle),
+            )
+        });
     }
 }
 
-fn wrong_side_diag(triangle: Triangle, i: usize, j: usize, k: usize) -> Diagnostic {
+fn wrong_side_diag(relation: Relation, i: usize, j: usize, k: usize) -> Diagnostic {
+    let triangle = if relation.descending() { Triangle::Upper } else { Triangle::Lower };
     Diagnostic::error(
         codes::WAVE_NOT_TRIANGULAR,
         Span::Component { name: "colind", at: Some(k) },
@@ -299,60 +370,56 @@ fn wrong_side_diag(triangle: Triangle, i: usize, j: usize, k: usize) -> Diagnost
     )
 }
 
-/// Longest-path level sets of `relation` over a well-shaped pattern.
-/// Rows are visited in dependence order (descending for an upper solve,
-/// ascending otherwise). Each row first *pulls* from the rows its own
-/// entries make it follow — already final, as they were visited
-/// earlier — and then *pushes* its level to the rows its entries make
-/// it precede (Gauss-Seidel's upper entries, which the later row cannot
-/// see from its own). A wrong-side entry is `BA41`.
-fn levels(
-    nrows: usize,
-    rowptr: &[usize],
-    colind: &[usize],
-    relation: Relation,
-) -> Result<LevelSchedule, Vec<Diagnostic>> {
-    let mut diags = Vec::new();
-    let mut level = vec![0usize; nrows];
-    let descending = relation == Relation::Solve(Triangle::Upper);
+/// Longest-path level sets of `W`'s relation over a well-shaped
+/// pattern. Rows are visited in dependence order. `depth[i]` is row
+/// `i`'s level + 1 once it is visited. Before, it is 0, or under
+/// Gauss-Seidel the greatest depth of the visited rows whose own
+/// entries make them precede `i` (pushed, since `i` cannot see those
+/// entries from its own row). A row's depth is one past the greatest of
+/// that and of the depths of the rows its own entries make it follow,
+/// already final as they were visited earlier. A wrong-side entry is
+/// `BA41`.
+fn levels<W: Fixed>(nrows: usize, rowptr: &[usize], colind: &[usize], sink: &mut impl Sink) -> LevelSchedule {
+    let relation = W::RELATION;
+    let mut depth = vec![0usize; nrows];
+    let mut num_levels = 0;
     for step in 0..nrows {
-        let i = if descending { nrows - 1 - step } else { step };
-        let entries = rowptr[i]..rowptr[i + 1];
-        for k in entries.clone() {
-            match edge(relation, i, colind[k]) {
-                Ok(Some((dep, row))) if row == i => level[i] = level[i].max(level[dep] + 1),
-                Ok(_) => {}
-                Err(triangle) => diags.push(wrong_side_diag(triangle, i, colind[k], k)),
+        let i = if relation.descending() { nrows - 1 - step } else { step };
+        let (s, e) = (rowptr[i], rowptr[i + 1]);
+        let mut d = depth[i];
+        for (k, &j) in colind[s..e].iter().enumerate() {
+            sink.check(!relation.wrong_side(i, j), || wrong_side_diag(relation, i, j, s + k));
+            // An unvisited row reads 0, except a Gauss-Seidel row's
+            // pushed floor, which only that row's own visit may read.
+            d = d.max(if relation.after(i, j) { 0 } else { depth[j] });
+        }
+        d += 1;
+        depth[i] = d;
+        num_levels = num_levels.max(d);
+        if matches!(relation, Relation::GaussSeidel) {
+            for &j in &colind[s..e] {
+                let pushed = depth[j];
+                depth[j] = if relation.after(i, j) { pushed.max(d) } else { pushed };
             }
         }
-        for k in entries {
-            match edge(relation, i, colind[k]) {
-                Ok(Some((row, later))) if row == i => level[later] = level[later].max(level[i] + 1),
-                _ => {}
-            }
-        }
-    }
-    if !diags.is_empty() {
-        return Err(diags);
     }
 
     // Bucket rows level-major (stable: ascending row order within each
     // level, so the parallel kernels' write-back order is deterministic).
-    let num_levels = level.iter().map(|&l| l + 1).max().unwrap_or(0);
     let mut level_ptr = vec![0usize; num_levels + 1];
-    for &l in &level {
-        level_ptr[l + 1] += 1;
+    for &d in &depth {
+        level_ptr[d] += 1;
     }
     for l in 0..num_levels {
         level_ptr[l + 1] += level_ptr[l];
     }
     let mut next = level_ptr.clone();
     let mut rows = vec![0usize; nrows];
-    for (i, &l) in level.iter().enumerate() {
-        rows[next[l]] = i;
-        next[l] += 1;
+    for (i, &d) in depth.iter().enumerate() {
+        rows[next[d - 1]] = i;
+        next[d - 1] += 1;
     }
-    Ok(LevelSchedule { nrows, rows, level_ptr })
+    LevelSchedule { nrows, rows, level_ptr }
 }
 
 /// The one DO-ACROSS certifier: the schedule — `cached` (say, rebuilt
@@ -373,22 +440,30 @@ pub fn certify_wavefront(
     relation: Relation,
     cached: Option<LevelSchedule>,
 ) -> Result<(LevelSchedule, WavefrontCert), Vec<Diagnostic>> {
-    let shape = check_pattern_shape(nrows, rowptr, colind);
-    if !shape.is_empty() {
-        return Err(shape);
+    match relation {
+        Relation::Solve(Triangle::Lower) => certify::<LowerSolve>(nrows, rowptr, colind, digest, cached),
+        Relation::Solve(Triangle::Upper) => certify::<UpperSolve>(nrows, rowptr, colind, digest, cached),
+        Relation::GaussSeidel => certify::<GaussSeidelSweep>(nrows, rowptr, colind, digest, cached),
     }
+}
+
+fn certify<W: Fixed>(
+    nrows: usize,
+    rowptr: &[usize],
+    colind: &[usize],
+    digest: u64,
+    cached: Option<LevelSchedule>,
+) -> Result<(LevelSchedule, WavefrontCert), Vec<Diagnostic>> {
+    diagnosed!(shape, nrows, rowptr, colind)?;
     let sched = match cached {
         Some(sched) => sched,
-        None => levels(nrows, rowptr, colind, relation)?,
+        None => diagnosed!(levels::<W>, nrows, rowptr, colind)?,
     };
     // Defense in depth: a computed schedule passes the same independent
     // check as a cached one before it is certified.
-    let verdict = check_schedule(nrows, rowptr, colind, relation, &sched);
-    if !verdict.is_empty() {
-        return Err(verdict);
-    }
+    diagnosed!(verify::<W>, nrows, rowptr, colind, &sched)?;
     let cert = WavefrontCert {
-        relation,
+        relation: W::RELATION,
         operand: OperandBinding::new(nrows, nrows, [rowptr, colind], digest),
         schedule_hash: schedule_hash(&sched),
         levels: sched.num_levels(),
@@ -444,121 +519,89 @@ pub fn verify_level_schedule(
     triangle: Triangle,
     sched: &LevelSchedule,
 ) -> Vec<Diagnostic> {
-    let diags = check_pattern_shape(nrows, rowptr, colind);
-    if !diags.is_empty() {
-        return diags;
-    }
-    check_schedule(nrows, rowptr, colind, Relation::Solve(triangle), sched)
+    let verdict = diagnosed!(shape, nrows, rowptr, colind).and_then(|()| match triangle {
+        Triangle::Lower => diagnosed!(verify::<LowerSolve>, nrows, rowptr, colind, sched),
+        Triangle::Upper => diagnosed!(verify::<UpperSolve>, nrows, rowptr, colind, sched),
+    });
+    verdict.err().unwrap_or_default()
 }
 
-/// The verifier proper, over a well-shaped pattern and any relation.
-fn check_schedule(
-    nrows: usize,
-    rowptr: &[usize],
-    colind: &[usize],
-    relation: Relation,
-    sched: &LevelSchedule,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
+/// The verifier proper, over a well-shaped pattern and `W`'s relation.
+fn verify<W: Fixed>(nrows: usize, rowptr: &[usize], colind: &[usize], sched: &LevelSchedule, sink: &mut impl Sink) {
+    let relation = W::RELATION;
+    let coverage = |span, msg: String| Diagnostic::error(codes::WAVE_BAD_COVERAGE, span, msg);
+    let rows_at = |at| Span::Component { name: "rows", at };
     // Schedule structure: level_ptr must delimit rows, rows must be a
     // permutation of 0..nrows.
-    if sched.nrows != nrows {
-        diags.push(Diagnostic::error(
-            codes::WAVE_BAD_COVERAGE,
-            Span::Whole,
-            format!("schedule covers {} rows but operand has {nrows}", sched.nrows),
-        ));
-        return diags;
+    if !sink.check(sched.nrows == nrows, || {
+        coverage(Span::Whole, format!("schedule covers {} rows but operand has {nrows}", sched.nrows))
+    }) {
+        return;
     }
     let lp = &sched.level_ptr;
-    if lp.first() != Some(&0)
-        || lp.last() != Some(&sched.rows.len())
-        || lp.windows(2).any(|w| w[1] < w[0])
-    {
-        diags.push(Diagnostic::error(
-            codes::WAVE_BAD_COVERAGE,
-            Span::Component { name: "level_ptr", at: None },
-            "level boundaries are not a monotone cover of the scheduled rows".to_string(),
-        ));
-        return diags;
+    let monotone =
+        lp.first() == Some(&0) && lp.last() == Some(&sched.rows.len()) && lp.windows(2).all(|w| w[0] <= w[1]);
+    if !sink.check(monotone, || {
+        let msg = "level boundaries are not a monotone cover of the scheduled rows".to_string();
+        coverage(Span::Component { name: "level_ptr", at: None }, msg)
+    }) {
+        return;
     }
-    if sched.rows.len() != nrows {
-        diags.push(Diagnostic::error(
-            codes::WAVE_BAD_COVERAGE,
-            Span::Component { name: "rows", at: None },
-            format!("schedule lists {} rows but operand has {nrows}", sched.rows.len()),
-        ));
-        return diags;
+    if !sink.check(sched.rows.len() == nrows, || {
+        coverage(rows_at(None), format!("schedule lists {} rows but operand has {nrows}", sched.rows.len()))
+    }) {
+        return;
     }
-    // Position of each row in the schedule; doubles as the
-    // duplicate/missing detector.
+    // Level of each row; doubles as the duplicate detector. `nrows`
+    // distinct rows below `nrows` are all of them, so none is missing.
     let mut level_of = vec![usize::MAX; nrows];
     for l in 0..sched.num_levels() {
         for &i in sched.level(l) {
-            if i >= nrows {
-                diags.push(Diagnostic::error(
-                    codes::WAVE_BAD_COVERAGE,
-                    Span::Component { name: "rows", at: Some(i) },
-                    format!("scheduled row {i} out of bounds for {nrows} rows"),
-                ));
-                return diags;
-            }
-            if level_of[i] != usize::MAX {
-                diags.push(Diagnostic::error(
-                    codes::WAVE_BAD_COVERAGE,
-                    Span::Component { name: "rows", at: Some(i) },
-                    format!("row {i} scheduled more than once"),
-                ));
-                return diags;
+            let listed = sink.check(i < nrows, || {
+                coverage(rows_at(Some(i)), format!("scheduled row {i} out of bounds for {nrows} rows"))
+            }) && sink.check(level_of[i] == usize::MAX, || {
+                coverage(rows_at(Some(i)), format!("row {i} scheduled more than once"))
+            });
+            if !listed {
+                return;
             }
             level_of[i] = l;
         }
     }
-    if let Some(i) = level_of.iter().position(|&l| l == usize::MAX) {
-        diags.push(Diagnostic::error(
-            codes::WAVE_BAD_COVERAGE,
-            Span::Component { name: "rows", at: Some(i) },
-            format!("row {i} is missing from the schedule"),
-        ));
-        return diags;
-    }
 
     // Every dependence must point to a strictly earlier level.
-    for i in 0..nrows {
-        let (s, e) = (rowptr[i], rowptr[i + 1]);
-        for (k, &j) in colind[s..e].iter().enumerate().map(|(dk, j)| (s + dk, j)) {
-            let (dep, row) = match edge(relation, i, j) {
-                Ok(Some(pair)) => pair,
-                Ok(None) => continue,
-                Err(triangle) => {
-                    diags.push(wrong_side_diag(triangle, i, j, k));
-                    continue;
+    for (i, (w, &li)) in rowptr.windows(2).zip(&level_of).enumerate() {
+        let s = w[0];
+        for (k, &j) in colind[s..w[1]].iter().enumerate() {
+            let lj = level_of[j];
+            sink.check(!relation.wrong_side(i, j), || wrong_side_diag(relation, i, j, s + k));
+            // The entry's dependence: row `dep` must run at a level
+            // before row `row`'s.
+            let (dep, row, at_dep, at_row) = if relation.after(i, j) { (i, j, li, lj) } else { (j, i, lj, li) };
+            let carried = relation.before(i, j) || relation.after(i, j);
+            sink.check(!carried || at_dep < at_row, || {
+                if at_dep == at_row {
+                    Diagnostic::error(
+                        codes::WAVE_LEVEL_OVERLAP,
+                        rows_at(Some(row)),
+                        format!(
+                            "rows {row} and {dep} share level {at_row} but row {row} depends on \
+                             row {dep}: the wave would read {dep}'s write mid-flight"
+                        ),
+                    )
+                } else {
+                    Diagnostic::error(
+                        codes::WAVE_NON_TOPOLOGICAL,
+                        rows_at(Some(row)),
+                        format!(
+                            "row {row} (level {at_row}) depends on row {dep} scheduled later \
+                             (level {at_dep}): the schedule is not a topological order"
+                        ),
+                    )
                 }
-            };
-            if level_of[dep] == level_of[row] {
-                diags.push(Diagnostic::error(
-                    codes::WAVE_LEVEL_OVERLAP,
-                    Span::Component { name: "rows", at: Some(row) },
-                    format!(
-                        "rows {row} and {dep} share level {} but row {row} depends on \
-                         row {dep}: the wave would read {dep}'s write mid-flight",
-                        level_of[row]
-                    ),
-                ));
-            } else if level_of[dep] > level_of[row] {
-                diags.push(Diagnostic::error(
-                    codes::WAVE_NON_TOPOLOGICAL,
-                    Span::Component { name: "rows", at: Some(row) },
-                    format!(
-                        "row {row} (level {}) depends on row {dep} scheduled later \
-                         (level {}): the schedule is not a topological order",
-                        level_of[row], level_of[dep]
-                    ),
-                ));
-            }
+            });
         }
     }
-    diags
 }
 
 #[cfg(test)]
@@ -737,6 +780,23 @@ mod tests {
         let mut ci = ci;
         ci[1] = 1;
         assert!(!c.covers(&op(4, &rp, &ci), LOWER, &s));
+    }
+
+    #[test]
+    fn one_row_or_one_level_boundary_hashes_apart() {
+        // `covers` re-hashes the schedule on every parallel sweep entry,
+        // so the hash alone must tell apart schedules that differ in one
+        // row or in one level boundary.
+        let s = LevelSchedule::from_raw_unchecked(6, vec![0, 2, 1, 4, 3, 5], vec![0, 2, 4, 5, 6]);
+        let h = schedule_hash(&s);
+        for rows in [vec![2, 0, 1, 4, 3, 5], vec![0, 2, 1, 4, 3, 6], vec![0, 2, 1, 4, 5, 3]] {
+            assert_ne!(h, schedule_hash(&LevelSchedule::from_raw_unchecked(6, rows, s.level_ptr().to_vec())));
+        }
+        for lp in [vec![0, 1, 4, 5, 6], vec![0, 2, 3, 5, 6], vec![0, 2, 4, 6, 6], vec![0, 2, 4, 5, 6, 6]] {
+            assert_ne!(h, schedule_hash(&LevelSchedule::from_raw_unchecked(6, s.rows().to_vec(), lp)));
+        }
+        assert_ne!(h, schedule_hash(&LevelSchedule::from_raw_unchecked(7, s.rows().to_vec(), s.level_ptr().to_vec())));
+        assert_eq!(h, schedule_hash(&s.clone()));
     }
 
     #[test]

@@ -27,9 +27,12 @@ use std::time::Instant;
 
 /// Wall-clock seconds of `samples` runs of each of `f(0)` … `f(N - 1)`,
 /// one list per arm. The arms' samples are interleaved, so a change of
-/// host speed mid-measurement lands on all of them alike.
+/// host speed mid-measurement lands on all of them alike. One round of
+/// every arm runs first and is discarded, so no arm's first sample pays
+/// for cold caches, first-touch pages or a sleeping core alone.
 pub fn sample_times<const N: usize>(samples: usize, mut f: impl FnMut(usize)) -> [Vec<f64>; N] {
     assert!(samples >= 1);
+    (0..N).for_each(&mut f);
     let mut times = [(); N].map(|_| Vec::with_capacity(samples));
     for _ in 0..samples {
         for (arm, ts) in times.iter_mut().enumerate() {
