@@ -47,6 +47,7 @@ use bernoulli_relational::exec::Bindings;
 use bernoulli_relational::ids::{MAT_A, MAT_B, MAT_C, VEC_X, VEC_Y};
 use bernoulli_relational::planner::QueryMeta;
 use bernoulli_relational::semiring::{AlgebraProps, F64Plus, Semiring};
+use std::sync::Arc;
 
 /// Minimum mean rows per level for the wavefront parallel tier: below
 /// this a schedule is mostly serial chain (the worst case is one row
@@ -364,6 +365,19 @@ fn pool_gates(work: usize, ctx: &ExecCtx) -> Option<GateDecision> {
     None
 }
 
+/// Whether [`compile`] of `spec` over `operands` under `ctx` can read
+/// the hints it is handed. The DO-ANY ops can; a wavefront op reads its
+/// cached schedule only past `pool_gates`, the first link of
+/// `wave_decision`'s chain, so where those gates close it compiles
+/// serial from the operand alone, and a structure cache has nothing to
+/// look up (or to key the operand for).
+pub fn reads_hints(spec: OpSpec, operands: Operands<'_>, ctx: &ExecCtx) -> bool {
+    match operands {
+        Operands::Tri(a) if spec.kind().is_wavefront() => pool_gates(a.nnz(), ctx).is_none(),
+        _ => true,
+    }
+}
+
 /// The DO-ANY gate chain under an explicit scalar algebra:
 /// specialisability → work threshold → worker pool → race certificate
 /// (`check_do_any_in`, so a reduction nest over a non-associative-
@@ -577,8 +591,9 @@ pub struct OpHints {
     /// The strategy the cold compile chose for this structure.
     pub strategy: Strategy,
     /// Plan-shape signature ([`CompiledKernel::shape`]) of the cold
-    /// plan (empty for the wavefront ops, which never run the planner).
-    pub plan_shape: String,
+    /// plan (empty for the wavefront ops, which never run the planner),
+    /// shared by every op compiled from these hints.
+    pub plan_shape: Arc<str>,
     /// Whether the cold compile certified the fast microkernel tier.
     pub fast_eligible: bool,
     /// In-memory tier only: the certificate from a previous compile of
@@ -600,7 +615,7 @@ pub struct OpHints {
 /// against the operand's sparsity structure, not a relational query.
 enum PlanSource {
     Compiled(CompiledKernel),
-    Hinted { shape: String },
+    Hinted { shape: Arc<str> },
     None,
 }
 
@@ -608,7 +623,7 @@ impl PlanSource {
     fn shape(&self) -> String {
         match self {
             PlanSource::Compiled(k) => k.shape(),
-            PlanSource::Hinted { shape } => shape.clone(),
+            PlanSource::Hinted { shape } => shape.to_string(),
             PlanSource::None => String::new(),
         }
     }
@@ -815,7 +830,7 @@ fn compile_do_any(d: DoAny<'_>, ctx: &ExecCtx, hints: Option<&OpHints>) -> RelRe
     let (decision, specializable, plan) = match replay {
         Some(h) => {
             ctx.obs().counter("engine.compile_warm", 1);
-            let plan = PlanSource::Hinted { shape: h.plan_shape.clone() };
+            let plan = PlanSource::Hinted { shape: Arc::clone(&h.plan_shape) };
             (GateDecision::replayed(regate(h.strategy, d.work, ctx)), true, plan)
         }
         None => {
@@ -960,7 +975,7 @@ impl CompiledOp {
     pub fn hints(&self) -> OpHints {
         OpHints {
             strategy: self.strategy,
-            plan_shape: self.plan.shape(),
+            plan_shape: self.plan.shape().into(),
             fast_eligible: self.fast_cert.is_some(),
             fast_cert: self.fast_cert,
             schedule: self.schedule().cloned(),

@@ -159,7 +159,7 @@ mod tests {
     fn compile_warm<E: TryFrom<CompiledOp, Error = RelError>>(spec: OpSpec, a: &Csr, schedule: LevelSchedule) -> E {
         let hints = OpHints {
             strategy: Strategy::Specialized,
-            plan_shape: String::new(),
+            plan_shape: "".into(),
             fast_eligible: false,
             fast_cert: None,
             schedule: Some(schedule),

@@ -17,6 +17,7 @@ use bernoulli_relational::access::{
     FlatIter, InnerIter, MatMeta, MatrixAccess, Orientation, OuterCursor, OuterIter,
 };
 use bernoulli_analysis::wavefront::Triangle;
+use bernoulli_relational::error::{RelError, RelResult};
 use bernoulli_relational::props::LevelProps;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -79,29 +80,21 @@ impl Csr {
         Csr::from_raw_unchecked(t.nrows(), t.ncols(), rowptr, colind, vals)
     }
 
-    /// Build from raw arrays (must satisfy the CRS invariants: monotone
-    /// `rowptr`, sorted duplicate-free columns within each row).
+    /// Build from raw arrays, checked: the BA2x sanitizer
+    /// ([`Validate::validate`]) runs once, and arrays that break a CRS
+    /// invariant (a malformed `rowptr`, a column out of range, unsorted
+    /// or repeated within its row) are refused with its findings
+    /// ([`RelError::Validation`]) instead of built.
     pub fn from_raw(
         nrows: usize,
         ncols: usize,
         rowptr: Vec<usize>,
         colind: Vec<usize>,
         vals: Vec<f64>,
-    ) -> Self {
-        assert_eq!(rowptr.len(), nrows + 1, "rowptr length");
-        assert_eq!(colind.len(), vals.len(), "parallel array lengths");
-        assert_eq!(*rowptr.last().unwrap(), vals.len(), "rowptr end");
-        for i in 0..nrows {
-            assert!(rowptr[i] <= rowptr[i + 1], "rowptr monotone");
-            let cols = &colind[rowptr[i]..rowptr[i + 1]];
-            for w in cols.windows(2) {
-                assert!(w[0] < w[1], "row {i} columns not strictly sorted");
-            }
-            for &c in cols {
-                assert!(c < ncols, "column {c} out of range");
-            }
-        }
-        Csr::from_raw_unchecked(nrows, ncols, rowptr, colind, vals)
+    ) -> RelResult<Self> {
+        let m = Csr::from_raw_unchecked(nrows, ncols, rowptr, colind, vals);
+        m.validate_ok().map_err(|e| RelError::Validation(format!("Csr::from_raw: {e}")))?;
+        Ok(m)
     }
 
     /// Build from raw arrays **without** checking any invariant.
@@ -418,14 +411,33 @@ mod tests {
 
     #[test]
     fn from_raw_validates() {
-        let m = Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]);
+        let m = Csr::from_raw(2, 2, vec![0, 1, 2], vec![0, 1], vec![1.0, 2.0]).unwrap();
         assert_eq!(m.nnz(), 2);
     }
 
     #[test]
-    #[should_panic]
     fn from_raw_rejects_unsorted_row() {
-        Csr::from_raw(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0]);
+        let err = Csr::from_raw(1, 3, vec![0, 2], vec![2, 0], vec![1.0, 2.0]).unwrap_err();
+        assert!(matches!(&err, RelError::Validation(m) if m.contains("[BA23]")), "{err}");
+    }
+
+    /// Each broken CRS invariant is refused with its BA2x code, never a panic.
+    #[test]
+    fn from_raw_refuses_each_broken_invariant() {
+        let cases = [
+            (2, vec![0, 2], vec![0, 1], 2, "BA21"), // rowptr too short
+            (2, vec![0, 1, 3], vec![0, 1], 2, "BA21"), // rowptr end ≠ nnz
+            (2, vec![0, 2, 1], vec![0, 1], 2, "BA21"), // rowptr decreases
+            (2, vec![0, 1, 2], vec![0, 2], 2, "BA22"), // column out of range
+            (1, vec![0, 2], vec![1, 1], 2, "BA24"), // repeated column
+        ];
+        for (nrows, rowptr, colind, nnz, code) in cases {
+            let err = Csr::from_raw(nrows, 2, rowptr.clone(), colind, vec![1.0; nnz]).unwrap_err();
+            assert!(matches!(&err, RelError::Validation(m) if m.contains(code)), "{rowptr:?}: {err}");
+        }
+        // Fewer values than column indices.
+        let err = Csr::from_raw(1, 2, vec![0, 1], vec![0], vec![]).unwrap_err();
+        assert!(matches!(&err, RelError::Validation(m) if m.contains("BA25")), "{err}");
     }
 
     #[test]

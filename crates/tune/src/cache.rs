@@ -48,7 +48,7 @@
 use std::collections::HashMap;
 use std::io;
 use std::path::Path;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bernoulli::engines::{SemiringSpmvEngine, SpmvEngine, SpmvMultiEngine, Strategy};
 use bernoulli::pipeline::{self, CompiledOp, OpHints, OpKind, OpSpec, Operands};
@@ -70,14 +70,15 @@ pub const SCHEMA: &str = "bernoulli.plancache/v5";
 
 #[derive(Debug, Default)]
 struct Inner {
-    /// One cached verdict per `(structure, op)` pair.
-    ops: HashMap<(StructureKey, OpKind), OpHints>,
+    /// One cached verdict per `(structure, op)` pair, shared: a hit
+    /// hands out a reference, not a copy.
+    ops: HashMap<(StructureKey, OpKind), Arc<OpHints>>,
     hits: u64,
     misses: u64,
 }
 
 impl Inner {
-    fn lookup(&mut self, key: (StructureKey, OpKind)) -> Option<OpHints> {
+    fn lookup(&mut self, key: (StructureKey, OpKind)) -> Option<Arc<OpHints>> {
         let hit = self.ops.get(&key).cloned();
         match hit {
             Some(_) => self.hits += 1,
@@ -93,7 +94,8 @@ pub struct CacheStats {
     /// Compiles served from a cached verdict (planner search, race
     /// gate and wavefront construction all skipped).
     pub hits: u64,
-    /// Compiles that ran the full cold path (and seeded the cache).
+    /// Compiles that replayed nothing: every compile that was not a
+    /// hit, whether or not its verdict was then cached.
     pub misses: u64,
     /// Cached classical SpMV verdicts.
     pub spmv_entries: usize,
@@ -145,19 +147,26 @@ impl PlanCache {
     /// The wavefront ops cache only a compile that armed its level
     /// schedule (serial verdicts are O(1) to re-derive or must be
     /// re-derived for soundness), and an entry holding no schedule is
-    /// overwritten by the first compile that arms one.
+    /// overwritten by the first compile that arms one. Where the
+    /// context's pool gates keep a wavefront op serial
+    /// ([`pipeline::reads_hints`]), no entry could replay: the operand
+    /// is not keyed, and the compile counts as a miss.
     pub fn compile<S: Semiring>(
         &self,
         spec: OpSpec,
         operands: Operands<'_>,
         ctx: &ExecCtx,
     ) -> RelResult<CompiledOp> {
+        if !pipeline::reads_hints(spec, operands, ctx) {
+            self.lock().misses += 1;
+            return pipeline::compile::<S>(spec, operands, ctx, None);
+        }
         let kind = spec.kind();
         // A wavefront verdict without its schedule replays nothing.
         let replayable = |h: &OpHints| !(kind.is_wavefront() && h.schedule.is_none());
         let key = (key_of(&operands), kind);
         let hit = self.lock().lookup(key);
-        let op = pipeline::compile::<S>(spec, operands, ctx, hit.as_ref())?;
+        let op = pipeline::compile::<S>(spec, operands, ctx, hit.as_deref())?;
         match hit {
             Some(h) if replayable(&h) => {
                 // Refresh only the in-memory certificate, and only when
@@ -166,14 +175,14 @@ impl PlanCache {
                 // fields stay.
                 if let Some(cert) = op.fast_cert().filter(|c| h.fast_cert != Some(*c)) {
                     if let Some(stored) = self.lock().ops.get_mut(&key) {
-                        stored.fast_cert = Some(cert);
+                        Arc::make_mut(stored).fast_cert = Some(cert);
                     }
                 }
             }
             _ => {
                 let hints = op.hints();
                 if replayable(&hints) {
-                    self.lock().ops.insert(key, hints);
+                    self.lock().ops.insert(key, Arc::new(hints));
                 }
             }
         }
@@ -310,7 +319,7 @@ impl PlanCache {
                 .get("plan_shape")
                 .and_then(Value::as_str)
                 .ok_or("ops entry: no plan_shape")?
-                .to_string();
+                .into();
             let fast_eligible = e
                 .get("fast_eligible")
                 .and_then(Value::as_bool)
@@ -318,7 +327,7 @@ impl PlanCache {
             let schedule = sched_of(e)?;
             inner.ops.insert(
                 (key, kind),
-                OpHints { strategy, plan_shape, fast_eligible, fast_cert: None, schedule },
+                Arc::new(OpHints { strategy, plan_shape, fast_eligible, fast_cert: None, schedule }),
             );
         }
         Ok(PlanCache { inner: Mutex::new(inner) })
@@ -515,20 +524,128 @@ mod tests {
         );
     }
 
+    /// A 5³ grid operator and its lower and upper triangles (diagonal
+    /// 4): operands every wavefront spec arms its schedule on.
+    fn sweep_operands() -> (Csr, Csr, Csr) {
+        let t = grid3d_7pt(5, 5, 5);
+        let n = t.nrows();
+        let triangle = |keep: fn(usize, usize) -> bool| {
+            let mut h = bernoulli_formats::Triplets::new(n, n);
+            for &(r, c, v) in t.canonicalize().entries() {
+                if keep(r, c) {
+                    h.push(r, c, if c == r { 4.0 } else { v });
+                }
+            }
+            Csr::from_triplets(&h)
+        };
+        (Csr::from_triplets(&t), triangle(|r, c| c <= r), triangle(|r, c| c >= r))
+    }
+
+    /// The three wavefront specs, each with the operand it solves or
+    /// sweeps.
+    fn sweeps<'a>(full: &'a Csr, lower: &'a Csr, upper: &'a Csr) -> [(OpSpec, &'a Csr); 3] {
+        let solve = |op| OpSpec::Sptrsv { op };
+        [
+            (solve(TriangularOp::Lower { unit_diag: false }), lower),
+            (solve(TriangularOp::Upper { unit_diag: false }), upper),
+            (OpSpec::Symgs, full),
+        ]
+    }
+
+    fn run_bits(op: &CompiledOp, a: &Csr) -> Vec<u64> {
+        let b: Vec<f64> = (0..a.nrows()).map(|i| ((i * 7 + 1) % 13) as f64 - 6.0).collect();
+        let mut x = vec![0.0; a.nrows()];
+        op.run::<F64Plus>(Operands::Tri(a), &b, &mut x).unwrap();
+        x.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Structure keys one compile through `cache` computes.
+    fn keys_of<S: Semiring>(cache: &PlanCache, spec: OpSpec, operands: Operands<'_>, ctx: &ExecCtx) -> usize {
+        let before = crate::key::tests::key_runs();
+        cache.compile::<S>(spec, operands, ctx).unwrap();
+        crate::key::tests::key_runs() - before
+    }
+
+    #[test]
+    fn only_a_compile_that_can_replay_keys_its_operand() {
+        let cache = PlanCache::new();
+        let (full, lower, upper) = sweep_operands();
+        // Serial sweeps: by thread count, and by size on a pool.
+        let serial = [ExecCtx::serial(), par_ctx().threshold(usize::MAX)];
+        for ctx in &serial {
+            for (spec, a) in sweeps(&full, &lower, &upper) {
+                for _ in 0..2 {
+                    assert_eq!(keys_of::<F64Plus>(&cache, spec, Operands::Tri(a), ctx), 0, "{spec:?}");
+                }
+            }
+        }
+        for (spec, a) in sweeps(&full, &lower, &upper) {
+            for _ in 0..2 {
+                assert_eq!(keys_of::<F64Plus>(&cache, spec, Operands::Tri(a), &par_ctx()), 1, "{spec:?}");
+            }
+        }
+        let a = SparseMatrix::from_triplets(FormatKind::Csr, &grid2d_5pt(8, 8));
+        let min_plus = OpSpec::SemiringSpmv { algebra: MinPlus::NAME };
+        for ctx in serial.iter().chain([&par_ctx()]) {
+            for _ in 0..2 {
+                for spec in [OpSpec::Spmv, OpSpec::SpmvMulti { k: 2 }] {
+                    assert_eq!(keys_of::<F64Plus>(&cache, spec, Operands::Mat(&a), ctx), 1, "{spec:?}");
+                }
+                assert_eq!(keys_of::<MinPlus>(&cache, min_plus, Operands::Mat(&a), ctx), 1);
+            }
+        }
+    }
+
+    #[test]
+    fn every_context_compiles_what_the_uncached_pipeline_compiles() {
+        let cache = PlanCache::new();
+        let (full, lower, upper) = sweep_operands();
+        // The count model: an entry exists once some compile of its
+        // kind armed a schedule, and a compile hits when it finds one
+        // and its pool gates let it read it. One that finds an entry it
+        // cannot read replays nothing: a miss here, and a hit up to
+        // commit 4a9d967, which keyed every compile.
+        let mut armed = std::collections::HashSet::new();
+        let (mut compiles, mut hits, mut unread) = (0, 0, 0);
+        for threads in 1..=3 {
+            for threshold in [|_: usize| 1, |nnz| nnz, |nnz| nnz + 1] {
+                for oversubscribe in [false, true] {
+                    for (spec, a) in sweeps(&full, &lower, &upper) {
+                        let ctx =
+                            ExecCtx::with_threads(threads).oversubscribe(oversubscribe).threshold(threshold(a.nnz()));
+                        let uncached = pipeline::compile::<F64Plus>(spec, Operands::Tri(a), &ctx, None).unwrap();
+                        for _ in 0..2 {
+                            let found = armed.contains(&spec.kind());
+                            let read = pipeline::reads_hints(spec, Operands::Tri(a), &ctx);
+                            (compiles, hits, unread) =
+                                (compiles + 1, hits + u64::from(found && read), unread + u64::from(found && !read));
+                            let op = cache.compile::<F64Plus>(spec, Operands::Tri(a), &ctx).unwrap();
+                            let what = format!("{spec:?} threads {threads} oversubscribe {oversubscribe}");
+                            assert_eq!(op.strategy(), uncached.strategy(), "{what}");
+                            assert_eq!(op.downgrade(), uncached.downgrade(), "{what}");
+                            assert_eq!(run_bits(&op, a), run_bits(&uncached, a), "{what}");
+                            if op.schedule().is_some() {
+                                armed.insert(spec.kind());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries()), (hits, compiles - hits, armed.len()));
+        // Recorded at 4a9d967 on a 2-thread host; any host with at least
+        // two hardware threads pools the same contexts.
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) >= 2 {
+            assert_eq!((s.hits + unread, s.misses - unread, s.entries()), (69, 39, 3));
+        }
+    }
+
     #[test]
     fn sptrsv_and_symgs_schedules_cached_and_replayed() {
         let cache = PlanCache::new();
         let ctx = par_ctx();
-        let t = grid3d_7pt(5, 5, 5);
-        let full = Csr::from_triplets(&t);
-        // Lower triangle of the grid operator.
-        let mut lt = bernoulli_formats::Triplets::new(full.nrows(), full.ncols());
-        for &(r, c, v) in t.canonicalize().entries() {
-            if c <= r {
-                lt.push(r, c, if c == r { 4.0 } else { v });
-            }
-        }
-        let l = Csr::from_triplets(&lt);
+        let (full, l, _) = sweep_operands();
         let op = TriangularOp::Lower { unit_diag: false };
 
         let cold = cache.sptrsv_engine(&l, op, &ctx).unwrap();

@@ -58,6 +58,7 @@ fn digest(
     ncols: usize,
     entries: impl Iterator<Item = (usize, usize)>,
 ) -> StructureKey {
+    count_key_run();
     let mut h = FNV_OFFSET;
     for b in kind.paper_name().bytes() {
         h = fnv(h, b as u64);
@@ -93,11 +94,30 @@ pub fn structure_key_csr(a: &Csr) -> StructureKey {
     digest(FormatKind::Csr, a.nrows(), a.ncols(), entries)
 }
 
+/// What the cache tests count: one call per [`digest`] run.
+#[cfg(not(test))]
+fn count_key_run() {}
+
 #[cfg(test)]
-mod tests {
+fn count_key_run() {
+    tests::KEY_RUNS.with(|n| n.set(n.get() + 1));
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
     use super::*;
     use bernoulli_formats::gen::grid2d_5pt;
     use bernoulli_formats::Triplets;
+
+    thread_local! {
+        /// [`digest`] runs on this thread: what the cache tests count.
+        pub(super) static KEY_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Structure keys computed on this thread so far.
+    pub(crate) fn key_runs() -> usize {
+        KEY_RUNS.with(|n| n.get())
+    }
 
     #[test]
     fn hex_round_trips_and_rejects_garbage() {

@@ -4,7 +4,7 @@
 # metric, both medians, the change's wins, the parent's spread and a
 # verdict against the BENCHMARK.json bound.
 #
-#   scripts/ab.sh [--aligned] <parent> <change> [pairs] [workloads]
+#   scripts/ab.sh [--aligned] [--seed N] <parent> <change> [pairs] [workloads]
 #
 #   <parent>, <change>  git revisions; `.` is the working tree (tracked and
 #                       untracked files, ignored ones left out)
@@ -15,6 +15,8 @@
 #                       a verdict that differs between the arms is printed as
 #                       "layout-sensitive". The default arm stays the number
 #                       of record.
+#   --seed N            passed as `--seed N` to every run on both sides (the
+#                       benchmark's own default seed when absent)
 #
 # Both sides are built one after the other from one source path, into one
 # target directory per arm, and every run executes from one binary path, so
@@ -45,19 +47,25 @@
 # change run beats every parent run; "better" ("worse, in bound") when the
 # change wins (loses) >= 9 of 10 pairs, ties counting for neither side, and
 # its median moves by more than the parent's IQR; otherwise "no change".
+# Beside each wins count, `p` is the two-sided sign-test p-value of the
+# pairs, ties dropped: the chance of a split at least that lopsided if
+# either side were equally likely to win each pair.
 set -euo pipefail
 
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
-aligned=0
+aligned=0 seed=""
 while [ $# -gt 0 ]; do
   case "$1" in
     --aligned) aligned=1; shift ;;
+    --seed)
+      [[ "${2:-}" =~ ^[0-9]+$ ]] || { echo "ab.sh: --seed needs a number" >&2; exit 2; }
+      seed="$2"; shift 2 ;;
     -*) echo "ab.sh: unknown option $1" >&2; exit 2 ;;
     *) break ;;
   esac
 done
 if [ $# -lt 2 ]; then
-  sed -n '2,17p' "$0" >&2
+  sed -n '2,19p' "$0" >&2
   exit 2
 fi
 parent="$1" change="$2" pairs="${3:-10}"
@@ -115,7 +123,7 @@ run() { # arm side pair workload
   # start at field 3) is the binary's alone. The count goes out as the
   # last line, after the binary's.
   out=$(cd "$dir/ab-src" && { "$dir/run/bernoulli-bench" --trace-dir "$dir/run/trace" \
-    --workload "$4" || s=$?; read -r stat < /proc/self/stat; set -- ${stat##*) }
+    --workload "$4" ${seed:+--seed "$seed"} || s=$?; read -r stat < /proc/self/stat; set -- ${stat##*) }
     echo "$9"; exit "${s:-0}"; }) || status=$?
   faults=$(printf '%s\n' "$out" | tail -n 1)
   last=$(printf '%s\n' "$out" | tail -n 2 | head -n 1)
@@ -144,13 +152,22 @@ done
 
 # The report. Bounds and directions come from BENCHMARK.json's end_to_end.
 { jq -r '.end_to_end[] | "\(.name) \(.better) \(.bound)"' "$root/BENCHMARK.json"; echo "faults_per_op lower -"; echo "ops_attempted higher -"; } > "$dir/bounds.txt"
-awk -v pairs="$pairs" '
+awk -v pairs="$pairs" -v seed="${seed:-default}" '
   function sort(a, n,    i, j, t) {
     for (i = 2; i <= n; i++) for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
   }
   function quantile(a, n, q,    h, lo) {
     h = (n - 1) * q + 1; lo = int(h)
     return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+  }
+  # Two-sided sign test: P(a split at least as uneven as w : l | fair).
+  function sign_p(w, l,    n, k, i, c, tail) {
+    n = w + l; k = w < l ? w : l
+    if (n == 0) return 1
+    c = 1; tail = 0
+    for (i = 0; i <= k; i++) { tail += c; c = c * (n - i) / (i + 1) }
+    tail = 2 * tail / 2 ^ n
+    return tail > 1 ? 1 : tail
   }
   function stats(arm, side, w, m, out,    i, n) {
     n = 0
@@ -169,8 +186,8 @@ awk -v pairs="$pairs" '
   END {
     for (a = 1; a <= na; a++) {
       arm = arms[a]
-      printf "== %s arm: %d pairs; failed operations parent %d, change %d; crashed runs parent %d, change %d\n", arm, pairs, failed[arm, "parent"], failed[arm, "change"], crashed[arm, "parent"], crashed[arm, "change"]
-      printf "%-14s %-13s %12s %12s %8s %6s %10s %7s  %s\n", "workload", "metric", "parent p50", "change p50", "delta", "wins", "parent IQR", "bound", "verdict"
+      printf "== %s arm: %d pairs, seed %s; failed operations parent %d, change %d; crashed runs parent %d, change %d\n", arm, pairs, seed, failed[arm, "parent"], failed[arm, "change"], crashed[arm, "parent"], crashed[arm, "change"]
+      printf "%-14s %-13s %12s %12s %8s %6s %6s %10s %7s  %s\n", "workload", "metric", "parent p50", "change p50", "delta", "wins", "p", "parent IQR", "bound", "verdict"
       for (k = 1; k <= nw; k++) for (j = 1; j <= nm; j++) {
         w = works[k]; m = order[j]
         np = stats(arm, "parent", w, m, P); nc = stats(arm, "change", w, m, C)
@@ -197,7 +214,7 @@ awk -v pairs="$pairs" '
         else if (losses * 10 >= 9 * n && -gain > iqr) verdict = "worse, in bound"
         else verdict = "no change"
         verdicts[arm, w, m] = verdict
-        printf "%-14s %-13s %12.4g %12.4g %+7.1f%% %3d/%-2d %10.4g %7s  %s\n", w, m, mp, mc, 100 * rel, wins, n, iqr, bound[m] == "-" ? "-" : sprintf("%.0f%%", 100 * bound[m]), verdict
+        printf "%-14s %-13s %12.4g %12.4g %+7.1f%% %3d/%-2d %6.3f %10.4g %7s  %s\n", w, m, mp, mc, 100 * rel, wins, n, sign_p(wins, losses), iqr, bound[m] == "-" ? "-" : sprintf("%.0f%%", 100 * bound[m]), verdict
       }
       print ""
     }

@@ -164,7 +164,7 @@ fn min_plus_reads_a_stored_zero_weight_as_no_edge_in_every_format() {
     // Edges j → i as A(i, j): 0 →(4) 1, 1 →(1) 2, 2 →(2) 3, and in the
     // raw CRS a stored 0.0 at A(2, 0) besides.
     let t = Triplets::from_entries(4, 4, &[(1, 0, 4.0), (2, 1, 1.0), (3, 2, 2.0)]);
-    let raw = Csr::from_raw(4, 4, vec![0, 0, 1, 3, 4], vec![0, 0, 1, 2], vec![4.0, 0.0, 1.0, 2.0]);
+    let raw = Csr::from_raw(4, 4, vec![0, 0, 1, 3, 4], vec![0, 0, 1, 2], vec![4.0, 0.0, 1.0, 2.0]).unwrap();
     assert_eq!(raw.nnz(), 4);
     let mut operands: Vec<SparseMatrix> =
         FormatKind::ALL.into_iter().map(|kind| SparseMatrix::from_triplets(kind, &t)).collect();

@@ -283,7 +283,9 @@ fn mixed_inspector_allocates_for_the_boundary_not_the_local_matrix() {
 /// benchmark's context (serial, fast tier, obs disabled): what is left
 /// is the request's own cost — cache lookup, hinted compile, result
 /// vector — and nothing for telemetry, neither the `dispatch.<op>` span
-/// name nor a clock read. Pinned per kind; building the span name alone
+/// name nor a clock read. One allocation per kind, the result vector:
+/// a cache hit shares its hints and plan shape instead of copying them,
+/// and a serial sweep is not keyed at all. Building the span name alone
 /// cost two to four allocations (the op tag, then the name).
 #[test]
 fn warm_dispatch_under_a_disabled_obs_pays_nothing_for_telemetry() {
@@ -295,16 +297,16 @@ fn warm_dispatch_under_a_disabled_obs_pays_nothing_for_telemetry() {
     let (full, tri) = (d.register(&t), d.register(&Triplets::from_entries(n, n, &lower)));
     let (x, xk) = (vec![1.0; n], vec![1.0; n * K]);
     let requests = [
-        (full, OpSpec::Spmv, &x, 3),
-        (full, OpSpec::SpmvMulti { k: K }, &xk, 3),
-        (full, OpSpec::SemiringSpmv { algebra: MinPlus::NAME }, &x, 3),
-        (tri, OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } }, &x, 1),
-        (full, OpSpec::Symgs, &x, 1),
+        (full, OpSpec::Spmv, &x),
+        (full, OpSpec::SpmvMulti { k: K }, &xk),
+        (full, OpSpec::SemiringSpmv { algebra: MinPlus::NAME }, &x),
+        (tri, OpSpec::Sptrsv { op: TriangularOp::Lower { unit_diag: false } }, &x),
+        (full, OpSpec::Symgs, &x),
     ];
-    for (id, spec, rhs, want) in requests {
+    for (id, spec, rhs) in requests {
         d.submit(id, spec, rhs).unwrap();
         let ((allocs, _), out) = allocs_during(|| d.submit(id, spec, rhs));
         out.unwrap();
-        assert_eq!(allocs, want, "warm {spec:?}");
+        assert_eq!(allocs, 1, "warm {spec:?}");
     }
 }

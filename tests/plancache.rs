@@ -345,7 +345,7 @@ fn unsorted_csr_keys_apart_from_its_sorted_twin_and_neither_replays_onto_the_oth
     use bernoulli::SpmvEngine;
     let (rowptr, vals) = (vec![0, 3, 5, 6], vec![1.5, -2.0, 0.25, 3.0, 7.0, -1.0]);
     let scrambled = Csr::from_raw_unchecked(3, 4, rowptr.clone(), vec![3, 0, 2, 1, 0, 2], vals.clone());
-    let sorted = Csr::from_raw(3, 4, rowptr, vec![0, 2, 3, 0, 1, 2], vals);
+    let sorted = Csr::from_raw(3, 4, rowptr, vec![0, 2, 3, 0, 1, 2], vals).unwrap();
     assert_ne!(structure_key_csr(&scrambled), structure_key_csr(&sorted));
 
     let ctx = ExecCtx::serial().fast_kernels(true);

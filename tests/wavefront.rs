@@ -415,7 +415,7 @@ fn build_lower(
         rowptr.push(colind.len());
     }
     let nnz = colind.len();
-    Csr::from_raw(n, n, rowptr, colind, vals[..nnz].to_vec())
+    Csr::from_raw(n, n, rowptr, colind, vals[..nnz].to_vec()).unwrap()
 }
 
 fn arb_lower_case() -> impl Strategy<Value = (Csr, bool)> {
